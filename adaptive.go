@@ -6,7 +6,6 @@ import (
 	"hetgrid/internal/adapt"
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/grid"
-	"hetgrid/internal/sim"
 )
 
 // RebalanceDecision reports whether a running computation should move to a
@@ -43,7 +42,7 @@ func ShouldRebalance(cur Distribution, measured []float64, remainingSteps int, o
 		return nil, err
 	}
 	return adapt.EvaluateMM(cur, arr, remainingSteps, adapt.Policy{
-		Net:        sim.Config{Latency: opts.Latency, ByteTime: opts.ByteTime, SharedBus: opts.SharedBus, FullDuplex: opts.FullDuplex},
+		Net:        opts.net(),
 		BlockBytes: opts.BlockBytes,
 		Hysteresis: hysteresis,
 	})
@@ -63,12 +62,15 @@ func ValidateDistribution(d Distribution) error {
 }
 
 // CommVolumeOf returns the analytic communication volume of a full kernel
-// run under d. Supported kernels: MatMul and LU (QR and Cholesky share LU's
-// structure up to constant factors).
+// run under d: exact for MatMul, LU and Cholesky (the engine's flat-
+// broadcast counters and the simulator's counters equal it). QR is charged
+// LU's volume — the approximation its simulation uses too.
 func CommVolumeOf(k Kernel, d Distribution, blockBytes float64) (*CommVolume, error) {
 	switch k {
 	case MatMul:
 		return distribution.MMCommVolume(d, blockBytes)
+	case Cholesky:
+		return distribution.CholeskyCommVolume(d, blockBytes)
 	default:
 		return distribution.LUCommVolume(d, blockBytes)
 	}

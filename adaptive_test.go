@@ -80,4 +80,20 @@ func TestCommVolumeOfFacade(t *testing.T) {
 	if mm.Bytes <= lu.Bytes {
 		t.Fatalf("MM bytes %v not above LU bytes %v", mm.Bytes, lu.Bytes)
 	}
+	// Cholesky has its own schedule (no U panel, lower triangle only): it
+	// must not be charged LU's volume. QR keeps the LU approximation.
+	chol, err := CommVolumeOf(Cholesky, d, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chol.Messages <= 0 || chol.Bytes >= lu.Bytes {
+		t.Fatalf("Cholesky volume %+v not below LU's %+v", chol, lu)
+	}
+	qr, err := CommVolumeOf(QR, d, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *qr != *lu {
+		t.Fatalf("QR volume %+v differs from LU's %+v", qr, lu)
+	}
 }

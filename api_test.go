@@ -2,9 +2,11 @@ package hetgrid
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
 )
 
@@ -58,9 +60,21 @@ func TestParseRoundTrips(t *testing.T) {
 	}
 }
 
-// TestOptionsEquivalence: the variadic functional-option entry points and
-// the deprecated *Opts forms configure the same execution — bit-identical
-// results and identical traffic.
+// factorPacked returns the serial replay's packed factors — the oracle the
+// distributed executions are compared against.
+func factorPacked(t *testing.T, k Kernel, d Distribution, a *Matrix) *Matrix {
+	t.Helper()
+	f, err := Factor(k, d, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Packed()
+}
+
+// TestOptionsEquivalence: one option slice is valid at every variadic
+// entry point — options that do not apply to a call are ignored — and
+// scheduling options (broadcast algorithm, parallelism, solver workers)
+// never change a result: bit-identical products, factors and plans.
 func TestOptionsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	d, err := Uniform(2, 2, 6, 6)
@@ -69,55 +83,52 @@ func TestOptionsEquivalence(t *testing.T) {
 	}
 	const r = 3
 	a, b := matrix.Random(18, 18, rng), matrix.Random(18, 18, rng)
+	opts := []Option{WithBroadcast(TreeBroadcast), WithParallelism(2), WithWorkers(1), nil}
 
-	newAPI, newStats, err := DistributedMultiply(d, a, b, r,
-		WithBroadcast(TreeBroadcast), WithParallelism(2))
+	plain, plainStats, err := DistributedMultiply(d, a, b, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldAPI, oldStats, err := DistributedMultiplyOpts(d, a, b, r,
-		ExecOptions{Broadcast: TreeBroadcast, Parallelism: 2})
+	tuned, tunedStats, err := DistributedMultiply(d, a, b, r, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !newAPI.Equal(oldAPI) {
-		t.Fatal("functional options and ExecOptions produce different products")
+	if !tuned.Equal(plain) {
+		t.Fatal("scheduling options changed the product")
 	}
-	if newStats.Messages != oldStats.Messages || newStats.Bytes != oldStats.Bytes {
+	// On a 2×2 grid every broadcast has one receiver, so the tree and the
+	// flat broadcast send the same messages.
+	if tunedStats.Messages != plainStats.Messages || tunedStats.Bytes != plainStats.Bytes {
 		t.Fatalf("traffic differs: %d/%d msgs, %d/%d bytes",
-			newStats.Messages, oldStats.Messages, newStats.Bytes, oldStats.Bytes)
+			tunedStats.Messages, plainStats.Messages, tunedStats.Bytes, plainStats.Bytes)
 	}
 
 	lu := matrix.RandomWellConditioned(18, rng)
-	newLU, _, err := DistributedFactorLU(d, lu, r, WithBroadcast(RingBroadcast))
+	tunedLU, _, err := DistributedFactorLU(d, lu, r, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldLU, _, err := DistributedFactorLUOpts(d, lu, r, ExecOptions{Broadcast: RingBroadcast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !newLU.Equal(oldLU) {
-		t.Fatal("functional options and ExecOptions produce different LU factors")
+	if !tunedLU.Equal(factorPacked(t, LU, d, lu)) {
+		t.Fatal("scheduling options changed the LU factors")
 	}
 
 	times := []float64{1, 2, 3, 5}
-	planNew, err := Balance(times, 2, 2, StrategyExact, WithWorkers(1))
+	planTuned, err := Balance(times, 2, 2, StrategyExact, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planOld, err := BalanceOpts(times, 2, 2, StrategyExact, BalanceOptions{Workers: 1})
+	planPlain, err := Balance(times, 2, 2, StrategyExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planNew.Objective() != planOld.Objective() {
-		t.Fatalf("Balance objectives differ: %v vs %v", planNew.Objective(), planOld.Objective())
+	if planTuned.Objective() != planPlain.Objective() {
+		t.Fatalf("Balance objectives differ: %v vs %v", planTuned.Objective(), planPlain.Objective())
 	}
 }
 
 // TestFactorizationUnifiesKernels: Factor returns the one result type for
-// all three factorizations, matching what the deprecated per-kernel
-// entry points return.
+// all three factorizations, carrying exactly what the serial replays
+// behind it compute.
 func TestFactorizationUnifiesKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(602))
 	d, err := Uniform(2, 2, 4, 4)
@@ -133,21 +144,16 @@ func TestFactorizationUnifiesKernels(t *testing.T) {
 	if f.Kernel() != LU {
 		t.Fatalf("kernel %v", f.Kernel())
 	}
-	oldPacked, oldOps, err := FactorLU(d, a)
+	rep, err := kernels.ReplayLU(d, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Packed().Equal(oldPacked) {
-		t.Fatal("Factor(LU) and FactorLU disagree")
+	if !f.Packed().Equal(rep.C) {
+		t.Fatal("Factor(LU) and the LU replay disagree")
 	}
 	ops := f.Ops()
-	if len(ops) != len(oldOps) {
-		t.Fatalf("ops %v vs %v", ops, oldOps)
-	}
-	for i := range ops {
-		if ops[i] != oldOps[i] {
-			t.Fatalf("ops %v vs %v", ops, oldOps)
-		}
+	if !reflect.DeepEqual(ops, rep.Ops) {
+		t.Fatalf("ops %v vs %v", ops, rep.Ops)
 	}
 	// Ops returns a copy: mutating it must not touch the result.
 	if len(ops) > 0 {
@@ -166,12 +172,12 @@ func TestFactorizationUnifiesKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldL, _, err := FactorCholesky(d, spd)
+	repC, err := kernels.ReplayCholesky(d, spd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fc.L().Equal(oldL) {
-		t.Fatal("Factor(Cholesky) and FactorCholesky disagree")
+	if !fc.L().Equal(repC.C) {
+		t.Fatal("Factor(Cholesky) and the Cholesky replay disagree")
 	}
 
 	q := matrix.Random(16, 16, rng)
@@ -179,15 +185,15 @@ func TestFactorizationUnifiesKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldQR, err := FactorQR(d, q)
+	repQ, err := kernels.ReplayQR(d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fq.R().Equal(oldQR.R()) {
-		t.Fatal("Factor(QR) and FactorQR disagree on R")
+	if !fq.R().Equal(repQ.R()) {
+		t.Fatal("Factor(QR) and the QR replay disagree on R")
 	}
-	if !fq.Q(4).Equal(oldQR.Q(4)) {
-		t.Fatal("Factor(QR) and FactorQR disagree on Q")
+	if !fq.Q(4).Equal(repQ.Q(4)) {
+		t.Fatal("Factor(QR) and the QR replay disagree on Q")
 	}
 
 	if _, err := Factor(MatMul, d, a); err == nil {

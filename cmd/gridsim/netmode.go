@@ -19,7 +19,6 @@ import (
 	"hetgrid"
 	"hetgrid/internal/engine"
 	enginenet "hetgrid/internal/engine/net"
-	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/sim"
 )
@@ -202,7 +201,15 @@ func runNetProc(fab *enginenet.Fabric, pay netPlan, metrics *hetgrid.Metrics) er
 
 	// The coordinator holds the gathered result: anchor it to the serial
 	// replay oracle, bit for bit.
-	want, err := netOracle(d, kernel, a, b, numerics)
+	var want *matrix.Dense
+	if kernel == hetgrid.MatMul {
+		want, err = hetgrid.Multiply(d, a, b, hetgrid.WithNumerics(numerics))
+	} else {
+		var f *hetgrid.Factorization
+		if f, err = hetgrid.Factor(kernel, d, a, hetgrid.WithNumerics(numerics)); err == nil {
+			want = f.Packed()
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -255,37 +262,6 @@ func netKernelBody(c *engine.Comm, d hetgrid.Distribution, kernel hetgrid.Kernel
 		return nil, err
 	}
 	return engine.Gather(c, d, s)
-}
-
-// netOracle replays the kernel serially under the same numerics contract.
-func netOracle(d hetgrid.Distribution, kernel hetgrid.Kernel, a, b *matrix.Dense, mode matrix.Numerics) (*matrix.Dense, error) {
-	switch kernel {
-	case hetgrid.MatMul:
-		rep, err := kernels.ReplayMMNumerics(d, a, b, mode)
-		if err != nil {
-			return nil, err
-		}
-		return rep.C, nil
-	case hetgrid.LU:
-		rep, err := kernels.ReplayLUNumerics(d, a, mode)
-		if err != nil {
-			return nil, err
-		}
-		return rep.C, nil
-	case hetgrid.Cholesky:
-		rep, err := kernels.ReplayCholeskyNumerics(d, a, mode)
-		if err != nil {
-			return nil, err
-		}
-		return rep.C, nil
-	case hetgrid.QR:
-		rep, err := kernels.ReplayQRNumerics(d, a, mode)
-		if err != nil {
-			return nil, err
-		}
-		return rep.C, nil
-	}
-	return nil, fmt.Errorf("kernel %v has no oracle", kernel)
 }
 
 // simKind maps the public broadcast enum to the engine's (the unexported

@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"hetgrid/internal/adapt"
+	"hetgrid/internal/distribution"
 	"hetgrid/internal/engine"
-	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/obs"
 	"hetgrid/internal/sim"
@@ -25,7 +25,7 @@ const (
 	BroadcastAuto BroadcastKind = iota
 	// FlatBroadcast sends from the source to each receiver directly (star).
 	// Its message count equals the analytic communication volumes
-	// (MMCommVolume/LUCommVolume).
+	// (CommVolumeOf).
 	FlatBroadcast
 	// RingBroadcast forwards along a chain of receivers.
 	RingBroadcast
@@ -74,10 +74,9 @@ func (b BroadcastKind) kind(def sim.BroadcastKind) (sim.BroadcastKind, error) {
 
 // ExecOptions configures a real distributed execution.
 //
-// Prefer passing functional options (WithBroadcast, WithTrace,
-// WithParallelism, WithFaults) to the Distributed* entry points; this
-// struct remains for the deprecated *Opts wrappers and for building
-// options programmatically.
+// The Distributed* entry points take functional options (WithBroadcast,
+// WithTrace, WithParallelism, WithFaults, …), each of which sets one field
+// of this struct.
 type ExecOptions struct {
 	// Broadcast selects the collective algorithm; BroadcastAuto is the flat
 	// broadcast, whose message counts match the analytic volumes.
@@ -277,13 +276,17 @@ func runAttempt(dist Distribution, kern Kernel, blockSize int, inputs []*Matrix,
 	// variables are captured by every rank's closure but only rank 0's
 	// goroutine touches them.
 	var det *adapt.Detector
+	var lay *distribution.Layout
 	var lastBusy []float64
 	lastK := startK
-	wl := kernelWorkload(kern)
+	wl := kernelRegion(kern)
 	if da != nil {
 		var err error
 		det, err = adapt.NewDetector(da.times, da.det)
 		if err != nil {
+			return attemptResult{err: err}
+		}
+		if lay, err = distribution.NewLayout(dist); err != nil {
 			return attemptResult{err: err}
 		}
 		lastBusy = make([]float64, p*q)
@@ -377,7 +380,7 @@ func runAttempt(dist Distribution, kern Kernel, blockSize int, inputs []*Matrix,
 					for r := range cur {
 						delta[r] = cur[r] - lastBusy[r]
 					}
-					segWork := adapt.SegmentWork(dist, wl, lastK, k)
+					segWork := adapt.SegmentWork(lay, wl, lastK, k)
 					copy(lastBusy, cur)
 					lastK = k
 					verdict := 0.0
@@ -705,15 +708,6 @@ func DistributedMultiply(d Distribution, a, b *Matrix, blockSize int, opts ...Op
 	return out, stats, err
 }
 
-// DistributedMultiplyOpts is DistributedMultiply with an explicit options
-// struct.
-//
-// Deprecated: pass functional options to DistributedMultiply instead.
-func DistributedMultiplyOpts(d Distribution, a, b *Matrix, blockSize int, opts ExecOptions) (*Matrix, *ExecStats, error) {
-	out, _, stats, err := runDistributed(d, MatMul, blockSize, []*Matrix{a, b}, opts)
-	return out, stats, err
-}
-
 // DistributedFactorLU executes the unpivoted right-looking LU on the
 // distribution with one goroutine per processor, returning the packed
 // factors (see SplitLU). Supply matrices that are safely factorable without
@@ -722,15 +716,6 @@ func DistributedMultiplyOpts(d Distribution, a, b *Matrix, blockSize int, opts E
 // WithFaults).
 func DistributedFactorLU(d Distribution, a *Matrix, blockSize int, opts ...Option) (*Matrix, *ExecStats, error) {
 	out, _, stats, err := runDistributed(d, LU, blockSize, []*Matrix{a}, applyOptions(opts).exec)
-	return out, stats, err
-}
-
-// DistributedFactorLUOpts is DistributedFactorLU with an explicit options
-// struct.
-//
-// Deprecated: pass functional options to DistributedFactorLU instead.
-func DistributedFactorLUOpts(d Distribution, a *Matrix, blockSize int, opts ExecOptions) (*Matrix, *ExecStats, error) {
-	out, _, stats, err := runDistributed(d, LU, blockSize, []*Matrix{a}, opts)
 	return out, stats, err
 }
 
@@ -743,60 +728,34 @@ func DistributedFactorCholesky(d Distribution, a *Matrix, blockSize int, opts ..
 	return out, stats, err
 }
 
-// DistributedFactorCholeskyOpts is DistributedFactorCholesky with an
-// explicit options struct.
-//
-// Deprecated: pass functional options to DistributedFactorCholesky instead.
-func DistributedFactorCholeskyOpts(d Distribution, a *Matrix, blockSize int, opts ExecOptions) (*Matrix, *ExecStats, error) {
-	out, _, stats, err := runDistributed(d, Cholesky, blockSize, []*Matrix{a}, opts)
-	return out, stats, err
-}
-
 // DistributedFactorQR executes the distributed blocked Householder QR with
 // one goroutine per processor. The returned factorization exposes R and a
-// reconstructor for Q, like FactorQR, but is produced by real
-// message-passing execution (bit-identical to the replay). Behavior is
-// configured with functional options.
+// reconstructor for Q, produced by real message-passing execution
+// (bit-identical to the replay). Behavior is configured with functional
+// options.
 func DistributedFactorQR(d Distribution, a *Matrix, blockSize int, opts ...Option) (*QRFactorization, *ExecStats, error) {
-	return distributedFactorQR(d, a, blockSize, applyOptions(opts).exec)
-}
-
-// DistributedFactorQROpts is DistributedFactorQR with an explicit options
-// struct.
-//
-// Deprecated: pass functional options to DistributedFactorQR instead.
-func DistributedFactorQROpts(d Distribution, a *Matrix, blockSize int, opts ExecOptions) (*QRFactorization, *ExecStats, error) {
-	return distributedFactorQR(d, a, blockSize, opts)
-}
-
-func distributedFactorQR(d Distribution, a *Matrix, blockSize int, opts ExecOptions) (*QRFactorization, *ExecStats, error) {
-	packed, taus, stats, err := runDistributed(d, QR, blockSize, []*Matrix{a}, opts)
+	f, stats, err := DistributedFactor(QR, d, a, blockSize, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &kernels.QRReplay{
-		Replay: kernels.Replay{C: packed, Ops: qrOpCounts(d)},
-		Taus:   taus,
-	}
-	return &QRFactorization{rep: rep}, stats, nil
+	return &QRFactorization{rep: f.qr}, stats, nil
 }
 
 // qrOpCounts attributes QR block operations to owners exactly like
 // kernels.ReplayQR: panel blocks and trailing blocks of step k charge
 // their owner once each.
-func qrOpCounts(d Distribution) []int {
-	nb, _ := d.Blocks()
-	p, q := d.Dims()
-	ops := make([]int, p*q)
-	for k := 0; k < nb; k++ {
-		for bj := k; bj < nb; bj++ {
-			for bi := k; bi < nb; bi++ {
-				pi, pj := d.Owner(bi, bj)
-				ops[pi*q+pj]++
-			}
+func qrOpCounts(d Distribution) ([]int, error) {
+	lay, err := distribution.NewLayout(d)
+	if err != nil {
+		return nil, err
+	}
+	ops := make([]int, lay.Ranks)
+	for k := 0; k < lay.NB; k++ {
+		for n, blocks := range lay.Blocks(distribution.Trailing, k) {
+			ops[n] += len(blocks)
 		}
 	}
-	return ops
+	return ops, nil
 }
 
 // onRank0 passes the matrix only to rank 0, as Scatter expects.

@@ -24,10 +24,7 @@ func TestRecoveredLUBitIdentical(t *testing.T) {
 	}
 	const r = 3
 	a := matrix.RandomWellConditioned(24, rng)
-	serial, _, err := FactorLU(d, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := factorPacked(t, LU, d, a)
 	for _, bk := range allBroadcastKinds {
 		t.Run(bk.String(), func(t *testing.T) {
 			packed, stats, err := DistributedFactorLU(d, a, r,

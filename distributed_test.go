@@ -56,10 +56,7 @@ func TestDistributedFactorLU(t *testing.T) {
 		t.Fatal("no traffic recorded")
 	}
 	// The distributed result matches the serial replay bit patterns.
-	rep, _, err := FactorLU(d, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := factorPacked(t, LU, d, a)
 	if !packed.EqualApprox(rep, 1e-12) {
 		t.Fatal("distributed factors differ from serial replay")
 	}
@@ -85,7 +82,7 @@ func TestDistributedFactorQR(t *testing.T) {
 	}
 	// Real execution and serial replay agree bit for bit, including the
 	// ownership-attributed operation counts.
-	rep, err := FactorQR(d, a)
+	rep, err := Factor(QR, d, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +105,7 @@ func TestDistributedExecStatsBreakdown(t *testing.T) {
 	}
 	const r = 2
 	a := matrix.RandomWellConditioned(12, rng)
-	packed, stats, err := DistributedFactorLUOpts(d, a, r, ExecOptions{Trace: true})
+	packed, stats, err := DistributedFactorLU(d, a, r, WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +155,7 @@ func TestDistributedBroadcastKindsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bk := range []BroadcastKind{FlatBroadcast, RingBroadcast, PipelinedRingBroadcast, TreeBroadcast} {
-		got, _, err := DistributedFactorLUOpts(d, a, r, ExecOptions{Broadcast: bk})
+		got, _, err := DistributedFactorLU(d, a, r, WithBroadcast(bk))
 		if err != nil {
 			t.Fatalf("%v: %v", bk, err)
 		}
@@ -166,7 +163,7 @@ func TestDistributedBroadcastKindsAgree(t *testing.T) {
 			t.Fatalf("%v: factors differ from the flat broadcast", bk)
 		}
 	}
-	if _, _, err := DistributedFactorLUOpts(d, a, r, ExecOptions{Broadcast: BroadcastKind(99)}); err == nil {
+	if _, _, err := DistributedFactorLU(d, a, r, WithBroadcast(BroadcastKind(99))); err == nil {
 		t.Fatal("invalid broadcast kind accepted")
 	}
 }
@@ -217,7 +214,7 @@ func TestDistributedMultiplyBadBlockSize(t *testing.T) {
 }
 
 func TestDistributedParallelismBitIdentical(t *testing.T) {
-	// ExecOptions.Parallelism only changes scheduling, never arithmetic:
+	// WithParallelism only changes scheduling, never arithmetic:
 	// every worker count must reproduce the serial execution bit for bit.
 	rng := rand.New(rand.NewSource(404))
 	d, err := Uniform(2, 2, 6, 6)
@@ -227,24 +224,24 @@ func TestDistributedParallelismBitIdentical(t *testing.T) {
 	const nb, r = 6, 4
 	a := matrix.Random(nb*r, nb*r, rng)
 	b := matrix.Random(nb*r, nb*r, rng)
-	serial, _, err := DistributedMultiplyOpts(d, a, b, r, ExecOptions{})
+	serial, _, err := DistributedMultiply(d, a, b, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spd := matrix.RandomSPD(nb*r, rng)
-	serialChol, _, err := DistributedFactorCholeskyOpts(d, spd, r, ExecOptions{})
+	serialChol, _, err := DistributedFactorCholesky(d, spd, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		got, _, err := DistributedMultiplyOpts(d, a, b, r, ExecOptions{Parallelism: workers})
+		got, _, err := DistributedMultiply(d, a, b, r, WithParallelism(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(serial) {
 			t.Fatalf("parallelism=%d: product not bit-identical to serial", workers)
 		}
-		gotChol, _, err := DistributedFactorCholeskyOpts(d, spd, r, ExecOptions{Parallelism: workers})
+		gotChol, _, err := DistributedFactorCholesky(d, spd, r, WithParallelism(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

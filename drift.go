@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"hetgrid/internal/adapt"
+	"hetgrid/internal/distribution"
 	"hetgrid/internal/grid"
-	"hetgrid/internal/sim"
 )
 
 // DriftPolicy configures online rebalancing under load drift: during a
@@ -83,7 +83,7 @@ func (p DriftPolicy) evalPolicy() adapt.Policy {
 		net.BlockBytes = 8192
 	}
 	return adapt.Policy{
-		Net:        sim.Config{Latency: net.Latency, ByteTime: net.ByteTime, SharedBus: net.SharedBus, FullDuplex: net.FullDuplex},
+		Net:        net.net(),
 		BlockBytes: net.BlockBytes,
 		Hysteresis: p.detectorPolicy().Hysteresis,
 	}
@@ -200,21 +200,21 @@ type driftAttempt struct {
 	budget int
 }
 
-// kernelWorkload maps a kernel to its per-step active region.
-func kernelWorkload(k Kernel) adapt.Workload {
+// kernelRegion maps a kernel to its per-step active region.
+func kernelRegion(k Kernel) distribution.Region {
 	switch k {
 	case MatMul:
-		return adapt.WorkEveryStep
+		return distribution.All
 	case Cholesky:
-		return adapt.WorkTrailingLower
+		return distribution.TrailingLower
 	default:
-		return adapt.WorkTrailing
+		return distribution.Trailing
 	}
 }
 
 // evaluateDrift reshapes the estimated cycle-times onto the grid and runs
 // the kernel-aware migration-cost evaluation.
-func evaluateDrift(dist Distribution, est []float64, wl adapt.Workload, step int, pol DriftPolicy) (*adapt.Decision, error) {
+func evaluateDrift(dist Distribution, est []float64, wl distribution.Region, step int, pol DriftPolicy) (*adapt.Decision, error) {
 	p, q := dist.Dims()
 	t := make([][]float64, p)
 	for i := 0; i < p; i++ {

@@ -22,10 +22,7 @@ func TestDriftChaosComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := matrix.RandomWellConditioned(nb*r, rng)
-	serial, _, err := FactorLU(d, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := factorPacked(t, LU, d, a)
 	for _, bk := range allBroadcastKinds {
 		t.Run(bk.String(), func(t *testing.T) {
 			packed, stats, err := DistributedFactorLU(d, a, r,
@@ -92,10 +89,7 @@ func TestDriftChaosSilentCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := matrix.RandomWellConditioned(nb*r, rng)
-	serial, _, err := FactorLU(d, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := factorPacked(t, LU, d, a)
 	packed, stats, err := DistributedFactorLU(d, a, r,
 		WithFaults(FaultOptions{
 			Seed:        31,

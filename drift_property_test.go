@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hetgrid/internal/adapt"
+	"hetgrid/internal/distribution"
 	"hetgrid/internal/matrix"
 )
 
@@ -26,7 +27,7 @@ type driftTrace struct {
 	busy    [][]float64 // busy[w][r]: window w's busy delta of rank r
 	windows []int       // step each window closed at
 	dist    Distribution
-	wl      adapt.Workload
+	wl      distribution.Region
 	pol     DriftPolicy
 }
 
@@ -39,11 +40,15 @@ func (tr *driftTrace) decisions(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lay, err := distribution.NewLayout(tr.dist)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []string
 	last := 0
 	for w, delta := range tr.busy {
 		k := tr.windows[w]
-		seg := adapt.SegmentWork(tr.dist, tr.wl, last, k)
+		seg := adapt.SegmentWork(lay, tr.wl, last, k)
 		last = k
 		o, err := det.Observe(delta, seg)
 		if err != nil {
@@ -90,8 +95,8 @@ func ownerMap(d Distribution) []int {
 func TestDriftDecisionsDeterministicAcrossWorkers(t *testing.T) {
 	kernels := []struct {
 		k  Kernel
-		wl adapt.Workload
-	}{{MatMul, adapt.WorkEveryStep}, {LU, adapt.WorkTrailing}, {Cholesky, adapt.WorkTrailingLower}}
+		wl distribution.Region
+	}{{MatMul, distribution.All}, {LU, distribution.Trailing}, {Cholesky, distribution.TrailingLower}}
 	for seed := 0; seed < driftSeeds(); seed++ {
 		rng := rand.New(rand.NewSource(int64(9000 + seed)))
 		kc := kernels[seed%len(kernels)]
@@ -164,12 +169,9 @@ func TestDriftMigratedRunsBitIdentical(t *testing.T) {
 		switch kern {
 		case LU:
 			a := matrix.RandomWellConditioned(n, rng)
-			var serial, got *Matrix
-			serial, _, err = FactorLU(d, a)
-			if err == nil {
-				got, stats, err = DistributedFactorLU(d, a, r, WithDriftRebalance(pol))
-				same = err == nil && got.Equal(serial)
-			}
+			var got *Matrix
+			got, stats, err = DistributedFactorLU(d, a, r, WithDriftRebalance(pol))
+			same = err == nil && got.Equal(factorPacked(t, LU, d, a))
 		case MatMul:
 			a, b := matrix.Random(n, n, rng), matrix.Random(n, n, rng)
 			var serial, got *Matrix
@@ -180,16 +182,14 @@ func TestDriftMigratedRunsBitIdentical(t *testing.T) {
 			}
 		case Cholesky:
 			spd := matrix.RandomSPD(n, rng)
-			var serial, got *Matrix
-			serial, _, err = FactorCholesky(d, spd)
-			if err == nil {
-				got, stats, err = DistributedFactorCholesky(d, spd, r, WithDriftRebalance(pol))
-				same = err == nil && got.Equal(serial)
-			}
+			var got *Matrix
+			got, stats, err = DistributedFactorCholesky(d, spd, r, WithDriftRebalance(pol))
+			same = err == nil && got.Equal(factorPacked(t, Cholesky, d, spd))
 		case QR:
 			a := matrix.Random(n, n, rng)
-			var serial, got *QRFactorization
-			serial, err = FactorQR(d, a)
+			var serial *Factorization
+			var got *QRFactorization
+			serial, err = Factor(QR, d, a)
 			if err == nil {
 				got, stats, err = DistributedFactorQR(d, a, r, WithDriftRebalance(pol))
 				same = err == nil && got.R().Equal(serial.R()) && got.Q(r).Equal(serial.Q(r))

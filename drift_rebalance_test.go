@@ -62,16 +62,17 @@ func skewDist(t *testing.T, p, q, nb int, k Kernel, speedup float64) (Distributi
 // TestDriftWrongBaselineMigratesLU: a layout planned for an 8×-fast corner
 // rank runs on actually-equal ranks. The detector must observe the drift,
 // migrate onto a balanced layout mid-LU, and still return a result
-// bit-identical to the serial factorization.
+// bit-identical to the serial factorization. The migration assertion feeds
+// on wall-clock busy gauges, so blocks are 24×24: the early two-step
+// windows then hold ≳100 µs of real compute per rank, and a preemption no
+// longer skews the estimates enough to veto the move (at 3×3 blocks it did,
+// in about one run of seven beside a CPU hog).
 func TestDriftWrongBaselineMigratesLU(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
-	const nb, r = 10, 3
+	const nb, r = 10, 24
 	d, times := skewDist(t, 2, 2, nb, LU, 8)
 	a := matrix.RandomWellConditioned(nb*r, rng)
-	serial, _, err := FactorLU(d, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := factorPacked(t, LU, d, a)
 	packed, stats, err := DistributedFactorLU(d, a, r, WithDriftRebalance(driftTestPolicy(times)))
 	if err != nil {
 		t.Fatal(err)
@@ -113,10 +114,7 @@ func TestDriftSlowdownMigratesAndMatchesClean(t *testing.T) {
 
 	t.Run("lu", func(t *testing.T) {
 		a := matrix.RandomWellConditioned(nb*r, rng)
-		serial, _, err := FactorLU(d, a)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial := factorPacked(t, LU, d, a)
 		packed, stats, err := DistributedFactorLU(d, a, r, slow, drift)
 		if err != nil {
 			t.Fatal(err)
@@ -198,10 +196,7 @@ func TestDriftQuietOnBalancedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := matrix.RandomWellConditioned(nb*r, rng)
-	serial, _, err := FactorLU(d, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := factorPacked(t, LU, d, a)
 	// A lenient threshold keeps scheduler noise from arming the detector.
 	pol := DriftPolicy{Window: 2, Threshold: 1e9}
 	packed, stats, err := DistributedFactorLU(d, a, r, WithDriftRebalance(pol))

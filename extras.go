@@ -1,12 +1,9 @@
 package hetgrid
 
 import (
-	"fmt"
-
 	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/plan"
-	"hetgrid/internal/sim"
 )
 
 // Cholesky is the right-looking blocked Cholesky factorization A = L·Lᵀ,
@@ -44,39 +41,8 @@ func ChooseGrid(times []float64, allowSubset bool, minAspect float64) (*Plan, *G
 	return planFromResult(res), choice, nil
 }
 
-// FactorCholesky executes the blocked Cholesky factorization numerically
-// under d, returning the lower factor and per-processor operation counts.
-// The input must be symmetric positive definite and divide evenly into the
-// distribution's block grid.
-//
-// Deprecated: use Factor(Cholesky, d, a), whose Factorization result
-// carries the same lower factor and operation counts.
-func FactorCholesky(d Distribution, a *Matrix) (l *Matrix, ops []int, err error) {
-	f, err := Factor(Cholesky, d, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.packed, f.ops, nil
-}
-
-// FactorQR executes the blocked Householder QR factorization numerically
-// under d. The returned replay exposes R, a reconstructor for Q, and the
-// per-processor operation counts.
-//
-// Deprecated: use Factor(QR, d, a), whose Factorization result exposes the
-// same R, Q and operation counts.
-func FactorQR(d Distribution, a *Matrix) (*QRFactorization, error) {
-	rep, err := kernels.ReplayQR(d, a)
-	if err != nil {
-		return nil, err
-	}
-	return &QRFactorization{rep: rep}, nil
-}
-
-// QRFactorization wraps a distributed QR replay.
-//
-// Deprecated: Factor and DistributedFactor return the uniform
-// Factorization type instead.
+// QRFactorization is DistributedFactorQR's result; Factor and
+// DistributedFactor return the uniform Factorization type instead.
 type QRFactorization struct {
 	rep *kernels.QRReplay
 }
@@ -92,23 +58,9 @@ func (f *QRFactorization) Q(blockSize int) *Matrix { return f.rep.Q(blockSize) }
 func (f *QRFactorization) Ops() []int { return append([]int(nil), f.rep.Ops...) }
 
 // RandomSPDMatrix returns a random symmetric positive definite matrix,
-// convenient for exercising FactorCholesky.
+// convenient for exercising the Cholesky kernel.
 func RandomSPDMatrix(n int, rng interface{ Float64() float64 }) *Matrix {
 	return matrix.RandomSPD(n, rng)
-}
-
-// simulateCholesky dispatches the Cholesky kernel for Simulate.
-func simulateCholesky(d Distribution, plan *Plan, opts SimOptions) (*SimResult, error) {
-	bk, err := opts.Broadcast.kind(sim.RingBroadcast)
-	if err != nil {
-		return nil, err
-	}
-	kopts := kernels.Options{
-		Net:        sim.Config{Latency: opts.Latency, ByteTime: opts.ByteTime, SharedBus: opts.SharedBus, FullDuplex: opts.FullDuplex},
-		Broadcast:  bk,
-		BlockBytes: opts.BlockBytes,
-	}
-	return kernels.SimulateCholesky(d, plan.sol.Arr, kopts)
 }
 
 // TraceSimulation runs a kernel simulation with operation tracing enabled
@@ -116,34 +68,10 @@ func simulateCholesky(d Distribution, plan *Plan, opts SimOptions) (*SimResult, 
 // activity (width columns wide). Useful for inspecting where the schedule
 // loses time.
 func TraceSimulation(k Kernel, d Distribution, plan *Plan, opts SimOptions, width int) (*SimResult, string, error) {
-	bk, err := opts.Broadcast.kind(sim.RingBroadcast)
-	if err != nil {
-		return nil, "", err
-	}
-	res, trace, err := kernels.SimulateTraced(kindOf(k), d, plan.sol.Arr, kernels.Options{
-		Net:        sim.Config{Latency: opts.Latency, ByteTime: opts.ByteTime, SharedBus: opts.SharedBus, FullDuplex: opts.FullDuplex},
-		Broadcast:  bk,
-		BlockBytes: opts.BlockBytes,
-		SyncSteps:  opts.SyncSteps,
-	})
+	res, err := simulate(k, d, plan, opts, true)
 	if err != nil {
 		return nil, "", err
 	}
 	p, q := d.Dims()
-	return res, trace.Gantt(p*q, width), nil
-}
-
-func kindOf(k Kernel) string {
-	switch k {
-	case MatMul:
-		return "matmul"
-	case LU:
-		return "lu"
-	case QR:
-		return "qr"
-	case Cholesky:
-		return "cholesky"
-	default:
-		return fmt.Sprintf("kernel(%d)", int(k))
-	}
+	return res, res.Trace.Gantt(p*q, width), nil
 }

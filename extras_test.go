@@ -126,10 +126,11 @@ func TestFactorCholeskyFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := RandomSPDMatrix(18, rng)
-	l, ops, err := FactorCholesky(d, a)
+	f, err := Factor(Cholesky, d, a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l, ops := f.L(), f.Ops()
 	if len(ops) != 4 {
 		t.Fatalf("ops %v", ops)
 	}
@@ -146,7 +147,7 @@ func TestFactorQRFacade(t *testing.T) {
 	}
 	const r = 5
 	a := matrix.Random(4*r, 4*r, rng)
-	f, err := FactorQR(d, a)
+	f, err := Factor(QR, d, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,5 +190,43 @@ func TestTraceSimulation(t *testing.T) {
 	}
 	if _, _, err := TraceSimulation(Kernel(42), d, plan, SimOptions{}, 60); err == nil {
 		t.Fatal("unknown kernel accepted")
+	}
+}
+
+// TestTraceSimulationMatchesSimulate: tracing only records — with every
+// SimOptions field set, the traced and untraced simulations of every
+// kernel agree to the bit. (TraceSimulation used to build its own options
+// and dropped Pivoting.)
+func TestTraceSimulationMatchesSimulate(t *testing.T) {
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SimOptions{
+		Latency: 0.3, ByteTime: 1e-3, SharedBus: true, FullDuplex: true,
+		BlockBytes: 512, SyncSteps: true, Pivoting: true, Broadcast: TreeBroadcast,
+	}
+	for _, k := range []Kernel{MatMul, LU, QR, Cholesky} {
+		layout, err := plan.BestPanel(6, 6, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := layout.Distribute(12, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := Simulate(k, d, plan, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		traced, _, err := TraceSimulation(k, d, plan, opts, 60)
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		if traced.Kernel != plain.Kernel || traced.Makespan != plain.Makespan || traced.CompBound != plain.CompBound ||
+			traced.Stats.Messages != plain.Stats.Messages || traced.Stats.Bytes != plain.Stats.Bytes {
+			t.Fatalf("%v: traced run (%s, makespan %v, %d msgs) differs from Simulate (%s, makespan %v, %d msgs)",
+				k, traced.Kernel, traced.Makespan, traced.Stats.Messages, plain.Kernel, plain.Makespan, plain.Stats.Messages)
+		}
 	}
 }

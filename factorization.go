@@ -117,7 +117,9 @@ func DistributedFactor(k Kernel, d Distribution, a *Matrix, blockSize int, opts 
 	}
 	f := &Factorization{kernel: k, packed: packed}
 	if k == QR {
-		f.ops = qrOpCounts(d)
+		if f.ops, err = qrOpCounts(d); err != nil {
+			return nil, nil, err
+		}
 		f.qr = &kernels.QRReplay{
 			Replay: kernels.Replay{C: packed, Ops: f.ops},
 			Taus:   taus,

@@ -156,15 +156,18 @@ func publishExactStats(reg *Metrics, stats *core.ExactStats) {
 // load-balancing shares with the chosen strategy. len(times) must equal
 // p·q and every cycle-time must be positive. Options that apply:
 // WithWorkers (exact strategy's search parallelism).
-func Balance(times []float64, p, q int, strategy Strategy, opts ...Option) (*Plan, error) {
-	return balanceWith(times, p, q, strategy, applyOptions(opts).balance)
-}
-
-// BalanceOpts is Balance with an explicit options struct.
-//
-// Deprecated: pass functional options to Balance instead.
-func BalanceOpts(times []float64, p, q int, strategy Strategy, opts BalanceOptions) (*Plan, error) {
-	return balanceWith(times, p, q, strategy, opts)
+func Balance(times []float64, p, q int, strategy Strategy, options ...Option) (*Plan, error) {
+	opts := applyOptions(options).balance
+	ps, err := strategy.canonical()
+	if err != nil {
+		return nil, err
+	}
+	res, err := plan.Solve(plan.Request{Times: times, P: p, Q: q, Strategy: ps, Workers: opts.Workers})
+	if err != nil {
+		return nil, err
+	}
+	publishExactStats(opts.Metrics, res.ExactStats)
+	return planFromResult(res), nil
 }
 
 // canonical maps the package's Strategy enum onto the pipeline's string
@@ -182,19 +185,6 @@ func (s Strategy) canonical() (plan.Strategy, error) {
 	}
 }
 
-func balanceWith(times []float64, p, q int, strategy Strategy, opts BalanceOptions) (*Plan, error) {
-	ps, err := strategy.canonical()
-	if err != nil {
-		return nil, err
-	}
-	res, err := plan.Solve(plan.Request{Times: times, P: p, Q: q, Strategy: ps, Workers: opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	publishExactStats(opts.Metrics, res.ExactStats)
-	return planFromResult(res), nil
-}
-
 // BalanceArrangement solves the load-balancing problem for a FIXED
 // arrangement: the machines sit at given grid positions (e.g. dictated by
 // the physical network) and only the row/column shares are optimized —
@@ -202,19 +192,8 @@ func balanceWith(times []float64, p, q int, strategy Strategy, opts BalanceOptio
 // StrategyExact runs the spanning-tree solver; StrategyHeuristic and
 // StrategyAuto run one rank-1 approximation step (no re-sorting, which
 // would move the machines). Options that apply: WithWorkers.
-func BalanceArrangement(rows [][]float64, strategy Strategy, opts ...Option) (*Plan, error) {
-	return balanceArrangementWith(rows, strategy, applyOptions(opts).balance)
-}
-
-// BalanceArrangementOpts is BalanceArrangement with an explicit options
-// struct.
-//
-// Deprecated: pass functional options to BalanceArrangement instead.
-func BalanceArrangementOpts(rows [][]float64, strategy Strategy, opts BalanceOptions) (*Plan, error) {
-	return balanceArrangementWith(rows, strategy, opts)
-}
-
-func balanceArrangementWith(rows [][]float64, strategy Strategy, opts BalanceOptions) (*Plan, error) {
+func BalanceArrangement(rows [][]float64, strategy Strategy, options ...Option) (*Plan, error) {
+	opts := applyOptions(options).balance
 	ps, err := strategy.canonical()
 	if err != nil {
 		return nil, err
@@ -370,20 +349,25 @@ type SimOptions struct {
 // SimResult reports one simulated kernel execution.
 type SimResult = kernels.Result
 
-// Simulate executes the kernel on the simulated HNOW under the given
-// distribution. The arrangement is taken from the plan; the distribution
-// must have matching grid dimensions.
-func Simulate(k Kernel, d Distribution, plan *Plan, opts SimOptions) (*SimResult, error) {
+// net is the simulator fabric the options describe.
+func (o SimOptions) net() sim.Config {
+	return sim.Config{Latency: o.Latency, ByteTime: o.ByteTime, SharedBus: o.SharedBus, FullDuplex: o.FullDuplex}
+}
+
+// simulate is the one place a SimOptions becomes a simulator run: Simulate
+// and TraceSimulation differ only in the trace flag.
+func simulate(k Kernel, d Distribution, plan *Plan, opts SimOptions, trace bool) (*SimResult, error) {
 	bk, err := opts.Broadcast.kind(sim.RingBroadcast)
 	if err != nil {
 		return nil, err
 	}
 	kopts := kernels.Options{
-		Net:        sim.Config{Latency: opts.Latency, ByteTime: opts.ByteTime, SharedBus: opts.SharedBus, FullDuplex: opts.FullDuplex},
-		Broadcast:  bk,
-		BlockBytes: opts.BlockBytes,
-		SyncSteps:  opts.SyncSteps,
-		Pivoting:   opts.Pivoting,
+		Net:         opts.net(),
+		Broadcast:   bk,
+		BlockBytes:  opts.BlockBytes,
+		SyncSteps:   opts.SyncSteps,
+		Pivoting:    opts.Pivoting,
+		EnableTrace: trace,
 	}
 	switch k {
 	case MatMul:
@@ -403,10 +387,17 @@ func Simulate(k Kernel, d Distribution, plan *Plan, opts SimOptions) (*SimResult
 		res.Kernel = "qr"
 		return res, nil
 	case Cholesky:
-		return simulateCholesky(d, plan, opts)
+		return kernels.SimulateCholesky(d, plan.sol.Arr, kopts)
 	default:
 		return nil, fmt.Errorf("hetgrid: unknown kernel %v", k)
 	}
+}
+
+// Simulate executes the kernel on the simulated HNOW under the given
+// distribution. The arrangement is taken from the plan; the distribution
+// must have matching grid dimensions.
+func Simulate(k Kernel, d Distribution, plan *Plan, opts SimOptions) (*SimResult, error) {
+	return simulate(k, d, plan, opts, false)
 }
 
 // Multiply executes the blocked multiplication C = A·B with block
@@ -422,22 +413,7 @@ func Multiply(d Distribution, a, b *Matrix, opts ...Option) (*Matrix, error) {
 	return rep.C, nil
 }
 
-// FactorLU executes the blocked right-looking LU decomposition (no
-// pivoting; supply diagonally dominant or otherwise safely factorable
-// matrices) under d, returning the packed factors and the per-processor
-// block-operation counts.
-//
-// Deprecated: use Factor(LU, d, a), whose Factorization result carries the
-// same packed matrix and operation counts for every factorization kernel.
-func FactorLU(d Distribution, a *Matrix) (packed *Matrix, ops []int, err error) {
-	f, err := Factor(LU, d, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.packed, f.ops, nil
-}
-
-// SplitLU unpacks the factors produced by FactorLU.
+// SplitLU unpacks the packed factors of an LU factorization.
 func SplitLU(packed *Matrix) (l, u *Matrix) {
 	return kernels.ExtractLU(packed)
 }

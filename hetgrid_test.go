@@ -258,10 +258,11 @@ func TestMultiplyAndFactorLU(t *testing.T) {
 	if !c.EqualApprox(matrix.Mul(a, b), 1e-9) {
 		t.Fatal("Multiply differs from serial product")
 	}
-	packed, ops, err := FactorLU(d, a)
+	f, err := Factor(LU, d, a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	packed, ops := f.Packed(), f.Ops()
 	if len(ops) != 4 {
 		t.Fatalf("ops per node = %v", ops)
 	}

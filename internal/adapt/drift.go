@@ -8,85 +8,19 @@ import (
 	"hetgrid/internal/grid"
 )
 
-// Workload classifies the active compute region of a panel kernel at step
-// k, so segment costs and per-rank work can be summed over exactly the
-// blocks a kernel touches.
-type Workload int
-
-const (
-	// WorkEveryStep updates the whole block matrix every step (outer-
-	// product multiplication).
-	WorkEveryStep Workload = iota
-	// WorkTrailing updates the trailing submatrix i≥k, j≥k (LU, QR).
-	WorkTrailing
-	// WorkTrailingLower updates the lower triangle of the trailing
-	// submatrix: i≥j, i≥k, j≥k (Cholesky).
-	WorkTrailingLower
-)
-
-// active reports whether block (bi,bj) is updated at step k.
-func (w Workload) active(bi, bj, k int) bool {
-	switch w {
-	case WorkTrailing:
-		return bi >= k && bj >= k
-	case WorkTrailingLower:
-		return bi >= k && bj >= k && bi >= bj
-	default:
-		return true
-	}
-}
-
-// Orderings returns the row/column block orderings the kernels assume for
-// this workload: Contiguous for the full-matrix sweep, Interleaved for the
-// shrinking factorizations (so trailing submatrices stay balanced).
-func (w Workload) Orderings() (distribution.Ordering, distribution.Ordering) {
-	if w == WorkEveryStep {
-		return distribution.Contiguous, distribution.Contiguous
-	}
-	return distribution.Interleaved, distribution.Interleaved
-}
-
-// stepCounts returns the per-processor owned-block counts inside the
-// workload's active region at step k.
-func stepCounts(d distribution.Distribution, w Workload, k int) [][]int {
-	p, q := d.Dims()
-	nbr, nbc := d.Blocks()
-	counts := make([][]int, p)
-	for i := range counts {
-		counts[i] = make([]int, q)
-	}
-	for bi := 0; bi < nbr; bi++ {
-		for bj := 0; bj < nbc; bj++ {
-			if !w.active(bi, bj, k) {
-				continue
-			}
-			pi, pj := d.Owner(bi, bj)
-			counts[pi][pj]++
-		}
-	}
-	return counts
-}
-
-// stepBound is the compute bound of one step: the busiest processor's
-// active-block count times its cycle-time.
-func stepBound(counts [][]int, arr *grid.Arrangement) float64 {
-	max := 0.0
-	for i := range counts {
-		for j := range counts[i] {
-			if v := float64(counts[i][j]) * arr.T[i][j]; v > max {
-				max = v
-			}
-		}
-	}
-	return max
-}
-
-// SpanCost projects the compute-bound time of steps [from, to) of a
-// workload under a distribution with the given cycle-times.
-func SpanCost(d distribution.Distribution, arr *grid.Arrangement, w Workload, from, to int) float64 {
+// SpanCost projects the compute-bound time of steps [from, to) of a kernel
+// working on region w under a layout with the given cycle-times: per step,
+// the busiest processor's active-block count times its cycle-time.
+func SpanCost(l *distribution.Layout, arr *grid.Arrangement, w distribution.Region, from, to int) float64 {
 	total := 0.0
 	for k := from; k < to; k++ {
-		total += stepBound(stepCounts(d, w, k), arr)
+		bound := 0.0
+		for n, blocks := range l.Blocks(w, k) {
+			if v := float64(len(blocks)) * arr.T[n/arr.Q][n%arr.Q]; v > bound {
+				bound = v
+			}
+		}
+		total += bound
 	}
 	return total
 }
@@ -94,38 +28,35 @@ func SpanCost(d distribution.Distribution, arr *grid.Arrangement, w Workload, fr
 // SegmentWork returns the per-rank (row-major) block-update counts of steps
 // [from, to) — the denominator that turns a measured busy-time delta into a
 // per-block cycle-time estimate.
-func SegmentWork(d distribution.Distribution, w Workload, from, to int) []float64 {
-	p, q := d.Dims()
-	work := make([]float64, p*q)
+func SegmentWork(l *distribution.Layout, w distribution.Region, from, to int) []float64 {
+	work := make([]float64, l.Ranks)
 	for k := from; k < to; k++ {
-		counts := stepCounts(d, w, k)
-		for i := 0; i < p; i++ {
-			for jj := 0; jj < q; jj++ {
-				work[i*q+jj] += float64(counts[i][jj])
-			}
+		for n, blocks := range l.Blocks(w, k) {
+			work[n] += float64(len(blocks))
 		}
 	}
 	return work
 }
 
-// EvaluateKernel decides whether a panel kernel with steps [startStep, nbr)
+// EvaluateKernel decides whether a panel kernel with steps [startStep, nb)
 // left should migrate onto a layout recomputed for the newly measured
 // cycle-times. It generalizes EvaluateMM with step-dependent active regions:
 // stay-cost and move-cost are sums of per-step compute bounds over the
 // remaining region, and the candidate layout is realized under the
 // workload's kernel orderings. Grid positions are fixed — only block shares
 // change.
-func EvaluateKernel(cur distribution.Distribution, newTimes *grid.Arrangement, w Workload, startStep int, pol Policy) (*Decision, error) {
+func EvaluateKernel(cur distribution.Distribution, newTimes *grid.Arrangement, w distribution.Region, startStep int, pol Policy) (*Decision, error) {
 	p, q := cur.Dims()
 	if newTimes.P != p || newTimes.Q != q {
 		return nil, fmt.Errorf("adapt: %d×%d distribution vs %d×%d measured grid", p, q, newTimes.P, newTimes.Q)
 	}
-	nbr, nbc := cur.Blocks()
-	if nbr != nbc {
-		return nil, fmt.Errorf("adapt: square block matrix required, got %d×%d", nbr, nbc)
+	curLay, err := distribution.NewLayout(cur)
+	if err != nil {
+		return nil, err
 	}
-	if startStep < 0 || startStep > nbr {
-		return nil, fmt.Errorf("adapt: start step %d outside [0,%d]", startStep, nbr)
+	nb := curLay.NB
+	if startStep < 0 || startStep > nb {
+		return nil, fmt.Errorf("adapt: start step %d outside [0,%d]", startStep, nb)
 	}
 	hys := pol.Hysteresis
 	if hys < 1 {
@@ -138,12 +69,12 @@ func EvaluateKernel(cur distribution.Distribution, newTimes *grid.Arrangement, w
 			maxPanel = 4 * q
 		}
 	}
-	if maxPanel > nbr {
-		maxPanel = nbr
+	if maxPanel > nb {
+		maxPanel = nb
 	}
-	remaining := nbr - startStep
+	remaining := nb - startStep
 
-	dec := &Decision{StayCost: SpanCost(cur, newTimes, w, startStep, nbr)}
+	dec := &Decision{StayCost: SpanCost(curLay, newTimes, w, startStep, nb)}
 	if remaining > 0 {
 		dec.PerStepCur = dec.StayCost / float64(remaining)
 	}
@@ -157,11 +88,15 @@ func EvaluateKernel(cur distribution.Distribution, newTimes *grid.Arrangement, w
 	if err != nil {
 		return nil, err
 	}
-	cand, err := pan.Distribution(nbr, nbc)
+	cand, err := pan.Distribution(nb, nb)
 	if err != nil {
 		return nil, err
 	}
-	newCost := SpanCost(cand, newTimes, w, startStep, nbr)
+	candLay, err := distribution.NewLayout(cand)
+	if err != nil {
+		return nil, err
+	}
+	newCost := SpanCost(candLay, newTimes, w, startStep, nb)
 	if remaining > 0 {
 		dec.PerStepNew = newCost / float64(remaining)
 	}

@@ -19,52 +19,45 @@ func uniform2x2(t *testing.T, nb int) distribution.Distribution {
 	return d
 }
 
+func layoutOf(t *testing.T, d distribution.Distribution) *distribution.Layout {
+	t.Helper()
+	l, err := distribution.NewLayout(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestWorkloadActiveRegions(t *testing.T) {
-	d := uniform2x2(t, 6)
-	// Full sweep: every step counts all 36 blocks.
-	for k := 0; k < 6; k++ {
-		total := 0
-		for _, row := range stepCounts(d, WorkEveryStep, k) {
-			for _, c := range row {
-				total += c
+	l := layoutOf(t, uniform2x2(t, 6))
+	// Full sweep: all 36 blocks every step; trailing: (nb-k)² blocks at
+	// step k; trailing lower: m(m+1)/2 blocks for m = nb-k.
+	for _, tc := range []struct {
+		name   string
+		region distribution.Region
+		want   func(m int) int
+	}{
+		{"every-step", distribution.All, func(int) int { return 36 }},
+		{"trailing", distribution.Trailing, func(m int) int { return m * m }},
+		{"trailing-lower", distribution.TrailingLower, func(m int) int { return m * (m + 1) / 2 }},
+	} {
+		for k := 0; k < 6; k++ {
+			total := 0.0
+			for _, w := range SegmentWork(l, tc.region, k, k+1) {
+				total += w
 			}
-		}
-		if total != 36 {
-			t.Fatalf("step %d: every-step region has %d blocks, want 36", k, total)
-		}
-	}
-	// Trailing: (nb-k)² blocks at step k.
-	for k := 0; k < 6; k++ {
-		total := 0
-		for _, row := range stepCounts(d, WorkTrailing, k) {
-			for _, c := range row {
-				total += c
+			if want := float64(tc.want(6 - k)); total != want {
+				t.Fatalf("step %d: %s region has %v blocks, want %v", k, tc.name, total, want)
 			}
-		}
-		if want := (6 - k) * (6 - k); total != want {
-			t.Fatalf("step %d: trailing region has %d blocks, want %d", k, total, want)
-		}
-	}
-	// Trailing lower: m(m+1)/2 blocks for m = nb-k.
-	for k := 0; k < 6; k++ {
-		total := 0
-		for _, row := range stepCounts(d, WorkTrailingLower, k) {
-			for _, c := range row {
-				total += c
-			}
-		}
-		m := 6 - k
-		if want := m * (m + 1) / 2; total != want {
-			t.Fatalf("step %d: trailing-lower region has %d blocks, want %d", k, total, want)
 		}
 	}
 }
 
 func TestSegmentWorkMatchesSpanCost(t *testing.T) {
-	d := uniform2x2(t, 8)
+	d := layoutOf(t, uniform2x2(t, 8))
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 1}})
 	// Per-rank segment work sums to the full trailing volume Σ (nb-k)².
-	work := SegmentWork(d, WorkTrailing, 0, 8)
+	work := SegmentWork(d, distribution.Trailing, 0, 8)
 	total, maxWork := 0.0, 0.0
 	for _, w := range work {
 		total += w
@@ -81,12 +74,12 @@ func TestSegmentWorkMatchesSpanCost(t *testing.T) {
 	}
 	// With unit cycle-times the span cost is Σ_k max_n counts — at least
 	// the busiest rank's total and at least the mean share.
-	cost := SpanCost(d, arr, WorkTrailing, 0, 8)
+	cost := SpanCost(d, arr, distribution.Trailing, 0, 8)
 	if cost < maxWork || cost < total/4 {
 		t.Fatalf("span cost %v below busiest rank %v / mean %v", cost, maxWork, total/4)
 	}
 	// Empty segment is free.
-	if cost := SpanCost(d, arr, WorkTrailing, 8, 8); cost != 0 {
+	if cost := SpanCost(d, arr, distribution.Trailing, 8, 8); cost != 0 {
 		t.Fatalf("empty segment costs %v", cost)
 	}
 }
@@ -99,7 +92,7 @@ func TestEvaluateKernelMigratesUnderSkew(t *testing.T) {
 	}
 	d := uniform2x2(t, 16)
 	skew := grid.MustNew([][]float64{{1, 1}, {1, 8}})
-	for _, w := range []Workload{WorkEveryStep, WorkTrailing, WorkTrailingLower} {
+	for _, w := range []distribution.Region{distribution.All, distribution.Trailing, distribution.TrailingLower} {
 		dec, err := EvaluateKernel(d, skew, w, 0, pol)
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +109,7 @@ func TestEvaluateKernelMigratesUnderSkew(t *testing.T) {
 	}
 	// Balanced times: nothing to gain.
 	flat := grid.MustNew([][]float64{{1, 1}, {1, 1}})
-	dec, err := EvaluateKernel(d, flat, WorkTrailing, 0, pol)
+	dec, err := EvaluateKernel(d, flat, distribution.Trailing, 0, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +117,7 @@ func TestEvaluateKernelMigratesUnderSkew(t *testing.T) {
 		t.Fatalf("migrated a balanced layout: %+v", dec)
 	}
 	// Near the end there is too little work left to pay for moving.
-	late, err := EvaluateKernel(d, skew, WorkTrailing, 15, pol)
+	late, err := EvaluateKernel(d, skew, distribution.Trailing, 15, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +125,13 @@ func TestEvaluateKernelMigratesUnderSkew(t *testing.T) {
 		t.Fatalf("late migration not profitable: %+v", late)
 	}
 	// Bad inputs.
-	if _, err := EvaluateKernel(d, grid.MustNew([][]float64{{1, 1, 1}, {1, 1, 1}}), WorkTrailing, 0, pol); err == nil {
+	if _, err := EvaluateKernel(d, grid.MustNew([][]float64{{1, 1, 1}, {1, 1, 1}}), distribution.Trailing, 0, pol); err == nil {
 		t.Fatal("grid shape mismatch accepted")
 	}
-	if _, err := EvaluateKernel(d, skew, WorkTrailing, -1, pol); err == nil {
+	if _, err := EvaluateKernel(d, skew, distribution.Trailing, -1, pol); err == nil {
 		t.Fatal("negative start step accepted")
 	}
-	if _, err := EvaluateKernel(d, skew, WorkTrailing, 17, pol); err == nil {
+	if _, err := EvaluateKernel(d, skew, distribution.Trailing, 17, pol); err == nil {
 		t.Fatal("start step past the end accepted")
 	}
 }

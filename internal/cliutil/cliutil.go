@@ -24,23 +24,8 @@ func ParseTimes(s string) ([]float64, error) {
 	return out, nil
 }
 
-// ParseKernel maps a kernel name to its constant.
-//
-// Deprecated: use hetgrid.ParseKernel, the exported home of this parser.
-func ParseKernel(s string) (hetgrid.Kernel, error) { return hetgrid.ParseKernel(s) }
-
-// ParseBroadcast maps a broadcast-algorithm name to its constant.
-//
-// Deprecated: use hetgrid.ParseBroadcast, the exported home of this parser.
-func ParseBroadcast(s string) (hetgrid.BroadcastKind, error) { return hetgrid.ParseBroadcast(s) }
-
-// ParseStrategy maps a strategy name to its constant.
-//
-// Deprecated: use hetgrid.ParseStrategy, the exported home of this parser.
-func ParseStrategy(s string) (hetgrid.Strategy, error) { return hetgrid.ParseStrategy(s) }
-
 // ParseNumerics maps a numerics-mode name (strict, fast) to its constant,
-// delegating to hetgrid.ParseNumerics like the other enum parsers.
+// delegating to hetgrid.ParseNumerics.
 func ParseNumerics(s string) (hetgrid.Numerics, error) { return hetgrid.ParseNumerics(s) }
 
 // ParseCrashSchedule parses a comma-separated crash schedule such as

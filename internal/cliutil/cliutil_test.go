@@ -25,6 +25,9 @@ func TestParseTimes(t *testing.T) {
 	}
 }
 
+// The enum parsers live in package hetgrid; these tables pin the spellings
+// the command-line tools accept.
+
 func TestParseKernel(t *testing.T) {
 	cases := map[string]hetgrid.Kernel{
 		"matmul": hetgrid.MatMul, "mm": hetgrid.MatMul, "MM": hetgrid.MatMul,
@@ -32,7 +35,7 @@ func TestParseKernel(t *testing.T) {
 		"cholesky": hetgrid.Cholesky, "chol": hetgrid.Cholesky,
 	}
 	for s, want := range cases {
-		got, err := ParseKernel(s)
+		got, err := hetgrid.ParseKernel(s)
 		if err != nil {
 			t.Fatalf("%q: %v", s, err)
 		}
@@ -40,7 +43,7 @@ func TestParseKernel(t *testing.T) {
 			t.Fatalf("%q parsed to %v", s, got)
 		}
 	}
-	if _, err := ParseKernel("fft"); err == nil {
+	if _, err := hetgrid.ParseKernel("fft"); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
 }
@@ -52,12 +55,12 @@ func TestParseBroadcast(t *testing.T) {
 		"pipeline": hetgrid.PipelinedRingBroadcast, "segring": hetgrid.PipelinedRingBroadcast,
 		"tree": hetgrid.TreeBroadcast, "TREE": hetgrid.TreeBroadcast,
 	} {
-		got, err := ParseBroadcast(s)
+		got, err := hetgrid.ParseBroadcast(s)
 		if err != nil || got != want {
 			t.Fatalf("%q: got %v err %v", s, got, err)
 		}
 	}
-	if _, err := ParseBroadcast("carrier-pigeon"); err == nil {
+	if _, err := hetgrid.ParseBroadcast("carrier-pigeon"); err == nil {
 		t.Fatal("unknown broadcast accepted")
 	}
 }
@@ -67,12 +70,12 @@ func TestParseStrategy(t *testing.T) {
 		"auto": hetgrid.StrategyAuto, "heuristic": hetgrid.StrategyHeuristic,
 		"exact": hetgrid.StrategyExact, "EXACT": hetgrid.StrategyExact,
 	} {
-		got, err := ParseStrategy(s)
+		got, err := hetgrid.ParseStrategy(s)
 		if err != nil || got != want {
 			t.Fatalf("%q: got %v err %v", s, got, err)
 		}
 	}
-	if _, err := ParseStrategy("magic"); err == nil {
+	if _, err := hetgrid.ParseStrategy("magic"); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }

@@ -38,13 +38,10 @@ func PlanRedistribution(from, to Distribution) (*RedistPlan, error) {
 	plan := &RedistPlan{From: from, To: to, PairCounts: map[int]map[int]int{}}
 	for bi := 0; bi < fnbr; bi++ {
 		for bj := 0; bj < fnbc; bj++ {
-			si, sj := from.Owner(bi, bj)
-			di, dj := to.Owner(bi, bj)
-			if si == di && sj == dj {
+			src, dst := OwnerRank(from, bi, bj), OwnerRank(to, bi, bj)
+			if src == dst {
 				continue
 			}
-			src := si*fq + sj
-			dst := di*fq + dj
 			plan.Moves = append(plan.Moves, Move{Bi: bi, Bj: bj, Src: src, Dst: dst})
 			if plan.PairCounts[src] == nil {
 				plan.PairCounts[src] = map[int]int{}

@@ -1,15 +1,10 @@
 package distribution
 
-import (
-	"fmt"
-	"sort"
-)
-
 // CommVolume is a closed-form communication estimate for one kernel run
 // under a distribution, using the same panel-aggregated message model as
-// the simulator: blocks that share a source and a receiver set travel as
-// one message, and a broadcast to k receivers costs k point-to-point sends
-// regardless of the star/ring/tree realization.
+// the simulator and the engine: it is a fold over the step schedule's
+// messages (see schedule.go), where a message to k receivers costs k
+// point-to-point sends regardless of the star/ring/tree realization.
 type CommVolume struct {
 	// Messages is the total number of point-to-point sends.
 	Messages int
@@ -17,165 +12,59 @@ type CommVolume struct {
 	Bytes float64
 }
 
-// MMCommVolume returns the communication volume of the full outer-product
-// multiplication on the distribution's block matrix, with blockBytes bytes
-// per r×r block. Computed analytically (no simulation); the simulator's
-// traffic counters match it exactly, which tests assert.
-func MMCommVolume(d Distribution, blockBytes float64) (*CommVolume, error) {
-	nbr, nbc := d.Blocks()
-	if nbr != nbc {
-		return nil, fmt.Errorf("distribution: MM needs a square block matrix, got %d×%d", nbr, nbc)
+// add charges the messages: one send of the stacked blocks per receiver
+// other than the root.
+func (v *CommVolume) add(blockBytes float64, msgs ...Msg) {
+	for _, m := range msgs {
+		n := m.Fanout()
+		v.Messages += n
+		v.Bytes += float64(n*len(m.Blocks)) * blockBytes
 	}
-	nb := nbr
-	_, q := d.Dims()
-	owner := func(bi, bj int) int {
-		pi, pj := d.Owner(bi, bj)
-		return pi*q + pj
+}
+
+// volumeOf sums step's messages over every step of d's schedule.
+func volumeOf(d Distribution, blockBytes float64, step func(l *Layout, k int, v *CommVolume)) (*CommVolume, error) {
+	l, err := NewLayout(d)
+	if err != nil {
+		return nil, err
 	}
-	rowRecv := receiverSets(d, true, 0)
-	colRecv := receiverSets(d, false, 0)
 	vol := &CommVolume{}
-	for k := 0; k < nb; k++ {
-		// A panel: group block rows by (source, receiver set).
-		vol.add(groupVolume(nb, func(bi int) int { return owner(bi, k) },
-			func(bi int) []int { return rowRecv[bi] }, blockBytes))
-		// B panel: group block columns.
-		vol.add(groupVolume(nb, func(bj int) int { return owner(k, bj) },
-			func(bj int) []int { return colRecv[bj] }, blockBytes))
+	for k := 0; k < l.NB; k++ {
+		step(l, k, vol)
 	}
 	return vol, nil
+}
+
+// MMCommVolume returns the communication volume of the full outer-product
+// multiplication on the distribution's block matrix, with blockBytes bytes
+// per r×r block. The simulator's traffic counters and the engine's
+// flat-broadcast counters match it exactly, which tests assert.
+func MMCommVolume(d Distribution, blockBytes float64) (*CommVolume, error) {
+	return volumeOf(d, blockBytes, func(l *Layout, k int, v *CommVolume) {
+		a, b := l.MMPanels(k)
+		v.add(blockBytes, a...)
+		v.add(blockBytes, b...)
+	})
 }
 
 // LUCommVolume returns the communication volume of the full right-looking
-// LU factorization (diagonal, L-panel and U-panel broadcasts), matching
-// the simulator's model.
+// LU factorization (diagonal, L-panel and U-panel broadcasts).
 func LUCommVolume(d Distribution, blockBytes float64) (*CommVolume, error) {
-	nbr, nbc := d.Blocks()
-	if nbr != nbc {
-		return nil, fmt.Errorf("distribution: LU needs a square block matrix, got %d×%d", nbr, nbc)
-	}
-	nb := nbr
-	_, q := d.Dims()
-	owner := func(bi, bj int) int {
-		pi, pj := d.Owner(bi, bj)
-		return pi*q + pj
-	}
-	vol := &CommVolume{}
-	for k := 0; k < nb; k++ {
-		rowRecv := receiverSets(d, true, k)
-		colRecv := receiverSets(d, false, k)
-		// Diagonal block down column k's owners.
-		diagOwner := owner(k, k)
-		colOwners := map[int]struct{}{}
-		for bi := k + 1; bi < nb; bi++ {
-			if n := owner(bi, k); n != diagOwner {
-				colOwners[n] = struct{}{}
-			}
-		}
-		vol.Messages += len(colOwners)
-		vol.Bytes += float64(len(colOwners)) * blockBytes
-		// Diagonal L factor along row k (for the U solves).
-		vol.add(singleVolume(diagOwner, rowRecv[k], blockBytes))
-		// L panel: rows k+1..nb-1, grouped.
-		vol.add(groupVolumeRange(k+1, nb, func(bi int) int { return owner(bi, k) },
-			func(bi int) []int { return rowRecv[bi] }, blockBytes))
-		// U panel: columns k+1..nb-1, grouped.
-		vol.add(groupVolumeRange(k+1, nb, func(bj int) int { return owner(k, bj) },
-			func(bj int) []int { return colRecv[bj] }, blockBytes))
-	}
-	return vol, nil
-}
-
-func (v *CommVolume) add(o CommVolume) {
-	v.Messages += o.Messages
-	v.Bytes += o.Bytes
-}
-
-// receiverSets returns, for each block row (rows=true) or column, the
-// distinct owners with column/row index ≥ min — the broadcast recipients.
-func receiverSets(d Distribution, rows bool, min int) [][]int {
-	nbr, nbc := d.Blocks()
-	_, q := d.Dims()
-	owner := func(bi, bj int) int {
-		pi, pj := d.Owner(bi, bj)
-		return pi*q + pj
-	}
-	var outer, inner int
-	if rows {
-		outer, inner = nbr, nbc
-	} else {
-		outer, inner = nbc, nbr
-	}
-	out := make([][]int, outer)
-	for a := 0; a < outer; a++ {
-		seen := map[int]struct{}{}
-		for b := min; b < inner; b++ {
-			var n int
-			if rows {
-				n = owner(a, b)
-			} else {
-				n = owner(b, a)
-			}
-			if _, ok := seen[n]; !ok {
-				seen[n] = struct{}{}
-				out[a] = append(out[a], n)
-			}
-		}
-	}
-	return out
-}
-
-// groupVolume aggregates indices 0..n-1 by (src, receiver set), charging
-// one |recv\{src}|-send message of groupSize·blockBytes per group.
-func groupVolume(n int, src func(int) int, recv func(int) []int, blockBytes float64) CommVolume {
-	return groupVolumeRange(0, n, src, recv, blockBytes)
-}
-
-func groupVolumeRange(lo, hi int, src func(int) int, recv func(int) []int, blockBytes float64) CommVolume {
-	type key struct {
-		src  int
-		recv string
-	}
-	counts := map[key]int{}
-	recvN := map[key]int{}
-	for i := lo; i < hi; i++ {
-		rs := recv(i)
-		k := key{src: src(i), recv: fmt.Sprint(rs)}
-		counts[k]++
-		// Receivers excluding the source.
-		n := 0
-		for _, r := range rs {
-			if r != k.src {
-				n++
-			}
-		}
-		recvN[k] = n
-	}
-	var vol CommVolume
-	keys := make([]key, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].src != keys[b].src {
-			return keys[a].src < keys[b].src
-		}
-		return keys[a].recv < keys[b].recv
+	return volumeOf(d, blockBytes, func(l *Layout, k int, v *CommVolume) {
+		diagDown, diagRight, lPanel, uPanel := l.LUPanels(k)
+		v.add(blockBytes, diagDown, diagRight)
+		v.add(blockBytes, lPanel...)
+		v.add(blockBytes, uPanel...)
 	})
-	for _, k := range keys {
-		vol.Messages += recvN[k]
-		vol.Bytes += float64(recvN[k]*counts[k]) * blockBytes
-	}
-	return vol
 }
 
-// singleVolume charges one block broadcast from src to recv.
-func singleVolume(src int, recv []int, blockBytes float64) CommVolume {
-	n := 0
-	for _, r := range recv {
-		if r != src {
-			n++
-		}
-	}
-	return CommVolume{Messages: n, Bytes: float64(n) * blockBytes}
+// CholeskyCommVolume returns the communication volume of the full
+// right-looking Cholesky factorization (diagonal and symmetric L-panel
+// broadcasts).
+func CholeskyCommVolume(d Distribution, blockBytes float64) (*CommVolume, error) {
+	return volumeOf(d, blockBytes, func(l *Layout, k int, v *CommVolume) {
+		diagDown, lPanel := l.CholeskyPanels(k)
+		v.add(blockBytes, diagDown)
+		v.add(blockBytes, lPanel...)
+	})
 }

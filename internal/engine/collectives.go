@@ -2,81 +2,39 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/sim"
 )
 
-// Collectives is the middle layer of the engine: row/column panel
-// broadcasts and reductions over a distribution's receiver sets, realized
-// with the same algorithms the simulator models (sim.BroadcastKind), so a
-// real run and a simulated run of the same kernel select the identical
-// communication schedule. Every rank computes each collective's schedule
-// independently from the shared (root, receivers) inputs, which keeps the
-// SPMD bodies deadlock-free: sends never block, and every Recv has a
-// matching Send issued by a rank that is not waiting on this rank.
+// Collectives is the middle layer of the engine: broadcasts of the step
+// schedule's panel messages and reductions, realized with the same
+// algorithms the simulator models (sim.BroadcastKind), so a real run and a
+// simulated run of the same kernel select the identical communication
+// schedule. Every rank computes each collective's schedule independently
+// from the shared (root, receivers) inputs, which keeps the SPMD bodies
+// deadlock-free: sends never block, and every Recv has a matching Send
+// issued by a rank that is not waiting on this rank.
 type Collectives struct {
 	c    *Comm
-	d    distribution.Distribution
 	kind sim.BroadcastKind
-	q    int // grid columns, for flattening (pi,pj) to a rank
 }
 
-// NewCollectives binds a rank's endpoint to a distribution, taking the
-// broadcast algorithm from the world's options.
+// NewCollectives binds a rank's endpoint, taking the broadcast algorithm
+// from the world's options. The distribution argument is unused — receiver
+// sets come from the step schedule (distribution.Layout) the kernels build
+// — and stays for the callers outside this module's tests (the benchmark,
+// hetcalibrate).
 func NewCollectives(c *Comm, d distribution.Distribution) *Collectives {
 	return NewCollectivesKind(c, d, c.Broadcast())
 }
 
-// NewCollectivesKind binds a rank's endpoint to a distribution with an
-// explicit broadcast algorithm.
-func NewCollectivesKind(c *Comm, d distribution.Distribution, kind sim.BroadcastKind) *Collectives {
-	_, q := d.Dims()
-	return &Collectives{c: c, d: d, kind: kind, q: q}
-}
-
-// Node returns the flat rank owning block (bi, bj).
-func (co *Collectives) Node(bi, bj int) int {
-	pi, pj := co.d.Owner(bi, bj)
-	return pi*co.q + pj
-}
-
-// RowReceivers returns, per block row, the ranks owning any block of that
-// row with column ≥ jmin — the horizontal broadcast recipients. The order
-// is deterministic (first block appearance), which ring and tree schedules
-// rely on.
-func (co *Collectives) RowReceivers(jmin int) [][]int {
-	nbr, nbc := co.d.Blocks()
-	out := make([][]int, nbr)
-	for bi := 0; bi < nbr; bi++ {
-		seen := map[int]struct{}{}
-		for bj := jmin; bj < nbc; bj++ {
-			n := co.Node(bi, bj)
-			if _, ok := seen[n]; !ok {
-				seen[n] = struct{}{}
-				out[bi] = append(out[bi], n)
-			}
-		}
-	}
-	return out
-}
-
-// ColReceivers is the vertical analogue of RowReceivers.
-func (co *Collectives) ColReceivers(imin int) [][]int {
-	nbr, nbc := co.d.Blocks()
-	out := make([][]int, nbc)
-	for bj := 0; bj < nbc; bj++ {
-		seen := map[int]struct{}{}
-		for bi := imin; bi < nbr; bi++ {
-			n := co.Node(bi, bj)
-			if _, ok := seen[n]; !ok {
-				seen[n] = struct{}{}
-				out[bj] = append(out[bj], n)
-			}
-		}
-	}
-	return out
+// NewCollectivesKind binds a rank's endpoint with an explicit broadcast
+// algorithm.
+func NewCollectivesKind(c *Comm, _ distribution.Distribution, kind sim.BroadcastKind) *Collectives {
+	return &Collectives{c: c, kind: kind}
 }
 
 // bcastTargets returns the receivers minus the root, deduplicated with
@@ -232,110 +190,51 @@ func stackRows(parts []*matrix.Dense) *matrix.Dense {
 	return out
 }
 
-// PanelBcast delivers a set of blocks — identified by index — to per-block
-// receiver sets, aggregating blocks that share both their source and their
-// receiver set into a single stacked message: the ScaLAPACK panel message,
-// and exactly the grouping the simulator's panelBroadcast and the analytic
-// CommVolume model charge. src[i] is the owner of block i, recv[i] its
-// receiver set (deterministic order, shared by all ranks), get(i) the
-// block at its owner (nil elsewhere), r the square block size.
+// Panel delivers the schedule's panel messages: the blocks each message
+// carries travel from its root to its receivers as one stacked payload —
+// the ScaLAPACK panel message, exactly what the simulator prices and the
+// analytic CommVolume charges. All grid ranks must call it with identical
+// messages; get(i) is the block with index i at its owner (not consulted
+// elsewhere), r the square block size.
 //
-// The returned map holds, for every index whose receiver set contains this
-// rank (or that this rank owns), the block's payload — the owner's own
-// block for resident indices, the received copy otherwise.
-func (co *Collectives) PanelBcast(tag string, indices []int, src func(int) int, recv func(int) []int,
-	get func(int) *matrix.Dense, r int) map[int]*matrix.Dense {
-
+// The returned map holds the payload of every block index this rank owns
+// or receives — the resident block itself at the root, the received copy
+// elsewhere.
+func (co *Collectives) Panel(tag string, msgs []distribution.Msg, get func(int) *matrix.Dense, r int) map[int]*matrix.Dense {
 	sp := co.c.Phase("panel " + tag)
 	defer co.c.EndPhase(sp)
 	me := co.c.Rank()
-	type groupKey struct {
-		src  int
-		recv string
-	}
-	groups := make(map[groupKey][]int)
-	var order []groupKey
-	for _, i := range indices {
-		key := groupKey{src: src(i), recv: fmt.Sprint(recv(i))}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
 	out := make(map[int]*matrix.Dense)
-	for _, key := range order {
-		blocks := groups[key]
-		receivers := recv(blocks[0])
-		inRecv := false
-		for _, n := range receivers {
-			if n == me {
-				inRecv = true
-				break
-			}
-		}
-		if me == key.src {
+	for _, m := range msgs {
+		if me == m.Root {
 			// Resident blocks are used in place; the stacked clone only
 			// travels.
-			for _, i := range blocks {
+			for _, i := range m.Blocks {
 				out[i] = get(i)
 			}
-		}
-		if !inRecv && me != key.src {
+		} else if !slices.Contains(m.Recv, me) {
 			continue
 		}
-		if len(bcastTargets(key.src, receivers)) == 0 {
+		if m.Fanout() == 0 {
 			// Every receiver is the owner: nothing travels, skip the stack.
 			continue
 		}
-		gtag := fmt.Sprintf("%s/g%d", tag, blocks[0])
 		var payload *matrix.Dense
-		if me == key.src {
-			parts := make([]*matrix.Dense, len(blocks))
-			for bi, i := range blocks {
+		if me == m.Root {
+			parts := make([]*matrix.Dense, len(m.Blocks))
+			for bi, i := range m.Blocks {
 				parts[bi] = get(i)
 			}
 			payload = stackRows(parts)
 		}
-		got := co.Bcast(gtag, key.src, receivers, payload, len(blocks)*r)
-		if me != key.src {
-			for bi, i := range blocks {
+		got := co.Bcast(fmt.Sprintf("%s/g%d", tag, m.Blocks[0]), m.Root, m.Recv, payload, len(m.Blocks)*r)
+		if me != m.Root {
+			for bi, i := range m.Blocks {
 				out[i] = got.Slice(bi*r, (bi+1)*r, 0, r)
 			}
 		}
 	}
 	return out
-}
-
-// RowBcast broadcasts the column panel {(bi, col) : rlo ≤ bi < rhi} along
-// its block rows: block (bi, col) goes from its owner to every rank owning
-// a block (bi, bj) with bj ≥ jmin. Blocks sharing source and receiver set
-// travel as one stacked panel message. All grid ranks must call it with
-// identical arguments; get is consulted only for resident blocks.
-func (co *Collectives) RowBcast(tag string, col, rlo, rhi, jmin int, get func(bi int) *matrix.Dense, r int) map[int]*matrix.Dense {
-	rowRecv := co.RowReceivers(jmin)
-	indices := make([]int, 0, rhi-rlo)
-	for bi := rlo; bi < rhi; bi++ {
-		indices = append(indices, bi)
-	}
-	return co.PanelBcast(tag, indices,
-		func(bi int) int { return co.Node(bi, col) },
-		func(bi int) []int { return rowRecv[bi] },
-		get, r)
-}
-
-// ColBcast broadcasts the row panel {(row, bj) : clo ≤ bj < chi} down its
-// block columns: block (row, bj) goes from its owner to every rank owning
-// a block (bi, bj) with bi ≥ imin.
-func (co *Collectives) ColBcast(tag string, row, clo, chi, imin int, get func(bj int) *matrix.Dense, r int) map[int]*matrix.Dense {
-	colRecv := co.ColReceivers(imin)
-	indices := make([]int, 0, chi-clo)
-	for bj := clo; bj < chi; bj++ {
-		indices = append(indices, bj)
-	}
-	return co.PanelBcast(tag, indices,
-		func(bj int) int { return co.Node(row, bj) },
-		func(bj int) []int { return colRecv[bj] },
-		get, r)
 }
 
 // ReduceSum performs an element-wise sum reduction of one matrix per

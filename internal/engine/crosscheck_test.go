@@ -69,102 +69,101 @@ func checkRankSums(t *testing.T, name string, w *World) {
 	}
 }
 
-func TestMMCountersMatchAnalytics(t *testing.T) {
-	// Three-layer parity for MM under the flat broadcast: the real
-	// execution's kernel message and byte counts (scatter traffic
-	// subtracted via a baseline run) equal distribution.MMCommVolume, on
-	// square and rectangular process grids, and the per-rank counters sum
-	// exactly to the world totals.
-	rng := rand.New(rand.NewSource(311))
+// kernelTraffic runs kern on the scattered inputs under the flat broadcast
+// and returns its own message and byte counts: the run's totals minus a
+// scatter-only baseline. The per-rank counters of both runs must sum
+// exactly to the world totals.
+func kernelTraffic(t *testing.T, name string, d distribution.Distribution, r int, inputs []*matrix.Dense,
+	kern func(c *Comm, stores []*BlockStore) error) (msgs, bytes int) {
+	t.Helper()
+	run := func(kern func(c *Comm, stores []*BlockStore) error) *World {
+		w, err := Run(ranksOf(d), func(c *Comm) error {
+			stores := make([]*BlockStore, len(inputs))
+			for i, in := range inputs {
+				s, err := Scatter(c, d, pick(c.Rank() == 0, in), r)
+				if err != nil {
+					return err
+				}
+				stores[i] = s
+			}
+			return kern(c, stores)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRankSums(t, name, w)
+		return w
+	}
+	base := run(func(*Comm, []*BlockStore) error { return nil })
+	full := run(kern)
+	return full.Messages() - base.Messages(), full.Bytes() - base.Bytes()
+}
+
+// testCountersMatchAnalytics is the three-layer parity under the flat
+// broadcast: the real execution's kernel message and byte counts equal the
+// closed-form communication volume — a fold over the same step schedule
+// the engine delivers — for every kernel, on square and rectangular
+// process grids.
+func testCountersMatchAnalytics(t *testing.T, seed int64, input func(n int, rng *rand.Rand) []*matrix.Dense,
+	kern func(c *Comm, d distribution.Distribution, stores []*BlockStore) error,
+	volume func(d distribution.Distribution, blockBytes float64) (*distribution.CommVolume, error)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	const nb, r = 6, 2
-	a := matrix.Random(nb*r, nb*r, rng)
-	b := matrix.Random(nb*r, nb*r, rng)
+	inputs := input(nb*r, rng)
 	for gname, ds := range crosscheckGrids(t, nb) {
 		for _, d := range ds {
 			name := gname + "/" + d.Name()
-			n := ranksOf(d)
-			base, err := Run(n, func(c *Comm) error {
-				if _, err := Scatter(c, d, pick(c.Rank() == 0, a), r); err != nil {
-					return err
-				}
-				_, err := Scatter(c, d, pick(c.Rank() == 0, b), r)
-				return err
+			msgs, bytes := kernelTraffic(t, name, d, r, inputs, func(c *Comm, stores []*BlockStore) error {
+				return kern(c, d, stores)
 			})
+			vol, err := volume(d, 8*float64(r*r))
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := Run(n, func(c *Comm) error {
-				s1, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-				if err != nil {
-					return err
-				}
-				s2, err := Scatter(c, d, pick(c.Rank() == 0, b), r)
-				if err != nil {
-					return err
-				}
-				_, err = MM(c, d, s1, s2)
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
+			if msgs != vol.Messages {
+				t.Fatalf("%s: engine sent %d kernel messages, analytics says %d", name, msgs, vol.Messages)
 			}
-			checkRankSums(t, name, base)
-			checkRankSums(t, name, full)
-			vol, err := distribution.MMCommVolume(d, 8*float64(r*r))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := full.Messages() - base.Messages(); got != vol.Messages {
-				t.Fatalf("%s: engine sent %d kernel messages, analytics says %d", name, got, vol.Messages)
-			}
-			if got := full.Bytes() - base.Bytes(); float64(got) != vol.Bytes {
-				t.Fatalf("%s: engine moved %d kernel bytes, analytics says %v", name, got, vol.Bytes)
+			if float64(bytes) != vol.Bytes {
+				t.Fatalf("%s: engine moved %d kernel bytes, analytics says %v", name, bytes, vol.Bytes)
 			}
 		}
 	}
 }
 
+func TestMMCountersMatchAnalytics(t *testing.T) {
+	testCountersMatchAnalytics(t, 311,
+		func(n int, rng *rand.Rand) []*matrix.Dense {
+			return []*matrix.Dense{matrix.Random(n, n, rng), matrix.Random(n, n, rng)}
+		},
+		func(c *Comm, d distribution.Distribution, s []*BlockStore) error {
+			_, err := MM(c, d, s[0], s[1])
+			return err
+		},
+		distribution.MMCommVolume)
+}
+
 func TestLUCountersMatchAnalytics(t *testing.T) {
-	// Same parity for LU: per step the diagonal travels once to the column
-	// owners and once to the row's receiver set, and grouped L/U panels
-	// match distribution.LUCommVolume exactly.
-	rng := rand.New(rand.NewSource(312))
-	const nb, r = 6, 2
-	a := matrix.RandomWellConditioned(nb*r, rng)
-	for gname, ds := range crosscheckGrids(t, nb) {
-		for _, d := range ds {
-			name := gname + "/" + d.Name()
-			n := ranksOf(d)
-			base, err := Run(n, func(c *Comm) error {
-				_, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := Run(n, func(c *Comm) error {
-				store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-				if err != nil {
-					return err
-				}
-				return LU(c, d, store)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkRankSums(t, name, full)
-			vol, err := distribution.LUCommVolume(d, 8*float64(r*r))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := full.Messages() - base.Messages(); got != vol.Messages {
-				t.Fatalf("%s: engine sent %d kernel messages, analytics says %d", name, got, vol.Messages)
-			}
-			if got := full.Bytes() - base.Bytes(); float64(got) != vol.Bytes {
-				t.Fatalf("%s: engine moved %d kernel bytes, analytics says %v", name, got, vol.Bytes)
-			}
-		}
-	}
+	// Per step the diagonal travels once to the column owners and once to
+	// the row's receiver set, plus the grouped L and U panels.
+	testCountersMatchAnalytics(t, 312,
+		func(n int, rng *rand.Rand) []*matrix.Dense {
+			return []*matrix.Dense{matrix.RandomWellConditioned(n, rng)}
+		},
+		func(c *Comm, d distribution.Distribution, s []*BlockStore) error { return LU(c, d, s[0]) },
+		distribution.LUCommVolume)
+}
+
+func TestCholeskyCountersMatchAnalytics(t *testing.T) {
+	// Per step the diagonal travels once to the column owners, plus the
+	// L panel grouped by symmetric needer set — not LU's volume, which the
+	// facade used to report for Cholesky.
+	testCountersMatchAnalytics(t, 314,
+		func(n int, rng *rand.Rand) []*matrix.Dense {
+			return []*matrix.Dense{matrix.RandomSPD(n, rng)}
+		},
+		func(c *Comm, d distribution.Distribution, s []*BlockStore) error { return Cholesky(c, d, s[0]) },
+		distribution.CholeskyCommVolume)
 }
 
 func TestBytesConservedAcrossBroadcastKinds(t *testing.T) {

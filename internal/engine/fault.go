@@ -362,11 +362,6 @@ func (t *FaultTransport) CloseCause(ctx context.Context, cause error) error {
 	return t.inner.Close(ctx)
 }
 
-// Abort stops pending delay timers and closes the fabric.
-//
-// Deprecated: use Close (the Transport v2 cancellation path).
-func (t *FaultTransport) Abort() { t.Close(context.Background()) }
-
 // quiesce stops outstanding delay timers and releases the messages they
 // were holding. Local receivers no longer need them (every local rank has
 // finished), but on a multi-process fabric a remote receiver can still be

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/matrix"
@@ -35,13 +36,6 @@ func (s *BlockStore) Put(bi, bj int, b *matrix.Dense) {
 	s.Blocks[[2]int{bi, bj}] = b
 }
 
-// node returns the flat rank owning block (bi, bj).
-func node(d distribution.Distribution, bi, bj int) int {
-	_, q := d.Dims()
-	pi, pj := d.Owner(bi, bj)
-	return pi*q + pj
-}
-
 // Scatter distributes the blocks of full (present only at rank 0) to their
 // owners and returns this rank's store. blockSize r must divide the matrix
 // order.
@@ -59,7 +53,7 @@ func Scatter(c *Comm, d distribution.Distribution, full *matrix.Dense, r int) (*
 	store := NewBlockStore(r)
 	for bi := 0; bi < nbr; bi++ {
 		for bj := 0; bj < nbc; bj++ {
-			owner := node(d, bi, bj)
+			owner := distribution.OwnerRank(d, bi, bj)
 			tag := fmt.Sprintf("scatter/%d/%d", bi, bj)
 			if c.Rank() == 0 {
 				blk := full.Slice(bi*r, (bi+1)*r, bj*r, (bj+1)*r).Clone()
@@ -94,7 +88,7 @@ func GatherTag(c *Comm, d distribution.Distribution, store *BlockStore, prefix s
 	}
 	for bi := 0; bi < nbr; bi++ {
 		for bj := 0; bj < nbc; bj++ {
-			owner := node(d, bi, bj)
+			owner := distribution.OwnerRank(d, bi, bj)
 			tag := fmt.Sprintf("%s/%d/%d", prefix, bi, bj)
 			switch {
 			case owner == c.Rank() && c.Rank() == 0:
@@ -118,22 +112,12 @@ func ZeroStore(c *Comm, d distribution.Distribution, r int) *BlockStore {
 	me := c.Rank()
 	for bi := 0; bi < nbr; bi++ {
 		for bj := 0; bj < nbc; bj++ {
-			if node(d, bi, bj) == me {
+			if distribution.OwnerRank(d, bi, bj) == me {
 				s.Put(bi, bj, matrix.New(r, r))
 			}
 		}
 	}
 	return s
-}
-
-// squareBlocks validates that the distribution tiles a square block matrix
-// and returns the block order.
-func squareBlocks(d distribution.Distribution, kernel string) (int, error) {
-	nbr, nbc := d.Blocks()
-	if nbr != nbc {
-		return 0, fmt.Errorf("engine: %s needs a square block matrix, got %d×%d", kernel, nbr, nbc)
-	}
-	return nbr, nil
 }
 
 // MM executes the distributed outer-product multiplication C = A·B: at
@@ -158,33 +142,31 @@ func MM(c *Comm, d distribution.Distribution, a, b *BlockStore) (*BlockStore, er
 // fresh run, so resuming from a checkpoint of the first startK steps is
 // bit-identical to never having stopped.
 func MMResume(c *Comm, d distribution.Distribution, a, b *BlockStore, cStore *BlockStore, startK int) error {
-	nb, err := squareBlocks(d, "MM")
+	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		return err
 	}
 	r := a.R
 	co := NewCollectives(c, d)
+	// Every step updates all of this rank's C blocks.
+	mine := lay.Update(distribution.All, 0)[c.Rank()]
 
-	for k := startK; k < nb; k++ {
+	for k := startK; k < lay.NB; k++ {
 		if err := c.Step(k); err != nil {
 			return err
 		}
-		aPanel := co.RowBcast(fmt.Sprintf("A/%d", k), k, 0, nb, 0,
+		aMsgs, bMsgs := lay.MMPanels(k)
+		aPanel := co.Panel(fmt.Sprintf("A/%d", k), aMsgs,
 			func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
-		bPanel := co.ColBcast(fmt.Sprintf("B/%d", k), k, 0, nb, 0,
+		bPanel := co.Panel(fmt.Sprintf("B/%d", k), bMsgs,
 			func(bj int) *matrix.Dense { return b.Get(k, bj) }, r)
 		if err := c.Compute(fmt.Sprintf("mm update k=%d", k), func() error {
 			// Each resident C block is a disjoint output, so splitting them
 			// across workers is bit-identical to the serial loop.
-			mine := make([]*matrix.Dense, 0, len(cStore.Blocks))
-			panels := make([][2]*matrix.Dense, 0, len(cStore.Blocks))
-			for pos, blk := range cStore.Blocks {
-				mine = append(mine, blk)
-				panels = append(panels, [2]*matrix.Dense{aPanel[pos[0]], bPanel[pos[1]]})
-			}
 			mode := c.Numerics()
 			parallelDo(c.Parallelism(), len(mine), func(i int) {
-				mine[i].AddMulNumerics(1, panels[i][0], panels[i][1], mode)
+				bi, bj := mine[i][0], mine[i][1]
+				cStore.Get(bi, bj).AddMulNumerics(1, aPanel[bi], bPanel[bj], mode)
 			})
 			return nil
 		}); err != nil {
@@ -218,7 +200,7 @@ func LU(c *Comm, d distribution.Distribution, a *BlockStore) error {
 // step order and arithmetic match a fresh run exactly, so resumption is
 // bit-identical to never having stopped.
 func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) error {
-	nb, err := squareBlocks(d, "LU")
+	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		return err
 	}
@@ -226,29 +208,15 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 	co := NewCollectives(c, d)
 	me := c.Rank()
 
-	for k := startK; k < nb; k++ {
+	for k := startK; k < lay.NB; k++ {
 		if err := c.Step(k); err != nil {
 			return err
 		}
-		rowRecv := co.RowReceivers(k)
-		diagOwner := co.Node(k, k)
-
-		// Distinct owners of the sub-diagonal blocks of column k, in
-		// deterministic first-appearance order (the broadcast chain).
-		var colOwners []int
-		seen := map[int]struct{}{diagOwner: {}}
-		for bi := k + 1; bi < nb; bi++ {
-			if n := co.Node(bi, k); n != diagOwner {
-				if _, ok := seen[n]; !ok {
-					seen[n] = struct{}{}
-					colOwners = append(colOwners, n)
-				}
-			}
-		}
+		diagDown, diagRight, lMsgs, uMsgs := lay.LUPanels(k)
 
 		// 1+2. Diagonal factor and its two broadcasts.
 		var diag *matrix.Dense
-		if diagOwner == me {
+		if diagDown.Root == me {
 			diag = a.Get(k, k)
 			if err := c.Compute(fmt.Sprintf("lu factor k=%d", k), func() error {
 				return matrix.FactorNoPivot(diag)
@@ -256,20 +224,17 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 				return fmt.Errorf("engine: step %d: %w", k, err)
 			}
 		}
-		if got := co.bcastIfMember(fmt.Sprintf("dC/%d", k), diagOwner, colOwners, diag, r); got != nil {
+		if got := co.bcastIfMember(fmt.Sprintf("dC/%d", k), diagDown.Root, diagDown.Recv, diag, r); got != nil {
 			diag = got
 		}
-		if got := co.bcastIfMember(fmt.Sprintf("dR/%d", k), diagOwner, rowRecv[k], diag, r); got != nil {
+		if got := co.bcastIfMember(fmt.Sprintf("dR/%d", k), diagRight.Root, diagRight.Recv, diag, r); got != nil {
 			diag = got
 		}
 
 		// 3a. L panel: my sub-diagonal blocks of column k, then grouped
 		// row broadcasts.
 		if err := c.Compute(fmt.Sprintf("lu lsolve k=%d", k), func() error {
-			for bi := k + 1; bi < nb; bi++ {
-				if co.Node(bi, k) != me {
-					continue
-				}
+			for _, bi := range lay.ColBelow(k)[me] {
 				if err := a.Get(bi, k).SolveUpperRight(diag); err != nil {
 					return fmt.Errorf("engine: step %d row %d: %w", k, bi, err)
 				}
@@ -278,35 +243,25 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 		}); err != nil {
 			return err
 		}
-		lPanel := co.RowBcast(fmt.Sprintf("L/%d", k), k, k+1, nb, k,
+		lPanel := co.Panel(fmt.Sprintf("L/%d", k), lMsgs,
 			func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
 
 		// 3b. U panel: triangular solves then grouped column broadcasts.
 		if err := c.Compute(fmt.Sprintf("lu usolve k=%d", k), func() error {
-			for bj := k + 1; bj < nb; bj++ {
-				if co.Node(k, bj) != me {
-					continue
-				}
+			for _, bj := range lay.RowRight(k)[me] {
 				diag.SolveLowerUnitNumerics(a.Get(k, bj), c.Numerics())
 			}
 			return nil
 		}); err != nil {
 			return err
 		}
-		uPanel := co.ColBcast(fmt.Sprintf("U/%d", k), k, k+1, nb, k,
+		uPanel := co.Panel(fmt.Sprintf("U/%d", k), uMsgs,
 			func(bj int) *matrix.Dense { return a.Get(k, bj) }, r)
 
 		// 4. Trailing update on my blocks — disjoint outputs, so the split
 		// across workers is bit-identical to the serial loop.
 		if err := c.Compute(fmt.Sprintf("lu update k=%d", k), func() error {
-			var mine [][2]int
-			for bi := k + 1; bi < nb; bi++ {
-				for bj := k + 1; bj < nb; bj++ {
-					if co.Node(bi, bj) == me {
-						mine = append(mine, [2]int{bi, bj})
-					}
-				}
-			}
+			mine := lay.Update(distribution.Trailing, k)[me]
 			mode := c.Numerics()
 			parallelDo(c.Parallelism(), len(mine), func(i int) {
 				bi, bj := mine[i][0], mine[i][1]
@@ -324,18 +279,8 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 // set and returns the payload there, nil otherwise — the glue that lets
 // SPMD kernel bodies issue conditional collectives in one line.
 func (co *Collectives) bcastIfMember(tag string, root int, receivers []int, data *matrix.Dense, rows int) *matrix.Dense {
-	me := co.c.Rank()
-	if me != root {
-		in := false
-		for _, n := range receivers {
-			if n == me {
-				in = true
-				break
-			}
-		}
-		if !in {
-			return nil
-		}
+	if me := co.c.Rank(); me != root && !slices.Contains(receivers, me) {
+		return nil
 	}
 	return co.Bcast(tag, root, receivers, data, rows)
 }
@@ -353,7 +298,7 @@ func Cholesky(c *Comm, d distribution.Distribution, a *BlockStore) error {
 // assuming the store holds the result of steps 0..startK-1. The final
 // upper-triangle zeroing still runs, so a resumed run gathers exactly L.
 func CholeskyResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) error {
-	nb, err := squareBlocks(d, "Cholesky")
+	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		return err
 	}
@@ -361,47 +306,14 @@ func CholeskyResume(c *Comm, d distribution.Distribution, a *BlockStore, startK 
 	co := NewCollectives(c, d)
 	me := c.Rank()
 
-	// needers(k, i): ranks using L(i,k) in the trailing update — owners of
-	// row i (columns k+1..i) and column i (rows i..nb-1).
-	needers := func(k, i int) []int {
-		seen := map[int]struct{}{}
-		var out []int
-		add := func(n int) {
-			if _, ok := seen[n]; !ok {
-				seen[n] = struct{}{}
-				out = append(out, n)
-			}
-		}
-		for j := k + 1; j <= i; j++ {
-			add(co.Node(i, j))
-		}
-		for m := i; m < nb; m++ {
-			add(co.Node(m, i))
-		}
-		return out
-	}
-
-	for k := startK; k < nb; k++ {
+	for k := startK; k < lay.NB; k++ {
 		if err := c.Step(k); err != nil {
 			return err
 		}
-		diagOwner := co.Node(k, k)
-
-		// Owners of the sub-diagonal panel, who need L(k,k)ᵀ for their
-		// solves, in deterministic order.
-		var panelOwners []int
-		seen := map[int]struct{}{diagOwner: {}}
-		for bi := k + 1; bi < nb; bi++ {
-			if n := co.Node(bi, k); n != diagOwner {
-				if _, ok := seen[n]; !ok {
-					seen[n] = struct{}{}
-					panelOwners = append(panelOwners, n)
-				}
-			}
-		}
+		diagDown, lMsgs := lay.CholeskyPanels(k)
 
 		var diagT *matrix.Dense // L(k,k)ᵀ, needed by the panel solvers
-		if diagOwner == me {
+		if diagDown.Root == me {
 			diag := a.Get(k, k)
 			if err := c.Compute(fmt.Sprintf("chol factor k=%d", k), func() error {
 				f, err := matrix.FactorCholesky(diag)
@@ -415,17 +327,14 @@ func CholeskyResume(c *Comm, d distribution.Distribution, a *BlockStore, startK 
 				return fmt.Errorf("engine: step %d: %w", k, err)
 			}
 		}
-		if got := co.bcastIfMember(fmt.Sprintf("cd/%d", k), diagOwner, panelOwners, diagT, r); got != nil {
+		if got := co.bcastIfMember(fmt.Sprintf("cd/%d", k), diagDown.Root, diagDown.Recv, diagT, r); got != nil {
 			diagT = got
 		}
 
 		// Panel: L(bi,k) = A(bi,k)·L(k,k)^{-T}, then grouped broadcasts to
 		// the needer sets.
 		if err := c.Compute(fmt.Sprintf("chol solve k=%d", k), func() error {
-			for bi := k + 1; bi < nb; bi++ {
-				if co.Node(bi, k) != me {
-					continue
-				}
+			for _, bi := range lay.ColBelow(k)[me] {
 				if err := a.Get(bi, k).SolveUpperRight(diagT); err != nil {
 					return fmt.Errorf("engine: step %d row %d: %w", k, bi, err)
 				}
@@ -434,26 +343,13 @@ func CholeskyResume(c *Comm, d distribution.Distribution, a *BlockStore, startK 
 		}); err != nil {
 			return err
 		}
-		indices := make([]int, 0, nb-k-1)
-		for bi := k + 1; bi < nb; bi++ {
-			indices = append(indices, bi)
-		}
-		lPanel := co.PanelBcast(fmt.Sprintf("cl/%d", k), indices,
-			func(bi int) int { return co.Node(bi, k) },
-			func(bi int) []int { return needers(k, bi) },
+		lPanel := co.Panel(fmt.Sprintf("cl/%d", k), lMsgs,
 			func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
 
 		// Trailing symmetric update on my lower-triangle blocks — disjoint
 		// outputs, so the split across workers is bit-identical.
 		if err := c.Compute(fmt.Sprintf("chol update k=%d", k), func() error {
-			var mine [][2]int
-			for bi := k + 1; bi < nb; bi++ {
-				for bj := k + 1; bj <= bi; bj++ {
-					if co.Node(bi, bj) == me {
-						mine = append(mine, [2]int{bi, bj})
-					}
-				}
-			}
+			mine := lay.Update(distribution.TrailingLower, k)[me]
 			mode := c.Numerics()
 			parallelDo(c.Parallelism(), len(mine), func(i int) {
 				bi, bj := mine[i][0], mine[i][1]

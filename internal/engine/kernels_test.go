@@ -51,7 +51,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 			}
 			// Every resident block must belong to this rank.
 			for pos := range store.Blocks {
-				if node(d, pos[0], pos[1]) != c.Rank() {
+				if distribution.OwnerRank(d, pos[0], pos[1]) != c.Rank() {
 					return fmt.Errorf("rank %d holds foreign block %v", c.Rank(), pos)
 				}
 			}

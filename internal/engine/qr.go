@@ -25,12 +25,9 @@ import (
 // The tau scalings are returned at rank 0 (nil elsewhere), one slice per
 // panel, matching kernels.QRReplay.Taus.
 func QR(c *Comm, d distribution.Distribution, a *BlockStore) ([][]float64, error) {
-	nb, err := squareBlocks(d, "QR")
-	if err != nil {
-		return nil, err
-	}
 	var taus [][]float64
 	if c.Rank() == 0 {
+		nb, _ := d.Blocks()
 		taus = make([][]float64, nb)
 	}
 	if err := QRResume(c, d, a, 0, func(k int, tau []float64) {
@@ -48,11 +45,11 @@ func QR(c *Comm, d distribution.Distribution, a *BlockStore) ([][]float64, error
 // ranks never call it. The step order and arithmetic match a fresh run
 // exactly, so resumption is bit-identical to never having stopped.
 func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, onTau func(k int, tau []float64)) error {
-	nb, err := squareBlocks(d, "QR")
+	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		return err
 	}
-	r := a.R
+	nb, r := lay.NB, a.R
 	co := NewCollectives(c, d)
 	me := c.Rank()
 
@@ -60,12 +57,12 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 		if err := c.Step(k); err != nil {
 			return err
 		}
-		master := co.Node(k, k)
+		master := lay.Owner(k, k)
 		rows := (nb - k) * r
 
 		// 1. Panel gather: trailing blocks of column k to the master.
 		for bi := k; bi < nb; bi++ {
-			if co.Node(bi, k) == me && master != me {
+			if lay.Owner(bi, k) == me && master != me {
 				c.Send(master, fmt.Sprintf("qg/%d/%d", k, bi), a.Get(bi, k))
 			}
 		}
@@ -75,7 +72,7 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 			slab := matrix.New(rows, r)
 			for bi := k; bi < nb; bi++ {
 				var blk *matrix.Dense
-				if owner := co.Node(bi, k); owner == me {
+				if owner := lay.Owner(bi, k); owner == me {
 					blk = a.Get(bi, k)
 				} else {
 					blk = c.Recv(owner, fmt.Sprintf("qg/%d/%d", k, bi))
@@ -102,7 +99,7 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 			// 2. Scatter the packed blocks back to their owners.
 			for bi := k; bi < nb; bi++ {
 				seg := packed.Slice((bi-k)*r, (bi-k+1)*r, 0, r)
-				if owner := co.Node(bi, k); owner == me {
+				if owner := lay.Owner(bi, k); owner == me {
 					a.Get(bi, k).CopyFrom(seg)
 				} else {
 					c.Send(owner, fmt.Sprintf("qf/%d/%d", k, bi), seg)
@@ -110,7 +107,7 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 			}
 		} else {
 			for bi := k; bi < nb; bi++ {
-				if co.Node(bi, k) == me {
+				if lay.Owner(bi, k) == me {
 					a.Get(bi, k).CopyFrom(c.Recv(master, fmt.Sprintf("qf/%d/%d", k, bi)))
 				}
 			}
@@ -118,16 +115,16 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 
 		// 3. Broadcast the packed panel and taus to the trailing slab
 		// masters (owners of row k's trailing blocks).
-		tm := co.RowReceivers(k + 1)[k]
+		tm := lay.RowOwners(k, k+1)
 		packedAll := co.bcastIfMember(fmt.Sprintf("qp/%d", k), master, tm, packed, rows)
 		tauAll := co.bcastIfMember(fmt.Sprintf("qt/%d", k), master, tm, tauMat, r)
 
 		// 4. Trailing update, one block column at a time: the slab master
 		// gathers the column, applies Qᵀ, and returns the updated blocks.
 		for bj := k + 1; bj < nb; bj++ {
-			sm := co.Node(k, bj)
+			sm := lay.Owner(k, bj)
 			for bi := k; bi < nb; bi++ {
-				if co.Node(bi, bj) == me && sm != me {
+				if lay.Owner(bi, bj) == me && sm != me {
 					c.Send(sm, fmt.Sprintf("qs/%d/%d/%d", k, bj, bi), a.Get(bi, bj))
 				}
 			}
@@ -135,7 +132,7 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 				slab := matrix.New(rows, r)
 				for bi := k; bi < nb; bi++ {
 					var blk *matrix.Dense
-					if owner := co.Node(bi, bj); owner == me {
+					if owner := lay.Owner(bi, bj); owner == me {
 						blk = a.Get(bi, bj)
 					} else {
 						blk = c.Recv(owner, fmt.Sprintf("qs/%d/%d/%d", k, bj, bi))
@@ -154,7 +151,7 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 				}
 				for bi := k; bi < nb; bi++ {
 					seg := slab.Slice((bi-k)*r, (bi-k+1)*r, 0, r)
-					if owner := co.Node(bi, bj); owner == me {
+					if owner := lay.Owner(bi, bj); owner == me {
 						a.Get(bi, bj).CopyFrom(seg)
 					} else {
 						c.Send(owner, fmt.Sprintf("qu/%d/%d/%d", k, bj, bi), seg)
@@ -162,7 +159,7 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 				}
 			} else {
 				for bi := k; bi < nb; bi++ {
-					if co.Node(bi, bj) == me {
+					if lay.Owner(bi, bj) == me {
 						a.Get(bi, bj).CopyFrom(c.Recv(sm, fmt.Sprintf("qu/%d/%d/%d", k, bj, bi)))
 					}
 				}

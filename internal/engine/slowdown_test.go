@@ -53,11 +53,20 @@ func TestSlowdownStretchesBusyTimeNotResults(t *testing.T) {
 	// A scheduled slowdown must (a) inflate the slowed rank's busy-time
 	// gauge and (b) leave the numerical result bit-identical to the
 	// undisturbed run — it models lost speed, not lost data.
-	d := faultTestDist(t, 6)
-	a := matrix.RandomWellConditioned(12, rand.New(rand.NewSource(11)))
+	//
+	// (a) compares wall-clock gauges across goroutines. Blocks are 24×24 so
+	// every rank has well over 100 µs of real compute, and the reference is
+	// the least-disturbed gauge of the equal-share peers, in either run:
+	// preemption only ever adds to a gauge, so one descheduled peer must not
+	// hide a 16× slowdown. Beside a CPU hog the old form (2×2 blocks,
+	// busiest peer of the slowed run) failed 4 % of runs — 11 % at this
+	// block size — and this one 0 of 3000.
+	const nb, r = 6, 24
+	d := faultTestDist(t, nb)
+	a := matrix.RandomWellConditioned(nb*r, rand.New(rand.NewSource(11)))
 
 	run := func(slow []SlowdownPoint) (*matrix.Dense, []float64) {
-		out, w, err := runLU(t, d, a, 2, Options{
+		out, w, err := runLU(t, d, a, r, Options{
 			Record: true,
 			Faults: &FaultConfig{Slowdowns: slow},
 		})
@@ -67,19 +76,18 @@ func TestSlowdownStretchesBusyTimeNotResults(t *testing.T) {
 		return out, w.BusyTimes()
 	}
 
-	plain, _ := run(nil)
+	plain, plainBusy := run(nil)
 	slowed, busy := run([]SlowdownPoint{{Rank: 3, Step: 0, Factor: 16}})
 	if !plain.Equal(slowed) {
 		t.Fatal("slowdown changed the numerical result")
 	}
-	others := 0.0
-	for r, b := range busy {
-		if r != 3 && b > others {
-			others = b
-		}
+	peer := plainBusy[3]
+	for r := 0; r < 3; r++ {
+		peer = min(peer, plainBusy[r], busy[r])
 	}
-	if busy[3] < 3*others {
-		t.Fatalf("16× slowdown barely visible: rank 3 busy %v vs others' max %v", busy[3], others)
+	if busy[3] < 3*peer {
+		t.Fatalf("16× slowdown barely visible: rank 3 busy %v vs undisturbed peer %v (slowed run %v, plain run %v)",
+			busy[3], peer, busy, plainBusy)
 	}
 }
 

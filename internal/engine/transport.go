@@ -214,11 +214,6 @@ func (t *MemTransport) CloseCause(_ context.Context, cause error) error {
 	return nil
 }
 
-// Abort unblocks every pending Recv in the fabric.
-//
-// Deprecated: use Close (the Transport v2 cancellation path).
-func (t *MemTransport) Abort() { t.Close(context.Background()) }
-
 // RankStats aggregates one rank's cross-rank traffic. Sends are counted at
 // the sender when the message enters the fabric; receives at the receiver
 // when the message is taken out, so in an aborted run ΣRecv may lag ΣSent.

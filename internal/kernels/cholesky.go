@@ -25,11 +25,6 @@ import (
 //     A(i,j) -= L(i,k)·L(j,k)ᵀ, k < j ≤ i.
 func SimulateCholesky(d distribution.Distribution, arr *grid.Arrangement, opts Options) (*Result, error) {
 	o := opts.withDefaults()
-	nbr, nbc := d.Blocks()
-	if nbr != nbc {
-		return nil, fmt.Errorf("kernels: Cholesky needs a square block matrix, got %d×%d", nbr, nbc)
-	}
-	nb := nbr
 	g, err := newGridCluster(d, arr, o.Net)
 	if err != nil {
 		return nil, err
@@ -38,84 +33,40 @@ func SimulateCholesky(d distribution.Distribution, arr *grid.Arrangement, opts O
 	if o.EnableTrace {
 		tr = g.c.EnableTrace()
 	}
-	nodes := g.p * g.q
-	updDone := make([]float64, nodes)
+	lay := g.lay
+	updDone := make([]float64, lay.Ranks)
 
-	// needers[i] at step k: nodes that use L(i,k) in the trailing update.
-	needers := func(k, i int) []int {
-		seen := map[int]struct{}{}
-		var out []int
-		add := func(n int) {
-			if _, ok := seen[n]; !ok {
-				seen[n] = struct{}{}
-				out = append(out, n)
-			}
-		}
-		for j := k + 1; j <= i; j++ {
-			add(g.owner(i, j))
-		}
-		for m := i; m < nb; m++ {
-			add(g.owner(m, i))
-		}
-		return out
-	}
+	for k := 0; k < lay.NB; k++ {
+		diagDown, lMsgs := lay.CholeskyPanels(k)
 
-	for k := 0; k < nb; k++ {
 		// 1. Diagonal Cholesky factor.
-		diagOwner := g.owner(k, k)
+		diagOwner := diagDown.Root
 		diagDone := g.c.Compute(diagOwner, updDone[diagOwner], o.FactorCost*g.cycleTime(diagOwner))
 
 		// 2. Broadcast the diagonal down the column, then panel solves.
-		var colOwnerList []int
-		seen := map[int]struct{}{}
-		for bi := k + 1; bi < nb; bi++ {
-			n := g.owner(bi, k)
-			if _, ok := seen[n]; !ok {
-				seen[n] = struct{}{}
-				colOwnerList = append(colOwnerList, n)
-			}
-		}
-		diagArr := g.c.Broadcast(o.Broadcast, diagOwner, colOwnerList, o.BlockBytes, diagDone)
-		solveCount := make([]int, nodes)
-		for bi := k + 1; bi < nb; bi++ {
-			solveCount[g.owner(bi, k)]++
-		}
-		solveDone := make([]float64, nodes)
-		for n, cnt := range solveCount {
-			if cnt == 0 {
+		diagArr := g.send(o, diagDown, diagDone)
+		solveDone := make([]float64, lay.Ranks)
+		for n, rows := range lay.ColBelow(k) {
+			if len(rows) == 0 {
 				continue
 			}
 			start := maxf(diagArr[n], updDone[n])
-			solveDone[n] = g.c.Compute(n, start, float64(cnt)*o.SolveCost*g.cycleTime(n))
+			solveDone[n] = g.c.Compute(n, start, float64(len(rows))*o.SolveCost*g.cycleTime(n))
 		}
 
 		// 3. Broadcast each panel block to its needers, panel-aggregated.
-		var idx []int
-		for bi := k + 1; bi < nb; bi++ {
-			idx = append(idx, bi)
-		}
-		lArr := g.panelBroadcast(o.Broadcast, idx,
-			func(bi int) int { return g.owner(bi, k) },
-			func(bi int) []int { return needers(k, bi) },
-			func(bi int) float64 { return solveDone[g.owner(bi, k)] },
-			o.BlockBytes)
+		lArr := g.deliver(o, lMsgs, solveDone)
 
 		// 4. Symmetric trailing update on the lower triangle.
-		updCount := make([]int, nodes)
-		updReady := make([]float64, nodes)
-		for bi := k + 1; bi < nb; bi++ {
-			for bj := k + 1; bj <= bi; bj++ {
-				n := g.owner(bi, bj)
-				updCount[n]++
-				updReady[n] = maxf(updReady[n], maxf(lArr[bi][n], lArr[bj][n]))
-			}
-		}
-		for n := 0; n < nodes; n++ {
-			if updCount[n] == 0 {
+		for n, blocks := range lay.Update(distribution.TrailingLower, k) {
+			if len(blocks) == 0 {
 				continue
 			}
-			updDone[n] = g.c.Compute(n, maxf(updReady[n], updDone[n]),
-				float64(updCount[n])*g.cycleTime(n))
+			ready := updDone[n]
+			for _, b := range blocks {
+				ready = maxf(ready, maxf(lArr[b[0]][n], lArr[b[1]][n]))
+			}
+			updDone[n] = g.c.Compute(n, ready, float64(len(blocks))*g.cycleTime(n))
 		}
 	}
 	return g.finish("cholesky", tr), nil
@@ -193,25 +144,19 @@ func replayCholesky(d distribution.Distribution, a *matrix.Dense, mode matrix.Nu
 // CholeskyOpCounts returns per-node [factor, solve, update] counts matching
 // SimulateCholesky's charging, for cross-checks against ReplayCholesky.
 func CholeskyOpCounts(d distribution.Distribution) (factor, solve, update []int, err error) {
-	nbr, nbc := d.Blocks()
-	if nbr != nbc {
-		return nil, nil, nil, fmt.Errorf("kernels: Cholesky needs a square block matrix, got %d×%d", nbr, nbc)
+	lay, err := distribution.NewLayout(d)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	p, q := d.Dims()
-	factor = make([]int, p*q)
-	solve = make([]int, p*q)
-	update = make([]int, p*q)
-	node := func(bi, bj int) int {
-		pi, pj := d.Owner(bi, bj)
-		return pi*q + pj
-	}
-	for k := 0; k < nbr; k++ {
-		factor[node(k, k)]++
-		for bi := k + 1; bi < nbr; bi++ {
-			solve[node(bi, k)]++
-			for bj := k + 1; bj <= bi; bj++ {
-				update[node(bi, bj)]++
-			}
+	factor = make([]int, lay.Ranks)
+	solve = make([]int, lay.Ranks)
+	update = make([]int, lay.Ranks)
+	for k := 0; k < lay.NB; k++ {
+		factor[lay.Owner(k, k)]++
+		below, upd := lay.ColBelow(k), lay.Update(distribution.TrailingLower, k)
+		for n := range solve {
+			solve[n] += len(below[n])
+			update[n] += len(upd[n])
 		}
 	}
 	return factor, solve, update, nil

@@ -92,13 +92,13 @@ func (r *Result) Efficiency() float64 {
 	return r.CompBound / r.Makespan
 }
 
-// gridCluster couples a distribution with a simulated cluster, mapping grid
-// position (pi,pj) to node pi·q+pj.
+// gridCluster couples a distribution's step schedule with a simulated
+// cluster; node ids are the layout's flat ranks pi·q+pj.
 type gridCluster struct {
-	dist distribution.Distribution
+	name string
+	lay  *distribution.Layout
 	arr  *grid.Arrangement
 	c    *sim.Cluster
-	p, q int
 }
 
 func newGridCluster(d distribution.Distribution, arr *grid.Arrangement, cfg sim.Config) (*gridCluster, error) {
@@ -106,16 +106,18 @@ func newGridCluster(d distribution.Distribution, arr *grid.Arrangement, cfg sim.
 	if arr.P != p || arr.Q != q {
 		return nil, fmt.Errorf("kernels: %d×%d distribution vs %d×%d arrangement", p, q, arr.P, arr.Q)
 	}
-	// Guard against broken user-supplied Distribution implementations
-	// before they corrupt the schedule (built-ins always pass).
-	if err := distribution.Validate(d); err != nil {
-		return nil, err
-	}
-	c, err := sim.NewCluster(p*q, cfg)
+	// NewLayout also guards against broken user-supplied Distribution
+	// implementations before they corrupt the schedule (built-ins always
+	// pass).
+	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		return nil, err
 	}
-	return &gridCluster{dist: d, arr: arr, c: c, p: p, q: q}, nil
+	c, err := sim.NewCluster(lay.Ranks, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &gridCluster{name: d.Name(), lay: lay, arr: arr, c: c}, nil
 }
 
 // finish assembles a Result from the cluster state.
@@ -123,7 +125,7 @@ func (g *gridCluster) finish(kernel string, trace *sim.Trace) *Result {
 	stats := g.c.Snapshot()
 	return &Result{
 		Kernel:       kernel,
-		Distribution: g.dist.Name(),
+		Distribution: g.name,
 		Makespan:     stats.Makespan,
 		CompBound:    stats.CompBound,
 		Stats:        stats,
@@ -131,85 +133,9 @@ func (g *gridCluster) finish(kernel string, trace *sim.Trace) *Result {
 	}
 }
 
-// SimulateTraced dispatches a kernel simulation by name with tracing
-// forced on, returning the result and its trace. Recognized kinds:
-// "matmul", "lu", "qr" (LU structure with doubled panel costs),
-// "cholesky".
-func SimulateTraced(kind string, d distribution.Distribution, arr *grid.Arrangement, opts Options) (*Result, *sim.Trace, error) {
-	opts.EnableTrace = true
-	var res *Result
-	var err error
-	switch kind {
-	case "matmul":
-		res, err = SimulateMM(d, arr, opts)
-	case "lu":
-		res, err = SimulateLU(d, arr, opts)
-	case "qr":
-		if opts.FactorCost <= 0 {
-			opts.FactorCost = 2
-		}
-		if opts.SolveCost <= 0 {
-			opts.SolveCost = 2
-		}
-		res, err = SimulateLU(d, arr, opts)
-		if res != nil {
-			res.Kernel = "qr"
-		}
-	case "cholesky":
-		res, err = SimulateCholesky(d, arr, opts)
-	default:
-		return nil, nil, fmt.Errorf("kernels: unknown kernel %q", kind)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, res.Trace, nil
-}
-
-func (g *gridCluster) node(pi, pj int) int { return pi*g.q + pj }
-
-func (g *gridCluster) owner(bi, bj int) int {
-	return g.node(g.dist.Owner(bi, bj))
-}
-
 // cycleTime returns the cycle-time of a node id.
 func (g *gridCluster) cycleTime(node int) float64 {
-	return g.arr.T[node/g.q][node%g.q]
-}
-
-// rowReceivers returns, for each block row, the distinct nodes owning at
-// least one block in columns [jmin, nbc) of that row — the recipients of a
-// horizontal (A- or L-panel) broadcast.
-func (g *gridCluster) rowReceivers(nbr, nbc, jmin int) [][]int {
-	out := make([][]int, nbr)
-	for bi := 0; bi < nbr; bi++ {
-		seen := map[int]struct{}{}
-		for bj := jmin; bj < nbc; bj++ {
-			n := g.owner(bi, bj)
-			if _, ok := seen[n]; !ok {
-				seen[n] = struct{}{}
-				out[bi] = append(out[bi], n)
-			}
-		}
-	}
-	return out
-}
-
-// colReceivers is the column analogue for vertical (B- or U-panel)
-// broadcasts over rows [imin, nbr).
-func (g *gridCluster) colReceivers(nbr, nbc, imin int) [][]int {
-	out := make([][]int, nbc)
-	for bj := 0; bj < nbc; bj++ {
-		seen := map[int]struct{}{}
-		for bi := imin; bi < nbr; bi++ {
-			n := g.owner(bi, bj)
-			if _, ok := seen[n]; !ok {
-				seen[n] = struct{}{}
-				out[bj] = append(out[bj], n)
-			}
-		}
-	}
-	return out
+	return g.arr.T[node/g.arr.Q][node%g.arr.Q]
 }
 
 func maxf(a, b float64) float64 {
@@ -219,47 +145,21 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// panelBroadcast delivers a set of blocks — identified by their block-row
-// (or block-column) index — to per-block receiver sets, aggregating blocks
-// that share both their source and their receiver set into a single message
-// (the ScaLAPACK panel message). For product distributions every source's
-// blocks share one receiver set (its grid row or column), so each source
-// issues exactly one broadcast per step; for the Kalinov–Lastovetsky
-// distribution, misaligned row boundaries split the panels into more
-// messages involving more parties — precisely the extra-neighbour penalty
-// of the paper's Figure 3.
-//
-// src[i] is the owner of block i, recv[i] its receiver set, ready[i] the
-// time block i becomes available at its source. The returned arrivals map
-// index i to a node→time map.
-func (g *gridCluster) panelBroadcast(kind sim.BroadcastKind, indices []int,
-	src func(int) int, recv func(int) []int, ready func(int) float64,
-	blockBytes float64) map[int]map[int]float64 {
+// send prices one schedule message leaving its root at time at: the
+// stacked blocks reach the receivers under the configured broadcast.
+// Returns node→arrival time.
+func (g *gridCluster) send(o Options, m distribution.Msg, at float64) map[int]float64 {
+	return g.c.Broadcast(o.Broadcast, m.Root, m.Recv, float64(len(m.Blocks))*o.BlockBytes, at)
+}
 
-	type groupKey struct {
-		src  int
-		recv string
-	}
-	groups := make(map[groupKey][]int)
-	order := make([]groupKey, 0)
-	for _, i := range indices {
-		rs := recv(i)
-		key := groupKey{src: src(i), recv: fmt.Sprint(rs)}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	arrivals := make(map[int]map[int]float64, len(indices))
-	for _, key := range order {
-		blocks := groups[key]
-		// The panel message leaves when its last block is ready.
-		at := 0.0
-		for _, i := range blocks {
-			at = maxf(at, ready(i))
-		}
-		arr := g.c.Broadcast(kind, key.src, recv(blocks[0]), float64(len(blocks))*blockBytes, at)
-		for _, i := range blocks {
+// deliver prices a panel's messages in order, each leaving its root at
+// ready[root] — when the root's panel blocks are done — and maps every
+// carried block index to its message's arrival times.
+func (g *gridCluster) deliver(o Options, msgs []distribution.Msg, ready []float64) []map[int]float64 {
+	arrivals := make([]map[int]float64, g.lay.NB)
+	for _, m := range msgs {
+		arr := g.send(o, m, ready[m.Root])
+		for _, i := range m.Blocks {
 			arrivals[i] = arr
 		}
 	}

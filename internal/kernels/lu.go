@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/grid"
 	"hetgrid/internal/sim"
@@ -32,11 +30,6 @@ import (
 // update), with roughly doubled flop counts.
 func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options) (*Result, error) {
 	o := opts.withDefaults()
-	nbr, nbc := d.Blocks()
-	if nbr != nbc {
-		return nil, fmt.Errorf("kernels: LU needs a square block matrix, got %d×%d", nbr, nbc)
-	}
-	nb := nbr
 	g, err := newGridCluster(d, arr, o.Net)
 	if err != nil {
 		return nil, err
@@ -46,8 +39,9 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 		tr = g.c.EnableTrace()
 	}
 
-	nodes := g.p * g.q
-	// blockReady[node] tracks when the node's copy of the trailing matrix
+	lay := g.lay
+	nb, nodes := lay.NB, lay.Ranks
+	// updDone[node] tracks when the node's copy of the trailing matrix
 	// incorporates all updates through the previous step; per-node CPU
 	// serialization in sim handles intra-node ordering, and panel
 	// dependencies are tracked explicitly below.
@@ -58,7 +52,8 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 		pivotBytes = 16
 	}
 	for k := 0; k < nb; k++ {
-		diagOwner := g.owner(k, k)
+		diagDown, diagRight, lMsgs, uMsgs := lay.LUPanels(k)
+		diagOwner := diagDown.Root
 
 		// 0. Partial pivoting (optional): the owners of the active part of
 		// block column k send their local maxima to the diagonal owner,
@@ -66,17 +61,9 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 		// the (worst-case: last) pivot block row are exchanged across the
 		// trailing columns.
 		if o.Pivoting {
-			seen := map[int]struct{}{diagOwner: {}}
-			var searchers []int
-			for bi := k; bi < nb; bi++ {
-				if n := g.owner(bi, k); n != diagOwner {
-					if _, ok := seen[n]; !ok {
-						seen[n] = struct{}{}
-						searchers = append(searchers, n)
-					}
-				}
-			}
-			// Reduce to the diagonal owner…
+			// Reduce to the diagonal owner (its own maximum is local: a
+			// self-send is free)…
+			searchers := diagDown.Recv
 			at := updDone[diagOwner]
 			for _, n := range searchers {
 				arrive := g.c.Send(n, diagOwner, pivotBytes, updDone[n])
@@ -88,8 +75,8 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 			// row (the last active one) across all trailing columns.
 			if pr := nb - 1; pr > k {
 				for bj := k; bj < nb; bj++ {
-					a := g.owner(k, bj)
-					b := g.owner(pr, bj)
+					a := lay.Owner(k, bj)
+					b := lay.Owner(pr, bj)
 					if a == b {
 						continue
 					}
@@ -104,98 +91,48 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 			}
 		}
 
-		// 1. Diagonal factor.
+		// 1. Diagonal factor, broadcast down block column k's owners (they
+		// need it for their L blocks).
 		diagDone := g.c.Compute(diagOwner, updDone[diagOwner], o.FactorCost*g.cycleTime(diagOwner))
-
-		// Broadcast the factored diagonal block down block column k's
-		// owners (they need it for their L blocks).
-		colOwners := map[int]struct{}{}
-		var colOwnerList []int
-		for bi := k + 1; bi < nb; bi++ {
-			n := g.owner(bi, k)
-			if _, ok := colOwners[n]; !ok {
-				colOwners[n] = struct{}{}
-				colOwnerList = append(colOwnerList, n)
-			}
-		}
-		diagArr := g.c.Broadcast(o.Broadcast, diagOwner, colOwnerList, o.BlockBytes, diagDone)
+		diagArr := g.send(o, diagDown, diagDone)
 
 		// 2. L panel: each owner computes its sub-diagonal blocks of
-		// column k, then broadcasts each block to the owners of the
-		// trailing part of its block row.
-		rowRecv := g.rowReceivers(nb, nb, k) // receivers for trailing columns ≥ k
-		lArr := make([]map[int]float64, nb)  // per block row: arrival times of L(bi,k)
-		lCount := make([]int, nodes)
-		for bi := k + 1; bi < nb; bi++ {
-			lCount[g.owner(bi, k)]++
-		}
+		// column k, then broadcasts them to the owners of the trailing part
+		// of their block rows. The diagonal block's L factor travels along
+		// row k the same way, for the U solve.
 		lDone := make([]float64, nodes)
-		for n, cnt := range lCount {
-			if cnt == 0 {
+		for n, rows := range lay.ColBelow(k) {
+			if len(rows) == 0 {
 				continue
 			}
 			start := maxf(diagArr[n], updDone[n])
-			lDone[n] = g.c.Compute(n, start, float64(cnt)*o.FactorCost*g.cycleTime(n))
+			lDone[n] = g.c.Compute(n, start, float64(len(rows))*o.FactorCost*g.cycleTime(n))
 		}
-		var lIdx []int
-		for bi := k + 1; bi < nb; bi++ {
-			lIdx = append(lIdx, bi)
-		}
-		for bi, arr := range g.panelBroadcast(o.Broadcast, lIdx,
-			func(bi int) int { return g.owner(bi, k) },
-			func(bi int) []int { return rowRecv[bi] },
-			func(bi int) float64 { return lDone[g.owner(bi, k)] },
-			o.BlockBytes) {
-			lArr[bi] = arr
-		}
-		// The diagonal block's L factor also travels with the row-k
-		// broadcast for the U solve.
-		lArr[k] = g.c.Broadcast(o.Broadcast, diagOwner, rowRecv[k], o.BlockBytes, diagDone)
+		lArr := g.deliver(o, lMsgs, lDone)
+		lArr[k] = g.send(o, diagRight, diagDone)
 
 		// 3. U panel: triangular solves on block row k, then vertical
 		// broadcasts to trailing column owners.
-		colRecv := g.colReceivers(nb, nb, k)
-		uArr := make([]map[int]float64, nb)
-		uCount := make([]int, nodes)
-		for bj := k + 1; bj < nb; bj++ {
-			uCount[g.owner(k, bj)]++
-		}
 		uDone := make([]float64, nodes)
-		for n, cnt := range uCount {
-			if cnt == 0 {
+		for n, cols := range lay.RowRight(k) {
+			if len(cols) == 0 {
 				continue
 			}
 			start := maxf(lArr[k][n], updDone[n])
-			uDone[n] = g.c.Compute(n, start, float64(cnt)*o.SolveCost*g.cycleTime(n))
+			uDone[n] = g.c.Compute(n, start, float64(len(cols))*o.SolveCost*g.cycleTime(n))
 		}
-		var uIdx []int
-		for bj := k + 1; bj < nb; bj++ {
-			uIdx = append(uIdx, bj)
-		}
-		for bj, arr := range g.panelBroadcast(o.Broadcast, uIdx,
-			func(bj int) int { return g.owner(k, bj) },
-			func(bj int) []int { return colRecv[bj] },
-			func(bj int) float64 { return uDone[g.owner(k, bj)] },
-			o.BlockBytes) {
-			uArr[bj] = arr
-		}
+		uArr := g.deliver(o, uMsgs, uDone)
 
 		// 4. Trailing rank-r update on blocks (bi, bj), bi,bj > k.
-		updCount := make([]int, nodes)
-		updReady := make([]float64, nodes)
-		for bi := k + 1; bi < nb; bi++ {
-			for bj := k + 1; bj < nb; bj++ {
-				n := g.owner(bi, bj)
-				updCount[n]++
-				updReady[n] = maxf(updReady[n], maxf(lArr[bi][n], uArr[bj][n]))
-			}
-		}
-		for n := 0; n < nodes; n++ {
-			if updCount[n] == 0 {
+		for n, blocks := range lay.Update(distribution.Trailing, k) {
+			if len(blocks) == 0 {
 				continue
 			}
-			updDone[n] = g.c.Compute(n, maxf(updReady[n], updDone[n]),
-				float64(updCount[n])*g.cycleTime(n))
+			ready := updDone[n]
+			for _, b := range blocks {
+				ready = maxf(ready, maxf(lArr[b[0]][n], uArr[b[1]][n]))
+			}
+			updDone[n] = g.c.Compute(n, ready, float64(len(blocks))*g.cycleTime(n))
 		}
 	}
 	return g.finish("lu", tr), nil
@@ -214,30 +151,20 @@ func arrivalOr(arr map[int]float64, n int, fallback float64) float64 {
 // every node by SimulateLU, for cross-checking against the numeric replay:
 // [factor, solve, update] per node (node = pi·q + pj).
 func LUOpCounts(d distribution.Distribution) (factor, solve, update []int, err error) {
-	nbr, nbc := d.Blocks()
-	if nbr != nbc {
-		return nil, nil, nil, fmt.Errorf("kernels: LU needs a square block matrix, got %d×%d", nbr, nbc)
+	lay, err := distribution.NewLayout(d)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	p, q := d.Dims()
-	nodes := p * q
-	factor = make([]int, nodes)
-	solve = make([]int, nodes)
-	update = make([]int, nodes)
-	node := func(bi, bj int) int {
-		pi, pj := d.Owner(bi, bj)
-		return pi*q + pj
-	}
-	for k := 0; k < nbr; k++ {
-		for bi := k; bi < nbr; bi++ {
-			factor[node(bi, k)]++
-		}
-		for bj := k + 1; bj < nbr; bj++ {
-			solve[node(k, bj)]++
-		}
-		for bi := k + 1; bi < nbr; bi++ {
-			for bj := k + 1; bj < nbr; bj++ {
-				update[node(bi, bj)]++
-			}
+	factor = make([]int, lay.Ranks)
+	solve = make([]int, lay.Ranks)
+	update = make([]int, lay.Ranks)
+	for k := 0; k < lay.NB; k++ {
+		factor[lay.Owner(k, k)]++
+		below, right, upd := lay.ColBelow(k), lay.RowRight(k), lay.Update(distribution.Trailing, k)
+		for n := range factor {
+			factor[n] += len(below[n])
+			solve[n] += len(right[n])
+			update[n] += len(upd[n])
 		}
 	}
 	return factor, solve, update, nil

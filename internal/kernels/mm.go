@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/grid"
 	"hetgrid/internal/sim"
@@ -22,11 +20,6 @@ import (
 // penalty appears here with no special-casing).
 func SimulateMM(d distribution.Distribution, arr *grid.Arrangement, opts Options) (*Result, error) {
 	o := opts.withDefaults()
-	nbr, nbc := d.Blocks()
-	if nbr != nbc {
-		return nil, fmt.Errorf("kernels: MM needs a square block matrix, got %d×%d", nbr, nbc)
-	}
-	nb := nbr
 	g, err := newGridCluster(d, arr, o.Net)
 	if err != nil {
 		return nil, err
@@ -36,80 +29,39 @@ func SimulateMM(d distribution.Distribution, arr *grid.Arrangement, opts Options
 		tr = g.c.EnableTrace()
 	}
 
-	// Receivers are step-independent for MM: every step updates the whole
-	// C matrix.
-	rowRecv := g.rowReceivers(nb, nb, 0)
-	colRecv := g.colReceivers(nb, nb, 0)
+	// Every step updates the whole C matrix, so the per-node block lists
+	// are step-independent.
+	mine := g.lay.Update(distribution.All, 0)
 
-	// Per-node owned-block counts (each step updates all of them).
-	counts := make([]int, g.p*g.q)
-	for bi := 0; bi < nb; bi++ {
-		for bj := 0; bj < nb; bj++ {
-			counts[g.owner(bi, bj)]++
-		}
-	}
-	// ownedRows[node] and ownedCols[node]: which block rows/columns the
-	// node holds C blocks in (it must receive A/B blocks for those).
-	ownedRows := make([][]bool, g.p*g.q)
-	ownedCols := make([][]bool, g.p*g.q)
-	for n := range ownedRows {
-		ownedRows[n] = make([]bool, nb)
-		ownedCols[n] = make([]bool, nb)
-	}
-	for bi := 0; bi < nb; bi++ {
-		for bj := 0; bj < nb; bj++ {
-			n := g.owner(bi, bj)
-			ownedRows[n][bi] = true
-			ownedCols[n][bj] = true
-		}
-	}
-
-	stepDone := make([]float64, g.p*g.q) // completion of the node's previous step
-	barrier := 0.0
-	for k := 0; k < nb; k++ {
-		ready := 0.0
-		if o.SyncSteps {
-			ready = barrier
-		}
-		// Horizontal broadcasts of the A(·,k) panel: blocks sharing a
-		// source and receiver set travel as one panel message.
-		indices := make([]int, nb)
-		for i := range indices {
-			indices[i] = i
-		}
-		aArr := g.panelBroadcast(o.Broadcast, indices,
-			func(bi int) int { return g.owner(bi, k) },
-			func(bi int) []int { return rowRecv[bi] },
-			func(int) float64 { return ready },
-			o.BlockBytes)
-		// Vertical broadcasts of the B(k,·) panel.
-		bArr := g.panelBroadcast(o.Broadcast, indices,
-			func(bj int) int { return g.owner(k, bj) },
-			func(bj int) []int { return colRecv[bj] },
-			func(int) float64 { return ready },
-			o.BlockBytes)
-		// Local rank-r updates.
-		for n := 0; n < g.p*g.q; n++ {
-			if counts[n] == 0 {
+	stepDone := make([]float64, g.lay.Ranks) // completion of the node's previous step
+	// ready[node] is when the node may send step k's panels: at once, or
+	// after the previous step's barrier under SyncSteps.
+	ready := make([]float64, g.lay.Ranks)
+	for k := 0; k < g.lay.NB; k++ {
+		// Horizontal broadcasts of the A(·,k) panel, then vertical
+		// broadcasts of the B(k,·) panel.
+		aMsgs, bMsgs := g.lay.MMPanels(k)
+		aArr := g.deliver(o, aMsgs, ready)
+		bArr := g.deliver(o, bMsgs, ready)
+		// Local rank-r updates, once the A block of every owned row and the
+		// B block of every owned column have arrived.
+		for n, blocks := range mine {
+			if len(blocks) == 0 {
 				continue
 			}
-			start := 0.0
-			for bi := 0; bi < nb; bi++ {
-				if ownedRows[n][bi] {
-					start = maxf(start, aArr[bi][n])
-				}
+			arrived := 0.0
+			for _, b := range blocks {
+				arrived = maxf(arrived, maxf(aArr[b[0]][n], bArr[b[1]][n]))
 			}
-			for bj := 0; bj < nb; bj++ {
-				if ownedCols[n][bj] {
-					start = maxf(start, bArr[bj][n])
-				}
-			}
-			stepDone[n] = g.c.Compute(n, start, float64(counts[n])*g.cycleTime(n))
+			stepDone[n] = g.c.Compute(n, arrived, float64(len(blocks))*g.cycleTime(n))
 		}
 		if o.SyncSteps {
-			barrier = 0
+			barrier := 0.0
 			for _, t := range stepDone {
 				barrier = maxf(barrier, t)
+			}
+			for n := range ready {
+				ready[n] = barrier
 			}
 		}
 	}
