@@ -1,11 +1,8 @@
 package hetgrid
 
 import (
-	"fmt"
-
 	"hetgrid/internal/adapt"
 	"hetgrid/internal/distribution"
-	"hetgrid/internal/grid"
 )
 
 // RebalanceDecision reports whether a running computation should move to a
@@ -29,19 +26,7 @@ type CommVolume = distribution.CommVolume
 // steps left; hysteresis ≥ 1 demands a proportionally larger projected
 // saving before moving (1 accepts any saving).
 func ShouldRebalance(cur Distribution, measured []float64, remainingSteps int, opts SimOptions, hysteresis float64) (*RebalanceDecision, error) {
-	p, q := cur.Dims()
-	if len(measured) != p*q {
-		return nil, fmt.Errorf("hetgrid: %d measured cycle-times for a %d×%d grid (want %d)", len(measured), p, q, p*q)
-	}
-	t := make([][]float64, p)
-	for i := 0; i < p; i++ {
-		t[i] = measured[i*q : (i+1)*q]
-	}
-	arr, err := grid.New(t)
-	if err != nil {
-		return nil, err
-	}
-	return adapt.EvaluateMM(cur, arr, remainingSteps, adapt.Policy{
+	return adapt.EvaluateMM(cur, measured, remainingSteps, adapt.Policy{
 		Net:        opts.net(),
 		BlockBytes: opts.BlockBytes,
 		Hysteresis: hysteresis,

@@ -73,16 +73,17 @@ func main() {
 		}
 	}
 
-	if *joinFlag != "" {
-		var metrics *hetgrid.Metrics
-		if *metricsAddr != "" {
-			metrics = hetgrid.NewMetrics()
-			addr, _, err := metrics.Serve(*metricsAddr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("serving metrics at http://%s/metrics (profiling at /debug/pprof)\n", addr)
+	var metrics *hetgrid.Metrics
+	if *metricsAddr != "" {
+		metrics = hetgrid.NewMetrics()
+		addr, _, err := metrics.Serve(*metricsAddr)
+		if err != nil {
+			log.Fatal(err)
 		}
+		fmt.Printf("serving metrics at http://%s/metrics (profiling at /debug/pprof)\n", addr)
+	}
+
+	if *joinFlag != "" {
 		if err := runJoin(*joinFlag, metrics); err != nil {
 			log.Fatal(err)
 		}
@@ -106,18 +107,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var metrics *hetgrid.Metrics
-	var planOpts []hetgrid.Option
-	if *metricsAddr != "" {
-		metrics = hetgrid.NewMetrics()
-		addr, _, err := metrics.Serve(*metricsAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("serving metrics at http://%s/metrics (profiling at /debug/pprof)\n", addr)
-		planOpts = append(planOpts, hetgrid.WithMetrics(metrics))
-	}
-
 	if *listenFlag != "" {
 		if *distFlag == "all" {
 			log.Fatal("-listen needs a single distribution (-dist uniform, kl or panel)")
@@ -133,7 +122,7 @@ func main() {
 		return
 	}
 
-	plan, _, err := hetgrid.SolvePlan(hetgrid.PlanRequest{Times: times, P: *pFlag, Q: *qFlag}, planOpts...)
+	plan, _, err := hetgrid.SolvePlan(hetgrid.PlanRequest{Times: times, P: *pFlag, Q: *qFlag}, hetgrid.WithMetrics(metrics))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -237,16 +226,10 @@ func main() {
 		}
 		lastRes = res
 	}
-	if *traceFile != "" && lastRes != nil && lastRes.Trace != nil {
-		f, err := os.Create(*traceFile)
-		if err != nil {
+	if *traceFile != "" && lastRes != nil {
+		if err := writeTrace(*traceFile, lastRes.Trace); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		if err := lastRes.Trace.WriteChromeTrace(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote Chrome trace of the last run to %s\n", *traceFile)
 	}
 	blockOnMetrics(metrics)
 }
@@ -276,7 +259,8 @@ func runReal(kernel hetgrid.Kernel, dists []distCase, nb, r, parallel int, bcast
 
 	var lastStats *hetgrid.ExecStats
 	for _, dc := range dists {
-		opts := []hetgrid.Option{hetgrid.WithBroadcast(bcast), hetgrid.WithParallelism(parallel), hetgrid.WithNumerics(numerics)}
+		// A nil registry disables metrics.
+		opts := []hetgrid.Option{hetgrid.WithBroadcast(bcast), hetgrid.WithParallelism(parallel), hetgrid.WithNumerics(numerics), hetgrid.WithMetrics(metrics)}
 		if traceFile != "" {
 			opts = append(opts, hetgrid.WithTrace())
 		}
@@ -286,55 +270,90 @@ func runReal(kernel hetgrid.Kernel, dists []distCase, nb, r, parallel int, bcast
 		if drift != nil {
 			opts = append(opts, hetgrid.WithDriftRebalance(*drift))
 		}
-		if metrics != nil {
-			opts = append(opts, hetgrid.WithMetrics(metrics))
-		}
-		var stats *hetgrid.ExecStats
-		var err error
-		switch kernel {
-		case hetgrid.MatMul:
-			a, b := matrix.Random(n, n, rng), matrix.Random(n, n, rng)
-			_, stats, err = hetgrid.DistributedMultiply(dc.d, a, b, r, opts...)
-		case hetgrid.LU:
-			_, stats, err = hetgrid.DistributedFactor(kernel, dc.d, matrix.RandomWellConditioned(n, rng), r, opts...)
-		case hetgrid.QR:
-			_, stats, err = hetgrid.DistributedFactor(kernel, dc.d, matrix.Random(n, n, rng), r, opts...)
-		case hetgrid.Cholesky:
-			_, stats, err = hetgrid.DistributedFactor(kernel, dc.d, matrix.RandomSPD(n, rng), r, opts...)
-		default:
-			return fmt.Errorf("kernel %v has no real execution path", kernel)
-		}
+		a, b, err := randomInputs(kernel, n, rng)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-20s %9d messages %12d bytes\n", dc.name, stats.Messages, stats.Bytes)
-		fmt.Printf("  %6s %22s %22s\n", "rank", "sent (msgs / bytes)", "recv (msgs / bytes)")
-		for i, rs := range stats.Ranks {
-			fmt.Printf("  %6d %10d / %9d %10d / %9d\n", i, rs.MsgsSent, rs.BytesSent, rs.MsgsRecv, rs.BytesRecv)
+		_, stats, err := execute(kernel, dc.d, a, b, r, opts)
+		if err != nil {
+			return err
 		}
-		if fs := stats.Faults; fs != nil {
-			fmt.Printf("  faults: %d attempt(s), %d recovery(ies), %d crash(es), %d slowdown(s), %d dropped, %d delayed, %d retransmitted, %d timeouts, %d retries, %d checkpoint(s), %d step(s) resumed\n",
-				fs.Attempts, fs.Recoveries, fs.Crashes, fs.Slowdowns, fs.Dropped, fs.Delayed, fs.Retransmitted, fs.Timeouts, fs.Retries, fs.Checkpoints, fs.ResumedSteps)
-		}
-		if ds := stats.Drift; ds != nil {
-			fmt.Printf("  drift: %d window(s), %d evaluation(s), %d migration(s), %d block(s) moved, %.3g predicted saving\n",
-				ds.Windows, ds.Evaluations, ds.Migrations, ds.MovedBlocks, ds.PredictedSaving)
-		}
-		fmt.Println()
+		printStats(dc.name, stats)
 		lastStats = stats
 	}
-	if traceFile != "" && lastStats != nil && lastStats.Trace != nil {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := lastStats.Trace.WriteChromeTrace(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote Chrome trace of the last run to %s\n", traceFile)
+	if traceFile != "" && lastStats != nil {
+		return writeTrace(traceFile, lastStats.Trace)
 	}
 	return nil
+}
+
+// writeTrace writes the last run's events to path in Chrome-tracing format
+// (nothing when the run recorded none).
+func writeTrace(path string, tr *hetgrid.Trace) error {
+	if tr == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := tr.WriteChromeTrace(f); err != nil {
+		return err
+	}
+	fmt.Printf("wrote Chrome trace of the last run to %s\n", path)
+	return nil
+}
+
+// randomInputs draws the kernel's input matrices of order n: A and B for
+// the multiplication, otherwise the one matrix to factor (well conditioned
+// for the unpivoted LU, symmetric positive definite for Cholesky).
+func randomInputs(kernel hetgrid.Kernel, n int, rng *rand.Rand) (a, b *matrix.Dense, err error) {
+	switch kernel {
+	case hetgrid.MatMul:
+		return matrix.Random(n, n, rng), matrix.Random(n, n, rng), nil
+	case hetgrid.LU:
+		return matrix.RandomWellConditioned(n, rng), nil, nil
+	case hetgrid.QR:
+		return matrix.Random(n, n, rng), nil, nil
+	case hetgrid.Cholesky:
+		return matrix.RandomSPD(n, rng), nil, nil
+	default:
+		return nil, nil, fmt.Errorf("kernel %v has no real execution path", kernel)
+	}
+}
+
+// execute runs the kernel on d through the library and returns the
+// gathered result (the product, or the packed factors) with the run's
+// statistics.
+func execute(kernel hetgrid.Kernel, d hetgrid.Distribution, a, b *matrix.Dense, r int, opts []hetgrid.Option) (*matrix.Dense, *hetgrid.ExecStats, error) {
+	if kernel == hetgrid.MatMul {
+		return hetgrid.DistributedMultiply(d, a, b, r, opts...)
+	}
+	f, stats, err := hetgrid.DistributedFactor(kernel, d, a, r, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f.Packed(), stats, nil
+}
+
+// printStats prints one run's measured traffic (world totals and the
+// per-rank table) and its fault and drift lines.
+func printStats(name string, stats *hetgrid.ExecStats) {
+	fmt.Printf("%-20s %9d messages %12d bytes\n", name, stats.Messages, stats.Bytes)
+	fmt.Printf("  %6s %22s %22s\n", "rank", "sent (msgs / bytes)", "recv (msgs / bytes)")
+	for i, rs := range stats.Ranks {
+		fmt.Printf("  %6d %10d / %9d %10d / %9d\n", i, rs.MsgsSent, rs.BytesSent, rs.MsgsRecv, rs.BytesRecv)
+	}
+	if fs := stats.Faults; fs != nil {
+		fmt.Printf("  faults: %d attempt(s), %d recovery(ies), %d crash(es), %d slowdown(s), %d dropped, %d delayed, %d retransmitted, %d timeouts, %d retries, %d checkpoint(s), %d step(s) resumed\n",
+			fs.Attempts, fs.Recoveries, fs.Crashes, fs.Slowdowns, fs.Dropped, fs.Delayed, fs.Retransmitted, fs.Timeouts, fs.Retries, fs.Checkpoints, fs.ResumedSteps)
+	}
+	if ds := stats.Drift; ds != nil {
+		fmt.Printf("  drift: %d window(s), %d evaluation(s), %d migration(s), %d block(s) moved, %.3g predicted saving\n",
+			ds.Windows, ds.Evaluations, ds.Migrations, ds.MovedBlocks, ds.PredictedSaving)
+	}
+	fmt.Println()
 }
 
 type distCase struct {
@@ -343,46 +362,33 @@ type distCase struct {
 }
 
 func buildDistributions(kind string, plan *hetgrid.Plan, kernel hetgrid.Kernel, nb, p, q int) ([]distCase, error) {
+	names := []string{kind}
+	if kind == "all" {
+		names = []string{"uniform", "kl", "panel"}
+	}
 	var out []distCase
-	add := func(name string) error {
+	for _, name := range names {
+		var d hetgrid.Distribution
+		var err error
 		switch name {
 		case "uniform":
-			d, err := hetgrid.Uniform(p, q, nb, nb)
-			if err != nil {
-				return err
-			}
-			out = append(out, distCase{"uniform", d})
+			d, err = hetgrid.Uniform(p, q, nb, nb)
 		case "kl":
-			d, err := hetgrid.KalinovLastovetsky(plan, nb, nb)
-			if err != nil {
-				return err
-			}
-			out = append(out, distCase{"kalinov-lastovetsky", d})
+			name = "kalinov-lastovetsky"
+			d, err = hetgrid.KalinovLastovetsky(plan, nb, nb)
 		case "panel":
-			layout, err := plan.BestPanel(4*p, 4*q, kernel)
-			if err != nil {
-				return err
+			name = "het-panel"
+			var layout *hetgrid.Layout
+			if layout, err = plan.BestPanel(4*p, 4*q, kernel); err == nil {
+				d, err = layout.Distribute(nb, nb)
 			}
-			d, err := layout.Distribute(nb, nb)
-			if err != nil {
-				return err
-			}
-			out = append(out, distCase{"het-panel", d})
 		default:
-			return fmt.Errorf("unknown distribution %q (want uniform, kl, panel or all)", name)
+			err = fmt.Errorf("unknown distribution %q (want uniform, kl, panel or all)", name)
 		}
-		return nil
-	}
-	if kind == "all" {
-		for _, name := range []string{"uniform", "kl", "panel"} {
-			if err := add(name); err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	if err := add(kind); err != nil {
-		return nil, err
+		out = append(out, distCase{name, d})
 	}
 	return out, nil
 }

@@ -17,10 +17,8 @@ import (
 	"time"
 
 	"hetgrid"
-	"hetgrid/internal/engine"
 	enginenet "hetgrid/internal/engine/net"
 	"hetgrid/internal/matrix"
-	"hetgrid/internal/sim"
 )
 
 // netPlan is the opaque payload the coordinator ships through the cluster
@@ -83,9 +81,9 @@ func runJoin(addr string, metrics *hetgrid.Metrics) error {
 }
 
 // runNetProc is the SPMD part every process runs once its fabric is up:
-// recompute the plan deterministically, execute the local ranks, then a
-// done/bye barrier over the fabric so nobody tears the cluster down while
-// a peer still has blocks in flight.
+// recompute the plan deterministically, execute the local ranks through
+// the library (one attempt over the fabric), then a done/bye barrier so
+// nobody tears the cluster down while a peer still has blocks in flight.
 func runNetProc(fab *enginenet.Fabric, pay netPlan, metrics *hetgrid.Metrics) error {
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), netCloseTimeout)
@@ -127,43 +125,15 @@ func runNetProc(fab *enginenet.Fabric, pay netPlan, metrics *hetgrid.Metrics) er
 	isCoord := fab.ProcID() == 0
 	var a, b *matrix.Dense
 	if isCoord {
-		rng := rand.New(rand.NewSource(pay.Seed))
-		switch kernel {
-		case hetgrid.MatMul:
-			a, b = matrix.Random(n, n, rng), matrix.Random(n, n, rng)
-		case hetgrid.LU:
-			a = matrix.RandomWellConditioned(n, rng)
-		case hetgrid.QR:
-			a = matrix.Random(n, n, rng)
-		case hetgrid.Cholesky:
-			a = matrix.RandomSPD(n, rng)
-		default:
-			return fmt.Errorf("kernel %v has no multi-process execution path", kernel)
-		}
-	}
-
-	var out *matrix.Dense
-	start := time.Now()
-	_, err = engine.RunOpts(world, engine.Options{
-		Broadcast:  simKind(hb),
-		Numerics:   numerics,
-		Transport:  fab,
-		LocalRanks: fab.LocalRanks(),
-		Metrics:    metrics,
-	}, func(c *engine.Comm) error {
-		g, err := netKernelBody(c, d, kernel, a, b, pay.R)
-		if err != nil {
+		if a, b, err = randomInputs(kernel, n, rand.New(rand.NewSource(pay.Seed))); err != nil {
 			return err
 		}
-		if c.Rank() == 0 {
-			out = g
-		}
-		return nil
-	})
+	}
+	out, stats, err := execute(kernel, d, a, b, pay.R, []hetgrid.Option{
+		hetgrid.WithBroadcast(hb), hetgrid.WithNumerics(numerics), hetgrid.WithTransport(fab), hetgrid.WithMetrics(metrics)})
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
 
 	// Completion barrier: workers report done to rank 0's process and wait
 	// for the bye (or the closure that follows it) before tearing down, so
@@ -186,18 +156,19 @@ func runNetProc(fab *enginenet.Fabric, pay netPlan, metrics *hetgrid.Metrics) er
 	} else {
 		lo := fab.LocalRanks()[0]
 		fab.Send(lo, 0, "net/done", one)
-		if _, err := fab.Recv(bctx, 0, lo, "net/bye"); err != nil && !errors.Is(err, engine.ErrClosed) {
+		if _, err := fab.Recv(bctx, 0, lo, "net/bye"); err != nil && !errors.Is(err, hetgrid.ErrTransportClosed) {
 			return fmt.Errorf("waiting for the coordinator's bye: %w", err)
 		}
 	}
 
 	ws := fab.WireStats()
-	fmt.Printf("done in %v; wire traffic: %d frames / %d bytes sent, %d frames / %d bytes received\n",
-		elapsed.Round(time.Millisecond), ws.FramesSent, ws.BytesSent, ws.FramesRecv, ws.BytesRecv)
+	fmt.Printf("wire traffic: %d frames / %d bytes sent, %d frames / %d bytes received\n",
+		ws.FramesSent, ws.BytesSent, ws.FramesRecv, ws.BytesRecv)
 
 	if !isCoord {
 		return nil
 	}
+	printStats(dists[0].name, stats)
 
 	// The coordinator holds the gathered result: anchor it to the serial
 	// replay oracle, bit for bit.
@@ -219,62 +190,4 @@ func runNetProc(fab *enginenet.Fabric, pay netPlan, metrics *hetgrid.Metrics) er
 	}
 	fmt.Println("PARITY OK")
 	return nil
-}
-
-// netKernelBody is the SPMD body: scatter, run, gather (result at rank 0).
-func netKernelBody(c *engine.Comm, d hetgrid.Distribution, kernel hetgrid.Kernel, a, b *matrix.Dense, r int) (*matrix.Dense, error) {
-	on0 := func(m *matrix.Dense) *matrix.Dense {
-		if c.Rank() == 0 {
-			return m
-		}
-		return nil
-	}
-	if kernel == hetgrid.MatMul {
-		as, err := engine.Scatter(c, d, on0(a), r)
-		if err != nil {
-			return nil, err
-		}
-		bs, err := engine.Scatter(c, d, on0(b), r)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := engine.MM(c, d, as, bs)
-		if err != nil {
-			return nil, err
-		}
-		return engine.Gather(c, d, cs)
-	}
-	s, err := engine.Scatter(c, d, on0(a), r)
-	if err != nil {
-		return nil, err
-	}
-	switch kernel {
-	case hetgrid.LU:
-		err = engine.LU(c, d, s)
-	case hetgrid.Cholesky:
-		err = engine.Cholesky(c, d, s)
-	case hetgrid.QR:
-		_, err = engine.QR(c, d, s)
-	default:
-		err = fmt.Errorf("kernel %v has no multi-process execution path", kernel)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return engine.Gather(c, d, s)
-}
-
-// simKind maps the public broadcast enum to the engine's (the unexported
-// mapping the library applies internally).
-func simKind(b hetgrid.BroadcastKind) sim.BroadcastKind {
-	switch b {
-	case hetgrid.RingBroadcast:
-		return sim.RingBroadcast
-	case hetgrid.PipelinedRingBroadcast:
-		return sim.SegmentedRingBroadcast
-	case hetgrid.TreeBroadcast:
-		return sim.TreeBroadcast
-	default:
-		return sim.StarBroadcast
-	}
 }

@@ -1,14 +1,13 @@
 package hetgrid
 
 import (
-	"errors"
 	"fmt"
 
-	"hetgrid/internal/adapt"
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/engine"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/obs"
+	"hetgrid/internal/run"
 	"hetgrid/internal/sim"
 )
 
@@ -102,7 +101,7 @@ type ExecOptions struct {
 	Faults *FaultOptions
 	// Drift enables online rebalancing under load drift; see DriftPolicy
 	// and WithDriftRebalance. Implies span recording (the detector feeds
-	// on busy-time gauges). Requires the in-process fabric.
+	// on busy-time gauges).
 	Drift *DriftPolicy
 	// Spans records the hierarchical span timeline (rank → kernel step →
 	// compute/phase spans, plus per-message send spans); ExecStats.Spans,
@@ -115,16 +114,10 @@ type ExecOptions struct {
 	// executes. Implies span recording (the imbalance gauge needs busy
 	// times). nil disables all registry mirroring.
 	Metrics *Metrics
-	// Transport injects a custom message fabric spanning the grid's p·q
-	// ranks; nil uses the in-process mailbox fabric. A fabric exposing
-	// LocalRanks() []int (a multi-process fabric hosting a rank subset)
-	// restricts which ranks this process spawns. Incompatible with fault
-	// recovery — a replanned world needs a fresh fabric; see
-	// TransportFactory.
-	Transport Transport
-	// TransportFactory builds the fabric per execution attempt for the
-	// attempt's rank count — the recovery-compatible form of Transport.
-	// When both are set the factory wins.
+	// TransportFactory builds each attempt's fabric for its rank count
+	// (WithTransportFactory; WithTransport serves its fixed instance once);
+	// nil uses the in-process mailboxes. A fabric exposing LocalRanks()
+	// []int hosts only those ranks here and gets exactly one attempt.
 	TransportFactory func(ranks int) (Transport, error)
 }
 
@@ -184,466 +177,62 @@ type ExecStats struct {
 	Drift *DriftStats
 }
 
-// validateTiling checks up front that the matrix tiles into the
-// distribution's block grid — inside engine.Run a failure on rank 0 alone
-// would leave the other ranks blocked in Recv.
-func validateTiling(d Distribution, m *Matrix, blockSize int) error {
-	nbr, nbc := d.Blocks()
-	r, c := m.Dims()
-	if blockSize <= 0 || r != nbr*blockSize || c != nbc*blockSize {
-		return fmt.Errorf("hetgrid: %d×%d matrix does not tile into %d×%d blocks of size %d", r, c, nbr, nbc, blockSize)
-	}
-	return nil
-}
-
-// checkpoint is a committed recovery point: the working matrix gathered at
-// rank 0 with the first `step` kernel steps applied (plus, for QR, the tau
-// scalings those steps produced).
-type checkpoint struct {
-	step  int
-	work  *Matrix
-	taus  [][]float64
-	count int // checkpoints committed during the attempt
-}
-
-// attemptResult is what one world execution hands back to the driver.
-type attemptResult struct {
-	out   *Matrix
-	taus  [][]float64
-	world *engine.World
-	ck    *checkpoint
-	err   error
-
-	// Drift outcome (only set when the attempt ran with a drift context):
-	// the attempt's detector counters, and — when the attempt ended in a
-	// *driftMigrate — the committed migration checkpoint, the replanned
-	// layout, the cycle-time estimates it was planned for, and the
-	// decision's size and projected saving. The migration itself is only
-	// counted by the driver loop when it commits: a rank failure in the
-	// same attempt wins the error priority and voids the verdict.
-	drift       *DriftStats
-	driftCk     *checkpoint
-	driftDist   Distribution
-	driftTimes  []float64
-	driftMoved  int
-	driftSaving float64
-}
-
-// runAttempt spawns one world over dist and executes the kernel from
-// startK, restoring the working matrix from resume when non-nil. With
-// recovery enabled it installs a step hook that gathers the working matrix
-// to rank 0 every checkpointEvery steps; with a drift context it installs
-// the drift-observation protocol (busy gauges to rank 0 at window
-// boundaries, detector + migration-cost evaluation there, verdict
-// broadcast, and on migrate a checkpoint gather followed by a collective
-// *driftMigrate return).
-func runAttempt(dist Distribution, kern Kernel, blockSize int, inputs []*Matrix,
-	opts ExecOptions, bk sim.BroadcastKind, crashes []CrashPoint, startK int, resume *checkpoint, da *driftAttempt) attemptResult {
-
-	fo := opts.Faults
-	record := opts.Trace || opts.Spans || opts.Metrics != nil || da != nil
-	eopts := engine.Options{Broadcast: bk, Record: record, Parallelism: opts.Parallelism, Numerics: opts.Numerics, Metrics: opts.Metrics}
-	p, q := dist.Dims()
-	eopts.Transport = opts.Transport
-	if opts.TransportFactory != nil {
-		t, err := opts.TransportFactory(p * q)
-		if err != nil {
-			return attemptResult{err: fmt.Errorf("hetgrid: transport factory: %w", err)}
-		}
-		eopts.Transport = t
-	}
-	if lr, ok := eopts.Transport.(interface{ LocalRanks() []int }); ok {
-		eopts.LocalRanks = lr.LocalRanks()
-	}
-	if fo != nil {
-		eopts.RecvTimeout = fo.recvTimeout()
-		eopts.MaxRetries = fo.MaxRetries
-		eopts.Faults = &engine.FaultConfig{
-			Seed:      fo.Seed,
-			DropProb:  fo.DropProb,
-			DelayProb: fo.DelayProb,
-			Delay:     fo.Delay,
-			Crashes:   crashes,
-			Slowdowns: fo.Slowdowns,
-		}
-	}
-
-	nb, _ := dist.Blocks()
-	res := attemptResult{ck: &checkpoint{}}
-
-	// Drift state lives at rank 0: the detector, the previous window's
-	// cumulative busy gauges and the step the last window closed at. The
-	// variables are captured by every rank's closure but only rank 0's
-	// goroutine touches them.
-	var det *adapt.Detector
-	var lay *distribution.Layout
-	var lastBusy []float64
-	lastK := startK
-	wl := kernelRegion(kern)
-	if da != nil {
-		var err error
-		det, err = adapt.NewDetector(da.times, da.det)
-		if err != nil {
-			return attemptResult{err: err}
-		}
-		if lay, err = distribution.NewLayout(dist); err != nil {
-			return attemptResult{err: err}
-		}
-		lastBusy = make([]float64, p*q)
-		res.drift = &DriftStats{}
-	}
-	world, err := engine.RunOpts(p*q, eopts, func(c *engine.Comm) error {
-		// Read-only inputs (the multiplication's A and B); the
-		// factorizations work in place on their single input.
-		var ro []*engine.BlockStore
-		if kern == MatMul {
-			for _, m := range inputs {
-				s, err := engine.Scatter(c, dist, onRank0(c, m), blockSize)
-				if err != nil {
-					return err
-				}
-				ro = append(ro, s)
-			}
-		}
-
-		// The working store: restored from the checkpoint on resume,
-		// otherwise the zero accumulator (MM) or the input itself.
-		var work *engine.BlockStore
-		var err error
-		switch {
-		case resume != nil:
-			work, err = engine.Scatter(c, dist, onRank0(c, resume.work), blockSize)
-		case kern == MatMul:
-			work = engine.ZeroStore(c, dist, blockSize)
-		default:
-			work, err = engine.Scatter(c, dist, onRank0(c, inputs[0]), blockSize)
-		}
-		if err != nil {
-			return err
-		}
-
-		// QR's tau scalings accumulate at rank 0, prefilled from the
-		// checkpoint on resume.
-		var taus [][]float64
-		if kern == QR && c.Rank() == 0 {
-			taus = make([][]float64, nb)
-			if resume != nil {
-				copy(taus, resume.taus)
-			}
-		}
-
-		var hooks []func(k int) error
-		if fo != nil && fo.Recover {
-			every := fo.checkpointEvery()
-			hooks = append(hooks, func(k int) error {
-				if k <= startK || k%every != 0 {
-					return nil
-				}
-				// Every rank snapshots its blocks at its own step-k entry
-				// (all updates of steps < k applied, none of step k), so the
-				// gathered matrix is the exact global state after step k-1.
-				full, err := engine.GatherTag(c, dist, work, fmt.Sprintf("ckpt/%d", k))
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					res.ck.step, res.ck.work = k, full
-					if kern == QR {
-						res.ck.taus = append([][]float64(nil), taus[:k]...)
-					}
-					res.ck.count++
-				}
-				return nil
-			})
-		}
-		if da != nil {
-			hooks = append(hooks, func(k int) error {
-				if k <= startK || (k-startK)%da.det.Window != 0 {
-					return nil
-				}
-				n := c.N()
-				// 1. Every rank ships its cumulative busy gauge to rank 0.
-				obsTag := fmt.Sprintf("drift/obs/%d", k)
-				c.Send(0, obsTag, scalarMat(c.BusySeconds()))
-				// 2. Rank 0 folds the window into the detector and, when
-				// sustained drift arms it, runs the migration-cost
-				// evaluation; the verdict is broadcast so every rank takes
-				// the same branch.
-				verdictTag := fmt.Sprintf("drift/verdict/%d", k)
-				var rank0Err error
-				if c.Rank() == 0 {
-					cur := make([]float64, n)
-					for r := 0; r < n; r++ {
-						cur[r] = c.Recv(r, obsTag).At(0, 0)
-					}
-					delta := make([]float64, n)
-					for r := range cur {
-						delta[r] = cur[r] - lastBusy[r]
-					}
-					segWork := adapt.SegmentWork(lay, wl, lastK, k)
-					copy(lastBusy, cur)
-					lastK = k
-					verdict := 0.0
-					o, err := det.Observe(delta, segWork)
-					if err != nil {
-						rank0Err = err
-					} else {
-						res.drift.Windows++
-						if o.Trigger && da.budget > 0 {
-							res.drift.Evaluations++
-							est := det.EstimatedTimes()
-							dec, err := evaluateDrift(dist, est, wl, k, da.pol)
-							if err != nil {
-								rank0Err = err
-							} else if dec.Redistribute {
-								verdict = 1
-								res.driftDist = dec.NewDist
-								res.driftTimes = est
-								res.driftMoved = dec.MovedBlocks
-								res.driftSaving = dec.StayCost - dec.MoveCost
-							}
-						}
-					}
-					for r := 0; r < n; r++ {
-						c.Send(r, verdictTag, scalarMat(verdict))
-					}
-				}
-				v := c.Recv(0, verdictTag).At(0, 0)
-				if rank0Err != nil {
-					return rank0Err
-				}
-				if v < 1 {
-					return nil
-				}
-				// 3. Migrate: checkpoint the working matrix at rank 0, then
-				// hold every rank on a done-barrier so the gather completes
-				// before anyone tears the world down, and finally return the
-				// collective migration sentinel.
-				full, err := engine.GatherTag(c, dist, work, fmt.Sprintf("driftckpt/%d", k))
-				if err != nil {
-					return err
-				}
-				doneTag := fmt.Sprintf("drift/done/%d", k)
-				if c.Rank() == 0 {
-					ck := &checkpoint{step: k, work: full}
-					if kern == QR {
-						ck.taus = append([][]float64(nil), taus[:k]...)
-					}
-					res.driftCk = ck
-					for r := 0; r < n; r++ {
-						c.Send(r, doneTag, scalarMat(1))
-					}
-				}
-				c.Recv(0, doneTag)
-				return &driftMigrate{step: k}
-			})
-		}
-		if len(hooks) > 0 {
-			c.SetStepHook(func(k int) error {
-				for _, h := range hooks {
-					if err := h(k); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		}
-
-		switch kern {
-		case MatMul:
-			err = engine.MMResume(c, dist, ro[0], ro[1], work, startK)
-		case LU:
-			err = engine.LUResume(c, dist, work, startK)
-		case Cholesky:
-			err = engine.CholeskyResume(c, dist, work, startK)
-		case QR:
-			err = engine.QRResume(c, dist, work, startK, func(k int, tau []float64) {
-				taus[k] = tau
-			})
-		default:
-			err = fmt.Errorf("hetgrid: unknown kernel %v", kern)
-		}
-		if err != nil {
-			return err
-		}
-		full, err := engine.Gather(c, dist, work)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			res.out = full
-			res.taus = taus
-		}
-		return nil
-	})
-	res.world = world
-	res.err = err
-	if res.ck.work == nil {
-		res.ck = nil
-	}
-	return res
-}
-
 // runDistributed is the shared execution path of every Distributed* entry
-// point: validate the tilings, spawn one goroutine per grid processor,
-// scatter the inputs, run the kernel, gather the result at rank 0 and
-// collect the traffic statistics. With fault recovery enabled it is an
-// attempt loop: a rank failure replans the surviving processors
-// (PlanSurvivors) and resumes from the last committed checkpoint — the
-// arithmetic is distribution-independent, so the recovered result is
-// bit-identical to a fault-free run.
+// point: map the options onto the run supervisor's state and configuration,
+// let it execute (internal/run: attempt, and on a rank failure or a drift
+// verdict replan and resume) and map the statistics back. Inputs are read
+// where rank 0 is hosted; the engine rejects a matrix that does not tile
+// into the distribution's block grid there and aborts the world.
 func runDistributed(d Distribution, kern Kernel, blockSize int, inputs []*Matrix,
 	opts ExecOptions) (*Matrix, [][]float64, *ExecStats, error) {
 
-	for _, m := range inputs {
-		if err := validateTiling(d, m, blockSize); err != nil {
-			return nil, nil, nil, err
-		}
+	pk, err := CanonicalKernel(kern)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	bk, err := opts.Broadcast.kind(sim.StarBroadcast)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-
-	fo := opts.Faults
-	var fstats *FaultStats
-	var crashes []CrashPoint
-	var curTimes []float64
-	if fo != nil {
-		p, q := d.Dims()
-		if fo.Times != nil && len(fo.Times) != p*q {
-			return nil, nil, nil, fmt.Errorf("hetgrid: %d fault cycle-times for a %d×%d grid", len(fo.Times), p, q)
-		}
-		fstats = &FaultStats{}
-		crashes = fo.Crashes
-		curTimes = fo.Times
-	}
-
-	var da *driftAttempt
-	var dstats *DriftStats
-	if drift := opts.Drift; drift != nil {
-		if opts.Transport != nil || opts.TransportFactory != nil {
-			return nil, nil, nil, fmt.Errorf("hetgrid: drift rebalancing requires the in-process fabric — the migration decision is coordinated at rank 0 of a single process")
-		}
-		p, q := d.Dims()
-		if drift.Times != nil && len(drift.Times) != p*q {
-			return nil, nil, nil, fmt.Errorf("hetgrid: %d drift cycle-times for a %d×%d grid", len(drift.Times), p, q)
-		}
-		times := drift.Times
-		if times == nil && fo != nil && fo.Times != nil {
-			times = fo.Times
-		}
-		if times == nil {
-			times = make([]float64, p*q)
-			for i := range times {
-				times[i] = 1
-			}
-		}
-		det := drift.detectorPolicy()
-		da = &driftAttempt{pol: *drift, det: det, times: times, budget: det.MaxMigrations}
-		dstats = &DriftStats{}
-	}
-
-	dist := d
-	startK := 0
-	var resume *checkpoint
-
-	for {
-		res := runAttempt(dist, kern, blockSize, inputs, opts, bk, crashes, startK, resume, da)
-		if fstats != nil && res.world != nil {
-			fstats.Attempts++
-			fstats.Timeouts += res.world.Timeouts()
-			fstats.Retries += res.world.Retries()
-			if fc := res.world.FaultCounters(); fc != nil {
-				fstats.Dropped += fc.Dropped
-				fstats.Delayed += fc.Delayed
-				fstats.Retransmitted += fc.Retransmitted
-				fstats.Crashes += len(fc.Crashed)
-				fstats.Slowdowns += len(fc.Slowed)
-			}
-			if res.ck != nil {
-				fstats.Checkpoints += res.ck.count
-			}
-		}
-		if dstats != nil && res.drift != nil {
-			dstats.add(res.drift)
-		}
-		if res.err == nil {
-			stats := execStats(res.world, opts)
-			stats.Faults = fstats
-			stats.Drift = dstats
-			publishDriftMetrics(opts.Metrics, dstats)
-			return res.out, res.taus, stats, nil
-		}
-
-		var dm *driftMigrate
-		if errors.As(res.err, &dm) {
-			if res.driftCk == nil || res.driftDist == nil {
-				return nil, nil, nil, fmt.Errorf("hetgrid: drift migration at step %d without a committed checkpoint", dm.step)
-			}
-			// Migrate: same ranks, new shares planned for the estimated
-			// cycle-times; resume from the migration checkpoint.
-			dist = res.driftDist
-			da.times = res.driftTimes
-			da.budget--
-			dstats.Migrations++
-			dstats.MovedBlocks += res.driftMoved
-			dstats.PredictedSaving += res.driftSaving
-			curTimes = res.driftTimes
-			if res.world != nil {
-				crashes = res.world.RemainingCrashes()
-			}
-			startK, resume = res.driftCk.step, res.driftCk
-			continue
-		}
-
-		var rf *RankFailure
-		if fo == nil || !fo.Recover || !errors.As(res.err, &rf) {
-			return nil, nil, nil, res.err
-		}
-		if opts.Transport != nil && opts.TransportFactory == nil {
-			return nil, nil, nil, fmt.Errorf("hetgrid: recovery needs WithTransportFactory — a fixed transport cannot serve the replanned (smaller) world: %w", res.err)
-		}
-		if fstats.Recoveries >= fo.maxRecoveries() {
-			return nil, nil, nil, fmt.Errorf("hetgrid: recovery budget exhausted after %d attempts: %w", fstats.Attempts, res.err)
-		}
-
-		// Replan the survivors onto a fresh grid and resume from the last
-		// committed checkpoint (from scratch when none was taken).
-		p, q := dist.Dims()
-		st, err := survivorTimes(curTimes, p*q, rf.Rank)
-		if err != nil {
+	p, q := d.Dims()
+	s := run.State{Kernel: pk, Dist: d}
+	ropts := run.Options{Engine: engine.Options{
+		Broadcast:   bk,
+		Record:      opts.Trace || opts.Spans || opts.Metrics != nil || opts.Drift != nil,
+		Parallelism: opts.Parallelism,
+		Numerics:    opts.Numerics,
+		Metrics:     opts.Metrics,
+	}}
+	if fo := opts.Faults; fo != nil {
+		if err := fo.apply(&s, &ropts); err != nil {
 			return nil, nil, nil, err
 		}
-		if len(st) == 0 {
-			return nil, nil, nil, res.err
-		}
-		nbr, nbc := dist.Blocks()
-		newDist, choice, err := PlanSurvivors(st, nbr, nbc, kern)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("hetgrid: replanning after %v: %w", res.err, err)
-		}
-		newTimes := make([]float64, len(choice.Selected))
-		for i, idx := range choice.Selected {
-			newTimes[i] = st[idx]
-		}
-		dist, curTimes = newDist, newTimes
-		if da != nil {
-			// The drift detector restarts per attempt; its baseline is the
-			// replanned world's cycle-times.
-			da.times = newTimes
-		}
-		if res.world != nil {
-			crashes = res.world.RemainingCrashes()
-		}
-		if res.ck != nil {
-			startK, resume = res.ck.step, res.ck
-			fstats.ResumedSteps += res.ck.step
-		} else {
-			startK, resume = 0, nil
-		}
-		fstats.Recoveries++
 	}
+	if dp := opts.Drift; dp != nil {
+		if err := dp.apply(&s, &ropts); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if s.Times == nil {
+		s.Times = make([]float64, p*q)
+		for i := range s.Times {
+			s.Times[i] = 1
+		}
+	}
+
+	res, err := run.Run(s, run.Job{BlockSize: blockSize, Inputs: inputs}, opts.TransportFactory, ropts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	stats := execStats(res.World, opts)
+	if opts.Faults != nil {
+		stats.Faults = &res.Faults
+	}
+	if opts.Drift != nil {
+		stats.Drift = &res.Drift
+		publishDriftMetrics(opts.Metrics, stats.Drift)
+	}
+	return res.Out, res.Taus, stats, nil
 }
 
 // execStats snapshots a finished world's counters and derives the
@@ -756,20 +345,4 @@ func qrOpCounts(d Distribution) ([]int, error) {
 		}
 	}
 	return ops, nil
-}
-
-// onRank0 passes the matrix only to rank 0, as Scatter expects.
-func onRank0(c *engine.Comm, m *matrix.Dense) *matrix.Dense {
-	if c.Rank() == 0 {
-		return m
-	}
-	return nil
-}
-
-// scalarMat wraps one float64 as a 1×1 message payload (the drift
-// protocol's gauge and verdict messages).
-func scalarMat(v float64) *matrix.Dense {
-	m := matrix.New(1, 1)
-	m.Set(0, 0, v)
-	return m
 }

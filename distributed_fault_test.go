@@ -299,6 +299,37 @@ func TestCheckpointEvery(t *testing.T) {
 	}
 }
 
+// TestFailedResumeKeepsCheckpoint: a resumed attempt that fails before it
+// commits a newer checkpoint resumes again from the one it started at, not
+// from scratch. Checkpoints every 2 steps: attempt 1 commits step 2 and
+// loses rank 1 at step 3; attempt 2 starts at 2 and loses rank 2 entering
+// step 4 (no commit); attempt 3 must start at 2 again and commit 4 and 6.
+func TestFailedResumeKeepsCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(509))
+	d, err := Uniform(2, 3, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r = 3
+	a := matrix.RandomWellConditioned(24, rng)
+	got, stats, err := DistributedFactorLU(d, a, r, WithFaults(FaultOptions{
+		Seed:            1,
+		Recover:         true,
+		CheckpointEvery: 2,
+		Crashes:         []CrashPoint{{Rank: 1, Step: 3}, {Rank: 2, Step: 4}},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(factorPacked(t, LU, d, a)) {
+		t.Fatal("twice-recovered LU differs from the serial factorization")
+	}
+	fs := stats.Faults
+	if fs.Attempts != 3 || fs.Recoveries != 2 || fs.Checkpoints != 3 || fs.ResumedSteps != 4 {
+		t.Fatalf("want 3 attempts, 2 recoveries, 3 checkpoints, 4 resumed steps: %+v", fs)
+	}
+}
+
 // TestRecoveryBudgetExhausted: more crashes than MaxRecoveries allows
 // surfaces the budget error instead of looping.
 func TestRecoveryBudgetExhausted(t *testing.T) {

@@ -6,8 +6,7 @@ import (
 	"strings"
 
 	"hetgrid/internal/adapt"
-	"hetgrid/internal/distribution"
-	"hetgrid/internal/grid"
+	"hetgrid/internal/run"
 )
 
 // DriftPolicy configures online rebalancing under load drift: during a
@@ -89,6 +88,22 @@ func (p DriftPolicy) evalPolicy() adapt.Policy {
 	}
 }
 
+// apply maps the policy onto the supervisor's configuration (detector,
+// migration-cost model) and initial state (migration budget, planned
+// cycle-times when the policy names them).
+func (p *DriftPolicy) apply(s *run.State, o *run.Options) error {
+	if gp, gq := s.Dist.Dims(); p.Times != nil && len(p.Times) != gp*gq {
+		return fmt.Errorf("hetgrid: %d drift cycle-times for a %d×%d grid", len(p.Times), gp, gq)
+	}
+	det := p.detectorPolicy()
+	o.Drift = &run.Drift{Detector: det, Eval: p.evalPolicy()}
+	s.Migrations = det.MaxMigrations
+	if p.Times != nil {
+		s.Times = p.Times
+	}
+	return nil
+}
+
 // String renders the policy's tuning knobs in the canonical
 // key=value,... form ParseDriftPolicy accepts (Times and Net are
 // programmatic and not part of the flag syntax).
@@ -109,6 +124,8 @@ func ParseDriftPolicy(s string) (DriftPolicy, error) {
 	if strings.TrimSpace(s) == "" {
 		return p, nil
 	}
+	ints := map[string]*int{"window": &p.Window, "patience": &p.Patience, "cooldown": &p.CoolDown, "max": &p.MaxMigrations}
+	floats := map[string]*float64{"alpha": &p.Alpha, "threshold": &p.Threshold, "hysteresis": &p.Hysteresis}
 	for _, part := range strings.Split(s, ",") {
 		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
 		if len(kv) != 2 {
@@ -116,39 +133,22 @@ func ParseDriftPolicy(s string) (DriftPolicy, error) {
 		}
 		key := strings.ToLower(strings.TrimSpace(kv[0]))
 		val := strings.TrimSpace(kv[1])
-		switch key {
-		case "window", "patience", "cooldown", "max":
+		if dst, ok := ints[key]; ok {
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
 				return DriftPolicy{}, fmt.Errorf("hetgrid: drift policy %s=%q: want a non-negative integer", key, val)
 			}
-			switch key {
-			case "window":
-				p.Window = n
-			case "patience":
-				p.Patience = n
-			case "cooldown":
-				p.CoolDown = n
-			case "max":
-				p.MaxMigrations = n
-			}
-		case "alpha", "threshold", "hysteresis":
+			*dst = n
+		} else if dst, ok := floats[key]; ok {
 			f, err := strconv.ParseFloat(val, 64)
 			if err != nil || f < 0 || f > 1e9 || f != f {
 				return DriftPolicy{}, fmt.Errorf("hetgrid: drift policy %s=%q: want a finite non-negative number", key, val)
 			}
-			switch key {
-			case "alpha":
-				if f > 1 {
-					return DriftPolicy{}, fmt.Errorf("hetgrid: drift policy alpha=%q: want a value in [0,1]", val)
-				}
-				p.Alpha = f
-			case "threshold":
-				p.Threshold = f
-			case "hysteresis":
-				p.Hysteresis = f
+			if key == "alpha" && f > 1 {
+				return DriftPolicy{}, fmt.Errorf("hetgrid: drift policy alpha=%q: want a value in [0,1]", val)
 			}
-		default:
+			*dst = f
+		} else {
 			return DriftPolicy{}, fmt.Errorf("hetgrid: unknown drift policy key %q (want window, alpha, threshold, patience, cooldown, hysteresis or max)", key)
 		}
 	}
@@ -157,80 +157,12 @@ func ParseDriftPolicy(s string) (DriftPolicy, error) {
 
 // DriftStats reports what the drift-rebalancing loop did during a
 // distributed execution, aggregated across all attempts.
-type DriftStats struct {
-	// Windows is how many observation windows the detector folded in.
-	Windows int
-	// Evaluations is how many times sustained drift armed a full
-	// migration-cost evaluation.
-	Evaluations int
-	// Migrations is how many mid-run redistributions were executed.
-	Migrations int
-	// MovedBlocks totals the blocks whose owner changed across migrations.
-	MovedBlocks int
-	// PredictedSaving sums the model's projected stay-cost minus move-cost
-	// over the accepted migrations (model time units).
-	PredictedSaving float64
-}
-
-func (s *DriftStats) add(o *DriftStats) {
-	s.Windows += o.Windows
-	s.Evaluations += o.Evaluations
-	s.Migrations += o.Migrations
-	s.MovedBlocks += o.MovedBlocks
-	s.PredictedSaving += o.PredictedSaving
-}
-
-// driftMigrate is the sentinel error every rank returns from its step hook
-// when a migration verdict is reached: the attempt loop catches it and
-// relaunches the kernel on the replanned layout from the committed
-// checkpoint.
-type driftMigrate struct{ step int }
-
-func (e *driftMigrate) Error() string {
-	return fmt.Sprintf("hetgrid: drift migration scheduled at step %d", e.step)
-}
-
-// driftAttempt is the per-attempt drift context the execution loop hands to
-// runAttempt: the policy, the planned cycle-times of the current layout,
-// and the remaining migration budget.
-type driftAttempt struct {
-	pol    DriftPolicy
-	det    adapt.DriftPolicy
-	times  []float64
-	budget int
-}
-
-// kernelRegion maps a kernel to its per-step active region.
-func kernelRegion(k Kernel) distribution.Region {
-	switch k {
-	case MatMul:
-		return distribution.All
-	case Cholesky:
-		return distribution.TrailingLower
-	default:
-		return distribution.Trailing
-	}
-}
-
-// evaluateDrift reshapes the estimated cycle-times onto the grid and runs
-// the kernel-aware migration-cost evaluation.
-func evaluateDrift(dist Distribution, est []float64, wl distribution.Region, step int, pol DriftPolicy) (*adapt.Decision, error) {
-	p, q := dist.Dims()
-	t := make([][]float64, p)
-	for i := 0; i < p; i++ {
-		t[i] = est[i*q : (i+1)*q]
-	}
-	arr, err := grid.New(t)
-	if err != nil {
-		return nil, err
-	}
-	return adapt.EvaluateKernel(dist, arr, wl, step, pol.evalPolicy())
-}
+type DriftStats = run.DriftStats
 
 // publishDriftMetrics mirrors the final drift statistics into the metrics
 // registry (no-op on nil).
 func publishDriftMetrics(reg *Metrics, s *DriftStats) {
-	if reg == nil || s == nil {
+	if reg == nil {
 		return
 	}
 	reg.Gauge("hetgrid_drift_windows", "", "observation windows the drift detector folded in during the last run").Set(float64(s.Windows))

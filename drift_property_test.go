@@ -56,7 +56,7 @@ func (tr *driftTrace) decisions(t *testing.T) []string {
 		}
 		line := fmt.Sprintf("w%d dev=%.12g hot=%d trigger=%v", w, o.Deviation, o.Hot, o.Trigger)
 		if o.Trigger {
-			dec, err := evaluateDrift(tr.dist, det.EstimatedTimes(), tr.wl, k, tr.pol)
+			dec, err := adapt.EvaluateKernel(tr.dist, det.EstimatedTimes(), tr.wl, k, tr.pol.evalPolicy())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -215,27 +215,38 @@ func TestDriftQuietOnBalancedRun(t *testing.T) {
 	}
 }
 
-// TestDriftRequiresInProcessFabric: the migration decision is coordinated
-// inside one process, so drift composes with neither an injected transport
-// nor a transport factory.
-func TestDriftRequiresInProcessFabric(t *testing.T) {
+// TestDriftOverInjectedFabrics: a migration is a second attempt, so it
+// follows the one rule for injected fabrics — a factory serves it (sized to
+// the same ranks), a fixed instance refuses it pointing at the factory
+// option. Same wrong-baseline setup and block size as
+// TestDriftWrongBaselineMigratesLU, so the migration is reliable.
+func TestDriftOverInjectedFabrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(604))
-	d, err := Uniform(2, 2, 6, 6)
+	const nb, r = 10, 24
+	d, times := skewDist(t, 2, 2, nb, LU, 8)
+	a := matrix.RandomWellConditioned(nb*r, rng)
+	serial := factorPacked(t, LU, d, a)
+	var sizes []int
+	packed, stats, err := DistributedFactorLU(d, a, r,
+		WithTransportFactory(func(ranks int) (Transport, error) {
+			sizes = append(sizes, ranks)
+			return NewMemTransport(ranks), nil
+		}),
+		WithDriftRebalance(driftTestPolicy(times)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := matrix.RandomWellConditioned(12, rng)
-	_, _, err = DistributedFactorLU(d, a, 2,
-		WithTransport(NewMemTransport(4)),
-		WithDriftRebalance(DriftPolicy{}))
-	if err == nil || !strings.Contains(err.Error(), "in-process fabric") {
-		t.Fatalf("expected the in-process fabric guard, got %v", err)
+	if !packed.Equal(serial) {
+		t.Fatal("drift-migrated LU over a transport factory differs from the serial factorization")
 	}
-	_, _, err = DistributedFactorLU(d, a, 2,
-		WithTransportFactory(func(ranks int) (Transport, error) { return NewMemTransport(ranks), nil }),
-		WithDriftRebalance(DriftPolicy{}))
-	if err == nil || !strings.Contains(err.Error(), "in-process fabric") {
-		t.Fatalf("expected the in-process fabric guard, got %v", err)
+	if stats.Drift.Migrations != 1 || !reflect.DeepEqual(sizes, []int{4, 4}) {
+		t.Fatalf("want one migration over two 4-rank fabrics, got %+v over %v", stats.Drift, sizes)
+	}
+	_, _, err = DistributedFactorLU(d, a, r,
+		WithTransport(NewMemTransport(4)),
+		WithDriftRebalance(driftTestPolicy(times)))
+	if err == nil || !strings.Contains(err.Error(), "WithTransportFactory") {
+		t.Fatalf("expected the fixed fabric to refuse the migration attempt, got %v", err)
 	}
 }
 

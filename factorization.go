@@ -76,28 +76,25 @@ func (f *Factorization) Q(blockSize int) *Matrix {
 // floating-point contract (Strict stays the default).
 func Factor(k Kernel, d Distribution, a *Matrix, opts ...Option) (*Factorization, error) {
 	mode := applyOptions(opts).exec.Numerics
+	var rep *kernels.Replay
+	var qr *kernels.QRReplay
+	var err error
 	switch k {
 	case LU:
-		rep, err := kernels.ReplayLUNumerics(d, a, mode)
-		if err != nil {
-			return nil, err
-		}
-		return &Factorization{kernel: LU, packed: rep.C, ops: rep.Ops}, nil
+		rep, err = kernels.ReplayLUNumerics(d, a, mode)
 	case Cholesky:
-		rep, err := kernels.ReplayCholeskyNumerics(d, a, mode)
-		if err != nil {
-			return nil, err
-		}
-		return &Factorization{kernel: Cholesky, packed: rep.C, ops: rep.Ops}, nil
+		rep, err = kernels.ReplayCholeskyNumerics(d, a, mode)
 	case QR:
-		rep, err := kernels.ReplayQRNumerics(d, a, mode)
-		if err != nil {
-			return nil, err
+		if qr, err = kernels.ReplayQRNumerics(d, a, mode); err == nil {
+			rep = &qr.Replay
 		}
-		return &Factorization{kernel: QR, packed: rep.C, ops: rep.Ops, qr: rep}, nil
 	default:
-		return nil, fmt.Errorf("hetgrid: %v is not a factorization kernel (want lu, cholesky or qr)", k)
+		err = fmt.Errorf("hetgrid: %v is not a factorization kernel (want lu, cholesky or qr)", k)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &Factorization{kernel: k, packed: rep.C, ops: rep.Ops, qr: qr}, nil
 }
 
 // DistributedFactor executes the factorization kernel for real — one

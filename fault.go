@@ -6,6 +6,7 @@ import (
 
 	"hetgrid/internal/adapt"
 	"hetgrid/internal/engine"
+	"hetgrid/internal/run"
 )
 
 // CrashPoint schedules the death of one rank at the start of a kernel
@@ -84,51 +85,42 @@ const (
 	defaultMaxRecoveries = 3
 )
 
-func (f *FaultOptions) recvTimeout() time.Duration {
-	if f.RecvTimeout > 0 {
-		return f.RecvTimeout
+// orDefault is the zero-selects-the-default rule of the option structs.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return defaultRecvTimeout
+	return def
 }
 
-func (f *FaultOptions) checkpointEvery() int {
-	if f.CheckpointEvery > 0 {
-		return f.CheckpointEvery
+// apply maps the options onto the supervisor's configuration (injection,
+// failure detector, checkpoint period) and initial state (crash schedule,
+// planned cycle-times, recovery budget).
+func (f *FaultOptions) apply(s *run.State, o *run.Options) error {
+	if p, q := s.Dist.Dims(); f.Times != nil && len(f.Times) != p*q {
+		return fmt.Errorf("hetgrid: %d fault cycle-times for a %d×%d grid", len(f.Times), p, q)
 	}
-	return 1
-}
-
-func (f *FaultOptions) maxRecoveries() int {
-	if f.MaxRecoveries > 0 {
-		return f.MaxRecoveries
+	o.Engine.RecvTimeout = orDefault(f.RecvTimeout, defaultRecvTimeout)
+	o.Engine.MaxRetries = f.MaxRetries
+	o.Engine.Faults = &engine.FaultConfig{
+		Seed:      f.Seed,
+		DropProb:  f.DropProb,
+		DelayProb: f.DelayProb,
+		Delay:     f.Delay,
+		Slowdowns: f.Slowdowns,
 	}
-	return defaultMaxRecoveries
+	s.Crashes, s.Times = f.Crashes, f.Times
+	if f.Recover {
+		o.CheckpointEvery = orDefault(f.CheckpointEvery, 1)
+		s.Recoveries = orDefault(f.MaxRecoveries, defaultMaxRecoveries)
+	}
+	return nil
 }
 
 // FaultStats reports what the fault layer did during a distributed
 // execution. The surrounding ExecStats' traffic counters cover only the
 // final (successful) attempt; FaultStats aggregates across all attempts.
-type FaultStats struct {
-	// Attempts is the number of worlds spawned (1 plus Recoveries).
-	Attempts int
-	// Recoveries is how many rank failures were recovered from.
-	Recoveries int
-	// Crashes is how many scheduled crash points fired.
-	Crashes int
-	// Slowdowns is how many scheduled slowdown points activated.
-	Slowdowns int
-	// Dropped, Delayed and Retransmitted count the injected message faults
-	// and the retransmissions that repaired the drops.
-	Dropped, Delayed, Retransmitted int
-	// Timeouts and Retries count receive-deadline expiries and the
-	// retransmission requests they triggered.
-	Timeouts, Retries int
-	// Checkpoints is how many checkpoints were committed at rank 0.
-	Checkpoints int
-	// ResumedSteps is the total number of kernel steps skipped by resuming
-	// from checkpoints instead of restarting from scratch.
-	ResumedSteps int
-}
+type FaultStats = run.FaultStats
 
 // PlanSurvivors replans a kernel's block distribution onto the processors
 // that outlived a rank failure: it picks a fresh grid shape for the
@@ -152,24 +144,4 @@ func PlanSurvivors(times []float64, nbr, nbc int, k Kernel) (Distribution, *Grid
 		Selected:   plan.Selected,
 		Candidates: plan.Shape.Candidates,
 	}, nil
-}
-
-// survivorTimes drops the dead rank from the per-rank cycle-times (equal
-// speeds when the caller supplied none).
-func survivorTimes(times []float64, n, dead int) ([]float64, error) {
-	if dead < 0 || dead >= n {
-		return nil, fmt.Errorf("hetgrid: dead rank %d outside world of %d", dead, n)
-	}
-	out := make([]float64, 0, n-1)
-	for r := 0; r < n; r++ {
-		if r == dead {
-			continue
-		}
-		if times != nil {
-			out = append(out, times[r])
-		} else {
-			out = append(out, 1)
-		}
-	}
-	return out, nil
 }

@@ -243,14 +243,12 @@ type Layout struct {
 // irrelevant for the outer-product multiplication, and the 1D-greedy
 // interleaving keeps LU/QR balanced as the active matrix shrinks (§3.2.2).
 func orderings(k Kernel) (distribution.Ordering, distribution.Ordering, error) {
-	switch k {
-	case MatMul:
-		return distribution.Contiguous, distribution.Contiguous, nil
-	case LU, QR, Cholesky:
-		return distribution.Interleaved, distribution.Interleaved, nil
-	default:
-		return 0, 0, fmt.Errorf("hetgrid: unknown kernel %v", k)
+	pk, err := CanonicalKernel(k)
+	if err != nil {
+		return 0, 0, err
 	}
+	row, col := pk.Region().Orderings()
+	return row, col, nil
 }
 
 // Panel builds a bp×bq block panel for the kernel.

@@ -60,20 +60,46 @@ type Decision struct {
 
 // EvaluateMM decides whether an outer-product multiplication with
 // remainingSteps steps left should re-balance onto a layout computed for
-// the newly measured cycle-times. The processor grid positions are fixed
-// (machines do not move); only the block shares change.
-func EvaluateMM(cur distribution.Distribution, newTimes *grid.Arrangement, remainingSteps int, pol Policy) (*Decision, error) {
-	p, q := cur.Dims()
-	if newTimes.P != p || newTimes.Q != q {
-		return nil, fmt.Errorf("adapt: %d×%d distribution vs %d×%d measured grid", p, q, newTimes.P, newTimes.Q)
-	}
+// the newly measured cycle-times (the p·q grid positions in row-major
+// order). The processor grid positions are fixed (machines do not move);
+// only the block shares change.
+func EvaluateMM(cur distribution.Distribution, newTimes []float64, remainingSteps int, pol Policy) (*Decision, error) {
 	if remainingSteps < 0 {
 		return nil, fmt.Errorf("adapt: negative remaining steps %d", remainingSteps)
 	}
-	nbr, nbc := cur.Blocks()
-	if nbr != nbc {
-		return nil, fmt.Errorf("adapt: square block matrix required, got %d×%d", nbr, nbc)
+	return evaluate(cur, newTimes, distribution.All, pol, func(l *distribution.Layout, t *grid.Arrangement) (total, perStep float64) {
+		perStep = SpanCost(l, t, distribution.All, 0, 1)
+		return float64(remainingSteps) * perStep, perStep
+	})
+}
+
+// evaluate is the decision both evaluators make: re-balance the shares for
+// the fixed arrangement, realize them as the best panel under the region's
+// orderings (searched up to pol.MaxPanel, clamped to the block matrix),
+// price the block moves onto it on the simulated network, and recommend
+// moving when the stay-cost exceeds the move-cost by the hysteresis. cost
+// projects the remaining compute time, in total and per step, under a
+// layout.
+func evaluate(cur distribution.Distribution, times []float64, w distribution.Region, pol Policy,
+	cost func(*distribution.Layout, *grid.Arrangement) (total, perStep float64)) (*Decision, error) {
+
+	p, q := cur.Dims()
+	if len(times) != p*q {
+		return nil, fmt.Errorf("adapt: %d measured cycle-times for a %d×%d grid", len(times), p, q)
 	}
+	rows := make([][]float64, p)
+	for i := range rows {
+		rows[i] = times[i*q : (i+1)*q]
+	}
+	newTimes, err := grid.New(rows)
+	if err != nil {
+		return nil, err
+	}
+	curLay, err := distribution.NewLayout(cur)
+	if err != nil {
+		return nil, err
+	}
+	nb := curLay.NB
 	hys := pol.Hysteresis
 	if hys < 1 {
 		hys = 1
@@ -85,40 +111,40 @@ func EvaluateMM(cur distribution.Distribution, newTimes *grid.Arrangement, remai
 			maxPanel = 4 * q
 		}
 	}
-	if maxPanel > nbr {
-		maxPanel = nbr
+	if maxPanel > nb {
+		maxPanel = nb
 	}
 
-	dec := &Decision{PerStepCur: perStepBound(cur, newTimes)}
-	dec.StayCost = float64(remainingSteps) * dec.PerStepCur
-
-	// Re-balance the shares for the fixed arrangement and build the
-	// candidate layout.
 	sol, err := core.RankOneStep(newTimes)
 	if err != nil {
 		return nil, err
 	}
-	pan, err := distribution.BestPanel(sol, maxPanel, maxPanel,
-		distribution.Contiguous, distribution.Contiguous)
+	rowOrd, colOrd := w.Orderings()
+	pan, err := distribution.BestPanel(sol, maxPanel, maxPanel, rowOrd, colOrd)
 	if err != nil {
 		return nil, err
 	}
-	cand, err := pan.Distribution(nbr, nbc)
+	cand, err := pan.Distribution(nb, nb)
 	if err != nil {
 		return nil, err
 	}
-	dec.PerStepNew = perStepBound(cand, newTimes)
-
+	candLay, err := distribution.NewLayout(cand)
+	if err != nil {
+		return nil, err
+	}
 	plan, err := distribution.PlanRedistribution(cur, cand)
 	if err != nil {
 		return nil, err
 	}
-	dec.MovedBlocks = plan.BlockCount()
-	dec.RedistTime, err = simulateMoves(plan, p*q, pol)
-	if err != nil {
+
+	dec := &Decision{MovedBlocks: plan.BlockCount()}
+	dec.StayCost, dec.PerStepCur = cost(curLay, newTimes)
+	newCost, perStepNew := cost(candLay, newTimes)
+	dec.PerStepNew = perStepNew
+	if dec.RedistTime, err = simulateMoves(plan, p*q, pol); err != nil {
 		return nil, err
 	}
-	dec.MoveCost = dec.RedistTime + float64(remainingSteps)*dec.PerStepNew
+	dec.MoveCost = dec.RedistTime + newCost
 	if dec.MoveCost*hys < dec.StayCost && dec.MovedBlocks > 0 {
 		dec.Redistribute = true
 		dec.NewDist = cand
@@ -187,21 +213,6 @@ func orderingName(o distribution.Ordering) string {
 		return "interleaved"
 	}
 	return "contiguous"
-}
-
-// perStepBound is the compute bound of one outer-product step: the busiest
-// processor's owned-block count times its cycle-time.
-func perStepBound(d distribution.Distribution, arr *grid.Arrangement) float64 {
-	counts := distribution.Counts(d)
-	max := 0.0
-	for i := range counts {
-		for j := range counts[i] {
-			if v := float64(counts[i][j]) * arr.T[i][j]; v > max {
-				max = v
-			}
-		}
-	}
-	return max
 }
 
 // simulateMoves schedules the plan's aggregated pair messages on the

@@ -30,7 +30,7 @@ func TestEvaluateMMStaysWhenBalanced(t *testing.T) {
 	// Speeds unchanged and uniform layout already optimal: stay.
 	d := startLayout(t, 16)
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 1}})
-	dec, err := EvaluateMM(d, arr, 10, policy())
+	dec, err := EvaluateMM(d, arr.Times(), 10, policy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestEvaluateMMMovesUnderLoad(t *testing.T) {
 	// One machine slows 5×: with plenty of work left, moving pays.
 	d := startLayout(t, 24)
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 5}})
-	dec, err := EvaluateMM(d, arr, 24, policy())
+	dec, err := EvaluateMM(d, arr.Times(), 24, policy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestEvaluateMMStaysNearTheEnd(t *testing.T) {
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 5}})
 	pol := policy()
 	pol.Net = sim.Config{Latency: 50, ByteTime: 1e-3}
-	dec, err := EvaluateMM(d, arr, 1, pol)
+	dec, err := EvaluateMM(d, arr.Times(), 1, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,12 @@ func TestEvaluateMMHysteresis(t *testing.T) {
 	d := startLayout(t, 24)
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 1.3}})
 	pol := policy()
-	base, err := EvaluateMM(d, arr, 12, pol)
+	base, err := EvaluateMM(d, arr.Times(), 12, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pol.Hysteresis = 3
-	strict, err := EvaluateMM(d, arr, 12, pol)
+	strict, err := EvaluateMM(d, arr.Times(), 12, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +104,17 @@ func TestEvaluateMMHysteresis(t *testing.T) {
 
 func TestEvaluateMMValidation(t *testing.T) {
 	d := startLayout(t, 8)
-	if _, err := EvaluateMM(d, grid.MustNew([][]float64{{1, 2, 3}}), 5, policy()); err == nil {
+	if _, err := EvaluateMM(d, grid.MustNew([][]float64{{1, 2, 3}}).Times(), 5, policy()); err == nil {
 		t.Fatal("mismatched grid accepted")
 	}
-	if _, err := EvaluateMM(d, grid.MustNew([][]float64{{1, 1}, {1, 1}}), -1, policy()); err == nil {
+	if _, err := EvaluateMM(d, grid.MustNew([][]float64{{1, 1}, {1, 1}}).Times(), -1, policy()); err == nil {
 		t.Fatal("negative steps accepted")
 	}
 	rect, err := distribution.UniformBlockCyclic(2, 2, 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateMM(rect, grid.MustNew([][]float64{{1, 1}, {1, 1}}), 5, policy()); err == nil {
+	if _, err := EvaluateMM(rect, grid.MustNew([][]float64{{1, 1}, {1, 1}}).Times(), 5, policy()); err == nil {
 		t.Fatal("rectangular block matrix accepted")
 	}
 }
@@ -123,7 +123,7 @@ func TestEvaluateMMZeroSteps(t *testing.T) {
 	// No work left: never move.
 	d := startLayout(t, 16)
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 9}})
-	dec, err := EvaluateMM(d, arr, 0, policy())
+	dec, err := EvaluateMM(d, arr.Times(), 0, policy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestEvaluateMMZeroSteps(t *testing.T) {
 func TestEvaluateMMDeterministic(t *testing.T) {
 	d := startLayout(t, 24)
 	arr := grid.MustNew([][]float64{{1, 2}, {3, 5}})
-	a, err := EvaluateMM(d, arr, 10, policy())
+	a, err := EvaluateMM(d, arr.Times(), 10, policy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluateMM(d, arr, 10, policy())
+	b, err := EvaluateMM(d, arr.Times(), 10, policy())
 	if err != nil {
 		t.Fatal(err)
 	}

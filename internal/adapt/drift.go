@@ -3,7 +3,6 @@ package adapt
 import (
 	"fmt"
 
-	"hetgrid/internal/core"
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/grid"
 )
@@ -40,82 +39,23 @@ func SegmentWork(l *distribution.Layout, w distribution.Region, from, to int) []
 
 // EvaluateKernel decides whether a panel kernel with steps [startStep, nb)
 // left should migrate onto a layout recomputed for the newly measured
-// cycle-times. It generalizes EvaluateMM with step-dependent active regions:
+// cycle-times (row-major grid order). It generalizes EvaluateMM with step-dependent active regions:
 // stay-cost and move-cost are sums of per-step compute bounds over the
 // remaining region, and the candidate layout is realized under the
 // workload's kernel orderings. Grid positions are fixed — only block shares
 // change.
-func EvaluateKernel(cur distribution.Distribution, newTimes *grid.Arrangement, w distribution.Region, startStep int, pol Policy) (*Decision, error) {
-	p, q := cur.Dims()
-	if newTimes.P != p || newTimes.Q != q {
-		return nil, fmt.Errorf("adapt: %d×%d distribution vs %d×%d measured grid", p, q, newTimes.P, newTimes.Q)
-	}
-	curLay, err := distribution.NewLayout(cur)
-	if err != nil {
-		return nil, err
-	}
-	nb := curLay.NB
+func EvaluateKernel(cur distribution.Distribution, newTimes []float64, w distribution.Region, startStep int, pol Policy) (*Decision, error) {
+	nb, _ := cur.Blocks()
 	if startStep < 0 || startStep > nb {
 		return nil, fmt.Errorf("adapt: start step %d outside [0,%d]", startStep, nb)
 	}
-	hys := pol.Hysteresis
-	if hys < 1 {
-		hys = 1
-	}
-	maxPanel := pol.MaxPanel
-	if maxPanel <= 0 {
-		maxPanel = 4 * p
-		if 4*q > maxPanel {
-			maxPanel = 4 * q
+	return evaluate(cur, newTimes, w, pol, func(l *distribution.Layout, t *grid.Arrangement) (total, perStep float64) {
+		total = SpanCost(l, t, w, startStep, nb)
+		if nb > startStep {
+			perStep = total / float64(nb-startStep)
 		}
-	}
-	if maxPanel > nb {
-		maxPanel = nb
-	}
-	remaining := nb - startStep
-
-	dec := &Decision{StayCost: SpanCost(curLay, newTimes, w, startStep, nb)}
-	if remaining > 0 {
-		dec.PerStepCur = dec.StayCost / float64(remaining)
-	}
-
-	sol, err := core.RankOneStep(newTimes)
-	if err != nil {
-		return nil, err
-	}
-	rowOrd, colOrd := w.Orderings()
-	pan, err := distribution.BestPanel(sol, maxPanel, maxPanel, rowOrd, colOrd)
-	if err != nil {
-		return nil, err
-	}
-	cand, err := pan.Distribution(nb, nb)
-	if err != nil {
-		return nil, err
-	}
-	candLay, err := distribution.NewLayout(cand)
-	if err != nil {
-		return nil, err
-	}
-	newCost := SpanCost(candLay, newTimes, w, startStep, nb)
-	if remaining > 0 {
-		dec.PerStepNew = newCost / float64(remaining)
-	}
-
-	plan, err := distribution.PlanRedistribution(cur, cand)
-	if err != nil {
-		return nil, err
-	}
-	dec.MovedBlocks = plan.BlockCount()
-	dec.RedistTime, err = simulateMoves(plan, p*q, pol)
-	if err != nil {
-		return nil, err
-	}
-	dec.MoveCost = dec.RedistTime + newCost
-	if dec.MoveCost*hys < dec.StayCost && dec.MovedBlocks > 0 {
-		dec.Redistribute = true
-		dec.NewDist = cand
-	}
-	return dec, nil
+		return total, perStep
+	})
 }
 
 // DriftPolicy tunes the online drift detector. Zero values select the

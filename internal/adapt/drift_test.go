@@ -93,7 +93,7 @@ func TestEvaluateKernelMigratesUnderSkew(t *testing.T) {
 	d := uniform2x2(t, 16)
 	skew := grid.MustNew([][]float64{{1, 1}, {1, 8}})
 	for _, w := range []distribution.Region{distribution.All, distribution.Trailing, distribution.TrailingLower} {
-		dec, err := EvaluateKernel(d, skew, w, 0, pol)
+		dec, err := EvaluateKernel(d, skew.Times(), w, 0, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestEvaluateKernelMigratesUnderSkew(t *testing.T) {
 	}
 	// Balanced times: nothing to gain.
 	flat := grid.MustNew([][]float64{{1, 1}, {1, 1}})
-	dec, err := EvaluateKernel(d, flat, distribution.Trailing, 0, pol)
+	dec, err := EvaluateKernel(d, flat.Times(), distribution.Trailing, 0, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEvaluateKernelMigratesUnderSkew(t *testing.T) {
 		t.Fatalf("migrated a balanced layout: %+v", dec)
 	}
 	// Near the end there is too little work left to pay for moving.
-	late, err := EvaluateKernel(d, skew, distribution.Trailing, 15, pol)
+	late, err := EvaluateKernel(d, skew.Times(), distribution.Trailing, 15, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +125,13 @@ func TestEvaluateKernelMigratesUnderSkew(t *testing.T) {
 		t.Fatalf("late migration not profitable: %+v", late)
 	}
 	// Bad inputs.
-	if _, err := EvaluateKernel(d, grid.MustNew([][]float64{{1, 1, 1}, {1, 1, 1}}), distribution.Trailing, 0, pol); err == nil {
+	if _, err := EvaluateKernel(d, grid.MustNew([][]float64{{1, 1, 1}, {1, 1, 1}}).Times(), distribution.Trailing, 0, pol); err == nil {
 		t.Fatal("grid shape mismatch accepted")
 	}
-	if _, err := EvaluateKernel(d, skew, distribution.Trailing, -1, pol); err == nil {
+	if _, err := EvaluateKernel(d, skew.Times(), distribution.Trailing, -1, pol); err == nil {
 		t.Fatal("negative start step accepted")
 	}
-	if _, err := EvaluateKernel(d, skew, distribution.Trailing, 17, pol); err == nil {
+	if _, err := EvaluateKernel(d, skew.Times(), distribution.Trailing, 17, pol); err == nil {
 		t.Fatal("start step past the end accepted")
 	}
 }

@@ -1,263 +1,167 @@
 package net_test
 
-// Chaos over real sockets: a drift-style mid-LU migration (checkpoint →
-// replan same ranks for new cycle-times → re-scatter → resume) scripted at
-// the engine level, composed with seeded drops and delays, a deterministic
-// slowdown, and a fail-stop crash with survivor replanning — all across a
-// loopback-TCP cluster, with the final result bit-identical to the
-// fault-free serial replay.
+// Chaos over real sockets, through the run supervisor itself: the drift
+// protocol (busy gauges → rank 0's detector → verdict → checkpoint → done
+// barrier) migrates an LU mid-run across a loopback-TCP cluster, composed
+// with seeded drops and delays, a deterministic slowdown, and a fail-stop
+// crash with survivor replanning — and the final result is bit-identical
+// to the fault-free serial replay.
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
-	"hetgrid"
+	"hetgrid/internal/adapt"
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/engine"
 	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
+	"hetgrid/internal/plan"
+	"hetgrid/internal/run"
+	"hetgrid/internal/sim"
 )
 
-// errTCPMigrate is the scripted collective migration sentinel: every rank
-// returns it from the step hook once the migration checkpoint is safe.
-var errTCPMigrate = errors.New("scripted drift migration")
-
-// scalar wraps one float64 as a 1×1 barrier payload.
-func scalar(v float64) *matrix.Dense {
-	m := matrix.New(1, 1)
-	m.Set(0, 0, v)
-	return m
-}
-
 // TestTCPDriftChaosMigrateCrashResume runs three cluster attempts over
-// loopback TCP:
+// loopback TCP, every process executing run.Attempt and the coordinator
+// (process 0, which hosts rank 0) taking the transitions with State.Next:
 //
 //  1. LU on a uniform 2×2 layout with drops, delays and an 8× slowdown on
-//     rank 3; at step 2 every rank checkpoints and migrates (the drift
-//     protocol's gather + done-barrier + collective sentinel, scripted).
-//  2. Resume on a layout replanned for the drifted cycle-times; rank 1
-//     crashes fail-stop at step 4, after another checkpoint.
+//     rank 3; the detector at rank 0 sees the drift at a window boundary k
+//     and every process's attempt ends in ErrMigrate.
+//  2. Resume from the migration checkpoint on the layout replanned for the
+//     estimated cycle-times; rank 2 crashes fail-stop at step 5. It lives on
+//     process 1, so the coordinator's world never sees the crash point fire
+//     and Next has to strike it. The protocol has no commit barrier for
+//     periodic checkpoints, so whether a newer one than the migration's
+//     lands before the abort is a race — the state keeps the newest either
+//     way.
 //  3. The three survivors are replanned and finish the factorization.
 //
 // The final matrix must equal the fault-free serial replay bit for bit.
 func TestTCPDriftChaosMigrateCrashResume(t *testing.T) {
-	d1, err := distribution.UniformBlockCyclic(2, 2, 6, 6)
+	const nb, procs, r = 8, 2, 4
+	d1, err := distribution.UniformBlockCyclic(2, 2, nb, nb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const world1, procs, r = 4, 2, 2
-	a := matrix.RandomWellConditioned(12, rand.New(rand.NewSource(17)))
+	a := matrix.RandomWellConditioned(nb*r, rand.New(rand.NewSource(17)))
 	oracle, err := kernels.ReplayLUNumerics(d1, a, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
+	job := run.Job{BlockSize: r, Inputs: []*matrix.Dense{a}}
+	opts := run.Options{
+		Engine: engine.Options{
+			Record:      true,
+			RecvTimeout: 50 * time.Millisecond,
+			MaxRetries:  6,
+			Faults: &engine.FaultConfig{
+				Seed:      23,
+				DropProb:  0.08,
+				DelayProb: 0.1,
+				Delay:     time.Millisecond,
+				Slowdowns: []engine.SlowdownPoint{{Rank: 3, Step: 0, Factor: 8}},
+			},
+		},
+		CheckpointEvery: 1,
+		// An eager detector and a near-free network model: the 8× slowdown
+		// migrates at the first window it shows in.
+		Drift: &run.Drift{
+			Detector: adapt.DriftPolicy{Window: 2, Alpha: 1, Threshold: 0.5, Patience: 1, CoolDown: 1, Hysteresis: 1.01, MaxMigrations: 1},
+			Eval:     adapt.Policy{Net: sim.Config{Latency: 1e-12, ByteTime: 1e-15}, BlockBytes: 8192, Hysteresis: 1.01},
+		},
+	}
+	crash := engine.CrashPoint{Rank: 2, Step: 5}
+	s1 := run.State{
+		Kernel: plan.LU, Dist: d1, Times: ones(4),
+		Crashes: []engine.CrashPoint{crash}, Recoveries: 1, Migrations: 1,
+	}
+	var stats run.Result
 
-	chaos := func(seed int64, crashes []engine.CrashPoint) *engine.FaultConfig {
-		return &engine.FaultConfig{
-			Seed:      seed,
-			DropProb:  0.08,
-			DelayProb: 0.1,
-			Delay:     time.Millisecond,
-			Crashes:   crashes,
-			Slowdowns: []engine.SlowdownPoint{{Rank: 3, Step: 0, Factor: 8}},
+	// Attempt 1: chaos up to the migration verdict.
+	outs := attemptCluster(t, procs, s1, job, opts)
+	slowdowns := 0
+	for p, o := range outs {
+		if !errors.Is(o.Err, run.ErrMigrate) {
+			t.Fatalf("process %d: want the migration verdict, got %v", p, o.Err)
 		}
+		slowdowns += len(o.World.FaultCounters().Slowed)
 	}
-
-	// Attempt 1: chaos up to the scripted migration at step 2.
-	var mu sync.Mutex
-	var ck1 *matrix.Dense
-	const migrateK = 2
-	fabs, _ := startFabrics(t, world1, procs, nil)
-	errs := make([]error, procs)
-	var slowdowns int
-	var wg sync.WaitGroup
-	for p := range fabs {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			opts := engine.Options{
-				Transport:   fabs[p],
-				LocalRanks:  fabs[p].LocalRanks(),
-				RecvTimeout: 50 * time.Millisecond,
-				MaxRetries:  6,
-				Faults:      chaos(23, nil),
-			}
-			w, err := engine.RunOpts(world1, opts, func(c *engine.Comm) error {
-				s, err := engine.Scatter(c, d1, pick0(c, a), r)
-				if err != nil {
-					return err
-				}
-				c.SetStepHook(func(k int) error {
-					if k != migrateK {
-						return nil
-					}
-					// The drift protocol's migration tail: gather the
-					// working matrix, hold everyone on a done-barrier until
-					// rank 0 has committed it, then abort collectively.
-					g, err := engine.GatherTag(c, d1, s, fmt.Sprintf("driftckpt/%d", k))
-					if err != nil {
-						return err
-					}
-					done := fmt.Sprintf("drift/done/%d", k)
-					if c.Rank() == 0 {
-						mu.Lock()
-						ck1 = g
-						mu.Unlock()
-						for dst := 0; dst < c.N(); dst++ {
-							c.Send(dst, done, scalar(1))
-						}
-					}
-					c.Recv(0, done)
-					return errTCPMigrate
-				})
-				return engine.LU(c, d1, s)
-			})
-			errs[p] = err
-			if w != nil {
-				if fc := w.FaultCounters(); fc != nil {
-					mu.Lock()
-					slowdowns += len(fc.Slowed)
-					mu.Unlock()
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if !errors.Is(err, errTCPMigrate) {
-			t.Fatalf("process %d: want the migration sentinel, got %v", p, err)
-		}
-	}
-	if ck1 == nil {
+	if outs[0].Migrate == nil || outs[0].Ckpt == nil {
 		t.Fatal("migration checkpoint never committed")
+	}
+	if outs[1].Migrate != nil {
+		t.Fatal("a process without rank 0 claims the migration decision")
 	}
 	if slowdowns == 0 {
 		t.Fatal("slowdown point never activated")
 	}
-
-	// Replan the same four ranks for the drifted cycle-times (rank 3 now 8×
-	// slower) — what the drift loop does with the detector's estimates.
-	drifted := []float64{1, 1, 1, 8}
-	d2, _, err := hetgrid.PlanSurvivors(drifted, 6, 6, hetgrid.LU)
+	stats.Fold(outs[0])
+	s2, err := s1.Next(outs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, q2 := d2.Dims()
-	world2 := p2 * q2
-
-	// Attempt 2: resume mid-factorization on the migrated layout; rank 1
-	// crashes entering step 4, after checkpoints at steps 3 and 4.
-	var ck2 *matrix.Dense
-	ck2Step := 0
-	fabs2, _ := startFabrics(t, world2, procs, nil)
-	errs2 := make([]error, procs)
-	var wg2 sync.WaitGroup
-	for p := range fabs2 {
-		wg2.Add(1)
-		go func(p int) {
-			defer wg2.Done()
-			opts := engine.Options{
-				Transport:   fabs2[p],
-				LocalRanks:  fabs2[p].LocalRanks(),
-				RecvTimeout: 50 * time.Millisecond,
-				MaxRetries:  6,
-				Faults:      chaos(29, []engine.CrashPoint{{Rank: 1, Step: 4}}),
-			}
-			_, errs2[p] = engine.RunOpts(world2, opts, func(c *engine.Comm) error {
-				s, err := engine.Scatter(c, d2, pick0(c, ck1), r)
-				if err != nil {
-					return err
-				}
-				c.SetStepHook(func(k int) error {
-					if k <= migrateK {
-						return nil
-					}
-					g, err := engine.GatherTag(c, d2, s, fmt.Sprintf("ckpt/%d", k))
-					if err != nil {
-						return err
-					}
-					// Commit-barrier: nobody advances (and possibly crashes,
-					// tearing the cluster down) until rank 0 holds the
-					// checkpoint.
-					done := fmt.Sprintf("ckpt/done/%d", k)
-					if c.Rank() == 0 {
-						mu.Lock()
-						ck2, ck2Step = g, k
-						mu.Unlock()
-						for dst := 0; dst < c.N(); dst++ {
-							c.Send(dst, done, scalar(1))
-						}
-					}
-					c.Recv(0, done)
-					return nil
-				})
-				return engine.LUResume(c, d2, s, migrateK)
-			})
-		}(p)
+	stats.Advance(outs[0], s2)
+	migrateK := s2.StartK()
+	if s2.Migrations != 0 || len(s2.Crashes) != 1 || s2.Crashes[0] != crash || migrateK < 2 {
+		t.Fatalf("bad migrate transition: %+v", s2)
 	}
-	wg2.Wait()
-	for p, err := range errs2 {
+
+	// Attempt 2: resume mid-factorization on the migrated layout (same four
+	// ranks); rank 2 crashes entering step 5. Rank 0 gathers, so its process
+	// cannot finish without the dead rank's blocks.
+	outs2 := attemptCluster(t, procs, s2, job, opts)
+	crashes := 0
+	for p, o := range outs2 {
 		var rf *engine.RankFailure
-		if !errors.As(err, &rf) {
-			t.Fatalf("resume attempt, process %d: want *RankFailure, got %v", p, err)
+		if !errors.As(o.Err, &rf) {
+			t.Fatalf("resume attempt, process %d: want *RankFailure, got %v", p, o.Err)
 		}
-		if rf.Rank != 1 {
-			t.Fatalf("resume attempt, process %d blames rank %d, want 1", p, rf.Rank)
+		if rf.Rank != 2 {
+			t.Fatalf("resume attempt, process %d blames rank %d, want 2", p, rf.Rank)
 		}
+		crashes += len(o.World.FaultCounters().Crashed)
 	}
-	if ck2 == nil {
-		t.Fatal("no checkpoint committed before the crash")
+	if crashes != 1 || len(outs2[0].Remaining) != 1 {
+		t.Fatalf("%d crash points fired, process 0 still lists %v", crashes, outs2[0].Remaining)
 	}
-
-	// Attempt 3: replan the three survivors (rank 1 gone) and finish clean.
-	survivors := []float64{drifted[0], drifted[2], drifted[3]}
-	d3, _, err := hetgrid.PlanSurvivors(survivors, 6, 6, hetgrid.LU)
+	stats.Fold(outs2[0])
+	s3, err := s2.Next(outs2[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3, q3 := d3.Dims()
-	world3 := p3 * q3
-	var final *matrix.Dense
-	fabs3, _ := startFabrics(t, world3, procs, nil)
-	errs3 := make([]error, procs)
-	var wg3 sync.WaitGroup
-	for p := range fabs3 {
-		wg3.Add(1)
-		go func(p int) {
-			defer wg3.Done()
-			opts := engine.Options{Transport: fabs3[p], LocalRanks: fabs3[p].LocalRanks()}
-			_, errs3[p] = engine.RunOpts(world3, opts, func(c *engine.Comm) error {
-				s, err := engine.Scatter(c, d3, pick0(c, ck2), r)
-				if err != nil {
-					return err
-				}
-				if err := engine.LUResume(c, d3, s, ck2Step); err != nil {
-					return err
-				}
-				g, err := engine.Gather(c, d3, s)
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					mu.Lock()
-					final = g
-					mu.Unlock()
-				}
-				return nil
-			})
-		}(p)
+	stats.Advance(outs2[0], s3)
+	if s3.Ckpt == nil || s3.StartK() < migrateK {
+		t.Fatalf("no checkpoint carried past the crash: resume step %d, migration at %d", s3.StartK(), migrateK)
 	}
-	wg3.Wait()
-	for p, err := range errs3 {
-		if err != nil {
-			t.Fatalf("final attempt, process %d: %v", p, err)
+	if s3.Recoveries != 0 || len(s3.Crashes) != 0 || len(s3.Times) != 3 {
+		t.Fatalf("bad failure transition: %+v", s3)
+	}
+
+	// Attempt 3: the three survivors finish clean.
+	outs3 := attemptCluster(t, procs, s3, job, opts)
+	for p, o := range outs3 {
+		if o.Err != nil {
+			t.Fatalf("final attempt, process %d: %v", p, o.Err)
 		}
 	}
-	if final == nil || !final.Equal(oracle.C) {
+	if outs3[0].Out == nil || !outs3[0].Out.Equal(oracle.C) {
 		t.Fatal("drift-migrate → crash → replan → resume over TCP is not bit-identical to the fault-free factorization")
+	}
+	stats.Fold(outs3[0])
+
+	// The coordinator's books: every attempt accounted for, the migration
+	// counted at its commit, the recovery at its resume point.
+	f, ds := stats.Faults, stats.Drift
+	if f.Attempts != 3 || f.Attempts != 1+ds.Migrations+f.Recoveries {
+		t.Fatalf("attempts not accounted for: faults=%+v drift=%+v", f, ds)
+	}
+	if ds.Migrations != 1 || ds.Windows == 0 || ds.Evaluations == 0 || ds.MovedBlocks == 0 || ds.PredictedSaving <= 0 {
+		t.Fatalf("implausible drift statistics: %+v", ds)
+	}
+	if f.Recoveries != 1 || f.ResumedSteps != s3.StartK() || f.Checkpoints == 0 {
+		t.Fatalf("implausible fault statistics: %+v", f)
 	}
 }

@@ -5,25 +5,27 @@ package net_test
 // mailboxes (MemTransport) or framed loopback TCP (the net Fabric), for
 // every kernel and every broadcast kind — and the fault machinery
 // (injected drops/delays, crash → replan → resume recovery) must compose
-// with the real network unchanged.
+// with the real network unchanged. Every run goes through run.Attempt, the
+// job body the library executes; the multi-attempt tests take their
+// transitions with State.Next.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
-	"hetgrid"
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/engine"
 	enginenet "hetgrid/internal/engine/net"
 	"hetgrid/internal/grid"
 	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
+	"hetgrid/internal/plan"
+	"hetgrid/internal/run"
 	"hetgrid/internal/sim"
 )
 
@@ -92,112 +94,45 @@ func startFabrics(t *testing.T, world, procs int, payload []byte) ([]*enginenet.
 	return fabs, joinPayload
 }
 
-// kernelRun is the SPMD body shared by the mem and TCP runs: scatter,
-// factor (or multiply), gather. The gathered result materializes at rank 0
-// only.
-func kernelRun(c *engine.Comm, d distribution.Distribution, kern string, a, b *matrix.Dense, r int) (*matrix.Dense, error) {
-	on0 := func(m *matrix.Dense) *matrix.Dense {
-		if c.Rank() == 0 {
-			return m
-		}
-		return nil
-	}
-	switch kern {
-	case "mm":
-		as, err := engine.Scatter(c, d, on0(a), r)
-		if err != nil {
-			return nil, err
-		}
-		bs, err := engine.Scatter(c, d, on0(b), r)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := engine.MM(c, d, as, bs)
-		if err != nil {
-			return nil, err
-		}
-		return engine.Gather(c, d, cs)
-	case "lu", "chol", "qr":
-		s, err := engine.Scatter(c, d, on0(a), r)
-		if err != nil {
-			return nil, err
-		}
-		switch kern {
-		case "lu":
-			err = engine.LU(c, d, s)
-		case "chol":
-			err = engine.Cholesky(c, d, s)
-		case "qr":
-			_, err = engine.QR(c, d, s)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return engine.Gather(c, d, s)
-	}
-	return nil, fmt.Errorf("unknown kernel %q", kern)
-}
-
-// runMemKernel is the in-process reference run over the default
-// MemTransport.
-func runMemKernel(t *testing.T, world int, opts engine.Options, d distribution.Distribution, kern string, a, b *matrix.Dense, r int) *matrix.Dense {
+// attemptCluster runs one run.Attempt of s on every process of a fresh
+// loopback-TCP cluster (closed at test cleanup) and returns the outcomes
+// indexed by process id. Each process spawns goroutines only for its own
+// ranks, the fabric carries everything else; the inputs exist where rank 0
+// lives (process 0) and nowhere else.
+func attemptCluster(t *testing.T, procs int, s run.State, job run.Job, opts run.Options) []run.Outcome {
 	t.Helper()
-	var out *matrix.Dense
-	_, err := engine.RunOpts(world, opts, func(c *engine.Comm) error {
-		g, err := kernelRun(c, d, kern, a, b, r)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			out = g
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("mem reference run: %v", err)
-	}
-	if out == nil {
-		t.Fatal("mem reference run produced nothing at rank 0")
-	}
-	return out
+	p, q := s.Dist.Dims()
+	fabs, _ := startFabrics(t, p*q, procs, nil)
+	return attemptOn(fabs, func(int) run.State { return s }, job, opts)
 }
 
-type tcpRun struct {
-	out    *matrix.Dense // rank-0 gather, hosted by process 0
-	errs   []error
-	worlds []*engine.World
-}
-
-// runClusterKernel runs the same SPMD body across a loopback-TCP cluster:
-// each process spawns goroutines only for its own ranks, the fabric
-// carries everything else.
-func runClusterKernel(t *testing.T, world, procs int, d distribution.Distribution, kern string, a, b *matrix.Dense, r int, optsFor func(p int, f *enginenet.Fabric) engine.Options) tcpRun {
-	t.Helper()
-	fabs, _ := startFabrics(t, world, procs, nil)
-	res := tcpRun{errs: make([]error, procs), worlds: make([]*engine.World, procs)}
-	var mu sync.Mutex
+// attemptOn is attemptCluster on fabrics already established, with a
+// per-process state.
+func attemptOn(fabs []*enginenet.Fabric, stateOf func(p int) run.State, job run.Job, opts run.Options) []run.Outcome {
+	outs := make([]run.Outcome, len(fabs))
 	var wg sync.WaitGroup
 	for p := range fabs {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			w, err := engine.RunOpts(world, optsFor(p, fabs[p]), func(c *engine.Comm) error {
-				g, kerr := kernelRun(c, d, kern, a, b, r)
-				if kerr != nil {
-					return kerr
-				}
-				if c.Rank() == 0 {
-					mu.Lock()
-					res.out = g
-					mu.Unlock()
-				}
-				return nil
-			})
-			res.worlds[p], res.errs[p] = w, err
+			j := job
+			if p != 0 {
+				j.Inputs = make([]*matrix.Dense, len(job.Inputs))
+			}
+			outs[p] = run.Attempt(stateOf(p), j, fabs[p], opts)
 		}(p)
 	}
 	wg.Wait()
-	return res
+	return outs
+}
+
+// ones is the equal-speed cycle-time vector of n ranks.
+func ones(n int) []float64 {
+	t := make([]float64, n)
+	for i := range t {
+		t[i] = 1
+	}
+	return t
 }
 
 // hetDist is the heterogeneous 2×3 Kalinov–Lastovetsky distribution the
@@ -228,28 +163,35 @@ func TestTCPParityGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, kern := range []string{"mm", "lu", "chol", "qr"} {
-		in := a
-		if kern == "chol" {
-			in = spd
-		}
+	for _, kc := range []struct {
+		name   string
+		kern   plan.Kernel
+		inputs []*matrix.Dense
+	}{
+		{"mm", plan.MatMul, []*matrix.Dense{a, b}},
+		{"lu", plan.LU, []*matrix.Dense{a}},
+		{"chol", plan.Cholesky, []*matrix.Dense{spd}},
+		{"qr", plan.QR, []*matrix.Dense{a}},
+	} {
+		kern, job := kc.kern, run.Job{BlockSize: r, Inputs: kc.inputs}
+		s := run.State{Kernel: kern, Dist: d, Times: ones(world)}
 		for _, bk := range netKinds {
-			t.Run(kern+"/"+bk.name, func(t *testing.T) {
-				opts := engine.Options{Broadcast: bk.kind}
-				want := runMemKernel(t, world, opts, d, kern, in, b, r)
-				res := runClusterKernel(t, world, procs, d, kern, in, b, r,
-					func(p int, f *enginenet.Fabric) engine.Options {
-						return engine.Options{Broadcast: bk.kind, Transport: f, LocalRanks: f.LocalRanks()}
-					})
-				for p, err := range res.errs {
-					if err != nil {
-						t.Fatalf("process %d: %v", p, err)
+			t.Run(kc.name+"/"+bk.name, func(t *testing.T) {
+				opts := run.Options{Engine: engine.Options{Broadcast: bk.kind}}
+				want := run.Attempt(s, job, nil, opts)
+				if want.Err != nil {
+					t.Fatalf("mem reference run: %v", want.Err)
+				}
+				outs := attemptCluster(t, procs, s, job, opts)
+				for p, o := range outs {
+					if o.Err != nil {
+						t.Fatalf("process %d: %v", p, o.Err)
 					}
 				}
-				if res.out == nil || !res.out.Equal(want) {
+				if outs[0].Out == nil || !outs[0].Out.Equal(want.Out) {
 					t.Fatal("TCP result differs from the MemTransport run")
 				}
-				if kern == "lu" && !res.out.Equal(oracle.C) {
+				if kern == plan.LU && !outs[0].Out.Equal(oracle.C) {
 					t.Fatal("TCP LU differs from the serial replay oracle")
 				}
 			})
@@ -257,157 +199,120 @@ func TestTCPParityGolden(t *testing.T) {
 	}
 }
 
-// TestTCPCrashReplanResume composes real sockets with injected faults: a
-// rank crashes mid-LU on one process, every process's world aborts with a
-// *RankFailure naming it, the survivors are replanned onto a fresh cluster
-// (start step and survivor speeds distributed through the handshake
-// payload), and the resumed factorization finishes bit-identical to the
+// TestTCPCrashReplanResume composes real sockets with injected faults
+// through the run supervisor itself: a rank crashes mid-LU on one process,
+// every process's attempt ends in a *RankFailure naming it, the
+// coordinator's Next replans the survivors and picks the resume point, the
+// resume step reaches the joiners through the handshake payload of a fresh
+// cluster, and the resumed factorization finishes bit-identical to the
 // fault-free oracle.
 func TestTCPCrashReplanResume(t *testing.T) {
-	d1, err := distribution.UniformBlockCyclic(2, 3, 6, 6)
+	const nb, world1, procs, r = 8, 6, 3, 2
+	d1, err := distribution.UniformBlockCyclic(2, 3, nb, nb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const world1, procs, r = 6, 3, 2
-	a := matrix.RandomWellConditioned(12, rand.New(rand.NewSource(7)))
-
+	a := matrix.RandomWellConditioned(nb*r, rand.New(rand.NewSource(7)))
 	oracle, err := kernels.ReplayLUNumerics(d1, a, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
+	job := run.Job{BlockSize: r, Inputs: []*matrix.Dense{a}}
+	opts := run.Options{Engine: engine.Options{Faults: &engine.FaultConfig{}}, CheckpointEvery: 1}
 
 	// Attempt 1: rank 5 (hosted by process 2) crashes fail-stop entering
-	// step 3. Every rank checkpoints through the step hook; the last gather
-	// that completes at rank 0 is the recovery point.
-	var ck *matrix.Dense
-	var ckStep int
-	var mu sync.Mutex
-	fabs, _ := startFabrics(t, world1, procs, nil)
-	errs := make([]error, procs)
-	var wg sync.WaitGroup
-	for p := range fabs {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			opts := engine.Options{
-				Transport:  fabs[p],
-				LocalRanks: fabs[p].LocalRanks(),
-				Faults:     &engine.FaultConfig{Crashes: []engine.CrashPoint{{Rank: 5, Step: 3}}},
-			}
-			_, errs[p] = engine.RunOpts(world1, opts, func(c *engine.Comm) error {
-				s, err := engine.Scatter(c, d1, pick0(c, a), r)
-				if err != nil {
-					return err
-				}
-				c.SetStepHook(func(k int) error {
-					if k == 0 {
-						return nil
-					}
-					g, err := engine.GatherTag(c, d1, s, fmt.Sprintf("ckpt/%d", k))
-					if err != nil {
-						return err
-					}
-					if c.Rank() == 0 {
-						mu.Lock()
-						ck, ckStep = g, k
-						mu.Unlock()
-					}
-					return nil
-				})
-				return engine.LU(c, d1, s)
-			})
-		}(p)
+	// step 4; the last checkpoint gather that completes at rank 0 is the
+	// recovery point. Checkpoints have no commit barrier, so only data
+	// dependencies order a commit before the crash: rank 5 finishes step 3
+	// on a panel from rank 3, whose step 2 consumed rank 0's row panel, which
+	// rank 0 sent after its step-2 hook — checkpoint 2 is committed. And
+	// nobody finishes without the dead rank: it owns the diagonal of step 5.
+	s1 := run.State{
+		Kernel: plan.LU, Dist: d1, Times: ones(world1),
+		Crashes: []engine.CrashPoint{{Rank: 5, Step: 4}}, Recoveries: 1,
 	}
-	wg.Wait()
-	for p, err := range errs {
+	outs := attemptCluster(t, procs, s1, job, opts)
+	for p, o := range outs {
 		var rf *engine.RankFailure
-		if !errors.As(err, &rf) {
-			t.Fatalf("process %d: want *RankFailure, got %v", p, err)
+		if !errors.As(o.Err, &rf) {
+			t.Fatalf("process %d: want *RankFailure, got %v", p, o.Err)
 		}
 		if rf.Rank != 5 {
 			t.Fatalf("process %d blames rank %d, want 5", p, rf.Rank)
 		}
 	}
-	if ck == nil {
-		t.Fatal("no checkpoint committed before the crash")
+	if outs[0].Ckpt == nil || outs[0].Ckpt.Step < 2 || outs[0].Checkpoints < 2 {
+		t.Fatalf("checkpoint 2 not committed before the crash: %+v", outs[0].Ckpt)
 	}
 
-	// Replan the 5 survivors (equal speeds) deterministically — the same
-	// call every process makes from the payload.
-	times := []float64{1, 1, 1, 1, 1}
-	d2, _, err := hetgrid.PlanSurvivors(times, 6, 6, hetgrid.LU)
+	// The coordinator takes the transition. Its own world never saw rank 5's
+	// crash point fire (process 2 hosts it), yet the point must be struck.
+	var stats run.Result
+	stats.Fold(outs[0])
+	s2, err := s1.Next(outs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, q2 := d2.Dims()
-	world2 := p2 * q2
+	stats.Advance(outs[0], s2)
+	if len(outs[0].Remaining) != 1 || len(s2.Crashes) != 0 {
+		t.Fatalf("crash point not struck: process 0 saw %v unfired, next state carries %v", outs[0].Remaining, s2.Crashes)
+	}
+	if s2.Recoveries != 0 || s2.StartK() != outs[0].Ckpt.Step || len(s2.Times) != 5 {
+		t.Fatalf("bad transition: %+v", s2)
+	}
+	p2, q2 := s2.Dist.Dims()
 
-	// Attempt 2: a fresh cluster; the coordinator ships the resume step and
-	// survivor speeds as the handshake payload, joiners recompute the
-	// replanned distribution from it.
+	// Next is pure, so every joiner replans the same survivor grid from its
+	// own outcome; only the resume step needs shipping — it travels as the
+	// handshake payload of the fresh cluster.
 	payload, err := json.Marshal(struct {
-		StartK int       `json:"start_k"`
-		Times  []float64 `json:"times"`
-	}{ckStep, times})
+		StartK int `json:"start_k"`
+	}{s2.StartK()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabs2, joinPayload := startFabrics(t, world2, procs, payload)
+	fabs2, joinPayload := startFabrics(t, p2*q2, procs, payload)
 	var decoded struct {
-		StartK int       `json:"start_k"`
-		Times  []float64 `json:"times"`
+		StartK int `json:"start_k"`
 	}
 	if err := json.Unmarshal(joinPayload, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	if decoded.StartK != ckStep {
-		t.Fatalf("payload start step %d, want %d", decoded.StartK, ckStep)
+	if decoded.StartK != s2.StartK() {
+		t.Fatalf("payload start step %d, want %d", decoded.StartK, s2.StartK())
 	}
-	d2j, _, err := hetgrid.PlanSurvivors(decoded.Times, 6, 6, hetgrid.LU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pj, qj := d2j.Dims(); pj != p2 || qj != q2 {
-		t.Fatalf("joiner replanned a %d×%d grid, coordinator %d×%d", pj, qj, p2, q2)
+	joiner := make([]run.State, procs)
+	for p := 1; p < procs; p++ {
+		sj, err := s1.Next(outs[p])
+		if err != nil {
+			t.Fatalf("joiner %d transition: %v", p, err)
+		}
+		if pj, qj := sj.Dist.Dims(); pj != p2 || qj != q2 {
+			t.Fatalf("joiner %d replanned a %d×%d grid, coordinator %d×%d", p, pj, qj, p2, q2)
+		}
+		sj.Ckpt = &run.Checkpoint{Step: decoded.StartK}
+		joiner[p] = sj
 	}
 
-	var final *matrix.Dense
-	errs2 := make([]error, procs)
-	var wg2 sync.WaitGroup
-	for p := range fabs2 {
-		wg2.Add(1)
-		go func(p int) {
-			defer wg2.Done()
-			opts := engine.Options{Transport: fabs2[p], LocalRanks: fabs2[p].LocalRanks()}
-			_, errs2[p] = engine.RunOpts(world2, opts, func(c *engine.Comm) error {
-				s, err := engine.Scatter(c, d2, pick0(c, ck), r)
-				if err != nil {
-					return err
-				}
-				if err := engine.LUResume(c, d2, s, ckStep); err != nil {
-					return err
-				}
-				g, err := engine.Gather(c, d2, s)
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					mu.Lock()
-					final = g
-					mu.Unlock()
-				}
-				return nil
-			})
-		}(p)
-	}
-	wg2.Wait()
-	for p, err := range errs2 {
-		if err != nil {
-			t.Fatalf("resume attempt, process %d: %v", p, err)
+	// Attempt 2: the survivors resume on the fresh cluster.
+	outs2 := attemptOn(fabs2, func(p int) run.State {
+		if p == 0 {
+			return s2
+		}
+		return joiner[p]
+	}, job, opts)
+	for p, o := range outs2 {
+		if o.Err != nil {
+			t.Fatalf("resume attempt, process %d: %v", p, o.Err)
 		}
 	}
-	if final == nil || !final.Equal(oracle.C) {
+	if outs2[0].Out == nil || !outs2[0].Out.Equal(oracle.C) {
 		t.Fatal("crash→replan→resume over TCP is not bit-identical to the fault-free factorization")
+	}
+	stats.Fold(outs2[0])
+	if f := stats.Faults; f.Attempts != 2 || f.Recoveries != 1 || f.ResumedSteps != s2.StartK() ||
+		f.Checkpoints != outs[0].Checkpoints+outs2[0].Checkpoints {
+		t.Fatalf("coordinator's fault statistics: %+v", f)
 	}
 }
 
@@ -423,49 +328,37 @@ func TestTCPDropsAndDelaysRepaired(t *testing.T) {
 	}
 	const world, procs, r = 4, 2, 2
 	a := matrix.RandomWellConditioned(12, rand.New(rand.NewSource(9)))
-	clean := runMemKernel(t, world, engine.Options{}, d, "lu", a, nil, r)
-
-	res := runClusterKernel(t, world, procs, d, "lu", a, nil, r,
-		func(p int, f *enginenet.Fabric) engine.Options {
-			return engine.Options{
-				Transport:   f,
-				LocalRanks:  f.LocalRanks(),
-				RecvTimeout: 50 * time.Millisecond,
-				Faults: &engine.FaultConfig{
-					Seed:      11,
-					DropProb:  0.12,
-					DelayProb: 0.15,
-					Delay:     time.Millisecond,
-				},
-			}
-		})
-	for p, err := range res.errs {
-		if err != nil {
-			t.Fatalf("process %d: %v", p, err)
-		}
+	s := run.State{Kernel: plan.LU, Dist: d, Times: ones(world)}
+	job := run.Job{BlockSize: r, Inputs: []*matrix.Dense{a}}
+	clean := run.Attempt(s, job, nil, run.Options{})
+	if clean.Err != nil {
+		t.Fatal(clean.Err)
 	}
-	if res.out == nil || !res.out.Equal(clean) {
+
+	outs := attemptCluster(t, procs, s, job, run.Options{Engine: engine.Options{
+		RecvTimeout: 50 * time.Millisecond,
+		Faults: &engine.FaultConfig{
+			Seed:      11,
+			DropProb:  0.12,
+			DelayProb: 0.15,
+			Delay:     time.Millisecond,
+		},
+	}})
+	var stats run.Result
+	for p, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("process %d: %v", p, o.Err)
+		}
+		stats.Fold(o)
+	}
+	if outs[0].Out == nil || !outs[0].Out.Equal(clean.Out) {
 		t.Fatal("LU under drops+delays over TCP differs from the clean run")
 	}
-	var dropped, delayed, retransmitted int
-	for _, w := range res.worlds {
-		fc := w.FaultCounters()
-		dropped += fc.Dropped
-		delayed += fc.Delayed
-		retransmitted += fc.Retransmitted
+	f := stats.Faults
+	if f.Dropped == 0 || f.Delayed == 0 {
+		t.Fatalf("seed too lucky: %d drops, %d delays injected", f.Dropped, f.Delayed)
 	}
-	if dropped == 0 || delayed == 0 {
-		t.Fatalf("seed too lucky: %d drops, %d delays injected", dropped, delayed)
+	if f.Retransmitted != f.Dropped {
+		t.Fatalf("%d drops but %d retransmissions across the cluster", f.Dropped, f.Retransmitted)
 	}
-	if retransmitted != dropped {
-		t.Fatalf("%d drops but %d retransmissions across the cluster", dropped, retransmitted)
-	}
-}
-
-// pick0 hands the full matrix to rank 0 only — Scatter's input contract.
-func pick0(c *engine.Comm, m *matrix.Dense) *matrix.Dense {
-	if c.Rank() == 0 {
-		return m
-	}
-	return nil
 }

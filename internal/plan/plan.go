@@ -46,17 +46,17 @@ const (
 	Cholesky Kernel = "cholesky"
 )
 
-// orderings maps a kernel to its panel orderings: order is irrelevant for
-// the outer product, and the 1D-greedy interleaving keeps LU/QR/Cholesky
-// balanced as the active matrix shrinks (§3.2.2).
-func (k Kernel) orderings() (row, col distribution.Ordering, err error) {
+// Region is the block region the kernel's step k is active on: the whole
+// matrix for the outer product, the trailing submatrix (its lower triangle
+// for Cholesky) for the factorizations.
+func (k Kernel) Region() distribution.Region {
 	switch k {
 	case MatMul, "":
-		return distribution.Contiguous, distribution.Contiguous, nil
-	case LU, QR, Cholesky:
-		return distribution.Interleaved, distribution.Interleaved, nil
+		return distribution.All
+	case Cholesky:
+		return distribution.TrailingLower
 	default:
-		return 0, 0, fmt.Errorf("plan: unknown kernel %q", k)
+		return distribution.Trailing
 	}
 }
 

@@ -151,10 +151,9 @@ func realizePanel(req Request, res *Result) error {
 	if req.Panel == nil {
 		return nil
 	}
-	rowOrd, colOrd, err := req.Kernel.orderings()
-	if err != nil {
-		return err
-	}
+	// The kernel is validated: its region's orderings are the default.
+	rowOrd, colOrd := req.Kernel.Region().Orderings()
+	var err error
 	if rowOrd, err = parseOrdering(req.Panel.RowOrdering, rowOrd); err != nil {
 		return err
 	}

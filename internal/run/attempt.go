@@ -1,0 +1,213 @@
+package run
+
+import (
+	"errors"
+	"fmt"
+
+	"hetgrid/internal/engine"
+	"hetgrid/internal/matrix"
+	"hetgrid/internal/plan"
+)
+
+// Job is the computation's constant part: the inputs (A and B for the
+// multiplication, the matrix to factor otherwise) and the element block
+// size they tile with. Inputs are read where rank 0 lives; a process
+// hosting other ranks passes nils.
+type Job struct {
+	BlockSize int
+	Inputs    []*matrix.Dense
+}
+
+// Options is a run's constant configuration.
+type Options struct {
+	// Engine configures every world; Transport, LocalRanks and
+	// Faults.Crashes are set per attempt from the fabric and the State.
+	Engine engine.Options
+	// CheckpointEvery commits the working matrix at rank 0 every so many
+	// kernel steps; 0 takes no periodic checkpoints.
+	CheckpointEvery int
+	// Drift enables the drift-observation protocol; nil runs without it.
+	Drift *Drift
+}
+
+// Outcome is what one world hands back. Out, Taus, Ckpt and Migrate are
+// set where rank 0 lives.
+type Outcome struct {
+	// Err is nil when the kernel ran to completion, wraps ErrMigrate when
+	// the attempt ended in a migration verdict, is a *engine.RankFailure
+	// when a rank died, and otherwise the error that aborted the world.
+	Err error
+	// Out and Taus are the gathered result and QR's tau scalings.
+	Out  *matrix.Dense
+	Taus [][]float64
+	// Ckpt is the newest checkpoint committed during the attempt, nil when
+	// none was; Checkpoints counts the periodic commits.
+	Ckpt        *Checkpoint
+	Checkpoints int
+	// Migrate is the committed decision behind an ErrMigrate. A rank
+	// failure in the same attempt wins the error priority and voids it.
+	Migrate *Migration
+	// Windows and Evaluations count the drift detector's activity.
+	Windows, Evaluations int
+	// Remaining are the crash points that did not fire on this process.
+	Remaining []engine.CrashPoint
+	// World holds the attempt's traffic, span and fault counters.
+	World *engine.World
+}
+
+// Attempt runs one world over s.Dist on fabric t (nil selects the
+// in-process mailboxes): restore the checkpoint or scatter the inputs, run
+// the kernel from s.StartK with the checkpoint and drift hooks installed,
+// gather the result at rank 0. A fabric exposing LocalRanks() []int hosts
+// only those ranks here.
+func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
+	eopts := opts.Engine
+	eopts.Transport = t
+	if lr, ok := t.(interface{ LocalRanks() []int }); ok {
+		eopts.LocalRanks = lr.LocalRanks()
+	}
+	if eopts.Faults != nil {
+		fc := *eopts.Faults
+		fc.Crashes = s.Crashes
+		eopts.Faults = &fc
+	}
+	var w *watch
+	if opts.Drift != nil {
+		var err error
+		if w, err = newWatch(s, opts.Drift); err != nil {
+			return Outcome{Err: err}
+		}
+	}
+
+	// Only rank 0's goroutine writes o (and w) while the world runs; each
+	// rank writes its own slot of migrated.
+	var o Outcome
+	d, r, startK := s.Dist, job.BlockSize, s.StartK()
+	p, q := d.Dims()
+	migrated := make([]error, p*q)
+	nb, _ := d.Blocks()
+	world, err := engine.RunOpts(p*q, eopts, func(c *engine.Comm) error {
+		// Read-only inputs (the multiplication's A and B); the
+		// factorizations work in place on their single input. Scatter reads
+		// the full matrix at rank 0 alone.
+		var ro []*engine.BlockStore
+		if s.Kernel == plan.MatMul {
+			for _, m := range job.Inputs {
+				st, err := engine.Scatter(c, d, m, r)
+				if err != nil {
+					return err
+				}
+				ro = append(ro, st)
+			}
+		}
+
+		// The working store: restored from the checkpoint on resume,
+		// otherwise the zero accumulator (MM) or the input itself.
+		var work *engine.BlockStore
+		var err error
+		switch {
+		case s.Ckpt != nil:
+			work, err = engine.Scatter(c, d, s.Ckpt.Work, r)
+		case s.Kernel == plan.MatMul:
+			work = engine.ZeroStore(c, d, r)
+		default:
+			work, err = engine.Scatter(c, d, job.Inputs[0], r)
+		}
+		if err != nil {
+			return err
+		}
+
+		// QR's tau scalings accumulate at rank 0, prefilled from the
+		// checkpoint on resume.
+		var taus [][]float64
+		if s.Kernel == plan.QR && c.Rank() == 0 {
+			taus = make([][]float64, nb)
+			if s.Ckpt != nil {
+				copy(taus, s.Ckpt.Taus)
+			}
+		}
+
+		// commit gathers the working matrix at rank 0 under tag and records
+		// it there as the checkpoint of step k. Every rank snapshots its
+		// blocks at its own step-k entry (all updates of steps < k applied,
+		// none of step k), so the gathered matrix is the exact global state
+		// after step k-1.
+		commit := func(tag string, k int) error {
+			full, err := engine.GatherTag(c, d, work, tag)
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				o.Ckpt = &Checkpoint{Step: k, Work: full}
+				if s.Kernel == plan.QR {
+					o.Ckpt.Taus = append([][]float64(nil), taus[:k]...)
+				}
+			}
+			return nil
+		}
+		every := opts.CheckpointEvery
+		if every > 0 || w != nil {
+			c.SetStepHook(func(k int) error {
+				if k <= startK {
+					return nil
+				}
+				if every > 0 && k%every == 0 {
+					if err := commit(fmt.Sprintf("ckpt/%d", k), k); err != nil {
+						return err
+					}
+					if c.Rank() == 0 {
+						o.Checkpoints++
+					}
+				}
+				if w != nil && (k-startK)%w.window == 0 {
+					return w.step(c, k, s, &o, commit)
+				}
+				return nil
+			})
+		}
+
+		switch s.Kernel {
+		case plan.MatMul:
+			err = engine.MMResume(c, d, ro[0], ro[1], work, startK)
+		case plan.LU:
+			err = engine.LUResume(c, d, work, startK)
+		case plan.Cholesky:
+			err = engine.CholeskyResume(c, d, work, startK)
+		case plan.QR:
+			err = engine.QRResume(c, d, work, startK, func(k int, tau []float64) {
+				taus[k] = tau
+			})
+		default:
+			err = fmt.Errorf("run: unknown kernel %q", s.Kernel)
+		}
+		if errors.Is(err, ErrMigrate) {
+			// Every rank is past the migration barrier: end the world
+			// cleanly, not through an abort, so a rank on another process
+			// still waiting for a dropped or delayed barrier message gets
+			// it retransmitted instead of a closed fabric.
+			migrated[c.Rank()] = err
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		full, err := engine.Gather(c, d, work)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			o.Out, o.Taus = full, taus
+		}
+		return nil
+	})
+	for _, m := range migrated {
+		if err == nil && m != nil {
+			err = m
+		}
+	}
+	o.World, o.Err = world, err
+	if world != nil {
+		o.Remaining = world.RemainingCrashes()
+	}
+	return o
+}

@@ -63,8 +63,8 @@ func WithFaults(f FaultOptions) Option {
 // projected saving beats the migration cost — it checkpoints, replans the
 // same ranks for the estimated cycle-times, re-scatters and resumes
 // mid-kernel. Results stay bit-identical to the undisturbed run; the
-// decisions are reported in ExecStats.Drift. Requires the in-process
-// fabric (incompatible with WithTransport/WithTransportFactory).
+// decisions are reported in ExecStats.Drift. A migration is a second
+// attempt: over an injected fabric it needs WithTransportFactory.
 func WithDriftRebalance(p DriftPolicy) Option {
 	return func(co *callOptions) { co.exec.Drift = &p }
 }

@@ -2,6 +2,7 @@ package hetgrid
 
 import (
 	"hetgrid/internal/engine"
+	"hetgrid/internal/run"
 )
 
 // Transport is the engine's point-to-point message fabric — the interface
@@ -34,16 +35,17 @@ func NewMemTransport(n int) Transport { return engine.NewMemTransport(n) }
 // the execution spawns goroutines for those ranks alone and relies on the
 // fabric to reach the rest.
 //
-// A fixed instance cannot serve fault recovery (a replanned world has
-// fewer ranks): combine faults+recovery with WithTransportFactory instead.
+// A fixed instance serves exactly one world: combine fault recovery or
+// drift migrations (each a second attempt) with WithTransportFactory.
 func WithTransport(t Transport) Option {
-	return func(o *callOptions) { o.exec.Transport = t }
+	return func(o *callOptions) { o.exec.TransportFactory = run.OneShot(t) }
 }
 
 // WithTransportFactory injects a fabric builder invoked once per execution
 // attempt with the attempt's rank count — the recovery-compatible form of
 // WithTransport: after a rank failure the surviving world is replanned
-// smaller and gets a fresh fabric.
+// smaller and gets a fresh fabric. A fabric hosting a rank subset gets one
+// attempt: a failure or migration verdict on it is returned as the error.
 func WithTransportFactory(f func(ranks int) (Transport, error)) Option {
 	return func(o *callOptions) { o.exec.TransportFactory = f }
 }
