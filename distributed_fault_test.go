@@ -4,10 +4,12 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"hetgrid/internal/matrix"
+	"hetgrid/internal/obs"
 )
 
 var allBroadcastKinds = []BroadcastKind{FlatBroadcast, RingBroadcast, PipelinedRingBroadcast, TreeBroadcast}
@@ -299,11 +301,87 @@ func TestCheckpointEvery(t *testing.T) {
 	}
 }
 
-// TestFailedResumeKeepsCheckpoint: a resumed attempt that fails before it
-// commits a newer checkpoint resumes again from the one it started at, not
-// from scratch. Checkpoints every 2 steps: attempt 1 commits step 2 and
-// loses rank 1 at step 3; attempt 2 starts at 2 and loses rank 2 entering
-// step 4 (no commit); attempt 3 must start at 2 again and commit 4 and 6.
+// TestCrashOnCheckpointStep: a rank dies entering a checkpoint step, so it
+// never sends its delta while the others already have. Rank 0 holds those
+// arrivals back, the commit never happens, and the run resumes from the
+// previous commit with that commit's contents. Checkpoints every 2 steps,
+// rank 1 dies at step 4: every kernel's step 2 on rank 1 consumes a panel
+// rank 0 sends after its step-2 commit, so commit 2 is certain; the resumed
+// attempt commits 4 and 6 in place and each of its ranks records the
+// commit as a phase span.
+func TestCrashOnCheckpointStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(510))
+	d, err := Uniform(2, 2, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r = 2
+	a, b := matrix.RandomWellConditioned(16, rng), matrix.Random(16, 16, rng)
+	spd := matrix.RandomSPD(16, rng)
+	// run returns what the kernel produced: the product or the packed
+	// factors, and for QR the explicit Q the tau scalings rebuild.
+	run := func(k Kernel, opts ...Option) ([]*Matrix, *ExecStats) {
+		t.Helper()
+		if k == MatMul {
+			c, st, err := DistributedMultiply(d, a, b, r, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*Matrix{c}, st
+		}
+		in := a
+		if k == Cholesky {
+			in = spd
+		}
+		f, st, err := DistributedFactor(k, d, in, r, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == QR {
+			return []*Matrix{f.Packed(), f.Q(r)}, st
+		}
+		return []*Matrix{f.Packed()}, st
+	}
+	for _, k := range []Kernel{MatMul, LU, Cholesky, QR} {
+		t.Run(k.String(), func(t *testing.T) {
+			clean, _ := run(k)
+			got, stats := run(k, WithSpans(), WithFaults(FaultOptions{
+				Recover:         true,
+				CheckpointEvery: 2,
+				Crashes:         []CrashPoint{{Rank: 1, Step: 4}},
+			}))
+			for i := range clean {
+				if !got[i].Equal(clean[i]) {
+					t.Fatal("result recovered past a crash on a checkpoint step differs from the fault-free run")
+				}
+			}
+			fs := stats.Faults
+			if fs.Attempts != 2 || fs.Recoveries != 1 || fs.Checkpoints != 3 || fs.ResumedSteps != 2 {
+				t.Fatalf("want 2 attempts, 1 recovery, 3 checkpoints, 2 resumed steps: %+v", fs)
+			}
+			phases := map[string]int{}
+			for _, sp := range stats.Spans {
+				if sp.Kind == obs.SpanPhase && strings.HasPrefix(sp.Name, "checkpoint ") {
+					phases[sp.Name]++
+				}
+			}
+			if len(phases) != 2 || phases["checkpoint 4"] != 3 || phases["checkpoint 6"] != 3 {
+				t.Fatalf("the three survivors' commit phases: %v", phases)
+			}
+		})
+	}
+}
+
+// TestFailedResumeKeepsCheckpoint: a resumed attempt advances the run's
+// snapshot in place, and whatever way it fails, the next one resumes from
+// the newest commit with that commit's contents. Checkpoints every 2
+// steps: attempt 1 commits step 2 and loses rank 3 at step 3 (the owner of
+// that step's diagonal block, so nobody gets far enough to fire a later
+// crash point in the same attempt); attempt 2 starts at 2 and loses rank 2
+// entering step 4 (its commit dies mid-gather); attempt 3 starts at 2
+// again, commits the step-4 delta in place and loses rank 0 at step 5 —
+// behind its own commit, so 4 is certain; attempt 4 starts at 4 and
+// commits 6.
 func TestFailedResumeKeepsCheckpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(509))
 	d, err := Uniform(2, 3, 8, 8)
@@ -316,17 +394,17 @@ func TestFailedResumeKeepsCheckpoint(t *testing.T) {
 		Seed:            1,
 		Recover:         true,
 		CheckpointEvery: 2,
-		Crashes:         []CrashPoint{{Rank: 1, Step: 3}, {Rank: 2, Step: 4}},
+		Crashes:         []CrashPoint{{Rank: 3, Step: 3}, {Rank: 2, Step: 4}, {Rank: 0, Step: 5}},
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(factorPacked(t, LU, d, a)) {
-		t.Fatal("twice-recovered LU differs from the serial factorization")
+		t.Fatal("thrice-recovered LU differs from the serial factorization")
 	}
 	fs := stats.Faults
-	if fs.Attempts != 3 || fs.Recoveries != 2 || fs.Checkpoints != 3 || fs.ResumedSteps != 4 {
-		t.Fatalf("want 3 attempts, 2 recoveries, 3 checkpoints, 4 resumed steps: %+v", fs)
+	if fs.Attempts != 4 || fs.Recoveries != 3 || fs.Checkpoints != 3 || fs.ResumedSteps != 8 {
+		t.Fatalf("want 4 attempts, 3 recoveries, 3 checkpoints, 8 resumed steps: %+v", fs)
 	}
 }
 

@@ -64,8 +64,11 @@ type FaultOptions struct {
 	// from the last checkpoint, still returning bit-identical results.
 	// Without it a rank failure surfaces as the *RankFailure error.
 	Recover bool
-	// CheckpointEvery takes a checkpoint (a gather of the working matrix to
-	// rank 0) every so many kernel steps; 0 selects every step. Larger
+	// CheckpointEvery takes a checkpoint every so many kernel steps; 0
+	// selects every step. A checkpoint gathers to rank 0 only the blocks
+	// the kernel can have changed since the previous one (the whole matrix
+	// for the multiplication, the trailing submatrix for the
+	// factorizations) and patches them into the run's one snapshot. Larger
 	// values checkpoint less traffic but replay more steps after a failure.
 	CheckpointEvery int
 	// MaxRecoveries bounds the recovery attempts; 0 selects the default (3).

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/matrix"
@@ -41,33 +42,50 @@ func (s *BlockStore) Put(bi, bj int, b *matrix.Dense) {
 // order.
 func Scatter(c *Comm, d distribution.Distribution, full *matrix.Dense, r int) (*BlockStore, error) {
 	nbr, nbc := d.Blocks()
-	if c.Rank() == 0 {
+	me := c.Rank()
+	if me == 0 {
 		if full == nil {
 			return nil, fmt.Errorf("engine: rank 0 must hold the full matrix")
 		}
-		fr, fc := full.Dims()
-		if fr != nbr*r || fc != nbc*r {
-			return nil, fmt.Errorf("engine: %d×%d matrix does not tile into %d×%d blocks of %d", fr, fc, nbr, nbc, r)
+		if err := checkTiling(full, nbr, nbc, r); err != nil {
+			return nil, err
 		}
 	}
 	store := NewBlockStore(r)
 	for bi := 0; bi < nbr; bi++ {
 		for bj := 0; bj < nbc; bj++ {
 			owner := distribution.OwnerRank(d, bi, bj)
-			tag := fmt.Sprintf("scatter/%d/%d", bi, bj)
-			if c.Rank() == 0 {
-				blk := full.Slice(bi*r, (bi+1)*r, bj*r, (bj+1)*r).Clone()
-				if owner == 0 {
-					store.Put(bi, bj, blk)
-				} else {
-					c.Send(owner, tag, blk)
-				}
-			} else if owner == c.Rank() {
-				store.Put(bi, bj, c.Recv(0, tag))
+			switch {
+			case me == 0 && owner == 0:
+				store.Put(bi, bj, blockView(full, bi, bj, r).Clone())
+			case me == 0:
+				// Send copies its payload: the view is enough.
+				c.Send(owner, blockTag("scatter", bi, bj), blockView(full, bi, bj, r))
+			case owner == me:
+				store.Put(bi, bj, c.Recv(0, blockTag("scatter", bi, bj)))
 			}
 		}
 	}
 	return store, nil
+}
+
+// checkTiling reports whether m is exactly nbr×nbc blocks of size r.
+func checkTiling(m *matrix.Dense, nbr, nbc, r int) error {
+	if fr, fc := m.Dims(); fr != nbr*r || fc != nbc*r {
+		return fmt.Errorf("engine: %d×%d matrix does not tile into %d×%d blocks of %d", fr, fc, nbr, nbc, r)
+	}
+	return nil
+}
+
+// blockView is the view of block (bi, bj) inside the full matrix.
+func blockView(full *matrix.Dense, bi, bj, r int) *matrix.Dense {
+	return full.Slice(bi*r, (bi+1)*r, bj*r, (bj+1)*r)
+}
+
+// blockTag names the channel one block travels on; only the ranks at its
+// two ends format it.
+func blockTag(prefix string, bi, bj int) string {
+	return prefix + "/" + strconv.Itoa(bi) + "/" + strconv.Itoa(bj)
 }
 
 // Gather collects every block back to rank 0, returning the assembled
@@ -77,30 +95,65 @@ func Gather(c *Comm, d distribution.Distribution, store *BlockStore) (*matrix.De
 }
 
 // GatherTag is Gather under a caller-chosen tag prefix, so repeated
-// collections in one run (checkpoints plus the final gather) travel on
-// disjoint channels.
+// collections in one run travel on disjoint channels.
 func GatherTag(c *Comm, d distribution.Distribution, store *BlockStore, prefix string) (*matrix.Dense, error) {
-	nbr, nbc := d.Blocks()
-	r := store.R
 	var full *matrix.Dense
 	if c.Rank() == 0 {
-		full = matrix.New(nbr*r, nbc*r)
+		nbr, nbc := d.Blocks()
+		full = matrix.New(nbr*store.R, nbc*store.R)
 	}
-	for bi := 0; bi < nbr; bi++ {
-		for bj := 0; bj < nbc; bj++ {
-			owner := distribution.OwnerRank(d, bi, bj)
-			tag := fmt.Sprintf("%s/%d/%d", prefix, bi, bj)
-			switch {
-			case owner == c.Rank() && c.Rank() == 0:
-				full.Slice(bi*r, (bi+1)*r, bj*r, (bj+1)*r).CopyFrom(store.Get(bi, bj))
-			case owner == c.Rank():
-				c.Send(0, tag, store.Get(bi, bj))
-			case c.Rank() == 0:
-				full.Slice(bi*r, (bi+1)*r, bj*r, (bj+1)*r).CopyFrom(c.Recv(owner, tag))
+	return full, GatherInto(c, d, store, prefix, full, nil)
+}
+
+// GatherInto is the one gather: the owners send rank 0 the blocks sel picks
+// (nil picks every block) under the tag prefix, and rank 0 writes them, and
+// its own picked blocks, into dst (read at rank 0 alone). Every rank must
+// pass the same selection. Rank 0 holds the arrivals back and touches dst
+// only once the last one is in, so a gather that aborts halfway — a sender
+// died — leaves dst exactly as it was: a checkpoint can be advanced in
+// place, one delta of changed blocks per commit.
+func GatherInto(c *Comm, d distribution.Distribution, store *BlockStore, prefix string, dst *matrix.Dense, sel func(bi, bj int) bool) error {
+	nbr, nbc := d.Blocks()
+	r, me := store.R, c.Rank()
+	if me == 0 {
+		if dst == nil {
+			return fmt.Errorf("engine: rank 0 must hold the gather's destination")
+		}
+		if err := checkTiling(dst, nbr, nbc, r); err != nil {
+			return err
+		}
+	}
+	var staged []*matrix.Dense
+	each := func(fn func(bi, bj, owner int)) {
+		for bi := 0; bi < nbr; bi++ {
+			for bj := 0; bj < nbc; bj++ {
+				if sel == nil || sel(bi, bj) {
+					fn(bi, bj, distribution.OwnerRank(d, bi, bj))
+				}
 			}
 		}
 	}
-	return full, nil
+	each(func(bi, bj, owner int) {
+		switch {
+		case owner == me && me != 0:
+			c.Send(0, blockTag(prefix, bi, bj), store.Get(bi, bj))
+		case owner != me && me == 0:
+			staged = append(staged, c.Recv(owner, blockTag(prefix, bi, bj)))
+		}
+	})
+	if me != 0 {
+		return nil
+	}
+	each(func(bi, bj, owner int) {
+		var src *matrix.Dense
+		if owner == 0 {
+			src = store.Get(bi, bj)
+		} else {
+			src, staged = staged[0], staged[1:]
+		}
+		blockView(dst, bi, bj, r).CopyFrom(src)
+	})
+	return nil
 }
 
 // ZeroStore returns a store holding a zero r×r block for every position

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -230,6 +231,85 @@ func TestScatterValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("nil matrix at rank 0 accepted")
+	}
+}
+
+// TestGatherIntoSplicesSelection: on a non-square 3×5 block matrix the
+// selected blocks, and only those, overwrite the destination at rank 0, and
+// only the selected remote blocks travel.
+func TestGatherIntoSplicesSelection(t *testing.T) {
+	const nbr, nbc, r = 3, 5, 2
+	d, err := distribution.UniformBlockCyclic(2, 2, nbr, nbc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(183))
+	a := matrix.Random(nbr*r, nbc*r, rng)
+	base := matrix.Random(nbr*r, nbc*r, rng)
+	sel := func(bi, bj int) bool { return (bi+bj)%2 == 0 }
+	dst := base.Clone()
+	w, err := Run(4, func(c *Comm) error {
+		store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
+		if err != nil {
+			return err
+		}
+		return GatherInto(c, d, store, "delta", pick(c.Rank() == 0, dst), sel)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, picked := 0, 0
+	for bi := 0; bi < nbr; bi++ {
+		for bj := 0; bj < nbc; bj++ {
+			want := base
+			if sel(bi, bj) {
+				want = a
+			}
+			if !blockView(dst, bi, bj, r).Equal(blockView(want, bi, bj, r)) {
+				t.Fatalf("block (%d,%d): selected %v, wrong contents", bi, bj, sel(bi, bj))
+			}
+			if distribution.OwnerRank(d, bi, bj) != 0 {
+				remote++
+				if sel(bi, bj) {
+					picked++
+				}
+			}
+		}
+	}
+	if w.Messages() != remote+picked {
+		t.Fatalf("%d messages, want %d scattered + %d gathered", w.Messages(), remote, picked)
+	}
+}
+
+// TestGatherIntoAbortLeavesDestination: a gather that loses a sender leaves
+// the destination untouched — including rank 0's own selected blocks, which
+// a copy-as-you-go gather would have written before it noticed.
+func TestGatherIntoAbortLeavesDestination(t *testing.T) {
+	const nb, r = 4, 2
+	d, err := distribution.UniformBlockCyclic(2, 2, nb, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(184))
+	a := matrix.Random(nb*r, nb*r, rng)
+	base := matrix.Random(nb*r, nb*r, rng)
+	dst := base.Clone()
+	lost := fmt.Errorf("rank 3 is gone")
+	_, err = Run(4, func(c *Comm) error {
+		store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 3 {
+			return lost
+		}
+		return GatherInto(c, d, store, "delta", pick(c.Rank() == 0, dst), nil)
+	})
+	if !errors.Is(err, lost) {
+		t.Fatalf("want the sender's failure, got %v", err)
+	}
+	if !dst.Equal(base) {
+		t.Fatal("an aborted gather wrote into its destination")
 	}
 }
 

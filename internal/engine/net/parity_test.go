@@ -316,6 +316,84 @@ func TestTCPCrashReplanResume(t *testing.T) {
 	}
 }
 
+// TestTCPCrashOnCheckpointStep is the commit rule over real sockets, with
+// the snapshot advanced in place. Checkpoints every 2 steps. Attempt 1
+// loses rank 5 entering step 4: its delta never leaves process 2 while the
+// other ranks' are already staged at rank 0, so the run resumes from commit
+// 2 (certain, by the dependency chain TestTCPCrashReplanResume spells out).
+// Attempt 2 advances the coordinator's snapshot in place and loses rank 2
+// entering step 6, a checkpoint step again: it resumes from the newest
+// commit that completed — 4, or still 2 when the abort overtook rank 0.
+// Attempt 3 finishes, bit-identical to the fault-free oracle.
+func TestTCPCrashOnCheckpointStep(t *testing.T) {
+	const nb, procs, r, every = 8, 3, 2, 2
+	d, err := distribution.UniformBlockCyclic(2, 3, nb, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := matrix.RandomWellConditioned(nb*r, rand.New(rand.NewSource(8)))
+	oracle, err := kernels.ReplayLUNumerics(d, a, matrix.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := run.Job{BlockSize: r, Inputs: []*matrix.Dense{a}}
+	opts := run.Options{Engine: engine.Options{Faults: &engine.FaultConfig{}}, CheckpointEvery: every}
+
+	// Next is pure: the coordinator takes the transition once and ships the
+	// result; the joiners need the checkpoint's step, not its matrix.
+	states := make([]run.State, procs)
+	for p := range states {
+		states[p] = run.State{Kernel: plan.LU, Dist: d, Times: ones(6), Recoveries: 2}
+	}
+	attempt := func() []run.Outcome {
+		p, q := states[0].Dist.Dims()
+		fabs, _ := startFabrics(t, p*q, procs, nil)
+		return attemptOn(fabs, func(p int) run.State { return states[p] }, job, opts)
+	}
+	var stats run.Result
+	for _, crash := range []engine.CrashPoint{{Rank: 5, Step: 4}, {Rank: 2, Step: 6}} {
+		for p := range states {
+			states[p].Crashes = []engine.CrashPoint{crash}
+		}
+		from := states[0].StartK()
+		outs := attempt()
+		stats.Fold(outs[0])
+		var rf *engine.RankFailure
+		if !errors.As(outs[0].Err, &rf) || rf.Rank != crash.Rank {
+			t.Fatalf("want the failure of rank %d, got %v", crash.Rank, outs[0].Err)
+		}
+		next, err := states[0].Next(outs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats.Advance(outs[0], next)
+		k := next.StartK()
+		if k >= crash.Step || k%every != 0 || k < max(from, every) {
+			t.Fatalf("rank %d died entering checkpoint step %d: resuming from step %d (was %d)", crash.Rank, crash.Step, k, from)
+		}
+		for p := range states {
+			states[p] = next
+			if p != 0 {
+				states[p].Ckpt = &run.Checkpoint{Step: k}
+			}
+		}
+	}
+	for p, o := range attempt() {
+		if o.Err != nil {
+			t.Fatalf("final attempt, process %d: %v", p, o.Err)
+		}
+		if p == 0 {
+			stats.Fold(o)
+			if o.Out == nil || !o.Out.Equal(oracle.C) {
+				t.Fatal("LU recovered past two crashes on checkpoint steps is not bit-identical to the fault-free factorization")
+			}
+		}
+	}
+	if f := stats.Faults; f.Attempts != 3 || f.Recoveries != 2 {
+		t.Fatalf("coordinator's fault statistics: %+v", f)
+	}
+}
+
 // TestTCPDropsAndDelaysRepaired is the chaos composition: seeded drops and
 // delays injected above a real TCP fabric, repaired by cross-process
 // retransmission requests (retx frames back to the sender's stash), with

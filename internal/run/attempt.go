@@ -3,6 +3,7 @@ package run
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"hetgrid/internal/engine"
 	"hetgrid/internal/matrix"
@@ -23,8 +24,9 @@ type Options struct {
 	// Engine configures every world; Transport, LocalRanks and
 	// Faults.Crashes are set per attempt from the fabric and the State.
 	Engine engine.Options
-	// CheckpointEvery commits the working matrix at rank 0 every so many
-	// kernel steps; 0 takes no periodic checkpoints.
+	// CheckpointEvery commits the working matrix's changed blocks to rank
+	// 0's snapshot every so many kernel steps; 0 takes no periodic
+	// checkpoints.
 	CheckpointEvery int
 	// Drift enables the drift-observation protocol; nil runs without it.
 	Drift *Drift
@@ -41,7 +43,8 @@ type Outcome struct {
 	Out  *matrix.Dense
 	Taus [][]float64
 	// Ckpt is the newest checkpoint committed during the attempt, nil when
-	// none was; Checkpoints counts the periodic commits.
+	// none was (the State's is then untouched); Checkpoints counts the
+	// periodic commits.
 	Ckpt        *Checkpoint
 	Checkpoints int
 	// Migrate is the committed decision behind an ErrMigrate. A rank
@@ -59,7 +62,9 @@ type Outcome struct {
 // in-process mailboxes): restore the checkpoint or scatter the inputs, run
 // the kernel from s.StartK with the checkpoint and drift hooks installed,
 // gather the result at rank 0. A fabric exposing LocalRanks() []int hosts
-// only those ranks here.
+// only those ranks here. The attempt takes over s.Ckpt.Work: its commits
+// advance that buffer in place, so after one of them it is the Outcome's
+// checkpoint and no longer the State's.
 func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 	eopts := opts.Engine
 	eopts.Transport = t
@@ -85,7 +90,7 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 	d, r, startK := s.Dist, job.BlockSize, s.StartK()
 	p, q := d.Dims()
 	migrated := make([]error, p*q)
-	nb, _ := d.Blocks()
+	nbr, nbc := d.Blocks()
 	world, err := engine.RunOpts(p*q, eopts, func(c *engine.Comm) error {
 		// Read-only inputs (the multiplication's A and B); the
 		// factorizations work in place on their single input. Scatter reads
@@ -121,24 +126,44 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 		// checkpoint on resume.
 		var taus [][]float64
 		if s.Kernel == plan.QR && c.Rank() == 0 {
-			taus = make([][]float64, nb)
+			taus = make([][]float64, nbr)
 			if s.Ckpt != nil {
 				copy(taus, s.Ckpt.Taus)
 			}
 		}
 
-		// commit gathers the working matrix at rank 0 under tag and records
-		// it there as the checkpoint of step k. Every rank snapshots its
+		// commit brings rank 0's snapshot of the working matrix up to step k
+		// and records it there as the checkpoint. Every rank snapshots its
 		// blocks at its own step-k entry (all updates of steps < k applied,
-		// none of step k), so the gathered matrix is the exact global state
-		// after step k-1.
+		// none of step k), so the snapshot is the exact global state after
+		// step k-1. Only the blocks the kernel's region still held at the
+		// last commit can differ from it, so only those travel: a delta,
+		// spliced into the one snapshot once its last block has arrived (a
+		// commit that loses a sender leaves the previous checkpoint whole).
+		// The snapshot is the run's, not the commit's: a resumed attempt
+		// advances the State's buffer in place, a fresh attempt's first
+		// commit gathers every block into a new one.
+		var snap *matrix.Dense
+		last := -1
+		if s.Ckpt != nil {
+			snap, last = s.Ckpt.Work, s.Ckpt.Step
+		}
+		region := s.Kernel.Region()
 		commit := func(tag string, k int) error {
-			full, err := engine.GatherTag(c, d, work, tag)
-			if err != nil {
+			defer c.EndPhase(c.Phase("checkpoint " + strconv.Itoa(k)))
+			var changed func(bi, bj int) bool
+			if last >= 0 {
+				changed = func(bi, bj int) bool { return region.Contains(bi, bj, last) }
+			}
+			if c.Rank() == 0 && snap == nil {
+				snap = matrix.New(nbr*r, nbc*r)
+			}
+			if err := engine.GatherInto(c, d, work, tag, snap, changed); err != nil {
 				return err
 			}
+			last = k
 			if c.Rank() == 0 {
-				o.Ckpt = &Checkpoint{Step: k, Work: full}
+				o.Ckpt = &Checkpoint{Step: k, Work: snap}
 				if s.Kernel == plan.QR {
 					o.Ckpt.Taus = append([][]float64(nil), taus[:k]...)
 				}

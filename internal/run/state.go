@@ -31,10 +31,12 @@ type State struct {
 	Recoveries, Migrations int
 }
 
-// Checkpoint is a committed recovery point: the working matrix gathered at
-// rank 0 with the first Step kernel steps applied, plus, for QR, the tau
-// scalings those steps produced. Work and Taus are meaningful where rank 0
-// lives; every other process needs Step alone.
+// Checkpoint is a committed recovery point: rank 0's snapshot of the
+// working matrix with the first Step kernel steps applied, plus, for QR,
+// the tau scalings those steps produced. Work and Taus are meaningful where
+// rank 0 lives; every other process needs Step alone. Work is one buffer
+// per run, advanced in place from commit to commit: the Checkpoint that
+// holds it last is the only one whose Step describes it.
 type Checkpoint struct {
 	Step int
 	Work *matrix.Dense
