@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -138,47 +139,53 @@ func TestCholeskyGoldenAllBroadcastKinds(t *testing.T) {
 	}
 }
 
+// r = 3 keeps every product of the compact-WY apply under the packed GEMM's
+// size cutoff, on the scalar reference; r = 16 reaches the packed kernel,
+// where parity rests on the apply not depending on slab width or stride.
 func TestQRGoldenAllBroadcastKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(304))
-	const nb, r = 5, 3
-	a := matrix.Random(nb*r, nb*r, rng)
-	for _, d := range engineDistributions(t, nb) {
-		rep, err := kernels.ReplayQR(d, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bk := range allBroadcastKinds {
-			var got *matrix.Dense
-			var taus [][]float64
-			_, err := RunOpts(4, Options{Broadcast: bk.kind}, func(c *Comm) error {
-				store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-				if err != nil {
-					return err
-				}
-				ts, err := QR(c, d, store)
-				if err != nil {
-					return err
-				}
-				full, err := Gather(c, d, store)
-				if c.Rank() == 0 {
-					got = full
-					taus = ts
-				}
-				return err
-			})
+	const nb = 5
+	for _, r := range []int{3, 16} {
+		a := matrix.Random(nb*r, nb*r, rng)
+		for _, d := range engineDistributions(t, nb) {
+			rep, err := kernels.ReplayQR(d, a)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", d.Name(), bk.name, err)
+				t.Fatal(err)
 			}
-			if !got.Equal(rep.C) {
-				t.Fatalf("%s/%s: distributed QR not bit-identical to replay", d.Name(), bk.name)
-			}
-			if len(taus) != nb {
-				t.Fatalf("%s/%s: %d tau panels, want %d", d.Name(), bk.name, len(taus), nb)
-			}
-			for k := range taus {
-				for i, v := range taus[k] {
-					if v != rep.Taus[k][i] {
-						t.Fatalf("%s/%s: tau[%d][%d] = %v, replay %v", d.Name(), bk.name, k, i, v, rep.Taus[k][i])
+			for _, bk := range allBroadcastKinds {
+				name := fmt.Sprintf("r=%d/%s/%s", r, d.Name(), bk.name)
+				var got *matrix.Dense
+				var taus [][]float64
+				_, err := RunOpts(4, Options{Broadcast: bk.kind}, func(c *Comm) error {
+					store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
+					if err != nil {
+						return err
+					}
+					ts, err := QR(c, d, store)
+					if err != nil {
+						return err
+					}
+					full, err := Gather(c, d, store)
+					if c.Rank() == 0 {
+						got = full
+						taus = ts
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !got.Equal(rep.C) {
+					t.Fatalf("%s: distributed QR not bit-identical to replay", name)
+				}
+				if len(taus) != nb {
+					t.Fatalf("%s: %d tau panels, want %d", name, len(taus), nb)
+				}
+				for k := range taus {
+					for i, v := range taus[k] {
+						if v != rep.Taus[k][i] {
+							t.Fatalf("%s: tau[%d][%d] = %v, replay %v", name, k, i, v, rep.Taus[k][i])
+						}
 					}
 				}
 			}

@@ -199,6 +199,31 @@ func TestTCPParityGolden(t *testing.T) {
 	}
 }
 
+// TestTCPQRPackedPathMatchesReplay is QR across sockets at a block size
+// whose compact-WY products reach the packed GEMM (the golden above runs
+// r = 2, all scalar): slab masters in other processes re-derive T from the
+// panel and taus they receive, and the result is the serial replay's, bit
+// for bit.
+func TestTCPQRPackedPathMatchesReplay(t *testing.T) {
+	d := hetDist(t)
+	const world, procs, r = 6, 3, 16
+	a := matrix.Random(6*r, 6*r, rand.New(rand.NewSource(43)))
+	oracle, err := kernels.ReplayQR(d, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := run.State{Kernel: plan.QR, Dist: d, Times: ones(world)}
+	outs := attemptCluster(t, procs, s, run.Job{BlockSize: r, Inputs: []*matrix.Dense{a}}, run.Options{})
+	for p, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("process %d: %v", p, o.Err)
+		}
+	}
+	if outs[0].Out == nil || !outs[0].Out.Equal(oracle.C) {
+		t.Fatal("TCP QR differs from the serial replay oracle")
+	}
+}
+
 // TestTCPCrashReplanResume composes real sockets with injected faults
 // through the run supervisor itself: a rank crashes mid-LU on one process,
 // every process's attempt ends in a *RankFailure naming it, the

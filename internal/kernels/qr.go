@@ -16,8 +16,9 @@ import (
 //
 // The result packs R in the upper triangle and the Householder vectors
 // below the diagonal; Taus carries the reflector scalings per panel. The
-// factors are numerically identical to an unblocked Householder QR of the
-// full matrix, which tests exploit.
+// reflectors are those of an unblocked Householder QR of the full matrix
+// applied panel by panel in compact-WY form, so the factors agree with
+// matrix.FactorQR's to rounding, which tests exploit.
 type QRReplay struct {
 	Replay
 	// Taus[k] holds the Householder scalings of panel k.
@@ -30,12 +31,13 @@ func ReplayQR(d distribution.Distribution, a *matrix.Dense) (*QRReplay, error) {
 }
 
 // ReplayQRNumerics is ReplayQR under an explicit numerics contract,
-// accepted for API symmetry with the other kernels. The QR replay's block
-// operations are Householder reflector applications — panel work that the
-// numerics contract keeps Strict on every kernel (reflector choices, like
-// pivot choices, are always made on Strict arithmetic) — so both modes
-// currently execute identically; Fast-mode callers still get the contract
-// they asked for, since Strict trivially satisfies the error bound.
+// accepted for API symmetry with the other kernels. The panel factor is
+// panel work, which the contract keeps Strict on every kernel (reflector
+// choices, like pivot choices, are made on Strict arithmetic), and the
+// reflector application — level-3 since it became compact-WY products
+// through the packed GEMM — stays Strict as well, so both modes execute
+// identically; Fast-mode callers still get the contract they asked for,
+// since Strict trivially satisfies the error bound.
 func ReplayQRNumerics(d distribution.Distribution, a *matrix.Dense, mode matrix.Numerics) (*QRReplay, error) {
 	return replayQR(d, a, mode)
 }
@@ -52,27 +54,22 @@ func replayQR(d distribution.Distribution, a *matrix.Dense, _ matrix.Numerics) (
 	nb, _ := d.Blocks()
 	p, q := d.Dims()
 	ops := make([]int, p*q)
-	charge := func(bi, bj int) {
-		pi, pj := d.Owner(bi, bj)
-		ops[pi*q+pj]++
-	}
 	work := a.Clone()
 	taus := make([][]float64, nb)
 	for k := 0; k < nb; k++ {
-		// Panel factorization over the full trailing column slab.
+		// Panel factorization over the full trailing column slab, then Qᵀ
+		// of the panel applied to all trailing block columns at once: each
+		// column of the product depends on that column alone, so this is
+		// what applying it block column by block column gives, bit for bit.
 		panel := work.Slice(k*r, n, k*r, (k+1)*r)
-		f := matrix.FactorQR(panel.Clone())
+		f := matrix.FactorQR(panel)
 		panel.CopyFrom(f.Packed())
-		taus[k] = append([]float64(nil), f.Tau()...)
+		taus[k] = f.Tau()
+		f.QTMul(work.Slice(k*r, n, (k+1)*r, n))
 		for bi := k; bi < nb; bi++ {
-			charge(bi, k)
-		}
-		// Apply Qᵀ of the panel to each trailing block column.
-		for bj := k + 1; bj < nb; bj++ {
-			slab := work.Slice(k*r, n, bj*r, (bj+1)*r)
-			f.QTMul(slab)
-			for bi := k; bi < nb; bi++ {
-				charge(bi, bj)
+			for bj := k; bj < nb; bj++ {
+				pi, pj := d.Owner(bi, bj)
+				ops[pi*q+pj]++
 			}
 		}
 	}
@@ -97,34 +94,10 @@ func (f *QRReplay) R() *matrix.Dense {
 func (f *QRReplay) Q(blockSize int) *matrix.Dense {
 	n, _ := f.C.Dims()
 	r := blockSize
-	nb := n / r
 	qm := matrix.Identity(n)
-	for k := nb - 1; k >= 0; k-- {
-		// Apply H_k0 H_k1 ... (the panel's reflectors) to q[k·r:, :].
-		applyPanelQ(f.C.Slice(k*r, n, k*r, (k+1)*r), f.Taus[k], qm.Slice(k*r, n, 0, n))
+	for k := n/r - 1; k >= 0; k-- {
+		panel := f.C.Slice(k*r, n, k*r, (k+1)*r)
+		matrix.QRFromPacked(panel, f.Taus[k]).QMul(qm.Slice(k*r, n, 0, n))
 	}
 	return qm
-}
-
-// applyPanelQ applies Q = H_0·H_1⋯ (not transposed) of a packed panel to b
-// in place: reflectors run last-to-first.
-func applyPanelQ(packed *matrix.Dense, tau []float64, b *matrix.Dense) {
-	m, cols := packed.Dims()
-	_, bc := b.Dims()
-	for k := len(tau) - 1; k >= 0; k-- {
-		if k >= cols || tau[k] == 0 {
-			continue
-		}
-		for j := 0; j < bc; j++ {
-			sum := b.At(k, j)
-			for i := k + 1; i < m; i++ {
-				sum += packed.At(i, k) * b.At(i, j)
-			}
-			s := tau[k] * sum
-			b.Add(k, j, -s)
-			for i := k + 1; i < m; i++ {
-				b.Add(i, j, -s*packed.At(i, k))
-			}
-		}
-	}
 }

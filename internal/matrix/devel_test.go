@@ -1,0 +1,226 @@
+package matrix
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+//
+// This file compares implementations of the Householder apply and of the
+// tall-panel factor side by side; qr.go ships the winners, the others live
+// here only — qtmulColumns and factorQRAlt also as the references
+// qr_test.go checks the shipped code against, as AddMulScalar is for GEMM.
+//
+//	go test ./internal/matrix -run '^$' -bench 'DevelQTMul|DevelPanelQR' -benchmem
+//
+
+// qtmulColumns is the apply this package had before: one reflector and one
+// column of b at a time, both read at stride.
+func qtmulColumns(f *QR, b *Dense) {
+	m, n := f.qr.rows, f.qr.cols
+	for k := 0; k < n; k++ {
+		if f.tau[k] == 0 {
+			continue
+		}
+		for j := 0; j < b.cols; j++ {
+			sum := b.data[k*b.stride+j]
+			for i := k + 1; i < m; i++ {
+				sum += f.qr.data[i*f.qr.stride+k] * b.data[i*b.stride+j]
+			}
+			s := f.tau[k] * sum
+			b.data[k*b.stride+j] -= s
+			for i := k + 1; i < m; i++ {
+				b.data[i*b.stride+j] -= s * f.qr.data[i*f.qr.stride+k]
+			}
+		}
+	}
+}
+
+// qtmulRows is qtmulColumns with the loops interchanged so b is swept along
+// rows: the same operations on every element in the same order, so the same
+// bits.
+func qtmulRows(f *QR, b *Dense) {
+	m, n := f.qr.rows, f.qr.cols
+	sums := make([]float64, b.cols)
+	for k := 0; k < n; k++ {
+		if f.tau[k] == 0 {
+			continue
+		}
+		copy(sums, b.data[k*b.stride:k*b.stride+b.cols])
+		for i := k + 1; i < m; i++ {
+			vi := f.qr.data[i*f.qr.stride+k]
+			for j, x := range b.data[i*b.stride : i*b.stride+b.cols] {
+				sums[j] += vi * x
+			}
+		}
+		for j := range sums {
+			sums[j] *= f.tau[k]
+			b.data[k*b.stride+j] -= sums[j]
+		}
+		for i := k + 1; i < m; i++ {
+			vi := f.qr.data[i*f.qr.stride+k]
+			row := b.data[i*b.stride : i*b.stride+b.cols]
+			for j, s := range sums {
+				row[j] -= s * vi
+			}
+		}
+	}
+}
+
+// hypotNorm is the column norm this package had before: a math.Hypot chain,
+// one serial square root and division per element.
+func hypotNorm(m *Dense, i0, j int) float64 {
+	normx := 0.0
+	for i := i0; i < m.rows; i++ {
+		normx = math.Hypot(normx, m.data[i*m.stride+j])
+	}
+	return normx
+}
+
+// factorQRAlt is the unblocked factorization with its two choices open: the
+// column norm, and whether a reflector is applied to the later columns one
+// column at a time (what this package had before, with hypotNorm) or along
+// rows (what householderPanel does). The sweep direction must not change a
+// bit; the norm may change the low ones.
+func factorQRAlt(a *Dense, norm func(m *Dense, i0, j int) float64, alongRows bool) *QR {
+	m, n := a.rows, a.cols
+	qr := a.Clone()
+	s := qr.stride
+	tau := make([]float64, n)
+	sums := make([]float64, n)
+	for k := 0; k < n; k++ {
+		normx := norm(qr, k, k)
+		if normx == 0 {
+			continue
+		}
+		alpha := qr.data[k*s+k]
+		beta := -math.Copysign(normx, alpha)
+		v0 := alpha - beta
+		tau[k] = (beta - alpha) / beta
+		qr.data[k*s+k] = beta
+		for i := k + 1; i < m; i++ {
+			qr.data[i*s+k] /= v0
+		}
+		if !alongRows {
+			for j := k + 1; j < n; j++ {
+				sum := qr.data[k*s+j]
+				for i := k + 1; i < m; i++ {
+					sum += qr.data[i*s+k] * qr.data[i*s+j]
+				}
+				sum *= tau[k]
+				qr.data[k*s+j] -= sum
+				for i := k + 1; i < m; i++ {
+					qr.data[i*s+j] -= sum * qr.data[i*s+k]
+				}
+			}
+			continue
+		}
+		w := sums[:n-k-1]
+		copy(w, qr.data[k*s+k+1:k*s+n])
+		for i := k + 1; i < m; i++ {
+			vi := qr.data[i*s+k]
+			for j, x := range qr.data[i*s+k+1 : i*s+n] {
+				w[j] += vi * x
+			}
+		}
+		for j := range w {
+			w[j] *= tau[k]
+			qr.data[k*s+k+1+j] -= w[j]
+		}
+		for i := k + 1; i < m; i++ {
+			vi := qr.data[i*s+k]
+			row := qr.data[i*s+k+1 : i*s+n]
+			for j, sj := range w {
+				row[j] -= sj * vi
+			}
+		}
+	}
+	return &QR{qr: qr, tau: tau}
+}
+
+func BenchmarkDevelQTMul(b *testing.B) {
+	const n = 32
+	rng := rand.New(rand.NewSource(17))
+	for _, m := range []int{32, 288, 576} {
+		for _, nc := range []int{32, 288} {
+			f := FactorQR(Random(m, n, rng))
+			rhs := Random(m, nc, rng)
+			want := rhs.Clone()
+			qtmulColumns(f, want)
+			rows := rhs.Clone()
+			qtmulRows(f, rows)
+			if !rows.Equal(want) {
+				b.Fatalf("m=%d nc=%d: row-major interchange changed bits", m, nc)
+			}
+			// The engine's per-block-column apply: nc/n contiguous slabs.
+			slabs := make([]*Dense, nc/n)
+			for i := range slabs {
+				slabs[i] = rhs.Slice(0, m, i*n, (i+1)*n).Clone()
+			}
+			perSlab := func(apply func(*QR, *Dense)) func() {
+				return func() {
+					for _, s := range slabs {
+						apply(f, s)
+					}
+				}
+			}
+			wide := rhs.Clone()
+			for _, alt := range []struct {
+				name string
+				run  func()
+			}{
+				{"columns", perSlab(qtmulColumns)},
+				{"rows", perSlab(qtmulRows)},
+				{"wy-reformed", perSlab(func(f *QR, s *Dense) { QRFromPacked(f.qr, f.tau).QTMul(s) })},
+				{"wy-cached", perSlab((*QR).QTMul)},
+				{"wy-cached-wide", func() { f.QTMul(wide) }},
+			} {
+				b.Run(fmt.Sprintf("m=%d/nc=%d/%s", m, nc, alt.name), func(b *testing.B) {
+					alt.run() // form T, size the pooled workspace
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						alt.run()
+					}
+					// Applying n reflectors of mean length m−n/2 to nc columns.
+					flops := 4 * float64(n) * float64(nc) * (float64(m) - float64(n)/2)
+					b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+				})
+			}
+		}
+	}
+}
+
+func BenchmarkDevelPanelQR(b *testing.B) {
+	const n = 32
+	rng := rand.New(rand.NewSource(18))
+	for _, m := range []int{32, 288, 576} {
+		a := Random(m, n, rng)
+		today := factorQRAlt(a, hypotNorm, false)
+		if rows := factorQRAlt(a, hypotNorm, true); !rows.qr.Equal(today.qr) {
+			b.Fatalf("m=%d: row-major interchange changed bits", m)
+		}
+		if got, want := FactorQR(a), factorQRAlt(a, (*Dense).colNorm, true); !got.qr.Equal(want.qr) {
+			b.Fatalf("m=%d: FactorQR is not the rows + two-pass alternative", m)
+		}
+		for _, alt := range []struct {
+			name string
+			run  func() *QR
+		}{
+			{"columns-hypot", func() *QR { return factorQRAlt(a, hypotNorm, false) }},
+			{"rows-hypot", func() *QR { return factorQRAlt(a, hypotNorm, true) }},
+			{"rows-twopass", func() *QR { return FactorQR(a) }},
+		} {
+			b.Run(fmt.Sprintf("m=%d/%s", m, alt.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					develSink = alt.run()
+				}
+			})
+		}
+	}
+}
+
+var develSink *QR

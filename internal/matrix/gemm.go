@@ -36,6 +36,12 @@ import (
 // kernels, while NaN-ness itself never does. Property tests assert the
 // equivalence over randomized shapes; do not reassociate the accumulation
 // when tuning.
+//
+// The Householder QR apply (qr.go) is the contract's second dependent: it is
+// three AddMuls, so Qᵀ·b is a function of the operand values alone — the
+// serial replay's strided view of the whole matrix, the engine's gathered
+// slab and a slab master's several block columns at once all get the same
+// bits, whatever the stride, width, tile or rim.
 
 // Cache / register blocking parameters. gemmMR×gemmNR is the register tile;
 // gemmKC×gemmNR (one packed B panel) should fit L1 and gemmMC×gemmKC (the

@@ -152,3 +152,11 @@ func TestFastFallbackWithoutFMA(t *testing.T) {
 		t.Fatal("FastAvailable must report false while gemmHaveFMA is forced off")
 	}
 }
+
+// forceGoTile routes the packed GEMM through the pure-Go register tile until
+// the test ends, so a test can cover the path CPUs without AVX take.
+func forceGoTile(t *testing.T) {
+	saved := gemmHaveAVX
+	gemmHaveAVX = false
+	t.Cleanup(func() { gemmHaveAVX = saved })
+}

@@ -1,0 +1,9 @@
+//go:build !amd64
+
+package matrix
+
+import "testing"
+
+// forceGoTile is a no-op off amd64: the pure-Go register tile is the only
+// one there.
+func forceGoTile(*testing.T) {}

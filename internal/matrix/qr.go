@@ -3,7 +3,13 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"sync"
 )
+
+// qrChunk is how many consecutive reflectors one compact-WY factor
+// aggregates: FactorQRBlocked's default panel width, and the fixed column
+// chunking of QTMul/QMul, so a wide QR never forms an n×n T.
+const qrChunk = 32
 
 // QR holds a Householder QR factorization A = Q*R for an m×n matrix with
 // m >= n: Q is m×m orthogonal, R is m×n upper trapezoidal.
@@ -14,61 +20,16 @@ type QR struct {
 	// tau[k] is the scaling factor of the k-th Householder reflector
 	// H_k = I - tau_k * v_k * v_k^T.
 	tau []float64
+	// wy is the same reflectors in compact-WY form, one factor per qrChunk
+	// columns, formed by the first QTMul/QMul and shared by all later ones.
+	wyOnce sync.Once
+	wy     []compactWY
 }
 
-// FactorQR computes the Householder QR factorization of a (m >= n required).
-// The input is not modified.
+// FactorQR computes the Householder QR factorization of a (m >= n required)
+// with the unblocked reflector loop. The input is not modified.
 func FactorQR(a *Dense) *QR {
-	m, n := a.rows, a.cols
-	if m < n {
-		panic(fmt.Sprintf("matrix: QR requires rows >= cols, got %d×%d", m, n))
-	}
-	qr := a.Clone()
-	tau := make([]float64, n)
-	v := make([]float64, m)
-	for k := 0; k < n; k++ {
-		// Build the Householder reflector annihilating qr[k+1:, k].
-		normx := 0.0
-		for i := k; i < m; i++ {
-			normx = math.Hypot(normx, qr.data[i*qr.stride+k])
-		}
-		if normx == 0 {
-			tau[k] = 0
-			continue
-		}
-		alpha := qr.data[k*qr.stride+k]
-		beta := -math.Copysign(normx, alpha)
-		// v = x - beta*e1, normalized so v[0] = 1.
-		v0 := alpha - beta
-		v[k] = 1
-		for i := k + 1; i < m; i++ {
-			v[i] = qr.data[i*qr.stride+k] / v0
-		}
-		// With v normalized so v[k]=1, H = I - tau*v*v^T maps x to beta*e1
-		// for tau = (beta - alpha)/beta.
-		tau[k] = (beta - alpha) / beta
-		if tau[k] == 0 {
-			continue
-		}
-		// Store R diagonal and the reflector below it.
-		qr.data[k*qr.stride+k] = beta
-		for i := k + 1; i < m; i++ {
-			qr.data[i*qr.stride+k] = v[i]
-		}
-		// Apply H_k to the trailing columns.
-		for j := k + 1; j < n; j++ {
-			sum := qr.data[k*qr.stride+j]
-			for i := k + 1; i < m; i++ {
-				sum += v[i] * qr.data[i*qr.stride+j]
-			}
-			s := tau[k] * sum
-			qr.data[k*qr.stride+j] -= s
-			for i := k + 1; i < m; i++ {
-				qr.data[i*qr.stride+j] -= s * v[i]
-			}
-		}
-	}
-	return &QR{qr: qr, tau: tau}
+	return factorQRBlocked(a, a.cols, Strict) // one panel, no trailing update
 }
 
 // FactorQRBlocked computes the Householder QR factorization with the
@@ -85,7 +46,7 @@ func FactorQRBlocked(a *Dense, blockSize int) *QR {
 }
 
 // factorQRBlocked is FactorQRBlocked under an explicit numerics contract:
-// the panel reflector loop and T accumulation stay scalar (reflector
+// the panel reflector loop and T accumulation stay Strict (reflector
 // choices are made on Strict arithmetic of the panel), while the three
 // compact-WY trailing products run under mode.
 func factorQRBlocked(a *Dense, blockSize int, mode Numerics) *QR {
@@ -94,105 +55,205 @@ func factorQRBlocked(a *Dense, blockSize int, mode Numerics) *QR {
 		panic(fmt.Sprintf("matrix: QR requires rows >= cols, got %d×%d", m, n))
 	}
 	if blockSize <= 0 {
-		blockSize = 32
+		blockSize = qrChunk
 	}
 	qr := a.Clone()
 	tau := make([]float64, n)
-	v := make([]float64, m)
+	sums := make([]float64, min(blockSize, n))
+	var work []float64
 	for k0 := 0; k0 < n; k0 += blockSize {
 		k1 := min(k0+blockSize, n)
-		// Panel factor: the unblocked reflector loop, applied only to the
-		// panel's own columns.
-		for k := k0; k < k1; k++ {
-			normx := 0.0
-			for i := k; i < m; i++ {
-				normx = math.Hypot(normx, qr.data[i*qr.stride+k])
-			}
-			if normx == 0 {
-				tau[k] = 0
-				continue
-			}
-			alpha := qr.data[k*qr.stride+k]
-			beta := -math.Copysign(normx, alpha)
-			v0 := alpha - beta
-			v[k] = 1
-			for i := k + 1; i < m; i++ {
-				v[i] = qr.data[i*qr.stride+k] / v0
-			}
-			tau[k] = (beta - alpha) / beta
-			if tau[k] == 0 {
-				continue
-			}
-			qr.data[k*qr.stride+k] = beta
-			for i := k + 1; i < m; i++ {
-				qr.data[i*qr.stride+k] = v[i]
-			}
-			for j := k + 1; j < k1; j++ {
-				sum := qr.data[k*qr.stride+j]
-				for i := k + 1; i < m; i++ {
-					sum += v[i] * qr.data[i*qr.stride+j]
-				}
-				s := tau[k] * sum
-				qr.data[k*qr.stride+j] -= s
-				for i := k + 1; i < m; i++ {
-					qr.data[i*qr.stride+j] -= s * v[i]
-				}
-			}
+		householderPanel(qr, tau, k0, k1, sums)
+		if k1 < n {
+			wy := newCompactWY(qr, tau, k0, k1)
+			work = wy.apply(qr.Slice(0, m, k1, n), true, mode, work)
 		}
-		if k1 == n {
-			break
-		}
-		// V: the panel's reflectors as a unit lower-trapezoidal matrix.
-		pw := k1 - k0
-		vMat := New(m-k0, pw)
-		for j := 0; j < pw; j++ {
-			vMat.data[j*vMat.stride+j] = 1
-			for i := j + 1; i < m-k0; i++ {
-				vMat.data[i*vMat.stride+j] = qr.data[(k0+i)*qr.stride+k0+j]
-			}
-		}
-		// T: forward accumulation (LAPACK larft) so that
-		// H(k0)···H(k1−1) = I − V·T·Vᵀ with T upper triangular.
-		tMat := New(pw, pw)
-		for j := 0; j < pw; j++ {
-			tj := tau[k0+j]
-			tMat.data[j*tMat.stride+j] = tj
-			if tj == 0 || j == 0 {
-				continue
-			}
-			// w = V(:,0:j)ᵀ · v_j, then T(0:j,j) = −tau_j · T(0:j,0:j) · w.
-			w := make([]float64, j)
-			for i := 0; i < j; i++ {
-				sum := 0.0
-				for r := j; r < m-k0; r++ {
-					sum += vMat.data[r*vMat.stride+i] * vMat.data[r*vMat.stride+j]
-				}
-				w[i] = sum
-			}
-			for i := 0; i < j; i++ {
-				sum := 0.0
-				for k := i; k < j; k++ {
-					sum += tMat.data[i*tMat.stride+k] * w[k]
-				}
-				tMat.data[i*tMat.stride+j] = -tj * sum
-			}
-		}
-		// Trailing update: C ← (I − V·Tᵀ·Vᵀ)·C, i.e. C −= V·(Tᵀ·(Vᵀ·C)).
-		trailing := qr.Slice(k0, m, k1, n)
-		w1 := New(pw, n-k1)
-		w1.AddMulNumerics(1, vMat.T(), trailing, mode)
-		w2 := New(pw, n-k1)
-		w2.AddMulNumerics(1, tMat.T(), w1, mode)
-		trailing.AddMulNumerics(-1, vMat, w2, mode)
 	}
 	return &QR{qr: qr, tau: tau}
+}
+
+// householderPanel factors columns [k0, k1) of qr in place with the
+// unblocked reflector loop (tau arrives zeroed), applying each reflector to
+// the panel's own later columns only. Both sweeps of that application run
+// along rows — all the column dot products at once in sums (length ≥
+// k1−k0−1), then the rank-1 update — which leaves every element's
+// operation order what the column-at-a-time loop's was.
+func householderPanel(qr *Dense, tau []float64, k0, k1 int, sums []float64) {
+	m, s := qr.rows, qr.stride
+	for k := k0; k < k1; k++ {
+		// Build the Householder reflector annihilating qr[k+1:, k].
+		normx := qr.colNorm(k, k)
+		if normx == 0 {
+			continue // tau[k] stays 0: H_k = I
+		}
+		alpha := qr.data[k*s+k]
+		beta := -math.Copysign(normx, alpha)
+		// v = x - beta*e1, normalized so v[0] = 1; then H = I - tau*v*v^T
+		// maps x to beta*e1 for tau = (beta - alpha)/beta. R's diagonal
+		// entry and the reflector below it overwrite the column.
+		v0 := alpha - beta
+		tau[k] = (beta - alpha) / beta
+		qr.data[k*s+k] = beta
+		w := sums[:k1-k-1]
+		copy(w, qr.data[k*s+k+1:k*s+k1])
+		for i := k + 1; i < m; i++ {
+			vi := qr.data[i*s+k] / v0
+			qr.data[i*s+k] = vi
+			for j, x := range qr.data[i*s+k+1 : i*s+k1] {
+				w[j] += vi * x
+			}
+		}
+		for j := range w {
+			w[j] *= tau[k]
+			qr.data[k*s+k+1+j] -= w[j]
+		}
+		for i := k + 1; i < m; i++ {
+			vi := qr.data[i*s+k]
+			row := qr.data[i*s+k+1 : i*s+k1]
+			for j, sj := range w {
+				row[j] -= sj * vi
+			}
+		}
+	}
+}
+
+// colNorm returns ‖m[i0:, j]‖₂ as a scaled two-pass sum of squares: as safe
+// against overflow and underflow as a math.Hypot chain, without its serial
+// square root and division per element. NaN and ±Inf entries propagate.
+func (m *Dense) colNorm(i0, j int) float64 {
+	scale := 0.0
+	for i := i0; i < m.rows; i++ {
+		if a := math.Abs(m.data[i*m.stride+j]); a > scale || a != a {
+			scale = a
+		}
+	}
+	if scale == 0 || math.IsInf(scale, 1) {
+		return scale
+	}
+	sum := 0.0
+	for i := i0; i < m.rows; i++ {
+		x := m.data[i*m.stride+j] / scale
+		sum += x * x
+	}
+	return scale * math.Sqrt(sum)
+}
+
+// compactWY aggregates the reflectors of packed columns [k0, k0+pw) as
+// H(k0)···H(k0+pw−1) = I − V·T·Vᵀ: v is the (m−k0)×pw unit lower trapezoid
+// of reflector vectors and t the upper triangular factor (LAPACK larft);
+// vt and tt are their transposes, kept so that every product of apply is a
+// plain AddMul. A tau_k = 0 reflector becomes a zero column of v and a zero
+// row and column of t — an exact identity whose packed column is never read.
+type compactWY struct {
+	k0           int
+	v, vt, t, tt Dense
+}
+
+// newCompactWY forms the compact-WY factor of packed columns [k0, k1).
+func newCompactWY(packed *Dense, tau []float64, k0, k1 int) compactWY {
+	rows, pw := packed.rows-k0, k1-k0
+	vs, ts := rows*pw, pw*pw
+	buf := make([]float64, 2*(vs+ts))
+	mat := func(r, c, off int) Dense {
+		return Dense{rows: r, cols: c, stride: c, data: buf[off : off+r*c : off+r*c]}
+	}
+	w := compactWY{k0: k0, v: mat(rows, pw, 0), vt: mat(pw, rows, vs), t: mat(pw, pw, 2*vs), tt: mat(pw, pw, 2*vs+ts)}
+	for i := 0; i < rows; i++ {
+		vrow := w.v.data[i*pw : (i+1)*pw]
+		copy(vrow[:min(i, pw)], packed.data[(k0+i)*packed.stride+k0:])
+		if i < pw {
+			vrow[i] = 1
+		}
+		for j, x := range vrow {
+			if tau[k0+j] == 0 {
+				x, vrow[j] = 0, 0
+			}
+			w.vt.data[j*rows+i] = x
+		}
+	}
+	// T by forward accumulation: T(j,j) = tau_j and
+	// T(0:j, j) = −tau_j · T(0:j, 0:j) · (Vᵀ·V)(0:j, j). The Gram matrix
+	// comes from one GEMM into tt, which T's transpose then overwrites.
+	w.tt.addMulDispatch(1, &w.vt, &w.v)
+	for j := 0; j < pw; j++ {
+		tj := tau[k0+j]
+		if tj == 0 {
+			continue
+		}
+		w.t.data[j*pw+j] = tj
+		for i := 0; i < j; i++ {
+			sum := 0.0
+			for k := i; k < j; k++ {
+				sum += w.t.data[i*pw+k] * w.tt.data[k*pw+j]
+			}
+			w.t.data[i*pw+j] = -tj * sum
+		}
+	}
+	for i := 0; i < pw; i++ {
+		for j := 0; j < pw; j++ {
+			w.tt.data[i*pw+j] = w.t.data[j*pw+i]
+		}
+	}
+	return w
+}
+
+// apply overwrites b (m rows) with (I − V·T·Vᵀ)·b, or with the transposed
+// factor (I − V·Tᵀ·Vᵀ)·b: b −= V·(T·(Vᵀ·b)) as three AddMuls under mode.
+// work is scratch, returned (possibly grown) for reuse.
+func (w *compactWY) apply(b *Dense, transposed bool, mode Numerics, work []float64) []float64 {
+	pw, nc := w.v.cols, b.cols
+	work = ensure(work, 2*pw*nc)
+	clear(work)
+	w1 := Dense{rows: pw, cols: nc, stride: nc, data: work[:pw*nc]}
+	w2 := Dense{rows: pw, cols: nc, stride: nc, data: work[pw*nc:]}
+	bv := Dense{rows: b.rows - w.k0, cols: nc, stride: b.stride, data: b.data[w.k0*b.stride:]}
+	t := &w.t
+	if transposed {
+		t = &w.tt
+	}
+	w1.addMulDispatchMode(1, &w.vt, &bv, mode)
+	w2.addMulDispatchMode(1, t, &w1, mode)
+	bv.addMulDispatchMode(-1, &w.v, &w2, mode)
+	return work
+}
+
+// qrWorkPool recycles apply's scratch so a steady-state QTMul allocates
+// nothing.
+var qrWorkPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// applyQ overwrites b with Qᵀ·b (transposed) or Q·b: the compact-WY chunks
+// in column order for Qᵀ = ⋯H_1·H_0, in reverse for Q. Every product is a
+// Strict AddMul, so by gemm.go's determinism contract the result is a pure
+// function of the operand values — not of b's stride or width, nor of how
+// the products are blocked.
+func (f *QR) applyQ(b *Dense, transposed bool) {
+	if b.rows != f.qr.rows {
+		panic(fmt.Sprintf("matrix: applying a %d-row Q to a %d×%d matrix", f.qr.rows, b.rows, b.cols))
+	}
+	if b.cols == 0 {
+		return
+	}
+	f.wyOnce.Do(func() {
+		for k0 := 0; k0 < f.qr.cols; k0 += qrChunk {
+			f.wy = append(f.wy, newCompactWY(f.qr, f.tau, k0, min(k0+qrChunk, f.qr.cols)))
+		}
+	})
+	work := qrWorkPool.Get().(*[]float64)
+	for i := range f.wy {
+		if !transposed {
+			i = len(f.wy) - 1 - i
+		}
+		*work = f.wy[i].apply(b, transposed, Strict, *work)
+	}
+	qrWorkPool.Put(work)
 }
 
 // QRFromPacked reconstitutes a factorization from its packed
 // representation and tau scalings, as produced by Packed and Tau — e.g. on
 // a remote rank that received them as messages. The inputs are adopted
-// without copying; applying the result (QTMul, Q, R) runs the identical
-// code path as the originating factorization, bit for bit.
+// without copying and must not change afterwards. The compact-WY form is
+// re-derived from them on first use, so applying the result (QTMul, QMul)
+// gives what the originating factorization gives, bit for bit.
 func QRFromPacked(packed *Dense, tau []float64) *QR {
 	if len(tau) != packed.cols {
 		panic(fmt.Sprintf("matrix: %d tau scalings for a %d-column packed QR", len(tau), packed.cols))
@@ -224,52 +285,18 @@ func (f *QR) R() *Dense {
 
 // Q returns the full m×m orthogonal factor as a new matrix.
 func (f *QR) Q() *Dense {
-	m, n := f.qr.rows, f.qr.cols
-	q := Identity(m)
-	// Accumulate Q = H_0 H_1 ... H_{n-1} by applying reflectors in reverse.
-	for k := n - 1; k >= 0; k-- {
-		if f.tau[k] == 0 {
-			continue
-		}
-		for j := 0; j < m; j++ {
-			// w = v^T * q[:, j], with v = [0..0, 1, qr[k+1:, k]].
-			sum := q.data[k*q.stride+j]
-			for i := k + 1; i < m; i++ {
-				sum += f.qr.data[i*f.qr.stride+k] * q.data[i*q.stride+j]
-			}
-			s := f.tau[k] * sum
-			q.data[k*q.stride+j] -= s
-			for i := k + 1; i < m; i++ {
-				q.data[i*q.stride+j] -= s * f.qr.data[i*f.qr.stride+k]
-			}
-		}
-	}
+	q := Identity(f.qr.rows)
+	f.QMul(q)
 	return q
 }
 
-// QTMul overwrites b with Q^T * b. b must have m rows.
-func (f *QR) QTMul(b *Dense) {
-	m, n := f.qr.rows, f.qr.cols
-	if b.rows != m {
-		panic(fmt.Sprintf("matrix: QTMul with %d×%d rhs for %d-row Q", b.rows, b.cols, m))
-	}
-	for k := 0; k < n; k++ {
-		if f.tau[k] == 0 {
-			continue
-		}
-		for j := 0; j < b.cols; j++ {
-			sum := b.data[k*b.stride+j]
-			for i := k + 1; i < m; i++ {
-				sum += f.qr.data[i*f.qr.stride+k] * b.data[i*b.stride+j]
-			}
-			s := f.tau[k] * sum
-			b.data[k*b.stride+j] -= s
-			for i := k + 1; i < m; i++ {
-				b.data[i*b.stride+j] -= s * f.qr.data[i*f.qr.stride+k]
-			}
-		}
-	}
-}
+// QTMul overwrites b with Qᵀ·b. b must have m rows. Safe for concurrent
+// use on one QR; a steady-state call allocates nothing.
+func (f *QR) QTMul(b *Dense) { f.applyQ(b, true) }
+
+// QMul overwrites b with Q·b. b must have m rows. Safe for concurrent use
+// on one QR, like QTMul.
+func (f *QR) QMul(b *Dense) { f.applyQ(b, false) }
 
 // SolveLeastSquares solves min ||A*x - b||_2 via the factorization,
 // returning the n×nrhs solution. Requires a full-rank R (ErrSingular

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -180,5 +181,212 @@ func TestBlockedQRZeroColumn(t *testing.T) {
 	f := FactorQRBlocked(a, 4)
 	if !Mul(f.Q(), f.R()).EqualApprox(a, 1e-9) {
 		t.Fatal("Q·R != A with a zero column")
+	}
+}
+
+// qrApplies names the two directions of the one reflector apply.
+var qrApplies = map[string]func(*QR, *Dense){"QTMul": (*QR).QTMul, "QMul": (*QR).QMul}
+
+// bothTiles runs body under the CPU's register tile and under the forced
+// pure-Go tile, as ordinary subtests: the path CPUs without AVX take is
+// covered wherever the suite runs.
+func bothTiles(t *testing.T, body func(t *testing.T)) {
+	t.Run("cpu tile", body)
+	t.Run("go tile", func(t *testing.T) {
+		forceGoTile(t)
+		body(t)
+	})
+}
+
+// The engine applies a panel's Qᵀ to gathered slabs, the serial replay to
+// strided views of the whole matrix, a slab master to all of its block
+// columns at once: they agree bit for bit only because QTMul/QMul are
+// functions of the operand values — not of stride, width or blocking.
+func TestQRApplyIsLayoutInvariant(t *testing.T) {
+	bothTiles(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		for it := 0; it < 60; it++ {
+			n, nc := 1+rng.Intn(40), 1+rng.Intn(70)
+			m := n + rng.Intn(90)
+			if m%4 == 0 {
+				m++
+			}
+			f := FactorQR(Random(m, n, rng))
+			// The same factorization re-derived, as on a remote rank, from a
+			// strided copy of its packed form.
+			packed := randomOperand(rng, m, n, true, false)
+			packed.CopyFrom(f.Packed())
+			remote := QRFromPacked(packed, append([]float64(nil), f.Tau()...))
+			b := Random(m, nc, rng)
+			for name, mul := range qrApplies {
+				want := b.Clone()
+				mul(f, want)
+				view := randomOperand(rng, m, nc, true, false)
+				view.CopyFrom(b)
+				mul(remote, view)
+				if !view.Equal(want) {
+					t.Fatalf("it=%d %s m=%d n=%d nc=%d: strided view differs from contiguous copy", it, name, m, n, nc)
+				}
+				split, c := b.Clone(), rng.Intn(nc+1)
+				mul(f, split.Slice(0, m, 0, c))
+				mul(f, split.Slice(0, m, c, nc))
+				if !split.Equal(want) {
+					t.Fatalf("it=%d %s m=%d n=%d nc=%d: columns 0:%d then %d: differ from all at once", it, name, m, n, nc, c, c)
+				}
+			}
+		}
+	})
+}
+
+// A blocked right-looking QR run the replay's way (views of one matrix, one
+// wide apply per step) and the engine's way (panel and trailing columns
+// gathered into slabs, the factorization re-derived from packed + tau, the
+// columns applied in two groups) at a block size that reaches the packed
+// kernel: same bits.
+func TestBlockedQRReplayAndSlabOrdersAgree(t *testing.T) {
+	bothTiles(t, func(t *testing.T) {
+		const nb, r = 5, 16
+		n := nb * r
+		rng := rand.New(rand.NewSource(32))
+		a := Random(n, n, rng)
+		replay, slabs := a.Clone(), a.Clone()
+		for k := 0; k < nb; k++ {
+			panel := replay.Slice(k*r, n, k*r, (k+1)*r)
+			f := FactorQR(panel)
+			panel.CopyFrom(f.Packed())
+			f.QTMul(replay.Slice(k*r, n, (k+1)*r, n))
+
+			panel = slabs.Slice(k*r, n, k*r, (k+1)*r)
+			g := FactorQR(panel.Clone())
+			panel.CopyFrom(g.Packed())
+			remote := QRFromPacked(g.Packed().Clone(), append([]float64(nil), g.Tau()...))
+			for _, cols := range [][2]int{{k + 1, (k + 1 + nb) / 2}, {(k + 1 + nb) / 2, nb}} {
+				trailing := slabs.Slice(k*r, n, cols[0]*r, cols[1]*r)
+				slab := trailing.Clone()
+				remote.QTMul(slab)
+				trailing.CopyFrom(slab)
+			}
+		}
+		if !slabs.Equal(replay) {
+			t.Fatal("slab order differs from replay order")
+		}
+	})
+}
+
+// A zero column gives tau_k = 0, and that reflector must be an exact
+// identity: its packed column is never read (NaNs planted there stay out of
+// the result), and a factorization with no other reflector leaves b alone.
+func TestQRZeroTauIsExactIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	const m, n, zero = 40, 9, 3
+	a := Random(m, n, rng)
+	for i := 0; i < m; i++ {
+		a.Set(i, zero, 0)
+	}
+	f := FactorQR(a) // earlier reflectors map the zero column to itself, exactly
+	if f.Tau()[zero] != 0 {
+		t.Fatalf("tau[%d] = %v for a zero column", zero, f.Tau()[zero])
+	}
+	poisoned := f.Packed().Clone()
+	for i := zero + 1; i < m; i++ {
+		poisoned.Set(i, zero, math.NaN())
+	}
+	g := QRFromPacked(poisoned, f.Tau())
+	b := Random(m, 21, rng)
+	for name, mul := range qrApplies {
+		want, got := b.Clone(), b.Clone()
+		mul(f, want)
+		mul(g, got)
+		if !got.Equal(want) {
+			t.Fatalf("%s read the packed column of a tau = 0 reflector", name)
+		}
+	}
+	none := FactorQR(New(m, n))
+	got := b.Clone()
+	none.QTMul(got)
+	none.QMul(got)
+	if !bitIdentical(got, b) {
+		t.Fatal("a factorization with every tau = 0 changed b")
+	}
+}
+
+// The compact-WY apply against the retained reflector-at-a-time reference,
+// and the factorization it belongs to against the usual residuals.
+func TestQRApplyMatchesReference(t *testing.T) {
+	const eps = 1.0 / (1 << 52)
+	rng := rand.New(rand.NewSource(34))
+	for _, dims := range [][3]int{{7, 7, 3}, {33, 20, 9}, {80, 50, 70}, {200, 32, 32}, {577, 32, 40}} {
+		m, n, nc := dims[0], dims[1], dims[2]
+		a := Random(m, n, rng)
+		f := FactorQR(a)
+		if want := factorQRAlt(a, (*Dense).colNorm, false); !f.qr.Equal(want.qr) {
+			t.Fatalf("%d×%d: sweeping the panel along rows changed bits", m, n)
+		}
+		old := factorQRAlt(a, hypotNorm, false)
+		if tol := 4 * float64(m) * eps * a.MaxAbs(); !f.qr.EqualApprox(old.qr, tol) {
+			t.Fatalf("%d×%d: two-pass norm moved the factors by more than %g", m, n, tol)
+		}
+		b := Random(m, nc, rng)
+		want, got := b.Clone(), b.Clone()
+		qtmulColumns(f, want)
+		f.QTMul(got)
+		tol := 4 * float64(m) * eps * b.MaxAbs()
+		if !got.EqualApprox(want, tol) {
+			t.Fatalf("%d×%d, nc=%d: QTMul off the reference by %g > %g", m, n, nc, Sub(got, want).MaxAbs(), tol)
+		}
+		f.QMul(got)
+		if !got.EqualApprox(b, tol) {
+			t.Fatalf("%d×%d, nc=%d: Q·(Qᵀ·b) off b by %g > %g", m, n, nc, Sub(got, b).MaxAbs(), tol)
+		}
+		q := f.Q()
+		if res := Sub(Mul(q.T(), q), Identity(m)).FrobeniusNorm(); res > 4*float64(m)*eps {
+			t.Fatalf("%d×%d: ‖QᵀQ − I‖ = %g", m, n, res)
+		}
+		if res := Sub(Mul(q, f.R()), a).FrobeniusNorm(); res > 4*float64(m)*eps*a.MaxAbs() {
+			t.Fatalf("%d×%d: ‖A − QR‖ = %g", m, n, res)
+		}
+	}
+}
+
+func TestQTMulSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	rng := rand.New(rand.NewSource(35))
+	f := FactorQR(Random(96, 40, rng))
+	b := Random(96, 24, rng)
+	f.QTMul(b) // forms T, sizes the pooled workspace
+	if allocs := testing.AllocsPerRun(100, func() { f.QTMul(b) }); allocs != 0 {
+		t.Fatalf("steady-state QTMul allocates %v times per call", allocs)
+	}
+}
+
+// Many goroutines race to be the first apply on one shared factorization:
+// the compact-WY form must be built once and every result must be the one a
+// lone caller gets. Run under -race.
+func TestQTMulConcurrentOnSharedQR(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	const m, n, nc = 120, 40, 17
+	a, b := Random(m, n, rng), Random(m, nc, rng)
+	want := b.Clone()
+	FactorQR(a).QTMul(want)
+	for round := 0; round < 8; round++ {
+		f := FactorQR(a)
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for it := 0; it < 4; it++ {
+					got := b.Clone()
+					f.QTMul(got)
+					if !got.Equal(want) {
+						t.Error("concurrent QTMul differs from a lone one")
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
