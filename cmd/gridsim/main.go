@@ -60,7 +60,7 @@ func main() {
 		faultRecover = flag.Bool("faultrecover", false, "recover from rank failures: replan the survivors and resume from the last checkpoint")
 		ckptEvery    = flag.Int("ckpt", 1, "checkpoint the working matrix every so many kernel steps (with -faultrecover)")
 		driftFlag    = flag.Bool("drift", false, "rebalance -real runs online under load drift: watch busy-time gauges, and when sustained drift beats the migration cost, checkpoint, replan and resume mid-kernel")
-		driftPolicy  = flag.String("driftpolicy", "", "drift policy knobs as key=value,... (window, alpha, threshold, patience, cooldown, hysteresis, max); empty selects the documented defaults")
+		driftPolicy  = flag.String("driftpolicy", "", "drift policy knobs as key=value,... (window, alpha, threshold, patience, hysteresis, max); empty selects the documented defaults")
 	)
 	flag.Parse()
 

@@ -180,10 +180,6 @@ func pingPong(fabs []*enginenet.Fabric, reps int) ([]hetgrid.CommSample, error) 
 // the fitted parameters. Completion is detected by a 1×1 ack from every
 // receiver, which costs three extra small messages at the root.
 func broadcastRounds(fabs []*enginenet.Fabric, reps int, alpha, beta float64) ([]bcastRow, error) {
-	d, err := hetgrid.Uniform(2, 2, 4, 4)
-	if err != nil {
-		return nil, err
-	}
 	const floats = 1 << 13 // 64 KiB payload, squarely in the linear regime
 	payload := matrix.New(floats, 1)
 	bytes := 8 * floats
@@ -205,7 +201,7 @@ func broadcastRounds(fabs []*enginenet.Fabric, reps int, alpha, beta float64) ([
 		name := k.pub.String()
 		best := 0.0
 		body := func(c *engine.Comm) error {
-			co := engine.NewCollectivesKind(c, d, k.sim)
+			co := engine.NewCollectivesKind(c, k.sim)
 			for rep := -1; rep < reps; rep++ {
 				tag := fmt.Sprintf("cal/bc/%s/%d", name, rep)
 				var data *matrix.Dense

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	paperfigs                 # everything, into ./out
+//	paperfigs                 # everything, into ./out (byte for byte what is committed there)
 //	paperfigs -only fig6      # one artifact
 //	paperfigs -trials 500     # heavier averaging for Figures 6-8
 package main
@@ -14,6 +14,8 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"hetgrid"
 	"hetgrid/internal/core"
@@ -23,62 +25,78 @@ import (
 	"hetgrid/internal/sim"
 )
 
+// options are the knobs of a run; defaults reproduces the committed out/.
+type options struct {
+	only    string
+	trials  int
+	maxN    int
+	seed    int64
+	workers int
+}
+
+var defaults = options{trials: 300, maxN: 8, seed: 20000501}
+
+// artefacts lists what paperfigs regenerates, in the order a full run
+// writes them. -only accepts a name or an alias.
+var artefacts = []struct {
+	name    string
+	aliases []string
+	run     func(outDir string, o options) error
+}{
+	{"fig1", nil, fig1},
+	{"fig3", nil, fig3},
+	{"fig4", nil, fig4},
+	{"example", nil, workedExample},
+	{"exact", nil, exactTable},
+	{"mm-lu", nil, simTable},
+	{"shapes", nil, shapeTable},
+	{"ablation", nil, ablationTables},
+	{"1dlu", nil, oneDimLUTable},
+	{"fig6", []string{"fig7", "fig8"}, sweepFigs},
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperfigs: ")
-	var (
-		outDir  = flag.String("out", "out", "output directory for CSV files")
-		only    = flag.String("only", "", "regenerate one artifact: fig1, fig3, fig4, fig6, fig7, fig8, example, exact, mm-lu, shapes, ablation")
-		trials  = flag.Int("trials", 200, "random trials per grid size for Figures 6-8")
-		maxN    = flag.Int("maxn", 8, "largest n for the n×n sweeps of Figures 6-8")
-		seed    = flag.Int64("seed", 20000501, "random seed (defaults to the IPPS 2000 date)")
-		workers = flag.Int("workers", 0, "worker goroutines for the exact solver (0 = GOMAXPROCS; output is identical for any count)")
-	)
+	var names []string
+	for _, a := range artefacts {
+		names = append(append(names, a.name), a.aliases...)
+	}
+	o := defaults
+	outDir := flag.String("out", "out", "output directory for CSV files")
+	flag.StringVar(&o.only, "only", o.only, "regenerate one artifact: "+strings.Join(names, ", "))
+	flag.IntVar(&o.trials, "trials", o.trials, "random trials per grid size for Figures 6-8")
+	flag.IntVar(&o.maxN, "maxn", o.maxN, "largest n for the n×n sweeps of Figures 6-8")
+	flag.Int64Var(&o.seed, "seed", o.seed, "random seed (defaults to the IPPS 2000 date)")
+	flag.IntVar(&o.workers, "workers", o.workers, "worker goroutines for the exact solver (0 = GOMAXPROCS; output is identical for any count)")
 	flag.Parse()
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	if err := run(*outDir, o); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	artifacts := map[string]func() error{
-		"fig1":     func() error { return fig1(*outDir) },
-		"fig3":     func() error { return fig3(*outDir) },
-		"fig4":     func() error { return fig4(*outDir) },
-		"fig6":     nil, // handled jointly with fig7/fig8 below
-		"example":  func() error { return workedExample(*outDir) },
-		"exact":    func() error { return exactTable(*outDir, *seed, *workers) },
-		"mm-lu":    func() error { return simTable(*outDir) },
-		"shapes":   func() error { return shapeTable(*outDir, *seed) },
-		"ablation": func() error { return ablationTables(*outDir) },
-		"1dlu":     func() error { return oneDimLUTable(*outDir) },
+// run regenerates o.only, or every artefact when it is empty, into outDir.
+func run(outDir string, o options) error {
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
 	}
-	runSweep := func() error { return sweepFigs(*outDir, *maxN, *trials, *seed) }
-
-	if *only != "" {
-		switch *only {
-		case "fig6", "fig7", "fig8":
-			if err := runSweep(); err != nil {
-				log.Fatal(err)
-			}
-		default:
-			fn, ok := artifacts[*only]
-			if !ok || fn == nil {
-				log.Fatalf("unknown artifact %q", *only)
-			}
-			if err := fn(); err != nil {
-				log.Fatal(err)
-			}
+	found := false
+	for _, a := range artefacts {
+		if o.only != "" && o.only != a.name && !slices.Contains(a.aliases, o.only) {
+			continue
 		}
-		return
-	}
-	for _, name := range []string{"fig1", "fig3", "fig4", "example", "exact", "mm-lu", "shapes", "ablation", "1dlu"} {
-		if err := artifacts[name](); err != nil {
-			log.Fatalf("%s: %v", name, err)
+		found = true
+		if err := a.run(outDir, o); err != nil {
+			return fmt.Errorf("%s: %w", a.name, err)
 		}
 	}
-	if err := runSweep(); err != nil {
-		log.Fatal(err)
+	if !found {
+		return fmt.Errorf("unknown artifact %q", o.only)
 	}
-	fmt.Printf("\nall artifacts written to %s/\n", *outDir)
+	if o.only == "" {
+		fmt.Printf("\nall artifacts written to %s/\n", outDir)
+	}
+	return nil
 }
 
 func writeFile(dir, name, content string) error {
@@ -92,7 +110,7 @@ func writeFile(dir, name, content string) error {
 
 // fig1 reproduces Figures 1–2: the rank-1 grid [[1,2],[3,6]] with a 4×3
 // panel, perfectly balanced, tiled over a 10×10 block matrix.
-func fig1(outDir string) error {
+func fig1(outDir string, _ options) error {
 	fmt.Println("== Figure 1/2: perfect balance on the rank-1 grid [[1,2],[3,6]] ==")
 	plan, _, err := hetgrid.SolvePlan(hetgrid.PlanRequest{Times: []float64{1, 2, 3, 6}, P: 2, Q: 2})
 	if err != nil {
@@ -114,7 +132,7 @@ func fig1(outDir string) error {
 
 // fig3 reproduces Figure 3: the Kalinov–Lastovetsky distribution on
 // [[1,2],[3,5]] with its 40:21 column split and broken grid pattern.
-func fig3(outDir string) error {
+func fig3(outDir string, _ options) error {
 	fmt.Println("== Figure 3: Kalinov–Lastovetsky distribution on [[1,2],[3,5]] ==")
 	arr := grid.MustNew([][]float64{{1, 2}, {3, 5}})
 	d, err := distribution.NewKL(arr, 28, 61)
@@ -135,7 +153,7 @@ func fig3(outDir string) error {
 
 // fig4 reproduces Figure 4: the 8×6 LU panel on [[1,2],[3,5]] with its
 // ABAABA column interleaving.
-func fig4(outDir string) error {
+func fig4(outDir string, _ options) error {
 	fmt.Println("== Figure 4: LU panel (Bp=8, Bq=6) on [[1,2],[3,5]] ==")
 	plan, _, err := hetgrid.SolvePlan(hetgrid.PlanRequest{
 		Times: []float64{1, 2, 3, 5}, P: 2, Q: 2, Strategy: hetgrid.PlanExact,
@@ -163,7 +181,7 @@ func fig4(outDir string) error {
 }
 
 // workedExample reproduces the §4.4.2–4.4.3 numbers.
-func workedExample(outDir string) error {
+func workedExample(outDir string, _ options) error {
 	fmt.Println("== §4.4 worked example: T = [[1,2,3],[4,5,6],[7,8,9]] ==")
 	res, err := core.SolveHeuristic([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 3, 3, core.HeuristicOptions{})
 	if err != nil {
@@ -189,13 +207,13 @@ func workedExample(outDir string) error {
 }
 
 // sweepFigs regenerates Figures 6, 7 and 8.
-func sweepFigs(outDir string, maxN, trials int, seed int64) error {
-	fmt.Printf("== Figures 6-8: heuristic sweep, n = 2..%d, %d trials ==\n", maxN, trials)
-	sizes := make([]int, 0, maxN-1)
-	for n := 2; n <= maxN; n++ {
+func sweepFigs(outDir string, o options) error {
+	fmt.Printf("== Figures 6-8: heuristic sweep, n = 2..%d, %d trials ==\n", o.maxN, o.trials)
+	var sizes []int
+	for n := 2; n <= o.maxN; n++ {
 		sizes = append(sizes, n)
 	}
-	sweep, err := experiments.RunHeuristicSweep(sizes, trials, seed)
+	sweep, err := experiments.RunHeuristicSweep(sizes, o.trials, o.seed)
 	if err != nil {
 		return err
 	}
@@ -212,10 +230,10 @@ func sweepFigs(outDir string, maxN, trials int, seed int64) error {
 
 // shapeTable runs the 1D-vs-2D grid shape comparison (§2.2's scalability
 // argument for configuring the HNOW as a 2D grid).
-func shapeTable(outDir string, seed int64) error {
+func shapeTable(outDir string, o options) error {
 	fmt.Println("== grid shapes: 1D vs 2D for 16 processors (simulated MM) ==")
 	cmp, err := experiments.RunShapeComparison(16, 32,
-		sim.Config{Latency: 0.5, ByteTime: 1e-5, SharedBus: true}, 8*32*32, seed)
+		sim.Config{Latency: 0.5, ByteTime: 1e-5, SharedBus: true}, 8*32*32, o.seed)
 	if err != nil {
 		return err
 	}
@@ -227,7 +245,7 @@ func shapeTable(outDir string, seed int64) error {
 
 // ablationTables runs the design-choice ablations: panel size and block
 // granularity.
-func ablationTables(outDir string) error {
+func ablationTables(outDir string, _ options) error {
 	fmt.Println("== ablation: panel size (2×2 grid, cycle-times 1,2,3,5) ==")
 	net := sim.Config{Latency: 0.05, ByteTime: 1e-5}
 	pa, err := experiments.RunPanelAblation([]float64{1, 2, 3, 5}, 2, 2, 24, 8, 8, net, 8*32*32)
@@ -253,7 +271,7 @@ func ablationTables(outDir string) error {
 
 // oneDimLUTable reproduces the companion papers' 1D LU column-allocation
 // comparison (references [5, 6] of the paper).
-func oneDimLUTable(outDir string) error {
+func oneDimLUTable(outDir string, _ options) error {
 	fmt.Println("== 1D heterogeneous LU (companion papers [5,6]) ==")
 	cmp, err := experiments.RunOneDimLUComparison([]float64{1, 2, 3, 5}, 32,
 		sim.Config{Latency: 0.01, ByteTime: 1e-6}, 4096)
@@ -267,11 +285,11 @@ func oneDimLUTable(outDir string) error {
 
 // exactTable compares the heuristic against the exact solver on small
 // grids (enabled by the §4.3.1 spanning-tree method).
-func exactTable(outDir string, seed int64, workers int) error {
+func exactTable(outDir string, o options) error {
 	fmt.Println("== heuristic vs exact (spanning-tree solver) ==")
 	var csv string
 	for _, dims := range [][2]int{{2, 2}, {2, 3}, {3, 3}} {
-		cmp, err := experiments.RunExactComparisonOpt(dims[0], dims[1], 25, seed, workers)
+		cmp, err := experiments.RunExactComparison(dims[0], dims[1], 25, o.seed, o.workers)
 		if err != nil {
 			return err
 		}
@@ -283,7 +301,7 @@ func exactTable(outDir string, seed int64, workers int) error {
 }
 
 // simTable runs the simulated MM and LU comparison of distributions.
-func simTable(outDir string) error {
+func simTable(outDir string, _ options) error {
 	fmt.Println("== simulated MM and LU on a heterogeneous NOW ==")
 	cfg := experiments.DefaultSimConfig()
 	cmp, err := experiments.RunSimComparison(cfg)

@@ -71,12 +71,12 @@ func (b BroadcastKind) kind(def sim.BroadcastKind) (sim.BroadcastKind, error) {
 	}
 }
 
-// ExecOptions configures a real distributed execution.
+// execOptions configures a real distributed execution.
 //
 // The Distributed* entry points take functional options (WithBroadcast,
 // WithTrace, WithParallelism, WithFaults, …), each of which sets one field
 // of this struct.
-type ExecOptions struct {
+type execOptions struct {
 	// Broadcast selects the collective algorithm; BroadcastAuto is the flat
 	// broadcast, whose message counts match the analytic volumes.
 	Broadcast BroadcastKind
@@ -184,7 +184,7 @@ type ExecStats struct {
 // where rank 0 is hosted; the engine rejects a matrix that does not tile
 // into the distribution's block grid there and aborts the world.
 func runDistributed(d Distribution, kern Kernel, blockSize int, inputs []*Matrix,
-	opts ExecOptions) (*Matrix, [][]float64, *ExecStats, error) {
+	opts execOptions) (*Matrix, [][]float64, *ExecStats, error) {
 
 	pk, err := CanonicalKernel(kern)
 	if err != nil {
@@ -240,7 +240,7 @@ func runDistributed(d Distribution, kern Kernel, blockSize int, inputs []*Matrix
 // max/mean imbalance — the paper's Obj1 as achieved, not predicted. With a
 // metrics registry attached, the imbalance and per-rank busy gauges are
 // published for scraping.
-func execStats(w *engine.World, opts ExecOptions) *ExecStats {
+func execStats(w *engine.World, opts execOptions) *ExecStats {
 	stats := &ExecStats{
 		Messages: w.Messages(),
 		Bytes:    w.Bytes(),

@@ -36,9 +36,6 @@ type DriftPolicy struct {
 	// Patience is the number of consecutive hot windows required before a
 	// migration is evaluated (default 2); transient spikes reset the count.
 	Patience int
-	// CoolDown is the number of windows the detector stays quiet after a
-	// migration (default 2).
-	CoolDown int
 	// Hysteresis is the minimum stay/move cost ratio required to migrate
 	// (default 1.2 — a 20% projected saving).
 	Hysteresis float64
@@ -63,7 +60,6 @@ func (p DriftPolicy) detectorPolicy() adapt.DriftPolicy {
 		Alpha:         p.Alpha,
 		Threshold:     p.Threshold,
 		Patience:      p.Patience,
-		CoolDown:      p.CoolDown,
 		Hysteresis:    p.Hysteresis,
 		MaxMigrations: p.MaxMigrations,
 	}.WithDefaults()
@@ -108,13 +104,13 @@ func (p *DriftPolicy) apply(s *run.State, o *run.Options) error {
 // key=value,... form ParseDriftPolicy accepts (Times and Net are
 // programmatic and not part of the flag syntax).
 func (p DriftPolicy) String() string {
-	return fmt.Sprintf("window=%d,alpha=%g,threshold=%g,patience=%d,cooldown=%d,hysteresis=%g,max=%d",
-		p.Window, p.Alpha, p.Threshold, p.Patience, p.CoolDown, p.Hysteresis, p.MaxMigrations)
+	return fmt.Sprintf("window=%d,alpha=%g,threshold=%g,patience=%d,hysteresis=%g,max=%d",
+		p.Window, p.Alpha, p.Threshold, p.Patience, p.Hysteresis, p.MaxMigrations)
 }
 
 // ParseDriftPolicy parses a drift policy from the comma-separated
 // key=value form used by gridsim -driftpolicy: e.g.
-// "window=4,alpha=0.5,threshold=0.25,patience=2,cooldown=2,hysteresis=1.2,max=2".
+// "window=4,alpha=0.5,threshold=0.25,patience=2,hysteresis=1.2,max=2".
 // Keys may appear in any order and be omitted (omitted knobs keep their
 // zero value, i.e. the documented default); the empty string is the
 // all-defaults policy. For every valid policy p,
@@ -124,7 +120,7 @@ func ParseDriftPolicy(s string) (DriftPolicy, error) {
 	if strings.TrimSpace(s) == "" {
 		return p, nil
 	}
-	ints := map[string]*int{"window": &p.Window, "patience": &p.Patience, "cooldown": &p.CoolDown, "max": &p.MaxMigrations}
+	ints := map[string]*int{"window": &p.Window, "patience": &p.Patience, "max": &p.MaxMigrations}
 	floats := map[string]*float64{"alpha": &p.Alpha, "threshold": &p.Threshold, "hysteresis": &p.Hysteresis}
 	for _, part := range strings.Split(s, ",") {
 		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
@@ -149,7 +145,7 @@ func ParseDriftPolicy(s string) (DriftPolicy, error) {
 			}
 			*dst = f
 		} else {
-			return DriftPolicy{}, fmt.Errorf("hetgrid: unknown drift policy key %q (want window, alpha, threshold, patience, cooldown, hysteresis or max)", key)
+			return DriftPolicy{}, fmt.Errorf("hetgrid: unknown drift policy key %q (want window, alpha, threshold, patience, hysteresis or max)", key)
 		}
 	}
 	return p, nil

@@ -64,7 +64,11 @@ func (tr *driftTrace) decisions(t *testing.T) []string {
 				dec.Redistribute, dec.MovedBlocks, dec.StayCost, dec.MoveCost)
 			if dec.Redistribute {
 				line += " dist=" + fmt.Sprint(ownerMap(dec.NewDist))
-				det.Rebase(det.EstimatedTimes())
+				// The migrated attempt restarts the detector on the
+				// estimates, as run.newWatch does on State.Times.
+				if det, err = adapt.NewDetector(det.EstimatedTimes(), tr.pol.detectorPolicy()); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		out = append(out, line)

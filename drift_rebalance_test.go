@@ -18,7 +18,6 @@ func driftTestPolicy(times []float64) DriftPolicy {
 		Alpha:         1,
 		Threshold:     0.5,
 		Patience:      1,
-		CoolDown:      1,
 		Hysteresis:    1.01,
 		MaxMigrations: 1,
 		Times:         times,
@@ -272,7 +271,7 @@ func TestDriftRejectsBadTimes(t *testing.T) {
 func TestParseDriftPolicyRoundTrip(t *testing.T) {
 	policies := []DriftPolicy{
 		{},
-		{Window: 4, Alpha: 0.5, Threshold: 0.25, Patience: 2, CoolDown: 2, Hysteresis: 1.2, MaxMigrations: 2},
+		{Window: 4, Alpha: 0.5, Threshold: 0.25, Patience: 2, Hysteresis: 1.2, MaxMigrations: 2},
 		{Window: 1, Alpha: 1, Threshold: 0.01, Hysteresis: 1.001, MaxMigrations: 7},
 	}
 	for _, p := range policies {
@@ -288,8 +287,9 @@ func TestParseDriftPolicyRoundTrip(t *testing.T) {
 	if err != nil || got.Window != 8 || got.MaxMigrations != 1 {
 		t.Fatalf("padded form: %+v, %v", got, err)
 	}
+	// cooldown was a key until the knob it set was found inert and deleted.
 	for _, bad := range []string{"window", "window=", "window=-1", "alpha=1.5", "alpha=x",
-		"threshold=NaN", "bogus=1", "=4", "window=4,,max=1"} {
+		"threshold=NaN", "bogus=1", "cooldown=2", "=4", "window=4,,max=1"} {
 		if _, err := ParseDriftPolicy(bad); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}

@@ -123,9 +123,9 @@ func planFromResult(res *plan.Result) *Plan {
 // objective and provenance, stable under JSON round-trips.
 func (p *Plan) Canonical() *CanonicalPlan { return p.canon }
 
-// BalanceOptions tunes how Balance and BalanceArrangement solve the
+// balanceOptions tunes how Balance and BalanceArrangement solve the
 // load-balancing problem. The zero value selects the defaults.
-type BalanceOptions struct {
+type balanceOptions struct {
 	// Workers is the number of worker goroutines the exact strategy uses
 	// for its branch-and-bound search (0 selects GOMAXPROCS, 1 forces the
 	// serial path). The result is bit-identical for every worker count.
@@ -340,7 +340,7 @@ type SimOptions struct {
 	// Broadcast selects the collective algorithm the simulated kernels
 	// schedule; BroadcastAuto keeps the simulator's historical default, the
 	// ring broadcast. The same enum drives real executions through
-	// ExecOptions, so both substrates can run the identical schedule.
+	// WithBroadcast, so both substrates can run the identical schedule.
 	Broadcast BroadcastKind
 }
 

@@ -76,9 +76,6 @@ type DriftPolicy struct {
 	// the detector recommends evaluating a migration (default 2) —
 	// transient spikes reset the count.
 	Patience int
-	// CoolDown is the number of windows the detector stays quiet after a
-	// migration (default 2).
-	CoolDown int
 	// Hysteresis is the minimum stay/move cost ratio required to migrate
 	// (default 1.2, i.e. a 20% projected saving).
 	Hysteresis float64
@@ -100,11 +97,6 @@ func (p DriftPolicy) WithDefaults() DriftPolicy {
 	if p.Patience <= 0 {
 		p.Patience = 2
 	}
-	if p.CoolDown < 0 {
-		p.CoolDown = 0
-	} else if p.CoolDown == 0 {
-		p.CoolDown = 2
-	}
 	if p.Hysteresis < 1 {
 		p.Hysteresis = 1.2
 	}
@@ -125,7 +117,6 @@ type Detector struct {
 	est  []float64 // EWMA per-block cycle-time estimates
 	seen []bool    // whether a rank has produced at least one sample
 	hot  int       // consecutive windows at/over threshold
-	cool int       // windows left in post-migration cool-down
 }
 
 // NewDetector builds a detector for n ranks whose planned cycle-times are
@@ -154,8 +145,8 @@ type Observation struct {
 	Deviation float64
 	// Hot counts consecutive windows at or over the threshold.
 	Hot int
-	// Trigger is true when patience is exhausted and the detector is not
-	// cooling down: the caller should evaluate a migration.
+	// Trigger is true when patience is exhausted: the caller should
+	// evaluate a migration.
 	Trigger bool
 }
 
@@ -183,10 +174,7 @@ func (d *Detector) Observe(busy, work []float64) (Observation, error) {
 		}
 	}
 	obs := Observation{Deviation: d.deviation()}
-	if d.cool > 0 {
-		d.cool--
-		d.hot = 0
-	} else if obs.Deviation >= d.pol.Threshold {
+	if obs.Deviation >= d.pol.Threshold {
 		d.hot++
 	} else {
 		d.hot = 0
@@ -253,24 +241,6 @@ func (d *Detector) EstimatedTimes() []float64 {
 		}
 	}
 	return out
-}
-
-// Rebase installs a new planned baseline after a migration, resets the hot
-// streak and starts the cool-down. Estimates persist — they describe the
-// machines, not the layout.
-func (d *Detector) Rebase(planned []float64) error {
-	if len(planned) != len(d.base) {
-		return fmt.Errorf("adapt: rebase with %d times for %d ranks", len(planned), len(d.base))
-	}
-	for i, t := range planned {
-		if t <= 0 {
-			return fmt.Errorf("adapt: rebase cycle-time %d is %v, want > 0", i, t)
-		}
-	}
-	copy(d.base, planned)
-	d.hot = 0
-	d.cool = d.pol.CoolDown
-	return nil
 }
 
 func abs(x float64) float64 {

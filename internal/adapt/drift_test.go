@@ -137,7 +137,7 @@ func TestEvaluateKernelMigratesUnderSkew(t *testing.T) {
 }
 
 func TestDetectorHysteresis(t *testing.T) {
-	pol := DriftPolicy{Window: 2, Alpha: 1, Threshold: 0.25, Patience: 2, CoolDown: 2}
+	pol := DriftPolicy{Window: 2, Alpha: 1, Threshold: 0.25, Patience: 2}
 	planned := []float64{1, 1, 1, 1}
 	det, err := NewDetector(planned, pol)
 	if err != nil {
@@ -172,19 +172,15 @@ func TestDetectorHysteresis(t *testing.T) {
 		t.Fatalf("sustained drift not flagged: %+v", obs)
 	}
 
-	// Rebase onto the estimates: deviation collapses, cool-down holds the
-	// detector quiet even for hot windows.
-	if err := det.Rebase(det.EstimatedTimes()); err != nil {
+	// A detector restarted on the estimates, as a migrated attempt's is:
+	// the new baseline matches the slow trace, so it stays quiet.
+	if det, err = NewDetector(det.EstimatedTimes(), pol); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if obs, _ = det.Observe(slow, work); obs.Hot != 0 || obs.Trigger {
-			t.Fatalf("cool-down window %d armed: %+v", i, obs)
+			t.Fatalf("on-plan window %d armed the restarted detector: %+v", i, obs)
 		}
-	}
-	// After cool-down the rebased baseline matches the slow trace: quiet.
-	if obs, _ = det.Observe(slow, work); obs.Trigger {
-		t.Fatalf("on-plan trace triggered after rebase: %+v", obs)
 	}
 }
 
@@ -202,12 +198,6 @@ func TestDetectorValidation(t *testing.T) {
 	if _, err := det.Observe([]float64{1}, []float64{1, 1}); err == nil {
 		t.Fatal("short busy vector accepted")
 	}
-	if err := det.Rebase([]float64{1}); err == nil {
-		t.Fatal("short rebase accepted")
-	}
-	if err := det.Rebase([]float64{1, -1}); err == nil {
-		t.Fatal("negative rebase accepted")
-	}
 	// Zero-work windows keep previous estimates and never divide by zero.
 	if _, err := det.Observe([]float64{5, 5}, []float64{0, 0}); err != nil {
 		t.Fatal(err)
@@ -220,7 +210,7 @@ func TestDetectorValidation(t *testing.T) {
 func TestDetectorDeterministicAcrossReplays(t *testing.T) {
 	// Identical observation sequences must produce identical outputs —
 	// the decision layer's determinism rests on this.
-	pol := DriftPolicy{Window: 3, Alpha: 0.4, Threshold: 0.2, Patience: 3, CoolDown: 1}
+	pol := DriftPolicy{Window: 3, Alpha: 0.4, Threshold: 0.2, Patience: 3}
 	planned := []float64{1, 2, 1, 3}
 	rng := rand.New(rand.NewSource(7))
 	type window struct{ busy, work []float64 }
@@ -259,13 +249,13 @@ func TestDetectorDeterministicAcrossReplays(t *testing.T) {
 func TestDriftPolicyDefaults(t *testing.T) {
 	p := DriftPolicy{}.WithDefaults()
 	if p.Window <= 0 || p.Alpha <= 0 || p.Alpha > 1 || p.Threshold <= 0 ||
-		p.Patience <= 0 || p.CoolDown <= 0 || p.Hysteresis < 1 || p.MaxMigrations <= 0 {
+		p.Patience <= 0 || p.Hysteresis < 1 || p.MaxMigrations <= 0 {
 		t.Fatalf("bad defaults: %+v", p)
 	}
 	// Explicit values survive.
-	q := DriftPolicy{Window: 9, Alpha: 0.9, Threshold: 0.5, Patience: 5, CoolDown: 7, Hysteresis: 2, MaxMigrations: 3}.WithDefaults()
+	q := DriftPolicy{Window: 9, Alpha: 0.9, Threshold: 0.5, Patience: 5, Hysteresis: 2, MaxMigrations: 3}.WithDefaults()
 	if q.Window != 9 || q.Alpha != 0.9 || q.Threshold != 0.5 || q.Patience != 5 ||
-		q.CoolDown != 7 || q.Hysteresis != 2 || q.MaxMigrations != 3 {
+		q.Hysteresis != 2 || q.MaxMigrations != 3 {
 		t.Fatalf("defaults clobbered explicit policy: %+v", q)
 	}
 }

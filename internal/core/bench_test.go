@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hetgrid/internal/grid"
@@ -73,10 +74,14 @@ func BenchmarkSolveGlobalExact3x3(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveGlobalExact compares the exhaustive seed-equivalent search
-// (noprune, workers=1), the serial branch-and-bound, and the parallel solver
-// at 8 workers, on the grid sizes the paper's exact method targets. The
-// acceptance bar for the parallel path is ≥3× over noprune on 3×4.
+// BenchmarkSolveGlobalExact is the producer of the exact-solver scaling
+// numbers (EXPERIMENTS.md "Exact-solver scaling"): the exhaustive
+// seed-equivalent search (noprune, workers=1), the serial branch-and-bound
+// and the parallel solver on every CPU this run may use, on the grid sizes
+// the paper's exact method targets, each row with the spanning trees it
+// visited and the share of the theoretical space it never did. The
+// acceptance bar for the parallel path is ≥3× over noprune on 3×4. On one
+// CPU the parallel row would time coordination overhead, so it is skipped.
 func BenchmarkSolveGlobalExact(b *testing.B) {
 	modes := []struct {
 		name string
@@ -84,22 +89,25 @@ func BenchmarkSolveGlobalExact(b *testing.B) {
 	}{
 		{"noprune", ExactOptions{Workers: 1, NoPrune: true}},
 		{"serial", ExactOptions{Workers: 1}},
-		{"parallel8", ExactOptions{Workers: 8}},
+		{"parallel", ExactOptions{Workers: runtime.GOMAXPROCS(0)}},
 	}
 	for _, dims := range [][2]int{{2, 3}, {3, 3}, {3, 4}} {
 		p, q := dims[0], dims[1]
 		times := randomTimes(p*q, 11)
 		for _, m := range modes {
 			b.Run(gridLabel(p, q)+"/"+m.name, func(b *testing.B) {
-				var visited int
+				if m.name == "parallel" && m.opts.Workers == 1 {
+					b.Skip("GOMAXPROCS=1: nothing to run in parallel")
+				}
+				var stats *ExactStats
 				for i := 0; i < b.N; i++ {
-					_, stats, err := SolveGlobalExactOpt(times, p, q, m.opts)
-					if err != nil {
+					var err error
+					if _, stats, err = SolveGlobalExactOpt(times, p, q, m.opts); err != nil {
 						b.Fatal(err)
 					}
-					visited = stats.TreesVisited
 				}
-				b.ReportMetric(float64(visited), "trees/op")
+				b.ReportMetric(float64(stats.TreesVisited), "trees/op")
+				b.ReportMetric(stats.PruneRatio(), "prune_ratio")
 			})
 		}
 	}

@@ -25,31 +25,15 @@ type Collectives struct {
 // NewCollectives binds a rank's endpoint, taking the broadcast algorithm
 // from the world's options. The distribution argument is unused — receiver
 // sets come from the step schedule (distribution.Layout) the kernels build
-// — and stays for the callers outside this module's tests (the benchmark,
-// hetcalibrate).
-func NewCollectives(c *Comm, d distribution.Distribution) *Collectives {
-	return NewCollectivesKind(c, d, c.Broadcast())
+// — and stays for the benchmark, which calls it.
+func NewCollectives(c *Comm, _ distribution.Distribution) *Collectives {
+	return NewCollectivesKind(c, c.Broadcast())
 }
 
 // NewCollectivesKind binds a rank's endpoint with an explicit broadcast
 // algorithm.
-func NewCollectivesKind(c *Comm, _ distribution.Distribution, kind sim.BroadcastKind) *Collectives {
+func NewCollectivesKind(c *Comm, kind sim.BroadcastKind) *Collectives {
 	return &Collectives{c: c, kind: kind}
-}
-
-// bcastTargets returns the receivers minus the root, deduplicated with
-// order preserved — the broadcast chain every participant derives
-// identically.
-func bcastTargets(root int, receivers []int) []int {
-	var targets []int
-	seen := map[int]struct{}{root: {}}
-	for _, r := range receivers {
-		if _, ok := seen[r]; !ok {
-			seen[r] = struct{}{}
-			targets = append(targets, r)
-		}
-	}
-	return targets
 }
 
 // Bcast delivers data from root to every receiver under the collective's
@@ -58,114 +42,58 @@ func bcastTargets(root int, receivers []int) []int {
 // rows is the payload's row count, which receivers need up front to drive
 // the segmented-ring pipeline. Ranks outside the participant set must not
 // call.
+//
+// The message pattern is sim.BroadcastEdges, the one the simulator prices:
+// a rank receives on its in-edge and forwards along its out-edges, which
+// delivery order lists after it.
 func (co *Collectives) Bcast(tag string, root int, receivers []int, data *matrix.Dense, rows int) *matrix.Dense {
 	me := co.c.Rank()
-	targets := bcastTargets(root, receivers)
-	if me == root && len(targets) == 0 {
+	edges := sim.BroadcastEdges(co.kind, root, receivers)
+	if me == root && len(edges) == 0 {
 		return data
 	}
-	switch co.kind {
-	case sim.StarBroadcast, sim.RingBroadcast, sim.TreeBroadcast:
-		parent, children := bcastSchedule(co.kind, root, targets)
-		if me != root {
-			p, ok := parent[me]
-			if !ok {
-				panic(fmt.Sprintf("engine: rank %d called Bcast %q without being a participant", me, tag))
-			}
-			data = co.c.Recv(p, tag)
+	from := -1
+	if me != root {
+		in := slices.IndexFunc(edges, func(e sim.Edge) bool { return e.To == me })
+		if in < 0 {
+			panic(fmt.Sprintf("engine: rank %d called Bcast %q without being a participant", me, tag))
 		}
-		for _, child := range children[me] {
-			co.c.Send(child, tag, data)
-		}
-		return data
-	case sim.SegmentedRingBroadcast:
-		return co.segRingBcast(tag, root, targets, data, rows)
-	default:
-		panic(fmt.Sprintf("engine: unknown broadcast kind %d", co.kind))
+		from, edges = edges[in].From, edges[in+1:]
 	}
-}
-
-// bcastSchedule derives each participant's parent and ordered children for
-// the star, ring and binomial-tree broadcasts. The tree replays exactly the
-// round structure sim.Cluster.Broadcast uses, so the real message pattern
-// is the one the simulator prices.
-func bcastSchedule(kind sim.BroadcastKind, root int, targets []int) (parent map[int]int, children map[int][]int) {
-	parent = make(map[int]int, len(targets))
-	children = make(map[int][]int, len(targets)+1)
-	switch kind {
-	case sim.StarBroadcast:
-		for _, t := range targets {
-			parent[t] = root
-			children[root] = append(children[root], t)
-		}
-	case sim.RingBroadcast:
-		prev := root
-		for _, t := range targets {
-			parent[t] = prev
-			children[prev] = append(children[prev], t)
-			prev = t
-		}
-	case sim.TreeBroadcast:
-		informed := []int{root}
-		pending := append([]int(nil), targets...)
-		for len(pending) > 0 {
-			n := len(informed)
-			for k := 0; k < n && len(pending) > 0; k++ {
-				src := informed[k]
-				dst := pending[0]
-				pending = pending[1:]
-				parent[dst] = src
-				children[src] = append(children[src], dst)
-				informed = append(informed, dst)
+	forward := func(as string, m *matrix.Dense) {
+		for _, e := range edges {
+			if e.From == me {
+				co.c.Send(e.To, as, m)
 			}
 		}
-	default:
-		panic(fmt.Sprintf("engine: no point-to-point schedule for kind %d", kind))
 	}
-	return parent, children
-}
-
-// segRingBcast pipelines the payload along the ring in row segments: while
-// a node forwards segment s, its predecessor already sends it segment s+1
-// — the real counterpart of sim's SegmentedRingBroadcast (goroutines
-// provide the overlap the simulator models). Segments are row slices, at
-// most sim.BroadcastSegments of them and never more than the payload has
-// rows.
-func (co *Collectives) segRingBcast(tag string, root int, targets []int, data *matrix.Dense, rows int) *matrix.Dense {
-	me := co.c.Rank()
-	segs := sim.BroadcastSegments
-	if rows < segs {
-		segs = rows
-	}
-	if segs < 1 {
-		segs = 1
-	}
-	chain := append([]int{root}, targets...)
-	idx := -1
-	for i, n := range chain {
-		if n == me {
-			idx = i
-			break
+	if co.kind != sim.SegmentedRingBroadcast {
+		if from >= 0 {
+			data = co.c.Recv(from, tag)
 		}
-	}
-	if idx < 0 {
-		panic(fmt.Sprintf("engine: rank %d called Bcast %q without being a participant", me, tag))
-	}
-	if idx == 0 {
-		for s := 0; s < segs; s++ {
-			lo, hi := s*rows/segs, (s+1)*rows/segs
-			_, cols := data.Dims()
-			co.c.Send(chain[1], fmt.Sprintf("%s/s%d", tag, s), data.Slice(lo, hi, 0, cols))
-		}
+		forward(tag, data)
 		return data
 	}
+	// The segmented ring pipelines the payload along the chain in row
+	// segments: while a node forwards segment s, its predecessor already
+	// sends it segment s+1 (goroutines provide the overlap the simulator
+	// models). At most sim.BroadcastSegments segments, and never more than
+	// the payload has rows.
+	segs := max(1, min(rows, sim.BroadcastSegments))
 	var parts []*matrix.Dense
 	for s := 0; s < segs; s++ {
-		seg := co.c.Recv(chain[idx-1], fmt.Sprintf("%s/s%d", tag, s))
-		if idx+1 < len(chain) {
-			co.c.Send(chain[idx+1], fmt.Sprintf("%s/s%d", tag, s), seg)
+		segTag := fmt.Sprintf("%s/s%d", tag, s)
+		if from < 0 {
+			_, cols := data.Dims()
+			forward(segTag, data.Slice(s*rows/segs, (s+1)*rows/segs, 0, cols))
+			continue
 		}
+		seg := co.c.Recv(from, segTag)
+		forward(segTag, seg)
 		parts = append(parts, seg)
+	}
+	if from < 0 {
+		return data
 	}
 	return stackRows(parts)
 }

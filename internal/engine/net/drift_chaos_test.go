@@ -69,7 +69,7 @@ func TestTCPDriftChaosMigrateCrashResume(t *testing.T) {
 		// An eager detector and a near-free network model: the 8× slowdown
 		// migrates at the first window it shows in.
 		Drift: &run.Drift{
-			Detector: adapt.DriftPolicy{Window: 2, Alpha: 1, Threshold: 0.5, Patience: 1, CoolDown: 1, Hysteresis: 1.01, MaxMigrations: 1},
+			Detector: adapt.DriftPolicy{Window: 2, Alpha: 1, Threshold: 0.5, Patience: 1, Hysteresis: 1.01, MaxMigrations: 1},
 			Eval:     adapt.Policy{Net: sim.Config{Latency: 1e-12, ByteTime: 1e-15}, BlockBytes: 8192, Hysteresis: 1.01},
 		},
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"hetgrid/internal/core"
 	"hetgrid/internal/distribution"
-	"hetgrid/internal/kernels"
 	"hetgrid/internal/sim"
 )
 
@@ -30,23 +28,14 @@ type PanelAblation struct {
 // RunPanelAblation evaluates every admissible panel with bp ≤ maxBp and
 // bq ≤ maxBq on the matrix-multiplication kernel.
 func RunPanelAblation(times []float64, p, q, nb, maxBp, maxBq int, net sim.Config, blockBytes float64) (*PanelAblation, error) {
-	if len(times) != p*q {
-		return nil, fmt.Errorf("experiments: %d cycle-times for %d×%d grid", len(times), p, q)
-	}
-	res, err := core.SolveHeuristic(times, p, q, core.HeuristicOptions{})
+	sc, err := newScenario(times, p, q, nb, net, blockBytes)
 	if err != nil {
 		return nil, err
 	}
-	if maxBp > nb {
-		maxBp = nb
-	}
-	if maxBq > nb {
-		maxBq = nb
-	}
 	out := &PanelAblation{P: p, Q: q, NB: nb}
-	for bp := p; bp <= maxBp; bp++ {
-		for bq := q; bq <= maxBq; bq++ {
-			pan, err := distribution.NewPanel(res.Solution, bp, bq,
+	for bp := p; bp <= min(maxBp, nb); bp++ {
+		for bq := q; bq <= min(maxBq, nb); bq++ {
+			pan, err := distribution.NewPanel(sc.sol, bp, bq,
 				distribution.Contiguous, distribution.Contiguous)
 			if err != nil {
 				continue
@@ -55,9 +44,7 @@ func RunPanelAblation(times []float64, p, q, nb, maxBp, maxBq int, net sim.Confi
 			if err != nil {
 				continue
 			}
-			simRes, err := kernels.SimulateMM(d, res.Solution.Arr, kernels.Options{
-				Net: net, Broadcast: sim.RingBroadcast, BlockBytes: blockBytes,
-			})
+			simRes, err := sc.simulateMM(d)
 			if err != nil {
 				return nil, err
 			}
@@ -130,9 +117,6 @@ type GranularitySweep struct {
 // units: cycle-times are divided by nb³ so every run computes the "same"
 // matrix and makespans are directly comparable.
 func RunGranularitySweep(times []float64, p, q int, nbs []int, net sim.Config, blockBytes float64) (*GranularitySweep, error) {
-	if len(times) != p*q {
-		return nil, fmt.Errorf("experiments: %d cycle-times for %d×%d grid", len(times), p, q)
-	}
 	out := &GranularitySweep{P: p, Q: q}
 	for _, nb := range nbs {
 		if nb < p || nb < q {
@@ -143,29 +127,16 @@ func RunGranularitySweep(times []float64, p, q int, nbs []int, net sim.Config, b
 		for i, t := range times {
 			scaled[i] = t / cube * 1e6 // keep magnitudes reasonable
 		}
-		res, err := core.SolveHeuristic(scaled, p, q, core.HeuristicOptions{})
+		sc, err := newScenario(scaled, p, q, nb, net, blockBytes)
 		if err != nil {
 			return nil, err
 		}
-		maxB := 4 * p
-		if 4*q > maxB {
-			maxB = 4 * q
-		}
-		if maxB > nb {
-			maxB = nb
-		}
-		pan, err := distribution.BestPanel(res.Solution, maxB, maxB,
-			distribution.Contiguous, distribution.Contiguous)
+		maxB := 4 * max(p, q)
+		d, err := sc.bestPanel(maxB, maxB, distribution.Contiguous)
 		if err != nil {
 			return nil, err
 		}
-		d, err := pan.Distribution(nb, nb)
-		if err != nil {
-			return nil, err
-		}
-		simRes, err := kernels.SimulateMM(d, res.Solution.Arr, kernels.Options{
-			Net: net, Broadcast: sim.RingBroadcast, BlockBytes: blockBytes,
-		})
+		simRes, err := sc.simulateMM(d)
 		if err != nil {
 			return nil, err
 		}

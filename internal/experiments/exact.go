@@ -29,17 +29,11 @@ type ExactComparison struct {
 }
 
 // RunExactComparison draws trials random cycle-time sets in (0,1], solves
-// each with both the polynomial heuristic and the global exact search, and
-// records the objective ratios. Grid sizes beyond 3×3 get expensive fast
-// (the search is doubly exponential).
-func RunExactComparison(p, q, trials int, seed int64) (*ExactComparison, error) {
-	return RunExactComparisonOpt(p, q, trials, seed, 0)
-}
-
-// RunExactComparisonOpt is RunExactComparison with an explicit worker count
-// for the exact solver (0 selects GOMAXPROCS; results are identical for
-// every worker count).
-func RunExactComparisonOpt(p, q, trials int, seed int64, workers int) (*ExactComparison, error) {
+// each with both the polynomial heuristic and the global exact search on
+// the given number of workers (0 selects GOMAXPROCS; results are identical
+// for every worker count), and records the objective ratios. Grid sizes
+// beyond 3×3 get expensive fast (the search is doubly exponential).
+func RunExactComparison(p, q, trials int, seed int64, workers int) (*ExactComparison, error) {
 	if p <= 0 || q <= 0 || trials <= 0 {
 		return nil, fmt.Errorf("experiments: invalid comparison %d×%d × %d trials", p, q, trials)
 	}

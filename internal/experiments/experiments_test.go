@@ -86,7 +86,7 @@ func TestAsciiPlotZeroValues(t *testing.T) {
 }
 
 func TestRunExactComparison(t *testing.T) {
-	cmp, err := RunExactComparison(2, 2, 15, 11)
+	cmp, err := RunExactComparison(2, 2, 15, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +113,10 @@ func TestRunExactComparison(t *testing.T) {
 }
 
 func TestRunExactComparisonValidation(t *testing.T) {
-	if _, err := RunExactComparison(0, 2, 5, 1); err == nil {
+	if _, err := RunExactComparison(0, 2, 5, 1, 0); err == nil {
 		t.Fatal("invalid grid accepted")
 	}
-	if _, err := RunExactComparison(2, 2, 0, 1); err == nil {
+	if _, err := RunExactComparison(2, 2, 0, 1, 0); err == nil {
 		t.Fatal("zero trials accepted")
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"hetgrid/internal/core"
 	"hetgrid/internal/distribution"
-	"hetgrid/internal/kernels"
 	"hetgrid/internal/sim"
 )
 
@@ -50,29 +48,15 @@ func RunShapeComparison(n, nb int, net sim.Config, blockBytes float64, seed int6
 			continue
 		}
 		q := n / p
-		res, err := core.SolveHeuristic(times, p, q, core.HeuristicOptions{})
+		sc, err := newScenario(times, p, q, nb, net, blockBytes)
 		if err != nil {
 			return nil, err
 		}
-		maxBp, maxBq := 4*p, 4*q
-		if maxBp > nb {
-			maxBp = nb
-		}
-		if maxBq > nb {
-			maxBq = nb
-		}
-		pan, err := distribution.BestPanel(res.Solution, maxBp, maxBq,
-			distribution.Contiguous, distribution.Contiguous)
+		d, err := sc.bestPanel(4*p, 4*q, distribution.Contiguous)
 		if err != nil {
 			return nil, err
 		}
-		d, err := pan.Distribution(nb, nb)
-		if err != nil {
-			return nil, err
-		}
-		simRes, err := kernels.SimulateMM(d, res.Solution.Arr, kernels.Options{
-			Net: net, Broadcast: sim.RingBroadcast, BlockBytes: blockBytes,
-		})
+		simRes, err := sc.simulateMM(d)
 		if err != nil {
 			return nil, err
 		}

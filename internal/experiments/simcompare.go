@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hetgrid/internal/core"
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/grid"
 	"hetgrid/internal/kernels"
@@ -66,14 +65,12 @@ func DefaultSimConfig() SimConfig {
 // panel uses the heuristic (with exact fallback for tiny grids handled by
 // the caller via times ordering) and the best panel size up to MaxPanel.
 func RunSimComparison(cfg SimConfig) (*SimComparison, error) {
-	if len(cfg.Times) != cfg.P*cfg.Q {
-		return nil, fmt.Errorf("experiments: %d cycle-times for %d×%d grid", len(cfg.Times), cfg.P, cfg.Q)
-	}
-	heur, err := core.SolveHeuristic(cfg.Times, cfg.P, cfg.Q, core.HeuristicOptions{})
+	sc, err := newScenario(cfg.Times, cfg.P, cfg.Q, cfg.NB,
+		sim.Config{Latency: cfg.Latency, ByteTime: cfg.ByteTime}, cfg.BlockBytes)
 	if err != nil {
 		return nil, err
 	}
-	arr := heur.Solution.Arr
+	arr := sc.sol.Arr
 	cmp := &SimComparison{Arr: arr, NB: cfg.NB}
 
 	// Distributions under test. The uniform baseline and KL use the same
@@ -86,81 +83,53 @@ func RunSimComparison(cfg SimConfig) (*SimComparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	mmPanel, err := distribution.BestPanel(heur.Solution, cfg.MaxPanel, cfg.MaxPanel,
-		distribution.Contiguous, distribution.Contiguous)
+	mmPanel, err := sc.bestPanel(cfg.MaxPanel, cfg.MaxPanel, distribution.Contiguous)
 	if err != nil {
 		return nil, err
 	}
-	mmPanelDist, err := mmPanel.Distribution(cfg.NB, cfg.NB)
-	if err != nil {
-		return nil, err
-	}
-	luPanel, err := distribution.BestPanel(heur.Solution, cfg.MaxPanel, cfg.MaxPanel,
-		distribution.Interleaved, distribution.Interleaved)
-	if err != nil {
-		return nil, err
-	}
-	luPanelDist, err := luPanel.Distribution(cfg.NB, cfg.NB)
+	luPanel, err := sc.bestPanel(cfg.MaxPanel, cfg.MaxPanel, distribution.Interleaved)
 	if err != nil {
 		return nil, err
 	}
 
-	type distCase struct {
-		name string
-		mm   distribution.Distribution
-		lu   distribution.Distribution
-	}
-	cases := []distCase{
+	// The uniform case comes first: its makespans are the speedup baseline.
+	cases := []struct {
+		name   string
+		mm, lu distribution.Distribution
+	}{
 		{"uniform-cyclic", uni, uni},
 		{"kalinov-lastovetsky", kl, kl},
-		{"het-panel", mmPanelDist, luPanelDist},
+		{"het-panel", mmPanel, luPanel},
 	}
-	networks := []struct {
-		name string
-		cfg  sim.Config
-	}{
-		{"switched", sim.Config{Latency: cfg.Latency, ByteTime: cfg.ByteTime}},
-		{"shared-bus", sim.Config{Latency: cfg.Latency, ByteTime: cfg.ByteTime, SharedBus: true}},
-	}
-	for _, net := range networks {
-		var uniMM, uniLU, uniLUP float64
-		for _, dc := range cases {
-			opts := kernels.Options{Net: net.cfg, Broadcast: sim.RingBroadcast, BlockBytes: cfg.BlockBytes}
-			mmRes, err := kernels.SimulateMM(dc.mm, arr, opts)
-			if err != nil {
-				return nil, err
+	runs := []struct {
+		kernel    string
+		lu, pivot bool
+	}{{"matmul", false, false}, {"lu", true, false}, {"lu-pivot", true, true}}
+	for _, network := range []string{"switched", "shared-bus"} {
+		opts := sc.opts
+		opts.Net.SharedBus = network == "shared-bus"
+		uniform := make([]float64, len(runs))
+		for ci, dc := range cases {
+			for ri, run := range runs {
+				opts.Pivoting = run.pivot
+				simulate, d := kernels.SimulateMM, dc.mm
+				if run.lu {
+					simulate, d = kernels.SimulateLU, dc.lu
+				}
+				res, err := simulate(d, arr, opts)
+				if err != nil {
+					return nil, err
+				}
+				if ci == 0 {
+					uniform[ri] = res.Makespan
+				}
+				cmp.Rows = append(cmp.Rows, SimRow{
+					Kernel: run.kernel, Distribution: dc.name, Network: network,
+					Makespan: res.Makespan, CompBound: res.CompBound,
+					Efficiency: res.Efficiency(), Messages: res.Stats.Messages,
+					SpeedupVsUniform: uniform[ri] / res.Makespan,
+				})
 			}
-			luRes, err := kernels.SimulateLU(dc.lu, arr, opts)
-			if err != nil {
-				return nil, err
-			}
-			pivOpts := opts
-			pivOpts.Pivoting = true
-			luPivRes, err := kernels.SimulateLU(dc.lu, arr, pivOpts)
-			if err != nil {
-				return nil, err
-			}
-			if dc.name == "uniform-cyclic" {
-				uniMM, uniLU, uniLUP = mmRes.Makespan, luRes.Makespan, luPivRes.Makespan
-			}
-			cmp.Rows = append(cmp.Rows, SimRow{
-				Kernel: "matmul", Distribution: dc.name, Network: net.name,
-				Makespan: mmRes.Makespan, CompBound: mmRes.CompBound,
-				Efficiency: mmRes.Efficiency(), Messages: mmRes.Stats.Messages,
-				SpeedupVsUniform: uniMM / mmRes.Makespan,
-			})
-			cmp.Rows = append(cmp.Rows, SimRow{
-				Kernel: "lu", Distribution: dc.name, Network: net.name,
-				Makespan: luRes.Makespan, CompBound: luRes.CompBound,
-				Efficiency: luRes.Efficiency(), Messages: luRes.Stats.Messages,
-				SpeedupVsUniform: uniLU / luRes.Makespan,
-			})
-			cmp.Rows = append(cmp.Rows, SimRow{
-				Kernel: "lu-pivot", Distribution: dc.name, Network: net.name,
-				Makespan: luPivRes.Makespan, CompBound: luPivRes.CompBound,
-				Efficiency: luPivRes.Efficiency(), Messages: luPivRes.Stats.Messages,
-				SpeedupVsUniform: uniLUP / luPivRes.Makespan,
-			})
 		}
 	}
 	return cmp, nil

@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Numerics selects the arithmetic contract of the compute layer.
 //
@@ -108,49 +105,4 @@ func (m *Dense) SolveLowerUnitNumerics(b *Dense, mode Numerics) {
 		panic(fmt.Sprintf("matrix: SolveLowerUnit %d×%d with rhs %d×%d", m.rows, m.cols, b.rows, b.cols))
 	}
 	m.solveLowerUnitMode(b, mode)
-}
-
-// PeakGFlops estimates the micro-kernel flop ceiling of this machine under
-// the given numerics contract by timing the register-tile kernel on
-// L1-resident packed panels — the practical single-core roofline that
-// benchkernels reports measured rates against. The estimate costs a few
-// tens of milliseconds.
-func PeakGFlops(mode Numerics) float64 {
-	const kc = gemmKC
-	mr, nr := gemmMR, gemmTileN()
-	if mode == Fast && gemmHaveFMA {
-		mr, nr = gemmMRFMA, gemmNRFMA
-	}
-	pa := make([]float64, mr*kc)
-	pb := make([]float64, nr*kc)
-	for i := range pa {
-		pa[i] = 1 + float64(i%7)*0.125
-	}
-	for i := range pb {
-		pb[i] = 1 - float64(i%5)*0.0625
-	}
-	c := New(mr, nr)
-	tile := func() {
-		switch {
-		case mode == Fast && gemmHaveFMA:
-			gemmMicroFMA6x8(&c.data[0], c.stride, &pa[0], &pb[0], kc)
-		case gemmHaveAVX && nr == gemmNRAVX:
-			gemmMicroAVX4x8(&c.data[0], c.stride, &pa[0], &pb[0], kc)
-		default:
-			gemmMicro4x4(c, 0, 0, pa, pb, kc)
-		}
-	}
-	// Warm up (page faults, turbo ramp), then time enough iterations to
-	// dominate timer noise.
-	for i := 0; i < 100; i++ {
-		tile()
-	}
-	const iters = 20000
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		tile()
-	}
-	elapsed := time.Since(start).Seconds()
-	flops := 2 * float64(mr) * float64(nr) * float64(kc) * iters
-	return flops / elapsed / 1e9
 }

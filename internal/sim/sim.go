@@ -24,6 +24,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Timeline is a serialized resource in virtual time. The zero value is a
@@ -264,70 +265,70 @@ const (
 // virtual fabric.
 const BroadcastSegments = 8
 
+// Edge is one point-to-point transfer of a broadcast.
+type Edge struct{ From, To int }
+
+// BroadcastEdges derives who forwards to whom in a broadcast from root:
+// one edge per distinct receiver other than the root (repeats dropped,
+// first-appearance order kept), in delivery order — every From is the root
+// or the To of an earlier edge. It is the one derivation the simulator
+// prices and the engine executes. The segmented ring's edges are its
+// chain, which every segment travels in turn.
+func BroadcastEdges(kind BroadcastKind, root int, receivers []int) []Edge {
+	if kind < StarBroadcast || kind > SegmentedRingBroadcast {
+		panic(fmt.Sprintf("sim: unknown broadcast kind %d", kind))
+	}
+	edges := make([]Edge, 0, len(receivers))
+next:
+	for _, r := range receivers {
+		if r == root {
+			continue
+		}
+		for _, e := range edges {
+			if e.To == r {
+				continue next
+			}
+		}
+		// The informed nodes are, in order, the root and edges[·].To; this
+		// receiver is the j-th to join them.
+		j := len(edges)
+		from := root
+		switch kind {
+		case RingBroadcast, SegmentedRingBroadcast:
+			if j > 0 {
+				from = edges[j-1].To
+			}
+		case TreeBroadcast:
+			// Binomial rounds: each of the 2^k nodes informed so far sends
+			// to the next uninformed one, so the sender's position among
+			// the informed is j+1 without its leading bit.
+			if pos := (j + 1) &^ (1 << (bits.Len(uint(j+1)) - 1)); pos > 0 {
+				from = edges[pos-1].To
+			}
+		}
+		edges = append(edges, Edge{From: from, To: r})
+	}
+	return edges
+}
+
 // Broadcast delivers bytes from root to each receiver, returning each
 // receiver's arrival time keyed by node id. Receivers equal to the root are
 // delivered at ready. The schedule respects NIC serialization, so
-// overlapping broadcasts contend realistically.
+// overlapping broadcasts contend realistically: the per-node serialization
+// in Send keeps the tree's rounds honest and provides the segmented ring's
+// pipeline hazards.
 func (c *Cluster) Broadcast(kind BroadcastKind, root int, receivers []int, bytes, ready float64) map[int]float64 {
-	arrival := map[int]float64{root: ready}
-	var targets []int
-	for _, r := range receivers {
-		if r != root {
-			if _, dup := arrival[r]; !dup {
-				arrival[r] = -1 // mark pending
-				targets = append(targets, r)
-			}
-		}
+	edges := BroadcastEdges(kind, root, receivers)
+	arrival := make(map[int]float64, len(edges)+1)
+	arrival[root] = ready
+	passes := 1
+	if kind == SegmentedRingBroadcast {
+		passes, bytes = BroadcastSegments, bytes/BroadcastSegments
 	}
-	switch kind {
-	case StarBroadcast:
-		for _, r := range targets {
-			arrival[r] = c.Send(root, r, bytes, ready)
+	for s := 0; s < passes; s++ {
+		for _, e := range edges {
+			arrival[e.To] = c.Send(e.From, e.To, bytes, arrival[e.From])
 		}
-	case RingBroadcast:
-		prev := root
-		at := ready
-		for _, r := range targets {
-			at = c.Send(prev, r, bytes, at)
-			arrival[r] = at
-			prev = r
-		}
-	case SegmentedRingBroadcast:
-		// Pipeline BroadcastSegments chunks along the chain. segDone[i] is
-		// when node chain[i] has fully received segment s of the previous
-		// iteration; NIC serialization in Send provides the pipeline
-		// hazards automatically.
-		chain := append([]int{root}, targets...)
-		segBytes := bytes / BroadcastSegments
-		done := make([]float64, len(chain))
-		for i := range done {
-			done[i] = ready
-		}
-		for s := 0; s < BroadcastSegments; s++ {
-			for i := 1; i < len(chain); i++ {
-				done[i] = c.Send(chain[i-1], chain[i], segBytes, done[i-1])
-			}
-		}
-		for i := 1; i < len(chain); i++ {
-			arrival[chain[i]] = done[i]
-		}
-	case TreeBroadcast:
-		informed := []int{root}
-		pending := append([]int(nil), targets...)
-		for len(pending) > 0 {
-			// Each informed node sends to one pending node per round; the
-			// per-node NIC serialization in Send keeps timing honest.
-			n := len(informed)
-			for k := 0; k < n && len(pending) > 0; k++ {
-				src := informed[k]
-				dst := pending[0]
-				pending = pending[1:]
-				arrival[dst] = c.Send(src, dst, bytes, arrival[src])
-				informed = append(informed, dst)
-			}
-		}
-	default:
-		panic(fmt.Sprintf("sim: unknown broadcast kind %d", kind))
 	}
 	return arrival
 }

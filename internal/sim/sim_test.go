@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -181,6 +182,31 @@ func TestBroadcastDeduplicatesAndSkipsRoot(t *testing.T) {
 	s := c.Snapshot()
 	if s.Messages != 2 {
 		t.Fatalf("messages %d, want 2 (dedup + no self-send)", s.Messages)
+	}
+}
+
+// TestBroadcastEdges pins the one "who forwards to whom" derivation the
+// simulator prices and the engine executes: the root and repeats dropped,
+// edges in delivery order, the tree in binomial rounds (root→5; root→1,
+// 5→3; root→4, 5→2, 1→6 — the last round cut short).
+func TestBroadcastEdges(t *testing.T) {
+	recv := []int{5, 1, 7, 5, 3, 4, 2, 6}
+	chain := []Edge{{7, 5}, {5, 1}, {1, 3}, {3, 4}, {4, 2}, {2, 6}}
+	for _, tc := range []struct {
+		kind BroadcastKind
+		want []Edge
+	}{
+		{StarBroadcast, []Edge{{7, 5}, {7, 1}, {7, 3}, {7, 4}, {7, 2}, {7, 6}}},
+		{RingBroadcast, chain},
+		{SegmentedRingBroadcast, chain},
+		{TreeBroadcast, []Edge{{7, 5}, {7, 1}, {5, 3}, {7, 4}, {5, 2}, {1, 6}}},
+	} {
+		if got := BroadcastEdges(tc.kind, 7, recv); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("kind %d: edges %v, want %v", tc.kind, got, tc.want)
+		}
+	}
+	if got := BroadcastEdges(TreeBroadcast, 0, []int{0, 0}); len(got) != 0 {
+		t.Errorf("root-only broadcast has edges %v", got)
 	}
 }
 

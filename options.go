@@ -9,8 +9,8 @@ type Option func(*callOptions)
 
 // callOptions is the union of everything the variadic entry points accept.
 type callOptions struct {
-	exec    ExecOptions
-	balance BalanceOptions
+	exec    execOptions
+	balance balanceOptions
 }
 
 // applyOptions folds a slice of options over defaults.

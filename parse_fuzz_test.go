@@ -111,7 +111,7 @@ func FuzzParseStrategy(f *testing.F) {
 func FuzzParseDriftPolicy(f *testing.F) {
 	for _, seed := range []string{
 		"", "window=4", "alpha=0.5,threshold=0.25",
-		"window=4,alpha=0.5,threshold=0.25,patience=2,cooldown=2,hysteresis=1.2,max=2",
+		"window=4,alpha=0.5,threshold=0.25,patience=2,hysteresis=1.2,max=2",
 		" window = 8 , max = 1 ", "alpha=1", "alpha=1.5", "alpha=-0.1",
 		"window=-1", "hysteresis=2e3", "threshold=NaN", "threshold=Inf",
 		"bogus=1", "window", "window=", "=4", "window=4,,max=1",
@@ -127,7 +127,7 @@ func FuzzParseDriftPolicy(f *testing.F) {
 			}
 			return
 		}
-		if p.Window < 0 || p.Patience < 0 || p.CoolDown < 0 || p.MaxMigrations < 0 {
+		if p.Window < 0 || p.Patience < 0 || p.MaxMigrations < 0 {
 			t.Fatalf("%q parsed to negative knobs: %+v", s, p)
 		}
 		if p.Alpha < 0 || p.Alpha > 1 || p.Threshold < 0 || p.Hysteresis < 0 {
