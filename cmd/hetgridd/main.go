@@ -6,7 +6,7 @@
 //
 // Example:
 //
-//	hetgridd -addr :8080 -cache-policy lfu -cache-snapshot plans.snap &
+//	hetgridd -addr :8080 -cache-entries 4096 &
 //	curl -s localhost:8080/v1/plan -d '{"times":[1,2,3,5],"p":2,"q":2}'
 //	curl -s localhost:8080/v1/plans -d '[{"times":[1,2,3,5],"p":2,"q":2},{"times":[1,2,3,4,5,6],"p":2,"q":3}]'
 package main
@@ -19,70 +19,65 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"hetgrid/internal/obs"
 	"hetgrid/internal/plancache"
 	"hetgrid/internal/service"
 )
 
+// options holds the parsed command line.
+type options struct {
+	addr     string
+	entries  int
+	ttl      time.Duration
+	shards   int
+	quant    int
+	workers  int
+	batchMax int
+	drainFor time.Duration
+}
+
+// registerFlags defines hetgridd's flags on fs; README.md's flag list is
+// checked against this set (main_test.go).
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.entries, "cache-entries", 1024, "maximum cached plans across all shards")
+	fs.DurationVar(&o.ttl, "cache-ttl", 10*time.Minute, "how long a cached plan stays valid (0 = forever)")
+	fs.IntVar(&o.shards, "shards", 16, "cache shard count (rounded up to a power of two)")
+	fs.IntVar(&o.quant, "quant", 0, "cycle-time quantization in significant digits (0 = default 3, negative = off)")
+	fs.IntVar(&o.workers, "workers", 0, "exact-solver goroutines per request (0 = GOMAXPROCS)")
+	fs.IntVar(&o.batchMax, "batch-max", 256, "maximum items per /v1/plans batch")
+	fs.DurationVar(&o.drainFor, "drain", 5*time.Second, "graceful-shutdown drain window")
+	return o
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hetgridd: ")
-	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		entries  = flag.Int("cache-entries", 1024, "maximum cached plans across all shards")
-		ttl      = flag.Duration("cache-ttl", 10*time.Minute, "how long a cached plan stays valid (0 = forever)")
-		shards   = flag.Int("shards", 16, "cache shard count (rounded up to a power of two)")
-		policy   = flag.String("cache-policy", "lru", "cache admission policy: lru (admit everything) or lfu (TinyLFU admission; wins under Zipf-skewed keys)")
-		snapshot = flag.String("cache-snapshot", "", "snapshot file: loaded at startup if present, written after drain, so a restart starts warm")
-		quant    = flag.Int("quant", 0, "cycle-time quantization in significant digits (0 = default 3, negative = off)")
-		workers  = flag.Int("workers", 0, "exact-solver goroutines per request (0 = GOMAXPROCS)")
-		coalesce = flag.Duration("coalesce", 0, "exact-mode coalescing window (e.g. 5ms): concurrent exact misses queue into one branch-and-bound sweep; 0 = off")
-		batchMax = flag.Int("batch-max", 256, "maximum items per /v1/plans batch")
-		drainFor = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain window")
-	)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	pol, err := plancache.ParsePolicy(*policy)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cache := plancache.New(plancache.Config{
-		MaxEntries: *entries,
-		TTL:        *ttl,
-		Shards:     *shards,
-		Policy:     pol,
+		MaxEntries: o.entries,
+		TTL:        o.ttl,
+		Shards:     o.shards,
 	})
-	if *snapshot != "" {
-		if f, err := os.Open(*snapshot); err == nil {
-			n, lerr := cache.LoadSnapshot(f)
-			f.Close()
-			if lerr != nil {
-				log.Printf("snapshot %s not loaded: %v", *snapshot, lerr)
-			} else {
-				log.Printf("warm start: %d plans restored from %s", n, *snapshot)
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
-			log.Printf("snapshot %s not readable: %v", *snapshot, err)
-		}
-	}
-
 	srv := service.New(service.Config{
-		Cache:          cache,
-		QuantDigits:    *quant,
-		Workers:        *workers,
-		CoalesceWindow: *coalesce,
-		MaxBatchItems:  *batchMax,
+		Cache:         cache,
+		QuantDigits:   o.quant,
+		Workers:       o.workers,
+		MaxBatchItems: o.batchMax,
 	})
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := obs.NewServer(srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -98,46 +93,17 @@ func main() {
 		// New plan requests get 503 + Retry-After while in-flight ones
 		// finish inside the drain window.
 		srv.SetDraining(true)
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drainFor)
+		shutCtx, cancel := context.WithTimeout(context.Background(), o.drainFor)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
 			log.Printf("drain incomplete: %v", err)
 		}
-		if *snapshot != "" {
-			if err := writeSnapshot(cache, *snapshot); err != nil {
-				log.Printf("snapshot not written: %v", err)
-			}
-		}
 		st := cache.Stats()
-		log.Printf("final cache stats: %d gets, %d hits, %d misses, %d shared, %d evictions, %d admission rejections",
-			st.Gets, st.Hits, st.Misses, st.Shared, st.Evictions, st.Rejections)
+		log.Printf("final cache stats: %d gets, %d hits, %d misses, %d shared, %d evictions",
+			st.Gets, st.Hits, st.Misses, st.Shared, st.Evictions)
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
 			log.Fatal(err)
 		}
 	}
-}
-
-// writeSnapshot saves the cache atomically (write temp, rename) so a crash
-// mid-write never truncates the previous snapshot.
-func writeSnapshot(cache *plancache.Cache, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	n, err := cache.Snapshot(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	log.Printf("snapshot: %d plans written to %s", n, path)
-	return nil
 }

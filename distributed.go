@@ -317,19 +317,6 @@ func DistributedFactorCholesky(d Distribution, a *Matrix, blockSize int, opts ..
 	return out, stats, err
 }
 
-// DistributedFactorQR executes the distributed blocked Householder QR with
-// one goroutine per processor. The returned factorization exposes R and a
-// reconstructor for Q, produced by real message-passing execution
-// (bit-identical to the replay). Behavior is configured with functional
-// options.
-func DistributedFactorQR(d Distribution, a *Matrix, blockSize int, opts ...Option) (*QRFactorization, *ExecStats, error) {
-	f, stats, err := DistributedFactor(QR, d, a, blockSize, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &QRFactorization{rep: f.qr}, stats, nil
-}
-
 // qrOpCounts attributes QR block operations to owners exactly like
 // kernels.ReplayQR: panel blocks and trailing blocks of step k charge
 // their owner once each.

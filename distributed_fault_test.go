@@ -108,11 +108,11 @@ func TestRecoveredKernelsBitIdentical(t *testing.T) {
 	})
 	t.Run("qr", func(t *testing.T) {
 		a := matrix.Random(nb*r, nb*r, rng)
-		clean, _, err := DistributedFactorQR(d, a, r)
+		clean, _, err := DistributedFactor(QR, d, a, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := DistributedFactorQR(d, a, r, faults(3))
+		got, _, err := DistributedFactor(QR, d, a, r, faults(3))
 		if err != nil {
 			t.Fatal(err)
 		}

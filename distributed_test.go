@@ -70,7 +70,7 @@ func TestDistributedFactorQR(t *testing.T) {
 	}
 	const nb, r = 5, 3
 	a := matrix.Random(nb*r, nb*r, rng)
-	f, stats, err := DistributedFactorQR(d, a, r)
+	f, stats, err := DistributedFactor(QR, d, a, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,11 +191,10 @@ func TestDriftMigratedRunsBitIdentical(t *testing.T) {
 			same = err == nil && got.Equal(factorPacked(t, Cholesky, d, spd))
 		case QR:
 			a := matrix.Random(n, n, rng)
-			var serial *Factorization
-			var got *QRFactorization
+			var serial, got *Factorization
 			serial, err = Factor(QR, d, a)
 			if err == nil {
-				got, stats, err = DistributedFactorQR(d, a, r, WithDriftRebalance(pol))
+				got, stats, err = DistributedFactor(QR, d, a, r, WithDriftRebalance(pol))
 				same = err == nil && got.R().Equal(serial.R()) && got.Q(r).Equal(serial.Q(r))
 			}
 		}

@@ -164,11 +164,11 @@ func TestDriftSlowdownMigratesAndMatchesClean(t *testing.T) {
 	})
 	t.Run("qr", func(t *testing.T) {
 		a := matrix.Random(nb*r, nb*r, rng)
-		clean, _, err := DistributedFactorQR(d, a, r)
+		clean, _, err := DistributedFactor(QR, d, a, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := DistributedFactorQR(d, a, r, slow, drift)
+		got, stats, err := DistributedFactor(QR, d, a, r, slow, drift)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package hetgrid
 
 import (
-	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/plan"
 )
@@ -40,22 +39,6 @@ func ChooseGrid(times []float64, allowSubset bool, minAspect float64) (*Plan, *G
 	choice := &GridChoice{P: shape.P, Q: shape.Q, Selected: shape.Selected, Candidates: shape.Candidates}
 	return planFromResult(res), choice, nil
 }
-
-// QRFactorization is DistributedFactorQR's result; Factor and
-// DistributedFactor return the uniform Factorization type instead.
-type QRFactorization struct {
-	rep *kernels.QRReplay
-}
-
-// R returns the upper triangular factor.
-func (f *QRFactorization) R() *Matrix { return f.rep.R() }
-
-// Q reconstructs the orthogonal factor (O(n³); for verification).
-// blockSize is the element block size r used when distributing.
-func (f *QRFactorization) Q(blockSize int) *Matrix { return f.rep.Q(blockSize) }
-
-// Ops returns per-processor block-operation counts.
-func (f *QRFactorization) Ops() []int { return append([]int(nil), f.rep.Ops...) }
 
 // RandomSPDMatrix returns a random symmetric positive definite matrix,
 // convenient for exercising the Cholesky kernel.

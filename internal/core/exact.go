@@ -75,18 +75,6 @@ type ExactOptions struct {
 	// upper-bound arrangement skipping, restoring the exhaustive search.
 	// Intended for cross-checks and baselines.
 	NoPrune bool
-	// SeedBound is an extra caller-supplied lower bound on the global Obj2
-	// optimum, combined (max) with the internal heuristic seed before the
-	// arrangement-level branch-and-bound pruning. The caller must guarantee
-	// it never exceeds the true optimum — a too-high bound prunes the
-	// optimal arrangement. Valid bounds never change the result (any
-	// arrangement skipped has an upper bound below the optimum), they only
-	// prune more of the search. 0 means no extra bound (every objective is
-	// positive, so 0 is trivially valid). The hetgridd coalescer uses this
-	// to re-seed a generation member from a proportional sibling's solved
-	// optimum. Global (free-arrangement) search only; the fixed-arrangement
-	// solver has no arrangement-level pruning to seed.
-	SeedBound float64
 }
 
 // exactCandidate is a candidate optimum with the full deterministic
@@ -497,9 +485,6 @@ func SolveGlobalExactOpt(times []float64, p, q int, opts ExactOptions) (*Solutio
 	seed := math.Inf(-1)
 	if !opts.NoPrune {
 		seed = heuristicSeedBound(times, p, q)
-		if opts.SeedBound > seed {
-			seed = opts.SeedBound
-		}
 	}
 	s := newTreeSearcher(p, q, opts)
 	s.resetBest()

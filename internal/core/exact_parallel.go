@@ -104,9 +104,6 @@ func solveGlobalParallel(times []float64, p, q int, opts ExactOptions) (*Solutio
 	seed := math.Inf(-1)
 	if !opts.NoPrune {
 		seed = heuristicSeedBound(times, p, q)
-		if opts.SeedBound > seed {
-			seed = opts.SeedBound
-		}
 	}
 	var incumbent atomicFloat64
 	incumbent.store(seed)

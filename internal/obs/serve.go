@@ -4,7 +4,31 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
+
+// Limits on how long a client may take to send a request, so a socket
+// that is opened and then stalls cannot hold a goroutine and a descriptor
+// forever. There is deliberately no WriteTimeout: an exact solve and
+// /debug/pprof/profile?seconds=30 legitimately outlast any fixed one, and
+// bounding the response waits for a per-request solve deadline.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second // whole request; bodies are capped at 4 MB
+	idleTimeout       = 2 * time.Minute  // keep-alive connection between requests
+)
+
+// NewServer returns an http.Server for h with the read and idle timeouts
+// above; both HTTP listeners in the tree (hetgridd, Registry.Serve) are
+// built here.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // ServeMux returns an HTTP mux exposing the registry at /metrics and the
 // standard pprof endpoints under /debug/pprof/ — the page a scraper (or a
@@ -32,7 +56,7 @@ func (r *Registry) Serve(addr string) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: r.ServeMux()}
+	srv := NewServer(r.ServeMux())
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
 }

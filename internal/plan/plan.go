@@ -125,13 +125,6 @@ type Request struct {
 	// It never changes the result, so it is not part of the wire format or
 	// the cache key.
 	Workers int `json:"-"`
-	// SeedBound is a caller-guaranteed lower bound on the exact solver's
-	// Obj2 optimum (see core.ExactOptions.SeedBound); the hetgridd
-	// coalescer transfers warm bounds between proportional problems in one
-	// scheduling generation through it. Valid bounds never change the
-	// resulting plan, so like Workers it is not part of the wire format or
-	// the cache key.
-	SeedBound float64 `json:"-"`
 }
 
 // Validate checks the request's mode and inputs without solving.

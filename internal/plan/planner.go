@@ -89,7 +89,7 @@ func solveBalance(req Request, strategy Strategy) (*Result, error) {
 		return &Result{Solution: hr.Solution, Iterations: hr.Iterations, Converged: hr.Converged, Tau: hr.Tau}, nil
 	case StrategyExact:
 		sol, stats, err := core.SolveGlobalExactOpt(req.Times, req.P, req.Q,
-			core.ExactOptions{Workers: req.Workers, SeedBound: req.SeedBound})
+			core.ExactOptions{Workers: req.Workers})
 		if err != nil {
 			return nil, err
 		}

@@ -8,10 +8,10 @@ import (
 	"hetgrid/internal/plan"
 )
 
-// BenchmarkGetParallel pins the cache's concurrent hot path so policy
-// changes have a baseline: a hit/miss/shared mix per policy, b.RunParallel
-// across GOMAXPROCS goroutines. "hit" is a resident hot set, "miss" draws
-// fresh keys every call, and "mixed" is 90% hot / 10% fresh — roughly the
+// BenchmarkGetParallel pins the cache's concurrent hot path so cache
+// changes have a baseline: a hit/miss/shared mix, b.RunParallel across
+// GOMAXPROCS goroutines. "hit" is a resident hot set, "miss" draws fresh
+// keys every call, and "mixed" is 90% hot / 10% fresh — roughly the
 // service's steady state.
 func BenchmarkGetParallel(b *testing.B) {
 	mixes := []struct {
@@ -22,33 +22,31 @@ func BenchmarkGetParallel(b *testing.B) {
 		{"miss", 0.0},
 		{"mixed90", 0.9},
 	}
-	for _, policy := range []Policy{PolicyLRU, PolicyLFU} {
-		for _, mix := range mixes {
-			b.Run(fmt.Sprintf("%s/%s", policy, mix.name), func(b *testing.B) {
-				c := New(Config{MaxEntries: 1 << 12, Shards: 16, Policy: policy})
-				const hotKeys = 256
-				hot := make([]string, hotKeys)
-				for i := range hot {
-					hot[i] = fmt.Sprintf("hot-%d", i)
-					c.GetOrCompute(hot[i], func() (*plan.Plan, error) { return planFor(i), nil })
-				}
-				val := planFor(1)
-				load := func() (*plan.Plan, error) { return val, nil }
-				var seq int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					rng := rand.New(rand.NewSource(rand.Int63()))
-					for pb.Next() {
-						if rng.Float64() < mix.hot {
-							c.GetOrCompute(hot[rng.Intn(hotKeys)], load)
-						} else {
-							seq++
-							c.GetOrCompute(fmt.Sprintf("cold-%d-%d", rng.Int63(), seq), load)
-						}
+	for _, mix := range mixes {
+		b.Run(mix.name, func(b *testing.B) {
+			c := New(Config{MaxEntries: 1 << 12, Shards: 16})
+			const hotKeys = 256
+			hot := make([]string, hotKeys)
+			for i := range hot {
+				hot[i] = fmt.Sprintf("hot-%d", i)
+				c.GetOrCompute(hot[i], func() (*plan.Plan, error) { return planFor(i), nil })
+			}
+			val := planFor(1)
+			load := func() (*plan.Plan, error) { return val, nil }
+			var seq int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewSource(rand.Int63()))
+				for pb.Next() {
+					if rng.Float64() < mix.hot {
+						c.GetOrCompute(hot[rng.Intn(hotKeys)], load)
+					} else {
+						seq++
+						c.GetOrCompute(fmt.Sprintf("cold-%d-%d", rng.Int63(), seq), load)
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 }

@@ -6,7 +6,7 @@
 //
 // Design notes:
 //
-//   - Sharding (fnv-32a of the key, power-of-two shard count) keeps lock
+//   - Sharding (fnv-64a of the key, power-of-two shard count) keeps lock
 //     contention bounded: each shard has its own mutex, LRU list and
 //     in-flight table, so concurrent misses on different keys never
 //     serialize.
@@ -22,7 +22,6 @@ package plancache
 
 import (
 	"container/list"
-	"fmt"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -31,35 +30,6 @@ import (
 	"hetgrid/internal/obs"
 	"hetgrid/internal/plan"
 )
-
-// Policy names an eviction/admission policy.
-type Policy string
-
-const (
-	// PolicyLRU is plain per-shard LRU: every miss is admitted, the least
-	// recently used entry is evicted. Optimal when the key stream has no
-	// popularity skew; under Zipf traffic one-hit wonders churn the
-	// resident set.
-	PolicyLRU Policy = "lru"
-	// PolicyLFU is LRU eviction behind TinyLFU-style admission: a 4-bit
-	// count-min sketch with aging tracks key popularity, and a newcomer
-	// only displaces the LRU victim when the sketch has seen it at least
-	// as often as the victim. Wins under skewed (Zipf) key popularity at
-	// cache sizes well below the key space.
-	PolicyLFU Policy = "lfu"
-)
-
-// ParsePolicy maps a -cache-policy flag value to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch Policy(s) {
-	case "", PolicyLRU:
-		return PolicyLRU, nil
-	case PolicyLFU:
-		return PolicyLFU, nil
-	default:
-		return "", fmt.Errorf("plancache: unknown policy %q (want lru or lfu)", s)
-	}
-}
 
 // Config sizes a cache. The zero value is usable: 1024 entries, 16
 // shards, no TTL, LRU, wall clock.
@@ -72,8 +42,6 @@ type Config struct {
 	TTL time.Duration
 	// Shards is rounded up to a power of two (0 = 16).
 	Shards int
-	// Policy selects the admission/eviction policy (empty = PolicyLRU).
-	Policy Policy
 	// Now is the clock (nil = time.Now); tests inject a fake.
 	Now func() time.Time
 }
@@ -88,7 +56,6 @@ type Stats struct {
 	Shared      int64 // joined another call's in-flight load
 	Evictions   int64 // LRU evictions (capacity pressure)
 	Expirations int64 // entries dropped because their TTL lapsed
-	Rejections  int64 // loads the admission policy declined to cache
 	Entries     int64 // current resident entries
 }
 
@@ -98,12 +65,10 @@ type Cache struct {
 	mask   uint32
 	perCap int
 	ttl    time.Duration
-	policy Policy
 	now    func() time.Time
 
 	gets, hits, misses, shared atomic.Int64
 	evictions, expirations     atomic.Int64
-	rejections                 atomic.Int64
 }
 
 type shard struct {
@@ -111,12 +76,10 @@ type shard struct {
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
 	flights map[string]*flight
-	sketch  *freqSketch // nil unless the policy is PolicyLFU
 }
 
 type entry struct {
 	key     string
-	hash    uint64 // the key's fnv-64a hash (shard + sketch identity)
 	val     *plan.Plan
 	expires time.Time // zero = never
 }
@@ -149,16 +112,11 @@ func New(cfg Config) *Cache {
 	if now == nil {
 		now = time.Now
 	}
-	policy := cfg.Policy
-	if policy == "" {
-		policy = PolicyLRU
-	}
 	c := &Cache{
 		shards: make([]*shard, n),
 		mask:   uint32(n - 1),
 		perCap: perCap,
 		ttl:    cfg.TTL,
-		policy: policy,
 		now:    now,
 	}
 	for i := range c.shards {
@@ -167,21 +125,14 @@ func New(cfg Config) *Cache {
 			lru:     list.New(),
 			flights: make(map[string]*flight),
 		}
-		if policy == PolicyLFU {
-			c.shards[i].sketch = newFreqSketch(perCap)
-		}
 	}
 	return c
 }
 
-// Policy reports the cache's admission/eviction policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
-func (c *Cache) shardFor(key string) (*shard, uint64) {
+func (c *Cache) shardFor(key string) *shard {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	sum := h.Sum64()
-	return c.shards[uint32(sum)&c.mask], sum
+	return c.shards[uint32(h.Sum64())&c.mask]
 }
 
 // GetOrCompute returns the plan cached under key, running load (at most
@@ -189,13 +140,8 @@ func (c *Cache) shardFor(key string) (*shard, uint64) {
 // the plan came out of the cache without this call waiting on a load.
 func (c *Cache) GetOrCompute(key string, load func() (*plan.Plan, error)) (p *plan.Plan, hit bool, err error) {
 	c.gets.Add(1)
-	s, h := c.shardFor(key)
+	s := c.shardFor(key)
 	s.mu.Lock()
-	if s.sketch != nil {
-		// Every access feeds the popularity sketch — resident or not —
-		// so admission can tell a returning key from a one-hit wonder.
-		s.sketch.touch(h)
-	}
 	if el, ok := s.entries[key]; ok {
 		e := el.Value.(*entry)
 		if e.expires.IsZero() || c.now().Before(e.expires) {
@@ -224,35 +170,21 @@ func (c *Cache) GetOrCompute(key string, load func() (*plan.Plan, error)) (p *pl
 	s.mu.Lock()
 	delete(s.flights, key)
 	if f.err == nil {
-		c.insertLocked(s, key, h, f.val, time.Time{}, true)
+		c.insertLocked(s, key, f.val)
 	}
 	s.mu.Unlock()
 	close(f.done)
 	return f.val, false, f.err
 }
 
-// insertLocked stores val under key in shard s (held locked), evicting LRU
-// entries over capacity. expires zero derives the expiry from the cache
-// TTL; a non-zero value (snapshot restore) is kept as-is. When admit is
-// true and the policy is LFU, a full shard consults the sketch first: the
-// newcomer must be at least as popular as the LRU victim or it is not
-// cached at all — the caller still gets the value, the cache just declines
-// to remember it.
-func (c *Cache) insertLocked(s *shard, key string, h uint64, val *plan.Plan, expires time.Time, admit bool) bool {
-	if expires.IsZero() && c.ttl > 0 {
+// insertLocked stores val under key in shard s (held locked) with the
+// cache TTL, evicting LRU entries over capacity.
+func (c *Cache) insertLocked(s *shard, key string, val *plan.Plan) {
+	var expires time.Time
+	if c.ttl > 0 {
 		expires = c.now().Add(c.ttl)
 	}
-	if admit && s.sketch != nil && s.lru.Len() >= c.perCap {
-		if victim := s.lru.Back(); victim != nil {
-			old := victim.Value.(*entry)
-			if s.sketch.estimate(h) < s.sketch.estimate(old.hash) {
-				c.rejections.Add(1)
-				return false
-			}
-		}
-	}
-	e := &entry{key: key, hash: h, val: val, expires: expires}
-	s.entries[key] = s.lru.PushFront(e)
+	s.entries[key] = s.lru.PushFront(&entry{key: key, val: val, expires: expires})
 	for s.lru.Len() > c.perCap {
 		oldest := s.lru.Back()
 		old := oldest.Value.(*entry)
@@ -260,7 +192,6 @@ func (c *Cache) insertLocked(s *shard, key string, h uint64, val *plan.Plan, exp
 		delete(s.entries, old.key)
 		c.evictions.Add(1)
 	}
-	return true
 }
 
 // Len reports the resident entry count (expired-but-unswept entries
@@ -284,7 +215,6 @@ func (c *Cache) Stats() Stats {
 		Shared:      c.shared.Load(),
 		Evictions:   c.evictions.Load(),
 		Expirations: c.expirations.Load(),
-		Rejections:  c.rejections.Load(),
 		Entries:     int64(c.Len()),
 	}
 }
@@ -301,9 +231,5 @@ func (c *Cache) Publish(reg *obs.Registry) {
 	pub("shared", "Calls that joined an in-flight solve.", func() float64 { return float64(c.shared.Load()) })
 	pub("evictions", "LRU evictions under capacity pressure.", func() float64 { return float64(c.evictions.Load()) })
 	pub("expirations", "Entries dropped after their TTL lapsed.", func() float64 { return float64(c.expirations.Load()) })
-	pub("rejections", "Loads the admission policy declined to cache.", func() float64 { return float64(c.rejections.Load()) })
 	pub("entries", "Resident cached plans.", func() float64 { return float64(c.Len()) })
-	reg.FuncGauge("hetgrid_plancache_policy_info", obs.Labels("policy", string(c.policy)),
-		"Constant 1; the label names the active admission/eviction policy.",
-		func() float64 { return 1 })
 }

@@ -83,6 +83,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 	c := New(Config{})
 	const callers = 64
 	var loads atomic.Int64
+	started := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
@@ -90,7 +91,9 @@ func TestSingleFlightCollapse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			p, _, err := c.GetOrCompute("cold", func() (*plan.Plan, error) {
-				loads.Add(1)
+				if loads.Add(1) == 1 {
+					close(started)
+				}
 				<-release // hold the flight open so everyone piles on
 				return planFor(3), nil
 			})
@@ -101,16 +104,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 	}
 	// Wait until the flight exists so at least some callers join it, then
 	// release the loader.
-	for {
-		s, _ := c.shardFor("cold")
-		s.mu.Lock()
-		_, inFlight := s.flights["cold"]
-		s.mu.Unlock()
-		if inFlight {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-started
 	close(release)
 	wg.Wait()
 
@@ -239,7 +233,7 @@ func TestShardingSpreadsKeys(t *testing.T) {
 	c := New(Config{Shards: 8})
 	seen := map[*shard]bool{}
 	for i := 0; i < 64; i++ {
-		s, _ := c.shardFor(fmt.Sprintf("key-%d", i))
+		s := c.shardFor(fmt.Sprintf("key-%d", i))
 		seen[s] = true
 	}
 	if len(seen) < 4 {

@@ -83,22 +83,31 @@ func (br BatchResponse) encode(buf *bytes.Buffer) {
 }
 
 // DecodeBatch parses a /v1/plans body: a JSON array of raw items, bounded
-// in bytes (ErrTooLarge beyond 4MB) and count. Items are returned raw and
-// validated individually by the caller so one malformed item cannot fail
-// its neighbors — only envelope-level problems (not an array, trailing
-// garbage, empty, over limit) are errors here.
+// in bytes (ErrTooLarge beyond 4MB, whatever the bytes hold) and count.
+// Items are returned raw and validated individually by the caller so one
+// malformed item cannot fail its neighbors — only envelope-level problems
+// (not an array, trailing garbage, empty, over limit) are errors here.
 func DecodeBatch(r io.Reader, maxItems int) ([]json.RawMessage, error) {
 	lr := &limitedReader{r: io.LimitReader(r, maxBatchBytes+1)}
 	dec := json.NewDecoder(lr)
 	var items []json.RawMessage
-	if err := dec.Decode(&items); err != nil {
-		if lr.n > maxBatchBytes {
-			return nil, fmt.Errorf("service: %w (limit %d bytes)", ErrTooLarge, maxBatchBytes)
-		}
-		return nil, fmt.Errorf("service: bad batch body (want a JSON array of plan requests): %w", err)
+	err := dec.Decode(&items)
+	if err != nil {
+		err = fmt.Errorf("service: bad batch body (want a JSON array of plan requests): %w", err)
+	} else if terr := dec.Decode(&struct{}{}); !errors.Is(terr, io.EOF) {
+		err = fmt.Errorf("service: trailing data after batch array")
 	}
-	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("service: trailing data after batch array")
+	if err != nil {
+		// The decoder stopped where the body went wrong; read the rest
+		// (bounded by the limit) so lr.n tells an oversized body from a
+		// malformed one. A read error here leaves the decode error standing.
+		_, _ = io.Copy(io.Discard, lr)
+	}
+	if lr.n > maxBatchBytes {
+		return nil, fmt.Errorf("service: %w (limit %d bytes)", ErrTooLarge, maxBatchBytes)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if len(items) == 0 {
 		return nil, fmt.Errorf("service: empty batch")

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
@@ -51,6 +52,51 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if again.P != req.P || again.Q != req.Q || len(again.Times) != len(req.Times) {
 			t.Fatalf("round-trip changed the request: %+v vs %+v", again, req)
+		}
+	})
+}
+
+// FuzzDecodeBatch throws arbitrary bytes at the /v1/plans envelope decoder
+// (seed corpus: testdata/fuzz/FuzzDecodeBatch, the shapes of
+// TestBatchErrorPaths). It must never panic; a body over the byte limit is
+// ErrTooLarge whatever it holds; an accepted batch has between one and
+// maxItems items, each valid JSON; and re-joining those items into an
+// array decodes to the same items.
+func FuzzDecodeBatch(f *testing.F) {
+	const maxItems = 4 // small, so mutation reaches the over-limit branch
+	f.Fuzz(func(t *testing.T, data []byte) {
+		items, err := DecodeBatch(bytes.NewReader(data), maxItems) // must not panic
+		if len(data) > maxBatchBytes && !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%d-byte body (limit %d): err = %v, want ErrTooLarge", len(data), maxBatchBytes, err)
+		}
+		if err != nil {
+			return
+		}
+		if len(items) < 1 || len(items) > maxItems {
+			t.Fatalf("accepted a batch of %d items, want 1..%d", len(items), maxItems)
+		}
+		joined := []byte{'['}
+		for i, it := range items {
+			if !json.Valid(it) {
+				t.Fatalf("item %d is not valid JSON: %q", i, it)
+			}
+			if i > 0 {
+				joined = append(joined, ',')
+			}
+			joined = append(joined, it...)
+		}
+		joined = append(joined, ']')
+		again, err := DecodeBatch(bytes.NewReader(joined), maxItems)
+		if err != nil {
+			t.Fatalf("re-joined batch rejected: %v\n%s", err, joined)
+		}
+		if len(again) != len(items) {
+			t.Fatalf("re-joined batch has %d items, want %d", len(again), len(items))
+		}
+		for i := range items {
+			if !bytes.Equal(again[i], items[i]) {
+				t.Fatalf("item %d changed across the round-trip: %q vs %q", i, again[i], items[i])
+			}
 		}
 	})
 }

@@ -5,17 +5,13 @@
 // requests and amortizes the HTTP round-trip over the whole batch:
 // per-item validation (one bad item never fails the batch), intra-batch
 // dedup by quantized key, and a bounded parallel fan-out over the unique
-// keys. Exact-mode misses can additionally coalesce into scheduling
-// generations (see coalesce.go) so concurrent branch-and-bound work runs
-// as one sweep. The observability mux (Prometheus /metrics, pprof) comes
-// from internal/obs; the cache, batch and coalescing counters publish
-// there.
+// keys. The observability mux (Prometheus /metrics, pprof) comes from
+// internal/obs; the cache and batch counters publish there.
 //
 // The service plans the *quantized* request: the cache key and the plan it
 // stores are derived from the same rounded cycle-times, so every request
 // inside one quantum receives the identical (byte-identical, given the
-// stable Plan JSON) response — whether it arrived alone, in a batch, or
-// through a coalesced generation.
+// stable Plan JSON) response — whether it arrived alone or in a batch.
 package service
 
 import (
@@ -34,7 +30,7 @@ import (
 )
 
 // Config assembles a Server. The zero value works: default cache,
-// default quantization, fresh registry, batching on, coalescing off.
+// default quantization, fresh registry, batching on.
 type Config struct {
 	// Cache holds solved plans (nil = plancache.New with defaults).
 	Cache *plancache.Cache
@@ -44,12 +40,6 @@ type Config struct {
 	// Workers caps the exact solver's parallelism per request (0 =
 	// GOMAXPROCS).
 	Workers int
-	// CoalesceWindow holds an exact-mode cache miss open for this long so
-	// concurrent exact misses for different keys queue into one scheduling
-	// generation (one branch-and-bound sweep, warm-bound transfer between
-	// proportional problems). 0 disables coalescing; a few milliseconds is
-	// the useful range.
-	CoalesceWindow time.Duration
 	// MaxBatchItems bounds the number of requests in one POST /v1/plans
 	// body (0 = 256).
 	MaxBatchItems int
@@ -64,11 +54,10 @@ type Server struct {
 	workers  int
 	registry *obs.Registry
 
-	planner   plan.Planner
-	coalescer *coalescer
-	maxBatch  int
-	memo      *planMemo
-	draining  atomic.Bool
+	planner  plan.Planner
+	maxBatch int
+	memo     *planMemo
+	draining atomic.Bool
 
 	latency      *obs.Histogram
 	batchLatency *obs.Histogram
@@ -96,9 +85,6 @@ func New(cfg Config) *Server {
 	}
 	if s.maxBatch <= 0 {
 		s.maxBatch = defaultMaxBatchItems
-	}
-	if cfg.CoalesceWindow > 0 {
-		s.coalescer = newCoalescer(cfg.CoalesceWindow, s.registry)
 	}
 	s.cache.Publish(s.registry)
 	s.latency = s.registry.Histogram("hetgrid_service_plan_seconds", "",
@@ -202,10 +188,9 @@ type errorBody struct {
 }
 
 // solve runs the cached solve for a validated request: quantize, key,
-// cache (single-flight), and — for exact-mode misses when coalescing is on
-// — the generation sweep. Both the single and the batch endpoint go
-// through here, which is what keeps their responses byte-identical for the
-// same quantized key.
+// cache (single-flight), planner on a miss. Both the single and the batch
+// endpoint go through here, which is what keeps their responses
+// byte-identical for the same quantized key.
 func (s *Server) solve(req plan.Request) (*plan.Plan, bool, error) {
 	qreq := req.Quantized(s.digits)
 	return s.solveKeyed(qreq, qreq.Key(s.digits))
@@ -217,22 +202,13 @@ func (s *Server) solve(req plan.Request) (*plan.Plan, bool, error) {
 func (s *Server) solveKeyed(qreq plan.Request, key string) (*plan.Plan, bool, error) {
 	qreq.Workers = s.workers
 	return s.cache.GetOrCompute(key, func() (*plan.Plan, error) {
-		res, err := s.solveUncached(qreq)
+		res, err := s.planner.Plan(qreq)
 		if err != nil {
 			return nil, err
 		}
 		res.Plan.Provenance.Key = key
 		return res.Plan, nil
 	})
-}
-
-// solveUncached dispatches a cache miss to the planner, routing exact-mode
-// requests through the coalescer when one is configured.
-func (s *Server) solveUncached(qreq plan.Request) (*plan.Result, error) {
-	if s.coalescer != nil && qreq.Strategy == plan.StrategyExact {
-		return s.coalescer.solve(qreq)
-	}
-	return s.planner.Plan(qreq)
 }
 
 // rejectDraining answers 503 + Retry-After while the server drains.
