@@ -227,7 +227,7 @@ func main() {
 		lastRes = res
 	}
 	if *traceFile != "" && lastRes != nil {
-		if err := writeTrace(*traceFile, lastRes.Trace); err != nil {
+		if err := writeTrace(*traceFile, lastRes.Spans); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -248,7 +248,7 @@ func blockOnMetrics(m *hetgrid.Metrics) {
 // runReal executes the kernel with one goroutine per grid processor and
 // reports the measured traffic: world totals plus the per-rank breakdown
 // the engine's instrumented transport collects. With a trace file the last
-// run's timestamped events are written in Chrome-tracing format.
+// run's spans are written in Chrome-tracing format.
 func runReal(kernel hetgrid.Kernel, dists []distCase, nb, r, parallel int, bcast hetgrid.BroadcastKind, numerics hetgrid.Numerics, faults *hetgrid.FaultOptions, drift *hetgrid.DriftPolicy, traceFile string, metrics *hetgrid.Metrics) error {
 	if r <= 0 {
 		return fmt.Errorf("block size -r must be positive, got %d", r)
@@ -262,7 +262,7 @@ func runReal(kernel hetgrid.Kernel, dists []distCase, nb, r, parallel int, bcast
 		// A nil registry disables metrics.
 		opts := []hetgrid.Option{hetgrid.WithBroadcast(bcast), hetgrid.WithParallelism(parallel), hetgrid.WithNumerics(numerics), hetgrid.WithMetrics(metrics)}
 		if traceFile != "" {
-			opts = append(opts, hetgrid.WithTrace())
+			opts = append(opts, hetgrid.WithSpans())
 		}
 		if faults != nil {
 			opts = append(opts, hetgrid.WithFaults(*faults))
@@ -282,23 +282,20 @@ func runReal(kernel hetgrid.Kernel, dists []distCase, nb, r, parallel int, bcast
 		lastStats = stats
 	}
 	if traceFile != "" && lastStats != nil {
-		return writeTrace(traceFile, lastStats.Trace)
+		return writeTrace(traceFile, lastStats.Spans)
 	}
 	return nil
 }
 
-// writeTrace writes the last run's events to path in Chrome-tracing format
-// (nothing when the run recorded none).
-func writeTrace(path string, tr *hetgrid.Trace) error {
-	if tr == nil {
-		return nil
-	}
+// writeTrace writes the last run's spans — both callers record whenever a
+// trace file is named — to path in Chrome-tracing format.
+func writeTrace(path string, spans []hetgrid.Span) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := tr.WriteChromeTrace(f); err != nil {
+	if err := hetgrid.WriteChromeTrace(f, spans); err != nil {
 		return err
 	}
 	fmt.Printf("wrote Chrome trace of the last run to %s\n", path)

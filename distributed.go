@@ -2,6 +2,7 @@ package hetgrid
 
 import (
 	"fmt"
+	"io"
 
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/engine"
@@ -74,16 +75,12 @@ func (b BroadcastKind) kind(def sim.BroadcastKind) (sim.BroadcastKind, error) {
 // execOptions configures a real distributed execution.
 //
 // The Distributed* entry points take functional options (WithBroadcast,
-// WithTrace, WithParallelism, WithFaults, …), each of which sets one field
+// WithSpans, WithParallelism, WithFaults, …), each of which sets one field
 // of this struct.
 type execOptions struct {
 	// Broadcast selects the collective algorithm; BroadcastAuto is the flat
 	// broadcast, whose message counts match the analytic volumes.
 	Broadcast BroadcastKind
-	// Trace records timestamped per-message and per-compute events;
-	// ExecStats.Trace then carries them in the simulator's trace format
-	// (Gantt, chrome://tracing).
-	Trace bool
 	// Parallelism is the number of goroutines each rank may use for its own
 	// block computations (intra-rank parallelism on multicore nodes). Work is
 	// partitioned by disjoint outputs — whole blocks in the engine kernels,
@@ -104,9 +101,8 @@ type execOptions struct {
 	// on busy-time gauges).
 	Drift *DriftPolicy
 	// Spans records the hierarchical span timeline (rank → kernel step →
-	// compute/phase spans, plus per-message send spans); ExecStats.Spans,
-	// BusyTime and Imbalance are derived from it. WithTrace implies the
-	// same recording — Trace is the flat chrome-trace view of the spans.
+	// compute/phase/recv-wait spans, plus per-message send spans);
+	// ExecStats.Spans, BusyTime and Imbalance are derived from it.
 	Spans bool
 	// Metrics mirrors engine counters (transport traffic, timeouts,
 	// retries, kernel steps, fault activity) and the run's load-imbalance
@@ -129,9 +125,19 @@ type Metrics = obs.Registry
 // NewMetrics returns an empty metrics registry to pass via WithMetrics.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// Span is one timed, rank-attributed interval of a distributed execution;
-// see ExecStats.Spans.
+// Span is one timed, rank-attributed interval of an execution — the one
+// record simulated (SimResult.Spans, virtual time units) and real
+// (ExecStats.Spans, seconds) runs share; see WriteChromeTrace and Gantt.
 type Span = obs.Span
+
+// WriteChromeTrace writes spans as a Chrome tracing JSON array (load it in
+// chrome://tracing or https://ui.perfetto.dev): one slice per span of
+// every kind, one thread per rank.
+func WriteChromeTrace(w io.Writer, spans []Span) error { return obs.WriteChromeTrace(w, spans) }
+
+// Gantt renders the compute spans as a textual Gantt chart, one row per
+// rank and width columns across the makespan.
+func Gantt(spans []Span, ranks, width int) string { return obs.Gantt(spans, ranks, width) }
 
 // RankStats is one rank's message/byte traffic (engine counters).
 type RankStats = engine.RankStats
@@ -139,13 +145,9 @@ type RankStats = engine.RankStats
 // PairStats is the traffic of one ordered (src,dst) rank pair.
 type PairStats = engine.PairStats
 
-// Trace is a timestamped event log shared between simulated and real
-// executions; see WriteChromeTrace and Gantt.
-type Trace = sim.Trace
-
 // ExecStats reports the real traffic of a distributed execution (kernel
 // plus scatter/gather): world totals, per-rank and per-pair breakdowns,
-// and optionally a timestamped trace. The per-rank sent counters sum
+// and optionally the span timeline. The per-rank sent counters sum
 // exactly to Messages and Bytes. When the execution recovered from rank
 // failures, the traffic counters describe the final (successful) attempt
 // only; Faults aggregates the fault activity across all attempts.
@@ -155,13 +157,10 @@ type ExecStats struct {
 	Ranks []RankStats
 	// Pairs[src][dst] counts the messages and bytes src sent to dst.
 	Pairs [][]PairStats
-	// Trace is the recorded event log (nil unless tracing was requested);
-	// write it with Trace.WriteChromeTrace for chrome://tracing. It is a
-	// flat view over Spans (compute and send spans sorted by start time).
-	Trace *Trace
-	// Spans is the hierarchical span timeline (nil unless spans, tracing
-	// or metrics were requested): per-rank kernel-step spans with their
-	// compute and phase children, plus per-message send spans.
+	// Spans is the hierarchical span timeline (nil unless spans, metrics
+	// or drift rebalancing were requested): per-rank kernel-step spans with
+	// their compute, phase and recv-wait children, plus per-message send
+	// spans. Write it with WriteChromeTrace for chrome://tracing.
 	Spans []Span
 	// BusyTime is each rank's accumulated compute seconds, summed from its
 	// compute spans (nil without span recording).
@@ -198,7 +197,7 @@ func runDistributed(d Distribution, kern Kernel, blockSize int, inputs []*Matrix
 	s := run.State{Kernel: pk, Dist: d}
 	ropts := run.Options{Engine: engine.Options{
 		Broadcast:   bk,
-		Record:      opts.Trace || opts.Spans || opts.Metrics != nil || opts.Drift != nil,
+		Record:      opts.Spans || opts.Metrics != nil || opts.Drift != nil,
 		Parallelism: opts.Parallelism,
 		Numerics:    opts.Numerics,
 		Metrics:     opts.Metrics,
@@ -248,9 +247,6 @@ func execStats(w *engine.World, opts execOptions) *ExecStats {
 		Pairs:    w.PairStats(),
 		Spans:    w.Spans(),
 	}
-	if opts.Trace {
-		stats.Trace = w.Trace()
-	}
 	if reg := opts.Metrics; reg != nil {
 		reg.Gauge("hetgrid_numerics_mode", "", "numerics contract of the last run (0 = strict, 1 = fast)").Set(float64(opts.Numerics))
 		// Pool series are callback-backed: they read the process-wide
@@ -291,7 +287,7 @@ func execStats(w *engine.World, opts execOptions) *ExecStats {
 // moving through messages. blockSize r must tile the matrices into the
 // distribution's block grid. The caller sees a serial API; the concurrency
 // is internal. Behavior is configured with functional options
-// (WithBroadcast, WithTrace, WithParallelism, WithFaults).
+// (WithBroadcast, WithSpans, WithParallelism, WithFaults).
 func DistributedMultiply(d Distribution, a, b *Matrix, blockSize int, opts ...Option) (*Matrix, *ExecStats, error) {
 	out, _, stats, err := runDistributed(d, MatMul, blockSize, []*Matrix{a, b}, applyOptions(opts).exec)
 	return out, stats, err
@@ -301,7 +297,7 @@ func DistributedMultiply(d Distribution, a, b *Matrix, blockSize int, opts ...Op
 // distribution with one goroutine per processor, returning the packed
 // factors (see SplitLU). Supply matrices that are safely factorable without
 // pivoting (e.g. diagonally dominant). Behavior is configured with
-// functional options (WithBroadcast, WithTrace, WithParallelism,
+// functional options (WithBroadcast, WithSpans, WithParallelism,
 // WithFaults).
 func DistributedFactorLU(d Distribution, a *Matrix, blockSize int, opts ...Option) (*Matrix, *ExecStats, error) {
 	out, _, stats, err := runDistributed(d, LU, blockSize, []*Matrix{a}, applyOptions(opts).exec)

@@ -105,7 +105,7 @@ func TestDistributedExecStatsBreakdown(t *testing.T) {
 	}
 	const r = 2
 	a := matrix.RandomWellConditioned(12, rng)
-	packed, stats, err := DistributedFactorLU(d, a, r, WithTrace())
+	packed, stats, err := DistributedFactorLU(d, a, r, WithSpans())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,16 +129,16 @@ func TestDistributedExecStatsBreakdown(t *testing.T) {
 		t.Fatalf("per-rank sums (%d msgs, %d bytes; pairs %d) != totals (%d, %d)",
 			msgs, bytes, pairMsgs, stats.Messages, stats.Bytes)
 	}
-	if stats.Trace == nil || len(stats.Trace.Ops) == 0 {
-		t.Fatal("trace requested but empty")
+	if len(stats.Spans) == 0 {
+		t.Fatal("spans requested but empty")
 	}
-	// Without the option the trace stays nil (no recording overhead).
+	// Without the option the spans stay nil (no recording overhead).
 	_, plain, err := DistributedFactorLU(d, a, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Trace != nil {
-		t.Fatal("trace recorded without being requested")
+	if plain.Spans != nil {
+		t.Fatal("spans recorded without being requested")
 	}
 }
 

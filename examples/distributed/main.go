@@ -77,12 +77,12 @@ func main() {
 			c.name, stats.Messages, stats.Bytes, maxErr)
 	}
 
-	// The distributed product as well, with a correctness check. Tracing is
-	// switched on here, so the stats also carry the per-rank breakdown and a
-	// timestamped event log in the simulator's trace format.
+	// The distributed product as well, with a correctness check. Span
+	// recording is switched on here, so the stats also carry the timeline
+	// of the run — the record a simulated run writes too.
 	b := matrix.Random(n, n, rng)
 	cMat, stats, err := hetgrid.DistributedMultiply(panel, a, b, r,
-		hetgrid.WithBroadcast(hetgrid.TreeBroadcast), hetgrid.WithTrace())
+		hetgrid.WithBroadcast(hetgrid.TreeBroadcast), hetgrid.WithSpans())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := stats.Trace.WriteChromeTrace(f); err != nil {
+	if err := hetgrid.WriteChromeTrace(f, stats.Spans); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwrote a chrome://tracing timeline of the run to %s\n", traceFile)

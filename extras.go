@@ -56,5 +56,5 @@ func TraceSimulation(k Kernel, d Distribution, plan *Plan, opts SimOptions, widt
 		return nil, "", err
 	}
 	p, q := d.Dims()
-	return res, res.Trace.Gantt(p*q, width), nil
+	return res, Gantt(res.Spans, p*q, width), nil
 }

@@ -2,10 +2,12 @@ package hetgrid
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"hetgrid/internal/matrix"
+	"hetgrid/internal/obs"
 )
 
 func TestChooseGrid(t *testing.T) {
@@ -178,8 +180,8 @@ func TestTraceSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		if res.Trace == nil || len(res.Trace.Ops) == 0 {
-			t.Fatalf("%v: no trace recorded", k)
+		if len(res.Spans) == 0 {
+			t.Fatalf("%v: no spans recorded", k)
 		}
 		if !strings.Contains(gantt, "#") {
 			t.Fatalf("%v: gantt shows no activity: %q", k, gantt)
@@ -227,6 +229,83 @@ func TestTraceSimulationMatchesSimulate(t *testing.T) {
 			traced.Stats.Messages != plain.Stats.Messages || traced.Stats.Bytes != plain.Stats.Bytes {
 			t.Fatalf("%v: traced run (%s, makespan %v, %d msgs) differs from Simulate (%s, makespan %v, %d msgs)",
 				k, traced.Kernel, traced.Makespan, traced.Stats.Messages, plain.Kernel, plain.Makespan, plain.Stats.Messages)
+		}
+	}
+}
+
+// TestSimulatedComputeSpansJoinMeasured: simulator and engine name a
+// step's compute sections from one set of names (distribution.Section), so
+// a predicted and a measured timeline join on (Rank, Name). For MatMul, LU
+// and Cholesky on the 2×2 {1,2,3,5} het-panel at nb = 6, every simulated
+// compute span has exactly one measured compute span with its rank and
+// name, and each rank meets them in the order the engine ran them. (The
+// engine opens a section on every rank, the simulator only where the rank
+// owns blocks of it, so the measured side is the larger. QR is left out:
+// its simulation runs LU's model.)
+func TestSimulatedComputeSpansJoinMeasured(t *testing.T) {
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(623))
+	const nb, r = 6, 2
+	for _, k := range []Kernel{MatMul, LU, Cholesky} {
+		layout, err := plan.BestPanel(nb, nb, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := layout.Distribute(nb, nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		predicted, _, err := TraceSimulation(k, d, plan, SimOptions{Latency: 0.01, BlockBytes: 8 * r * r}, 0)
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		var stats *ExecStats
+		switch k {
+		case MatMul:
+			_, stats, err = DistributedMultiply(d, matrix.Random(nb*r, nb*r, rng), matrix.Random(nb*r, nb*r, rng), r, WithSpans())
+		case LU:
+			_, stats, err = DistributedFactor(k, d, matrix.RandomWellConditioned(nb*r, rng), r, WithSpans())
+		case Cholesky:
+			_, stats, err = DistributedFactor(k, d, matrix.RandomSPD(nb*r, rng), r, WithSpans())
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		// A rank's compute spans complete in program order, so the store's
+		// order is the order it ran them in.
+		type key struct {
+			rank int
+			name string
+		}
+		times := map[key]int{}
+		measured := make([][]string, 4)
+		for _, sp := range stats.Spans {
+			if sp.Kind == obs.SpanCompute {
+				times[key{sp.Rank, sp.Name}]++
+				measured[sp.Rank] = append(measured[sp.Rank], sp.Name)
+			}
+		}
+		joined := 0
+		for _, sp := range predicted.Spans {
+			if sp.Kind != obs.SpanCompute {
+				continue
+			}
+			joined++
+			if n := times[key{sp.Rank, sp.Name}]; n != 1 {
+				t.Fatalf("%v: simulated span %q on rank %d has %d measured spans, want 1", k, sp.Name, sp.Rank, n)
+			}
+			// Each match is looked for after the rank's previous one.
+			i := slices.Index(measured[sp.Rank], sp.Name)
+			if i < 0 {
+				t.Fatalf("%v: simulated span %q on rank %d is out of the engine's order", k, sp.Name, sp.Rank)
+			}
+			measured[sp.Rank] = measured[sp.Rank][i+1:]
+		}
+		if joined < nb {
+			t.Fatalf("%v: only %d simulated compute spans", k, joined)
 		}
 	}
 }

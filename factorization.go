@@ -100,7 +100,7 @@ func Factor(k Kernel, d Distribution, a *Matrix, opts ...Option) (*Factorization
 // DistributedFactor executes the factorization kernel for real — one
 // goroutine per grid processor, all data moving through messages — and
 // returns the uniform result type, bit-identical to Factor's. Behavior is
-// configured with functional options (WithBroadcast, WithTrace,
+// configured with functional options (WithBroadcast, WithSpans,
 // WithParallelism, WithFaults). Supported kernels: LU, Cholesky, QR.
 func DistributedFactor(k Kernel, d Distribution, a *Matrix, blockSize int, opts ...Option) (*Factorization, *ExecStats, error) {
 	switch k {

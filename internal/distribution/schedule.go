@@ -3,6 +3,7 @@ package distribution
 import (
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // The step schedule: everything about a kernel step that follows from block
@@ -178,6 +179,25 @@ func (l *Layout) CholeskyPanels(k int) (diagDown Msg, lPanel []Msg) {
 		})
 	return l.diagDown(k), lPanel
 }
+
+// Section is one compute section of a kernel step. The engine's compute
+// span and the simulator's carry the same At(k), so a predicted and a
+// measured timeline join on (rank, name).
+type Section string
+
+const (
+	MMUpdate   Section = "mm update"
+	LUFactor   Section = "lu factor"
+	LULSolve   Section = "lu lsolve"
+	LUUSolve   Section = "lu usolve"
+	LUUpdate   Section = "lu update"
+	CholFactor Section = "chol factor"
+	CholSolve  Section = "chol solve"
+	CholUpdate Section = "chol update"
+)
+
+// At names the section at step k: "lu update k=3".
+func (s Section) At(k int) string { return string(s) + " k=" + strconv.Itoa(k) }
 
 // Region classes the blocks a panel kernel works on at step k.
 type Region int

@@ -11,7 +11,7 @@
 //
 //	Transport   point-to-point fabric (in-process mailboxes by default),
 //	            wrapped by a Meter that keeps per-rank / per-pair traffic
-//	            counters and an optional timestamped event trace
+//	            counters and, when recording, one send span per message
 //	Collectives row/column panel broadcasts and reductions, supporting the
 //	            same sim.BroadcastKind algorithms the simulator models, so
 //	            real and simulated runs select the identical schedule
@@ -43,9 +43,9 @@ type Options struct {
 	// the same variants the simulator models (star/flat, ring, segmented
 	// ring, binomial tree). The zero value is the flat broadcast.
 	Broadcast sim.BroadcastKind
-	// Record enables the timestamped event trace (per-message enqueue →
-	// delivery spans plus labeled compute sections), retrievable from
-	// World.Trace after the run.
+	// Record enables the span timeline (per-message enqueue → delivery
+	// spans, per-Recv wait spans, kernel steps with their labeled compute
+	// and phase sections), retrievable from World.Spans after the run.
 	Record bool
 	// Parallelism is the number of goroutines each rank may use for its own
 	// block computations (intra-rank parallelism on multicore nodes). The
@@ -80,8 +80,8 @@ type Options struct {
 	Faults *FaultConfig
 	// Metrics mirrors the engine's counters (transport traffic, timeouts,
 	// retries, kernel steps, fault activity) into the registry as
-	// scrapeable Prometheus series. nil disables the mirroring; the
-	// disabled path is a pointer test and adds no allocations to the
+	// scrapeable Prometheus series. nil disables the mirroring: it hands
+	// out nil counters, which count nothing and add no allocations to the
 	// transport hot loop.
 	Metrics *obs.Registry
 	// Numerics selects the arithmetic contract of every rank's block
@@ -107,7 +107,8 @@ type World struct {
 
 	timeouts, retries atomic.Int64
 
-	// Registry mirrors of the detector counters; nil without a registry.
+	// Registry mirrors of the detector counters; nil (counting nothing)
+	// without a registry.
 	mTimeouts, mRetries *obs.Counter
 	mSteps              *obs.Counter
 }
@@ -159,11 +160,11 @@ func RunOpts(n int, opts Options, body func(c *Comm) error) (*World, error) {
 	if opts.Record {
 		spans = obs.NewSpanStore()
 	}
-	w := &World{n: n, opts: opts, meter: NewMeter(inner, n, spans, opts.Metrics), fault: fault, spans: spans}
-	if reg := opts.Metrics; reg != nil {
-		w.mTimeouts = reg.Counter("hetgrid_transport_timeouts_total", "", "Recv deadlines that expired")
-		w.mRetries = reg.Counter("hetgrid_transport_retries_total", "", "timeout-triggered retransmission requests")
-		w.mSteps = reg.Counter("hetgrid_kernel_steps_total", "", "kernel panel steps entered across all ranks")
+	reg := opts.Metrics
+	w := &World{n: n, opts: opts, meter: NewMeter(inner, n, spans, reg), fault: fault, spans: spans,
+		mTimeouts: reg.Counter("hetgrid_transport_timeouts_total", "", "Recv deadlines that expired"),
+		mRetries:  reg.Counter("hetgrid_transport_retries_total", "", "timeout-triggered retransmission requests"),
+		mSteps:    reg.Counter("hetgrid_kernel_steps_total", "", "kernel panel steps entered across all ranks"),
 	}
 	local := opts.LocalRanks
 	if local == nil {
@@ -305,10 +306,24 @@ func (c *Comm) Send(dst int, tag string, data *matrix.Dense) {
 // or a remote process's failure propagated through the fabric) re-raise as
 // the engine's abort panics, so the kernels above stay error-free SPMD
 // code while remote failures still surface as clean *RankFailure errors.
+// A recording world notes each delivered call as one recv-wait span under
+// the rank's step: the time blocked here, which is never busy time.
 func (c *Comm) Recv(src int, tag string) *matrix.Dense {
 	if src < 0 || src >= c.world.n {
 		panic(fmt.Sprintf("engine: recv from rank %d of %d", src, c.world.n))
 	}
+	s := c.world.spans
+	if s == nil {
+		return c.recv(src, tag)
+	}
+	start := s.Now()
+	data := c.recv(src, tag)
+	s.Record(obs.Span{Parent: c.stepSpan, Rank: c.rank, Kind: obs.SpanRecvWait, Name: tag, Peer: src, Start: start, End: s.Now()})
+	return data
+}
+
+// recv is Recv's wait: the deadline/retry loop of the failure detector.
+func (c *Comm) recv(src int, tag string) *matrix.Dense {
 	w := c.world
 	timeout := w.opts.RecvTimeout
 	if timeout <= 0 {
@@ -334,16 +349,12 @@ func (c *Comm) Recv(src int, tag string) *matrix.Dense {
 			raise(err)
 		}
 		w.timeouts.Add(1)
-		if w.mTimeouts != nil {
-			w.mTimeouts.Inc()
-		}
+		w.mTimeouts.Inc()
 		if attempt >= maxRetries {
 			panic(&peerDead{rank: src})
 		}
 		w.retries.Add(1)
-		if w.mRetries != nil {
-			w.mRetries.Inc()
-		}
+		w.mRetries.Inc()
 		w.meter.Retransmit(src, c.rank, tag)
 		// Bounded exponential backoff: a slow-but-alive peer gets
 		// progressively longer grace periods before being declared dead.
@@ -380,9 +391,7 @@ func (c *Comm) Step(k int) error {
 	if ft := c.world.fault; ft != nil {
 		ft.StepEntered(c.rank, k)
 	}
-	if ctr := c.world.mSteps; ctr != nil {
-		ctr.Inc()
-	}
+	c.world.mSteps.Inc()
 	if s := c.world.spans; s != nil {
 		s.End(c.stepSpan)
 		c.stepSpan = s.Begin(c.rank, obs.SpanStep, fmt.Sprintf("step %d", k), 0)
@@ -472,15 +481,10 @@ func (w *World) RankStats() []RankStats { return w.meter.RankStats() }
 // PairStats returns per-(src,dst) traffic counters.
 func (w *World) PairStats() [][]PairStats { return w.meter.PairStats() }
 
-// Trace returns the recorded event trace (nil unless Options.Record) as a
-// view over the span store: compute and send spans in the simulator's
-// trace format, so Gantt rendering and chrome-trace export work unchanged
-// on real executions.
-func (w *World) Trace() *sim.Trace { return w.meter.Trace() }
-
 // Spans returns the completed spans of the run (nil unless
-// Options.Record): the hierarchical form of the trace, with step spans
-// linking each rank's compute and phase spans to their kernel step.
+// Options.Record) in completion order, step spans linking each rank's
+// compute, phase and recv-wait spans to their kernel step — the record
+// obs.Gantt and obs.WriteChromeTrace render, for a simulated run alike.
 func (w *World) Spans() []obs.Span {
 	if w.spans == nil {
 		return nil

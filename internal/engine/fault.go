@@ -169,16 +169,14 @@ type FaultTransport struct {
 
 	dropped, delayed, retransmitted int
 
-	// Registry mirrors of the fault counters; nil without a registry.
+	// Registry mirrors of the fault counters; nil (counting nothing) without
+	// a registry.
 	mDropped, mDelayed, mRetransmitted, mCrashes, mSlowdowns *obs.Counter
 }
 
 // attachMetrics mirrors the transport's fault counters into the registry
-// (no-op on nil) so scrapers see drop/delay/retransmission activity live.
+// so scrapers see drop/delay/retransmission activity live.
 func (t *FaultTransport) attachMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	t.mDropped = reg.Counter("hetgrid_fault_dropped_total", "", "messages whose first delivery the fault lottery swallowed")
 	t.mDelayed = reg.Counter("hetgrid_fault_delayed_total", "", "messages the fault lottery deferred")
 	t.mRetransmitted = reg.Counter("hetgrid_fault_retransmitted_total", "", "dropped messages redelivered on retransmission requests")
@@ -254,20 +252,14 @@ func (t *FaultTransport) Send(src, dst int, tag string, data *matrix.Dense) {
 		msg.state = outDropped
 		msg.alsoDelayed = delayHit
 		t.dropped++
-		if t.mDropped != nil {
-			t.mDropped.Inc()
-		}
+		t.mDropped.Inc()
 		if delayHit {
 			t.delayed++
-			if t.mDelayed != nil {
-				t.mDelayed.Inc()
-			}
+			t.mDelayed.Inc()
 		}
 	case delayHit:
 		t.delayed++
-		if t.mDelayed != nil {
-			t.mDelayed.Inc()
-		}
+		t.mDelayed.Inc()
 		t.delayLocked(key, msg)
 	}
 	if msg.state == outReady && len(t.outbox[key]) == 0 {
@@ -333,9 +325,7 @@ func (t *FaultTransport) Retransmit(src, dst int, tag string) bool {
 		}
 	}
 	t.retransmitted += n
-	if t.mRetransmitted != nil && n > 0 {
-		t.mRetransmitted.Add(int64(n))
-	}
+	t.mRetransmitted.Add(int64(n))
 	t.flushLocked(key)
 	t.mu.Unlock()
 	if n > 0 {
@@ -407,18 +397,14 @@ func (t *FaultTransport) StepEntered(rank, step int) {
 		if !t.firedSlow[best] {
 			t.firedSlow[best] = true
 			t.slowed = append(t.slowed, t.cfg.Slowdowns[best])
-			if t.mSlowdowns != nil {
-				t.mSlowdowns.Inc()
-			}
+			t.mSlowdowns.Inc()
 		}
 	}
 	for i, cp := range t.cfg.Crashes {
 		if cp.Rank == rank && cp.Step == step && !t.fired[i] {
 			t.fired[i] = true
 			t.crashed = append(t.crashed, cp)
-			if t.mCrashes != nil {
-				t.mCrashes.Inc()
-			}
+			t.mCrashes.Inc()
 			t.mu.Unlock()
 			panic(&rankCrash{point: cp})
 		}

@@ -213,7 +213,7 @@ func MMResume(c *Comm, d distribution.Distribution, a, b *BlockStore, cStore *Bl
 			func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
 		bPanel := co.Panel(fmt.Sprintf("B/%d", k), bMsgs,
 			func(bj int) *matrix.Dense { return b.Get(k, bj) }, r)
-		if err := c.Compute(fmt.Sprintf("mm update k=%d", k), func() error {
+		if err := c.Compute(distribution.MMUpdate.At(k), func() error {
 			// Each resident C block is a disjoint output, so splitting them
 			// across workers is bit-identical to the serial loop.
 			mode := c.Numerics()
@@ -271,7 +271,7 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 		var diag *matrix.Dense
 		if diagDown.Root == me {
 			diag = a.Get(k, k)
-			if err := c.Compute(fmt.Sprintf("lu factor k=%d", k), func() error {
+			if err := c.Compute(distribution.LUFactor.At(k), func() error {
 				return matrix.FactorNoPivot(diag)
 			}); err != nil {
 				return fmt.Errorf("engine: step %d: %w", k, err)
@@ -286,7 +286,7 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 
 		// 3a. L panel: my sub-diagonal blocks of column k, then grouped
 		// row broadcasts.
-		if err := c.Compute(fmt.Sprintf("lu lsolve k=%d", k), func() error {
+		if err := c.Compute(distribution.LULSolve.At(k), func() error {
 			for _, bi := range lay.ColBelow(k)[me] {
 				if err := a.Get(bi, k).SolveUpperRight(diag); err != nil {
 					return fmt.Errorf("engine: step %d row %d: %w", k, bi, err)
@@ -300,7 +300,7 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 			func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
 
 		// 3b. U panel: triangular solves then grouped column broadcasts.
-		if err := c.Compute(fmt.Sprintf("lu usolve k=%d", k), func() error {
+		if err := c.Compute(distribution.LUUSolve.At(k), func() error {
 			for _, bj := range lay.RowRight(k)[me] {
 				diag.SolveLowerUnitNumerics(a.Get(k, bj), c.Numerics())
 			}
@@ -313,7 +313,7 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 
 		// 4. Trailing update on my blocks — disjoint outputs, so the split
 		// across workers is bit-identical to the serial loop.
-		if err := c.Compute(fmt.Sprintf("lu update k=%d", k), func() error {
+		if err := c.Compute(distribution.LUUpdate.At(k), func() error {
 			mine := lay.Update(distribution.Trailing, k)[me]
 			mode := c.Numerics()
 			parallelDo(c.Parallelism(), len(mine), func(i int) {
@@ -368,7 +368,7 @@ func CholeskyResume(c *Comm, d distribution.Distribution, a *BlockStore, startK 
 		var diagT *matrix.Dense // L(k,k)ᵀ, needed by the panel solvers
 		if diagDown.Root == me {
 			diag := a.Get(k, k)
-			if err := c.Compute(fmt.Sprintf("chol factor k=%d", k), func() error {
+			if err := c.Compute(distribution.CholFactor.At(k), func() error {
 				f, err := matrix.FactorCholesky(diag)
 				if err != nil {
 					return err
@@ -386,7 +386,7 @@ func CholeskyResume(c *Comm, d distribution.Distribution, a *BlockStore, startK 
 
 		// Panel: L(bi,k) = A(bi,k)·L(k,k)^{-T}, then grouped broadcasts to
 		// the needer sets.
-		if err := c.Compute(fmt.Sprintf("chol solve k=%d", k), func() error {
+		if err := c.Compute(distribution.CholSolve.At(k), func() error {
 			for _, bi := range lay.ColBelow(k)[me] {
 				if err := a.Get(bi, k).SolveUpperRight(diagT); err != nil {
 					return fmt.Errorf("engine: step %d row %d: %w", k, bi, err)
@@ -401,7 +401,7 @@ func CholeskyResume(c *Comm, d distribution.Distribution, a *BlockStore, startK 
 
 		// Trailing symmetric update on my lower-triangle blocks — disjoint
 		// outputs, so the split across workers is bit-identical.
-		if err := c.Compute(fmt.Sprintf("chol update k=%d", k), func() error {
+		if err := c.Compute(distribution.CholUpdate.At(k), func() error {
 			mine := lay.Update(distribution.TrailingLower, k)[me]
 			mode := c.Numerics()
 			parallelDo(c.Parallelism(), len(mine), func(i int) {

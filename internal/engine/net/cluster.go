@@ -262,18 +262,23 @@ func applyDeadline(ctx context.Context, conn stdnet.Conn) {
 	}
 }
 
-// writeJSONFrame emits one handshake frame with a JSON body.
+// writeJSONFrame emits one handshake frame with a JSON body, refusing one
+// the reader's cap would refuse.
 func writeJSONFrame(conn stdnet.Conn, ftype byte, v any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
+	if len(body)+2 > maxHandshakeFrame {
+		return fmt.Errorf("net: handshake frame of %d bytes exceeds the %d-byte cap", len(body)+2, maxHandshakeFrame)
+	}
 	return writeFrame(conn, ftype, body)
 }
 
-// readJSONFrame reads one handshake frame, requiring the expected type.
+// readJSONFrame reads one handshake frame of at most maxHandshakeFrame
+// bytes, requiring the expected type.
 func readJSONFrame(conn stdnet.Conn, want byte, v any) error {
-	ftype, body, err := readFrame(conn)
+	ftype, body, err := readFrame(conn, maxHandshakeFrame)
 	if err != nil {
 		return err
 	}

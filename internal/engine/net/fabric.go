@@ -42,7 +42,7 @@ type Fabric struct {
 	closed   bool
 	closeErr error
 
-	metrics *netMetrics // nil without a registry
+	metrics netMetrics // nil counters (counting nothing) without a registry
 }
 
 // NetStats is a snapshot of one peer connection's wire traffic. Frames
@@ -64,11 +64,8 @@ type netMetrics struct {
 	sentBytes, recvBytes   *obs.Counter
 }
 
-func newNetMetrics(reg *obs.Registry) *netMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &netMetrics{
+func newNetMetrics(reg *obs.Registry) netMetrics {
+	return netMetrics{
 		sentFrames: reg.Counter("hetgrid_net_frames_total", obs.Labels("dir", "send"), "frames written to peer processes"),
 		recvFrames: reg.Counter("hetgrid_net_frames_total", obs.Labels("dir", "recv"), "frames read from peer processes"),
 		sentBytes:  reg.Counter("hetgrid_net_bytes_total", obs.Labels("dir", "send"), "bytes written to peer processes (incl. frame headers)"),
@@ -170,10 +167,8 @@ func (f *Fabric) sendFrame(proc int, ftype byte, body []byte) {
 		pc.framesSent.Add(1)
 		pc.bytesSent.Add(int64(len(body) + 6))
 	}
-	if nm := f.metrics; nm != nil {
-		nm.sentFrames.Inc()
-		nm.sentBytes.Add(int64(len(body) + 6))
-	}
+	f.metrics.sentFrames.Inc()
+	f.metrics.sentBytes.Add(int64(len(body) + 6))
 	w.enqueue(ftype, body)
 }
 
@@ -231,10 +226,8 @@ func (f *Fabric) CloseCause(ctx context.Context, cause error) error {
 			pc.framesSent.Add(1)
 			pc.bytesSent.Add(int64(len(body) + 6))
 		}
-		if nm := f.metrics; nm != nil {
-			nm.sentFrames.Inc()
-			nm.sentBytes.Add(int64(len(body) + 6))
-		}
+		f.metrics.sentFrames.Inc()
+		f.metrics.sentBytes.Add(int64(len(body) + 6))
 		w.enqueue(frameAbort, body)
 		w.shutdown()
 	}
@@ -275,46 +268,67 @@ func (f *Fabric) lowestRankOf(proc int) int {
 	return -1
 }
 
+// checkRanks rejects a frame header naming a rank outside the world: the
+// two index rankProc and the mailboxes, and they are the peer's word.
+func (f *Fabric) checkRanks(src, dst int) error {
+	if src < 0 || src >= f.world || dst < 0 || dst >= f.world {
+		return fmt.Errorf("net: channel %d→%d outside the world of %d ranks", src, dst, f.world)
+	}
+	return nil
+}
+
+// closeFrom closes the fabric from a reader goroutine. CloseCause waits
+// for the readers to exit, so it must run off theirs.
+func (f *Fabric) closeFrom(cause error) {
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		f.CloseCause(ctx, cause)
+	}()
+}
+
 // readLoop drains one peer connection, dispatching frames: data into the
 // delivery substrate, abort into a local caused closure, retx into the
 // registered retransmit handler. A connection failure on a live fabric is
 // a process death — the local world closes with a *RemoteAbort blaming the
 // peer's first rank, so this process's ranks fail fast instead of waiting
-// out the failure detector.
+// out the failure detector — and so is a data or retx frame that does not
+// decode or names a rank outside the world: the peer's stream is not the
+// protocol any more, and dropping the frame would leave its receiver
+// waiting for good.
 func (f *Fabric) readLoop(proc int, conn stdnet.Conn) {
 	defer f.readers.Done()
+	blame := func(format string, args ...any) {
+		f.closeFrom(&engine.RemoteAbort{Rank: f.lowestRankOf(proc), Reason: fmt.Sprintf(format, args...)})
+	}
 	br := bufio.NewReaderSize(conn, 1<<16)
 	for {
-		ftype, body, err := readFrame(br)
+		ftype, body, err := readFrame(br, maxFrameSize)
 		if err != nil {
-			if f.isClosed() {
-				return
+			if !f.isClosed() {
+				blame("connection to process %d lost: %v", proc, err)
 			}
-			// CloseCause waits for the readers to exit, so it must run off
-			// this goroutine.
-			cause := &engine.RemoteAbort{Rank: f.lowestRankOf(proc), Reason: fmt.Sprintf("connection to process %d lost: %v", proc, err)}
-			go func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				f.CloseCause(ctx, cause)
-			}()
 			return
 		}
 		if pc := f.peers[proc]; pc != nil {
 			pc.framesRecv.Add(1)
 			pc.bytesRecv.Add(int64(len(body) + 6))
 		}
-		if nm := f.metrics; nm != nil {
-			nm.recvFrames.Inc()
-			nm.recvBytes.Add(int64(len(body) + 6))
-		}
+		f.metrics.recvFrames.Inc()
+		f.metrics.recvBytes.Add(int64(len(body) + 6))
 		switch ftype {
 		case frameData:
 			src, dst, tag, m, derr := decodeData(body)
-			if derr != nil || f.rankProc[dst] != f.procID {
-				continue
+			if derr == nil {
+				derr = f.checkRanks(src, dst)
 			}
-			f.mem.Send(src, dst, tag, m)
+			if derr != nil {
+				blame("bad data frame from process %d: %v", proc, derr)
+				return
+			}
+			if f.rankProc[dst] == f.procID {
+				f.mem.Send(src, dst, tag, m)
+			}
 		case frameAbort:
 			rank, reason, derr := decodeAbort(body)
 			if derr != nil {
@@ -324,16 +338,16 @@ func (f *Fabric) readLoop(proc int, conn stdnet.Conn) {
 			if rank >= 0 || reason != "transport closed" {
 				cause = &engine.RemoteAbort{Rank: rank, Reason: reason}
 			}
-			go func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				f.CloseCause(ctx, cause)
-			}()
+			f.closeFrom(cause)
 			return
 		case frameRetx:
 			src, dst, tag, derr := decodeRetx(body)
+			if derr == nil {
+				derr = f.checkRanks(src, dst)
+			}
 			if derr != nil {
-				continue
+				blame("bad retx frame from process %d: %v", proc, derr)
+				return
 			}
 			f.retxMu.Lock()
 			h := f.retxHandler

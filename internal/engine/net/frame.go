@@ -49,10 +49,15 @@ const (
 	frameStart     = 8
 )
 
-// maxFrameSize bounds a single frame; a length prefix beyond it means a
-// corrupt or hostile stream and fails the connection instead of a huge
-// allocation.
-const maxFrameSize = 1 << 30
+// maxFrameSize bounds a single data-plane frame; a length prefix beyond it
+// means a corrupt or hostile stream and fails the connection instead of a
+// huge allocation. maxHandshakeFrame is the far smaller bound on the JSON
+// frames of the handshake, whose first reader is a listener anyone can
+// dial: a hello may not make the coordinator allocate more than this.
+const (
+	maxFrameSize      = 1 << 30
+	maxHandshakeFrame = 1 << 20
+)
 
 // writeFrame emits one frame. The writer is typically buffered; callers
 // flush when their queue drains.
@@ -68,15 +73,17 @@ func writeFrame(w io.Writer, ftype byte, body []byte) error {
 	return err
 }
 
-// readFrame reads one frame, checking the version byte.
-func readFrame(r io.Reader) (ftype byte, body []byte, err error) {
+// readFrame reads one frame of at most limit bytes after the length
+// prefix, checking the length — before the body is allocated — and the
+// version byte.
+func readFrame(r io.Reader, limit uint32) (ftype byte, body []byte, err error) {
 	var hdr [6]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < 2 || n > maxFrameSize {
-		return 0, nil, fmt.Errorf("net: frame length %d out of range", n)
+	if n < 2 || n > limit {
+		return 0, nil, fmt.Errorf("net: frame length %d out of range [2, %d]", n, limit)
 	}
 	if hdr[4] != frameVersion {
 		return 0, nil, fmt.Errorf("net: frame version %d, want %d", hdr[4], frameVersion)
@@ -101,7 +108,7 @@ func encodeData(src, dst int, tag string, m *matrix.Dense) []byte {
 	binary.BigEndian.PutUint32(body[off:], uint32(rows))
 	binary.BigEndian.PutUint32(body[off+4:], uint32(cols))
 	off += 8
-	for i := 0; i < rows; i++ {
+	for i := 0; off < len(body); i++ { // not i < rows: see decodeData
 		for _, v := range m.RawRow(i) {
 			binary.LittleEndian.PutUint64(body[off:], math.Float64bits(v))
 			off += 8
@@ -110,15 +117,18 @@ func encodeData(src, dst int, tag string, m *matrix.Dense) []byte {
 	return body
 }
 
-// decodeData parses a data frame body back into its message.
+// decodeData parses a data frame body back into its message. Every length
+// in the header is the sender's word: each is checked against the bytes
+// that are there by subtraction and division, never by forming a sum or a
+// product a hostile value could overflow.
 func decodeData(body []byte) (src, dst int, tag string, m *matrix.Dense, err error) {
-	if len(body) < 12 {
+	if len(body) < 20 {
 		return 0, 0, "", nil, fmt.Errorf("net: data frame truncated (%d bytes)", len(body))
 	}
 	src = int(binary.BigEndian.Uint32(body[0:]))
 	dst = int(binary.BigEndian.Uint32(body[4:]))
 	tagLen := int(binary.BigEndian.Uint32(body[8:]))
-	if len(body) < 12+tagLen+8 {
+	if tagLen < 0 || tagLen > len(body)-20 {
 		return 0, 0, "", nil, fmt.Errorf("net: data frame truncated (%d bytes, tag %d)", len(body), tagLen)
 	}
 	tag = string(body[12 : 12+tagLen])
@@ -126,11 +136,14 @@ func decodeData(body []byte) (src, dst int, tag string, m *matrix.Dense, err err
 	rows := int(binary.BigEndian.Uint32(body[off:]))
 	cols := int(binary.BigEndian.Uint32(body[off+4:]))
 	off += 8
-	if rows < 0 || cols < 0 || len(body)-off != 8*rows*cols {
-		return 0, 0, "", nil, fmt.Errorf("net: data frame payload %d bytes for %d×%d", len(body)-off, rows, cols)
+	payload := len(body) - off
+	if rows < 0 || cols < 0 || payload%8 != 0 || !isProduct(payload/8, rows, cols) {
+		return 0, 0, "", nil, fmt.Errorf("net: data frame payload %d bytes for %d×%d", payload, rows, cols)
 	}
 	m = matrix.New(rows, cols)
-	for i := 0; i < rows; i++ {
+	// Until the payload is consumed, not i < rows: 2³²−1 rows of no columns
+	// are a valid header over an empty payload, and nothing to loop over.
+	for i := 0; off < len(body); i++ {
 		row := m.RawRow(i)
 		for j := range row {
 			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
@@ -138,6 +151,15 @@ func decodeData(body []byte) (src, dst int, tag string, m *matrix.Dense, err err
 		}
 	}
 	return src, dst, tag, m, nil
+}
+
+// isProduct reports n == a·b for non-negative a and b by division: the
+// product of two header fields can wrap around to whatever n is.
+func isProduct(n, a, b int) bool {
+	if a == 0 || b == 0 {
+		return n == 0
+	}
+	return n%a == 0 && n/a == b
 }
 
 // encodeAbort serializes a closure notification: the failing rank (-1 when

@@ -1,0 +1,148 @@
+package net
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	stdnet "net"
+	"strings"
+	"testing"
+	"time"
+
+	"hetgrid/internal/engine"
+	"hetgrid/internal/matrix"
+)
+
+// The seed corpora are in testdata/fuzz/<target> and run in tier-1. The
+// one to keep is FuzzDecodeData/seed-dims-overflow: 21 bytes claiming a
+// 2³¹×2³⁰ payload, whose byte count wraps to the 0 bytes that are there.
+
+// FuzzDecodeData throws arbitrary bodies at the data-frame decoder: it
+// must never panic (a hostile header must not reach matrix.New), and a
+// body it accepts is exactly what encodeData writes for the result.
+func FuzzDecodeData(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		src, dst, tag, m, err := decodeData(body) // must not panic
+		if err != nil {
+			return
+		}
+		if again := encodeData(src, dst, tag, m); !bytes.Equal(again, body) {
+			t.Fatalf("accepted body is not canonical:\n got %x\nwant %x", again, body)
+		}
+	})
+}
+
+// FuzzReadFrame throws arbitrary streams at the frame reader under a small
+// limit: it must never panic; a length prefix over the limit is an error
+// raised on the header alone (nothing after it is read, so nothing was
+// allocated for it); an accepted frame's body is within the limit and
+// writeFrame reproduces the bytes consumed.
+func FuzzReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream []byte, limit16 uint16) {
+		limit := uint32(limit16) // ≤ 64 KiB: the fuzzer may not allocate more per frame
+		r := bytes.NewReader(stream)
+		ftype, body, err := readFrame(r, limit) // must not panic
+		if len(stream) >= 6 {
+			if n := binary.BigEndian.Uint32(stream); n > limit && (err == nil || r.Len() != len(stream)-6) {
+				t.Fatalf("length prefix %d over the limit %d: err = %v with %d of %d bytes consumed, want an error on the header alone",
+					n, limit, err, len(stream)-r.Len(), len(stream))
+			}
+		}
+		if err != nil {
+			return
+		}
+		if uint32(len(body))+2 > limit {
+			t.Fatalf("accepted a %d-byte body under the limit %d", len(body), limit)
+		}
+		var again bytes.Buffer
+		if err := writeFrame(&again, ftype, body); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := stream[:len(stream)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("accepted frame is not canonical:\n got %x\nwant %x", again.Bytes(), consumed)
+		}
+	})
+}
+
+// FuzzDecodeControl throws arbitrary bodies at the abort and retx
+// decoders: neither may panic, and a body either accepts is exactly what
+// its encoder writes for the result.
+func FuzzDecodeControl(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if rank, reason, err := decodeAbort(body); err == nil {
+			if again := encodeAbort(rank, reason); !bytes.Equal(again, body) {
+				t.Fatalf("abort body is not canonical:\n got %x\nwant %x", again, body)
+			}
+		}
+		if src, dst, tag, err := decodeRetx(body); err == nil {
+			if again := encodeRetx(src, dst, tag); !bytes.Equal(again, body) {
+				t.Fatalf("retx body is not canonical:\n got %x\nwant %x", again, body)
+			}
+		}
+	})
+}
+
+// TestReaderBlamesPeerForOutOfRangeRank feeds a fabric's reader, over
+// net.Pipe, a well-formed data frame and a well-formed retx frame naming a
+// rank outside the world. Each indexed rankProc unchecked and panicked the
+// reader goroutine; now the fabric closes as it does on a lost connection,
+// with a *RemoteAbort blaming the peer's first rank.
+func TestReaderBlamesPeerForOutOfRangeRank(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ftype byte
+		body  []byte
+	}{
+		{"data dst", frameData, encodeData(1, 7, "x", matrix.New(1, 1))},
+		{"data src", frameData, encodeData(1<<31, 0, "x", matrix.New(1, 1))},
+		{"retx src", frameRetx, encodeRetx(7, 0, "x")},
+		{"retx dst", frameRetx, encodeRetx(1, 1<<31, "x")},
+	} {
+		local, peer := stdnet.Pipe()
+		// Process 0 hosts rank 0, the peer (process 1) rank 1.
+		f := newFabric(2, 0, []int{0, 1}, map[int]stdnet.Conn{1: local}, nil)
+		// The retx request of a live run ends in Fabric.Retransmit.
+		f.SetRetransmitHandler(f.Retransmit)
+		go io.Copy(io.Discard, peer) // the closing fabric's abort frame
+		if err := writeFrame(peer, tc.ftype, tc.body); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, err := f.Recv(ctx, 1, 0, "never sent")
+		cancel()
+		var ra *engine.RemoteAbort
+		if !errors.As(err, &ra) || ra.Rank != 1 {
+			t.Fatalf("%s: Recv error %v, want a *RemoteAbort blaming rank 1", tc.name, err)
+		}
+		peer.Close()
+	}
+}
+
+// TestOversizedHelloRefusedOnItsHeader: anyone can dial the coordinator, so
+// a hello may claim no more than maxHandshakeFrame. The dialer sends the
+// header of a larger one and then nothing: a reader that allocated the body
+// and waited for it would sit out the handshake deadline.
+func TestOversizedHelloRefusedOnItsHeader(t *testing.T) {
+	co, err := NewCoordinator("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	conn, err := stdnet.Dial("tcp", co.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hdr := []byte{0, 0, 0, 0, frameVersion, frameHello}
+	binary.BigEndian.PutUint32(hdr, maxHandshakeFrame+1)
+	if _, err := conn.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := co.Establish(ctx, 2, 2, nil, nil); err == nil || !strings.Contains(err.Error(), "frame length") {
+		t.Fatalf("Establish = %v, want the hello refused for its length", err)
+	}
+}

@@ -15,7 +15,7 @@ func TestDataFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, frameData, encodeData(7, 11, "L/3", m)); err != nil {
 		t.Fatal(err)
 	}
-	ftype, body, err := readFrame(&buf)
+	ftype, body, err := readFrame(&buf, maxFrameSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,14 @@ func TestReadFrameRejectsBadVersion(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[4] = frameVersion + 1
-	if _, _, err := readFrame(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, _, err := readFrame(bytes.NewReader(raw), maxFrameSize); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("foreign version accepted: %v", err)
 	}
 }
 
 func TestReadFrameRejectsHugeLength(t *testing.T) {
 	raw := []byte{0xff, 0xff, 0xff, 0xff, frameVersion, frameData}
-	if _, _, err := readFrame(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "length") {
+	if _, _, err := readFrame(bytes.NewReader(raw), maxFrameSize); err == nil || !strings.Contains(err.Error(), "length") {
 		t.Fatalf("oversized length prefix accepted: %v", err)
 	}
 }

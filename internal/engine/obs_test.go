@@ -1,80 +1,19 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"testing"
 
-	"hetgrid/internal/distribution"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/obs"
-	"hetgrid/internal/sim"
 )
 
-// TestChromeTraceByteIdenticalToPreSpanExporter pins the chrome-trace view
-// over the span store to the pre-refactor exporter: the old Meter appended
-// one sim.Op per event at completion time and sorted the list by start with
-// a stable insertion sort before serializing. The reference below rebuilds
-// exactly that pipeline from the raw spans of a fixed 2×3 LU run; the output
-// of w.Trace().WriteChromeTrace must match it byte for byte.
-func TestChromeTraceByteIdenticalToPreSpanExporter(t *testing.T) {
-	rng := rand.New(rand.NewSource(907))
-	const nb, r = 6, 2
-	d, err := distribution.UniformBlockCyclic(2, 3, nb, nb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := matrix.RandomWellConditioned(nb*r, rng)
-	w, err := RunOpts(6, Options{Record: true}, func(c *Comm) error {
-		store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-		if err != nil {
-			return err
-		}
-		return LU(c, d, store)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var got bytes.Buffer
-	if err := w.Trace().WriteChromeTrace(&got); err != nil {
-		t.Fatal(err)
-	}
-
-	// Pre-refactor exporter: events in recorded (completion) order — which
-	// is the span store's append order — filtered to computes and sends,
-	// then insertion-sorted by start time.
-	ops := make([]sim.Op, 0)
-	for _, sp := range w.Spans() {
-		switch sp.Kind {
-		case obs.SpanCompute:
-			ops = append(ops, sim.Op{Kind: sim.OpCompute, Node: sp.Rank, Peer: -1, Start: sp.Start, End: sp.End, Label: sp.Name})
-		case obs.SpanSend:
-			ops = append(ops, sim.Op{Kind: sim.OpSend, Node: sp.Rank, Peer: sp.Peer, Start: sp.Start, End: sp.End, Bytes: sp.Bytes, Label: sp.Name})
-		}
-	}
-	for i := 1; i < len(ops); i++ {
-		for j := i; j > 0 && ops[j].Start < ops[j-1].Start; j-- {
-			ops[j], ops[j-1] = ops[j-1], ops[j]
-		}
-	}
-	if len(ops) == 0 {
-		t.Fatal("run recorded no compute or send spans")
-	}
-	var want bytes.Buffer
-	if err := (&sim.Trace{Ops: ops}).WriteChromeTrace(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("chrome trace diverged from pre-refactor exporter\ngot  %d bytes\nwant %d bytes", got.Len(), want.Len())
-	}
-}
-
-// TestSpanHierarchy checks the structural half of the span store that the
-// chrome-trace view deliberately hides: every compute span hangs off the
-// step span of its rank, phases nest under steps, and busy time is the sum
-// of compute spans per rank.
+// TestSpanHierarchy checks the structure of the span store: every compute
+// span hangs off the step span of its rank, phases nest under steps, busy
+// time is the sum of compute spans per rank, and every delivered message
+// left one recv-wait span at its receiver — under the receiver's step, or
+// under none before the first (the scatter) — naming the tag it came on.
 func TestSpanHierarchy(t *testing.T) {
 	rng := rand.New(rand.NewSource(412))
 	const nb, r = 4, 2
@@ -92,10 +31,14 @@ func TestSpanHierarchy(t *testing.T) {
 	}
 	spans := w.Spans()
 	byID := make(map[obs.SpanID]obs.Span, len(spans))
+	sentTags := map[string]bool{}
 	for _, sp := range spans {
 		byID[sp.ID] = sp
+		if sp.Kind == obs.SpanSend {
+			sentTags[sp.Name] = true
+		}
 	}
-	steps, computes, sends := 0, 0, 0
+	steps, computes, sends, waits := 0, 0, 0, 0
 	busy := make([]float64, 4)
 	for _, sp := range spans {
 		if sp.End < sp.Start {
@@ -122,7 +65,25 @@ func TestSpanHierarchy(t *testing.T) {
 			busy[sp.Rank] += sp.End - sp.Start
 		case obs.SpanSend:
 			sends++
+		case obs.SpanRecvWait:
+			if parent := byID[sp.Parent]; sp.Parent != 0 && (parent.Kind != obs.SpanStep || parent.Rank != sp.Rank) {
+				t.Fatalf("recv-wait span %d on rank %d parented to %+v, want its rank's step", sp.ID, sp.Rank, parent)
+			}
+			if sp.Peer == sp.Rank {
+				continue // a rank taking its own local data
+			}
+			waits++
+			if !sentTags[sp.Name] {
+				t.Fatalf("recv-wait span %d names tag %q, which no send span carries", sp.ID, sp.Name)
+			}
 		}
+	}
+	received := 0
+	for _, rs := range w.RankStats() {
+		received += rs.MsgsRecv
+	}
+	if waits != received || received != w.Messages() {
+		t.Fatalf("%d cross-rank recv-wait spans for %d received of %d sent messages", waits, received, w.Messages())
 	}
 	if steps == 0 || computes == 0 {
 		t.Fatalf("run recorded %d step and %d compute spans", steps, computes)

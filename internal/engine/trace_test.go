@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"hetgrid/internal/matrix"
-	"hetgrid/internal/sim"
+	"hetgrid/internal/obs"
 )
 
 func TestRecordedTraceWritesChromeFormat(t *testing.T) {
@@ -25,29 +25,28 @@ func TestRecordedTraceWritesChromeFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := w.Trace()
-	if tr == nil || len(tr.Ops) == 0 {
-		t.Fatal("recording produced no events")
+	spans := w.Spans()
+	if len(spans) == 0 {
+		t.Fatal("recording produced no spans")
 	}
 	sends, computes := 0, 0
-	for i, op := range tr.Ops {
-		if op.End < op.Start {
-			t.Fatalf("op %d ends before it starts", i)
+	kinds := map[string]int{}
+	for i, sp := range spans {
+		kinds[sp.Kind.String()]++
+		if sp.End < sp.Start {
+			t.Fatalf("span %d ends before it starts", i)
 		}
-		switch op.Kind {
-		case sim.OpSend:
+		switch sp.Kind {
+		case obs.SpanSend:
 			sends++
-			if op.Bytes <= 0 {
-				t.Fatalf("send op %d has no bytes", i)
+			if sp.Bytes <= 0 {
+				t.Fatalf("send span %d has no bytes", i)
 			}
-		case sim.OpCompute:
+		case obs.SpanCompute:
 			computes++
-			if op.Label == "" {
-				t.Fatalf("compute op %d unlabeled", i)
+			if sp.Name == "" {
+				t.Fatalf("compute span %d unlabeled", i)
 			}
-		}
-		if i > 0 && tr.Ops[i].Start < tr.Ops[i-1].Start {
-			t.Fatal("trace not sorted by start time")
 		}
 	}
 	if sends != w.Messages() {
@@ -56,24 +55,35 @@ func TestRecordedTraceWritesChromeFormat(t *testing.T) {
 	if computes == 0 {
 		t.Fatal("no compute spans recorded")
 	}
-	// The trace must serialize through the simulator's chrome-trace writer
-	// into valid JSON with the fields chrome://tracing requires.
+	// The spans must serialize through the one chrome-trace writer — the
+	// simulator's too — into valid JSON with the fields chrome://tracing
+	// requires, one event per span of every kind, sorted by start time.
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
-	if len(events) != len(tr.Ops) {
-		t.Fatalf("%d JSON events for %d ops", len(events), len(tr.Ops))
+	if len(events) != len(spans) {
+		t.Fatalf("%d JSON events for %d spans", len(events), len(spans))
 	}
-	for _, ev := range events {
+	cats := map[string]int{}
+	for i, ev := range events {
 		for _, key := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
 			if _, ok := ev[key]; !ok {
 				t.Fatalf("chrome event missing %q: %v", key, ev)
 			}
+		}
+		if i > 0 && ev["ts"].(float64) < events[i-1]["ts"].(float64) {
+			t.Fatal("trace not sorted by start time")
+		}
+		cats[ev["cat"].(string)]++
+	}
+	for _, kind := range []obs.SpanKind{obs.SpanCompute, obs.SpanSend, obs.SpanStep, obs.SpanPhase, obs.SpanRecvWait} {
+		if c := kind.String(); cats[c] == 0 || cats[c] != kinds[c] {
+			t.Fatalf("%d %q events for %d such spans (categories %v)", cats[c], c, kinds[c], cats)
 		}
 	}
 }
@@ -90,7 +100,7 @@ func TestTraceNilWithoutRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Trace() != nil {
-		t.Fatal("trace exists without recording")
+	if w.Spans() != nil {
+		t.Fatal("spans exist without recording")
 	}
 }

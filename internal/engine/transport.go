@@ -10,7 +10,6 @@ import (
 
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/obs"
-	"hetgrid/internal/sim"
 )
 
 // Transport is the bottom layer of the engine: a point-to-point message
@@ -235,18 +234,15 @@ type rankCounters struct {
 }
 
 // transportMetrics is the transport layer's registry view: aggregate
-// send/recv counters every Meter increment mirrors into. nil when no
-// registry is attached — the disabled path is a single pointer test.
+// send/recv counters every Meter increment mirrors into — nil counters,
+// which count nothing, when no registry is attached.
 type transportMetrics struct {
 	sentMsgs, recvMsgs   *obs.Counter
 	sentBytes, recvBytes *obs.Counter
 }
 
-func newTransportMetrics(reg *obs.Registry) *transportMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &transportMetrics{
+func newTransportMetrics(reg *obs.Registry) transportMetrics {
+	return transportMetrics{
 		sentMsgs:  reg.Counter("hetgrid_transport_messages_total", obs.Labels("dir", "send"), "cross-rank messages through the transport"),
 		recvMsgs:  reg.Counter("hetgrid_transport_messages_total", obs.Labels("dir", "recv"), "cross-rank messages through the transport"),
 		sentBytes: reg.Counter("hetgrid_transport_bytes_total", obs.Labels("dir", "send"), "cross-rank bytes through the transport"),
@@ -257,8 +253,8 @@ func newTransportMetrics(reg *obs.Registry) *transportMetrics {
 // Meter wraps any Transport with per-rank and per-pair message/byte
 // counters, mirrors them into an optional obs.Registry, and — when a span
 // store is attached — records every cross-rank message as a send span
-// (enqueue → delivery) in the store. The span store is the observability
-// layer that lets real executions be cross-checked against the analytic
+// (enqueue → delivery) in the store: the record a simulated run writes
+// too, so real executions are cross-checked against the analytic
 // communication volumes and inspected in chrome://tracing exactly like
 // simulated ones.
 //
@@ -269,8 +265,8 @@ type Meter struct {
 	n     int
 
 	ranks   []rankCounters
-	metrics *transportMetrics // nil unless a registry is attached
-	spans   *obs.SpanStore    // nil unless recording
+	metrics transportMetrics // nil counters unless a registry is attached
+	spans   *obs.SpanStore   // nil unless recording
 
 	mu      sync.Mutex
 	pairs   [][]PairStats
@@ -299,11 +295,6 @@ func NewMeter(inner Transport, n int, spans *obs.SpanStore, reg *obs.Registry) *
 	return m
 }
 
-// now returns seconds since the span store was created; WriteChromeTrace
-// maps trace time units to microseconds, so real traces keep wall-clock
-// scale.
-func (m *Meter) now() float64 { return m.spans.Now() }
-
 // Send counts the message at the sender and forwards it to the fabric.
 func (m *Meter) Send(src, dst int, tag string, data *matrix.Dense) {
 	if src != dst {
@@ -312,16 +303,14 @@ func (m *Meter) Send(src, dst int, tag string, data *matrix.Dense) {
 		rc := &m.ranks[src]
 		rc.msgsSent.Add(1)
 		rc.bytesSent.Add(int64(bytes))
-		if tm := m.metrics; tm != nil {
-			tm.sentMsgs.Inc()
-			tm.sentBytes.Add(int64(bytes))
-		}
+		m.metrics.sentMsgs.Inc()
+		m.metrics.sentBytes.Add(int64(bytes))
 		m.mu.Lock()
 		m.pairs[src][dst].Messages++
 		m.pairs[src][dst].Bytes += bytes
 		if m.spans != nil {
 			key := pairTag{src, dst, tag}
-			m.inQueue[key] = append(m.inQueue[key], m.now())
+			m.inQueue[key] = append(m.inQueue[key], m.spans.Now())
 		}
 		m.mu.Unlock()
 	}
@@ -357,12 +346,10 @@ func (m *Meter) countRecv(src, dst int, tag string, data *matrix.Dense) {
 	rc := &m.ranks[dst]
 	rc.msgsRecv.Add(1)
 	rc.bytesRecv.Add(int64(bytes))
-	if tm := m.metrics; tm != nil {
-		tm.recvMsgs.Inc()
-		tm.recvBytes.Add(int64(bytes))
-	}
+	m.metrics.recvMsgs.Inc()
+	m.metrics.recvBytes.Add(int64(bytes))
 	if m.spans != nil {
-		end := m.now()
+		end := m.spans.Now()
 		key := pairTag{src, dst, tag}
 		m.mu.Lock()
 		ts := m.inQueue[key]
@@ -435,41 +422,6 @@ func (m *Meter) Bytes() int {
 		total += m.ranks[i].bytesSent.Load()
 	}
 	return int(total)
-}
-
-// Trace renders the span store's compute and send spans as a sim.Trace
-// (events sorted by start time), or nil when recording was off — the
-// chrome-trace exporter is a view over the span store, so Gantt rendering
-// and WriteChromeTrace work on real executions unchanged. Step and phase
-// spans are structural (parent links, busy-time attribution) and do not
-// appear in the view, which keeps its output identical to the pre-span
-// exporter's.
-func (m *Meter) Trace() *sim.Trace {
-	if m.spans == nil {
-		return nil
-	}
-	spans := m.spans.Snapshot()
-	ops := make([]sim.Op, 0, len(spans))
-	for _, sp := range spans {
-		switch sp.Kind {
-		case obs.SpanCompute:
-			ops = append(ops, sim.Op{Kind: sim.OpCompute, Node: sp.Rank, Peer: -1, Start: sp.Start, End: sp.End, Label: sp.Name})
-		case obs.SpanSend:
-			ops = append(ops, sim.Op{Kind: sim.OpSend, Node: sp.Rank, Peer: sp.Peer, Start: sp.Start, End: sp.End, Bytes: sp.Bytes, Label: sp.Name})
-		}
-	}
-	sortOpsByStart(ops)
-	return &sim.Trace{Ops: ops}
-}
-
-func sortOpsByStart(ops []sim.Op) {
-	// Insertion sort keeps it dependency-free; traces are small and nearly
-	// sorted already (events are appended roughly in time order).
-	for i := 1; i < len(ops); i++ {
-		for j := i; j > 0 && ops[j].Start < ops[j-1].Start; j-- {
-			ops[j], ops[j-1] = ops[j-1], ops[j]
-		}
-	}
 }
 
 // closeTimeout bounds the teardown of a failing world's fabric: network

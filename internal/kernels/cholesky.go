@@ -6,7 +6,6 @@ import (
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/grid"
 	"hetgrid/internal/matrix"
-	"hetgrid/internal/sim"
 )
 
 // SimulateCholesky runs the right-looking blocked Cholesky factorization
@@ -25,13 +24,9 @@ import (
 //     A(i,j) -= L(i,k)·L(j,k)ᵀ, k < j ≤ i.
 func SimulateCholesky(d distribution.Distribution, arr *grid.Arrangement, opts Options) (*Result, error) {
 	o := opts.withDefaults()
-	g, err := newGridCluster(d, arr, o.Net)
+	g, err := newGridCluster(d, arr, o)
 	if err != nil {
 		return nil, err
-	}
-	var tr *sim.Trace
-	if o.EnableTrace {
-		tr = g.c.EnableTrace()
 	}
 	lay := g.lay
 	updDone := make([]float64, lay.Ranks)
@@ -41,7 +36,7 @@ func SimulateCholesky(d distribution.Distribution, arr *grid.Arrangement, opts O
 
 		// 1. Diagonal Cholesky factor.
 		diagOwner := diagDown.Root
-		diagDone := g.c.Compute(diagOwner, updDone[diagOwner], o.FactorCost*g.cycleTime(diagOwner))
+		diagDone := g.compute(distribution.CholFactor, k, diagOwner, updDone[diagOwner], o.FactorCost*g.cycleTime(diagOwner))
 
 		// 2. Broadcast the diagonal down the column, then panel solves.
 		diagArr := g.send(o, diagDown, diagDone)
@@ -51,7 +46,7 @@ func SimulateCholesky(d distribution.Distribution, arr *grid.Arrangement, opts O
 				continue
 			}
 			start := maxf(diagArr[n], updDone[n])
-			solveDone[n] = g.c.Compute(n, start, float64(len(rows))*o.SolveCost*g.cycleTime(n))
+			solveDone[n] = g.compute(distribution.CholSolve, k, n, start, float64(len(rows))*o.SolveCost*g.cycleTime(n))
 		}
 
 		// 3. Broadcast each panel block to its needers, panel-aggregated.
@@ -66,10 +61,10 @@ func SimulateCholesky(d distribution.Distribution, arr *grid.Arrangement, opts O
 			for _, b := range blocks {
 				ready = maxf(ready, maxf(lArr[b[0]][n], lArr[b[1]][n]))
 			}
-			updDone[n] = g.c.Compute(n, ready, float64(len(blocks))*g.cycleTime(n))
+			updDone[n] = g.compute(distribution.CholUpdate, k, n, ready, float64(len(blocks))*g.cycleTime(n))
 		}
 	}
-	return g.finish("cholesky", tr), nil
+	return g.finish("cholesky"), nil
 }
 
 // ReplayCholesky executes the blocked right-looking Cholesky factorization

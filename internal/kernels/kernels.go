@@ -20,6 +20,7 @@ import (
 
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/grid"
+	"hetgrid/internal/obs"
 	"hetgrid/internal/sim"
 )
 
@@ -40,8 +41,9 @@ type Options struct {
 	// factorization and triangular solve relative to a block update
 	// (defaults 1).
 	FactorCost, SolveCost float64
-	// EnableTrace records every simulated operation; the trace is attached
-	// to the Result.
+	// EnableTrace records every simulated operation as a span, compute
+	// spans named as the engine names the same section; Result.Spans
+	// carries them.
 	EnableTrace bool
 	// Pivoting charges the LU simulation for partial pivoting: a
 	// max-reduction among the owners of the active block column at every
@@ -78,9 +80,9 @@ type Result struct {
 	CompBound float64
 	// Stats carries traffic and utilization counters.
 	Stats *sim.Stats
-	// Trace holds the recorded operations when Options.EnableTrace was
-	// set; nil otherwise.
-	Trace *sim.Trace
+	// Spans holds the recorded operations in issue order, virtual time
+	// units, when Options.EnableTrace was set; nil otherwise.
+	Spans []obs.Span
 }
 
 // Efficiency returns CompBound/Makespan: 1.0 means communication was fully
@@ -101,7 +103,7 @@ type gridCluster struct {
 	c    *sim.Cluster
 }
 
-func newGridCluster(d distribution.Distribution, arr *grid.Arrangement, cfg sim.Config) (*gridCluster, error) {
+func newGridCluster(d distribution.Distribution, arr *grid.Arrangement, o Options) (*gridCluster, error) {
 	p, q := d.Dims()
 	if arr.P != p || arr.Q != q {
 		return nil, fmt.Errorf("kernels: %d×%d distribution vs %d×%d arrangement", p, q, arr.P, arr.Q)
@@ -113,15 +115,27 @@ func newGridCluster(d distribution.Distribution, arr *grid.Arrangement, cfg sim.
 	if err != nil {
 		return nil, err
 	}
-	c, err := sim.NewCluster(lay.Ranks, cfg)
+	c, err := sim.NewCluster(lay.Ranks, o.Net)
 	if err != nil {
 		return nil, err
+	}
+	if o.EnableTrace {
+		c.EnableTrace()
 	}
 	return &gridCluster{name: d.Name(), lay: lay, arr: arr, c: c}, nil
 }
 
+// compute charges node dur of CPU for section sec of step k; a traced run
+// names the span as the engine does (the untraced one formats nothing).
+func (g *gridCluster) compute(sec distribution.Section, k, node int, ready, dur float64) float64 {
+	if g.c.Spans() != nil {
+		g.c.SetLabel(sec.At(k))
+	}
+	return g.c.Compute(node, ready, dur)
+}
+
 // finish assembles a Result from the cluster state.
-func (g *gridCluster) finish(kernel string, trace *sim.Trace) *Result {
+func (g *gridCluster) finish(kernel string) *Result {
 	stats := g.c.Snapshot()
 	return &Result{
 		Kernel:       kernel,
@@ -129,7 +143,7 @@ func (g *gridCluster) finish(kernel string, trace *sim.Trace) *Result {
 		Makespan:     stats.Makespan,
 		CompBound:    stats.CompBound,
 		Stats:        stats,
-		Trace:        trace,
+		Spans:        g.c.Spans(),
 	}
 }
 

@@ -3,7 +3,6 @@ package kernels
 import (
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/grid"
-	"hetgrid/internal/sim"
 )
 
 // SimulateLU runs the right-looking blocked LU decomposition of §3.2 on an
@@ -30,13 +29,9 @@ import (
 // update), with roughly doubled flop counts.
 func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options) (*Result, error) {
 	o := opts.withDefaults()
-	g, err := newGridCluster(d, arr, o.Net)
+	g, err := newGridCluster(d, arr, o)
 	if err != nil {
 		return nil, err
-	}
-	var tr *sim.Trace
-	if o.EnableTrace {
-		tr = g.c.EnableTrace()
 	}
 
 	lay := g.lay
@@ -93,7 +88,7 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 
 		// 1. Diagonal factor, broadcast down block column k's owners (they
 		// need it for their L blocks).
-		diagDone := g.c.Compute(diagOwner, updDone[diagOwner], o.FactorCost*g.cycleTime(diagOwner))
+		diagDone := g.compute(distribution.LUFactor, k, diagOwner, updDone[diagOwner], o.FactorCost*g.cycleTime(diagOwner))
 		diagArr := g.send(o, diagDown, diagDone)
 
 		// 2. L panel: each owner computes its sub-diagonal blocks of
@@ -106,7 +101,7 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 				continue
 			}
 			start := maxf(diagArr[n], updDone[n])
-			lDone[n] = g.c.Compute(n, start, float64(len(rows))*o.FactorCost*g.cycleTime(n))
+			lDone[n] = g.compute(distribution.LULSolve, k, n, start, float64(len(rows))*o.FactorCost*g.cycleTime(n))
 		}
 		lArr := g.deliver(o, lMsgs, lDone)
 		lArr[k] = g.send(o, diagRight, diagDone)
@@ -119,7 +114,7 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 				continue
 			}
 			start := maxf(lArr[k][n], updDone[n])
-			uDone[n] = g.c.Compute(n, start, float64(len(cols))*o.SolveCost*g.cycleTime(n))
+			uDone[n] = g.compute(distribution.LUUSolve, k, n, start, float64(len(cols))*o.SolveCost*g.cycleTime(n))
 		}
 		uArr := g.deliver(o, uMsgs, uDone)
 
@@ -132,10 +127,10 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 			for _, b := range blocks {
 				ready = maxf(ready, maxf(lArr[b[0]][n], uArr[b[1]][n]))
 			}
-			updDone[n] = g.c.Compute(n, ready, float64(len(blocks))*g.cycleTime(n))
+			updDone[n] = g.compute(distribution.LUUpdate, k, n, ready, float64(len(blocks))*g.cycleTime(n))
 		}
 	}
-	return g.finish("lu", tr), nil
+	return g.finish("lu"), nil
 }
 
 // arrivalOr returns the arrival time for node n in a broadcast result, or

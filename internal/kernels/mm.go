@@ -3,7 +3,6 @@ package kernels
 import (
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/grid"
-	"hetgrid/internal/sim"
 )
 
 // SimulateMM runs the blocked outer-product matrix multiplication C = A·B
@@ -20,13 +19,9 @@ import (
 // penalty appears here with no special-casing).
 func SimulateMM(d distribution.Distribution, arr *grid.Arrangement, opts Options) (*Result, error) {
 	o := opts.withDefaults()
-	g, err := newGridCluster(d, arr, o.Net)
+	g, err := newGridCluster(d, arr, o)
 	if err != nil {
 		return nil, err
-	}
-	var tr *sim.Trace
-	if o.EnableTrace {
-		tr = g.c.EnableTrace()
 	}
 
 	// Every step updates the whole C matrix, so the per-node block lists
@@ -53,7 +48,7 @@ func SimulateMM(d distribution.Distribution, arr *grid.Arrangement, opts Options
 			for _, b := range blocks {
 				arrived = maxf(arrived, maxf(aArr[b[0]][n], bArr[b[1]][n]))
 			}
-			stepDone[n] = g.c.Compute(n, arrived, float64(len(blocks))*g.cycleTime(n))
+			stepDone[n] = g.compute(distribution.MMUpdate, k, n, arrived, float64(len(blocks))*g.cycleTime(n))
 		}
 		if o.SyncSteps {
 			barrier := 0.0
@@ -65,5 +60,5 @@ func SimulateMM(d distribution.Distribution, arr *grid.Arrangement, opts Options
 			}
 		}
 	}
-	return g.finish("matmul", tr), nil
+	return g.finish("matmul"), nil
 }

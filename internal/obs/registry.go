@@ -1,18 +1,22 @@
 // Package obs is the repo's zero-dependency observability layer: a
 // Prometheus-text-format metrics registry (counters, gauges, histograms
-// with atomic hot paths) and a hierarchical span store (span IDs, parent
-// links, per-rank timelines) that together subsume the engine's bespoke
-// Meter/trace-event plumbing. The engine's transport emits send/recv
-// traffic and retry metrics, the kernels open spans per panel step, the
-// exact solver records arrangement/tree pruning counters, and the driver
-// layer derives the paper's measured load-imbalance (max/mean per-rank
-// busy time) from the raw spans.
+// with atomic hot paths) and the one record of a run — Span, written by
+// the engine through a hierarchical span store (span IDs, parent links,
+// per-rank timelines) and by the simulator directly, with the one
+// Gantt/chrome-trace exporter and busy-time sum over []Span
+// (timeline.go). The engine's transport emits send/recv traffic and retry
+// metrics, the kernels open spans per panel step, the exact solver records
+// arrangement/tree pruning counters, and the driver layer derives the
+// paper's measured load-imbalance (max/mean per-rank busy time) from the
+// raw spans.
 //
 // Design constraints:
 //
 //   - increments on the hot path are single atomic adds — no locks, no
 //     allocations — so instrumented transports stay cheap;
-//   - the disabled path (nil registry, nil span store) is a pointer test;
+//   - the disabled path is a pointer test and a property of the instrument:
+//     a nil registry hands out nil counters, which count nothing, and a nil
+//     span store records nothing;
 //   - exposure is the Prometheus text format over HTTP plus pprof, so any
 //     scraper or a plain curl can read it; nothing outside the standard
 //     library is required.
@@ -29,17 +33,20 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric with an atomic hot path.
+// Counter is a monotonically increasing metric with an atomic hot path. A
+// nil *Counter — what a nil Registry hands out — is the disabled
+// instrument: Inc and Add on it count nothing and allocate nothing, so
+// increment sites need no guard of their own.
 type Counter struct {
 	v atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (negative deltas are ignored: counters only go up).
 func (c *Counter) Add(n int64) {
-	if n > 0 {
+	if c != nil && n > 0 {
 		c.v.Add(n)
 	}
 }
@@ -187,8 +194,12 @@ func (r *Registry) lookup(name, labels, help string, kind metricKind, mk func(*s
 }
 
 // Counter returns (registering on first use) the counter name{labels}.
-// Render labels with Labels; "" means no labels.
+// Render labels with Labels; "" means no labels. A nil registry returns
+// the nil (disabled) counter.
 func (r *Registry) Counter(name, labels, help string) *Counter {
+	if r == nil {
+		return nil
+	}
 	s := r.lookup(name, labels, help, kindCounter, func(s *series) { s.counter = &Counter{} })
 	return s.counter
 }

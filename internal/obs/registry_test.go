@@ -24,6 +24,15 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("widgets_total", "", "") != c {
 		t.Fatal("re-registering a counter returned a new instrument")
 	}
+	// The disabled instrument: a nil registry hands out the nil counter,
+	// which counts nothing and allocates nothing.
+	off := (*Registry)(nil).Counter("widgets_total", "", "")
+	if off != nil {
+		t.Fatal("nil registry returned a live counter")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { off.Inc(); off.Add(3) }); allocs != 0 {
+		t.Fatalf("nil counter Inc/Add allocates %.1f times per run, want 0", allocs)
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {

@@ -25,6 +25,10 @@ const (
 	// SpanPhase is a sub-step section (a collective, a solve phase); it may
 	// include blocking waits, unlike SpanCompute.
 	SpanPhase
+	// SpanRecvWait is the time one rank spent blocked in one Recv: Rank is
+	// the receiver, Peer the source, Name the tag. It is idle time — where
+	// a rank's wall clock went when it was neither computing nor sending.
+	SpanRecvWait
 )
 
 func (k SpanKind) String() string {
@@ -37,30 +41,33 @@ func (k SpanKind) String() string {
 		return "step"
 	case SpanPhase:
 		return "phase"
+	case SpanRecvWait:
+		return "recv-wait"
 	default:
 		return "span"
 	}
 }
 
-// Span is one timed, named, rank-attributed interval. Parent links spans
-// into per-rank hierarchies (rank → step → compute/phase); send spans are
-// attributed to the sending rank with Peer naming the receiver.
+// Span is one timed, named, rank-attributed interval — the one record of a
+// run, written by the engine (measured) and by the simulator (predicted)
+// alike. Parent links spans into per-rank hierarchies (rank → step →
+// compute/phase/recv-wait); send spans are attributed to the sending rank
+// with Peer naming the receiver.
 type Span struct {
 	ID     SpanID
 	Parent SpanID
 	Rank   int
 	Kind   SpanKind
 	Name   string
-	Peer   int     // receiving rank for sends; -1 otherwise
+	Peer   int     // receiver of a send, source of a recv-wait; -1 otherwise
 	Bytes  float64 // payload size for sends; 0 otherwise
-	// Start and End are seconds since the store was created.
+	// Start and End are seconds since the store was created (an engine's
+	// spans) or virtual time units (a simulator's).
 	Start, End float64
 }
 
 // SpanStore collects completed spans. Begin/End track open spans;
-// completed spans append in completion order — exactly the order the
-// engine's pre-obs Meter appended its trace events in, which the
-// chrome-trace view depends on for byte-stable output.
+// completed spans append in completion order.
 type SpanStore struct {
 	start time.Time
 
@@ -110,9 +117,8 @@ func (s *SpanStore) End(id SpanID) {
 	s.spans = append(s.spans, sp)
 }
 
-// Record appends an already-completed span (the transport uses it for
-// send spans, whose start was the enqueue time it tracked itself) and
-// returns its ID.
+// Record appends an already-completed span (the engine uses it for send
+// and recv-wait spans, whose start it tracked itself) and returns its ID.
 func (s *SpanStore) Record(sp Span) SpanID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -162,19 +168,8 @@ func (s *SpanStore) Timeline(rank int) []Span {
 	return out
 }
 
-// BusyTimes sums each rank's compute-span durations — the measured
-// counterpart of the paper's per-processor workload (a processor with
-// share r_i·t_ij·c_j of every panel step accumulates proportional busy
-// time).
-func (s *SpanStore) BusyTimes(n int) []float64 {
-	busy := make([]float64, n)
-	for _, sp := range s.Snapshot() {
-		if sp.Kind == SpanCompute && sp.Rank >= 0 && sp.Rank < n {
-			busy[sp.Rank] += sp.End - sp.Start
-		}
-	}
-	return busy
-}
+// BusyTimes is BusyTimes over the completed spans.
+func (s *SpanStore) BusyTimes(n int) []float64 { return BusyTimes(s.Snapshot(), n) }
 
 // BusyOf sums one rank's completed compute-span durations without copying
 // the store — the live single-rank form of BusyTimes, cheap enough to call

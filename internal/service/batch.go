@@ -88,25 +88,8 @@ func (br BatchResponse) encode(buf *bytes.Buffer) {
 // malformed item cannot fail its neighbors — only envelope-level problems
 // (not an array, trailing garbage, empty, over limit) are errors here.
 func DecodeBatch(r io.Reader, maxItems int) ([]json.RawMessage, error) {
-	lr := &limitedReader{r: io.LimitReader(r, maxBatchBytes+1)}
-	dec := json.NewDecoder(lr)
 	var items []json.RawMessage
-	err := dec.Decode(&items)
-	if err != nil {
-		err = fmt.Errorf("service: bad batch body (want a JSON array of plan requests): %w", err)
-	} else if terr := dec.Decode(&struct{}{}); !errors.Is(terr, io.EOF) {
-		err = fmt.Errorf("service: trailing data after batch array")
-	}
-	if err != nil {
-		// The decoder stopped where the body went wrong; read the rest
-		// (bounded by the limit) so lr.n tells an oversized body from a
-		// malformed one. A read error here leaves the decode error standing.
-		_, _ = io.Copy(io.Discard, lr)
-	}
-	if lr.n > maxBatchBytes {
-		return nil, fmt.Errorf("service: %w (limit %d bytes)", ErrTooLarge, maxBatchBytes)
-	}
-	if err != nil {
+	if err := decodeBody(r, maxBatchBytes, &items, "batch body (want a JSON array of plan requests)"); err != nil {
 		return nil, err
 	}
 	if len(items) == 0 {

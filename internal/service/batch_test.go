@@ -208,13 +208,17 @@ func TestBatchErrorPaths(t *testing.T) {
 }
 
 // TestSingleOversizedBodyIs413: the single endpoint maps over-limit bodies
-// to 413, not the generic 400.
+// to 413, not the generic 400 — and not 200 when the excess is whitespace
+// after a valid object, where the decoder has already succeeded.
 func TestSingleOversizedBodyIs413(t *testing.T) {
 	_, ts := newTestServer(t)
 	pad := strings.Repeat(" ", maxRequestBytes)
-	resp, blob := postPlan(t, ts, pad+`{"times":[1,2],"p":1,"q":2}`)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413: %s", resp.StatusCode, blob)
+	const req = `{"times":[1,2],"p":1,"q":2}`
+	for _, body := range []string{pad + req, req + pad, req + pad + "x", "{{{{" + pad} {
+		resp, blob := postPlan(t, ts, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%.12q…%.12q: status %d, want 413: %s", body, body[len(body)-12:], resp.StatusCode, blob)
+		}
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzDecodeRequest throws arbitrary bytes at the wire decoder: it must
-// never panic, and any request it accepts must validate, re-encode and
-// decode to an equally valid request (the decoder admits nothing the
-// planner would choke on).
+// never panic, a body over the byte limit is ErrTooLarge whatever it
+// holds, and any request it accepts must validate, re-encode and decode to
+// an equally valid request (the decoder admits nothing the planner would
+// choke on).
 func FuzzDecodeRequest(f *testing.F) {
 	seeds := []string{
 		`{"times":[1,2,3,5],"p":2,"q":2}`,
@@ -34,6 +35,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(bytes.NewReader(data)) // must not panic
+		if len(data) > maxRequestBytes && !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%d-byte body (limit %d): err = %v, want ErrTooLarge", len(data), maxRequestBytes, err)
+		}
 		if err != nil {
 			return
 		}

@@ -154,27 +154,41 @@ func (l *limitedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// decodeBody decodes the one JSON value a body holds into v, strictly
+// (unknown fields are errors); what names the body in errors. A body of
+// more than limit bytes is ErrTooLarge whatever it holds, which takes one
+// check after both decodes: a valid value padded past the limit with
+// whitespace ends the second in io.EOF at the limit.
+func decodeBody(r io.Reader, limit int64, v any, what string) error {
+	lr := &limitedReader{r: io.LimitReader(r, limit+1)}
+	dec := json.NewDecoder(lr)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err != nil {
+		err = fmt.Errorf("service: bad %s: %w", what, err)
+	} else if terr := dec.Decode(&struct{}{}); !errors.Is(terr, io.EOF) {
+		err = fmt.Errorf("service: trailing data after %s", what)
+	}
+	if err != nil {
+		// The decoder stopped where the body went wrong; read the rest
+		// (bounded by the limit) so lr.n tells an oversized body from a
+		// malformed one. A read error here leaves the decode error standing.
+		_, _ = io.Copy(io.Discard, lr)
+	}
+	if lr.n > limit {
+		return fmt.Errorf("service: %w (limit %d bytes)", ErrTooLarge, limit)
+	}
+	return err
+}
+
 // DecodeRequest parses a plan request from JSON, strictly (unknown fields
 // are errors, so typos like "stratgy" fail loudly instead of planning with
 // defaults) and validates it. Bodies beyond the 1MB limit return an error
 // wrapping ErrTooLarge.
 func DecodeRequest(r io.Reader) (plan.Request, error) {
 	var req plan.Request
-	lr := &limitedReader{r: io.LimitReader(r, maxRequestBytes+1)}
-	dec := json.NewDecoder(lr)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if lr.n > maxRequestBytes {
-			return plan.Request{}, fmt.Errorf("service: %w (limit %d bytes)", ErrTooLarge, maxRequestBytes)
-		}
-		return plan.Request{}, fmt.Errorf("service: bad request body: %w", err)
-	}
-	// Reject trailing garbage after the JSON object.
-	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		if lr.n > maxRequestBytes {
-			return plan.Request{}, fmt.Errorf("service: %w (limit %d bytes)", ErrTooLarge, maxRequestBytes)
-		}
-		return plan.Request{}, fmt.Errorf("service: trailing data after request body")
+	if err := decodeBody(r, maxRequestBytes, &req, "request body"); err != nil {
+		return plan.Request{}, err
 	}
 	if err := req.Validate(); err != nil {
 		return plan.Request{}, err

@@ -5,16 +5,18 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"hetgrid/internal/obs"
 )
 
 func TestWriteChromeTrace(t *testing.T) {
 	c, _ := NewCluster(2, Config{Latency: 1})
-	tr := c.EnableTrace()
+	c.EnableTrace()
 	c.SetLabel("step 0")
 	c.Compute(0, 0, 3)
 	c.Send(0, 1, 64, 0)
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf, c.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]interface{}
@@ -40,15 +42,5 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if int(send["tid"].(float64)) != 0 {
 		t.Fatalf("send tid %v", send["tid"])
-	}
-}
-
-func TestWriteChromeTraceEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (&Trace{}).WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("empty trace output %q", buf.String())
 	}
 }

@@ -19,12 +19,18 @@
 // reserving in dependency order yields exactly the schedule an event-driven
 // simulation would produce, with far less machinery. Determinism is total:
 // the same inputs give bit-identical schedules.
+//
+// A traced cluster (EnableTrace) records every Compute and Send as an
+// obs.Span — the record a real execution writes — so internal/obs renders
+// and sums predicted and measured timelines with the same code.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"hetgrid/internal/obs"
 )
 
 // Timeline is a serialized resource in virtual time. The zero value is a
@@ -109,7 +115,7 @@ type Cluster struct {
 	bus    Timeline
 	msgs   int
 	bytes  float64
-	trace  *Trace
+	spans  []obs.Span // non-nil once EnableTrace was called
 	label  string
 }
 
@@ -151,7 +157,9 @@ func (c *Cluster) Config() Config { return c.cfg }
 func (c *Cluster) Compute(node int, ready, dur float64) float64 {
 	c.checkNode(node)
 	start, end := c.cpus[node].Reserve(ready, dur)
-	c.record(Op{Kind: OpCompute, Node: node, Peer: -1, Start: start, End: end})
+	if c.spans != nil {
+		c.record(obs.Span{Kind: obs.SpanCompute, Rank: node, Peer: -1, Start: start, End: end})
+	}
 	return end
 }
 
@@ -181,7 +189,9 @@ func (c *Cluster) Send(src, dst int, bytes, ready float64) float64 {
 	}
 	c.msgs++
 	c.bytes += bytes
-	c.record(Op{Kind: OpSend, Node: src, Peer: dst, Start: start, End: start + dur, Bytes: bytes})
+	if c.spans != nil {
+		c.record(obs.Span{Kind: obs.SpanSend, Rank: src, Peer: dst, Start: start, End: start + dur, Bytes: bytes})
+	}
 	return start + dur
 }
 

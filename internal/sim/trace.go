@@ -1,198 +1,21 @@
 package sim
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"math"
-	"sort"
-	"strings"
-)
+import "hetgrid/internal/obs"
 
-// OpKind labels a traced simulator operation.
-type OpKind int
+// EnableTrace makes every subsequent Compute and Send record one obs.Span
+// (virtual time units) — the record a real execution writes, so one
+// Gantt/chrome exporter and one busy-time sum serve both.
+func (c *Cluster) EnableTrace() { c.spans = []obs.Span{} }
 
-const (
-	// OpCompute is CPU work on one node.
-	OpCompute OpKind = iota
-	// OpSend is a message transfer between two nodes.
-	OpSend
-)
+// Spans returns the recorded spans in issue order (nil unless tracing).
+func (c *Cluster) Spans() []obs.Span { return c.spans }
 
-func (k OpKind) String() string {
-	switch k {
-	case OpCompute:
-		return "compute"
-	case OpSend:
-		return "send"
-	default:
-		return fmt.Sprintf("op(%d)", int(k))
-	}
-}
+// SetLabel names subsequently traced spans (no-op when tracing is off).
+func (c *Cluster) SetLabel(label string) { c.label = label }
 
-// Op is one traced operation.
-type Op struct {
-	Kind       OpKind
-	Node       int // computing node, or source for sends
-	Peer       int // destination for sends; -1 for computes
-	Start, End float64
-	Bytes      float64 // sends only
-	Label      string  // optional caller-provided tag
-}
-
-// Trace records simulator operations when enabled on a cluster.
-type Trace struct {
-	Ops []Op
-}
-
-// EnableTrace attaches a trace to the cluster; subsequent Compute and Send
-// calls are recorded. Returns the trace for inspection.
-func (c *Cluster) EnableTrace() *Trace {
-	c.trace = &Trace{}
-	return c.trace
-}
-
-// SetLabel sets the label applied to subsequently traced operations
-// (no-op when tracing is disabled). Useful to tag phases ("step 3",
-// "L-panel broadcast").
-func (c *Cluster) SetLabel(label string) {
-	c.label = label
-}
-
-// record appends an op when tracing is on.
-func (c *Cluster) record(op Op) {
-	if c.trace == nil {
-		return
-	}
-	op.Label = c.label
-	c.trace.Ops = append(c.trace.Ops, op)
-}
-
-// Utilization returns each node's compute-busy fraction of the makespan.
-func (t *Trace) Utilization(nodes int, makespan float64) []float64 {
-	busy := make([]float64, nodes)
-	for _, op := range t.Ops {
-		if op.Kind == OpCompute && op.Node < nodes {
-			busy[op.Node] += op.End - op.Start
-		}
-	}
-	if makespan > 0 {
-		for i := range busy {
-			busy[i] /= makespan
-		}
-	}
-	return busy
-}
-
-// Gantt renders a textual Gantt chart of compute activity: one row per
-// node, width columns across the makespan, '#' for busy and '.' for idle.
-// Partial occupancy of a cell renders as '+'. Send operations are omitted
-// (they overlap computes on separate NIC resources).
-func (t *Trace) Gantt(nodes, width int) string {
-	if width <= 0 {
-		width = 80
-	}
-	makespan := 0.0
-	for _, op := range t.Ops {
-		makespan = math.Max(makespan, op.End)
-	}
-	if makespan == 0 {
-		return ""
-	}
-	cell := makespan / float64(width)
-	cover := make([][]float64, nodes)
-	for i := range cover {
-		cover[i] = make([]float64, width)
-	}
-	for _, op := range t.Ops {
-		if op.Kind != OpCompute || op.Node >= nodes {
-			continue
-		}
-		first := int(op.Start / cell)
-		last := int(op.End / cell)
-		if last >= width {
-			last = width - 1
-		}
-		for c := first; c <= last; c++ {
-			lo := math.Max(op.Start, float64(c)*cell)
-			hi := math.Min(op.End, float64(c+1)*cell)
-			if hi > lo {
-				cover[op.Node][c] += (hi - lo) / cell
-			}
-		}
-	}
-	var sb strings.Builder
-	for n := 0; n < nodes; n++ {
-		fmt.Fprintf(&sb, "node %2d |", n)
-		for c := 0; c < width; c++ {
-			switch {
-			case cover[n][c] >= 0.99:
-				sb.WriteByte('#')
-			case cover[n][c] > 0.01:
-				sb.WriteByte('+')
-			default:
-				sb.WriteByte('.')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// chromeEvent is one entry of the Chrome tracing (catapult) JSON format.
-type chromeEvent struct {
-	Name  string  `json:"name"`
-	Cat   string  `json:"cat"`
-	Phase string  `json:"ph"`
-	TS    float64 `json:"ts"`  // microseconds
-	Dur   float64 `json:"dur"` // microseconds
-	PID   int     `json:"pid"`
-	TID   int     `json:"tid"`
-}
-
-// WriteChromeTrace exports the trace in the Chrome tracing JSON array
-// format (load via chrome://tracing or https://ui.perfetto.dev): each node
-// appears as a thread, compute intervals as "compute" slices and sends as
-// "send→dst" slices. Virtual time units are mapped to microseconds.
-func (t *Trace) WriteChromeTrace(w io.Writer) error {
-	events := make([]chromeEvent, 0, len(t.Ops))
-	for _, op := range t.Ops {
-		ev := chromeEvent{
-			Cat:   op.Kind.String(),
-			Phase: "X",
-			TS:    op.Start * 1e6,
-			Dur:   (op.End - op.Start) * 1e6,
-			PID:   0,
-			TID:   op.Node,
-		}
-		switch op.Kind {
-		case OpCompute:
-			ev.Name = "compute"
-			if op.Label != "" {
-				ev.Name = "compute " + op.Label
-			}
-		case OpSend:
-			ev.Name = fmt.Sprintf("send→%d (%.0fB)", op.Peer, op.Bytes)
-		}
-		events = append(events, ev)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
-}
-
-// MessageLog renders the traced sends ordered by start time.
-func (t *Trace) MessageLog() string {
-	sends := make([]Op, 0)
-	for _, op := range t.Ops {
-		if op.Kind == OpSend {
-			sends = append(sends, op)
-		}
-	}
-	sort.SliceStable(sends, func(a, b int) bool { return sends[a].Start < sends[b].Start })
-	var sb strings.Builder
-	for _, op := range sends {
-		fmt.Fprintf(&sb, "[%10.4f → %10.4f] %d → %d  %8.0fB  %s\n",
-			op.Start, op.End, op.Node, op.Peer, op.Bytes, op.Label)
-	}
-	return sb.String()
+// record appends a traced run's span; Compute and Send test for tracing
+// first, so an untraced run builds no span.
+func (c *Cluster) record(sp obs.Span) {
+	sp.ID, sp.Name = obs.SpanID(len(c.spans)+1), c.label
+	c.spans = append(c.spans, sp)
 }

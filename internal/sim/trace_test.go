@@ -3,27 +3,33 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"hetgrid/internal/obs"
 )
 
 func TestTraceRecordsOps(t *testing.T) {
 	c, _ := NewCluster(2, Config{Latency: 1})
-	tr := c.EnableTrace()
+	c.EnableTrace()
 	c.SetLabel("phase-1")
 	c.Compute(0, 0, 3)
 	c.Send(0, 1, 100, 0)
-	if len(tr.Ops) != 2 {
-		t.Fatalf("%d ops, want 2", len(tr.Ops))
+	spans := c.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("%d spans, want 2", len(spans))
 	}
-	comp := tr.Ops[0]
-	if comp.Kind != OpCompute || comp.Node != 0 || comp.Start != 0 || comp.End != 3 || comp.Peer != -1 {
-		t.Fatalf("compute op %+v", comp)
+	comp := spans[0]
+	if comp.Kind != obs.SpanCompute || comp.Rank != 0 || comp.Start != 0 || comp.End != 3 || comp.Peer != -1 {
+		t.Fatalf("compute span %+v", comp)
 	}
-	send := tr.Ops[1]
-	if send.Kind != OpSend || send.Node != 0 || send.Peer != 1 || send.Bytes != 100 {
-		t.Fatalf("send op %+v", send)
+	send := spans[1]
+	if send.Kind != obs.SpanSend || send.Rank != 0 || send.Peer != 1 || send.Bytes != 100 {
+		t.Fatalf("send span %+v", send)
 	}
-	if send.Label != "phase-1" {
-		t.Fatalf("label %q", send.Label)
+	if send.Name != "phase-1" {
+		t.Fatalf("name %q", send.Name)
+	}
+	if comp.ID != 1 || send.ID != 2 {
+		t.Fatalf("span ids %d, %d, want issue order 1, 2", comp.ID, send.ID)
 	}
 }
 
@@ -32,34 +38,21 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	c.Compute(0, 0, 1)
 	c.Send(0, 1, 1, 0)
 	// Nothing panics and no trace exists; enabling later starts fresh.
-	tr := c.EnableTrace()
-	if len(tr.Ops) != 0 {
+	if c.Spans() != nil {
+		t.Fatal("spans recorded without tracing")
+	}
+	c.EnableTrace()
+	if len(c.Spans()) != 0 {
 		t.Fatal("trace not empty after late enable")
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	c, _ := NewCluster(2, Config{})
-	tr := c.EnableTrace()
-	c.Compute(0, 0, 4)
-	c.Compute(1, 0, 2)
-	util := tr.Utilization(2, 4)
-	if util[0] != 1 || util[1] != 0.5 {
-		t.Fatalf("utilization %v, want [1 0.5]", util)
-	}
-	// Zero makespan: no divide-by-zero.
-	if z := tr.Utilization(2, 0); z[0] == 0 && z[1] == 0 {
-		// raw busy times returned unscaled is acceptable; just no panic
-		_ = z
 	}
 }
 
 func TestGantt(t *testing.T) {
 	c, _ := NewCluster(2, Config{})
-	tr := c.EnableTrace()
+	c.EnableTrace()
 	c.Compute(0, 0, 10)
 	c.Compute(1, 5, 5)
-	g := tr.Gantt(2, 10)
+	g := obs.Gantt(c.Spans(), 2, 10)
 	lines := strings.Split(strings.TrimRight(g, "\n"), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("gantt lines: %q", g)
@@ -69,40 +62,5 @@ func TestGantt(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], ".....") || !strings.Contains(lines[1], "#####") {
 		t.Fatalf("node 1 should be idle then busy: %q", lines[1])
-	}
-}
-
-func TestGanttEmpty(t *testing.T) {
-	tr := &Trace{}
-	if tr.Gantt(2, 10) != "" {
-		t.Fatal("empty trace should render empty gantt")
-	}
-}
-
-func TestMessageLog(t *testing.T) {
-	c, _ := NewCluster(3, Config{Latency: 1})
-	tr := c.EnableTrace()
-	c.SetLabel("bcast")
-	c.Send(0, 1, 64, 0)
-	c.Send(1, 2, 64, 0)
-	log := tr.MessageLog()
-	if !strings.Contains(log, "0 → 1") || !strings.Contains(log, "1 → 2") {
-		t.Fatalf("message log missing sends: %q", log)
-	}
-	if !strings.Contains(log, "bcast") {
-		t.Fatal("message log missing label")
-	}
-	// Ordered by start time.
-	if strings.Index(log, "0 → 1") > strings.Index(log, "1 → 2") {
-		t.Fatal("message log out of order")
-	}
-}
-
-func TestOpKindString(t *testing.T) {
-	if OpCompute.String() != "compute" || OpSend.String() != "send" {
-		t.Fatal("op kind names wrong")
-	}
-	if OpKind(9).String() == "" {
-		t.Fatal("unknown kind empty")
 	}
 }

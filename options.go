@@ -30,12 +30,6 @@ func WithBroadcast(b BroadcastKind) Option {
 	return func(co *callOptions) { co.exec.Broadcast = b }
 }
 
-// WithTrace records timestamped per-message and per-compute events;
-// ExecStats.Trace then carries them in the simulator's trace format.
-func WithTrace() Option {
-	return func(co *callOptions) { co.exec.Trace = true }
-}
-
 // WithParallelism lets every rank use up to n goroutines for its own block
 // computations. Results stay bit-identical to a serial run for any value.
 func WithParallelism(n int) Option {
@@ -70,9 +64,10 @@ func WithDriftRebalance(p DriftPolicy) Option {
 }
 
 // WithSpans records the hierarchical span timeline of a distributed
-// execution: per-rank kernel-step spans with their compute and phase
-// children, plus per-message send spans. ExecStats.Spans, BusyTime and
-// Imbalance are derived from it.
+// execution: per-rank kernel-step spans with their compute, phase and
+// recv-wait children, plus per-message send spans. ExecStats.Spans,
+// BusyTime and Imbalance are derived from it; WriteChromeTrace and Gantt
+// render it.
 func WithSpans() Option {
 	return func(co *callOptions) { co.exec.Spans = true }
 }
