@@ -34,7 +34,8 @@ import (
 )
 
 // Matrix is a dense row-major matrix of float64 (see internal/matrix for
-// the full method set: Mul, LU, QR, norms, views).
+// the full method set: element access, views, norms, comparison). The
+// factorizations are Factor and DistributedFactor.
 type Matrix = matrix.Dense
 
 // NewMatrix returns a zero r×c matrix.

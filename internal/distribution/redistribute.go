@@ -60,34 +60,6 @@ func (p *RedistPlan) Bytes(blockBytes float64) float64 {
 	return float64(len(p.Moves)) * blockBytes
 }
 
-// MessageCount returns the number of aggregated messages: blocks sharing a
-// (src, dst) pair travel together, as a well-implemented redistribution
-// would batch them.
-func (p *RedistPlan) MessageCount() int {
-	n := 0
-	for _, dsts := range p.PairCounts {
-		n += len(dsts)
-	}
-	return n
-}
-
-// MaxNodeTraffic returns the largest per-node byte count (incoming plus
-// outgoing) — a lower bound on redistribution time for serialized NICs.
-func (p *RedistPlan) MaxNodeTraffic(blockBytes float64) float64 {
-	traffic := map[int]float64{}
-	for _, m := range p.Moves {
-		traffic[m.Src] += blockBytes
-		traffic[m.Dst] += blockBytes
-	}
-	max := 0.0
-	for _, t := range traffic {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
-
 // Pairs returns the (src, dst, count) triples in deterministic order.
 func (p *RedistPlan) Pairs() [](struct{ Src, Dst, Count int }) {
 	var out []struct{ Src, Dst, Count int }

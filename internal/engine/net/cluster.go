@@ -1,6 +1,7 @@
 package net
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,16 +13,16 @@ import (
 
 // Cluster handshake. One process is the coordinator (process 0): it binds
 // a listener, waits for procs-1 joiners, assigns process identities in
-// arrival order, and distributes the topology — world size, the
-// rank→process map (contiguous chunks, see RanksOf), every process's mesh
-// address, and an opaque payload (the plan, in gridsim's multi-process
-// mode). The connection each joiner dialed the coordinator on stays open
-// as the 0↔i mesh connection; joiner pairs then mesh directly (higher
-// process ids dial lower ones, a total order that cannot deadlock), and a
-// ready/start barrier over the coordinator links releases every process
-// into its fabric at once. All handshake traffic uses the same framed
-// format as the data plane, so the version byte is checked on the very
-// first frame of every connection.
+// arrival order, and distributes the topology — world size and process
+// count (which fix the rank→process map: contiguous chunks, see RanksOf),
+// every process's mesh address, and an opaque payload (the plan, in
+// gridsim's multi-process mode). The connection each joiner dialed the
+// coordinator on stays open as the 0↔i mesh connection; joiner pairs then
+// mesh directly (higher process ids dial lower ones, a total order that
+// cannot deadlock), and a ready/start barrier over the coordinator links
+// releases every process into its fabric at once. All handshake traffic
+// uses the same framed format as the data plane, so the version byte is
+// checked on the very first frame of every connection.
 
 // helloMsg is a joiner's first frame to the coordinator: where its own
 // mesh listener accepts connections from higher-numbered joiners.
@@ -30,14 +31,43 @@ type helloMsg struct {
 }
 
 // topologyMsg is the coordinator's welcome: everything a joiner needs to
-// mesh and run.
+// mesh and run. Which process hosts which rank is not in it: both sides
+// derive that from World and Procs (RanksOf), so a welcome cannot name a
+// host that does not exist.
 type topologyMsg struct {
-	World    int      `json:"world"`
-	Procs    int      `json:"procs"`
-	ProcID   int      `json:"proc_id"`
-	Addrs    []string `json:"addrs"` // mesh listeners; index 0 unused
-	RankProc []int    `json:"rank_proc"`
-	Payload  []byte   `json:"payload,omitempty"`
+	World   int      `json:"world"`
+	Procs   int      `json:"procs"`
+	ProcID  int      `json:"proc_id"`
+	Addrs   []string `json:"addrs"` // mesh listeners; index 0 unused
+	Payload []byte   `json:"payload,omitempty"`
+}
+
+// maxWorld caps the rank count of a cluster. A fabric allocates world²
+// mailboxes before any rank runs, so the size a welcome announces is
+// bounded like every other length read from a socket; 256 ranks is a 16×16
+// grid, an order of magnitude beyond any this repository plans.
+const maxWorld = 256
+
+// validate checks a welcome read from the socket before anything is
+// allocated or dialed on its word: 2 ≤ procs ≤ world ≤ maxWorld (so every
+// process hosts a rank), the receiver is one of the joiners, and there is a
+// dialable mesh address for each of them.
+func (t *topologyMsg) validate() error {
+	if t.Procs < 2 || t.World < t.Procs || t.World > maxWorld {
+		return fmt.Errorf("net: malformed topology: %d processes for %d ranks (need 2 ≤ procs ≤ world ≤ %d)", t.Procs, t.World, maxWorld)
+	}
+	if t.ProcID < 1 || t.ProcID >= t.Procs {
+		return fmt.Errorf("net: malformed topology: process id %d of %d", t.ProcID, t.Procs)
+	}
+	if len(t.Addrs) != t.Procs {
+		return fmt.Errorf("net: malformed topology: %d mesh addresses for %d processes", len(t.Addrs), t.Procs)
+	}
+	for p, addr := range t.Addrs[1:] {
+		if _, _, err := stdnet.SplitHostPort(addr); err != nil {
+			return fmt.Errorf("net: malformed topology: mesh address of process %d: %w", p+1, err)
+		}
+	}
+	return nil
 }
 
 // meshHelloMsg identifies the dialing process on a joiner↔joiner
@@ -73,18 +103,12 @@ func (co *Coordinator) Close() error { return co.ln.Close() }
 // process's fabric (process 0, hosting RanksOf(world, procs, 0)). ctx
 // bounds the whole handshake.
 func (co *Coordinator) Establish(ctx context.Context, world, procs int, payload []byte, reg *obs.Registry) (*Fabric, error) {
-	if procs < 1 || world < procs {
-		return nil, fmt.Errorf("net: %d processes for %d ranks (need 1 ≤ procs ≤ world)", procs, world)
-	}
-	rankProc := make([]int, world)
-	for p := 0; p < procs; p++ {
-		for _, r := range RanksOf(world, procs, p) {
-			rankProc[r] = p
-		}
+	if procs < 1 || world < procs || world > maxWorld {
+		return nil, fmt.Errorf("net: %d processes for %d ranks (need 1 ≤ procs ≤ world ≤ %d)", procs, world, maxWorld)
 	}
 	if procs == 1 {
 		co.ln.Close()
-		return newFabric(world, 0, rankProc, nil, reg), nil
+		return newFabric(world, 0, nil, reg), nil
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		if tl, ok := co.ln.(*stdnet.TCPListener); ok {
@@ -117,7 +141,7 @@ func (co *Coordinator) Establish(ctx context.Context, world, procs int, payload 
 	}
 	co.ln.Close()
 	for i := 1; i < procs; i++ {
-		topo := topologyMsg{World: world, Procs: procs, ProcID: i, Addrs: addrs, RankProc: rankProc, Payload: payload}
+		topo := topologyMsg{World: world, Procs: procs, ProcID: i, Addrs: addrs, Payload: payload}
 		if err := writeJSONFrame(conns[i], frameWelcome, &topo); err != nil {
 			return nil, fmt.Errorf("net: welcome to process %d: %w", i, err)
 		}
@@ -133,7 +157,7 @@ func (co *Coordinator) Establish(ctx context.Context, world, procs int, payload 
 		}
 	}
 	ok = true
-	return newFabric(world, 0, rankProc, conns, reg), nil
+	return newFabric(world, 0, conns, reg), nil
 }
 
 // Join runs a joiner's half of the handshake against a coordinator at
@@ -176,8 +200,8 @@ func Join(ctx context.Context, coordAddr string, reg *obs.Registry) (*Fabric, []
 	if err := readJSONFrame(conn, frameWelcome, &topo); err != nil {
 		return nil, nil, fmt.Errorf("net: welcome: %w", err)
 	}
-	if topo.World <= 0 || topo.Procs < 2 || topo.ProcID < 1 || topo.ProcID >= topo.Procs || len(topo.RankProc) != topo.World || len(topo.Addrs) != topo.Procs {
-		return nil, nil, fmt.Errorf("net: malformed topology (world %d, procs %d, proc %d)", topo.World, topo.Procs, topo.ProcID)
+	if err := topo.validate(); err != nil {
+		return nil, nil, err
 	}
 
 	conns := map[int]stdnet.Conn{0: conn}
@@ -234,7 +258,7 @@ func Join(ctx context.Context, coordAddr string, reg *obs.Registry) (*Fabric, []
 		return nil, nil, fmt.Errorf("net: start: %w", err)
 	}
 	ok = true
-	return newFabric(topo.World, topo.ProcID, topo.RankProc, conns, reg), topo.Payload, nil
+	return newFabric(topo.World, topo.ProcID, conns, reg), topo.Payload, nil
 }
 
 // dialRetry dials addr until it succeeds or ctx expires, so cluster
@@ -285,5 +309,14 @@ func readJSONFrame(conn stdnet.Conn, want byte, v any) error {
 	if ftype != want {
 		return fmt.Errorf("net: frame type %d, want %d", ftype, want)
 	}
-	return json.Unmarshal(body, v)
+	return decodeHandshake(body, v)
+}
+
+// decodeHandshake parses a handshake frame's JSON body. A field this
+// version does not define is an error, not something to skip: the peer is
+// speaking another protocol, and what it meant by the field is unknown.
+func decodeHandshake(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }

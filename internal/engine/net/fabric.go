@@ -86,13 +86,25 @@ func RanksOf(world, procs, proc int) []int {
 	return out
 }
 
+// rankProcs is RanksOf inverted: the hosting process of every rank.
+func rankProcs(world, procs int) []int {
+	out := make([]int, world)
+	for p := 0; p < procs; p++ {
+		for _, r := range RanksOf(world, procs, p) {
+			out[r] = p
+		}
+	}
+	return out
+}
+
 // newFabric wires up a fabric over established, handshake-complete
-// connections (conns[peerProc]) and starts its reader/writer goroutines.
-func newFabric(world, procID int, rankProc []int, conns map[int]stdnet.Conn, reg *obs.Registry) *Fabric {
+// connections (conns[peerProc], one per other process of the cluster) and
+// starts its reader/writer goroutines.
+func newFabric(world, procID int, conns map[int]stdnet.Conn, reg *obs.Registry) *Fabric {
 	f := &Fabric{
 		world:    world,
 		procID:   procID,
-		rankProc: rankProc,
+		rankProc: rankProcs(world, len(conns)+1),
 		mem:      engine.NewMemTransport(world),
 		writers:  make(map[int]*peerWriter, len(conns)),
 		peers:    make(map[int]*peerCounters, len(conns)),

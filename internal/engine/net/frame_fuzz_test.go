@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	stdnet "net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -15,9 +16,10 @@ import (
 	"hetgrid/internal/matrix"
 )
 
-// The seed corpora are in testdata/fuzz/<target> and run in tier-1. The
-// one to keep is FuzzDecodeData/seed-dims-overflow: 21 bytes claiming a
-// 2³¹×2³⁰ payload, whose byte count wraps to the 0 bytes that are there.
+// The seed corpora are in testdata/fuzz/<target> (FuzzDecodeTopology's is
+// the hostileWelcomes table) and run in tier-1. The one to keep is
+// FuzzDecodeData/seed-dims-overflow: 21 bytes claiming a 2³¹×2³⁰ payload,
+// whose byte count wraps to the 0 bytes that are there.
 
 // FuzzDecodeData throws arbitrary bodies at the data-frame decoder: it
 // must never panic (a hostile header must not reach matrix.New), and a
@@ -84,6 +86,96 @@ func FuzzDecodeControl(f *testing.F) {
 	})
 }
 
+// hostileWelcomes are welcome bodies a joiner must refuse: each is inside
+// the handshake frame cap and well-formed JSON.
+var hostileWelcomes = map[string]string{
+	// The welcome's form before the rank map was derived: the parent's Join
+	// accepted this one, and its fabric then found no writer for "process
+	// 7" and silently dropped every message addressed to rank 1.
+	"old form, rank hosted by no process": `{"world":2,"procs":2,"proc_id":1,"addrs":["","127.0.0.1:1"],"rank_proc":[0,7]}`,
+	// world² mailboxes: 4·10¹⁰ of them.
+	"huge world":            `{"world":200000,"procs":2,"proc_id":1,"addrs":["","127.0.0.1:1"]}`,
+	"more procs than ranks": `{"world":2,"procs":3,"proc_id":1,"addrs":["","127.0.0.1:1","127.0.0.1:2"]}`,
+	"not a joiner's id":     `{"world":4,"procs":2,"proc_id":0,"addrs":["","127.0.0.1:1"]}`,
+	"ragged addrs":          `{"world":4,"procs":3,"proc_id":2,"addrs":["","127.0.0.1:1"]}`,
+	"undialable addr":       `{"world":4,"procs":3,"proc_id":2,"addrs":["","no port","127.0.0.1:2"]}`,
+}
+
+// FuzzDecodeTopology throws arbitrary bodies at the welcome decoder: it must
+// never panic, and a welcome that validates has the sizes a joiner goes on
+// to allocate and index by — a bounded world, an id among the joiners, a
+// dialable address per joiner — and yields a rank map in which every
+// process hosts at least one rank and no rank has a host outside the
+// cluster.
+func FuzzDecodeTopology(f *testing.F) {
+	f.Add([]byte(`{"world":6,"procs":3,"proc_id":2,"addrs":["","10.0.0.1:7002","10.0.0.2:7003"],"payload":"cGxhbg=="}`))
+	for _, body := range hostileWelcomes {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var topo topologyMsg
+		if decodeHandshake(body, &topo) != nil || topo.validate() != nil { // must not panic
+			return
+		}
+		if topo.Procs > topo.World || topo.World > maxWorld {
+			t.Fatalf("accepted %d processes for %d ranks", topo.Procs, topo.World)
+		}
+		if topo.ProcID < 1 || topo.ProcID >= topo.Procs {
+			t.Fatalf("accepted process id %d of %d", topo.ProcID, topo.Procs)
+		}
+		if len(topo.Addrs) != topo.Procs {
+			t.Fatalf("accepted %d addresses for %d processes", len(topo.Addrs), topo.Procs)
+		}
+		for _, addr := range topo.Addrs[1:] {
+			if _, _, err := stdnet.SplitHostPort(addr); err != nil {
+				t.Fatalf("accepted mesh address %q: %v", addr, err)
+			}
+		}
+		hosted := make([]int, topo.Procs)
+		for _, p := range rankProcs(topo.World, topo.Procs) {
+			hosted[p]++ // an index out of range here is a rank with no host
+		}
+		for p, n := range hosted {
+			if n == 0 {
+				t.Fatalf("process %d of %d hosts none of %d ranks", p, topo.Procs, topo.World)
+			}
+		}
+	})
+}
+
+// TestJoinRefusesHostileWelcome plays a coordinator that answers a joiner's
+// hello with each hostile welcome and then says nothing more: Join must
+// return an error on the welcome's content — not mesh, allocate a fabric
+// and wait out its deadline for a start.
+func TestJoinRefusesHostileWelcome(t *testing.T) {
+	for name, welcome := range hostileWelcomes {
+		ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if readJSONFrame(conn, frameHello, &helloMsg{}) == nil && writeFrame(conn, frameWelcome, []byte(welcome)) == nil {
+				io.Copy(io.Discard, conn) // until the joiner hangs up
+			}
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		fab, _, err := Join(ctx, ln.Addr().String(), nil)
+		if err == nil {
+			fab.Close(ctx)
+			t.Errorf("%s: Join accepted the welcome", name)
+		} else if errors.Is(err, os.ErrDeadlineExceeded) || ctx.Err() != nil {
+			t.Errorf("%s: Join sat out its deadline instead of refusing the welcome: %v", name, err)
+		}
+		cancel()
+		ln.Close()
+	}
+}
+
 // TestReaderBlamesPeerForOutOfRangeRank feeds a fabric's reader, over
 // net.Pipe, a well-formed data frame and a well-formed retx frame naming a
 // rank outside the world. Each indexed rankProc unchecked and panicked the
@@ -102,7 +194,7 @@ func TestReaderBlamesPeerForOutOfRangeRank(t *testing.T) {
 	} {
 		local, peer := stdnet.Pipe()
 		// Process 0 hosts rank 0, the peer (process 1) rank 1.
-		f := newFabric(2, 0, []int{0, 1}, map[int]stdnet.Conn{1: local}, nil)
+		f := newFabric(2, 0, map[int]stdnet.Conn{1: local}, nil)
 		// The retx request of a live run ends in Fabric.Retransmit.
 		f.SetRetransmitHandler(f.Retransmit)
 		go io.Copy(io.Discard, peer) // the closing fabric's abort frame

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -58,63 +59,63 @@ func BenchmarkSimulateCholesky(b *testing.B) {
 	}
 }
 
-func BenchmarkReplayMM(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	d, err := distribution.UniformBlockCyclic(2, 2, 8, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := matrix.Random(64, 64, rng)
-	c := matrix.Random(64, 64, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReplayMM(d, a, c); err != nil {
+// benchReplay times one serial replay — the code bench/'s matrix.serial_s and
+// matrix.gflops_effective time, and the oracle every engine run is held to —
+// at N = 512 for the block sizes and numerics contracts the engine workloads
+// run at, with the effective GF/s for the kernel's nominal flop count
+// (perN3 · N³, bench/'s convention).
+func benchReplay(b *testing.B, perN3 float64, replay func(d distribution.Distribution, mode matrix.Numerics) error) {
+	const n = 512
+	for _, r := range []int{32, 64} {
+		d, err := distribution.UniformBlockCyclic(2, 2, n/r, n/r)
+		if err != nil {
 			b.Fatal(err)
 		}
+		for _, mode := range []matrix.Numerics{matrix.Strict, matrix.Fast} {
+			b.Run(fmt.Sprintf("r%d/%s", r, mode), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := replay(d, mode); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(perN3*n*n*n*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GF/s")
+			})
+		}
 	}
+}
+
+func BenchmarkReplayMM(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a, c := matrix.Random(512, 512, rng), matrix.Random(512, 512, rng)
+	benchReplay(b, 2, func(d distribution.Distribution, mode matrix.Numerics) error {
+		_, err := ReplayMMNumerics(d, a, c, mode)
+		return err
+	})
 }
 
 func BenchmarkReplayLU(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	d, err := distribution.UniformBlockCyclic(2, 2, 8, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := matrix.RandomWellConditioned(64, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReplayLU(d, a); err != nil {
-			b.Fatal(err)
-		}
-	}
+	a := matrix.RandomWellConditioned(512, rand.New(rand.NewSource(2)))
+	benchReplay(b, 2.0/3, func(d distribution.Distribution, mode matrix.Numerics) error {
+		_, err := ReplayLUNumerics(d, a, mode)
+		return err
+	})
 }
 
+// QR is Strict under either mode (see ReplayQRNumerics): its fast rows
+// measure the same code as its strict rows, which makes their difference
+// the run's own noise floor.
 func BenchmarkReplayQR(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	d, err := distribution.UniformBlockCyclic(2, 2, 8, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := matrix.Random(64, 64, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReplayQR(d, a); err != nil {
-			b.Fatal(err)
-		}
-	}
+	a := matrix.Random(512, 512, rand.New(rand.NewSource(3)))
+	benchReplay(b, 4.0/3, func(d distribution.Distribution, mode matrix.Numerics) error {
+		_, err := ReplayQRNumerics(d, a, mode)
+		return err
+	})
 }
 
 func BenchmarkReplayCholesky(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	d, err := distribution.UniformBlockCyclic(2, 2, 8, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := matrix.RandomSPD(64, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReplayCholesky(d, a); err != nil {
-			b.Fatal(err)
-		}
-	}
+	a := matrix.RandomSPD(512, rand.New(rand.NewSource(4)))
+	benchReplay(b, 1.0/3, func(d distribution.Distribution, mode matrix.Numerics) error {
+		_, err := ReplayCholeskyNumerics(d, a, mode)
+		return err
+	})
 }

@@ -82,8 +82,9 @@ func replayMM(d distribution.Distribution, a, b *matrix.Dense, mode matrix.Numer
 // pivoted variant permutes rows across owners, which changes nothing about
 // the load-balance accounting this replay exists to validate). The result
 // packs L (unit diagonal implicit) below the diagonal and U on and above
-// it, exactly like matrix.LU. Each block operation — panel factor,
-// triangular solve, trailing update — is attributed to the block's owner.
+// it, exactly like matrix.FactorNoPivot. Each block operation — panel
+// factor, triangular solve, trailing update — is attributed to the block's
+// owner.
 func ReplayLU(d distribution.Distribution, a *matrix.Dense) (*Replay, error) {
 	return replayLU(d, a, matrix.Strict)
 }

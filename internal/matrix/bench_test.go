@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -32,13 +31,13 @@ func BenchmarkAddMul(b *testing.B) {
 	}
 }
 
-// The five benchmarks below are the producer of kernel rates (the sweep
-// bench/ deliberately is not; its matrix.*_gflops are one block size per
-// workload): execution path × numerics contract × the block sizes the
+// The three benchmarks below are the producer of per-block kernel rates (the
+// sweep bench/ deliberately is not; its matrix.*_gflops are one block size
+// per workload): execution path × numerics contract × the block sizes the
 // distributed kernels run at, each row with its effective GF/s for the
 // kernel's standard flop count. Scalar is the Strict reference and has no
-// Fast variant; the factorizations have no parallel path at this layer
-// (the engine partitions whole blocks above it).
+// Fast variant. Whole factorizations are timed where they run, by
+// internal/kernels' BenchmarkReplay*.
 var (
 	kernelSizes     = []int{32, 64, 256, 512}
 	kernelContracts = []Numerics{Strict, Fast}
@@ -47,19 +46,6 @@ var (
 // benchKernel times op as the sub-benchmark mode/size.
 func benchKernel(b *testing.B, mode string, n int, flops float64, op func() error) {
 	b.Run(mode+"/"+sizeLabel(n), func(b *testing.B) { timeKernel(b, flops, op) })
-}
-
-// benchParallelKernel is benchKernel for a path that takes a worker count:
-// every CPU this run may use. On one CPU the row would time coordination
-// overhead and read as a slowdown of the kernel, so it is skipped.
-func benchParallelKernel(b *testing.B, mode string, n int, flops float64, op func(workers int)) {
-	b.Run(mode+"/"+sizeLabel(n), func(b *testing.B) {
-		w := runtime.GOMAXPROCS(0)
-		if w == 1 {
-			b.Skip("GOMAXPROCS=1: nothing to run in parallel")
-		}
-		timeKernel(b, flops, func() error { op(w); return nil })
-	})
 }
 
 // timeKernel runs op b.N times and adds the GF/s column: flops per
@@ -83,7 +69,6 @@ func BenchmarkGEMMModes(b *testing.B) {
 		benchKernel(b, "scalar", n, flops, func() error { c.AddMulScalar(1, x, y); return nil })
 		for _, nm := range kernelContracts {
 			benchKernel(b, "packed/"+nm.String(), n, flops, func() error { c.AddMulNumerics(1, x, y, nm); return nil })
-			benchParallelKernel(b, "parallel/"+nm.String(), n, flops, func(w int) { c.AddMulParallelNumerics(1, x, y, w, nm) })
 		}
 	}
 }
@@ -103,57 +88,21 @@ func BenchmarkTRSMModes(b *testing.B) {
 		benchKernel(b, "scalar", n, flops, func() error { l.SolveLowerUnitScalar(rhs.Clone()); return nil })
 		for _, nm := range kernelContracts {
 			benchKernel(b, "packed/"+nm.String(), n, flops, func() error { l.SolveLowerUnitNumerics(rhs.Clone(), nm); return nil })
-			benchParallelKernel(b, "parallel/"+nm.String(), n, flops, func(w int) { l.SolveLowerUnitParallelNumerics(rhs.Clone(), w, nm) })
 		}
 	}
 }
 
-func BenchmarkLUFactor(b *testing.B) {
-	for _, n := range kernelSizes {
-		a := RandomWellConditioned(n, rand.New(rand.NewSource(2)))
-		flops := 2.0 / 3 * cube(n)
-		benchKernel(b, "scalar", n, flops, func() error { _, err := Factor(a); return err })
-		for _, nm := range kernelContracts {
-			benchKernel(b, "packed/"+nm.String(), n, flops, func() error { _, err := BlockedFactorNumerics(a, 0, nm); return err })
-		}
-	}
-}
-
-func BenchmarkLUSolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	a := RandomWellConditioned(64, rng)
-	rhs := Random(64, 1, rng)
-	f, err := Factor(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Solve(rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkQRFactor(b *testing.B) {
-	for _, n := range kernelSizes {
-		a := Random(n, n, rand.New(rand.NewSource(4)))
-		flops := 4.0 / 3 * cube(n)
-		benchKernel(b, "scalar", n, flops, func() error { FactorQR(a); return nil })
-		for _, nm := range kernelContracts {
-			benchKernel(b, "packed/"+nm.String(), n, flops, func() error { FactorQRBlockedNumerics(a, 0, nm); return nil })
-		}
-	}
-}
-
-func BenchmarkCholeskyFactor(b *testing.B) {
-	for _, n := range kernelSizes {
-		a := RandomSPD(n, rand.New(rand.NewSource(5)))
-		flops := 1.0 / 3 * cube(n)
-		benchKernel(b, "scalar", n, flops, func() error { _, err := FactorCholesky(a); return err })
-		for _, nm := range kernelContracts {
-			benchKernel(b, "packed/"+nm.String(), n, flops, func() error { _, err := BlockedFactorCholeskyNumerics(a, 0, nm); return err })
-		}
+// BenchmarkDiagFactor times the two diagonal-block factors on the critical
+// path of every LU and Cholesky step, at the block sizes the engine runs.
+// FactorNoPivot works in place, so its rows include one r×r copy per
+// operation (r² moves against ⅔·r³ flops).
+func BenchmarkDiagFactor(b *testing.B) {
+	for _, n := range []int{32, 64} {
+		rng := rand.New(rand.NewSource(2))
+		a, spd := RandomWellConditioned(n, rng), RandomSPD(n, rng)
+		blk := New(n, n)
+		benchKernel(b, "lu", n, 2.0/3*cube(n), func() error { blk.CopyFrom(a); return FactorNoPivot(blk) })
+		benchKernel(b, "cholesky", n, 1.0/3*cube(n), func() error { _, err := FactorCholesky(spd); return err })
 	}
 }
 

@@ -46,103 +46,6 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 	return &Cholesky{L: l}, nil
 }
 
-// Solve solves A·x = b for each column of b via the factor.
-func (f *Cholesky) Solve(b *Dense) (*Dense, error) {
-	n, _ := f.L.Dims()
-	if b.rows != n {
-		panic(fmt.Sprintf("matrix: Cholesky solve with rhs %d×%d for order %d", b.rows, b.cols, n))
-	}
-	x := b.Clone()
-	// Forward: L·y = b.
-	for i := 0; i < n; i++ {
-		d := f.L.At(i, i)
-		for j := 0; j < x.cols; j++ {
-			sum := x.At(i, j)
-			for k := 0; k < i; k++ {
-				sum -= f.L.At(i, k) * x.At(k, j)
-			}
-			x.Set(i, j, sum/d)
-		}
-	}
-	// Backward: Lᵀ·x = y.
-	for i := n - 1; i >= 0; i-- {
-		d := f.L.At(i, i)
-		for j := 0; j < x.cols; j++ {
-			sum := x.At(i, j)
-			for k := i + 1; k < n; k++ {
-				sum -= f.L.At(k, i) * x.At(k, j)
-			}
-			x.Set(i, j, sum/d)
-		}
-	}
-	return x, nil
-}
-
-// Det returns the determinant of the factored matrix (product of squared
-// diagonal entries of L).
-func (f *Cholesky) Det() float64 {
-	n, _ := f.L.Dims()
-	det := 1.0
-	for i := 0; i < n; i++ {
-		d := f.L.At(i, i)
-		det *= d * d
-	}
-	return det
-}
-
-// BlockedFactorCholesky computes the lower Cholesky factor with the
-// right-looking blocked algorithm (LAPACK potrf structure): the diagonal
-// block is factored unblocked, the sub-diagonal panel is solved against
-// L(diag)ᵀ from the right, and the trailing submatrix receives a symmetric
-// rank-blockSize update through the packed GEMM kernel — so almost all
-// flops run at level-3 speed. The result agrees with FactorCholesky to
-// rounding (the update order differs); the input is not modified.
-// blockSize ≤ 0 selects a default.
-func BlockedFactorCholesky(a *Dense, blockSize int) (*Cholesky, error) {
-	return blockedFactorCholesky(a, blockSize, Strict)
-}
-
-// blockedFactorCholesky is BlockedFactorCholesky under an explicit
-// numerics contract: the diagonal factor and panel solve stay scalar, the
-// trailing symmetric rank-blockSize update runs under mode.
-func blockedFactorCholesky(a *Dense, blockSize int, mode Numerics) (*Cholesky, error) {
-	n, c := a.Dims()
-	if n != c {
-		panic(fmt.Sprintf("matrix: Cholesky of non-square %d×%d", n, c))
-	}
-	if blockSize <= 0 {
-		blockSize = 64
-	}
-	l := a.Clone()
-	for k0 := 0; k0 < n; k0 += blockSize {
-		k1 := min(k0+blockSize, n)
-		diag := l.Slice(k0, k1, k0, k1)
-		f, err := FactorCholesky(diag)
-		if err != nil {
-			return nil, err
-		}
-		diag.CopyFrom(f.L)
-		if k1 == n {
-			break
-		}
-		// Panel: L(i,k) = A(i,k)·L(k,k)^{-T}.
-		panel := l.Slice(k1, n, k0, k1)
-		if err := panel.SolveUpperRight(f.L.T()); err != nil {
-			return nil, err
-		}
-		// Trailing: A(trailing) -= panel·panelᵀ. The update covers the full
-		// square — the trailing block stays symmetric, so the upper half is
-		// simply overwritten again by later steps and zeroed below.
-		l.Slice(k1, n, k1, n).AddMulNumerics(-1, panel, panel.T(), mode)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			l.Set(i, j, 0)
-		}
-	}
-	return &Cholesky{L: l}, nil
-}
-
 // RandomSPD returns a random symmetric positive definite matrix of order n:
 // M·Mᵀ + n·I for a random M.
 func RandomSPD(n int, rng interface{ Float64() float64 }) *Dense {

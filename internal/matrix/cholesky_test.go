@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -60,40 +59,6 @@ func TestCholeskyNotPositiveDefinite(t *testing.T) {
 	}
 }
 
-func TestCholeskySolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(113))
-	a := RandomSPD(8, rng)
-	want := Random(8, 2, rng)
-	b := Mul(a, want)
-	fac, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := fac.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.EqualApprox(want, 1e-8) {
-		t.Fatal("Cholesky solve inaccurate")
-	}
-}
-
-func TestCholeskyDet(t *testing.T) {
-	rng := rand.New(rand.NewSource(114))
-	a := RandomSPD(5, rng)
-	fac, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lu, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fac.Det()-lu.Det())/lu.Det() > 1e-9 {
-		t.Fatalf("Cholesky det %v vs LU det %v", fac.Det(), lu.Det())
-	}
-}
-
 func TestCholeskyNonSquarePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -108,54 +73,5 @@ func TestRandomSPDIsSymmetric(t *testing.T) {
 	a := RandomSPD(6, rng)
 	if !a.EqualApprox(a.T(), 1e-12) {
 		t.Fatal("RandomSPD not symmetric")
-	}
-}
-
-func TestBlockedCholeskyMatchesUnblocked(t *testing.T) {
-	rng := rand.New(rand.NewSource(115))
-	for _, n := range []int{1, 5, 16, 33, 64, 97, 130} {
-		a := RandomSPD(n, rng)
-		want, err := FactorCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bs := range []int{0, 8, 32, n + 5} {
-			got, err := BlockedFactorCholesky(a, bs)
-			if err != nil {
-				t.Fatalf("n=%d bs=%d: %v", n, bs, err)
-			}
-			if !got.L.EqualApprox(want.L, 1e-9) {
-				t.Fatalf("n=%d bs=%d: blocked L differs from unblocked", n, bs)
-			}
-			if !Mul(got.L, got.L.T()).EqualApprox(a, 1e-8) {
-				t.Fatalf("n=%d bs=%d: L·Lᵀ != A", n, bs)
-			}
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					if got.L.At(i, j) != 0 {
-						t.Fatalf("n=%d bs=%d: L(%d,%d) = %v above diagonal", n, bs, i, j, got.L.At(i, j))
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestBlockedCholeskyInputUnmodified(t *testing.T) {
-	rng := rand.New(rand.NewSource(116))
-	a := RandomSPD(20, rng)
-	orig := a.Clone()
-	if _, err := BlockedFactorCholesky(a, 8); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(orig) {
-		t.Fatal("BlockedFactorCholesky modified its input")
-	}
-}
-
-func TestBlockedCholeskyNotPositiveDefinite(t *testing.T) {
-	a := NewFromSlice(2, 2, []float64{1, 2, 2, 1}) // indefinite
-	if _, err := BlockedFactorCholesky(a, 1); err == nil {
-		t.Fatal("indefinite matrix accepted")
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the packed, register-blocked GEMM compute layer: the one hot
-// loop every kernel in the repository — serial replays, distributed engine
-// updates, blocked factorizations — bottoms out in.
+// loop every kernel in the repository — the serial replays and the
+// distributed engine's block updates — bottoms out in.
 //
 // The structure is the classic three-level cache blocking (Goto/BLIS):
 //
@@ -400,30 +400,4 @@ func (m *Dense) addMulDispatchMode(alpha float64, a, b *Dense, mode Numerics) {
 		return
 	}
 	m.addMulPacked(alpha, a, b)
-}
-
-// AddMulParallel is AddMul computed by up to `workers` concurrent executors
-// on the persistent worker pool (see pool.go), the GEMM partitioned into
-// contiguous output-row bands: every output element is accumulated by
-// exactly one executor in the same increasing-k order, so the result is
-// bit-identical to the serial AddMul for any worker count. Workers ≤ 1,
-// tiny problems, or bands thinner than one register tile run serially. The
-// steady-state call is allocation-free.
-func (m *Dense) AddMulParallel(alpha float64, a, b *Dense, workers int) {
-	m.checkAddMul(a, b)
-	if alpha == 0 {
-		return
-	}
-	m.addMulParallelMode(alpha, a, b, workers, Strict)
-}
-
-// MulParallel returns a·b computed with AddMulParallel's row-band
-// parallelism; bit-identical to Mul for any worker count.
-func MulParallel(a, b *Dense, workers int) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("matrix: MulParallel %d×%d by %d×%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := New(a.rows, b.cols)
-	out.AddMulParallel(1, a, b, workers)
-	return out
 }

@@ -132,42 +132,6 @@ func TestAddMulDispatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestAddMulParallelBitIdentical: any worker count must reproduce the
-// serial result bit for bit (row bands are disjoint outputs, same k order).
-// Run with -race to check the band partitioning for data races.
-func TestAddMulParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(703))
-	shapes := [][3]int{{1, 5, 7}, {4, 16, 8}, {7, 33, 9}, {33, 17, 31}, {63, 64, 65}, {130, 40, 50}}
-	workers := []int{0, 1, 2, 3, 4, 7, 16, 100}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a := randomOperand(rng, m, k, false, false)
-		b := randomOperand(rng, k, n, false, false)
-		c0 := randomOperand(rng, m, n, false, false)
-		want := c0.Clone()
-		want.AddMul(1.5, a, b)
-		for _, w := range workers {
-			got := c0.Clone()
-			got.AddMulParallel(1.5, a, b, w)
-			if !bitIdentical(got, want) {
-				t.Fatalf("m=%d k=%d n=%d workers=%d: parallel differs from serial", m, k, n, w)
-			}
-		}
-	}
-}
-
-func TestMulParallelMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(704))
-	a := randomOperand(rng, 37, 29, false, false)
-	b := randomOperand(rng, 29, 41, false, false)
-	want := Mul(a, b)
-	for _, w := range []int{2, 5} {
-		if got := MulParallel(a, b, w); !bitIdentical(got, want) {
-			t.Fatalf("workers=%d: MulParallel differs from Mul", w)
-		}
-	}
-}
-
 // TestAddMulNaNInfPropagation is the regression test for the removed
 // `if av == 0 { continue }` fast path: with nonzero alpha, a zero in A must
 // not suppress NaN/Inf coming from B (0·NaN = NaN, 0·Inf = NaN).

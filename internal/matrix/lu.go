@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // FactorNoPivot performs an unpivoted LU elimination of a square matrix in
 // place, packing L (implicit unit diagonal) below the diagonal and U on and
@@ -35,164 +32,4 @@ func FactorNoPivot(a *Dense) error {
 		}
 	}
 	return nil
-}
-
-// LU holds an LU factorization with partial pivoting: P*A = L*U, where L is
-// unit lower triangular, U is upper triangular, and P is the permutation
-// recorded in Pivots (row i of the factored matrix came from row Perm[i] of
-// A).
-type LU struct {
-	// LU stores L (strictly lower, unit diagonal implicit) and U (upper)
-	// packed in a single matrix.
-	LU *Dense
-	// Pivots[k] is the row index that was swapped with row k at step k,
-	// in LAPACK ipiv convention.
-	Pivots []int
-	// signDet is +1 or -1 according to the parity of the row swaps.
-	signDet float64
-}
-
-// Factor computes the LU factorization of a with partial pivoting. The input
-// is not modified. Returns ErrSingular if a pivot column is exactly zero;
-// the partial factorization is still returned for inspection.
-func Factor(a *Dense) (*LU, error) {
-	if a.rows != a.cols {
-		panic(fmt.Sprintf("matrix: LU of non-square %d×%d", a.rows, a.cols))
-	}
-	n := a.rows
-	lu := a.Clone()
-	piv := make([]int, n)
-	sign := 1.0
-	var firstErr error
-	for k := 0; k < n; k++ {
-		// Find pivot: largest |value| in column k at or below the diagonal.
-		p := k
-		max := math.Abs(lu.data[k*lu.stride+k])
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu.data[i*lu.stride+k]); v > max {
-				max, p = v, i
-			}
-		}
-		piv[k] = p
-		if max == 0 {
-			if firstErr == nil {
-				firstErr = ErrSingular
-			}
-			continue
-		}
-		if p != k {
-			lu.SwapRows(p, k)
-			sign = -sign
-		}
-		pivot := lu.data[k*lu.stride+k]
-		for i := k + 1; i < n; i++ {
-			l := lu.data[i*lu.stride+k] / pivot
-			lu.data[i*lu.stride+k] = l
-			if l == 0 {
-				continue
-			}
-			urow := lu.data[k*lu.stride+k+1 : k*lu.stride+n]
-			irow := lu.data[i*lu.stride+k+1 : i*lu.stride+n]
-			for j := range irow {
-				irow[j] -= l * urow[j]
-			}
-		}
-	}
-	return &LU{LU: lu, Pivots: piv, signDet: sign}, firstErr
-}
-
-// L returns the unit lower triangular factor as a new matrix.
-func (f *LU) L() *Dense {
-	n := f.LU.rows
-	l := Identity(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			l.data[i*l.stride+j] = f.LU.data[i*f.LU.stride+j]
-		}
-	}
-	return l
-}
-
-// U returns the upper triangular factor as a new matrix.
-func (f *LU) U() *Dense {
-	n := f.LU.rows
-	u := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			u.data[i*u.stride+j] = f.LU.data[i*f.LU.stride+j]
-		}
-	}
-	return u
-}
-
-// Perm returns the permutation as a slice: row i of P*A is row Perm[i] of A.
-func (f *LU) Perm() []int {
-	n := f.LU.rows
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for k, p := range f.Pivots {
-		perm[k], perm[p] = perm[p], perm[k]
-	}
-	return perm
-}
-
-// PermMatrix returns the permutation matrix P with P*A = L*U.
-func (f *LU) PermMatrix() *Dense {
-	perm := f.Perm()
-	p := New(len(perm), len(perm))
-	for i, src := range perm {
-		p.data[i*p.stride+src] = 1
-	}
-	return p
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.LU.rows
-	det := f.signDet
-	for i := 0; i < n; i++ {
-		det *= f.LU.data[i*f.LU.stride+i]
-	}
-	return det
-}
-
-// Solve solves A*x = b for each column of b, returning x as a new matrix.
-func (f *LU) Solve(b *Dense) (*Dense, error) {
-	n := f.LU.rows
-	if b.rows != n {
-		panic(fmt.Sprintf("matrix: LU solve with rhs %d×%d for system of order %d", b.rows, b.cols, n))
-	}
-	x := b.Clone()
-	// Apply the recorded row swaps to the right-hand side.
-	for k, p := range f.Pivots {
-		if p != k {
-			x.SwapRows(k, p)
-		}
-	}
-	f.LU.SolveLowerUnit(x)
-	if err := f.LU.SolveUpper(x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveVec solves A*x = b for a single right-hand-side vector.
-func (f *LU) SolveVec(b []float64) ([]float64, error) {
-	rhs := NewFromSlice(len(b), 1, b)
-	x, err := f.Solve(rhs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(b))
-	for i := range out {
-		out[i] = x.At(i, 0)
-	}
-	return out, nil
-}
-
-// Inverse returns A^{-1} computed from the factorization.
-func (f *LU) Inverse() (*Dense, error) {
-	return f.Solve(Identity(f.LU.rows))
 }

@@ -1,149 +1,91 @@
 package matrix
 
 import (
-	"math"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-func TestLUKnown(t *testing.T) {
-	a := NewFromSlice(3, 3, []float64{
-		2, 1, 1,
-		4, -6, 0,
-		-2, 7, 2,
-	})
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
+// splitLU unpacks a factored block the way the replay and the facade read
+// it: L strictly below the diagonal with an implicit unit diagonal, U on and
+// above it.
+func splitLU(packed *Dense) (l, u *Dense) {
+	n := packed.Rows()
+	l, u = Identity(n), New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if j < i {
+				l.Set(i, j, packed.At(i, j))
+			} else {
+				u.Set(i, j, packed.At(i, j))
+			}
+		}
 	}
-	pa := Mul(f.PermMatrix(), a)
-	lu := Mul(f.L(), f.U())
-	if !pa.EqualApprox(lu, 1e-12) {
-		t.Fatalf("P*A != L*U:\n%v\nvs\n%v", pa, lu)
-	}
+	return l, u
 }
 
-func TestLUReconstructionProperty(t *testing.T) {
+func TestFactorNoPivotReconstructs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	f := func(seed int64) bool {
-		n := 1 + int(uint(seed)%8)
-		a := Random(n, n, rng)
-		fac, err := Factor(a)
-		if err != nil {
-			// Exactly singular random matrices are measure-zero; treat as pass.
-			return true
+	for _, n := range []int{1, 7, 32, 64} {
+		a := RandomWellConditioned(n, rng)
+		packed := a.Clone()
+		if err := FactorNoPivot(packed); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		pa := Mul(fac.PermMatrix(), a)
-		return pa.EqualApprox(Mul(fac.L(), fac.U()), 1e-10)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
+		l, u := splitLU(packed)
+		if lu := Mul(l, u); !lu.EqualApprox(a, 1e-10) {
+			t.Fatalf("n=%d: L·U differs from A by %g", n, Sub(lu, a).MaxAbs())
+		}
 	}
 }
 
-func TestLUSolve(t *testing.T) {
+func TestFactorNoPivotZeroPivot(t *testing.T) {
+	for name, a := range map[string]*Dense{
+		"zero first pivot":                 NewFromRows([][]float64{{0, 1}, {1, 1}}),
+		"last pivot zeroed by elimination": NewFromRows([][]float64{{1, 1}, {1, 1}}),
+	} {
+		if err := FactorNoPivot(a); !errors.Is(err, ErrSingular) {
+			t.Errorf("%s: err = %v, want ErrSingular", name, err)
+		}
+	}
+}
+
+func TestFactorNoPivotNonSquarePanics(t *testing.T) {
+	defer func() {
+		if got, want := fmt.Sprint(recover()), "matrix: FactorNoPivot of non-square 2×3"; got != want {
+			t.Fatalf("panic %q, want %q", got, want)
+		}
+	}()
+	_ = FactorNoPivot(New(2, 3))
+}
+
+// The serial replay factors diagonal blocks as strided views of the whole
+// matrix, the engine's ranks factor their own contiguous copies: both must
+// get the same bits, in place, touching nothing outside the block.
+func TestFactorNoPivotInPlaceOnViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	a := RandomWellConditioned(10, rng)
-	want := Random(10, 3, rng)
-	b := Mul(a, want)
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualApprox(want, 1e-9) {
-		t.Fatal("LU solve inaccurate")
-	}
-}
+	const n, at = 16, 5
+	whole := Random(n+9, n+13, rng)
+	view := whole.Slice(at, at+n, at, at+n)
+	view.CopyFrom(RandomWellConditioned(n, rng))
+	before := whole.Clone()
 
-func TestLUSolveVec(t *testing.T) {
-	a := NewFromSlice(2, 2, []float64{4, 3, 6, 3})
-	f, err := Factor(a)
-	if err != nil {
+	copied := view.Clone()
+	if err := FactorNoPivot(copied); err != nil {
 		t.Fatal(err)
 	}
-	x, err := f.SolveVec([]float64{10, 12})
-	if err != nil {
+	if err := FactorNoPivot(view); err != nil {
 		t.Fatal(err)
 	}
-	// 4x+3y=10, 6x+3y=12 -> x=1, y=2.
-	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
-		t.Fatalf("SolveVec = %v", x)
+	if !bitIdentical(view, copied) {
+		t.Fatal("a strided view and its contiguous clone factor to different bits")
 	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewFromSlice(2, 2, []float64{1, 2, 3, 4})
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
+	if view.Equal(before.Slice(at, at+n, at, at+n)) {
+		t.Fatal("FactorNoPivot left its input as it was: the factors must overwrite it")
 	}
-	if d := f.Det(); math.Abs(d-(-2)) > 1e-12 {
-		t.Fatalf("det = %v want -2", d)
-	}
-	if d := mustFactor(t, Identity(5)).Det(); math.Abs(d-1) > 1e-12 {
-		t.Fatalf("det(I) = %v", d)
-	}
-}
-
-func mustFactor(t *testing.T, a *Dense) *LU {
-	t.Helper()
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
-func TestLUSingular(t *testing.T) {
-	a := NewFromSlice(2, 2, []float64{1, 2, 2, 4})
-	if _, err := Factor(a); err != ErrSingular {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-	if _, err := Factor(New(3, 3)); err != ErrSingular {
-		t.Fatal("zero matrix should be singular")
-	}
-}
-
-func TestLUInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := RandomWellConditioned(6, rng)
-	inv, err := mustFactor(t, a).Inverse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Mul(a, inv).EqualApprox(Identity(6), 1e-9) {
-		t.Fatal("A * A^{-1} != I")
-	}
-}
-
-func TestLUPivotingStability(t *testing.T) {
-	// Without pivoting this matrix loses all accuracy (tiny leading pivot).
-	a := NewFromSlice(2, 2, []float64{1e-20, 1, 1, 1})
-	f := mustFactor(t, a)
-	x, err := f.SolveVec([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// True solution ≈ (1, 1).
-	if math.Abs(x[0]-1) > 1e-9 || math.Abs(x[1]-1) > 1e-9 {
-		t.Fatalf("pivoted solve inaccurate: %v", x)
-	}
-}
-
-func TestLUPermIsPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	f := mustFactor(t, Random(7, 7, rng))
-	perm := f.Perm()
-	seen := make(map[int]bool)
-	for _, p := range perm {
-		if p < 0 || p >= 7 || seen[p] {
-			t.Fatalf("Perm is not a permutation: %v", perm)
-		}
-		seen[p] = true
+	view.CopyFrom(before.Slice(at, at+n, at, at+n))
+	if !bitIdentical(whole, before) {
+		t.Fatal("factoring a view wrote outside the view")
 	}
 }

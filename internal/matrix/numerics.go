@@ -8,8 +8,8 @@ import "fmt"
 // bit-identical to the scalar ikj reference — each product is a separate
 // IEEE-rounded multiply followed by a separate rounded add, accumulated in
 // strictly increasing k order. Strict results are reproducible across the
-// scalar, packed, AVX, and parallel paths, which is what lets the
-// distributed engine stay bit-identical to serial replays.
+// scalar, packed and AVX paths, which is what lets the distributed engine
+// stay bit-identical to serial replays.
 //
 // Fast trades the bitwise contract for an error-bound contract: on CPUs
 // with AVX2+FMA the packed GEMM dispatches to a fused 6×8 micro-kernel
@@ -62,39 +62,6 @@ func (m *Dense) AddMulNumerics(alpha float64, a, b *Dense, mode Numerics) {
 		return
 	}
 	m.addMulDispatchMode(alpha, a, b, mode)
-}
-
-// AddMulParallelNumerics is AddMulParallel under an explicit numerics
-// contract. The row-band split is unchanged between modes: in Strict mode
-// results stay bit-identical to the serial Strict path for any worker
-// count, and in Fast mode every element is produced by exactly the same
-// fused accumulation the serial Fast path performs.
-func (m *Dense) AddMulParallelNumerics(alpha float64, a, b *Dense, workers int, mode Numerics) {
-	m.checkAddMul(a, b)
-	if alpha == 0 {
-		return
-	}
-	m.addMulParallelMode(alpha, a, b, workers, mode)
-}
-
-// BlockedFactorNumerics is BlockedFactor under an explicit numerics
-// contract: the panel factorization is always scalar (pivot choices are
-// made on Strict arithmetic of the panel itself), while the U-panel
-// triangular solve and the trailing rank-b update run under mode.
-func BlockedFactorNumerics(a *Dense, blockSize int, mode Numerics) (*LU, error) {
-	return blockedFactor(a, blockSize, mode)
-}
-
-// BlockedFactorCholeskyNumerics is BlockedFactorCholesky under an explicit
-// numerics contract (the trailing symmetric update runs under mode).
-func BlockedFactorCholeskyNumerics(a *Dense, blockSize int, mode Numerics) (*Cholesky, error) {
-	return blockedFactorCholesky(a, blockSize, mode)
-}
-
-// FactorQRBlockedNumerics is FactorQRBlocked under an explicit numerics
-// contract (the compact-WY trailing updates run under mode).
-func FactorQRBlockedNumerics(a *Dense, blockSize int, mode Numerics) *QR {
-	return factorQRBlocked(a, blockSize, mode)
 }
 
 // SolveLowerUnitNumerics is SolveLowerUnit under an explicit numerics

@@ -131,114 +131,6 @@ func TestNumericsFastErrorBound(t *testing.T) {
 	}
 }
 
-// TestNumericsFastParallelMatchesSerial pins that the parallel Fast path is
-// bit-identical to the serial Fast path for any worker count (the row-band
-// split may not change which elements take the edge kernel).
-func TestNumericsFastParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, dims := range [][3]int{{97, 64, 80}, {130, 130, 130}, {260, 33, 47}, {64, 260, 16}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := randomOperand(rng, m, k, false, false)
-		b := randomOperand(rng, k, n, false, false)
-		c0 := randomOperand(rng, m, n, false, false)
-		want := c0.Clone()
-		want.AddMulNumerics(1, a, b, Fast)
-		for _, workers := range []int{2, 3, 4, 7} {
-			got := c0.Clone()
-			got.AddMulParallelNumerics(1, a, b, workers, Fast)
-			if !bitIdentical(got, want) {
-				t.Fatalf("%d×%d·%d×%d workers=%d: parallel Fast differs from serial Fast", m, k, k, n, workers)
-			}
-		}
-	}
-}
-
-// residualLU returns ‖P·A − L·U‖_F / (n·‖A‖_F).
-func residualLU(a *Dense, f *LU) float64 {
-	n, _ := a.Dims()
-	pa := Mul(f.PermMatrix(), a)
-	lu := Mul(f.L(), f.U())
-	return frobNorm(Sub(pa, lu)) / (float64(n) * frobNorm(a))
-}
-
-func frobNorm(d *Dense) float64 {
-	r, c := d.Dims()
-	s := 0.0
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			v := d.At(i, j)
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
-}
-
-// TestNumericsFastFactorizations verifies the relaxed-but-bounded contract
-// on the blocked factorizations: under Fast mode, LU, Cholesky and QR must
-// produce factors whose reconstruction residual is as small as Strict's (to
-// a small constant factor), and the Fast factors must stay normwise close
-// to the Strict factors.
-func TestNumericsFastFactorizations(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{33, 64, 97, 150, 260} {
-		a := randomOperand(rng, n, n, false, false)
-		// Diagonal dominance keeps the LU well conditioned, so the normwise
-		// fast-vs-strict comparison is meaningful.
-		for i := 0; i < n; i++ {
-			a.Add(i, i, float64(n))
-		}
-
-		sLU, err := BlockedFactorNumerics(a.Clone(), 32, Strict)
-		if err != nil {
-			t.Fatalf("n=%d: strict LU: %v", n, err)
-		}
-		fLU, err := BlockedFactorNumerics(a.Clone(), 32, Fast)
-		if err != nil {
-			t.Fatalf("n=%d: fast LU: %v", n, err)
-		}
-		rs, rf := residualLU(a, sLU), residualLU(a, fLU)
-		if rf > 10*rs+1e-14 {
-			t.Fatalf("n=%d: fast LU residual %g vs strict %g", n, rf, rs)
-		}
-
-		spd := RandomSPD(n, rng)
-		sCh, err := BlockedFactorCholeskyNumerics(spd, 64, Strict)
-		if err != nil {
-			t.Fatalf("n=%d: strict Cholesky: %v", n, err)
-		}
-		fCh, err := BlockedFactorCholeskyNumerics(spd, 64, Fast)
-		if err != nil {
-			t.Fatalf("n=%d: fast Cholesky: %v", n, err)
-		}
-		den := float64(n) * frobNorm(spd)
-		rs = frobNorm(Sub(spd, Mul(sCh.L, sCh.L.T()))) / den
-		rf = frobNorm(Sub(spd, Mul(fCh.L, fCh.L.T()))) / den
-		if rf > 10*rs+1e-14 {
-			t.Fatalf("n=%d: fast Cholesky residual %g vs strict %g", n, rf, rs)
-		}
-		if d := frobNorm(Sub(fCh.L, sCh.L)) / frobNorm(sCh.L); d > 1e-10 {
-			t.Fatalf("n=%d: fast Cholesky factor drifts %g from strict", n, d)
-		}
-
-		tall := randomOperand(rng, n+16, n, false, false)
-		sQR := FactorQRBlockedNumerics(tall.Clone(), 32, Strict)
-		fQR := FactorQRBlockedNumerics(tall.Clone(), 32, Fast)
-		denQ := float64(n) * frobNorm(tall)
-		rs = frobNorm(Sub(tall, Mul(sQR.Q(), sQR.R()))) / denQ
-		rf = frobNorm(Sub(tall, Mul(fQR.Q(), fQR.R()))) / denQ
-		if rf > 10*rs+1e-14 {
-			t.Fatalf("n=%d: fast QR residual %g vs strict %g", n, rf, rs)
-		}
-		qtq := Mul(fQR.Q().T(), fQR.Q())
-		for i := 0; i < n+16; i++ {
-			qtq.Add(i, i, -1)
-		}
-		if d := frobNorm(qtq); d > 1e-11*float64(n) {
-			t.Fatalf("n=%d: fast QR loses orthogonality: ‖QᵀQ−I‖=%g", n, d)
-		}
-	}
-}
-
 // TestSolveLowerUnitNumerics pins that the Strict mode is exactly
 // SolveLowerUnit and that Fast stays within a forward-solve error bound of
 // it.
@@ -268,7 +160,7 @@ func TestSolveLowerUnitNumerics(t *testing.T) {
 		fast := b.Clone()
 		l.SolveLowerUnitNumerics(fast, Fast)
 		// L·x_fast should reproduce b about as well as L·x_strict does.
-		den := float64(n) * frobNorm(b)
+		den := float64(n) * b.FrobeniusNorm()
 		residual := func(x *Dense) float64 {
 			lx := Mul(l, x)
 			r, c := lx.Dims()
@@ -277,7 +169,7 @@ func TestSolveLowerUnitNumerics(t *testing.T) {
 					lx.Add(i, j, x.At(i, j)) // unit diagonal contribution
 				}
 			}
-			return frobNorm(Sub(b, lx)) / den
+			return Sub(b, lx).FrobeniusNorm() / den
 		}
 		rs, rf := residual(strict), residual(fast)
 		if rf > 10*rs+1e-14 {

@@ -45,40 +45,6 @@ func Sub(a, b *Dense) *Dense {
 	return out
 }
 
-// Sum returns a + b as a newly allocated matrix.
-func Sum(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Sprintf("matrix: Sum %d×%d + %d×%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := New(a.rows, a.cols)
-	for i := 0; i < a.rows; i++ {
-		ar := a.data[i*a.stride : i*a.stride+a.cols]
-		br := b.data[i*b.stride : i*b.stride+b.cols]
-		or := out.data[i*out.stride : i*out.stride+out.cols]
-		for j := range ar {
-			or[j] = ar[j] + br[j]
-		}
-	}
-	return out
-}
-
-// MulVec returns a*x for a vector x of length a.Cols().
-func MulVec(a *Dense, x []float64) []float64 {
-	if a.cols != len(x) {
-		panic(fmt.Sprintf("matrix: MulVec %d×%d by vector %d", a.rows, a.cols, len(x)))
-	}
-	out := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.stride : i*a.stride+a.cols]
-		sum := 0.0
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		out[i] = sum
-	}
-	return out
-}
-
 // trsmBlock is the panel height of the blocked triangular solves: diagonal
 // blocks this size are solved by substitution, everything off-diagonal is a
 // GEMM update through the packed kernel.
@@ -251,23 +217,4 @@ func (m *Dense) SolveUpperRight(u *Dense) error {
 		}
 	}
 	return nil
-}
-
-// SolveLowerUnitRight overwrites m with m * L^{-1} for unit lower triangular
-// L (m.Cols() == L.Rows()). Used when replaying LU from the right.
-func (m *Dense) SolveLowerUnitRight(l *Dense) {
-	if l.rows != l.cols || m.cols != l.rows {
-		panic(fmt.Sprintf("matrix: SolveLowerUnitRight %d×%d by %d×%d", m.rows, m.cols, l.rows, l.cols))
-	}
-	n := l.rows
-	for r := 0; r < m.rows; r++ {
-		row := m.data[r*m.stride : r*m.stride+m.cols]
-		for j := n - 1; j >= 0; j-- {
-			sum := row[j]
-			for k := j + 1; k < n; k++ {
-				sum -= row[k] * l.data[k*l.stride+j]
-			}
-			row[j] = sum
-		}
-	}
 }

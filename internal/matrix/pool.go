@@ -6,47 +6,33 @@ import (
 	"sync/atomic"
 )
 
-// This file is the compute layer's persistent worker pool. The parallel
-// GEMM/TRSM paths and the engine's block-update fan-out used to spawn fresh
-// goroutines (plus a WaitGroup allocation) on every call; steady-state
-// distributed runs perform thousands of such calls per factorization. The
-// pool replaces that with a fixed set of lazily-started workers fed by one
-// buffered channel of by-value task descriptors:
+// This file is the compute layer's persistent worker pool: what ParallelDo
+// — the engine's fan-out of one step's block updates across a rank's cores —
+// runs on. A distributed run makes thousands of such calls per
+// factorization, so instead of spawning goroutines per call a fixed set of
+// lazily-started workers is fed by one buffered channel of by-value task
+// descriptors:
 //
-//   - tasks are plain structs (matrix views are embedded by value), so a
-//     submission is a channel copy — no per-call heap allocation;
-//   - completion groups are recycled through a sync.Pool, extending the
-//     serial packed path's zero-allocation guarantee to the parallel
-//     steady state (pinned by TestAddMulParallelZeroAlloc);
-//   - when the queue is full the submitter runs the task inline, which
-//     both bounds latency and makes the pool deadlock-free under
-//     arbitrary nesting (a task never waits on queue capacity);
+//   - a task is a plain struct, so a submission is a channel copy — no
+//     per-call heap allocation;
+//   - completion groups are recycled through a sync.Pool, so a steady-state
+//     ParallelDo allocates nothing (pinned by TestParallelDoZeroAlloc);
+//   - when the queue is full the submitter runs the task inline, so a
+//     submission never blocks on queue capacity;
 //   - idle workers block in a channel receive — quiescent, no spinning —
 //     and the pool never grows, so hammering it from many concurrent
 //     factorizations cannot leak goroutines.
 //
-// Output partitions handed to the pool are always whole register-tile row
-// bands (GEMM) or column bands (TRSM): disjoint in memory, so workers never
-// write the same element and — tile alignment keeping band boundaries off
-// shared lines in the common strides — rarely even the same cache line.
+// Callers hand the pool disjoint outputs (whole blocks), so workers never
+// write the same element and any worker count gives the same bits.
+
+// poolTask is one contiguous chunk of a ParallelDo: run fn(lo), …, fn(hi-1)
+// and report to g.
 type poolTask struct {
-	kind  int8
-	mode  Numerics
-	alpha float64
-	// c/a/b are by-value views: taskGemm computes c += alpha·a·b, taskTrsm
-	// solves a·x = c in place over c's columns (a unit lower triangular).
-	c, a, b Dense
-	// fn/lo/hi are the taskFunc form: run fn(lo), …, fn(hi-1).
 	fn     func(i int)
 	lo, hi int
 	g      *poolGroup
 }
-
-const (
-	taskGemm int8 = iota
-	taskTrsm
-	taskFunc
-)
 
 // poolGroup tracks one caller's outstanding tasks and captures the first
 // worker panic for re-raise on the caller.
@@ -81,7 +67,7 @@ var (
 // pool returns the task channel, starting the workers on first use. The
 // pool is sized to the scheduler (GOMAXPROCS at start, minimum 2 so the
 // concurrent paths stay exercised even on single-CPU machines); extra
-// logical workers requested by callers simply produce more bands, which
+// logical workers requested by callers simply produce more chunks, which
 // queue and drain.
 func pool() chan poolTask {
 	poolOnce.Do(func() {
@@ -105,8 +91,7 @@ func poolWorker(tasks <-chan poolTask) {
 }
 
 // poolSubmit hands a task to the pool, or runs it inline when the queue is
-// full — the non-blocking send is what makes nested parallel calls unable
-// to deadlock on queue capacity.
+// full: a submitter never blocks on queue capacity.
 func poolSubmit(t poolTask) {
 	select {
 	case pool() <- t:
@@ -122,15 +107,8 @@ func poolSubmit(t poolTask) {
 // calling goroutine).
 func runPoolTask(t *poolTask) {
 	defer t.g.taskDone()
-	switch t.kind {
-	case taskGemm:
-		t.c.addMulDispatchMode(t.alpha, &t.a, &t.b, t.mode)
-	case taskTrsm:
-		t.a.solveLowerUnitMode(&t.c, t.mode)
-	default:
-		for i := t.lo; i < t.hi; i++ {
-			t.fn(i)
-		}
+	for i := t.lo; i < t.hi; i++ {
+		t.fn(i)
 	}
 }
 
@@ -145,25 +123,6 @@ func (g *poolGroup) taskDone() {
 	g.wg.Done()
 }
 
-// getGroup returns a recycled completion group.
-func getGroup() *poolGroup { return groupPool.Get().(*poolGroup) }
-
-// finishGroup waits for the group's outstanding tasks, recycles it, and
-// re-raises the first panic: callerPanic (from the submitter's own share)
-// takes precedence, then the first worker panic.
-func finishGroup(g *poolGroup, callerPanic any) {
-	g.wg.Wait()
-	p := g.panicked
-	g.panicked = nil
-	groupPool.Put(g)
-	if callerPanic != nil {
-		panic(callerPanic)
-	}
-	if p != nil {
-		panic(p)
-	}
-}
-
 // ParallelDo runs fn(0), …, fn(n-1) across at most workers concurrent
 // executors in contiguous index chunks, blocking until all return. The
 // caller always executes the first chunk itself; the rest go to the
@@ -171,6 +130,8 @@ func finishGroup(g *poolGroup, callerPanic any) {
 // for disjoint-output updates, so any worker count produces identical
 // results. A panic in any chunk is re-raised on the caller after all
 // chunks finish. workers ≤ 1 (or n ≤ 1) runs inline with no pool traffic.
+// fn must not call ParallelDo itself: with every worker waiting on chunks
+// queued behind it, nothing would run them.
 func ParallelDo(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -181,13 +142,24 @@ func ParallelDo(workers, n int, fn func(i int)) {
 		}
 		return
 	}
-	g := getGroup()
+	g := groupPool.Get().(*poolGroup)
 	g.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		poolSubmit(poolTask{kind: taskFunc, fn: fn, lo: n * w / workers, hi: n * (w + 1) / workers, g: g})
+		poolSubmit(poolTask{fn: fn, lo: n * w / workers, hi: n * (w + 1) / workers, g: g})
 	}
 	callerPanic := runChunk(fn, 0, n/workers)
-	finishGroup(g, callerPanic)
+	// Wait for the pool's chunks, recycle the group, then re-raise the first
+	// panic: the caller's own takes precedence over a worker's.
+	g.wg.Wait()
+	workerPanic := g.panicked
+	g.panicked = nil
+	groupPool.Put(g)
+	if callerPanic != nil {
+		panic(callerPanic)
+	}
+	if workerPanic != nil {
+		panic(workerPanic)
+	}
 }
 
 // runChunk executes the caller's own share, capturing a panic so the group
@@ -198,99 +170,4 @@ func runChunk(fn func(i int), lo, hi int) (panicked any) {
 		fn(i)
 	}
 	return nil
-}
-
-// rowBand returns a by-value view of rows [i0, i1) — the no-allocation
-// counterpart of Slice for handing disjoint output bands to pool tasks.
-// Requires 0 ≤ i0 < i1 ≤ m.rows.
-func (m *Dense) rowBand(i0, i1 int) Dense {
-	end := (i1-1)*m.stride + m.cols
-	return Dense{rows: i1 - i0, cols: m.cols, stride: m.stride, data: m.data[i0*m.stride : end : end]}
-}
-
-// colBand returns a by-value view of columns [j0, j1). Requires
-// 0 ≤ j0 < j1 ≤ m.cols and m.rows ≥ 1.
-func (m *Dense) colBand(j0, j1 int) Dense {
-	end := (m.rows-1)*m.stride + j1
-	return Dense{rows: m.rows, cols: j1 - j0, stride: m.stride, data: m.data[j0:end:end]}
-}
-
-// addMulParallelMode is the parallel GEMM driver behind AddMulParallel and
-// AddMulParallelNumerics: the output is partitioned into contiguous
-// register-tile row bands, bands beyond the first are submitted to the
-// persistent pool, and the caller computes the first band while they run.
-// Every output element is accumulated by exactly one executor in the
-// mode's serial accumulation order, so Strict stays bit-identical to the
-// serial Strict path for any worker count, and Fast produces exactly the
-// serial Fast result. Shapes and alpha were validated by the caller.
-func (m *Dense) addMulParallelMode(alpha float64, a, b *Dense, workers int, mode Numerics) {
-	mr := gemmMR
-	if mode == Fast && gemmHaveFMA {
-		mr = gemmMRFMA
-	}
-	if workers > m.rows/mr {
-		workers = m.rows / mr
-	}
-	if workers <= 1 || a.rows*a.cols*b.cols <= gemmScalarFlops {
-		m.addMulDispatchMode(alpha, a, b, mode)
-		return
-	}
-	// Band height: even split rounded up to a whole number of register
-	// tiles, so only the last band carries an edge.
-	band := ((m.rows+workers-1)/workers + mr - 1) / mr * mr
-	g := getGroup()
-	for i0 := band; i0 < m.rows; i0 += band {
-		i1 := min(i0+band, m.rows)
-		g.wg.Add(1)
-		poolSubmit(poolTask{kind: taskGemm, mode: mode, alpha: alpha,
-			c: m.rowBand(i0, i1), a: a.rowBand(i0, i1), b: *b, g: g})
-	}
-	callerPanic := func() (panicked any) {
-		defer func() { panicked = recover() }()
-		c0 := m.rowBand(0, min(band, m.rows))
-		a0 := a.rowBand(0, min(band, a.rows))
-		c0.addMulDispatchMode(alpha, &a0, b, mode)
-		return nil
-	}()
-	finishGroup(g, callerPanic)
-}
-
-// SolveLowerUnitParallel solves L·x = b in place over the columns of b
-// with `workers` concurrent executors, the right-hand side partitioned
-// into contiguous column bands on the persistent pool. Columns are
-// independent in a forward solve and the blocked solve is bit-identical to
-// the scalar reference per column, so the result is bit-identical to
-// SolveLowerUnit for any worker count.
-func (m *Dense) SolveLowerUnitParallel(b *Dense, workers int) {
-	m.SolveLowerUnitParallelNumerics(b, workers, Strict)
-}
-
-// SolveLowerUnitParallelNumerics is SolveLowerUnitParallel under an
-// explicit numerics contract (the blocked solve's GEMM updates run under
-// mode, exactly as the serial SolveLowerUnitNumerics).
-func (m *Dense) SolveLowerUnitParallelNumerics(b *Dense, workers int, mode Numerics) {
-	if m.rows != m.cols || m.rows != b.rows {
-		panic("matrix: SolveLowerUnitParallel shape mismatch")
-	}
-	if workers > b.cols/gemmNR {
-		workers = b.cols / gemmNR
-	}
-	if workers <= 1 || m.rows == 0 {
-		m.solveLowerUnitMode(b, mode)
-		return
-	}
-	band := ((b.cols+workers-1)/workers + gemmNR - 1) / gemmNR * gemmNR
-	g := getGroup()
-	for j0 := band; j0 < b.cols; j0 += band {
-		j1 := min(j0+band, b.cols)
-		g.wg.Add(1)
-		poolSubmit(poolTask{kind: taskTrsm, mode: mode, a: *m, c: b.colBand(j0, j1), g: g})
-	}
-	callerPanic := func() (panicked any) {
-		defer func() { panicked = recover() }()
-		b0 := b.colBand(0, min(band, b.cols))
-		m.solveLowerUnitMode(&b0, mode)
-		return nil
-	}()
-	finishGroup(g, callerPanic)
 }

@@ -52,87 +52,64 @@ func TestParallelDoPanic(t *testing.T) {
 	}
 }
 
-// TestSolveLowerUnitParallel pins the parallel TRSM: bit-identical to the
-// serial SolveLowerUnit for any worker count (columns are independent in a
-// forward solve).
-func TestSolveLowerUnitParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{8, 64, 130, 257} {
-		l := randomOperand(rng, n, n, false, false)
-		b := randomOperand(rng, n, 70, false, false)
-		want := b.Clone()
-		l.SolveLowerUnit(want)
-		for _, workers := range []int{1, 2, 3, 4, 9} {
-			got := b.Clone()
-			l.SolveLowerUnitParallel(got, workers)
-			if !bitIdentical(got, want) {
-				t.Fatalf("n=%d workers=%d: parallel TRSM differs from serial", n, workers)
-			}
-		}
-	}
+// stepUpdate is the engine's use of the pool in miniature: one step's
+// disjoint output blocks, each receiving c += a·b through AddMulNumerics,
+// fanned out with ParallelDo one block per index. The views are cut up
+// front so that the fan-out itself is all a run costs.
+type stepUpdate struct {
+	c, a, b []*Dense
 }
 
-// TestAddMulParallelPool re-pins the historical contract now that the
-// parallel path runs on the persistent pool: bit-identical to serial AddMul
-// for any worker count, specials included.
-func TestAddMulParallelPool(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 24; trial++ {
-		m, k, n := pickDim(rng), pickDim(rng), pickDim(rng)
-		a := randomOperand(rng, m, k, trial%2 == 0, trial%4 == 0)
-		b := randomOperand(rng, k, n, false, trial%5 == 0)
-		c := randomOperand(rng, m, n, false, false)
-		want := c.Clone()
-		want.AddMul(-0.75, a, b)
-		for _, workers := range []int{2, 4, 13} {
-			got := c.Clone()
-			got.AddMulParallel(-0.75, a, b, workers)
-			if !bitIdentical(got, want) {
-				t.Fatalf("trial %d (%d×%d·%d×%d) workers=%d: parallel differs from serial",
-					trial, m, k, k, n, workers)
-			}
+// newStepUpdate cuts an nb×nb grid of r×r blocks with inner dimension k.
+func newStepUpdate(rng *rand.Rand, nb, r, k int) (*stepUpdate, *Dense) {
+	a := randomOperand(rng, nb*r, k, false, false)
+	b := randomOperand(rng, k, nb*r, false, false)
+	c := randomOperand(rng, nb*r, nb*r, false, false)
+	u := &stepUpdate{}
+	for bi := 0; bi < nb; bi++ {
+		for bj := 0; bj < nb; bj++ {
+			u.c = append(u.c, c.Slice(bi*r, (bi+1)*r, bj*r, (bj+1)*r))
+			u.a = append(u.a, a.Slice(bi*r, (bi+1)*r, 0, k))
+			u.b = append(u.b, b.Slice(0, k, bj*r, (bj+1)*r))
 		}
 	}
+	return u, c
 }
 
-// TestAddMulParallelZeroAlloc extends the serial zero-allocation guarantee
-// to the parallel steady state: once the pool and packing buffers are warm,
-// a parallel GEMM call allocates nothing — in either numerics mode.
-func TestAddMulParallelZeroAlloc(t *testing.T) {
+func (u *stepUpdate) block(mode Numerics) func(i int) {
+	return func(i int) { u.c[i].AddMulNumerics(1, u.a[i], u.b[i], mode) }
+}
+
+// TestParallelDoZeroAlloc pins the allocation contract of the path the
+// engine takes: once the pool, the completion groups and every worker's
+// packing buffers are warm, fanning a step's block updates out allocates
+// nothing — in either numerics mode.
+func TestParallelDoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the pin runs in the non-race matrix")
 	}
-	rng := rand.New(rand.NewSource(5))
-	a := randomOperand(rng, 192, 96, false, false)
-	b := randomOperand(rng, 96, 128, false, false)
-	c := randomOperand(rng, 192, 128, false, false)
+	u, _ := newStepUpdate(rand.New(rand.NewSource(5)), 4, 32, 32)
 	for _, mode := range []Numerics{Strict, Fast} {
-		// Warm the pool, the completion groups, and every worker's packing
-		// buffers before measuring.
+		fn := u.block(mode)
 		for i := 0; i < 10; i++ {
-			c.AddMulParallelNumerics(1, a, b, 4, mode)
+			ParallelDo(4, 16, fn)
 		}
-		avg := testing.AllocsPerRun(100, func() {
-			c.AddMulParallelNumerics(1, a, b, 4, mode)
-		})
-		if avg != 0 {
-			t.Errorf("mode=%v: parallel AddMul allocates %.2f per call in steady state", mode, avg)
+		if avg := testing.AllocsPerRun(100, func() { ParallelDo(4, 16, fn) }); avg != 0 {
+			t.Errorf("mode=%v: ParallelDo over 16 block updates allocates %.2f per call in steady state", mode, avg)
 		}
 	}
 }
 
-// TestPoolNoGoroutineLeak hammers the parallel paths and checks the
-// goroutine count stays at the pool's fixed size: the pool never grows, and
-// per-call goroutine spawning is gone.
+// TestPoolNoGoroutineLeak hammers the fan-out and checks the goroutine
+// count stays at the pool's fixed size: the pool never grows, and no call
+// spawns goroutines of its own.
 func TestPoolNoGoroutineLeak(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := randomOperand(rng, 130, 64, false, false)
-	b := randomOperand(rng, 64, 96, false, false)
-	c := randomOperand(rng, 130, 96, false, false)
-	c.AddMulParallel(1, a, b, 4) // ensure the pool is started
+	u, _ := newStepUpdate(rand.New(rand.NewSource(13)), 3, 32, 64)
+	fn := u.block(Strict)
+	ParallelDo(4, len(u.c), fn) // ensure the pool is started
 	base := runtime.NumGoroutine()
 	for i := 0; i < 300; i++ {
-		c.AddMulParallel(1, a, b, 2+i%6)
+		ParallelDo(2+i%6, len(u.c), fn)
 	}
 	// A small slack absorbs unrelated runtime goroutines (GC workers etc.).
 	if got := runtime.NumGoroutine(); got > base+2 {
@@ -140,10 +117,10 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentHammer drives the pool from many concurrent
-// factorizations and mixed parallel kernels at once — the race detector
-// (CI runs this package under -race) checks the pool's synchronization, and
-// the bitwise/error assertions check results stay correct under contention.
+// TestPoolConcurrentHammer drives the pool from many concurrent steps at
+// once, Strict and Fast — the race detector (CI runs this package under
+// -race) checks the pool's synchronization, and the bitwise assertions check
+// every worker count still gives the serial loop's result under contention.
 func TestPoolConcurrentHammer(t *testing.T) {
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -152,29 +129,22 @@ func TestPoolConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + g)))
 			mode := Strict
 			if g%2 == 1 {
 				mode = Fast
 			}
-			a := randomOperand(rng, 97, 64, false, false)
-			b := randomOperand(rng, 64, 70, false, false)
-			c := randomOperand(rng, 97, 70, false, false)
+			u, c := newStepUpdate(rand.New(rand.NewSource(int64(100+g))), 3, 24, 64)
+			fn := u.block(mode)
+			before := c.Clone()
+			for i := range u.c {
+				fn(i)
+			}
 			want := c.Clone()
-			want.AddMulNumerics(1, a, b, mode)
 			for iter := 0; iter < 20; iter++ {
-				got := c.Clone()
-				got.AddMulParallelNumerics(1, a, b, 1+iter%5, mode)
-				if !bitIdentical(got, want) {
-					errs <- fmt.Errorf("goroutine %d iter %d: parallel result diverged", g, iter)
-					return
-				}
-				sq := randomOperand(rng, 70, 70, false, false)
-				for i := 0; i < 70; i++ {
-					sq.Add(i, i, 70)
-				}
-				if _, err := BlockedFactorNumerics(sq, 32, mode); err != nil {
-					errs <- fmt.Errorf("goroutine %d iter %d: LU: %v", g, iter, err)
+				c.CopyFrom(before)
+				ParallelDo(1+iter%5, len(u.c), fn)
+				if !bitIdentical(c, want) {
+					errs <- fmt.Errorf("goroutine %d iter %d: parallel result diverged from the serial loop", g, iter)
 					return
 				}
 				ParallelDo(3, 50, func(int) {})
@@ -192,11 +162,8 @@ func TestPoolConcurrentHammer(t *testing.T) {
 // exports: after parallel work the pool reports a fixed worker count and a
 // non-decreasing submit counter.
 func TestPoolStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randomOperand(rng, 130, 64, false, false)
-	b := randomOperand(rng, 64, 96, false, false)
-	c := randomOperand(rng, 130, 96, false, false)
-	c.AddMulParallel(1, a, b, 4)
+	u, _ := newStepUpdate(rand.New(rand.NewSource(2)), 3, 32, 64)
+	ParallelDo(4, len(u.c), u.block(Strict))
 	workers, submitted, inline, _ := PoolStats()
 	if workers < 2 {
 		t.Fatalf("pool reports %d workers after use", workers)
@@ -204,14 +171,14 @@ func TestPoolStats(t *testing.T) {
 	if submitted+inline == 0 {
 		t.Fatalf("no tasks recorded after a parallel call (submitted=%d inline=%d)", submitted, inline)
 	}
-	c.AddMulParallel(1, a, b, 4)
+	ParallelDo(4, len(u.c), u.block(Strict))
 	_, submitted2, inline2, _ := PoolStats()
 	if submitted2+inline2 <= submitted+inline {
 		t.Fatalf("task counters did not advance: %d+%d -> %d+%d", submitted, inline, submitted2, inline2)
 	}
 	if FastAvailable() {
 		_, _, _, fastBefore := PoolStats()
-		c.AddMulNumerics(1, a, b, Fast)
+		u.block(Fast)(0)
 		_, _, _, fastAfter := PoolStats()
 		if fastAfter <= fastBefore {
 			t.Fatalf("fast-dispatch counter did not advance: %d -> %d", fastBefore, fastAfter)

@@ -7,8 +7,8 @@ import (
 )
 
 // qrChunk is how many consecutive reflectors one compact-WY factor
-// aggregates: FactorQRBlocked's default panel width, and the fixed column
-// chunking of QTMul/QMul, so a wide QR never forms an n×n T.
+// aggregates: the fixed column chunking of QTMul/QMul, so a wide QR never
+// forms an n×n T.
 const qrChunk = 32
 
 // QR holds a Householder QR factorization A = Q*R for an m×n matrix with
@@ -29,46 +29,13 @@ type QR struct {
 // FactorQR computes the Householder QR factorization of a (m >= n required)
 // with the unblocked reflector loop. The input is not modified.
 func FactorQR(a *Dense) *QR {
-	return factorQRBlocked(a, a.cols, Strict) // one panel, no trailing update
-}
-
-// FactorQRBlocked computes the Householder QR factorization with the
-// compact-WY blocked algorithm (LAPACK geqrt structure): each panel of
-// blockSize columns is factored with the unblocked reflector loop, the
-// panel's reflectors are aggregated into the triangular factor T of
-// I − V·T·Vᵀ, and the trailing columns are updated with three matrix
-// products through the packed GEMM kernel — so the dominant flops run at
-// level-3 speed. The packed layout and tau scalings are identical in form
-// to FactorQR (R and Q agree to rounding; the trailing-update order
-// differs). The input is not modified. blockSize ≤ 0 selects a default.
-func FactorQRBlocked(a *Dense, blockSize int) *QR {
-	return factorQRBlocked(a, blockSize, Strict)
-}
-
-// factorQRBlocked is FactorQRBlocked under an explicit numerics contract:
-// the panel reflector loop and T accumulation stay Strict (reflector
-// choices are made on Strict arithmetic of the panel), while the three
-// compact-WY trailing products run under mode.
-func factorQRBlocked(a *Dense, blockSize int, mode Numerics) *QR {
 	m, n := a.rows, a.cols
 	if m < n {
 		panic(fmt.Sprintf("matrix: QR requires rows >= cols, got %d×%d", m, n))
 	}
-	if blockSize <= 0 {
-		blockSize = qrChunk
-	}
 	qr := a.Clone()
 	tau := make([]float64, n)
-	sums := make([]float64, min(blockSize, n))
-	var work []float64
-	for k0 := 0; k0 < n; k0 += blockSize {
-		k1 := min(k0+blockSize, n)
-		householderPanel(qr, tau, k0, k1, sums)
-		if k1 < n {
-			wy := newCompactWY(qr, tau, k0, k1)
-			work = wy.apply(qr.Slice(0, m, k1, n), true, mode, work)
-		}
-	}
+	householderPanel(qr, tau, 0, n, make([]float64, n))
 	return &QR{qr: qr, tau: tau}
 }
 
@@ -198,9 +165,9 @@ func newCompactWY(packed *Dense, tau []float64, k0, k1 int) compactWY {
 }
 
 // apply overwrites b (m rows) with (I − V·T·Vᵀ)·b, or with the transposed
-// factor (I − V·Tᵀ·Vᵀ)·b: b −= V·(T·(Vᵀ·b)) as three AddMuls under mode.
-// work is scratch, returned (possibly grown) for reuse.
-func (w *compactWY) apply(b *Dense, transposed bool, mode Numerics, work []float64) []float64 {
+// factor (I − V·Tᵀ·Vᵀ)·b: b −= V·(T·(Vᵀ·b)) as three Strict AddMuls. work
+// is scratch, returned (possibly grown) for reuse.
+func (w *compactWY) apply(b *Dense, transposed bool, work []float64) []float64 {
 	pw, nc := w.v.cols, b.cols
 	work = ensure(work, 2*pw*nc)
 	clear(work)
@@ -211,9 +178,9 @@ func (w *compactWY) apply(b *Dense, transposed bool, mode Numerics, work []float
 	if transposed {
 		t = &w.tt
 	}
-	w1.addMulDispatchMode(1, &w.vt, &bv, mode)
-	w2.addMulDispatchMode(1, t, &w1, mode)
-	bv.addMulDispatchMode(-1, &w.v, &w2, mode)
+	w1.addMulDispatch(1, &w.vt, &bv)
+	w2.addMulDispatch(1, t, &w1)
+	bv.addMulDispatch(-1, &w.v, &w2)
 	return work
 }
 
@@ -243,7 +210,7 @@ func (f *QR) applyQ(b *Dense, transposed bool) {
 		if !transposed {
 			i = len(f.wy) - 1 - i
 		}
-		*work = f.wy[i].apply(b, transposed, Strict, *work)
+		*work = f.wy[i].apply(b, transposed, *work)
 	}
 	qrWorkPool.Put(work)
 }
@@ -297,18 +264,3 @@ func (f *QR) QTMul(b *Dense) { f.applyQ(b, true) }
 // QMul overwrites b with Q·b. b must have m rows. Safe for concurrent use
 // on one QR, like QTMul.
 func (f *QR) QMul(b *Dense) { f.applyQ(b, false) }
-
-// SolveLeastSquares solves min ||A*x - b||_2 via the factorization,
-// returning the n×nrhs solution. Requires a full-rank R (ErrSingular
-// otherwise).
-func (f *QR) SolveLeastSquares(b *Dense) (*Dense, error) {
-	n := f.qr.cols
-	qtb := b.Clone()
-	f.QTMul(qtb)
-	top := qtb.Slice(0, n, 0, qtb.cols).Clone()
-	rTop := f.R().Slice(0, n, 0, n).Clone()
-	if err := rTop.SolveUpper(top); err != nil {
-		return nil, err
-	}
-	return top, nil
-}

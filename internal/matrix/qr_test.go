@@ -91,96 +91,24 @@ func TestQTMulMatchesQ(t *testing.T) {
 	}
 }
 
-func TestQRLeastSquares(t *testing.T) {
-	// Overdetermined consistent system: solution must be exact.
-	rng := rand.New(rand.NewSource(26))
-	a := Random(8, 3, rng)
-	want := Random(3, 1, rng)
-	b := Mul(a, want)
-	got, err := FactorQR(a).SolveLeastSquares(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualApprox(want, 1e-10) {
-		t.Fatalf("least squares: got\n%vwant\n%v", got, want)
-	}
-}
-
-func TestQRLeastSquaresResidualOrthogonal(t *testing.T) {
-	// For an inconsistent system the residual must be orthogonal to range(A).
-	rng := rand.New(rand.NewSource(27))
-	a := Random(10, 3, rng)
-	b := Random(10, 1, rng)
-	x, err := FactorQR(a).SolveLeastSquares(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Sub(Mul(a, x), b)
-	atr := Mul(a.T(), res)
-	if atr.MaxAbs() > 1e-10 {
-		t.Fatalf("A^T r = %v, want ~0", atr.MaxAbs())
-	}
-}
-
 func TestQRDetConsistency(t *testing.T) {
-	// |det(A)| = |prod diag(R)| for square A.
+	// |det(A)| = |prod diag(R)| = |prod diag(U)| for square A = L·U with
+	// unit-diagonal L (diagonally dominant, so no pivoting and no sign).
 	rng := rand.New(rand.NewSource(28))
-	a := Random(5, 5, rng)
-	luDet := math.Abs(mustFactor(t, a).Det())
+	a := RandomWellConditioned(5, rng)
+	lu := a.Clone()
+	if err := FactorNoPivot(lu); err != nil {
+		t.Fatal(err)
+	}
 	r := FactorQR(a).R()
-	qrDet := 1.0
+	luDet, qrDet := 1.0, 1.0
 	for i := 0; i < 5; i++ {
+		luDet *= lu.At(i, i)
 		qrDet *= r.At(i, i)
 	}
-	qrDet = math.Abs(qrDet)
+	luDet, qrDet = math.Abs(luDet), math.Abs(qrDet)
 	if math.Abs(luDet-qrDet)/math.Max(luDet, 1e-300) > 1e-9 {
 		t.Fatalf("|det| via LU %v vs via QR %v", luDet, qrDet)
-	}
-}
-
-func TestBlockedQRMatchesUnblocked(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	for _, dims := range [][2]int{{1, 1}, {5, 3}, {16, 16}, {33, 20}, {64, 64}, {80, 50}} {
-		m, n := dims[0], dims[1]
-		a := Random(m, n, rng)
-		want := FactorQR(a)
-		for _, bs := range []int{0, 4, 8, n + 3} {
-			got := FactorQRBlocked(a, bs)
-			if !got.R().EqualApprox(want.R(), 1e-9) {
-				t.Fatalf("%d×%d bs=%d: blocked R differs from unblocked", m, n, bs)
-			}
-			if !Mul(got.Q(), got.R()).EqualApprox(a, 1e-9) {
-				t.Fatalf("%d×%d bs=%d: Q·R != A", m, n, bs)
-			}
-			q := got.Q()
-			if !Mul(q.T(), q).EqualApprox(Identity(m), 1e-9) {
-				t.Fatalf("%d×%d bs=%d: Q not orthogonal", m, n, bs)
-			}
-		}
-	}
-}
-
-func TestBlockedQRInputUnmodified(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	a := Random(24, 17, rng)
-	orig := a.Clone()
-	FactorQRBlocked(a, 8)
-	if !a.Equal(orig) {
-		t.Fatal("FactorQRBlocked modified its input")
-	}
-}
-
-func TestBlockedQRZeroColumn(t *testing.T) {
-	// A zero column yields tau = 0 mid-panel; the WY update must still be
-	// consistent.
-	rng := rand.New(rand.NewSource(97))
-	a := Random(12, 9, rng)
-	for i := 0; i < 12; i++ {
-		a.Set(i, 3, 0)
-	}
-	f := FactorQRBlocked(a, 4)
-	if !Mul(f.Q(), f.R()).EqualApprox(a, 1e-9) {
-		t.Fatal("Q·R != A with a zero column")
 	}
 }
 

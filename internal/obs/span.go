@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -153,19 +152,6 @@ func (s *SpanStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.spans)
-}
-
-// Timeline returns one rank's completed spans sorted by start time — its
-// activity timeline.
-func (s *SpanStore) Timeline(rank int) []Span {
-	var out []Span
-	for _, sp := range s.Snapshot() {
-		if sp.Rank == rank {
-			out = append(out, sp)
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Start < out[b].Start })
-	return out
 }
 
 // BusyTimes is BusyTimes over the completed spans.

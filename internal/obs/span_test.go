@@ -73,17 +73,6 @@ func TestBusyTimesAndImbalance(t *testing.T) {
 	}
 }
 
-func TestTimelineSortedPerRank(t *testing.T) {
-	s := NewSpanStore()
-	s.Record(Span{Rank: 0, Kind: SpanCompute, Name: "late", Peer: -1, Start: 5, End: 6})
-	s.Record(Span{Rank: 0, Kind: SpanCompute, Name: "early", Peer: -1, Start: 1, End: 2})
-	s.Record(Span{Rank: 1, Kind: SpanCompute, Name: "other", Peer: -1, Start: 0, End: 1})
-	tl := s.Timeline(0)
-	if len(tl) != 2 || tl[0].Name != "early" || tl[1].Name != "late" {
-		t.Fatalf("timeline = %+v", tl)
-	}
-}
-
 func TestServeMuxMetricsAndPprof(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits_total", "", "hits").Add(7)

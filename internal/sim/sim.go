@@ -195,12 +195,6 @@ func (c *Cluster) Send(src, dst int, bytes, ready float64) float64 {
 	return start + dur
 }
 
-// CPUFreeAt returns the time node's CPU becomes free.
-func (c *Cluster) CPUFreeAt(node int) float64 {
-	c.checkNode(node)
-	return c.cpus[node].FreeAt()
-}
-
 // Makespan returns the latest completion time over every resource.
 func (c *Cluster) Makespan() float64 {
 	m := c.bus.FreeAt()

@@ -259,7 +259,6 @@ func TestPanicsOnBadNode(t *testing.T) {
 		func() { c.Compute(2, 0, 1) },
 		func() { c.Send(0, 5, 1, 0) },
 		func() { c.Send(-1, 0, 1, 0) },
-		func() { c.CPUFreeAt(9) },
 		func() { c.Send(0, 1, -4, 0) },
 	} {
 		func() {
