@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"hetgrid/internal/adapt"
+	"hetgrid/internal/core"
 	"hetgrid/internal/distribution"
 )
 
@@ -122,87 +123,91 @@ func checkPlanParity(t *testing.T, gc goldenCase, p *Plan) {
 	}
 }
 
+// solveGolden re-solves one golden case through the public API: a plan for
+// the balance, arrangement and choosegrid modes (with the grid choice for
+// choosegrid), a survivor plan for replan.
+func solveGolden(t *testing.T, gc goldenCase) (*Plan, *GridChoice, *adapt.SurvivorPlan) {
+	t.Helper()
+	var (
+		p      *Plan
+		choice *GridChoice
+		sp     *adapt.SurvivorPlan
+		strat  Strategy
+		err    error
+	)
+	switch gc.Mode {
+	case "balance":
+		if strat, err = ParseStrategy(gc.Strategy); err == nil {
+			p, err = Balance(gc.Times, gc.P, gc.Q, strat)
+		}
+	case "arrangement":
+		rows := make([][]float64, gc.P)
+		for i := 0; i < gc.P; i++ {
+			rows[i] = gc.Times[i*gc.Q : (i+1)*gc.Q]
+		}
+		if strat, err = ParseStrategy(gc.Strategy); err == nil {
+			p, err = BalanceArrangement(rows, strat)
+		}
+	case "choosegrid":
+		p, choice, err = ChooseGrid(gc.Times, gc.Subset, gc.Aspect)
+	case "replan":
+		rowOrd, colOrd := distribution.Contiguous, distribution.Contiguous
+		if gc.Kernel == "lu" {
+			rowOrd, colOrd = distribution.Interleaved, distribution.Interleaved
+		}
+		sp, err = adapt.ReplanSurvivors(gc.Times, gc.Nbr, gc.Nbc, rowOrd, colOrd)
+	default:
+		t.Fatalf("case %d: unknown golden mode %q", gc.ID, gc.Mode)
+	}
+	if err != nil {
+		t.Fatalf("case %d: %v", gc.ID, err)
+	}
+	return p, choice, sp
+}
+
 // TestGoldenPlanParity re-solves every golden case through the refactored
 // public API (which now routes through internal/plan) and demands
 // bit-identical plans.
 func TestGoldenPlanParity(t *testing.T) {
 	for _, gc := range loadGoldenCases(t) {
-		switch gc.Mode {
-		case "balance":
-			strat, err := ParseStrategy(gc.Strategy)
-			if err != nil {
-				t.Fatalf("case %d: %v", gc.ID, err)
-			}
-			p, err := Balance(gc.Times, gc.P, gc.Q, strat)
-			if err != nil {
-				t.Fatalf("case %d: %v", gc.ID, err)
-			}
+		p, choice, sp := solveGolden(t, gc)
+		if sp == nil {
 			checkPlanParity(t, gc, p)
-		case "arrangement":
-			strat, err := ParseStrategy(gc.Strategy)
-			if err != nil {
-				t.Fatalf("case %d: %v", gc.ID, err)
-			}
-			rows := make([][]float64, gc.P)
-			for i := 0; i < gc.P; i++ {
-				rows[i] = gc.Times[i*gc.Q : (i+1)*gc.Q]
-			}
-			p, err := BalanceArrangement(rows, strat)
-			if err != nil {
-				t.Fatalf("case %d: %v", gc.ID, err)
-			}
-			checkPlanParity(t, gc, p)
-		case "choosegrid":
-			p, choice, err := ChooseGrid(gc.Times, gc.Subset, gc.Aspect)
-			if err != nil {
-				t.Fatalf("case %d: %v", gc.ID, err)
-			}
-			checkPlanParity(t, gc, p)
-			if choice.P != gc.Out.P || choice.Q != gc.Out.Q ||
+			if choice != nil && (choice.P != gc.Out.P || choice.Q != gc.Out.Q ||
 				!reflect.DeepEqual(choice.Selected, gc.Out.Selected) ||
-				choice.Candidates != gc.Out.Candidates {
+				choice.Candidates != gc.Out.Candidates) {
 				t.Fatalf("case %d: grid choice drifted: %+v vs %+v", gc.ID, choice, gc.Out)
 			}
-		case "replan":
-			rowOrd, colOrd := distribution.Contiguous, distribution.Contiguous
-			if gc.Kernel == "lu" {
-				rowOrd, colOrd = distribution.Interleaved, distribution.Interleaved
-			}
-			sp, err := adapt.ReplanSurvivors(gc.Times, gc.Nbr, gc.Nbc, rowOrd, colOrd)
-			if err != nil {
-				t.Fatalf("case %d: %v", gc.ID, err)
-			}
-			sol := sp.Shape.Solution
-			if sp.P != gc.Out.P || sp.Q != gc.Out.Q {
-				t.Fatalf("case %d: survivor grid %d×%d, golden %d×%d", gc.ID, sp.P, sp.Q, gc.Out.P, gc.Out.Q)
-			}
-			if !reflect.DeepEqual(sp.Selected, gc.Out.Selected) || sp.Shape.Candidates != gc.Out.Candidates {
-				t.Fatalf("case %d: survivor selection drifted", gc.ID)
-			}
-			if got := bitsOfMatrix(sol.Arr.T); !reflect.DeepEqual(got, gc.Out.T) {
-				t.Fatalf("case %d: survivor arrangement drifted", gc.ID)
-			}
-			if got := bitsOfSlice(sol.R); !reflect.DeepEqual(got, gc.Out.R) {
-				t.Fatalf("case %d: survivor row shares drifted", gc.ID)
-			}
-			if got := bitsOfSlice(sol.C); !reflect.DeepEqual(got, gc.Out.C) {
-				t.Fatalf("case %d: survivor col shares drifted", gc.ID)
-			}
-			if got := bitsOf(sol.Objective()); got != gc.Out.Objective {
-				t.Fatalf("case %d: survivor objective drifted", gc.ID)
-			}
-			gp := gc.Out.Panel
-			if gp == nil {
-				t.Fatalf("case %d: golden replan case lacks a panel", gc.ID)
-			}
-			// The survivor distribution is a cyclic tiling of the panel;
-			// parity of the panel geometry pins the whole distribution.
-			got := survivorPanel(t, sp, gc)
-			if !reflect.DeepEqual(got, gp) {
-				t.Fatalf("case %d: survivor panel drifted: %+v vs %+v", gc.ID, got, gp)
-			}
-		default:
-			t.Fatalf("case %d: unknown golden mode %q", gc.ID, gc.Mode)
+			continue
+		}
+		sol := sp.Shape.Solution
+		if sp.P != gc.Out.P || sp.Q != gc.Out.Q {
+			t.Fatalf("case %d: survivor grid %d×%d, golden %d×%d", gc.ID, sp.P, sp.Q, gc.Out.P, gc.Out.Q)
+		}
+		if !reflect.DeepEqual(sp.Selected, gc.Out.Selected) || sp.Shape.Candidates != gc.Out.Candidates {
+			t.Fatalf("case %d: survivor selection drifted", gc.ID)
+		}
+		if got := bitsOfMatrix(sol.Arr.T); !reflect.DeepEqual(got, gc.Out.T) {
+			t.Fatalf("case %d: survivor arrangement drifted", gc.ID)
+		}
+		if got := bitsOfSlice(sol.R); !reflect.DeepEqual(got, gc.Out.R) {
+			t.Fatalf("case %d: survivor row shares drifted", gc.ID)
+		}
+		if got := bitsOfSlice(sol.C); !reflect.DeepEqual(got, gc.Out.C) {
+			t.Fatalf("case %d: survivor col shares drifted", gc.ID)
+		}
+		if got := bitsOf(sol.Objective()); got != gc.Out.Objective {
+			t.Fatalf("case %d: survivor objective drifted", gc.ID)
+		}
+		gp := gc.Out.Panel
+		if gp == nil {
+			t.Fatalf("case %d: golden replan case lacks a panel", gc.ID)
+		}
+		// The survivor distribution is a cyclic tiling of the panel;
+		// parity of the panel geometry pins the whole distribution.
+		got := survivorPanel(t, sp, gc)
+		if !reflect.DeepEqual(got, gp) {
+			t.Fatalf("case %d: survivor panel drifted: %+v vs %+v", gc.ID, got, gp)
 		}
 	}
 }
@@ -243,4 +248,48 @@ func survivorPanel(t *testing.T, sp *adapt.SurvivorPlan, gc goldenCase) *goldenP
 		}
 	}
 	return out
+}
+
+// TestBestPanelMatchesExhaustive pins BestPanel, which rounds each panel
+// dimension once and builds only the winner, to the search it replaced:
+// build every candidate with NewPanel and keep the most efficient, ties to
+// the smaller area.
+func TestBestPanelMatchesExhaustive(t *testing.T) {
+	orders := []distribution.Ordering{distribution.Contiguous, distribution.Interleaved}
+	for _, gc := range loadGoldenCases(t) {
+		p, _, sp := solveGolden(t, gc)
+		var sol *core.Solution
+		if sp != nil {
+			sol = sp.Shape.Solution
+		} else {
+			sol = p.sol
+		}
+		for _, ro := range orders {
+			for _, co := range orders {
+				for _, limit := range []int{2, 4, 8, 16} {
+					var want *distribution.Panel
+					bestEff, bestArea := -1.0, 0
+					for bp := len(sol.R); bp <= limit; bp++ {
+						for bq := len(sol.C); bq <= limit; bq++ {
+							cand, err := distribution.NewPanel(sol, bp, bq, ro, co)
+							if err != nil {
+								continue
+							}
+							eff := cand.PanelEfficiency()
+							if eff > bestEff+1e-12 || (eff > bestEff-1e-12 && bp*bq < bestArea) {
+								want, bestEff, bestArea = cand, eff, bp*bq
+							}
+						}
+					}
+					got, err := distribution.BestPanel(sol, limit, limit, ro, co)
+					if (err != nil) != (want == nil) {
+						t.Fatalf("case %d max %d order %d/%d: BestPanel err %v, exhaustive found %v", gc.ID, limit, ro, co, err, want != nil)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("case %d max %d order %d/%d: BestPanel %+v, exhaustive %+v", gc.ID, limit, ro, co, got, want)
+					}
+				}
+			}
+		}
+	}
 }

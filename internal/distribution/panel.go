@@ -228,10 +228,14 @@ func (p *Panel) Distribution(nbr, nbc int) (*Product, error) {
 // slowest processor needs per panel step — the integer analogue of the
 // continuous objective, used to compare panel size choices.
 func (p *Panel) PanelWorkload() float64 {
+	return panelWorkload(p.Arr, p.RowCounts, p.ColCounts)
+}
+
+func panelWorkload(arr *grid.Arrangement, rowCounts, colCounts []int) float64 {
 	max := 0.0
-	for i := 0; i < p.Arr.P; i++ {
-		for j := 0; j < p.Arr.Q; j++ {
-			if v := float64(p.RowCounts[i]) * p.Arr.T[i][j] * float64(p.ColCounts[j]); v > max {
+	for i := 0; i < arr.P; i++ {
+		for j := 0; j < arr.Q; j++ {
+			if v := float64(rowCounts[i]) * arr.T[i][j] * float64(colCounts[j]); v > max {
 				max = v
 			}
 		}
@@ -244,14 +248,18 @@ func (p *Panel) PanelWorkload() float64 {
 // panel makespan: total-work / (Σ speeds × makespan) where speed_ij =
 // 1/t_ij. Equals 1 when every processor is busy the whole panel step.
 func (p *Panel) PanelEfficiency() float64 {
+	return panelEfficiency(p.Arr, p.Bp, p.Bq, p.RowCounts, p.ColCounts)
+}
+
+func panelEfficiency(arr *grid.Arrangement, bp, bq int, rowCounts, colCounts []int) float64 {
 	speed := 0.0
-	for i := 0; i < p.Arr.P; i++ {
-		for j := 0; j < p.Arr.Q; j++ {
-			speed += 1 / p.Arr.T[i][j]
+	for i := 0; i < arr.P; i++ {
+		for j := 0; j < arr.Q; j++ {
+			speed += 1 / arr.T[i][j]
 		}
 	}
-	ideal := float64(p.Bp*p.Bq) / speed
-	if ms := p.PanelWorkload(); ms > 0 {
+	ideal := float64(bp*bq) / speed
+	if ms := panelWorkload(arr, rowCounts, colCounts); ms > 0 {
 		return ideal / ms
 	}
 	return 0
@@ -262,29 +270,41 @@ func (p *Panel) PanelEfficiency() float64 {
 // with the highest PanelEfficiency; ties prefer the smaller panel (smaller
 // panels mean finer-grained pipelining). Orderings are applied afterwards
 // as in NewPanel.
+//
+// A candidate's efficiency reads only its counts, and the row counts depend
+// on bp alone (the column counts on bq alone), so each dimension is rounded
+// once and only the winner is built. NewPanel's orderings cannot reject a
+// candidate the rounding accepted: the solution's times are validated and
+// every count is ≥ 1, which is all onedim.AggregateCycleTime checks.
 func BestPanel(sol *core.Solution, maxBp, maxBq int, rowOrd, colOrd Ordering) (*Panel, error) {
 	p, q := len(sol.R), len(sol.C)
 	if maxBp < p || maxBq < q {
 		return nil, fmt.Errorf("distribution: max panel %d×%d smaller than grid %d×%d", maxBp, maxBq, p, q)
 	}
-	var best *Panel
+	// A nil entry marks a size the rounding rejects.
+	rowCounts := make([][]int, maxBp+1)
+	for bp := p; bp <= maxBp; bp++ {
+		rowCounts[bp], _ = roundSharesPositive(sol.R, bp)
+	}
+	colCounts := make([][]int, maxBq+1)
+	for bq := q; bq <= maxBq; bq++ {
+		colCounts[bq], _ = roundSharesPositive(sol.C, bq)
+	}
+	bestBp, bestBq := 0, 0
 	bestEff := -1.0
-	bestArea := 0
 	for bp := p; bp <= maxBp; bp++ {
 		for bq := q; bq <= maxBq; bq++ {
-			cand, err := NewPanel(sol, bp, bq, rowOrd, colOrd)
-			if err != nil {
+			if rowCounts[bp] == nil || colCounts[bq] == nil {
 				continue
 			}
-			eff := cand.PanelEfficiency()
-			area := bp * bq
-			if eff > bestEff+1e-12 || (eff > bestEff-1e-12 && area < bestArea) {
-				best, bestEff, bestArea = cand, eff, area
+			eff := panelEfficiency(sol.Arr, bp, bq, rowCounts[bp], colCounts[bq])
+			if eff > bestEff+1e-12 || (eff > bestEff-1e-12 && bp*bq < bestBp*bestBq) {
+				bestBp, bestBq, bestEff = bp, bq, eff
 			}
 		}
 	}
-	if best == nil {
+	if bestBp == 0 {
 		return nil, fmt.Errorf("distribution: no feasible panel up to %d×%d", maxBp, maxBq)
 	}
-	return best, nil
+	return NewPanel(sol, bestBp, bestBq, rowOrd, colOrd)
 }

@@ -141,11 +141,12 @@ func TestCholeskyGoldenAllBroadcastKinds(t *testing.T) {
 
 // r = 3 keeps every product of the compact-WY apply under the packed GEMM's
 // size cutoff, on the scalar reference; r = 16 reaches the packed kernel,
-// where parity rests on the apply not depending on slab width or stride.
+// where parity rests on the apply not depending on slab width or stride;
+// r = 40 crosses qrChunk (32), so V and T are formed in two chunks.
 func TestQRGoldenAllBroadcastKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(304))
 	const nb = 5
-	for _, r := range []int{3, 16} {
+	for _, r := range []int{3, 16, 40} {
 		a := matrix.Random(nb*r, nb*r, rng)
 		for _, d := range engineDistributions(t, nb) {
 			rep, err := kernels.ReplayQR(d, a)

@@ -8,12 +8,13 @@ import (
 )
 
 //
-// This file compares implementations of the Householder apply and of the
-// tall-panel factor side by side; qr.go ships the winners, the others live
-// here only — qtmulColumns and factorQRAlt also as the references
-// qr_test.go checks the shipped code against, as AddMulScalar is for GEMM.
+// This file compares implementations of the Householder apply, of the
+// tall-panel factor and of the Fast GEMM's rim tiles side by side; qr.go and
+// gemm.go ship the winners, the others live here only — qtmulColumns and
+// factorQRAlt also as the references qr_test.go checks the shipped code
+// against, as AddMulScalar is for GEMM.
 //
-//	go test ./internal/matrix -run '^$' -bench 'DevelQTMul|DevelPanelQR' -benchmem
+//	go test ./internal/matrix -run '^$' -bench 'DevelQTMul|DevelPanelQR|DevelFastRim' -benchmem
 //
 
 // qtmulColumns is the apply this package had before: one reflector and one
@@ -224,3 +225,81 @@ func BenchmarkDevelPanelQR(b *testing.B) {
 }
 
 var develSink *QR
+
+// addMulPackedFMAEdge is the Fast packed path as it was before the rims
+// ran on padded panels: full 6×8 tiles on the assembly kernel, every partial
+// tile on gemmMicroEdgeFMA.
+func (m *Dense) addMulPackedFMAEdge(alpha float64, a, b *Dense) {
+	bufs := gemmPool.Get().(*gemmBuffers)
+	bufs.a = ensure(bufs.a, gemmMC*gemmKC)
+	bufs.b = ensure(bufs.b, gemmKC*gemmNC)
+	bigM, bigK, bigN := a.rows, a.cols, b.cols
+	for jc := 0; jc < bigN; jc += gemmNC {
+		nc := min(gemmNC, bigN-jc)
+		for pc := 0; pc < bigK; pc += gemmKC {
+			kc := min(gemmKC, bigK-pc)
+			packB(bufs.b, b, pc, jc, kc, nc, gemmNRFMA)
+			for ic := 0; ic < bigM; ic += gemmMCFMA {
+				mc := min(gemmMCFMA, bigM-ic)
+				packA(bufs.a, a, alpha, ic, pc, mc, kc, gemmMRFMA)
+				for jp := 0; jp < nc; jp += gemmNRFMA {
+					nrEff := min(gemmNRFMA, nc-jp)
+					pb := bufs.b[jp*kc:]
+					for ip := 0; ip < mc; ip += gemmMRFMA {
+						mrEff := min(gemmMRFMA, mc-ip)
+						pa := bufs.a[ip*kc:]
+						if mrEff == gemmMRFMA && nrEff == gemmNRFMA {
+							gemmMicroFMA6x8(&m.data[(ic+ip)*m.stride+jc+jp], m.stride, &pa[0], &pb[0], kc)
+						} else {
+							gemmMicroEdgeFMA(m, ic+ip, jc+jp, mrEff, nrEff, pa, pb, kc)
+						}
+					}
+				}
+			}
+		}
+	}
+	gemmPool.Put(bufs)
+}
+
+// gemmMicroEdgeFMA is the scalar rim kernel the padded tile replaced:
+// gemmMicroEdge's loop with the multiply-add fused through math.FMA.
+func gemmMicroEdgeFMA(c *Dense, i0, j0, mrEff, nrEff int, pa, pb []float64, kc int) {
+	for r := 0; r < mrEff; r++ {
+		crow := c.data[(i0+r)*c.stride+j0 : (i0+r)*c.stride+j0+nrEff]
+		for cc := 0; cc < nrEff; cc++ {
+			acc := crow[cc]
+			q := r
+			w := cc
+			for k := 0; k < kc; k++ {
+				acc = math.FMA(pa[q], pb[w], acc)
+				q += mrEff
+				w += nrEff
+			}
+			crow[cc] = acc
+		}
+	}
+}
+
+// BenchmarkDevelFastRim times one n×n block update three ways: Strict, Fast
+// with the scalar rim kernel (fast-edge) and Fast as shipped, rims on the
+// 6×8 tile over zero-padded panels (fast-padded). 32, 64 and 128 leave a
+// 2-, 4- and 2-row rim, 36 and 66 a 4- and 2-column one.
+func BenchmarkDevelFastRim(b *testing.B) {
+	if !FastAvailable() {
+		b.Skip("no AVX2+FMA: Fast runs the Strict path")
+	}
+	for _, n := range []int{32, 36, 64, 66, 128} {
+		x, y := benchMatrices(n)
+		c := New(n, n)
+		want, edge := c.Clone(), c.Clone()
+		want.AddMulScalarFMA(1, x, y)
+		edge.addMulPackedFMAEdge(1, x, y)
+		if !bitIdentical(edge, want) {
+			b.Fatalf("n=%d: the scalar-rim path is not bit-identical to AddMulScalarFMA", n)
+		}
+		flops := 2 * cube(n)
+		benchKernel(b, "strict", n, flops, func() error { c.AddMulNumerics(1, x, y, Strict); return nil })
+		benchKernel(b, "fast-edge", n, flops, func() error { c.addMulPackedFMAEdge(1, x, y); return nil })
+		benchKernel(b, "fast-padded", n, flops, func() error { c.AddMulNumerics(1, x, y, Fast); return nil })
+	}
+}

@@ -62,8 +62,7 @@ const (
 	gemmMRFMA = 6
 	gemmNRFMA = 8
 	// gemmMCFMA is the Fast-mode M blocking: the largest multiple of
-	// gemmMRFMA not exceeding gemmMC, so interior A blocks pack into whole
-	// 6-row panels and only the global bottom rim takes the edge kernel.
+	// gemmMRFMA ≤ gemmMC, so only the global bottom rim is padded.
 	gemmMCFMA = 126
 )
 
@@ -113,11 +112,10 @@ func (m *Dense) addMulPacked(alpha float64, a, b *Dense) {
 	gemmPool.Put(bufs)
 }
 
-// addMulPackedFMA is the Fast-mode packed driver: same three-level blocking
-// as addMulPacked, but packed for the 6×8 fused tile and dispatched to the
-// FMA micro-kernel. Only reachable when gemmHaveFMA. Bit-identical to the
-// math.FMA scalar reference addMulScalarFMA (rim tiles fuse via math.FMA,
-// which the compiler lowers to the same VFMADD instruction).
+// addMulPackedFMA is the Fast-mode packed path: addMulPacked's blocking,
+// packed for the 6×8 fused tile over padded panels, every tile on the FMA
+// micro-kernel. Only reachable when gemmHaveFMA. Bit-identical to the
+// math.FMA scalar reference addMulScalarFMA.
 func (m *Dense) addMulPackedFMA(alpha float64, a, b *Dense) {
 	fastDispatch.Add(1)
 	bufs := gemmPool.Get().(*gemmBuffers)
@@ -129,14 +127,29 @@ func (m *Dense) addMulPackedFMA(alpha float64, a, b *Dense) {
 		for pc := 0; pc < bigK; pc += gemmKC {
 			kc := min(gemmKC, bigK-pc)
 			packB(bufs.b, b, pc, jc, kc, nc, gemmNRFMA)
+			padRim(bufs.b, nc, kc, gemmNRFMA)
 			for ic := 0; ic < bigM; ic += gemmMCFMA {
 				mc := min(gemmMCFMA, bigM-ic)
 				packA(bufs.a, a, alpha, ic, pc, mc, kc, gemmMRFMA)
+				padRim(bufs.a, mc, kc, gemmMRFMA)
 				gemmMacroFMA(m, bufs.a, bufs.b, ic, jc, mc, nc, kc)
 			}
 		}
 	}
 	gemmPool.Put(bufs)
+}
+
+// padRim zero-pads, in place, the tight rim panel packA or packB left (extent
+// n, panels of w) to width w; k runs down, so no lane is overwritten unread.
+// The padded block fits the buffers: gemmMCFMA ≤ gemmMC, gemmNRFMA | gemmNC.
+func padRim(packed []float64, n, kc, w int) {
+	if eff := n % w; eff > 0 {
+		panel := packed[(n-eff)*kc:]
+		for k := kc - 1; k >= 0; k-- {
+			copy(panel[k*w:], panel[k*eff:(k+1)*eff])
+			clear(panel[k*w+eff : (k+1)*w])
+		}
+	}
 }
 
 // packA packs the mc×kc block of a at (ic, pc) into row panels of mr rows
@@ -146,8 +159,8 @@ func (m *Dense) addMulPackedFMA(alpha float64, a, b *Dense) {
 //	dst[p·mr·kc + k·mrEff + r] = alpha · a[ic+p·mr+r, pc+k]
 //
 // The final panel may have mrEff < mr rows and is packed tightly (stride
-// mrEff); no zero padding, so NaN/Inf in unrelated positions can never leak
-// into real outputs.
+// mrEff); the Fast path then pads it in place (padRim), and its zero rows
+// only ever reach temporary-tile rows that are discarded, never a real output.
 func packA(dst []float64, a *Dense, alpha float64, ic, pc, mc, kc, mr int) {
 	off := 0
 	for p := 0; p < mc; p += mr {
@@ -250,43 +263,29 @@ func gemmMicro4x4(c *Dense, i0, j0 int, pa, pb []float64, kc int) {
 	r3[0], r3[1], r3[2], r3[3] = c30, c31, c32, c33
 }
 
-// gemmMacroFMA is the Fast-mode macro kernel: full 6×8 tiles dispatch to
-// the fused assembly micro-kernel, rims to the math.FMA edge kernel — so
-// every output element sees one rounding per multiply-add regardless of
-// which kernel produced it.
+// gemmMacroFMA is the Fast-mode macro kernel over padded panels: a full 6×8
+// tile updates C in place, a rim tile a temporary tile whose real mrEff×nrEff
+// part alone is loaded from and stored to C, so padding never reaches C.
 func gemmMacroFMA(c *Dense, packedA, packedB []float64, ic, jc, mc, nc, kc int) {
+	var tile [gemmMRFMA * gemmNRFMA]float64
 	for jp := 0; jp < nc; jp += gemmNRFMA {
 		nrEff := min(gemmNRFMA, nc-jp)
 		pb := packedB[jp*kc:]
 		for ip := 0; ip < mc; ip += gemmMRFMA {
 			mrEff := min(gemmMRFMA, mc-ip)
 			pa := packedA[ip*kc:]
+			c0 := (ic+ip)*c.stride + jc + jp
 			if mrEff == gemmMRFMA && nrEff == gemmNRFMA {
-				gemmMicroFMA6x8(&c.data[(ic+ip)*c.stride+jc+jp], c.stride, &pa[0], &pb[0], kc)
-			} else {
-				gemmMicroEdgeFMA(c, ic+ip, jc+jp, mrEff, nrEff, pa, pb, kc)
+				gemmMicroFMA6x8(&c.data[c0], c.stride, &pa[0], &pb[0], kc)
+				continue
 			}
-		}
-	}
-}
-
-// gemmMicroEdgeFMA is the Fast-mode rim kernel: gemmMicroEdge's loop with
-// the multiply-add fused through math.FMA (hardware FMA on the CPUs that
-// reach this path), keeping rim elements on the same one-rounding contract
-// as the assembly tile.
-func gemmMicroEdgeFMA(c *Dense, i0, j0, mrEff, nrEff int, pa, pb []float64, kc int) {
-	for r := 0; r < mrEff; r++ {
-		crow := c.data[(i0+r)*c.stride+j0 : (i0+r)*c.stride+j0+nrEff]
-		for cc := 0; cc < nrEff; cc++ {
-			acc := crow[cc]
-			q := r
-			w := cc
-			for k := 0; k < kc; k++ {
-				acc = math.FMA(pa[q], pb[w], acc)
-				q += mrEff
-				w += nrEff
+			for r := 0; r < mrEff; r++ {
+				copy(tile[r*gemmNRFMA:r*gemmNRFMA+nrEff], c.data[c0+r*c.stride:])
 			}
-			crow[cc] = acc
+			gemmMicroFMA6x8(&tile[0], gemmNRFMA, &pa[0], &pb[0], kc)
+			for r := 0; r < mrEff; r++ {
+				copy(c.data[c0+r*c.stride:c0+r*c.stride+nrEff], tile[r*gemmNRFMA:])
+			}
 		}
 	}
 }

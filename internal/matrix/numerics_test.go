@@ -131,6 +131,77 @@ func TestNumericsFastErrorBound(t *testing.T) {
 	}
 }
 
+// TestNumericsFastRimSweep walks every rim shape of the Fast tile: m covers
+// all six residues of the 6-row tile, n all eight of the 8-column tile, and
+// k crosses gemmKC (256). q = 5 keeps m·n·k above the scalar cutoff from
+// k = 5 up, so those shapes take the packed path; k = 1 takes the scalar
+// one. C is a view with a sentinel frame a full tile wide below and to the
+// right, and NaN/±Inf sit in A's last row and B's last column, so a padded
+// lane that leaked into a real output, or a store-back wider than the real
+// tile, would show. Fast must be bit-identical to its reference and leave
+// every sentinel untouched.
+func TestNumericsFastRimSweep(t *testing.T) {
+	const q, sentinel = 5, -7.25
+	rng := rand.New(rand.NewSource(28))
+	for _, k := range []int{1, 5, 256, 257, 300} {
+		for m := 6 * q; m < 6*q+6; m++ {
+			for n := 8 * q; n < 8*q+8; n++ {
+				a := randomOperand(rng, m, k, true, false)
+				b := randomOperand(rng, k, n, true, false)
+				a.Set(m-1, 0, math.Inf(1))
+				a.Set(m-1, k-1, math.NaN())
+				b.Set(0, n-1, math.NaN())
+				b.Set(k-1, n-1, math.Inf(-1))
+
+				frame := New(m+1+gemmMRFMA, n+1+gemmNRFMA)
+				for i := range frame.data {
+					frame.data[i] = sentinel
+				}
+				c := frame.Slice(1, m+1, 1, n+1)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						c.Set(i, j, rng.NormFloat64())
+					}
+				}
+				ref := c.Clone()
+				if FastAvailable() {
+					ref.AddMulScalarFMA(-0.75, a, b)
+				} else {
+					ref.AddMulScalar(-0.75, a, b)
+				}
+				c.AddMulNumerics(-0.75, a, b, Fast)
+				if !bitIdentical(c, ref) {
+					t.Fatalf("%d×%d·%d×%d: Fast is not bit-identical to its reference", m, k, k, n)
+				}
+				fr, fc := frame.Dims()
+				for i := 0; i < fr; i++ {
+					for j := 0; j < fc; j++ {
+						inside := i >= 1 && i <= m && j >= 1 && j <= n
+						if !inside && math.Float64bits(frame.At(i, j)) != math.Float64bits(sentinel) {
+							t.Fatalf("%d×%d·%d×%d: sentinel (%d,%d) overwritten with %v", m, k, k, n, i, j, frame.At(i, j))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNumericsFastZeroAlloc pins that a steady-state Fast block update at
+// the engine's r = 32, whose 32 mod 6 = 2 bottom rows run on the padded
+// panel, allocates nothing.
+func TestNumericsFastZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the pin runs in the non-race matrix")
+	}
+	rng := rand.New(rand.NewSource(29))
+	a, b, c := Random(32, 32, rng), Random(32, 32, rng), Random(32, 32, rng)
+	c.AddMulNumerics(1, a, b, Fast)
+	if avg := testing.AllocsPerRun(100, func() { c.AddMulNumerics(1, a, b, Fast) }); avg != 0 {
+		t.Fatalf("steady-state Fast AddMulNumerics at n=32 allocates %.2f per call", avg)
+	}
+}
+
 // TestSolveLowerUnitNumerics pins that the Strict mode is exactly
 // SolveLowerUnit and that Fast stays within a forward-solve error bound of
 // it.
