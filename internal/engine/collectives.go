@@ -10,10 +10,9 @@ import (
 )
 
 // Collectives is the middle layer of the engine: broadcasts of the step
-// schedule's panel messages and reductions, realized with the same
-// algorithms the simulator models (sim.BroadcastKind), so a real run and a
-// simulated run of the same kernel select the identical communication
-// schedule. Every rank computes each collective's schedule independently
+// schedule's panel messages, realized with the same algorithms the
+// simulator models (sim.BroadcastKind), so a real run and a simulated run
+// of the same kernel select the identical communication schedule. Every rank computes each collective's schedule independently
 // from the shared (root, receivers) inputs, which keeps the SPMD bodies
 // deadlock-free: sends never block, and every Recv has a matching Send
 // issued by a rank that is not waiting on this rank.
@@ -163,64 +162,4 @@ func (co *Collectives) Panel(tag string, msgs []distribution.Msg, get func(int) 
 		}
 	}
 	return out
-}
-
-// ReduceSum performs an element-wise sum reduction of one matrix per
-// participant, delivered at root; every participant passes its
-// contribution and all but the root receive nil back. The reduction runs
-// over a binomial tree on list positions, so the summation order is a
-// deterministic function of the participant list — identical on every run
-// and for every broadcast kind.
-func (co *Collectives) ReduceSum(tag string, root int, participants []int, mine *matrix.Dense) *matrix.Dense {
-	sp := co.c.Phase("reduce " + tag)
-	defer co.c.EndPhase(sp)
-	me := co.c.Rank()
-	idx := -1
-	for i, n := range participants {
-		if n == me {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic(fmt.Sprintf("engine: rank %d called ReduceSum %q without being a participant", me, tag))
-	}
-	acc := mine.Clone()
-	n := len(participants)
-	for offset := 1; offset < n; offset *= 2 {
-		if idx&offset != 0 {
-			co.c.Send(participants[idx-offset], fmt.Sprintf("%s/o%d", tag, offset), acc)
-			acc = nil
-			break
-		}
-		if idx+offset < n {
-			part := co.c.Recv(participants[idx+offset], fmt.Sprintf("%s/o%d", tag, offset))
-			addInto(acc, part)
-		}
-	}
-	if idx == 0 {
-		if participants[0] != root {
-			co.c.Send(root, tag+"/root", acc)
-			return nil
-		}
-		return acc
-	}
-	if me == root && participants[0] != root {
-		return co.c.Recv(participants[0], tag+"/root")
-	}
-	return nil
-}
-
-// addInto accumulates src into dst element-wise.
-func addInto(dst, src *matrix.Dense) {
-	r, c := dst.Dims()
-	sr, sc := src.Dims()
-	if r != sr || c != sc {
-		panic(fmt.Sprintf("engine: reduce shape mismatch %d×%d vs %d×%d", r, c, sr, sc))
-	}
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			dst.Add(i, j, src.At(i, j))
-		}
-	}
 }

@@ -76,49 +76,6 @@ func TestBcastRootInReceiversNotDoubleSent(t *testing.T) {
 	}
 }
 
-func TestReduceSumAllKinds(t *testing.T) {
-	d, err := distribution.UniformBlockCyclic(2, 3, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	participants := []int{0, 2, 3, 5}
-	for _, bk := range allBroadcastKinds {
-		_, err := RunOpts(6, Options{Broadcast: bk.kind}, func(c *Comm) error {
-			me := c.Rank()
-			in := false
-			for _, n := range participants {
-				if n == me {
-					in = true
-				}
-			}
-			if !in {
-				return nil
-			}
-			co := NewCollectives(c, d)
-			mine := matrix.NewFromSlice(2, 2, []float64{float64(me), 1, 0, -float64(me)})
-			got := co.ReduceSum("r", 2, participants, mine)
-			if me != 2 {
-				if got != nil {
-					return fmt.Errorf("rank %d received the reduction", me)
-				}
-				return nil
-			}
-			sum := 0.0
-			for _, n := range participants {
-				sum += float64(n)
-			}
-			want := matrix.NewFromSlice(2, 2, []float64{sum, float64(len(participants)), 0, -sum})
-			if got == nil || !got.Equal(want) {
-				return fmt.Errorf("reduction wrong: %v", got)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", bk.name, err)
-		}
-	}
-}
-
 // checkNoGoroutineLeak asserts the goroutine count settles back to the
 // baseline taken before an aborted run: the Transport v2 Close contract —
 // every rank goroutine unblocks and exits, no Recv waiter survives the

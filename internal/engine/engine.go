@@ -12,10 +12,11 @@
 //	Transport   point-to-point fabric (in-process mailboxes by default),
 //	            wrapped by a Meter that keeps per-rank / per-pair traffic
 //	            counters and, when recording, one send span per message
-//	Collectives row/column panel broadcasts and reductions, supporting the
-//	            same sim.BroadcastKind algorithms the simulator models, so
-//	            real and simulated runs select the identical schedule
-//	Kernels     MM / LU / Cholesky / QR written on the collectives
+//	Collectives row/column panel broadcasts, supporting the same
+//	            sim.BroadcastKind algorithms the simulator models, so real
+//	            and simulated runs select the identical schedule
+//	Kernels     MM / LU / Cholesky / QR written on the collectives, each
+//	            one body run by a single step loop from its store's step
 //
 // Messages are delivered through unbounded per-pair mailboxes, so sends
 // never block and the SPMD kernels cannot deadlock on buffer capacity;
@@ -145,7 +146,7 @@ func RunOpts(n int, opts Options, body func(c *Comm) error) (*World, error) {
 	}
 	var fault *FaultTransport
 	if opts.Faults != nil {
-		fault = NewFaultTransport(inner, *opts.Faults)
+		fault = newFaultTransport(inner, *opts.Faults)
 		fault.attachMetrics(opts.Metrics)
 		inner = fault
 	}
@@ -161,7 +162,7 @@ func RunOpts(n int, opts Options, body func(c *Comm) error) (*World, error) {
 		spans = obs.NewSpanStore()
 	}
 	reg := opts.Metrics
-	w := &World{n: n, opts: opts, meter: NewMeter(inner, n, spans, reg), fault: fault, spans: spans,
+	w := &World{n: n, opts: opts, meter: newMeter(inner, n, spans, reg), fault: fault, spans: spans,
 		mTimeouts: reg.Counter("hetgrid_transport_timeouts_total", "", "Recv deadlines that expired"),
 		mRetries:  reg.Counter("hetgrid_transport_retries_total", "", "timeout-triggered retransmission requests"),
 		mSteps:    reg.Counter("hetgrid_kernel_steps_total", "", "kernel panel steps entered across all ranks"),
@@ -386,10 +387,10 @@ func (c *Comm) SetStepHook(fn func(k int) error) { c.stepHook = fn }
 // fire here, then — when spans are recorded — the rank's previous step
 // span closes and a new one opens (the parent of the step's compute and
 // phase spans), and finally the rank's step hook (if any) runs. The
-// kernels call it at the top of every panel iteration.
+// kernels' one step loop (runSteps) is its only caller.
 func (c *Comm) Step(k int) error {
 	if ft := c.world.fault; ft != nil {
-		ft.StepEntered(c.rank, k)
+		ft.stepEntered(c.rank, k)
 	}
 	c.world.mSteps.Inc()
 	if s := c.world.spans; s != nil {
@@ -411,7 +412,7 @@ func (c *Comm) Step(k int) error {
 func (c *Comm) Compute(label string, f func() error) error {
 	factor := 1.0
 	if ft := c.world.fault; ft != nil {
-		factor = ft.SlowFactor(c.rank)
+		factor = ft.slowFactor(c.rank)
 	}
 	s := c.world.spans
 	if s == nil && factor <= 1 {
@@ -515,7 +516,7 @@ func (w *World) FaultCounters() *FaultCounters {
 	if w.fault == nil {
 		return nil
 	}
-	fc := w.fault.Counters()
+	fc := w.fault.counters()
 	return &fc
 }
 

@@ -184,8 +184,8 @@ func (t *FaultTransport) attachMetrics(reg *obs.Registry) {
 	t.mSlowdowns = reg.Counter("hetgrid_fault_slowdowns_total", "", "scheduled rank slowdown points that activated")
 }
 
-// NewFaultTransport wraps inner with the configured faults.
-func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
+// newFaultTransport wraps inner with the configured faults.
+func newFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
 	return &FaultTransport{
 		inner:     inner,
 		cfg:       cfg,
@@ -377,11 +377,11 @@ func (t *FaultTransport) quiesce() {
 	}
 }
 
-// StepEntered activates any slowdowns scheduled at or before this step for
+// stepEntered activates any slowdowns scheduled at or before this step for
 // this rank (the latest-scheduled point wins), then fires any crash
 // scheduled for this rank at this step by panicking on the rank's
 // goroutine; the run loop converts the panic into a RankFailure.
-func (t *FaultTransport) StepEntered(rank, step int) {
+func (t *FaultTransport) stepEntered(rank, step int) {
 	t.mu.Lock()
 	best := -1
 	for i, sp := range t.cfg.Slowdowns {
@@ -412,9 +412,9 @@ func (t *FaultTransport) StepEntered(rank, step int) {
 	t.mu.Unlock()
 }
 
-// SlowFactor returns the rank's active compute-time multiplier (1 when no
+// slowFactor returns the rank's active compute-time multiplier (1 when no
 // slowdown is in force).
-func (t *FaultTransport) SlowFactor(rank int) float64 {
+func (t *FaultTransport) slowFactor(rank int) float64 {
 	if len(t.cfg.Slowdowns) == 0 {
 		return 1
 	}
@@ -427,8 +427,8 @@ func (t *FaultTransport) SlowFactor(rank int) float64 {
 	return f
 }
 
-// Counters snapshots the transport's fault activity.
-func (t *FaultTransport) Counters() FaultCounters {
+// counters snapshots the transport's fault activity.
+func (t *FaultTransport) counters() FaultCounters {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return FaultCounters{

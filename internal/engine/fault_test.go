@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"hetgrid/internal/distribution"
+	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/sim"
 )
@@ -203,7 +205,7 @@ func TestDropAndDelayedRetransmitCountedOnce(t *testing.T) {
 	// Retransmit while it still waited — breaking the Retransmitted==Dropped
 	// repair invariant. Each dropped message must count exactly once, at its
 	// transition out of the dropped state.
-	ft := NewFaultTransport(NewMemTransport(2), FaultConfig{
+	ft := newFaultTransport(NewMemTransport(2), FaultConfig{
 		Seed: 1, DropProb: 1, DelayProb: 1, Delay: 2 * time.Millisecond,
 	})
 	payloads := []*matrix.Dense{
@@ -214,7 +216,7 @@ func TestDropAndDelayedRetransmitCountedOnce(t *testing.T) {
 	for _, m := range payloads {
 		ft.Send(0, 1, "t", m)
 	}
-	if fc := ft.Counters(); fc.Dropped != 3 || fc.Delayed != 3 || fc.Retransmitted != 0 {
+	if fc := ft.counters(); fc.Dropped != 3 || fc.Delayed != 3 || fc.Retransmitted != 0 {
 		t.Fatalf("after sends: %+v, want 3 dropped, 3 delayed, 0 retransmitted", fc)
 	}
 
@@ -222,7 +224,7 @@ func TestDropAndDelayedRetransmitCountedOnce(t *testing.T) {
 	if !ft.Retransmit(0, 1, "t") {
 		t.Fatal("Retransmit found nothing to release")
 	}
-	if fc := ft.Counters(); fc.Retransmitted != 3 {
+	if fc := ft.counters(); fc.Retransmitted != 3 {
 		t.Fatalf("first Retransmit counted %d, want 3", fc.Retransmitted)
 	}
 	// A repeat request while the copies wait out their delay must count
@@ -231,7 +233,7 @@ func TestDropAndDelayedRetransmitCountedOnce(t *testing.T) {
 	if ft.Retransmit(0, 1, "t") {
 		t.Fatal("repeat Retransmit claimed to release delayed messages")
 	}
-	if fc := ft.Counters(); fc.Retransmitted != 3 {
+	if fc := ft.counters(); fc.Retransmitted != 3 {
 		t.Fatalf("repeat Retransmit double-counted: %d, want 3", fc.Retransmitted)
 	}
 
@@ -246,7 +248,7 @@ func TestDropAndDelayedRetransmitCountedOnce(t *testing.T) {
 			t.Fatalf("message %d corrupted or reordered", i)
 		}
 	}
-	if fc := ft.Counters(); fc.Retransmitted != fc.Dropped {
+	if fc := ft.counters(); fc.Retransmitted != fc.Dropped {
 		t.Fatalf("repair invariant broken: %d retransmitted for %d drops", fc.Retransmitted, fc.Dropped)
 	}
 }
@@ -297,82 +299,153 @@ func TestRemainingCrashes(t *testing.T) {
 	}
 }
 
-func TestResumeKernelsBitIdentical(t *testing.T) {
-	// Running a kernel to completion, gathering a mid-run checkpoint and
-	// resuming from it on the SAME world layout must reproduce the
-	// uninterrupted factors bit for bit — the property the recovery driver
-	// builds on.
-	d := faultTestDist(t, 6)
-	const r = 2
-	a := matrix.RandomWellConditioned(12, rand.New(rand.NewSource(6)))
-
-	clean, _, err := runLU(t, d, a, r, Options{})
-	if err != nil {
-		t.Fatal(err)
+// gatherAs collects s at rank 0 under tag (nil elsewhere).
+func gatherAs(c *Comm, d distribution.Distribution, s *BlockStore, tag string) (*matrix.Dense, error) {
+	var m *matrix.Dense
+	if c.Rank() == 0 {
+		nbr, nbc := d.Blocks()
+		m = matrix.New(nbr*s.R, nbc*s.R)
 	}
+	return m, GatherInto(c, d, s, tag, m, nil)
+}
 
-	// First half: run LU but checkpoint at step 3 via the step hook, then
-	// abandon the world at the end (completing normally is fine — we only
-	// need the checkpoint).
-	var ckpt *matrix.Dense
-	_, err = RunOpts(4, Options{}, func(c *Comm) error {
-		full := a
-		if c.Rank() != 0 {
-			full = nil
-		}
-		s, err := Scatter(c, d, full, r)
-		if err != nil {
-			return err
-		}
-		c.SetStepHook(func(k int) error {
-			if k != 3 {
-				return nil
-			}
-			g, err := GatherTag(c, d, s, fmt.Sprintf("ckpt/%d", k))
+// TestResumeKernelsBitIdentical is the property the recovery driver builds
+// on, for every kernel: a store restored from a checkpoint of the first k
+// steps, with its Step set to k (and, for QR, the taus of those steps at
+// rank 0), finishes bit-identical to the run that never stopped. Every
+// kernel leaves the store at Step NB, and running it again on such a store
+// changes no block.
+func TestResumeKernelsBitIdentical(t *testing.T) {
+	const nb, r = 6, 3
+	rng := rand.New(rand.NewSource(6))
+	a := matrix.RandomWellConditioned(nb*r, rng)
+	b := matrix.Random(nb*r, nb*r, rng)
+	spd := matrix.RandomSPD(nb*r, rng)
+	qr := func(c *Comm, d distribution.Distribution, s *BlockStore) error {
+		_, err := QR(c, d, s)
+		return err
+	}
+	for _, kern := range []struct {
+		name string
+		work *matrix.Dense // the working matrix before step 0
+		run  func(c *Comm, d distribution.Distribution, s *BlockStore) error
+	}{
+		{"mm", matrix.New(nb*r, nb*r), func(c *Comm, d distribution.Distribution, s *BlockStore) error {
+			as, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
 			if err != nil {
 				return err
 			}
-			if c.Rank() == 0 {
-				ckpt = g
+			bs, err := Scatter(c, d, pick(c.Rank() == 0, b), r)
+			if err != nil {
+				return err
 			}
-			return nil
-		})
-		return LU(c, d, s)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ckpt == nil {
-		t.Fatal("no checkpoint committed")
-	}
+			return MMInto(c, d, as, bs, s)
+		}},
+		{"lu", a, LU},
+		{"cholesky", spd, Cholesky},
+		{"qr", a, qr},
+	} {
+		for _, d := range engineDistributions(t, nb)[:2] { // uniform, het-panel
+			var replayTaus [][]float64
+			if kern.name == "qr" {
+				rep, err := kernels.ReplayQR(d, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replayTaus = rep.Taus
+			}
+			for _, k := range []int{1, nb / 2, nb - 1} {
+				name := fmt.Sprintf("%s/%s/k=%d", kern.name, d.Name(), k)
 
-	// Second half: scatter the checkpoint and resume from step 3.
-	var resumed *matrix.Dense
-	_, err = RunOpts(4, Options{}, func(c *Comm) error {
-		full := ckpt
-		if c.Rank() != 0 {
-			full = nil
+				// The run that never stops, checkpointing as it enters step k.
+				var clean, ckpt *matrix.Dense
+				var ckptTaus [][]float64
+				_, err := Run(4, func(c *Comm) error {
+					s, err := Scatter(c, d, pick(c.Rank() == 0, kern.work), r)
+					if err != nil {
+						return err
+					}
+					c.SetStepHook(func(step int) error {
+						if step != k {
+							return nil
+						}
+						g, err := gatherAs(c, d, s, "ckpt")
+						if c.Rank() == 0 {
+							ckpt = g
+							if s.Taus != nil {
+								ckptTaus = slices.Clone(s.Taus[:k])
+							}
+						}
+						return err
+					})
+					if err := kern.run(c, d, s); err != nil {
+						return err
+					}
+					g, err := gatherAs(c, d, s, "clean")
+					if c.Rank() == 0 {
+						clean = g
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+
+				// The resumed run, then the same kernel once more on its
+				// finished store.
+				var resumed, again *matrix.Dense
+				var taus, tausAgain [][]float64
+				_, err = Run(4, func(c *Comm) error {
+					s, err := Scatter(c, d, pick(c.Rank() == 0, ckpt), r)
+					if err != nil {
+						return err
+					}
+					s.Step = k
+					if c.Rank() == 0 {
+						s.Taus = slices.Clone(ckptTaus)
+					}
+					if err := kern.run(c, d, s); err != nil {
+						return err
+					}
+					if s.Step != nb {
+						return fmt.Errorf("rank %d: Step %d after the kernel, want %d", c.Rank(), s.Step, nb)
+					}
+					g, err := gatherAs(c, d, s, "resumed")
+					if err != nil {
+						return err
+					}
+					ts := slices.Clone(s.Taus)
+					if err := kern.run(c, d, s); err != nil {
+						return err
+					}
+					g2, err := gatherAs(c, d, s, "again")
+					if c.Rank() == 0 {
+						resumed, again, taus, tausAgain = g, g2, ts, s.Taus
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !resumed.Equal(clean) {
+					t.Fatalf("%s: resumed result differs from the uninterrupted run", name)
+				}
+				if !again.Equal(resumed) {
+					t.Fatalf("%s: a second run on a finished store changed blocks", name)
+				}
+				if kern.name == "cholesky" {
+					for i := 0; i < nb*r; i++ {
+						for j := i + 1; j < nb*r; j++ {
+							if resumed.At(i, j) != 0 {
+								t.Fatalf("%s: upper entry (%d,%d) = %v after resume", name, i, j, resumed.At(i, j))
+							}
+						}
+					}
+				}
+				if kern.name == "qr" && (!slices.EqualFunc(taus, replayTaus, slices.Equal[[]float64]) || !slices.EqualFunc(tausAgain, replayTaus, slices.Equal[[]float64])) {
+					t.Fatalf("%s: resumed taus %v, replay %v", name, taus, replayTaus)
+				}
+			}
 		}
-		s, err := Scatter(c, d, full, r)
-		if err != nil {
-			return err
-		}
-		if err := LUResume(c, d, s, 3); err != nil {
-			return err
-		}
-		g, err := Gather(c, d, s)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			resumed = g
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.Equal(clean) {
-		t.Fatal("checkpoint-resumed LU differs from the uninterrupted run")
 	}
 }

@@ -234,7 +234,7 @@ func TestQRValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, runErr := Run(4, func(c *Comm) error {
-		_, err := QR(c, rect, NewBlockStore(2))
+		_, err := QR(c, rect, newBlockStore(2))
 		return err
 	})
 	if runErr == nil {

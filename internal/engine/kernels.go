@@ -10,15 +10,21 @@ import (
 )
 
 // BlockStore is one rank's private collection of r×r blocks, keyed by
-// block coordinates. Ranks only ever hold blocks they own (plus transient
-// received panels inside a kernel step).
+// block coordinates, and how far a kernel has taken them. Ranks only ever
+// hold blocks they own (plus transient received panels inside a kernel
+// step).
 type BlockStore struct {
 	R      int
 	Blocks map[[2]int]*matrix.Dense
+	// Step is the first kernel step the blocks have not been through (0
+	// after Scatter or ZeroStore); kernels start there.
+	Step int
+	// Taus are QR's tau scalings at rank 0 (nil elsewhere), one per panel.
+	Taus [][]float64
 }
 
-// NewBlockStore returns an empty store for blocks of size r.
-func NewBlockStore(r int) *BlockStore {
+// newBlockStore returns an empty store for blocks of size r.
+func newBlockStore(r int) *BlockStore {
 	return &BlockStore{R: r, Blocks: map[[2]int]*matrix.Dense{}}
 }
 
@@ -51,7 +57,7 @@ func Scatter(c *Comm, d distribution.Distribution, full *matrix.Dense, r int) (*
 			return nil, err
 		}
 	}
-	store := NewBlockStore(r)
+	store := newBlockStore(r)
 	for bi := 0; bi < nbr; bi++ {
 		for bj := 0; bj < nbc; bj++ {
 			owner := distribution.OwnerRank(d, bi, bj)
@@ -91,18 +97,12 @@ func blockTag(prefix string, bi, bj int) string {
 // Gather collects every block back to rank 0, returning the assembled
 // matrix there and nil elsewhere.
 func Gather(c *Comm, d distribution.Distribution, store *BlockStore) (*matrix.Dense, error) {
-	return GatherTag(c, d, store, "gather")
-}
-
-// GatherTag is Gather under a caller-chosen tag prefix, so repeated
-// collections in one run travel on disjoint channels.
-func GatherTag(c *Comm, d distribution.Distribution, store *BlockStore, prefix string) (*matrix.Dense, error) {
 	var full *matrix.Dense
 	if c.Rank() == 0 {
 		nbr, nbc := d.Blocks()
 		full = matrix.New(nbr*store.R, nbc*store.R)
 	}
-	return full, GatherInto(c, d, store, prefix, full, nil)
+	return full, GatherInto(c, d, store, "gather", full, nil)
 }
 
 // GatherInto is the one gather: the owners send rank 0 the blocks sel picks
@@ -157,11 +157,11 @@ func GatherInto(c *Comm, d distribution.Distribution, store *BlockStore, prefix 
 }
 
 // ZeroStore returns a store holding a zero r×r block for every position
-// this rank owns — the initial accumulator of MMResume. It is purely local
+// this rank owns — the initial accumulator of MMInto. It is purely local
 // (no communication).
 func ZeroStore(c *Comm, d distribution.Distribution, r int) *BlockStore {
 	nbr, nbc := d.Blocks()
-	s := NewBlockStore(r)
+	s := newBlockStore(r)
 	me := c.Rank()
 	for bi := 0; bi < nbr; bi++ {
 		for bj := 0; bj < nbc; bj++ {
@@ -183,18 +183,15 @@ func ZeroStore(c *Comm, d distribution.Distribution, r int) *BlockStore {
 // forwards to whom but deliver the same panels.
 func MM(c *Comm, d distribution.Distribution, a, b *BlockStore) (*BlockStore, error) {
 	cStore := ZeroStore(c, d, a.R)
-	if err := MMResume(c, d, a, b, cStore, 0); err != nil {
+	if err := MMInto(c, d, a, b, cStore); err != nil {
 		return nil, err
 	}
 	return cStore, nil
 }
 
-// MMResume continues the outer-product multiplication from step startK,
-// accumulating into cStore (this rank's resident C blocks, usually from
-// ZeroStore or a scattered checkpoint). Steps run in the same k order as a
-// fresh run, so resuming from a checkpoint of the first startK steps is
-// bit-identical to never having stopped.
-func MMResume(c *Comm, d distribution.Distribution, a, b *BlockStore, cStore *BlockStore, startK int) error {
+// MMInto is MM accumulating into cStore, this rank's resident C blocks
+// (from ZeroStore, or a restored checkpoint), from cStore's step on.
+func MMInto(c *Comm, d distribution.Distribution, a, b, cStore *BlockStore) error {
 	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		return err
@@ -203,30 +200,58 @@ func MMResume(c *Comm, d distribution.Distribution, a, b *BlockStore, cStore *Bl
 	co := NewCollectives(c, d)
 	// Every step updates all of this rank's C blocks.
 	mine := lay.Update(distribution.All, 0)[c.Rank()]
-
-	for k := startK; k < lay.NB; k++ {
-		if err := c.Step(k); err != nil {
-			return err
-		}
+	return runSteps(c, cStore, lay.NB, func(k int) error {
 		aMsgs, bMsgs := lay.MMPanels(k)
 		aPanel := co.Panel(fmt.Sprintf("A/%d", k), aMsgs,
 			func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
 		bPanel := co.Panel(fmt.Sprintf("B/%d", k), bMsgs,
 			func(bj int) *matrix.Dense { return b.Get(k, bj) }, r)
-		if err := c.Compute(distribution.MMUpdate.At(k), func() error {
-			// Each resident C block is a disjoint output, so splitting them
-			// across workers is bit-identical to the serial loop.
-			mode := c.Numerics()
-			parallelDo(c.Parallelism(), len(mine), func(i int) {
-				bi, bj := mine[i][0], mine[i][1]
-				cStore.Get(bi, bj).AddMulNumerics(1, aPanel[bi], bPanel[bj], mode)
-			})
-			return nil
-		}); err != nil {
+		return update(c, cStore, distribution.MMUpdate.At(k), mine, 1, aPanel,
+			func(bj int) *matrix.Dense { return bPanel[bj] })
+	})
+}
+
+// runSteps is every kernel's step loop: each step from the store's own up
+// to nb is entered through Comm.Step, run by body, then counted in s.Step,
+// so a kernel resumes wherever its store stands, bit-identically.
+func runSteps(c *Comm, s *BlockStore, nb int, body func(k int) error) error {
+	for ; s.Step < nb; s.Step++ {
+		if err := c.Step(s.Step); err != nil {
+			return err
+		}
+		if err := body(s.Step); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// update adds alpha·left[bi]·right(bj) to each block (bi, bj) of mine in
+// one compute span: the outputs are disjoint, so splitting them across the
+// rank's workers is bit-identical to the serial loop.
+func update(c *Comm, s *BlockStore, label string, mine [][2]int, alpha float64, left map[int]*matrix.Dense, right func(bj int) *matrix.Dense) error {
+	return c.Compute(label, func() error {
+		mode := c.Numerics()
+		parallelDo(c.Parallelism(), len(mine), func(i int) {
+			bi, bj := mine[i][0], mine[i][1]
+			s.Get(bi, bj).AddMulNumerics(alpha, left[bi], right(bj), mode)
+		})
+		return nil
+	})
+}
+
+// solveBelow turns this rank's blocks of column k below the diagonal into
+// panel blocks, A(bi,k)·u⁻¹ for the broadcast upper triangle u — LU's L
+// solve and Cholesky's panel solve alike — in one compute span under label.
+func solveBelow(c *Comm, lay *distribution.Layout, s *BlockStore, label string, k int, u *matrix.Dense) error {
+	return c.Compute(label, func() error {
+		for _, bi := range lay.ColBelow(k)[c.Rank()] {
+			if err := s.Get(bi, k).SolveUpperRight(u); err != nil {
+				return fmt.Errorf("engine: step %d row %d: %w", k, bi, err)
+			}
+		}
+		return nil
+	})
 }
 
 // LU executes the distributed right-looking LU factorization without
@@ -245,14 +270,6 @@ func MMResume(c *Comm, d distribution.Distribution, a, b *BlockStore, cStore *Bl
 // every distribution family under the flat broadcast — analytic model,
 // virtual-time simulator and real concurrent execution all agree.
 func LU(c *Comm, d distribution.Distribution, a *BlockStore) error {
-	return LUResume(c, d, a, 0)
-}
-
-// LUResume continues the LU factorization from panel startK, assuming the
-// store already holds the result of steps 0..startK-1 (a checkpoint). The
-// step order and arithmetic match a fresh run exactly, so resumption is
-// bit-identical to never having stopped.
-func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) error {
 	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		return err
@@ -260,11 +277,7 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 	r := a.R
 	co := NewCollectives(c, d)
 	me := c.Rank()
-
-	for k := startK; k < lay.NB; k++ {
-		if err := c.Step(k); err != nil {
-			return err
-		}
+	return runSteps(c, a, lay.NB, func(k int) error {
 		diagDown, diagRight, lMsgs, uMsgs := lay.LUPanels(k)
 
 		// 1+2. Diagonal factor and its two broadcasts.
@@ -286,14 +299,7 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 
 		// 3a. L panel: my sub-diagonal blocks of column k, then grouped
 		// row broadcasts.
-		if err := c.Compute(distribution.LULSolve.At(k), func() error {
-			for _, bi := range lay.ColBelow(k)[me] {
-				if err := a.Get(bi, k).SolveUpperRight(diag); err != nil {
-					return fmt.Errorf("engine: step %d row %d: %w", k, bi, err)
-				}
-			}
-			return nil
-		}); err != nil {
+		if err := solveBelow(c, lay, a, distribution.LULSolve.At(k), k, diag); err != nil {
 			return err
 		}
 		lPanel := co.Panel(fmt.Sprintf("L/%d", k), lMsgs,
@@ -311,21 +317,10 @@ func LUResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) e
 		uPanel := co.Panel(fmt.Sprintf("U/%d", k), uMsgs,
 			func(bj int) *matrix.Dense { return a.Get(k, bj) }, r)
 
-		// 4. Trailing update on my blocks — disjoint outputs, so the split
-		// across workers is bit-identical to the serial loop.
-		if err := c.Compute(distribution.LUUpdate.At(k), func() error {
-			mine := lay.Update(distribution.Trailing, k)[me]
-			mode := c.Numerics()
-			parallelDo(c.Parallelism(), len(mine), func(i int) {
-				bi, bj := mine[i][0], mine[i][1]
-				a.Get(bi, bj).AddMulNumerics(-1, lPanel[bi], uPanel[bj], mode)
-			})
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+		// 4. Trailing update on my blocks.
+		return update(c, a, distribution.LUUpdate.At(k), lay.Update(distribution.Trailing, k)[me], -1, lPanel,
+			func(bj int) *matrix.Dense { return uPanel[bj] })
+	})
 }
 
 // bcastIfMember runs Bcast when this rank is the root or in the receiver
@@ -341,16 +336,10 @@ func (co *Collectives) bcastIfMember(tag string, root int, receivers []int, data
 // Cholesky executes the distributed right-looking Cholesky factorization
 // A = L·Lᵀ (lower variant) on a symmetric positive definite matrix,
 // overwriting the store's lower-triangle blocks with L and zeroing the
-// strict upper triangle. Only lower-triangle blocks are read. Panel blocks
-// sharing a source and needer set travel as one stacked message.
+// strict upper triangle — on a resumed run too, so it gathers exactly L.
+// Only lower-triangle blocks are read. Panel blocks sharing a source and
+// needer set travel as one stacked message.
 func Cholesky(c *Comm, d distribution.Distribution, a *BlockStore) error {
-	return CholeskyResume(c, d, a, 0)
-}
-
-// CholeskyResume continues the Cholesky factorization from panel startK,
-// assuming the store holds the result of steps 0..startK-1. The final
-// upper-triangle zeroing still runs, so a resumed run gathers exactly L.
-func CholeskyResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int) error {
 	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		return err
@@ -358,11 +347,7 @@ func CholeskyResume(c *Comm, d distribution.Distribution, a *BlockStore, startK 
 	r := a.R
 	co := NewCollectives(c, d)
 	me := c.Rank()
-
-	for k := startK; k < lay.NB; k++ {
-		if err := c.Step(k); err != nil {
-			return err
-		}
+	if err := runSteps(c, a, lay.NB, func(k int) error {
 		diagDown, lMsgs := lay.CholeskyPanels(k)
 
 		var diagT *matrix.Dense // L(k,k)ᵀ, needed by the panel solvers
@@ -386,32 +371,17 @@ func CholeskyResume(c *Comm, d distribution.Distribution, a *BlockStore, startK 
 
 		// Panel: L(bi,k) = A(bi,k)·L(k,k)^{-T}, then grouped broadcasts to
 		// the needer sets.
-		if err := c.Compute(distribution.CholSolve.At(k), func() error {
-			for _, bi := range lay.ColBelow(k)[me] {
-				if err := a.Get(bi, k).SolveUpperRight(diagT); err != nil {
-					return fmt.Errorf("engine: step %d row %d: %w", k, bi, err)
-				}
-			}
-			return nil
-		}); err != nil {
+		if err := solveBelow(c, lay, a, distribution.CholSolve.At(k), k, diagT); err != nil {
 			return err
 		}
 		lPanel := co.Panel(fmt.Sprintf("cl/%d", k), lMsgs,
 			func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
 
-		// Trailing symmetric update on my lower-triangle blocks — disjoint
-		// outputs, so the split across workers is bit-identical.
-		if err := c.Compute(distribution.CholUpdate.At(k), func() error {
-			mine := lay.Update(distribution.TrailingLower, k)[me]
-			mode := c.Numerics()
-			parallelDo(c.Parallelism(), len(mine), func(i int) {
-				bi, bj := mine[i][0], mine[i][1]
-				a.Get(bi, bj).AddMulNumerics(-1, lPanel[bi], lPanel[bj].T(), mode)
-			})
-			return nil
-		}); err != nil {
-			return err
-		}
+		// Trailing symmetric update on my lower-triangle blocks.
+		return update(c, a, distribution.CholUpdate.At(k), lay.Update(distribution.TrailingLower, k)[me], -1, lPanel,
+			func(bj int) *matrix.Dense { return lPanel[bj].T() })
+	}); err != nil {
+		return err
 	}
 	// Zero my strict-upper blocks and the upper parts of my diagonal
 	// blocks so the gathered matrix is exactly L.

@@ -204,14 +204,14 @@ func TestKernelValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, runErr := Run(4, func(c *Comm) error {
-		_, err := MM(c, rect, NewBlockStore(2), NewBlockStore(2))
+		_, err := MM(c, rect, newBlockStore(2), newBlockStore(2))
 		return err
 	})
 	if runErr == nil {
 		t.Fatal("rectangular MM accepted")
 	}
 	_, runErr = Run(4, func(c *Comm) error {
-		return LU(c, rect, NewBlockStore(2))
+		return LU(c, rect, newBlockStore(2))
 	})
 	if runErr == nil {
 		t.Fatal("rectangular LU accepted")
@@ -319,5 +319,5 @@ func TestBlockStorePanicsOnForeignBlock(t *testing.T) {
 			t.Fatal("expected panic for non-resident block")
 		}
 	}()
-	NewBlockStore(2).Get(0, 0)
+	newBlockStore(2).Get(0, 0)
 }

@@ -131,8 +131,14 @@ func (co *Coordinator) Establish(ctx context.Context, world, procs int, payload 
 			return nil, fmt.Errorf("net: accepting joiner %d/%d: %w", i, procs-1, err)
 		}
 		applyDeadline(ctx, conn)
+		// A joiner's mesh address goes into every welcome: one validate
+		// would refuse is refused here, by name, before any is written.
 		var hello helloMsg
-		if err := readJSONFrame(conn, frameHello, &hello); err != nil {
+		err = readJSONFrame(conn, frameHello, &hello)
+		if err == nil {
+			_, _, err = stdnet.SplitHostPort(hello.Addr)
+		}
+		if err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("net: hello from joiner %d: %w", i, err)
 		}

@@ -238,3 +238,45 @@ func TestOversizedHelloRefusedOnItsHeader(t *testing.T) {
 		t.Fatalf("Establish = %v, want the hello refused for its length", err)
 	}
 }
+
+// TestMalformedHelloAddrBlamesItsJoiner: a hello whose mesh address cannot
+// be dialed is refused where it arrives, naming its joiner, before any
+// welcome is written. Forwarded, it made every honest joiner refuse its
+// welcome as a malformed topology, while the coordinator waited out the
+// handshake for the bad joiner's ready.
+func TestMalformedHelloAddrBlamesItsJoiner(t *testing.T) {
+	co, err := NewCoordinator("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	raw, err := stdnet.Dial("tcp", co.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := writeFrame(raw, frameHello, []byte(`{"addr":"no-port"}`)); err != nil {
+		t.Fatal(err)
+	}
+	joined := make(chan error, 1)
+	go func() {
+		// The honest joiner waits for a welcome that must not come; its
+		// deadline ends the wait.
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		defer cancel()
+		fab, _, err := Join(ctx, co.Addr(), nil)
+		if err == nil {
+			fab.Close(ctx)
+		}
+		joined <- err
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err = co.Establish(ctx, 3, 3, nil, nil)
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), "joiner 1") || !strings.Contains(err.Error(), "no-port") {
+		t.Errorf("Establish = %v, want joiner 1's hello refused at once for its address no-port", err)
+	}
+	if err := <-joined; err == nil || strings.Contains(err.Error(), "malformed topology") {
+		t.Errorf("honest Join = %v, want it to get no welcome", err)
+	}
+}

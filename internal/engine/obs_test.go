@@ -104,7 +104,7 @@ func TestSpanHierarchy(t *testing.T) {
 // trip through the Meter must not allocate — the observability hooks reduce
 // to nil pointer tests around the pre-existing atomic counters.
 func TestMeterDisabledPathDoesNotAllocate(t *testing.T) {
-	m := NewMeter(NewMemTransport(2), 2, nil, nil)
+	m := newMeter(NewMemTransport(2), 2, nil, nil)
 	data := matrix.New(4, 4)
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {

@@ -25,45 +25,21 @@ import (
 // the slab's width or stride (matrix/gemm.go's determinism contract) — so
 // the factors match bit for bit.
 //
-// The tau scalings are returned at rank 0 (nil elsewhere), one slice per
-// panel, matching kernels.QRReplay.Taus.
+// The tau scalings collect in the store's Taus at rank 0, one slice per
+// panel, each by the end of its panel's step (so a checkpoint taken between
+// steps has every tau produced so far); QR returns them there (nil
+// elsewhere), matching kernels.QRReplay.Taus.
 func QR(c *Comm, d distribution.Distribution, a *BlockStore) ([][]float64, error) {
-	var taus [][]float64
-	if c.Rank() == 0 {
-		nb, _ := d.Blocks()
-		taus = make([][]float64, nb)
-	}
-	if err := QRResume(c, d, a, 0, func(k int, tau []float64) {
-		taus[k] = tau
-	}); err != nil {
-		return nil, err
-	}
-	return taus, nil
-}
-
-// tauOf reads a panel's tau scalings out of the r×1 matrix they travel as.
-func tauOf(m *matrix.Dense) []float64 {
-	tau := make([]float64, m.Rows())
-	for i := range tau {
-		tau[i] = m.At(i, 0)
-	}
-	return tau
-}
-
-// QRResume continues the QR factorization from panel startK, assuming the
-// store holds the packed result of steps 0..startK-1. Rank 0 invokes onTau
-// with each panel's tau scalings at the end of that panel's step (so a
-// checkpoint taken between steps has every tau produced so far); other
-// ranks never call it. The step order and arithmetic match a fresh run
-// exactly, so resumption is bit-identical to never having stopped.
-func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, onTau func(k int, tau []float64)) error {
 	lay, err := distribution.NewLayout(d)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	nb, r := lay.NB, a.R
 	co := NewCollectives(c, d)
 	me := c.Rank()
+	if me == 0 && len(a.Taus) < nb {
+		a.Taus = append(a.Taus, make([][]float64, nb-len(a.Taus))...)
+	}
 
 	// The rank's one gather buffer: every slab of the run is a view of it,
 	// shorter each step; it is regrown only if a step needs a wider one.
@@ -114,10 +90,7 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 		}
 	}
 
-	for k := startK; k < nb; k++ {
-		if err := c.Step(k); err != nil {
-			return err
-		}
+	if err := runSteps(c, a, nb, func(k int) error {
 		master := lay.Owner(k, k)
 		rows := (nb - k) * r
 		ks := strconv.Itoa(k)
@@ -186,11 +159,20 @@ func QRResume(c *Comm, d distribution.Distribution, a *BlockStore, startK int, o
 		// Rank 0 collects this panel's tau scalings before leaving the
 		// step, so a checkpoint between steps captures them all.
 		if me == 0 {
-			tau := tauOf(c.Recv(master, "qtau/"+ks))
-			if onTau != nil {
-				onTau(k, tau)
-			}
+			a.Taus[k] = tauOf(c.Recv(master, "qtau/"+ks))
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	return nil
+	return a.Taus, nil
+}
+
+// tauOf reads a panel's tau scalings out of the r×1 matrix they travel as.
+func tauOf(m *matrix.Dense) []float64 {
+	tau := make([]float64, m.Rows())
+	for i := range tau {
+		tau[i] = m.At(i, 0)
+	}
+	return tau
 }

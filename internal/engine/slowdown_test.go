@@ -8,42 +8,42 @@ import (
 )
 
 func TestSlowFactorSchedule(t *testing.T) {
-	ft := NewFaultTransport(NewMemTransport(4), FaultConfig{
+	ft := newFaultTransport(NewMemTransport(4), FaultConfig{
 		Slowdowns: []SlowdownPoint{
 			{Rank: 1, Step: 2, Factor: 4},
 			{Rank: 1, Step: 5, Factor: 1}, // scheduled recovery
 			{Rank: 2, Step: 0, Factor: 2.5},
 		},
 	})
-	if f := ft.SlowFactor(1); f != 1 {
+	if f := ft.slowFactor(1); f != 1 {
 		t.Fatalf("factor before any step: %v", f)
 	}
-	ft.StepEntered(1, 0)
-	if f := ft.SlowFactor(1); f != 1 {
+	ft.stepEntered(1, 0)
+	if f := ft.slowFactor(1); f != 1 {
 		t.Fatalf("factor before the scheduled step: %v", f)
 	}
-	ft.StepEntered(1, 2)
-	if f := ft.SlowFactor(1); f != 4 {
+	ft.stepEntered(1, 2)
+	if f := ft.slowFactor(1); f != 4 {
 		t.Fatalf("factor at the scheduled step: %v", f)
 	}
-	ft.StepEntered(1, 3)
-	if f := ft.SlowFactor(1); f != 4 {
+	ft.stepEntered(1, 3)
+	if f := ft.slowFactor(1); f != 4 {
 		t.Fatalf("factor must persist past its step: %v", f)
 	}
 	// The latest-scheduled point wins: the Factor-1 recovery takes over.
-	ft.StepEntered(1, 6)
-	if f := ft.SlowFactor(1); f != 1 {
+	ft.stepEntered(1, 6)
+	if f := ft.slowFactor(1); f != 1 {
 		t.Fatalf("scheduled recovery ignored: %v", f)
 	}
-	ft.StepEntered(2, 1)
-	if f := ft.SlowFactor(2); f != 2.5 {
+	ft.stepEntered(2, 1)
+	if f := ft.slowFactor(2); f != 2.5 {
 		t.Fatalf("rank 2 factor: %v", f)
 	}
-	if f := ft.SlowFactor(0); f != 1 {
+	if f := ft.slowFactor(0); f != 1 {
 		t.Fatalf("unscheduled rank slowed: %v", f)
 	}
 	// Each activation is recorded once.
-	cnt := ft.Counters()
+	cnt := ft.counters()
 	if len(cnt.Slowed) != 3 {
 		t.Fatalf("slowed points: %+v", cnt.Slowed)
 	}

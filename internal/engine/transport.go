@@ -280,10 +280,10 @@ type pairTag struct {
 	tag      string
 }
 
-// NewMeter instruments inner for n ranks. A non-nil span store makes every
+// newMeter instruments inner for n ranks. A non-nil span store makes every
 // cross-rank message a timestamped send span (enqueue → delivery); a
 // non-nil registry mirrors the traffic counters into scrapeable metrics.
-func NewMeter(inner Transport, n int, spans *obs.SpanStore, reg *obs.Registry) *Meter {
+func newMeter(inner Transport, n int, spans *obs.SpanStore, reg *obs.Registry) *Meter {
 	m := &Meter{inner: inner, n: n, ranks: make([]rankCounters, n), spans: spans, metrics: newTransportMetrics(reg)}
 	m.pairs = make([][]PairStats, n)
 	for i := range m.pairs {

@@ -3,6 +3,7 @@ package run
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"hetgrid/internal/engine"
@@ -59,9 +60,10 @@ type Outcome struct {
 }
 
 // Attempt runs one world over s.Dist on fabric t (nil selects the
-// in-process mailboxes): restore the checkpoint or scatter the inputs, run
-// the kernel from s.StartK with the checkpoint and drift hooks installed,
-// gather the result at rank 0. A fabric exposing LocalRanks() []int hosts
+// in-process mailboxes): restore the checkpoint (its step and taus set on
+// the working store) or scatter the inputs, run the kernel from the store's
+// step with the checkpoint and drift hooks installed, gather the result at
+// rank 0. A fabric exposing LocalRanks() []int hosts
 // only those ranks here. The attempt takes over s.Ckpt.Work: its commits
 // advance that buffer in place, so after one of them it is the Outcome's
 // checkpoint and no longer the State's.
@@ -106,13 +108,19 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 			}
 		}
 
-		// The working store: restored from the checkpoint on resume,
-		// otherwise the zero accumulator (MM) or the input itself.
+		// The working store: restored from the checkpoint on resume, with
+		// its step and, at rank 0, QR's taus so far; otherwise the zero
+		// accumulator (MM) or the input itself.
 		var work *engine.BlockStore
 		var err error
 		switch {
 		case s.Ckpt != nil:
-			work, err = engine.Scatter(c, d, s.Ckpt.Work, r)
+			if work, err = engine.Scatter(c, d, s.Ckpt.Work, r); err == nil {
+				work.Step = s.Ckpt.Step
+				if c.Rank() == 0 {
+					work.Taus = slices.Clone(s.Ckpt.Taus)
+				}
+			}
 		case s.Kernel == plan.MatMul:
 			work = engine.ZeroStore(c, d, r)
 		default:
@@ -120,16 +128,6 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 		}
 		if err != nil {
 			return err
-		}
-
-		// QR's tau scalings accumulate at rank 0, prefilled from the
-		// checkpoint on resume.
-		var taus [][]float64
-		if s.Kernel == plan.QR && c.Rank() == 0 {
-			taus = make([][]float64, nbr)
-			if s.Ckpt != nil {
-				copy(taus, s.Ckpt.Taus)
-			}
 		}
 
 		// commit brings rank 0's snapshot of the working matrix up to step k
@@ -165,7 +163,7 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 			if c.Rank() == 0 {
 				o.Ckpt = &Checkpoint{Step: k, Work: snap}
 				if s.Kernel == plan.QR {
-					o.Ckpt.Taus = append([][]float64(nil), taus[:k]...)
+					o.Ckpt.Taus = slices.Clone(work.Taus[:k])
 				}
 			}
 			return nil
@@ -193,15 +191,13 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 
 		switch s.Kernel {
 		case plan.MatMul:
-			err = engine.MMResume(c, d, ro[0], ro[1], work, startK)
+			err = engine.MMInto(c, d, ro[0], ro[1], work)
 		case plan.LU:
-			err = engine.LUResume(c, d, work, startK)
+			err = engine.LU(c, d, work)
 		case plan.Cholesky:
-			err = engine.CholeskyResume(c, d, work, startK)
+			err = engine.Cholesky(c, d, work)
 		case plan.QR:
-			err = engine.QRResume(c, d, work, startK, func(k int, tau []float64) {
-				taus[k] = tau
-			})
+			_, err = engine.QR(c, d, work)
 		default:
 			err = fmt.Errorf("run: unknown kernel %q", s.Kernel)
 		}
@@ -221,7 +217,7 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 			return err
 		}
 		if c.Rank() == 0 {
-			o.Out, o.Taus = full, taus
+			o.Out, o.Taus = full, work.Taus
 		}
 		return nil
 	})

@@ -25,11 +25,12 @@ type commitFn func(c *engine.Comm, d distribution.Distribution, store *engine.Bl
 // fullGather is the commit this package had before: every block into a new
 // matrix, every time.
 func fullGather(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, _ *matrix.Dense, _ func(bi, bj int) bool) *matrix.Dense {
-	full, err := engine.GatherTag(c, d, store, tag)
-	if err != nil {
-		panic(err)
+	var full *matrix.Dense
+	if c.Rank() == 0 {
+		nbr, nbc := d.Blocks()
+		full = matrix.New(nbr*store.R, nbc*store.R)
 	}
-	return full
+	return deltaInPlace(c, d, store, tag, full, nil)
 }
 
 // deltaFresh gathers the changed blocks into a copy of the previous
