@@ -128,8 +128,8 @@ func (p *Plan) Canonical() *CanonicalPlan { return p.canon }
 // load-balancing problem. The zero value selects the defaults.
 type balanceOptions struct {
 	// Workers is the number of worker goroutines the exact strategy uses
-	// for its branch-and-bound search (0 selects GOMAXPROCS, 1 forces the
-	// serial path). The result is bit-identical for every worker count.
+	// for its branch-and-bound search (0 selects GOMAXPROCS). The result is
+	// bit-identical for every worker count, 1 included.
 	// Ignored by the heuristic and rank-1 strategies, which are already
 	// polynomial.
 	Workers int

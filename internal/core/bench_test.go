@@ -57,7 +57,7 @@ func BenchmarkSolveArrangementExact(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := SolveArrangementExact(arr); err != nil {
+				if _, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

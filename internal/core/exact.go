@@ -65,11 +65,11 @@ func (s *ExactStats) Add(o *ExactStats) {
 }
 
 // ExactOptions tunes the exact solvers. The zero value selects the pruned
-// serial solver.
+// search on GOMAXPROCS workers.
 type ExactOptions struct {
-	// Workers is the number of concurrent workers for the global search.
-	// 0 selects runtime.GOMAXPROCS(0); 1 forces the serial path. The result
-	// is bit-identical for every worker count.
+	// Workers is the number of goroutines that search spanning trees;
+	// 0 selects runtime.GOMAXPROCS(0). The result is bit-identical for every
+	// worker count, 1 included.
 	Workers int
 	// NoPrune disables both the incremental feasibility pruning and the
 	// upper-bound arrangement skipping, restoring the exhaustive search.
@@ -81,9 +81,10 @@ type ExactOptions struct {
 // tie-break key: higher objective wins; on exactly equal objectives the
 // lexicographically smaller key wins, where the key is the arrangement's
 // position in enumeration order (arrangements stream in lexicographic
-// row-major order) followed by the tree's sorted edge-index sequence. The
-// serial and parallel solvers share this total order, which is what makes
-// their results bit-identical regardless of scheduling.
+// row-major order) followed by the tree's sorted edge-index sequence. Every
+// searcher keeps its best under this total order and search picks the best
+// of theirs under it again, which is what makes the result bit-identical
+// regardless of the worker count and scheduling.
 type exactCandidate struct {
 	obj    float64
 	arrSeq int
@@ -137,8 +138,8 @@ type treeSearcher struct {
 	arrSeq int
 	hooks  spantree.Hooks
 	// skipBelow short-circuits candidate bookkeeping for objectives strictly
-	// below a known lower bound on the final optimum (the parallel solver
-	// refreshes it from the shared incumbent). It never affects counters.
+	// below a known lower bound on the final optimum (search refreshes it
+	// from the shared incumbent). It never affects counters.
 	skipBelow float64
 
 	val       []float64
@@ -188,15 +189,6 @@ func maxIntCore(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// resetBest clears the running best candidate (between independent solves).
-func (s *treeSearcher) resetBest() {
-	s.skipBelow = math.Inf(-1)
-	s.best.obj = math.Inf(-1)
-	s.best.arr = nil
-	s.best.arrSeq = 0
-	s.best.edges = s.best.edges[:0]
 }
 
 // resetArrangement rebinds the propagation state to arr.
@@ -355,19 +347,7 @@ func (s *treeSearcher) searchArrangement(arr *grid.Arrangement, arrSeq int, pref
 	s.en.Enumerate(prefix, &s.hooks, s.visitTree)
 }
 
-// solution materializes the best candidate, or nil if none was found.
-func (s *treeSearcher) solution() *Solution {
-	if s.best.arr == nil {
-		return nil
-	}
-	return &Solution{
-		Arr: s.best.arr,
-		R:   append([]float64(nil), s.best.r...),
-		C:   append([]float64(nil), s.best.c...),
-	}
-}
-
-// ArrangementUpperBound returns a cheap upper bound on the Obj2 optimum of a
+// arrangementUpperBound returns a cheap upper bound on the Obj2 optimum of a
 // fixed arrangement. Writing m_ij = 1/t_ij and g_ij = √m_ij, every feasible
 // solution satisfies r_i·c_j ≤ m_ij, and for any two cells the products
 // (r_i c_j)(r_i' c_j') = (r_i c_j')(r_i' c_j) ≤ √(m_ij·m_i'j'·m_ij'·m_i'j),
@@ -380,7 +360,7 @@ func (s *treeSearcher) solution() *Solution {
 // cycle-times are grouped into rows, so it discriminates between
 // arrangements of the same multiset and lets the global solver skip
 // arrangements that cannot beat an incumbent.
-func ArrangementUpperBound(arr *grid.Arrangement) float64 {
+func arrangementUpperBound(arr *grid.Arrangement) float64 {
 	p, q := arr.P, arr.Q
 	g := make([][]float64, p)
 	for i := 0; i < p; i++ {
@@ -420,8 +400,8 @@ func heuristicSeedBound(times []float64, p, q int) float64 {
 	return res.Objective() * (1 - seedMargin)
 }
 
-// SolveArrangementExact solves Obj2 exactly for a fixed arrangement using
-// the spanning-tree characterization of §4.3.1: at an optimum at least
+// SolveArrangementExactOpt solves Obj2 exactly for a fixed arrangement
+// using the spanning-tree characterization of §4.3.1: at an optimum at least
 // p+q−1 of the p·q constraints are tight, and the tight set contains a
 // spanning tree of the complete bipartite graph on {r_i} ∪ {c_j}. The
 // solver enumerates the p^(q−1)·q^(p−1) spanning trees, propagating the
@@ -429,36 +409,18 @@ func heuristicSeedBound(times []float64, p, q int) float64 {
 // forest and cutting every enumeration branch whose already-connected
 // row/column pairs violate a constraint, keeps the trees whose inequalities
 // all hold, and returns the best under a deterministic tie-break.
+// opts.NoPrune restores the exhaustive visit-then-scan search; opts.Workers
+// splits a large enumeration into partition classes on the first
+// edge-choice digits. The solution is bit-identical across all settings.
 //
 // Cost is exponential in the grid size; it is intended for the small grids
 // where the exact answer is wanted (the paper conjectures the general
 // problem NP-complete).
-func SolveArrangementExact(arr *grid.Arrangement) (*Solution, *ExactStats, error) {
-	return SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
-}
-
-// SolveArrangementExactOpt is SolveArrangementExact with explicit options:
-// opts.NoPrune restores the exhaustive visit-then-scan search, and
-// opts.Workers > 1 splits the spanning-tree enumeration across workers by
-// partitioning on the first edge-choice digits (see
-// solveArrangementParallel). Results are bit-identical across all settings
-// that visit the same acceptable trees.
 func SolveArrangementExactOpt(arr *grid.Arrangement, opts ExactOptions) (*Solution, *ExactStats, error) {
-	workers := normalizeWorkers(opts.Workers)
-	if workers > 1 {
-		return solveArrangementParallel(arr, workers, opts)
-	}
-	s := newTreeSearcher(arr.P, arr.Q, opts)
-	s.resetBest()
-	s.stats.Arrangements = 1
-	s.stats.TreesTheoretical = spantree.CountCompleteBipartite(arr.P, arr.Q)
-	s.searchArrangement(arr, 0, nil)
-	stats := s.stats
-	sol := s.solution()
-	if sol == nil {
-		return nil, &stats, ErrNoAcceptableTree
-	}
-	return sol, &stats, nil
+	return search(arr.P, arr.Q, opts, math.Inf(-1), func(emit func(*grid.Arrangement) bool) error {
+		emit(arr)
+		return nil
+	})
 }
 
 // SolveGlobalExact solves the full 2D load-balancing problem: it searches
@@ -468,8 +430,8 @@ func SolveArrangementExactOpt(arr *grid.Arrangement, opts ExactOptions) (*Soluti
 // the heuristic's objective seeds a lower bound that skips arrangements
 // whose rank-1 upper bound cannot beat it, and infeasible partial trees are
 // cut during enumeration. Doubly exponential; intended for small problems
-// and for validating the heuristic. SolveGlobalExactParallel runs the same
-// search on several cores with bit-identical results.
+// and for validating the heuristic. It runs on one worker;
+// SolveGlobalExactOpt takes the worker count, with bit-identical results.
 func SolveGlobalExact(times []float64, p, q int) (*Solution, *ExactStats, error) {
 	return SolveGlobalExactOpt(times, p, q, ExactOptions{Workers: 1})
 }
@@ -479,38 +441,14 @@ func SolveGlobalExactOpt(times []float64, p, q int, opts ExactOptions) (*Solutio
 	if len(times) != p*q {
 		return nil, nil, fmt.Errorf("core: %d cycle-times for a %d×%d grid", len(times), p, q)
 	}
-	if normalizeWorkers(opts.Workers) > 1 {
-		return solveGlobalParallel(times, p, q, opts)
-	}
 	seed := math.Inf(-1)
 	if !opts.NoPrune {
 		seed = heuristicSeedBound(times, p, q)
 	}
-	s := newTreeSearcher(p, q, opts)
-	s.resetBest()
-	treeCount := spantree.CountCompleteBipartite(p, q)
-	seq := 0
-	_, err := grid.EnumerateNonDecreasing(times, p, q, func(arr *grid.Arrangement) bool {
-		s.stats.Arrangements++
-		s.stats.TreesTheoretical += treeCount
-		if !opts.NoPrune && ArrangementUpperBound(arr) < seed {
-			s.stats.ArrangementsPruned++
-			seq++
-			return true
-		}
-		s.searchArrangement(arr, seq, nil)
-		seq++
-		return true
+	return search(p, q, opts, seed, func(emit func(*grid.Arrangement) bool) error {
+		_, err := grid.EnumerateNonDecreasing(times, p, q, emit)
+		return err
 	})
-	stats := s.stats
-	if err != nil {
-		return nil, &stats, err
-	}
-	sol := s.solution()
-	if sol == nil {
-		return nil, &stats, ErrNoAcceptableTree
-	}
-	return sol, &stats, nil
 }
 
 // Solve2x2Exact returns the exact solution for a 2×2 arrangement. K_{2,2}

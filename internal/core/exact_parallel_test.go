@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"hetgrid/internal/grid"
 )
@@ -31,12 +32,12 @@ func exactEqualSolutions(t *testing.T, label string, a, b *Solution) {
 	}
 }
 
-// TestParallelSerialEquivalenceProperty is the determinism contract of the
-// parallel solver: for every worker count the returned solution is
-// bit-identical to the serial solver's, and the scheduling-independent
+// TestWorkerCountEquivalenceProperty is the worker-count contract of the
+// exact search: for every worker count the returned solution is
+// bit-identical to the one-worker search's, and the scheduling-independent
 // statistics (trees visited/acceptable, arrangements, pruned arrangements)
 // agree exactly. Over 200 randomized cycle-time sets across 2×2…3×4 grids.
-func TestParallelSerialEquivalenceProperty(t *testing.T) {
+func TestWorkerCountEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive property test")
 	}
@@ -64,7 +65,7 @@ func TestParallelSerialEquivalenceProperty(t *testing.T) {
 				t.Fatalf("%dx%d seed %d: serial: %v", sh.p, sh.q, seed, err)
 			}
 			for _, w := range workerCounts {
-				par, parStats, err := SolveGlobalExactParallel(times, sh.p, sh.q, w)
+				par, parStats, err := SolveGlobalExactOpt(times, sh.p, sh.q, ExactOptions{Workers: w})
 				if err != nil {
 					t.Fatalf("%dx%d seed %d workers %d: %v", sh.p, sh.q, seed, w, err)
 				}
@@ -128,7 +129,7 @@ func TestSolveArrangementExactParallelMatchesSerial(t *testing.T) {
 			}
 		}
 		arr := grid.MustNew(tm)
-		serial, serialStats, err := SolveArrangementExact(arr)
+		serial, serialStats, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,18 +161,18 @@ func TestArrangementUpperBoundValid(t *testing.T) {
 			}
 		}
 		arr := grid.MustNew(tm)
-		sol, _, err := SolveArrangementExact(arr)
+		sol, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ub := ArrangementUpperBound(arr)
+		ub := arrangementUpperBound(arr)
 		if sol.Objective() > ub*(1+1e-12) {
 			t.Fatalf("upper bound %v below exact optimum %v for %v", ub, sol.Objective(), tm)
 		}
 	}
 	// Rank-1 grid: bound equals the perfect-balance objective Σ 1/t.
 	arr := grid.MustNew([][]float64{{1, 2}, {3, 6}})
-	ub := ArrangementUpperBound(arr)
+	ub := arrangementUpperBound(arr)
 	want := 1.0 + 0.5 + 1.0/3 + 1.0/6
 	if math.Abs(ub-want) > 1e-12 {
 		t.Fatalf("rank-1 bound %v, want %v", ub, want)
@@ -228,12 +229,57 @@ func TestParallelWithDuplicateTimes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, runtime.NumCPU()} {
-			par, _, err := SolveGlobalExactParallel(times, p, q, w)
+			par, _, err := SolveGlobalExactOpt(times, p, q, ExactOptions{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
 			exactEqualSolutions(t, "dup-times", par, serial)
 		}
+	}
+
+	// A fixed 3×4 arrangement with repeated times: its 432 spanning trees
+	// are split into partition classes as soon as there are two workers.
+	arr := grid.MustNew([][]float64{{1, 1, 2, 2}, {1, 2, 2, 3}, {2, 2, 3, 3}})
+	serial, serialStats, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serialStats.TreesTheoretical != 432 {
+		t.Fatalf("K_{3,4} has 432 spanning trees, stats say %d", serialStats.TreesTheoretical)
+	}
+	for _, w := range []int{1, 2, runtime.NumCPU()} {
+		par, parStats, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exactEqualSolutions(t, "dup-times 3x4 fixed", par, serial)
+		if parStats.TreesVisited != serialStats.TreesVisited ||
+			parStats.TreesAcceptable != serialStats.TreesAcceptable {
+			t.Fatalf("workers %d: tree stats diverge: %+v vs %+v", w, *parStats, *serialStats)
+		}
+	}
+}
+
+// TestSearchProducerErrorJoinsWorkers: when the arrangement producer fails
+// (a cycle-time the grid rejects), the search returns the grid's error and
+// every worker goroutine it started has exited.
+func TestSearchProducerErrorJoinsWorkers(t *testing.T) {
+	times := []float64{1, 2, 3, math.Inf(1)}
+	_, want := grid.EnumerateNonDecreasing(times, 2, 2, func(*grid.Arrangement) bool { return true })
+	if want == nil {
+		t.Fatal("grid accepted an infinite cycle-time")
+	}
+	start := runtime.NumGoroutine()
+	_, _, err := SolveGlobalExactOpt(times, 2, 2, ExactOptions{Workers: 4})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("error %v, want the grid's %v", err, want)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("%d goroutines after the failed search, %d before", n, start)
 	}
 }
 

@@ -12,7 +12,7 @@ func TestExactRank1PerfectBalance(t *testing.T) {
 	// Figure 1: [[1,2],[3,6]] is rank-1, so the exact optimum saturates all
 	// four processors and reaches objective (1+1/3)(1+1/2) = 2.
 	arr := grid.MustNew([][]float64{{1, 2}, {3, 6}})
-	sol, stats, err := SolveArrangementExact(arr)
+	sol, stats, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestExactImperfectExample(t *testing.T) {
 	// optimum keeps the Figure-1 shares (r = (1, 1/3), c = (1, 1/2)) and
 	// leaves P22 idle one sixth of the time.
 	arr := grid.MustNew([][]float64{{1, 2}, {3, 5}})
-	sol, _, err := SolveArrangementExact(arr)
+	sol, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestExactFeasibleAndTreeTight(t *testing.T) {
 			}
 		}
 		arr := grid.MustNew(tm)
-		sol, stats, err := SolveArrangementExact(arr)
+		sol, stats, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sol.Feasible(0) {
-			t.Fatalf("exact solution infeasible: max workload %v", sol.MaxWorkload())
+			t.Fatalf("exact solution infeasible: max workload %v", sol.maxWorkload())
 		}
 		if stats.TreesAcceptable < 1 {
 			t.Fatal("no acceptable tree counted")
@@ -100,7 +100,7 @@ func TestExactBeatsRandomFeasible(t *testing.T) {
 	// construct by randomly picking r and scaling c maximally.
 	rng := rand.New(rand.NewSource(62))
 	arr := grid.MustNew([][]float64{{0.3, 0.7}, {0.5, 0.9}})
-	sol, _, err := SolveArrangementExact(arr)
+	sol, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSolve2x2MatchesGeneral(t *testing.T) {
 			{0.1 + rng.Float64(), 0.1 + rng.Float64()},
 		}
 		arr := grid.MustNew(tm)
-		general, _, err := SolveArrangementExact(arr)
+		general, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestGlobalExactDominatesFixedArrangements(t *testing.T) {
 		}
 		// Every individual non-decreasing arrangement is dominated.
 		if _, err := grid.EnumerateNonDecreasing(times, 2, 2, func(arr *grid.Arrangement) bool {
-			sol, _, err := SolveArrangementExact(arr)
+			sol, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,14 +206,14 @@ func TestGlobalExactSizeMismatch(t *testing.T) {
 
 func TestExactSingleRowAndColumn(t *testing.T) {
 	// 1×q and p×1 grids reduce to the 1D problem: perfect balance.
-	sol, _, err := SolveArrangementExact(grid.MustNew([][]float64{{1, 2, 4}}))
+	sol, _, err := SolveArrangementExactOpt(grid.MustNew([][]float64{{1, 2, 4}}), ExactOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sol.MeanWorkload()-1) > 1e-12 {
 		t.Fatalf("1×3 mean workload %v, want 1", sol.MeanWorkload())
 	}
-	sol, _, err = SolveArrangementExact(grid.MustNew([][]float64{{1}, {5}}))
+	sol, _, err = SolveArrangementExactOpt(grid.MustNew([][]float64{{1}, {5}}), ExactOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestExact3x3TreeCount(t *testing.T) {
 	if fullStats.TreesVisited != 81 {
 		t.Fatalf("K_{3,3} unpruned: visited %d trees, want 81", fullStats.TreesVisited)
 	}
-	pruned, prunedStats, err := SolveArrangementExact(arr)
+	pruned, prunedStats, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,7 +228,7 @@ func rankOneStep(arr *grid.Arrangement, sc *heurScratch) (*Solution, error) {
 	return &Solution{Arr: arr, R: r, C: c}, nil
 }
 
-// Rearrange produces the refined arrangement of §4.4.3: it computes the
+// rearrange produces the refined arrangement of §4.4.3: it computes the
 // rank-1 optimal cycle-times T_opt = (1/(r_i·c_j)) for the given solution
 // and returns the arrangement that places the k-th smallest actual
 // cycle-time at the position of the k-th smallest T_opt entry, so that
@@ -236,10 +236,6 @@ func rankOneStep(arr *grid.Arrangement, sc *heurScratch) (*Solution, error) {
 // column-major position (the convention that reproduces the paper's §4.4.3
 // trajectory, whose second step has an exact tie), making the result
 // deterministic.
-func Rearrange(arr *grid.Arrangement, sol *Solution) *grid.Arrangement {
-	return rearrange(arr, sol, newHeurScratch(arr.P, arr.Q))
-}
-
 func rearrange(arr *grid.Arrangement, sol *Solution, sc *heurScratch) *grid.Arrangement {
 	p, q := arr.P, arr.Q
 	positions := sc.positions[:0]
@@ -287,19 +283,4 @@ func rearrange(arr *grid.Arrangement, sol *Solution, sc *heurScratch) *grid.Arra
 		t[pp.i][pp.j] = times[k]
 	}
 	return grid.MustNew(t)
-}
-
-// TOpt returns the rank-1 matrix of optimal cycle-times 1/(r_i·c_j) for a
-// solution — the matrix the refinement step sorts against (the paper prints
-// it for the 3×3 worked example).
-func TOpt(sol *Solution) [][]float64 {
-	p, q := sol.Arr.P, sol.Arr.Q
-	t := make([][]float64, p)
-	for i := range t {
-		t[i] = make([]float64, q)
-		for j := range t[i] {
-			t[i][j] = 1 / (sol.R[i] * sol.C[j])
-		}
-	}
-	return t
 }

@@ -65,11 +65,11 @@ func TestWorkedExampleTOpt(t *testing.T) {
 		{4.0000, 6.3464, 9.5195},
 		{7.0000, 11.1061, 16.6592},
 	}
-	got := TOpt(sol)
 	for i := range want {
 		for j := range want[i] {
-			if math.Abs(got[i][j]-want[i][j]) > 2e-3 {
-				t.Fatalf("T_opt[%d][%d] = %v, want ≈ %v", i, j, got[i][j], want[i][j])
+			// T_opt = 1/(r_i·c_j): the matrix the refinement sorts against.
+			if got := 1 / (sol.R[i] * sol.C[j]); math.Abs(got-want[i][j]) > 2e-3 {
+				t.Fatalf("T_opt[%d][%d] = %v, want ≈ %v", i, j, got, want[i][j])
 			}
 		}
 	}
@@ -82,7 +82,7 @@ func TestWorkedExampleRearrangeStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := Rearrange(arr, sol)
+	next := rearrange(arr, sol, newHeurScratch(3, 3))
 	want := grid.MustNew([][]float64{{1, 2, 3}, {4, 5, 7}, {6, 8, 9}})
 	if !next.Equal(want) {
 		t.Fatalf("refined arrangement:\n%swant:\n%s", next, want)
@@ -157,7 +157,7 @@ func TestHeuristicFeasibleWithTightRowsAndColumns(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sol.Feasible(0) {
-			t.Fatalf("infeasible heuristic step: max load %v", sol.MaxWorkload())
+			t.Fatalf("infeasible heuristic step: max load %v", sol.maxWorkload())
 		}
 		b := sol.Workload()
 		for i := 0; i < p; i++ {
@@ -297,25 +297,25 @@ func TestSolveRank1GeneralScale(t *testing.T) {
 	}
 }
 
+// TestPerfectBalancePossible: perfect balance is possible exactly when the
+// cycle-times form a rank-1 matrix (§4.3.2), and then the global exact
+// optimum finds such an arrangement and keeps every processor busy.
 func TestPerfectBalancePossible(t *testing.T) {
-	arr, ok, err := PerfectBalancePossible([]float64{6, 3, 2, 1}, 2, 2)
+	sol, _, err := SolveGlobalExact([]float64{6, 3, 2, 1}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("{1,2,3,6} admits the rank-1 arrangement [[1,2],[3,6]]")
+	if !sol.Arr.IsRank1(0) || math.Abs(sol.MeanWorkload()-1) > 1e-12 {
+		t.Fatalf("{1,2,3,6} admits the rank-1 arrangement [[1,2],[3,6]], got\n%smean load %v", sol.Arr, sol.MeanWorkload())
 	}
-	if !arr.IsRank1(0) {
-		t.Fatal("returned arrangement is not rank-1")
-	}
-	_, ok, err = PerfectBalancePossible([]float64{1, 2, 3, 5}, 2, 2)
+	sol, _, err = SolveGlobalExact([]float64{1, 2, 3, 5}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("{1,2,3,5} cannot form a rank-1 2×2 matrix")
+	if sol.Arr.IsRank1(0) || sol.MeanWorkload() >= 1 {
+		t.Fatalf("{1,2,3,5} cannot form a rank-1 2×2 matrix, got\n%smean load %v", sol.Arr, sol.MeanWorkload())
 	}
-	if _, _, err := PerfectBalancePossible([]float64{1, 2}, 2, 2); err == nil {
+	if _, _, err := SolveGlobalExact([]float64{1, 2}, 2, 2); err == nil {
 		t.Fatal("expected size error")
 	}
 }

@@ -42,7 +42,7 @@ func TestHeuristicPermutationInvariant(t *testing.T) {
 }
 
 // TestRearrangeFixedPointIdempotent: once the heuristic converges, another
-// Rearrange of the converged solution must return the same arrangement.
+// rearrange of the converged solution must return the same arrangement.
 func TestRearrangeFixedPointIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(172))
 	for trial := 0; trial < 10; trial++ {
@@ -64,9 +64,9 @@ func TestRearrangeFixedPointIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next := Rearrange(res.FinalArrangement, sol)
+		next := rearrange(res.FinalArrangement, sol, newHeurScratch(n, n))
 		if !next.Equal(res.FinalArrangement) {
-			t.Fatalf("converged arrangement is not a Rearrange fixed point:\n%svs\n%s",
+			t.Fatalf("converged arrangement is not a rearrange fixed point:\n%svs\n%s",
 				res.FinalArrangement, next)
 		}
 	}
@@ -109,11 +109,11 @@ func TestScalingInvariance(t *testing.T) {
 func TestExactScalingInvariance(t *testing.T) {
 	arr := grid.MustNew([][]float64{{0.4, 0.9}, {0.7, 1.3}})
 	scaled := grid.MustNew([][]float64{{0.8, 1.8}, {1.4, 2.6}})
-	a, _, err := SolveArrangementExact(arr)
+	a, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := SolveArrangementExact(scaled)
+	b, _, err := SolveArrangementExactOpt(scaled, ExactOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestTransposeSymmetry(t *testing.T) {
 			}
 		}
 		arr := grid.MustNew(tm)
-		a, _, err := SolveArrangementExact(arr)
+		a, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := SolveArrangementExact(arr.Transpose())
+		b, _, err := SolveArrangementExactOpt(arr.Transpose(), ExactOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"hetgrid/internal/grid"
-)
+import "hetgrid/internal/grid"
 
 // SolveRank1 returns the perfectly balanced solution for a rank-1
 // arrangement (§4.3.2): r_i = 1/t_i1 and c_j = t_11/t_1j make every
@@ -25,27 +21,4 @@ func SolveRank1(arr *grid.Arrangement, tol float64) (*Solution, bool) {
 		c[j] = arr.T[0][0] / arr.T[0][j]
 	}
 	return &Solution{Arr: arr, R: r, C: c}, true
-}
-
-// PerfectBalancePossible reports whether the given multiset of cycle-times
-// can be arranged into a rank-1 p×q matrix, by testing every non-decreasing
-// arrangement (sufficient: permuting rows or columns of a rank-1 matrix
-// preserves rank). Exponential in the grid size; intended for small grids
-// and tests. The arrangement achieving rank-1 is returned when one exists.
-func PerfectBalancePossible(times []float64, p, q int) (*grid.Arrangement, bool, error) {
-	if len(times) != p*q {
-		return nil, false, fmt.Errorf("core: %d cycle-times for a %d×%d grid", len(times), p, q)
-	}
-	var found *grid.Arrangement
-	_, err := grid.EnumerateNonDecreasing(times, p, q, func(arr *grid.Arrangement) bool {
-		if arr.IsRank1(0) {
-			found = arr
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return found, found != nil, nil
 }

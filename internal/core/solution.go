@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"hetgrid/internal/grid"
 )
@@ -37,29 +36,6 @@ type Solution struct {
 	// in the continuous relaxation; scaling to integers is done by the
 	// distribution layer.
 	R, C []float64
-}
-
-// NewSolution validates shapes and positivity and returns a Solution.
-func NewSolution(arr *grid.Arrangement, r, c []float64) (*Solution, error) {
-	if len(r) != arr.P || len(c) != arr.Q {
-		return nil, fmt.Errorf("core: solution shape %d/%d does not match %d×%d arrangement",
-			len(r), len(c), arr.P, arr.Q)
-	}
-	for i, v := range r {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("core: row share r[%d] = %v must be positive and finite", i, v)
-		}
-	}
-	for j, v := range c {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("core: column share c[%d] = %v must be positive and finite", j, v)
-		}
-	}
-	return &Solution{
-		Arr: arr,
-		R:   append([]float64(nil), r...),
-		C:   append([]float64(nil), c...),
-	}, nil
 }
 
 // Objective returns (Σr_i)(Σc_j), the Obj2 value: the number of unit blocks
@@ -103,9 +79,9 @@ func (s *Solution) MeanWorkload() float64 {
 	return sum / float64(s.Arr.P*s.Arr.Q)
 }
 
-// MaxWorkload returns the largest entry of B. For a feasible solution this
+// maxWorkload returns the largest entry of B. For a feasible solution this
 // is at most 1, and the processor attaining it is the bottleneck.
-func (s *Solution) MaxWorkload() float64 {
+func (s *Solution) maxWorkload() float64 {
 	max := 0.0
 	for i := 0; i < s.Arr.P; i++ {
 		for j := 0; j < s.Arr.Q; j++ {
@@ -123,7 +99,7 @@ func (s *Solution) Feasible(tol float64) bool {
 	if tol <= 0 {
 		tol = FeasibilityTol
 	}
-	return s.MaxWorkload() <= 1+tol
+	return s.maxWorkload() <= 1+tol
 }
 
 // NormalizedMakespan returns Obj1 for the solution: the time per matrix
@@ -131,27 +107,7 @@ func (s *Solution) Feasible(tol float64) bool {
 // solution with an active constraint (max workload 1) this equals
 // 1/Objective().
 func (s *Solution) NormalizedMakespan() float64 {
-	return s.MaxWorkload() / s.Objective()
-}
-
-// Normalize rescales the solution so max_ij r_i·t_ij·c_j = 1, i.e. the
-// bottleneck processor is exactly saturated. The objective changes by the
-// corresponding factor; NormalizedMakespan is invariant. Returns the
-// receiver for chaining.
-func (s *Solution) Normalize() *Solution {
-	max := s.MaxWorkload()
-	if max == 0 || max == 1 {
-		return s
-	}
-	// Split the correction between r and c to keep both well-scaled.
-	f := 1 / math.Sqrt(max)
-	for i := range s.R {
-		s.R[i] *= f
-	}
-	for j := range s.C {
-		s.C[j] *= f
-	}
-	return s
+	return s.maxWorkload() / s.Objective()
 }
 
 // Clone returns a deep copy of the solution (sharing the arrangement, which

@@ -8,41 +8,10 @@ import (
 	"hetgrid/internal/grid"
 )
 
-func TestNewSolutionValidation(t *testing.T) {
-	arr := grid.MustNew([][]float64{{1, 2}, {3, 6}})
-	if _, err := NewSolution(arr, []float64{1}, []float64{1, 1}); err == nil {
-		t.Fatal("short r accepted")
-	}
-	if _, err := NewSolution(arr, []float64{1, 1}, []float64{1}); err == nil {
-		t.Fatal("short c accepted")
-	}
-	if _, err := NewSolution(arr, []float64{1, -1}, []float64{1, 1}); err == nil {
-		t.Fatal("negative r accepted")
-	}
-	if _, err := NewSolution(arr, []float64{1, 1}, []float64{0, 1}); err == nil {
-		t.Fatal("zero c accepted")
-	}
-	s, err := NewSolution(arr, []float64{1, 1.0 / 3}, []float64{1, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Input slices must be copied.
-	r := []float64{2, 2}
-	s2, _ := NewSolution(arr, r, []float64{1, 1})
-	r[0] = 99
-	if s2.R[0] != 2 {
-		t.Fatal("NewSolution aliased r")
-	}
-	_ = s
-}
-
 func TestObjectiveAndWorkload(t *testing.T) {
 	// The perfectly balanced Figure 1 solution.
 	arr := grid.MustNew([][]float64{{1, 2}, {3, 6}})
-	s, err := NewSolution(arr, []float64{1, 1.0 / 3}, []float64{1, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &Solution{Arr: arr, R: []float64{1, 1.0 / 3}, C: []float64{1, 0.5}}
 	if got := s.Objective(); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("objective = %v, want 2", got)
 	}
@@ -57,7 +26,7 @@ func TestObjectiveAndWorkload(t *testing.T) {
 	if got := s.MeanWorkload(); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("mean workload = %v, want 1", got)
 	}
-	if got := s.MaxWorkload(); math.Abs(got-1) > 1e-12 {
+	if got := s.maxWorkload(); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("max workload = %v, want 1", got)
 	}
 	if !s.Feasible(0) {
@@ -70,7 +39,7 @@ func TestObjectiveAndWorkload(t *testing.T) {
 
 func TestFeasibleTolerance(t *testing.T) {
 	arr := grid.MustNew([][]float64{{1}}) // single processor
-	s, _ := NewSolution(arr, []float64{1.1}, []float64{1})
+	s := &Solution{Arr: arr, R: []float64{1.1}, C: []float64{1}}
 	if s.Feasible(0) {
 		t.Fatal("overloaded solution reported feasible")
 	}
@@ -79,28 +48,9 @@ func TestFeasibleTolerance(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	arr := grid.MustNew([][]float64{{1, 2}, {3, 5}})
-	s, _ := NewSolution(arr, []float64{2, 1}, []float64{2, 1})
-	before := s.NormalizedMakespan()
-	s.Normalize()
-	if math.Abs(s.MaxWorkload()-1) > 1e-12 {
-		t.Fatalf("normalized max workload = %v, want 1", s.MaxWorkload())
-	}
-	if math.Abs(s.NormalizedMakespan()-before) > 1e-12 {
-		t.Fatal("Normalize changed the normalized makespan")
-	}
-	// Idempotent.
-	obj := s.Objective()
-	s.Normalize()
-	if math.Abs(s.Objective()-obj) > 1e-12 {
-		t.Fatal("Normalize not idempotent")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	arr := grid.MustNew([][]float64{{1, 2}, {3, 5}})
-	s, _ := NewSolution(arr, []float64{1, 1}, []float64{1, 1})
+	s := &Solution{Arr: arr, R: []float64{1, 1}, C: []float64{1, 1}}
 	c := s.Clone()
 	c.R[0] = 99
 	if s.R[0] != 1 {
@@ -110,7 +60,7 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestStringHasObjective(t *testing.T) {
 	arr := grid.MustNew([][]float64{{1}}) // trivial
-	s, _ := NewSolution(arr, []float64{1}, []float64{1})
+	s := &Solution{Arr: arr, R: []float64{1}, C: []float64{1}}
 	if !strings.Contains(s.String(), "obj=1.0000") {
 		t.Fatalf("String = %q", s.String())
 	}

@@ -24,7 +24,7 @@ func TestTheorem1NonDecreasingIsOptimal(t *testing.T) {
 			bestAll := math.Inf(-1)
 			var bestArr *grid.Arrangement
 			total, err := grid.EnumerateAll(times, p, q, func(arr *grid.Arrangement) bool {
-				sol, _, err := SolveArrangementExact(arr)
+				sol, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

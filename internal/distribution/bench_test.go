@@ -9,7 +9,7 @@ import (
 
 func benchSolution(b *testing.B) *core.Solution {
 	b.Helper()
-	sol, _, err := core.SolveArrangementExact(grid.MustNew([][]float64{{1, 2}, {3, 5}}))
+	sol, _, err := core.SolveArrangementExactOpt(grid.MustNew([][]float64{{1, 2}, {3, 5}}), core.ExactOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func fig1Solution(t *testing.T) *core.Solution {
 // paper's LU example (§3.2.2, Figure 4).
 func fig4Solution(t *testing.T) *core.Solution {
 	t.Helper()
-	sol, _, err := core.SolveArrangementExact(grid.MustNew([][]float64{{1, 2}, {3, 5}}))
+	sol, _, err := core.SolveArrangementExactOpt(grid.MustNew([][]float64{{1, 2}, {3, 5}}), core.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRoundSharesPositiveNoZeroRows(t *testing.T) {
 	// Extreme shares would round a slow processor to zero blocks; the panel
 	// must still give it one.
 	arr := grid.MustNew([][]float64{{1, 1}, {100, 100}})
-	sol, _, err := core.SolveArrangementExact(arr)
+	sol, _, err := core.SolveArrangementExactOpt(arr, core.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

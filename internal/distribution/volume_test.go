@@ -13,7 +13,7 @@ func volArr() *grid.Arrangement {
 
 func volPanel(t *testing.T, nb int) Distribution {
 	t.Helper()
-	sol, _, err := core.SolveArrangementExact(volArr())
+	sol, _, err := core.SolveArrangementExactOpt(volArr(), core.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

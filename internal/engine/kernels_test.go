@@ -24,7 +24,7 @@ func engineDistributions(t *testing.T, nb int) []distribution.Distribution {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := core.SolveArrangementExact(arr)
+	sol, _, err := core.SolveArrangementExactOpt(arr, core.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func goldenSimRows(t *testing.T) []goldenSimRow {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, _, err := core.SolveArrangementExact(g.arr)
+		sol, _, err := core.SolveArrangementExactOpt(g.arr, core.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func luPanelDist(t *testing.T, nb int, colOrd distribution.Ordering) distributio
 func luPanelDistOrd(t *testing.T, nb int, rowOrd, colOrd distribution.Ordering) distribution.Distribution {
 	t.Helper()
 	arr := hetArr()
-	sol, _, err := core.SolveArrangementExact(arr)
+	sol, _, err := core.SolveArrangementExactOpt(arr, core.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

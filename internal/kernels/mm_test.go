@@ -19,7 +19,7 @@ func hetArr() *grid.Arrangement {
 // an nb×nb block matrix.
 func panelDist(t *testing.T, arr *grid.Arrangement, nb int) distribution.Distribution {
 	t.Helper()
-	sol, _, err := core.SolveArrangementExact(arr)
+	sol, _, err := core.SolveArrangementExactOpt(arr, core.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Package plan is the canonical planning pipeline of the repo: one
-// Planner turns a Request (cycle-times plus grid constraints) into a
+// Package plan is the canonical planning pipeline of the repo: Solve
+// turns a Request (cycle-times plus grid constraints) into a
 // serializable Plan (arrangement, row/column shares, panel ordering,
 // predicted objective, provenance). Every public planning surface —
 // hetgrid.Balance, hetgrid.BalanceArrangement, hetgrid.ChooseGrid,

@@ -29,19 +29,10 @@ type Result struct {
 	Tau        float64
 }
 
-// Planner runs the planning pipeline: validate → solve (strategy dispatch
-// per mode) → realize panel → render the canonical plan. The zero value is
-// ready to use and safe for concurrent use.
-type Planner struct{}
-
-// Solve runs the default planner on req.
+// Solve runs the planning pipeline on one request: validate → solve
+// (strategy dispatch per mode) → realize panel → render the canonical plan.
+// Safe for concurrent use.
 func Solve(req Request) (*Result, error) {
-	var p Planner
-	return p.Plan(req)
-}
-
-// Plan solves one request.
-func (Planner) Plan(req Request) (*Result, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}

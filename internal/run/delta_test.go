@@ -27,7 +27,7 @@ func families(t *testing.T, nb int) map[string]distribution.Distribution {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := core.SolveArrangementExact(arr)
+	sol, _, err := core.SolveArrangementExactOpt(arr, core.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

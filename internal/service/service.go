@@ -54,7 +54,6 @@ type Server struct {
 	workers  int
 	registry *obs.Registry
 
-	planner  plan.Planner
 	maxBatch int
 	memo     *planMemo
 	draining atomic.Bool
@@ -210,13 +209,23 @@ func (s *Server) solve(req plan.Request) (*plan.Plan, bool, error) {
 	return s.solveKeyed(qreq, qreq.Key(s.digits))
 }
 
+// maxExactProcessors is the largest grid, in processors, the service runs
+// the exact search for. The search is exponential and cannot be cancelled:
+// on two cores a 4×4 takes seconds and a 4×5 more than a minute.
+const maxExactProcessors = 12
+
 // solveKeyed is solve for callers that already quantized the request and
 // derived its cache key (the batch path, which computes both once per
-// distinct item).
+// distinct item). An exact request over maxExactProcessors is refused
+// before the cache.
 func (s *Server) solveKeyed(qreq plan.Request, key string) (*plan.Plan, bool, error) {
+	if qreq.Strategy == plan.StrategyExact && qreq.P*qreq.Q > maxExactProcessors {
+		return nil, false, fmt.Errorf("service: exact strategy is limited to %d processors, got %d×%d",
+			maxExactProcessors, qreq.P, qreq.Q)
+	}
 	qreq.Workers = s.workers
 	return s.cache.GetOrCompute(key, func() (*plan.Plan, error) {
-		res, err := s.planner.Plan(qreq)
+		res, err := plan.Solve(qreq)
 		if err != nil {
 			return nil, err
 		}

@@ -142,6 +142,55 @@ func TestPlanEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestExactAdmissionLimit: an exact request over 12 processors is refused
+// with 422 before any search starts, alone and as batch items beside a
+// valid one, for free and fixed arrangements. A 3×4 exact request still
+// plans. The refusals must come back within a second: the search they would
+// start runs for minutes.
+func TestExactAdmissionLimit(t *testing.T) {
+	_, ts := newTestServer(t)
+	client := &http.Client{Timeout: time.Second}
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, blob
+	}
+	const times4x5 = `[1.3,2.9,4.1,1.7,3.3,2.2,5.9,1.1,4.7,3.8,2.6,6.4,1.9,5.2,3.1,7.3,2.4,4.4,6.1,1.5]`
+	free := `{"times":` + times4x5 + `,"p":4,"q":5,"strategy":"exact"}`
+	fixed := `{"times":` + times4x5 + `,"p":4,"q":5,"fixed":true,"strategy":"exact"}`
+
+	if code, blob := post("/v1/plan", free); code != http.StatusUnprocessableEntity ||
+		!strings.Contains(string(blob), "limited to 12 processors") {
+		t.Fatalf("4×5 exact: status %d: %s", code, blob)
+	}
+	code, blob := post("/v1/plans", `[`+free+`,{"times":[1,2,3,5],"p":2,"q":2},`+fixed+`]`)
+	if code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", code, blob)
+	}
+	var br BatchResponse
+	if err := json.Unmarshal(blob, &br); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{http.StatusUnprocessableEntity, http.StatusOK, http.StatusUnprocessableEntity} {
+		if got := br.Results[i].Status; got != want {
+			t.Fatalf("batch item %d: status %d, want %d (%s)", i, got, want, blob)
+		}
+	}
+
+	resp, blob := postPlan(t, ts, `{"times":[1.3,2.9,4.1,1.7,3.3,2.2,5.9,1.1,4.7,3.8,2.6,6.4],"p":3,"q":4,"strategy":"exact"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("3×4 exact: status %d: %s", resp.StatusCode, blob)
+	}
+}
+
 // TestMetricsAndHealth scrapes /metrics after traffic and checks the
 // request, latency and cache series are present, plus /healthz.
 func TestMetricsAndHealth(t *testing.T) {

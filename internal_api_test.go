@@ -44,6 +44,9 @@ var apiFences = []struct {
 		"Retransmit": "Retransmitter's method: the failure detector asks its fabric through the interface",
 		"Unwrap":     "error's unwrap method: errors.Is and errors.As call it",
 	}},
+	{"internal/core", map[string]string{
+		"Solve2x2Exact": "the independently coded 2×2 closed form the general exact solver is compared with",
+	}},
 }
 
 // TestExportedAPIIsReached holds each package of apiFences to its rule. It
