@@ -49,11 +49,13 @@ type Options struct {
 	// and phase sections), retrievable from World.Spans after the run.
 	Record bool
 	// Parallelism is the number of goroutines each rank may use for its own
-	// block computations (intra-rank parallelism on multicore nodes). The
-	// kernels partition work by whole output blocks — and the matrix layer
-	// partitions large GEMMs by output-row bands — so every output element
-	// is accumulated by exactly one goroutine in the same k order: results
-	// are bit-identical to a serial run for any value. 0 or 1 means serial.
+	// block computations (intra-rank parallelism on multicore nodes). A
+	// step's trailing update packs its operands on the rank's goroutine,
+	// then splits only the block products, by whole output blocks, across
+	// the workers, so every output element is accumulated by exactly one
+	// goroutine in the same k order and every value runs the same path:
+	// results are bit-identical to a serial run for any value. 0 or 1 means
+	// serial.
 	Parallelism int
 	// Transport overrides the message fabric; nil uses the in-process
 	// mailbox transport.
@@ -276,18 +278,6 @@ func (c *Comm) Parallelism() int {
 // Numerics returns the arithmetic contract this world's kernels compute
 // under (matrix.Strict unless configured otherwise).
 func (c *Comm) Numerics() matrix.Numerics { return c.world.opts.Numerics }
-
-// parallelDo runs fn(0), …, fn(n-1) across at most workers executors in
-// contiguous index chunks, blocking until all return. It delegates to the
-// matrix layer's persistent worker pool — block updates no longer spawn
-// goroutines per call — and keeps the historical semantics: the split is
-// only a scheduling choice (callers use it for disjoint-output block
-// updates, so any worker count produces bit-identical results), worker
-// panics re-raise on the rank goroutine where the engine's abort recovery
-// lives, and workers ≤ 1 (or n ≤ 1) runs inline.
-func parallelDo(workers, n int, fn func(i int)) {
-	matrix.ParallelDo(workers, n, fn)
-}
 
 // Send delivers a copy of data to dst under tag. Sending to yourself is
 // allowed and does not count as traffic (local data). Send never blocks.

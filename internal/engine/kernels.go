@@ -227,15 +227,29 @@ func runSteps(c *Comm, s *BlockStore, nb int, body func(k int) error) error {
 }
 
 // update adds alpha·left[bi]·right(bj) to each block (bi, bj) of mine in
-// one compute span: the outputs are disjoint, so splitting them across the
-// rank's workers is bit-identical to the serial loop.
+// one compute span, as one matrix.AddMulBlocks batch: every distinct left
+// block and every distinct right(bj), evaluated once per column, is packed
+// once, and then only the block products are split across the rank's
+// workers. The outputs are disjoint, so every worker count gives the bits
+// of the serial loop.
 func update(c *Comm, s *BlockStore, label string, mine [][2]int, alpha float64, left map[int]*matrix.Dense, right func(bj int) *matrix.Dense) error {
 	return c.Compute(label, func() error {
-		mode := c.Numerics()
-		parallelDo(c.Parallelism(), len(mine), func(i int) {
-			bi, bj := mine[i][0], mine[i][1]
-			s.Get(bi, bj).AddMulNumerics(alpha, left[bi], right(bj), mode)
-		})
+		var lefts, rights []*matrix.Dense
+		li, rj := map[int]int{}, map[int]int{}
+		blocks := make([]matrix.BlockUpdate, len(mine))
+		for t, pos := range mine {
+			bi, bj := pos[0], pos[1]
+			if _, ok := li[bi]; !ok {
+				li[bi] = len(lefts)
+				lefts = append(lefts, left[bi])
+			}
+			if _, ok := rj[bj]; !ok {
+				rj[bj] = len(rights)
+				rights = append(rights, right(bj))
+			}
+			blocks[t] = matrix.BlockUpdate{Out: s.Get(bi, bj), Left: li[bi], Right: rj[bj]}
+		}
+		matrix.AddMulBlocks(alpha, lefts, rights, blocks, c.Numerics(), c.Parallelism())
 		return nil
 	})
 }
@@ -391,11 +405,8 @@ func Cholesky(c *Comm, d distribution.Distribution, a *BlockStore) error {
 		case bj > bi:
 			blk.Zero()
 		case bj == bi:
-			n, _ := blk.Dims()
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					blk.Set(i, j, 0)
-				}
+			for i := 0; i < blk.Rows(); i++ {
+				clear(blk.RawRow(i)[i+1:])
 			}
 		}
 	}

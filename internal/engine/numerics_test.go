@@ -52,9 +52,11 @@ func runEngineMM(t *testing.T, opts Options, d interface {
 	return got
 }
 
+// r = 20 puts the block products on the packed Fast tile with a rim of 2
+// rows and 4 columns.
 func TestMMFastNumerics(t *testing.T) {
 	rng := rand.New(rand.NewSource(511))
-	const nb, r = 6, 4
+	const nb, r = 6, 20
 	a := matrix.Random(nb*r, nb*r, rng)
 	b := matrix.Random(nb*r, nb*r, rng)
 	for _, d := range engineDistributions(t, nb) {
@@ -91,7 +93,7 @@ func TestMMFastNumerics(t *testing.T) {
 
 func TestLUFastMatchesFastReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(512))
-	const nb, r = 6, 4
+	const nb, r = 6, 20
 	a := matrix.RandomWellConditioned(nb*r, rng)
 	for _, d := range engineDistributions(t, nb) {
 		fastRep, err := kernels.ReplayLUNumerics(d, a, matrix.Fast)

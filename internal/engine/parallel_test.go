@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"hetgrid/internal/kernels"
@@ -10,78 +9,36 @@ import (
 )
 
 // The intra-rank parallelism contract: any Options.Parallelism value must
-// produce results bit-identical to the serial replay, because work is only
-// ever split across disjoint output blocks (and disjoint row bands inside
-// the matrix layer). These tests mirror the golden tests with workers > 1.
+// produce results bit-identical to the serial replay, because a step's
+// update packs its operands first and then splits only the block products,
+// whose outputs are disjoint. These tests mirror the golden tests with
+// workers > 1.
 
 var parallelWorkerCounts = []int{2, 3, 8}
 
-func TestParallelDo(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 7, 16} {
-		for _, n := range []int{0, 1, 2, 5, 16, 33} {
-			hits := make([]int32, n)
-			parallelDo(workers, n, func(i int) {
-				atomic.AddInt32(&hits[i], 1)
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelDoRepanics(t *testing.T) {
-	defer func() {
-		if p := recover(); p == nil {
-			t.Fatal("worker panic not re-raised on the caller")
-		}
-	}()
-	parallelDo(4, 8, func(i int) {
-		if i == 5 {
-			panic("boom")
-		}
-	})
-}
+// parallelBlockSizes: at r = 3 every block product runs the scalar
+// reference; r = 20 takes the packed path the engine runs at r = 32, with a
+// rim on both tiles (4 columns of the 4×8 Strict tile; 2 rows and 4 columns
+// of the 6×8 Fast tile).
+var parallelBlockSizes = []int{3, 20}
 
 func TestMMParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
-	const nb, r = 6, 3
-	a := matrix.Random(nb*r, nb*r, rng)
-	b := matrix.Random(nb*r, nb*r, rng)
-	for _, d := range engineDistributions(t, nb) {
-		rep, err := kernels.ReplayMM(d, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bk := range allBroadcastKinds {
-			for _, workers := range parallelWorkerCounts {
-				var got *matrix.Dense
-				_, err := RunOpts(4, Options{Broadcast: bk.kind, Parallelism: workers}, func(c *Comm) error {
-					s1, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-					if err != nil {
-						return err
+	const nb = 6
+	for _, r := range parallelBlockSizes {
+		a := matrix.Random(nb*r, nb*r, rng)
+		b := matrix.Random(nb*r, nb*r, rng)
+		for _, d := range engineDistributions(t, nb) {
+			rep, err := kernels.ReplayMM(d, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bk := range allBroadcastKinds {
+				for _, workers := range parallelWorkerCounts {
+					got := runEngineMM(t, Options{Broadcast: bk.kind, Parallelism: workers}, d, a, b, r)
+					if !got.Equal(rep.C) {
+						t.Fatalf("%s/%s/r=%d/p=%d: parallel MM not bit-identical to replay", d.Name(), bk.name, r, workers)
 					}
-					s2, err := Scatter(c, d, pick(c.Rank() == 0, b), r)
-					if err != nil {
-						return err
-					}
-					cs, err := MM(c, d, s1, s2)
-					if err != nil {
-						return err
-					}
-					full, err := Gather(c, d, cs)
-					if c.Rank() == 0 {
-						got = full
-					}
-					return err
-				})
-				if err != nil {
-					t.Fatalf("%s/%s/p=%d: %v", d.Name(), bk.name, workers, err)
-				}
-				if !got.Equal(rep.C) {
-					t.Fatalf("%s/%s/p=%d: parallel MM not bit-identical to replay", d.Name(), bk.name, workers)
 				}
 			}
 		}
@@ -90,34 +47,36 @@ func TestMMParallelBitIdentical(t *testing.T) {
 
 func TestLUParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(312))
-	const nb, r = 6, 3
-	a := matrix.RandomWellConditioned(nb*r, rng)
-	for _, d := range engineDistributions(t, nb) {
-		rep, err := kernels.ReplayLU(d, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range parallelWorkerCounts {
-			var got *matrix.Dense
-			_, err := RunOpts(4, Options{Parallelism: workers}, func(c *Comm) error {
-				s, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-				if err != nil {
-					return err
-				}
-				if err := LU(c, d, s); err != nil {
-					return err
-				}
-				full, err := Gather(c, d, s)
-				if c.Rank() == 0 {
-					got = full
-				}
-				return err
-			})
+	const nb = 6
+	for _, r := range parallelBlockSizes {
+		a := matrix.RandomWellConditioned(nb*r, rng)
+		for _, d := range engineDistributions(t, nb) {
+			rep, err := kernels.ReplayLU(d, a)
 			if err != nil {
-				t.Fatalf("%s/p=%d: %v", d.Name(), workers, err)
+				t.Fatal(err)
 			}
-			if !got.Equal(rep.C) {
-				t.Fatalf("%s/p=%d: parallel LU not bit-identical to replay", d.Name(), workers)
+			for _, workers := range parallelWorkerCounts {
+				var got *matrix.Dense
+				_, err := RunOpts(4, Options{Parallelism: workers}, func(c *Comm) error {
+					s, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
+					if err != nil {
+						return err
+					}
+					if err := LU(c, d, s); err != nil {
+						return err
+					}
+					full, err := Gather(c, d, s)
+					if c.Rank() == 0 {
+						got = full
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s/r=%d/p=%d: %v", d.Name(), r, workers, err)
+				}
+				if !got.Equal(rep.C) {
+					t.Fatalf("%s/r=%d/p=%d: parallel LU not bit-identical to replay", d.Name(), r, workers)
+				}
 			}
 		}
 	}
@@ -125,34 +84,36 @@ func TestLUParallelBitIdentical(t *testing.T) {
 
 func TestCholeskyParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
-	const nb, r = 6, 3
-	a := matrix.RandomSPD(nb*r, rng)
-	for _, d := range engineDistributions(t, nb) {
-		rep, err := kernels.ReplayCholesky(d, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range parallelWorkerCounts {
-			var got *matrix.Dense
-			_, err := RunOpts(4, Options{Parallelism: workers}, func(c *Comm) error {
-				s, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-				if err != nil {
-					return err
-				}
-				if err := Cholesky(c, d, s); err != nil {
-					return err
-				}
-				full, err := Gather(c, d, s)
-				if c.Rank() == 0 {
-					got = full
-				}
-				return err
-			})
+	const nb = 6
+	for _, r := range parallelBlockSizes {
+		a := matrix.RandomSPD(nb*r, rng)
+		for _, d := range engineDistributions(t, nb) {
+			rep, err := kernels.ReplayCholesky(d, a)
 			if err != nil {
-				t.Fatalf("%s/p=%d: %v", d.Name(), workers, err)
+				t.Fatal(err)
 			}
-			if !got.Equal(rep.C) {
-				t.Fatalf("%s/p=%d: parallel Cholesky not bit-identical to replay", d.Name(), workers)
+			for _, workers := range parallelWorkerCounts {
+				var got *matrix.Dense
+				_, err := RunOpts(4, Options{Parallelism: workers}, func(c *Comm) error {
+					s, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
+					if err != nil {
+						return err
+					}
+					if err := Cholesky(c, d, s); err != nil {
+						return err
+					}
+					full, err := Gather(c, d, s)
+					if c.Rank() == 0 {
+						got = full
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s/r=%d/p=%d: %v", d.Name(), r, workers, err)
+				}
+				if !got.Equal(rep.C) {
+					t.Fatalf("%s/r=%d/p=%d: parallel Cholesky not bit-identical to replay", d.Name(), r, workers)
+				}
 			}
 		}
 	}

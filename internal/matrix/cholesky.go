@@ -16,7 +16,9 @@ type Cholesky struct {
 var ErrNotPositiveDefinite = fmt.Errorf("matrix: not positive definite: %w", ErrSingular)
 
 // FactorCholesky computes the lower Cholesky factor of a. Only the lower
-// triangle of a is read; the input is not modified.
+// triangle of a is read; the input is not modified. It works on row slices
+// of l: the first j entries of row j hold the k < j terms of every sum in
+// column j, taken in increasing k.
 func FactorCholesky(a *Dense) (*Cholesky, error) {
 	n, c := a.Dims()
 	if n != c {
@@ -25,22 +27,23 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 	l := New(n, n)
 	for j := 0; j < n; j++ {
 		// Diagonal: l_jj = sqrt(a_jj - Σ_k l_jk²).
-		sum := a.At(j, j)
-		for k := 0; k < j; k++ {
-			v := l.At(j, k)
+		lj := l.data[j*l.stride : j*l.stride+j]
+		sum := a.data[j*a.stride+j]
+		for _, v := range lj {
 			sum -= v * v
 		}
 		if sum <= 0 {
 			return nil, ErrNotPositiveDefinite
 		}
 		d := math.Sqrt(sum)
-		l.Set(j, j, d)
+		l.data[j*l.stride+j] = d
 		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			li := l.data[i*l.stride : i*l.stride+j]
+			s := a.data[i*a.stride+j]
+			for k, v := range li {
+				s -= v * lj[k]
 			}
-			l.Set(i, j, s/d)
+			l.data[i*l.stride+j] = s / d
 		}
 	}
 	return &Cholesky{L: l}, nil

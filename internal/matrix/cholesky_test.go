@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,51 @@ func TestCholeskyReconstruction(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// factorCholeskyAtSet is FactorCholesky as it was before it moved to row
+// slices: the same sums in the same order, indexed through At and Set.
+func factorCholeskyAtSet(a *Dense) *Dense {
+	n := a.rows
+	l := New(n, n)
+	for j := 0; j < n; j++ {
+		sum := a.At(j, j)
+		for k := 0; k < j; k++ {
+			v := l.At(j, k)
+			sum -= v * v
+		}
+		d := math.Sqrt(sum)
+		l.Set(j, j, d)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, s/d)
+		}
+	}
+	return l
+}
+
+// TestCholeskyRowSlicesMatchAtSet pins that the row-slice factor performs
+// the At/Set loop's operations in the same order: every factor, of compact
+// and strided inputs, is bit-identical.
+func TestCholeskyRowSlicesMatchAtSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(116))
+	for _, n := range []int{1, 2, 7, 32, 33, 64} {
+		spd := RandomSPD(n, rng)
+		view := randomOperand(rng, n, n, true, false)
+		view.CopyFrom(spd)
+		for _, a := range []*Dense{spd, view} {
+			f, err := FactorCholesky(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitIdentical(f.L, factorCholeskyAtSet(a)) {
+				t.Fatalf("n=%d: the row-slice factor differs from the At/Set loop", n)
+			}
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package matrix provides the dense linear algebra substrate used throughout
 // hetgrid: a column-stride row-major Dense matrix type, the BLAS-like
-// building blocks (GEMM, rank-k updates, triangular solves), and the
-// LAPACK-like factorizations (LU with partial pivoting, Householder QR) that
-// the ScaLAPACK-style distributed kernels are built from.
+// building blocks (GEMM, a step's batch of block updates, triangular
+// solves), and the LAPACK-like factorizations (unpivoted LU, Cholesky,
+// Householder QR) that the ScaLAPACK-style distributed kernels are built
+// from.
 //
 // Everything is pure Go and stdlib-only. The package favours clarity and
 // numerical robustness over peak flop rates: hetgrid uses it to verify that

@@ -9,12 +9,12 @@ import (
 
 //
 // This file compares implementations of the Householder apply, of the
-// tall-panel factor and of the Fast GEMM's rim tiles side by side; qr.go and
-// gemm.go ship the winners, the others live here only — qtmulColumns and
-// factorQRAlt also as the references qr_test.go checks the shipped code
-// against, as AddMulScalar is for GEMM.
+// tall-panel factor, of the Fast GEMM's rim tiles and of a step's trailing
+// update side by side; qr.go and gemm.go ship the winners, the others live
+// here only — qtmulColumns and factorQRAlt also as the references qr_test.go
+// checks the shipped code against, as AddMulScalar is for GEMM.
 //
-//	go test ./internal/matrix -run '^$' -bench 'DevelQTMul|DevelPanelQR|DevelFastRim' -benchmem
+//	go test ./internal/matrix -run '^$' -bench 'DevelQTMul|DevelPanelQR|DevelFastRim|DevelBlockUpdate' -benchmem
 //
 
 // qtmulColumns is the apply this package had before: one reflector and one
@@ -230,7 +230,7 @@ var develSink *QR
 // ran on padded panels: full 6×8 tiles on the assembly kernel, every partial
 // tile on gemmMicroEdgeFMA.
 func (m *Dense) addMulPackedFMAEdge(alpha float64, a, b *Dense) {
-	bufs := gemmPool.Get().(*gemmBuffers)
+	bufs := gemmPool.Get().(*gemmScratch)
 	bufs.a = ensure(bufs.a, gemmMC*gemmKC)
 	bufs.b = ensure(bufs.b, gemmKC*gemmNC)
 	bigM, bigK, bigN := a.rows, a.cols, b.cols
@@ -301,5 +301,40 @@ func BenchmarkDevelFastRim(b *testing.B) {
 		benchKernel(b, "strict", n, flops, func() error { c.AddMulNumerics(1, x, y, Strict); return nil })
 		benchKernel(b, "fast-edge", n, flops, func() error { c.addMulPackedFMAEdge(1, x, y); return nil })
 		benchKernel(b, "fast-padded", n, flops, func() error { c.AddMulNumerics(1, x, y, Fast); return nil })
+	}
+}
+
+// BenchmarkDevelBlockUpdate times one step's trailing update over a 16×16
+// set of r×r blocks two ways: per-block, AddMulNumerics on every block,
+// which packs both operands of all 256 products (the loop the engine ran
+// before), and batched, one AddMulBlocks call, which packs each of the 16
+// lefts and 16 rights once. The two are asserted Equal before either is
+// timed.
+func BenchmarkDevelBlockUpdate(b *testing.B) {
+	const nb = 16
+	for _, r := range []int{32, 64} {
+		u, c := newStepUpdate(rand.New(rand.NewSource(32)), nb, r, r)
+		start := c.Clone()
+		flops := 2 * cube(r) * nb * nb
+		for _, mode := range kernelContracts {
+			perBlock := func() error {
+				for i := range u.c {
+					u.c[i].AddMulNumerics(1, u.a[i], u.b[i], mode)
+				}
+				return nil
+			}
+			batch := u.batch(mode, 1)
+			batched := func() error { batch(); return nil }
+			c.CopyFrom(start)
+			perBlock()
+			want := c.Clone()
+			c.CopyFrom(start)
+			batched()
+			if !c.Equal(want) {
+				b.Fatalf("r=%d %v: AddMulBlocks is not Equal to per-block AddMulNumerics", r, mode)
+			}
+			benchKernel(b, "per-block/"+mode.String(), r, flops, perBlock)
+			benchKernel(b, "batched/"+mode.String(), r, flops, batched)
+		}
 	}
 }

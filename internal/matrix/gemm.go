@@ -13,14 +13,16 @@ import (
 // The structure is the classic three-level cache blocking (Goto/BLIS):
 //
 //	for jc over N in steps of gemmNC        C column slab
-//	  for pc over K in steps of gemmKC      pack B(pc:pc+kc, jc:jc+nc)
-//	    for ic over M in steps of gemmMC    pack alpha·A(ic:ic+mc, pc:pc+kc)
+//	  for pc over K in steps of gemmKC      packed B(pc:pc+kc, jc:jc+nc)
+//	    for ic over M in steps of gemmMC    packed alpha·A(ic:ic+mc, pc:pc+kc)
 //	      macro kernel: gemmMR×gemmNR register tiles over the packed panels
 //
 // A is packed into row panels of gemmMR rows (k-major, so the micro-kernel
 // streams it sequentially) with alpha folded in during packing; B is packed
 // into column panels of gemmNR columns. The packed A block (mc×kc) is sized
-// for L2, one packed B column panel (kc×nr) for L1.
+// for L2, one packed B column panel (kc×nr) for L1. Both operands are packed
+// whole, block by block in this order, before the macro kernels run, so one
+// packing serves every product an operand enters (AddMulBlocks).
 //
 // Determinism contract: for every output element C[i,j] the products
 // alpha·A[i,k]·B[k,j] are accumulated in strictly increasing k order, each as
@@ -42,6 +44,11 @@ import (
 // serial replay's strided view of the whole matrix, the engine's gathered
 // slab and a slab master's several block columns at once all get the same
 // bits, whatever the stride, width, tile or rim.
+//
+// AddMulBlocks, a rank's whole trailing update in one call, is the third:
+// it packs each distinct operand once and runs the same macro kernels on
+// the same packed panels, so every block it updates gets the bits
+// AddMulNumerics would give it alone — the serial replays' bits.
 
 // Cache / register blocking parameters. gemmMR×gemmNR is the register tile;
 // gemmKC×gemmNR (one packed B panel) should fit L1 and gemmMC×gemmKC (the
@@ -72,14 +79,28 @@ const (
 // performance knob.
 const gemmScalarFlops = 16 * 16 * 16
 
-// gemmBuffers holds one reusable pair of packing buffers. They are pooled so
-// steady-state block updates (the engine performs thousands per run) do not
-// allocate at all.
-type gemmBuffers struct {
+// gemmScratch is the packed path's pooled state: the packed operands — one
+// product's in AddMul, every left's and right's of a batch in AddMulBlocks —
+// and what a batch's products read. Pooled so that steady-state block
+// updates (the engine performs thousands per run) allocate nothing; run is
+// product, bound once when the pool makes the value.
+type gemmScratch struct {
 	a, b []float64
+
+	alpha         float64
+	lefts, rights []*Dense
+	blocks        []BlockUpdate
+	tile          gemmTile
+	k, lsz, rsz   int
+	small, fma    bool
+	run           func(i int)
 }
 
-var gemmPool = sync.Pool{New: func() any { return new(gemmBuffers) }}
+var gemmPool = sync.Pool{New: func() any {
+	s := new(gemmScratch)
+	s.run = s.product
+	return s
+}}
 
 // ensure grows s to at least n elements, reusing capacity when present.
 func ensure(s []float64, n int) []float64 {
@@ -89,59 +110,191 @@ func ensure(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// addMulPacked is the packed GEMM driver behind AddMul. Callers have already
-// validated shapes and handled alpha == 0.
-func (m *Dense) addMulPacked(alpha float64, a, b *Dense) {
-	bufs := gemmPool.Get().(*gemmBuffers)
-	bufs.a = ensure(bufs.a, gemmMC*gemmKC)
-	bufs.b = ensure(bufs.b, gemmKC*gemmNC)
-	nr := gemmTileN()
-	bigM, bigK, bigN := a.rows, a.cols, b.cols
-	for jc := 0; jc < bigN; jc += gemmNC {
-		nc := min(gemmNC, bigN-jc)
-		for pc := 0; pc < bigK; pc += gemmKC {
-			kc := min(gemmKC, bigK-pc)
-			packB(bufs.b, b, pc, jc, kc, nc, nr)
-			for ic := 0; ic < bigM; ic += gemmMC {
-				mc := min(gemmMC, bigM-ic)
-				packA(bufs.a, a, alpha, ic, pc, mc, kc, gemmMR)
-				gemmMacro(m, bufs.a, bufs.b, ic, jc, mc, nc, kc, nr)
-			}
-		}
-	}
-	gemmPool.Put(bufs)
+// gemmTile is what the packed path packs for and runs on. Strict packs the
+// left operand into row panels of gemmMR rows in row blocks of gemmMC and
+// the right into column panels gemmTileN() wide, rim panels tight, and runs
+// gemmMacro. Fast (fma) packs for the 6×8 fused tile in row blocks of
+// gemmMCFMA, zero-pads the rim panels to the full tile (padRim), and runs
+// gemmMacroFMA.
+type gemmTile struct {
+	mr, mc, nr int
+	fma        bool
 }
 
-// addMulPackedFMA is the Fast-mode packed path: addMulPacked's blocking,
-// packed for the 6×8 fused tile over padded panels, every tile on the FMA
-// micro-kernel. Only reachable when gemmHaveFMA. Bit-identical to the
-// math.FMA scalar reference addMulScalarFMA.
-func (m *Dense) addMulPackedFMA(alpha float64, a, b *Dense) {
-	fastDispatch.Add(1)
-	bufs := gemmPool.Get().(*gemmBuffers)
-	bufs.a = ensure(bufs.a, gemmMC*gemmKC)
-	bufs.b = ensure(bufs.b, gemmKC*gemmNC)
-	bigM, bigK, bigN := a.rows, a.cols, b.cols
-	for jc := 0; jc < bigN; jc += gemmNC {
-		nc := min(gemmNC, bigN-jc)
-		for pc := 0; pc < bigK; pc += gemmKC {
-			kc := min(gemmKC, bigK-pc)
-			packB(bufs.b, b, pc, jc, kc, nc, gemmNRFMA)
-			padRim(bufs.b, nc, kc, gemmNRFMA)
-			for ic := 0; ic < bigM; ic += gemmMCFMA {
-				mc := min(gemmMCFMA, bigM-ic)
-				packA(bufs.a, a, alpha, ic, pc, mc, kc, gemmMRFMA)
-				padRim(bufs.a, mc, kc, gemmMRFMA)
-				gemmMacroFMA(m, bufs.a, bufs.b, ic, jc, mc, nc, kc)
+func tileFor(fma bool) gemmTile {
+	if fma {
+		return gemmTile{mr: gemmMRFMA, mc: gemmMCFMA, nr: gemmNRFMA, fma: true}
+	}
+	return gemmTile{mr: gemmMR, mc: gemmMC, nr: gemmTileN()}
+}
+
+// padded is the extent n takes in panels of width w: n itself when rims are
+// tight, n rounded up to w when they are padded.
+func (t gemmTile) padded(n, w int) int {
+	if t.fma {
+		return (n + w - 1) / w * w
+	}
+	return n
+}
+
+// blocks is the packed path's one loop nest: it calls fn for every cache
+// block of an m×k·k×n product — column slabs of gemmNC, depth panels of
+// gemmKC, row blocks of t.mc — in that order, so every output accumulates
+// its depth panels in increasing k. Packing a whole operand walks the same
+// blocks with the other operand's extent set to 1.
+func (t gemmTile) blocks(m, k, n int, fn func(ic, pc, jc, mc, kc, nc int)) {
+	for jc := 0; jc < n; jc += gemmNC {
+		nc := min(gemmNC, n-jc)
+		for pc := 0; pc < k; pc += gemmKC {
+			kc := min(gemmKC, k-pc)
+			for ic := 0; ic < m; ic += t.mc {
+				fn(ic, pc, jc, min(t.mc, m-ic), kc, nc)
 			}
 		}
 	}
-	gemmPool.Put(bufs)
+}
+
+// An operand is packed whole, one cache block after another: a left
+// operand's block (ic, pc) at pc·M̃ + ic·kc, a right operand's block (pc, jc)
+// at jc·K + pc·ñc, where M̃ and ñc are padded extents. Every block but the
+// last along an axis is a whole number of panels, so the offsets are exact,
+// and each block holds what packA or packB (then padRim) put there.
+
+// leftSize and rightSize are the lengths of a packed m×k left and k×n right.
+func (t gemmTile) leftSize(m, k int) int  { return t.padded(m, t.mr) * k }
+func (t gemmTile) rightSize(k, n int) int { return k * t.padded(n, t.nr) }
+
+// packLeft packs alpha·a into dst.
+func (t gemmTile) packLeft(dst []float64, a *Dense, alpha float64) {
+	mp := t.padded(a.rows, t.mr)
+	t.blocks(a.rows, a.cols, 1, func(ic, pc, _, mc, kc, _ int) {
+		blk := dst[pc*mp+ic*kc:]
+		packA(blk, a, alpha, ic, pc, mc, kc, t.mr)
+		if t.fma {
+			padRim(blk, mc, kc, t.mr)
+		}
+	})
+}
+
+// packRight packs b into dst.
+func (t gemmTile) packRight(dst []float64, b *Dense) {
+	t.blocks(1, b.rows, b.cols, func(_, pc, jc, _, kc, nc int) {
+		blk := dst[jc*b.rows+pc*t.padded(nc, t.nr):]
+		packB(blk, b, pc, jc, kc, nc, t.nr)
+		if t.fma {
+			padRim(blk, nc, kc, t.nr)
+		}
+	})
+}
+
+// multiply adds the product of a packed left pa and a packed right pb, of
+// inner dimension k, to c: one macro kernel per cache block.
+func (t gemmTile) multiply(c *Dense, pa, pb []float64, k int) {
+	mp := t.padded(c.rows, t.mr)
+	t.blocks(c.rows, k, c.cols, func(ic, pc, jc, mc, kc, nc int) {
+		a, b := pa[pc*mp+ic*kc:], pb[jc*k+pc*t.padded(nc, t.nr):]
+		if t.fma {
+			gemmMacroFMA(c, a, b, ic, jc, mc, nc, kc)
+		} else {
+			gemmMacro(c, a, b, ic, jc, mc, nc, kc, t.nr)
+		}
+	})
+}
+
+// addMulPacked is the packed GEMM behind one AddMul: pack both operands,
+// multiply. Callers have already validated shapes and handled alpha == 0.
+// The Fast tile (reachable only when gemmHaveFMA) is bit-identical to the
+// math.FMA scalar reference addMulScalarFMA.
+func (m *Dense) addMulPacked(alpha float64, a, b *Dense, t gemmTile) {
+	if t.fma {
+		fastDispatch.Add(1)
+	}
+	s := gemmPool.Get().(*gemmScratch)
+	s.a = ensure(s.a, t.leftSize(a.rows, a.cols))
+	s.b = ensure(s.b, t.rightSize(b.rows, b.cols))
+	t.packLeft(s.a, a, alpha)
+	t.packRight(s.b, b)
+	t.multiply(m, s.a, s.b, a.cols)
+	gemmPool.Put(s)
+}
+
+// BlockUpdate is one product of an AddMulBlocks batch:
+// Out += alpha·lefts[Left]·rights[Right].
+type BlockUpdate struct {
+	Out         *Dense
+	Left, Right int
+}
+
+// AddMulBlocks performs every update of blocks, Out += alpha·left·right,
+// bit for bit as AddMulNumerics would one at a time. Every left must be m×k,
+// every right k×n and every output m×n. Each left (alpha folded in) and each
+// right is packed once, however many products it enters — so pass only
+// operands some block uses — and then the products, each a macro-kernel
+// sweep over packed panels, are split across at most workers executors
+// (parallelDo). Outputs must be pairwise disjoint and overlap no operand, so
+// every worker count gives the same bits. Below the scalar cutoff each
+// product runs its mode's scalar reference, as AddMulNumerics does.
+func AddMulBlocks(alpha float64, lefts, rights []*Dense, blocks []BlockUpdate, mode Numerics, workers int) {
+	if len(blocks) == 0 {
+		return
+	}
+	m, k := lefts[0].rows, lefts[0].cols
+	n := rights[0].cols
+	for _, a := range lefts {
+		if a.rows != m || a.cols != k {
+			panic(fmt.Sprintf("matrix: AddMulBlocks left %d×%d beside %d×%d", a.rows, a.cols, m, k))
+		}
+	}
+	for _, b := range rights {
+		if b.rows != k || b.cols != n {
+			panic(fmt.Sprintf("matrix: AddMulBlocks right %d×%d beside %d×%d", b.rows, b.cols, k, n))
+		}
+	}
+	for _, u := range blocks {
+		u.Out.checkAddMul(lefts[u.Left], rights[u.Right])
+	}
+	if alpha == 0 {
+		return
+	}
+	s := gemmPool.Get().(*gemmScratch)
+	s.alpha, s.lefts, s.rights, s.blocks, s.k = alpha, lefts, rights, blocks, k
+	s.small, s.fma = gemmSmall(m, k, n), mode == Fast && gemmHaveFMA
+	if !s.small {
+		s.tile = tileFor(s.fma)
+		s.lsz, s.rsz = s.tile.leftSize(m, k), s.tile.rightSize(k, n)
+		s.a = ensure(s.a, len(lefts)*s.lsz)
+		s.b = ensure(s.b, len(rights)*s.rsz)
+		for i, a := range lefts {
+			s.tile.packLeft(s.a[i*s.lsz:], a, alpha)
+		}
+		for j, b := range rights {
+			s.tile.packRight(s.b[j*s.rsz:], b)
+		}
+		if s.fma {
+			fastDispatch.Add(int64(len(blocks)))
+		}
+	}
+	parallelDo(workers, len(blocks), s.run)
+	s.lefts, s.rights, s.blocks = nil, nil, nil
+	gemmPool.Put(s)
+}
+
+// product runs the batch's block i.
+func (s *gemmScratch) product(i int) {
+	u := s.blocks[i]
+	switch {
+	case !s.small:
+		s.tile.multiply(u.Out, s.a[u.Left*s.lsz:], s.b[u.Right*s.rsz:], s.k)
+	case s.fma:
+		u.Out.addMulScalarFMA(s.alpha, s.lefts[u.Left], s.rights[u.Right])
+	default:
+		u.Out.addMulScalar(s.alpha, s.lefts[u.Left], s.rights[u.Right])
+	}
 }
 
 // padRim zero-pads, in place, the tight rim panel packA or packB left (extent
 // n, panels of w) to width w; k runs down, so no lane is overwritten unread.
-// The padded block fits the buffers: gemmMCFMA ≤ gemmMC, gemmNRFMA | gemmNC.
+// The padded panel fits: leftSize and rightSize count padded extents.
 func padRim(packed []float64, n, kc, w int) {
 	if eff := n % w; eff > 0 {
 		panel := packed[(n-eff)*kc:]
@@ -385,18 +538,18 @@ func (m *Dense) addMulDispatch(alpha float64, a, b *Dense) {
 // whole Fast path is bit-identical to AddMulScalarFMA; elsewhere Fast is
 // Strict.
 func (m *Dense) addMulDispatchMode(alpha float64, a, b *Dense, mode Numerics) {
-	small := a.rows*a.cols*b.cols <= gemmScalarFlops || a.cols < gemmNR
-	if mode == Fast && gemmHaveFMA {
-		if small {
-			m.addMulScalarFMA(alpha, a, b)
-			return
-		}
-		m.addMulPackedFMA(alpha, a, b)
-		return
-	}
-	if small {
+	fma := mode == Fast && gemmHaveFMA
+	switch {
+	case !gemmSmall(a.rows, a.cols, b.cols):
+		m.addMulPacked(alpha, a, b, tileFor(fma))
+	case fma:
+		m.addMulScalarFMA(alpha, a, b)
+	default:
 		m.addMulScalar(alpha, a, b)
-		return
 	}
-	m.addMulPacked(alpha, a, b)
+}
+
+// gemmSmall reports whether an m×k·k×n product is under the packing cutoff.
+func gemmSmall(m, k, n int) bool {
+	return m*k*n <= gemmScalarFlops || k < gemmNR
 }

@@ -31,11 +31,11 @@ func TestGemmGoTileMatchesAVX(t *testing.T) {
 
 		gemmHaveAVX = true
 		avx := c0.Clone()
-		avx.addMulPacked(1.25, a, b)
+		avx.addMulPacked(1.25, a, b, tileFor(false))
 
 		gemmHaveAVX = false
 		plain := c0.Clone()
-		plain.addMulPacked(1.25, a, b)
+		plain.addMulPacked(1.25, a, b, tileFor(false))
 		gemmHaveAVX = saved
 
 		if !bitIdentical(avx, plain) {
@@ -159,4 +159,12 @@ func forceGoTile(t *testing.T) {
 	saved := gemmHaveAVX
 	gemmHaveAVX = false
 	t.Cleanup(func() { gemmHaveAVX = saved })
+}
+
+// forceNoFMA runs Fast on the Strict path until the test ends, as CPUs
+// without AVX2+FMA do.
+func forceNoFMA(t *testing.T) {
+	saved := gemmHaveFMA
+	gemmHaveFMA = false
+	t.Cleanup(func() { gemmHaveFMA = saved })
 }

@@ -7,3 +7,6 @@ import "testing"
 // forceGoTile is a no-op off amd64: the pure-Go register tile is the only
 // one there.
 func forceGoTile(*testing.T) {}
+
+// forceNoFMA is a no-op off amd64: Fast always runs the Strict path there.
+func forceNoFMA(*testing.T) {}

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -102,12 +103,61 @@ func TestGemmPackedMatchesScalarProperty(t *testing.T) {
 		want := c0.Clone()
 		want.addMulScalar(alpha, a, b)
 		got := c0.Clone()
-		got.addMulPacked(alpha, a, b)
+		got.addMulPacked(alpha, a, b, tileFor(false))
 		if !bitIdentical(got, want) {
 			t.Fatalf("it=%d m=%d k=%d n=%d alpha=%v strided=%v specials=%v: packed differs from scalar",
 				it, m, k, n, alpha, strided, specials)
 		}
 	}
+}
+
+// allTiles runs body under every register tile a CPU may take: bothTiles'
+// two, and Fast forced onto the Strict path as on CPUs without AVX2+FMA.
+func allTiles(t *testing.T, body func(t *testing.T)) {
+	bothTiles(t, body)
+	t.Run("no-fma tile", func(t *testing.T) {
+		forceNoFMA(t)
+		body(t)
+	})
+}
+
+// TestAddMulBlocksMatchesPerBlock is the batched update's contract: a batch
+// leaves every output bit-identical to AddMulNumerics applied block by
+// block. Three lefts and two rights enter four products — left 0 and both
+// rights twice — under both numerics modes, every tile and α ∈ {−1, 0.5, 0},
+// at block orders on both sides of the scalar cutoff (16, 17), gemmMCFMA
+// (127), gemmMC (129) and gemmKC (257). Outputs and some operands are
+// strided views; left 2 carries NaN and ±Inf, so its product is compared by
+// NaN-ness; the worker count varies with the order.
+func TestAddMulBlocksMatchesPerBlock(t *testing.T) {
+	products := []BlockUpdate{{Left: 0, Right: 1}, {Left: 1, Right: 1}, {Left: 0, Right: 0}, {Left: 2, Right: 0}}
+	allTiles(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		for _, r := range []int{1, 5, 16, 17, 32, 33, 64, 127, 129, 257} {
+			lefts := []*Dense{randomOperand(rng, r, r, false, false), randomOperand(rng, r, r, true, false), randomOperand(rng, r, r, false, false)}
+			lefts[2].Set(r-1, 0, math.NaN())
+			lefts[2].Set(0, r-1, math.Inf(1))
+			lefts[2].Set(r/2, r/2, math.Inf(-1))
+			rights := []*Dense{randomOperand(rng, r, r, true, false), randomOperand(rng, r, r, false, false)}
+			for _, mode := range []Numerics{Strict, Fast} {
+				for _, alpha := range []float64{-1, 0.5, 0} {
+					blocks := slices.Clone(products)
+					want := make([]*Dense, len(blocks))
+					for i := range blocks {
+						blocks[i].Out = randomOperand(rng, r, r, true, false)
+						want[i] = blocks[i].Out.Clone()
+						want[i].AddMulNumerics(alpha, lefts[blocks[i].Left], rights[blocks[i].Right], mode)
+					}
+					AddMulBlocks(alpha, lefts, rights, blocks, mode, 1+r%3)
+					for i, u := range blocks {
+						if !bitIdentical(u.Out, want[i]) {
+							t.Fatalf("r=%d %v alpha=%v: block %d differs from AddMulNumerics", r, mode, alpha, i)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestAddMulDispatchMatchesScalar covers the public entry point (with its

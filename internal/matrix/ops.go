@@ -193,8 +193,9 @@ func (m *Dense) SolveUpperScalar(b *Dense) error {
 
 // SolveUpperRight solves x*U = b in place over the rows of the receiver,
 // i.e. it overwrites m with m * U^{-1}. U must be square upper triangular
-// with m.Cols() == U.Rows(). This is the triangular update applied to the
-// U-panel rows during right-looking LU. Returns ErrSingular on a zero
+// with m.Cols() == U.Rows(). This is the panel solve of the right-looking
+// factorizations: LU's L panel, A(i,k)·U(k,k)⁻¹, and Cholesky's panel,
+// A(i,k)·L(k,k)⁻ᵀ with U = L(k,k)ᵀ. Returns ErrSingular on a zero
 // diagonal.
 func (m *Dense) SolveUpperRight(u *Dense) error {
 	if u.rows != u.cols || m.cols != u.rows {

@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// This file is the compute layer's persistent worker pool: what ParallelDo
-// — the engine's fan-out of one step's block updates across a rank's cores —
-// runs on. A distributed run makes thousands of such calls per
+// This file is the compute layer's persistent worker pool: what parallelDo
+// — AddMulBlocks' fan-out of one step's block products across a rank's
+// cores — runs on. A distributed run makes thousands of such calls per
 // factorization, so instead of spawning goroutines per call a fixed set of
 // lazily-started workers is fed by one buffered channel of by-value task
 // descriptors:
@@ -16,7 +16,7 @@ import (
 //   - a task is a plain struct, so a submission is a channel copy — no
 //     per-call heap allocation;
 //   - completion groups are recycled through a sync.Pool, so a steady-state
-//     ParallelDo allocates nothing (pinned by TestParallelDoZeroAlloc);
+//     parallelDo allocates nothing (pinned by TestParallelDoZeroAlloc);
 //   - when the queue is full the submitter runs the task inline, so a
 //     submission never blocks on queue capacity;
 //   - idle workers block in a channel receive — quiescent, no spinning —
@@ -26,7 +26,7 @@ import (
 // Callers hand the pool disjoint outputs (whole blocks), so workers never
 // write the same element and any worker count gives the same bits.
 
-// poolTask is one contiguous chunk of a ParallelDo: run fn(lo), …, fn(hi-1)
+// poolTask is one contiguous chunk of a parallelDo: run fn(lo), …, fn(hi-1)
 // and report to g.
 type poolTask struct {
 	fn     func(i int)
@@ -123,16 +123,16 @@ func (g *poolGroup) taskDone() {
 	g.wg.Done()
 }
 
-// ParallelDo runs fn(0), …, fn(n-1) across at most workers concurrent
+// parallelDo runs fn(0), …, fn(n-1) across at most workers concurrent
 // executors in contiguous index chunks, blocking until all return. The
 // caller always executes the first chunk itself; the rest go to the
 // persistent pool. The split is purely a scheduling choice: callers use it
 // for disjoint-output updates, so any worker count produces identical
 // results. A panic in any chunk is re-raised on the caller after all
 // chunks finish. workers ≤ 1 (or n ≤ 1) runs inline with no pool traffic.
-// fn must not call ParallelDo itself: with every worker waiting on chunks
+// fn must not call parallelDo itself: with every worker waiting on chunks
 // queued behind it, nothing would run them.
-func ParallelDo(workers, n int, fn func(i int)) {
+func parallelDo(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}

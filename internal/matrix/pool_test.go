@@ -16,7 +16,7 @@ func TestParallelDo(t *testing.T) {
 		workers, n := tc[0], tc[1]
 		hits := make([]int32, n)
 		var mu sync.Mutex
-		ParallelDo(workers, n, func(i int) {
+		parallelDo(workers, n, func(i int) {
 			mu.Lock()
 			hits[i]++
 			mu.Unlock()
@@ -43,7 +43,7 @@ func TestParallelDoPanic(t *testing.T) {
 					t.Fatalf("panic at index %d: got %v", panicAt, p)
 				}
 			}()
-			ParallelDo(4, 100, func(i int) {
+			parallelDo(4, 100, func(i int) {
 				if i == panicAt {
 					panic("boom")
 				}
@@ -53,11 +53,15 @@ func TestParallelDoPanic(t *testing.T) {
 }
 
 // stepUpdate is the engine's use of the pool in miniature: one step's
-// disjoint output blocks, each receiving c += a·b through AddMulNumerics,
-// fanned out with ParallelDo one block per index. The views are cut up
-// front so that the fan-out itself is all a run costs.
+// disjoint output blocks, each receiving c += a·b — block by block through
+// AddMulNumerics, fanned out with parallelDo one block per index, or as one
+// AddMulBlocks batch over the distinct row blocks of a and column blocks of
+// b. The views are cut up front so that the fan-out itself is all a run
+// costs.
 type stepUpdate struct {
-	c, a, b []*Dense
+	c, a, b       []*Dense
+	lefts, rights []*Dense
+	blocks        []BlockUpdate
 }
 
 // newStepUpdate cuts an nb×nb grid of r×r blocks with inner dimension k.
@@ -66,11 +70,17 @@ func newStepUpdate(rng *rand.Rand, nb, r, k int) (*stepUpdate, *Dense) {
 	b := randomOperand(rng, k, nb*r, false, false)
 	c := randomOperand(rng, nb*r, nb*r, false, false)
 	u := &stepUpdate{}
+	for i := 0; i < nb; i++ {
+		u.lefts = append(u.lefts, a.Slice(i*r, (i+1)*r, 0, k))
+		u.rights = append(u.rights, b.Slice(0, k, i*r, (i+1)*r))
+	}
 	for bi := 0; bi < nb; bi++ {
 		for bj := 0; bj < nb; bj++ {
-			u.c = append(u.c, c.Slice(bi*r, (bi+1)*r, bj*r, (bj+1)*r))
-			u.a = append(u.a, a.Slice(bi*r, (bi+1)*r, 0, k))
-			u.b = append(u.b, b.Slice(0, k, bj*r, (bj+1)*r))
+			out := c.Slice(bi*r, (bi+1)*r, bj*r, (bj+1)*r)
+			u.c = append(u.c, out)
+			u.a = append(u.a, u.lefts[bi])
+			u.b = append(u.b, u.rights[bj])
+			u.blocks = append(u.blocks, BlockUpdate{Out: out, Left: bi, Right: bj})
 		}
 	}
 	return u, c
@@ -80,22 +90,32 @@ func (u *stepUpdate) block(mode Numerics) func(i int) {
 	return func(i int) { u.c[i].AddMulNumerics(1, u.a[i], u.b[i], mode) }
 }
 
+// batch is the whole step as one AddMulBlocks call on workers executors.
+func (u *stepUpdate) batch(mode Numerics, workers int) func() {
+	return func() { AddMulBlocks(1, u.lefts, u.rights, u.blocks, mode, workers) }
+}
+
 // TestParallelDoZeroAlloc pins the allocation contract of the path the
 // engine takes: once the pool, the completion groups and every worker's
 // packing buffers are warm, fanning a step's block updates out allocates
-// nothing — in either numerics mode.
+// nothing — block by block or as one AddMulBlocks batch, in either numerics
+// mode, at the engine's r = 32.
 func TestParallelDoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the pin runs in the non-race matrix")
 	}
 	u, _ := newStepUpdate(rand.New(rand.NewSource(5)), 4, 32, 32)
 	for _, mode := range []Numerics{Strict, Fast} {
-		fn := u.block(mode)
+		fn, batch := u.block(mode), u.batch(mode, 4)
 		for i := 0; i < 10; i++ {
-			ParallelDo(4, 16, fn)
+			parallelDo(4, 16, fn)
+			batch()
 		}
-		if avg := testing.AllocsPerRun(100, func() { ParallelDo(4, 16, fn) }); avg != 0 {
-			t.Errorf("mode=%v: ParallelDo over 16 block updates allocates %.2f per call in steady state", mode, avg)
+		if avg := testing.AllocsPerRun(100, func() { parallelDo(4, 16, fn) }); avg != 0 {
+			t.Errorf("mode=%v: parallelDo over 16 block updates allocates %.2f per call in steady state", mode, avg)
+		}
+		if avg := testing.AllocsPerRun(100, batch); avg != 0 {
+			t.Errorf("mode=%v: AddMulBlocks over 16 block updates allocates %.2f per call in steady state", mode, avg)
 		}
 	}
 }
@@ -106,10 +126,10 @@ func TestParallelDoZeroAlloc(t *testing.T) {
 func TestPoolNoGoroutineLeak(t *testing.T) {
 	u, _ := newStepUpdate(rand.New(rand.NewSource(13)), 3, 32, 64)
 	fn := u.block(Strict)
-	ParallelDo(4, len(u.c), fn) // ensure the pool is started
+	parallelDo(4, len(u.c), fn) // ensure the pool is started
 	base := runtime.NumGoroutine()
 	for i := 0; i < 300; i++ {
-		ParallelDo(2+i%6, len(u.c), fn)
+		parallelDo(2+i%6, len(u.c), fn)
 	}
 	// A small slack absorbs unrelated runtime goroutines (GC workers etc.).
 	if got := runtime.NumGoroutine(); got > base+2 {
@@ -142,12 +162,12 @@ func TestPoolConcurrentHammer(t *testing.T) {
 			want := c.Clone()
 			for iter := 0; iter < 20; iter++ {
 				c.CopyFrom(before)
-				ParallelDo(1+iter%5, len(u.c), fn)
+				parallelDo(1+iter%5, len(u.c), fn)
 				if !bitIdentical(c, want) {
 					errs <- fmt.Errorf("goroutine %d iter %d: parallel result diverged from the serial loop", g, iter)
 					return
 				}
-				ParallelDo(3, 50, func(int) {})
+				parallelDo(3, 50, func(int) {})
 			}
 		}(g)
 	}
@@ -163,7 +183,7 @@ func TestPoolConcurrentHammer(t *testing.T) {
 // non-decreasing submit counter.
 func TestPoolStats(t *testing.T) {
 	u, _ := newStepUpdate(rand.New(rand.NewSource(2)), 3, 32, 64)
-	ParallelDo(4, len(u.c), u.block(Strict))
+	parallelDo(4, len(u.c), u.block(Strict))
 	workers, submitted, inline, _ := PoolStats()
 	if workers < 2 {
 		t.Fatalf("pool reports %d workers after use", workers)
@@ -171,17 +191,20 @@ func TestPoolStats(t *testing.T) {
 	if submitted+inline == 0 {
 		t.Fatalf("no tasks recorded after a parallel call (submitted=%d inline=%d)", submitted, inline)
 	}
-	ParallelDo(4, len(u.c), u.block(Strict))
+	parallelDo(4, len(u.c), u.block(Strict))
 	_, submitted2, inline2, _ := PoolStats()
 	if submitted2+inline2 <= submitted+inline {
 		t.Fatalf("task counters did not advance: %d+%d -> %d+%d", submitted, inline, submitted2, inline2)
 	}
 	if FastAvailable() {
+		// One per packed Fast block product, batched or not: bench/ reads
+		// the counter as block products per operation.
 		_, _, _, fastBefore := PoolStats()
 		u.block(Fast)(0)
+		u.batch(Fast, 2)()
 		_, _, _, fastAfter := PoolStats()
-		if fastAfter <= fastBefore {
-			t.Fatalf("fast-dispatch counter did not advance: %d -> %d", fastBefore, fastAfter)
+		if got, want := fastAfter-fastBefore, int64(1+len(u.blocks)); got != want {
+			t.Fatalf("fast-dispatch counter advanced %d, want %d", got, want)
 		}
 	}
 }
