@@ -18,7 +18,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"time"
 )
 
 func main() {
@@ -50,11 +49,6 @@ func main() {
 		bcastFlag   = flag.String("bcast", "auto", "broadcast algorithm: auto, flat, ring, pipeline, tree")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus text metrics at /metrics and profiling at /debug/pprof on this address (e.g. :9090); gridsim keeps serving after the run until interrupted")
 
-		faultFlag    = flag.Bool("fault", false, "inject deterministic faults into -real runs")
-		faultSeed    = flag.Int64("faultseed", 1, "seed for the drop/delay fault lottery")
-		faultDrop    = flag.Float64("faultdrop", 0, "per-message drop probability (first delivery swallowed, repaired by retransmission)")
-		faultDelay   = flag.Float64("faultdelay", 0, "per-message delay probability")
-		faultDelayD  = flag.Duration("faultdelaydur", 5*time.Millisecond, "how long a delayed message waits")
 		faultCrash   = flag.String("faultcrash", "", "crash schedule rank@step[s],... — trailing s means a silent crash (failure detector exercised)")
 		faultSlow    = flag.String("faultslow", "", "slowdown schedule rank@step*factor,... — the rank's compute takes factor× its natural time from that step on (results untouched)")
 		faultRecover = flag.Bool("faultrecover", false, "recover from rank failures: replan the survivors and resume from the last checkpoint")
@@ -64,6 +58,10 @@ func main() {
 	)
 	flag.Parse()
 
+	faultsOn := *faultCrash != "" || *faultSlow != "" || *faultRecover
+	if faultsOn && !*realFlag {
+		log.Fatal("-faultcrash, -faultslow and -faultrecover require -real (faults are injected into the real execution, not the simulator)")
+	}
 	if *driftFlag || *driftPolicy != "" {
 		if !*realFlag {
 			log.Fatal("-drift requires -real (the drift detector watches measured busy time, which the simulator does not produce)")
@@ -146,7 +144,7 @@ func main() {
 	}
 
 	var faults *hetgrid.FaultOptions
-	if *faultFlag {
+	if faultsOn {
 		crashes, err := cliutil.ParseCrashSchedule(*faultCrash)
 		if err != nil {
 			log.Fatal(err)
@@ -156,18 +154,12 @@ func main() {
 			log.Fatal(err)
 		}
 		faults = &hetgrid.FaultOptions{
-			Seed:            *faultSeed,
-			DropProb:        *faultDrop,
-			DelayProb:       *faultDelay,
-			Delay:           *faultDelayD,
 			Crashes:         crashes,
 			Slowdowns:       slowdowns,
 			Recover:         *faultRecover,
 			CheckpointEvery: *ckptEvery,
 			Times:           times,
 		}
-	} else if *faultSlow != "" {
-		log.Fatal("-faultslow requires -fault (slowdowns ride on the fault-injection transport)")
 	}
 
 	var drift *hetgrid.DriftPolicy
@@ -189,9 +181,6 @@ func main() {
 	}
 	if numerics != hetgrid.Strict {
 		log.Fatal("-numerics fast requires -real (the simulator performs no floating-point kernel work)")
-	}
-	if faults != nil {
-		log.Fatal("-fault requires -real (faults are injected into the real execution, not the simulator)")
 	}
 
 	fmt.Printf("%-20s %12s %12s %8s %9s %12s\n", "distribution", "makespan", "comp bound", "eff", "msgs", "bytes")
@@ -343,8 +332,8 @@ func printStats(name string, stats *hetgrid.ExecStats) {
 		fmt.Printf("  %6d %10d / %9d %10d / %9d\n", i, rs.MsgsSent, rs.BytesSent, rs.MsgsRecv, rs.BytesRecv)
 	}
 	if fs := stats.Faults; fs != nil {
-		fmt.Printf("  faults: %d attempt(s), %d recovery(ies), %d crash(es), %d slowdown(s), %d dropped, %d delayed, %d retransmitted, %d timeouts, %d retries, %d checkpoint(s), %d step(s) resumed\n",
-			fs.Attempts, fs.Recoveries, fs.Crashes, fs.Slowdowns, fs.Dropped, fs.Delayed, fs.Retransmitted, fs.Timeouts, fs.Retries, fs.Checkpoints, fs.ResumedSteps)
+		fmt.Printf("  faults: %d attempt(s), %d recovery(ies), %d crash(es), %d slowdown(s), %d timeouts, %d checkpoint(s), %d step(s) resumed\n",
+			fs.Attempts, fs.Recoveries, fs.Crashes, fs.Slowdowns, fs.Timeouts, fs.Checkpoints, fs.ResumedSteps)
 	}
 	if ds := stats.Drift; ds != nil {
 		fmt.Printf("  drift: %d window(s), %d evaluation(s), %d migration(s), %d block(s) moved, %.3g predicted saving\n",

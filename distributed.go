@@ -104,11 +104,11 @@ type execOptions struct {
 	// compute/phase/recv-wait spans, plus per-message send spans);
 	// ExecStats.Spans, BusyTime and Imbalance are derived from it.
 	Spans bool
-	// Metrics mirrors engine counters (transport traffic, timeouts,
-	// retries, kernel steps, fault activity) and the run's load-imbalance
-	// gauge into the registry as Prometheus series, live while the run
-	// executes. Implies span recording (the imbalance gauge needs busy
-	// times). nil disables all registry mirroring.
+	// Metrics mirrors engine counters (transport traffic, timeouts, kernel
+	// steps, fault activity) and the run's load-imbalance gauge into the
+	// registry as Prometheus series, live while the run executes. Implies
+	// span recording (the imbalance gauge needs busy times). nil disables
+	// all registry mirroring.
 	Metrics *Metrics
 	// TransportFactory builds each attempt's fabric for its rank count
 	// (WithTransportFactory; WithTransport serves its fixed instance once);

@@ -32,7 +32,6 @@ func TestRecoveredLUBitIdentical(t *testing.T) {
 			packed, stats, err := DistributedFactorLU(d, a, r,
 				WithBroadcast(bk),
 				WithFaults(FaultOptions{
-					Seed:    bk.hashSeed(),
 					Crashes: []CrashPoint{{Rank: 1, Step: 4}},
 					Recover: true,
 				}))
@@ -53,10 +52,6 @@ func TestRecoveredLUBitIdentical(t *testing.T) {
 	}
 }
 
-// hashSeed derives a distinct fault seed per broadcast kind so the
-// sub-tests do not share drop/delay lotteries.
-func (b BroadcastKind) hashSeed() int64 { return int64(b)*1000 + 17 }
-
 // TestRecoveredKernelsBitIdentical runs the recovery path through every
 // kernel, including a mid-run crash, and checks bit-identity against the
 // fault-free execution.
@@ -69,7 +64,6 @@ func TestRecoveredKernelsBitIdentical(t *testing.T) {
 	const nb, r = 6, 3
 	faults := func(step int) Option {
 		return WithFaults(FaultOptions{
-			Seed:    11,
 			Crashes: []CrashPoint{{Rank: 2, Step: step}},
 			Recover: true,
 		})
@@ -143,8 +137,7 @@ func TestDeadRankAbortsCleanly(t *testing.T) {
 				WithBroadcast(bk),
 				WithFaults(FaultOptions{
 					Crashes:     []CrashPoint{{Rank: 3, Step: 2, Silent: true}},
-					RecvTimeout: 20 * time.Millisecond,
-					MaxRetries:  2,
+					RecvTimeout: 140 * time.Millisecond,
 				}))
 			var rf *RankFailure
 			if !errors.As(err, &rf) {
@@ -190,82 +183,6 @@ func TestCrashWithoutRecoverSurfacesError(t *testing.T) {
 	// The same call without faults still works.
 	if _, _, err := DistributedFactorLU(d, a, 2); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDropsAndDelaysBitIdenticalWithStats: seeded message faults never
-// change the numbers, and the stats expose the repair work.
-func TestDropsAndDelaysBitIdenticalWithStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(505))
-	d, err := Uniform(2, 2, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nb, r = 6, 3
-	a, b := matrix.Random(nb*r, nb*r, rng), matrix.Random(nb*r, nb*r, rng)
-	clean, _, err := DistributedMultiply(d, a, b, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := DistributedMultiply(d, a, b, r, WithFaults(FaultOptions{
-		Seed:        9,
-		DropProb:    0.1,
-		DelayProb:   0.1,
-		Delay:       time.Millisecond,
-		RecvTimeout: 30 * time.Millisecond,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(clean) {
-		t.Fatal("product under drops and delays differs from the clean run")
-	}
-	fs := stats.Faults
-	if fs == nil || fs.Dropped == 0 || fs.Delayed == 0 {
-		t.Fatalf("seeded faults injected nothing: %+v", fs)
-	}
-	if fs.Retransmitted != fs.Dropped {
-		t.Fatalf("%d drops repaired by %d retransmissions", fs.Dropped, fs.Retransmitted)
-	}
-	if fs.Timeouts == 0 || fs.Retries == 0 {
-		t.Fatalf("drops repaired without any timeouts/retries: %+v", fs)
-	}
-	if fs.Attempts != 1 || fs.Recoveries != 0 || fs.Crashes != 0 {
-		t.Fatalf("message faults should not need recovery: %+v", fs)
-	}
-}
-
-// TestFaultDeterminism: the same seed injects the same faults — counters
-// and results are reproducible run to run.
-func TestFaultDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(506))
-	d, err := Uniform(2, 2, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 2
-	a := matrix.RandomWellConditioned(12, rng)
-	run := func() (int, *Matrix) {
-		got, stats, err := DistributedFactorLU(d, a, r, WithFaults(FaultOptions{
-			Seed:        42,
-			DropProb:    0.1,
-			RecvTimeout: 30 * time.Millisecond,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.Faults.Dropped, got
-	}
-	d1, m1 := run()
-	d2, m2 := run()
-	if d1 != d2 {
-		t.Fatalf("same seed dropped %d then %d messages", d1, d2)
-	}
-	if d1 == 0 {
-		t.Fatal("seed 42 dropped nothing; pick a different seed for the test")
-	}
-	if !m1.Equal(m2) {
-		t.Fatal("same seed produced different factors")
 	}
 }
 
@@ -391,7 +308,6 @@ func TestFailedResumeKeepsCheckpoint(t *testing.T) {
 	const r = 3
 	a := matrix.RandomWellConditioned(24, rng)
 	got, stats, err := DistributedFactorLU(d, a, r, WithFaults(FaultOptions{
-		Seed:            1,
 		Recover:         true,
 		CheckpointEvery: 2,
 		Crashes:         []CrashPoint{{Rank: 3, Step: 3}, {Rank: 2, Step: 4}, {Rank: 0, Step: 5}},

@@ -23,42 +23,27 @@ type CrashPoint = engine.CrashPoint
 // Like crashes, ranks are numbered within the world the point fires in.
 type SlowdownPoint = engine.SlowdownPoint
 
-// FaultOptions enables deterministic, seed-driven fault injection on a
-// distributed execution, and optionally the recovery path that replans the
-// surviving processors and resumes from the last checkpoint.
+// FaultOptions schedules faults on a distributed execution — rank crashes
+// (fail-stop or silent) and slowdowns — and optionally the recovery path
+// that replans the surviving processors and resumes from the last
+// checkpoint.
 //
-// Determinism contract: whether a given message is dropped or delayed is a
-// pure function of (Seed, sender, receiver, tag, per-channel sequence
-// number), and crashes fire when their rank enters the scheduled kernel
-// step — so the injected fault set does not depend on goroutine
-// scheduling. Faults never perturb the arithmetic: a run that completes
-// (directly or through recovery) returns results bit-identical to the
-// fault-free execution.
+// Determinism contract: a crash or slowdown point fires when its rank
+// enters the scheduled kernel step, so the injected fault set does not
+// depend on goroutine scheduling. Faults never perturb the arithmetic: a
+// run that completes (directly or through recovery) returns results
+// bit-identical to the fault-free execution.
 type FaultOptions struct {
-	// Seed drives every drop and delay decision.
-	Seed int64
-	// DropProb is the per-message probability that a message's first
-	// delivery is swallowed; the receiver's timeout then requests a
-	// retransmission. Drops are survivable because RecvTimeout is always
-	// set when faults are enabled.
-	DropProb float64
-	// DelayProb and Delay defer a message's delivery. Keep Delay well under
-	// RecvTimeout or the failure detector will misread lateness as death.
-	DelayProb float64
-	Delay     time.Duration
 	// Crashes schedules rank deaths at kernel steps.
 	Crashes []CrashPoint
 	// Slowdowns schedules compute-time multipliers at kernel steps — the
 	// injected load drift WithDriftRebalance reacts to. Slowdowns never
 	// change results, only measured busy time.
 	Slowdowns []SlowdownPoint
-	// RecvTimeout bounds every receive; expiry triggers retransmission
-	// requests with doubled (bounded) backoff, and exhausting MaxRetries
-	// declares the peer dead. 0 selects the 100ms default.
+	// RecvTimeout bounds every receive: a peer that delivers nothing within
+	// it is declared dead, which is how a silent crash is detected. 0
+	// selects the 1.5 s default.
 	RecvTimeout time.Duration
-	// MaxRetries is the number of retransmission attempts before a peer is
-	// declared dead; 0 selects the default (3).
-	MaxRetries int
 	// Recover enables the recovery path: on a rank failure the surviving
 	// processors are replanned (see PlanSurvivors) and the kernel resumes
 	// from the last checkpoint, still returning bit-identical results.
@@ -84,7 +69,7 @@ type FaultOptions struct {
 type RankFailure = engine.RankFailure
 
 const (
-	defaultRecvTimeout   = 100 * time.Millisecond
+	defaultRecvTimeout   = 1500 * time.Millisecond
 	defaultMaxRecoveries = 3
 )
 
@@ -96,7 +81,7 @@ func orDefault[T int | time.Duration](v, def T) T {
 	return def
 }
 
-// apply maps the options onto the supervisor's configuration (injection,
+// apply maps the options onto the supervisor's configuration (slowdowns,
 // failure detector, checkpoint period) and initial state (crash schedule,
 // planned cycle-times, recovery budget).
 func (f *FaultOptions) apply(s *run.State, o *run.Options) error {
@@ -104,14 +89,7 @@ func (f *FaultOptions) apply(s *run.State, o *run.Options) error {
 		return fmt.Errorf("hetgrid: %d fault cycle-times for a %d×%d grid", len(f.Times), p, q)
 	}
 	o.Engine.RecvTimeout = orDefault(f.RecvTimeout, defaultRecvTimeout)
-	o.Engine.MaxRetries = f.MaxRetries
-	o.Engine.Faults = &engine.FaultConfig{
-		Seed:      f.Seed,
-		DropProb:  f.DropProb,
-		DelayProb: f.DelayProb,
-		Delay:     f.Delay,
-		Slowdowns: f.Slowdowns,
-	}
+	o.Engine.Faults = &engine.FaultConfig{Slowdowns: f.Slowdowns}
 	s.Crashes, s.Times = f.Crashes, f.Times
 	if f.Recover {
 		o.CheckpointEvery = orDefault(f.CheckpointEvery, 1)

@@ -66,25 +66,19 @@ type Options struct {
 	// means all n ranks run in this process — the historical single-process
 	// behavior.
 	LocalRanks []int
-	// RecvTimeout bounds every Recv: after it expires the receiver asks the
-	// fabric to retransmit and waits again with doubled (bounded) backoff;
-	// once MaxRetries attempts are exhausted the peer is declared dead and
-	// the world aborts — the failure detector that turns a silent rank
-	// death into a clean error instead of a hang. 0 disables deadlines
-	// (Recv blocks forever, the historical behavior).
+	// RecvTimeout bounds every Recv: a peer that delivers nothing within it
+	// is declared dead and the world aborts — the failure detector that
+	// turns a silent rank death into a clean error instead of a hang. 0
+	// disables the deadline (Recv blocks until delivery or abort).
 	RecvTimeout time.Duration
-	// MaxRetries is the number of timeout-triggered retransmission attempts
-	// before a peer is declared dead; 0 selects the default (3).
-	MaxRetries int
-	// Faults enables deterministic seed-driven fault injection: the fabric
-	// is wrapped in a FaultTransport applying the configured drop/delay
-	// lottery and scheduled rank crashes. Message drops are only survivable
+	// Faults schedules rank crashes and slowdowns at kernel steps (see
+	// FaultConfig); nil schedules none. A silent crash is detected only
 	// with RecvTimeout set.
 	Faults *FaultConfig
 	// Metrics mirrors the engine's counters (transport traffic, timeouts,
-	// retries, kernel steps, fault activity) into the registry as
-	// scrapeable Prometheus series. nil disables the mirroring: it hands
-	// out nil counters, which count nothing and add no allocations to the
+	// kernel steps, fault activity) into the registry as scrapeable
+	// Prometheus series. nil disables the mirroring: it hands out nil
+	// counters, which count nothing and add no allocations to the
 	// transport hot loop.
 	Metrics *obs.Registry
 	// Numerics selects the arithmetic contract of every rank's block
@@ -96,24 +90,19 @@ type Options struct {
 	Numerics matrix.Numerics
 }
 
-// defaultMaxRetries bounds the failure detector's retransmission attempts
-// when Options.MaxRetries is zero.
-const defaultMaxRetries = 3
-
 // World is the communication context shared by all ranks of one Run.
 type World struct {
 	n     int
 	opts  Options
 	meter *Meter
-	fault *FaultTransport // nil unless Options.Faults
-	spans *obs.SpanStore  // nil unless Options.Record
+	fault *faultSchedule // nil unless Options.Faults
+	spans *obs.SpanStore // nil unless Options.Record
 
-	timeouts, retries atomic.Int64
+	timeouts atomic.Int64
 
-	// Registry mirrors of the detector counters; nil (counting nothing)
-	// without a registry.
-	mTimeouts, mRetries *obs.Counter
-	mSteps              *obs.Counter
+	// Registry mirrors of the detector and step counters; nil (counting
+	// nothing) without a registry.
+	mTimeouts, mSteps *obs.Counter
 }
 
 // Comm is one rank's endpoint.
@@ -142,31 +131,21 @@ func RunOpts(n int, opts Options, body func(c *Comm) error) (*World, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("engine: invalid rank count %d", n)
 	}
-	inner := opts.Transport
-	if inner == nil {
-		inner = NewMemTransport(n)
+	fabric := opts.Transport
+	if fabric == nil {
+		fabric = NewMemTransport(n)
 	}
-	var fault *FaultTransport
+	reg := opts.Metrics
+	var fault *faultSchedule
 	if opts.Faults != nil {
-		fault = newFaultTransport(inner, *opts.Faults)
-		fault.attachMetrics(opts.Metrics)
-		inner = fault
-	}
-	if fault != nil {
-		// A network fabric delivers remote receivers' retransmission
-		// requests (retx frames) to the local fault layer's stash.
-		if hs, ok := opts.Transport.(RetransmitHandlerSetter); ok {
-			hs.SetRetransmitHandler(fault.Retransmit)
-		}
+		fault = newFaultSchedule(*opts.Faults, reg)
 	}
 	var spans *obs.SpanStore
 	if opts.Record {
 		spans = obs.NewSpanStore()
 	}
-	reg := opts.Metrics
-	w := &World{n: n, opts: opts, meter: newMeter(inner, n, spans, reg), fault: fault, spans: spans,
+	w := &World{n: n, opts: opts, meter: newMeter(fabric, n, spans, reg), fault: fault, spans: spans,
 		mTimeouts: reg.Counter("hetgrid_transport_timeouts_total", "", "Recv deadlines that expired"),
-		mRetries:  reg.Counter("hetgrid_transport_retries_total", "", "timeout-triggered retransmission requests"),
 		mSteps:    reg.Counter("hetgrid_kernel_steps_total", "", "kernel panel steps entered across all ranks"),
 	}
 	local := opts.LocalRanks
@@ -222,9 +201,6 @@ func RunOpts(n int, opts Options, body func(c *Comm) error) (*World, error) {
 		}(r)
 	}
 	wg.Wait()
-	if fault != nil {
-		fault.quiesce()
-	}
 	if spans != nil {
 		// Close dangling step spans (aborted ranks never reach the next
 		// Step) so every recorded interval is well-formed.
@@ -289,16 +265,15 @@ func (c *Comm) Send(dst int, tag string, data *matrix.Dense) {
 }
 
 // Recv blocks until a message with the tag arrives from src and returns
-// its payload. With Options.RecvTimeout set it becomes the reliability
-// layer: each expiry asks the fabric to retransmit and waits again with
-// doubled (bounded) backoff, and once MaxRetries attempts are exhausted
-// the peer is declared dead — the failure detector that converts a silent
-// rank death into a clean world abort. Transport closures (a local abort
-// or a remote process's failure propagated through the fabric) re-raise as
-// the engine's abort panics, so the kernels above stay error-free SPMD
-// code while remote failures still surface as clean *RankFailure errors.
-// A recording world notes each delivered call as one recv-wait span under
-// the rank's step: the time blocked here, which is never busy time.
+// its payload. With Options.RecvTimeout set it is the failure detector: a
+// peer that delivers nothing within the deadline is declared dead, which
+// converts a silent rank death into a clean world abort. Transport closures
+// (a local abort or a remote process's failure propagated through the
+// fabric) re-raise as the engine's abort panics, so the kernels above stay
+// error-free SPMD code while remote failures still surface as clean
+// *RankFailure errors. A recording world notes each delivered call as one
+// recv-wait span under the rank's step: the time blocked here, which is
+// never busy time.
 func (c *Comm) Recv(src int, tag string) *matrix.Dense {
 	if src < 0 || src >= c.world.n {
 		panic(fmt.Sprintf("engine: recv from rank %d of %d", src, c.world.n))
@@ -313,46 +288,25 @@ func (c *Comm) Recv(src int, tag string) *matrix.Dense {
 	return data
 }
 
-// recv is Recv's wait: the deadline/retry loop of the failure detector.
+// recv is Recv's wait: one deadline, whose expiry declares src dead.
 func (c *Comm) recv(src int, tag string) *matrix.Dense {
 	w := c.world
-	timeout := w.opts.RecvTimeout
-	if timeout <= 0 {
-		data, err := w.meter.Recv(context.Background(), src, c.rank, tag)
-		if err != nil {
-			raise(err)
-		}
+	ctx := context.Background()
+	if timeout := w.opts.RecvTimeout; timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	data, err := w.meter.Recv(ctx, src, c.rank, tag)
+	if err == nil {
 		return data
 	}
-	maxRetries := w.opts.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = defaultMaxRetries
+	if !errors.Is(err, context.DeadlineExceeded) {
+		raise(err)
 	}
-	wait := timeout
-	for attempt := 0; ; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), wait)
-		data, err := w.meter.Recv(ctx, src, c.rank, tag)
-		cancel()
-		if err == nil {
-			return data
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			raise(err)
-		}
-		w.timeouts.Add(1)
-		w.mTimeouts.Inc()
-		if attempt >= maxRetries {
-			panic(&peerDead{rank: src})
-		}
-		w.retries.Add(1)
-		w.mRetries.Inc()
-		w.meter.Retransmit(src, c.rank, tag)
-		// Bounded exponential backoff: a slow-but-alive peer gets
-		// progressively longer grace periods before being declared dead.
-		if wait < 8*timeout {
-			wait *= 2
-		}
-	}
+	w.timeouts.Add(1)
+	w.mTimeouts.Inc()
+	panic(&peerDead{rank: src})
 }
 
 // raise converts a transport error into the engine's abort panics: a
@@ -496,11 +450,7 @@ func (w *World) BusyTimes() []float64 {
 // Timeouts returns how many Recv deadlines expired across all ranks.
 func (w *World) Timeouts() int { return int(w.timeouts.Load()) }
 
-// Retries returns how many timeout-triggered retransmission requests the
-// ranks issued.
-func (w *World) Retries() int { return int(w.retries.Load()) }
-
-// FaultCounters snapshots the fault transport's activity, or nil when no
+// FaultCounters snapshots the fault schedule's activity, or nil when no
 // faults were configured.
 func (w *World) FaultCounters() *FaultCounters {
 	if w.fault == nil {
@@ -517,5 +467,5 @@ func (w *World) RemainingCrashes() []CrashPoint {
 	if w.fault == nil {
 		return nil
 	}
-	return w.fault.RemainingCrashes()
+	return w.fault.remainingCrashes()
 }

@@ -225,39 +225,6 @@ func TestConnLossBlamesPeerProcess(t *testing.T) {
 	}
 }
 
-func TestRetransmitForwardsToSenderProcess(t *testing.T) {
-	fabs, _ := startCluster(t, 4, 2, nil)
-
-	type req struct {
-		src, dst int
-		tag      string
-	}
-	got := make(chan req, 1)
-	fabs[0].SetRetransmitHandler(func(src, dst int, tag string) bool {
-		got <- req{src, dst, tag}
-		return true
-	})
-
-	// Rank 0 lives on process 0: a retx from process 1 crosses the wire.
-	if !fabs[1].Retransmit(0, 2, "U/3") {
-		t.Fatal("remote-sender retransmit reported false")
-	}
-	select {
-	case r := <-got:
-		if r != (req{0, 2, "U/3"}) {
-			t.Fatalf("handler saw %+v", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("retx frame never reached the sender's process")
-	}
-
-	// Rank 2 lives on process 1 itself: answering true would loop the
-	// request, so the fabric must decline.
-	if fabs[1].Retransmit(2, 0, "U/3") {
-		t.Fatal("local-sender retransmit must report false")
-	}
-}
-
 func TestSingleProcessCluster(t *testing.T) {
 	co, err := NewCoordinator("127.0.0.1:0")
 	if err != nil {

@@ -35,9 +35,6 @@ type Fabric struct {
 	readers sync.WaitGroup
 	peers   map[int]*peerCounters
 
-	retxMu      sync.Mutex
-	retxHandler func(src, dst int, tag string) bool
-
 	mu       sync.Mutex
 	closed   bool
 	closeErr error
@@ -46,7 +43,7 @@ type Fabric struct {
 }
 
 // NetStats is a snapshot of one peer connection's wire traffic. Frames
-// count every frame type (data, abort, retx); bytes count full frames
+// count every frame type (data, abort); bytes count full frames
 // including the 6-byte header, i.e. what actually crossed the socket.
 type NetStats struct {
 	FramesSent, FramesRecv int
@@ -184,28 +181,6 @@ func (f *Fabric) sendFrame(proc int, ftype byte, body []byte) {
 	w.enqueue(ftype, body)
 }
 
-// SetRetransmitHandler registers the callback invoked when a remote
-// receiver's timeout sends a retx frame for a channel whose sender lives
-// here — the engine wires the local fault layer's stash release in.
-func (f *Fabric) SetRetransmitHandler(h func(src, dst int, tag string) bool) {
-	f.retxMu.Lock()
-	f.retxHandler = h
-	f.retxMu.Unlock()
-}
-
-// Retransmit forwards a receiver-timeout retransmission request to the
-// process hosting the sender's stash. It reports false when the sender is
-// local: the local fault layer (which wraps this fabric) has already
-// checked its own stash, and answering true here would loop the request.
-func (f *Fabric) Retransmit(src, dst int, tag string) bool {
-	proc := f.rankProc[src]
-	if proc == f.procID {
-		return false
-	}
-	f.sendFrame(proc, frameRetx, encodeRetx(src, dst, tag))
-	return true
-}
-
 // Close tears the fabric down: an abort frame is flushed to every peer
 // (bounded by ctx), the connections close, and every local pending Recv
 // returns ErrClosed.
@@ -300,14 +275,15 @@ func (f *Fabric) closeFrom(cause error) {
 }
 
 // readLoop drains one peer connection, dispatching frames: data into the
-// delivery substrate, abort into a local caused closure, retx into the
-// registered retransmit handler. A connection failure on a live fabric is
-// a process death — the local world closes with a *RemoteAbort blaming the
-// peer's first rank, so this process's ranks fail fast instead of waiting
-// out the failure detector — and so is a data or retx frame that does not
-// decode or names a rank outside the world: the peer's stream is not the
-// protocol any more, and dropping the frame would leave its receiver
-// waiting for good.
+// delivery substrate, abort into a local caused closure. A connection
+// failure on a live fabric is a process death — the local world closes
+// with a *RemoteAbort blaming the peer's first rank, so this process's
+// ranks fail fast instead of waiting out the failure detector — and so is
+// a frame of any other type, or a data frame that does not decode or names
+// a rank outside the world: the peer's stream is not the protocol any
+// more, and skipping the frame would leave its receiver waiting out its
+// deadline. (No handshake frame follows start on a connection, so the
+// data plane sees only these two types from a peer of this version.)
 func (f *Fabric) readLoop(proc int, conn stdnet.Conn) {
 	defer f.readers.Done()
 	blame := func(format string, args ...any) {
@@ -352,24 +328,9 @@ func (f *Fabric) readLoop(proc int, conn stdnet.Conn) {
 			}
 			f.closeFrom(cause)
 			return
-		case frameRetx:
-			src, dst, tag, derr := decodeRetx(body)
-			if derr == nil {
-				derr = f.checkRanks(src, dst)
-			}
-			if derr != nil {
-				blame("bad retx frame from process %d: %v", proc, derr)
-				return
-			}
-			f.retxMu.Lock()
-			h := f.retxHandler
-			f.retxMu.Unlock()
-			if h != nil {
-				h(src, dst, tag)
-			}
 		default:
-			// Unknown frame types are skipped: a newer same-version peer
-			// may emit advisory frames an older build can ignore.
+			blame("frame of unknown type %d from process %d", ftype, proc)
+			return
 		}
 	}
 }

@@ -34,14 +34,12 @@ import (
 //	data   uint32 src | uint32 dst | uint32 len(tag) | tag |
 //	       uint32 rows | uint32 cols | rows·cols float64
 //	abort  int32 failing rank (-1 unknown) | reason (rest of body)
-//	retx   uint32 src | uint32 dst | tag (rest of body)
 //	hello, welcome, meshHello, ready, start: JSON (handshake only)
 const (
-	frameVersion = 1
+	frameVersion = 2
 
 	frameData      = 1
 	frameAbort     = 2
-	frameRetx      = 3
 	frameHello     = 4
 	frameWelcome   = 5
 	frameMeshHello = 6
@@ -177,22 +175,4 @@ func decodeAbort(body []byte) (rank int, reason string, err error) {
 		return 0, "", fmt.Errorf("net: abort frame truncated (%d bytes)", len(body))
 	}
 	return int(int32(binary.BigEndian.Uint32(body[0:]))), string(body[4:]), nil
-}
-
-// encodeRetx serializes a retransmission request for a (src,dst,tag)
-// channel, sent to the process hosting src.
-func encodeRetx(src, dst int, tag string) []byte {
-	body := make([]byte, 8+len(tag))
-	binary.BigEndian.PutUint32(body[0:], uint32(src))
-	binary.BigEndian.PutUint32(body[4:], uint32(dst))
-	copy(body[8:], tag)
-	return body
-}
-
-// decodeRetx parses a retx frame body.
-func decodeRetx(body []byte) (src, dst int, tag string, err error) {
-	if len(body) < 8 {
-		return 0, 0, "", fmt.Errorf("net: retx frame truncated (%d bytes)", len(body))
-	}
-	return int(binary.BigEndian.Uint32(body[0:])), int(binary.BigEndian.Uint32(body[4:])), string(body[8:]), nil
 }

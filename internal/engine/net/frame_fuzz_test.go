@@ -68,19 +68,14 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeControl throws arbitrary bodies at the abort and retx
-// decoders: neither may panic, and a body either accepts is exactly what
-// its encoder writes for the result.
-func FuzzDecodeControl(f *testing.F) {
+// FuzzDecodeAbort throws arbitrary bodies at the abort decoder: it must
+// never panic, and a body it accepts is exactly what encodeAbort writes for
+// the result.
+func FuzzDecodeAbort(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if rank, reason, err := decodeAbort(body); err == nil {
 			if again := encodeAbort(rank, reason); !bytes.Equal(again, body) {
 				t.Fatalf("abort body is not canonical:\n got %x\nwant %x", again, body)
-			}
-		}
-		if src, dst, tag, err := decodeRetx(body); err == nil {
-			if again := encodeRetx(src, dst, tag); !bytes.Equal(again, body) {
-				t.Fatalf("retx body is not canonical:\n got %x\nwant %x", again, body)
 			}
 		}
 	})
@@ -177,10 +172,11 @@ func TestJoinRefusesHostileWelcome(t *testing.T) {
 }
 
 // TestReaderBlamesPeerForOutOfRangeRank feeds a fabric's reader, over
-// net.Pipe, a well-formed data frame and a well-formed retx frame naming a
-// rank outside the world. Each indexed rankProc unchecked and panicked the
-// reader goroutine; now the fabric closes as it does on a lost connection,
-// with a *RemoteAbort blaming the peer's first rank.
+// net.Pipe, a well-formed data frame naming a rank outside the world, or a
+// frame of a type the data plane does not carry. The first indexed rankProc
+// unchecked and panicked the reader goroutine; the second was skipped, and
+// the Recv waited out its deadline. Now the fabric closes as it does on a
+// lost connection, with a *RemoteAbort blaming the peer's first rank.
 func TestReaderBlamesPeerForOutOfRangeRank(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -189,14 +185,12 @@ func TestReaderBlamesPeerForOutOfRangeRank(t *testing.T) {
 	}{
 		{"data dst", frameData, encodeData(1, 7, "x", matrix.New(1, 1))},
 		{"data src", frameData, encodeData(1<<31, 0, "x", matrix.New(1, 1))},
-		{"retx src", frameRetx, encodeRetx(7, 0, "x")},
-		{"retx dst", frameRetx, encodeRetx(1, 1<<31, "x")},
+		// Version 1's retransmission request for channel 1→0, tag "x".
+		{"unknown type", 3, []byte{0, 0, 0, 1, 0, 0, 0, 0, 'x'}},
 	} {
 		local, peer := stdnet.Pipe()
 		// Process 0 hosts rank 0, the peer (process 1) rank 1.
 		f := newFabric(2, 0, map[int]stdnet.Conn{1: local}, nil)
-		// The retx request of a live run ends in Fabric.Retransmit.
-		f.SetRetransmitHandler(f.Retransmit)
 		go io.Copy(io.Discard, peer) // the closing fabric's abort frame
 		if err := writeFrame(peer, tc.ftype, tc.body); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -71,16 +71,6 @@ func TestAbortFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRetxFrameRoundTrip(t *testing.T) {
-	src, dst, tag, err := decodeRetx(encodeRetx(2, 5, "U/0/1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != 2 || dst != 5 || tag != "U/0/1" {
-		t.Fatalf("retx (%d,%d,%q)", src, dst, tag)
-	}
-}
-
 func TestReadFrameRejectsBadVersion(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, frameData, []byte("x")); err != nil {

@@ -4,8 +4,8 @@ package net_test
 // bit-identical results whether their messages travel through in-process
 // mailboxes (MemTransport) or framed loopback TCP (the net Fabric), for
 // every kernel and every broadcast kind — and the fault machinery
-// (injected drops/delays, crash → replan → resume recovery) must compose
-// with the real network unchanged. Every run goes through run.Attempt, the
+// (crash → replan → resume recovery) must compose with the real network
+// unchanged. Every run goes through run.Attempt, the
 // job body the library executes; the multi-attempt tests take their
 // transitions with State.Next.
 
@@ -416,52 +416,5 @@ func TestTCPCrashOnCheckpointStep(t *testing.T) {
 	}
 	if f := stats.Faults; f.Attempts != 3 || f.Recoveries != 2 {
 		t.Fatalf("coordinator's fault statistics: %+v", f)
-	}
-}
-
-// TestTCPDropsAndDelaysRepaired is the chaos composition: seeded drops and
-// delays injected above a real TCP fabric, repaired by cross-process
-// retransmission requests (retx frames back to the sender's stash), with
-// the result still bit-identical and every drop retransmitted exactly
-// once.
-func TestTCPDropsAndDelaysRepaired(t *testing.T) {
-	d, err := distribution.UniformBlockCyclic(2, 2, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const world, procs, r = 4, 2, 2
-	a := matrix.RandomWellConditioned(12, rand.New(rand.NewSource(9)))
-	s := run.State{Kernel: plan.LU, Dist: d, Times: ones(world)}
-	job := run.Job{BlockSize: r, Inputs: []*matrix.Dense{a}}
-	clean := run.Attempt(s, job, nil, run.Options{})
-	if clean.Err != nil {
-		t.Fatal(clean.Err)
-	}
-
-	outs := attemptCluster(t, procs, s, job, run.Options{Engine: engine.Options{
-		RecvTimeout: 50 * time.Millisecond,
-		Faults: &engine.FaultConfig{
-			Seed:      11,
-			DropProb:  0.12,
-			DelayProb: 0.15,
-			Delay:     time.Millisecond,
-		},
-	}})
-	var stats run.Result
-	for p, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("process %d: %v", p, o.Err)
-		}
-		stats.Fold(o)
-	}
-	if outs[0].Out == nil || !outs[0].Out.Equal(clean.Out) {
-		t.Fatal("LU under drops+delays over TCP differs from the clean run")
-	}
-	f := stats.Faults
-	if f.Dropped == 0 || f.Delayed == 0 {
-		t.Fatalf("seed too lucky: %d drops, %d delays injected", f.Dropped, f.Delayed)
-	}
-	if f.Retransmitted != f.Dropped {
-		t.Fatalf("%d drops but %d retransmissions across the cluster", f.Dropped, f.Retransmitted)
 	}
 }

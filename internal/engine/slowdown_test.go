@@ -8,13 +8,13 @@ import (
 )
 
 func TestSlowFactorSchedule(t *testing.T) {
-	ft := newFaultTransport(NewMemTransport(4), FaultConfig{
+	ft := newFaultSchedule(FaultConfig{
 		Slowdowns: []SlowdownPoint{
 			{Rank: 1, Step: 2, Factor: 4},
 			{Rank: 1, Step: 5, Factor: 1}, // scheduled recovery
 			{Rank: 2, Step: 0, Factor: 2.5},
 		},
-	})
+	}, nil)
 	if f := ft.slowFactor(1); f != 1 {
 		t.Fatalf("factor before any step: %v", f)
 	}

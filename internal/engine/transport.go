@@ -24,8 +24,8 @@ import (
 // (remote failures surface as *RemoteAbort values instead of hangs), and
 // the old fire-and-forget Abort() became Close(ctx) error. The collectives
 // and kernels above are written purely against this interface, so swapping
-// the in-process mailbox fabric for sockets (see internal/engine/net), or a
-// fault-injecting test double, touches nothing else.
+// the in-process mailbox fabric for sockets (see internal/engine/net)
+// touches nothing else.
 type Transport interface {
 	// Send enqueues data from src to dst under tag without blocking. The
 	// payload is owned by the transport after the call.
@@ -81,23 +81,25 @@ type message struct {
 // ranks, with tag-selective receive.
 type mailbox struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	queue   []message
+	wake    chan struct{} // closed by the next put or abort; nil while nobody waits
 	aborted bool
 	cause   error // non-nil refinement of ErrClosed (a *RemoteAbort)
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
 func (m *mailbox) put(tag string, data *matrix.Dense) {
 	m.mu.Lock()
 	m.queue = append(m.queue, message{tag: tag, data: data})
+	m.wakeLocked()
 	m.mu.Unlock()
-	m.cond.Broadcast()
+}
+
+// wakeLocked sends every waiting take back to rescan the mailbox.
+func (m *mailbox) wakeLocked() {
+	if m.wake != nil {
+		close(m.wake)
+		m.wake = nil
+	}
 }
 
 // abort unblocks any waiting take with ErrClosed (or the given cause) so a
@@ -108,20 +110,13 @@ func (m *mailbox) abort(cause error) {
 		m.aborted = true
 		m.cause = cause
 	}
+	m.wakeLocked()
 	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
 // take waits for a message with the tag: (data, nil) on delivery, the
 // closure error after an abort, ctx.Err() when the context ends first.
 func (m *mailbox) take(ctx context.Context, tag string) (*matrix.Dense, error) {
-	// ctx expiry must wake the cond wait; AfterFunc broadcasts to every
-	// waiter on this mailbox, and each re-checks its own context.
-	var stop func() bool
-	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, m.cond.Broadcast)
-		defer stop()
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -140,34 +135,22 @@ func (m *mailbox) take(ctx context.Context, tag string) (*matrix.Dense, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		m.cond.Wait()
+		if m.wake == nil {
+			m.wake = make(chan struct{})
+		}
+		wake := m.wake
+		m.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		}
+		m.mu.Lock()
 	}
 }
 
 // errAborted is the panic payload delivered to ranks blocked in Recv when
 // another rank fails; the run loop treats it as a secondary failure.
 var errAborted = fmt.Errorf("engine: run aborted by a failing rank")
-
-// Retransmitter is implemented by fabrics that buffer undelivered messages
-// and can redeliver them on request — the timeout-triggered retransmission
-// half of the engine's reliability layer. FaultTransport implements it for
-// messages its drop fault swallowed; the network fabric implements it by
-// forwarding the request to the process hosting the sender.
-type Retransmitter interface {
-	// Retransmit redelivers any stashed messages for the (src,dst,tag)
-	// channel, reporting whether there were any (or whether the request was
-	// forwarded to a remote stash).
-	Retransmit(src, dst int, tag string) bool
-}
-
-// RetransmitHandlerSetter is implemented by fabrics that can receive
-// retransmission requests from remote processes (the network fabric's retx
-// frames). The engine registers the local FaultTransport's Retransmit here
-// so a receiver's timeout on one host releases the dropped message stashed
-// by the sender's fault layer on another host.
-type RetransmitHandlerSetter interface {
-	SetRetransmitHandler(func(src, dst int, tag string) bool)
-}
 
 // MemTransport is the in-process Transport: one unbounded mailbox per
 // ordered rank pair.
@@ -181,7 +164,7 @@ func NewMemTransport(n int) *MemTransport {
 	for i := range t.boxes {
 		t.boxes[i] = make([]*mailbox, n)
 		for j := range t.boxes[i] {
-			t.boxes[i][j] = newMailbox()
+			t.boxes[i][j] = &mailbox{}
 		}
 	}
 	return t
@@ -325,14 +308,6 @@ func (m *Meter) Recv(ctx context.Context, src, dst int, tag string) (*matrix.Den
 	}
 	m.countRecv(src, dst, tag, data)
 	return data, nil
-}
-
-// Retransmit forwards a redelivery request when the fabric buffers drops.
-func (m *Meter) Retransmit(src, dst int, tag string) bool {
-	if rt, ok := m.inner.(Retransmitter); ok {
-		return rt.Retransmit(src, dst, tag)
-	}
-	return false
 }
 
 // countRecv tallies one delivered cross-rank message at the receiver and,

@@ -4,8 +4,8 @@
 // the engine through a hierarchical span store (span IDs, parent links,
 // per-rank timelines) and by the simulator directly, with the one
 // Gantt/chrome-trace exporter and busy-time sum over []Span
-// (timeline.go). The engine's transport emits send/recv traffic and retry
-// metrics, the kernels open spans per panel step, the exact solver records
+// (timeline.go). The engine's transport emits send/recv traffic and
+// timeout metrics, the kernels open spans per panel step, the exact solver records
 // arrangement/tree pruning counters, and the driver layer derives the
 // paper's measured load-imbalance (max/mean per-rank busy time) from the
 // raw spans.

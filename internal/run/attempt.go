@@ -204,8 +204,8 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 		if errors.Is(err, ErrMigrate) {
 			// Every rank is past the migration barrier: end the world
 			// cleanly, not through an abort, so a rank on another process
-			// still waiting for a dropped or delayed barrier message gets
-			// it retransmitted instead of a closed fabric.
+			// still waiting for a barrier message gets it instead of a
+			// closed fabric.
 			migrated[c.Rank()] = err
 			return nil
 		}

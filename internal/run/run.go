@@ -47,12 +47,9 @@ type FaultStats struct {
 	Crashes int
 	// Slowdowns is how many scheduled slowdown points activated.
 	Slowdowns int
-	// Dropped, Delayed and Retransmitted count the injected message faults
-	// and the retransmissions that repaired the drops.
-	Dropped, Delayed, Retransmitted int
-	// Timeouts and Retries count receive-deadline expiries and the
-	// retransmission requests they triggered.
-	Timeouts, Retries int
+	// Timeouts counts receive deadlines that expired: each is a rank
+	// declaring its peer dead.
+	Timeouts int
 	// Checkpoints is how many periodic checkpoints were committed at
 	// rank 0.
 	Checkpoints int
@@ -135,11 +132,7 @@ func (r *Result) Fold(o Outcome) {
 		f := &r.Faults
 		f.Attempts++
 		f.Timeouts += w.Timeouts()
-		f.Retries += w.Retries()
 		if fc := w.FaultCounters(); fc != nil {
-			f.Dropped += fc.Dropped
-			f.Delayed += fc.Delayed
-			f.Retransmitted += fc.Retransmitted
 			f.Crashes += len(fc.Crashed)
 			f.Slowdowns += len(fc.Slowed)
 		}

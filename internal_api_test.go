@@ -41,7 +41,6 @@ var apiFences = []struct {
 	{"internal/engine", map[string]string{
 		// Methods of an interface, reached through it.
 		"CloseCause": "CauseCloser's method: the engine closes its fabric through the interface",
-		"Retransmit": "Retransmitter's method: the failure detector asks its fabric through the interface",
 		"Unwrap":     "error's unwrap method: errors.Is and errors.As call it",
 	}},
 	{"internal/core", map[string]string{

@@ -74,7 +74,7 @@ func WithSpans() Option {
 
 // WithMetrics mirrors the execution's counters and gauges into m as
 // Prometheus series, live while it runs: transport traffic, receive
-// timeouts and retries, kernel steps, fault activity, and the measured
+// timeouts, kernel steps, fault activity, and the measured
 // load-imbalance gauge (max/mean per-rank busy time). On planning calls
 // (Balance, BalanceArrangement) with the exact strategy, the solver's
 // arrangement and spanning-tree pruning counters are published instead.

@@ -113,7 +113,7 @@ func TestTransportFactoryRecovery(t *testing.T) {
 		WithFaults(FaultOptions{
 			Crashes:     []CrashPoint{{Rank: 3, Step: 2}},
 			Recover:     true,
-			RecvTimeout: 50 * time.Millisecond,
+			RecvTimeout: 750 * time.Millisecond,
 		}))
 	if err != nil {
 		t.Fatal(err)
