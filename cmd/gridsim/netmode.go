@@ -9,10 +9,13 @@ package main
 // line CI greps for.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"time"
 
@@ -37,6 +40,50 @@ type netPlan struct {
 	Seed     int64     `json:"seed"`
 }
 
+// validate refuses a plan no world of world ranks can run, naming the
+// field: the p×q grid fills the world, each rank has a finite positive
+// cycle-time, and the block count and size are positive. The kernel,
+// distribution, broadcast and numerics names are checked where they are
+// parsed.
+func (p netPlan) validate(world int) error {
+	switch {
+	case p.P < 1 || p.P > world:
+		return fmt.Errorf("plan payload: p = %d, want 1..%d", p.P, world)
+	case p.Q < 1 || p.Q > world:
+		return fmt.Errorf("plan payload: q = %d, want 1..%d", p.Q, world)
+	case p.P*p.Q != world:
+		return fmt.Errorf("plan payload: p×q = %d×%d, want %d ranks", p.P, p.Q, world)
+	case len(p.Times) != world:
+		return fmt.Errorf("plan payload: times has %d cycle-times, want %d", len(p.Times), world)
+	case p.NB < 1:
+		return fmt.Errorf("plan payload: nb = %d, want ≥ 1", p.NB)
+	case p.R < 1:
+		return fmt.Errorf("plan payload: r = %d, want ≥ 1", p.R)
+	}
+	for i, t := range p.Times {
+		if !(t > 0) || math.IsInf(t, 1) {
+			return fmt.Errorf("plan payload: times[%d] = %v, want a finite cycle-time > 0", i, t)
+		}
+	}
+	return nil
+}
+
+// decodePlan is the joiner's reading of the coordinator's payload: one JSON
+// object of netPlan's fields and nothing else, valid for a world of world
+// ranks.
+func decodePlan(blob []byte, world int) (netPlan, error) {
+	var pay netPlan
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&pay); err != nil {
+		return netPlan{}, fmt.Errorf("malformed plan payload: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return netPlan{}, fmt.Errorf("malformed plan payload: trailing data after the plan")
+	}
+	return pay, pay.validate(world)
+}
+
 const (
 	handshakeTimeout = 2 * time.Minute
 	netCloseTimeout  = 5 * time.Second
@@ -46,6 +93,9 @@ const (
 // then run rank chunk 0 (which includes rank 0, so the inputs, the gather
 // and the parity verdict all live here).
 func runListen(addr string, procs int, pay netPlan, metrics *hetgrid.Metrics) error {
+	if err := pay.validate(pay.P * pay.Q); err != nil {
+		return err
+	}
 	blob, err := json.Marshal(pay)
 	if err != nil {
 		return err
@@ -65,7 +115,7 @@ func runListen(addr string, procs int, pay netPlan, metrics *hetgrid.Metrics) er
 }
 
 // runJoin is a worker: dial the coordinator (retrying, so start order does
-// not matter), receive the plan, run the assigned ranks.
+// not matter), receive the plan, check it, run the assigned ranks.
 func runJoin(addr string, metrics *hetgrid.Metrics) error {
 	ctx, cancel := context.WithTimeout(context.Background(), handshakeTimeout)
 	defer cancel()
@@ -73,9 +123,9 @@ func runJoin(addr string, metrics *hetgrid.Metrics) error {
 	if err != nil {
 		return err
 	}
-	var pay netPlan
-	if err := json.Unmarshal(blob, &pay); err != nil {
-		return fmt.Errorf("malformed plan payload: %w", err)
+	pay, err := decodePlan(blob, fab.World())
+	if err != nil {
+		return err
 	}
 	return runNetProc(fab, pay, metrics)
 }

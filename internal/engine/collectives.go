@@ -40,62 +40,74 @@ func NewCollectivesKind(c *Comm, kind sim.BroadcastKind) *Collectives {
 // Every rank in {root} ∪ receivers must call it with identical arguments;
 // rows is the payload's row count, which receivers need up front to drive
 // the segmented-ring pipeline. Ranks outside the participant set must not
-// call.
+// call. It is the root's send half and the receivers' receive half.
 //
 // The message pattern is sim.BroadcastEdges, the one the simulator prices:
 // a rank receives on its in-edge and forwards along its out-edges, which
 // delivery order lists after it.
 func (co *Collectives) Bcast(tag string, root int, receivers []int, data *matrix.Dense, rows int) *matrix.Dense {
+	if co.c.Rank() == root {
+		co.bcastSend(tag, root, receivers, data, rows)
+		return data
+	}
+	return co.bcastRecv(tag, root, receivers, rows)
+}
+
+// bcastSend is Bcast's send half, run by the root: data leaves along the
+// root's out-edges. The segmented ring pipelines the payload along the chain
+// in row segments: while a node forwards segment s, its predecessor already
+// sends it segment s+1 (goroutines provide the overlap the simulator
+// models). At most sim.BroadcastSegments segments, and never more than the
+// payload has rows.
+func (co *Collectives) bcastSend(tag string, root int, receivers []int, data *matrix.Dense, rows int) {
+	edges := sim.BroadcastEdges(co.kind, root, receivers)
+	if co.kind != sim.SegmentedRingBroadcast {
+		co.forward(root, edges, tag, data)
+		return
+	}
+	segs := segments(rows)
+	_, cols := data.Dims()
+	for s := 0; s < segs; s++ {
+		co.forward(root, edges, fmt.Sprintf("%s/s%d", tag, s), data.Slice(s*rows/segs, (s+1)*rows/segs, 0, cols))
+	}
+}
+
+// bcastRecv is Bcast's receive half, run by every receiver: the payload
+// arrives on the rank's in-edge and is forwarded along its out-edges,
+// segment by segment for the segmented ring.
+func (co *Collectives) bcastRecv(tag string, root int, receivers []int, rows int) *matrix.Dense {
 	me := co.c.Rank()
 	edges := sim.BroadcastEdges(co.kind, root, receivers)
-	if me == root && len(edges) == 0 {
-		return data
+	in := slices.IndexFunc(edges, func(e sim.Edge) bool { return e.To == me })
+	if in < 0 {
+		panic(fmt.Sprintf("engine: rank %d called Bcast %q without being a participant", me, tag))
 	}
-	from := -1
-	if me != root {
-		in := slices.IndexFunc(edges, func(e sim.Edge) bool { return e.To == me })
-		if in < 0 {
-			panic(fmt.Sprintf("engine: rank %d called Bcast %q without being a participant", me, tag))
-		}
-		from, edges = edges[in].From, edges[in+1:]
-	}
-	forward := func(as string, m *matrix.Dense) {
-		for _, e := range edges {
-			if e.From == me {
-				co.c.Send(e.To, as, m)
-			}
-		}
-	}
+	from, edges := edges[in].From, edges[in+1:]
 	if co.kind != sim.SegmentedRingBroadcast {
-		if from >= 0 {
-			data = co.c.Recv(from, tag)
-		}
-		forward(tag, data)
+		data := co.c.Recv(from, tag)
+		co.forward(me, edges, tag, data)
 		return data
 	}
-	// The segmented ring pipelines the payload along the chain in row
-	// segments: while a node forwards segment s, its predecessor already
-	// sends it segment s+1 (goroutines provide the overlap the simulator
-	// models). At most sim.BroadcastSegments segments, and never more than
-	// the payload has rows.
-	segs := max(1, min(rows, sim.BroadcastSegments))
-	var parts []*matrix.Dense
-	for s := 0; s < segs; s++ {
+	parts := make([]*matrix.Dense, segments(rows))
+	for s := range parts {
 		segTag := fmt.Sprintf("%s/s%d", tag, s)
-		if from < 0 {
-			_, cols := data.Dims()
-			forward(segTag, data.Slice(s*rows/segs, (s+1)*rows/segs, 0, cols))
-			continue
-		}
-		seg := co.c.Recv(from, segTag)
-		forward(segTag, seg)
-		parts = append(parts, seg)
-	}
-	if from < 0 {
-		return data
+		parts[s] = co.c.Recv(from, segTag)
+		co.forward(me, edges, segTag, parts[s])
 	}
 	return stackRows(parts)
 }
+
+// forward sends m along from's out-edges.
+func (co *Collectives) forward(from int, edges []sim.Edge, tag string, m *matrix.Dense) {
+	for _, e := range edges {
+		if e.From == from {
+			co.c.Send(e.To, tag, m)
+		}
+	}
+}
+
+// segments is the segmented ring's segment count for a payload of rows rows.
+func segments(rows int) int { return max(1, min(rows, sim.BroadcastSegments)) }
 
 // stackRows concatenates matrices vertically.
 func stackRows(parts []*matrix.Dense) *matrix.Dense {
@@ -117,49 +129,53 @@ func stackRows(parts []*matrix.Dense) *matrix.Dense {
 	return out
 }
 
-// Panel delivers the schedule's panel messages: the blocks each message
-// carries travel from its root to its receivers as one stacked payload —
-// the ScaLAPACK panel message, exactly what the simulator prices and the
-// analytic CommVolume charges. All grid ranks must call it with identical
-// messages; get(i) is the block with index i at its owner (not consulted
-// elsewhere), r the square block size.
-//
-// The returned map holds the payload of every block index this rank owns
-// or receives — the resident block itself at the root, the received copy
-// elsewhere.
-func (co *Collectives) Panel(tag string, msgs []distribution.Msg, get func(int) *matrix.Dense, r int) map[int]*matrix.Dense {
-	sp := co.c.Phase("panel " + tag)
-	defer co.c.EndPhase(sp)
+// panelSend is the send half of a step's panel messages: the blocks each
+// message carries travel from its root to its receivers as one stacked
+// payload — the ScaLAPACK panel message, exactly what the simulator prices
+// and the analytic CommVolume charges. All grid ranks call it, and later
+// panelRecv, with identical messages; get(i) is the block with index i at
+// its owner (not consulted elsewhere), r the square block size. The
+// returned map holds the resident blocks of the messages this rank roots,
+// used in place; panelRecv adds the received copies.
+func (co *Collectives) panelSend(tag string, msgs []distribution.Msg, get func(int) *matrix.Dense, r int) map[int]*matrix.Dense {
 	me := co.c.Rank()
 	out := make(map[int]*matrix.Dense)
 	for _, m := range msgs {
-		if me == m.Root {
-			// Resident blocks are used in place; the stacked clone only
-			// travels.
-			for _, i := range m.Blocks {
-				out[i] = get(i)
-			}
-		} else if !slices.Contains(m.Recv, me) {
+		if m.Root != me {
 			continue
+		}
+		for _, i := range m.Blocks {
+			out[i] = get(i)
 		}
 		if m.Fanout() == 0 {
 			// Every receiver is the owner: nothing travels, skip the stack.
 			continue
 		}
-		var payload *matrix.Dense
-		if me == m.Root {
-			parts := make([]*matrix.Dense, len(m.Blocks))
-			for bi, i := range m.Blocks {
-				parts[bi] = get(i)
-			}
-			payload = stackRows(parts)
+		parts := make([]*matrix.Dense, len(m.Blocks))
+		for bi, i := range m.Blocks {
+			parts[bi] = out[i]
 		}
-		got := co.Bcast(fmt.Sprintf("%s/g%d", tag, m.Blocks[0]), m.Root, m.Recv, payload, len(m.Blocks)*r)
-		if me != m.Root {
-			for bi, i := range m.Blocks {
-				out[i] = got.Slice(bi*r, (bi+1)*r, 0, r)
-			}
-		}
+		co.bcastSend(groupTag(tag, m), m.Root, m.Recv, stackRows(parts), len(m.Blocks)*r)
 	}
 	return out
 }
+
+// panelRecv is the receive half: the messages this rank receives (and
+// forwards) land in out, one r×r view of the payload per block.
+func (co *Collectives) panelRecv(tag string, msgs []distribution.Msg, r int, out map[int]*matrix.Dense) {
+	sp := co.c.Phase("panel " + tag)
+	defer co.c.EndPhase(sp)
+	me := co.c.Rank()
+	for _, m := range msgs {
+		if m.Root == me || !slices.Contains(m.Recv, me) {
+			continue
+		}
+		got := co.bcastRecv(groupTag(tag, m), m.Root, m.Recv, len(m.Blocks)*r)
+		for bi, i := range m.Blocks {
+			out[i] = got.Slice(bi*r, (bi+1)*r, 0, r)
+		}
+	}
+}
+
+// groupTag names a panel message by its first block.
+func groupTag(tag string, m distribution.Msg) string { return fmt.Sprintf("%s/g%d", tag, m.Blocks[0]) }

@@ -109,6 +109,7 @@ type World struct {
 type Comm struct {
 	world    *World
 	rank     int
+	hookDue  func(k int) bool // the steps stepHook runs at
 	stepHook func(k int) error
 	// stepSpan is the rank's currently open kernel-step span (0 when spans
 	// are off or no step has been entered); compute and phase spans link to
@@ -322,15 +323,22 @@ func raise(err error) {
 }
 
 // SetStepHook registers fn to run on this rank at the start of every kernel
-// step, after scheduled crash faults fire. Drivers use it to take
-// checkpoints (the hook may issue collectives — every rank's hook runs with
-// the same step sequence). Call it before starting a kernel.
-func (c *Comm) SetStepHook(fn func(k int) error) { c.stepHook = fn }
+// step due reports, after scheduled crash faults fire. The step loop enters
+// a due step drained — all of step k-1 done, none of step k — so the hook
+// sees the state between two steps. Drivers use it to take checkpoints (the
+// hook may issue collectives — every rank must pass the same due). Call it
+// before starting a kernel.
+func (c *Comm) SetStepHook(due func(k int) bool, fn func(k int) error) {
+	c.hookDue, c.stepHook = due, fn
+}
+
+// due reports whether the step hook runs at step k.
+func (c *Comm) due(k int) bool { return c.hookDue != nil && c.hookDue(k) }
 
 // Step marks this rank's entry into kernel step k: scheduled crash faults
 // fire here, then — when spans are recorded — the rank's previous step
 // span closes and a new one opens (the parent of the step's compute and
-// phase spans), and finally the rank's step hook (if any) runs. The
+// phase spans), and finally the rank's step hook runs if it is due. The
 // kernels' one step loop (runSteps) is its only caller.
 func (c *Comm) Step(k int) error {
 	if ft := c.world.fault; ft != nil {
@@ -341,7 +349,7 @@ func (c *Comm) Step(k int) error {
 		s.End(c.stepSpan)
 		c.stepSpan = s.Begin(c.rank, obs.SpanStep, fmt.Sprintf("step %d", k), 0)
 	}
-	if c.stepHook != nil {
+	if c.due(k) {
 		return c.stepHook(k)
 	}
 	return nil
@@ -352,7 +360,9 @@ func (c *Comm) Step(k int) error {
 // When a scheduled slowdown fault is in force on this rank, the section is
 // stretched to factor× its natural duration by spinning out the difference
 // inside the span — the busy-time gauges observe the injected load drift
-// while f's results stay untouched.
+// while f's results stay untouched. The factor is that of the step the rank
+// last entered: with look-ahead the rest of step k's update runs after the
+// rank entered step k+1, so under step k+1's factor.
 func (c *Comm) Compute(label string, f func() error) error {
 	factor := 1.0
 	if ft := c.world.fault; ft != nil {

@@ -142,7 +142,8 @@ func gatherAs(c *Comm, d distribution.Distribution, s *BlockStore, tag string) (
 // steps, with its Step set to k (and, for QR, the taus of those steps at
 // rank 0), finishes bit-identical to the run that never stopped. Every
 // kernel leaves the store at Step NB, and running it again on such a store
-// changes no block.
+// changes no block. Under every broadcast kind: the checkpoint's step is
+// entered drained however the panels travel.
 func TestResumeKernelsBitIdentical(t *testing.T) {
 	const nb, r = 6, 3
 	rng := rand.New(rand.NewSource(6))
@@ -182,96 +183,96 @@ func TestResumeKernelsBitIdentical(t *testing.T) {
 				}
 				replayTaus = rep.Taus
 			}
-			for _, k := range []int{1, nb / 2, nb - 1} {
-				name := fmt.Sprintf("%s/%s/k=%d", kern.name, d.Name(), k)
+			for _, bk := range allBroadcastKinds {
+				opts := Options{Broadcast: bk.kind}
+				for _, k := range []int{1, nb / 2, nb - 1} {
+					name := fmt.Sprintf("%s/%s/%s/k=%d", kern.name, d.Name(), bk.name, k)
 
-				// The run that never stops, checkpointing as it enters step k.
-				var clean, ckpt *matrix.Dense
-				var ckptTaus [][]float64
-				_, err := Run(4, func(c *Comm) error {
-					s, err := Scatter(c, d, pick(c.Rank() == 0, kern.work), r)
-					if err != nil {
-						return err
-					}
-					c.SetStepHook(func(step int) error {
-						if step != k {
-							return nil
+					// The run that never stops, checkpointing as it enters step k.
+					var clean, ckpt *matrix.Dense
+					var ckptTaus [][]float64
+					_, err := RunOpts(4, opts, func(c *Comm) error {
+						s, err := Scatter(c, d, pick(c.Rank() == 0, kern.work), r)
+						if err != nil {
+							return err
 						}
-						g, err := gatherAs(c, d, s, "ckpt")
-						if c.Rank() == 0 {
-							ckpt = g
-							if s.Taus != nil {
-								ckptTaus = slices.Clone(s.Taus[:k])
+						c.SetStepHook(func(step int) bool { return step == k }, func(int) error {
+							g, err := gatherAs(c, d, s, "ckpt")
+							if c.Rank() == 0 {
+								ckpt = g
+								if s.Taus != nil {
+									ckptTaus = slices.Clone(s.Taus[:k])
+								}
 							}
+							return err
+						})
+						if err := kern.run(c, d, s); err != nil {
+							return err
+						}
+						g, err := gatherAs(c, d, s, "clean")
+						if c.Rank() == 0 {
+							clean = g
 						}
 						return err
 					})
-					if err := kern.run(c, d, s); err != nil {
-						return err
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					g, err := gatherAs(c, d, s, "clean")
-					if c.Rank() == 0 {
-						clean = g
-					}
-					return err
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
 
-				// The resumed run, then the same kernel once more on its
-				// finished store.
-				var resumed, again *matrix.Dense
-				var taus, tausAgain [][]float64
-				_, err = Run(4, func(c *Comm) error {
-					s, err := Scatter(c, d, pick(c.Rank() == 0, ckpt), r)
+					// The resumed run, then the same kernel once more on its
+					// finished store.
+					var resumed, again *matrix.Dense
+					var taus, tausAgain [][]float64
+					_, err = RunOpts(4, opts, func(c *Comm) error {
+						s, err := Scatter(c, d, pick(c.Rank() == 0, ckpt), r)
+						if err != nil {
+							return err
+						}
+						s.Step = k
+						if c.Rank() == 0 {
+							s.Taus = slices.Clone(ckptTaus)
+						}
+						if err := kern.run(c, d, s); err != nil {
+							return err
+						}
+						if s.Step != nb {
+							return fmt.Errorf("rank %d: Step %d after the kernel, want %d", c.Rank(), s.Step, nb)
+						}
+						g, err := gatherAs(c, d, s, "resumed")
+						if err != nil {
+							return err
+						}
+						ts := slices.Clone(s.Taus)
+						if err := kern.run(c, d, s); err != nil {
+							return err
+						}
+						g2, err := gatherAs(c, d, s, "again")
+						if c.Rank() == 0 {
+							resumed, again, taus, tausAgain = g, g2, ts, s.Taus
+						}
+						return err
+					})
 					if err != nil {
-						return err
+						t.Fatalf("%s: %v", name, err)
 					}
-					s.Step = k
-					if c.Rank() == 0 {
-						s.Taus = slices.Clone(ckptTaus)
+					if !resumed.Equal(clean) {
+						t.Fatalf("%s: resumed result differs from the uninterrupted run", name)
 					}
-					if err := kern.run(c, d, s); err != nil {
-						return err
+					if !again.Equal(resumed) {
+						t.Fatalf("%s: a second run on a finished store changed blocks", name)
 					}
-					if s.Step != nb {
-						return fmt.Errorf("rank %d: Step %d after the kernel, want %d", c.Rank(), s.Step, nb)
-					}
-					g, err := gatherAs(c, d, s, "resumed")
-					if err != nil {
-						return err
-					}
-					ts := slices.Clone(s.Taus)
-					if err := kern.run(c, d, s); err != nil {
-						return err
-					}
-					g2, err := gatherAs(c, d, s, "again")
-					if c.Rank() == 0 {
-						resumed, again, taus, tausAgain = g, g2, ts, s.Taus
-					}
-					return err
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !resumed.Equal(clean) {
-					t.Fatalf("%s: resumed result differs from the uninterrupted run", name)
-				}
-				if !again.Equal(resumed) {
-					t.Fatalf("%s: a second run on a finished store changed blocks", name)
-				}
-				if kern.name == "cholesky" {
-					for i := 0; i < nb*r; i++ {
-						for j := i + 1; j < nb*r; j++ {
-							if resumed.At(i, j) != 0 {
-								t.Fatalf("%s: upper entry (%d,%d) = %v after resume", name, i, j, resumed.At(i, j))
+					if kern.name == "cholesky" {
+						for i := 0; i < nb*r; i++ {
+							for j := i + 1; j < nb*r; j++ {
+								if resumed.At(i, j) != 0 {
+									t.Fatalf("%s: upper entry (%d,%d) = %v after resume", name, i, j, resumed.At(i, j))
+								}
 							}
 						}
 					}
-				}
-				if kern.name == "qr" && (!slices.EqualFunc(taus, replayTaus, slices.Equal[[]float64]) || !slices.EqualFunc(tausAgain, replayTaus, slices.Equal[[]float64])) {
-					t.Fatalf("%s: resumed taus %v, replay %v", name, taus, replayTaus)
+					if kern.name == "qr" && (!slices.EqualFunc(taus, replayTaus, slices.Equal[[]float64]) || !slices.EqualFunc(tausAgain, replayTaus, slices.Equal[[]float64])) {
+						t.Fatalf("%s: resumed taus %v, replay %v", name, taus, replayTaus)
+					}
 				}
 			}
 		}

@@ -24,46 +24,53 @@ var allBroadcastKinds = []struct {
 }
 
 // The golden tests pin the engine kernels to the serial replay bit for bit:
-// the distributed execution reorders nothing, only relocates, so every
-// broadcast algorithm must reproduce the replay's floating-point results
-// exactly (Equal, not EqualApprox).
+// the distributed execution reorders nothing, only relocates — the step
+// loop's look-ahead moves when a block is updated, never what it sees — so
+// every broadcast algorithm must reproduce the replay's floating-point
+// results exactly (Equal, not EqualApprox).
+
+// goldenBlockSizes puts MM, LU and Cholesky on the scalar block update (3)
+// and the packed one (16).
+var goldenBlockSizes = []int{3, 16}
 
 func TestMMGoldenAllBroadcastKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
-	const nb, r = 6, 3
-	a := matrix.Random(nb*r, nb*r, rng)
-	b := matrix.Random(nb*r, nb*r, rng)
-	for _, d := range engineDistributions(t, nb) {
-		rep, err := kernels.ReplayMM(d, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bk := range allBroadcastKinds {
-			var got *matrix.Dense
-			_, err := RunOpts(4, Options{Broadcast: bk.kind}, func(c *Comm) error {
-				s1, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-				if err != nil {
-					return err
-				}
-				s2, err := Scatter(c, d, pick(c.Rank() == 0, b), r)
-				if err != nil {
-					return err
-				}
-				cs, err := MM(c, d, s1, s2)
-				if err != nil {
-					return err
-				}
-				full, err := Gather(c, d, cs)
-				if c.Rank() == 0 {
-					got = full
-				}
-				return err
-			})
+	const nb = 6
+	for _, r := range goldenBlockSizes {
+		a := matrix.Random(nb*r, nb*r, rng)
+		b := matrix.Random(nb*r, nb*r, rng)
+		for _, d := range engineDistributions(t, nb) {
+			rep, err := kernels.ReplayMM(d, a, b)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", d.Name(), bk.name, err)
+				t.Fatal(err)
 			}
-			if !got.Equal(rep.C) {
-				t.Fatalf("%s/%s: distributed MM not bit-identical to replay", d.Name(), bk.name)
+			for _, bk := range allBroadcastKinds {
+				var got *matrix.Dense
+				_, err := RunOpts(4, Options{Broadcast: bk.kind}, func(c *Comm) error {
+					s1, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
+					if err != nil {
+						return err
+					}
+					s2, err := Scatter(c, d, pick(c.Rank() == 0, b), r)
+					if err != nil {
+						return err
+					}
+					cs, err := MM(c, d, s1, s2)
+					if err != nil {
+						return err
+					}
+					full, err := Gather(c, d, cs)
+					if c.Rank() == 0 {
+						got = full
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", d.Name(), bk.name, err)
+				}
+				if !got.Equal(rep.C) {
+					t.Fatalf("%s/%s/r=%d: distributed MM not bit-identical to replay", d.Name(), bk.name, r)
+				}
 			}
 		}
 	}
@@ -71,34 +78,36 @@ func TestMMGoldenAllBroadcastKinds(t *testing.T) {
 
 func TestLUGoldenAllBroadcastKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
-	const nb, r = 6, 3
-	a := matrix.RandomWellConditioned(nb*r, rng)
-	for _, d := range engineDistributions(t, nb) {
-		rep, err := kernels.ReplayLU(d, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bk := range allBroadcastKinds {
-			var got *matrix.Dense
-			_, err := RunOpts(4, Options{Broadcast: bk.kind}, func(c *Comm) error {
-				store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-				if err != nil {
-					return err
-				}
-				if err := LU(c, d, store); err != nil {
-					return err
-				}
-				full, err := Gather(c, d, store)
-				if c.Rank() == 0 {
-					got = full
-				}
-				return err
-			})
+	const nb = 6
+	for _, r := range goldenBlockSizes {
+		a := matrix.RandomWellConditioned(nb*r, rng)
+		for _, d := range engineDistributions(t, nb) {
+			rep, err := kernels.ReplayLU(d, a)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", d.Name(), bk.name, err)
+				t.Fatal(err)
 			}
-			if !got.Equal(rep.C) {
-				t.Fatalf("%s/%s: distributed LU not bit-identical to replay", d.Name(), bk.name)
+			for _, bk := range allBroadcastKinds {
+				var got *matrix.Dense
+				_, err := RunOpts(4, Options{Broadcast: bk.kind}, func(c *Comm) error {
+					store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
+					if err != nil {
+						return err
+					}
+					if err := LU(c, d, store); err != nil {
+						return err
+					}
+					full, err := Gather(c, d, store)
+					if c.Rank() == 0 {
+						got = full
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", d.Name(), bk.name, err)
+				}
+				if !got.Equal(rep.C) {
+					t.Fatalf("%s/%s/r=%d: distributed LU not bit-identical to replay", d.Name(), bk.name, r)
+				}
 			}
 		}
 	}
@@ -106,34 +115,36 @@ func TestLUGoldenAllBroadcastKinds(t *testing.T) {
 
 func TestCholeskyGoldenAllBroadcastKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
-	const nb, r = 6, 3
-	a := matrix.RandomSPD(nb*r, rng)
-	for _, d := range engineDistributions(t, nb) {
-		rep, err := kernels.ReplayCholesky(d, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bk := range allBroadcastKinds {
-			var got *matrix.Dense
-			_, err := RunOpts(4, Options{Broadcast: bk.kind}, func(c *Comm) error {
-				store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-				if err != nil {
-					return err
-				}
-				if err := Cholesky(c, d, store); err != nil {
-					return err
-				}
-				full, err := Gather(c, d, store)
-				if c.Rank() == 0 {
-					got = full
-				}
-				return err
-			})
+	const nb = 6
+	for _, r := range goldenBlockSizes {
+		a := matrix.RandomSPD(nb*r, rng)
+		for _, d := range engineDistributions(t, nb) {
+			rep, err := kernels.ReplayCholesky(d, a)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", d.Name(), bk.name, err)
+				t.Fatal(err)
 			}
-			if !got.Equal(rep.C) {
-				t.Fatalf("%s/%s: distributed Cholesky not bit-identical to replay", d.Name(), bk.name)
+			for _, bk := range allBroadcastKinds {
+				var got *matrix.Dense
+				_, err := RunOpts(4, Options{Broadcast: bk.kind}, func(c *Comm) error {
+					store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
+					if err != nil {
+						return err
+					}
+					if err := Cholesky(c, d, store); err != nil {
+						return err
+					}
+					full, err := Gather(c, d, store)
+					if c.Rank() == 0 {
+						got = full
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", d.Name(), bk.name, err)
+				}
+				if !got.Equal(rep.C) {
+					t.Fatalf("%s/%s/r=%d: distributed Cholesky not bit-identical to replay", d.Name(), bk.name, r)
+				}
 			}
 		}
 	}

@@ -198,32 +198,94 @@ func MMInto(c *Comm, d distribution.Distribution, a, b, cStore *BlockStore) erro
 	}
 	r := a.R
 	co := NewCollectives(c, d)
-	// Every step updates all of this rank's C blocks.
+	// Every step updates all of this rank's C blocks; no panel reads them.
 	mine := lay.Update(distribution.All, 0)[c.Rank()]
-	return runSteps(c, cStore, lay.NB, func(k int) error {
+	return runSteps(c, cStore, lay.NB, func(k int) (step, error) {
 		aMsgs, bMsgs := lay.MMPanels(k)
-		aPanel := co.Panel(fmt.Sprintf("A/%d", k), aMsgs,
-			func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
-		bPanel := co.Panel(fmt.Sprintf("B/%d", k), bMsgs,
-			func(bj int) *matrix.Dense { return b.Get(k, bj) }, r)
-		return update(c, cStore, distribution.MMUpdate.At(k), mine, 1, aPanel,
-			func(bj int) *matrix.Dense { return bPanel[bj] })
+		aTag, bTag := fmt.Sprintf("A/%d", k), fmt.Sprintf("B/%d", k)
+		aPanel := co.panelSend(aTag, aMsgs, func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
+		bPanel := co.panelSend(bTag, bMsgs, func(bj int) *matrix.Dense { return b.Get(k, bj) }, r)
+		return step{
+			recv: func() {
+				co.panelRecv(aTag, aMsgs, r, aPanel)
+				co.panelRecv(bTag, bMsgs, r, bPanel)
+			},
+			update: func(blocks [][2]int) error {
+				return update(c, cStore, distribution.MMUpdate.At(k), blocks, 1, aPanel,
+					func(bj int) *matrix.Dense { return bPanel[bj] })
+			},
+			mine: mine,
+		}, nil
 	})
 }
 
-// runSteps is every kernel's step loop: each step from the store's own up
-// to nb is entered through Comm.Step, run by body, then counted in s.Step,
-// so a kernel resumes wherever its store stands, bit-identically.
-func runSteps(c *Comm, s *BlockStore, nb int, body func(k int) error) error {
-	for ; s.Step < nb; s.Step++ {
-		if err := c.Step(s.Step); err != nil {
-			return err
-		}
-		if err := body(s.Step); err != nil {
-			return err
+// step is the rest of kernel step k once its panel part — the diagonal
+// factor, its broadcasts, the panel solves, the send halves of the panel
+// broadcasts — has run: recv runs the receive halves, update the trailing
+// update of the given blocks of mine. next picks the look-ahead set, the
+// blocks the next panel reads (nil: none).
+type step struct {
+	recv   func()
+	update func(blocks [][2]int) error
+	mine   [][2]int
+	next   func(bi, bj int) bool
+}
+
+// split returns the look-ahead set and the rest of mine, each in mine's
+// order.
+func (st step) split() (ahead, rest [][2]int) {
+	rest = make([][2]int, 0, len(st.mine))
+	for _, b := range st.mine {
+		if st.next != nil && st.next(b[0], b[1]) {
+			ahead = append(ahead, b)
+		} else {
+			rest = append(rest, b)
 		}
 	}
-	return nil
+	return ahead, rest
+}
+
+// runSteps is every kernel's step loop, at look-ahead depth 1: per k it
+// runs recv, the look-ahead update, Comm.Step(k+1) and panel(k+1), then
+// the rest of step k's update; every block sees the operations of depth 0
+// in its order. A step the hook is due at is entered drained, all of step
+// k-1 done and none of k. s.Step counts the finished steps, so a kernel
+// resumes wherever its store stands, bit-identically.
+func runSteps(c *Comm, s *BlockStore, nb int, panel func(k int) (step, error)) error {
+	enter := func(k int) (step, error) {
+		if err := c.Step(k); err != nil {
+			return step{}, err
+		}
+		return panel(k)
+	}
+	if s.Step >= nb {
+		return nil
+	}
+	cur, err := enter(s.Step)
+	for err == nil && s.Step < nb {
+		k, next := s.Step, step{}
+		early := k+1 < nb && !c.due(k+1)
+		ahead, rest := cur.split()
+		if cur.recv != nil {
+			cur.recv()
+		}
+		if cur.update != nil && cur.next != nil {
+			err = cur.update(ahead)
+		}
+		if err == nil && early {
+			next, err = enter(k + 1)
+		}
+		if err == nil && cur.update != nil {
+			err = cur.update(rest)
+		}
+		if err == nil {
+			if s.Step++; !early && s.Step < nb {
+				next, err = enter(s.Step)
+			}
+			cur = next
+		}
+	}
+	return err
 }
 
 // update adds alpha·left[bi]·right(bj) to each block (bi, bj) of mine in
@@ -291,7 +353,7 @@ func LU(c *Comm, d distribution.Distribution, a *BlockStore) error {
 	r := a.R
 	co := NewCollectives(c, d)
 	me := c.Rank()
-	return runSteps(c, a, lay.NB, func(k int) error {
+	return runSteps(c, a, lay.NB, func(k int) (step, error) {
 		diagDown, diagRight, lMsgs, uMsgs := lay.LUPanels(k)
 
 		// 1+2. Diagonal factor and its two broadcasts.
@@ -301,7 +363,7 @@ func LU(c *Comm, d distribution.Distribution, a *BlockStore) error {
 			if err := c.Compute(distribution.LUFactor.At(k), func() error {
 				return matrix.FactorNoPivot(diag)
 			}); err != nil {
-				return fmt.Errorf("engine: step %d: %w", k, err)
+				return step{}, fmt.Errorf("engine: step %d: %w", k, err)
 			}
 		}
 		if got := co.bcastIfMember(fmt.Sprintf("dC/%d", k), diagDown.Root, diagDown.Recv, diag, r); got != nil {
@@ -311,29 +373,39 @@ func LU(c *Comm, d distribution.Distribution, a *BlockStore) error {
 			diag = got
 		}
 
-		// 3a. L panel: my sub-diagonal blocks of column k, then grouped
-		// row broadcasts.
+		// 3a. L panel: my sub-diagonal blocks of column k, then the send
+		// halves of the grouped row broadcasts.
 		if err := solveBelow(c, lay, a, distribution.LULSolve.At(k), k, diag); err != nil {
-			return err
+			return step{}, err
 		}
-		lPanel := co.Panel(fmt.Sprintf("L/%d", k), lMsgs,
-			func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
+		lTag, uTag := fmt.Sprintf("L/%d", k), fmt.Sprintf("U/%d", k)
+		lPanel := co.panelSend(lTag, lMsgs, func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
 
-		// 3b. U panel: triangular solves then grouped column broadcasts.
+		// 3b. U panel: triangular solves, then the grouped column sends.
 		if err := c.Compute(distribution.LUUSolve.At(k), func() error {
 			for _, bj := range lay.RowRight(k)[me] {
 				diag.SolveLowerUnitNumerics(a.Get(k, bj), c.Numerics())
 			}
 			return nil
 		}); err != nil {
-			return err
+			return step{}, err
 		}
-		uPanel := co.Panel(fmt.Sprintf("U/%d", k), uMsgs,
-			func(bj int) *matrix.Dense { return a.Get(k, bj) }, r)
+		uPanel := co.panelSend(uTag, uMsgs, func(bj int) *matrix.Dense { return a.Get(k, bj) }, r)
 
-		// 4. Trailing update on my blocks.
-		return update(c, a, distribution.LUUpdate.At(k), lay.Update(distribution.Trailing, k)[me], -1, lPanel,
-			func(bj int) *matrix.Dense { return uPanel[bj] })
+		// 4. Receive both panels, then the trailing update on my blocks;
+		// row and column k+1 are the next panel's.
+		return step{
+			recv: func() {
+				co.panelRecv(lTag, lMsgs, r, lPanel)
+				co.panelRecv(uTag, uMsgs, r, uPanel)
+			},
+			update: func(blocks [][2]int) error {
+				return update(c, a, distribution.LUUpdate.At(k), blocks, -1, lPanel,
+					func(bj int) *matrix.Dense { return uPanel[bj] })
+			},
+			mine: lay.Update(distribution.Trailing, k)[me],
+			next: func(bi, bj int) bool { return bi == k+1 || bj == k+1 },
+		}, nil
 	})
 }
 
@@ -361,7 +433,7 @@ func Cholesky(c *Comm, d distribution.Distribution, a *BlockStore) error {
 	r := a.R
 	co := NewCollectives(c, d)
 	me := c.Rank()
-	if err := runSteps(c, a, lay.NB, func(k int) error {
+	if err := runSteps(c, a, lay.NB, func(k int) (step, error) {
 		diagDown, lMsgs := lay.CholeskyPanels(k)
 
 		var diagT *matrix.Dense // L(k,k)ᵀ, needed by the panel solvers
@@ -376,24 +448,32 @@ func Cholesky(c *Comm, d distribution.Distribution, a *BlockStore) error {
 				diagT = f.L.T()
 				return nil
 			}); err != nil {
-				return fmt.Errorf("engine: step %d: %w", k, err)
+				return step{}, fmt.Errorf("engine: step %d: %w", k, err)
 			}
 		}
 		if got := co.bcastIfMember(fmt.Sprintf("cd/%d", k), diagDown.Root, diagDown.Recv, diagT, r); got != nil {
 			diagT = got
 		}
 
-		// Panel: L(bi,k) = A(bi,k)·L(k,k)^{-T}, then grouped broadcasts to
-		// the needer sets.
+		// Panel: L(bi,k) = A(bi,k)·L(k,k)^{-T}, then the send halves of the
+		// grouped broadcasts to the needer sets.
 		if err := solveBelow(c, lay, a, distribution.CholSolve.At(k), k, diagT); err != nil {
-			return err
+			return step{}, err
 		}
-		lPanel := co.Panel(fmt.Sprintf("cl/%d", k), lMsgs,
-			func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
+		tag := fmt.Sprintf("cl/%d", k)
+		lPanel := co.panelSend(tag, lMsgs, func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
 
-		// Trailing symmetric update on my lower-triangle blocks.
-		return update(c, a, distribution.CholUpdate.At(k), lay.Update(distribution.TrailingLower, k)[me], -1, lPanel,
-			func(bj int) *matrix.Dense { return lPanel[bj].T() })
+		// Receive the panel, then the trailing symmetric update on my
+		// lower-triangle blocks; column k+1 is the next panel's.
+		return step{
+			recv: func() { co.panelRecv(tag, lMsgs, r, lPanel) },
+			update: func(blocks [][2]int) error {
+				return update(c, a, distribution.CholUpdate.At(k), blocks, -1, lPanel,
+					func(bj int) *matrix.Dense { return lPanel[bj].T() })
+			},
+			mine: lay.Update(distribution.TrailingLower, k)[me],
+			next: func(_, bj int) bool { return bj == k+1 },
+		}, nil
 	}); err != nil {
 		return err
 	}

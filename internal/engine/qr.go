@@ -90,7 +90,8 @@ func QR(c *Comm, d distribution.Distribution, a *BlockStore) ([][]float64, error
 		}
 	}
 
-	if err := runSteps(c, a, nb, func(k int) error {
+	// The whole step is QR's panel part, so it runs at depth 0.
+	if err := runSteps(c, a, nb, func(k int) (step, error) {
 		master := lay.Owner(k, k)
 		rows := (nb - k) * r
 		ks := strconv.Itoa(k)
@@ -108,7 +109,7 @@ func QR(c *Comm, d distribution.Distribution, a *BlockStore) ([][]float64, error
 				f = matrix.FactorQR(slab)
 				return nil
 			}); err != nil {
-				return err
+				return step{}, err
 			}
 			packed, tauMat = f.Packed(), matrix.NewFromSlice(r, 1, f.Tau())
 			// The tau scalings stream to rank 0 as they are produced (a
@@ -146,7 +147,7 @@ func QR(c *Comm, d distribution.Distribution, a *BlockStore) ([][]float64, error
 				f.QTMul(slab)
 				return nil
 			}); err != nil {
-				return err
+				return step{}, err
 			}
 			for j, bj := range mine {
 				hand(slab, j, k, bj, "qu/"+ks)
@@ -161,7 +162,7 @@ func QR(c *Comm, d distribution.Distribution, a *BlockStore) ([][]float64, error
 		if me == 0 {
 			a.Taus[k] = tauOf(c.Recv(master, "qtau/"+ks))
 		}
-		return nil
+		return step{}, nil
 	}); err != nil {
 		return nil, err
 	}

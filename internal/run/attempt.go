@@ -168,13 +168,15 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 			}
 			return nil
 		}
+		// Commits and drift windows run at the hook's due steps, entered drained.
 		every := opts.CheckpointEvery
+		ckpt := func(k int) bool { return every > 0 && k%every == 0 }
+		window := func(k int) bool { return w != nil && (k-startK)%w.window == 0 }
 		if every > 0 || w != nil {
-			c.SetStepHook(func(k int) error {
-				if k <= startK {
-					return nil
-				}
-				if every > 0 && k%every == 0 {
+			c.SetStepHook(func(k int) bool {
+				return k > startK && (ckpt(k) || window(k))
+			}, func(k int) error {
+				if ckpt(k) {
 					if err := commit(fmt.Sprintf("ckpt/%d", k), k); err != nil {
 						return err
 					}
@@ -182,7 +184,7 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 						o.Checkpoints++
 					}
 				}
-				if w != nil && (k-startK)%w.window == 0 {
+				if window(k) {
 					return w.step(c, k, s, &o, commit)
 				}
 				return nil
