@@ -27,7 +27,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -161,7 +163,9 @@ func Labels(kv ...string) string {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, "%s=%q", p.k, p.v)
+		sb.WriteString(p.k)
+		sb.WriteByte('=')
+		sb.WriteString(strconv.Quote(p.v))
 	}
 	sb.WriteByte('}')
 	return sb.String()
@@ -183,14 +187,19 @@ func (r *Registry) lookup(name, labels, help string, kind metricKind, mk func(*s
 	s := &series{name: name, labels: labels, kind: kind, help: help}
 	mk(s)
 	r.byKey[key] = s
-	r.sorted = append(r.sorted, s)
-	sort.Slice(r.sorted, func(a, b int) bool {
-		if r.sorted[a].name != r.sorted[b].name {
-			return r.sorted[a].name < r.sorted[b].name
-		}
-		return r.sorted[a].labels < r.sorted[b].labels
-	})
+	r.insertLocked(s)
 	return s
+}
+
+// insertLocked adds s to the exposition order (by name, then label set)
+// where it belongs, so a registration costs a search and a copy, not a
+// sort of every series.
+func (r *Registry) insertLocked(s *series) {
+	i := sort.Search(len(r.sorted), func(i int) bool {
+		o := r.sorted[i]
+		return o.name > s.name || o.name == s.name && o.labels >= s.labels
+	})
+	r.sorted = slices.Insert(r.sorted, i, s)
 }
 
 // Counter returns (registering on first use) the counter name{labels}.
@@ -228,13 +237,7 @@ func (r *Registry) FuncGauge(name, labels, help string, fn func() float64) {
 	}
 	s := &series{name: name, labels: labels, kind: kindGauge, help: help, gauge: &Gauge{}, fn: fn}
 	r.byKey[key] = s
-	r.sorted = append(r.sorted, s)
-	sort.Slice(r.sorted, func(a, b int) bool {
-		if r.sorted[a].name != r.sorted[b].name {
-			return r.sorted[a].name < r.sorted[b].name
-		}
-		return r.sorted[a].labels < r.sorted[b].labels
-	})
+	r.insertLocked(s)
 }
 
 // Histogram returns (registering on first use) the histogram name{labels}

@@ -16,9 +16,9 @@ const DefaultQuantDigits = 3
 // decimal scaling itself would round, breaking idempotence.
 const maxQuantDigits = 15
 
-// Quantize rounds a positive cycle-time to the given number of significant
-// decimal digits. It is monotone (a ≤ b ⇒ Quantize(a) ≤ Quantize(b)) and
-// idempotent (Quantize(Quantize(v)) == Quantize(v)). digits ≤ 0 and
+// quantize rounds a positive cycle-time to the given number of significant
+// decimal digits. It is monotone (a ≤ b ⇒ quantize(a) ≤ quantize(b)) and
+// idempotent (quantize(quantize(v)) == quantize(v)). digits ≤ 0 and
 // non-positive or non-finite v return v unchanged, as do the rare values
 // whose rounding would overflow float64.
 //
@@ -30,7 +30,7 @@ const maxQuantDigits = 15
 // correctly, and parsing the result back is the canonical float64 for that
 // decimal — quantizing it again reproduces the same string, hence the same
 // value.
-func Quantize(v float64, digits int) float64 {
+func quantize(v float64, digits int) float64 {
 	if digits <= 0 || !(v > 0) || math.IsInf(v, 0) {
 		return v
 	}
@@ -44,11 +44,11 @@ func Quantize(v float64, digits int) float64 {
 	return q
 }
 
-// QuantizeTimes returns a fresh slice with every cycle-time quantized.
-func QuantizeTimes(times []float64, digits int) []float64 {
+// quantizeTimes returns a fresh slice with every cycle-time quantized.
+func quantizeTimes(times []float64, digits int) []float64 {
 	out := make([]float64, len(times))
 	for i, v := range times {
-		out[i] = Quantize(v, digits)
+		out[i] = quantize(v, digits)
 	}
 	return out
 }
@@ -59,14 +59,16 @@ func QuantizeTimes(times []float64, digits int) []float64 {
 // identical plan — the property that lets near-duplicate traffic share
 // cache entries.
 func (r Request) Quantized(digits int) Request {
-	r.Times = QuantizeTimes(r.Times, digits)
-	r.MinAspect = Quantize(r.MinAspect, digits)
+	r.Times = quantizeTimes(r.Times, digits)
+	r.MinAspect = quantize(r.MinAspect, digits)
 	return r
 }
 
 // Key renders the request's cache identity: every field that can change
 // the resulting plan, with cycle-times quantized to the given digits.
-// Workers is deliberately absent (it never changes the result).
+// Workers is deliberately absent (it never changes the result). digits ≤ 0
+// renders the times as they are, so Quantized(d).Key(0) == Key(d): the key
+// of a request Quantized already rounded, without rounding it again.
 func (r Request) Key(digits int) string {
 	var sb strings.Builder
 	sb.Grow(32 + 12*len(r.Times))
@@ -94,7 +96,7 @@ func (r Request) Key(digits int) string {
 	}
 	if r.MinAspect != 0 {
 		sb.WriteString("|asp=")
-		sb.WriteString(strconv.FormatFloat(Quantize(r.MinAspect, digits), 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(quantize(r.MinAspect, digits), 'g', -1, 64))
 	}
 	if r.Panel != nil {
 		sb.WriteString("|panel=")
@@ -117,7 +119,7 @@ func (r Request) Key(digits int) string {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		sb.WriteString(strconv.FormatFloat(Quantize(v, digits), 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(quantize(v, digits), 'g', -1, 64))
 	}
 	return sb.String()
 }

@@ -34,12 +34,12 @@ func FuzzQuantize(f *testing.F) {
 		f.Add(s.v, s.w, s.digits)
 	}
 	f.Fuzz(func(t *testing.T, v, w float64, digits int) {
-		qv := Quantize(v, digits) // must not panic for any input
-		qw := Quantize(w, digits)
+		qv := quantize(v, digits) // must not panic for any input
+		qw := quantize(w, digits)
 
 		// Idempotence.
-		if qq := Quantize(qv, digits); qq != qv && !(math.IsNaN(qq) && math.IsNaN(qv)) {
-			t.Fatalf("Quantize not idempotent: Q(%v)=%v, Q(Q)=%v (digits %d)", v, qv, qq, digits)
+		if qq := quantize(qv, digits); qq != qv && !(math.IsNaN(qq) && math.IsNaN(qv)) {
+			t.Fatalf("quantize not idempotent: Q(%v)=%v, Q(Q)=%v (digits %d)", v, qv, qq, digits)
 		}
 
 		// Monotonicity over positive finite inputs.
@@ -50,12 +50,12 @@ func FuzzQuantize(f *testing.F) {
 				lo, hi, qlo, qhi = hi, lo, qhi, qlo
 			}
 			if qlo > qhi {
-				t.Fatalf("Quantize not monotone: v=%v→%v, w=%v→%v (digits %d)", lo, qlo, hi, qhi, digits)
+				t.Fatalf("quantize not monotone: v=%v→%v, w=%v→%v (digits %d)", lo, qlo, hi, qhi, digits)
 			}
 			// Quantizing must keep the sign: cache keys for positive
 			// cycle-times must stay positive.
 			if !(qv > 0) {
-				t.Fatalf("Quantize(%v, %d) = %v, lost positivity", v, digits, qv)
+				t.Fatalf("quantize(%v, %d) = %v, lost positivity", v, digits, qv)
 			}
 			// Relative error bound: digits ≥ 1 keeps the value within
 			// ~5·10^-digits of itself (generous factor for the guard paths
@@ -63,7 +63,7 @@ func FuzzQuantize(f *testing.F) {
 			if digits >= 1 && digits <= maxQuantDigits {
 				rel := math.Abs(qv-v) / v
 				if rel > 0.5*math.Pow(10, float64(1-digits))+1e-12 {
-					t.Fatalf("Quantize(%v, %d) = %v, relative error %v", v, digits, qv, rel)
+					t.Fatalf("quantize(%v, %d) = %v, relative error %v", v, digits, qv, rel)
 				}
 			}
 		}
@@ -71,7 +71,7 @@ func FuzzQuantize(f *testing.F) {
 		// Non-positive / non-finite inputs and digits ≤ 0 pass through.
 		if digits <= 0 || !(v > 0) || math.IsInf(v, 0) {
 			if qv != v && !(math.IsNaN(v) && math.IsNaN(qv)) {
-				t.Fatalf("Quantize(%v, %d) = %v, want identity", v, digits, qv)
+				t.Fatalf("quantize(%v, %d) = %v, want identity", v, digits, qv)
 			}
 		}
 	})
@@ -79,6 +79,10 @@ func FuzzQuantize(f *testing.F) {
 
 // FuzzRequestKey checks that the cache key derivation never panics and is
 // stable under quantization: a request and its quantized form share a key.
+// It also pins the service's derivation, which quantizes once: the key of
+// the quantized request rendered as it is, Quantized(digits).Key(0), is
+// Key(digits) of the raw request — with and without a MinAspect, the other
+// quantized field.
 func FuzzRequestKey(f *testing.F) {
 	f.Add(1.0, 2.0, 3.0, 5.0, 2, 2, false, 3)
 	f.Add(0.5, 0.5001, 1e-10, 1e10, 0, 0, true, 3)
@@ -86,12 +90,19 @@ func FuzzRequestKey(f *testing.F) {
 	f.Add(math.Pi, math.E, math.Sqrt2, 1.0, 2, 2, true, 15)
 	f.Fuzz(func(t *testing.T, a, b, c, d float64, p, q int, subset bool, digits int) {
 		req := Request{Times: []float64{a, b, c, d}, P: p, Q: q, AllowSubset: subset}
-		key := req.Key(digits)
-		if key == "" {
-			t.Fatal("empty key")
-		}
-		if qkey := req.Quantized(digits).Key(digits); qkey != key {
-			t.Fatalf("key not quantization-stable:\n raw: %s\nquant: %s", key, qkey)
+		asp := req
+		asp.MinAspect = d
+		for _, req := range []Request{req, asp} {
+			key := req.Key(digits)
+			if key == "" {
+				t.Fatal("empty key")
+			}
+			if qkey := req.Quantized(digits).Key(digits); qkey != key {
+				t.Fatalf("key not quantization-stable:\n raw: %s\nquant: %s", key, qkey)
+			}
+			if once := req.Quantized(digits).Key(0); once != key {
+				t.Fatalf("quantize-once key differs:\n  Key(digits): %s\nQuantized.Key(0): %s", key, once)
+			}
 		}
 	})
 }

@@ -10,10 +10,8 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"hetgrid/internal/obs"
 	"hetgrid/internal/plan"
 )
 
@@ -116,134 +114,119 @@ func decodeBatchItem(raw json.RawMessage) (plan.Request, error) {
 	return req, nil
 }
 
-// planMemo caches the marshaled bytes of cached plans, keyed by pointer
-// identity: a cache hit returns the same immutable *plan.Plan, so its
-// canonical JSON never changes and re-marshaling it per batch is pure
-// waste. The memo is generational — when it reaches memoCap entries the
-// whole map is swapped for an empty one — so it stays bounded without
-// tracking cache evictions (a stale pointer just re-marshals once into
-// the new generation).
-type planMemo struct {
-	m atomic.Pointer[sync.Map]
-	n atomic.Int64
-}
-
-const memoCap = 4096
-
-func newPlanMemo() *planMemo {
-	pm := &planMemo{}
-	pm.m.Store(&sync.Map{})
-	return pm
-}
-
-func (pm *planMemo) marshal(p *plan.Plan) (json.RawMessage, error) {
-	gen := pm.m.Load()
-	if raw, ok := gen.Load(p); ok {
-		return raw.(json.RawMessage), nil
-	}
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return nil, err
-	}
-	if pm.n.Add(1) > memoCap {
-		pm.n.Store(0)
-		gen = &sync.Map{}
-		pm.m.Store(gen)
-	}
-	gen.Store(p, json.RawMessage(raw))
-	return raw, nil
-}
-
-// batchSolve resolves decoded batch items: dedup by quantized key, then a
-// bounded parallel fan-out over the unique keys. Duplicate items reuse the
-// first occurrence's solve (and its marshaled bytes) without touching the
-// cache again. Returns the per-item results plus the dedup count.
-func (s *Server) batchSolve(reqs []plan.Request, valid []bool, keys []string) ([]BatchItem, int) {
-	type slot struct {
-		plan *plan.Plan
-		raw  json.RawMessage
-		hit  bool
-		err  error
-	}
-	items := make([]BatchItem, len(reqs))
-	primary := map[string]*slot{} // quantized key → first occurrence's result
-	var uniq []string
-	reqFor := make(map[string]plan.Request)
-	for i, req := range reqs {
-		if !valid[i] {
+// resolve looks each raw item up in the item memo and decodes, validates,
+// quantizes, keys and stores the ones it does not hold. A failed item
+// leaves nil in its slot and its 422 in out. It returns the items, the
+// number that failed, and the time spent deriving keys.
+func (s *Server) resolve(raws []json.RawMessage, out []BatchItem) ([]*item, int, time.Duration) {
+	its := make([]*item, len(raws))
+	invalid := 0
+	var keying time.Duration
+	for i, raw := range raws {
+		if its[i] = s.items.get(raw); its[i] != nil {
 			continue
 		}
-		if _, ok := primary[keys[i]]; !ok {
-			primary[keys[i]] = &slot{}
-			reqFor[keys[i]] = req
-			uniq = append(uniq, keys[i])
+		req, err := decodeBatchItem(raw)
+		if err != nil {
+			out[i] = BatchItem{Status: http.StatusUnprocessableEntity, Error: err.Error()}
+			invalid++
+			continue
+		}
+		t := time.Now()
+		it := &item{raw: raw}
+		it.req, it.key = s.quantize(req)
+		s.items.put(it)
+		keying += time.Since(t)
+		its[i] = it
+	}
+	return its, invalid, keying
+}
+
+// batchSolve answers the resolved items into out: dedup by quantized key,
+// then a bounded parallel fan-out over the unique keys. Duplicate items
+// reuse the first occurrence's solve (and its marshaled bytes) without
+// touching the cache again. Failed items (nil) are left as they are.
+// Returns the dedup count.
+func (s *Server) batchSolve(its []*item, out []BatchItem) int {
+	type slot struct {
+		it     *item
+		raw    json.RawMessage
+		hit    bool
+		err    error
+		served bool // an earlier item of the batch was answered from it
+	}
+	slots := map[string]*slot{} // quantized key → first occurrence's result
+	var uniq []*slot
+	for _, it := range its {
+		if it != nil && slots[it.key] == nil {
+			sl := &slot{it: it}
+			slots[it.key] = sl
+			uniq = append(uniq, sl)
 		}
 	}
 
 	// Fan the unique keys out over a bounded worker set. The cache's
 	// single-flight already dedups across batches; this loop dedups inside
 	// one and keeps the goroutine count independent of batch size.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(uniq))
 	var wg sync.WaitGroup
-	work := make(chan string)
+	work := make(chan *slot)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range work {
-				sl := primary[k]
-				sl.plan, sl.hit, sl.err = s.solveKeyed(reqFor[k], k)
+			for sl := range work {
+				var p *plan.Plan
+				p, sl.hit, sl.err = s.solveKeyed(sl.it.req, sl.it.key)
 				if sl.err == nil {
-					sl.raw, sl.err = s.memo.marshal(sl.plan)
+					sl.raw, sl.err = s.marshal(p)
 				}
 			}
 		}()
 	}
-	for _, k := range uniq {
-		work <- k
+	for _, sl := range uniq {
+		work <- sl
 	}
 	close(work)
 	wg.Wait()
 
 	dedup := 0
-	served := map[string]bool{}
-	for i := range reqs {
-		if !valid[i] {
-			continue // already filled by the caller
+	for i, it := range its {
+		if it == nil {
+			continue
 		}
-		sl := primary[keys[i]]
+		sl := slots[it.key]
 		if sl.err != nil {
-			items[i] = BatchItem{Status: http.StatusUnprocessableEntity, Error: sl.err.Error()}
+			out[i] = BatchItem{Status: http.StatusUnprocessableEntity, Error: sl.err.Error()}
 			continue
 		}
 		cache := "miss"
 		switch {
-		case served[keys[i]]:
+		case sl.served:
 			cache = "dedup"
 			dedup++
 		case sl.hit:
 			cache = "hit"
 		}
-		served[keys[i]] = true
-		items[i] = BatchItem{Status: http.StatusOK, Cache: cache, Plan: sl.raw}
+		sl.served = true
+		out[i] = BatchItem{Status: http.StatusOK, Cache: cache, Plan: sl.raw}
 	}
-	return items, dedup
+	return dedup
 }
+
+// bufPool holds response buffers between batches. A buffer an unusually
+// large response grew past maxPooledBuffer is left to the collector
+// rather than kept.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuffer = 1 << 20
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	code := http.StatusOK
 	defer func() {
 		s.batchLatency.Observe(time.Since(start).Seconds())
-		s.registry.Counter("hetgrid_service_batch_requests_total",
-			obs.Labels("code", strconv.Itoa(code)),
-			"Batch plan requests by HTTP status.").Inc()
+		s.batchRequests[code].Inc()
 	}()
 
 	if r.Method != http.MethodPost {
@@ -267,50 +250,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batchSize.Observe(float64(len(raws)))
 
-	// Byte-identical raw items decode (and quantize) identically, so the
-	// strict decode and key derivation run once per distinct body — in a
-	// duplicate-heavy batch that is most of the handler's CPU.
-	type decoded struct {
-		req plan.Request
-		key string
-		err error
-	}
-	reqs := make([]plan.Request, len(raws))
-	valid := make([]bool, len(raws))
-	keys := make([]string, len(raws))
 	items := make([]BatchItem, len(raws))
-	invalid := 0
-	seen := make(map[string]*decoded, len(raws))
-	for i, raw := range raws {
-		d, ok := seen[string(raw)]
-		if !ok {
-			d = &decoded{}
-			d.req, d.err = decodeBatchItem(raw)
-			if d.err == nil {
-				d.req = d.req.Quantized(s.digits)
-				d.key = d.req.Key(s.digits)
-			}
-			seen[string(raw)] = d
-		}
-		if d.err != nil {
-			items[i] = BatchItem{Status: http.StatusUnprocessableEntity, Error: d.err.Error()}
-			invalid++
-			continue
-		}
-		reqs[i], keys[i], valid[i] = d.req, d.key, true
-	}
+	its, invalid, keying := s.resolve(raws, items)
+	resolved := time.Now()
+	s.stages.decode.Observe((resolved.Sub(start) - keying).Seconds())
+	s.stages.key.Observe(keying.Seconds())
+	dedup := s.batchSolve(its, items)
+	solved := time.Now()
+	s.stages.solve.Observe(solved.Sub(resolved).Seconds())
 
-	solved, dedup := s.batchSolve(reqs, valid, keys)
-	for i := range items {
-		if valid[i] {
-			items[i] = solved[i]
-		}
-	}
-
-	itemCounter := func(result string) *obs.Counter {
-		return s.registry.Counter("hetgrid_service_batch_items_total",
-			obs.Labels("result", result), "Batch items by per-item outcome.")
-	}
 	hits, misses, failed := 0, 0, 0
 	for _, it := range items {
 		switch {
@@ -322,11 +270,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			misses++
 		}
 	}
-	itemCounter("hit").Add(int64(hits))
-	itemCounter("miss").Add(int64(misses))
-	itemCounter("dedup").Add(int64(dedup))
-	itemCounter("invalid").Add(int64(invalid))
-	itemCounter("failed").Add(int64(failed - invalid))
+	s.batchItems.hit.Add(int64(hits))
+	s.batchItems.miss.Add(int64(misses))
+	s.batchItems.dedup.Add(int64(dedup))
+	s.batchItems.invalid.Add(int64(invalid))
+	s.batchItems.failed.Add(int64(failed - invalid))
 
 	// Outcome counts ride in headers so callers that only need the tallies
 	// (monitors, load shedders, benchmarks) can skip parsing the envelope,
@@ -335,11 +283,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Batch-Dedup", strconv.Itoa(dedup))
 	w.Header().Set("X-Batch-Hits", strconv.Itoa(hits))
 	w.Header().Set("X-Batch-Failed", strconv.Itoa(failed))
-	var buf bytes.Buffer
-	buf.Grow(1024 * len(items))
-	BatchResponse{Results: items}.encode(&buf)
+	buf := bufPool.Get().(*bytes.Buffer)
+	BatchResponse{Results: items}.encode(buf)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledBuffer {
+		buf.Reset()
+		bufPool.Put(buf)
+	}
+	s.stages.encode.Observe(time.Since(solved).Seconds())
 }

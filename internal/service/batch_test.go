@@ -247,8 +247,8 @@ func TestDrainingReturns503(t *testing.T) {
 	}
 }
 
-// TestBatchMetrics: the batch path publishes its size histogram and
-// per-item outcome counters.
+// TestBatchMetrics: the batch path publishes its size histogram, its
+// per-item outcome counters, and one observation of each stage per batch.
 func TestBatchMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
 	postBatch(t, ts, `[{"times":[1,2,3,5],"p":2,"q":2},{"times":[1,2,3,5],"p":2,"q":2},{"times":[1,-2],"p":1,"q":2}]`)
@@ -267,6 +267,10 @@ func TestBatchMetrics(t *testing.T) {
 		`hetgrid_service_batch_items_total{result="invalid"} 1`,
 		"hetgrid_service_batch_size_count 1",
 		"hetgrid_service_batch_seconds_count 1",
+		`hetgrid_service_batch_stage_seconds_count{stage="decode"} 1`,
+		`hetgrid_service_batch_stage_seconds_count{stage="key"} 1`,
+		`hetgrid_service_batch_stage_seconds_count{stage="solve"} 1`,
+		`hetgrid_service_batch_stage_seconds_count{stage="encode"} 1`,
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -55,15 +55,21 @@ type Server struct {
 	registry *obs.Registry
 
 	maxBatch int
-	memo     *planMemo
+	plans    *memo[*plan.Plan, json.RawMessage]
+	items    *itemMemo
 	draining atomic.Bool
 
-	latency      *obs.Histogram
-	batchLatency *obs.Histogram
-	batchSize    *obs.Histogram
+	latency       *obs.Histogram
+	batchLatency  *obs.Histogram
+	batchSize     *obs.Histogram
+	requests      map[int]*obs.Counter // by the status handlePlan answered
+	batchRequests map[int]*obs.Counter // by the status handleBatch answered
+	batchItems    struct{ hit, miss, dedup, invalid, failed *obs.Counter }
+	stages        struct{ decode, key, solve, encode *obs.Histogram }
 }
 
-// New builds a Server from cfg and publishes its metrics.
+// New builds a Server from cfg and publishes its metrics. Every series a
+// request updates is resolved here, so serving one looks nothing up.
 func New(cfg Config) *Server {
 	s := &Server{
 		cache:    cfg.Cache,
@@ -71,7 +77,8 @@ func New(cfg Config) *Server {
 		workers:  cfg.Workers,
 		registry: cfg.Registry,
 		maxBatch: cfg.MaxBatchItems,
-		memo:     newPlanMemo(),
+		plans:    newMemo[*plan.Plan, json.RawMessage](),
+		items:    newItemMemo(),
 	}
 	if s.cache == nil {
 		s.cache = plancache.New(plancache.Config{})
@@ -93,7 +100,44 @@ func New(cfg Config) *Server {
 	s.batchSize = s.registry.Histogram("hetgrid_service_batch_size", "",
 		"Items per POST /v1/plans request.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
+	s.requests = codeCounters(s.registry, "hetgrid_service_requests_total",
+		"Plan requests by HTTP status.",
+		http.StatusOK, http.StatusBadRequest, http.StatusMethodNotAllowed,
+		http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity, http.StatusServiceUnavailable)
+	s.batchRequests = codeCounters(s.registry, "hetgrid_service_batch_requests_total",
+		"Batch plan requests by HTTP status.",
+		http.StatusOK, http.StatusBadRequest, http.StatusMethodNotAllowed,
+		http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable)
+	itemCounter := func(result string) *obs.Counter {
+		return s.registry.Counter("hetgrid_service_batch_items_total",
+			obs.Labels("result", result), "Batch items by per-item outcome.")
+	}
+	s.batchItems.hit, s.batchItems.miss = itemCounter("hit"), itemCounter("miss")
+	s.batchItems.dedup, s.batchItems.invalid = itemCounter("dedup"), itemCounter("invalid")
+	s.batchItems.failed = itemCounter("failed")
+	stage := func(name string) *obs.Histogram {
+		return s.registry.Histogram("hetgrid_service_batch_stage_seconds", obs.Labels("stage", name),
+			"Time one answered POST /v1/plans spent in each stage: decode (envelope and "+
+				"items), key, solve (the fan-out, cache included) and encode.", stageBuckets)
+	}
+	s.stages.decode, s.stages.key = stage("decode"), stage("key")
+	s.stages.solve, s.stages.encode = stage("solve"), stage("encode")
 	return s
+}
+
+// stageBuckets spans 10 µs to 0.16 s: a batch stage ranges from a few
+// memo lookups to a cold exact solve.
+var stageBuckets = []float64{1e-5, 2e-5, 4e-5, 8e-5, 1.6e-4, 3.2e-4, 6.4e-4, 1.28e-3,
+	2.56e-3, 5.12e-3, 1.024e-2, 2.048e-2, 4.096e-2, 8.192e-2, 0.16384}
+
+// codeCounters resolves the counter name{code} for each status a handler
+// can answer.
+func codeCounters(reg *obs.Registry, name, help string, codes ...int) map[int]*obs.Counter {
+	m := make(map[int]*obs.Counter, len(codes))
+	for _, code := range codes {
+		m[code] = reg.Counter(name, obs.Labels("code", strconv.Itoa(code)), help)
+	}
+	return m
 }
 
 // Registry returns the registry the server publishes to.
@@ -112,18 +156,13 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // registry.
 func (s *Server) Handler() http.Handler {
 	mux := s.registry.ServeMux()
-	s.Routes(mux)
-	return mux
-}
-
-// Routes registers the service endpoints on mux.
-func (s *Server) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/plan", s.handlePlan)
 	mux.HandleFunc("/v1/plans", s.handleBatch)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, "ok\n")
 	})
+	return mux
 }
 
 // maxRequestBytes bounds a single request body; a plan request is a few KB
@@ -202,11 +241,19 @@ type errorBody struct {
 
 // solve runs the cached solve for a validated request: quantize, key,
 // cache (single-flight), planner on a miss. Both the single and the batch
-// endpoint go through here, which is what keeps their responses
+// endpoint go through solveKeyed, which is what keeps their responses
 // byte-identical for the same quantized key.
 func (s *Server) solve(req plan.Request) (*plan.Plan, bool, error) {
-	qreq := req.Quantized(s.digits)
-	return s.solveKeyed(qreq, qreq.Key(s.digits))
+	return s.solveKeyed(s.quantize(req))
+}
+
+// quantize returns the request the server plans for req, its cycle-times
+// quantized, and that request's cache key. The key renders the quantized
+// times as they are (Key(0)), so each is rounded once; it equals
+// req.Key(s.digits), which FuzzRequestKey pins.
+func (s *Server) quantize(req plan.Request) (plan.Request, string) {
+	q := req.Quantized(s.digits)
+	return q, q.Key(0)
 }
 
 // maxExactProcessors is the largest grid, in processors, the service runs
@@ -215,8 +262,8 @@ func (s *Server) solve(req plan.Request) (*plan.Plan, bool, error) {
 const maxExactProcessors = 12
 
 // solveKeyed is solve for callers that already quantized the request and
-// derived its cache key (the batch path, which computes both once per
-// distinct item). An exact request over maxExactProcessors is refused
+// derived its cache key (the batch path, which keeps both in its item
+// memo). An exact request over maxExactProcessors is refused
 // before the cache.
 func (s *Server) solveKeyed(qreq plan.Request, key string) (*plan.Plan, bool, error) {
 	if qreq.Strategy == plan.StrategyExact && qreq.P*qreq.Q > maxExactProcessors {
@@ -250,9 +297,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	code := http.StatusOK
 	defer func() {
 		s.latency.Observe(time.Since(start).Seconds())
-		s.registry.Counter("hetgrid_service_requests_total",
-			obs.Labels("code", strconv.Itoa(code)),
-			"Plan requests by HTTP status.").Inc()
+		s.requests[code].Inc()
 	}()
 
 	if r.Method != http.MethodPost {
