@@ -44,56 +44,3 @@ func TestShouldRebalanceMeasuredLength(t *testing.T) {
 		}
 	}
 }
-
-func TestPlanMovesFacade(t *testing.T) {
-	a, err := Uniform(2, 2, 12, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := PlanMoves(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.BlockCount() != 0 {
-		t.Fatal("identity plan not empty")
-	}
-}
-
-func TestCommVolumeOfFacade(t *testing.T) {
-	d, err := Uniform(2, 2, 12, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm, err := CommVolumeOf(MatMul, d, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lu, err := CommVolumeOf(LU, d, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mm.Messages <= 0 || lu.Messages <= 0 {
-		t.Fatalf("volumes empty: mm=%+v lu=%+v", mm, lu)
-	}
-	// Sanity: the MM run touches the whole matrix every step, LU shrinks —
-	// MM moves more bytes on the same layout.
-	if mm.Bytes <= lu.Bytes {
-		t.Fatalf("MM bytes %v not above LU bytes %v", mm.Bytes, lu.Bytes)
-	}
-	// Cholesky has its own schedule (no U panel, lower triangle only): it
-	// must not be charged LU's volume. QR keeps the LU approximation.
-	chol, err := CommVolumeOf(Cholesky, d, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chol.Messages <= 0 || chol.Bytes >= lu.Bytes {
-		t.Fatalf("Cholesky volume %+v not below LU's %+v", chol, lu)
-	}
-	qr, err := CommVolumeOf(QR, d, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *qr != *lu {
-		t.Fatalf("QR volume %+v differs from LU's %+v", qr, lu)
-	}
-}

@@ -104,11 +104,11 @@ func TestOptionsEquivalence(t *testing.T) {
 	}
 
 	lu := matrix.RandomWellConditioned(18, rng)
-	tunedLU, _, err := DistributedFactorLU(d, lu, r, opts...)
+	tunedLU, _, err := DistributedFactor(LU, d, lu, r, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tunedLU.Equal(factorPacked(t, LU, d, lu)) {
+	if !tunedLU.Packed().Equal(factorPacked(t, LU, d, lu)) {
 		t.Fatal("scheduling options changed the LU factors")
 	}
 
@@ -144,7 +144,7 @@ func TestFactorizationUnifiesKernels(t *testing.T) {
 	if f.Kernel() != LU {
 		t.Fatalf("kernel %v", f.Kernel())
 	}
-	rep, err := kernels.ReplayLU(d, a)
+	rep, err := kernels.ReplayLUNumerics(d, a, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFactorizationUnifiesKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repC, err := kernels.ReplayCholesky(d, spd)
+	repC, err := kernels.ReplayCholeskyNumerics(d, spd, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFactorizationUnifiesKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repQ, err := kernels.ReplayQR(d, q)
+	repQ, err := kernels.ReplayQRNumerics(d, q, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}

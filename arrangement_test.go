@@ -5,8 +5,20 @@ import (
 	"testing"
 )
 
+// fixedRequest asks SolvePlan to balance a fixed arrangement: the machines
+// stay at the grid positions of rows (row-major) and only the shares are
+// optimized — the §4.3 sub-problem.
+func fixedRequest(rows [][]float64, s PlanStrategy) PlanRequest {
+	req := PlanRequest{P: len(rows), Fixed: true, Strategy: s}
+	for _, row := range rows {
+		req.Q = len(row)
+		req.Times = append(req.Times, row...)
+	}
+	return req
+}
+
 func TestBalanceArrangementExact(t *testing.T) {
-	plan, err := BalanceArrangement([][]float64{{1, 2}, {3, 5}}, StrategyExact)
+	plan, _, err := SolvePlan(fixedRequest([][]float64{{1, 2}, {3, 5}}, PlanExact))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +33,7 @@ func TestBalanceArrangementExact(t *testing.T) {
 }
 
 func TestBalanceArrangementHeuristic(t *testing.T) {
-	plan, err := BalanceArrangement([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}, StrategyHeuristic)
+	plan, _, err := SolvePlan(fixedRequest([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}, PlanHeuristic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +41,13 @@ func TestBalanceArrangementHeuristic(t *testing.T) {
 	if math.Abs(plan.Objective()-2.4322) > 5e-4 {
 		t.Fatalf("objective %v, want 2.4322", plan.Objective())
 	}
-	if err := plan.Verify(); err != nil {
-		t.Fatal(err)
+	if !plan.sol.Feasible(0) {
+		t.Fatal("plan violates its load-balance constraints")
 	}
 }
 
 func TestBalanceArrangementRank1FastPath(t *testing.T) {
-	plan, err := BalanceArrangement([][]float64{{1, 2}, {3, 6}}, StrategyAuto)
+	plan, _, err := SolvePlan(fixedRequest([][]float64{{1, 2}, {3, 6}}, PlanAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +58,9 @@ func TestBalanceArrangementRank1FastPath(t *testing.T) {
 
 func TestBalanceArrangementKeepsMachinePositions(t *testing.T) {
 	// A deliberately non-sorted arrangement (fast machine bottom-right)
-	// must stay where it is — the point of the fixed-arrangement API.
+	// must stay where it is — the point of a fixed-arrangement request.
 	rows := [][]float64{{5, 3}, {2, 1}}
-	plan, err := BalanceArrangement(rows, StrategyExact)
+	plan, _, err := SolvePlan(fixedRequest(rows, PlanExact))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +83,15 @@ func TestBalanceArrangementKeepsMachinePositions(t *testing.T) {
 }
 
 func TestBalanceArrangementErrors(t *testing.T) {
-	if _, err := BalanceArrangement(nil, StrategyExact); err == nil {
-		t.Fatal("empty arrangement accepted")
-	}
-	if _, err := BalanceArrangement([][]float64{{1, -2}}, StrategyExact); err == nil {
-		t.Fatal("negative cycle-time accepted")
-	}
-	if _, err := BalanceArrangement([][]float64{{1, 2}}, Strategy(9)); err == nil {
-		t.Fatal("unknown strategy accepted")
+	for name, req := range map[string]PlanRequest{
+		"empty":         fixedRequest(nil, PlanExact),
+		"ragged":        fixedRequest([][]float64{{1, 2}, {3}}, PlanExact),
+		"negative":      fixedRequest([][]float64{{1, -2}}, PlanExact),
+		"bad strategy":  fixedRequest([][]float64{{1, 2}}, "simplex"),
+		"shape omitted": {Times: []float64{1, 2}, Fixed: true},
+	} {
+		if _, _, err := SolvePlan(req); err == nil {
+			t.Errorf("%s: fixed-arrangement request %+v accepted", name, req)
+		}
 	}
 }

@@ -55,26 +55,3 @@ func Calibrate(blockSize int, minDuration time.Duration) (*Calibration, error) {
 		Updates:          updates,
 	}, nil
 }
-
-// CycleTimes normalizes a set of measured per-update times into
-// cycle-times: the fastest machine gets 1 and the rest scale up. Returns an
-// error on non-positive measurements.
-func CycleTimes(secondsPerUpdate []float64) ([]float64, error) {
-	if len(secondsPerUpdate) == 0 {
-		return nil, fmt.Errorf("hetgrid: no measurements")
-	}
-	min := secondsPerUpdate[0]
-	for _, s := range secondsPerUpdate {
-		if !(s > 0) {
-			return nil, fmt.Errorf("hetgrid: non-positive measurement %v", s)
-		}
-		if s < min {
-			min = s
-		}
-	}
-	out := make([]float64, len(secondsPerUpdate))
-	for i, s := range secondsPerUpdate {
-		out[i] = s / min
-	}
-	return out, nil
-}

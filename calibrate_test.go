@@ -24,36 +24,19 @@ func TestCalibrateValidation(t *testing.T) {
 	}
 }
 
-func TestCycleTimes(t *testing.T) {
-	got, err := CycleTimes([]float64{2e-6, 1e-6, 5e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 1, 5}
-	for i := range want {
-		if diff := got[i] - want[i]; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("CycleTimes = %v", got)
-		}
-	}
-	if _, err := CycleTimes(nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-	if _, err := CycleTimes([]float64{1, 0}); err == nil {
-		t.Fatal("zero measurement accepted")
-	}
-}
-
 func TestCalibrateFeedsBalance(t *testing.T) {
-	// End-to-end: measured times → cycle-times → plan.
-	times, err := CycleTimes([]float64{1.1e-6, 2.3e-6, 3.4e-6, 5.2e-6})
-	if err != nil {
-		t.Fatal(err)
+	// End-to-end: measured times → cycle-times (each over the fastest) →
+	// plan.
+	measured := []float64{1.1e-6, 2.3e-6, 3.4e-6, 5.2e-6}
+	times := make([]float64, len(measured))
+	for i, s := range measured {
+		times[i] = s / measured[0]
 	}
 	plan, err := Balance(times, 2, 2, StrategyAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Verify(); err != nil {
-		t.Fatal(err)
+	if !plan.sol.Feasible(0) {
+		t.Fatal("plan violates its load-balance constraints")
 	}
 }

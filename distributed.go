@@ -24,8 +24,8 @@ const (
 	// real executions.
 	BroadcastAuto BroadcastKind = iota
 	// FlatBroadcast sends from the source to each receiver directly (star).
-	// Its message count equals the analytic communication volumes
-	// (CommVolumeOf).
+	// Its message count equals the closed-form communication volumes of
+	// internal/distribution.
 	FlatBroadcast
 	// RingBroadcast forwards along a chain of receivers.
 	RingBroadcast
@@ -111,8 +111,8 @@ type execOptions struct {
 	// all registry mirroring.
 	Metrics *Metrics
 	// TransportFactory builds each attempt's fabric for its rank count
-	// (WithTransportFactory; WithTransport serves its fixed instance once);
-	// nil uses the in-process mailboxes. A fabric exposing LocalRanks()
+	// (WithTransport serves its fixed instance once); nil uses the
+	// in-process mailboxes. A fabric exposing LocalRanks()
 	// []int hosts only those ranks here and gets exactly one attempt.
 	TransportFactory func(ranks int) (Transport, error)
 }
@@ -134,10 +134,6 @@ type Span = obs.Span
 // chrome://tracing or https://ui.perfetto.dev): one slice per span of
 // every kind, one thread per rank.
 func WriteChromeTrace(w io.Writer, spans []Span) error { return obs.WriteChromeTrace(w, spans) }
-
-// Gantt renders the compute spans as a textual Gantt chart, one row per
-// rank and width columns across the makespan.
-func Gantt(spans []Span, ranks, width int) string { return obs.Gantt(spans, ranks, width) }
 
 // RankStats is one rank's message/byte traffic (engine counters).
 type RankStats = engine.RankStats
@@ -185,7 +181,7 @@ type ExecStats struct {
 func runDistributed(d Distribution, kern Kernel, blockSize int, inputs []*Matrix,
 	opts execOptions) (*Matrix, [][]float64, *ExecStats, error) {
 
-	pk, err := CanonicalKernel(kern)
+	pk, err := canonicalKernel(kern)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -293,28 +289,8 @@ func DistributedMultiply(d Distribution, a, b *Matrix, blockSize int, opts ...Op
 	return out, stats, err
 }
 
-// DistributedFactorLU executes the unpivoted right-looking LU on the
-// distribution with one goroutine per processor, returning the packed
-// factors (see SplitLU). Supply matrices that are safely factorable without
-// pivoting (e.g. diagonally dominant). Behavior is configured with
-// functional options (WithBroadcast, WithSpans, WithParallelism,
-// WithFaults).
-func DistributedFactorLU(d Distribution, a *Matrix, blockSize int, opts ...Option) (*Matrix, *ExecStats, error) {
-	out, _, stats, err := runDistributed(d, LU, blockSize, []*Matrix{a}, applyOptions(opts).exec)
-	return out, stats, err
-}
-
-// DistributedFactorCholesky executes the distributed Cholesky
-// factorization A = L·Lᵀ with one goroutine per processor, returning the
-// lower factor. The input must be symmetric positive definite. Behavior is
-// configured with functional options.
-func DistributedFactorCholesky(d Distribution, a *Matrix, blockSize int, opts ...Option) (*Matrix, *ExecStats, error) {
-	out, _, stats, err := runDistributed(d, Cholesky, blockSize, []*Matrix{a}, applyOptions(opts).exec)
-	return out, stats, err
-}
-
 // qrOpCounts attributes QR block operations to owners exactly like
-// kernels.ReplayQR: panel blocks and trailing blocks of step k charge
+// kernels.ReplayQRNumerics: panel blocks and trailing blocks of step k charge
 // their owner once each.
 func qrOpCounts(d Distribution) ([]int, error) {
 	lay, err := distribution.NewLayout(d)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hetgrid/internal/distribution"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/obs"
 )
@@ -29,7 +30,7 @@ func TestRecoveredLUBitIdentical(t *testing.T) {
 	serial := factorPacked(t, LU, d, a)
 	for _, bk := range allBroadcastKinds {
 		t.Run(bk.String(), func(t *testing.T) {
-			packed, stats, err := DistributedFactorLU(d, a, r,
+			f, stats, err := DistributedFactor(LU, d, a, r,
 				WithBroadcast(bk),
 				WithFaults(FaultOptions{
 					Crashes: []CrashPoint{{Rank: 1, Step: 4}},
@@ -38,7 +39,7 @@ func TestRecoveredLUBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !packed.Equal(serial) {
+			if !f.Packed().Equal(serial) {
 				t.Fatal("recovered LU differs from the fault-free serial replay")
 			}
 			fs := stats.Faults
@@ -88,15 +89,15 @@ func TestRecoveredKernelsBitIdentical(t *testing.T) {
 	})
 	t.Run("cholesky", func(t *testing.T) {
 		spd := matrix.RandomSPD(nb*r, rng)
-		clean, _, err := DistributedFactorCholesky(d, spd, r)
+		clean, _, err := DistributedFactor(Cholesky, d, spd, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := DistributedFactorCholesky(d, spd, r, faults(2))
+		got, _, err := DistributedFactor(Cholesky, d, spd, r, faults(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(clean) {
+		if !got.Packed().Equal(clean.Packed()) {
 			t.Fatal("recovered Cholesky differs from the fault-free run")
 		}
 	})
@@ -133,7 +134,7 @@ func TestDeadRankAbortsCleanly(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, bk := range allBroadcastKinds {
 		t.Run(bk.String(), func(t *testing.T) {
-			_, _, err := DistributedFactorLU(d, a, r,
+			_, _, err := DistributedFactor(LU, d, a, r,
 				WithBroadcast(bk),
 				WithFaults(FaultOptions{
 					Crashes:     []CrashPoint{{Rank: 3, Step: 2, Silent: true}},
@@ -171,7 +172,7 @@ func TestCrashWithoutRecoverSurfacesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := matrix.RandomWellConditioned(12, rng)
-	_, _, err = DistributedFactorLU(d, a, 2,
+	_, _, err = DistributedFactor(LU, d, a, 2,
 		WithFaults(FaultOptions{Crashes: []CrashPoint{{Rank: 0, Step: 1}}}))
 	var rf *RankFailure
 	if !errors.As(err, &rf) {
@@ -181,7 +182,7 @@ func TestCrashWithoutRecoverSurfacesError(t *testing.T) {
 		t.Fatalf("wrong failure: %+v", rf)
 	}
 	// The same call without faults still works.
-	if _, _, err := DistributedFactorLU(d, a, 2); err != nil {
+	if _, _, err := DistributedFactor(LU, d, a, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -196,11 +197,11 @@ func TestCheckpointEvery(t *testing.T) {
 	}
 	const r = 2
 	a := matrix.RandomWellConditioned(16, rng)
-	clean, _, err := DistributedFactorLU(d, a, r)
+	clean, _, err := DistributedFactor(LU, d, a, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := DistributedFactorLU(d, a, r, WithFaults(FaultOptions{
+	got, stats, err := DistributedFactor(LU, d, a, r, WithFaults(FaultOptions{
 		Crashes:         []CrashPoint{{Rank: 1, Step: 5}},
 		Recover:         true,
 		CheckpointEvery: 3,
@@ -208,7 +209,7 @@ func TestCheckpointEvery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(clean) {
+	if !got.Packed().Equal(clean.Packed()) {
 		t.Fatal("recovered LU (sparse checkpoints) differs from the clean run")
 	}
 	fs := stats.Faults
@@ -307,7 +308,7 @@ func TestFailedResumeKeepsCheckpoint(t *testing.T) {
 	}
 	const r = 3
 	a := matrix.RandomWellConditioned(24, rng)
-	got, stats, err := DistributedFactorLU(d, a, r, WithFaults(FaultOptions{
+	got, stats, err := DistributedFactor(LU, d, a, r, WithFaults(FaultOptions{
 		Recover:         true,
 		CheckpointEvery: 2,
 		Crashes:         []CrashPoint{{Rank: 3, Step: 3}, {Rank: 2, Step: 4}, {Rank: 0, Step: 5}},
@@ -315,7 +316,7 @@ func TestFailedResumeKeepsCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(factorPacked(t, LU, d, a)) {
+	if !got.Packed().Equal(factorPacked(t, LU, d, a)) {
 		t.Fatal("thrice-recovered LU differs from the serial factorization")
 	}
 	fs := stats.Faults
@@ -333,7 +334,7 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := matrix.RandomWellConditioned(12, rng)
-	_, _, err = DistributedFactorLU(d, a, 2, WithFaults(FaultOptions{
+	_, _, err = DistributedFactor(LU, d, a, 2, WithFaults(FaultOptions{
 		Crashes: []CrashPoint{
 			{Rank: 0, Step: 1}, {Rank: 0, Step: 1}, {Rank: 0, Step: 1},
 		},
@@ -362,10 +363,47 @@ func TestPlanSurvivors(t *testing.T) {
 	if choice.P*choice.Q > 3 || choice.P*choice.Q < 1 {
 		t.Fatalf("implausible survivor grid %d×%d", choice.P, choice.Q)
 	}
-	if err := ValidateDistribution(dist); err != nil {
+	if err := distribution.Validate(dist); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := PlanSurvivors(nil, 8, 8, LU); err == nil {
 		t.Fatal("empty survivor set accepted")
+	}
+}
+
+// strayOwner is a user Distribution whose block (1,1) names a processor
+// outside its 2×2 grid.
+type strayOwner struct{}
+
+func (strayOwner) Dims() (int, int)   { return 2, 2 }
+func (strayOwner) Blocks() (int, int) { return 4, 4 }
+func (strayOwner) Name() string       { return "stray-owner" }
+func (strayOwner) Owner(bi, bj int) (int, int) {
+	if bi == 1 && bj == 1 {
+		return 2, 0
+	}
+	return bi % 2, bj % 2
+}
+
+// TestInvalidDistributionRejected: every execution and simulation path
+// validates a user Distribution before using it, so an owner outside the
+// grid is an error, not a panic or a wrong answer.
+func TestInvalidDistributionRejected(t *testing.T) {
+	var d Distribution = strayOwner{}
+	a := matrix.RandomWellConditioned(8, rand.New(rand.NewSource(606)))
+	if _, _, err := DistributedFactor(LU, d, a, 2); err == nil {
+		t.Fatal("DistributedFactor accepted an owner outside the grid")
+	}
+	if _, _, err := DistributedMultiply(d, a, a, 2); err == nil {
+		t.Fatal("DistributedMultiply accepted an owner outside the grid")
+	}
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []Kernel{MatMul, LU, QR, Cholesky} {
+		if _, err := Simulate(k, d, plan, SimOptions{}); err == nil {
+			t.Fatalf("Simulate(%v) accepted an owner outside the grid", k)
+		}
 	}
 }

@@ -44,11 +44,11 @@ func TestDistributedFactorLU(t *testing.T) {
 	}
 	const r = 3
 	a := matrix.RandomWellConditioned(18, rng)
-	packed, stats, err := DistributedFactorLU(d, a, r)
+	f, stats, err := DistributedFactor(LU, d, a, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, u := SplitLU(packed)
+	l, u := f.LU()
 	if !matrix.Mul(l, u).EqualApprox(a, 1e-8) {
 		t.Fatal("distributed LU: L·U != A")
 	}
@@ -57,7 +57,7 @@ func TestDistributedFactorLU(t *testing.T) {
 	}
 	// The distributed result matches the serial replay bit patterns.
 	rep := factorPacked(t, LU, d, a)
-	if !packed.EqualApprox(rep, 1e-12) {
+	if !f.Packed().EqualApprox(rep, 1e-12) {
 		t.Fatal("distributed factors differ from serial replay")
 	}
 }
@@ -105,11 +105,11 @@ func TestDistributedExecStatsBreakdown(t *testing.T) {
 	}
 	const r = 2
 	a := matrix.RandomWellConditioned(12, rng)
-	packed, stats, err := DistributedFactorLU(d, a, r, WithSpans())
+	f, stats, err := DistributedFactor(LU, d, a, r, WithSpans())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if packed == nil {
+	if f == nil {
 		t.Fatal("no result")
 	}
 	if len(stats.Ranks) != 6 || len(stats.Pairs) != 6 {
@@ -133,7 +133,7 @@ func TestDistributedExecStatsBreakdown(t *testing.T) {
 		t.Fatal("spans requested but empty")
 	}
 	// Without the option the spans stay nil (no recording overhead).
-	_, plain, err := DistributedFactorLU(d, a, r)
+	_, plain, err := DistributedFactor(LU, d, a, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,20 +150,20 @@ func TestDistributedBroadcastKindsAgree(t *testing.T) {
 	}
 	const r = 2
 	a := matrix.RandomWellConditioned(12, rng)
-	base, _, err := DistributedFactorLU(d, a, r)
+	base, _, err := DistributedFactor(LU, d, a, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bk := range []BroadcastKind{FlatBroadcast, RingBroadcast, PipelinedRingBroadcast, TreeBroadcast} {
-		got, _, err := DistributedFactorLU(d, a, r, WithBroadcast(bk))
+		got, _, err := DistributedFactor(LU, d, a, r, WithBroadcast(bk))
 		if err != nil {
 			t.Fatalf("%v: %v", bk, err)
 		}
-		if !got.Equal(base) {
+		if !got.Packed().Equal(base.Packed()) {
 			t.Fatalf("%v: factors differ from the flat broadcast", bk)
 		}
 	}
-	if _, _, err := DistributedFactorLU(d, a, r, WithBroadcast(BroadcastKind(99))); err == nil {
+	if _, _, err := DistributedFactor(LU, d, a, r, WithBroadcast(BroadcastKind(99))); err == nil {
 		t.Fatal("invalid broadcast kind accepted")
 	}
 }
@@ -229,7 +229,7 @@ func TestDistributedParallelismBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	spd := matrix.RandomSPD(nb*r, rng)
-	serialChol, _, err := DistributedFactorCholesky(d, spd, r)
+	serialChol, _, err := DistributedFactor(Cholesky, d, spd, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +241,11 @@ func TestDistributedParallelismBitIdentical(t *testing.T) {
 		if !got.Equal(serial) {
 			t.Fatalf("parallelism=%d: product not bit-identical to serial", workers)
 		}
-		gotChol, _, err := DistributedFactorCholesky(d, spd, r, WithParallelism(workers))
+		gotChol, _, err := DistributedFactor(Cholesky, d, spd, r, WithParallelism(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !gotChol.Equal(serialChol) {
+		if !gotChol.Packed().Equal(serialChol.Packed()) {
 			t.Fatalf("parallelism=%d: Cholesky not bit-identical to serial", workers)
 		}
 	}

@@ -25,7 +25,7 @@ func TestDriftChaosComposition(t *testing.T) {
 	serial := factorPacked(t, LU, d, a)
 	for _, bk := range allBroadcastKinds {
 		t.Run(bk.String(), func(t *testing.T) {
-			packed, stats, err := DistributedFactorLU(d, a, r,
+			f, stats, err := DistributedFactor(LU, d, a, r,
 				WithBroadcast(bk),
 				WithFaults(FaultOptions{
 					RecvTimeout: 1950 * time.Millisecond,
@@ -37,7 +37,7 @@ func TestDriftChaosComposition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !packed.Equal(serial) {
+			if !f.Packed().Equal(serial) {
 				t.Fatal("chaos LU differs from the serial factorization")
 			}
 			fs, ds := stats.Faults, stats.Drift
@@ -77,7 +77,7 @@ func TestDriftChaosSilentCrash(t *testing.T) {
 	}
 	a := matrix.RandomWellConditioned(nb*r, rng)
 	serial := factorPacked(t, LU, d, a)
-	packed, stats, err := DistributedFactorLU(d, a, r,
+	f, stats, err := DistributedFactor(LU, d, a, r,
 		WithFaults(FaultOptions{
 			Slowdowns:   []SlowdownPoint{{Rank: 3, Step: 0, Factor: 32}},
 			Crashes:     []CrashPoint{{Rank: 2, Step: 7, Silent: true}},
@@ -88,7 +88,7 @@ func TestDriftChaosSilentCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !packed.Equal(serial) {
+	if !f.Packed().Equal(serial) {
 		t.Fatal("silent-crash chaos LU differs from the serial factorization")
 	}
 	if stats.Drift.Migrations != 1 || stats.Faults.Recoveries != 1 {

@@ -173,9 +173,9 @@ func TestDriftMigratedRunsBitIdentical(t *testing.T) {
 		switch kern {
 		case LU:
 			a := matrix.RandomWellConditioned(n, rng)
-			var got *Matrix
-			got, stats, err = DistributedFactorLU(d, a, r, WithDriftRebalance(pol))
-			same = err == nil && got.Equal(factorPacked(t, LU, d, a))
+			var got *Factorization
+			got, stats, err = DistributedFactor(LU, d, a, r, WithDriftRebalance(pol))
+			same = err == nil && got.Packed().Equal(factorPacked(t, LU, d, a))
 		case MatMul:
 			a, b := matrix.Random(n, n, rng), matrix.Random(n, n, rng)
 			var serial, got *Matrix
@@ -186,9 +186,9 @@ func TestDriftMigratedRunsBitIdentical(t *testing.T) {
 			}
 		case Cholesky:
 			spd := matrix.RandomSPD(n, rng)
-			var got *Matrix
-			got, stats, err = DistributedFactorCholesky(d, spd, r, WithDriftRebalance(pol))
-			same = err == nil && got.Equal(factorPacked(t, Cholesky, d, spd))
+			var got *Factorization
+			got, stats, err = DistributedFactor(Cholesky, d, spd, r, WithDriftRebalance(pol))
+			same = err == nil && got.Packed().Equal(factorPacked(t, Cholesky, d, spd))
 		case QR:
 			a := matrix.Random(n, n, rng)
 			var serial, got *Factorization

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetgrid/internal/engine"
 	"hetgrid/internal/matrix"
 )
 
@@ -31,19 +32,12 @@ func driftTestPolicy(times []float64) DriftPolicy {
 // drift away from the planned shares without any wall-clock dependence.
 func skewDist(t *testing.T, p, q, nb int, k Kernel, speedup float64) (Distribution, []float64) {
 	t.Helper()
-	rows := make([][]float64, p)
-	flat := make([]float64, 0, p*q)
-	for i := 0; i < p; i++ {
-		rows[i] = make([]float64, q)
-		for j := 0; j < q; j++ {
-			rows[i][j] = 1
-			if i == p-1 && j == q-1 {
-				rows[i][j] = 1 / speedup
-			}
-			flat = append(flat, rows[i][j])
-		}
+	flat := make([]float64, p*q)
+	for i := range flat {
+		flat[i] = 1
 	}
-	plan, err := BalanceArrangement(rows, StrategyHeuristic)
+	flat[p*q-1] = 1 / speedup
+	plan, _, err := SolvePlan(PlanRequest{Times: flat, P: p, Q: q, Fixed: true, Strategy: PlanHeuristic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +66,11 @@ func TestDriftWrongBaselineMigratesLU(t *testing.T) {
 	d, times := skewDist(t, 2, 2, nb, LU, 8)
 	a := matrix.RandomWellConditioned(nb*r, rng)
 	serial := factorPacked(t, LU, d, a)
-	packed, stats, err := DistributedFactorLU(d, a, r, WithDriftRebalance(driftTestPolicy(times)))
+	f, stats, err := DistributedFactor(LU, d, a, r, WithDriftRebalance(driftTestPolicy(times)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !packed.Equal(serial) {
+	if !f.Packed().Equal(serial) {
 		t.Fatal("drift-migrated LU differs from the serial factorization")
 	}
 	ds := stats.Drift
@@ -114,11 +108,11 @@ func TestDriftSlowdownMigratesAndMatchesClean(t *testing.T) {
 	t.Run("lu", func(t *testing.T) {
 		a := matrix.RandomWellConditioned(nb*r, rng)
 		serial := factorPacked(t, LU, d, a)
-		packed, stats, err := DistributedFactorLU(d, a, r, slow, drift)
+		f, stats, err := DistributedFactor(LU, d, a, r, slow, drift)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !packed.Equal(serial) {
+		if !f.Packed().Equal(serial) {
 			t.Fatal("drift-migrated LU differs from the serial factorization")
 		}
 		if stats.Drift == nil || stats.Drift.Migrations != 1 {
@@ -147,15 +141,15 @@ func TestDriftSlowdownMigratesAndMatchesClean(t *testing.T) {
 	})
 	t.Run("cholesky", func(t *testing.T) {
 		spd := matrix.RandomSPD(nb*r, rng)
-		clean, _, err := DistributedFactorCholesky(d, spd, r)
+		clean, _, err := DistributedFactor(Cholesky, d, spd, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := DistributedFactorCholesky(d, spd, r, slow, drift)
+		got, stats, err := DistributedFactor(Cholesky, d, spd, r, slow, drift)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(clean) {
+		if !got.Packed().Equal(clean.Packed()) {
 			t.Fatal("drift-migrated Cholesky differs from the undisturbed run")
 		}
 		if stats.Drift == nil || stats.Drift.Migrations != 1 {
@@ -198,11 +192,11 @@ func TestDriftQuietOnBalancedRun(t *testing.T) {
 	serial := factorPacked(t, LU, d, a)
 	// A lenient threshold keeps scheduler noise from arming the detector.
 	pol := DriftPolicy{Window: 2, Threshold: 1e9}
-	packed, stats, err := DistributedFactorLU(d, a, r, WithDriftRebalance(pol))
+	f, stats, err := DistributedFactor(LU, d, a, r, WithDriftRebalance(pol))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !packed.Equal(serial) {
+	if !f.Packed().Equal(serial) {
 		t.Fatal("drift-enabled balanced LU differs from the serial factorization")
 	}
 	ds := stats.Drift
@@ -216,8 +210,7 @@ func TestDriftQuietOnBalancedRun(t *testing.T) {
 
 // TestDriftOverInjectedFabrics: a migration is a second attempt, so it
 // follows the one rule for injected fabrics — a factory serves it (sized to
-// the same ranks), a fixed instance refuses it pointing at the factory
-// option. Same wrong-baseline setup and block size as
+// the same ranks), a fixed instance refuses it. Same wrong-baseline setup and block size as
 // TestDriftWrongBaselineMigratesLU, so the migration is reliable.
 func TestDriftOverInjectedFabrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(604))
@@ -226,25 +219,25 @@ func TestDriftOverInjectedFabrics(t *testing.T) {
 	a := matrix.RandomWellConditioned(nb*r, rng)
 	serial := factorPacked(t, LU, d, a)
 	var sizes []int
-	packed, stats, err := DistributedFactorLU(d, a, r,
-		WithTransportFactory(func(ranks int) (Transport, error) {
+	f, stats, err := DistributedFactor(LU, d, a, r,
+		withTransportFactory(func(ranks int) (Transport, error) {
 			sizes = append(sizes, ranks)
-			return NewMemTransport(ranks), nil
+			return engine.NewMemTransport(ranks), nil
 		}),
 		WithDriftRebalance(driftTestPolicy(times)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !packed.Equal(serial) {
+	if !f.Packed().Equal(serial) {
 		t.Fatal("drift-migrated LU over a transport factory differs from the serial factorization")
 	}
 	if stats.Drift.Migrations != 1 || !reflect.DeepEqual(sizes, []int{4, 4}) {
 		t.Fatalf("want one migration over two 4-rank fabrics, got %+v over %v", stats.Drift, sizes)
 	}
-	_, _, err = DistributedFactorLU(d, a, r,
-		WithTransport(NewMemTransport(4)),
+	_, _, err = DistributedFactor(LU, d, a, r,
+		WithTransport(engine.NewMemTransport(4)),
 		WithDriftRebalance(driftTestPolicy(times)))
-	if err == nil || !strings.Contains(err.Error(), "WithTransportFactory") {
+	if err == nil || !strings.Contains(err.Error(), "a fixed transport serves exactly one world") {
 		t.Fatalf("expected the fixed fabric to refuse the migration attempt, got %v", err)
 	}
 }
@@ -258,7 +251,7 @@ func TestDriftRejectsBadTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := matrix.RandomWellConditioned(12, rng)
-	_, _, err = DistributedFactorLU(d, a, 2,
+	_, _, err = DistributedFactor(LU, d, a, 2,
 		WithDriftRebalance(DriftPolicy{Times: []float64{1, 2, 3}}))
 	if err == nil || !strings.Contains(err.Error(), "drift cycle-times") {
 		t.Fatalf("expected a cycle-times length error, got %v", err)

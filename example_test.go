@@ -121,16 +121,3 @@ func ExampleNeighbors() {
 	// KL keeps grid pattern: false
 	// KL max west neighbours: 2
 }
-
-// ExampleCycleTimes turns per-host calibration measurements into the
-// cycle-times Balance consumes.
-func ExampleCycleTimes() {
-	measured := []float64{1.2e-6, 2.4e-6, 6.0e-6} // seconds per block update
-	times, err := hetgrid.CycleTimes(measured)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%.0f %.0f %.0f\n", times[0], times[1], times[2])
-	// Output:
-	// 1 2 5
-}

@@ -60,10 +60,11 @@ func main() {
 		{"kalinov-lastovetsky", kl},
 		{"heterogeneous panel", panel},
 	} {
-		packed, stats, err := hetgrid.DistributedFactorLU(c.d, a, r)
+		f, stats, err := hetgrid.DistributedFactor(hetgrid.LU, c.d, a, r)
 		if err != nil {
 			log.Fatal(err)
 		}
+		packed := f.Packed()
 		x := rhs.Clone()
 		packed.SolveLowerUnit(x)
 		if err := packed.SolveUpper(x); err != nil {

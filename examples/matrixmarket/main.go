@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	packed, stats, err := hetgrid.DistributedFactorLU(d, loaded, r)
+	f, stats, err := hetgrid.DistributedFactor(hetgrid.LU, d, loaded, r)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 		stats.Messages, stats.Bytes)
 
 	// 3. Save the factors and verify the round trip.
-	l, u := hetgrid.SplitLU(packed)
+	l, u := f.LU()
 	outPath := filepath.Join(dir, "factors_u.mtx")
 	if err := writeFile(outPath, u); err != nil {
 		log.Fatal(err)

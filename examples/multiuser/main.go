@@ -129,12 +129,12 @@ func (tn *tenant) run(drift bool) {
 		opts = append(opts, hetgrid.WithDriftRebalance(driftPolicy))
 	}
 	start := time.Now()
-	packed, stats, err := hetgrid.DistributedFactorLU(tn.d, tn.a, r, opts...)
+	f, stats, err := hetgrid.DistributedFactor(hetgrid.LU, tn.d, tn.a, r, opts...)
 	if err != nil {
 		log.Fatalf("%s: %v", tn.name, err)
 	}
 	tn.makespan = time.Since(start)
-	tn.identical = packed.Equal(tn.serial)
+	tn.identical = f.Packed().Equal(tn.serial)
 	tn.migrations = 0
 	if stats.Drift != nil {
 		tn.migrations = stats.Drift.Migrations

@@ -9,25 +9,32 @@ import (
 	"hetgrid/internal/obs"
 )
 
+// shapeRequest asks SolvePlan for the full §4.1 problem: the grid shape,
+// which processors take part (subset lets the slowest sit out) and the
+// shares; minAspect bounds min(p,q)/max(p,q).
+func shapeRequest(times []float64, subset bool, minAspect float64) PlanRequest {
+	return PlanRequest{Times: times, AllowSubset: subset, MinAspect: minAspect}
+}
+
 func TestChooseGrid(t *testing.T) {
-	plan, choice, err := ChooseGrid([]float64{1, 2, 3, 5}, false, 0)
+	plan, choice, err := SolvePlan(shapeRequest([]float64{1, 2, 3, 5}, false, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if choice.P*choice.Q != 4 || len(choice.Selected) != 4 {
 		t.Fatalf("choice %+v", choice)
 	}
-	if err := plan.Verify(); err != nil {
-		t.Fatal(err)
+	if !plan.sol.Feasible(0) {
+		t.Fatal("plan violates its load-balance constraints")
 	}
 	if choice.Candidates < 3 {
 		t.Fatalf("only %d candidates", choice.Candidates)
 	}
 	// Prime count with aspect bound needs subsets.
-	if _, _, err := ChooseGrid([]float64{1, 1, 1, 1, 1}, false, 0.5); err == nil {
+	if _, _, err := SolvePlan(shapeRequest([]float64{1, 1, 1, 1, 1}, false, 0.5)); err == nil {
 		t.Fatal("prime count under aspect bound should fail without subsets")
 	}
-	_, choice, err = ChooseGrid([]float64{1, 1, 1, 1, 1}, true, 0.5)
+	_, choice, err = SolvePlan(shapeRequest([]float64{1, 1, 1, 1, 1}, true, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +46,7 @@ func TestChooseGrid(t *testing.T) {
 func TestChooseGridEdgeCases(t *testing.T) {
 	// Prime processor count: without an aspect bound the only full-set
 	// shapes are 1×7 and 7×1, and both must be admissible.
-	_, choice, err := ChooseGrid([]float64{1, 1, 2, 2, 3, 3, 5}, false, 0)
+	_, choice, err := SolvePlan(shapeRequest([]float64{1, 1, 2, 2, 3, 3, 5}, false, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +54,11 @@ func TestChooseGridEdgeCases(t *testing.T) {
 		t.Fatalf("prime count chose %d×%d", choice.P, choice.Q)
 	}
 
-	// allowSubset trimming drops the slowest machines: with 6 processors
-	// under a square-ish bound, the two slowest must be the ones left out,
-	// and Selected lists the survivors fastest first.
+	// Subset trimming drops the slowest machines: with 6 processors under
+	// a square-ish bound, the two slowest must be the ones left out, and
+	// Selected lists the survivors fastest first.
 	times := []float64{5, 1, 9, 2, 9, 1}
-	_, choice, err = ChooseGrid(times, true, 1)
+	_, choice, err = SolvePlan(shapeRequest(times, true, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,23 +75,29 @@ func TestChooseGridEdgeCases(t *testing.T) {
 			t.Fatalf("Selected not fastest-first: %+v", choice.Selected)
 		}
 	}
-
-	// Degenerate aspect bounds: min(p,q)/max(p,q) never exceeds 1, so a
-	// bound above 1 admits no shape at all.
-	if _, _, err := ChooseGrid([]float64{1, 1, 1, 1}, true, 1.5); err == nil {
-		t.Fatal("minAspect above 1 accepted")
-	}
 	// minAspect exactly 1 forces a square grid when one exists.
-	_, choice, err = ChooseGrid([]float64{1, 2, 3, 5}, false, 1)
+	_, choice, err = SolvePlan(shapeRequest([]float64{1, 2, 3, 5}, false, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if choice.P != 2 || choice.Q != 2 {
 		t.Fatalf("minAspect 1 with 4 processors chose %d×%d", choice.P, choice.Q)
 	}
-	// ...and fails for a prime count when subsets are off.
-	if _, _, err := ChooseGrid([]float64{1, 1, 1}, false, 1); err == nil {
-		t.Fatal("square bound on 3 processors without subsets accepted")
+
+	// Requests no shape satisfies. min(p,q)/max(p,q) never exceeds 1, so a
+	// bound above 1 admits no shape at all; a square bound on a prime count
+	// fails when subsets are off.
+	for name, req := range map[string]PlanRequest{
+		"aspect above 1":       shapeRequest([]float64{1, 1, 1, 1}, true, 1.5),
+		"negative aspect":      shapeRequest([]float64{1, 1, 1, 1}, true, -0.5),
+		"square prime":         shapeRequest([]float64{1, 1, 1}, false, 1),
+		"negative cycle-time":  shapeRequest([]float64{1, -1, 1, 1}, false, 0),
+		"bad strategy":         {Times: []float64{1, 2, 3, 5}, Strategy: "simplex"},
+		"no processors at all": shapeRequest(nil, true, 0),
+	} {
+		if _, _, err := SolvePlan(req); err == nil {
+			t.Errorf("%s: shape request %+v accepted", name, req)
+		}
 	}
 }
 
@@ -126,7 +139,7 @@ func TestFactorCholeskyFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := RandomSPDMatrix(18, rng)
+	a := matrix.RandomSPD(18, rng)
 	f, err := Factor(Cholesky, d, a)
 	if err != nil {
 		t.Fatal(err)

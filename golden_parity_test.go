@@ -1,9 +1,10 @@
 package hetgrid
 
-// Golden parity: testdata/golden_plans.json snapshots the outputs of
-// Balance, BalanceArrangement, ChooseGrid and adapt.ReplanSurvivors over
-// 50 seeded random grids as they were BEFORE planning was unified into
-// internal/plan. Every float is stored as raw IEEE-754 bits, so the test
+// Golden parity: testdata/golden_plans.json snapshots the planning
+// outputs — fixed shape, fixed arrangement, free shape and
+// adapt.ReplanSurvivors — over 50 seeded random grids as they were BEFORE
+// planning was unified into internal/plan; Balance and SolvePlan re-solve
+// them. Every float is stored as raw IEEE-754 bits, so the test
 // pins the refactored pipeline bit for bit — any drift in solver dispatch,
 // arrangement handling or panel rounding fails loudly.
 
@@ -124,8 +125,9 @@ func checkPlanParity(t *testing.T, gc goldenCase, p *Plan) {
 }
 
 // solveGolden re-solves one golden case through the public API: a plan for
-// the balance, arrangement and choosegrid modes (with the grid choice for
-// choosegrid), a survivor plan for replan.
+// the balance mode (Balance) and the arrangement and choosegrid modes
+// (SolvePlan, with the grid choice for choosegrid), a survivor plan for
+// replan.
 func solveGolden(t *testing.T, gc goldenCase) (*Plan, *GridChoice, *adapt.SurvivorPlan) {
 	t.Helper()
 	var (
@@ -141,15 +143,18 @@ func solveGolden(t *testing.T, gc goldenCase) (*Plan, *GridChoice, *adapt.Surviv
 			p, err = Balance(gc.Times, gc.P, gc.Q, strat)
 		}
 	case "arrangement":
-		rows := make([][]float64, gc.P)
-		for i := 0; i < gc.P; i++ {
-			rows[i] = gc.Times[i*gc.Q : (i+1)*gc.Q]
-		}
+		var ps PlanStrategy
 		if strat, err = ParseStrategy(gc.Strategy); err == nil {
-			p, err = BalanceArrangement(rows, strat)
+			if ps, err = CanonicalStrategy(strat); err == nil {
+				p, _, err = SolvePlan(PlanRequest{Times: gc.Times, P: gc.P, Q: gc.Q, Fixed: true, Strategy: ps})
+			}
 		}
 	case "choosegrid":
-		p, choice, err = ChooseGrid(gc.Times, gc.Subset, gc.Aspect)
+		var cp *CanonicalPlan
+		p, cp, err = SolvePlan(PlanRequest{Times: gc.Times, AllowSubset: gc.Subset, MinAspect: gc.Aspect})
+		if err == nil {
+			choice = &GridChoice{P: cp.P, Q: cp.Q, Selected: cp.Selected, Candidates: cp.Candidates}
+		}
 	case "replan":
 		rowOrd, colOrd := distribution.Contiguous, distribution.Contiguous
 		if gc.Kernel == "lu" {

@@ -68,7 +68,7 @@ func EvaluateMM(cur distribution.Distribution, newTimes []float64, remainingStep
 		return nil, fmt.Errorf("adapt: negative remaining steps %d", remainingSteps)
 	}
 	return evaluate(cur, newTimes, distribution.All, pol, func(l *distribution.Layout, t *grid.Arrangement) (total, perStep float64) {
-		perStep = SpanCost(l, t, distribution.All, 0, 1)
+		perStep = spanCost(l, t, distribution.All, 0, 1)
 		return float64(remainingSteps) * perStep, perStep
 	})
 }

@@ -7,10 +7,10 @@ import (
 	"hetgrid/internal/grid"
 )
 
-// SpanCost projects the compute-bound time of steps [from, to) of a kernel
+// spanCost projects the compute-bound time of steps [from, to) of a kernel
 // working on region w under a layout with the given cycle-times: per step,
 // the busiest processor's active-block count times its cycle-time.
-func SpanCost(l *distribution.Layout, arr *grid.Arrangement, w distribution.Region, from, to int) float64 {
+func spanCost(l *distribution.Layout, arr *grid.Arrangement, w distribution.Region, from, to int) float64 {
 	total := 0.0
 	for k := from; k < to; k++ {
 		bound := 0.0
@@ -50,7 +50,7 @@ func EvaluateKernel(cur distribution.Distribution, newTimes []float64, w distrib
 		return nil, fmt.Errorf("adapt: start step %d outside [0,%d]", startStep, nb)
 	}
 	return evaluate(cur, newTimes, w, pol, func(l *distribution.Layout, t *grid.Arrangement) (total, perStep float64) {
-		total = SpanCost(l, t, w, startStep, nb)
+		total = spanCost(l, t, w, startStep, nb)
 		if nb > startStep {
 			perStep = total / float64(nb-startStep)
 		}

@@ -74,12 +74,12 @@ func TestSegmentWorkMatchesSpanCost(t *testing.T) {
 	}
 	// With unit cycle-times the span cost is Σ_k max_n counts — at least
 	// the busiest rank's total and at least the mean share.
-	cost := SpanCost(d, arr, distribution.Trailing, 0, 8)
+	cost := spanCost(d, arr, distribution.Trailing, 0, 8)
 	if cost < maxWork || cost < total/4 {
 		t.Fatalf("span cost %v below busiest rank %v / mean %v", cost, maxWork, total/4)
 	}
 	// Empty segment is free.
-	if cost := SpanCost(d, arr, distribution.Trailing, 8, 8); cost != 0 {
+	if cost := spanCost(d, arr, distribution.Trailing, 8, 8); cost != 0 {
 		t.Fatalf("empty segment costs %v", cost)
 	}
 }

@@ -107,62 +107,6 @@ func UniformBlockCyclic(p, q, nbr, nbc int) (*Product, error) {
 	return NewProduct(p, q, rowOwner, colOwner, "uniform-cyclic")
 }
 
-// Counts returns the number of blocks owned by each processor.
-func Counts(d Distribution) [][]int {
-	p, q := d.Dims()
-	nbr, nbc := d.Blocks()
-	counts := make([][]int, p)
-	for i := range counts {
-		counts[i] = make([]int, q)
-	}
-	for bi := 0; bi < nbr; bi++ {
-		for bj := 0; bj < nbc; bj++ {
-			pi, pj := d.Owner(bi, bj)
-			counts[pi][pj]++
-		}
-	}
-	return counts
-}
-
-// LoadStats summarizes how well a distribution balances the block-update
-// work of an arrangement: per-processor compute time counts[i][j]·t_ij, the
-// makespan (max), the average, and the resulting parallel efficiency
-// avg/max (1.0 = perfect balance).
-type LoadStats struct {
-	Times      [][]float64
-	Makespan   float64
-	Mean       float64
-	Efficiency float64
-}
-
-// ComputeLoadStats evaluates the distribution against an arrangement of
-// cycle-times with the same grid dimensions.
-func ComputeLoadStats(d Distribution, arr *grid.Arrangement) (*LoadStats, error) {
-	p, q := d.Dims()
-	if arr.P != p || arr.Q != q {
-		return nil, fmt.Errorf("distribution: %d×%d distribution vs %d×%d arrangement", p, q, arr.P, arr.Q)
-	}
-	counts := Counts(d)
-	stats := &LoadStats{Times: make([][]float64, p)}
-	sum := 0.0
-	for i := 0; i < p; i++ {
-		stats.Times[i] = make([]float64, q)
-		for j := 0; j < q; j++ {
-			v := float64(counts[i][j]) * arr.T[i][j]
-			stats.Times[i][j] = v
-			sum += v
-			if v > stats.Makespan {
-				stats.Makespan = v
-			}
-		}
-	}
-	stats.Mean = sum / float64(p*q)
-	if stats.Makespan > 0 {
-		stats.Efficiency = stats.Mean / stats.Makespan
-	}
-	return stats, nil
-}
-
 // NeighborStats describes the horizontal/vertical communication pattern a
 // distribution induces. For each processor it examines the owners of the
 // blocks immediately west (left) and north (above) of the processor's own
@@ -300,12 +244,12 @@ func Validate(d Distribution) error {
 	return nil
 }
 
-// RoundShares converts positive rational shares into non-negative integers
+// roundShares converts positive rational shares into non-negative integers
 // summing to total using largest-remainder rounding: each share receives
 // its floor, and the remaining units go to the largest fractional parts
 // (ties to the lower index). This is the "round while preserving
 // Σr_i = N" step of §4.1.
-func RoundShares(shares []float64, total int) ([]int, error) {
+func roundShares(shares []float64, total int) ([]int, error) {
 	if total < 0 {
 		return nil, fmt.Errorf("distribution: negative total %d", total)
 	}

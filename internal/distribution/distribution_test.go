@@ -25,7 +25,7 @@ func TestUniformBlockCyclic(t *testing.T) {
 	if pi != 1 || pj != 2 {
 		t.Fatalf("Owner(7,5) = (%d,%d), want (1,2)", pi, pj)
 	}
-	counts := Counts(d)
+	counts := blockCounts(d)
 	if counts[0][0] != 5*3 || counts[1][2] != 5*3 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -88,7 +88,7 @@ func TestCountsPartitionAllBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := Counts(d)
+		counts := blockCounts(d)
 		total := 0
 		for i := range counts {
 			for j := range counts[i] {
@@ -126,52 +126,63 @@ func TestProductAlwaysGridPattern(t *testing.T) {
 	}
 }
 
-func TestComputeLoadStats(t *testing.T) {
-	arr := grid.MustNew([][]float64{{1, 2}, {3, 6}})
-	d, _ := UniformBlockCyclic(2, 2, 4, 4)
-	stats, err := ComputeLoadStats(d, arr)
-	if err != nil {
-		t.Fatal(err)
+// blockCounts returns the number of blocks each processor owns.
+func blockCounts(d Distribution) [][]int {
+	p, q := d.Dims()
+	nbr, nbc := d.Blocks()
+	counts := make([][]int, p)
+	for i := range counts {
+		counts[i] = make([]int, q)
 	}
-	// Each processor owns 4 blocks; times 4,8,12,24.
-	if stats.Makespan != 24 {
-		t.Fatalf("makespan %v, want 24", stats.Makespan)
+	for bi := 0; bi < nbr; bi++ {
+		for bj := 0; bj < nbc; bj++ {
+			pi, pj := d.Owner(bi, bj)
+			counts[pi][pj]++
+		}
 	}
-	if math.Abs(stats.Mean-12) > 1e-12 {
-		t.Fatalf("mean %v, want 12", stats.Mean)
+	return counts
+}
+
+// loadEfficiency is mean/max of the per-processor compute times
+// blocks·t_ij: 1 is a perfect balance of the block-update work.
+func loadEfficiency(d Distribution, arr *grid.Arrangement) float64 {
+	counts := blockCounts(d)
+	sum, max := 0.0, 0.0
+	for i, row := range counts {
+		for j, c := range row {
+			v := float64(c) * arr.T[i][j]
+			sum += v
+			if v > max {
+				max = v
+			}
+		}
 	}
-	if math.Abs(stats.Efficiency-0.5) > 1e-12 {
-		t.Fatalf("efficiency %v, want 0.5", stats.Efficiency)
-	}
-	// Mismatched shapes must error.
-	if _, err := ComputeLoadStats(d, grid.MustNew([][]float64{{1, 2, 3}})); err == nil {
-		t.Fatal("expected shape error")
-	}
+	return sum / float64(arr.P*arr.Q) / max
 }
 
 func TestRoundShares(t *testing.T) {
-	got, err := RoundShares([]float64{1, 1.0 / 3}, 4)
+	got, err := roundShares([]float64{1, 1.0 / 3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 3 || got[1] != 1 {
-		t.Fatalf("RoundShares = %v, want [3 1]", got)
+		t.Fatalf("roundShares = %v, want [3 1]", got)
 	}
-	got, err = RoundShares([]float64{1, 0.5}, 6)
+	got, err = roundShares([]float64{1, 0.5}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 4 || got[1] != 2 {
-		t.Fatalf("RoundShares = %v, want [4 2]", got)
+		t.Fatalf("roundShares = %v, want [4 2]", got)
 	}
 	// Errors.
-	if _, err := RoundShares(nil, 3); err == nil {
+	if _, err := roundShares(nil, 3); err == nil {
 		t.Fatal("empty shares accepted")
 	}
-	if _, err := RoundShares([]float64{1, -1}, 3); err == nil {
+	if _, err := roundShares([]float64{1, -1}, 3); err == nil {
 		t.Fatal("negative share accepted")
 	}
-	if _, err := RoundShares([]float64{1}, -1); err == nil {
+	if _, err := roundShares([]float64{1}, -1); err == nil {
 		t.Fatal("negative total accepted")
 	}
 }
@@ -185,7 +196,7 @@ func TestRoundSharesPreservesSum(t *testing.T) {
 			shares[i] = 0.01 + rng.Float64()
 		}
 		total := rng.Intn(40)
-		counts, err := RoundShares(shares, total)
+		counts, err := roundShares(shares, total)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,19 +66,15 @@ func TestKLGoodLoadBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ComputeLoadStats(d, arr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Efficiency < 0.9 {
-		t.Fatalf("KL efficiency %v unexpectedly poor", stats.Efficiency)
+	eff := loadEfficiency(d, arr)
+	if eff < 0.9 {
+		t.Fatalf("KL efficiency %v unexpectedly poor", eff)
 	}
 	// Uniform cyclic on the same grid is much worse (limited by the
 	// cycle-time-5 processor owning a quarter of the blocks).
 	u, _ := UniformBlockCyclic(2, 2, 56, 61)
-	ustats, _ := ComputeLoadStats(u, arr)
-	if ustats.Efficiency >= stats.Efficiency {
-		t.Fatalf("uniform (%v) should be worse than KL (%v)", ustats.Efficiency, stats.Efficiency)
+	if ueff := loadEfficiency(u, arr); ueff >= eff {
+		t.Fatalf("uniform (%v) should be worse than KL (%v)", ueff, eff)
 	}
 }
 
@@ -93,7 +89,7 @@ func TestKLOwnerConsistency(t *testing.T) {
 		t.Fatalf("blocks %d×%d", nbr, nbc)
 	}
 	total := 0
-	counts := Counts(d)
+	counts := blockCounts(d)
 	for i := 0; i < p; i++ {
 		for j := 0; j < q; j++ {
 			total += counts[i][j]
@@ -132,7 +128,7 @@ func TestKLHomogeneousReducesToCyclicCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := Counts(d)
+	counts := blockCounts(d)
 	for i := range counts {
 		for j := range counts[i] {
 			if counts[i][j] != 16 {

@@ -81,7 +81,7 @@ func NewPanel(sol *core.Solution, bp, bq int, rowOrd, colOrd Ordering) (*Panel, 
 // guaranteeing every entry is at least 1 (each grid row/column must own at
 // least one block row/column, or the grid would degenerate).
 func roundSharesPositive(shares []float64, total int) ([]int, error) {
-	counts, err := RoundShares(shares, total)
+	counts, err := roundShares(shares, total)
 	if err != nil {
 		return nil, err
 	}
@@ -224,13 +224,9 @@ func (p *Panel) Distribution(nbr, nbc int) (*Product, error) {
 	return NewProduct(p.Arr.P, p.Arr.Q, rowOwner, colOwner, "het-panel")
 }
 
-// PanelWorkload returns max_ij RowCounts[i]·t_ij·ColCounts[j], the time the
-// slowest processor needs per panel step — the integer analogue of the
+// panelWorkload returns max_ij rowCounts[i]·t_ij·colCounts[j], the time
+// the slowest processor needs per panel step — the integer analogue of the
 // continuous objective, used to compare panel size choices.
-func (p *Panel) PanelWorkload() float64 {
-	return panelWorkload(p.Arr, p.RowCounts, p.ColCounts)
-}
-
 func panelWorkload(arr *grid.Arrangement, rowCounts, colCounts []int) float64 {
 	max := 0.0
 	for i := 0; i < arr.P; i++ {

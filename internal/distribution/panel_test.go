@@ -212,7 +212,7 @@ func TestPanelWorkloadAndEfficiency(t *testing.T) {
 	}
 	// Workload: max of counts-product × t: P11: 6·1·4=24, P12: 6·2·2=24,
 	// P21: 2·3·4=24, P22: 2·5·2=20 → makespan 24.
-	if got := pan.PanelWorkload(); math.Abs(got-24) > 1e-12 {
+	if got := panelWorkload(pan.Arr, pan.RowCounts, pan.ColCounts); math.Abs(got-24) > 1e-12 {
 		t.Fatalf("panel workload %v, want 24", got)
 	}
 	eff := pan.PanelEfficiency()

@@ -74,9 +74,9 @@ func (l *Layout) RowOwners(bi, jmin int) []int {
 	return l.owners(l.NB-jmin, func(i int) int { return l.Owner(bi, jmin+i) })
 }
 
-// ColOwners returns the distinct owners of blocks (bi, bj), bi ≥ imin — the
+// colOwners returns the distinct owners of blocks (bi, bj), bi ≥ imin — the
 // receivers of a vertical broadcast of a block of column bj.
-func (l *Layout) ColOwners(bj, imin int) []int {
+func (l *Layout) colOwners(bj, imin int) []int {
 	return l.owners(l.NB-imin, func(i int) int { return l.Owner(imin+i, bj) })
 }
 
@@ -136,13 +136,13 @@ func (l *Layout) rowPanel(col, lo, jmin int) []Msg {
 func (l *Layout) colPanel(row, lo, imin int) []Msg {
 	return l.group(lo,
 		func(bj int) int { return l.Owner(row, bj) },
-		func(bj int) []int { return l.ColOwners(bj, imin) })
+		func(bj int) []int { return l.colOwners(bj, imin) })
 }
 
 // diagDown sends the factored diagonal block (k, k) to the owners of the
 // sub-diagonal blocks of column k, who need it for their panel solves.
 func (l *Layout) diagDown(k int) Msg {
-	return Msg{Root: l.Owner(k, k), Recv: l.ColOwners(k, k+1), Blocks: []int{k}}
+	return Msg{Root: l.Owner(k, k), Recv: l.colOwners(k, k+1), Blocks: []int{k}}
 }
 
 // MMPanels returns step k's messages of the outer-product multiplication:

@@ -75,6 +75,38 @@ func TestCommVolumeValidation(t *testing.T) {
 	}
 }
 
+// TestCommVolumesOrderByKernel: on one layout the multiplication, which
+// touches the whole matrix every step, moves more bytes than LU, whose
+// active matrix shrinks; Cholesky (no U panel, lower triangle only) moves
+// fewer than LU.
+func TestCommVolumesOrderByKernel(t *testing.T) {
+	d, err := UniformBlockCyclic(2, 2, 12, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := MMCommVolume(d, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lu, err := LUCommVolume(d, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chol, err := CholeskyCommVolume(d, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mm.Messages <= 0 || lu.Messages <= 0 || chol.Messages <= 0 {
+		t.Fatalf("volumes empty: mm=%+v lu=%+v cholesky=%+v", mm, lu, chol)
+	}
+	if mm.Bytes <= lu.Bytes {
+		t.Fatalf("MM bytes %v not above LU bytes %v", mm.Bytes, lu.Bytes)
+	}
+	if chol.Bytes >= lu.Bytes {
+		t.Fatalf("Cholesky volume %+v not below LU's %+v", chol, lu)
+	}
+}
+
 func TestLUCommVolumeDecreasesWithSmallerMatrix(t *testing.T) {
 	big, err := LUCommVolume(volPanel(t, 24), 64)
 	if err != nil {
@@ -97,6 +129,22 @@ func TestPlanRedistributionIdentity(t *testing.T) {
 	}
 	if plan.BlockCount() != 0 || len(plan.Pairs()) != 0 || plan.Bytes(100) != 0 {
 		t.Fatalf("identity redistribution not empty: %d blocks", plan.BlockCount())
+	}
+}
+
+// TestPlanRedistributionIdentityUniform: the homogeneous block-cyclic
+// layout, which hetgrid.Uniform returns, moves nothing onto itself either.
+func TestPlanRedistributionIdentityUniform(t *testing.T) {
+	uni, err := UniformBlockCyclic(2, 2, 12, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanRedistribution(uni, uni)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.BlockCount() != 0 {
+		t.Fatalf("identity plan not empty: %d blocks", plan.BlockCount())
 	}
 }
 

@@ -177,7 +177,7 @@ func TestResumeKernelsBitIdentical(t *testing.T) {
 		for _, d := range engineDistributions(t, nb)[:2] { // uniform, het-panel
 			var replayTaus [][]float64
 			if kern.name == "qr" {
-				rep, err := kernels.ReplayQR(d, a)
+				rep, err := kernels.ReplayQRNumerics(d, a, matrix.Strict)
 				if err != nil {
 					t.Fatal(err)
 				}

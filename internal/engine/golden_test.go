@@ -40,7 +40,7 @@ func TestMMGoldenAllBroadcastKinds(t *testing.T) {
 		a := matrix.Random(nb*r, nb*r, rng)
 		b := matrix.Random(nb*r, nb*r, rng)
 		for _, d := range engineDistributions(t, nb) {
-			rep, err := kernels.ReplayMM(d, a, b)
+			rep, err := kernels.ReplayMMNumerics(d, a, b, matrix.Strict)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func TestLUGoldenAllBroadcastKinds(t *testing.T) {
 	for _, r := range goldenBlockSizes {
 		a := matrix.RandomWellConditioned(nb*r, rng)
 		for _, d := range engineDistributions(t, nb) {
-			rep, err := kernels.ReplayLU(d, a)
+			rep, err := kernels.ReplayLUNumerics(d, a, matrix.Strict)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestCholeskyGoldenAllBroadcastKinds(t *testing.T) {
 	for _, r := range goldenBlockSizes {
 		a := matrix.RandomSPD(nb*r, rng)
 		for _, d := range engineDistributions(t, nb) {
-			rep, err := kernels.ReplayCholesky(d, a)
+			rep, err := kernels.ReplayCholeskyNumerics(d, a, matrix.Strict)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestQRGoldenAllBroadcastKinds(t *testing.T) {
 	for _, r := range []int{3, 16, 40} {
 		a := matrix.Random(nb*r, nb*r, rng)
 		for _, d := range engineDistributions(t, nb) {
-			rep, err := kernels.ReplayQR(d, a)
+			rep, err := kernels.ReplayQRNumerics(d, a, matrix.Strict)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -152,7 +152,7 @@ func TestClusterLoopbackSendRecv(t *testing.T) {
 	if s := fabs[0].WireStats(); s.FramesSent < 3 || s.BytesSent == 0 {
 		t.Fatalf("process 0 wire stats %+v after 3 remote sends", s)
 	}
-	if s := fabs[2].PeerStats()[0]; s.FramesRecv < 3 || s.BytesRecv == 0 {
+	if s := fabs[2].peerStats()[0]; s.FramesRecv < 3 || s.BytesRecv == 0 {
 		t.Fatalf("process 2 peer-0 stats %+v after 3 remote receives", s)
 	}
 }

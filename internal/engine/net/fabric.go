@@ -335,8 +335,8 @@ func (f *Fabric) readLoop(proc int, conn stdnet.Conn) {
 	}
 }
 
-// PeerStats snapshots per-peer wire traffic, keyed by peer process id.
-func (f *Fabric) PeerStats() map[int]NetStats {
+// peerStats snapshots per-peer wire traffic, keyed by peer process id.
+func (f *Fabric) peerStats() map[int]NetStats {
 	out := make(map[int]NetStats, len(f.peers))
 	for proc, pc := range f.peers {
 		out[proc] = NetStats{
@@ -347,11 +347,11 @@ func (f *Fabric) PeerStats() map[int]NetStats {
 	return out
 }
 
-// WireStats sums PeerStats across all peers — the process's total socket
+// WireStats sums peerStats across all peers — the process's total socket
 // traffic.
 func (f *Fabric) WireStats() NetStats {
 	var total NetStats
-	for _, s := range f.PeerStats() {
+	for _, s := range f.peerStats() {
 		total.FramesSent += s.FramesSent
 		total.FramesRecv += s.FramesRecv
 		total.BytesSent += s.BytesSent

@@ -208,7 +208,7 @@ func TestTCPQRPackedPathMatchesReplay(t *testing.T) {
 	d := hetDist(t)
 	const world, procs, r = 6, 3, 16
 	a := matrix.Random(6*r, 6*r, rand.New(rand.NewSource(43)))
-	oracle, err := kernels.ReplayQR(d, a)
+	oracle, err := kernels.ReplayQRNumerics(d, a, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}

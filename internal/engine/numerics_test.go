@@ -60,7 +60,7 @@ func TestMMFastNumerics(t *testing.T) {
 	a := matrix.Random(nb*r, nb*r, rng)
 	b := matrix.Random(nb*r, nb*r, rng)
 	for _, d := range engineDistributions(t, nb) {
-		strict, err := kernels.ReplayMM(d, a, b)
+		strict, err := kernels.ReplayMMNumerics(d, a, b, matrix.Strict)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestMMParallelBitIdentical(t *testing.T) {
 		a := matrix.Random(nb*r, nb*r, rng)
 		b := matrix.Random(nb*r, nb*r, rng)
 		for _, d := range engineDistributions(t, nb) {
-			rep, err := kernels.ReplayMM(d, a, b)
+			rep, err := kernels.ReplayMMNumerics(d, a, b, matrix.Strict)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestLUParallelBitIdentical(t *testing.T) {
 	for _, r := range parallelBlockSizes {
 		a := matrix.RandomWellConditioned(nb*r, rng)
 		for _, d := range engineDistributions(t, nb) {
-			rep, err := kernels.ReplayLU(d, a)
+			rep, err := kernels.ReplayLUNumerics(d, a, matrix.Strict)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestCholeskyParallelBitIdentical(t *testing.T) {
 	for _, r := range parallelBlockSizes {
 		a := matrix.RandomSPD(nb*r, rng)
 		for _, d := range engineDistributions(t, nb) {
-			rep, err := kernels.ReplayCholesky(d, a)
+			rep, err := kernels.ReplayCholeskyNumerics(d, a, matrix.Strict)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import (
 // QR executes the distributed blocked right-looking Householder QR
 // factorization, overwriting the store's blocks with the packed factors (R
 // in the upper triangle, reflector columns below it) — the distributed
-// counterpart of kernels.ReplayQR, bit-identical to it.
+// counterpart of kernels.ReplayQRNumerics, bit-identical to it.
 //
 // Per step k the owner of the diagonal block acts as panel master: it
 // gathers the trailing blocks of column k, factors the tall panel, and

@@ -89,16 +89,6 @@ func RunOneDimLUComparison(times []float64, nb int, net sim.Config, blockBytes f
 	return cmp, nil
 }
 
-// Row returns the row for a policy name.
-func (c *OneDimLUComparison) Row(policy string) (OneDimLURow, bool) {
-	for _, r := range c.Rows {
-		if r.Policy == policy {
-			return r, true
-		}
-	}
-	return OneDimLURow{}, false
-}
-
 // Table renders the comparison.
 func (c *OneDimLUComparison) Table() string {
 	var sb strings.Builder

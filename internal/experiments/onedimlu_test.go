@@ -16,9 +16,13 @@ func TestRunOneDimLUComparison(t *testing.T) {
 	if len(cmp.Rows) != 3 {
 		t.Fatalf("%d rows", len(cmp.Rows))
 	}
-	cyc, ok1 := cmp.Row("cyclic")
-	opt, ok2 := cmp.Row("lu-optimal")
-	grd, ok3 := cmp.Row("static-greedy")
+	rows := map[string]OneDimLURow{}
+	for _, r := range cmp.Rows {
+		rows[r.Policy] = r
+	}
+	cyc, ok1 := rows["cyclic"]
+	opt, ok2 := rows["lu-optimal"]
+	grd, ok3 := rows["static-greedy"]
 	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("missing policies")
 	}

@@ -5,7 +5,7 @@ import "testing"
 func BenchmarkEnumerateNonDecreasing3x3(b *testing.B) {
 	times := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	for i := 0; i < b.N; i++ {
-		n, err := CountNonDecreasing(times, 3, 3)
+		n, err := EnumerateNonDecreasing(times, 3, 3, nil)
 		if err != nil || n != 42 {
 			b.Fatalf("n=%d err=%v", n, err)
 		}
@@ -18,7 +18,7 @@ func BenchmarkEnumerateNonDecreasing3x4(b *testing.B) {
 		times[i] = float64(i + 1)
 	}
 	for i := 0; i < b.N; i++ {
-		n, err := CountNonDecreasing(times, 3, 4)
+		n, err := EnumerateNonDecreasing(times, 3, 4, nil)
 		if err != nil || n != 462 {
 			b.Fatalf("n=%d err=%v", n, err)
 		}

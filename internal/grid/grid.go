@@ -190,8 +190,8 @@ func (a *Arrangement) String() string {
 // Theorem 1 reduces the 2D load-balancing problem to). Duplicate cycle-time
 // values produce each distinct *matrix* once, not each permutation of equal
 // values. The Arrangement passed to visit is freshly allocated and may be
-// retained. If visit returns false the enumeration stops. Returns the number
-// of arrangements visited.
+// retained. If visit returns false the enumeration stops; a nil visit only
+// counts. Returns the number of arrangements visited.
 func EnumerateNonDecreasing(times []float64, p, q int, visit func(*Arrangement) bool) (int, error) {
 	if len(times) != p*q {
 		return 0, fmt.Errorf("grid: %d cycle-times cannot fill a %d×%d grid", len(times), p, q)
@@ -323,14 +323,6 @@ func EnumerateAll(times []float64, p, q int, visit func(*Arrangement) bool) (int
 	}
 	rec(0)
 	return count, nil
-}
-
-// CountNonDecreasing returns the number of non-decreasing arrangements for
-// the given multiset of cycle-times on a p×q grid. For distinct values this
-// is the number of standard Young tableaux of rectangular shape p×q, given
-// by the hook length formula.
-func CountNonDecreasing(times []float64, p, q int) (int, error) {
-	return EnumerateNonDecreasing(times, p, q, nil)
 }
 
 // HookLengthCount returns the number of standard Young tableaux of shape

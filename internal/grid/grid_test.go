@@ -190,7 +190,7 @@ func TestEnumerateNonDecreasingCountMatchesHookLength(t *testing.T) {
 		for i := range times {
 			times[i] = float64(i + 1)
 		}
-		got, err := CountNonDecreasing(times, p, q)
+		got, err := EnumerateNonDecreasing(times, p, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestEnumerateNonDecreasingAllValid(t *testing.T) {
 
 func TestEnumerateNonDecreasingDuplicateValues(t *testing.T) {
 	// All-equal values: exactly one arrangement.
-	n, err := CountNonDecreasing([]float64{2, 2, 2, 2}, 2, 2)
+	n, err := EnumerateNonDecreasing([]float64{2, 2, 2, 2}, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestEnumerateNonDecreasingDuplicateValues(t *testing.T) {
 	// last needs remaining {1,2} with row1 >= [1,2] elementwise: [2, ?]
 	// fails since remaining value 1 < 2. So 2 arrangements... plus
 	// [[1,1],[2,2]] and [[1,2],[1,2]] only.
-	n, err = CountNonDecreasing([]float64{1, 1, 2, 2}, 2, 2)
+	n, err = EnumerateNonDecreasing([]float64{1, 1, 2, 2}, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

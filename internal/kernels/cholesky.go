@@ -67,26 +67,15 @@ func SimulateCholesky(d distribution.Distribution, arr *grid.Arrangement, opts O
 	return g.finish("cholesky"), nil
 }
 
-// ReplayCholesky executes the blocked right-looking Cholesky factorization
-// numerically with block ownership from d, returning the lower factor L
-// (upper triangle zero) and per-node block-operation counts. The input must
-// be symmetric positive definite.
-func ReplayCholesky(d distribution.Distribution, a *matrix.Dense) (*Replay, error) {
-	return replayCholesky(d, a, matrix.Strict)
-}
-
-// ReplayCholeskyNumerics is ReplayCholesky under an explicit numerics
-// contract: diagonal factorization and panel solves stay scalar
-// (matrix.Strict is exactly ReplayCholesky), the trailing symmetric
-// updates run under mode.
+// ReplayCholeskyNumerics executes the blocked right-looking Cholesky
+// factorization numerically with block ownership from d, returning the
+// lower factor L (upper triangle zero) and per-node block-operation counts.
+// The input must be symmetric positive definite. Diagonal factorization and
+// panel solves stay scalar, the trailing symmetric updates run under mode.
 func ReplayCholeskyNumerics(d distribution.Distribution, a *matrix.Dense, mode matrix.Numerics) (*Replay, error) {
-	return replayCholesky(d, a, mode)
-}
-
-func replayCholesky(d distribution.Distribution, a *matrix.Dense, mode matrix.Numerics) (*Replay, error) {
 	n, nc := a.Dims()
 	if n != nc {
-		return nil, fmt.Errorf("kernels: ReplayCholesky needs a square matrix, got %d×%d", n, nc)
+		return nil, fmt.Errorf("kernels: ReplayCholeskyNumerics needs a square matrix, got %d×%d", n, nc)
 	}
 	r, err := checkBlocking(n, d)
 	if err != nil {
@@ -137,7 +126,7 @@ func replayCholesky(d distribution.Distribution, a *matrix.Dense, mode matrix.Nu
 }
 
 // CholeskyOpCounts returns per-node [factor, solve, update] counts matching
-// SimulateCholesky's charging, for cross-checks against ReplayCholesky.
+// SimulateCholesky's charging, for cross-checks against ReplayCholeskyNumerics.
 func CholeskyOpCounts(d distribution.Distribution) (factor, solve, update []int, err error) {
 	lay, err := distribution.NewLayout(d)
 	if err != nil {

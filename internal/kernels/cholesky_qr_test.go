@@ -76,7 +76,7 @@ func TestReplayCholeskyReconstructs(t *testing.T) {
 	nb, r := 6, 3
 	a := matrix.RandomSPD(nb*r, rng)
 	for _, d := range testDistributions(t, nb) {
-		rep, err := ReplayCholesky(d, a)
+		rep, err := ReplayCholeskyNumerics(d, a, matrix.Strict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestReplayCholeskyMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := distribution.UniformBlockCyclic(2, 2, nb, nb)
-	rep, err := ReplayCholesky(d, a)
+	rep, err := ReplayCholeskyNumerics(d, a, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestReplayCholeskyOpsMatchCounts(t *testing.T) {
 	nb, r := 6, 2
 	a := matrix.RandomSPD(nb*r, rng)
 	for _, d := range testDistributions(t, nb) {
-		rep, err := ReplayCholesky(d, a)
+		rep, err := ReplayCholeskyNumerics(d, a, matrix.Strict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,16 +159,16 @@ func TestCholeskyOpCountTotals(t *testing.T) {
 
 func TestReplayCholeskyValidation(t *testing.T) {
 	d, _ := distribution.UniformBlockCyclic(2, 2, 4, 4)
-	if _, err := ReplayCholesky(d, matrix.New(8, 9)); err == nil {
+	if _, err := ReplayCholeskyNumerics(d, matrix.New(8, 9), matrix.Strict); err == nil {
 		t.Fatal("non-square accepted")
 	}
-	if _, err := ReplayCholesky(d, matrix.New(10, 10)); err == nil {
+	if _, err := ReplayCholeskyNumerics(d, matrix.New(10, 10), matrix.Strict); err == nil {
 		t.Fatal("indivisible order accepted")
 	}
 	// Indefinite matrix surfaces the positive-definiteness error.
 	bad := matrix.Identity(8)
 	bad.Set(0, 0, -1)
-	if _, err := ReplayCholesky(d, bad); err == nil {
+	if _, err := ReplayCholeskyNumerics(d, bad, matrix.Strict); err == nil {
 		t.Fatal("indefinite matrix accepted")
 	}
 }
@@ -180,7 +180,7 @@ func TestReplayQRMatchesUnblocked(t *testing.T) {
 	a := matrix.Random(n, n, rng)
 	want := matrix.FactorQR(a).R()
 	for _, d := range testDistributions(t, nb) {
-		rep, err := ReplayQR(d, a)
+		rep, err := ReplayQRNumerics(d, a, matrix.Strict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestReplayQRReconstruction(t *testing.T) {
 	n := nb * r
 	a := matrix.Random(n, n, rng)
 	d, _ := distribution.UniformBlockCyclic(2, 2, nb, nb)
-	rep, err := ReplayQR(d, a)
+	rep, err := ReplayQRNumerics(d, a, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestReplayQROpsTotals(t *testing.T) {
 	nb, r := 5, 2
 	a := matrix.Random(nb*r, nb*r, rng)
 	d, _ := distribution.UniformBlockCyclic(2, 2, nb, nb)
-	rep, err := ReplayQR(d, a)
+	rep, err := ReplayQRNumerics(d, a, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +235,10 @@ func TestReplayQROpsTotals(t *testing.T) {
 
 func TestReplayQRValidation(t *testing.T) {
 	d, _ := distribution.UniformBlockCyclic(2, 2, 4, 4)
-	if _, err := ReplayQR(d, matrix.New(8, 9)); err == nil {
+	if _, err := ReplayQRNumerics(d, matrix.New(8, 9), matrix.Strict); err == nil {
 		t.Fatal("non-square accepted")
 	}
-	if _, err := ReplayQR(d, matrix.New(9, 9)); err == nil {
+	if _, err := ReplayQRNumerics(d, matrix.New(9, 9), matrix.Strict); err == nil {
 		t.Fatal("indivisible order accepted")
 	}
 }

@@ -7,12 +7,13 @@ import (
 	"hetgrid/internal/matrix"
 )
 
-// ReplayQR executes the blocked right-looking Householder QR factorization
-// numerically under the given distribution: at step k the owners of block
-// column k factor the tall panel A[k·r:, k·r:(k+1)·r], and the reflectors
-// are applied to every trailing block column. Ownership is charged at block
-// granularity exactly like the simulator's cost model (panel blocks at
-// FactorCost, trailing blocks at update cost).
+// QRReplay is the result of ReplayQRNumerics, which executes the blocked
+// right-looking Householder QR factorization numerically under the given
+// distribution: at step k the owners of block column k factor the tall
+// panel A[k·r:, k·r:(k+1)·r], and the reflectors are applied to every
+// trailing block column. Ownership is charged at block granularity exactly
+// like the simulator's cost model (panel blocks at FactorCost, trailing
+// blocks at update cost).
 //
 // The result packs R in the upper triangle and the Householder vectors
 // below the diagonal; Taus carries the reflector scalings per panel. The
@@ -25,27 +26,18 @@ type QRReplay struct {
 	Taus [][]float64
 }
 
-// ReplayQR factors a square matrix; see QRReplay.
-func ReplayQR(d distribution.Distribution, a *matrix.Dense) (*QRReplay, error) {
-	return replayQR(d, a, matrix.Strict)
-}
-
-// ReplayQRNumerics is ReplayQR under an explicit numerics contract,
-// accepted for API symmetry with the other kernels. The panel factor is
-// panel work, which the contract keeps Strict on every kernel (reflector
-// choices, like pivot choices, are made on Strict arithmetic), and the
-// reflector application — level-3 since it became compact-WY products
-// through the packed GEMM — stays Strict as well, so both modes execute
-// identically; Fast-mode callers still get the contract they asked for,
-// since Strict trivially satisfies the error bound.
-func ReplayQRNumerics(d distribution.Distribution, a *matrix.Dense, mode matrix.Numerics) (*QRReplay, error) {
-	return replayQR(d, a, mode)
-}
-
-func replayQR(d distribution.Distribution, a *matrix.Dense, _ matrix.Numerics) (*QRReplay, error) {
+// ReplayQRNumerics factors a square matrix; see QRReplay. The numerics
+// contract is accepted for API symmetry with the other kernels. The panel
+// factor is panel work, which the contract keeps Strict on every kernel
+// (reflector choices, like pivot choices, are made on Strict arithmetic),
+// and the reflector application — level-3 since it became compact-WY
+// products through the packed GEMM — stays Strict as well, so both modes
+// execute identically; Fast-mode callers still get the contract they asked
+// for, since Strict trivially satisfies the error bound.
+func ReplayQRNumerics(d distribution.Distribution, a *matrix.Dense, _ matrix.Numerics) (*QRReplay, error) {
 	n, nc := a.Dims()
 	if n != nc {
-		return nil, fmt.Errorf("kernels: ReplayQR needs a square matrix, got %d×%d", n, nc)
+		return nil, fmt.Errorf("kernels: ReplayQRNumerics needs a square matrix, got %d×%d", n, nc)
 	}
 	r, err := checkBlocking(n, d)
 	if err != nil {

@@ -35,27 +35,18 @@ func checkBlocking(n int, d distribution.Distribution) (r int, err error) {
 	return n / nbr, nil
 }
 
-// ReplayMM executes the blocked outer-product multiplication C = A·B with
-// block ownership taken from d, attributing each block update to its owner.
-// The numeric result is independent of the distribution — the property the
-// load-balancing strategies rely on — and tests assert it.
-func ReplayMM(d distribution.Distribution, a, b *matrix.Dense) (*Replay, error) {
-	return replayMM(d, a, b, matrix.Strict)
-}
-
-// ReplayMMNumerics is ReplayMM under an explicit numerics contract: every
-// block update runs through matrix.AddMulNumerics, so matrix.Fast computes
-// the product under the FMA-fused error-bound contract while matrix.Strict
-// is exactly ReplayMM.
+// ReplayMMNumerics executes the blocked outer-product multiplication
+// C = A·B with block ownership taken from d, attributing each block update
+// to its owner. The numeric result is independent of the distribution — the
+// property the load-balancing strategies rely on — and tests assert it.
+// Every block update runs through matrix.AddMulNumerics under mode, so
+// matrix.Fast computes the product under the FMA-fused error-bound
+// contract.
 func ReplayMMNumerics(d distribution.Distribution, a, b *matrix.Dense, mode matrix.Numerics) (*Replay, error) {
-	return replayMM(d, a, b, mode)
-}
-
-func replayMM(d distribution.Distribution, a, b *matrix.Dense, mode matrix.Numerics) (*Replay, error) {
 	ar, ac := a.Dims()
 	br, bc := b.Dims()
 	if ar != ac || br != bc || ar != br {
-		return nil, fmt.Errorf("kernels: ReplayMM needs equal square matrices, got %d×%d and %d×%d", ar, ac, br, bc)
+		return nil, fmt.Errorf("kernels: ReplayMMNumerics needs equal square matrices, got %d×%d and %d×%d", ar, ac, br, bc)
 	}
 	r, err := checkBlocking(ar, d)
 	if err != nil {
@@ -77,30 +68,20 @@ func replayMM(d distribution.Distribution, a, b *matrix.Dense, mode matrix.Numer
 	return &Replay{C: c, Ops: ops}, nil
 }
 
-// ReplayLU executes the blocked right-looking LU decomposition without
-// pivoting (callers supply diagonally dominant matrices; ScaLAPACK's
-// pivoted variant permutes rows across owners, which changes nothing about
-// the load-balance accounting this replay exists to validate). The result
-// packs L (unit diagonal implicit) below the diagonal and U on and above
-// it, exactly like matrix.FactorNoPivot. Each block operation — panel
-// factor, triangular solve, trailing update — is attributed to the block's
-// owner.
-func ReplayLU(d distribution.Distribution, a *matrix.Dense) (*Replay, error) {
-	return replayLU(d, a, matrix.Strict)
-}
-
-// ReplayLUNumerics is ReplayLU under an explicit numerics contract: the
-// diagonal-block factorization stays scalar (matrix.Strict is exactly
-// ReplayLU), while the U-panel triangular solves and the trailing updates
-// run under mode.
+// ReplayLUNumerics executes the blocked right-looking LU decomposition
+// without pivoting (callers supply diagonally dominant matrices;
+// ScaLAPACK's pivoted variant permutes rows across owners, which changes
+// nothing about the load-balance accounting this replay exists to
+// validate). The result packs L (unit diagonal implicit) below the diagonal
+// and U on and above it, exactly like matrix.FactorNoPivot. Each block
+// operation — panel factor, triangular solve, trailing update — is
+// attributed to the block's owner. The diagonal-block factorization stays
+// scalar, while the U-panel triangular solves and the trailing updates run
+// under mode.
 func ReplayLUNumerics(d distribution.Distribution, a *matrix.Dense, mode matrix.Numerics) (*Replay, error) {
-	return replayLU(d, a, mode)
-}
-
-func replayLU(d distribution.Distribution, a *matrix.Dense, mode matrix.Numerics) (*Replay, error) {
 	n, nc := a.Dims()
 	if n != nc {
-		return nil, fmt.Errorf("kernels: ReplayLU needs a square matrix, got %d×%d", n, nc)
+		return nil, fmt.Errorf("kernels: ReplayLUNumerics needs a square matrix, got %d×%d", n, nc)
 	}
 	r, err := checkBlocking(n, d)
 	if err != nil {

@@ -45,7 +45,7 @@ func TestReplayMMMatchesSerial(t *testing.T) {
 	b := matrix.Random(nb*r, nb*r, rng)
 	want := matrix.Mul(a, b)
 	for _, d := range testDistributions(t, nb) {
-		rep, err := ReplayMM(d, a, b)
+		rep, err := ReplayMMNumerics(d, a, b, matrix.Strict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,21 +61,24 @@ func TestReplayMMOpsMatchOwnership(t *testing.T) {
 	a := matrix.Random(nb*r, nb*r, rng)
 	b := matrix.Random(nb*r, nb*r, rng)
 	for _, d := range testDistributions(t, nb) {
-		rep, err := ReplayMM(d, a, b)
+		rep, err := ReplayMMNumerics(d, a, b, matrix.Strict)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := distribution.Counts(d)
-		_, q := d.Dims()
-		total := 0
-		for pi := range counts {
-			for pj := range counts[pi] {
-				want := counts[pi][pj] * nb // every step touches every owned block
-				if rep.Ops[pi*q+pj] != want {
-					t.Fatalf("%s: node (%d,%d) ops %d, want %d", d.Name(), pi, pj, rep.Ops[pi*q+pj], want)
-				}
-				total += rep.Ops[pi*q+pj]
+		p, q := d.Dims()
+		owned := make([]int, p*q)
+		for bi := 0; bi < nb; bi++ {
+			for bj := 0; bj < nb; bj++ {
+				pi, pj := d.Owner(bi, bj)
+				owned[pi*q+pj]++
 			}
+		}
+		total := 0
+		for n, ops := range rep.Ops {
+			if want := owned[n] * nb; ops != want { // every step touches every owned block
+				t.Fatalf("%s: node %d ops %d, want %d", d.Name(), n, ops, want)
+			}
+			total += ops
 		}
 		if total != nb*nb*nb {
 			t.Fatalf("%s: total ops %d, want nb³ = %d", d.Name(), total, nb*nb*nb)
@@ -86,14 +89,14 @@ func TestReplayMMOpsMatchOwnership(t *testing.T) {
 func TestReplayMMValidation(t *testing.T) {
 	d, _ := distribution.UniformBlockCyclic(2, 2, 4, 4)
 	a := matrix.New(8, 8)
-	if _, err := ReplayMM(d, a, matrix.New(8, 9)); err == nil {
+	if _, err := ReplayMMNumerics(d, a, matrix.New(8, 9), matrix.Strict); err == nil {
 		t.Fatal("non-square b accepted")
 	}
-	if _, err := ReplayMM(d, matrix.New(6, 6), matrix.New(6, 6)); err == nil {
+	if _, err := ReplayMMNumerics(d, matrix.New(6, 6), matrix.New(6, 6), matrix.Strict); err == nil {
 		t.Fatal("indivisible order accepted")
 	}
 	dRect, _ := distribution.UniformBlockCyclic(2, 2, 2, 4)
-	if _, err := ReplayMM(dRect, a, a); err == nil {
+	if _, err := ReplayMMNumerics(dRect, a, a, matrix.Strict); err == nil {
 		t.Fatal("rectangular block grid accepted")
 	}
 }
@@ -103,7 +106,7 @@ func TestReplayLUReconstructs(t *testing.T) {
 	nb, r := 8, 3
 	a := matrix.RandomWellConditioned(nb*r, rng)
 	for _, d := range testDistributions(t, nb) {
-		rep, err := ReplayLU(d, a)
+		rep, err := ReplayLUNumerics(d, a, matrix.Strict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,12 +122,12 @@ func TestReplayLUDistributionIndependent(t *testing.T) {
 	nb, r := 6, 2
 	a := matrix.RandomWellConditioned(nb*r, rng)
 	dists := testDistributions(t, nb)
-	base, err := ReplayLU(dists[0], a)
+	base, err := ReplayLUNumerics(dists[0], a, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range dists[1:] {
-		rep, err := ReplayLU(d, a)
+		rep, err := ReplayLUNumerics(d, a, matrix.Strict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +142,7 @@ func TestReplayLUOpsMatchSimulatorCounts(t *testing.T) {
 	nb, r := 6, 2
 	a := matrix.RandomWellConditioned(nb*r, rng)
 	for _, d := range testDistributions(t, nb) {
-		rep, err := ReplayLU(d, a)
+		rep, err := ReplayLUNumerics(d, a, matrix.Strict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +172,7 @@ func TestReplayLUMatchesUnpivotedDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := distribution.UniformBlockCyclic(2, 2, nb, nb)
-	rep, err := ReplayLU(d, a)
+	rep, err := ReplayLUNumerics(d, a, matrix.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +183,14 @@ func TestReplayLUMatchesUnpivotedDense(t *testing.T) {
 
 func TestReplayLUValidation(t *testing.T) {
 	d, _ := distribution.UniformBlockCyclic(2, 2, 4, 4)
-	if _, err := ReplayLU(d, matrix.New(8, 9)); err == nil {
+	if _, err := ReplayLUNumerics(d, matrix.New(8, 9), matrix.Strict); err == nil {
 		t.Fatal("non-square matrix accepted")
 	}
-	if _, err := ReplayLU(d, matrix.New(10, 10)); err == nil {
+	if _, err := ReplayLUNumerics(d, matrix.New(10, 10), matrix.Strict); err == nil {
 		t.Fatal("indivisible order accepted")
 	}
 	// Singular diagonal block surfaces an error.
-	if _, err := ReplayLU(d, matrix.New(8, 8)); err == nil {
+	if _, err := ReplayLUNumerics(d, matrix.New(8, 8), matrix.Strict); err == nil {
 		t.Fatal("zero matrix accepted")
 	}
 }

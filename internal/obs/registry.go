@@ -95,8 +95,8 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+// sum returns the sum of all observed values.
+func (h *Histogram) sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // DefBuckets is the default histogram bucketing: exponential from 1ms to
 // ~16s, suited to span durations in seconds.
@@ -322,7 +322,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 			if err := emit("%s_bucket%s %d\n", s.name, mergeLabels(s.labels, "le", "+Inf"), cum); err != nil {
 				return n, err
 			}
-			if err := emit("%s_sum%s %s\n", s.name, s.labels, fmtFloat(h.Sum())); err != nil {
+			if err := emit("%s_sum%s %s\n", s.name, s.labels, fmtFloat(h.sum())); err != nil {
 				return n, err
 			}
 			if err := emit("%s_count%s %d\n", s.name, s.labels, h.Count()); err != nil {

@@ -44,7 +44,7 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("count = %d, want 5", h.Count())
 	}
-	if got, want := h.Sum(), 56.05; got != want {
+	if got, want := h.sum(), 56.05; got != want {
 		t.Fatalf("sum = %g, want %g", got, want)
 	}
 	var sb strings.Builder

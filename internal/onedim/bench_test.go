@@ -5,6 +5,8 @@ import (
 	"testing"
 )
 
+// BenchmarkAllocate times the greedy allocation of 256 blocks over 16
+// processors.
 func BenchmarkAllocate(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	times := make([]float64, 16)
@@ -13,7 +15,7 @@ func BenchmarkAllocate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Allocate(256, times); err != nil {
+		if _, err := Sequence(256, times); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,10 +89,10 @@ func TestLUSequenceCountsMatchAllocate(t *testing.T) {
 	for _, p := range seq {
 		counts[p]++
 	}
-	want, _ := Allocate(nb, times)
+	want, _ := sequenceCounts(nb, times)
 	for i := range want {
 		if counts[i] != want[i] {
-			t.Fatalf("counts %v != Allocate %v", counts, want)
+			t.Fatalf("counts %v != Sequence's counts %v", counts, want)
 		}
 	}
 }

@@ -3,14 +3,14 @@
 // Robert ([5, 6] in the IPPS 2000 paper). They are the building blocks the
 // 2D strategies reduce to:
 //
-//   - Allocate: optimal static distribution of B identical blocks over
-//     processors of different speeds, minimizing the makespan max n_i·t_i.
-//     The incremental greedy (give the next block to the processor that
-//     finishes it first) is provably optimal for this problem.
-//   - Sequence: the order in which the greedy hands out blocks. For LU/QR
-//     the order of panel columns matters (§3.2.2): running the greedy over
-//     the "equivalent column processors" yields interleavings such as
-//     ABAABA in the paper's example.
+//   - Sequence: optimal static distribution of B identical blocks over
+//     processors of different speeds, minimizing the makespan max n_i·t_i,
+//     in the order the incremental greedy (give the next block to the
+//     processor that finishes it first) hands them out; the greedy is
+//     provably optimal for this problem. For LU/QR the order of panel
+//     columns matters (§3.2.2): running the greedy over the "equivalent
+//     column processors" yields interleavings such as ABAABA in the
+//     paper's example.
 //   - AggregateCycleTime: the cycle-time of the single virtual processor
 //     equivalent to a group working concurrently (speeds add; cycle-times
 //     combine harmonically), used to weight processor columns.
@@ -34,29 +34,12 @@ func validateTimes(times []float64) error {
 	return nil
 }
 
-// Allocate distributes b identical blocks over processors with the given
-// cycle-times, returning counts n_i with Σn_i = b that minimize the
-// makespan max_i n_i·times[i]. Ties go to the lower index, making the result
-// deterministic.
-func Allocate(b int, times []float64) ([]int, error) {
-	if b < 0 {
-		return nil, fmt.Errorf("onedim: negative block count %d", b)
-	}
-	if err := validateTimes(times); err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(times))
-	for k := 0; k < b; k++ {
-		counts[nextProcessor(counts, times)]++
-	}
-	return counts, nil
-}
-
 // Sequence returns the processor index chosen for each of the b blocks in
 // greedy order: element k is the processor that receives the k-th block.
-// Prefix sums of the sequence reproduce Allocate, and the sequence itself is
-// the periodic column-allocation pattern used for LU/QR panels (e.g. the
-// ABAABA ordering of the paper's §3.2.2 example).
+// Every prefix of length k holds counts n_i with Σn_i = k that minimize the
+// makespan max_i n_i·times[i] (ties go to the lower index), and the
+// sequence itself is the periodic column-allocation pattern used for LU/QR
+// panels (e.g. the ABAABA ordering of the paper's §3.2.2 example).
 func Sequence(b int, times []float64) ([]int, error) {
 	if b < 0 {
 		return nil, fmt.Errorf("onedim: negative block count %d", b)
@@ -101,8 +84,7 @@ func Makespan(counts []int, times []float64) float64 {
 }
 
 // BruteForceAllocate finds an optimal allocation by exhaustive search. It is
-// exponential and exists to validate Allocate in tests and to double-check
-// small configurations. Ties are broken toward the allocation found first in
+// exponential and exists to validate Sequence's counts in tests. Ties are broken toward the allocation found first in
 // lexicographic order of counts.
 func BruteForceAllocate(b int, times []float64) ([]int, error) {
 	if b < 0 {
@@ -132,24 +114,6 @@ func BruteForceAllocate(b int, times []float64) ([]int, error) {
 	}
 	rec(0, b)
 	return best, nil
-}
-
-// ProportionalShares returns the ideal (rational) share of b blocks for each
-// processor: share_i = b * (1/t_i) / Σ(1/t_j). The optimal integer
-// allocation deviates from these by less than 1 in aggregate makespan terms.
-func ProportionalShares(b int, times []float64) ([]float64, error) {
-	if err := validateTimes(times); err != nil {
-		return nil, err
-	}
-	invSum := 0.0
-	for _, t := range times {
-		invSum += 1 / t
-	}
-	out := make([]float64, len(times))
-	for i, t := range times {
-		out[i] = float64(b) / t / invSum
-	}
-	return out, nil
 }
 
 // AggregateCycleTime returns the cycle-time of the single virtual processor
@@ -190,21 +154,4 @@ func HarmonicMeanCycleTime(times []float64) (float64, error) {
 		inv += 1 / t
 	}
 	return float64(len(times)) / inv, nil
-}
-
-// CyclicAllocate is the homogeneous baseline: blocks dealt round-robin
-// regardless of speed, as the standard ScaLAPACK block-cyclic distribution
-// does. Returns the per-processor counts.
-func CyclicAllocate(b, nproc int) ([]int, error) {
-	if nproc <= 0 {
-		return nil, fmt.Errorf("onedim: invalid processor count %d", nproc)
-	}
-	if b < 0 {
-		return nil, fmt.Errorf("onedim: negative block count %d", b)
-	}
-	counts := make([]int, nproc)
-	for k := 0; k < b; k++ {
-		counts[k%nproc]++
-	}
-	return counts, nil
 }

@@ -7,9 +7,23 @@ import (
 	"testing/quick"
 )
 
+// sequenceCounts returns how many of the b blocks Sequence hands each
+// processor: the optimal static allocation.
+func sequenceCounts(b int, times []float64) ([]int, error) {
+	seq, err := Sequence(b, times)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int, len(times))
+	for _, p := range seq {
+		counts[p]++
+	}
+	return counts, nil
+}
+
 func TestAllocateKnown(t *testing.T) {
 	// Two processors, speeds 1 and 1/3: out of 4 blocks the fast one gets 3.
-	counts, err := Allocate(4, []float64{1, 3})
+	counts, err := sequenceCounts(4, []float64{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,14 +36,14 @@ func TestAllocatePaperColumnExample(t *testing.T) {
 	// §3.2.2: within each panel column of the [[1,2],[3,5]] grid with
 	// B_p = 8, the first grid row (cycle-times 1 and 2) gets 6 blocks and
 	// the second (3 and 5) gets 2.
-	counts, err := Allocate(8, []float64{1, 3})
+	counts, err := sequenceCounts(8, []float64{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if counts[0] != 6 || counts[1] != 2 {
 		t.Fatalf("column 1 counts = %v, want [6 2]", counts)
 	}
-	counts, err = Allocate(8, []float64{2, 5})
+	counts, err = sequenceCounts(8, []float64{2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,17 +80,15 @@ func TestSequencePrefixMatchesAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := make([]int, n)
-		for _, p := range seq {
-			counts[p]++
-		}
-		want, err := Allocate(b, times)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if counts[i] != want[i] {
-				t.Fatalf("sequence counts %v != Allocate %v", counts, want)
+		for k := 0; k <= b; k++ {
+			prefix, err := Sequence(k, times)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range prefix {
+				if prefix[i] != seq[i] {
+					t.Fatalf("Sequence(%d) = %v is not a prefix of Sequence(%d) = %v", k, prefix, b, seq)
+				}
 			}
 		}
 	}
@@ -91,7 +103,7 @@ func TestAllocateSumsToB(t *testing.T) {
 		for i := range times {
 			times[i] = 0.05 + rng.Float64()
 		}
-		counts, err := Allocate(b, times)
+		counts, err := sequenceCounts(b, times)
 		if err != nil {
 			return false
 		}
@@ -118,7 +130,7 @@ func TestAllocateOptimalVsBruteForce(t *testing.T) {
 		for i := range times {
 			times[i] = 0.1 + rng.Float64()
 		}
-		greedy, err := Allocate(b, times)
+		greedy, err := sequenceCounts(b, times)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,27 +152,6 @@ func TestMakespan(t *testing.T) {
 	}
 	if got := Makespan([]int{0, 0}, []float64{1, 3}); got != 0 {
 		t.Fatalf("empty Makespan = %v", got)
-	}
-}
-
-func TestProportionalShares(t *testing.T) {
-	shares, err := ProportionalShares(12, []float64{1, 2, 3, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Speeds 1, 1/2, 1/3, 1/6 sum to 2, so shares are 6, 3, 2, 1.
-	want := []float64{6, 3, 2, 1}
-	for i := range want {
-		if math.Abs(shares[i]-want[i]) > 1e-12 {
-			t.Fatalf("shares = %v, want %v", shares, want)
-		}
-	}
-	sum := 0.0
-	for _, s := range shares {
-		sum += s
-	}
-	if math.Abs(sum-12) > 1e-12 {
-		t.Fatalf("shares sum to %v, want 12", sum)
 	}
 }
 
@@ -214,30 +205,14 @@ func TestHarmonicMeanCycleTimePaper(t *testing.T) {
 	}
 }
 
-func TestCyclicAllocate(t *testing.T) {
-	counts, err := CyclicAllocate(7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{3, 2, 2}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("cyclic counts = %v, want %v", counts, want)
-		}
-	}
-	if _, err := CyclicAllocate(3, 0); err == nil {
-		t.Fatal("expected error for zero processors")
-	}
-}
-
 func TestErrorCases(t *testing.T) {
-	if _, err := Allocate(-1, []float64{1}); err == nil {
+	if _, err := sequenceCounts(-1, []float64{1}); err == nil {
 		t.Fatal("negative b accepted")
 	}
-	if _, err := Allocate(3, nil); err == nil {
+	if _, err := sequenceCounts(3, nil); err == nil {
 		t.Fatal("no processors accepted")
 	}
-	if _, err := Allocate(3, []float64{1, 0}); err == nil {
+	if _, err := sequenceCounts(3, []float64{1, 0}); err == nil {
 		t.Fatal("zero cycle-time accepted")
 	}
 	if _, err := Sequence(-1, []float64{1}); err == nil {
@@ -246,7 +221,7 @@ func TestErrorCases(t *testing.T) {
 	if _, err := BruteForceAllocate(3, []float64{-1}); err == nil {
 		t.Fatal("negative cycle-time accepted by brute force")
 	}
-	if _, err := ProportionalShares(3, []float64{math.Inf(1)}); err == nil {
+	if _, err := Sequence(3, []float64{math.Inf(1)}); err == nil {
 		t.Fatal("infinite cycle-time accepted")
 	}
 }
@@ -254,7 +229,7 @@ func TestErrorCases(t *testing.T) {
 func TestAllocateDeterministicTies(t *testing.T) {
 	// Equal speeds: ties break toward lower indices, so counts are as even
 	// as possible with earlier processors first.
-	counts, err := Allocate(5, []float64{1, 1, 1})
+	counts, err := sequenceCounts(5, []float64{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +246,7 @@ func TestAllocateDeterministicTies(t *testing.T) {
 
 func TestAllocateFastProcessorDominates(t *testing.T) {
 	// A processor 100× faster should take the overwhelming majority.
-	counts, err := Allocate(101, []float64{0.01, 1})
+	counts, err := sequenceCounts(101, []float64{0.01, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

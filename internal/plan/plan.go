@@ -2,8 +2,8 @@
 // turns a Request (cycle-times plus grid constraints) into a
 // serializable Plan (arrangement, row/column shares, panel ordering,
 // predicted objective, provenance). Every public planning surface —
-// hetgrid.Balance, hetgrid.BalanceArrangement, hetgrid.ChooseGrid,
-// adapt.ReplanSurvivors and the hetgridd service — is a thin adapter over
+// hetgrid.Balance, hetgrid.SolvePlan, adapt.ReplanSurvivors and the
+// hetgridd service — is a thin adapter over
 // this package, so the paper's strategy solvers have exactly one call
 // path and every consumer (CLI, HTTP service, recovery path) speaks the
 // same request/plan vocabulary.
@@ -99,9 +99,8 @@ func parseOrdering(s string, def distribution.Ordering) (distribution.Ordering, 
 //
 //   - P,Q > 0, Fixed false: arrange Times on a p×q grid (hetgrid.Balance);
 //   - P,Q > 0, Fixed true: Times are a row-major cycle-time matrix at
-//     fixed grid positions (hetgrid.BalanceArrangement);
-//   - P = Q = 0: search grid shapes too (hetgrid.ChooseGrid and the
-//     survivor replanner).
+//     fixed grid positions;
+//   - P = Q = 0: search grid shapes too (the survivor replanner).
 type Request struct {
 	// Times are the processor cycle-times (positive; only ratios matter).
 	Times []float64 `json:"times"`

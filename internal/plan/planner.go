@@ -90,8 +90,8 @@ func solveBalance(req Request, strategy Strategy) (*Result, error) {
 	}
 }
 
-// solveArrangement handles the fixed-arrangement mode
-// (hetgrid.BalanceArrangement): the machines sit at given positions and
+// solveArrangement handles the fixed-arrangement mode (Request.Fixed): the
+// machines sit at given positions and
 // only the shares are optimized — the §4.3 sub-problem.
 func solveArrangement(req Request, strategy Strategy) (*Result, error) {
 	rows := make([][]float64, req.P)
@@ -123,8 +123,8 @@ func solveArrangement(req Request, strategy Strategy) (*Result, error) {
 	}
 }
 
-// solveShape handles the free-shape mode (hetgrid.ChooseGrid and the
-// survivor replanner): pick p×q ≤ n, the participants, and the shares.
+// solveShape handles the free-shape mode (hetgrid.SolvePlan with no shape
+// and the survivor replanner): pick p×q ≤ n, the participants, and the shares.
 func solveShape(req Request) (*Result, error) {
 	shape, err := core.ChooseShape(req.Times, core.ShapeOptions{
 		AllowSubset: req.AllowSubset,

@@ -28,7 +28,7 @@ func OneShot(t engine.Transport) Factory {
 	used := false
 	return func(int) (engine.Transport, error) {
 		if used {
-			return nil, fmt.Errorf("recovery needs WithTransportFactory: a fixed transport serves exactly one world")
+			return nil, fmt.Errorf("a fixed transport serves exactly one world: recovery and migration need a fresh fabric per attempt")
 		}
 		used = true
 		return t, nil

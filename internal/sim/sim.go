@@ -36,14 +36,14 @@ import (
 // Timeline is a serialized resource in virtual time. The zero value is a
 // free resource at time 0.
 type Timeline struct {
-	freeAt float64
-	busy   float64
+	freeAt float64 // end of the last reservation
+	busy   float64 // total reserved duration
 }
 
-// Reserve books the resource for dur time units starting no earlier than
+// reserve books the resource for dur time units starting no earlier than
 // ready and no earlier than the resource's previous reservation, returning
 // the start and end of the booked interval.
-func (t *Timeline) Reserve(ready, dur float64) (start, end float64) {
+func (t *Timeline) reserve(ready, dur float64) (start, end float64) {
 	if dur < 0 {
 		panic(fmt.Sprintf("sim: negative duration %v", dur))
 	}
@@ -53,12 +53,6 @@ func (t *Timeline) Reserve(ready, dur float64) (start, end float64) {
 	t.busy += dur
 	return start, end
 }
-
-// FreeAt returns the end of the last reservation.
-func (t *Timeline) FreeAt() float64 { return t.freeAt }
-
-// Busy returns the total reserved duration.
-func (t *Timeline) Busy() float64 { return t.busy }
 
 // Config describes the communication fabric.
 type Config struct {
@@ -156,7 +150,7 @@ func (c *Cluster) Config() Config { return c.cfg }
 // dependency time ready and the CPU allow, and returns the completion time.
 func (c *Cluster) Compute(node int, ready, dur float64) float64 {
 	c.checkNode(node)
-	start, end := c.cpus[node].Reserve(ready, dur)
+	start, end := c.cpus[node].reserve(ready, dur)
 	if c.spans != nil {
 		c.record(obs.Span{Kind: obs.SpanCompute, Rank: node, Peer: -1, Start: start, End: end})
 	}
@@ -178,14 +172,14 @@ func (c *Cluster) Send(src, dst int, bytes, ready float64) float64 {
 	}
 	dur := c.cfg.Latency + bytes*c.cfg.ByteTime
 	rx := c.rxNIC(dst)
-	start := math.Max(ready, math.Max(c.nics[src].FreeAt(), rx.FreeAt()))
+	start := math.Max(ready, math.Max(c.nics[src].freeAt, rx.freeAt))
 	if c.cfg.SharedBus {
-		start = math.Max(start, c.bus.FreeAt())
+		start = math.Max(start, c.bus.freeAt)
 	}
-	c.nics[src].Reserve(start, dur)
-	rx.Reserve(start, dur)
+	c.nics[src].reserve(start, dur)
+	rx.reserve(start, dur)
 	if c.cfg.SharedBus {
-		c.bus.Reserve(start, dur)
+		c.bus.reserve(start, dur)
 	}
 	c.msgs++
 	c.bytes += bytes
@@ -197,12 +191,12 @@ func (c *Cluster) Send(src, dst int, bytes, ready float64) float64 {
 
 // Makespan returns the latest completion time over every resource.
 func (c *Cluster) Makespan() float64 {
-	m := c.bus.FreeAt()
+	m := c.bus.freeAt
 	for i := range c.cpus {
-		m = math.Max(m, c.cpus[i].FreeAt())
-		m = math.Max(m, c.nics[i].FreeAt())
+		m = math.Max(m, c.cpus[i].freeAt)
+		m = math.Max(m, c.nics[i].freeAt)
 		if c.nicsIn != nil {
-			m = math.Max(m, c.nicsIn[i].FreeAt())
+			m = math.Max(m, c.nicsIn[i].freeAt)
 		}
 	}
 	return m
@@ -216,14 +210,14 @@ func (c *Cluster) Snapshot() *Stats {
 		Bytes:    c.bytes,
 		NodeBusy: make([]float64, len(c.cpus)),
 		NICBusy:  make([]float64, len(c.nics)),
-		BusBusy:  c.bus.Busy(),
+		BusBusy:  c.bus.busy,
 		Makespan: c.Makespan(),
 	}
 	for i := range c.cpus {
-		s.NodeBusy[i] = c.cpus[i].Busy()
-		s.NICBusy[i] = c.nics[i].Busy()
+		s.NodeBusy[i] = c.cpus[i].busy
+		s.NICBusy[i] = c.nics[i].busy
 		if c.nicsIn != nil {
-			s.NICBusy[i] += c.nicsIn[i].Busy()
+			s.NICBusy[i] += c.nicsIn[i].busy
 		}
 		if s.NodeBusy[i] > s.CompBound {
 			s.CompBound = s.NodeBusy[i]

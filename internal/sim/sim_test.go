@@ -8,20 +8,20 @@ import (
 
 func TestTimelineReserve(t *testing.T) {
 	var tl Timeline
-	s, e := tl.Reserve(5, 3)
+	s, e := tl.reserve(5, 3)
 	if s != 5 || e != 8 {
 		t.Fatalf("first reserve [%v,%v], want [5,8]", s, e)
 	}
 	// Earlier-ready work still queues behind.
-	s, e = tl.Reserve(2, 4)
+	s, e = tl.reserve(2, 4)
 	if s != 8 || e != 12 {
 		t.Fatalf("second reserve [%v,%v], want [8,12]", s, e)
 	}
-	if tl.Busy() != 7 {
-		t.Fatalf("busy %v, want 7", tl.Busy())
+	if tl.busy != 7 {
+		t.Fatalf("busy %v, want 7", tl.busy)
 	}
-	if tl.FreeAt() != 12 {
-		t.Fatalf("freeAt %v, want 12", tl.FreeAt())
+	if tl.freeAt != 12 {
+		t.Fatalf("freeAt %v, want 12", tl.freeAt)
 	}
 }
 
@@ -32,7 +32,7 @@ func TestTimelineNegativeDurPanics(t *testing.T) {
 		}
 	}()
 	var tl Timeline
-	tl.Reserve(0, -1)
+	tl.reserve(0, -1)
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -35,16 +35,16 @@ type Graph struct {
 	Edges []Edge
 }
 
-// NewGraph returns an empty graph on n vertices.
-func NewGraph(n int) *Graph {
+// newGraph returns an empty graph on n vertices.
+func newGraph(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("spantree: negative vertex count %d", n))
 	}
 	return &Graph{N: n}
 }
 
-// AddEdge appends an undirected edge {u, v} and returns its index.
-func (g *Graph) AddEdge(u, v int) int {
+// addEdge appends an undirected edge {u, v} and returns its index.
+func (g *Graph) addEdge(u, v int) int {
 	if u < 0 || u >= g.N || v < 0 || v >= g.N {
 		panic(fmt.Sprintf("spantree: edge (%d,%d) out of range for %d vertices", u, v, g.N))
 	}
@@ -59,10 +59,10 @@ func (g *Graph) AddEdge(u, v int) int {
 // p..p+q-1 the "column" side, with edges added in row-major order so that
 // the edge index of (i, j) is i*q + j.
 func CompleteBipartite(p, q int) *Graph {
-	g := NewGraph(p + q)
+	g := newGraph(p + q)
 	for i := 0; i < p; i++ {
 		for j := 0; j < q; j++ {
-			g.AddEdge(i, p+j)
+			g.addEdge(i, p+j)
 		}
 	}
 	return g
@@ -280,12 +280,6 @@ func Enumerate(g *Graph, visit func(edges []int) bool) int {
 	return NewEnumerator(g).Enumerate(nil, nil, visit)
 }
 
-// EnumeratePart enumerates the spanning trees of g in the partition class
-// fixed by prefix, with optional pruning hooks. See Enumerator.Enumerate.
-func EnumeratePart(g *Graph, prefix []bool, h *Hooks, visit func(edges []int) bool) int {
-	return NewEnumerator(g).Enumerate(prefix, h, visit)
-}
-
 // PartitionPrefixes returns the 2^bits include/exclude prefixes over the
 // first bits edges of a graph with nEdges edges. Every spanning tree matches
 // exactly one returned prefix, so enumerating each prefix independently
@@ -342,17 +336,4 @@ func mulCheck(a, b int) int {
 		panic("spantree: spanning tree count overflows int")
 	}
 	return c
-}
-
-// AdjacencyFromTree converts a set of edge indices (as produced by
-// Enumerate) into an adjacency list on g's vertices. Useful for walking the
-// tree to propagate variable values.
-func AdjacencyFromTree(g *Graph, edges []int) [][]int {
-	adj := make([][]int, g.N)
-	for _, ei := range edges {
-		e := g.Edges[ei]
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	return adj
 }

@@ -8,20 +8,20 @@ import (
 )
 
 func TestCountTriangle(t *testing.T) {
-	g := NewGraph(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 2)
+	g := newGraph(3)
+	g.addEdge(0, 1)
+	g.addEdge(1, 2)
+	g.addEdge(0, 2)
 	if got := Count(g); got != 3 {
 		t.Fatalf("triangle has %d spanning trees, want 3", got)
 	}
 }
 
 func TestCountPath(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := newGraph(4)
+	g.addEdge(0, 1)
+	g.addEdge(1, 2)
+	g.addEdge(2, 3)
 	if got := Count(g); got != 1 {
 		t.Fatalf("path has %d spanning trees, want 1", got)
 	}
@@ -30,10 +30,10 @@ func TestCountPath(t *testing.T) {
 func TestCountCompleteGraph(t *testing.T) {
 	// Cayley: K_n has n^{n-2} spanning trees.
 	for n := 2; n <= 6; n++ {
-		g := NewGraph(n)
+		g := newGraph(n)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				g.AddEdge(i, j)
+				g.addEdge(i, j)
 			}
 		}
 		want := 1
@@ -71,22 +71,22 @@ func TestCountCompleteBipartiteFormula(t *testing.T) {
 }
 
 func TestDisconnectedGraphNoTrees(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := newGraph(4)
+	g.addEdge(0, 1)
+	g.addEdge(2, 3)
 	if got := Count(g); got != 0 {
 		t.Fatalf("disconnected graph: %d trees, want 0", got)
 	}
 }
 
 func TestTrivialGraphs(t *testing.T) {
-	if got := Count(NewGraph(0)); got != 1 {
+	if got := Count(newGraph(0)); got != 1 {
 		t.Fatalf("empty graph: %d, want 1", got)
 	}
-	if got := Count(NewGraph(1)); got != 1 {
+	if got := Count(newGraph(1)); got != 1 {
 		t.Fatalf("single vertex: %d, want 1", got)
 	}
-	if got := Count(NewGraph(2)); got != 0 {
+	if got := Count(newGraph(2)); got != 0 {
 		t.Fatalf("two isolated vertices: %d, want 0", got)
 	}
 }
@@ -99,7 +99,12 @@ func TestEnumerateTreesAreValid(t *testing.T) {
 			t.Fatalf("tree with %d edges, want %d", len(edges), g.N-1)
 		}
 		// Must be connected and acyclic: n-1 edges + connected suffices.
-		adj := AdjacencyFromTree(g, edges)
+		adj := make([][]int, g.N)
+		for _, ei := range edges {
+			e := g.Edges[ei]
+			adj[e.U] = append(adj[e.U], e.V)
+			adj[e.V] = append(adj[e.V], e.U)
+		}
 		visited := make([]bool, g.N)
 		stack := []int{0}
 		visited[0] = true
@@ -181,9 +186,9 @@ func TestEnumerateVisitSliceReused(t *testing.T) {
 }
 
 func TestParallelEdgesDistinct(t *testing.T) {
-	g := NewGraph(2)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 1)
+	g := newGraph(2)
+	g.addEdge(0, 1)
+	g.addEdge(0, 1)
 	if got := Count(g); got != 2 {
 		t.Fatalf("two parallel edges: %d trees, want 2", got)
 	}
@@ -195,7 +200,7 @@ func TestSelfLoopPanics(t *testing.T) {
 			t.Fatal("expected panic for self-loop")
 		}
 	}()
-	NewGraph(2).AddEdge(1, 1)
+	newGraph(2).addEdge(1, 1)
 }
 
 func TestAddEdgeOutOfRangePanics(t *testing.T) {
@@ -204,7 +209,7 @@ func TestAddEdgeOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewGraph(2).AddEdge(0, 2)
+	newGraph(2).addEdge(0, 2)
 }
 
 func TestCompleteBipartiteEdgeIndexing(t *testing.T) {
@@ -226,10 +231,10 @@ func TestKirchhoffCrossCheckRandomGraphs(t *testing.T) {
 	// Gaussian elimination, Bareiss).
 	f := func(seed int64) bool {
 		n := 3 + int(uint(seed)%4)
-		g := NewGraph(n)
+		g := newGraph(n)
 		// Ring to guarantee connectivity plus pseudo-random chords.
 		for i := 0; i < n; i++ {
-			g.AddEdge(i, (i+1)%n)
+			g.addEdge(i, (i+1)%n)
 		}
 		s := uint(seed)
 		for i := 0; i < n; i++ {
@@ -239,7 +244,7 @@ func TestKirchhoffCrossCheckRandomGraphs(t *testing.T) {
 				}
 				s = s*1103515245 + 12345
 				if s%3 == 0 {
-					g.AddEdge(i, j)
+					g.addEdge(i, j)
 				}
 			}
 		}
@@ -329,7 +334,7 @@ func TestPartitionPrefixesCoverEnumeration(t *testing.T) {
 		seen := make(map[string]bool)
 		total := 0
 		for _, prefix := range PartitionPrefixes(len(g.Edges), bits) {
-			total += EnumeratePart(g, prefix, nil, func(edges []int) bool {
+			total += NewEnumerator(g).Enumerate(prefix, nil, func(edges []int) bool {
 				key := fmt.Sprint(edges)
 				if seen[key] {
 					t.Fatalf("bits=%d: tree %v in two partition classes", bits, edges)
@@ -386,7 +391,7 @@ func TestHooksVetoPrunesSubtree(t *testing.T) {
 			undos++
 		},
 	}
-	got := EnumeratePart(g, nil, h, func([]int) bool { return true })
+	got := NewEnumerator(g).Enumerate(nil, h, func([]int) bool { return true })
 	if got != total-withEdge0 {
 		t.Fatalf("veto of edge 0: %d trees, want %d (%d total - %d containing it)",
 			got, total-withEdge0, total, withEdge0)
@@ -413,7 +418,7 @@ func TestHooksIncludeUndoBalanced(t *testing.T) {
 			stack = stack[:len(stack)-1]
 		},
 	}
-	n := EnumeratePart(g, nil, h, func([]int) bool { return true })
+	n := NewEnumerator(g).Enumerate(nil, h, func([]int) bool { return true })
 	if n != 81 {
 		t.Fatalf("hooked enumeration visited %d trees, want 81", n)
 	}
@@ -446,8 +451,8 @@ func TestEnumeratorReuse(t *testing.T) {
 func TestPrefixTrivialGraph(t *testing.T) {
 	// A graph with one vertex has a single empty tree; it matches only the
 	// all-exclude prefix.
-	g := NewGraph(1)
-	if got := EnumeratePart(g, nil, nil, nil); got != 1 {
+	g := newGraph(1)
+	if got := NewEnumerator(g).Enumerate(nil, nil, nil); got != 1 {
 		t.Fatalf("trivial graph, nil prefix: %d, want 1", got)
 	}
 }

@@ -142,28 +142,6 @@ func finish(w, v *matrix.Dense) (*SVD, error) {
 	return &SVD{U: u, S: sOut, V: vOut}, nil
 }
 
-// Reconstruct returns U * diag(S) * Vᵀ.
-func (d *SVD) Reconstruct() *matrix.Dense {
-	m, _ := d.U.Dims()
-	n, _ := d.V.Dims()
-	out := matrix.New(m, n)
-	for k, s := range d.S {
-		if s == 0 {
-			continue
-		}
-		for i := 0; i < m; i++ {
-			ui := d.U.At(i, k) * s
-			if ui == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				out.Add(i, j, ui*d.V.At(j, k))
-			}
-		}
-	}
-	return out
-}
-
 // Rank1 returns the best rank-1 approximation s1 * u1 * v1ᵀ along with the
 // dominant triple (s1, u1, v1). The signs of u1 and v1 are normalized so
 // that the entry of u1 with the largest magnitude is positive, which makes

@@ -1,25 +1,25 @@
 package hetgrid
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// apiFences are the internal packages whose exported functions and methods
-// must each be named by a selector in some non-test file outside the
-// package — another internal package, the facade, cmd/, examples/, bench/
-// — or be listed here with the reason they stay.
-var apiFences = []struct {
-	dir  string
-	kept map[string]string
-}{
-	{"internal/matrix", map[string]string{
+// kept lists, per package directory, the exported functions and methods
+// that stay although no caller outside the package names them, each with
+// the reason. Every package under internal/ and the facade (".") is fenced
+// whether or not it has an entry here.
+var kept = map[string]map[string]string{
+	"internal/matrix": {
 		// References no execution path calls: surviving tests compare the
 		// implementation that runs against them.
 		"AddMulScalar":         "the ikj loop the packed Strict GEMM is bit-compared with",
@@ -37,26 +37,84 @@ var apiFences = []struct {
 		"OneNorm":       "norm of a matrix or residual",
 		"SwapRows":      "row permutation in place",
 		"RandomRank1":   "generator of the perfectly balanceable rank-1 case, used by internal/svd's tests",
-	}},
-	{"internal/engine", map[string]string{
+	},
+	"internal/engine": {
 		// Methods of an interface, reached through it.
 		"CloseCause": "CauseCloser's method: the engine closes its fabric through the interface",
 		"Unwrap":     "error's unwrap method: errors.Is and errors.As call it",
-	}},
-	{"internal/core", map[string]string{
+	},
+	"internal/core": {
 		"Solve2x2Exact": "the independently coded 2×2 closed form the general exact solver is compared with",
-	}},
-	{"internal/plan", nil},
-	{"internal/plancache", nil},
-	{"internal/service", map[string]string{
+		"Feasible":      "the constraint check r_i·t_ij·c_j ≤ 1 tests apply to every solver's and planning path's output",
+	},
+	"internal/distribution": {
+		// The closed-form reference the engine's flat-broadcast counters
+		// and the simulator's counters are tested equal to.
+		"MMCommVolume":       "closed-form MatMul traffic, compared with engine and simulator counters",
+		"LUCommVolume":       "closed-form LU traffic, compared with engine and simulator counters",
+		"CholeskyCommVolume": "closed-form Cholesky traffic, compared with engine and simulator counters",
+	},
+	"internal/grid": {
+		// References tests compare an implementation with.
+		"EnumerateAll":    "Theorem 1's brute force: the optimum over every arrangement is compared with the non-decreasing ones' optimum",
+		"HookLengthCount": "the closed-form count EnumerateNonDecreasing's count is compared with",
+		// Property checks the solver's tests apply to its output.
+		"IsNonDecreasing": "the canonical-form property core's tests check on solver output",
+		"Transpose":       "the symmetry core's tests check solver output under",
+	},
+	"internal/kernels": {
+		"LUOpCounts":       "the simulator's LU charging rule, compared with the replay's and engine's attributed operations",
+		"CholeskyOpCounts": "the simulator's Cholesky charging rule, compared with the replay's and engine's attributed operations",
+	},
+	"internal/obs": {
+		"WriteTo": "io.WriterTo's method; the package's own /metrics handler renders through it",
+	},
+	"internal/onedim": {
+		"BruteForceAllocate":   "the exhaustive search Sequence's counts are compared with",
+		"BruteForceLUSequence": "the exhaustive search LUSequence's cost is compared with",
+	},
+	"internal/run": {
+		// The TCP suites of internal/engine/net drive the supervisor's
+		// steps on every process themselves, as a multi-process
+		// coordinator will.
+		"Attempt": "one attempt on one process's partial fabric, driven by the TCP suites in internal/engine/net",
+		"Next":    "the pure transition the TCP drift-chaos suite applies between its attempts",
+		"StartK":  "the resume step the TCP drift-chaos suite checks after each transition",
+		"Fold":    "folds an attempt's statistics in the TCP drift-chaos suite",
+		"Advance": "carries the statistics across a transition in the TCP drift-chaos suite",
+	},
+	"internal/service": {
 		"Read": "limitedReader's io.Reader method: the JSON decoder reads the body through the interface",
-	}},
+	},
 }
 
-// TestExportedAPIIsReached holds each package of apiFences to its rule. It
-// exists so that what no execution path reaches — a tier of whole-matrix
-// routines beside the per-block kernels, a second entry point to a kernel,
-// a collective nothing calls — cannot grow back silently.
+// callersOf returns whether a non-test file in dir may count as a caller of
+// the package in fenced. Any other directory calls an internal package; the
+// facade's callers are the programs and the benchmark, since internal
+// packages cannot import it and its own tests do not count.
+func callersOf(fenced, dir string) bool {
+	if dir == fenced {
+		return false
+	}
+	if fenced != "." {
+		return true
+	}
+	for _, top := range []string{"cmd", "examples", "bench", "README.md"} {
+		if dir == top || strings.HasPrefix(dir, top+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestExportedAPIIsReached holds every package under internal/ and the
+// facade to one rule: each exported function and method is named by a
+// selector in some non-test file that may call it (see callersOf) — for
+// the facade, README.md's Go blocks count too — or is listed in kept with
+// the reason it stays. It exists so that what no execution path reaches —
+// a tier of whole-matrix routines beside the per-block kernels, a second
+// entry point to a kernel, a collective nothing calls — cannot grow back
+// silently, in a package that exists today or one added later.
 //
 // The match is by identifier, not by type: a method called At is "reached"
 // by any x.At anywhere. That makes this a fence against drift, not a proof of
@@ -70,65 +128,88 @@ func TestExportedAPIIsReached(t *testing.T) {
 		}
 		return f
 	}
-	nonTestGo := func(name string) bool {
-		return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+	selectors := func(n ast.Node, into map[string]bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				into[sel.Sel.Name] = true
+			}
+			return true
+		})
 	}
 
-	// The selectors of every non-test file, by the directory it is in.
+	// The selectors of every non-test file, by the directory it is in; the
+	// exported functions and methods each package under internal/ and the
+	// facade declares; and every exported package-level name of the facade.
 	selectedIn := map[string]map[string]bool{}
+	exported := map[string]map[string]bool{".": {}}
+	facade := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			// Build output (.bench_build holds the benchmark's Go cache) and
-			// VCS data do not count as callers.
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
+			// Build output (.bench_build holds the benchmark's Go cache),
+			// VCS data and fuzz corpora hold no callers.
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !nonTestGo(d.Name()) {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
 		if selectedIn[dir] == nil {
 			selectedIn[dir] = map[string]bool{}
 		}
-		ast.Inspect(parse(path), func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				selectedIn[dir][sel.Sel.Name] = true
+		f := parse(path)
+		selectors(f, selectedIn[dir])
+		if dir == "." || strings.HasPrefix(dir, "internal/") {
+			if exported[dir] == nil {
+				exported[dir] = map[string]bool{}
 			}
-			return true
-		})
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+					exported[dir][fn.Name.Name] = true
+				}
+			}
+		}
+		if dir == "." {
+			packageNames(f, facade)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// README's Go blocks are callers of the facade.
+	selectedIn["README.md"] = map[string]bool{}
+	for _, block := range readmeGoBlocks(t, fset, facade) {
+		selectors(block, selectedIn["README.md"])
+	}
 
-	for _, fence := range apiFences {
-		t.Run(filepath.Base(fence.dir), func(t *testing.T) {
-			here, err := filepath.Glob(filepath.Join(fence.dir, "*.go"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			exported := map[string]bool{}
-			for _, path := range here {
-				if !nonTestGo(path) {
-					continue
-				}
-				for _, d := range parse(path).Decls {
-					if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
-						exported[fn.Name.Name] = true
-					}
-				}
-			}
+	for dir := range kept {
+		if exported[dir] == nil {
+			t.Errorf("kept lists %s, which is not a package under internal/ or the facade", dir)
+		}
+	}
+	dirs := make([]string, 0, len(exported))
+	for dir := range exported {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		names := exported[dir]
+		pkg := filepath.Base(dir)
+		if dir == "." {
+			pkg = "hetgrid"
+		}
+		t.Run(pkg, func(t *testing.T) {
 			var unreached []string
-			for name := range exported {
-				reached := fence.kept[name] != ""
-				for dir, selected := range selectedIn {
-					reached = reached || dir != fence.dir && selected[name]
+			for name := range names {
+				reached := kept[dir][name] != ""
+				for caller, selected := range selectedIn {
+					reached = reached || callersOf(dir, caller) && selected[name]
 				}
 				if !reached {
 					unreached = append(unreached, name)
@@ -136,13 +217,84 @@ func TestExportedAPIIsReached(t *testing.T) {
 			}
 			sort.Strings(unreached)
 			for _, name := range unreached {
-				t.Errorf("%s.%s is exported, but no non-test file outside the package names it and it is not listed as kept: delete it, unexport it, or record why it stays", filepath.Base(fence.dir), name)
+				t.Errorf("%s.%s is exported, but no non-test file that may call it names it and it is not listed as kept: delete it, unexport it, or record why it stays", pkg, name)
 			}
-			for name := range fence.kept {
-				if !exported[name] {
-					t.Errorf("%s is listed as kept, but the package exports no such function or method", name)
+			for name := range kept[dir] {
+				if !names[name] {
+					t.Errorf("%s.%s is listed as kept, but the package exports no such function or method", pkg, name)
 				}
 			}
 		})
+	}
+}
+
+// readmeGoBlocks parses each ```go block of README.md — its import lines
+// at file level, the rest as a function body — and fails the test on a
+// block that does not parse or a hetgrid.X that is not among the facade's
+// exported names, so README cannot show deleted API.
+func readmeGoBlocks(t *testing.T, fset *token.FileSet, facade map[string]bool) []*ast.File {
+	t.Helper()
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := regexp.MustCompile("(?s)```go\n(.*?)```").FindAllStringSubmatch(string(readme), -1)
+	if len(blocks) == 0 {
+		t.Error("README.md has no Go block")
+	}
+	var files []*ast.File
+	for i, m := range blocks {
+		var imports, body []string
+		for _, line := range strings.Split(m[1], "\n") {
+			if strings.HasPrefix(line, "import ") {
+				imports = append(imports, line)
+			} else {
+				body = append(body, line)
+			}
+		}
+		src := "package readme\n" + strings.Join(imports, "\n") + "\nfunc _() {\n" + strings.Join(body, "\n") + "\n}\n"
+		f, err := parser.ParseFile(fset, fmt.Sprintf("README.md Go block %d", i+1), src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Errorf("README.md's Go block %d does not parse: %v", i+1, err)
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "hetgrid" && !facade[sel.Sel.Name] {
+					t.Errorf("README.md's Go block %d names hetgrid.%s, which the facade does not export", i+1, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		files = append(files, f)
+	}
+	return files
+}
+
+// packageNames adds the exported package-level names f declares — types,
+// functions, constants and variables — to into.
+func packageNames(f *ast.File, into map[string]bool) {
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				into[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						into[s.Name.Name] = true
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							into[n.Name] = true
+						}
+					}
+				}
+			}
+		}
 	}
 }

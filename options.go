@@ -1,7 +1,7 @@
 package hetgrid
 
 // Option configures a call to one of the package's variadic entry points
-// (Balance, BalanceArrangement, the Distributed* executions, Factor). One
+// (Balance, SolvePlan, the Distributed* executions, Multiply, Factor). One
 // option vocabulary covers both planning and execution; options that do
 // not apply to a given call are ignored, so a slice of options can be
 // built once and passed everywhere.
@@ -58,7 +58,7 @@ func WithFaults(f FaultOptions) Option {
 // same ranks for the estimated cycle-times, re-scatters and resumes
 // mid-kernel. Results stay bit-identical to the undisturbed run; the
 // decisions are reported in ExecStats.Drift. A migration is a second
-// attempt: over an injected fabric it needs WithTransportFactory.
+// attempt, which a fixed fabric from WithTransport refuses.
 func WithDriftRebalance(p DriftPolicy) Option {
 	return func(co *callOptions) { co.exec.Drift = &p }
 }
@@ -76,7 +76,7 @@ func WithSpans() Option {
 // Prometheus series, live while it runs: transport traffic, receive
 // timeouts, kernel steps, fault activity, and the measured
 // load-imbalance gauge (max/mean per-rank busy time). On planning calls
-// (Balance, BalanceArrangement) with the exact strategy, the solver's
+// (Balance, SolvePlan) with the exact strategy, the solver's
 // arrangement and spanning-tree pruning counters are published instead.
 // Serve m with (*Metrics).ServeMux or gridsim -metrics-addr.
 func WithMetrics(m *Metrics) Option {

@@ -7,9 +7,10 @@ import (
 )
 
 // PlanRequest is the canonical planning request of the internal/plan
-// pipeline — the one vocabulary every planning surface speaks: Balance and
-// BalanceArrangement (fixed shape), ChooseGrid (free shape), the survivor
-// replanner, the CLIs, and the hetgridd service's POST /v1/plan body.
+// pipeline — the one vocabulary every planning surface speaks: Balance
+// (fixed shape), SolvePlan (fixed shape, fixed arrangement or free shape),
+// the survivor replanner, the CLIs, and the hetgridd service's POST
+// /v1/plan body.
 type PlanRequest = plan.Request
 
 // CanonicalPlan is the serializable plan the pipeline produces:
@@ -23,7 +24,7 @@ type CanonicalPlan = plan.Plan
 type PanelSpec = plan.PanelSpec
 
 // PlanStrategy and PlanKernel are the pipeline's string-valued enums; use
-// CanonicalStrategy/CanonicalKernel to convert this package's constants.
+// CanonicalStrategy to convert this package's Strategy constants.
 type PlanStrategy = plan.Strategy
 type PlanKernel = plan.Kernel
 
@@ -38,9 +39,9 @@ const (
 // vocabulary ("auto", "heuristic", "exact").
 func CanonicalStrategy(s Strategy) (PlanStrategy, error) { return s.canonical() }
 
-// CanonicalKernel maps a Kernel constant to the pipeline's string
+// canonicalKernel maps a Kernel constant to the pipeline's string
 // vocabulary ("matmul", "lu", "qr", "cholesky").
-func CanonicalKernel(k Kernel) (PlanKernel, error) {
+func canonicalKernel(k Kernel) (PlanKernel, error) {
 	switch k {
 	case MatMul, LU, QR, Cholesky:
 		return plan.Kernel(k.String()), nil
@@ -52,9 +53,15 @@ func CanonicalKernel(k Kernel) (PlanKernel, error) {
 // SolvePlan runs the canonical planning pipeline on req and returns both
 // the solved Plan (ready for Panel/BestPanel/Simulate) and its canonical
 // serializable form. It is the one entry point the CLIs and services build
-// on; Balance, BalanceArrangement and ChooseGrid are conveniences over the
-// same pipeline. Options that apply: WithWorkers (exact search
-// parallelism), WithMetrics (exact solver counters).
+// on, for each of the pipeline's modes: a fixed p×q shape, a fixed
+// arrangement (Fixed: the machines keep their grid positions and only the
+// shares are optimized, §4.3; the heuristic and auto strategies run one
+// rank-1 approximation step, since re-sorting would move the machines)
+// and the free shape search (P = Q = 0, §4.1: the grid shape, the
+// participants and the shares; CanonicalPlan's Selected and Candidates
+// report the search). Balance is the fixed-shape shorthand. Options that
+// apply: WithWorkers (exact search parallelism), WithMetrics (exact solver
+// counters).
 func SolvePlan(req PlanRequest, opts ...Option) (*Plan, *CanonicalPlan, error) {
 	bo := applyOptions(opts).balance
 	if req.Workers == 0 {
@@ -65,5 +72,6 @@ func SolvePlan(req PlanRequest, opts ...Option) (*Plan, *CanonicalPlan, error) {
 		return nil, nil, err
 	}
 	publishExactStats(bo.Metrics, res.ExactStats)
-	return planFromResult(res), res.Plan, nil
+	p := &Plan{sol: res.Solution, Iterations: res.Iterations, Converged: res.Converged, Tau: res.Tau}
+	return p, res.Plan, nil
 }

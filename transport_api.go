@@ -23,11 +23,6 @@ type RemoteAbort = engine.RemoteAbort
 // been closed.
 var ErrTransportClosed = engine.ErrClosed
 
-// NewMemTransport returns the in-process mailbox fabric for n ranks — the
-// default fabric of every distributed execution, exported so callers can
-// compose it (or compare a custom fabric against it) via WithTransport.
-func NewMemTransport(n int) Transport { return engine.NewMemTransport(n) }
-
 // WithTransport injects a custom message fabric into a distributed
 // execution: real sockets (a TCP fabric), an instrumented wrapper, or a
 // test double. The fabric must span exactly p·q ranks. If it exposes
@@ -35,17 +30,9 @@ func NewMemTransport(n int) Transport { return engine.NewMemTransport(n) }
 // the execution spawns goroutines for those ranks alone and relies on the
 // fabric to reach the rest.
 //
-// A fixed instance serves exactly one world: combine fault recovery or
-// drift migrations (each a second attempt) with WithTransportFactory.
+// A fixed instance serves exactly one world: a rank failure or a drift
+// migration verdict on it is returned as the error instead of recovering
+// or migrating, since either needs a second world.
 func WithTransport(t Transport) Option {
 	return func(o *callOptions) { o.exec.TransportFactory = run.OneShot(t) }
-}
-
-// WithTransportFactory injects a fabric builder invoked once per execution
-// attempt with the attempt's rank count — the recovery-compatible form of
-// WithTransport: after a rank failure the surviving world is replanned
-// smaller and gets a fresh fabric. A fabric hosting a rank subset gets one
-// attempt: a failure or migration verdict on it is returned as the error.
-func WithTransportFactory(f func(ranks int) (Transport, error)) Option {
-	return func(o *callOptions) { o.exec.TransportFactory = f }
 }

@@ -6,11 +6,18 @@ import (
 	"testing"
 	"time"
 
+	"hetgrid/internal/engine"
 	"hetgrid/internal/matrix"
 )
 
-// TestWithTransportMatchesDefault: injecting the exported mem fabric
-// explicitly is indistinguishable from the default — same factors, bit for
+// withTransportFactory builds each attempt's fabric with f: the
+// per-attempt path of the run supervisor, of which WithTransport is the
+// one-shot form.
+func withTransportFactory(f func(ranks int) (Transport, error)) Option {
+	return func(co *callOptions) { co.exec.TransportFactory = f }
+}
+
+// TestWithTransportMatchesDefault: injecting the mem fabric explicitly is indistinguishable from the default — same factors, bit for
 // bit.
 func TestWithTransportMatchesDefault(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
@@ -20,15 +27,15 @@ func TestWithTransportMatchesDefault(t *testing.T) {
 	}
 	const r = 2
 	a := matrix.RandomWellConditioned(12, rng)
-	clean, _, err := DistributedFactorLU(d, a, r)
+	clean, _, err := DistributedFactor(LU, d, a, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := DistributedFactorLU(d, a, r, WithTransport(NewMemTransport(4)))
+	got, stats, err := DistributedFactor(LU, d, a, r, WithTransport(engine.NewMemTransport(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(clean) {
+	if !got.Packed().Equal(clean.Packed()) {
 		t.Fatal("injected mem fabric changed the factors")
 	}
 	if stats.Messages == 0 {
@@ -46,9 +53,9 @@ func TestWithTransportFactoryBuildsPerAttempt(t *testing.T) {
 	}
 	a := matrix.RandomWellConditioned(12, rng)
 	var sizes []int
-	got, _, err := DistributedFactorLU(d, a, 2, WithTransportFactory(func(ranks int) (Transport, error) {
+	got, _, err := DistributedFactor(LU, d, a, 2, withTransportFactory(func(ranks int) (Transport, error) {
 		sizes = append(sizes, ranks)
-		return NewMemTransport(ranks), nil
+		return engine.NewMemTransport(ranks), nil
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -56,18 +63,18 @@ func TestWithTransportFactoryBuildsPerAttempt(t *testing.T) {
 	if len(sizes) != 1 || sizes[0] != 6 {
 		t.Fatalf("factory invocations %v, want one for 6 ranks", sizes)
 	}
-	clean, _, err := DistributedFactorLU(d, a, 2)
+	clean, _, err := DistributedFactor(LU, d, a, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(clean) {
+	if !got.Packed().Equal(clean.Packed()) {
 		t.Fatal("factory-built fabric changed the factors")
 	}
 }
 
 // TestFixedTransportRejectsRecovery: a fixed fabric instance spans a fixed
 // rank count, so combining it with crash recovery (which replans a smaller
-// world) must fail loudly, pointing at WithTransportFactory.
+// world) must fail loudly, saying why.
 func TestFixedTransportRejectsRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(603))
 	d, err := Uniform(2, 2, 6, 6)
@@ -75,8 +82,8 @@ func TestFixedTransportRejectsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := matrix.RandomWellConditioned(12, rng)
-	_, _, err = DistributedFactorLU(d, a, 2,
-		WithTransport(NewMemTransport(4)),
+	_, _, err = DistributedFactor(LU, d, a, 2,
+		WithTransport(engine.NewMemTransport(4)),
 		WithFaults(FaultOptions{
 			Crashes: []CrashPoint{{Rank: 3, Step: 2}},
 			Recover: true,
@@ -84,8 +91,8 @@ func TestFixedTransportRejectsRecovery(t *testing.T) {
 	if err == nil {
 		t.Fatal("fixed transport + recovery accepted")
 	}
-	if !strings.Contains(err.Error(), "WithTransportFactory") {
-		t.Fatalf("error does not point at the factory option: %v", err)
+	if !strings.Contains(err.Error(), "a fixed transport serves exactly one world") {
+		t.Fatalf("error does not say why the fixed fabric refused: %v", err)
 	}
 }
 
@@ -100,15 +107,15 @@ func TestTransportFactoryRecovery(t *testing.T) {
 	}
 	const r = 2
 	a := matrix.RandomWellConditioned(12, rng)
-	clean, _, err := DistributedFactorLU(d, a, r)
+	clean, _, err := DistributedFactor(LU, d, a, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sizes []int
-	got, stats, err := DistributedFactorLU(d, a, r,
-		WithTransportFactory(func(ranks int) (Transport, error) {
+	got, stats, err := DistributedFactor(LU, d, a, r,
+		withTransportFactory(func(ranks int) (Transport, error) {
 			sizes = append(sizes, ranks)
-			return NewMemTransport(ranks), nil
+			return engine.NewMemTransport(ranks), nil
 		}),
 		WithFaults(FaultOptions{
 			Crashes:     []CrashPoint{{Rank: 3, Step: 2}},
@@ -118,7 +125,7 @@ func TestTransportFactoryRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(clean) {
+	if !got.Packed().Equal(clean.Packed()) {
 		t.Fatal("recovered factors differ from the fault-free run")
 	}
 	if stats.Faults == nil || stats.Faults.Recoveries != 1 {
