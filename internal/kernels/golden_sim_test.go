@@ -40,10 +40,24 @@ type goldenSimRow struct {
 
 func bitsOf(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
-// goldenSimRows runs the whole matrix in a fixed order.
+// goldenSimRows runs the whole matrix in a fixed order: block order 12,
+// where every panel tiles the matrix evenly, then 37, where the last panel
+// row and column are partial (rows named "nb37/…").
 func goldenSimRows(t *testing.T) []goldenSimRow {
 	t.Helper()
-	const nb = 12
+	var rows []goldenSimRow
+	for _, nb := range []int{12, 37} {
+		prefix := ""
+		if nb != 12 {
+			prefix = fmt.Sprintf("nb%d/", nb)
+		}
+		rows = append(rows, goldenSimRowsAt(t, nb, prefix)...)
+	}
+	return rows
+}
+
+func goldenSimRowsAt(t *testing.T, nb int, prefix string) []goldenSimRow {
+	t.Helper()
 	grids := []struct {
 		name string
 		arr  *grid.Arrangement
@@ -114,7 +128,7 @@ func goldenSimRows(t *testing.T) []goldenSimRow {
 							fabric = "bus"
 						}
 						rows = append(rows, goldenSimRow{
-							Name:      fmt.Sprintf("%s/%s/%s/%s/%s", g.name, k.name, d.name, b.name, fabric),
+							Name:      prefix + fmt.Sprintf("%s/%s/%s/%s/%s", g.name, k.name, d.name, b.name, fabric),
 							Makespan:  bitsOf(res.Makespan),
 							CompBound: bitsOf(res.CompBound),
 							Messages:  res.Stats.Messages,
