@@ -24,11 +24,14 @@ func OwnerRank(d Distribution, bi, bj int) int {
 }
 
 // Layout is a distribution of a square nb×nb block matrix flattened once
-// into a rank-per-block table.
+// into a rank-per-block table, kept in row-major and in column-major order
+// so that both a block row's and a block column's owners are one
+// contiguous slice.
 type Layout struct {
 	// NB is the block order; Ranks the number of processors p·q.
 	NB, Ranks int
-	owner     []int
+	owner     []int // owner[bi·NB+bj]
+	ownerT    []int // ownerT[bj·NB+bi]
 }
 
 // NewLayout validates d (owners inside the grid, square block matrix) and
@@ -42,10 +45,12 @@ func NewLayout(d Distribution) (*Layout, error) {
 		return nil, fmt.Errorf("distribution: the kernels need a square block matrix, got %d×%d", nb, nbc)
 	}
 	p, q := d.Dims()
-	l := &Layout{NB: nb, Ranks: p * q, owner: make([]int, nb*nb)}
+	l := &Layout{NB: nb, Ranks: p * q, owner: make([]int, nb*nb), ownerT: make([]int, nb*nb)}
 	for bi := 0; bi < nb; bi++ {
 		for bj := 0; bj < nb; bj++ {
-			l.owner[bi*nb+bj] = OwnerRank(d, bi, bj)
+			n := OwnerRank(d, bi, bj)
+			l.owner[bi*nb+bj] = n
+			l.ownerT[bj*nb+bi] = n
 		}
 	}
 	return l, nil
@@ -54,31 +59,37 @@ func NewLayout(d Distribution) (*Layout, error) {
 // Owner returns the rank owning block (bi, bj).
 func (l *Layout) Owner(bi, bj int) int { return l.owner[bi*l.NB+bj] }
 
-// owners lists the distinct ranks among at(0), …, at(count-1) in
-// first-appearance order — the order every broadcast chain is built from.
-func (l *Layout) owners(count int, at func(i int) int) []int {
-	seen := make([]bool, l.Ranks)
-	var out []int
-	for i := 0; i < count; i++ {
-		if n := at(i); !seen[n] {
+// row returns the owners of block row bi, by block column.
+func (l *Layout) row(bi int) []int { return l.owner[bi*l.NB : (bi+1)*l.NB] }
+
+// col returns the owners of block column bj, by block row.
+func (l *Layout) col(bj int) []int { return l.ownerT[bj*l.NB : (bj+1)*l.NB] }
+
+// appendDistinct appends to buf the ranks of owners not yet marked in seen,
+// in first-appearance order — the order every broadcast chain is built
+// from — and marks them.
+func appendDistinct(buf []int, seen []bool, owners []int) []int {
+	for _, n := range owners {
+		if !seen[n] {
 			seen[n] = true
-			out = append(out, n)
+			buf = append(buf, n)
 		}
 	}
-	return out
+	return buf
+}
+
+// distinct returns the distinct ranks of owners in first-appearance order.
+func (l *Layout) distinct(owners []int) []int {
+	return appendDistinct(nil, make([]bool, l.Ranks), owners)
 }
 
 // RowOwners returns the distinct owners of blocks (bi, bj), bj ≥ jmin — the
 // receivers of a horizontal broadcast of a block of row bi.
-func (l *Layout) RowOwners(bi, jmin int) []int {
-	return l.owners(l.NB-jmin, func(i int) int { return l.Owner(bi, jmin+i) })
-}
+func (l *Layout) RowOwners(bi, jmin int) []int { return l.distinct(l.row(bi)[jmin:]) }
 
 // colOwners returns the distinct owners of blocks (bi, bj), bi ≥ imin — the
 // receivers of a vertical broadcast of a block of column bj.
-func (l *Layout) colOwners(bj, imin int) []int {
-	return l.owners(l.NB-imin, func(i int) int { return l.Owner(imin+i, bj) })
-}
+func (l *Layout) colOwners(bj, imin int) []int { return l.distinct(l.col(bj)[imin:]) }
 
 // Msg is one panel message: Root sends the stacked Blocks (block-row or
 // block-column indices of the panel, ascending) to Recv. Recv lists the
@@ -102,21 +113,35 @@ func (m Msg) Fanout() int {
 	return n
 }
 
-// group folds panel blocks lo..NB-1 into messages: blocks sharing a root
-// and a receiver list travel as one stacked message (the ScaLAPACK panel
-// message), and messages come in order of their first block. For product
-// distributions every root's blocks share one receiver list (its grid row
-// or column), so each root sends once per panel; Kalinov–Lastovetsky's
-// misaligned row boundaries split panels into more messages to more
-// parties — the extra-neighbour penalty of the paper's Figure 3.
-func (l *Layout) group(lo int, root func(i int) int, recv func(i int) []int) []Msg {
+// group folds panel blocks lo..NB-1 into messages: block i leaves roots[i]
+// for the distinct owners in recv(i)'s one or two owner slices, and blocks
+// sharing a root and a receiver list travel as one stacked message (the
+// ScaLAPACK panel message); messages come in order of their first block.
+// Each block's receivers are scanned into one reused buffer, copied only
+// when they start a new message. For product distributions every root's
+// blocks share one receiver list (its grid row or column), so each root
+// sends once per panel; Kalinov–Lastovetsky's misaligned row boundaries
+// split panels into more messages to more parties — the extra-neighbour
+// penalty of the paper's Figure 3.
+func (l *Layout) group(lo int, roots []int, recv func(i int) (a, b []int)) []Msg {
+	seen := make([]bool, l.Ranks)
+	buf := make([]int, 0, l.Ranks)
 	var msgs []Msg
 	for i := lo; i < l.NB; i++ {
-		r, rs := root(i), recv(i)
-		at := slices.IndexFunc(msgs, func(m Msg) bool { return m.Root == r && slices.Equal(m.Recv, rs) })
-		if at < 0 {
-			at = len(msgs)
-			msgs = append(msgs, Msg{Root: r, Recv: rs})
+		a, b := recv(i)
+		buf = appendDistinct(appendDistinct(buf[:0], seen, a), seen, b)
+		for _, n := range buf {
+			seen[n] = false
+		}
+		at := len(msgs)
+		for j := range msgs {
+			if msgs[j].Root == roots[i] && slices.Equal(msgs[j].Recv, buf) {
+				at = j
+				break
+			}
+		}
+		if at == len(msgs) {
+			msgs = append(msgs, Msg{Root: roots[i], Recv: slices.Clone(buf)})
 		}
 		msgs[at].Blocks = append(msgs[at].Blocks, i)
 	}
@@ -126,17 +151,13 @@ func (l *Layout) group(lo int, root func(i int) int, recv func(i int) []int) []M
 // rowPanel is the horizontal broadcast of column col's blocks (bi, col),
 // bi ≥ lo, each to the owners of its block row from column jmin on.
 func (l *Layout) rowPanel(col, lo, jmin int) []Msg {
-	return l.group(lo,
-		func(bi int) int { return l.Owner(bi, col) },
-		func(bi int) []int { return l.RowOwners(bi, jmin) })
+	return l.group(lo, l.col(col), func(bi int) ([]int, []int) { return l.row(bi)[jmin:], nil })
 }
 
 // colPanel is the vertical broadcast of row row's blocks (row, bj), bj ≥ lo,
 // each to the owners of its block column from row imin on.
 func (l *Layout) colPanel(row, lo, imin int) []Msg {
-	return l.group(lo,
-		func(bj int) int { return l.Owner(row, bj) },
-		func(bj int) []int { return l.colOwners(bj, imin) })
+	return l.group(lo, l.row(row), func(bj int) ([]int, []int) { return l.col(bj)[imin:], nil })
 }
 
 // diagDown sends the factored diagonal block (k, k) to the owners of the
@@ -166,17 +187,7 @@ func (l *Layout) LUPanels(k int) (diagDown, diagRight Msg, lPanel, uPanel []Msg)
 // whose trailing lower-triangle updates read it — the owners of row i
 // (columns k+1..i) and of column i (rows i..nb-1), the symmetric pattern.
 func (l *Layout) CholeskyPanels(k int) (diagDown Msg, lPanel []Msg) {
-	lPanel = l.group(k+1,
-		func(bi int) int { return l.Owner(bi, k) },
-		func(bi int) []int {
-			across := bi - k
-			return l.owners(across+l.NB-bi, func(i int) int {
-				if i < across {
-					return l.Owner(bi, k+1+i)
-				}
-				return l.Owner(bi+i-across, bi)
-			})
-		})
+	lPanel = l.group(k+1, l.col(k), func(bi int) ([]int, []int) { return l.row(bi)[k+1 : bi+1], l.col(bi)[bi:] })
 	return l.diagDown(k), lPanel
 }
 
@@ -213,6 +224,24 @@ const (
 	TrailingLower
 )
 
+// Cols returns the block columns lo ≤ bj < hi the region covers in block
+// row bi at step k of an nb×nb block matrix; lo ≥ hi when it covers none
+// of the row. It is the region's one walk bound: Blocks and the
+// simulator's per-step update walk read it.
+func (r Region) Cols(bi, k, nb int) (lo, hi int) {
+	switch r {
+	case Trailing:
+		if bi < k {
+			return k, k
+		}
+		return k, nb
+	case TrailingLower:
+		return k, bi + 1
+	default:
+		return 0, nb
+	}
+}
+
 // Contains reports whether block (bi, bj) is in the region at step k.
 func (r Region) Contains(bi, bj, k int) bool {
 	switch r {
@@ -240,11 +269,10 @@ func (r Region) Orderings() (Ordering, Ordering) {
 func (l *Layout) Blocks(r Region, k int) [][][2]int {
 	out := make([][][2]int, l.Ranks)
 	for bi := 0; bi < l.NB; bi++ {
-		for bj := 0; bj < l.NB; bj++ {
-			if r.Contains(bi, bj, k) {
-				n := l.Owner(bi, bj)
-				out[n] = append(out[n], [2]int{bi, bj})
-			}
+		lo, hi := r.Cols(bi, k, l.NB)
+		for bj := lo; bj < hi; bj++ {
+			n := l.Owner(bi, bj)
+			out[n] = append(out[n], [2]int{bi, bj})
 		}
 	}
 	return out

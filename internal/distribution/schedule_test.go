@@ -1,8 +1,13 @@
 package distribution
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+
+	"hetgrid/internal/core"
+	"hetgrid/internal/grid"
 )
 
 func mustLayout(t *testing.T, d Distribution) *Layout {
@@ -120,6 +125,124 @@ func TestPanelMessagesPartitionTheirBlocks(t *testing.T) {
 			}
 			if len(got) != nb-tc.lo {
 				t.Fatalf("step %d: %d blocks carried, panel has %d", k, len(got), nb-tc.lo)
+			}
+		}
+	}
+}
+
+// firstAppearance returns the distinct ranks among the owners of blocks, in
+// first-appearance order: the receiver list of a panel block, derived here
+// by brute force from Owner alone.
+func firstAppearance(l *Layout, blocks [][2]int) []int {
+	var out []int
+	for _, b := range blocks {
+		if n := l.Owner(b[0], b[1]); !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// rowBlocks lists blocks (bi, j), lo ≤ j < hi; colBlocks blocks (i, bj),
+// lo ≤ i < hi.
+func rowBlocks(bi, lo, hi int) (out [][2]int) {
+	for j := lo; j < hi; j++ {
+		out = append(out, [2]int{bi, j})
+	}
+	return out
+}
+
+func colBlocks(bj, lo, hi int) (out [][2]int) {
+	for i := lo; i < hi; i++ {
+		out = append(out, [2]int{i, bj})
+	}
+	return out
+}
+
+// scheduleLayouts returns uniform, Kalinov–Lastovetsky and heterogeneous
+// panel layouts of an nb×nb block matrix on a 2×2 and a 3×3 grid.
+func scheduleLayouts(t *testing.T, nb int) map[string]*Layout {
+	t.Helper()
+	out := map[string]*Layout{}
+	for _, g := range []struct {
+		name  string
+		arr   *grid.Arrangement
+		panel int
+	}{
+		{"2x2", volArr(), 4},
+		{"3x3", grid.MustNew([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}), 6},
+	} {
+		uni, err := UniformBlockCyclic(g.arr.P, g.arr.Q, nb, nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kl, err := NewKL(g.arr, nb, nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, _, err := core.SolveArrangementExactOpt(g.arr, core.ExactOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pan, err := BestPanel(sol, g.panel, g.panel, Interleaved, Interleaved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		het, err := pan.Distribution(nb, nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []Distribution{uni, kl, het} {
+			out[g.name+"/"+d.Name()] = mustLayout(t, d)
+		}
+	}
+	return out
+}
+
+// TestPanelReceiversMatchBruteForce: every receiver list the schedule
+// derives — each message of the three kernels' panels at every step, and
+// every RowOwners suffix — equals the first-appearance owners of the blocks
+// the message's blocks are consumed on, listed from Owner one by one.
+func TestPanelReceiversMatchBruteForce(t *testing.T) {
+	for _, nb := range []int{9, 37} {
+		for name, l := range scheduleLayouts(t, nb) {
+			where := fmt.Sprintf("nb %d %s", nb, name)
+			for bi := 0; bi < nb; bi++ {
+				for jmin := 0; jmin <= nb; jmin++ {
+					if got, want := l.RowOwners(bi, jmin), firstAppearance(l, rowBlocks(bi, jmin, nb)); !slices.Equal(got, want) {
+						t.Fatalf("%s: RowOwners(%d, %d) = %v, want %v", where, bi, jmin, got, want)
+					}
+				}
+			}
+			for k := 0; k < nb; k++ {
+				check := func(what string, msgs []Msg, root func(i int) int, consumers func(i int) [][2]int) {
+					t.Helper()
+					for _, m := range msgs {
+						for _, i := range m.Blocks {
+							if root(i) != m.Root {
+								t.Fatalf("%s step %d %s: block %d leaves %d, owner is %d", where, k, what, i, m.Root, root(i))
+							}
+							if want := firstAppearance(l, consumers(i)); !slices.Equal(m.Recv, want) {
+								t.Fatalf("%s step %d %s: block %d goes to %v, want %v", where, k, what, i, m.Recv, want)
+							}
+						}
+					}
+				}
+				inCol := func(i int) int { return l.Owner(i, k) }
+				inRow := func(j int) int { return l.Owner(k, j) }
+				a, b := l.MMPanels(k)
+				check("mm A", a, inCol, func(i int) [][2]int { return rowBlocks(i, 0, nb) })
+				check("mm B", b, inRow, func(j int) [][2]int { return colBlocks(j, 0, nb) })
+				diagDown, diagRight, lp, up := l.LUPanels(k)
+				check("lu diag down", []Msg{diagDown}, inCol, func(int) [][2]int { return colBlocks(k, k+1, nb) })
+				check("lu diag right", []Msg{diagRight}, inRow, func(int) [][2]int { return rowBlocks(k, k, nb) })
+				check("lu L", lp, inCol, func(i int) [][2]int { return rowBlocks(i, k, nb) })
+				check("lu U", up, inRow, func(j int) [][2]int { return colBlocks(j, k, nb) })
+				cholDown, cp := l.CholeskyPanels(k)
+				check("chol diag down", []Msg{cholDown}, inCol, func(int) [][2]int { return colBlocks(k, k+1, nb) })
+				check("chol L", cp, inCol, func(i int) [][2]int {
+					return append(rowBlocks(i, k+1, i+1), colBlocks(i, i, nb)...)
+				})
 			}
 		}
 	}

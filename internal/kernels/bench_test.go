@@ -59,6 +59,27 @@ func BenchmarkSimulateCholesky(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatePaperGrid times one simulation of the 3×3 case of the
+// benchmark's sim-paper workload (nb = 48, ring broadcast) per kernel and
+// distribution.
+func BenchmarkSimulatePaperGrid(b *testing.B) {
+	opts := benchOpts()
+	opts.Broadcast = sim.RingBroadcast
+	for _, k := range paperSimulators {
+		arr, dists := paperGrid(b, k.region)
+		for _, d := range dists {
+			b.Run(k.name+"/"+d.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := k.run(d, arr, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // benchReplay times one serial replay — the code bench/'s matrix.serial_s and
 // matrix.gflops_effective time, and the oracle every engine run is held to —
 // at N = 512 for the block sizes and numerics contracts the engine workloads

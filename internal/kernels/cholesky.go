@@ -30,6 +30,8 @@ func SimulateCholesky(d distribution.Distribution, arr *grid.Arrangement, opts O
 	}
 	lay := g.lay
 	updDone := make([]float64, lay.Ranks)
+	diagArr, solveDone := make([]float64, lay.Ranks), make([]float64, lay.Ranks)
+	lArr := g.panel()
 
 	for k := 0; k < lay.NB; k++ {
 		diagDown, lMsgs := lay.CholeskyPanels(k)
@@ -39,29 +41,27 @@ func SimulateCholesky(d distribution.Distribution, arr *grid.Arrangement, opts O
 		diagDone := g.compute(distribution.CholFactor, k, diagOwner, updDone[diagOwner], o.FactorCost*g.cycleTime(diagOwner))
 
 		// 2. Broadcast the diagonal down the column, then panel solves.
-		diagArr := g.send(o, diagDown, diagDone)
-		solveDone := make([]float64, lay.Ranks)
-		for n, rows := range lay.ColBelow(k) {
-			if len(rows) == 0 {
+		g.send(o, diagDown, diagDone, diagArr)
+		clear(solveDone)
+		for n, rows := range g.rooted(lMsgs) {
+			if rows == 0 {
 				continue
 			}
 			start := maxf(diagArr[n], updDone[n])
-			solveDone[n] = g.compute(distribution.CholSolve, k, n, start, float64(len(rows))*o.SolveCost*g.cycleTime(n))
+			solveDone[n] = g.compute(distribution.CholSolve, k, n, start, float64(rows)*o.SolveCost*g.cycleTime(n))
 		}
 
 		// 3. Broadcast each panel block to its needers, panel-aggregated.
-		lArr := g.deliver(o, lMsgs, solveDone)
+		g.deliver(o, lMsgs, solveDone, lArr)
 
-		// 4. Symmetric trailing update on the lower triangle.
-		for n, blocks := range lay.Update(distribution.TrailingLower, k) {
-			if len(blocks) == 0 {
+		// 4. Symmetric trailing update on the lower triangle of step k+1's
+		// trailing matrix; block (bi, bj) reads L(bi,k) and L(bj,k). The
+		// walk raises updDone[node] to when the node's blocks are all in.
+		for n, blocks := range g.update(distribution.TrailingLower, k+1, lArr, lArr, updDone) {
+			if blocks == 0 {
 				continue
 			}
-			ready := updDone[n]
-			for _, b := range blocks {
-				ready = maxf(ready, maxf(lArr[b[0]][n], lArr[b[1]][n]))
-			}
-			updDone[n] = g.compute(distribution.CholUpdate, k, n, ready, float64(len(blocks))*g.cycleTime(n))
+			updDone[n] = g.compute(distribution.CholUpdate, k, n, updDone[n], float64(blocks)*g.cycleTime(n))
 		}
 	}
 	return g.finish("cholesky"), nil

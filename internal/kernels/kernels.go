@@ -97,10 +97,11 @@ func (r *Result) Efficiency() float64 {
 // gridCluster couples a distribution's step schedule with a simulated
 // cluster; node ids are the layout's flat ranks pi·q+pj.
 type gridCluster struct {
-	name string
-	lay  *distribution.Layout
-	arr  *grid.Arrangement
-	c    *sim.Cluster
+	name  string
+	lay   *distribution.Layout
+	arr   *grid.Arrangement
+	c     *sim.Cluster
+	count []int // per node: blocks of the current rooted count or update walk
 }
 
 func newGridCluster(d distribution.Distribution, arr *grid.Arrangement, o Options) (*gridCluster, error) {
@@ -122,7 +123,7 @@ func newGridCluster(d distribution.Distribution, arr *grid.Arrangement, o Option
 	if o.EnableTrace {
 		c.EnableTrace()
 	}
-	return &gridCluster{name: d.Name(), lay: lay, arr: arr, c: c}, nil
+	return &gridCluster{name: d.Name(), lay: lay, arr: arr, c: c, count: make([]int, lay.Ranks)}, nil
 }
 
 // compute charges node dur of CPU for section sec of step k; a traced run
@@ -159,23 +160,62 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
+// panel returns a buffer of per-node arrival times for every block of a
+// panel: NB rows of one slot per node, row i for panel block i.
+func (g *gridCluster) panel() []float64 { return make([]float64, g.lay.NB*g.lay.Ranks) }
+
+// row returns panel block i's arrival times in a buffer from panel.
+func (g *gridCluster) row(arrivals []float64, i int) []float64 {
+	return arrivals[i*g.lay.Ranks : (i+1)*g.lay.Ranks]
+}
+
 // send prices one schedule message leaving its root at time at: the
-// stacked blocks reach the receivers under the configured broadcast.
-// Returns node→arrival time.
-func (g *gridCluster) send(o Options, m distribution.Msg, at float64) map[int]float64 {
-	return g.c.Broadcast(o.Broadcast, m.Root, m.Recv, float64(len(m.Blocks))*o.BlockBytes, at)
+// stacked blocks reach the receivers under the configured broadcast, whose
+// arrival times land in arrival, one slot per node.
+func (g *gridCluster) send(o Options, m distribution.Msg, at float64, arrival []float64) {
+	g.c.Broadcast(o.Broadcast, m.Root, m.Recv, float64(len(m.Blocks))*o.BlockBytes, at, arrival)
 }
 
 // deliver prices a panel's messages in order, each leaving its root at
-// ready[root] — when the root's panel blocks are done — and maps every
-// carried block index to its message's arrival times.
-func (g *gridCluster) deliver(o Options, msgs []distribution.Msg, ready []float64) []map[int]float64 {
-	arrivals := make([]map[int]float64, g.lay.NB)
+// ready[root] — when the root's panel blocks are done — and writes every
+// carried block's arrival times into its row of arrivals (a panel buffer).
+func (g *gridCluster) deliver(o Options, msgs []distribution.Msg, ready, arrivals []float64) {
 	for _, m := range msgs {
-		arr := g.send(o, m, ready[m.Root])
-		for _, i := range m.Blocks {
-			arrivals[i] = arr
+		first := g.row(arrivals, m.Blocks[0])
+		g.send(o, m, ready[m.Root], first)
+		for _, i := range m.Blocks[1:] {
+			copy(g.row(arrivals, i), first)
 		}
 	}
-	return arrivals
+}
+
+// rooted counts, per node, the blocks it roots among a panel's messages —
+// the panel blocks it owns, which its factor or solve section works on. The
+// counts are valid until the next rooted or update call.
+func (g *gridCluster) rooted(msgs []distribution.Msg) []int {
+	clear(g.count)
+	for _, m := range msgs {
+		g.count[m.Root] += len(m.Blocks)
+	}
+	return g.count
+}
+
+// update walks a step's update region — region r as it stands at step at
+// — once. Per node it counts the blocks the node updates and raises
+// ready[node] to the latest arrival, over those blocks (bi, bj), of row bi
+// of rowArr and row bj of colArr: the row-panel and column-panel blocks
+// the update reads. It returns the counts, valid until the next walk.
+func (g *gridCluster) update(r distribution.Region, at int, rowArr, colArr, ready []float64) []int {
+	lay := g.lay
+	clear(g.count)
+	for bi := 0; bi < lay.NB; bi++ {
+		lo, hi := r.Cols(bi, at, lay.NB)
+		fromRow := g.row(rowArr, bi)
+		for bj := lo; bj < hi; bj++ {
+			n := lay.Owner(bi, bj)
+			g.count[n]++
+			ready[n] = maxf(ready[n], maxf(fromRow[n], colArr[bj*lay.Ranks+n]))
+		}
+	}
+	return g.count
 }

@@ -46,6 +46,9 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 	if pivotBytes <= 0 {
 		pivotBytes = 16
 	}
+	pivArr, diagArr := make([]float64, nodes), make([]float64, nodes)
+	lDone, uDone := make([]float64, nodes), make([]float64, nodes)
+	lArr, uArr := g.panel(), g.panel()
 	for k := 0; k < nb; k++ {
 		diagDown, diagRight, lMsgs, uMsgs := lay.LUPanels(k)
 		diagOwner := diagDown.Root
@@ -64,8 +67,9 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 				arrive := g.c.Send(n, diagOwner, pivotBytes, updDone[n])
 				at = maxf(at, arrive)
 			}
-			// …and broadcast the pivot index back.
-			pivArr := g.c.Broadcast(o.Broadcast, diagOwner, searchers, pivotBytes, at)
+			// …and broadcast the pivot index back (the diagonal owner and
+			// non-searchers read at).
+			g.c.Broadcast(o.Broadcast, diagOwner, searchers, pivotBytes, at, pivArr)
 			// Swap the diagonal block row with the worst-case pivot block
 			// row (the last active one) across all trailing columns.
 			if pr := nb - 1; pr > k {
@@ -75,7 +79,7 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 					if a == b {
 						continue
 					}
-					ready := maxf(arrivalOr(pivArr, a, at), arrivalOr(pivArr, b, at))
+					ready := maxf(pivArr[a], pivArr[b])
 					g.c.Send(a, b, o.BlockBytes, ready)
 					g.c.Send(b, a, o.BlockBytes, ready)
 				}
@@ -89,57 +93,46 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 		// 1. Diagonal factor, broadcast down block column k's owners (they
 		// need it for their L blocks).
 		diagDone := g.compute(distribution.LUFactor, k, diagOwner, updDone[diagOwner], o.FactorCost*g.cycleTime(diagOwner))
-		diagArr := g.send(o, diagDown, diagDone)
+		g.send(o, diagDown, diagDone, diagArr)
 
 		// 2. L panel: each owner computes its sub-diagonal blocks of
 		// column k, then broadcasts them to the owners of the trailing part
 		// of their block rows. The diagonal block's L factor travels along
 		// row k the same way, for the U solve.
-		lDone := make([]float64, nodes)
-		for n, rows := range lay.ColBelow(k) {
-			if len(rows) == 0 {
+		clear(lDone)
+		for n, rows := range g.rooted(lMsgs) {
+			if rows == 0 {
 				continue
 			}
 			start := maxf(diagArr[n], updDone[n])
-			lDone[n] = g.compute(distribution.LULSolve, k, n, start, float64(len(rows))*o.FactorCost*g.cycleTime(n))
+			lDone[n] = g.compute(distribution.LULSolve, k, n, start, float64(rows)*o.FactorCost*g.cycleTime(n))
 		}
-		lArr := g.deliver(o, lMsgs, lDone)
-		lArr[k] = g.send(o, diagRight, diagDone)
+		g.deliver(o, lMsgs, lDone, lArr)
+		g.send(o, diagRight, diagDone, g.row(lArr, k))
 
 		// 3. U panel: triangular solves on block row k, then vertical
 		// broadcasts to trailing column owners.
-		uDone := make([]float64, nodes)
-		for n, cols := range lay.RowRight(k) {
-			if len(cols) == 0 {
+		clear(uDone)
+		for n, cols := range g.rooted(uMsgs) {
+			if cols == 0 {
 				continue
 			}
-			start := maxf(lArr[k][n], updDone[n])
-			uDone[n] = g.compute(distribution.LUUSolve, k, n, start, float64(len(cols))*o.SolveCost*g.cycleTime(n))
+			start := maxf(g.row(lArr, k)[n], updDone[n])
+			uDone[n] = g.compute(distribution.LUUSolve, k, n, start, float64(cols)*o.SolveCost*g.cycleTime(n))
 		}
-		uArr := g.deliver(o, uMsgs, uDone)
+		g.deliver(o, uMsgs, uDone, uArr)
 
-		// 4. Trailing rank-r update on blocks (bi, bj), bi,bj > k.
-		for n, blocks := range lay.Update(distribution.Trailing, k) {
-			if len(blocks) == 0 {
+		// 4. Trailing rank-r update on blocks (bi, bj), bi,bj > k — the
+		// trailing region of step k+1. The walk raises updDone[node] to when
+		// the node's L and U blocks are all in.
+		for n, blocks := range g.update(distribution.Trailing, k+1, lArr, uArr, updDone) {
+			if blocks == 0 {
 				continue
 			}
-			ready := updDone[n]
-			for _, b := range blocks {
-				ready = maxf(ready, maxf(lArr[b[0]][n], uArr[b[1]][n]))
-			}
-			updDone[n] = g.compute(distribution.LUUpdate, k, n, ready, float64(len(blocks))*g.cycleTime(n))
+			updDone[n] = g.compute(distribution.LUUpdate, k, n, updDone[n], float64(blocks)*g.cycleTime(n))
 		}
 	}
 	return g.finish("lu"), nil
-}
-
-// arrivalOr returns the arrival time for node n in a broadcast result, or
-// fallback when the node was not a receiver (e.g. the root itself).
-func arrivalOr(arr map[int]float64, n int, fallback float64) float64 {
-	if t, ok := arr[n]; ok {
-		return t
-	}
-	return fallback
 }
 
 // LUOpCounts returns the number of block operations of each kind charged to

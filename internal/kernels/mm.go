@@ -24,31 +24,27 @@ func SimulateMM(d distribution.Distribution, arr *grid.Arrangement, opts Options
 		return nil, err
 	}
 
-	// Every step updates the whole C matrix, so the per-node block lists
-	// are step-independent.
-	mine := g.lay.Update(distribution.All, 0)
-
 	stepDone := make([]float64, g.lay.Ranks) // completion of the node's previous step
 	// ready[node] is when the node may send step k's panels: at once, or
 	// after the previous step's barrier under SyncSteps.
 	ready := make([]float64, g.lay.Ranks)
+	arrived := make([]float64, g.lay.Ranks)
+	aArr, bArr := g.panel(), g.panel()
 	for k := 0; k < g.lay.NB; k++ {
 		// Horizontal broadcasts of the A(·,k) panel, then vertical
 		// broadcasts of the B(k,·) panel.
 		aMsgs, bMsgs := g.lay.MMPanels(k)
-		aArr := g.deliver(o, aMsgs, ready)
-		bArr := g.deliver(o, bMsgs, ready)
-		// Local rank-r updates, once the A block of every owned row and the
-		// B block of every owned column have arrived.
-		for n, blocks := range mine {
-			if len(blocks) == 0 {
+		g.deliver(o, aMsgs, ready, aArr)
+		g.deliver(o, bMsgs, ready, bArr)
+		// Local rank-r updates of the whole C matrix, once the A block of
+		// every owned row and the B block of every owned column have
+		// arrived.
+		clear(arrived)
+		for n, blocks := range g.update(distribution.All, k, aArr, bArr, arrived) {
+			if blocks == 0 {
 				continue
 			}
-			arrived := 0.0
-			for _, b := range blocks {
-				arrived = maxf(arrived, maxf(aArr[b[0]][n], bArr[b[1]][n]))
-			}
-			stepDone[n] = g.compute(distribution.MMUpdate, k, n, arrived, float64(len(blocks))*g.cycleTime(n))
+			stepDone[n] = g.compute(distribution.MMUpdate, k, n, arrived[n], float64(blocks)*g.cycleTime(n))
 		}
 		if o.SyncSteps {
 			barrier := 0.0

@@ -22,9 +22,10 @@ func BenchmarkBroadcastRing(b *testing.B) {
 	for i := range recv {
 		recv[i] = i
 	}
+	arrival := make([]float64, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Broadcast(RingBroadcast, 0, recv, 4096, 0)
+		c.Broadcast(RingBroadcast, 0, recv, 4096, 0, arrival)
 	}
 }
 
@@ -37,8 +38,9 @@ func BenchmarkBroadcastTree(b *testing.B) {
 	for i := range recv {
 		recv[i] = i
 	}
+	arrival := make([]float64, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Broadcast(TreeBroadcast, 0, recv, 4096, 0)
+		c.Broadcast(TreeBroadcast, 0, recv, 4096, 0, arrival)
 	}
 }

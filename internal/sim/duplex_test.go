@@ -34,7 +34,8 @@ func TestFullDuplexSegmentedRingClassicFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := c.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2}, 8, 0)
+	arr := make([]float64, 3)
+	c.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2}, 8, 0, arr)
 	// 2 hops, 8 segments of 1 byte: (2 + 8 − 1) × 1 = 9.
 	last := 0.0
 	for _, a := range arr {
@@ -81,8 +82,9 @@ func TestFullDuplexKernelSpeedsUpMM(t *testing.T) {
 	mk := func(fd bool) float64 {
 		c, _ := NewCluster(4, Config{Latency: 0.1, ByteTime: 1e-4, FullDuplex: fd})
 		at := 0.0
+		arr := make([]float64, 4)
 		for k := 0; k < 20; k++ {
-			arr := c.Broadcast(RingBroadcast, k%4, []int{0, 1, 2, 3}, 1024, at)
+			c.Broadcast(RingBroadcast, k%4, []int{0, 1, 2, 3}, 1024, at, arr)
 			for _, a := range arr {
 				at = math.Max(at, a)
 			}

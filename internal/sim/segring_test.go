@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func chainArrivals(t *testing.T, kind BroadcastKind, nodes int, bytes, latency, byteTime float64) map[int]float64 {
+func chainArrivals(t *testing.T, kind BroadcastKind, nodes int, bytes, latency, byteTime float64) []float64 {
 	t.Helper()
 	c, err := NewCluster(nodes, Config{Latency: latency, ByteTime: byteTime})
 	if err != nil {
@@ -15,10 +15,12 @@ func chainArrivals(t *testing.T, kind BroadcastKind, nodes int, bytes, latency, 
 	for i := range recv {
 		recv[i] = i + 1
 	}
-	return c.Broadcast(kind, 0, recv, bytes, 0)
+	arr := make([]float64, nodes)
+	c.Broadcast(kind, 0, recv, bytes, 0, arr)
+	return arr
 }
 
-func lastArrival(arr map[int]float64) float64 {
+func lastArrival(arr []float64) float64 {
 	max := 0.0
 	for _, a := range arr {
 		max = math.Max(max, a)
@@ -79,7 +81,7 @@ func TestSegmentedRingDeliversEveryone(t *testing.T) {
 
 func TestSegmentedRingConservesBytes(t *testing.T) {
 	c, _ := NewCluster(4, Config{ByteTime: 1e-6})
-	c.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2, 3}, 800, 0)
+	c.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2, 3}, 800, 0, make([]float64, 4))
 	s := c.Snapshot()
 	// 3 hops × 800 bytes regardless of segmentation.
 	if math.Abs(s.Bytes-2400) > 1e-9 {
@@ -94,9 +96,10 @@ func TestSimulateMMWithSegmentedRing(t *testing.T) {
 	// The kernel layer accepts the new kind and stays deterministic.
 	cfg := Config{Latency: 1e-4, ByteTime: 1e-7}
 	c1, _ := NewCluster(4, cfg)
-	a1 := c1.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2, 3}, 4096, 0)
+	a1, a2 := make([]float64, 4), make([]float64, 4)
+	c1.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2, 3}, 4096, 0, a1)
 	c2, _ := NewCluster(4, cfg)
-	a2 := c2.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2, 3}, 4096, 0)
+	c2.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2, 3}, 4096, 0, a2)
 	for n := range a1 {
 		if a1[n] != a2[n] {
 			t.Fatal("segmented ring not deterministic")

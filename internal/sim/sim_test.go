@@ -135,7 +135,8 @@ func TestSharedBusSerializesEverything(t *testing.T) {
 func TestStarBroadcast(t *testing.T) {
 	cfg := Config{Latency: 1}
 	c, _ := NewCluster(4, cfg)
-	arr := c.Broadcast(StarBroadcast, 0, []int{1, 2, 3}, 0, 0)
+	arr := make([]float64, 4)
+	c.Broadcast(StarBroadcast, 0, []int{1, 2, 3}, 0, 0, arr)
 	// Root NIC serializes: arrivals 1, 2, 3.
 	if arr[1] != 1 || arr[2] != 2 || arr[3] != 3 {
 		t.Fatalf("star arrivals %v", arr)
@@ -148,7 +149,8 @@ func TestStarBroadcast(t *testing.T) {
 func TestRingBroadcast(t *testing.T) {
 	cfg := Config{Latency: 1}
 	c, _ := NewCluster(4, cfg)
-	arr := c.Broadcast(RingBroadcast, 0, []int{1, 2, 3}, 0, 0)
+	arr := make([]float64, 4)
+	c.Broadcast(RingBroadcast, 0, []int{1, 2, 3}, 0, 0, arr)
 	// Store-and-forward chain: 1, 2, 3.
 	if arr[1] != 1 || arr[2] != 2 || arr[3] != 3 {
 		t.Fatalf("ring arrivals %v", arr)
@@ -158,7 +160,8 @@ func TestRingBroadcast(t *testing.T) {
 func TestTreeBroadcastLogRounds(t *testing.T) {
 	cfg := Config{Latency: 1}
 	c, _ := NewCluster(8, cfg)
-	arr := c.Broadcast(TreeBroadcast, 0, []int{1, 2, 3, 4, 5, 6, 7}, 0, 0)
+	arr := make([]float64, 8)
+	c.Broadcast(TreeBroadcast, 0, []int{1, 2, 3, 4, 5, 6, 7}, 0, 0, arr)
 	// Binomial tree over 8 nodes completes in 3 rounds on a switched net.
 	max := 0.0
 	for _, a := range arr {
@@ -171,13 +174,16 @@ func TestTreeBroadcastLogRounds(t *testing.T) {
 
 func TestBroadcastDeduplicatesAndSkipsRoot(t *testing.T) {
 	cfg := Config{Latency: 1}
-	c, _ := NewCluster(3, cfg)
-	arr := c.Broadcast(StarBroadcast, 0, []int{1, 1, 0, 2}, 0, 5)
-	if len(arr) != 3 {
-		t.Fatalf("arrivals %v, want 3 entries", arr)
-	}
+	c, _ := NewCluster(5, cfg)
+	// Stale values in every slot: each one must be overwritten.
+	arr := []float64{-1, -1, -1, -1, -1}
+	c.Broadcast(StarBroadcast, 0, []int{1, 1, 0, 2}, 0, 5, arr)
 	if arr[1] != 6 || arr[2] != 7 {
 		t.Fatalf("arrivals %v", arr)
+	}
+	// The root and the non-receivers 3 and 4 read ready.
+	if arr[0] != 5 || arr[3] != 5 || arr[4] != 5 {
+		t.Fatalf("root and non-receiver arrivals %v, want ready 5", arr)
 	}
 	s := c.Snapshot()
 	if s.Messages != 2 {
@@ -229,8 +235,9 @@ func TestSnapshotCompBound(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() *Stats {
 		c, _ := NewCluster(4, Config{Latency: 1e-4, ByteTime: 1e-8, SharedBus: true})
+		arr := make([]float64, 4)
 		for k := 0; k < 10; k++ {
-			c.Broadcast(RingBroadcast, k%4, []int{0, 1, 2, 3}, 4096, float64(k)*1e-3)
+			c.Broadcast(RingBroadcast, k%4, []int{0, 1, 2, 3}, 4096, float64(k)*1e-3, arr)
 			c.Compute(k%4, float64(k)*1e-3, 5e-4)
 		}
 		return c.Snapshot()

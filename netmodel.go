@@ -2,7 +2,7 @@ package hetgrid
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hetgrid/internal/sim"
 )
@@ -98,17 +98,7 @@ func PredictBroadcast(kind BroadcastKind, p, bytes int, alpha, beta float64) (fl
 	for i := range receivers {
 		receivers[i] = i
 	}
-	arrivals := cl.Broadcast(k, 0, receivers, float64(bytes), 0)
-	var last float64
-	ranks := make([]int, 0, len(arrivals))
-	for r := range arrivals {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		if arrivals[r] > last {
-			last = arrivals[r]
-		}
-	}
-	return last, nil
+	arrivals := make([]float64, p)
+	cl.Broadcast(k, 0, receivers, float64(bytes), 0, arrivals)
+	return slices.Max(arrivals), nil
 }

@@ -1,7 +1,9 @@
 package hetgrid
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"testing"
 )
 
@@ -96,6 +98,47 @@ func TestPredictBroadcastMatchesHandSchedule(t *testing.T) {
 	}
 	if pipe <= 0 || pipe >= want*2 {
 		t.Fatalf("pipelined ring %v outside sane bounds (0, %v)", pipe, want*2)
+	}
+}
+
+// TestPredictBroadcastReproducesBenchNet: the recorded calibration
+// (BENCH_net.json, written by cmd/hetcalibrate -net) holds the model's
+// prediction for each broadcast kind under the fitted α–β; re-predicting
+// from the recorded α, β, world and payload gives the same float, bit for
+// bit.
+func TestPredictBroadcastReproducesBenchNet(t *testing.T) {
+	blob, err := os.ReadFile("BENCH_net.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		World     int     `json:"world"`
+		Alpha     float64 `json:"alpha_seconds"`
+		Beta      float64 `json:"beta_seconds_per_byte"`
+		Broadcast []struct {
+			Kind      string  `json:"kind"`
+			Bytes     int     `json:"bytes"`
+			Predicted float64 `json:"predicted_seconds"`
+		} `json:"broadcast"`
+	}
+	if err := json.Unmarshal(blob, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Broadcast) != 4 {
+		t.Fatalf("BENCH_net.json has %d broadcast rows, want 4", len(rep.Broadcast))
+	}
+	for _, row := range rep.Broadcast {
+		kind, err := ParseBroadcast(row.Kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := PredictBroadcast(kind, rep.World, row.Bytes, rep.Alpha, rep.Beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(row.Predicted) {
+			t.Errorf("%s: predicted %v, BENCH_net.json records %v", row.Kind, got, row.Predicted)
+		}
 	}
 }
 
