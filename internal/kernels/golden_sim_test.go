@@ -26,7 +26,7 @@ import (
 	"hetgrid/internal/sim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_sim.json from the current simulator")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden of the tests selected by -run")
 
 const goldenSimPath = "testdata/golden_sim.json"
 
