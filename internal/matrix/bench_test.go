@@ -89,6 +89,11 @@ func BenchmarkTRSMModes(b *testing.B) {
 		for _, nm := range kernelContracts {
 			benchKernel(b, "packed/"+nm.String(), n, flops, func() error { l.SolveLowerUnitNumerics(rhs.Clone(), nm); return nil })
 		}
+		// The panel solve x·U = b, Strict only: the row-wise substitution it
+		// replaced, and the blocked solve.
+		u, x := RandomWellConditioned(n, rng), New(n, n)
+		benchKernel(b, "upper-right/rows", n, flops, func() error { x.CopyFrom(rhs); solveUpperRightRows(x, u); return nil })
+		benchKernel(b, "upper-right/blocked", n, flops, func() error { x.CopyFrom(rhs); return x.SolveUpperRight(u) })
 	}
 }
 

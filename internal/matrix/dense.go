@@ -146,10 +146,17 @@ func (m *Dense) CopyFrom(src *Dense) {
 // Slice returns a view of the rectangle [i0,i1)×[j0,j1). The view shares
 // storage with m: writes through the view are visible in m.
 func (m *Dense) Slice(i0, i1, j0, j1 int) *Dense {
+	v := m.view(i0, i1, j0, j1)
+	return &v
+}
+
+// view is Slice by value: a view the caller can keep on its stack, so the
+// blocked solves take their operand views without allocating.
+func (m *Dense) view(i0, i1, j0, j1 int) Dense {
 	if i0 < 0 || i1 < i0 || i1 > m.rows || j0 < 0 || j1 < j0 || j1 > m.cols {
 		panic(fmt.Sprintf("matrix: slice [%d:%d,%d:%d] out of range %d×%d", i0, i1, j0, j1, m.rows, m.cols))
 	}
-	return &Dense{
+	return Dense{
 		rows:   i1 - i0,
 		cols:   j1 - j0,
 		stride: m.stride,

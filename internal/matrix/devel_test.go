@@ -9,12 +9,13 @@ import (
 
 //
 // This file compares implementations of the Householder apply, of the
-// tall-panel factor, of the Fast GEMM's rim tiles and of a step's trailing
-// update side by side; qr.go and gemm.go ship the winners, the others live
-// here only — qtmulColumns and factorQRAlt also as the references qr_test.go
-// checks the shipped code against, as AddMulScalar is for GEMM.
+// tall-panel factor, of the Fast GEMM's rim tiles, of a step's trailing
+// update and of the two panel solves side by side; qr.go, gemm.go and
+// ops.go ship the winners, the others live here only — qtmulColumns,
+// factorQRAlt and solveUpperRightRows also as the references qr_test.go and
+// ops_test.go check the shipped code against, as AddMulScalar is for GEMM.
 //
-//	go test ./internal/matrix -run '^$' -bench 'DevelQTMul|DevelPanelQR|DevelFastRim|DevelBlockUpdate' -benchmem
+//	go test ./internal/matrix -run '^$' -bench 'DevelQTMul|DevelPanelQR|DevelFastRim|DevelBlockUpdate|DevelTRSM' -benchmem
 //
 
 // qtmulColumns is the apply this package had before: one reflector and one
@@ -335,6 +336,111 @@ func BenchmarkDevelBlockUpdate(b *testing.B) {
 			}
 			benchKernel(b, "per-block/"+mode.String(), r, flops, perBlock)
 			benchKernel(b, "batched/"+mode.String(), r, flops, batched)
+		}
+	}
+}
+
+// solveUpperRightRows is the SolveUpperRight this package had before: one
+// dot product per element, walking U down its column j. It is the
+// reference ops_test.go holds the blocked solve to, bit for bit.
+func solveUpperRightRows(m, u *Dense) {
+	n := u.rows
+	for r := 0; r < m.rows; r++ {
+		row := m.data[r*m.stride : r*m.stride+m.cols]
+		for j := 0; j < n; j++ {
+			sum := row[j]
+			for k := 0; k < j; k++ {
+				sum -= row[k] * u.data[k*u.stride+j]
+			}
+			row[j] = sum / u.data[j*u.stride+j]
+		}
+	}
+}
+
+// solveHalving is the recursive alternative to solveBlocked: solve the
+// first half of [k0,k1), apply it to the second half as one GEMM, solve
+// the second half, down to blocks of at most w. Each element still takes
+// its terms in increasing k, so the bits are solveBlocked's.
+func solveHalving(k0, k1, w int, substitute func(k0, k1 int), update func(k0, k1, k2 int)) {
+	if k1-k0 <= w {
+		substitute(k0, k1)
+		return
+	}
+	mid := k0 + (k1-k0)/2
+	solveHalving(k0, mid, w, substitute, update)
+	update(k0, mid, k1)
+	solveHalving(mid, k1, w, substitute, update)
+}
+
+// develAlt is one timed alternative of a devel benchmark.
+type develAlt struct {
+	name string
+	run  func()
+}
+
+// BenchmarkDevelTRSM times the two panel solves of LU and Cholesky on one
+// n×n block, n ∈ {32, 64}, every way: scalar is the loop each had before
+// (the row-wise dot products of solveUpperRightRows, and
+// SolveLowerUnitScalar), unblocked is the shipped substitution kernel over
+// the whole triangle, blocked-wN is solveBlocked at width N, halving is
+// solveHalving down to trsmWidth, and shipped is the exported solve. Every
+// alternative is asserted bit-identical to scalar before it is timed. Each
+// operation restores the right-hand side first (n² moves against n³
+// flops).
+func BenchmarkDevelTRSM(b *testing.B) {
+	for _, n := range []int{32, 64} {
+		rng := rand.New(rand.NewSource(38))
+		u := RandomWellConditioned(n, rng)
+		rhs := Random(n, n, rng)
+		x := New(n, n)
+		for _, solve := range []struct {
+			name            string
+			scalar, shipped func()
+			substitute      func(k0, k1 int)
+			update          func(k0, k1, k2 int)
+		}{
+			{
+				name:       "upper-right",
+				scalar:     func() { solveUpperRightRows(x, u) },
+				shipped:    func() { x.SolveUpperRight(u) },
+				substitute: func(k0, k1 int) { x.solveUpperRightRange(u, k0, k1) },
+				update: func(k0, k1, k2 int) {
+					c, xl, t := x.view(0, n, k1, k2), x.view(0, n, k0, k1), u.view(k0, k1, k1, k2)
+					c.addMulDispatch(-1, &xl, &t)
+				},
+			},
+			{
+				name:       "lower-unit",
+				scalar:     func() { u.SolveLowerUnitScalar(x) },
+				shipped:    func() { u.SolveLowerUnit(x) },
+				substitute: func(k0, k1 int) { u.solveLowerUnitRange(x, k0, k1) },
+				update: func(k0, k1, k2 int) {
+					c, l, xl := x.view(k1, k2, 0, n), u.view(k1, k2, k0, k1), x.view(k0, k1, 0, n)
+					c.addMulDispatch(-1, &l, &xl)
+				},
+			},
+		} {
+			alts := []develAlt{
+				{"scalar", solve.scalar},
+				{"unblocked", func() { solve.substitute(0, n) }},
+			}
+			for _, w := range []int{8, 16, 32} {
+				alts = append(alts, develAlt{fmt.Sprintf("blocked-w%d", w), func() { solveBlocked(n, w, solve.substitute, solve.update) }})
+			}
+			alts = append(alts,
+				develAlt{"halving", func() { solveHalving(0, n, trsmWidth, solve.substitute, solve.update) }},
+				develAlt{"shipped", solve.shipped})
+			x.CopyFrom(rhs)
+			solve.scalar()
+			want := x.Clone()
+			for _, alt := range alts {
+				x.CopyFrom(rhs)
+				alt.run()
+				if !x.Equal(want) {
+					b.Fatalf("%s n=%d: %s is not bit-identical to scalar", solve.name, n, alt.name)
+				}
+				benchKernel(b, solve.name+"/"+alt.name, n, cube(n), func() error { x.CopyFrom(rhs); alt.run(); return nil })
+			}
 		}
 	}
 }

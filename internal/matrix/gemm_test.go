@@ -232,25 +232,32 @@ func TestSolveLowerUnitNaNPropagation(t *testing.T) {
 
 // TestSolveLowerUnitBlockedMatchesScalar pins the blocked forward TRSM to
 // the scalar reference bit for bit (the blocked loop preserves the exact
-// per-element accumulation order).
+// per-element accumulation order). At n ≤ 64, the engine's block sizes,
+// both operands are also strided views inside larger matrices and carry
+// NaN, ±Inf and ±0; NaN-ness must match, and nothing outside the view may
+// be written.
 func TestSolveLowerUnitBlockedMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(705))
-	for _, n := range []int{1, 3, 17, 64, 65, 100, 150} {
+	for _, n := range []int{1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 150} {
 		for _, cols := range []int{1, 5, 33} {
-			l := randomOperand(rng, n, n, false, false)
-			for i := 0; i < n; i++ {
-				l.Set(i, i, 1)
-				for j := i + 1; j < n; j++ {
-					l.Set(i, j, 0)
+			for _, special := range []bool{false, true} {
+				if special && n > 64 {
+					continue
 				}
-			}
-			b0 := randomOperand(rng, n, cols, false, false)
-			want := b0.Clone()
-			l.SolveLowerUnitScalar(want)
-			got := b0.Clone()
-			l.SolveLowerUnit(got)
-			if !bitIdentical(got, want) {
-				t.Fatalf("n=%d cols=%d: blocked forward TRSM differs from scalar", n, cols)
+				l := randomOperand(rng, n, n, special, special)
+				for i := 0; i < n; i++ {
+					l.Set(i, i, 1)
+					for j := i + 1; j < n; j++ {
+						l.Set(i, j, 0)
+					}
+				}
+				big := randomOperand(rng, n+2, cols+3, false, special)
+				ref := big.Clone()
+				l.SolveLowerUnitScalar(ref.Slice(1, n+1, 2, cols+2))
+				l.SolveLowerUnit(big.Slice(1, n+1, 2, cols+2))
+				if !bitIdentical(big, ref) {
+					t.Fatalf("n=%d cols=%d special=%v: blocked forward TRSM differs from scalar", n, cols, special)
+				}
 			}
 		}
 	}

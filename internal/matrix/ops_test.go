@@ -168,6 +168,105 @@ func TestSolveUpperRightSingular(t *testing.T) {
 	}
 }
 
+// upperOperand is an n×n upper triangular U with entries of size about 1
+// on and above a diagonal kept off zero — a strided view inside a larger
+// matrix when strided, with NaN, ±Inf and ±0 sprinkled over it (the
+// diagonal may be NaN or ±Inf, never ±0) when specials.
+func upperOperand(rng *rand.Rand, n int, strided, specials bool) *Dense {
+	u := randomOperand(rng, n, n, strided, specials)
+	for i := 0; i < n; i++ {
+		if u.At(i, i) == 0 || !specials {
+			u.Set(i, i, 2+rng.Float64())
+		}
+		for j := 0; j < i; j++ {
+			u.Set(i, j, 0)
+		}
+	}
+	return u
+}
+
+// TestSolveUpperRightMatchesRows pins the blocked SolveUpperRight to the
+// row-wise substitution it replaced (solveUpperRightRows) bit for bit: n
+// over 1…70, across every block-width boundary, rows over the remainder
+// cases of the four-row kernel, contiguous and strided operands, with and
+// without NaN, ±Inf and ±0. NaN-ness must match, and the border around a
+// strided receiver must be left as it was.
+func TestSolveUpperRightMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for n := 1; n <= 70; n++ {
+		for _, rows := range []int{1, 7, 32, 96} {
+			for _, strided := range []bool{false, true} {
+				for _, special := range []bool{false, true} {
+					u := upperOperand(rng, n, strided, special)
+					got := randomOperand(rng, rows+2, n+3, false, special)
+					want := got.Clone()
+					solveUpperRightRows(want.Slice(1, rows+1, 2, n+2), u)
+					x := got.Slice(1, rows+1, 2, n+2)
+					if !strided {
+						x = x.Clone()
+						got, want = x, want.Slice(1, rows+1, 2, n+2).Clone()
+					}
+					if err := x.SolveUpperRight(u); err != nil {
+						t.Fatalf("n=%d rows=%d: %v", n, rows, err)
+					}
+					if !bitIdentical(got, want) {
+						t.Fatalf("n=%d rows=%d strided=%v special=%v: blocked SolveUpperRight differs from the row-wise substitution", n, rows, strided, special)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolveUpperRightSingularLeavesReceiverUntouched: a zero diagonal
+// anywhere — first block, a later block, −0 — returns ErrSingular before
+// anything is written.
+func TestSolveUpperRightSingularLeavesReceiverUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for _, c := range []struct {
+		n, at int
+		zero  float64
+	}{{1, 0, 0}, {16, 3, 0}, {40, 35, 0}, {64, 63, math.Copysign(0, -1)}, {70, 17, 0}} {
+		u := upperOperand(rng, c.n, false, false)
+		u.Set(c.at, c.at, c.zero)
+		x := Random(9, c.n, rng)
+		before := x.Clone()
+		if err := x.SolveUpperRight(u); err != ErrSingular {
+			t.Fatalf("n=%d zero at %d: err = %v, want ErrSingular", c.n, c.at, err)
+		}
+		if !bitIdentical(x, before) {
+			t.Fatalf("n=%d zero at %d: receiver modified on a singular U", c.n, c.at)
+		}
+	}
+}
+
+// TestTriangularSolvesAllocateNothing pins the two panel solves at the
+// engine's block sizes to zero allocations per call: their operand views
+// stay on the stack and the packed GEMM's scratch comes from its pool.
+func TestTriangularSolvesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the pin runs in the non-race matrix")
+	}
+	rng := rand.New(rand.NewSource(40))
+	for _, n := range []int{32, 64} {
+		u := RandomWellConditioned(n, rng)
+		x := Random(n, n, rng)
+		if err := x.SolveUpperRight(u); err != nil { // warm the GEMM pool
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(50, func() {
+			if err := x.SolveUpperRight(u); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("n=%d: SolveUpperRight allocates %.2f per call", n, avg)
+		}
+		if avg := testing.AllocsPerRun(50, func() { u.SolveLowerUnitNumerics(x, Strict) }); avg != 0 {
+			t.Errorf("n=%d: SolveLowerUnitNumerics(Strict) allocates %.2f per call", n, avg)
+		}
+	}
+}
+
 func TestTriangularSolveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(seed int64) bool {
