@@ -71,7 +71,7 @@ func SimulateCholesky(d distribution.Distribution, arr *grid.Arrangement, opts O
 // factorization numerically with block ownership from d, returning the
 // lower factor L (upper triangle zero) and per-node block-operation counts.
 // The input must be symmetric positive definite. Diagonal factorization and
-// panel solves stay scalar, the trailing symmetric updates run under mode.
+// panel solves stay Strict, the trailing symmetric updates run under mode.
 func ReplayCholeskyNumerics(d distribution.Distribution, a *matrix.Dense, mode matrix.Numerics) (*Replay, error) {
 	n, nc := a.Dims()
 	if n != nc {
