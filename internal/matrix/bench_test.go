@@ -61,8 +61,12 @@ func timeKernel(b *testing.B, flops float64, op func() error) {
 
 func cube(n int) float64 { return float64(n) * float64(n) * float64(n) }
 
+// gemmSizes adds to kernelSizes the rim sizes 20, 40 and 100, where no
+// tile divides the block and the padded rims run.
+var gemmSizes = []int{20, 32, 40, 64, 100, 256, 512}
+
 func BenchmarkGEMMModes(b *testing.B) {
-	for _, n := range kernelSizes {
+	for _, n := range gemmSizes {
 		x, y := benchMatrices(n)
 		c := New(n, n)
 		flops := 2 * cube(n)

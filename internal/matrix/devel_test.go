@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
 //
 // This file compares implementations of the Householder apply, of the
-// tall-panel factor, of the Fast GEMM's rim tiles, of a step's trailing
-// update and of the two panel solves side by side; qr.go, gemm.go and
-// ops.go ship the winners, the others live here only — qtmulColumns,
-// factorQRAlt and solveUpperRightRows also as the references qr_test.go and
-// ops_test.go check the shipped code against, as AddMulScalar is for GEMM.
+// tall-panel factor, of the GEMM's register tiles and their rims, of a
+// step's trailing update and of the two panel solves side by side; qr.go,
+// gemm.go and ops.go ship the winners, the others live here only —
+// qtmulColumns, factorQRAlt and solveUpperRightRows also as the references
+// qr_test.go and ops_test.go check the shipped code against, as
+// AddMulScalar is for GEMM.
 //
-//	go test ./internal/matrix -run '^$' -bench 'DevelQTMul|DevelPanelQR|DevelFastRim|DevelBlockUpdate|DevelTRSM' -benchmem
+//	go test ./internal/matrix -run '^$' -bench 'DevelQTMul|DevelPanelQR|DevelTiles|DevelBlockUpdate|DevelTRSM' -benchmem
 //
 
 // qtmulColumns is the apply this package had before: one reflector and one
@@ -227,10 +229,12 @@ func BenchmarkDevelPanelQR(b *testing.B) {
 
 var develSink *QR
 
-// addMulPackedFMAEdge is the Fast packed path as it was before the rims
-// ran on padded panels: full 6×8 tiles on the assembly kernel, every partial
-// tile on gemmMicroEdgeFMA.
-func (m *Dense) addMulPackedFMAEdge(alpha float64, a, b *Dense) {
+// addMulPackedTight is the packed path with tight rims, as the Strict tiles
+// ran before every tile padded its rims: rim panels packed tightly
+// (packTightA, packTightB), full tiles on t's micro-kernel, a 4×4 rim tile
+// on the Go kernel (a tight 4-wide panel has its layout), every other
+// partial tile on the scalar edge kernel of t's contract.
+func (m *Dense) addMulPackedTight(alpha float64, a, b *Dense, t gemmTile) {
 	bufs := gemmPool.Get().(*gemmScratch)
 	bufs.a = ensure(bufs.a, gemmMC*gemmKC)
 	bufs.b = ensure(bufs.b, gemmKC*gemmNC)
@@ -239,20 +243,26 @@ func (m *Dense) addMulPackedFMAEdge(alpha float64, a, b *Dense) {
 		nc := min(gemmNC, bigN-jc)
 		for pc := 0; pc < bigK; pc += gemmKC {
 			kc := min(gemmKC, bigK-pc)
-			packB(bufs.b, b, pc, jc, kc, nc, gemmNRFMA)
-			for ic := 0; ic < bigM; ic += gemmMCFMA {
-				mc := min(gemmMCFMA, bigM-ic)
-				packA(bufs.a, a, alpha, ic, pc, mc, kc, gemmMRFMA)
-				for jp := 0; jp < nc; jp += gemmNRFMA {
-					nrEff := min(gemmNRFMA, nc-jp)
+			packTightB(bufs.b, b, pc, jc, kc, nc, t.nr)
+			for ic := 0; ic < bigM; ic += t.mc {
+				mc := min(t.mc, bigM-ic)
+				packTightA(bufs.a, a, alpha, ic, pc, mc, kc, t.mr)
+				for jp := 0; jp < nc; jp += t.nr {
+					nrEff := min(t.nr, nc-jp)
 					pb := bufs.b[jp*kc:]
-					for ip := 0; ip < mc; ip += gemmMRFMA {
-						mrEff := min(gemmMRFMA, mc-ip)
+					for ip := 0; ip < mc; ip += t.mr {
+						mrEff := min(t.mr, mc-ip)
 						pa := bufs.a[ip*kc:]
-						if mrEff == gemmMRFMA && nrEff == gemmNRFMA {
-							gemmMicroFMA6x8(&m.data[(ic+ip)*m.stride+jc+jp], m.stride, &pa[0], &pb[0], kc)
-						} else {
+						c0 := (ic+ip)*m.stride + jc + jp
+						switch {
+						case mrEff == t.mr && nrEff == t.nr:
+							t.micro(m.data[c0:], m.stride, pa, pb, kc)
+						case !t.fma && mrEff == 4 && nrEff == 4:
+							gemmMicro4x4(m.data[c0:], m.stride, pa, pb, kc)
+						case t.fma:
 							gemmMicroEdgeFMA(m, ic+ip, jc+jp, mrEff, nrEff, pa, pb, kc)
+						default:
+							gemmMicroEdge(m, ic+ip, jc+jp, mrEff, nrEff, pa, pb, kc)
 						}
 					}
 				}
@@ -262,8 +272,59 @@ func (m *Dense) addMulPackedFMAEdge(alpha float64, a, b *Dense) {
 	gemmPool.Put(bufs)
 }
 
-// gemmMicroEdgeFMA is the scalar rim kernel the padded tile replaced:
-// gemmMicroEdge's loop with the multiply-add fused through math.FMA.
+// packTightA is packA with the last panel packed tightly: mrEff rows, at
+// stride mrEff.
+func packTightA(dst []float64, a *Dense, alpha float64, ic, pc, mc, kc, mr int) {
+	off := 0
+	for p := 0; p < mc; p += mr {
+		mrEff := min(mr, mc-p)
+		for r := 0; r < mrEff; r++ {
+			src := a.data[(ic+p+r)*a.stride+pc : (ic+p+r)*a.stride+pc+kc]
+			q := off + r
+			for k := 0; k < kc; k++ {
+				dst[q] = alpha * src[k]
+				q += mrEff
+			}
+		}
+		off += mrEff * kc
+	}
+}
+
+// packTightB is packB with the last panel packed tightly: nrEff columns,
+// at stride nrEff.
+func packTightB(dst []float64, b *Dense, pc, jc, kc, nc, nr int) {
+	off := 0
+	for p := 0; p < nc; p += nr {
+		nrEff := min(nr, nc-p)
+		for k := 0; k < kc; k++ {
+			src := b.data[(pc+k)*b.stride+jc+p : (pc+k)*b.stride+jc+p+nrEff]
+			copy(dst[off+k*nrEff:off+(k+1)*nrEff], src)
+		}
+		off += nrEff * kc
+	}
+}
+
+// gemmMicroEdge is the scalar rim kernel of the tight Strict rims: the
+// tile's operation sequence at any size, over tightly packed panels.
+func gemmMicroEdge(c *Dense, i0, j0, mrEff, nrEff int, pa, pb []float64, kc int) {
+	for r := 0; r < mrEff; r++ {
+		crow := c.data[(i0+r)*c.stride+j0 : (i0+r)*c.stride+j0+nrEff]
+		for cc := 0; cc < nrEff; cc++ {
+			acc := crow[cc]
+			q := r
+			w := cc
+			for k := 0; k < kc; k++ {
+				acc += pa[q] * pb[w]
+				q += mrEff
+				w += nrEff
+			}
+			crow[cc] = acc
+		}
+	}
+}
+
+// gemmMicroEdgeFMA is gemmMicroEdge with the multiply-add fused through
+// math.FMA.
 func gemmMicroEdgeFMA(c *Dense, i0, j0, mrEff, nrEff int, pa, pb []float64, kc int) {
 	for r := 0; r < mrEff; r++ {
 		crow := c.data[(i0+r)*c.stride+j0 : (i0+r)*c.stride+j0+nrEff]
@@ -281,27 +342,35 @@ func gemmMicroEdgeFMA(c *Dense, i0, j0, mrEff, nrEff int, pa, pb []float64, kc i
 	}
 }
 
-// BenchmarkDevelFastRim times one n×n block update three ways: Strict, Fast
-// with the scalar rim kernel (fast-edge) and Fast as shipped, rims on the
-// 6×8 tile over zero-padded panels (fast-padded). 32, 64 and 128 leave a
-// 2-, 4- and 2-row rim, 36 and 66 a 4- and 2-column one.
-func BenchmarkDevelFastRim(b *testing.B) {
-	if !FastAvailable() {
-		b.Skip("no AVX2+FMA: Fast runs the Strict path")
-	}
-	for _, n := range []int{32, 36, 64, 66, 128} {
+// BenchmarkDevelTiles times one n×n block update on every tile the CPU
+// runs, each with tight rims (addMulPackedTight) and with padded rims
+// (addMulPacked, the shipped policy), at the engine's block sizes 20, 32,
+// 40 and 64 — 20 and 40 leave rims on every tile, 32 and 64 only on the
+// 6×8 one — and at one 256 slab. Every row is asserted bit-identical to its
+// contract's scalar reference before it is timed. tileFor ships, per
+// contract, the widest tile the CPU runs, on padded rims.
+func BenchmarkDevelTiles(b *testing.B) {
+	for _, n := range []int{20, 32, 40, 64, 256} {
 		x, y := benchMatrices(n)
 		c := New(n, n)
-		want, edge := c.Clone(), c.Clone()
-		want.AddMulScalarFMA(1, x, y)
-		edge.addMulPackedFMAEdge(1, x, y)
-		if !bitIdentical(edge, want) {
-			b.Fatalf("n=%d: the scalar-rim path is not bit-identical to AddMulScalarFMA", n)
-		}
 		flops := 2 * cube(n)
-		benchKernel(b, "strict", n, flops, func() error { c.AddMulNumerics(1, x, y, Strict); return nil })
-		benchKernel(b, "fast-edge", n, flops, func() error { c.addMulPackedFMAEdge(1, x, y); return nil })
-		benchKernel(b, "fast-padded", n, flops, func() error { c.AddMulNumerics(1, x, y, Fast); return nil })
+		for _, tile := range cpuTiles() {
+			want := c.Clone()
+			if tile.fma {
+				want.AddMulScalarFMA(1, x, y)
+			} else {
+				want.AddMulScalar(1, x, y)
+			}
+			tight, padded := c.Clone(), c.Clone()
+			tight.addMulPackedTight(1, x, y, tile)
+			padded.addMulPacked(1, x, y, tile)
+			if !bitIdentical(tight, want) || !bitIdentical(padded, want) {
+				b.Fatalf("n=%d %s: not bit-identical to the scalar reference", n, tile.name)
+			}
+			name := strings.ReplaceAll(tile.name, " ", "-")
+			benchKernel(b, name+"/tight", n, flops, func() error { c.addMulPackedTight(1, x, y, tile); return nil })
+			benchKernel(b, name+"/padded", n, flops, func() error { c.addMulPacked(1, x, y, tile); return nil })
+		}
 	}
 }
 

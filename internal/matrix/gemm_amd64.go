@@ -12,14 +12,10 @@ var gemmHaveAVX = cpuHasAVX()
 // force the fallback and assert Fast degrades to the Strict path.
 var gemmHaveFMA = cpuHasAVX2FMA()
 
-// gemmTileN is the packed-B panel width the driver packs for: 8 columns for
-// the AVX micro-kernel, gemmNR for the generic Go tile.
-func gemmTileN() int {
-	if gemmHaveAVX {
-		return gemmNRAVX
-	}
-	return gemmNR
-}
+// gemmHaveAVX512 reports whether the 8×16 ZMM tiles are usable: AVX512F
+// present and the full ZMM state OS-enabled. A variable so tests can force
+// the YMM tiles on a CPU that has it.
+var gemmHaveAVX512 = cpuHasAVX512()
 
 // cpuHasAVX reports CPU and OS support for 256-bit AVX: CPUID.1:ECX must
 // advertise AVX and OSXSAVE, and XCR0 must have the XMM and YMM state bits
@@ -50,3 +46,25 @@ func cpuHasAVX2FMA() bool
 //
 //go:noescape
 func gemmMicroFMA6x8(c *float64, stride int, pa, pb *float64, kc int)
+
+// cpuHasAVX512 reports CPU and OS support for the ZMM tiles: CPUID.(7,0):EBX
+// must advertise AVX512F, CPUID.1:ECX OSXSAVE, and XCR0 must have the XMM,
+// YMM, opmask and ZMM state bits set (XCR0 & 0xE6 = 0xE6).
+func cpuHasAVX512() bool
+
+// gemmMicroZMM8x16 is the Strict AVX-512 micro-kernel: an 8×16 tile of C
+// held in sixteen ZMM accumulators across the whole k loop, updated with
+// unfused VMULPD/VADDPD pairs, so bit-identical to AddMulScalar as the
+// 4×8 kernel is. stride is in elements; pa advances 8 and pb 16 elements
+// per k step. kc must be ≥ 1.
+//
+//go:noescape
+func gemmMicroZMM8x16(c *float64, stride int, pa, pb *float64, kc int)
+
+// gemmMicroZMMFMA8x16 is the Fast AVX-512 micro-kernel: the 8×16 tile
+// updated with VFMADD231PD, bit-identical to AddMulScalarFMA as the 6×8
+// kernel is. stride is in elements; pa advances 8 and pb 16 elements per k
+// step. kc must be ≥ 1.
+//
+//go:noescape
+func gemmMicroZMMFMA8x16(c *float64, stride int, pa, pb *float64, kc int)

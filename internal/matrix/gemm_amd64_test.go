@@ -3,22 +3,23 @@
 package matrix
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestGemmGoTileMatchesAVX forces the pure-Go register tile (gemmHaveAVX is
-// a variable precisely for this) and asserts the two micro-kernels agree bit
-// for bit — the AVX kernel's unfused VMULPD/VADDPD pairs perform the same
-// two IEEE roundings per lane as the Go code.
+// TestGemmGoTileMatchesAVX runs the pure-Go register tile and every
+// unfused assembly tile the CPU has (4×8 AVX, 8×16 ZMM) on the same
+// products and asserts they agree bit for bit — the kernels' unfused
+// VMULPD/VADDPD pairs perform the same two IEEE roundings per lane as the
+// Go code.
 func TestGemmGoTileMatchesAVX(t *testing.T) {
 	if !cpuHasAVX() {
 		t.Skip("no AVX on this CPU")
 	}
-	saved := gemmHaveAVX
-	defer func() { gemmHaveAVX = saved }()
-
+	tiles := []gemmTile{tileAVX}
+	if cpuHasAVX512() {
+		tiles = append(tiles, tileZMM)
+	}
 	rng := rand.New(rand.NewSource(711))
 	for it := 0; it < 40; it++ {
 		m, k, n := pickDim(rng), pickDim(rng), pickDim(rng)
@@ -29,101 +30,49 @@ func TestGemmGoTileMatchesAVX(t *testing.T) {
 		b := randomOperand(rng, k, n, false, it%6 == 0)
 		c0 := randomOperand(rng, m, n, false, false)
 
-		gemmHaveAVX = true
-		avx := c0.Clone()
-		avx.addMulPacked(1.25, a, b, tileFor(false))
-
-		gemmHaveAVX = false
 		plain := c0.Clone()
-		plain.addMulPacked(1.25, a, b, tileFor(false))
-		gemmHaveAVX = saved
-
-		if !bitIdentical(avx, plain) {
-			t.Fatalf("it=%d m=%d k=%d n=%d: AVX tile differs from Go tile", it, m, k, n)
+		plain.addMulPacked(1.25, a, b, tileGo)
+		for _, tile := range tiles {
+			asm := c0.Clone()
+			asm.addMulPacked(1.25, a, b, tile)
+			if !bitIdentical(asm, plain) {
+				t.Fatalf("it=%d m=%d k=%d n=%d: %s tile differs from Go tile", it, m, k, n, tile.name)
+			}
 		}
 	}
 }
 
-// TestGemmMicroAVXDirect exercises the assembly kernel on one exact tile,
-// including NaN and signed-zero lanes.
+// The direct tests run each assembly micro-kernel on exact tiles
+// (checkMicroDirect): the unfused ones against the two-rounding
+// accumulation, the fused ones against math.FMA, which the compiler lowers
+// to the same VFMADD instruction on this hardware.
+
 func TestGemmMicroAVXDirect(t *testing.T) {
 	if !cpuHasAVX() {
 		t.Skip("no AVX on this CPU")
 	}
-	const kc = 5
-	pa := make([]float64, 4*kc)
-	pb := make([]float64, 8*kc)
-	rng := rand.New(rand.NewSource(712))
-	for i := range pa {
-		pa[i] = rng.NormFloat64()
-	}
-	for i := range pb {
-		pb[i] = rng.NormFloat64()
-	}
-	pa[2] = math.NaN()
-	pb[3] = math.Copysign(0, -1)
-	c := New(4, 8)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 8; j++ {
-			c.Set(i, j, rng.NormFloat64())
-		}
-	}
-	want := c.Clone()
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 8; j++ {
-			acc := want.At(i, j)
-			for k := 0; k < kc; k++ {
-				acc += pa[4*k+i] * pb[8*k+j]
-			}
-			want.Set(i, j, acc)
-		}
-	}
-	gemmMicroAVX4x8(&c.data[0], c.stride, &pa[0], &pb[0], kc)
-	if !bitIdentical(c, want) {
-		t.Fatal("AVX micro-kernel differs from reference accumulation")
-	}
+	checkMicroDirect(t, tileAVX)
 }
 
-// TestGemmMicroFMADirect exercises the fused assembly kernel on one exact
-// 6×8 tile against a math.FMA accumulation (the compiler lowers math.FMA to
-// the same VFMADD instruction on this hardware), including NaN and
-// signed-zero lanes.
 func TestGemmMicroFMADirect(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2+FMA on this CPU")
 	}
-	const kc = 7
-	pa := make([]float64, 6*kc)
-	pb := make([]float64, 8*kc)
-	rng := rand.New(rand.NewSource(713))
-	for i := range pa {
-		pa[i] = rng.NormFloat64()
+	checkMicroDirect(t, tileFMA)
+}
+
+func TestGemmMicroZMMDirect(t *testing.T) {
+	if !cpuHasAVX512() {
+		t.Skip("no AVX-512F on this CPU: the 8×16 ZMM tiles are untested here")
 	}
-	for i := range pb {
-		pb[i] = rng.NormFloat64()
+	checkMicroDirect(t, tileZMM)
+}
+
+func TestGemmMicroZMMFMADirect(t *testing.T) {
+	if !cpuHasAVX512() {
+		t.Skip("no AVX-512F on this CPU: the 8×16 ZMM tiles are untested here")
 	}
-	pa[4] = math.NaN()
-	pb[5] = math.Copysign(0, -1)
-	c := New(6, 8)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 8; j++ {
-			c.Set(i, j, rng.NormFloat64())
-		}
-	}
-	want := c.Clone()
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 8; j++ {
-			acc := want.At(i, j)
-			for k := 0; k < kc; k++ {
-				acc = math.FMA(pa[6*k+i], pb[8*k+j], acc)
-			}
-			want.Set(i, j, acc)
-		}
-	}
-	gemmMicroFMA6x8(&c.data[0], c.stride, &pa[0], &pb[0], kc)
-	if !bitIdentical(c, want) {
-		t.Fatal("FMA micro-kernel differs from math.FMA reference accumulation")
-	}
+	checkMicroDirect(t, tileZMMFMA)
 }
 
 // TestFastFallbackWithoutFMA forces gemmHaveFMA off and asserts Fast mode
@@ -153,12 +102,21 @@ func TestFastFallbackWithoutFMA(t *testing.T) {
 	}
 }
 
-// forceGoTile routes the packed GEMM through the pure-Go register tile until
-// the test ends, so a test can cover the path CPUs without AVX take.
+// forceGoTile routes the Strict packed GEMM through the pure-Go register
+// tile until the test ends, so a test can cover the path CPUs without AVX
+// take.
 func forceGoTile(t *testing.T) {
-	saved := gemmHaveAVX
-	gemmHaveAVX = false
-	t.Cleanup(func() { gemmHaveAVX = saved })
+	saved, saved512 := gemmHaveAVX, gemmHaveAVX512
+	gemmHaveAVX, gemmHaveAVX512 = false, false
+	t.Cleanup(func() { gemmHaveAVX, gemmHaveAVX512 = saved, saved512 })
+}
+
+// forceNoAVX512 routes the packed GEMM through the YMM tiles until the
+// test ends, as on CPUs without AVX-512.
+func forceNoAVX512(t *testing.T) {
+	saved := gemmHaveAVX512
+	gemmHaveAVX512 = false
+	t.Cleanup(func() { gemmHaveAVX512 = saved })
 }
 
 // forceNoFMA runs Fast on the Strict path until the test ends, as CPUs

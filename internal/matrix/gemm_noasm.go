@@ -10,7 +10,8 @@ const gemmHaveAVX = false
 // packed path there (the error bound holds with equality).
 const gemmHaveFMA = false
 
-func gemmTileN() int { return gemmNR }
+// gemmHaveAVX512 is constant false off amd64: the ZMM tiles never run.
+const gemmHaveAVX512 = false
 
 // gemmMicroAVX4x8 is never reachable when gemmHaveAVX is false.
 func gemmMicroAVX4x8(c *float64, stride int, pa, pb *float64, kc int) {
@@ -20,4 +21,14 @@ func gemmMicroAVX4x8(c *float64, stride int, pa, pb *float64, kc int) {
 // gemmMicroFMA6x8 is never reachable when gemmHaveFMA is false.
 func gemmMicroFMA6x8(c *float64, stride int, pa, pb *float64, kc int) {
 	panic("matrix: FMA micro-kernel unavailable on this architecture")
+}
+
+// gemmMicroZMM8x16 is never reachable when gemmHaveAVX512 is false.
+func gemmMicroZMM8x16(c *float64, stride int, pa, pb *float64, kc int) {
+	panic("matrix: AVX-512 micro-kernel unavailable on this architecture")
+}
+
+// gemmMicroZMMFMA8x16 is never reachable when gemmHaveAVX512 is false.
+func gemmMicroZMMFMA8x16(c *float64, stride int, pa, pb *float64, kc int) {
+	panic("matrix: AVX-512 FMA micro-kernel unavailable on this architecture")
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -39,7 +40,7 @@ func bitIdentical(a, b *Dense) bool {
 
 // gemmTestDims is the dimension distribution for the property tests: every
 // boundary the packed path cares about — degenerate 1, just under / at /
-// over the register tile (gemmMR/gemmNR/gemmNRAVX), and sizes crossing the
+// over each register tile's mr and nr (4, 6, 8, 16), and sizes crossing the
 // gemmMC row blocks and gemmKC depth panels.
 var gemmTestDims = []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 17, 23, 31, 33, 47, 63, 130, 260}
 
@@ -80,45 +81,187 @@ func randomOperand(rng *rand.Rand, m, n int, strided, specials bool) *Dense {
 
 // TestGemmPackedMatchesScalarProperty is the core determinism contract:
 // across 220 randomized shapes — non-square, 1×n and n×1 edge blocks,
-// strided Slice views, NaN/Inf/−0 payloads, varying alpha — the packed
-// driver must be bit-identical to the scalar ikj reference. It calls
-// addMulPacked directly so even shapes below the dispatch cutoff exercise
-// the packed path.
+// strided Slice views, NaN/Inf/−0 payloads, varying alpha — every tile the
+// CPU runs must be bit-identical to its contract's scalar reference, the
+// ikj loop (AddMulScalar) for the unfused tiles and its math.FMA twin
+// (AddMulScalarFMA) for the fused ones. It calls addMulPacked directly so
+// even shapes below the dispatch cutoff exercise the packed path.
 func TestGemmPackedMatchesScalarProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(701))
-	alphas := []float64{1, -1, 0.5, -2.25, 1e-30, 3}
-	for it := 0; it < 220; it++ {
-		m, k, n := pickDim(rng), pickDim(rng), pickDim(rng)
-		// Keep the occasional triple-large case affordable.
-		if m*k*n > 1<<22 {
-			n = 8
-		}
-		strided := it%3 == 0
-		specials := it%7 == 0
-		a := randomOperand(rng, m, k, strided, specials)
-		b := randomOperand(rng, k, n, strided, specials)
-		c0 := randomOperand(rng, m, n, strided, false)
-		alpha := alphas[rng.Intn(len(alphas))]
+	for _, tile := range cpuTiles() {
+		rng := rand.New(rand.NewSource(701))
+		alphas := []float64{1, -1, 0.5, -2.25, 1e-30, 3}
+		for it := 0; it < 220; it++ {
+			m, k, n := pickDim(rng), pickDim(rng), pickDim(rng)
+			// Keep the occasional triple-large case affordable.
+			if m*k*n > 1<<22 {
+				n = 8
+			}
+			strided := it%3 == 0
+			specials := it%7 == 0
+			a := randomOperand(rng, m, k, strided, specials)
+			b := randomOperand(rng, k, n, strided, specials)
+			c0 := randomOperand(rng, m, n, strided, false)
+			alpha := alphas[rng.Intn(len(alphas))]
 
-		want := c0.Clone()
-		want.addMulScalar(alpha, a, b)
-		got := c0.Clone()
-		got.addMulPacked(alpha, a, b, tileFor(false))
-		if !bitIdentical(got, want) {
-			t.Fatalf("it=%d m=%d k=%d n=%d alpha=%v strided=%v specials=%v: packed differs from scalar",
-				it, m, k, n, alpha, strided, specials)
+			want := c0.Clone()
+			if tile.fma {
+				want.addMulScalarFMA(alpha, a, b)
+			} else {
+				want.addMulScalar(alpha, a, b)
+			}
+			got := c0.Clone()
+			got.addMulPacked(alpha, a, b, tile)
+			if !bitIdentical(got, want) {
+				t.Fatalf("%s it=%d m=%d k=%d n=%d alpha=%v strided=%v specials=%v: packed differs from scalar",
+					tile.name, it, m, k, n, alpha, strided, specials)
+			}
 		}
 	}
 }
 
-// allTiles runs body under every register tile a CPU may take: bothTiles'
-// two, and Fast forced onto the Strict path as on CPUs without AVX2+FMA.
+// cpuTiles lists every tile this CPU runs, by the flags tileFor reads.
+func cpuTiles() []gemmTile {
+	tiles := []gemmTile{tileGo}
+	if gemmHaveAVX {
+		tiles = append(tiles, tileAVX)
+	}
+	if gemmHaveFMA {
+		tiles = append(tiles, tileFMA)
+	}
+	if gemmHaveAVX512 {
+		tiles = append(tiles, tileZMM)
+		if gemmHaveFMA {
+			tiles = append(tiles, tileZMMFMA)
+		}
+	}
+	return tiles
+}
+
+// tileForce is a named way to force the tile choice until a test ends.
+type tileForce struct {
+	name  string
+	force func(*testing.T)
+}
+
+// tileForces are the ways a test forces the tile choice, each run as an
+// ordinary subtest. Between them tileFor reaches every tile the CPU runs:
+// the CPU's own, the YMM tiles of a CPU without AVX-512, the pure-Go tile
+// of a CPU without AVX, and Fast on the Strict path as without AVX2+FMA.
+var tileForces = []tileForce{
+	{"cpu tile", func(*testing.T) {}},
+	{"ymm tile", forceNoAVX512},
+	{"go tile", forceGoTile},
+	{"no-fma tile", forceNoFMA},
+}
+
+// strictTiles runs body under every Strict tile the CPU runs: the first
+// three forces.
+func strictTiles(t *testing.T, body func(t *testing.T)) {
+	runForces(t, tileForces[:3], body)
+}
+
+// allTiles runs body under every force, so under every register tile a
+// CPU may take.
 func allTiles(t *testing.T, body func(t *testing.T)) {
-	bothTiles(t, body)
-	t.Run("no-fma tile", func(t *testing.T) {
-		forceNoFMA(t)
-		body(t)
-	})
+	runForces(t, tileForces, body)
+}
+
+func runForces(t *testing.T, forces []tileForce, body func(t *testing.T)) {
+	for _, f := range forces {
+		t.Run(f.name, func(t *testing.T) {
+			f.force(t)
+			body(t)
+		})
+	}
+}
+
+// TestTileChoice pins the tile tileFor picks for each contract under each
+// force, against the CPU's own flags, and logs the CPU's tile set: with -v
+// a runner's log shows which tiles its suite exercised, and a ZMM suite
+// that skipped for want of AVX-512 shows as such.
+func TestTileChoice(t *testing.T) {
+	avx, fma, avx512 := gemmHaveAVX, gemmHaveFMA, gemmHaveAVX512
+	t.Logf("CPU: AVX %v, AVX2+FMA %v, AVX-512F %v; tiles: %s", avx, fma, avx512, tileNames(cpuTiles()))
+	ymm, ymmFast := tileGo, tileGo
+	if avx {
+		ymm, ymmFast = tileAVX, tileAVX
+	}
+	goFast := tileGo
+	if fma {
+		ymmFast, goFast = tileFMA, tileFMA
+	}
+	cpu, cpuFast := ymm, ymmFast
+	if avx512 {
+		cpu, cpuFast = tileZMM, tileZMM
+		if fma {
+			cpuFast = tileZMMFMA
+		}
+	}
+	want := [][2]gemmTile{{cpu, cpuFast}, {ymm, ymmFast}, {tileGo, goFast}, {cpu, cpu}} // tileForces' order
+	for i, f := range tileForces {
+		t.Run(f.name, func(t *testing.T) {
+			f.force(t)
+			strict, fast := tileFor(false), tileFor(gemmHaveFMA)
+			if strict.name != want[i][0].name || fast.name != want[i][1].name {
+				t.Fatalf("Strict runs %s and Fast %s, want %s and %s", strict.name, fast.name, want[i][0].name, want[i][1].name)
+			}
+			t.Logf("Strict: %s, Fast: %s", strict.name, fast.name)
+		})
+	}
+}
+
+func tileNames(tiles []gemmTile) string {
+	names := make([]string, len(tiles))
+	for i, t := range tiles {
+		names[i] = t.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// TestGemmMicroGoDirect exercises the pure-Go micro-kernel on exact tiles
+// (checkMicroDirect).
+func TestGemmMicroGoDirect(t *testing.T) { checkMicroDirect(t, tileGo) }
+
+// checkMicroDirect runs tile's micro-kernel on one exact mr×nr tile of a
+// strided C at kc ∈ {1, 7, 256}, with NaN and −0 lanes, against the
+// accumulation of its contract: alpha·A is already packed, so each term is
+// one rounded multiply and one rounded add, or one math.FMA.
+func checkMicroDirect(t *testing.T, tile gemmTile) {
+	mr, nr := tile.mr, tile.nr
+	rng := rand.New(rand.NewSource(712))
+	for _, kc := range []int{1, 7, 256} {
+		pa := make([]float64, mr*kc)
+		pb := make([]float64, nr*kc)
+		for i := range pa {
+			pa[i] = rng.NormFloat64()
+		}
+		for i := range pb {
+			pb[i] = rng.NormFloat64()
+		}
+		pa[2] = math.NaN()
+		pb[3] = math.Copysign(0, -1)
+		pb[nr*(kc-1)+nr-1] = math.Copysign(0, -1)
+		c := randomOperand(rng, mr, nr, true, false)
+		c.Set(mr-1, nr-1, math.Copysign(0, -1))
+		want := c.Clone()
+		for i := 0; i < mr; i++ {
+			for j := 0; j < nr; j++ {
+				acc := want.At(i, j)
+				for k := 0; k < kc; k++ {
+					if tile.fma {
+						acc = math.FMA(pa[mr*k+i], pb[nr*k+j], acc)
+					} else {
+						acc += pa[mr*k+i] * pb[nr*k+j]
+					}
+				}
+				want.Set(i, j, acc)
+			}
+		}
+		tile.micro(c.data, c.stride, pa, pb, kc)
+		if !bitIdentical(c, want) {
+			t.Fatalf("%s kc=%d: micro-kernel differs from the reference accumulation", tile.name, kc)
+		}
+	}
 }
 
 // TestAddMulBlocksMatchesPerBlock is the batched update's contract: a batch

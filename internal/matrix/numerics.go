@@ -12,11 +12,11 @@ import "fmt"
 // stay bit-identical to serial replays.
 //
 // Fast trades the bitwise contract for an error-bound contract: on CPUs
-// with AVX2+FMA the packed GEMM dispatches to a fused 6×8 micro-kernel
-// (one rounding per multiply-add instead of two, wider register tile,
-// software prefetch). Each output element is still accumulated in strictly
-// increasing k order, so the Fast result C̃ of an m×k·k×n update satisfies
-// the componentwise bound
+// with AVX2+FMA the packed GEMM dispatches to a fused micro-kernel (one
+// rounding per multiply-add instead of two; 6×8 on YMM registers, 8×16 on
+// ZMM registers where AVX-512 runs). Each output element is still
+// accumulated in strictly increasing k order, so the Fast result C̃ of an
+// m×k·k×n update satisfies the componentwise bound
 //
 //	|C̃ - C| ≤ 2·γ(k+1)·(|C0| + |alpha|·|A|·|B|),  γ(t) = t·ε/(1-t·ε)
 //

@@ -115,23 +115,12 @@ func TestQRDetConsistency(t *testing.T) {
 // qrApplies names the two directions of the one reflector apply.
 var qrApplies = map[string]func(*QR, *Dense){"QTMul": (*QR).QTMul, "QMul": (*QR).QMul}
 
-// bothTiles runs body under the CPU's register tile and under the forced
-// pure-Go tile, as ordinary subtests: the path CPUs without AVX take is
-// covered wherever the suite runs.
-func bothTiles(t *testing.T, body func(t *testing.T)) {
-	t.Run("cpu tile", body)
-	t.Run("go tile", func(t *testing.T) {
-		forceGoTile(t)
-		body(t)
-	})
-}
-
 // The engine applies a panel's Qᵀ to gathered slabs, the serial replay to
 // strided views of the whole matrix, a slab master to all of its block
 // columns at once: they agree bit for bit only because QTMul/QMul are
 // functions of the operand values — not of stride, width or blocking.
 func TestQRApplyIsLayoutInvariant(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	strictTiles(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		for it := 0; it < 60; it++ {
 			n, nc := 1+rng.Intn(40), 1+rng.Intn(70)
@@ -172,7 +161,7 @@ func TestQRApplyIsLayoutInvariant(t *testing.T) {
 // columns applied in two groups) at a block size that reaches the packed
 // kernel: same bits.
 func TestBlockedQRReplayAndSlabOrdersAgree(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	strictTiles(t, func(t *testing.T) {
 		const nb, r = 5, 16
 		n := nb * r
 		rng := rand.New(rand.NewSource(32))
