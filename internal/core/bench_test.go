@@ -48,20 +48,40 @@ func BenchmarkSolveHeuristic(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveArrangementExact times the fixed-arrangement exact search
+// with one worker and with GOMAXPROCS workers asked for. Workers split the
+// search by arrangement, so both rows run the one arrangement as one
+// search; the parallel row, and the 4×4 size (4,096 spanning trees), show
+// what splitting a single arrangement's trees across workers would buy
+// (EXPERIMENTS.md "Exact-solver scaling").
 func BenchmarkSolveArrangementExact(b *testing.B) {
-	for _, dims := range [][2]int{{2, 2}, {3, 3}, {3, 4}} {
-		b.Run(gridLabel(dims[0], dims[1]), func(b *testing.B) {
-			arr, err := grid.RowMajor(randomTimes(dims[0]*dims[1], 7), dims[0], dims[1])
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1}); err != nil {
-					b.Fatal(err)
+	modes := []struct {
+		name string
+		opts ExactOptions
+	}{
+		{"serial", ExactOptions{Workers: 1}},
+		{"parallel", ExactOptions{Workers: runtime.GOMAXPROCS(0)}},
+	}
+	for _, dims := range [][2]int{{2, 2}, {3, 3}, {3, 4}, {4, 4}} {
+		arr, err := grid.RowMajor(randomTimes(dims[0]*dims[1], 7), dims[0], dims[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range modes {
+			b.Run(gridLabel(dims[0], dims[1])+"/"+m.name, func(b *testing.B) {
+				if m.name == "parallel" && m.opts.Workers == 1 {
+					b.Skip("GOMAXPROCS=1: nothing to run in parallel")
 				}
-			}
-		})
+				var stats *ExactStats
+				for i := 0; i < b.N; i++ {
+					var err error
+					if _, stats, err = SolveArrangementExactOpt(arr, m.opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(stats.TreesVisited), "trees/op")
+			})
+		}
 	}
 }
 
@@ -79,9 +99,10 @@ func BenchmarkSolveGlobalExact3x3(b *testing.B) {
 // seed-equivalent search (noprune, workers=1), the serial branch-and-bound
 // and the parallel solver on every CPU this run may use, on the grid sizes
 // the paper's exact method targets, each row with the spanning trees it
-// visited and the share of the theoretical space it never did. The
-// acceptance bar for the parallel path is ≥3× over noprune on 3×4. On one
-// CPU the parallel row would time coordination overhead, so it is skipped.
+// visited and the share of the theoretical space it never did. On 3×4 the
+// branch-and-bound rows run about 2.3× (serial) and 2.7× (parallel) faster
+// than noprune on a 2-core Xeon VM (EXPERIMENTS.md). On one CPU the
+// parallel row would time coordination overhead, so it is skipped.
 func BenchmarkSolveGlobalExact(b *testing.B) {
 	modes := []struct {
 		name string

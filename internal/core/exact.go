@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hetgrid/internal/grid"
-	"hetgrid/internal/spantree"
 )
 
 // ErrNoAcceptableTree would indicate no spanning tree of K_{p,q} yields a
@@ -15,11 +15,9 @@ import (
 // reported only if numerical breakdown prevents every tree from validating.
 var ErrNoAcceptableTree = errors.New("core: no acceptable spanning tree found")
 
-// ExactStats reports the work done by an exact solver. All counters are
-// deterministic for a given input: they do not depend on the worker count or
-// on scheduling, except BranchesPruned, which depends on how the tree search
-// was partitioned (a branch cut inside several partitions counts once per
-// partition).
+// ExactStats reports the work done by an exact solver. Every counter is
+// deterministic for a given input: none depends on the worker count or on
+// scheduling.
 type ExactStats struct {
 	// TreesVisited is the number of complete spanning trees generated. With
 	// pruning enabled, enumeration branches whose partial trees already
@@ -114,9 +112,10 @@ func (a *exactCandidate) betterThan(b *exactCandidate) bool {
 }
 
 // treeSearcher is the reusable per-worker state for the pruned spanning-tree
-// search over one p×q grid shape: the K_{p,q} graph and enumerator, the
-// incremental constraint-propagation state, and the running best candidate.
-// Vertices 0..p-1 are rows, p..p+q-1 are columns.
+// search over one p×q grid shape: the partial forest with its incremental
+// constraint propagation, the edges chosen so far, and the running best
+// candidate. Vertices 0..p-1 are rows, p..p+q-1 are columns, and edge e of
+// K_{p,q} joins row e/q to column e%q (row-major order).
 //
 // Propagation invariant: within each component of the partial forest, every
 // vertex holds a value val[v] such that all tree equations r·t·c = 1 between
@@ -129,14 +128,11 @@ func (a *exactCandidate) betterThan(b *exactCandidate) bool {
 // spanning tree extending the partial selection.
 type treeSearcher struct {
 	p, q  int
-	g     *spantree.Graph
-	en    *spantree.Enumerator
 	tol   float64
 	prune bool
 
 	arr    *grid.Arrangement
 	arrSeq int
-	hooks  spantree.Hooks
 	// skipBelow short-circuits candidate bookkeeping for objectives strictly
 	// below a known lower bound on the final optimum (search refreshes it
 	// from the shared incumbent). It never affects counters.
@@ -148,6 +144,7 @@ type treeSearcher struct {
 	memberBuf [][]int // backing storage for members, cap p+q each
 	undoLog   []mergeRec
 	savedVals []float64
+	chosen    []int // edges of the partial forest, ascending
 
 	stats ExactStats
 	best  exactCandidate
@@ -161,34 +158,24 @@ type mergeRec struct {
 
 func newTreeSearcher(p, q int, opts ExactOptions) *treeSearcher {
 	n := p + q
-	g := spantree.CompleteBipartite(p, q)
 	s := &treeSearcher{
 		p:         p,
 		q:         q,
-		g:         g,
-		en:        spantree.NewEnumerator(g),
 		tol:       FeasibilityTol,
 		prune:     !opts.NoPrune,
 		val:       make([]float64, n),
 		parent:    make([]int, n),
 		members:   make([][]int, n),
 		memberBuf: make([][]int, n),
+		chosen:    make([]int, 0, max(n-1, 0)),
 	}
 	for i := range s.memberBuf {
 		s.memberBuf[i] = make([]int, 1, n)
 	}
-	s.best.edges = make([]int, 0, maxIntCore(n-1, 0))
+	s.best.edges = make([]int, 0, max(n-1, 0))
 	s.best.r = make([]float64, p)
 	s.best.c = make([]float64, q)
-	s.hooks = spantree.Hooks{Include: s.include, Undo: s.undo}
 	return s
-}
-
-func maxIntCore(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // resetArrangement rebinds the propagation state to arr.
@@ -204,6 +191,7 @@ func (s *treeSearcher) resetArrangement(arr *grid.Arrangement, arrSeq int) {
 	}
 	s.undoLog = s.undoLog[:0]
 	s.savedVals = s.savedVals[:0]
+	s.chosen = s.chosen[:0]
 }
 
 func (s *treeSearcher) find(x int) int {
@@ -213,17 +201,14 @@ func (s *treeSearcher) find(x int) int {
 	return x
 }
 
-// include merges the components of edge ei's endpoints, rescaling the
-// smaller component so the new tree equation holds, and (when pruning)
-// checks every newly-comparable row/column constraint. Returns false to veto
-// the inclusion.
-func (s *treeSearcher) include(ei int) bool {
-	e := s.g.Edges[ei]
-	u, v := e.U, e.V // u is a row vertex, v a column vertex (K_{p,q} order)
-	ra, rb := s.find(u), s.find(v)
-	keep, move := ra, rb
-	if len(s.members[rb]) > len(s.members[ra]) {
-		keep, move = rb, ra
+// include merges the components ru ∋ u (a row) and rv ∋ v (a column) along
+// the edge u–v, rescaling the smaller component so the new tree equation
+// holds, and (when pruning) checks every newly-comparable row/column
+// constraint. Returns false to veto the inclusion.
+func (s *treeSearcher) include(u, v, ru, rv int) bool {
+	keep, move := ru, rv
+	if len(s.members[rv]) > len(s.members[ru]) {
+		keep, move = rv, ru
 	}
 	// The edge equation val[u]·t·val[v] = 1 fixes the relative gauge λ of
 	// the moving component: its row values scale by one factor and its
@@ -231,7 +216,7 @@ func (s *treeSearcher) include(ei int) bool {
 	// equations.
 	lam := s.val[u] * s.arr.T[u][v-s.p] * s.val[v]
 	var fr, fc float64
-	if move == rb { // moving side holds the column endpoint v
+	if move == rv { // moving side holds the column endpoint v
 		fr, fc = lam, 1/lam
 	} else { // moving side holds the row endpoint u
 		fr, fc = 1/lam, lam
@@ -282,7 +267,7 @@ func (s *treeSearcher) include(ei int) bool {
 // undo rolls back the most recent accepted include, restoring the exact
 // saved values (no multiply-back, so the state is bitwise identical to the
 // pre-merge state and results cannot drift with the enumeration path).
-func (s *treeSearcher) undo(int) {
+func (s *treeSearcher) undo() {
 	rec := s.undoLog[len(s.undoLog)-1]
 	s.undoLog = s.undoLog[:len(s.undoLog)-1]
 	s.parent[rec.move] = rec.move
@@ -293,16 +278,81 @@ func (s *treeSearcher) undo(int) {
 	s.savedVals = s.savedVals[:rec.savedStart]
 }
 
-// visitTree scores a completed spanning tree. With pruning, every constraint
-// was already verified incrementally; without, the full p×q scan runs here.
-func (s *treeSearcher) visitTree(edges []int) bool {
+// searchArrangement enumerates every spanning tree of K_{p,q} under arr,
+// updating stats and the running best candidate. Propagation state is
+// maintained in both modes; NoPrune only moves the feasibility decision
+// from include-time to visit-time.
+func (s *treeSearcher) searchArrangement(arr *grid.Arrangement, arrSeq int) {
+	s.resetArrangement(arr, arrSeq)
+	s.walk(0, s.visitTree)
+}
+
+// walk decides edge e and then every later edge by include/exclude
+// backtracking, calling leaf at every completed spanning tree (s.chosen):
+// first every tree holding the forest plus e, then every tree holding the
+// forest without e. Trees therefore reach leaf once each, in ascending
+// lexicographic order of their edge sequences. An inclusion
+// that would close a cycle is never tried, one that include vetoes cuts its
+// whole subtree, and the exclude branch is taken only while the later edges
+// can still complete a spanning tree.
+func (s *treeSearcher) walk(e int, leaf func()) {
+	need := s.p + s.q - 1
+	if len(s.chosen) == need {
+		leaf()
+		return
+	}
+	if s.p*s.q-e < need-len(s.chosen) {
+		return // too few edges left to finish a tree
+	}
+	u, v := e/s.q, s.p+e%s.q
+	if ru, rv := s.find(u), s.find(v); ru != rv && s.include(u, v, ru, rv) {
+		s.chosen = append(s.chosen, e)
+		s.walk(e+1, leaf)
+		s.chosen = s.chosen[:len(s.chosen)-1]
+		s.undo()
+	}
+	if s.canSpan(e + 1) {
+		s.walk(e+1, leaf)
+	}
+}
+
+// canSpan reports exactly whether the forest plus the edges from e on can
+// still span K_{p,q}. In row-major order those edges always form one
+// connected piece: rows e/q..p−1 with every column while e/q < p−1, else
+// the star of row p−1 on columns e%q..q−1. So the forest can still span iff
+// every component holds a vertex the piece reaches, and a component that
+// holds none has its root among the unreached vertices.
+func (s *treeSearcher) canSpan(e int) bool {
+	if e == s.p*s.q {
+		return len(s.members[s.find(0)]) == s.p+s.q
+	}
+	for v, pv := range s.parent {
+		if pv == v && !slices.ContainsFunc(s.members[v], func(m int) bool { return s.reached(m, e) }) {
+			return false
+		}
+	}
+	return true
+}
+
+// reached reports whether some edge with index ≥ e (e < p·q) meets vertex v.
+func (s *treeSearcher) reached(v, e int) bool {
+	if v < s.p {
+		return v >= e/s.q
+	}
+	return e/s.q < s.p-1 || v-s.p >= e%s.q
+}
+
+// visitTree scores the completed spanning tree s.chosen. With pruning,
+// every constraint was already verified incrementally; without, the full
+// p×q scan runs here.
+func (s *treeSearcher) visitTree() {
 	s.stats.TreesVisited++
 	p, q := s.p, s.q
 	if !s.prune {
 		for i := 0; i < p; i++ {
 			for j := 0; j < q; j++ {
 				if s.val[i]*s.arr.T[i][j]*s.val[p+j] > 1+s.tol {
-					return true // reject tree, keep enumerating
+					return // reject tree, keep enumerating
 				}
 			}
 		}
@@ -319,14 +369,14 @@ func (s *treeSearcher) visitTree(edges []int) bool {
 	}
 	obj := sr * sc
 	if obj < s.skipBelow {
-		return true
+		return
 	}
-	cand := exactCandidate{obj: obj, arrSeq: s.arrSeq, edges: edges}
+	cand := exactCandidate{obj: obj, arrSeq: s.arrSeq, edges: s.chosen}
 	if cand.betterThan(&s.best) {
 		s.best.obj = obj
 		s.best.arrSeq = s.arrSeq
 		s.best.arr = s.arr
-		s.best.edges = append(s.best.edges[:0], edges...)
+		s.best.edges = append(s.best.edges[:0], s.chosen...)
 		for i := 0; i < p; i++ {
 			s.best.r[i] = s.val[i] / lam0
 		}
@@ -334,17 +384,6 @@ func (s *treeSearcher) visitTree(edges []int) bool {
 			s.best.c[j] = s.val[p+j] * lam0
 		}
 	}
-	return true
-}
-
-// searchArrangement enumerates the spanning trees of the current arrangement
-// restricted to the partition class fixed by prefix (nil for all trees),
-// updating stats and the running best candidate.
-func (s *treeSearcher) searchArrangement(arr *grid.Arrangement, arrSeq int, prefix []bool) {
-	s.resetArrangement(arr, arrSeq)
-	// Propagation state is maintained in both modes; NoPrune only moves the
-	// feasibility decision from include-time to visit-time.
-	s.en.Enumerate(prefix, &s.hooks, s.visitTree)
 }
 
 // arrangementUpperBound returns a cheap upper bound on the Obj2 optimum of a
@@ -409,15 +448,20 @@ func heuristicSeedBound(times []float64, p, q int) float64 {
 // forest and cutting every enumeration branch whose already-connected
 // row/column pairs violate a constraint, keeps the trees whose inequalities
 // all hold, and returns the best under a deterministic tie-break.
-// opts.NoPrune restores the exhaustive visit-then-scan search; opts.Workers
-// splits a large enumeration into partition classes on the first
-// edge-choice digits. The solution is bit-identical across all settings.
+// opts.NoPrune restores the exhaustive visit-then-scan search. Workers split
+// the search by arrangement, so the one arrangement here runs on one worker
+// whatever opts.Workers says; the solution is bit-identical either way.
 //
 // Cost is exponential in the grid size; it is intended for the small grids
 // where the exact answer is wanted (the paper conjectures the general
-// problem NP-complete).
+// problem NP-complete). A grid whose tree count overflows int is an error.
 func SolveArrangementExactOpt(arr *grid.Arrangement, opts ExactOptions) (*Solution, *ExactStats, error) {
-	return search(arr.P, arr.Q, opts, math.Inf(-1), func(emit func(*grid.Arrangement) bool) error {
+	trees, err := spanningTrees(arr.P, arr.Q)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts.Workers = 1 // one arrangement is one work item
+	return search(arr.P, arr.Q, trees, opts, math.Inf(-1), func(emit func(*grid.Arrangement) bool) error {
 		emit(arr)
 		return nil
 	})
@@ -441,11 +485,15 @@ func SolveGlobalExactOpt(times []float64, p, q int, opts ExactOptions) (*Solutio
 	if len(times) != p*q {
 		return nil, nil, fmt.Errorf("core: %d cycle-times for a %d×%d grid", len(times), p, q)
 	}
+	trees, err := spanningTrees(p, q)
+	if err != nil {
+		return nil, nil, err
+	}
 	seed := math.Inf(-1)
 	if !opts.NoPrune {
 		seed = heuristicSeedBound(times, p, q)
 	}
-	return search(p, q, opts, seed, func(emit func(*grid.Arrangement) bool) error {
+	return search(p, q, trees, opts, seed, func(emit func(*grid.Arrangement) bool) error {
 		_, err := grid.EnumerateNonDecreasing(times, p, q, emit)
 		return err
 	})

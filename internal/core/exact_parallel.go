@@ -1,19 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"hetgrid/internal/grid"
-	"hetgrid/internal/spantree"
 )
-
-// minTreesForSplit is the spanning-tree count above which a single
-// arrangement's enumeration is partitioned across workers (below it,
-// arrangement-level parallelism is enough and partition overhead dominates).
-const minTreesForSplit = 256
 
 // atomicFloat64 is a float64 with atomic load/store and monotone raise,
 // encoded through its IEEE bits. Only non-NaN values are stored, and the
@@ -36,49 +31,52 @@ func (a *atomicFloat64) raise(v float64) {
 	}
 }
 
-// exactWorkItem is one unit of search work: an arrangement (with its
-// deterministic sequence number in enumeration order) and the partition
-// class of its spanning trees to enumerate (nil = all trees).
+// exactWorkItem is one unit of search work: an arrangement with its
+// deterministic sequence number in enumeration order.
 type exactWorkItem struct {
-	seq    int
-	arr    *grid.Arrangement
-	prefix []bool
+	seq int
+	arr *grid.Arrangement
 }
 
-// partitionBits picks how many leading edge-choice digits to branch on so
-// that a single arrangement's 2^bits partition classes keep `workers`
-// workers busy, without exploding the item count.
-func partitionBits(treeCount, nEdges, workers int) int {
-	if workers <= 1 || treeCount < minTreesForSplit {
-		return 0
+// spanningTrees returns the number of spanning trees of K_{p,q},
+// p^(q−1)·q^(p−1) (Scoins' formula; 0 when a side is empty), or an error
+// when it overflows int — a search that large could never finish.
+func spanningTrees(p, q int) (int, error) {
+	if p <= 0 || q <= 0 {
+		return 0, nil
 	}
-	bits := 0
-	for 1<<bits < 2*workers && bits < 8 && bits < nEdges {
-		bits++
+	trees := 1
+	for k := 1; k < p+q-1; k++ {
+		f := p // p for the first q−1 factors, q for the last p−1
+		if k >= q {
+			f = q
+		}
+		if trees > math.MaxInt/f {
+			return 0, fmt.Errorf("core: K_{%d,%d}'s spanning-tree count overflows int; the %d×%d grid is too large for the exact search", p, q, p, q)
+		}
+		trees *= f
 	}
-	return bits
+	return trees, nil
 }
 
 // search is the one loop of the exact search, for the global and the
 // fixed-arrangement solver and for every worker count (opts.Workers, 0 =
 // GOMAXPROCS). produce calls emit once per arrangement of the p×q grid, in
 // enumeration order; it runs on the calling goroutine, which counts each
-// arrangement, skips those whose upper bound cannot reach seed, and streams
-// the rest as (arrangement, tree-partition) items to the workers. Each
-// worker searches its items with one reusable treeSearcher, and all share a
-// monotone incumbent, seeded with seed, that short-circuits candidate
-// bookkeeping. After the join the searchers' statistics are summed and the
-// best of their candidates under betterThan wins. Pruning depends only on
-// seed and the input, never on the live incumbent, so solution and
-// statistics (but BranchesPruned, see ExactStats) are bit-identical for every
-// worker count, 1 included.
-func search(p, q int, opts ExactOptions, seed float64, produce func(emit func(*grid.Arrangement) bool) error) (*Solution, *ExactStats, error) {
+// arrangement (trees spanning trees apiece), skips those whose upper bound
+// cannot reach seed, and streams the rest to the workers, one arrangement
+// per item. Each worker searches its items with one reusable treeSearcher,
+// and all share a monotone incumbent, seeded with seed, that short-circuits
+// candidate bookkeeping. After the join the searchers' statistics are
+// summed and the best of their candidates under betterThan wins. Pruning
+// depends only on seed and the input, never on the live incumbent, and an
+// arrangement's trees are never split, so the solution and every counter
+// are bit-identical for every worker count, 1 included.
+func search(p, q, trees int, opts ExactOptions, seed float64, produce func(emit func(*grid.Arrangement) bool) error) (*Solution, *ExactStats, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	treeCount := spantree.CountCompleteBipartite(p, q)
-	prefixes := spantree.PartitionPrefixes(p*q, partitionBits(treeCount, p*q, workers))
 	var incumbent atomicFloat64
 	incumbent.store(seed)
 
@@ -98,7 +96,7 @@ func search(p, q int, opts ExactOptions, seed float64, produce func(emit func(*g
 				// win (the worker holding that value keeps it locally), so
 				// skip their bookkeeping. Counters are taken before the skip.
 				s.skipBelow = incumbent.load()
-				s.searchArrangement(item.arr, item.seq, item.prefix)
+				s.searchArrangement(item.arr, item.seq)
 				if s.best.arr != nil {
 					incumbent.raise(s.best.obj)
 				}
@@ -110,14 +108,12 @@ func search(p, q int, opts ExactOptions, seed float64, produce func(emit func(*g
 	err := produce(func(arr *grid.Arrangement) bool {
 		seq := total.Arrangements
 		total.Arrangements++
-		total.TreesTheoretical += treeCount
+		total.TreesTheoretical += trees
 		if arrangementUpperBound(arr) < seed {
 			total.ArrangementsPruned++
 			return true
 		}
-		for _, prefix := range prefixes {
-			items <- exactWorkItem{seq: seq, arr: arr, prefix: prefix}
-		}
+		items <- exactWorkItem{seq: seq, arr: arr}
 		return true
 	})
 	close(items)

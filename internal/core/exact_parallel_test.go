@@ -34,8 +34,7 @@ func exactEqualSolutions(t *testing.T, label string, a, b *Solution) {
 
 // TestWorkerCountEquivalenceProperty is the worker-count contract of the
 // exact search: for every worker count the returned solution is
-// bit-identical to the one-worker search's, and the scheduling-independent
-// statistics (trees visited/acceptable, arrangements, pruned arrangements)
+// bit-identical to the one-worker search's, and all six ExactStats counters
 // agree exactly. Over 200 randomized cycle-time sets across 2×2…3×4 grids.
 func TestWorkerCountEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
@@ -71,11 +70,7 @@ func TestWorkerCountEquivalenceProperty(t *testing.T) {
 				}
 				label := gridLabel(sh.p, sh.q)
 				exactEqualSolutions(t, label, par, serial)
-				if parStats.TreesVisited != serialStats.TreesVisited ||
-					parStats.TreesAcceptable != serialStats.TreesAcceptable ||
-					parStats.Arrangements != serialStats.Arrangements ||
-					parStats.ArrangementsPruned != serialStats.ArrangementsPruned ||
-					parStats.TreesTheoretical != serialStats.TreesTheoretical {
+				if *parStats != *serialStats {
 					t.Fatalf("%s seed %d workers %d: stats diverge: parallel %+v serial %+v",
 						label, seed, w, *parStats, *serialStats)
 				}
@@ -86,8 +81,67 @@ func TestWorkerCountEquivalenceProperty(t *testing.T) {
 
 // TestPrunedVisitsFewerTreesIdenticalSolutions checks the serial
 // branch-and-bound against the exhaustive search: same solutions bit for
-// bit, strictly fewer trees visited in aggregate.
+// bit, the same acceptable trees (pruning cuts only infeasible ones), and
+// strictly fewer trees visited in aggregate. The fixed arrangements pin the
+// recorded tree counts: a rank-1 grid, where every tree is tight and
+// acceptable; a degenerate 3×4 with 14 acceptable trees of 432; and generic
+// random grids, whose acceptable trees are the C(p+q−2, p−1) vertices of the
+// feasible polyhedron.
 func TestPrunedVisitsFewerTreesIdenticalSolutions(t *testing.T) {
+	type fixedCase struct {
+		label      string
+		arr        *grid.Arrangement
+		acceptable int
+		branches   int // BranchesPruned of the pruned search; -1 = not pinned
+	}
+	cases := []fixedCase{
+		{"rank-1 3x3", grid.MustNew([][]float64{{1, 2, 3}, {2, 4, 6}, {3, 6, 9}}), 81, -1},
+		{"degenerate 3x4", grid.MustNew([][]float64{{1, 1, 2, 2}, {2, 3, 3, 5}, {5, 5, 8, 8}}), 14, 224},
+	}
+	rng := rand.New(rand.NewSource(7100))
+	for p := 2; p <= 4; p++ {
+		for q := 2; q <= 4; q++ {
+			for trial := 0; trial < 3; trial++ {
+				tm := make([][]float64, p)
+				for i := range tm {
+					tm[i] = make([]float64, q)
+					for j := range tm[i] {
+						tm[i][j] = 0.25 + 2*rng.Float64()
+					}
+				}
+				binom := 1 // C(p+q−2, p−1)
+				for k := 1; k < p; k++ {
+					binom = binom * (q - 1 + k) / k
+				}
+				cases = append(cases, fixedCase{"random " + gridLabel(p, q), grid.MustNew(tm), binom, -1})
+			}
+		}
+	}
+	for _, c := range cases {
+		pruned, prunedStats, err := SolveArrangementExactOpt(c.arr, ExactOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, fullStats, err := SolveArrangementExactOpt(c.arr, ExactOptions{Workers: 1, NoPrune: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exactEqualSolutions(t, c.label, pruned, full)
+		if fullStats.TreesVisited != fullStats.TreesTheoretical {
+			t.Fatalf("%s: exhaustive search visited %d of %d trees", c.label, fullStats.TreesVisited, fullStats.TreesTheoretical)
+		}
+		if prunedStats.TreesAcceptable != c.acceptable || fullStats.TreesAcceptable != c.acceptable {
+			t.Fatalf("%s: %d (pruned) and %d (exhaustive) acceptable trees, want %d",
+				c.label, prunedStats.TreesAcceptable, fullStats.TreesAcceptable, c.acceptable)
+		}
+		if prunedStats.TreesVisited != prunedStats.TreesAcceptable {
+			t.Fatalf("%s: pruned search visited %d trees, only %d acceptable", c.label, prunedStats.TreesVisited, prunedStats.TreesAcceptable)
+		}
+		if c.branches >= 0 && prunedStats.BranchesPruned != c.branches {
+			t.Fatalf("%s: %d branches pruned, want %d", c.label, prunedStats.BranchesPruned, c.branches)
+		}
+	}
+
 	prunedTrees, fullTrees := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(7000 + seed))
@@ -108,6 +162,12 @@ func TestPrunedVisitsFewerTreesIdenticalSolutions(t *testing.T) {
 		if prunedStats.TreesVisited > fullStats.TreesVisited {
 			t.Fatalf("pruned search visited more trees: %d > %d", prunedStats.TreesVisited, fullStats.TreesVisited)
 		}
+		// Only an arrangement the upper bound skips hides acceptable trees.
+		if prunedStats.TreesAcceptable > fullStats.TreesAcceptable ||
+			prunedStats.ArrangementsPruned == 0 && prunedStats.TreesAcceptable != fullStats.TreesAcceptable {
+			t.Fatalf("%s seed %d: %d acceptable trees pruned, %d exhaustive",
+				gridLabel(p, q), seed, prunedStats.TreesAcceptable, fullStats.TreesAcceptable)
+		}
 		prunedTrees += prunedStats.TreesVisited
 		fullTrees += fullStats.TreesVisited
 	}
@@ -116,8 +176,9 @@ func TestPrunedVisitsFewerTreesIdenticalSolutions(t *testing.T) {
 	}
 }
 
-// TestSolveArrangementExactParallelMatchesSerial covers the partitioned
-// spanning-tree enumeration for a single fixed arrangement.
+// TestSolveArrangementExactParallelMatchesSerial: a single fixed
+// arrangement is one work item, so every worker count returns the
+// one-worker search's solution and counters.
 func TestSolveArrangementExactParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 10; trial++ {
@@ -139,9 +200,8 @@ func TestSolveArrangementExactParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			exactEqualSolutions(t, "3x4 fixed", par, serial)
-			if parStats.TreesVisited != serialStats.TreesVisited ||
-				parStats.TreesAcceptable != serialStats.TreesAcceptable {
-				t.Fatalf("workers %d: tree stats diverge: %+v vs %+v", w, *parStats, *serialStats)
+			if *parStats != *serialStats {
+				t.Fatalf("workers %d: stats diverge: %+v vs %+v", w, *parStats, *serialStats)
 			}
 		}
 	}
@@ -237,8 +297,8 @@ func TestParallelWithDuplicateTimes(t *testing.T) {
 		}
 	}
 
-	// A fixed 3×4 arrangement with repeated times: its 432 spanning trees
-	// are split into partition classes as soon as there are two workers.
+	// A fixed 3×4 arrangement with repeated times: ties among its 432
+	// spanning trees, searched as one work item whatever the worker count.
 	arr := grid.MustNew([][]float64{{1, 1, 2, 2}, {1, 2, 2, 3}, {2, 2, 3, 3}})
 	serial, serialStats, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 	if err != nil {
@@ -253,9 +313,8 @@ func TestParallelWithDuplicateTimes(t *testing.T) {
 			t.Fatal(err)
 		}
 		exactEqualSolutions(t, "dup-times 3x4 fixed", par, serial)
-		if parStats.TreesVisited != serialStats.TreesVisited ||
-			parStats.TreesAcceptable != serialStats.TreesAcceptable {
-			t.Fatalf("workers %d: tree stats diverge: %+v vs %+v", w, *parStats, *serialStats)
+		if *parStats != *serialStats {
+			t.Fatalf("workers %d: stats diverge: %+v vs %+v", w, *parStats, *serialStats)
 		}
 	}
 }

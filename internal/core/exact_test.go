@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"math/big"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hetgrid/internal/grid"
@@ -259,5 +262,110 @@ func TestExact3x3TreeCount(t *testing.T) {
 		if pruned.C[j] != full.C[j] {
 			t.Fatalf("C[%d] differs: %v vs %v", j, pruned.C[j], full.C[j])
 		}
+	}
+}
+
+// bruteForceSpanningTrees is an independent reference for the tree walk: it
+// tries every (p+q−1)-edge subset of K_{p,q} (edge e joins row e/q to
+// column e%q), keeps those that connect all p+q vertices, and returns them
+// as ascending edge lists in ascending lexicographic order.
+func bruteForceSpanningTrees(p, q int) [][]int {
+	n, m := p+q, p*q
+	var trees [][]int
+	for mask := 0; mask < 1<<m; mask++ {
+		if bits.OnesCount(uint(mask)) != n-1 {
+			continue
+		}
+		comp := make([]int, n)
+		for v := range comp {
+			comp[v] = v
+		}
+		var edges []int
+		for e := 0; e < m; e++ {
+			if mask&(1<<e) == 0 {
+				continue
+			}
+			edges = append(edges, e)
+			from, to := comp[p+e%q], comp[e/q]
+			for v := range comp {
+				if comp[v] == from {
+					comp[v] = to
+				}
+			}
+		}
+		if slices.Max(comp) == slices.Min(comp) {
+			trees = append(trees, edges)
+		}
+	}
+	slices.SortFunc(trees, slices.Compare[[]int])
+	return trees
+}
+
+// TestWalkEnumeratesSpanningTrees is the enumeration contract of the exact
+// search: on every grid up to 4×4 the unpruned walk reaches exactly the
+// spanning trees of K_{p,q} the brute force finds, each once, in strictly
+// ascending lexicographic edge order — the order the tie-break relies on —
+// and p^(q−1)·q^(p−1) of them (Scoins' formula), also when the searcher is
+// reused.
+func TestWalkEnumeratesSpanningTrees(t *testing.T) {
+	for p := 1; p <= 4; p++ {
+		for q := 1; q <= 4; q++ {
+			want := bruteForceSpanningTrees(p, q)
+			tm := make([][]float64, p)
+			for i := range tm {
+				tm[i] = make([]float64, q)
+				for j := range tm[i] {
+					tm[i][j] = float64(1 + i + j)
+				}
+			}
+			s := newTreeSearcher(p, q, ExactOptions{NoPrune: true})
+			var got [][]int
+			// Walk twice on one searcher, as a worker reuses its searcher
+			// across arrangements; the second walk must repeat the first.
+			for pass := 0; pass < 2; pass++ {
+				s.resetArrangement(grid.MustNew(tm), 0)
+				var trees [][]int
+				s.walk(0, func() { trees = append(trees, slices.Clone(s.chosen)) })
+				if pass > 0 && !slices.EqualFunc(trees, got, slices.Equal[[]int]) {
+					t.Fatalf("%s: a reused searcher walked %d trees, a fresh one %d", gridLabel(p, q), len(trees), len(got))
+				}
+				got = trees
+			}
+			for k := 1; k < len(got); k++ {
+				if slices.Compare(got[k-1], got[k]) >= 0 {
+					t.Fatalf("%s: tree %d %v does not follow %v", gridLabel(p, q), k, got[k], got[k-1])
+				}
+			}
+			if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+				t.Fatalf("%s: walk reached %d trees, brute force %d:\n%v\nvs\n%v", gridLabel(p, q), len(got), len(want), got, want)
+			}
+			scoins := int(math.Pow(float64(p), float64(q-1)) * math.Pow(float64(q), float64(p-1)))
+			if len(got) != scoins {
+				t.Fatalf("%s: %d spanning trees, want p^(q-1)·q^(p-1) = %d", gridLabel(p, q), len(got), scoins)
+			}
+		}
+	}
+}
+
+// TestSpanningTreesCountAndOverflow holds spanningTrees against exact
+// big-integer arithmetic: the count wherever it fits an int, an error
+// wherever it does not.
+func TestSpanningTreesCountAndOverflow(t *testing.T) {
+	maxInt := big.NewInt(math.MaxInt)
+	for p := 1; p <= 24; p++ {
+		for q := 1; q <= 24; q++ {
+			want := new(big.Int).Exp(big.NewInt(int64(p)), big.NewInt(int64(q-1)), nil)
+			want.Mul(want, new(big.Int).Exp(big.NewInt(int64(q)), big.NewInt(int64(p-1)), nil))
+			got, err := spanningTrees(p, q)
+			if fits := want.Cmp(maxInt) <= 0; fits != (err == nil) {
+				t.Fatalf("%d×%d: count %v, error %v", p, q, want, err)
+			}
+			if err == nil && int64(got) != want.Int64() {
+				t.Fatalf("%d×%d: %d spanning trees, want %v", p, q, got, want)
+			}
+		}
+	}
+	if n, err := spanningTrees(0, 3); n != 0 || err != nil {
+		t.Fatalf("empty side: %d, %v", n, err)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 )
 
 // solveCorpus produces a varied set of plans covering all three modes,
@@ -127,6 +129,28 @@ func TestRequestValidate(t *testing.T) {
 	for i, req := range good {
 		if err := req.Validate(); err != nil {
 			t.Errorf("good request %d rejected: %v", i, err)
+		}
+	}
+}
+
+// TestExactTooLargeGridErrors: K_{11,11}'s spanning-tree count overflows
+// int, so an exact solve on an 11×11 grid, fixed or free, must return an
+// error at once — before the heuristic seed or any arrangement runs —
+// instead of panicking or searching.
+func TestExactTooLargeGridErrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	times := make([]float64, 121)
+	for i := range times {
+		times[i] = 0.25 + 2*rng.Float64()
+	}
+	for _, fixed := range []bool{true, false} {
+		start := time.Now()
+		res, err := Solve(Request{Times: times, P: 11, Q: 11, Fixed: fixed, Strategy: StrategyExact})
+		if err == nil || !strings.Contains(err.Error(), "overflows int") {
+			t.Fatalf("fixed=%v: result %v, error %v; want the tree-count overflow", fixed, res, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("fixed=%v: the error took %v", fixed, d)
 		}
 	}
 }
