@@ -74,7 +74,8 @@ func factorPacked(t *testing.T, k Kernel, d Distribution, a *Matrix) *Matrix {
 // TestOptionsEquivalence: one option slice is valid at every variadic
 // entry point — options that do not apply to a call are ignored — and
 // scheduling options (broadcast algorithm, parallelism, solver workers)
-// never change a result: bit-identical products, factors and plans.
+// never change a result: bit-identical products, factors and plans. A
+// broadcast kind outside the enum is an error.
 func TestOptionsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	d, err := Uniform(2, 2, 6, 6)
@@ -110,6 +111,9 @@ func TestOptionsEquivalence(t *testing.T) {
 	}
 	if !tunedLU.Packed().Equal(factorPacked(t, LU, d, lu)) {
 		t.Fatal("scheduling options changed the LU factors")
+	}
+	if _, _, err := DistributedFactor(LU, d, lu, r, WithBroadcast(BroadcastKind(99))); err == nil {
+		t.Fatal("invalid broadcast kind accepted")
 	}
 
 	times := []float64{1, 2, 3, 5}

@@ -9,116 +9,12 @@ import (
 	"time"
 
 	"hetgrid/internal/distribution"
+	"hetgrid/internal/leakcheck"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/obs"
 )
 
 var allBroadcastKinds = []BroadcastKind{FlatBroadcast, RingBroadcast, PipelinedRingBroadcast, TreeBroadcast}
-
-// TestRecoveredLUBitIdentical is the tentpole acceptance check: a seeded
-// fault schedule crashes one rank mid-LU, recovery replans the survivors
-// and resumes from the last checkpoint, and the result is bit-identical to
-// the fault-free serial replay.
-func TestRecoveredLUBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(501))
-	d, err := Uniform(2, 2, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 3
-	a := matrix.RandomWellConditioned(24, rng)
-	serial := factorPacked(t, LU, d, a)
-	for _, bk := range allBroadcastKinds {
-		t.Run(bk.String(), func(t *testing.T) {
-			f, stats, err := DistributedFactor(LU, d, a, r,
-				WithBroadcast(bk),
-				WithFaults(FaultOptions{
-					Crashes: []CrashPoint{{Rank: 1, Step: 4}},
-					Recover: true,
-				}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !f.Packed().Equal(serial) {
-				t.Fatal("recovered LU differs from the fault-free serial replay")
-			}
-			fs := stats.Faults
-			if fs == nil || fs.Recoveries != 1 || fs.Crashes != 1 || fs.Attempts != 2 {
-				t.Fatalf("unexpected fault stats: %+v", fs)
-			}
-			if fs.Checkpoints == 0 || fs.ResumedSteps == 0 {
-				t.Fatalf("recovery did not resume from a checkpoint: %+v", fs)
-			}
-		})
-	}
-}
-
-// TestRecoveredKernelsBitIdentical runs the recovery path through every
-// kernel, including a mid-run crash, and checks bit-identity against the
-// fault-free execution.
-func TestRecoveredKernelsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(502))
-	d, err := Uniform(2, 2, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nb, r = 6, 3
-	faults := func(step int) Option {
-		return WithFaults(FaultOptions{
-			Crashes: []CrashPoint{{Rank: 2, Step: step}},
-			Recover: true,
-		})
-	}
-
-	t.Run("matmul", func(t *testing.T) {
-		a, b := matrix.Random(nb*r, nb*r, rng), matrix.Random(nb*r, nb*r, rng)
-		clean, _, err := DistributedMultiply(d, a, b, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := DistributedMultiply(d, a, b, r, faults(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(clean) {
-			t.Fatal("recovered product differs from the fault-free run")
-		}
-		if stats.Faults.Recoveries != 1 {
-			t.Fatalf("expected one recovery: %+v", stats.Faults)
-		}
-	})
-	t.Run("cholesky", func(t *testing.T) {
-		spd := matrix.RandomSPD(nb*r, rng)
-		clean, _, err := DistributedFactor(Cholesky, d, spd, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := DistributedFactor(Cholesky, d, spd, r, faults(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Packed().Equal(clean.Packed()) {
-			t.Fatal("recovered Cholesky differs from the fault-free run")
-		}
-	})
-	t.Run("qr", func(t *testing.T) {
-		a := matrix.Random(nb*r, nb*r, rng)
-		clean, _, err := DistributedFactor(QR, d, a, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := DistributedFactor(QR, d, a, r, faults(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.R().Equal(clean.R()) {
-			t.Fatal("recovered R differs from the fault-free run")
-		}
-		if !got.Q(r).Equal(clean.Q(r)) {
-			t.Fatal("recovered Q differs from the fault-free run")
-		}
-	})
-}
 
 // TestDeadRankAbortsCleanly is the no-recovery acceptance check: with a
 // silently dead rank, every broadcast kind aborts with a clean
@@ -149,74 +45,8 @@ func TestDeadRankAbortsCleanly(t *testing.T) {
 			}
 		})
 	}
-	// All rank goroutines must have exited; allow the runtime a moment to
-	// reap them.
-	for i := 0; ; i++ {
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		if i > 100 {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestCrashWithoutRecoverSurfacesError: a fail-stop crash without Recover
-// is an error, not a hang, and RemainingCrashes-style state never leaks
-// into a fresh call.
-func TestCrashWithoutRecoverSurfacesError(t *testing.T) {
-	rng := rand.New(rand.NewSource(504))
-	d, err := Uniform(2, 2, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := matrix.RandomWellConditioned(12, rng)
-	_, _, err = DistributedFactor(LU, d, a, 2,
-		WithFaults(FaultOptions{Crashes: []CrashPoint{{Rank: 0, Step: 1}}}))
-	var rf *RankFailure
-	if !errors.As(err, &rf) {
-		t.Fatalf("want *RankFailure, got %v", err)
-	}
-	if rf.Rank != 0 || rf.Step != 1 {
-		t.Fatalf("wrong failure: %+v", rf)
-	}
-	// The same call without faults still works.
-	if _, _, err := DistributedFactor(LU, d, a, 2); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCheckpointEvery: coarser checkpoints mean fewer commits and an
-// earlier resume point, but identical results.
-func TestCheckpointEvery(t *testing.T) {
-	rng := rand.New(rand.NewSource(507))
-	d, err := Uniform(2, 2, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 2
-	a := matrix.RandomWellConditioned(16, rng)
-	clean, _, err := DistributedFactor(LU, d, a, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := DistributedFactor(LU, d, a, r, WithFaults(FaultOptions{
-		Crashes:         []CrashPoint{{Rank: 1, Step: 5}},
-		Recover:         true,
-		CheckpointEvery: 3,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Packed().Equal(clean.Packed()) {
-		t.Fatal("recovered LU (sparse checkpoints) differs from the clean run")
-	}
-	fs := stats.Faults
-	// Crash at step 5 with checkpoints at 3 and 6: the resume point is 3.
-	if fs.ResumedSteps != 3 {
-		t.Fatalf("resumed %d steps, want 3: %+v", fs.ResumedSteps, fs)
-	}
+	// All rank goroutines must have exited.
+	leakcheck.Settle(t, before)
 }
 
 // TestCrashOnCheckpointStep: a rank dies entering a checkpoint step, so it

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"hetgrid/internal/grid"
+	"hetgrid/internal/leakcheck"
 )
 
 // exactEqualSolutions fails the test unless a and b are bit-identical in
@@ -333,13 +333,7 @@ func TestSearchProducerErrorJoinsWorkers(t *testing.T) {
 	if err == nil || err.Error() != want.Error() {
 		t.Fatalf("error %v, want the grid's %v", err, want)
 	}
-	deadline := time.Now().Add(time.Second)
-	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > start {
-		t.Fatalf("%d goroutines after the failed search, %d before", n, start)
-	}
+	leakcheck.Settle(t, start)
 }
 
 // TestAtomicFloat64Raise covers the CAS max used for the shared incumbent.

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"hetgrid/internal/grid"
+	"hetgrid/internal/matrix"
+	"hetgrid/internal/svd"
 )
 
 // paperTimes are the cycle-times of the §4.4 worked example.
@@ -216,6 +219,35 @@ func TestRankOneStepPerfectOnRank1Arrangement(t *testing.T) {
 	}
 	if math.Abs(sol.MeanWorkload()-1) > 1e-9 {
 		t.Fatalf("rank-1 arrangement mean workload %v, want 1", sol.MeanWorkload())
+	}
+}
+
+// TestRankOneStepNonConvergenceFallback drives the step's fallback: on
+// T = [[1, H/2], [H, 1/0.999]] the two singular values of T^inv are nearly
+// equal, so the power iteration runs out of budget and the Jacobi SVD
+// supplies the triple. The objectives are the ones that fallback gives.
+func TestRankOneStepNonConvergenceFallback(t *testing.T) {
+	for _, c := range []struct{ h, want float64 }{
+		{1e4, 0.0010108108441007498},
+		{1e6, 0.00066978235214152032},
+	} {
+		arr := grid.MustNew([][]float64{{1, c.h / 2}, {c.h, 1 / 0.999}})
+		tinv := matrix.New(2, 2)
+		for i := range 2 {
+			for j := range 2 {
+				tinv.Set(i, j, 1/arr.T[i][j])
+			}
+		}
+		if _, _, _, err := svd.DominantTriple(tinv, 1e-14, 2000); !errors.Is(err, svd.ErrNoConvergence) {
+			t.Fatalf("H=%g: power iteration err = %v, want ErrNoConvergence", c.h, err)
+		}
+		sol, err := RankOneStep(arr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sol.Objective(); math.Abs(got-c.want) > 1e-9*c.want {
+			t.Fatalf("H=%g: objective %.17g, want %.17g", c.h, got, c.want)
+		}
 	}
 }
 

@@ -9,9 +9,22 @@ import (
 	"time"
 
 	"hetgrid/internal/distribution"
+	"hetgrid/internal/leakcheck"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/sim"
 )
+
+// allBroadcastKinds enumerates every collective algorithm the engine
+// supports — the same set the simulator models.
+var allBroadcastKinds = []struct {
+	name string
+	kind sim.BroadcastKind
+}{
+	{"flat", sim.StarBroadcast},
+	{"ring", sim.RingBroadcast},
+	{"segring", sim.SegmentedRingBroadcast},
+	{"tree", sim.TreeBroadcast},
+}
 
 func TestBcastDeliversEveryKind(t *testing.T) {
 	d, err := distribution.UniformBlockCyclic(2, 3, 6, 6)
@@ -76,29 +89,6 @@ func TestBcastRootInReceiversNotDoubleSent(t *testing.T) {
 	}
 }
 
-// checkNoGoroutineLeak asserts the goroutine count settles back to the
-// baseline taken before an aborted run: the Transport v2 Close contract —
-// every rank goroutine unblocks and exits, no Recv waiter survives the
-// teardown. Aborted peers need a moment to observe the closure, so the
-// check polls before failing.
-func checkNoGoroutineLeak(t *testing.T, label string, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	var n int
-	for {
-		n = runtime.NumGoroutine()
-		if n <= baseline || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n > baseline {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("%s: %d goroutines after abort, baseline %d\n%s",
-			label, n, baseline, buf[:runtime.Stack(buf, true)])
-	}
-}
-
 // TestAbortUnblocksCollectives is the abort-path contract: a rank that
 // errors out mid-collective must unblock every peer for every broadcast
 // kind — the blocked receivers are released by the transport closure, and
@@ -140,7 +130,7 @@ func TestAbortUnblocksCollectives(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: abort did not unblock the collective", bk.name)
 		}
-		checkNoGoroutineLeak(t, bk.name, baseline)
+		leakcheck.Settle(t, baseline)
 	}
 }
 
@@ -178,6 +168,6 @@ func TestAbortUnblocksKernels(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: abort did not unblock the kernel", bk.name)
 		}
-		checkNoGoroutineLeak(t, bk.name, baseline)
+		leakcheck.Settle(t, baseline)
 	}
 }

@@ -9,13 +9,11 @@ import (
 	"hetgrid/internal/matrix"
 )
 
-// crosscheckGrids returns named distribution sets on 2×2 and 2×3 process
-// grids: the analytic communication volumes must hold on non-square grids
-// too.
-func crosscheckGrids(t *testing.T, nb int) map[string][]distribution.Distribution {
+// crosscheckDistributions returns the uniform and the KL distribution on a
+// 2×3 process grid: the analytic communication volumes must hold on
+// non-square grids too. TestConformance checks them on the 2×2 grid.
+func crosscheckDistributions(t *testing.T, nb int) []distribution.Distribution {
 	t.Helper()
-	out := map[string][]distribution.Distribution{}
-	out["2x2"] = engineDistributions(t, nb)
 	uni, err := distribution.UniformBlockCyclic(2, 3, nb, nb)
 	if err != nil {
 		t.Fatal(err)
@@ -25,8 +23,7 @@ func crosscheckGrids(t *testing.T, nb int) map[string][]distribution.Distributio
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["2x3"] = []distribution.Distribution{uni, kl}
-	return out
+	return []distribution.Distribution{uni, kl}
 }
 
 // ranksOf returns the world size of a distribution's process grid.
@@ -102,8 +99,7 @@ func kernelTraffic(t *testing.T, name string, d distribution.Distribution, r int
 // testCountersMatchAnalytics is the three-layer parity under the flat
 // broadcast: the real execution's kernel message and byte counts equal the
 // closed-form communication volume — a fold over the same step schedule
-// the engine delivers — for every kernel, on square and rectangular
-// process grids.
+// the engine delivers — for every kernel, on a rectangular process grid.
 func testCountersMatchAnalytics(t *testing.T, seed int64, input func(n int, rng *rand.Rand) []*matrix.Dense,
 	kern func(c *Comm, d distribution.Distribution, stores []*BlockStore) error,
 	volume func(d distribution.Distribution, blockBytes float64) (*distribution.CommVolume, error)) {
@@ -111,22 +107,20 @@ func testCountersMatchAnalytics(t *testing.T, seed int64, input func(n int, rng 
 	rng := rand.New(rand.NewSource(seed))
 	const nb, r = 6, 2
 	inputs := input(nb*r, rng)
-	for gname, ds := range crosscheckGrids(t, nb) {
-		for _, d := range ds {
-			name := gname + "/" + d.Name()
-			msgs, bytes := kernelTraffic(t, name, d, r, inputs, func(c *Comm, stores []*BlockStore) error {
-				return kern(c, d, stores)
-			})
-			vol, err := volume(d, 8*float64(r*r))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if msgs != vol.Messages {
-				t.Fatalf("%s: engine sent %d kernel messages, analytics says %d", name, msgs, vol.Messages)
-			}
-			if float64(bytes) != vol.Bytes {
-				t.Fatalf("%s: engine moved %d kernel bytes, analytics says %v", name, bytes, vol.Bytes)
-			}
+	for _, d := range crosscheckDistributions(t, nb) {
+		name := d.Name()
+		msgs, bytes := kernelTraffic(t, name, d, r, inputs, func(c *Comm, stores []*BlockStore) error {
+			return kern(c, d, stores)
+		})
+		vol, err := volume(d, 8*float64(r*r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msgs != vol.Messages {
+			t.Fatalf("%s: engine sent %d kernel messages, analytics says %d", name, msgs, vol.Messages)
+		}
+		if float64(bytes) != vol.Bytes {
+			t.Fatalf("%s: engine moved %d kernel bytes, analytics says %v", name, bytes, vol.Bytes)
 		}
 	}
 }
@@ -164,36 +158,4 @@ func TestCholeskyCountersMatchAnalytics(t *testing.T) {
 		},
 		func(c *Comm, d distribution.Distribution, s []*BlockStore) error { return Cholesky(c, d, s[0]) },
 		distribution.CholeskyCommVolume)
-}
-
-func TestBytesConservedAcrossBroadcastKinds(t *testing.T) {
-	// Ring and tree broadcasts reshape who forwards to whom but deliver the
-	// same panels: total byte volume is invariant across point-to-point
-	// schedules (the segmented ring splits the same bytes into more
-	// envelopes, so only its message count differs).
-	rng := rand.New(rand.NewSource(313))
-	const nb, r = 6, 2
-	a := matrix.RandomWellConditioned(nb*r, rng)
-	d := engineDistributions(t, nb)[2] // KL
-	run := func(kind Options) *World {
-		w, err := RunOpts(4, kind, func(c *Comm) error {
-			store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-			if err != nil {
-				return err
-			}
-			return LU(c, d, store)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	flat := run(Options{})
-	for _, bk := range allBroadcastKinds {
-		w := run(Options{Broadcast: bk.kind})
-		checkRankSums(t, bk.name, w)
-		if w.Bytes() != flat.Bytes() {
-			t.Fatalf("%s: byte volume %d differs from flat %d", bk.name, w.Bytes(), flat.Bytes())
-		}
-	}
 }

@@ -9,20 +9,8 @@ import (
 	"time"
 
 	"hetgrid/internal/distribution"
-	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
-	"hetgrid/internal/sim"
 )
-
-var faultBroadcastKinds = []struct {
-	name string
-	kind sim.BroadcastKind
-}{
-	{"flat", sim.StarBroadcast},
-	{"ring", sim.RingBroadcast},
-	{"segring", sim.SegmentedRingBroadcast},
-	{"tree", sim.TreeBroadcast},
-}
 
 func faultTestDist(t *testing.T, nb int) distribution.Distribution {
 	t.Helper()
@@ -61,34 +49,12 @@ func runLU(t *testing.T, d distribution.Distribution, a *matrix.Dense, r int, op
 	return out, w, err
 }
 
-func TestScheduledCrashAbortsCleanly(t *testing.T) {
-	// A fail-stop crash mid-LU must surface as *RankFailure naming the
-	// scheduled victim and step — under every broadcast kind.
-	d := faultTestDist(t, 6)
-	a := matrix.RandomWellConditioned(12, rand.New(rand.NewSource(1)))
-	for _, bc := range faultBroadcastKinds {
-		t.Run(bc.name, func(t *testing.T) {
-			_, _, err := runLU(t, d, a, 2, Options{
-				Broadcast: bc.kind,
-				Faults:    &FaultConfig{Crashes: []CrashPoint{{Rank: 2, Step: 3}}},
-			})
-			var rf *RankFailure
-			if !errors.As(err, &rf) {
-				t.Fatalf("want *RankFailure, got %v", err)
-			}
-			if rf.Rank != 2 || rf.Step != 3 || rf.Detected {
-				t.Fatalf("wrong failure report: %+v", rf)
-			}
-		})
-	}
-}
-
 func TestSilentCrashDetectedByTimeout(t *testing.T) {
 	// A silent crash tells nobody; the Recv deadline must declare the rank
 	// dead and abort instead of hanging — under every broadcast kind.
 	d := faultTestDist(t, 6)
 	a := matrix.RandomWellConditioned(12, rand.New(rand.NewSource(2)))
-	for _, bc := range faultBroadcastKinds {
+	for _, bc := range allBroadcastKinds {
 		t.Run(bc.name, func(t *testing.T) {
 			_, w, err := runLU(t, d, a, 2, Options{
 				Broadcast:   bc.kind,
@@ -127,39 +93,24 @@ func TestRemainingCrashes(t *testing.T) {
 	}
 }
 
-// gatherAs collects s at rank 0 under tag (nil elsewhere).
-func gatherAs(c *Comm, d distribution.Distribution, s *BlockStore, tag string) (*matrix.Dense, error) {
-	var m *matrix.Dense
-	if c.Rank() == 0 {
-		nbr, nbc := d.Blocks()
-		m = matrix.New(nbr*s.R, nbc*s.R)
-	}
-	return m, GatherInto(c, d, s, tag, m, nil)
-}
-
-// TestResumeKernelsBitIdentical is the property the recovery driver builds
-// on, for every kernel: a store restored from a checkpoint of the first k
-// steps, with its Step set to k (and, for QR, the taus of those steps at
-// rank 0), finishes bit-identical to the run that never stopped. Every
-// kernel leaves the store at Step NB, and running it again on such a store
-// changes no block. Under every broadcast kind: the checkpoint's step is
-// entered drained however the panels travel.
+// TestResumeKernelsBitIdentical covers the one resume the recovery driver
+// never makes: every kernel leaves its store at Step NB, and running it
+// again on such a store changes no block and no tau. A resume from step
+// k < NB, on the survivors' replanned grid, is TestConformance's crash
+// cells.
 func TestResumeKernelsBitIdentical(t *testing.T) {
 	const nb, r = 6, 3
 	rng := rand.New(rand.NewSource(6))
 	a := matrix.RandomWellConditioned(nb*r, rng)
 	b := matrix.Random(nb*r, nb*r, rng)
 	spd := matrix.RandomSPD(nb*r, rng)
-	qr := func(c *Comm, d distribution.Distribution, s *BlockStore) error {
-		_, err := QR(c, d, s)
-		return err
-	}
+	d := engineDistributions(t, nb)[1] // het-panel
 	for _, kern := range []struct {
 		name string
 		work *matrix.Dense // the working matrix before step 0
-		run  func(c *Comm, d distribution.Distribution, s *BlockStore) error
+		run  func(c *Comm, s *BlockStore) error
 	}{
-		{"mm", matrix.New(nb*r, nb*r), func(c *Comm, d distribution.Distribution, s *BlockStore) error {
+		{"mm", matrix.New(nb*r, nb*r), func(c *Comm, s *BlockStore) error {
 			as, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
 			if err != nil {
 				return err
@@ -170,111 +121,45 @@ func TestResumeKernelsBitIdentical(t *testing.T) {
 			}
 			return MMInto(c, d, as, bs, s)
 		}},
-		{"lu", a, LU},
-		{"cholesky", spd, Cholesky},
-		{"qr", a, qr},
+		{"lu", a, func(c *Comm, s *BlockStore) error { return LU(c, d, s) }},
+		{"cholesky", spd, func(c *Comm, s *BlockStore) error { return Cholesky(c, d, s) }},
+		{"qr", a, func(c *Comm, s *BlockStore) error {
+			_, err := QR(c, d, s)
+			return err
+		}},
 	} {
-		for _, d := range engineDistributions(t, nb)[:2] { // uniform, het-panel
-			var replayTaus [][]float64
-			if kern.name == "qr" {
-				rep, err := kernels.ReplayQRNumerics(d, a, matrix.Strict)
-				if err != nil {
-					t.Fatal(err)
-				}
-				replayTaus = rep.Taus
+		var done, again *matrix.Dense
+		var taus, tausAgain [][]float64
+		_, err := Run(4, func(c *Comm) error {
+			s, err := Scatter(c, d, pick(c.Rank() == 0, kern.work), r)
+			if err != nil {
+				return err
 			}
-			for _, bk := range allBroadcastKinds {
-				opts := Options{Broadcast: bk.kind}
-				for _, k := range []int{1, nb / 2, nb - 1} {
-					name := fmt.Sprintf("%s/%s/%s/k=%d", kern.name, d.Name(), bk.name, k)
-
-					// The run that never stops, checkpointing as it enters step k.
-					var clean, ckpt *matrix.Dense
-					var ckptTaus [][]float64
-					_, err := RunOpts(4, opts, func(c *Comm) error {
-						s, err := Scatter(c, d, pick(c.Rank() == 0, kern.work), r)
-						if err != nil {
-							return err
-						}
-						c.SetStepHook(func(step int) bool { return step == k }, func(int) error {
-							g, err := gatherAs(c, d, s, "ckpt")
-							if c.Rank() == 0 {
-								ckpt = g
-								if s.Taus != nil {
-									ckptTaus = slices.Clone(s.Taus[:k])
-								}
-							}
-							return err
-						})
-						if err := kern.run(c, d, s); err != nil {
-							return err
-						}
-						g, err := gatherAs(c, d, s, "clean")
-						if c.Rank() == 0 {
-							clean = g
-						}
-						return err
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-
-					// The resumed run, then the same kernel once more on its
-					// finished store.
-					var resumed, again *matrix.Dense
-					var taus, tausAgain [][]float64
-					_, err = RunOpts(4, opts, func(c *Comm) error {
-						s, err := Scatter(c, d, pick(c.Rank() == 0, ckpt), r)
-						if err != nil {
-							return err
-						}
-						s.Step = k
-						if c.Rank() == 0 {
-							s.Taus = slices.Clone(ckptTaus)
-						}
-						if err := kern.run(c, d, s); err != nil {
-							return err
-						}
-						if s.Step != nb {
-							return fmt.Errorf("rank %d: Step %d after the kernel, want %d", c.Rank(), s.Step, nb)
-						}
-						g, err := gatherAs(c, d, s, "resumed")
-						if err != nil {
-							return err
-						}
-						ts := slices.Clone(s.Taus)
-						if err := kern.run(c, d, s); err != nil {
-							return err
-						}
-						g2, err := gatherAs(c, d, s, "again")
-						if c.Rank() == 0 {
-							resumed, again, taus, tausAgain = g, g2, ts, s.Taus
-						}
-						return err
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !resumed.Equal(clean) {
-						t.Fatalf("%s: resumed result differs from the uninterrupted run", name)
-					}
-					if !again.Equal(resumed) {
-						t.Fatalf("%s: a second run on a finished store changed blocks", name)
-					}
-					if kern.name == "cholesky" {
-						for i := 0; i < nb*r; i++ {
-							for j := i + 1; j < nb*r; j++ {
-								if resumed.At(i, j) != 0 {
-									t.Fatalf("%s: upper entry (%d,%d) = %v after resume", name, i, j, resumed.At(i, j))
-								}
-							}
-						}
-					}
-					if kern.name == "qr" && (!slices.EqualFunc(taus, replayTaus, slices.Equal[[]float64]) || !slices.EqualFunc(tausAgain, replayTaus, slices.Equal[[]float64])) {
-						t.Fatalf("%s: resumed taus %v, replay %v", name, taus, replayTaus)
-					}
-				}
+			if err := kern.run(c, s); err != nil {
+				return err
 			}
+			if s.Step != nb {
+				return fmt.Errorf("rank %d: Step %d after the kernel, want %d", c.Rank(), s.Step, nb)
+			}
+			g, err := Gather(c, d, s)
+			if err != nil {
+				return err
+			}
+			ts := slices.Clone(s.Taus)
+			if err := kern.run(c, s); err != nil {
+				return err
+			}
+			g2, err := Gather(c, d, s)
+			if c.Rank() == 0 {
+				done, again, taus, tausAgain = g, g2, ts, s.Taus
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", kern.name, err)
+		}
+		if !again.Equal(done) || !slices.EqualFunc(tausAgain, taus, slices.Equal[[]float64]) {
+			t.Fatalf("%s: a second run on a finished store changed it", kern.name)
 		}
 	}
 }

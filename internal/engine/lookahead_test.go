@@ -168,3 +168,13 @@ func depth0(t *testing.T, kernel string, work, a, b *matrix.Dense, r, k int) *ma
 	}
 	return w
 }
+
+// gatherAs collects s at rank 0 under tag (nil elsewhere).
+func gatherAs(c *Comm, d distribution.Distribution, s *BlockStore, tag string) (*matrix.Dense, error) {
+	var m *matrix.Dense
+	if c.Rank() == 0 {
+		nbr, nbc := d.Blocks()
+		m = matrix.New(nbr*s.R, nbc*s.R)
+	}
+	return m, GatherInto(c, d, s, tag, m, nil)
+}

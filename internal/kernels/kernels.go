@@ -53,9 +53,6 @@ type Options struct {
 	// active block row — making the result a pessimistic bound; the paper's
 	// ScaLAPACK baseline pivots, the cost model here shows what that adds.
 	Pivoting bool
-	// PivotMsgBytes is the size of one pivot-search message (a value and
-	// an index; default 16 bytes).
-	PivotMsgBytes float64
 }
 
 func (o *Options) withDefaults() Options {

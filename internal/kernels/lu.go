@@ -5,6 +5,10 @@ import (
 	"hetgrid/internal/grid"
 )
 
+// pivotMsgBytes is the size of one pivot-search message under
+// Options.Pivoting: a value and an index.
+const pivotMsgBytes = 16
+
 // SimulateLU runs the right-looking blocked LU decomposition of §3.2 on an
 // nb×nb block matrix. At step k:
 //
@@ -42,10 +46,6 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 	// dependencies are tracked explicitly below.
 	updDone := make([]float64, nodes)
 
-	pivotBytes := o.PivotMsgBytes
-	if pivotBytes <= 0 {
-		pivotBytes = 16
-	}
 	pivArr, diagArr := make([]float64, nodes), make([]float64, nodes)
 	lDone, uDone := make([]float64, nodes), make([]float64, nodes)
 	lArr, uArr := g.panel(), g.panel()
@@ -64,12 +64,12 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 			searchers := diagDown.Recv
 			at := updDone[diagOwner]
 			for _, n := range searchers {
-				arrive := g.c.Send(n, diagOwner, pivotBytes, updDone[n])
+				arrive := g.c.Send(n, diagOwner, pivotMsgBytes, updDone[n])
 				at = maxf(at, arrive)
 			}
 			// …and broadcast the pivot index back (the diagonal owner and
 			// non-searchers read at).
-			g.c.Broadcast(o.Broadcast, diagOwner, searchers, pivotBytes, at, pivArr)
+			g.c.Broadcast(o.Broadcast, diagOwner, searchers, pivotMsgBytes, at, pivArr)
 			// Swap the diagonal block row with the worst-case pivot block
 			// row (the last active one) across all trailing columns.
 			if pr := nb - 1; pr > k {

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"hetgrid/internal/leakcheck"
 )
 
 // TestParallelDo checks the chunked fan-out: every index runs exactly once
@@ -132,9 +134,7 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 		parallelDo(2+i%6, len(u.c), fn)
 	}
 	// A small slack absorbs unrelated runtime goroutines (GC workers etc.).
-	if got := runtime.NumGoroutine(); got > base+2 {
-		t.Fatalf("goroutines grew from %d to %d over 300 parallel calls", base, got)
-	}
+	leakcheck.Settle(t, base+2)
 }
 
 // TestPoolConcurrentHammer drives the pool from many concurrent steps at

@@ -66,6 +66,9 @@ var kept = map[string]map[string]string{
 		"LUOpCounts":       "the simulator's LU charging rule, compared with the replay's and engine's attributed operations",
 		"CholeskyOpCounts": "the simulator's Cholesky charging rule, compared with the replay's and engine's attributed operations",
 	},
+	"internal/leakcheck": {
+		"Settle": "the tests' one goroutine-leak check; only tests call it, in four packages and the facade's conformance matrix",
+	},
 	"internal/obs": {
 		"WriteTo": "io.WriterTo's method; the package's own /metrics handler renders through it",
 	},

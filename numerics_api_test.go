@@ -104,27 +104,6 @@ func TestWithNumericsFastErrorBound(t *testing.T) {
 	}
 }
 
-func TestDistributedFactorFastMatchesSerialFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(613))
-	d, err := Uniform(2, 2, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 4
-	a := matrix.RandomWellConditioned(24, rng)
-	serial, err := Factor(LU, d, a, WithNumerics(Fast))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, _, err := DistributedFactor(LU, d, a, r, WithNumerics(Fast))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dist.Packed().Equal(serial.Packed()) {
-		t.Fatal("distributed Fast LU not bit-identical to the serial Fast replay")
-	}
-}
-
 func TestNumericsMetricsPublished(t *testing.T) {
 	rng := rand.New(rand.NewSource(614))
 	d, err := Uniform(2, 2, 4, 4)
