@@ -34,6 +34,22 @@ func BenchmarkRankOneStep(b *testing.B) {
 	}
 }
 
+// BenchmarkDominantTriple times the power iteration of one rank-one step
+// on a positive n×n matrix.
+func BenchmarkDominantTriple(b *testing.B) {
+	for _, n := range []int{4, 8, 16} {
+		b.Run(gridLabel(n, n), func(b *testing.B) {
+			a := randomTimes(n*n, int64(n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := dominantTriple(a, n, n, 1e-13, 2000); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSolveHeuristic(b *testing.B) {
 	for _, n := range []int{3, 6, 12} {
 		b.Run(gridLabel(n, n), func(b *testing.B) {

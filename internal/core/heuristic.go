@@ -1,13 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"hetgrid/internal/grid"
-	"hetgrid/internal/matrix"
-	"hetgrid/internal/svd"
 )
 
 // DefaultMaxIterations bounds the iterative refinement of the heuristic.
@@ -116,12 +115,13 @@ func SolveHeuristic(times []float64, p, q int, opts HeuristicOptions) (*Heuristi
 }
 
 // heurScratch holds the buffers SolveHeuristic reuses across refinement
-// iterations: the T^inv matrix handed to the SVD, the position slice the
-// re-sorting step orders, the sorted cycle-time buffer, and the byte buffer
-// for canonical arrangement keys. One SVD per step still dominates the
-// cost; the scratch removes the per-iteration allocations around it.
+// iterations: the row-major p·q T^inv matrix handed to dominantTriple, the
+// position slice the re-sorting step orders, the sorted cycle-time buffer,
+// and the byte buffer for canonical arrangement keys. One dominant triple
+// per step still dominates the cost; the scratch removes the per-iteration
+// allocations around it.
 type heurScratch struct {
-	tinv      *matrix.Dense
+	tinv      []float64
 	positions []heurPos
 	times     []float64
 	key       []byte
@@ -134,7 +134,7 @@ type heurPos struct {
 
 func newHeurScratch(p, q int) *heurScratch {
 	return &heurScratch{
-		tinv:      matrix.New(p, q),
+		tinv:      make([]float64, p*q),
 		positions: make([]heurPos, 0, p*q),
 		times:     make([]float64, 0, p*q),
 		key:       make([]byte, 0, 8*p*q),
@@ -174,19 +174,15 @@ func rankOneStep(arr *grid.Arrangement, sc *heurScratch) (*Solution, error) {
 	tinv := sc.tinv
 	for i := 0; i < p; i++ {
 		for j := 0; j < q; j++ {
-			tinv.Set(i, j, 1/arr.T[i][j])
+			tinv[i*q+j] = 1 / arr.T[i][j]
 		}
 	}
 	// T^inv is entrywise positive, so its dominant singular value is simple
-	// and the power iteration converges; fall back to the Jacobi SVD if the
-	// iteration budget runs out (nearly multiple dominant values).
-	s, a, b, err := svd.DominantTriple(tinv, 1e-14, 2000)
+	// and the power iteration converges; if the iteration budget runs out
+	// (nearly equal leading values), squaring the Gram matrix separates them.
+	s, a, b, err := dominantTriple(tinv, p, q, 1e-14, 2000)
 	if err != nil {
-		dec, derr := svd.Decompose(tinv)
-		if derr != nil {
-			return nil, fmt.Errorf("core: SVD of inverse cycle-times failed: %w", derr)
-		}
-		s, a, b = dec.Rank1()
+		s, a, b = gramSquaringTriple(tinv, p, q)
 	}
 	r := make([]float64, p)
 	c := make([]float64, q)
@@ -226,6 +222,166 @@ func rankOneStep(arr *grid.Arrangement, sc *heurScratch) (*Solution, error) {
 		r[i] /= max
 	}
 	return &Solution{Arr: arr, R: r, C: c}, nil
+}
+
+// errNoConvergence is returned by dominantTriple when its iteration budget
+// runs out before the tolerance is met.
+var errNoConvergence = errors.New("core: power iteration did not converge")
+
+// dominantTriple computes the largest singular value s of the row-major
+// m×n matrix a and its singular vectors u, v by power iteration on AᵀA.
+// By Eckart–Young s·u·vᵀ is the best rank-1 approximation of a in the l2
+// sense. tol is the relative change in s at which iteration stops;
+// maxIter bounds the work. The vectors are sign-normalized (the entry of u
+// with the largest magnitude is positive). Returns errNoConvergence if the
+// budget is exhausted first (the best estimate so far is still returned).
+func dominantTriple(a []float64, m, n int, tol float64, maxIter int) (s float64, u, v []float64, err error) {
+	if m == 0 || n == 0 {
+		return 0, nil, nil, nil
+	}
+	if tol <= 0 {
+		tol = 1e-12
+	}
+	if maxIter <= 0 {
+		maxIter = 500
+	}
+	// Deterministic start: the all-ones vector has a nonzero component along
+	// the dominant right singular vector for the positive matrices (inverse
+	// cycle-times) this is used on.
+	v = make([]float64, n)
+	for j := range v {
+		v[j] = 1 / math.Sqrt(float64(n))
+	}
+	u = make([]float64, m)
+	prev := 0.0
+	for iter := 0; iter < maxIter; iter++ {
+		// u = A v, s = ||u||.
+		for i := 0; i < m; i++ {
+			sum := 0.0
+			for j := 0; j < n; j++ {
+				sum += a[i*n+j] * v[j]
+			}
+			u[i] = sum
+		}
+		s = norm2(u)
+		if s == 0 {
+			return 0, u, v, nil
+		}
+		scale(u, 1/s)
+		// v = Aᵀ u, s = ||v||.
+		for j := 0; j < n; j++ {
+			sum := 0.0
+			for i := 0; i < m; i++ {
+				sum += a[i*n+j] * u[i]
+			}
+			v[j] = sum
+		}
+		s = norm2(v)
+		if s == 0 {
+			return 0, u, v, nil
+		}
+		scale(v, 1/s)
+		if math.Abs(s-prev) <= tol*s {
+			signNormalize(u, v)
+			return s, u, v, nil
+		}
+		prev = s
+	}
+	signNormalize(u, v)
+	return s, u, v, errNoConvergence
+}
+
+// gramSquarings is the number of times gramSquaringTriple squares the Gram
+// matrix: the second eigenvalue's share falls as (λ₂/λ₁)^(2^k), which
+// underflows for any ratio a float64 can tell from 1.
+const gramSquarings = 64
+
+// gramSquaringTriple computes the dominant singular triple of the nonzero
+// row-major m×n matrix a where the power iteration's budget runs out. It
+// squares the Gram matrix G = AᵀA repeatedly, dividing by the largest entry
+// each time, so G converges to a multiple of v·vᵀ; v is G's column with the
+// largest diagonal entry (the one farthest from underflow), normalized, and
+// u = Av/‖Av‖, s = ‖Av‖. The vectors are sign-normalized like
+// dominantTriple's.
+func gramSquaringTriple(a []float64, m, n int) (s float64, u, v []float64) {
+	g := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			sum := 0.0
+			for k := 0; k < m; k++ {
+				sum += a[k*n+i] * a[k*n+j]
+			}
+			g[i*n+j] = sum
+		}
+	}
+	sq := make([]float64, n*n)
+	for range gramSquarings {
+		max := 0.0
+		for _, x := range g {
+			max = math.Max(max, math.Abs(x))
+		}
+		scale(g, 1/max)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				sum := 0.0
+				for k := 0; k < n; k++ {
+					sum += g[i*n+k] * g[k*n+j]
+				}
+				sq[i*n+j] = sum
+			}
+		}
+		g, sq = sq, g
+	}
+	col := 0
+	for j := 1; j < n; j++ {
+		if g[j*n+j] > g[col*n+col] {
+			col = j
+		}
+	}
+	v = make([]float64, n)
+	for i := range v {
+		v[i] = g[i*n+col]
+	}
+	scale(v, 1/norm2(v))
+	u = make([]float64, m)
+	for i := 0; i < m; i++ {
+		sum := 0.0
+		for j := 0; j < n; j++ {
+			sum += a[i*n+j] * v[j]
+		}
+		u[i] = sum
+	}
+	s = norm2(u)
+	scale(u, 1/s)
+	signNormalize(u, v)
+	return s, u, v
+}
+
+func norm2(x []float64) float64 {
+	n := 0.0
+	for _, v := range x {
+		n = math.Hypot(n, v)
+	}
+	return n
+}
+
+func scale(x []float64, a float64) {
+	for i := range x {
+		x[i] *= a
+	}
+}
+
+func signNormalize(u, v []float64) {
+	maxIdx, maxAbs := 0, 0.0
+	for i, x := range u {
+		if a := math.Abs(x); a > maxAbs {
+			maxAbs, maxIdx = a, i
+		}
+	}
+	if len(u) > 0 && u[maxIdx] < 0 {
+		scale(u, -1)
+		scale(v, -1)
+	}
 }
 
 // rearrange produces the refined arrangement of §4.4.3: it computes the

@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"hetgrid/internal/grid"
-	"hetgrid/internal/matrix"
-	"hetgrid/internal/svd"
 )
 
 // paperTimes are the cycle-times of the §4.4 worked example.
@@ -224,21 +222,21 @@ func TestRankOneStepPerfectOnRank1Arrangement(t *testing.T) {
 
 // TestRankOneStepNonConvergenceFallback drives the step's fallback: on
 // T = [[1, H/2], [H, 1/0.999]] the two singular values of T^inv are nearly
-// equal, so the power iteration runs out of budget and the Jacobi SVD
-// supplies the triple. The objectives are the ones that fallback gives.
+// equal, so the power iteration runs out of budget and gramSquaringTriple
+// supplies the triple. The objectives are the ones a full Jacobi SVD gives.
 func TestRankOneStepNonConvergenceFallback(t *testing.T) {
 	for _, c := range []struct{ h, want float64 }{
 		{1e4, 0.0010108108441007498},
 		{1e6, 0.00066978235214152032},
 	} {
 		arr := grid.MustNew([][]float64{{1, c.h / 2}, {c.h, 1 / 0.999}})
-		tinv := matrix.New(2, 2)
+		tinv := make([]float64, 4)
 		for i := range 2 {
 			for j := range 2 {
-				tinv.Set(i, j, 1/arr.T[i][j])
+				tinv[i*2+j] = 1 / arr.T[i][j]
 			}
 		}
-		if _, _, _, err := svd.DominantTriple(tinv, 1e-14, 2000); !errors.Is(err, svd.ErrNoConvergence) {
+		if _, _, _, err := dominantTriple(tinv, 2, 2, 1e-14, 2000); !errors.Is(err, errNoConvergence) {
 			t.Fatalf("H=%g: power iteration err = %v, want ErrNoConvergence", c.h, err)
 		}
 		sol, err := RankOneStep(arr)
@@ -248,6 +246,129 @@ func TestRankOneStepNonConvergenceFallback(t *testing.T) {
 		if got := sol.Objective(); math.Abs(got-c.want) > 1e-9*c.want {
 			t.Fatalf("H=%g: objective %.17g, want %.17g", c.h, got, c.want)
 		}
+	}
+}
+
+// TestDominantTripleMatchesReference holds the power iteration to
+// references that need no second SVD, at 1e-9 relative on s and 1e-7 on
+// every vector entry: closed forms on 2×2 matrices, the exact triple of an
+// outer product x·yᵀ, and on larger positive matrices the residuals
+// ‖Av − s·u‖ and ‖Aᵀu − s·v‖ with positive u and v (by Perron–Frobenius
+// only the dominant pair is positive) and gramSquaringTriple's triple.
+// Negating A must leave s and u and negate v: the entry of u with the
+// largest magnitude is positive either way.
+func TestDominantTripleMatchesReference(t *testing.T) {
+	near := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-7 {
+				t.Fatalf("%s = %v, want %v", what, got, want)
+			}
+		}
+	}
+	check := func(a []float64, m, n int, wantS float64, wantU, wantV []float64) {
+		t.Helper()
+		s, u, v, err := dominantTriple(a, m, n, 1e-13, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(s-wantS) > 1e-9*wantS {
+			t.Fatalf("s = %v, want %v", s, wantS)
+		}
+		near("u", u, wantU)
+		near("v", v, wantV)
+		neg := make([]float64, len(a))
+		for i, x := range a {
+			neg[i] = -x
+		}
+		sn, un, vn, err := dominantTriple(neg, m, n, 1e-13, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sn != s {
+			t.Fatalf("s(−A) = %v, s(A) = %v", sn, s)
+		}
+		near("u(−A)", un, u)
+		for j := range vn {
+			vn[j] = -vn[j]
+		}
+		near("−v(−A)", vn, v)
+	}
+	rng := rand.New(rand.NewSource(36))
+	positive := func(k int) []float64 {
+		x := make([]float64, k)
+		for i := range x {
+			x[i] = 0.1 + rng.Float64()
+		}
+		return x
+	}
+
+	for range 20 {
+		// σ₁ = (‖(a+d, b−c)‖ + ‖(a−d, b+c)‖)/2, and u, v are the leading
+		// eigenvectors of AAᵀ and AᵀA, at half the angle of their
+		// off-diagonal against their diagonal difference.
+		a := positive(4)
+		s := (math.Hypot(a[0]+a[3], a[1]-a[2]) + math.Hypot(a[0]-a[3], a[1]+a[2])) / 2
+		phi := math.Atan2(2*(a[0]*a[2]+a[1]*a[3]), a[0]*a[0]+a[1]*a[1]-a[2]*a[2]-a[3]*a[3]) / 2
+		theta := math.Atan2(2*(a[0]*a[1]+a[2]*a[3]), a[0]*a[0]+a[2]*a[2]-a[1]*a[1]-a[3]*a[3]) / 2
+		check(a, 2, 2, s, []float64{math.Cos(phi), math.Sin(phi)}, []float64{math.Cos(theta), math.Sin(theta)})
+	}
+
+	for range 20 {
+		m, n := 1+rng.Intn(6), 1+rng.Intn(6)
+		x, y := positive(m), positive(n)
+		a := make([]float64, m*n)
+		for i := range m {
+			for j := range n {
+				a[i*n+j] = x[i] * y[j]
+			}
+		}
+		nx, ny := norm2(x), norm2(y)
+		scale(x, 1/nx)
+		scale(y, 1/ny)
+		check(a, m, n, nx*ny, x, y)
+	}
+
+	for range 20 {
+		m, n := 2+rng.Intn(5), 2+rng.Intn(5)
+		a := positive(m * n)
+		s, u, v := gramSquaringTriple(a, m, n)
+		check(a, m, n, s, u, v)
+		for i := range m {
+			r := -s * u[i]
+			for j := range n {
+				r += a[i*n+j] * v[j]
+			}
+			if math.Abs(r) > 1e-7*s || !(u[i] > 0) {
+				t.Fatalf("(Av − s·u)[%d] = %v with u = %v", i, r, u)
+			}
+		}
+		for j := range n {
+			r := -s * v[j]
+			for i := range m {
+				r += a[i*n+j] * u[i]
+			}
+			if math.Abs(r) > 1e-7*s || !(v[j] > 0) {
+				t.Fatalf("(Aᵀu − s·v)[%d] = %v with v = %v", j, r, v)
+			}
+		}
+	}
+}
+
+func TestDominantTripleZeroMatrix(t *testing.T) {
+	s, _, _, err := dominantTriple(make([]float64, 9), 3, 3, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s != 0 {
+		t.Fatalf("s = %v for zero matrix", s)
+	}
+}
+
+func TestDominantTripleEmpty(t *testing.T) {
+	s, u, v, err := dominantTriple(nil, 0, 0, 0, 0)
+	if err != nil || s != 0 || u != nil || v != nil {
+		t.Fatalf("empty: s=%v u=%v v=%v err=%v", s, u, v, err)
 	}
 }
 

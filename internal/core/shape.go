@@ -21,8 +21,6 @@ type ShapeResult struct {
 
 // ShapeOptions tunes ChooseShape.
 type ShapeOptions struct {
-	// Heuristic options forwarded to each candidate's balancing run.
-	Heuristic HeuristicOptions
 	// AllowSubset permits using fewer than all processors (p·q < n) when
 	// dropping the slowest machines yields more blocks per time unit.
 	AllowSubset bool
@@ -91,7 +89,7 @@ func ChooseShape(times []float64, opts ShapeOptions) (*ShapeResult, error) {
 				continue
 			}
 			candidates++
-			res, err := SolveHeuristic(subTimes, p, q, opts.Heuristic)
+			res, err := SolveHeuristic(subTimes, p, q, HeuristicOptions{})
 			if err != nil {
 				return nil, err
 			}

@@ -304,20 +304,6 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 }
 
-func TestRandomRank1HasRankOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := RandomRank1(4, 5, rng)
-	// Every 2×2 minor must vanish.
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 4; j++ {
-			det := m.At(i, j)*m.At(i+1, j+1) - m.At(i, j+1)*m.At(i+1, j)
-			if math.Abs(det) > 1e-12 {
-				t.Fatalf("2×2 minor (%d,%d) = %v, want 0", i, j, det)
-			}
-		}
-	}
-}
-
 func TestRandomWellConditionedSolvable(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := RandomWellConditioned(8, rng)

@@ -23,24 +23,3 @@ func RandomWellConditioned(n int, rng *rand.Rand) *Dense {
 	}
 	return m
 }
-
-// RandomRank1 returns the outer product u*v^T of random positive vectors,
-// useful for constructing rank-1 cycle-time matrices in tests.
-func RandomRank1(r, c int, rng *rand.Rand) *Dense {
-	u := make([]float64, r)
-	v := make([]float64, c)
-	for i := range u {
-		u[i] = 0.1 + rng.Float64()
-	}
-	for j := range v {
-		v[j] = 0.1 + rng.Float64()
-	}
-	m := New(r, c)
-	for i := 0; i < r; i++ {
-		row := m.data[i*m.stride : i*m.stride+c]
-		for j := range row {
-			row[j] = u[i] * v[j]
-		}
-	}
-	return m
-}

@@ -36,7 +36,6 @@ var kept = map[string]map[string]string{
 		"InfNorm":       "norm of a matrix or residual",
 		"OneNorm":       "norm of a matrix or residual",
 		"SwapRows":      "row permutation in place",
-		"RandomRank1":   "generator of the perfectly balanceable rank-1 case, used by internal/svd's tests",
 	},
 	"internal/engine": {
 		// Methods of an interface, reached through it.
