@@ -28,7 +28,7 @@ func main() {
 		pFlag       = flag.Int("p", 2, "grid rows")
 		qFlag       = flag.Int("q", 2, "grid columns")
 		nbFlag      = flag.Int("nb", 24, "block matrix side (in blocks)")
-		kernelFlag  = flag.String("kernel", "matmul", "kernel: matmul, lu, qr")
+		kernelFlag  = flag.String("kernel", "matmul", "kernel: matmul, lu, qr, cholesky")
 		distFlag    = flag.String("dist", "panel", "distribution: uniform, kl, panel, all")
 		netFlag     = flag.String("net", "switched", "network: switched, bus")
 		latency     = flag.Float64("latency", 0.05, "per-message latency (block-update time units)")

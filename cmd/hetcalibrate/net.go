@@ -53,10 +53,12 @@ const (
 
 // netCalibrate runs the full -net round and writes the report to outPath.
 func netCalibrate(reps int, outPath string) error {
-	if reps < 1 {
-		return fmt.Errorf("repeat must be at least 1")
-	}
-	fabs, err := loopbackCluster()
+	// Both processes of a world-4 cluster run inside this one, over real
+	// TCP sockets on the loopback interface: index 0 hosts ranks {0,1},
+	// index 1 hosts {2,3}.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	fabs, _, err := enginenet.Loopback(ctx, netWorld, netProcs, nil)
+	cancel()
 	if err != nil {
 		return err
 	}
@@ -102,36 +104,6 @@ func netCalibrate(reps int, outPath string) error {
 	}
 	fmt.Printf("wrote %s\n", outPath)
 	return nil
-}
-
-// loopbackCluster stands up both processes of a world-4 cluster inside
-// this process, connected through real TCP sockets on the loopback
-// interface. Index 0 hosts ranks {0,1}, index 1 hosts {2,3}.
-func loopbackCluster() ([]*enginenet.Fabric, error) {
-	co, err := enginenet.NewCoordinator("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	type res struct {
-		fab *enginenet.Fabric
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		fab, _, err := enginenet.Join(ctx, co.Addr(), nil)
-		ch <- res{fab, err}
-	}()
-	fab0, err := co.Establish(ctx, netWorld, netProcs, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	joined := <-ch
-	if joined.err != nil {
-		return nil, joined.err
-	}
-	return []*enginenet.Fabric{fab0, joined.fab}, nil
 }
 
 // pingPong measures one-way times rank 0 ↔ rank 2 (distinct processes, so

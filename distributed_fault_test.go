@@ -193,7 +193,7 @@ func TestPlanSurvivors(t *testing.T) {
 	if choice.P*choice.Q > 3 || choice.P*choice.Q < 1 {
 		t.Fatalf("implausible survivor grid %d×%d", choice.P, choice.Q)
 	}
-	if err := distribution.Validate(dist); err != nil {
+	if _, err := distribution.NewLayout(dist); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := PlanSurvivors(nil, 8, 8, LU); err == nil {

@@ -1,117 +1,10 @@
 package hetgrid
 
 import (
-	"math/rand"
 	"testing"
 
 	"hetgrid/internal/matrix"
 )
-
-func TestDistributedMultiply(t *testing.T) {
-	rng := rand.New(rand.NewSource(401))
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := plan.Panel(4, 3, MatMul)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nb, r = 8, 4
-	d, err := layout.Distribute(nb, nb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := matrix.Random(nb*r, nb*r, rng)
-	b := matrix.Random(nb*r, nb*r, rng)
-	c, _, err := DistributedMultiply(d, a, b, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.EqualApprox(matrix.Mul(a, b), 1e-10) {
-		t.Fatal("distributed product differs from serial")
-	}
-}
-
-func TestDistributedFactorLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(402))
-	d, err := Uniform(2, 2, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 3
-	a := matrix.RandomWellConditioned(18, rng)
-	f, _, err := DistributedFactor(LU, d, a, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, u := f.LU()
-	if !matrix.Mul(l, u).EqualApprox(a, 1e-8) {
-		t.Fatal("distributed LU: L·U != A")
-	}
-}
-
-func TestDistributedFactorQR(t *testing.T) {
-	rng := rand.New(rand.NewSource(403))
-	d, err := Uniform(2, 2, 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nb, r = 5, 3
-	a := matrix.Random(nb*r, nb*r, rng)
-	f, _, err := DistributedFactor(QR, d, a, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Mul(f.Q(r), f.R()).EqualApprox(a, 1e-9) {
-		t.Fatal("distributed QR: Q·R != A")
-	}
-}
-
-func TestDistributedExecStatsBreakdown(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	d, err := Uniform(2, 3, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 2
-	a := matrix.RandomWellConditioned(12, rng)
-	f, stats, err := DistributedFactor(LU, d, a, r, WithSpans())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f == nil {
-		t.Fatal("no result")
-	}
-	if len(stats.Ranks) != 6 || len(stats.Pairs) != 6 {
-		t.Fatalf("expected 6-rank breakdowns, got %d/%d", len(stats.Ranks), len(stats.Pairs))
-	}
-	var msgs, bytes, pairMsgs int
-	for _, rs := range stats.Ranks {
-		msgs += rs.MsgsSent
-		bytes += rs.BytesSent
-	}
-	for _, row := range stats.Pairs {
-		for _, ps := range row {
-			pairMsgs += ps.Messages
-		}
-	}
-	if msgs != stats.Messages || bytes != stats.Bytes || pairMsgs != stats.Messages {
-		t.Fatalf("per-rank sums (%d msgs, %d bytes; pairs %d) != totals (%d, %d)",
-			msgs, bytes, pairMsgs, stats.Messages, stats.Bytes)
-	}
-	if len(stats.Spans) == 0 {
-		t.Fatal("spans requested but empty")
-	}
-	// Without the option the spans stay nil (no recording overhead).
-	_, plain, err := DistributedFactor(LU, d, a, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Spans != nil {
-		t.Fatal("spans recorded without being requested")
-	}
-}
 
 func TestSimulateBroadcastSelection(t *testing.T) {
 	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyAuto)

@@ -133,47 +133,6 @@ func TestSimulateCholeskyKernel(t *testing.T) {
 	}
 }
 
-func TestFactorCholeskyFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(301))
-	d, err := Uniform(2, 2, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := matrix.RandomSPD(18, rng)
-	f, err := Factor(Cholesky, d, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, ops := f.L(), f.Ops()
-	if len(ops) != 4 {
-		t.Fatalf("ops %v", ops)
-	}
-	if !matrix.Mul(l, l.T()).EqualApprox(a, 1e-8) {
-		t.Fatal("L·Lᵀ != A")
-	}
-}
-
-func TestFactorQRFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(302))
-	d, err := Uniform(2, 2, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 5
-	a := matrix.Random(4*r, 4*r, rng)
-	f, err := Factor(QR, d, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := f.Q(r)
-	if !matrix.Mul(q, f.R()).EqualApprox(a, 1e-9) {
-		t.Fatal("Q·R != A")
-	}
-	if len(f.Ops()) != 4 {
-		t.Fatalf("ops %v", f.Ops())
-	}
-}
-
 func TestTraceSimulation(t *testing.T) {
 	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
 	if err != nil {

@@ -2,10 +2,7 @@ package hetgrid
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-
-	"hetgrid/internal/matrix"
 )
 
 func TestBalanceAutoRank1(t *testing.T) {
@@ -231,43 +228,6 @@ func TestKalinovLastovetskyBreaksPattern(t *testing.T) {
 	}
 	if Neighbors(kl).GridPattern {
 		t.Fatal("KL should break the grid pattern on this grid")
-	}
-}
-
-func TestMultiplyAndFactorLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(201))
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := plan.Panel(8, 6, LU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, r := 8, 4
-	d, err := layout.Distribute(nb, nb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := matrix.RandomWellConditioned(nb*r, rng)
-	b := matrix.Random(nb*r, nb*r, rng)
-	c, err := Multiply(d, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.EqualApprox(matrix.Mul(a, b), 1e-9) {
-		t.Fatal("Multiply differs from serial product")
-	}
-	f, err := Factor(LU, d, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ops := f.Ops(); len(ops) != 4 {
-		t.Fatalf("ops per node = %v", ops)
-	}
-	l, u := f.LU()
-	if !matrix.Mul(l, u).EqualApprox(a, 1e-8) {
-		t.Fatal("FactorLU: L·U != A")
 	}
 }
 

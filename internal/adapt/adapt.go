@@ -30,9 +30,6 @@ type Policy struct {
 	// Net and BlockBytes describe the fabric for redistribution cost.
 	Net        sim.Config
 	BlockBytes float64
-	// MaxPanel bounds the panel search for the re-balanced layout
-	// (defaults to 4·max(p,q)).
-	MaxPanel int
 	// Hysteresis is the minimum ratio of stay-cost to move-cost required
 	// to recommend moving (e.g. 1.1 demands a 10% projected saving;
 	// values ≤ 1 default to 1).
@@ -75,7 +72,7 @@ func EvaluateMM(cur distribution.Distribution, newTimes []float64, remainingStep
 
 // evaluate is the decision both evaluators make: re-balance the shares for
 // the fixed arrangement, realize them as the best panel under the region's
-// orderings (searched up to pol.MaxPanel, clamped to the block matrix),
+// orderings (searched up to 4·max(p, q), clamped to the block matrix),
 // price the block moves onto it on the simulated network, and recommend
 // moving when the stay-cost exceeds the move-cost by the hysteresis. cost
 // projects the remaining compute time, in total and per step, under a
@@ -100,20 +97,8 @@ func evaluate(cur distribution.Distribution, times []float64, w distribution.Reg
 		return nil, err
 	}
 	nb := curLay.NB
-	hys := pol.Hysteresis
-	if hys < 1 {
-		hys = 1
-	}
-	maxPanel := pol.MaxPanel
-	if maxPanel <= 0 {
-		maxPanel = 4 * p
-		if 4*q > maxPanel {
-			maxPanel = 4 * q
-		}
-	}
-	if maxPanel > nb {
-		maxPanel = nb
-	}
+	hys := max(pol.Hysteresis, 1)
+	maxPanel := min(4*max(p, q), nb)
 
 	sol, err := core.RankOneStep(newTimes)
 	if err != nil {

@@ -24,10 +24,6 @@ func ParseTimes(s string) ([]float64, error) {
 	return out, nil
 }
 
-// ParseNumerics maps a numerics-mode name (strict, fast) to its constant,
-// delegating to hetgrid.ParseNumerics.
-func ParseNumerics(s string) (hetgrid.Numerics, error) { return hetgrid.ParseNumerics(s) }
-
 // ParseCrashSchedule parses a comma-separated crash schedule such as
 // "2@1,0@3s": each entry is rank@step, with a trailing "s" marking a
 // silent crash (the rank dies without aborting, exercising the failure
@@ -38,12 +34,7 @@ func ParseCrashSchedule(s string) ([]hetgrid.CrashPoint, error) {
 	}
 	var out []hetgrid.CrashPoint
 	for _, part := range strings.Split(s, ",") {
-		entry := strings.TrimSpace(part)
-		silent := false
-		if strings.HasSuffix(entry, "s") {
-			silent = true
-			entry = strings.TrimSuffix(entry, "s")
-		}
+		entry, silent := strings.CutSuffix(strings.TrimSpace(part), "s")
 		rankStr, stepStr, ok := strings.Cut(entry, "@")
 		if !ok {
 			return nil, fmt.Errorf("crash entry %q must look like rank@step (e.g. 2@1 or 0@3s)", part)

@@ -80,20 +80,6 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
-func TestParseNumerics(t *testing.T) {
-	for s, want := range map[string]hetgrid.Numerics{
-		"strict": hetgrid.Strict, "fast": hetgrid.Fast, "FAST": hetgrid.Fast,
-	} {
-		got, err := ParseNumerics(s)
-		if err != nil || got != want {
-			t.Fatalf("%q: got %v err %v", s, got, err)
-		}
-	}
-	if _, err := ParseNumerics("loose"); err == nil {
-		t.Fatal("unknown numerics accepted")
-	}
-}
-
 func TestParseArrangement(t *testing.T) {
 	got, err := ParseArrangement("1,2;3,5")
 	if err != nil {

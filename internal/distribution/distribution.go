@@ -218,12 +218,13 @@ func Render(d Distribution, arr *grid.Arrangement) string {
 	return sb.String()
 }
 
-// Validate checks an arbitrary Distribution implementation for the
+// validate checks an arbitrary Distribution implementation for the
 // invariants the kernels rely on: positive dimensions, every Owner result
 // inside the grid, and (so that broadcasts terminate) at least one block
-// per matrix. Intended for user-supplied Distribution implementations; the
-// built-in constructors enforce these by construction.
-func Validate(d Distribution) error {
+// per matrix. NewLayout applies it, so a user-supplied implementation is
+// checked before any schedule is derived from it; the built-in
+// constructors enforce these by construction.
+func validate(d Distribution) error {
 	p, q := d.Dims()
 	if p <= 0 || q <= 0 {
 		return fmt.Errorf("distribution: invalid grid %d×%d", p, q)

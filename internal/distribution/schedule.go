@@ -37,7 +37,7 @@ type Layout struct {
 // NewLayout validates d (owners inside the grid, square block matrix) and
 // tabulates its owners.
 func NewLayout(d Distribution) (*Layout, error) {
-	if err := Validate(d); err != nil {
+	if err := validate(d); err != nil {
 		return nil, err
 	}
 	nb, nbc := d.Blocks()

@@ -6,7 +6,7 @@ import (
 	"hetgrid/internal/grid"
 )
 
-// badDist is a deliberately broken Distribution for Validate tests.
+// badDist is a deliberately broken Distribution for validate tests.
 type badDist struct {
 	p, q, nbr, nbc int
 	ownerFn        func(bi, bj int) (int, int)
@@ -19,11 +19,11 @@ func (b *badDist) Name() string                { return "bad" }
 
 func TestValidateAcceptsBuiltins(t *testing.T) {
 	uni, _ := UniformBlockCyclic(2, 3, 8, 9)
-	if err := Validate(uni); err != nil {
+	if err := validate(uni); err != nil {
 		t.Fatal(err)
 	}
 	kl, _ := NewKL(grid.MustNew([][]float64{{1, 2}, {3, 5}}), 8, 9)
-	if err := Validate(kl); err != nil {
+	if err := validate(kl); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -40,7 +40,7 @@ func TestValidateRejectsBadImplementations(t *testing.T) {
 			ownerFn: func(int, int) (int, int) { return -1, 0 }},
 	}
 	for name, d := range cases {
-		if err := Validate(d); err == nil {
+		if err := validate(d); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

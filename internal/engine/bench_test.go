@@ -142,7 +142,7 @@ func BenchmarkMessagePingPong(b *testing.B) {
 	// Raw mailbox round-trip latency.
 	payload := matrix.New(8, 8)
 	b.ResetTimer()
-	_, err := Run(2, func(c *Comm) error {
+	_, err := RunOpts(2, Options{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < b.N; i++ {
 				c.Send(1, "ping", payload)

@@ -1,95 +1,18 @@
 package engine
 
 import (
-	"math/rand"
 	"testing"
 
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/matrix"
 )
 
-func TestDistributedCholeskyReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(191))
-	const nb, r = 6, 3
-	a := matrix.RandomSPD(nb*r, rng)
-	for _, d := range engineDistributions(t, nb) {
-		var got *matrix.Dense
-		_, err := Run(4, func(c *Comm) error {
-			store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-			if err != nil {
-				return err
-			}
-			if err := Cholesky(c, d, store); err != nil {
-				return err
-			}
-			full, err := Gather(c, d, store)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				got = full
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", d.Name(), err)
-		}
-		if !matrix.Mul(got, got.T()).EqualApprox(a, 1e-8) {
-			t.Fatalf("%s: L·Lᵀ != A", d.Name())
-		}
-		// Upper triangle is exactly zero.
-		n := nb * r
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if got.At(i, j) != 0 {
-					t.Fatalf("%s: L(%d,%d) = %v above diagonal", d.Name(), i, j, got.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestDistributedCholeskyMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(192))
-	const nb, r = 4, 4
-	a := matrix.RandomSPD(nb*r, rng)
-	dense, err := matrix.FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := distribution.UniformBlockCyclic(2, 2, nb, nb)
-	var got *matrix.Dense
-	_, runErr := Run(4, func(c *Comm) error {
-		store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-		if err != nil {
-			return err
-		}
-		if err := Cholesky(c, d, store); err != nil {
-			return err
-		}
-		full, err := Gather(c, d, store)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			got = full
-		}
-		return nil
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if !got.EqualApprox(dense.L, 1e-9) {
-		t.Fatal("distributed Cholesky differs from dense factorization")
-	}
-}
-
 func TestDistributedCholeskyIndefinite(t *testing.T) {
 	// An indefinite matrix must surface the error from the diagonal owner.
 	bad := matrix.Identity(8)
 	bad.Set(0, 0, -1)
 	d, _ := distribution.UniformBlockCyclic(2, 2, 4, 4)
-	_, err := Run(4, func(c *Comm) error {
+	_, err := RunOpts(4, Options{}, func(c *Comm) error {
 		store, err := Scatter(c, d, pick(c.Rank() == 0, bad), 2)
 		if err != nil {
 			return err

@@ -76,7 +76,7 @@ func TestBcastRootInReceiversNotDoubleSent(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := matrix.New(2, 2)
-	w, err := Run(4, func(c *Comm) error {
+	w, err := RunOpts(4, Options{}, func(c *Comm) error {
 		co := NewCollectives(c, d)
 		co.bcastIfMember("x", 1, []int{0, 1, 2, 1, 0}, pick(c.Rank() == 1, payload), 2)
 		return nil

@@ -117,11 +117,6 @@ type Comm struct {
 	stepSpan obs.SpanID
 }
 
-// Run spawns n ranks with default options; see RunOpts.
-func Run(n int, body func(c *Comm) error) (*World, error) {
-	return RunOpts(n, Options{}, body)
-}
-
 // RunOpts spawns n ranks, each executing body with its own Comm, and waits
 // for all of them. The first non-nil error is returned (all ranks still run
 // to completion; SPMD bodies are expected to fail collectively or not at

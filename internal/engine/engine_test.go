@@ -10,7 +10,7 @@ import (
 
 func TestRunAllRanksExecute(t *testing.T) {
 	var count atomic.Int64
-	w, err := Run(8, func(c *Comm) error {
+	w, err := RunOpts(8, Options{}, func(c *Comm) error {
 		count.Add(1)
 		if c.N() != 8 {
 			return fmt.Errorf("N = %d", c.N())
@@ -29,7 +29,7 @@ func TestRunAllRanksExecute(t *testing.T) {
 }
 
 func TestRunPropagatesErrors(t *testing.T) {
-	_, err := Run(3, func(c *Comm) error {
+	_, err := RunOpts(3, Options{}, func(c *Comm) error {
 		if c.Rank() == 1 {
 			return fmt.Errorf("boom")
 		}
@@ -41,7 +41,7 @@ func TestRunPropagatesErrors(t *testing.T) {
 }
 
 func TestRunRecoversPanics(t *testing.T) {
-	_, err := Run(2, func(c *Comm) error {
+	_, err := RunOpts(2, Options{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			panic("kaboom")
 		}
@@ -53,14 +53,14 @@ func TestRunRecoversPanics(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(0, func(*Comm) error { return nil }); err == nil {
+	if _, err := RunOpts(0, Options{}, func(*Comm) error { return nil }); err == nil {
 		t.Fatal("zero ranks accepted")
 	}
 }
 
 func TestSendRecvRoundTrip(t *testing.T) {
 	payload := matrix.NewFromSlice(2, 2, []float64{1, 2, 3, 4})
-	w, err := Run(2, func(c *Comm) error {
+	w, err := RunOpts(2, Options{}, func(c *Comm) error {
 		switch c.Rank() {
 		case 0:
 			c.Send(1, "data", payload)
@@ -86,7 +86,7 @@ func TestSendRecvRoundTrip(t *testing.T) {
 }
 
 func TestRecvSelectsByTag(t *testing.T) {
-	_, err := Run(2, func(c *Comm) error {
+	_, err := RunOpts(2, Options{}, func(c *Comm) error {
 		switch c.Rank() {
 		case 0:
 			c.Send(1, "first", matrix.NewFromSlice(1, 1, []float64{1}))
@@ -107,7 +107,7 @@ func TestRecvSelectsByTag(t *testing.T) {
 }
 
 func TestSelfSendIsLocal(t *testing.T) {
-	w, err := Run(1, func(c *Comm) error {
+	w, err := RunOpts(1, Options{}, func(c *Comm) error {
 		c.Send(0, "loop", matrix.New(4, 4))
 		got := c.Recv(0, "loop")
 		if got == nil {
@@ -124,7 +124,7 @@ func TestSelfSendIsLocal(t *testing.T) {
 }
 
 func TestSendToBadRankPanics(t *testing.T) {
-	_, err := Run(1, func(c *Comm) error {
+	_, err := RunOpts(1, Options{}, func(c *Comm) error {
 		c.Send(5, "x", matrix.New(1, 1))
 		return nil
 	})
@@ -138,7 +138,7 @@ func TestManyToOneStress(t *testing.T) {
 	// arrive exactly once.
 	const senders = 15
 	const per = 20
-	_, err := Run(senders+1, func(c *Comm) error {
+	_, err := RunOpts(senders+1, Options{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			sum := 0.0
 			for src := 1; src <= senders; src++ {

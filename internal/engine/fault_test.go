@@ -130,7 +130,7 @@ func TestResumeKernelsBitIdentical(t *testing.T) {
 	} {
 		var done, again *matrix.Dense
 		var taus, tausAgain [][]float64
-		_, err := Run(4, func(c *Comm) error {
+		_, err := RunOpts(4, Options{}, func(c *Comm) error {
 			s, err := Scatter(c, d, pick(c.Rank() == 0, kern.work), r)
 			if err != nil {
 				return err

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	stdnet "net"
+	"sync"
 	"time"
 
 	"hetgrid/internal/obs"
@@ -110,10 +112,8 @@ func (co *Coordinator) Establish(ctx context.Context, world, procs int, payload 
 		co.ln.Close()
 		return newFabric(world, 0, nil, reg), nil
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		if tl, ok := co.ln.(*stdnet.TCPListener); ok {
-			tl.SetDeadline(dl)
-		}
+	if tl, ok := co.ln.(*stdnet.TCPListener); ok {
+		applyDeadline(ctx, tl)
 	}
 	conns := make(map[int]stdnet.Conn, procs-1)
 	addrs := make([]string, procs)
@@ -235,10 +235,8 @@ func Join(ctx context.Context, coordAddr string, reg *obs.Registry) (*Fabric, []
 		}
 		conns[p] = mc
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		if tl, isTCP := ln.(*stdnet.TCPListener); isTCP {
-			tl.SetDeadline(dl)
-		}
+	if tl, ok := ln.(*stdnet.TCPListener); ok {
+		applyDeadline(ctx, tl)
 	}
 	for n := topo.ProcID + 1; n < topo.Procs; n++ {
 		mc, err := ln.Accept()
@@ -267,6 +265,61 @@ func Join(ctx context.Context, coordAddr string, reg *obs.Registry) (*Fabric, []
 	return newFabric(topo.World, topo.ProcID, conns, reg), topo.Payload, nil
 }
 
+// Loopback establishes a cluster of procs processes hosting world ranks
+// inside this one, over real TCP sockets on the loopback interface: a
+// coordinator and procs-1 joiners run their halves of the handshake
+// concurrently. It returns the fabrics indexed by process id and the
+// payload the joiners received. ctx bounds the handshake; on an error the
+// coordinator and every fabric already established are closed.
+func Loopback(ctx context.Context, world, procs int, payload []byte) ([]*Fabric, []byte, error) {
+	co, err := NewCoordinator("127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	fabs := make([]*Fabric, procs)
+	errs := make([]error, procs)
+	var joined []byte
+	var wg sync.WaitGroup
+	wg.Add(procs)
+	for i := range procs {
+		go func() {
+			defer wg.Done()
+			var f *Fabric
+			var pay []byte
+			if i == 0 {
+				f, errs[0] = co.Establish(ctx, world, procs, payload, nil)
+			} else {
+				f, pay, errs[i] = Join(ctx, co.Addr(), nil)
+			}
+			if errs[i] != nil {
+				// Nobody waits for a process that failed: a joiner still
+				// dialing gives up, a coordinator still accepting returns.
+				cancel()
+				co.Close()
+				return
+			}
+			fabs[f.ProcID()] = f
+			if i == 1 {
+				joined = pay
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		for _, f := range fabs {
+			if f != nil {
+				f.Close(ctx)
+			}
+		}
+		return nil, nil, fmt.Errorf("net: loopback cluster: %w", err)
+	}
+	return fabs, joined, nil
+}
+
 // dialRetry dials addr until it succeeds or ctx expires, so cluster
 // members can start in any order.
 func dialRetry(ctx context.Context, addr string) (stdnet.Conn, error) {
@@ -284,11 +337,12 @@ func dialRetry(ctx context.Context, addr string) (stdnet.Conn, error) {
 	}
 }
 
-// applyDeadline bounds a handshake connection's reads and writes by ctx;
-// newFabric clears the deadline once the handshake completes.
-func applyDeadline(ctx context.Context, conn stdnet.Conn) {
+// applyDeadline bounds a handshake connection's reads and writes, or a
+// listener's accepts, by ctx; newFabric clears a connection's deadline
+// once the handshake completes.
+func applyDeadline(ctx context.Context, c interface{ SetDeadline(time.Time) error }) {
 	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
+		c.SetDeadline(dl)
 	}
 }
 

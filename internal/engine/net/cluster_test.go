@@ -3,70 +3,35 @@ package net
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"hetgrid/internal/engine"
+	"hetgrid/internal/leakcheck"
 	"hetgrid/internal/matrix"
 )
 
-// startCluster establishes an in-process cluster over real loopback TCP:
-// one coordinator plus procs-1 joiners, all as goroutines. The returned
-// fabrics are indexed by process id (joiner ids are assigned in arrival
-// order, so the goroutine index means nothing).
-func startCluster(t *testing.T, world, procs int, payload []byte) ([]*Fabric, []byte) {
+// StartCluster is Loopback for a test: it fails t on a handshake error and
+// closes the fabrics at cleanup. It is exported to the external test
+// package.
+func StartCluster(t testing.TB, world, procs int, payload []byte) ([]*Fabric, []byte) {
 	t.Helper()
-	co, err := NewCoordinator("127.0.0.1:0")
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	fabs, joined, err := Loopback(ctx, world, procs, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	fabs := make([]*Fabric, procs)
-	errs := make([]error, procs)
-	var joinPayload []byte
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(procs)
-	go func() {
-		defer wg.Done()
-		f, err := co.Establish(ctx, world, procs, payload, nil)
-		mu.Lock()
-		fabs[0], errs[0] = f, err
-		mu.Unlock()
-	}()
-	for i := 1; i < procs; i++ {
-		go func(i int) {
-			defer wg.Done()
-			f, pay, err := Join(ctx, co.Addr(), nil)
-			mu.Lock()
-			if err != nil {
-				errs[i] = err
-			} else {
-				fabs[f.ProcID()] = f
-				joinPayload = pay
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("process %d handshake: %v", i, err)
-		}
-	}
 	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
 		for _, f := range fabs {
-			if f != nil {
-				cctx, ccancel := context.WithTimeout(context.Background(), 5*time.Second)
-				f.Close(cctx)
-				ccancel()
-			}
+			f.Close(ctx)
 		}
 	})
-	return fabs, joinPayload
+	return fabs, joined
 }
 
 func TestRanksOfPartition(t *testing.T) {
@@ -99,7 +64,7 @@ func TestRanksOfPartition(t *testing.T) {
 }
 
 func TestClusterLoopbackSendRecv(t *testing.T) {
-	fabs, payload := startCluster(t, 6, 3, []byte("plan-blob"))
+	fabs, payload := StartCluster(t, 6, 3, []byte("plan-blob"))
 	if string(payload) != "plan-blob" {
 		t.Fatalf("joiner payload %q, want the coordinator's blob", payload)
 	}
@@ -158,7 +123,7 @@ func TestClusterLoopbackSendRecv(t *testing.T) {
 }
 
 func TestAbortPropagatesAcrossProcesses(t *testing.T) {
-	fabs, _ := startCluster(t, 4, 2, nil)
+	fabs, _ := StartCluster(t, 4, 2, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -197,7 +162,7 @@ func TestAbortPropagatesAcrossProcesses(t *testing.T) {
 }
 
 func TestConnLossBlamesPeerProcess(t *testing.T) {
-	fabs, _ := startCluster(t, 4, 2, nil)
+	fabs, _ := StartCluster(t, 4, 2, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -263,4 +228,21 @@ func TestEstablishValidatesShape(t *testing.T) {
 		cancel()
 		co.Close()
 	}
+}
+
+// TestLoopbackFailureReleasesEverything: a handshake that fails (here the
+// coordinator refuses 3 processes for 2 ranks) returns its error without
+// waiting for ctx to expire, and leaves no dialer or socket reader behind.
+func TestLoopbackFailureReleasesEverything(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	start := time.Now()
+	if _, _, err := Loopback(ctx, 2, 3, nil); err == nil {
+		t.Fatal("3 processes for 2 ranks accepted")
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("the failed handshake took %v", el)
+	}
+	leakcheck.Settle(t, baseline)
 }

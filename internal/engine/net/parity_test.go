@@ -1,98 +1,27 @@
 package net_test
 
-// Golden parity over real sockets: the distributed kernels must produce
-// bit-identical results whether their messages travel through in-process
-// mailboxes (MemTransport) or framed loopback TCP (the net Fabric), for
-// every kernel and every broadcast kind — and the fault machinery
-// (crash → replan → resume recovery) must compose with the real network
-// unchanged. Every run goes through run.Attempt, the
-// job body the library executes; the multi-attempt tests take their
-// transitions with State.Next.
+// Recovery over real sockets: the fault machinery (crash → replan →
+// resume) composes with the loopback-TCP fabric unchanged. Every run goes
+// through run.Attempt, the job body the library executes, and the tests
+// take their transitions with State.Next. Fault-free TCP runs and a
+// fail-stop crash without recovery are cells of the facade's
+// TestConformance.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"hetgrid/internal/distribution"
 	"hetgrid/internal/engine"
 	enginenet "hetgrid/internal/engine/net"
-	"hetgrid/internal/grid"
 	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/plan"
 	"hetgrid/internal/run"
-	"hetgrid/internal/sim"
 )
-
-var netKinds = []struct {
-	name string
-	kind sim.BroadcastKind
-}{
-	{"flat", sim.StarBroadcast},
-	{"ring", sim.RingBroadcast},
-	{"segring", sim.SegmentedRingBroadcast},
-	{"tree", sim.TreeBroadcast},
-}
-
-// startFabrics brings up a loopback-TCP cluster through the exported
-// handshake API and returns the fabrics indexed by process id.
-func startFabrics(t *testing.T, world, procs int, payload []byte) ([]*enginenet.Fabric, []byte) {
-	t.Helper()
-	co, err := enginenet.NewCoordinator("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	fabs := make([]*enginenet.Fabric, procs)
-	errs := make([]error, procs)
-	var joinPayload []byte
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(procs)
-	go func() {
-		defer wg.Done()
-		f, err := co.Establish(ctx, world, procs, payload, nil)
-		mu.Lock()
-		fabs[0], errs[0] = f, err
-		mu.Unlock()
-	}()
-	for i := 1; i < procs; i++ {
-		go func(i int) {
-			defer wg.Done()
-			f, pay, err := enginenet.Join(ctx, co.Addr(), nil)
-			mu.Lock()
-			if err != nil {
-				errs[i] = err
-			} else {
-				fabs[f.ProcID()] = f
-				joinPayload = pay
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("process %d handshake: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, f := range fabs {
-			if f != nil {
-				cctx, ccancel := context.WithTimeout(context.Background(), 5*time.Second)
-				f.Close(cctx)
-				ccancel()
-			}
-		}
-	})
-	return fabs, joinPayload
-}
 
 // attemptCluster runs one run.Attempt of s on every process of a fresh
 // loopback-TCP cluster (closed at test cleanup) and returns the outcomes
@@ -102,7 +31,7 @@ func startFabrics(t *testing.T, world, procs int, payload []byte) ([]*enginenet.
 func attemptCluster(t *testing.T, procs int, s run.State, job run.Job, opts run.Options) []run.Outcome {
 	t.Helper()
 	p, q := s.Dist.Dims()
-	fabs, _ := startFabrics(t, p*q, procs, nil)
+	fabs, _ := enginenet.StartCluster(t, p*q, procs, nil)
 	return attemptOn(fabs, func(int) run.State { return s }, job, opts)
 }
 
@@ -133,95 +62,6 @@ func ones(n int) []float64 {
 		t[i] = 1
 	}
 	return t
-}
-
-// hetDist is the heterogeneous 2×3 Kalinov–Lastovetsky distribution the
-// acceptance criterion names: relative speeds {1,2,2;3,5,4}, 6×6 blocks.
-func hetDist(t *testing.T) distribution.Distribution {
-	t.Helper()
-	d, err := distribution.NewKL(grid.MustNew([][]float64{{1, 2, 2}, {3, 5, 4}}), 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-// TestTCPParityGolden is the headline golden test: MM, LU, Cholesky and QR
-// on the heterogeneous 2×3 grid, over 3 OS-level socket pairs (loopback
-// TCP), bit-identical to the MemTransport run for all four broadcast
-// kinds — and the LU result anchored to the serial replay oracle.
-func TestTCPParityGolden(t *testing.T) {
-	d := hetDist(t)
-	const world, procs, r = 6, 3, 2
-	rng := rand.New(rand.NewSource(42))
-	a := matrix.RandomWellConditioned(12, rng)
-	b := matrix.Random(12, 12, rng)
-	spd := matrix.RandomSPD(12, rng)
-
-	oracle, err := kernels.ReplayLUNumerics(d, a, matrix.Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, kc := range []struct {
-		name   string
-		kern   plan.Kernel
-		inputs []*matrix.Dense
-	}{
-		{"mm", plan.MatMul, []*matrix.Dense{a, b}},
-		{"lu", plan.LU, []*matrix.Dense{a}},
-		{"chol", plan.Cholesky, []*matrix.Dense{spd}},
-		{"qr", plan.QR, []*matrix.Dense{a}},
-	} {
-		kern, job := kc.kern, run.Job{BlockSize: r, Inputs: kc.inputs}
-		s := run.State{Kernel: kern, Dist: d, Times: ones(world)}
-		for _, bk := range netKinds {
-			t.Run(kc.name+"/"+bk.name, func(t *testing.T) {
-				opts := run.Options{Engine: engine.Options{Broadcast: bk.kind}}
-				want := run.Attempt(s, job, nil, opts)
-				if want.Err != nil {
-					t.Fatalf("mem reference run: %v", want.Err)
-				}
-				outs := attemptCluster(t, procs, s, job, opts)
-				for p, o := range outs {
-					if o.Err != nil {
-						t.Fatalf("process %d: %v", p, o.Err)
-					}
-				}
-				if outs[0].Out == nil || !outs[0].Out.Equal(want.Out) {
-					t.Fatal("TCP result differs from the MemTransport run")
-				}
-				if kern == plan.LU && !outs[0].Out.Equal(oracle.C) {
-					t.Fatal("TCP LU differs from the serial replay oracle")
-				}
-			})
-		}
-	}
-}
-
-// TestTCPQRPackedPathMatchesReplay is QR across sockets at a block size
-// whose compact-WY products reach the packed GEMM (the golden above runs
-// r = 2, all scalar): slab masters in other processes re-derive T from the
-// panel and taus they receive, and the result is the serial replay's, bit
-// for bit.
-func TestTCPQRPackedPathMatchesReplay(t *testing.T) {
-	d := hetDist(t)
-	const world, procs, r = 6, 3, 16
-	a := matrix.Random(6*r, 6*r, rand.New(rand.NewSource(43)))
-	oracle, err := kernels.ReplayQRNumerics(d, a, matrix.Strict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := run.State{Kernel: plan.QR, Dist: d, Times: ones(world)}
-	outs := attemptCluster(t, procs, s, run.Job{BlockSize: r, Inputs: []*matrix.Dense{a}}, run.Options{})
-	for p, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("process %d: %v", p, o.Err)
-		}
-	}
-	if outs[0].Out == nil || !outs[0].Out.Equal(oracle.C) {
-		t.Fatal("TCP QR differs from the serial replay oracle")
-	}
 }
 
 // TestTCPCrashReplanResume composes real sockets with injected faults
@@ -296,7 +136,7 @@ func TestTCPCrashReplanResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabs2, joinPayload := startFabrics(t, p2*q2, procs, payload)
+	fabs2, joinPayload := enginenet.StartCluster(t, p2*q2, procs, payload)
 	var decoded struct {
 		StartK int `json:"start_k"`
 	}
@@ -372,7 +212,7 @@ func TestTCPCrashOnCheckpointStep(t *testing.T) {
 	}
 	attempt := func() []run.Outcome {
 		p, q := states[0].Dist.Dims()
-		fabs, _ := startFabrics(t, p*q, procs, nil)
+		fabs, _ := enginenet.StartCluster(t, p*q, procs, nil)
 		return attemptOn(fabs, func(p int) run.State { return states[p] }, job, opts)
 	}
 	var stats run.Result

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,56 +8,6 @@ import (
 	"hetgrid/internal/kernels"
 	"hetgrid/internal/matrix"
 )
-
-// TestMMFastNumerics holds the engine's Fast product to a crude
-// componentwise error bound of the Strict oracle: |fast−strict| ≤
-// c·k·ε·(|A|·|B|) with |entries| ≤ 1, so c·k²·ε elementwise is generous
-// yet catches real corruption. r = 20 puts the block products on the packed
-// Fast tile with a rim of 2 rows and 4 columns.
-func TestMMFastNumerics(t *testing.T) {
-	rng := rand.New(rand.NewSource(511))
-	const nb, r = 6, 20
-	a := matrix.Random(nb*r, nb*r, rng)
-	b := matrix.Random(nb*r, nb*r, rng)
-	for _, d := range engineDistributions(t, nb) {
-		strict, err := kernels.ReplayMMNumerics(d, a, b, matrix.Strict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got *matrix.Dense
-		_, err = RunOpts(4, Options{Numerics: matrix.Fast}, func(c *Comm) error {
-			s1, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
-			if err != nil {
-				return err
-			}
-			s2, err := Scatter(c, d, pick(c.Rank() == 0, b), r)
-			if err != nil {
-				return err
-			}
-			cs, err := MM(c, d, s1, s2)
-			if err != nil {
-				return err
-			}
-			full, err := Gather(c, d, cs)
-			if c.Rank() == 0 {
-				got = full
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := nb * r
-		tol := 64 * float64(n) * float64(n) * 0x1p-53
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if diff := math.Abs(got.At(i, j) - strict.C.At(i, j)); diff > tol {
-					t.Fatalf("%s: fast[%d,%d] off by %g (tol %g)", d.Name(), i, j, diff, tol)
-				}
-			}
-		}
-	}
-}
 
 // TestConcurrentFactorizationsMixedModes hammers the shared matrix-level
 // worker pool from several concurrent distributed factorizations running

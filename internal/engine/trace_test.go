@@ -89,7 +89,7 @@ func TestRecordedTraceWritesChromeFormat(t *testing.T) {
 }
 
 func TestTraceNilWithoutRecording(t *testing.T) {
-	w, err := Run(2, func(c *Comm) error {
+	w, err := RunOpts(2, Options{}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, "x", matrix.New(1, 1))
 		} else {

@@ -154,8 +154,8 @@ func (s *SpanStore) Len() int {
 	return len(s.spans)
 }
 
-// BusyTimes is BusyTimes over the completed spans.
-func (s *SpanStore) BusyTimes(n int) []float64 { return BusyTimes(s.Snapshot(), n) }
+// BusyTimes is busyTimes over the completed spans.
+func (s *SpanStore) BusyTimes(n int) []float64 { return busyTimes(s.Snapshot(), n) }
 
 // BusyOf sums one rank's completed compute-span durations without copying
 // the store — the live single-rank form of BusyTimes, cheap enough to call

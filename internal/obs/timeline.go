@@ -9,11 +9,11 @@ import (
 	"strings"
 )
 
-// BusyTimes sums each rank's compute-span durations over ranks 0..n-1 —
+// busyTimes sums each rank's compute-span durations over ranks 0..n-1 —
 // the per-processor workload of the paper (a processor with share
 // r_i·t_ij·c_j of every panel step accumulates proportional busy time),
 // predicted when the spans are a simulator's, measured when an engine's.
-func BusyTimes(spans []Span, n int) []float64 {
+func busyTimes(spans []Span, n int) []float64 {
 	busy := make([]float64, n)
 	for _, sp := range spans {
 		if sp.Kind == SpanCompute && sp.Rank >= 0 && sp.Rank < n {

@@ -87,7 +87,7 @@ func TestGanttDrawsComputeOnly(t *testing.T) {
 }
 
 func TestBusyTimes(t *testing.T) {
-	if busy := BusyTimes(oneOfEach, 3); busy[0] != 1 || busy[1] != 2 || busy[2] != 0 {
+	if busy := busyTimes(oneOfEach, 3); busy[0] != 1 || busy[1] != 2 || busy[2] != 0 {
 		t.Fatalf("busy = %v, want [1 2 0]: compute spans only, ranks without spans idle", busy)
 	}
 }

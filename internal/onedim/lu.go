@@ -50,7 +50,7 @@ func LUCost(assignment []int, times []float64) (float64, error) {
 	for k := 0; k < len(assignment); k++ {
 		// Work at step k covers columns k+1..nb-1.
 		counts[assignment[k]]--
-		total += Makespan(counts, times)
+		total += makespan(counts, times)
 	}
 	return total, nil
 }

@@ -71,9 +71,9 @@ func nextProcessor(counts []int, times []float64) int {
 	return best
 }
 
-// Makespan returns max_i counts[i]*times[i], the parallel completion time of
+// makespan returns max_i counts[i]*times[i], the parallel completion time of
 // the allocation (in block-update units).
-func Makespan(counts []int, times []float64) float64 {
+func makespan(counts []int, times []float64) float64 {
 	max := 0.0
 	for i, n := range counts {
 		if v := float64(n) * times[i]; v > max {
@@ -101,7 +101,7 @@ func BruteForceAllocate(b int, times []float64) ([]int, error) {
 	rec = func(i, left int) {
 		if i == n-1 {
 			cur[i] = left
-			if span := Makespan(cur, times); span < bestSpan {
+			if span := makespan(cur, times); span < bestSpan {
 				bestSpan = span
 				copy(best, cur)
 			}

@@ -138,7 +138,7 @@ func TestAllocateOptimalVsBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gs, bs := Makespan(greedy, times), Makespan(brute, times)
+		gs, bs := makespan(greedy, times), makespan(brute, times)
 		if gs > bs+1e-12 {
 			t.Fatalf("greedy %v (span %v) worse than brute force %v (span %v) for times %v",
 				greedy, gs, brute, bs, times)
@@ -147,11 +147,11 @@ func TestAllocateOptimalVsBruteForce(t *testing.T) {
 }
 
 func TestMakespan(t *testing.T) {
-	if got := Makespan([]int{3, 1}, []float64{1, 3}); got != 3 {
-		t.Fatalf("Makespan = %v, want 3", got)
+	if got := makespan([]int{3, 1}, []float64{1, 3}); got != 3 {
+		t.Fatalf("makespan = %v, want 3", got)
 	}
-	if got := Makespan([]int{0, 0}, []float64{1, 3}); got != 0 {
-		t.Fatalf("empty Makespan = %v", got)
+	if got := makespan([]int{0, 0}, []float64{1, 3}); got != 0 {
+		t.Fatalf("empty makespan = %v", got)
 	}
 }
 

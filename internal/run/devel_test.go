@@ -138,7 +138,7 @@ func BenchmarkDevelCommit(b *testing.B) {
 		for _, alt := range alts {
 			b.Run(fmt.Sprintf("every=%d/%s", every, alt.name), func(b *testing.B) {
 				b.ReportAllocs()
-				_, err := engine.Run(4, func(c *engine.Comm) error {
+				_, err := engine.RunOpts(4, engine.Options{}, func(c *engine.Comm) error {
 					var in, base *matrix.Dense
 					if c.Rank() == 0 {
 						in, base = a, a.Clone()
@@ -193,7 +193,7 @@ func TestDevelCommitAlternativesAgree(t *testing.T) {
 	changed := func(bi, bj int) bool { return plan.LU.Region().Contains(bi, bj, 2) }
 	var snaps []*matrix.Dense
 	for _, commit := range []commitFn{deltaInPlace, deltaFresh, deltaPacked} {
-		_, err := engine.Run(4, func(c *engine.Comm) error {
+		_, err := engine.RunOpts(4, engine.Options{}, func(c *engine.Comm) error {
 			var in, base *matrix.Dense
 			if c.Rank() == 0 {
 				in, base = a, stale.Clone()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -118,9 +119,12 @@ func callersOf(fenced, dir string) bool {
 // entry point to a kernel, a collective nothing calls — cannot grow back
 // silently, in a package that exists today or one added later.
 //
-// The match is by identifier, not by type: a method called At is "reached"
-// by any x.At anywhere. That makes this a fence against drift, not a proof of
-// reachability.
+// A package-level function is reached only through a selector pkg.Name
+// whose pkg is the calling file's import name for its package (alias or
+// default), so a same-named function of another package does not hide it.
+// A method is matched by identifier, not by type: a method called At is
+// "reached" by any x.At anywhere. That makes this a fence against drift,
+// not a proof of reachability.
 func TestExportedAPIIsReached(t *testing.T) {
 	fset := token.NewFileSet()
 	parse := func(path string) *ast.File {
@@ -130,20 +134,15 @@ func TestExportedAPIIsReached(t *testing.T) {
 		}
 		return f
 	}
-	selectors := func(n ast.Node, into map[string]bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				into[sel.Sel.Name] = true
-			}
-			return true
-		})
-	}
 
-	// The selectors of every non-test file, by the directory it is in; the
-	// exported functions and methods each package under internal/ and the
-	// facade declares; and every exported package-level name of the facade.
-	selectedIn := map[string]map[string]bool{}
-	exported := map[string]map[string]bool{".": {}}
+	// The non-test files by the directory they are in, each package's name,
+	// the exported functions and methods each package under internal/ and
+	// the facade declares, and every exported package-level name of the
+	// facade.
+	files := map[string][]*ast.File{}
+	pkgNames := map[string]string{}
+	funcs := map[string]map[string]bool{".": {}}
+	methods := map[string]map[string]bool{".": {}}
 	facade := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -161,18 +160,20 @@ func TestExportedAPIIsReached(t *testing.T) {
 			return nil
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
-		if selectedIn[dir] == nil {
-			selectedIn[dir] = map[string]bool{}
-		}
 		f := parse(path)
-		selectors(f, selectedIn[dir])
+		files[dir] = append(files[dir], f)
+		pkgNames[dir] = f.Name.Name
 		if dir == "." || strings.HasPrefix(dir, "internal/") {
-			if exported[dir] == nil {
-				exported[dir] = map[string]bool{}
+			if funcs[dir] == nil {
+				funcs[dir], methods[dir] = map[string]bool{}, map[string]bool{}
 			}
 			for _, d := range f.Decls {
 				if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
-					exported[dir][fn.Name.Name] = true
+					if fn.Recv == nil {
+						funcs[dir][fn.Name.Name] = true
+					} else {
+						methods[dir][fn.Name.Name] = true
+					}
 				}
 			}
 		}
@@ -185,44 +186,89 @@ func TestExportedAPIIsReached(t *testing.T) {
 		t.Fatal(err)
 	}
 	// README's Go blocks are callers of the facade.
-	selectedIn["README.md"] = map[string]bool{}
-	for _, block := range readmeGoBlocks(t, fset, facade) {
-		selectors(block, selectedIn["README.md"])
+	files["README.md"] = readmeGoBlocks(t, fset, facade)
+
+	// The selectors of each caller: every selected identifier, and every
+	// pkg.Name resolved to the directory of the package pkg imports, as
+	// "dir.Name".
+	selectedIn := map[string]map[string]bool{}
+	qualifiedIn := map[string]map[string]bool{}
+	for caller, parsed := range files {
+		selected, qualified := map[string]bool{}, map[string]bool{}
+		for _, f := range parsed {
+			imported := map[string]string{}
+			for _, spec := range f.Imports {
+				path := strings.Trim(spec.Path.Value, `"`)
+				dir, ok := strings.CutPrefix(path, "hetgrid/")
+				if path == "hetgrid" {
+					dir, ok = ".", true
+				}
+				if !ok {
+					continue
+				}
+				name := pkgNames[dir]
+				if spec.Name != nil {
+					name = spec.Name.Name
+				}
+				imported[name] = dir
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					selected[sel.Sel.Name] = true
+					if x, ok := sel.X.(*ast.Ident); ok && imported[x.Name] != "" {
+						qualified[imported[x.Name]+"."+sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+		selectedIn[caller], qualifiedIn[caller] = selected, qualified
 	}
 
 	for dir := range kept {
-		if exported[dir] == nil {
+		if funcs[dir] == nil {
 			t.Errorf("kept lists %s, which is not a package under internal/ or the facade", dir)
 		}
 	}
-	dirs := make([]string, 0, len(exported))
-	for dir := range exported {
+	dirs := make([]string, 0, len(funcs))
+	for dir := range funcs {
 		dirs = append(dirs, dir)
 	}
 	sort.Strings(dirs)
 	for _, dir := range dirs {
-		names := exported[dir]
 		pkg := filepath.Base(dir)
 		if dir == "." {
 			pkg = "hetgrid"
 		}
 		t.Run(pkg, func(t *testing.T) {
-			var unreached []string
-			for name := range names {
-				reached := kept[dir][name] != ""
-				for caller, selected := range selectedIn {
-					reached = reached || callersOf(dir, caller) && selected[name]
+			reached := func(name string, by map[string]map[string]bool, key string) bool {
+				if kept[dir][name] != "" {
+					return true
 				}
-				if !reached {
+				for caller, selected := range by {
+					if callersOf(dir, caller) && selected[key] {
+						return true
+					}
+				}
+				return false
+			}
+			var unreached []string
+			for name := range funcs[dir] {
+				if !reached(name, qualifiedIn, dir+"."+name) {
+					unreached = append(unreached, name)
+				}
+			}
+			for name := range methods[dir] {
+				if !reached(name, selectedIn, name) {
 					unreached = append(unreached, name)
 				}
 			}
 			sort.Strings(unreached)
-			for _, name := range unreached {
+			for _, name := range slices.Compact(unreached) {
 				t.Errorf("%s.%s is exported, but no non-test file that may call it names it and it is not listed as kept: delete it, unexport it, or record why it stays", pkg, name)
 			}
 			for name := range kept[dir] {
-				if !names[name] {
+				if !funcs[dir][name] && !methods[dir][name] {
 					t.Errorf("%s.%s is listed as kept, but the package exports no such function or method", pkg, name)
 				}
 			}

@@ -1,7 +1,6 @@
 package hetgrid
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -72,35 +71,6 @@ func TestWithNumericsStrictIsDefault(t *testing.T) {
 	}
 	if !f1.Packed().Equal(f2.Packed()) {
 		t.Fatal("Factor with WithNumerics(Strict) differs from the default")
-	}
-}
-
-func TestWithNumericsFastErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(612))
-	d, err := Uniform(2, 2, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 24
-	a := matrix.Random(n, n, rng)
-	b := matrix.Random(n, n, rng)
-	strict, err := Multiply(d, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Multiply(d, a, b, WithNumerics(Fast))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Entries are in [-1,1], so a generous componentwise bound is
-	// c·n²·ε — far above the true γ bound, far below any real bug.
-	tol := 64 * float64(n) * float64(n) * 0x1p-53
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if diff := math.Abs(fast.At(i, j) - strict.At(i, j)); diff > tol {
-				t.Fatalf("fast[%d,%d] off by %g (tol %g)", i, j, diff, tol)
-			}
-		}
 	}
 }
 
