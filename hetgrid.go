@@ -113,7 +113,7 @@ type balanceOptions struct {
 	// polynomial.
 	Workers int
 	// Metrics, when non-nil, receives the exact solver's search counters
-	// (arrangements examined/pruned, spanning trees visited/pruned) as
+	// (arrangements examined/pruned, spanning trees visited/theoretical) as
 	// Prometheus series after the solve. Ignored by the polynomial
 	// strategies, which have no search to account for.
 	Metrics *Metrics
@@ -127,9 +127,8 @@ func publishExactStats(reg *Metrics, stats *core.ExactStats) {
 	}
 	reg.Counter("hetgrid_exact_arrangements_total", "", "non-decreasing arrangements examined by the exact solver").Add(int64(stats.Arrangements))
 	reg.Counter("hetgrid_exact_arrangements_pruned_total", "", "arrangements skipped by the rank-1 upper bound").Add(int64(stats.ArrangementsPruned))
-	reg.Counter("hetgrid_exact_trees_visited_total", "", "complete spanning trees generated by the exact solver").Add(int64(stats.TreesVisited))
-	reg.Counter("hetgrid_exact_trees_theoretical_total", "", "spanning trees an unpruned search would have generated").Add(int64(stats.TreesTheoretical))
-	reg.Counter("hetgrid_exact_branches_pruned_total", "", "enumeration subtrees cut by the incremental feasibility check").Add(int64(stats.BranchesPruned))
+	reg.Counter("hetgrid_exact_trees_visited_total", "", "acceptable spanning trees visited by the exact solver").Add(int64(stats.TreesVisited))
+	reg.Counter("hetgrid_exact_trees_theoretical_total", "", "spanning trees a search over every tree would have generated").Add(int64(stats.TreesTheoretical))
 }
 
 // Balance arranges the given cycle-times on a p×q grid and computes the

@@ -65,11 +65,12 @@ func BenchmarkSolveHeuristic(b *testing.B) {
 }
 
 // BenchmarkSolveArrangementExact times the fixed-arrangement exact search
-// with one worker and with GOMAXPROCS workers asked for. Workers split the
-// search by arrangement, so both rows run the one arrangement as one
-// search; the parallel row, and the 4×4 size (4,096 spanning trees), show
-// what splitting a single arrangement's trees across workers would buy
-// (EXPERIMENTS.md "Exact-solver scaling").
+// with one worker and with GOMAXPROCS workers asked for, on generic grids
+// from 2×2 to 6×6 (46,656 spanning trees, 252 of them acceptable) and on an
+// all-equal 5×5, a homogeneous cluster, where every one of the 390,625
+// trees is tight at one vertex and the walk still visits 70. Workers split
+// the search by arrangement, so both rows run the one arrangement as one
+// search (EXPERIMENTS.md "Exact-solver scaling").
 func BenchmarkSolveArrangementExact(b *testing.B) {
 	modes := []struct {
 		name string
@@ -78,13 +79,28 @@ func BenchmarkSolveArrangementExact(b *testing.B) {
 		{"serial", ExactOptions{Workers: 1}},
 		{"parallel", ExactOptions{Workers: runtime.GOMAXPROCS(0)}},
 	}
-	for _, dims := range [][2]int{{2, 2}, {3, 3}, {3, 4}, {4, 4}} {
-		arr, err := grid.RowMajor(randomTimes(dims[0]*dims[1], 7), dims[0], dims[1])
+	type arrangement struct {
+		name  string
+		times []float64
+		p, q  int
+	}
+	var arrs []arrangement
+	for _, dims := range [][2]int{{2, 2}, {3, 3}, {3, 4}, {4, 4}, {5, 5}, {6, 6}} {
+		p, q := dims[0], dims[1]
+		arrs = append(arrs, arrangement{gridLabel(p, q), randomTimes(p*q, 7), p, q})
+	}
+	equal := make([]float64, 25)
+	for i := range equal {
+		equal[i] = 1
+	}
+	arrs = append(arrs, arrangement{"5x5-equal", equal, 5, 5})
+	for _, a := range arrs {
+		arr, err := grid.RowMajor(a.times, a.p, a.q)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, m := range modes {
-			b.Run(gridLabel(dims[0], dims[1])+"/"+m.name, func(b *testing.B) {
+			b.Run(a.name+"/"+m.name, func(b *testing.B) {
 				if m.name == "parallel" && m.opts.Workers == 1 {
 					b.Skip("GOMAXPROCS=1: nothing to run in parallel")
 				}
@@ -111,20 +127,16 @@ func BenchmarkSolveGlobalExact3x3(b *testing.B) {
 }
 
 // BenchmarkSolveGlobalExact is the producer of the exact-solver scaling
-// numbers (EXPERIMENTS.md "Exact-solver scaling"): the exhaustive
-// seed-equivalent search (noprune, workers=1), the serial branch-and-bound
-// and the parallel solver on every CPU this run may use, on the grid sizes
-// the paper's exact method targets, each row with the spanning trees it
-// visited and the share of the theoretical space it never did. On 3×4 the
-// branch-and-bound rows run about 2.3× (serial) and 2.7× (parallel) faster
-// than noprune on a 2-core Xeon VM (EXPERIMENTS.md). On one CPU the
-// parallel row would time coordination overhead, so it is skipped.
+// numbers (EXPERIMENTS.md "Exact-solver scaling"): the serial search and
+// the parallel one on every CPU this run may use, on the grid sizes the
+// paper's exact method targets, each row with the spanning trees it
+// visited and the share of the theoretical space it never did. On one CPU
+// the parallel row would time coordination overhead, so it is skipped.
 func BenchmarkSolveGlobalExact(b *testing.B) {
 	modes := []struct {
 		name string
 		opts ExactOptions
 	}{
-		{"noprune", ExactOptions{Workers: 1, NoPrune: true}},
 		{"serial", ExactOptions{Workers: 1}},
 		{"parallel", ExactOptions{Workers: runtime.GOMAXPROCS(0)}},
 	}

@@ -10,22 +10,20 @@ import (
 )
 
 // ErrNoAcceptableTree would indicate no spanning tree of K_{p,q} yields a
-// feasible solution. It cannot actually occur for positive cycle-times (the
-// star tree centred on r_1 is always acceptable after scaling); it is
-// reported only if numerical breakdown prevents every tree from validating.
+// feasible solution. It cannot actually occur for positive cycle-times: the
+// walk on every arrangement starts from a tree that is acceptable by
+// construction, and the seed bound stays below the optimum (seedMargin).
 var ErrNoAcceptableTree = errors.New("core: no acceptable spanning tree found")
 
 // ExactStats reports the work done by an exact solver. Every counter is
 // deterministic for a given input: none depends on the worker count or on
 // scheduling.
 type ExactStats struct {
-	// TreesVisited is the number of complete spanning trees generated. With
-	// pruning enabled, enumeration branches whose partial trees already
-	// violate a constraint are cut before completion, so this is at most —
-	// and usually far below — TreesTheoretical.
+	// TreesVisited is the number of acceptable spanning trees the walk
+	// reached: C(p+q−2, p−1) per arrangement searched, degenerate or not
+	// (one tree per vertex of the perturbed feasible polyhedron), and far
+	// below TreesTheoretical.
 	TreesVisited int
-	// TreesAcceptable is how many visited trees satisfied all constraints.
-	TreesAcceptable int
 	// Arrangements is the number of non-decreasing arrangements examined,
 	// including arrangements skipped by the upper bound (1 for the
 	// fixed-arrangement solver).
@@ -33,18 +31,14 @@ type ExactStats struct {
 	// ArrangementsPruned counts arrangements skipped entirely because their
 	// rank-1 upper bound could not beat the heuristic-seeded lower bound.
 	ArrangementsPruned int
-	// BranchesPruned counts enumeration subtrees cut by the incremental
-	// feasibility check (each veto skips every spanning tree extending the
-	// partial selection).
-	BranchesPruned int
 	// TreesTheoretical is the full spanning-tree count p^(q-1)·q^(p-1)
-	// summed over every arrangement examined — the work an unpruned search
-	// would do.
+	// summed over every arrangement examined — the work a search over every
+	// tree would do.
 	TreesTheoretical int
 }
 
-// PruneRatio returns the fraction of the theoretical tree search avoided by
-// pruning: 1 − TreesVisited/TreesTheoretical (0 when nothing is known).
+// PruneRatio returns the fraction of the theoretical tree search avoided:
+// 1 − TreesVisited/TreesTheoretical (0 when nothing is known).
 func (s *ExactStats) PruneRatio() float64 {
 	if s.TreesTheoretical == 0 {
 		return 0
@@ -55,24 +49,18 @@ func (s *ExactStats) PruneRatio() float64 {
 // Add accumulates o into s.
 func (s *ExactStats) Add(o *ExactStats) {
 	s.TreesVisited += o.TreesVisited
-	s.TreesAcceptable += o.TreesAcceptable
 	s.Arrangements += o.Arrangements
 	s.ArrangementsPruned += o.ArrangementsPruned
-	s.BranchesPruned += o.BranchesPruned
 	s.TreesTheoretical += o.TreesTheoretical
 }
 
-// ExactOptions tunes the exact solvers. The zero value selects the pruned
-// search on GOMAXPROCS workers.
+// ExactOptions tunes the exact solvers. The zero value searches on
+// GOMAXPROCS workers.
 type ExactOptions struct {
 	// Workers is the number of goroutines that search spanning trees;
 	// 0 selects runtime.GOMAXPROCS(0). The result is bit-identical for every
 	// worker count, 1 included.
 	Workers int
-	// NoPrune disables both the incremental feasibility pruning and the
-	// upper-bound arrangement skipping, restoring the exhaustive search.
-	// Intended for cross-checks and baselines.
-	NoPrune bool
 }
 
 // exactCandidate is a candidate optimum with the full deterministic
@@ -111,25 +99,24 @@ func (a *exactCandidate) betterThan(b *exactCandidate) bool {
 	return false
 }
 
-// treeSearcher is the reusable per-worker state for the pruned spanning-tree
-// search over one p×q grid shape: the partial forest with its incremental
-// constraint propagation, the edges chosen so far, and the running best
+// treeSearcher is the reusable per-worker state of the walk over the
+// acceptable spanning trees of one p×q grid shape: the trees tried so far,
+// the queue of acceptable ones, the tree at hand and the running best
 // candidate. Vertices 0..p-1 are rows, p..p+q-1 are columns, and edge e of
 // K_{p,q} joins row e/q to column e%q (row-major order).
 //
-// Propagation invariant: within each component of the partial forest, every
-// vertex holds a value val[v] such that all tree equations r·t·c = 1 between
-// members hold. The component's remaining gauge freedom multiplies its row
-// values by μ and divides its column values by μ, so any product
-// val[i]·t[i][j]·val[p+j] between a row and a column of the SAME component
-// is gauge-invariant and can be checked against the feasibility bound the
-// moment the two vertices become connected — long before the tree is
-// complete. A violated product vetoes the edge inclusion, which prunes every
-// spanning tree extending the partial selection.
+// The acceptable trees are the bases of the vertices of the feasible
+// polyhedron r_i·t_ij·c_j ≤ 1, and the walk moves between them by simplex
+// pivots, so it never builds an unacceptable tree to throw away. A
+// degenerate vertex has many acceptable trees; the walk keeps only those
+// that stay vertices when edge e's bound is relaxed by ε^(e+1) (lower
+// indices dominate). That perturbed polyhedron is simple, its vertex graph
+// is connected, and every vertex of the real one is the limit of one of
+// its vertices, so the walk reaches every vertex through exactly
+// C(p+q−2, p−1) trees per arrangement, degenerate or not.
 type treeSearcher struct {
-	p, q  int
-	tol   float64
-	prune bool
+	p, q int
+	tol  float64
 
 	arr    *grid.Arrangement
 	arrSeq int
@@ -138,251 +125,244 @@ type treeSearcher struct {
 	// from the shared incumbent). It never affects counters.
 	skipBelow float64
 
-	val       []float64
-	parent    []int
-	members   [][]int
-	memberBuf [][]int // backing storage for members, cap p+q each
-	undoLog   []mergeRec
-	savedVals []float64
-	chosen    []int // edges of the partial forest, ascending
+	seen  map[string]struct{} // edge sets tried, as bitmasks
+	key   []byte              // the bitmask of the tree being tried
+	queue []int               // acceptable trees, p+q−1 sorted edges each
+	next  []int               // the exchange being tried
+	swaps [][2]int            // (leaving, entering) edge pairs of a tree
+	below []bool              // the subtree under the edge being released
+
+	// The loaded tree, rooted at row 0, in breadth-first order: each
+	// vertex's share (rows, then columns), the edge to its parent, its
+	// parent and its depth; and each edge's product r_i·t_ij·c_j.
+	order          []int
+	adj            [][]int
+	val, prod      []float64
+	up, par, depth []int
 
 	stats ExactStats
 	best  exactCandidate
 }
 
-type mergeRec struct {
-	keep, move int
-	keepLen    int
-	savedStart int
-}
-
-func newTreeSearcher(p, q int, opts ExactOptions) *treeSearcher {
+func newTreeSearcher(p, q int) *treeSearcher {
 	n := p + q
 	s := &treeSearcher{
-		p:         p,
-		q:         q,
-		tol:       FeasibilityTol,
-		prune:     !opts.NoPrune,
-		val:       make([]float64, n),
-		parent:    make([]int, n),
-		members:   make([][]int, n),
-		memberBuf: make([][]int, n),
-		chosen:    make([]int, 0, max(n-1, 0)),
+		p:     p,
+		q:     q,
+		tol:   FeasibilityTol,
+		seen:  make(map[string]struct{}),
+		key:   make([]byte, (p*q+7)/8),
+		next:  make([]int, 0, n),
+		below: make([]bool, n),
+		order: make([]int, 0, n),
+		adj:   make([][]int, n),
+		val:   make([]float64, n),
+		prod:  make([]float64, p*q),
+		up:    make([]int, n),
+		par:   make([]int, n),
+		depth: make([]int, n),
 	}
-	for i := range s.memberBuf {
-		s.memberBuf[i] = make([]int, 1, n)
+	deg := max(p, q)
+	adj := make([]int, n*deg)
+	for v := range s.adj {
+		s.adj[v] = adj[v*deg : v*deg : (v+1)*deg]
 	}
-	s.best.edges = make([]int, 0, max(n-1, 0))
 	s.best.r = make([]float64, p)
 	s.best.c = make([]float64, q)
 	return s
 }
 
-// resetArrangement rebinds the propagation state to arr.
-func (s *treeSearcher) resetArrangement(arr *grid.Arrangement, arrSeq int) {
-	s.arr = arr
-	s.arrSeq = arrSeq
-	for i := range s.val {
-		s.val[i] = 1
-		s.parent[i] = i
-		s.memberBuf[i] = s.memberBuf[i][:1]
-		s.memberBuf[i][0] = i
-		s.members[i] = s.memberBuf[i]
+// searchArrangement walks the acceptable trees of arr, updating stats and
+// the running best candidate. The start tree holds every edge of row 0 and,
+// for each other row i, the edge to the column j that minimises t_0j/t_ij
+// (the smallest such j on ties within tol): every product it leaves out is
+// at most 1, and a tied one is acceptable because its path's lowest edge
+// is row 0's edge to the smaller column, the path's second. The walk then
+// expands the queue in order until no unseen acceptable tree remains.
+func (s *treeSearcher) searchArrangement(arr *grid.Arrangement, arrSeq int) {
+	s.arr, s.arrSeq = arr, arrSeq
+	clear(s.seen)
+	s.queue = s.queue[:0]
+	t := arr.T
+	start := s.next[:0]
+	for j := 0; j < s.q; j++ {
+		start = append(start, j)
 	}
-	s.undoLog = s.undoLog[:0]
-	s.savedVals = s.savedVals[:0]
-	s.chosen = s.chosen[:0]
-}
-
-func (s *treeSearcher) find(x int) int {
-	for s.parent[x] != x {
-		x = s.parent[x]
-	}
-	return x
-}
-
-// include merges the components ru ∋ u (a row) and rv ∋ v (a column) along
-// the edge u–v, rescaling the smaller component so the new tree equation
-// holds, and (when pruning) checks every newly-comparable row/column
-// constraint. Returns false to veto the inclusion.
-func (s *treeSearcher) include(u, v, ru, rv int) bool {
-	keep, move := ru, rv
-	if len(s.members[rv]) > len(s.members[ru]) {
-		keep, move = rv, ru
-	}
-	// The edge equation val[u]·t·val[v] = 1 fixes the relative gauge λ of
-	// the moving component: its row values scale by one factor and its
-	// column values by the inverse, preserving the component's internal
-	// equations.
-	lam := s.val[u] * s.arr.T[u][v-s.p] * s.val[v]
-	var fr, fc float64
-	if move == rv { // moving side holds the column endpoint v
-		fr, fc = lam, 1/lam
-	} else { // moving side holds the row endpoint u
-		fr, fc = 1/lam, lam
-	}
-	if s.prune {
-		// Check every row/column pair that this merge makes comparable,
-		// using the tentative rescaled values. Any violation here is
-		// gauge-invariant and final: no completion of this partial tree can
-		// repair it, so the whole enumeration branch is cut.
-		bound := 1 + s.tol
-		for _, m := range s.members[move] {
-			var nv float64
-			if m < s.p {
-				nv = s.val[m] * fr
-			} else {
-				nv = s.val[m] * fc
-			}
-			for _, k := range s.members[keep] {
-				if m < s.p && k >= s.p {
-					if nv*s.arr.T[m][k-s.p]*s.val[k] > bound {
-						s.stats.BranchesPruned++
-						return false
-					}
-				} else if m >= s.p && k < s.p {
-					if s.val[k]*s.arr.T[k][m-s.p]*nv > bound {
-						s.stats.BranchesPruned++
-						return false
-					}
-				}
+	for i := 1; i < s.p; i++ {
+		jb := 0
+		for j := 1; j < s.q; j++ {
+			if t[0][j]/t[i][j]*(1+s.tol) < t[0][jb]/t[i][jb] {
+				jb = j
 			}
 		}
+		start = append(start, i*s.q+jb)
 	}
-	rec := mergeRec{keep: keep, move: move, keepLen: len(s.members[keep]), savedStart: len(s.savedVals)}
-	for _, m := range s.members[move] {
-		s.savedVals = append(s.savedVals, s.val[m])
-		if m < s.p {
-			s.val[m] *= fr
-		} else {
-			s.val[m] *= fc
-		}
+	s.markSeen(start)
+	s.load(start)
+	s.visit(start)
+	for at := 0; at < len(s.queue); at += s.p + s.q - 1 {
+		s.expand(s.queue[at : at+s.p+s.q-1])
 	}
-	s.members[keep] = append(s.members[keep], s.members[move]...)
-	s.parent[move] = keep
-	s.undoLog = append(s.undoLog, rec)
+}
+
+// markSeen records tree in the visited set and reports whether it was new.
+// The key is the edge set's bitmask, whatever p·q.
+func (s *treeSearcher) markSeen(tree []int) bool {
+	clear(s.key)
+	for _, e := range tree {
+		s.key[e/8] |= 1 << (e % 8)
+	}
+	if _, ok := s.seen[string(s.key)]; ok {
+		return false
+	}
+	s.seen[string(s.key)] = struct{}{}
 	return true
 }
 
-// undo rolls back the most recent accepted include, restoring the exact
-// saved values (no multiply-back, so the state is bitwise identical to the
-// pre-merge state and results cannot drift with the enumeration path).
-func (s *treeSearcher) undo() {
-	rec := s.undoLog[len(s.undoLog)-1]
-	s.undoLog = s.undoLog[:len(s.undoLog)-1]
-	s.parent[rec.move] = rec.move
-	s.members[rec.keep] = s.members[rec.keep][:rec.keepLen]
-	for i, m := range s.members[rec.move] {
-		s.val[m] = s.savedVals[rec.savedStart+i]
+// expand pivots out of the acceptable tree T. Releasing a tree edge e
+// splits T into side A, which holds e's row, and side B, which holds e's
+// column; sliding A's gauge loosens e and tightens exactly the cross edges
+// from a row of B to a column of A, and the one with the largest product
+// tightens first. T − e + f is tried for that edge f and for every cross
+// edge tied with it within tol; no other exchange can be acceptable. An
+// edge with no cross edge is a ray. T stays valid while the queue grows:
+// the queue is only appended to.
+func (s *treeSearcher) expand(tree []int) {
+	p, q := s.p, s.q
+	s.load(tree)
+	swaps := s.swaps[:0]
+	for _, e := range tree {
+		row, col := e/q, p+e%q
+		child := row // e's lower end
+		if s.depth[col] > s.depth[row] {
+			child = col
+		}
+		for _, v := range s.order {
+			s.below[v] = v == child || v != 0 && s.below[s.par[v]]
+		}
+		aBelow := child == row // side A is the subtree under e
+		top := 0.0
+		for i := 0; i < p; i++ {
+			for j := 0; j < q && s.below[i] != aBelow; j++ {
+				if f := i*q + j; s.below[p+j] == aBelow && s.prod[f]*(1+s.tol) >= top {
+					top = max(top, s.prod[f])
+					swaps = append(swaps, [2]int{e, f})
+				}
+			}
+		}
+		swaps = slices.DeleteFunc(swaps, func(sw [2]int) bool { return sw[0] == e && s.prod[sw[1]]*(1+s.tol) < top })
 	}
-	s.savedVals = s.savedVals[:rec.savedStart]
-}
-
-// searchArrangement enumerates every spanning tree of K_{p,q} under arr,
-// updating stats and the running best candidate. Propagation state is
-// maintained in both modes; NoPrune only moves the feasibility decision
-// from include-time to visit-time.
-func (s *treeSearcher) searchArrangement(arr *grid.Arrangement, arrSeq int) {
-	s.resetArrangement(arr, arrSeq)
-	s.walk(0, s.visitTree)
-}
-
-// walk decides edge e and then every later edge by include/exclude
-// backtracking, calling leaf at every completed spanning tree (s.chosen):
-// first every tree holding the forest plus e, then every tree holding the
-// forest without e. Trees therefore reach leaf once each, in ascending
-// lexicographic order of their edge sequences. An inclusion
-// that would close a cycle is never tried, one that include vetoes cuts its
-// whole subtree, and the exclude branch is taken only while the later edges
-// can still complete a spanning tree.
-func (s *treeSearcher) walk(e int, leaf func()) {
-	need := s.p + s.q - 1
-	if len(s.chosen) == need {
-		leaf()
-		return
-	}
-	if s.p*s.q-e < need-len(s.chosen) {
-		return // too few edges left to finish a tree
-	}
-	u, v := e/s.q, s.p+e%s.q
-	if ru, rv := s.find(u), s.find(v); ru != rv && s.include(u, v, ru, rv) {
-		s.chosen = append(s.chosen, e)
-		s.walk(e+1, leaf)
-		s.chosen = s.chosen[:len(s.chosen)-1]
-		s.undo()
-	}
-	if s.canSpan(e + 1) {
-		s.walk(e+1, leaf)
+	s.swaps = swaps
+	for _, sw := range swaps {
+		next := slices.DeleteFunc(append(s.next[:0], tree...), func(g int) bool { return g == sw[0] })
+		pos, _ := slices.BinarySearch(next, sw[1])
+		s.next = slices.Insert(next, pos, sw[1])
+		if s.markSeen(s.next) {
+			if s.load(s.next); s.acceptable() {
+				s.visit(s.next)
+			}
+		}
 	}
 }
 
-// canSpan reports exactly whether the forest plus the edges from e on can
-// still span K_{p,q}. In row-major order those edges always form one
-// connected piece: rows e/q..p−1 with every column while e/q < p−1, else
-// the star of row p−1 on columns e%q..q−1. So the forest can still span iff
-// every component holds a vertex the piece reaches, and a component that
-// holds none has its root among the unreached vertices.
-func (s *treeSearcher) canSpan(e int) bool {
-	if e == s.p*s.q {
-		return len(s.members[s.find(0)]) == s.p+s.q
+// load roots tree at row 0 and derives everything from its edge set alone:
+// r_0 = 1, and every other vertex follows from its one tree parent,
+// c_j = 1/(r_i·t_ij) or r_i = 1/(t_ij·c_j).
+func (s *treeSearcher) load(tree []int) {
+	p, q, t := s.p, s.q, s.arr.T
+	for v := range s.adj {
+		s.adj[v] = s.adj[v][:0]
 	}
-	for v, pv := range s.parent {
-		if pv == v && !slices.ContainsFunc(s.members[v], func(m int) bool { return s.reached(m, e) }) {
+	for _, e := range tree {
+		s.adj[e/q] = append(s.adj[e/q], e)
+		s.adj[p+e%q] = append(s.adj[p+e%q], e)
+	}
+	s.val[0], s.up[0], s.depth[0] = 1, -1, 0
+	s.order = append(s.order[:0], 0)
+	for k := 0; k < len(s.order); k++ {
+		v := s.order[k]
+		for _, e := range s.adj[v] {
+			if e == s.up[v] {
+				continue
+			}
+			i, j := e/q, e%q
+			w := i
+			if v < p {
+				w = p + j
+				s.val[w] = 1 / (s.val[i] * t[i][j])
+			} else {
+				s.val[w] = 1 / (t[i][j] * s.val[p+j])
+			}
+			s.up[w], s.par[w], s.depth[w] = e, v, s.depth[v]+1
+			s.order = append(s.order, w)
+		}
+	}
+	for i := 0; i < p; i++ {
+		for j := 0; j < q; j++ {
+			s.prod[i*q+j] = s.val[i] * t[i][j] * s.val[p+j]
+		}
+	}
+}
+
+// acceptable reports whether the loaded tree is a vertex of the perturbed
+// polyhedron: no product exceeds 1 beyond tol, and every product within tol
+// of 1 is decided by the perturbation. A tree edge is tight and is its own
+// path, so it holds.
+func (s *treeSearcher) acceptable() bool {
+	for f, pr := range s.prod {
+		if pr > 1+s.tol || pr >= 1-s.tol && !s.perturbedSlack(f) {
 			return false
 		}
 	}
 	return true
 }
 
-// reached reports whether some edge with index ≥ e (e < p·q) meets vertex v.
-func (s *treeSearcher) reached(v, e int) bool {
-	if v < s.p {
-		return v >= e/s.q
+// perturbedSlack decides a non-tree edge f = (i, j) whose product is 1
+// within tol. Let g_1…g_m be the tree path from row i to column j, g_1 at
+// row i. Under the perturbation f's slack is
+// ε^(f+1) − Σ_{k odd} ε^(g_k+1) + Σ_{k even} ε^(g_k+1), so f holds exactly
+// when the lowest index among f, g_1…g_m is f's or an even g_k's. The path
+// is climbed from both ends, the deeper end first: from row i's end g_k is
+// even when its lower end is a column, from column j's when it is a row.
+func (s *treeSearcher) perturbedSlack(f int) bool {
+	low, holds := f, true
+	a, b, fromRow := f/s.q, s.p+f%s.q, true
+	for a != b {
+		if s.depth[a] < s.depth[b] {
+			a, b, fromRow = b, a, !fromRow
+		}
+		if s.up[a] < low {
+			low, holds = s.up[a], (a >= s.p) == fromRow
+		}
+		a = s.par[a]
 	}
-	return e/s.q < s.p-1 || v-s.p >= e%s.q
+	return holds
 }
 
-// visitTree scores the completed spanning tree s.chosen. With pruning,
-// every constraint was already verified incrementally; without, the full
-// p×q scan runs here.
-func (s *treeSearcher) visitTree() {
+// visit counts the loaded acceptable tree, queues it for expansion and
+// scores it; the shares are already in the solver's gauge r_1 = 1.
+func (s *treeSearcher) visit(tree []int) {
 	s.stats.TreesVisited++
-	p, q := s.p, s.q
-	if !s.prune {
-		for i := 0; i < p; i++ {
-			for j := 0; j < q; j++ {
-				if s.val[i]*s.arr.T[i][j]*s.val[p+j] > 1+s.tol {
-					return // reject tree, keep enumerating
-				}
-			}
-		}
-	}
-	s.stats.TreesAcceptable++
-	// Renormalize to the solver's gauge r_1 = 1 and score.
-	lam0 := s.val[0]
+	s.queue = append(s.queue, tree...)
 	sr, sc := 0.0, 0.0
-	for i := 0; i < p; i++ {
-		sr += s.val[i] / lam0
+	for _, v := range s.val[:s.p] {
+		sr += v
 	}
-	for j := 0; j < q; j++ {
-		sc += s.val[p+j] * lam0
+	for _, v := range s.val[s.p:] {
+		sc += v
 	}
 	obj := sr * sc
 	if obj < s.skipBelow {
 		return
 	}
-	cand := exactCandidate{obj: obj, arrSeq: s.arrSeq, edges: s.chosen}
+	cand := exactCandidate{obj: obj, arrSeq: s.arrSeq, edges: tree}
 	if cand.betterThan(&s.best) {
 		s.best.obj = obj
 		s.best.arrSeq = s.arrSeq
 		s.best.arr = s.arr
-		s.best.edges = append(s.best.edges[:0], s.chosen...)
-		for i := 0; i < p; i++ {
-			s.best.r[i] = s.val[i] / lam0
-		}
-		for j := 0; j < q; j++ {
-			s.best.c[j] = s.val[p+j] * lam0
-		}
+		s.best.edges = append(s.best.edges[:0], tree...)
+		copy(s.best.r, s.val[:s.p])
+		copy(s.best.c, s.val[s.p:])
 	}
 }
 
@@ -442,17 +422,15 @@ func heuristicSeedBound(times []float64, p, q int) float64 {
 // SolveArrangementExactOpt solves Obj2 exactly for a fixed arrangement
 // using the spanning-tree characterization of §4.3.1: at an optimum at least
 // p+q−1 of the p·q constraints are tight, and the tight set contains a
-// spanning tree of the complete bipartite graph on {r_i} ∪ {c_j}. The
-// solver enumerates the p^(q−1)·q^(p−1) spanning trees, propagating the
-// equalities r_i·t_ij·c_j = 1 incrementally as edges join the partial
-// forest and cutting every enumeration branch whose already-connected
-// row/column pairs violate a constraint, keeps the trees whose inequalities
-// all hold, and returns the best under a deterministic tie-break.
-// opts.NoPrune restores the exhaustive visit-then-scan search. Workers split
-// the search by arrangement, so the one arrangement here runs on one worker
-// whatever opts.Workers says; the solution is bit-identical either way.
+// spanning tree of the complete bipartite graph on {r_i} ∪ {c_j}. Of the
+// p^(q−1)·q^(p−1) spanning trees the solver visits only acceptable ones,
+// those whose equalities r_i·t_ij·c_j = 1 leave every inequality holding,
+// walking from one to the next by simplex pivots (treeSearcher), and returns
+// the best under a deterministic tie-break. Workers split the search by
+// arrangement, so the one arrangement here runs on one worker whatever
+// opts.Workers says; the solution is bit-identical either way.
 //
-// Cost is exponential in the grid size; it is intended for the small grids
+// Cost grows with the C(p+q−2, p−1) trees visited; it is intended for the small grids
 // where the exact answer is wanted (the paper conjectures the general
 // problem NP-complete). A grid whose tree count overflows int is an error.
 func SolveArrangementExactOpt(arr *grid.Arrangement, opts ExactOptions) (*Solution, *ExactStats, error) {
@@ -472,8 +450,7 @@ func SolveArrangementExactOpt(arr *grid.Arrangement, opts ExactOptions) (*Soluti
 // (sufficient by Theorem 1) and solves each exactly with the spanning-tree
 // method, returning the best solution found. The search is branch-and-bound:
 // the heuristic's objective seeds a lower bound that skips arrangements
-// whose rank-1 upper bound cannot beat it, and infeasible partial trees are
-// cut during enumeration. Doubly exponential; intended for small problems
+// whose rank-1 upper bound cannot beat it. Exponential in the grid size; intended for small problems
 // and for validating the heuristic. It runs on one worker;
 // SolveGlobalExactOpt takes the worker count, with bit-identical results.
 func SolveGlobalExact(times []float64, p, q int) (*Solution, *ExactStats, error) {
@@ -489,11 +466,7 @@ func SolveGlobalExactOpt(times []float64, p, q int, opts ExactOptions) (*Solutio
 	if err != nil {
 		return nil, nil, err
 	}
-	seed := math.Inf(-1)
-	if !opts.NoPrune {
-		seed = heuristicSeedBound(times, p, q)
-	}
-	return search(p, q, trees, opts, seed, func(emit func(*grid.Arrangement) bool) error {
+	return search(p, q, trees, opts, heuristicSeedBound(times, p, q), func(emit func(*grid.Arrangement) bool) error {
 		_, err := grid.EnumerateNonDecreasing(times, p, q, emit)
 		return err
 	})

@@ -86,7 +86,7 @@ func search(p, q, trees int, opts ExactOptions, seed float64, produce func(emit 
 	searchers := make([]*treeSearcher, workers)
 	var wg sync.WaitGroup
 	for w := range searchers {
-		s := newTreeSearcher(p, q, opts)
+		s := newTreeSearcher(p, q)
 		searchers[w] = s
 		wg.Add(1)
 		go func() {

@@ -12,7 +12,7 @@ import (
 
 // exactEqualSolutions fails the test unless a and b are bit-identical in
 // objective, arrangement, R and C.
-func exactEqualSolutions(t *testing.T, label string, a, b *Solution) {
+func exactEqualSolutions(t testing.TB, label string, a, b *Solution) {
 	t.Helper()
 	if math.Float64bits(a.Objective()) != math.Float64bits(b.Objective()) {
 		t.Fatalf("%s: objective %v != %v", label, a.Objective(), b.Objective())
@@ -34,7 +34,7 @@ func exactEqualSolutions(t *testing.T, label string, a, b *Solution) {
 
 // TestWorkerCountEquivalenceProperty is the worker-count contract of the
 // exact search: for every worker count the returned solution is
-// bit-identical to the one-worker search's, and all six ExactStats counters
+// bit-identical to the one-worker search's, and all four ExactStats counters
 // agree exactly. Over 200 randomized cycle-time sets across 2×2…3×4 grids.
 func TestWorkerCountEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
@@ -79,24 +79,25 @@ func TestWorkerCountEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestPrunedVisitsFewerTreesIdenticalSolutions checks the serial
-// branch-and-bound against the exhaustive search: same solutions bit for
-// bit, the same acceptable trees (pruning cuts only infeasible ones), and
-// strictly fewer trees visited in aggregate. The fixed arrangements pin the
-// recorded tree counts: a rank-1 grid, where every tree is tight and
-// acceptable; a degenerate 3×4 with 14 acceptable trees of 432; and generic
-// random grids, whose acceptable trees are the C(p+q−2, p−1) vertices of the
-// feasible polyhedron.
+// TestPrunedVisitsFewerTreesIdenticalSolutions checks the walk against the
+// brute force over every spanning tree. The fixed arrangements pin the tree
+// counts: a rank-1 grid, where all 81 trees are tight and acceptable at its
+// one vertex and the walk visits 6; a degenerate 3×4 with 14 acceptable
+// trees of 432, of which the walk visits 10; and generic random grids,
+// whose acceptable trees are the C(p+q−2, p−1) vertices of the feasible
+// polyhedron. The global solver matches the brute force over every
+// non-decreasing arrangement — bit for bit on generic input, within 1e-14
+// on tied input — and visits strictly fewer trees than the theory counts.
 func TestPrunedVisitsFewerTreesIdenticalSolutions(t *testing.T) {
 	type fixedCase struct {
-		label      string
-		arr        *grid.Arrangement
-		acceptable int
-		branches   int // BranchesPruned of the pruned search; -1 = not pinned
+		label               string
+		arr                 *grid.Arrangement
+		acceptable, visited int
+		generic             bool
 	}
 	cases := []fixedCase{
-		{"rank-1 3x3", grid.MustNew([][]float64{{1, 2, 3}, {2, 4, 6}, {3, 6, 9}}), 81, -1},
-		{"degenerate 3x4", grid.MustNew([][]float64{{1, 1, 2, 2}, {2, 3, 3, 5}, {5, 5, 8, 8}}), 14, 224},
+		{"rank-1 3x3", grid.MustNew([][]float64{{1, 2, 3}, {2, 4, 6}, {3, 6, 9}}), 81, 6, false},
+		{"degenerate 3x4", grid.MustNew([][]float64{{1, 1, 2, 2}, {2, 3, 3, 5}, {5, 5, 8, 8}}), 14, 10, false},
 	}
 	rng := rand.New(rand.NewSource(7100))
 	for p := 2; p <= 4; p++ {
@@ -113,66 +114,62 @@ func TestPrunedVisitsFewerTreesIdenticalSolutions(t *testing.T) {
 				for k := 1; k < p; k++ {
 					binom = binom * (q - 1 + k) / k
 				}
-				cases = append(cases, fixedCase{"random " + gridLabel(p, q), grid.MustNew(tm), binom, -1})
+				cases = append(cases, fixedCase{"random " + gridLabel(p, q), grid.MustNew(tm), binom, binom, true})
 			}
 		}
 	}
 	for _, c := range cases {
-		pruned, prunedStats, err := SolveArrangementExactOpt(c.arr, ExactOptions{Workers: 1})
+		if n := len(bruteForceAcceptable(c.arr)); n != c.acceptable {
+			t.Fatalf("%s: brute force finds %d acceptable trees, want %d", c.label, n, c.acceptable)
+		}
+		_, stats, err := SolveArrangementExactOpt(c.arr, ExactOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, fullStats, err := SolveArrangementExactOpt(c.arr, ExactOptions{Workers: 1, NoPrune: true})
-		if err != nil {
-			t.Fatal(err)
+		if stats.TreesVisited != c.visited {
+			t.Fatalf("%s: visited %d trees, want %d", c.label, stats.TreesVisited, c.visited)
 		}
-		exactEqualSolutions(t, c.label, pruned, full)
-		if fullStats.TreesVisited != fullStats.TreesTheoretical {
-			t.Fatalf("%s: exhaustive search visited %d of %d trees", c.label, fullStats.TreesVisited, fullStats.TreesTheoretical)
-		}
-		if prunedStats.TreesAcceptable != c.acceptable || fullStats.TreesAcceptable != c.acceptable {
-			t.Fatalf("%s: %d (pruned) and %d (exhaustive) acceptable trees, want %d",
-				c.label, prunedStats.TreesAcceptable, fullStats.TreesAcceptable, c.acceptable)
-		}
-		if prunedStats.TreesVisited != prunedStats.TreesAcceptable {
-			t.Fatalf("%s: pruned search visited %d trees, only %d acceptable", c.label, prunedStats.TreesVisited, prunedStats.TreesAcceptable)
-		}
-		if c.branches >= 0 && prunedStats.BranchesPruned != c.branches {
-			t.Fatalf("%s: %d branches pruned, want %d", c.label, prunedStats.BranchesPruned, c.branches)
-		}
+		checkWalk(t, c.label, c.arr, c.generic)
 	}
 
-	prunedTrees, fullTrees := 0, 0
+	visited, theoretical := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(7000 + seed))
 		p, q := 2+rng.Intn(2), 2+rng.Intn(2)
 		times := make([]float64, p*q)
+		generic := seed%4 != 0
 		for i := range times {
 			times[i] = 0.05 + rng.Float64()
+			if !generic {
+				times[i] = float64(1 + rng.Intn(3))
+			}
 		}
-		pruned, prunedStats, err := SolveGlobalExact(times, p, q)
+		sol, stats, err := SolveGlobalExact(times, p, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, fullStats, err := SolveGlobalExactOpt(times, p, q, ExactOptions{Workers: 1, NoPrune: true})
-		if err != nil {
+		label := gridLabel(p, q)
+		var best *Solution
+		bestObj := math.Inf(-1)
+		if _, err := grid.EnumerateNonDecreasing(times, p, q, func(arr *grid.Arrangement) bool {
+			if b := bruteForceBest(arr); b.obj > bestObj {
+				best, bestObj = b.sol(arr), b.obj
+			}
+			return true
+		}); err != nil {
 			t.Fatal(err)
 		}
-		exactEqualSolutions(t, gridLabel(p, q), pruned, full)
-		if prunedStats.TreesVisited > fullStats.TreesVisited {
-			t.Fatalf("pruned search visited more trees: %d > %d", prunedStats.TreesVisited, fullStats.TreesVisited)
+		if got := sol.Objective(); math.Abs(got-bestObj) > 1e-14*bestObj {
+			t.Fatalf("%s seed %d: objective %v, brute force %v", label, seed, got, bestObj)
 		}
-		// Only an arrangement the upper bound skips hides acceptable trees.
-		if prunedStats.TreesAcceptable > fullStats.TreesAcceptable ||
-			prunedStats.ArrangementsPruned == 0 && prunedStats.TreesAcceptable != fullStats.TreesAcceptable {
-			t.Fatalf("%s seed %d: %d acceptable trees pruned, %d exhaustive",
-				gridLabel(p, q), seed, prunedStats.TreesAcceptable, fullStats.TreesAcceptable)
+		if generic {
+			exactEqualSolutions(t, label, sol, best)
 		}
-		prunedTrees += prunedStats.TreesVisited
-		fullTrees += fullStats.TreesVisited
+		visited += stats.TreesVisited
+		theoretical += stats.TreesTheoretical
 	}
-	if prunedTrees >= fullTrees {
-		t.Fatalf("pruning never cut the search: %d vs %d trees", prunedTrees, fullTrees)
+	if visited >= theoretical {
+		t.Fatalf("the walk never cut the search: %d vs %d trees", visited, theoretical)
 	}
 }
 

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"hetgrid/internal/grid"
@@ -19,8 +21,8 @@ func TestExactRank1PerfectBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TreesVisited != 4 {
-		t.Fatalf("K_{2,2} has 4 spanning trees, visited %d", stats.TreesVisited)
+	if stats.TreesVisited != 2 {
+		t.Fatalf("all 4 spanning trees of K_{2,2} are tight at the one vertex; the walk visits C(2, 1) = 2, visited %d", stats.TreesVisited)
 	}
 	if math.Abs(sol.Objective()-2) > 1e-12 {
 		t.Fatalf("objective = %v, want 2", sol.Objective())
@@ -76,7 +78,7 @@ func TestExactFeasibleAndTreeTight(t *testing.T) {
 		if !sol.Feasible(0) {
 			t.Fatalf("exact solution infeasible: max workload %v", sol.maxWorkload())
 		}
-		if stats.TreesAcceptable < 1 {
+		if stats.TreesVisited < 1 {
 			t.Fatal("no acceptable tree counted")
 		}
 		// r_1 is fixed to 1 by the solver.
@@ -225,44 +227,69 @@ func TestExactSingleRowAndColumn(t *testing.T) {
 	}
 }
 
+// TestExactThinGridsBeyond64Edges takes the visited set's key past one
+// 64-bit word: a 1×70 arrangement has one tree, its star, with r = [1] and
+// c_j = 1/t_j bit for bit, and a 2×33 arrangement (66 edges) has
+// C(33, 1) = 33 acceptable trees — where int has 64 bits; with 32, K_{2,33}'s
+// tree count overflows and the search refuses the grid.
+func TestExactThinGridsBeyond64Edges(t *testing.T) {
+	rng := rand.New(rand.NewSource(4402))
+	row := make([]float64, 70)
+	for j := range row {
+		row[j] = 0.25 + 2*rng.Float64()
+	}
+	sol, stats, err := SolveArrangementExactOpt(grid.MustNew([][]float64{row}), ExactOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TreesVisited != 1 || len(sol.R) != 1 || sol.R[0] != 1 {
+		t.Fatalf("1x70: visited %d trees, r = %v; want 1 tree and r = [1]", stats.TreesVisited, sol.R)
+	}
+	for j, v := range row {
+		if math.Float64bits(sol.C[j]) != math.Float64bits(1/v) {
+			t.Fatalf("1x70: c_%d = %v, want 1/t = %v", j, sol.C[j], 1/v)
+		}
+	}
+	tm := [][]float64{make([]float64, 33), make([]float64, 33)}
+	for i := range tm {
+		for j := range tm[i] {
+			tm[i][j] = 0.25 + 2*rng.Float64()
+		}
+	}
+	_, stats, err = SolveArrangementExactOpt(grid.MustNew(tm), ExactOptions{Workers: 1})
+	if _, overflow := spanningTrees(2, 33); overflow != nil {
+		if err == nil {
+			t.Fatal("2x33: the search accepted a grid whose tree count overflows int")
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.TreesVisited != 33 {
+		t.Fatalf("2x33: visited %d trees, want 33", stats.TreesVisited)
+	}
+}
+
 func TestExact3x3TreeCount(t *testing.T) {
 	arr := grid.MustNew([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	full, fullStats, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1, NoPrune: true})
+	if n := len(bruteForceSpanningTrees(3, 3)); n != 81 {
+		t.Fatalf("K_{3,3}: brute force found %d spanning trees, want 81", n)
+	}
+	sol, stats, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fullStats.TreesVisited != 81 {
-		t.Fatalf("K_{3,3} unpruned: visited %d trees, want 81", fullStats.TreesVisited)
+	if stats.TreesVisited != 6 {
+		t.Fatalf("K_{3,3}: visited %d trees, want the C(4, 2) = 6 vertices", stats.TreesVisited)
 	}
-	pruned, prunedStats, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	if stats.TreesTheoretical != 81 {
+		t.Fatalf("TreesTheoretical = %d, want 81", stats.TreesTheoretical)
 	}
-	if prunedStats.TreesVisited >= fullStats.TreesVisited {
-		t.Fatalf("pruning did not cut the search: %d vs %d trees", prunedStats.TreesVisited, fullStats.TreesVisited)
-	}
-	if prunedStats.BranchesPruned == 0 {
-		t.Fatal("no branches pruned on a strongly heterogeneous grid")
-	}
-	if prunedStats.TreesTheoretical != 81 || fullStats.TreesTheoretical != 81 {
-		t.Fatalf("TreesTheoretical = %d/%d, want 81", prunedStats.TreesTheoretical, fullStats.TreesTheoretical)
-	}
-	if pr := prunedStats.PruneRatio(); pr <= 0 || pr >= 1 {
+	if pr := stats.PruneRatio(); pr <= 0 || pr >= 1 {
 		t.Fatalf("prune ratio %v out of (0,1)", pr)
 	}
-	if math.Float64bits(pruned.Objective()) != math.Float64bits(full.Objective()) {
-		t.Fatalf("pruned objective %v != unpruned %v", pruned.Objective(), full.Objective())
-	}
-	for i := range pruned.R {
-		if pruned.R[i] != full.R[i] {
-			t.Fatalf("R[%d] differs: %v vs %v", i, pruned.R[i], full.R[i])
-		}
-	}
-	for j := range pruned.C {
-		if pruned.C[j] != full.C[j] {
-			t.Fatalf("C[%d] differs: %v vs %v", j, pruned.C[j], full.C[j])
-		}
-	}
+	exactEqualSolutions(t, "3x3", sol, bruteForceBest(arr).sol(arr))
 }
 
 // bruteForceSpanningTrees is an independent reference for the tree walk: it
@@ -301,49 +328,180 @@ func bruteForceSpanningTrees(p, q int) [][]int {
 	return trees
 }
 
-// TestWalkEnumeratesSpanningTrees is the enumeration contract of the exact
-// search: on every grid up to 4×4 the unpruned walk reaches exactly the
-// spanning trees of K_{p,q} the brute force finds, each once, in strictly
-// ascending lexicographic edge order — the order the tie-break relies on —
-// and p^(q−1)·q^(p−1) of them (Scoins' formula), also when the searcher is
-// reused.
-func TestWalkEnumeratesSpanningTrees(t *testing.T) {
-	for p := 1; p <= 4; p++ {
-		for q := 1; q <= 4; q++ {
-			want := bruteForceSpanningTrees(p, q)
-			tm := make([][]float64, p)
-			for i := range tm {
-				tm[i] = make([]float64, q)
-				for j := range tm[i] {
-					tm[i][j] = float64(1 + i + j)
+var (
+	bruteTreesMu sync.Mutex
+	bruteTrees   = map[[2]int][][]int{}
+)
+
+// bruteTree is one spanning tree of the brute-force reference with its
+// shares (r_1 = 1) and objective.
+type bruteTree struct {
+	edges []int
+	r, c  []float64
+	obj   float64
+}
+
+func (b bruteTree) sol(arr *grid.Arrangement) *Solution {
+	return &Solution{Arr: arr, R: b.r, C: b.c}
+}
+
+// bruteForceAcceptable is the exact search's reference, sharing nothing
+// with the walk: over every spanning tree of K_{p,q} (p·q ≤ 16) it
+// propagates the shares from r_1 = 1 in repeated passes over the edges and
+// keeps, in lexicographic edge order, the trees none of whose products
+// exceeds 1 beyond FeasibilityTol.
+func bruteForceAcceptable(arr *grid.Arrangement) []bruteTree {
+	p, q := arr.P, arr.Q
+	bruteTreesMu.Lock()
+	trees, ok := bruteTrees[[2]int{p, q}]
+	if !ok {
+		trees = bruteForceSpanningTrees(p, q)
+		bruteTrees[[2]int{p, q}] = trees
+	}
+	bruteTreesMu.Unlock()
+	var acc []bruteTree
+	for _, edges := range trees {
+		r, c := make([]float64, p), make([]float64, q)
+		r[0] = 1
+		for known := 1; known < p+q; {
+			for _, e := range edges {
+				i, j := e/q, e%q
+				switch {
+				case r[i] != 0 && c[j] == 0:
+					c[j] = 1 / (r[i] * arr.T[i][j])
+					known++
+				case c[j] != 0 && r[i] == 0:
+					r[i] = 1 / (arr.T[i][j] * c[j])
+					known++
 				}
-			}
-			s := newTreeSearcher(p, q, ExactOptions{NoPrune: true})
-			var got [][]int
-			// Walk twice on one searcher, as a worker reuses its searcher
-			// across arrangements; the second walk must repeat the first.
-			for pass := 0; pass < 2; pass++ {
-				s.resetArrangement(grid.MustNew(tm), 0)
-				var trees [][]int
-				s.walk(0, func() { trees = append(trees, slices.Clone(s.chosen)) })
-				if pass > 0 && !slices.EqualFunc(trees, got, slices.Equal[[]int]) {
-					t.Fatalf("%s: a reused searcher walked %d trees, a fresh one %d", gridLabel(p, q), len(trees), len(got))
-				}
-				got = trees
-			}
-			for k := 1; k < len(got); k++ {
-				if slices.Compare(got[k-1], got[k]) >= 0 {
-					t.Fatalf("%s: tree %d %v does not follow %v", gridLabel(p, q), k, got[k], got[k-1])
-				}
-			}
-			if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
-				t.Fatalf("%s: walk reached %d trees, brute force %d:\n%v\nvs\n%v", gridLabel(p, q), len(got), len(want), got, want)
-			}
-			scoins := int(math.Pow(float64(p), float64(q-1)) * math.Pow(float64(q), float64(p-1)))
-			if len(got) != scoins {
-				t.Fatalf("%s: %d spanning trees, want p^(q-1)·q^(p-1) = %d", gridLabel(p, q), len(got), scoins)
 			}
 		}
+		b := bruteTree{edges: edges, r: r, c: c}
+		if b.sol(arr).Feasible(FeasibilityTol) {
+			b.obj = b.sol(arr).Objective()
+			acc = append(acc, b)
+		}
+	}
+	return acc
+}
+
+// bruteForceBest is the brute force's optimum: the highest objective, the
+// lexicographically smallest tree on exact ties.
+func bruteForceBest(arr *grid.Arrangement) bruteTree {
+	acc := bruteForceAcceptable(arr)
+	best := acc[0]
+	for _, b := range acc[1:] {
+		if b.obj > best.obj {
+			best = b
+		}
+	}
+	return best
+}
+
+// sameShares reports whether two trees' shares name the same vertex.
+func sameShares(a, b bruteTree) bool {
+	x, y := append(slices.Clone(a.r), a.c...), append(slices.Clone(b.r), b.c...)
+	for k := range x {
+		if math.Abs(x[k]-y[k]) > 1e-9*math.Max(x[k], y[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkWalk holds the walk on arr to the brute force: every tree it
+// reaches is acceptable to the brute force, there are C(p+q−2, p−1) of
+// them, they represent every vertex of the brute force's acceptable set,
+// and the solver's objective is within 1e-14 relative of the brute force's
+// best, bit-identical in R and C when generic says the input has no ties.
+func checkWalk(t testing.TB, label string, arr *grid.Arrangement, generic bool) {
+	t.Helper()
+	p, q := arr.P, arr.Q
+	acc := bruteForceAcceptable(arr)
+	s := newTreeSearcher(p, q)
+	s.searchArrangement(arr, 0)
+	var walked []bruteTree
+	for at := 0; at < len(s.queue); at += p + q - 1 {
+		tree := s.queue[at : at+p+q-1]
+		k := slices.IndexFunc(acc, func(b bruteTree) bool { return slices.Equal(b.edges, tree) })
+		if k < 0 {
+			t.Fatalf("%s: walked tree %v is not acceptable to the brute force", label, tree)
+		}
+		walked = append(walked, acc[k])
+	}
+	binom := 1 // C(p+q−2, p−1)
+	for k := 1; k < p; k++ {
+		binom = binom * (q - 1 + k) / k
+	}
+	if len(walked) != binom || s.stats.TreesVisited != binom {
+		t.Fatalf("%s: walked %d trees (counted %d), want C(p+q-2, p-1) = %d", label, len(walked), s.stats.TreesVisited, binom)
+	}
+	for _, b := range acc {
+		if !slices.ContainsFunc(walked, func(w bruteTree) bool { return sameShares(w, b) }) {
+			t.Fatalf("%s: the walk misses the vertex of tree %v (r %v, c %v)", label, b.edges, b.r, b.c)
+		}
+	}
+	sol, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := bruteForceBest(arr)
+	if got := sol.Objective(); math.Abs(got-best.obj) > 1e-14*best.obj {
+		t.Fatalf("%s: objective %v, brute force %v", label, got, best.obj)
+	}
+	if generic {
+		exactEqualSolutions(t, label, sol, best.sol(arr))
+	}
+}
+
+// TestWalkMatchesBruteForce holds the walk to the brute force on 512
+// arrangements, 32 of every grid from 1×1 to 4×4: generic, integer cycle
+// times from {1, 2, 3, 5}, rank-1 (integer and rounded outer products) and
+// all-equal, each visited by reusing one searcher per shape as a worker
+// does.
+func TestWalkMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(4401))
+	n := 0
+	for p := 1; p <= 4; p++ {
+		for q := 1; q <= 4; q++ {
+			for trial := 0; trial < 8; trial++ {
+				a, b := make([]float64, p), make([]float64, q)
+				for i := range a {
+					a[i] = float64(1 + rng.Intn(3))
+				}
+				for j := range b {
+					b[j] = 0.5 + rng.Float64()
+					if trial%2 == 0 {
+						b[j] = float64(1 + rng.Intn(3))
+					}
+				}
+				all := 0.25 + 2*rng.Float64()
+				kinds := []struct {
+					name    string
+					generic bool
+					at      func(i, j int) float64
+				}{
+					{"generic", true, func(int, int) float64 { return 0.25 + 2*rng.Float64() }},
+					{"ties", false, func(int, int) float64 { return []float64{1, 2, 3, 5}[rng.Intn(4)] }},
+					{"rank-1", false, func(i, j int) float64 { return a[i] * b[j] }},
+					{"all-equal", false, func(int, int) float64 { return all }},
+				}
+				for _, k := range kinds {
+					tm := make([][]float64, p)
+					for i := range tm {
+						tm[i] = make([]float64, q)
+						for j := range tm[i] {
+							tm[i][j] = k.at(i, j)
+						}
+					}
+					checkWalk(t, gridLabel(p, q)+" "+k.name, grid.MustNew(tm), k.generic)
+					n++
+				}
+			}
+		}
+	}
+	if n < 500 {
+		t.Fatalf("checked %d arrangements, want at least 500", n)
 	}
 }
 
@@ -368,4 +526,48 @@ func TestSpanningTreesCountAndOverflow(t *testing.T) {
 	if n, err := spanningTrees(0, 3); n != 0 || err != nil {
 		t.Fatalf("empty side: %d, %v", n, err)
 	}
+}
+
+// FuzzExactWalk holds the walk to the brute force (checkWalk) on grids up
+// to 4×4. The first two bytes give p and q; then each cell reads one byte:
+// an even byte b is the integer cycle-time 1 + (b/2)%9, so ties are common,
+// and an odd one takes the next byte too for a continuous time in
+// [0.25, 2.25). A missing byte reads as 0.
+func FuzzExactWalk(f *testing.F) {
+	for _, tm := range [][][]float64{
+		{{1, 2, 3}, {2, 4, 6}, {3, 6, 9}}, // rank-1
+		{{5, 5, 5, 5}, {5, 5, 5, 5}, {5, 5, 5, 5}, {5, 5, 5, 5}},
+		{{1, 1, 2, 2}, {2, 3, 3, 5}, {5, 5, 8, 8}},
+	} {
+		data := []byte{byte(len(tm) - 1), byte(len(tm[0]) - 1)}
+		for _, row := range tm {
+			for _, v := range row {
+				data = append(data, byte(2*(v-1)))
+			}
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		p, q := 1+next()%4, 1+next()%4
+		tm := make([][]float64, p)
+		for i := range tm {
+			tm[i] = make([]float64, q)
+			for j := range tm[i] {
+				if b := next(); b%2 == 0 {
+					tm[i][j] = float64(1 + b/2%9)
+				} else {
+					tm[i][j] = 0.25 + float64(b<<8|next())/32768
+				}
+			}
+		}
+		checkWalk(t, fmt.Sprint(tm), grid.MustNew(tm), false)
+	})
 }

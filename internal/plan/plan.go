@@ -170,8 +170,6 @@ type SolverStats struct {
 	Arrangements       int `json:"arrangements"`
 	ArrangementsPruned int `json:"arrangements_pruned"`
 	TreesVisited       int `json:"trees_visited"`
-	TreesAcceptable    int `json:"trees_acceptable"`
-	BranchesPruned     int `json:"branches_pruned"`
 	TreesTheoretical   int `json:"trees_theoretical"`
 }
 

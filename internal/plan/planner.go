@@ -239,8 +239,6 @@ func renderPlan(req Request, strategy Strategy, res *Result) {
 			Arrangements:       s.Arrangements,
 			ArrangementsPruned: s.ArrangementsPruned,
 			TreesVisited:       s.TreesVisited,
-			TreesAcceptable:    s.TreesAcceptable,
-			BranchesPruned:     s.BranchesPruned,
 			TreesTheoretical:   s.TreesTheoretical,
 		}
 	}
