@@ -29,7 +29,8 @@ type ExactStats struct {
 	// fixed-arrangement solver).
 	Arrangements int
 	// ArrangementsPruned counts arrangements skipped entirely because their
-	// rank-1 upper bound could not beat the heuristic-seeded lower bound.
+	// ‖G·Gᵀ‖_F upper bound (arrangementUpperBound) could not beat the
+	// heuristic-seeded lower bound.
 	ArrangementsPruned int
 	// TreesTheoretical is the full spanning-tree count p^(q-1)·q^(p-1)
 	// summed over every arrangement examined — the work a search over every
@@ -125,12 +126,21 @@ type treeSearcher struct {
 	// from the shared incumbent). It never affects counters.
 	skipBelow float64
 
-	seen  map[string]struct{} // edge sets tried, as bitmasks
-	key   []byte              // the bitmask of the tree being tried
-	queue []int               // acceptable trees, p+q−1 sorted edges each
-	next  []int               // the exchange being tried
-	swaps [][2]int            // (leaving, entering) edge pairs of a tree
-	below []bool              // the subtree under the edge being released
+	// The visited set: every edge set tried in any arrangement, keyed by
+	// its bitmask, indexes tried, which holds the arrangement (stamp) that
+	// last tried it. The trees of K_{p,q} recur from one arrangement to the
+	// next, so a key is allocated once per searcher, not once per try.
+	seen  map[string]int
+	tried []int
+	stamp int
+	key   []byte // the bitmask of the tree being tried
+	queue []int  // acceptable trees, p+q−1 sorted edges each
+	// The exchanges (leaving, entering) out of each queued tree, found
+	// while it is loaded: the k-th tree's are pivots[ends[k-1]:ends[k]].
+	pivots [][2]int
+	ends   []int
+	next   []int  // the exchange being tried
+	below  []bool // the subtree under the edge being released
 
 	// The loaded tree, rooted at row 0, in breadth-first order: each
 	// vertex's share (rows, then columns), the edge to its parent, its
@@ -139,6 +149,9 @@ type treeSearcher struct {
 	adj            [][]int
 	val, prod      []float64
 	up, par, depth []int
+
+	// Each edge's row vertex and column vertex, e/q and p+e%q.
+	rowOf, colOf []int
 
 	stats ExactStats
 	best  exactCandidate
@@ -150,7 +163,7 @@ func newTreeSearcher(p, q int) *treeSearcher {
 		p:     p,
 		q:     q,
 		tol:   FeasibilityTol,
-		seen:  make(map[string]struct{}),
+		seen:  make(map[string]int),
 		key:   make([]byte, (p*q+7)/8),
 		next:  make([]int, 0, n),
 		below: make([]bool, n),
@@ -167,6 +180,10 @@ func newTreeSearcher(p, q int) *treeSearcher {
 	for v := range s.adj {
 		s.adj[v] = adj[v*deg : v*deg : (v+1)*deg]
 	}
+	s.rowOf, s.colOf = make([]int, p*q), make([]int, p*q)
+	for e := range s.rowOf {
+		s.rowOf[e], s.colOf[e] = e/q, p+e%q
+	}
 	s.best.r = make([]float64, p)
 	s.best.c = make([]float64, q)
 	return s
@@ -181,8 +198,8 @@ func newTreeSearcher(p, q int) *treeSearcher {
 // expands the queue in order until no unseen acceptable tree remains.
 func (s *treeSearcher) searchArrangement(arr *grid.Arrangement, arrSeq int) {
 	s.arr, s.arrSeq = arr, arrSeq
-	clear(s.seen)
-	s.queue = s.queue[:0]
+	s.stamp++
+	s.queue, s.pivots, s.ends = s.queue[:0], s.pivots[:0], s.ends[:0]
 	t := arr.T
 	start := s.next[:0]
 	for j := 0; j < s.q; j++ {
@@ -200,39 +217,46 @@ func (s *treeSearcher) searchArrangement(arr *grid.Arrangement, arrSeq int) {
 	s.markSeen(start)
 	s.load(start)
 	s.visit(start)
-	for at := 0; at < len(s.queue); at += s.p + s.q - 1 {
-		s.expand(s.queue[at : at+s.p+s.q-1])
+	lo := 0
+	for k, at := 0, 0; at < len(s.queue); k, at = k+1, at+s.p+s.q-1 {
+		hi := s.ends[k]
+		s.expand(s.queue[at:at+s.p+s.q-1], s.pivots[lo:hi])
+		lo = hi
 	}
 }
 
-// markSeen records tree in the visited set and reports whether it was new.
-// The key is the edge set's bitmask, whatever p·q.
+// markSeen records tree in the current arrangement's visited set and
+// reports whether it was new there. The key is the edge set's bitmask,
+// whatever p·q.
 func (s *treeSearcher) markSeen(tree []int) bool {
 	clear(s.key)
 	for _, e := range tree {
 		s.key[e/8] |= 1 << (e % 8)
 	}
-	if _, ok := s.seen[string(s.key)]; ok {
-		return false
+	if k, ok := s.seen[string(s.key)]; ok {
+		if s.tried[k] == s.stamp {
+			return false
+		}
+		s.tried[k] = s.stamp
+		return true
 	}
-	s.seen[string(s.key)] = struct{}{}
+	s.seen[string(s.key)] = len(s.tried)
+	s.tried = append(s.tried, s.stamp)
 	return true
 }
 
-// expand pivots out of the acceptable tree T. Releasing a tree edge e
-// splits T into side A, which holds e's row, and side B, which holds e's
-// column; sliding A's gauge loosens e and tightens exactly the cross edges
-// from a row of B to a column of A, and the one with the largest product
-// tightens first. T − e + f is tried for that edge f and for every cross
-// edge tied with it within tol; no other exchange can be acceptable. An
-// edge with no cross edge is a ray. T stays valid while the queue grows:
-// the queue is only appended to.
-func (s *treeSearcher) expand(tree []int) {
+// addPivots queues the exchanges out of the loaded acceptable tree T.
+// Releasing a tree edge e splits T into side A, which holds e's row, and
+// side B, which holds e's column; sliding A's gauge loosens e and tightens
+// exactly the cross edges from a row of B to a column of A, and the one
+// with the largest product tightens first. T − e + f is tried for that
+// edge f and for every cross edge tied with it within tol; no other
+// exchange can be acceptable. An edge with no cross edge is a ray.
+func (s *treeSearcher) addPivots(tree []int) {
 	p, q := s.p, s.q
-	s.load(tree)
-	swaps := s.swaps[:0]
+	pivots := s.pivots
 	for _, e := range tree {
-		row, col := e/q, p+e%q
+		row, col := s.rowOf[e], s.colOf[e]
 		child := row // e's lower end
 		if s.depth[col] > s.depth[row] {
 			child = col
@@ -241,19 +265,27 @@ func (s *treeSearcher) expand(tree []int) {
 			s.below[v] = v == child || v != 0 && s.below[s.par[v]]
 		}
 		aBelow := child == row // side A is the subtree under e
-		top := 0.0
+		top, from := 0.0, len(pivots)
 		for i := 0; i < p; i++ {
 			for j := 0; j < q && s.below[i] != aBelow; j++ {
 				if f := i*q + j; s.below[p+j] == aBelow && s.prod[f]*(1+s.tol) >= top {
 					top = max(top, s.prod[f])
-					swaps = append(swaps, [2]int{e, f})
+					pivots = append(pivots, [2]int{e, f})
 				}
 			}
 		}
-		swaps = slices.DeleteFunc(swaps, func(sw [2]int) bool { return sw[0] == e && s.prod[sw[1]]*(1+s.tol) < top })
+		kept := slices.DeleteFunc(pivots[from:], func(sw [2]int) bool { return s.prod[sw[1]]*(1+s.tol) < top })
+		pivots = pivots[:from+len(kept)]
 	}
-	s.swaps = swaps
-	for _, sw := range swaps {
+	s.pivots = pivots
+	s.ends = append(s.ends, len(pivots))
+}
+
+// expand tries the exchanges addPivots found for the acceptable tree T
+// and visits every new tree they reach that is acceptable. T and pivots
+// stay valid while the queue grows: both are only appended to.
+func (s *treeSearcher) expand(tree []int, pivots [][2]int) {
+	for _, sw := range pivots {
 		next := slices.DeleteFunc(append(s.next[:0], tree...), func(g int) bool { return g == sw[0] })
 		pos, _ := slices.BinarySearch(next, sw[1])
 		s.next = slices.Insert(next, pos, sw[1])
@@ -274,8 +306,8 @@ func (s *treeSearcher) load(tree []int) {
 		s.adj[v] = s.adj[v][:0]
 	}
 	for _, e := range tree {
-		s.adj[e/q] = append(s.adj[e/q], e)
-		s.adj[p+e%q] = append(s.adj[p+e%q], e)
+		s.adj[s.rowOf[e]] = append(s.adj[s.rowOf[e]], e)
+		s.adj[s.colOf[e]] = append(s.adj[s.colOf[e]], e)
 	}
 	s.val[0], s.up[0], s.depth[0] = 1, -1, 0
 	s.order = append(s.order[:0], 0)
@@ -285,13 +317,13 @@ func (s *treeSearcher) load(tree []int) {
 			if e == s.up[v] {
 				continue
 			}
-			i, j := e/q, e%q
+			i, c := s.rowOf[e], s.colOf[e]
 			w := i
 			if v < p {
-				w = p + j
-				s.val[w] = 1 / (s.val[i] * t[i][j])
+				w = c
+				s.val[w] = 1 / (s.val[i] * t[i][c-p])
 			} else {
-				s.val[w] = 1 / (t[i][j] * s.val[p+j])
+				s.val[w] = 1 / (t[i][c-p] * s.val[c])
 			}
 			s.up[w], s.par[w], s.depth[w] = e, v, s.depth[v]+1
 			s.order = append(s.order, w)
@@ -326,7 +358,7 @@ func (s *treeSearcher) acceptable() bool {
 // even when its lower end is a column, from column j's when it is a row.
 func (s *treeSearcher) perturbedSlack(f int) bool {
 	low, holds := f, true
-	a, b, fromRow := f/s.q, s.p+f%s.q, true
+	a, b, fromRow := s.rowOf[f], s.colOf[f], true
 	for a != b {
 		if s.depth[a] < s.depth[b] {
 			a, b, fromRow = b, a, !fromRow
@@ -339,11 +371,13 @@ func (s *treeSearcher) perturbedSlack(f int) bool {
 	return holds
 }
 
-// visit counts the loaded acceptable tree, queues it for expansion and
-// scores it; the shares are already in the solver's gauge r_1 = 1.
+// visit counts the loaded acceptable tree, queues it with its exchanges
+// for expansion and scores it; the shares are already in the solver's
+// gauge r_1 = 1.
 func (s *treeSearcher) visit(tree []int) {
 	s.stats.TreesVisited++
 	s.queue = append(s.queue, tree...)
+	s.addPivots(tree)
 	sr, sc := 0.0, 0.0
 	for _, v := range s.val[:s.p] {
 		sr += v
@@ -379,21 +413,23 @@ func (s *treeSearcher) visit(tree []int) {
 // cycle-times are grouped into rows, so it discriminates between
 // arrangements of the same multiset and lets the global solver skip
 // arrangements that cannot beat an incumbent.
-func arrangementUpperBound(arr *grid.Arrangement) float64 {
+//
+// g is scratch of at least p·q entries; it receives G row-major.
+func arrangementUpperBound(arr *grid.Arrangement, g []float64) float64 {
 	p, q := arr.P, arr.Q
-	g := make([][]float64, p)
-	for i := 0; i < p; i++ {
-		g[i] = make([]float64, q)
-		for j := 0; j < q; j++ {
-			g[i][j] = 1 / math.Sqrt(arr.T[i][j])
+	for i, row := range arr.T {
+		for j, t := range row {
+			g[i*q+j] = 1 / math.Sqrt(t)
 		}
 	}
 	sum := 0.0
 	for i := 0; i < p; i++ {
+		gi := g[i*q : (i+1)*q]
 		for k := 0; k < p; k++ {
+			gk := g[k*q : (k+1)*q]
 			dot := 0.0
-			for j := 0; j < q; j++ {
-				dot += g[i][j] * g[k][j]
+			for j := range gi {
+				dot += gi[j] * gk[j]
 			}
 			sum += dot * dot
 		}
@@ -450,9 +486,10 @@ func SolveArrangementExactOpt(arr *grid.Arrangement, opts ExactOptions) (*Soluti
 // (sufficient by Theorem 1) and solves each exactly with the spanning-tree
 // method, returning the best solution found. The search is branch-and-bound:
 // the heuristic's objective seeds a lower bound that skips arrangements
-// whose rank-1 upper bound cannot beat it. Exponential in the grid size; intended for small problems
-// and for validating the heuristic. It runs on one worker;
-// SolveGlobalExactOpt takes the worker count, with bit-identical results.
+// whose ‖G·Gᵀ‖_F upper bound (G = (1/√t_ij), arrangementUpperBound) cannot
+// beat it. Exponential in the grid size; intended for small problems and
+// for validating the heuristic. It runs on one worker; SolveGlobalExactOpt
+// takes the worker count, with bit-identical results.
 func SolveGlobalExact(times []float64, p, q int) (*Solution, *ExactStats, error) {
 	return SolveGlobalExactOpt(times, p, q, ExactOptions{Workers: 1})
 }

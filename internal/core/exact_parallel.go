@@ -62,11 +62,13 @@ func spanningTrees(p, q int) (int, error) {
 // search is the one loop of the exact search, for the global and the
 // fixed-arrangement solver and for every worker count (opts.Workers, 0 =
 // GOMAXPROCS). produce calls emit once per arrangement of the p×q grid, in
-// enumeration order; it runs on the calling goroutine, which counts each
-// arrangement (trees spanning trees apiece), skips those whose upper bound
-// cannot reach seed, and streams the rest to the workers, one arrangement
-// per item. Each worker searches its items with one reusable treeSearcher,
-// and all share a monotone incumbent, seeded with seed, that short-circuits
+// enumeration order, and may reuse the arrangement once emit returns; it
+// runs on the calling goroutine, which counts each arrangement (trees
+// spanning trees apiece), skips those whose upper bound cannot reach seed,
+// and streams a copy of each of the rest to the workers, one arrangement
+// per item, made in an arrangement a worker handed back where it can.
+// Each worker searches its items with one reusable treeSearcher, and all
+// share a monotone incumbent, seeded with seed, that short-circuits
 // candidate bookkeeping. After the join the searchers' statistics are
 // summed and the best of their candidates under betterThan wins. Pruning
 // depends only on seed and the input, never on the live incumbent, and an
@@ -83,6 +85,10 @@ func search(p, q, trees int, opts ExactOptions, seed float64, produce func(emit 
 	// A few items per worker let the producer run ahead through a stretch of
 	// bound-pruned arrangements without stalling the workers.
 	items := make(chan exactWorkItem, 4*workers)
+	// Workers hand back the arrangements they hold no more, so the producer
+	// mostly copies into a spent one instead of allocating. The queue, one
+	// item and one best per worker are all that can be out at once.
+	spent := make(chan *grid.Arrangement, cap(items)+2*workers)
 	searchers := make([]*treeSearcher, workers)
 	var wg sync.WaitGroup
 	for w := range searchers {
@@ -96,24 +102,45 @@ func search(p, q, trees int, opts ExactOptions, seed float64, produce func(emit 
 				// win (the worker holding that value keeps it locally), so
 				// skip their bookkeeping. Counters are taken before the skip.
 				s.skipBelow = incumbent.load()
+				held := s.best.arr
 				s.searchArrangement(item.arr, item.seq)
 				if s.best.arr != nil {
 					incumbent.raise(s.best.obj)
+				}
+				done := item.arr
+				if s.best.arr == item.arr {
+					done = held
+				}
+				if done != nil {
+					select {
+					case spent <- done:
+					default:
+					}
 				}
 			}
 		}()
 	}
 
 	total := &ExactStats{}
+	g := make([]float64, p*q)
 	err := produce(func(arr *grid.Arrangement) bool {
 		seq := total.Arrangements
 		total.Arrangements++
 		total.TreesTheoretical += trees
-		if arrangementUpperBound(arr) < seed {
+		if arrangementUpperBound(arr, g) < seed {
 			total.ArrangementsPruned++
 			return true
 		}
-		items <- exactWorkItem{seq: seq, arr: arr}
+		var cp *grid.Arrangement
+		select {
+		case cp = <-spent:
+			for i, row := range arr.T {
+				copy(cp.T[i], row)
+			}
+		default:
+			cp = arr.Clone()
+		}
+		items <- exactWorkItem{seq: seq, arr: cp}
 		return true
 	})
 	close(items)

@@ -153,7 +153,7 @@ func TestPrunedVisitsFewerTreesIdenticalSolutions(t *testing.T) {
 		bestObj := math.Inf(-1)
 		if _, err := grid.EnumerateNonDecreasing(times, p, q, func(arr *grid.Arrangement) bool {
 			if b := bruteForceBest(arr); b.obj > bestObj {
-				best, bestObj = b.sol(arr), b.obj
+				best, bestObj = b.sol(arr.Clone()), b.obj
 			}
 			return true
 		}); err != nil {
@@ -222,14 +222,14 @@ func TestArrangementUpperBoundValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ub := arrangementUpperBound(arr)
+		ub := arrangementUpperBound(arr, make([]float64, arr.P*arr.Q))
 		if sol.Objective() > ub*(1+1e-12) {
 			t.Fatalf("upper bound %v below exact optimum %v for %v", ub, sol.Objective(), tm)
 		}
 	}
 	// Rank-1 grid: bound equals the perfect-balance objective Σ 1/t.
 	arr := grid.MustNew([][]float64{{1, 2}, {3, 6}})
-	ub := arrangementUpperBound(arr)
+	ub := arrangementUpperBound(arr, make([]float64, arr.P*arr.Q))
 	want := 1.0 + 0.5 + 1.0/3 + 1.0/6
 	if math.Abs(ub-want) > 1e-12 {
 		t.Fatalf("rank-1 bound %v, want %v", ub, want)

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"hetgrid/internal/grid"
 )
@@ -57,6 +58,12 @@ type HeuristicResult struct {
 // then iteratively re-sort the cycle-times to match the ordering of the
 // induced optimal cycle-times T_opt = (1/(r_i·c_j)) until a fixed point.
 func SolveHeuristic(times []float64, p, q int, opts HeuristicOptions) (*HeuristicResult, error) {
+	return solveHeuristic(times, p, q, opts, newHeurScratch(p*q))
+}
+
+// solveHeuristic is SolveHeuristic on caller-provided scratch, which
+// ChooseShape shares across its candidate grids.
+func solveHeuristic(times []float64, p, q int, opts HeuristicOptions, sc *heurScratch) (*HeuristicResult, error) {
 	arr, err := grid.RowMajor(times, p, q)
 	if err != nil {
 		return nil, err
@@ -70,8 +77,7 @@ func SolveHeuristic(times []float64, p, q int, opts HeuristicOptions) (*Heuristi
 	}
 
 	res := &HeuristicResult{}
-	sc := newHeurScratch(p, q)
-	seen := map[string]int{sc.arrKey(arr): 0}
+	seen := append(sc.seen[:0], arr)
 	var best *Solution
 	bestObj := 0.0
 	for iter := 0; iter < maxIter; iter++ {
@@ -98,15 +104,15 @@ func SolveHeuristic(times []float64, p, q int, opts HeuristicOptions) (*Heuristi
 			res.Converged = true
 			break
 		}
-		key := sc.arrKey(next)
-		if _, cycled := seen[key]; cycled {
+		if slices.ContainsFunc(seen, next.Equal) {
 			// The re-sorting revisited an earlier arrangement without
 			// reaching a fixed point; stop with the best solution so far.
 			break
 		}
-		seen[key] = iter + 1
+		seen = append(seen, next)
 		arr = next
 	}
+	sc.seen = seen
 	res.Solution = best
 	if res.FirstObjective > 0 {
 		res.Tau = best.Objective()/res.FirstObjective - 1
@@ -115,16 +121,17 @@ func SolveHeuristic(times []float64, p, q int, opts HeuristicOptions) (*Heuristi
 }
 
 // heurScratch holds the buffers SolveHeuristic reuses across refinement
-// iterations: the row-major p·q T^inv matrix handed to dominantTriple, the
-// position slice the re-sorting step orders, the sorted cycle-time buffer,
-// and the byte buffer for canonical arrangement keys. One dominant triple
-// per step still dominates the cost; the scratch removes the per-iteration
+// iterations, and ChooseShape across candidate grids: the row-major p·q
+// T^inv matrix handed to dominantTriple, the position slice the re-sorting
+// step orders, the sorted cycle-time buffer, and the arrangements visited
+// so far, which detect a cycle of the re-sorting. One dominant triple per
+// step still dominates the cost; the scratch removes the per-iteration
 // allocations around it.
 type heurScratch struct {
 	tinv      []float64
 	positions []heurPos
 	times     []float64
-	key       []byte
+	seen      []*grid.Arrangement
 }
 
 type heurPos struct {
@@ -132,30 +139,13 @@ type heurPos struct {
 	i, j int
 }
 
-func newHeurScratch(p, q int) *heurScratch {
+// newHeurScratch returns scratch for grids of up to n processors.
+func newHeurScratch(n int) *heurScratch {
 	return &heurScratch{
-		tinv:      make([]float64, p*q),
-		positions: make([]heurPos, 0, p*q),
-		times:     make([]float64, 0, p*q),
-		key:       make([]byte, 0, 8*p*q),
+		tinv:      make([]float64, n),
+		positions: make([]heurPos, 0, n),
+		times:     make([]float64, 0, n),
 	}
-}
-
-// arrKey returns a canonical byte-string key for the arrangement — the
-// row-major IEEE-754 bit patterns of its cycle-times. Cheaper than the
-// decimal rendering of Arrangement.String and injective on float64s.
-func (sc *heurScratch) arrKey(arr *grid.Arrangement) string {
-	buf := sc.key[:0]
-	for _, row := range arr.T {
-		for _, v := range row {
-			bits := math.Float64bits(v)
-			buf = append(buf,
-				byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-				byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
-		}
-	}
-	sc.key = buf
-	return string(buf)
 }
 
 // RankOneStep performs one evaluation step of the heuristic for a fixed
@@ -166,12 +156,12 @@ func (sc *heurScratch) arrKey(arr *grid.Arrangement) string {
 // every row has a tight constraint, and (for the resulting matrices in
 // practice) every column keeps one too.
 func RankOneStep(arr *grid.Arrangement) (*Solution, error) {
-	return rankOneStep(arr, newHeurScratch(arr.P, arr.Q))
+	return rankOneStep(arr, newHeurScratch(arr.P*arr.Q))
 }
 
 func rankOneStep(arr *grid.Arrangement, sc *heurScratch) (*Solution, error) {
 	p, q := arr.P, arr.Q
-	tinv := sc.tinv
+	tinv := sc.tinv[:p*q]
 	for i := 0; i < p; i++ {
 		for j := 0; j < q; j++ {
 			tinv[i*q+j] = 1 / arr.T[i][j]
@@ -184,12 +174,12 @@ func rankOneStep(arr *grid.Arrangement, sc *heurScratch) (*Solution, error) {
 	if err != nil {
 		s, a, b = gramSquaringTriple(tinv, p, q)
 	}
-	r := make([]float64, p)
-	c := make([]float64, q)
-	for i := 0; i < p; i++ {
-		r[i] = s * a[i]
+	// The triple's vectors are fresh: scale u into r in place and keep v
+	// as c.
+	r, c := a, b
+	for i := range r {
+		r[i] *= s
 	}
-	copy(c, b)
 	// Perron–Frobenius guarantees positive singular vectors for a positive
 	// matrix; guard against numerically-zero components anyway.
 	for i, v := range r {
@@ -401,9 +391,7 @@ func rearrange(arr *grid.Arrangement, sol *Solution, sc *heurScratch) *grid.Arra
 		}
 	}
 	sc.positions = positions
-	sort.SliceStable(positions, func(a, b int) bool {
-		return positions[a].val < positions[b].val
-	})
+	slices.SortStableFunc(positions, func(a, b heurPos) int { return cmp.Compare(a.val, b.val) })
 	// Near-equal T_opt entries (e.g. the exact tie in the paper's §4.4.3
 	// second step) are ordered column-major: group runs of values within a
 	// relative tolerance and re-sort each run by (j, i).
@@ -415,12 +403,8 @@ func rearrange(arr *grid.Arrangement, sol *Solution, sc *heurScratch) *grid.Arra
 			hi++
 		}
 		if hi-lo > 1 {
-			run := positions[lo:hi]
-			sort.SliceStable(run, func(a, b int) bool {
-				if run[a].j != run[b].j {
-					return run[a].j < run[b].j
-				}
-				return run[a].i < run[b].i
+			slices.SortStableFunc(positions[lo:hi], func(a, b heurPos) int {
+				return cmp.Or(cmp.Compare(a.j, b.j), cmp.Compare(a.i, b.i))
 			})
 		}
 		lo = hi
@@ -430,13 +414,14 @@ func rearrange(arr *grid.Arrangement, sol *Solution, sc *heurScratch) *grid.Arra
 		times = append(times, row...)
 	}
 	sc.times = times
-	sort.Float64s(times)
-	t := make([][]float64, p)
-	for i := range t {
-		t[i] = make([]float64, q)
-	}
+	slices.Sort(times)
+	data := make([]float64, p*q)
 	for k, pp := range positions {
-		t[pp.i][pp.j] = times[k]
+		data[pp.i*q+pp.j] = times[k]
 	}
-	return grid.MustNew(t)
+	next, err := grid.FromData(data, p, q)
+	if err != nil {
+		panic(err) // a permutation of arr's cycle-times, which arr validated
+	}
+	return next
 }

@@ -83,7 +83,7 @@ func TestWorkedExampleRearrangeStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := rearrange(arr, sol, newHeurScratch(3, 3))
+	next := rearrange(arr, sol, newHeurScratch(9))
 	want := grid.MustNew([][]float64{{1, 2, 3}, {4, 5, 7}, {6, 8, 9}})
 	if !next.Equal(want) {
 		t.Fatalf("refined arrangement:\n%swant:\n%s", next, want)

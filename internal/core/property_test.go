@@ -64,7 +64,7 @@ func TestRearrangeFixedPointIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next := rearrange(res.FinalArrangement, sol, newHeurScratch(n, n))
+		next := rearrange(res.FinalArrangement, sol, newHeurScratch(n*n))
 		if !next.Equal(res.FinalArrangement) {
 			t.Fatalf("converged arrangement is not a rearrange fixed point:\n%svs\n%s",
 				res.FinalArrangement, next)

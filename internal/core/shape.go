@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ShapeResult is the outcome of a grid-shape search: the chosen grid
@@ -48,7 +49,7 @@ func ChooseShape(times []float64, opts ShapeOptions) (*ShapeResult, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return times[order[a]] < times[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(times[a], times[b]) })
 
 	sizes := []int{n}
 	if opts.AllowSubset {
@@ -59,27 +60,29 @@ func ChooseShape(times []float64, opts ShapeOptions) (*ShapeResult, error) {
 	}
 	var best *ShapeResult
 	candidates := 0
-	better := func(cand *ShapeResult) bool {
+	better := func(sol *Solution, p, q, m int) bool {
 		if best == nil {
 			return true
 		}
-		co, bo := cand.Objective(), best.Objective()
+		co, bo := sol.Objective(), best.Objective()
 		if co != bo {
 			return co > bo
 		}
 		// Prefer squarer grids.
-		ca, ba := aspect(cand.P, cand.Q), aspect(best.P, best.Q)
+		ca, ba := aspect(p, q), aspect(best.P, best.Q)
 		if ca != ba {
 			return ca > ba
 		}
-		return len(cand.Selected) > len(best.Selected)
+		return m > len(best.Selected)
+	}
+	// Every candidate balances a prefix of the same speed order on the
+	// same scratch; SolveHeuristic copies the cycle-times it is given.
+	sc := newHeurScratch(n)
+	subTimes := make([]float64, n)
+	for i, idx := range order {
+		subTimes[i] = times[idx]
 	}
 	for _, m := range sizes {
-		subset := order[:m]
-		subTimes := make([]float64, m)
-		for i, idx := range subset {
-			subTimes[i] = times[idx]
-		}
 		for p := 1; p <= m; p++ {
 			if m%p != 0 {
 				continue
@@ -89,18 +92,12 @@ func ChooseShape(times []float64, opts ShapeOptions) (*ShapeResult, error) {
 				continue
 			}
 			candidates++
-			res, err := SolveHeuristic(subTimes, p, q, HeuristicOptions{})
+			res, err := solveHeuristic(subTimes[:m], p, q, HeuristicOptions{}, sc)
 			if err != nil {
 				return nil, err
 			}
-			cand := &ShapeResult{
-				Solution: res.Solution,
-				P:        p,
-				Q:        q,
-				Selected: append([]int(nil), subset...),
-			}
-			if better(cand) {
-				best = cand
+			if better(res.Solution, p, q, m) {
+				best = &ShapeResult{Solution: res.Solution, P: p, Q: q, Selected: order[:m:m]}
 			}
 		}
 	}

@@ -25,6 +25,22 @@ func BenchmarkEnumerateNonDecreasing3x4(b *testing.B) {
 	}
 }
 
+// BenchmarkEnumerateNonDecreasing4x4 counts the 24,024 standard Young
+// tableaux of a 4×4 (BenchmarkDevelEnumerate has the enumerator it
+// replaced beside it).
+func BenchmarkEnumerateNonDecreasing4x4(b *testing.B) {
+	times := make([]float64, 16)
+	for i := range times {
+		times[i] = float64(i + 1)
+	}
+	for i := 0; i < b.N; i++ {
+		n, err := EnumerateNonDecreasing(times, 4, 4, nil)
+		if err != nil || n != 24024 {
+			b.Fatalf("n=%d err=%v", n, err)
+		}
+	}
+}
+
 func BenchmarkIsRank1(b *testing.B) {
 	arr := MustNew([][]float64{{1, 2, 3}, {2, 4, 6}, {3, 6, 9}})
 	for i := 0; i < b.N; i++ {

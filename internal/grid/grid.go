@@ -13,7 +13,7 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -26,7 +26,7 @@ type Arrangement struct {
 }
 
 // New returns an arrangement from a cycle-time matrix, validating shape and
-// positivity.
+// positivity. The arrangement holds its own copy of the values.
 func New(t [][]float64) (*Arrangement, error) {
 	p := len(t)
 	if p == 0 {
@@ -36,21 +36,46 @@ func New(t [][]float64) (*Arrangement, error) {
 	if q == 0 {
 		return nil, fmt.Errorf("grid: arrangement with empty rows")
 	}
+	data := make([]float64, 0, p*q)
 	for i, row := range t {
 		if len(row) != q {
 			return nil, fmt.Errorf("grid: ragged arrangement: row 0 has %d entries, row %d has %d", q, i, len(row))
 		}
-		for j, v := range row {
-			if !(v > 0) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("grid: cycle-time t[%d][%d] = %v must be positive and finite", i, j, v)
-			}
+		data = append(data, row...)
+	}
+	return FromData(data, p, q)
+}
+
+// FromData validates the row-major p·q cycle-times in data and returns
+// them as a p×q arrangement without copying: the arrangement takes data
+// over, and the caller must not write it afterwards.
+func FromData(data []float64, p, q int) (*Arrangement, error) {
+	if len(data) != p*q {
+		return nil, fmt.Errorf("grid: %d cycle-times cannot fill a %d×%d grid", len(data), p, q)
+	}
+	if p <= 0 {
+		return nil, fmt.Errorf("grid: empty arrangement")
+	}
+	if q <= 0 {
+		return nil, fmt.Errorf("grid: arrangement with empty rows")
+	}
+	for k, v := range data {
+		if !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("grid: cycle-time t[%d][%d] = %v must be positive and finite", k/q, k%q, v)
 		}
 	}
-	cp := make([][]float64, p)
-	for i := range cp {
-		cp[i] = append([]float64(nil), t[i]...)
+	return rowsOf(data, p, q), nil
+}
+
+// rowsOf returns the p×q arrangement whose rows are consecutive q-value
+// windows of data, one backing array for the whole matrix. Each row's
+// capacity ends with the row, so an append to one never writes the next.
+func rowsOf(data []float64, p, q int) *Arrangement {
+	t := make([][]float64, p)
+	for i := range t {
+		t[i] = data[i*q : (i+1)*q : (i+1)*q]
 	}
-	return &Arrangement{P: p, Q: q, T: cp}, nil
+	return &Arrangement{P: p, Q: q, T: t}
 }
 
 // MustNew is New that panics on error, for literals in tests and examples.
@@ -72,21 +97,13 @@ func RowMajor(times []float64, p, q int) (*Arrangement, error) {
 		return nil, fmt.Errorf("grid: %d cycle-times cannot fill a %d×%d grid", len(times), p, q)
 	}
 	sorted := append([]float64(nil), times...)
-	sort.Float64s(sorted)
-	t := make([][]float64, p)
-	for i := 0; i < p; i++ {
-		t[i] = sorted[i*q : (i+1)*q]
-	}
-	return New(t)
+	slices.Sort(sorted)
+	return FromData(sorted, p, q)
 }
 
 // Clone returns a deep copy.
 func (a *Arrangement) Clone() *Arrangement {
-	t := make([][]float64, a.P)
-	for i := range t {
-		t[i] = append([]float64(nil), a.T[i]...)
-	}
-	return &Arrangement{P: a.P, Q: a.Q, T: t}
+	return rowsOf(a.Times(), a.P, a.Q)
 }
 
 // Times returns all cycle-times of the arrangement in row-major order.
@@ -189,9 +206,22 @@ func (a *Arrangement) String() string {
 // p×q grid whose rows and columns are non-decreasing (the search space that
 // Theorem 1 reduces the 2D load-balancing problem to). Duplicate cycle-time
 // values produce each distinct *matrix* once, not each permutation of equal
-// values. The Arrangement passed to visit is freshly allocated and may be
-// retained. If visit returns false the enumeration stops; a nil visit only
-// counts. Returns the number of arrangements visited.
+// values. Arrangements come in lexicographic row-major order: cells are
+// filled row by row, each with the smallest value that still leads to an
+// arrangement first, so the order is fixed by the multiset alone.
+//
+// A value v fits cell (i, j) only if it is at least its left and upper
+// neighbours and inside the rank window: the (p−i)(q−j) cells from (i, j)
+// to the bottom-right corner, all still empty, hold v and values ≥ v, so
+// at least (p−i)(q−j) of the values not yet placed must be ≥ v. (The cells
+// above and to the left hold values ≤ v by the neighbour rule.) Both
+// conditions are necessary, so the window only cuts subtrees that hold no
+// arrangement and leaves the order as it was.
+//
+// The Arrangement passed to visit is the enumerator's own and is
+// overwritten by the next one: a visit that keeps it must Clone it. If
+// visit returns false the enumeration stops; a nil visit only counts.
+// Returns the number of arrangements visited.
 func EnumerateNonDecreasing(times []float64, p, q int, visit func(*Arrangement) bool) (int, error) {
 	if len(times) != p*q {
 		return 0, fmt.Errorf("grid: %d cycle-times cannot fill a %d×%d grid", len(times), p, q)
@@ -200,64 +230,84 @@ func EnumerateNonDecreasing(times []float64, p, q int, visit func(*Arrangement) 
 		return 0, fmt.Errorf("grid: invalid dimensions %d×%d", p, q)
 	}
 	sorted := append([]float64(nil), times...)
-	sort.Float64s(sorted)
+	slices.Sort(sorted)
 	for _, v := range sorted {
 		if !(v > 0) || math.IsInf(v, 0) {
 			return 0, fmt.Errorf("grid: cycle-time %v must be positive and finite", v)
 		}
 	}
-	// Backtracking fill in row-major order. Position (i,j) must satisfy
-	// value >= T[i][j-1] and value >= T[i-1][j]. To avoid emitting the same
-	// matrix twice when values repeat, at each cell we try each *distinct*
-	// remaining value once.
-	n := p * q
-	t := make([][]float64, p)
-	for i := range t {
-		t[i] = make([]float64, q)
+	e := &nonDecreasing{
+		p: p, q: q,
+		vals:  make([]float64, 0, p*q),
+		left:  make([]int, 0, p*q),
+		cell:  make([]int, p*q),
+		arr:   rowsOf(make([]float64, p*q), p, q),
+		visit: visit,
 	}
-	used := make([]bool, n)
-	count := 0
-	stopped := false
-	var rec func(pos int)
-	rec = func(pos int) {
-		if stopped {
+	for _, v := range sorted {
+		if k := len(e.vals); k > 0 && e.vals[k-1] == v {
+			e.left[k-1]++
+			continue
+		}
+		e.vals = append(e.vals, v)
+		e.left = append(e.left, 1)
+	}
+	e.fill(0)
+	return e.count, nil
+}
+
+// nonDecreasing is the state of one EnumerateNonDecreasing: the distinct
+// values ascending, how many of each are not yet placed, and the distinct
+// value's index in every filled cell (row-major).
+type nonDecreasing struct {
+	p, q    int
+	vals    []float64
+	left    []int
+	cell    []int
+	arr     *Arrangement
+	visit   func(*Arrangement) bool
+	count   int
+	stopped bool
+}
+
+// fill places every value that fits cell pos, in ascending order, and
+// recurses into the next cell.
+func (e *nonDecreasing) fill(pos int) {
+	q := e.q
+	if pos == len(e.cell) {
+		e.count++
+		if e.visit != nil && !e.visit(e.arr) {
+			e.stopped = true
+		}
+		return
+	}
+	i, j := pos/q, pos%q
+	g := 0
+	if j > 0 {
+		g = e.cell[pos-1]
+	}
+	if i > 0 {
+		g = max(g, e.cell[pos-q])
+	}
+	ge := 0 // values not yet placed that are ≥ vals[g]
+	for _, c := range e.left[g:] {
+		ge += c
+	}
+	for need := (e.p - i) * (q - j); ge >= need; g++ {
+		c := e.left[g]
+		if c == 0 {
+			continue
+		}
+		e.left[g]--
+		e.cell[pos] = g
+		e.arr.T[i][j] = e.vals[g]
+		e.fill(pos + 1)
+		e.left[g]++
+		if e.stopped {
 			return
 		}
-		if pos == n {
-			count++
-			if visit != nil {
-				arr := &Arrangement{P: p, Q: q, T: t}
-				if !visit(arr.Clone()) {
-					stopped = true
-				}
-			}
-			return
-		}
-		i, j := pos/q, pos%q
-		minVal := 0.0
-		if j > 0 {
-			minVal = t[i][j-1]
-		}
-		if i > 0 && t[i-1][j] > minVal {
-			minVal = t[i-1][j]
-		}
-		prev := math.NaN()
-		for k := 0; k < n; k++ {
-			if used[k] || sorted[k] < minVal || sorted[k] == prev {
-				continue
-			}
-			prev = sorted[k]
-			used[k] = true
-			t[i][j] = sorted[k]
-			rec(pos + 1)
-			used[k] = false
-			if stopped {
-				return
-			}
-		}
+		ge -= c
 	}
-	rec(0)
-	return count, nil
 }
 
 // EnumerateAll calls visit for every distinct arrangement (matrix) of the
@@ -275,7 +325,7 @@ func EnumerateAll(times []float64, p, q int, visit func(*Arrangement) bool) (int
 		return 0, fmt.Errorf("grid: invalid dimensions %d×%d", p, q)
 	}
 	sorted := append([]float64(nil), times...)
-	sort.Float64s(sorted)
+	slices.Sort(sorted)
 	for _, v := range sorted {
 		if !(v > 0) || math.IsInf(v, 0) {
 			return 0, fmt.Errorf("grid: cycle-time %v must be positive and finite", v)

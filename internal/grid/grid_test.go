@@ -297,7 +297,7 @@ func TestEnumerateFirstIsRowMajor(t *testing.T) {
 	times := []float64{4, 1, 3, 2, 6, 5}
 	var first *Arrangement
 	if _, err := EnumerateNonDecreasing(times, 2, 3, func(a *Arrangement) bool {
-		first = a
+		first = a.Clone()
 		return false
 	}); err != nil {
 		t.Fatal(err)
