@@ -33,7 +33,6 @@ type options struct {
 	addr     string
 	entries  int
 	ttl      time.Duration
-	shards   int
 	quant    int
 	workers  int
 	batchMax int
@@ -45,9 +44,8 @@ type options struct {
 func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&o.entries, "cache-entries", 1024, "maximum cached plans across all shards")
+	fs.IntVar(&o.entries, "cache-entries", 1024, "maximum cached plans")
 	fs.DurationVar(&o.ttl, "cache-ttl", 10*time.Minute, "how long a cached plan stays valid (0 = forever)")
-	fs.IntVar(&o.shards, "shards", 16, "cache shard count (rounded up to a power of two)")
 	fs.IntVar(&o.quant, "quant", 0, "cycle-time quantization in significant digits (0 = default 3, negative = off)")
 	fs.IntVar(&o.workers, "workers", 0, "exact-solver goroutines per request (0 = GOMAXPROCS)")
 	fs.IntVar(&o.batchMax, "batch-max", 256, "maximum items per /v1/plans batch")
@@ -64,7 +62,6 @@ func main() {
 	cache := plancache.New(plancache.Config{
 		MaxEntries: o.entries,
 		TTL:        o.ttl,
-		Shards:     o.shards,
 	})
 	srv := service.New(service.Config{
 		Cache:         cache,

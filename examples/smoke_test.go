@@ -48,8 +48,8 @@ func TestExamplesBuildAndRun(t *testing.T) {
 			}
 		})
 	}
-	if ran < 7 {
-		t.Fatalf("found only %d example directories, expected at least 7", ran)
+	if ran < 6 {
+		t.Fatalf("found only %d example directories, expected at least 6", ran)
 	}
 }
 

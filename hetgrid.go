@@ -126,7 +126,7 @@ func publishExactStats(reg *Metrics, stats *core.ExactStats) {
 		return
 	}
 	reg.Counter("hetgrid_exact_arrangements_total", "", "non-decreasing arrangements examined by the exact solver").Add(int64(stats.Arrangements))
-	reg.Counter("hetgrid_exact_arrangements_pruned_total", "", "arrangements skipped by the rank-1 upper bound").Add(int64(stats.ArrangementsPruned))
+	reg.Counter("hetgrid_exact_arrangements_pruned_total", "", "arrangements skipped because their ‖G·Gᵀ‖_F upper bound could not beat the heuristic-seeded lower bound").Add(int64(stats.ArrangementsPruned))
 	reg.Counter("hetgrid_exact_trees_visited_total", "", "acceptable spanning trees visited by the exact solver").Add(int64(stats.TreesVisited))
 	reg.Counter("hetgrid_exact_trees_theoretical_total", "", "spanning trees a search over every tree would have generated").Add(int64(stats.TreesTheoretical))
 }

@@ -50,36 +50,24 @@ type Decision struct {
 	// NewDist is the proposed distribution (nil when staying put and no
 	// better layout exists).
 	NewDist distribution.Distribution
-	// PerStepCur and PerStepNew are the per-step compute bounds under the
-	// current and proposed layouts.
-	PerStepCur, PerStepNew float64
 }
 
-// EvaluateMM decides whether an outer-product multiplication with
-// remainingSteps steps left should re-balance onto a layout computed for
-// the newly measured cycle-times (the p·q grid positions in row-major
-// order). The processor grid positions are fixed (machines do not move);
-// only the block shares change.
-func EvaluateMM(cur distribution.Distribution, newTimes []float64, remainingSteps int, pol Policy) (*Decision, error) {
-	if remainingSteps < 0 {
-		return nil, fmt.Errorf("adapt: negative remaining steps %d", remainingSteps)
+// EvaluateKernel decides whether a kernel working on region w with steps
+// [startStep, nb) left should migrate onto a layout recomputed for the
+// newly measured cycle-times (row-major grid order). Stay-cost and
+// move-cost are sums of per-step compute bounds over the remaining region
+// (for multiplication, region All, the bound is the same every step). The
+// shares are re-balanced for the fixed arrangement — grid positions are
+// fixed, machines do not move — and realized as the best panel under the
+// region's orderings (searched up to 4·max(p, q), clamped to the block
+// matrix); the block moves onto it are priced on the simulated network,
+// and moving is recommended when the stay-cost exceeds the move-cost by
+// the hysteresis.
+func EvaluateKernel(cur distribution.Distribution, times []float64, w distribution.Region, startStep int, pol Policy) (*Decision, error) {
+	nb, _ := cur.Blocks()
+	if startStep < 0 || startStep > nb {
+		return nil, fmt.Errorf("adapt: start step %d outside [0,%d]", startStep, nb)
 	}
-	return evaluate(cur, newTimes, distribution.All, pol, func(l *distribution.Layout, t *grid.Arrangement) (total, perStep float64) {
-		perStep = spanCost(l, t, distribution.All, 0, 1)
-		return float64(remainingSteps) * perStep, perStep
-	})
-}
-
-// evaluate is the decision both evaluators make: re-balance the shares for
-// the fixed arrangement, realize them as the best panel under the region's
-// orderings (searched up to 4·max(p, q), clamped to the block matrix),
-// price the block moves onto it on the simulated network, and recommend
-// moving when the stay-cost exceeds the move-cost by the hysteresis. cost
-// projects the remaining compute time, in total and per step, under a
-// layout.
-func evaluate(cur distribution.Distribution, times []float64, w distribution.Region, pol Policy,
-	cost func(*distribution.Layout, *grid.Arrangement) (total, perStep float64)) (*Decision, error) {
-
 	p, q := cur.Dims()
 	if len(times) != p*q {
 		return nil, fmt.Errorf("adapt: %d measured cycle-times for a %d×%d grid", len(times), p, q)
@@ -96,9 +84,8 @@ func evaluate(cur distribution.Distribution, times []float64, w distribution.Reg
 	if err != nil {
 		return nil, err
 	}
-	nb := curLay.NB
 	hys := max(pol.Hysteresis, 1)
-	maxPanel := min(4*max(p, q), nb)
+	maxPanel := min(4*max(p, q), curLay.NB)
 
 	sol, err := core.RankOneStep(newTimes)
 	if err != nil {
@@ -109,7 +96,7 @@ func evaluate(cur distribution.Distribution, times []float64, w distribution.Reg
 	if err != nil {
 		return nil, err
 	}
-	cand, err := pan.Distribution(nb, nb)
+	cand, err := pan.Distribution(curLay.NB, curLay.NB)
 	if err != nil {
 		return nil, err
 	}
@@ -123,13 +110,11 @@ func evaluate(cur distribution.Distribution, times []float64, w distribution.Reg
 	}
 
 	dec := &Decision{MovedBlocks: plan.BlockCount()}
-	dec.StayCost, dec.PerStepCur = cost(curLay, newTimes)
-	newCost, perStepNew := cost(candLay, newTimes)
-	dec.PerStepNew = perStepNew
+	dec.StayCost = spanCost(curLay, newTimes, w, startStep, nb)
 	if dec.RedistTime, err = simulateMoves(plan, p*q, pol); err != nil {
 		return nil, err
 	}
-	dec.MoveCost = dec.RedistTime + newCost
+	dec.MoveCost = dec.RedistTime + spanCost(candLay, newTimes, w, startStep, nb)
 	if dec.MoveCost*hys < dec.StayCost && dec.MovedBlocks > 0 {
 		dec.Redistribute = true
 		dec.NewDist = cand

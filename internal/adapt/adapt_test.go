@@ -26,19 +26,23 @@ func startLayout(t *testing.T, nb int) distribution.Distribution {
 	return d
 }
 
+// The TestEvaluateMM tests evaluate an outer-product multiplication: region
+// All, whose per-step bound is the same every step, with remaining steps
+// [start, nb).
+
 func TestEvaluateMMStaysWhenBalanced(t *testing.T) {
 	// Speeds unchanged and uniform layout already optimal: stay.
 	d := startLayout(t, 16)
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 1}})
-	dec, err := EvaluateMM(d, arr.Times(), 10, policy())
+	dec, err := EvaluateKernel(d, arr.Times(), distribution.All, 6, policy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Redistribute {
 		t.Fatalf("recommended redistribution on a balanced layout: %+v", dec)
 	}
-	if dec.PerStepCur != dec.PerStepNew {
-		t.Fatalf("per-step bounds differ on equal speeds: %v vs %v", dec.PerStepCur, dec.PerStepNew)
+	if compute := dec.MoveCost - dec.RedistTime; compute != dec.StayCost {
+		t.Fatalf("compute bounds differ on equal speeds: stay %v, candidate %v", dec.StayCost, compute)
 	}
 }
 
@@ -46,7 +50,7 @@ func TestEvaluateMMMovesUnderLoad(t *testing.T) {
 	// One machine slows 5×: with plenty of work left, moving pays.
 	d := startLayout(t, 24)
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 5}})
-	dec, err := EvaluateMM(d, arr.Times(), 24, policy())
+	dec, err := EvaluateKernel(d, arr.Times(), distribution.All, 0, policy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +60,8 @@ func TestEvaluateMMMovesUnderLoad(t *testing.T) {
 	if dec.NewDist == nil || dec.MovedBlocks == 0 {
 		t.Fatal("no proposed distribution despite recommendation")
 	}
-	if dec.PerStepNew >= dec.PerStepCur {
-		t.Fatalf("new layout not faster per step: %v vs %v", dec.PerStepNew, dec.PerStepCur)
+	if compute := dec.MoveCost - dec.RedistTime; compute >= dec.StayCost {
+		t.Fatalf("new layout not faster: %v vs %v", compute, dec.StayCost)
 	}
 	if dec.MoveCost >= dec.StayCost {
 		t.Fatalf("move cost %v not below stay cost %v", dec.MoveCost, dec.StayCost)
@@ -71,7 +75,7 @@ func TestEvaluateMMStaysNearTheEnd(t *testing.T) {
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 5}})
 	pol := policy()
 	pol.Net = sim.Config{Latency: 50, ByteTime: 1e-3}
-	dec, err := EvaluateMM(d, arr.Times(), 1, pol)
+	dec, err := EvaluateKernel(d, arr.Times(), distribution.All, 23, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +92,12 @@ func TestEvaluateMMHysteresis(t *testing.T) {
 	d := startLayout(t, 24)
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 1.3}})
 	pol := policy()
-	base, err := EvaluateMM(d, arr.Times(), 12, pol)
+	base, err := EvaluateKernel(d, arr.Times(), distribution.All, 12, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pol.Hysteresis = 3
-	strict, err := EvaluateMM(d, arr.Times(), 12, pol)
+	strict, err := EvaluateKernel(d, arr.Times(), distribution.All, 12, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +108,26 @@ func TestEvaluateMMHysteresis(t *testing.T) {
 
 func TestEvaluateMMValidation(t *testing.T) {
 	d := startLayout(t, 8)
-	if _, err := EvaluateMM(d, grid.MustNew([][]float64{{1, 2, 3}}).Times(), 5, policy()); err == nil {
-		t.Fatal("mismatched grid accepted")
+	for _, n := range []int{0, 1, 3, 5} {
+		times := make([]float64, n)
+		for i := range times {
+			times[i] = 1
+		}
+		if _, err := EvaluateKernel(d, times, distribution.All, 3, policy()); err == nil {
+			t.Fatalf("%d measured times accepted for a 2×2 grid", n)
+		}
 	}
-	if _, err := EvaluateMM(d, grid.MustNew([][]float64{{1, 1}, {1, 1}}).Times(), -1, policy()); err == nil {
-		t.Fatal("negative steps accepted")
+	if _, err := EvaluateKernel(d, []float64{1, -1, 1, 1}, distribution.All, 3, policy()); err == nil {
+		t.Fatal("negative cycle-time accepted")
+	}
+	if _, err := EvaluateKernel(d, grid.MustNew([][]float64{{1, 1}, {1, 1}}).Times(), distribution.All, 9, policy()); err == nil {
+		t.Fatal("more remaining steps than the block matrix has accepted")
 	}
 	rect, err := distribution.UniformBlockCyclic(2, 2, 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateMM(rect, grid.MustNew([][]float64{{1, 1}, {1, 1}}).Times(), 5, policy()); err == nil {
+	if _, err := EvaluateKernel(rect, grid.MustNew([][]float64{{1, 1}, {1, 1}}).Times(), distribution.All, 0, policy()); err == nil {
 		t.Fatal("rectangular block matrix accepted")
 	}
 }
@@ -123,7 +136,7 @@ func TestEvaluateMMZeroSteps(t *testing.T) {
 	// No work left: never move.
 	d := startLayout(t, 16)
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 9}})
-	dec, err := EvaluateMM(d, arr.Times(), 0, policy())
+	dec, err := EvaluateKernel(d, arr.Times(), distribution.All, 16, policy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +151,11 @@ func TestEvaluateMMZeroSteps(t *testing.T) {
 func TestEvaluateMMDeterministic(t *testing.T) {
 	d := startLayout(t, 24)
 	arr := grid.MustNew([][]float64{{1, 2}, {3, 5}})
-	a, err := EvaluateMM(d, arr.Times(), 10, policy())
+	a, err := EvaluateKernel(d, arr.Times(), distribution.All, 14, policy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluateMM(d, arr.Times(), 10, policy())
+	b, err := EvaluateKernel(d, arr.Times(), distribution.All, 14, policy())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,27 +37,6 @@ func SegmentWork(l *distribution.Layout, w distribution.Region, from, to int) []
 	return work
 }
 
-// EvaluateKernel decides whether a panel kernel with steps [startStep, nb)
-// left should migrate onto a layout recomputed for the newly measured
-// cycle-times (row-major grid order). It generalizes EvaluateMM with step-dependent active regions:
-// stay-cost and move-cost are sums of per-step compute bounds over the
-// remaining region, and the candidate layout is realized under the
-// workload's kernel orderings. Grid positions are fixed — only block shares
-// change.
-func EvaluateKernel(cur distribution.Distribution, newTimes []float64, w distribution.Region, startStep int, pol Policy) (*Decision, error) {
-	nb, _ := cur.Blocks()
-	if startStep < 0 || startStep > nb {
-		return nil, fmt.Errorf("adapt: start step %d outside [0,%d]", startStep, nb)
-	}
-	return evaluate(cur, newTimes, w, pol, func(l *distribution.Layout, t *grid.Arrangement) (total, perStep float64) {
-		total = spanCost(l, t, w, startStep, nb)
-		if nb > startStep {
-			perStep = total / float64(nb-startStep)
-		}
-		return total, perStep
-	})
-}
-
 // DriftPolicy tunes the online drift detector. Zero values select the
 // documented defaults.
 type DriftPolicy struct {

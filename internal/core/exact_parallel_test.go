@@ -204,7 +204,7 @@ func TestSolveArrangementExactParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestArrangementUpperBoundValid: the rank-1 upper bound must dominate the
+// TestArrangementUpperBoundValid: the ‖G·Gᵀ‖_F upper bound must dominate the
 // exact optimum on every arrangement, and be tight on rank-1 grids.
 func TestArrangementUpperBoundValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))

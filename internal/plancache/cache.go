@@ -1,28 +1,28 @@
-// Package plancache is a sharded, TTL'd, size-bounded cache of canonical
-// plans keyed by the quantized request key. The hetgridd service sits in
-// front of the planning pipeline with one of these: the §4.4 heuristic is
-// fast but not free, and the exact solver decidedly is not, so requests
-// whose cycle-times quantize to the same key should pay for one solve.
+// Package plancache is a TTL'd, size-bounded LRU cache of canonical plans
+// keyed by the quantized request key. The hetgridd service sits in front
+// of the planning pipeline with one of these: the §4.4 heuristic is fast
+// but not free, and the exact solver decidedly is not, so requests whose
+// cycle-times quantize to the same key should pay for one solve.
 //
 // Design notes:
 //
-//   - Sharding (fnv-64a of the key, power-of-two shard count) keeps lock
-//     contention bounded: each shard has its own mutex, LRU list and
-//     in-flight table, so concurrent misses on different keys never
-//     serialize.
+//   - One mutex guards the entry map, the LRU list and the in-flight
+//     table. Loaders run outside it, so a slow solve never holds up a hit
+//     on another key; on the service's traffic (two closed-loop clients)
+//     one lock answers a hit faster than sharded locks did
+//     (BenchmarkDevelCache).
 //   - Single-flight: concurrent requests for one key collapse onto a
 //     single loader call; the followers block on the flight's done channel
 //     and share the result (error included).
-//   - Eviction is LRU per shard against a per-shard capacity slice of the
-//     configured total; expiry is lazy (checked on access) plus whatever
-//     eviction sweeps out.
+//   - Eviction is LRU over the whole cache against MaxEntries exactly;
+//     expiry is lazy (checked on access) plus whatever eviction sweeps
+//     out.
 //   - The clock is injectable, so TTL behavior is testable without
 //     sleeping.
 package plancache
 
 import (
 	"container/list"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,17 +31,13 @@ import (
 	"hetgrid/internal/plan"
 )
 
-// Config sizes a cache. The zero value is usable: 1024 entries, 16
-// shards, no TTL, LRU, wall clock.
+// Config sizes a cache. The zero value is usable: 1024 entries, no TTL,
+// LRU, wall clock.
 type Config struct {
-	// MaxEntries bounds the total number of cached plans across all
-	// shards (0 = 1024; the effective bound is the per-shard slice, so it
-	// is rounded up to a multiple of the shard count).
+	// MaxEntries bounds the number of cached plans (0 = 1024).
 	MaxEntries int
 	// TTL is how long an entry stays valid (0 = forever).
 	TTL time.Duration
-	// Shards is rounded up to a power of two (0 = 16).
-	Shards int
 	// Now is the clock (nil = time.Now); tests inject a fake.
 	Now func() time.Time
 }
@@ -59,23 +55,19 @@ type Stats struct {
 	Entries     int64 // current resident entries
 }
 
-// Cache is a sharded single-flight plan cache. Safe for concurrent use.
+// Cache is a single-flight LRU plan cache. Safe for concurrent use.
 type Cache struct {
-	shards []*shard
-	mask   uint32
-	perCap int
-	ttl    time.Duration
-	now    func() time.Time
+	maxEntries int
+	ttl        time.Duration
+	now        func() time.Time
 
-	gets, hits, misses, shared atomic.Int64
-	evictions, expirations     atomic.Int64
-}
-
-type shard struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
 	flights map[string]*flight
+
+	gets, hits, misses, shared atomic.Int64
+	evictions, expirations     atomic.Int64
 }
 
 type entry struct {
@@ -92,47 +84,22 @@ type flight struct {
 
 // New builds a cache from cfg.
 func New(cfg Config) *Cache {
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 16
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
 	maxEntries := cfg.MaxEntries
 	if maxEntries <= 0 {
 		maxEntries = 1024
-	}
-	perCap := (maxEntries + n - 1) / n
-	if perCap < 1 {
-		perCap = 1
 	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
-	c := &Cache{
-		shards: make([]*shard, n),
-		mask:   uint32(n - 1),
-		perCap: perCap,
-		ttl:    cfg.TTL,
-		now:    now,
+	return &Cache{
+		maxEntries: maxEntries,
+		ttl:        cfg.TTL,
+		now:        now,
+		entries:    make(map[string]*list.Element),
+		lru:        list.New(),
+		flights:    make(map[string]*flight),
 	}
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			entries: make(map[string]*list.Element),
-			lru:     list.New(),
-			flights: make(map[string]*flight),
-		}
-	}
-	return c
-}
-
-func (c *Cache) shardFor(key string) *shard {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return c.shards[uint32(h.Sum64())&c.mask]
 }
 
 // GetOrCompute returns the plan cached under key, running load (at most
@@ -140,56 +107,54 @@ func (c *Cache) shardFor(key string) *shard {
 // the plan came out of the cache without this call waiting on a load.
 func (c *Cache) GetOrCompute(key string, load func() (*plan.Plan, error)) (p *plan.Plan, hit bool, err error) {
 	c.gets.Add(1)
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*entry)
 		if e.expires.IsZero() || c.now().Before(e.expires) {
-			s.lru.MoveToFront(el)
-			s.mu.Unlock()
+			c.lru.MoveToFront(el)
+			c.mu.Unlock()
 			c.hits.Add(1)
 			return e.val, true, nil
 		}
-		s.lru.Remove(el)
-		delete(s.entries, key)
+		c.lru.Remove(el)
+		delete(c.entries, key)
 		c.expirations.Add(1)
 	}
-	if f, ok := s.flights[key]; ok {
-		s.mu.Unlock()
+	if f, ok := c.flights[key]; ok {
+		c.mu.Unlock()
 		<-f.done
 		c.shared.Add(1)
 		return f.val, false, f.err
 	}
 	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
+	c.flights[key] = f
+	c.mu.Unlock()
 
 	c.misses.Add(1)
 	f.val, f.err = load()
 
-	s.mu.Lock()
-	delete(s.flights, key)
+	c.mu.Lock()
+	delete(c.flights, key)
 	if f.err == nil {
-		c.insertLocked(s, key, f.val)
+		c.insertLocked(key, f.val)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	close(f.done)
 	return f.val, false, f.err
 }
 
-// insertLocked stores val under key in shard s (held locked) with the
-// cache TTL, evicting LRU entries over capacity.
-func (c *Cache) insertLocked(s *shard, key string, val *plan.Plan) {
+// insertLocked stores val under key (c.mu held) with the cache TTL,
+// evicting LRU entries over capacity.
+func (c *Cache) insertLocked(key string, val *plan.Plan) {
 	var expires time.Time
 	if c.ttl > 0 {
 		expires = c.now().Add(c.ttl)
 	}
-	s.entries[key] = s.lru.PushFront(&entry{key: key, val: val, expires: expires})
-	for s.lru.Len() > c.perCap {
-		oldest := s.lru.Back()
-		old := oldest.Value.(*entry)
-		s.lru.Remove(oldest)
-		delete(s.entries, old.key)
+	c.entries[key] = c.lru.PushFront(&entry{key: key, val: val, expires: expires})
+	for c.lru.Len() > c.maxEntries {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
+		delete(c.entries, oldest.Value.(*entry).key)
 		c.evictions.Add(1)
 	}
 }
@@ -197,13 +162,9 @@ func (c *Cache) insertLocked(s *shard, key string, val *plan.Plan) {
 // Len reports the resident entry count (expired-but-unswept entries
 // included; expiry is lazy).
 func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
 // Stats snapshots the counters.

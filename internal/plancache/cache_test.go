@@ -150,10 +150,10 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestSizeEviction fills a single-shard cache past capacity and checks LRU
-// order: recently-touched keys survive, the coldest are evicted.
+// TestSizeEviction fills the cache past capacity and checks LRU order:
+// recently-touched keys survive, the coldest are evicted.
 func TestSizeEviction(t *testing.T) {
-	c := New(Config{MaxEntries: 4, Shards: 1})
+	c := New(Config{MaxEntries: 4})
 	load := func(i int) func() (*plan.Plan, error) {
 		return func() (*plan.Plan, error) { return planFor(i), nil }
 	}
@@ -184,12 +184,42 @@ func TestSizeEviction(t *testing.T) {
 	}
 }
 
+// TestCacheCapacityIsExact: MaxEntries bounds the whole cache, and
+// eviction is LRU over all of it. Eight distinct keys go into a 4-entry
+// cache with the fourth touched before the eighth arrives; exactly the
+// four most recently used stay resident, whatever their hashes.
+func TestCacheCapacityIsExact(t *testing.T) {
+	c := New(Config{MaxEntries: 4})
+	load := func() (*plan.Plan, error) { return planFor(1), nil }
+	for i := 0; i < 7; i++ {
+		c.GetOrCompute(fmt.Sprintf("k%d", i), load)
+	}
+	if _, hit, _ := c.GetOrCompute("k3", load); !hit {
+		t.Fatal("k3 evicted before the cache held 4 entries")
+	}
+	c.GetOrCompute("k7", load)
+
+	if n := c.Len(); n != 4 {
+		t.Fatalf("Len() = %d after 8 inserts into a 4-entry cache, want 4", n)
+	}
+	// Four hits on a cache of four entries change nothing but the order,
+	// so the residents are exactly these.
+	for _, k := range []string{"k3", "k5", "k6", "k7"} {
+		if _, hit, _ := c.GetOrCompute(k, load); !hit {
+			t.Fatalf("%s evicted, want the 4 most recently used (k3, k5, k6, k7) resident", k)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 4 || st.Entries != 4 {
+		t.Fatalf("stats %+v, want 4 evictions and 4 entries", st)
+	}
+}
+
 // TestCounterReconciliationUnderLoad hammers a small cache from many
 // goroutines with overlapping keys, a TTL and capacity pressure, then
 // checks the invariant every Get lands in exactly one bucket.
 func TestCounterReconciliationUnderLoad(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	c := New(Config{MaxEntries: 8, Shards: 2, TTL: 40 * time.Millisecond, Now: clk.now})
+	c := New(Config{MaxEntries: 8, TTL: 40 * time.Millisecond, Now: clk.now})
 	const workers = 8
 	const opsPer = 300
 	var wg sync.WaitGroup
@@ -224,19 +254,5 @@ func TestCounterReconciliationUnderLoad(t *testing.T) {
 	}
 	if st.Entries > 8 {
 		t.Fatalf("entries = %d, exceeds MaxEntries", st.Entries)
-	}
-}
-
-// TestShardingSpreadsKeys sanity-checks that different keys land on
-// different shards (fnv-64a isn't degenerate with our masking).
-func TestShardingSpreadsKeys(t *testing.T) {
-	c := New(Config{Shards: 8})
-	seen := map[*shard]bool{}
-	for i := 0; i < 64; i++ {
-		s := c.shardFor(fmt.Sprintf("key-%d", i))
-		seen[s] = true
-	}
-	if len(seen) < 4 {
-		t.Fatalf("64 keys hit only %d of 8 shards", len(seen))
 	}
 }

@@ -50,9 +50,10 @@ func (m *memo[K, V]) store(k K, v V, size int) {
 	m.mu.Unlock()
 }
 
-// marshal returns the canonical JSON of p. A cache hit returns the same
-// immutable *plan.Plan, so its bytes never change and are marshaled once
-// per memo generation, not once per batch.
+// marshal returns the canonical JSON of p, which both endpoints answer
+// with. A cache hit returns the same immutable *plan.Plan, so its bytes
+// never change and are marshaled once per memo generation, not once per
+// answer.
 func (s *Server) marshal(p *plan.Plan) (json.RawMessage, error) {
 	if raw, ok := s.plans.load(p); ok {
 		return raw, nil

@@ -199,3 +199,54 @@ func TestBatchHitAllocs(t *testing.T) {
 		t.Fatalf("%.0f allocations per all-hit 32-item batch, bound %d", allocs, batchHitAllocsBound)
 	}
 }
+
+// planHitAllocsBound is the allocation budget of answering a warmed POST
+// /v1/plan whose plan is a cache hit: about 32 (Go 1.24, linux/amd64),
+// nearly all of them the strict decode, the quantization and the key.
+// Re-marshaling the plan through a json.Encoder took as many, from pooled
+// buffers; what the memo saves there is the reflective encode's time.
+const planHitAllocsBound = 48
+
+// TestPlanHitAllocs is the allocation witness of the single endpoint, and
+// pins that it answers from the plan-bytes memo the batch path fills: after
+// a miss the memo holds exactly the body, less its newline, and a warmed
+// hit takes at most planHitAllocsBound allocations.
+func TestPlanHitAllocs(t *testing.T) {
+	body := []byte(`{"times":[1,1.5,2,3,4,5],"p":2,"q":3,"strategy":"heuristic"}`)
+	s := New(Config{})
+	h := s.Handler()
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/plan", rd)
+	miss := httptest.NewRecorder()
+	h.ServeHTTP(miss, req)
+	if miss.Code != http.StatusOK || miss.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("cold request: status %d, headers %v; want 200 and a miss", miss.Code, miss.Header())
+	}
+	var memoised []string
+	s.plans.mu.RLock()
+	for _, raw := range s.plans.m {
+		memoised = append(memoised, string(raw))
+	}
+	s.plans.mu.RUnlock()
+	if len(memoised) != 1 || memoised[0]+"\n" != miss.Body.String() {
+		t.Fatalf("plan-bytes memo holds %q after one /v1/plan, want the body %q", memoised, miss.Body)
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	w := &discardWriter{h: http.Header{}}
+	serve := func() {
+		rd.Reset(body)
+		clear(w.h)
+		h.ServeHTTP(w, req)
+	}
+	serve()
+	if w.code != http.StatusOK || w.h.Get("X-Cache") != "hit" {
+		t.Fatalf("warm request: status %d, headers %v; want 200 and a hit", w.code, w.h)
+	}
+	allocs := testing.AllocsPerRun(100, serve)
+	t.Logf("%.0f allocations per /v1/plan cache hit (bound %d)", allocs, planHitAllocsBound)
+	if allocs > planHitAllocsBound {
+		t.Fatalf("%.0f allocations per /v1/plan cache hit, bound %d", allocs, planHitAllocsBound)
+	}
+}

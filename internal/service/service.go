@@ -239,14 +239,6 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// solve runs the cached solve for a validated request: quantize, key,
-// cache (single-flight), planner on a miss. Both the single and the batch
-// endpoint go through solveKeyed, which is what keeps their responses
-// byte-identical for the same quantized key.
-func (s *Server) solve(req plan.Request) (*plan.Plan, bool, error) {
-	return s.solveKeyed(s.quantize(req))
-}
-
 // quantize returns the request the server plans for req, its cycle-times
 // quantized, and that request's cache key. The key renders the quantized
 // times as they are (Key(0)), so each is rounded once; it equals
@@ -261,10 +253,11 @@ func (s *Server) quantize(req plan.Request) (plan.Request, string) {
 // on two cores a 4×4 takes seconds and a 4×5 more than a minute.
 const maxExactProcessors = 12
 
-// solveKeyed is solve for callers that already quantized the request and
-// derived its cache key (the batch path, which keeps both in its item
-// memo). An exact request over maxExactProcessors is refused
-// before the cache.
+// solveKeyed runs the cached solve for a quantized request and its cache
+// key: cache (single-flight), planner on a miss. Both endpoints go through
+// it and answer with s.marshal's bytes of the plan it returns, which is
+// what keeps their responses byte-identical for the same quantized key. An
+// exact request over maxExactProcessors is refused before the cache.
 func (s *Server) solveKeyed(qreq plan.Request, key string) (*plan.Plan, bool, error) {
 	if qreq.Strategy == plan.StrategyExact && qreq.P*qreq.Q > maxExactProcessors {
 		return nil, false, fmt.Errorf("service: exact strategy is limited to %d processors, got %d×%d",
@@ -320,7 +313,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	p, hit, err := s.solve(req)
+	p, hit, err := s.solveKeyed(s.quantize(req))
+	var raw json.RawMessage
+	if err == nil {
+		raw, err = s.marshal(p)
+	}
 	if err != nil {
 		// The request was well-formed but unsolvable (e.g. an aspect
 		// constraint no shape satisfies).
@@ -333,8 +330,15 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	writeJSON(w, http.StatusOK, p)
+	// The memoised bytes and a newline are what writeJSON's encoder writes
+	// for p: json.Marshal and json.Encoder escape HTML alike.
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	w.Write(raw)
+	w.Write(newline)
 }
+
+var newline = []byte("\n")
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
