@@ -27,12 +27,12 @@ import (
 //   - the result is bit-identical to the serial Multiply or Factor under the
 //     same numerics (QR: the packed factors, Q and the operation counts), or
 //     the error is the *RankFailure of the scheduled crash;
-//   - a fault-free MatMul, LU or Cholesky run in process is internally
-//     consistent (one counter per rank, the per-rank and per-pair counters
-//     sum to the totals, nothing is stranded) and its kernel moves the bytes
+//   - a fault-free run in process is internally consistent (one counter
+//     per rank, the per-rank and per-pair counters sum to the totals,
+//     nothing is stranded) and its kernel moves the bytes
 //     internal/distribution's closed-form volumes predict, under every
-//     broadcast kind, and under the flat one sends their message count too
-//     (QR waits for ROADMAP item 8); no fault-free run records spans;
+//     broadcast kind, and under the flat one sends their message count too;
+//     no fault-free run records spans;
 //   - a recovered run reports one more attempt than recoveries and no more
 //     crashes than scheduled, and resumes from a step CheckpointEvery
 //     divides;
@@ -477,7 +477,7 @@ func (c confCell) check(t *testing.T, d Distribution, in []*Matrix, want confRes
 			t.Fatal("spans recorded without WithSpans")
 		}
 		// A TCP process counts the traffic of its own ranks only.
-		if c.kernel != QR && !c.tcp {
+		if !c.tcp {
 			checkTraffic(t, c.kernel, d, c.bcast, c.r, len(in), got.stats)
 		}
 		return
@@ -544,6 +544,7 @@ func checkTraffic(t *testing.T, k Kernel, d Distribution, bk BroadcastKind, r, i
 	}
 	volume := map[Kernel]func(distribution.Distribution, float64) (*distribution.CommVolume, error){
 		MatMul: distribution.MMCommVolume, LU: distribution.LUCommVolume, Cholesky: distribution.CholeskyCommVolume,
+		QR: distribution.QRCommVolume,
 	}[k]
 	vol, err := volume(d, float64(block))
 	if err != nil {

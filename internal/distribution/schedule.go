@@ -83,9 +83,9 @@ func (l *Layout) distinct(owners []int) []int {
 	return appendDistinct(nil, make([]bool, l.Ranks), owners)
 }
 
-// RowOwners returns the distinct owners of blocks (bi, bj), bj ≥ jmin — the
+// rowOwners returns the distinct owners of blocks (bi, bj), bj ≥ jmin — the
 // receivers of a horizontal broadcast of a block of row bi.
-func (l *Layout) RowOwners(bi, jmin int) []int { return l.distinct(l.row(bi)[jmin:]) }
+func (l *Layout) rowOwners(bi, jmin int) []int { return l.distinct(l.row(bi)[jmin:]) }
 
 // colOwners returns the distinct owners of blocks (bi, bj), bi ≥ imin — the
 // receivers of a vertical broadcast of a block of column bj.
@@ -178,7 +178,7 @@ func (l *Layout) MMPanels(k int) (a, b []Msg) {
 // solves), then the L panel along the trailing rows and the U panel down
 // the trailing columns.
 func (l *Layout) LUPanels(k int) (diagDown, diagRight Msg, lPanel, uPanel []Msg) {
-	diagRight = Msg{Root: l.Owner(k, k), Recv: l.RowOwners(k, k), Blocks: []int{k}}
+	diagRight = Msg{Root: l.Owner(k, k), Recv: l.rowOwners(k, k), Blocks: []int{k}}
 	return l.diagDown(k), diagRight, l.rowPanel(k, k+1, k), l.colPanel(k, k+1, k)
 }
 
@@ -189,6 +189,95 @@ func (l *Layout) LUPanels(k int) (diagDown, diagRight Msg, lPanel, uPanel []Msg)
 func (l *Layout) CholeskyPanels(k int) (diagDown Msg, lPanel []Msg) {
 	lPanel = l.group(k+1, l.col(k), func(bi int) ([]int, []int) { return l.row(bi)[k+1 : bi+1], l.col(bi)[bi:] })
 	return l.diagDown(k), lPanel
+}
+
+// QRStep is step k of the distributed Householder QR: ScaLAPACK's
+// PDGEQRF panel with PDLARFB's trailing update, on the paper's ownership,
+// where each rank updates its own trailing blocks.
+type QRStep struct {
+	// Master, the owner of block (k, k), factors the panel: Gather brings it
+	// the blocks of column k from row k down, Scatter takes the packed
+	// blocks back to their owners, each grouped by owner, and Tau carries
+	// the panel's r tau scalings to rank 0.
+	Master          int
+	Gather, Scatter []Msg
+	Tau             Msg
+	// V sends block row bi ≥ k of the panel's compact-WY V to the owners of
+	// row bi's trailing blocks, grouped like LU's L panel; T sends Tᵀ to the
+	// ranks that end a chain, the owners of the last block row's trailing
+	// blocks. Both are rooted at Master.
+	V []Msg
+	T Msg
+	// Chains cover the trailing block columns k+1..NB-1: column k+1's
+	// alone first, then the others grouped by owner sequence.
+	Chains []Chain
+}
+
+// Chain accumulates W = Vᵀ·B for its block columns down their owners: the
+// owner of each segment adds its block rows' share to the W the previous
+// segment's owner sent it — one message per hop for all of Cols — the last
+// forms Tᵀ·W and Back broadcasts it up the column, and every owner updates
+// its blocks with it. Block sizes above the compact-WY chunk run one such
+// round per chunk.
+type Chain struct {
+	// Cols are the block columns, ascending; they share one owner sequence.
+	Cols []int
+	// Segs are that sequence's maximal runs of one owner, top down.
+	Segs []Seg
+	// Back carries Tᵀ·W from the last segment's owner to the owners of the
+	// others, nearest first; its Blocks are Cols.
+	Back Msg
+}
+
+// Seg is a run of block rows Lo..Hi-1 of a chain's columns owned by Owner.
+type Seg struct{ Owner, Lo, Hi int }
+
+// QRStep returns step k's schedule of the distributed Householder QR.
+func (l *Layout) QRStep(k int) QRStep {
+	master := l.Owner(k, k)
+	st := QRStep{Master: master, Tau: Msg{Root: master, Recv: []int{0}, Blocks: []int{k}}}
+	to := []int{master}
+	roots := make([]int, l.NB)
+	for i := range roots {
+		roots[i] = master
+	}
+	st.Gather = l.group(k, l.col(k), func(int) ([]int, []int) { return to, nil })
+	st.Scatter = l.group(k, roots, func(bi int) ([]int, []int) { return l.col(k)[bi : bi+1], nil })
+	if k+1 == l.NB {
+		return st
+	}
+	st.V = l.group(k, roots, func(bi int) ([]int, []int) { return l.row(bi)[k+1:], nil })
+	st.T = Msg{Root: master, Recv: l.rowOwners(l.NB-1, k+1), Blocks: []int{k}}
+	for bj := k + 1; bj < l.NB; bj++ {
+		owners := l.col(bj)[k:]
+		at := slices.IndexFunc(st.Chains, func(c Chain) bool {
+			return c.Cols[0] != k+1 && slices.Equal(l.col(c.Cols[0])[k:], owners)
+		})
+		if at >= 0 {
+			st.Chains[at].Cols = append(st.Chains[at].Cols, bj)
+			continue
+		}
+		var segs []Seg
+		for bi := k; bi < l.NB; bi++ {
+			if n := len(segs); n > 0 && segs[n-1].Owner == owners[bi-k] {
+				segs[n-1].Hi = bi + 1
+			} else {
+				segs = append(segs, Seg{Owner: owners[bi-k], Lo: bi, Hi: bi + 1})
+			}
+		}
+		last := segs[len(segs)-1].Owner
+		seen := make([]bool, l.Ranks)
+		seen[last] = true
+		var up []int
+		for i := len(segs) - 2; i >= 0; i-- {
+			up = appendDistinct(up, seen, []int{segs[i].Owner})
+		}
+		st.Chains = append(st.Chains, Chain{Cols: []int{bj}, Segs: segs, Back: Msg{Root: last, Recv: up}})
+	}
+	for i := range st.Chains {
+		st.Chains[i].Back.Blocks = st.Chains[i].Cols
+	}
+	return st
 }
 
 // Section is one compute section of a kernel step. The engine's compute
@@ -205,6 +294,8 @@ const (
 	CholFactor Section = "chol factor"
 	CholSolve  Section = "chol solve"
 	CholUpdate Section = "chol update"
+	QRFactor   Section = "qr factor"
+	QRUpdate   Section = "qr update"
 )
 
 // At names the section at step k: "lu update k=3".

@@ -201,7 +201,7 @@ func scheduleLayouts(t *testing.T, nb int) map[string]*Layout {
 
 // TestPanelReceiversMatchBruteForce: every receiver list the schedule
 // derives — each message of the three kernels' panels at every step, and
-// every RowOwners suffix — equals the first-appearance owners of the blocks
+// every rowOwners suffix — equals the first-appearance owners of the blocks
 // the message's blocks are consumed on, listed from Owner one by one.
 func TestPanelReceiversMatchBruteForce(t *testing.T) {
 	for _, nb := range []int{9, 37} {
@@ -209,8 +209,8 @@ func TestPanelReceiversMatchBruteForce(t *testing.T) {
 			where := fmt.Sprintf("nb %d %s", nb, name)
 			for bi := 0; bi < nb; bi++ {
 				for jmin := 0; jmin <= nb; jmin++ {
-					if got, want := l.RowOwners(bi, jmin), firstAppearance(l, rowBlocks(bi, jmin, nb)); !slices.Equal(got, want) {
-						t.Fatalf("%s: RowOwners(%d, %d) = %v, want %v", where, bi, jmin, got, want)
+					if got, want := l.rowOwners(bi, jmin), firstAppearance(l, rowBlocks(bi, jmin, nb)); !slices.Equal(got, want) {
+						t.Fatalf("%s: rowOwners(%d, %d) = %v, want %v", where, bi, jmin, got, want)
 					}
 				}
 			}
@@ -299,4 +299,106 @@ func TestNewLayoutValidation(t *testing.T) {
 	if _, err := NewLayout(&Product{P: 2, Q: 2, RowOwner: []int{0, 5}, ColOwner: []int{0, 1}}); err == nil {
 		t.Fatal("owner outside the grid accepted")
 	}
+}
+
+// TestQRStepMatchesBruteForce holds QR's step schedule to a derivation
+// from Owner alone: gather, scatter and V carry each block of column k
+// (rows k..) once, V block row bi to the owners of its trailing blocks and
+// Tᵀ to those of the last block row; the chains partition the trailing
+// columns, column k+1's alone first, the others by owner sequence, each
+// sequence cut into maximal runs of one owner, and Back goes from the last
+// run's owner to the owners of the others, nearest first.
+func TestQRStepMatchesBruteForce(t *testing.T) {
+	for _, nb := range []int{9, 13} {
+		for name, l := range scheduleLayouts(t, nb) {
+			for k := 0; k < nb; k++ {
+				where := fmt.Sprintf("nb %d %s step %d", nb, name, k)
+				st := l.QRStep(k)
+				master := l.Owner(k, k)
+				carried := func(what string, msgs []Msg, root func(i int) int, recv func(i int) []int) {
+					var got []int
+					for _, m := range msgs {
+						for _, i := range m.Blocks {
+							if m.Root != root(i) || !slices.Equal(m.Recv, recv(i)) {
+								t.Fatalf("%s: %s block %d goes %d → %v", where, what, i, m.Root, m.Recv)
+							}
+							got = append(got, i)
+						}
+					}
+					slices.Sort(got)
+					if want := rowsFrom(k, nb); !slices.Equal(got, want) {
+						t.Fatalf("%s: %s carries blocks %v", where, what, got)
+					}
+				}
+				carried("gather", st.Gather, func(i int) int { return l.Owner(i, k) }, func(int) []int { return []int{master} })
+				carried("scatter", st.Scatter, func(int) int { return master }, func(i int) []int { return []int{l.Owner(i, k)} })
+				if k+1 == nb {
+					if len(st.V) != 0 || len(st.Chains) != 0 || st.T.Fanout() != 0 {
+						t.Fatalf("%s: the last step has trailing messages", where)
+					}
+					continue
+				}
+				carried("V", st.V, func(int) int { return master }, func(i int) []int { return firstAppearance(l, rowBlocks(i, k+1, nb)) })
+				if want := firstAppearance(l, rowBlocks(nb-1, k+1, nb)); st.T.Root != master || !slices.Equal(st.T.Recv, want) {
+					t.Fatalf("%s: Tᵀ goes %d → %v, want %d → %v", where, st.T.Root, st.T.Recv, master, want)
+				}
+				owners := func(bj int) (seq []int) {
+					for bi := k; bi < nb; bi++ {
+						seq = append(seq, l.Owner(bi, bj))
+					}
+					return seq
+				}
+				var cols []int
+				for ci, c := range st.Chains {
+					if (ci == 0) != (c.Cols[0] == k+1) || ci == 0 && len(c.Cols) != 1 {
+						t.Fatalf("%s: chain %d has columns %v", where, ci, c.Cols)
+					}
+					for _, bj := range c.Cols {
+						if !slices.Equal(owners(bj), owners(c.Cols[0])) {
+							t.Fatalf("%s: columns %d and %d share a chain but not their owners", where, c.Cols[0], bj)
+						}
+					}
+					for _, o := range st.Chains[max(ci, 1):] {
+						if ci > 0 && o.Cols[0] != c.Cols[0] && slices.Equal(owners(o.Cols[0]), owners(c.Cols[0])) {
+							t.Fatalf("%s: columns %d and %d have one owner sequence and two chains", where, c.Cols[0], o.Cols[0])
+						}
+					}
+					cols = append(cols, c.Cols...)
+					var rows []int
+					var blocks [][2]int
+					for si, sg := range c.Segs {
+						if si > 0 && c.Segs[si-1].Owner == sg.Owner {
+							t.Fatalf("%s: runs %d and %d of chain %v have one owner", where, si-1, si, c.Cols)
+						}
+						for bi := sg.Lo; bi < sg.Hi; bi++ {
+							if l.Owner(bi, c.Cols[0]) != sg.Owner {
+								t.Fatalf("%s: run %+v holds block row %d of another owner", where, sg, bi)
+							}
+							rows = append(rows, bi)
+							blocks = append([][2]int{{bi, c.Cols[0]}}, blocks...)
+						}
+					}
+					if !slices.Equal(rows, rowsFrom(k, nb)) {
+						t.Fatalf("%s: chain %v runs over rows %v", where, c.Cols, rows)
+					}
+					up := slices.DeleteFunc(firstAppearance(l, blocks), func(n int) bool { return n == c.Back.Root })
+					if c.Back.Root != c.Segs[len(c.Segs)-1].Owner || !slices.Equal(c.Back.Recv, up) || !slices.Equal(c.Back.Blocks, c.Cols) {
+						t.Fatalf("%s: chain %v broadcasts back %+v", where, c.Cols, c.Back)
+					}
+				}
+				slices.Sort(cols)
+				if !slices.Equal(cols, rowsFrom(k+1, nb)) {
+					t.Fatalf("%s: chains cover columns %v", where, cols)
+				}
+			}
+		}
+	}
+}
+
+// rowsFrom returns lo, lo+1, …, hi-1.
+func rowsFrom(lo, hi int) (out []int) {
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
 }

@@ -1,5 +1,7 @@
 package distribution
 
+import "math"
+
 // CommVolume is a closed-form communication estimate for one kernel run
 // under a distribution, using the same panel-aggregated message model as
 // the simulator and the engine: it is a fold over the step schedule's
@@ -66,5 +68,34 @@ func CholeskyCommVolume(d Distribution, blockBytes float64) (*CommVolume, error)
 		diagDown, lPanel := l.CholeskyPanels(k)
 		v.add(blockBytes, diagDown)
 		v.add(blockBytes, lPanel...)
+	})
+}
+
+// qrChunk is the compact-WY chunk width of internal/matrix (QRChunk): QR
+// runs one chain round per chunk of its r-column panel.
+const qrChunk = 32
+
+// QRCommVolume returns the communication volume of the full distributed
+// Householder QR (QRStep's messages) for r×r float64 blocks of blockBytes =
+// 8r² bytes each: the panel's gather and scatter, its tau scalings to rank
+// 0 (r values), V by block row and Tᵀ, and per chain round each hop of W
+// and the broadcast of Tᵀ·W. A round carries W's rows of one chunk; over
+// the ⌈r/32⌉ rounds the rows add up to r, so the hops of a chain move one
+// block per column in all.
+func QRCommVolume(d Distribution, blockBytes float64) (*CommVolume, error) {
+	r := int(math.Round(math.Sqrt(blockBytes / 8)))
+	rounds := (r + qrChunk - 1) / qrChunk
+	return volumeOf(d, blockBytes, func(l *Layout, k int, v *CommVolume) {
+		st := l.QRStep(k)
+		v.add(blockBytes, st.Gather...)
+		v.add(blockBytes, st.Scatter...)
+		v.add(blockBytes/float64(r), st.Tau)
+		v.add(blockBytes, st.V...)
+		v.add(blockBytes, st.T)
+		for _, c := range st.Chains {
+			sends := len(c.Segs) - 1 + c.Back.Fanout()
+			v.Messages += rounds * sends
+			v.Bytes += float64(sends*len(c.Cols)) * blockBytes
+		}
 	})
 }

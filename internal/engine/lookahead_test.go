@@ -10,10 +10,11 @@ import (
 	"hetgrid/internal/obs"
 )
 
-// TestLookAheadOrderAndDrain pins the step loop's depth. With a step hook
-// due every third step: before every step K+1 the hook is not due at, each
-// rank enters K+1 — and the owner of diagonal block K+1 factors it — before
-// it begins the last span of step K's update; a due step is entered after
+// TestLookAheadOrderAndDrain pins the step loop's depth for every kernel.
+// With a step hook due every third step: before every step K+1 the hook is
+// not due at, each rank enters K+1 — and the owner of diagonal block K+1
+// factors it (QR: the panel master factors panel K+1) — before it begins
+// the last span of step K's update; a due step is entered after
 // all of step K, and the store the hook sees is the depth-0 store of that
 // step, bit for bit.
 func TestLookAheadOrderAndDrain(t *testing.T) {
@@ -42,6 +43,10 @@ func TestLookAheadOrderAndDrain(t *testing.T) {
 			}},
 			{"lu", a, distribution.LUFactor, distribution.LUUpdate, LU},
 			{"cholesky", spd, distribution.CholFactor, distribution.CholUpdate, Cholesky},
+			{"qr", b, distribution.QRFactor, distribution.QRUpdate, func(c *Comm, d distribution.Distribution, s *BlockStore) error {
+				_, err := QR(c, d, s)
+				return err
+			}},
 		} {
 			var want []*matrix.Dense // the depth-0 store at each due step
 			for k := 0; k < nb; k += every {
@@ -164,6 +169,12 @@ func depth0(t *testing.T, kernel string, work, a, b *matrix.Dense, r, k int) *ma
 					blk(w, i, j).AddMulNumerics(-1, blk(w, i, s), blk(w, j, s).T(), matrix.Strict)
 				}
 			}
+		case "qr":
+			n := nb * r
+			panel := w.Slice(s*r, n, s*r, (s+1)*r)
+			f := matrix.FactorQR(panel)
+			panel.CopyFrom(f.Packed())
+			f.QTMul(w.Slice(s*r, n, (s+1)*r, n))
 		}
 	}
 	return w

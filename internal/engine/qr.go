@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
 	"strconv"
 
 	"hetgrid/internal/distribution"
@@ -10,20 +12,27 @@ import (
 // QR executes the distributed blocked right-looking Householder QR
 // factorization, overwriting the store's blocks with the packed factors (R
 // in the upper triangle, reflector columns below it) — the distributed
-// counterpart of kernels.ReplayQRNumerics, bit-identical to it.
+// counterpart of kernels.ReplayQRNumerics, bit-identical to it. Each step
+// follows distribution.QRStep:
 //
-// Per step k the owner of the diagonal block acts as panel master: it
-// gathers the trailing blocks of column k, factors the tall panel, and
-// scatters the packed blocks back. The packed panel and its tau scalings
-// are then broadcast (under the world's BroadcastKind) to the trailing
-// slab masters — the owners of row k's trailing blocks — each of which
-// re-derives the panel's compact-WY form from them once, gathers all of its
-// block columns into one slab, applies Qᵀ to it as one product, and returns
-// the updated blocks to their owners. The replay makes the same
-// matrix.FactorQR and (*QR).QTMul calls on whole columns of the same
-// values, and QTMul's result is a function of those values alone — not of
-// the slab's width or stride (matrix/gemm.go's determinism contract) — so
-// the factors match bit for bit.
+//  1. panel: the owner of the diagonal block, the panel master, gathers
+//     column k from row k down, factors the tall panel, sends its tau
+//     scalings to rank 0, scatters the packed blocks back, sends each block
+//     row of the panel's compact-WY V (matrix.QR.WY) to the owners of that
+//     row's trailing blocks and Tᵀ to the ranks that end a chain;
+//  2. recv: the receive halves of those messages;
+//  3. update: per compact-WY chunk, W = Vᵀ·B of each trailing block column
+//     is accumulated down its owners in increasing block-row order (one
+//     message per hop for the columns of a chain), the last owner forms
+//     Tᵀ·W and broadcasts it back up the column, and every owner updates
+//     its own blocks in place, B_i −= V_i·(Tᵀ·W), as one Strict
+//     AddMulBlocks batch under either numerics. Column k+1's chain is the
+//     look-ahead set, so QR runs at depth 1.
+//
+// The replay makes the same matrix.FactorQR call and applies the same WY
+// factors to the whole trailing matrix at once; the chain cuts those
+// products along rows and columns only, which by matrix/gemm.go's
+// determinism contract leaves every bit as it was.
 //
 // The tau scalings collect in the store's Taus at rank 0, one slice per
 // panel, each by the end of its panel's step (so a checkpoint taken between
@@ -40,133 +49,216 @@ func QR(c *Comm, d distribution.Distribution, a *BlockStore) ([][]float64, error
 	if me == 0 && len(a.Taus) < nb {
 		a.Taus = append(a.Taus, make([][]float64, nb-len(a.Taus))...)
 	}
-
-	// The rank's one gather buffer: every slab of the run is a view of it,
-	// shorter each step; it is regrown only if a step needs a wider one.
-	buf := matrix.New(0, 0)
-	slabOf := func(rows, cols int) *matrix.Dense {
-		if br, bc := buf.Dims(); br < rows || bc < cols {
-			buf = matrix.New(max(br, rows), max(bc, cols))
-		}
-		return buf.Slice(0, rows, 0, cols)
-	}
-	// collect assembles block column bj of rows k.. into cols
-	// [j·r, (j+1)·r) of slab, from the store or from the owners' messages.
-	collect := func(slab *matrix.Dense, j, k, bj int, prefix string) {
-		for bi := k; bi < nb; bi++ {
-			var blk *matrix.Dense
-			if owner := lay.Owner(bi, bj); owner == me {
-				blk = a.Get(bi, bj)
-			} else {
-				blk = c.Recv(owner, blockTag(prefix, bj, bi))
-			}
-			blockView(slab, bi-k, j, r).CopyFrom(blk)
-		}
-	}
-	// hand is collect's inverse: block column j of src goes back to the
-	// owners of column bj.
-	hand := func(src *matrix.Dense, j, k, bj int, prefix string) {
-		for bi := k; bi < nb; bi++ {
-			seg := blockView(src, bi-k, j, r)
-			if owner := lay.Owner(bi, bj); owner == me {
-				a.Get(bi, bj).CopyFrom(seg)
-			} else {
-				c.Send(owner, blockTag(prefix, bj, bi), seg)
-			}
-		}
-	}
-	// exchange is the other ranks' side of collect and hand: with send, my
-	// blocks of column bj go to its master; without, they come back.
-	exchange := func(k, bj, master int, prefix string, send bool) {
-		for bi := k; bi < nb && master != me; bi++ {
-			if lay.Owner(bi, bj) != me {
-				continue
-			}
-			if send {
-				c.Send(master, blockTag(prefix, bj, bi), a.Get(bi, bj))
-			} else {
-				a.Get(bi, bj).CopyFrom(c.Recv(master, blockTag(prefix, bj, bi)))
-			}
-		}
-	}
-
-	// The whole step is QR's panel part, so it runs at depth 0.
+	// A master's gather buffer: every panel of the run is a view of it.
+	var buf *matrix.Dense
 	if err := runSteps(c, a, nb, func(k int) (step, error) {
-		master := lay.Owner(k, k)
-		rows := (nb - k) * r
+		st := lay.QRStep(k)
 		ks := strconv.Itoa(k)
-
-		// 1. Panel gather: trailing blocks of column k to the master, which
-		// factors the tall panel and scatters the packed blocks back.
-		exchange(k, k, master, "qg", true)
-		var f *matrix.QR         // the panel's factorization, at the master and the slab masters
-		var packed *matrix.Dense // rows×r packed panel, at the master
-		var tauMat *matrix.Dense // r×1 column of tau scalings
-		if master == me {
-			slab := slabOf(rows, r)
-			collect(slab, 0, k, k, "qg")
-			if err := c.Compute("qr factor k="+ks, func() error {
-				f = matrix.FactorQR(slab)
+		gTag, fTag, vTag, tTag, tauTag := "qg/"+ks, "qf/"+ks, "qv/"+ks, "qT/"+ks, "qtau/"+ks
+		col := co.panelSend(gTag, st.Gather, func(bi int) *matrix.Dense { return a.Get(bi, k) }, r)
+		var packed, v, tt *matrix.Dense // at the master
+		if st.Master == me {
+			co.panelRecv(gTag, st.Gather, r, col)
+			if buf == nil {
+				buf = matrix.New((nb-k)*r, r)
+			}
+			panel := buf.Slice(0, (nb-k)*r, 0, r)
+			for bi := k; bi < nb; bi++ {
+				blockView(panel, bi-k, 0, r).CopyFrom(col[bi])
+			}
+			var f *matrix.QR
+			if err := c.Compute(distribution.QRFactor.At(k), func() error {
+				f = matrix.FactorQR(panel)
+				v, tt = f.WY()
 				return nil
 			}); err != nil {
 				return step{}, err
 			}
-			packed, tauMat = f.Packed(), matrix.NewFromSlice(r, 1, f.Tau())
-			// The tau scalings stream to rank 0 as they are produced (a
-			// self-send when rank 0 is the master — buffered, uncounted);
-			// rank 0 receives them at the end of each step, after all of
-			// its own step-k sends, so the receive can never block a send
-			// the master is waiting on.
-			c.Send(0, "qtau/"+ks, tauMat)
-			hand(packed, 0, k, k, "qf")
+			packed = f.Packed()
+			// A self-send when rank 0 is the master: buffered, uncounted.
+			c.Send(0, tauTag, matrix.NewFromSlice(r, 1, f.Tau()))
 		}
-		exchange(k, k, master, "qf", false)
+		blockOf := func(m *matrix.Dense) func(int) *matrix.Dense {
+			return func(bi int) *matrix.Dense { return blockView(m, bi-k, 0, r) }
+		}
+		tMsgs := []distribution.Msg{st.T}
+		scattered := co.panelSend(fTag, st.Scatter, blockOf(packed), r)
+		vRows := co.panelSend(vTag, st.V, blockOf(v), r)
+		tPanel := co.panelSend(tTag, tMsgs, func(int) *matrix.Dense { return tt }, r)
 
-		// 2. Broadcast the packed panel and taus to the trailing slab
-		// masters (owners of row k's trailing blocks).
-		tm := lay.RowOwners(k, k+1)
-		packedAll := co.bcastIfMember("qp/"+ks, master, tm, packed, rows)
-		tauAll := co.bcastIfMember("qt/"+ks, master, tm, tauMat, r)
-
-		// 3. Trailing update: every rank sends its trailing blocks to their
-		// slab masters; a slab master gathers the block columns it masters
-		// side by side, applies Qᵀ to them as one product, and returns the
-		// updated blocks.
-		for bj := k + 1; bj < nb; bj++ {
-			exchange(k, bj, lay.Owner(k, bj), "qs/"+ks, true)
-		}
-		if mine := lay.RowRight(k)[me]; len(mine) > 0 {
-			if f == nil {
-				f = matrix.QRFromPacked(packedAll, tauOf(tauAll))
-			}
-			slab := slabOf(rows, len(mine)*r)
-			for j, bj := range mine {
-				collect(slab, j, k, bj, "qs/"+ks)
-			}
-			if err := c.Compute("qr update k="+ks, func() error {
-				f.QTMul(slab)
-				return nil
-			}); err != nil {
-				return step{}, err
-			}
-			for j, bj := range mine {
-				hand(slab, j, k, bj, "qu/"+ks)
+		var mine [][2]int
+		for bi := k; bi < nb; bi++ {
+			for bj := k + 1; bj < nb; bj++ {
+				if lay.Owner(bi, bj) == me {
+					mine = append(mine, [2]int{bi, bj})
+				}
 			}
 		}
-		for bj := k + 1; bj < nb; bj++ {
-			exchange(k, bj, lay.Owner(k, bj), "qu/"+ks, false)
-		}
-
-		// Rank 0 collects this panel's tau scalings before leaving the
-		// step, so a checkpoint between steps captures them all.
-		if me == 0 {
-			a.Taus[k] = tauOf(c.Recv(master, "qtau/"+ks))
-		}
-		return step{}, nil
+		vt := map[[2]int]*matrix.Dense{} // V block rows' transposes, by (bi, chunk)
+		return step{
+			recv: func() {
+				co.panelRecv(fTag, st.Scatter, r, scattered)
+				for bi := k; bi < nb; bi++ {
+					if lay.Owner(bi, k) == me {
+						a.Get(bi, k).CopyFrom(scattered[bi])
+					}
+				}
+				co.panelRecv(vTag, st.V, r, vRows)
+				co.panelRecv(tTag, tMsgs, r, tPanel)
+				// Rank 0 collects this panel's tau scalings before leaving
+				// the step, so a checkpoint between steps captures them all.
+				if me == 0 {
+					a.Taus[k] = tauOf(c.Recv(st.Master, tauTag))
+				}
+			},
+			update: func(blocks [][2]int) error {
+				return qrUpdate(c, co, a, k, st.Chains, blocks, vRows, vt, tPanel[k])
+			},
+			mine: mine,
+			next: func(_, bj int) bool { return bj == k+1 },
+		}, nil
 	}); err != nil {
 		return nil, err
 	}
 	return a.Taus, nil
+}
+
+// qrUpdate applies step k's reflectors to this rank's blocks: it runs the
+// chains whose columns blocks reach — a chain's owners own blocks in all of
+// its columns, so its first column decides — one round per compact-WY
+// chunk. v holds the V block rows the rank received (views of the master's
+// V there), vt the step's transposes of their chunks, formed on first use,
+// and tt the panel's Tᵀ at the ranks that end a chain.
+//
+// A rank works through its chain segments in order of (segment index,
+// chain) and only then receives the broadcasts of Tᵀ·W, chain by chain.
+// Every rank follows that order and a segment waits only for the segment
+// above it, whose key is smaller, so no rank waits in a cycle; and a rank
+// with segments in several chains keeps its peers busy down all of them.
+func qrUpdate(c *Comm, co *Collectives, s *BlockStore, k int, chains []distribution.Chain, blocks [][2]int, v map[int]*matrix.Dense, vt map[[2]int]*matrix.Dense, tt *matrix.Dense) error {
+	me, r := c.Rank(), s.R
+	var mine []distribution.Chain
+	for _, ch := range chains {
+		if slices.ContainsFunc(blocks, func(b [2]int) bool { return b[1] == ch.Cols[0] }) {
+			mine = append(mine, ch)
+		}
+	}
+	type item struct{ chain, seg int }
+	var items []item
+	for i, ch := range mine {
+		for si, sg := range ch.Segs {
+			if sg.Owner == me {
+				items = append(items, item{i, si})
+			}
+		}
+	}
+	slices.SortStableFunc(items, func(x, y item) int { return cmp.Compare(x.seg, y.seg) })
+
+	label := distribution.QRUpdate.At(k)
+	for c0 := 0; c0 < r; c0 += matrix.QRChunk {
+		pw := min(matrix.QRChunk, r-c0)
+		// The chunk reaches rows c0.. of block row k and all of the others.
+		lo := func(bi int) int {
+			if bi == k {
+				return c0
+			}
+			return 0
+		}
+		vOf := func(bi int) *matrix.Dense { return v[bi].Slice(lo(bi), r, c0, c0+pw) }
+		rowsOf := func(bi, bj int) *matrix.Dense { return s.Get(bi, bj).Slice(lo(bi), r, 0, r) }
+		tag := func(kind string, ch distribution.Chain, seg int) string {
+			return kind + "/" + strconv.Itoa(k) + "/" + strconv.Itoa(c0) + "/" + strconv.Itoa(ch.Cols[0]) + "/" + strconv.Itoa(seg)
+		}
+		colOf := func(w *matrix.Dense, j int) *matrix.Dense { return w.Slice(0, pw, j*r, (j+1)*r) }
+
+		// Forward: W down each chain, Tᵀ·W out from its last owner.
+		w2 := make([]*matrix.Dense, len(mine))
+		for _, it := range items {
+			ch := mine[it.chain]
+			sg := ch.Segs[it.seg]
+			var w *matrix.Dense
+			if it.seg == 0 {
+				w = matrix.New(pw, len(ch.Cols)*r)
+			} else {
+				w = c.Recv(ch.Segs[it.seg-1].Owner, tag("qw", ch, it.seg))
+			}
+			last := it.seg+1 == len(ch.Segs)
+			if err := c.Compute(label, func() error {
+				rights := make([]*matrix.Dense, len(ch.Cols))
+				ups := make([]matrix.BlockUpdate, len(ch.Cols))
+				for bi := sg.Lo; bi < sg.Hi; bi++ {
+					left := vt[[2]int{bi, c0}]
+					if left == nil {
+						left = vOf(bi).T()
+						vt[[2]int{bi, c0}] = left
+					}
+					for j, bj := range ch.Cols {
+						rights[j] = rowsOf(bi, bj)
+						ups[j] = matrix.BlockUpdate{Out: colOf(w, j), Right: j}
+					}
+					matrix.AddMulBlocks(1, []*matrix.Dense{left}, rights, ups, matrix.Strict, c.Parallelism())
+				}
+				if last {
+					w2[it.chain] = matrix.New(pw, len(ch.Cols)*r)
+					w2[it.chain].AddMulNumerics(1, tt.Slice(c0, c0+pw, c0, c0+pw), w, matrix.Strict)
+				}
+				return nil
+			}); err != nil {
+				return err
+			}
+			if last {
+				co.bcastSend(tag("qb", ch, 0), me, ch.Back.Recv, w2[it.chain], pw)
+			} else {
+				c.Send(ch.Segs[it.seg+1].Owner, tag("qw", ch, it.seg+1), w)
+			}
+		}
+		// Back: Tᵀ·W up each column.
+		for i, ch := range mine {
+			if w2[i] == nil {
+				w2[i] = co.bcastRecv(tag("qb", ch, 0), ch.Back.Root, ch.Back.Recv, pw)
+			}
+		}
+
+		// Every owner's update, B_i −= V_i·(Tᵀ·W): one batch, or two when
+		// block row k's shorter rows give its lefts a shape of their own.
+		if err := c.Compute(label, func() error {
+			for _, rowK := range []bool{false, true} {
+				if rowK && c0 == 0 {
+					break
+				}
+				var lefts, rights []*matrix.Dense
+				var ups []matrix.BlockUpdate
+				li := map[int]int{}
+				for i, ch := range mine {
+					n := len(ups)
+					for _, sg := range ch.Segs {
+						for bi := sg.Lo; bi < sg.Hi && sg.Owner == me; bi++ {
+							if (bi == k && c0 > 0) != rowK {
+								continue
+							}
+							if _, ok := li[bi]; !ok {
+								li[bi] = len(lefts)
+								lefts = append(lefts, vOf(bi))
+							}
+							for j, bj := range ch.Cols {
+								ups = append(ups, matrix.BlockUpdate{Out: rowsOf(bi, bj), Left: li[bi], Right: len(rights) + j})
+							}
+						}
+					}
+					if len(ups) > n {
+						for j := range ch.Cols {
+							rights = append(rights, colOf(w2[i], j))
+						}
+					}
+				}
+				matrix.AddMulBlocks(-1, lefts, rights, ups, matrix.Strict, c.Parallelism())
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // tauOf reads a panel's tau scalings out of the r×1 matrix they travel as.

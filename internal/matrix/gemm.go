@@ -42,10 +42,14 @@ import (
 // when tuning.
 //
 // The Householder QR apply (qr.go) is the contract's second dependent: it is
-// three AddMuls, so Qᵀ·b is a function of the operand values alone — the
-// serial replay's strided view of the whole matrix, the engine's gathered
-// slab and a slab master's several block columns at once all get the same
-// bits, whatever the stride, width, tile or rim.
+// three AddMuls per compact-WY chunk, so Qᵀ·b is a function of the operand
+// values alone, whatever the stride, width, tile or rim. The engine's
+// chained apply rests on it: W = Vᵀ·B accumulated block row by block row
+// down a block column's owners, each owner adding its rows onto the W it
+// received in increasing row order, is the replay's single product's
+// accumulation cut into pieces, and Tᵀ·W and B_i −= V_i·(Tᵀ·W) split that
+// product's rows and columns — so every owner's blocks get the serial
+// replay's bits.
 //
 // AddMulBlocks, a rank's whole trailing update in one call, is the third:
 // it packs each distinct operand once and runs the same macro kernels on

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// qrChunk is how many consecutive reflectors one compact-WY factor
-// aggregates: the fixed column chunking of QTMul/QMul, so a wide QR never
-// forms an n×n T.
-const qrChunk = 32
+// QRChunk is how many consecutive reflectors one compact-WY factor
+// aggregates: the fixed column chunking of QTMul, QMul and WY, so a wide QR
+// never forms an n×n T.
+const QRChunk = 32
 
 // QR holds a Householder QR factorization A = Q*R for an m×n matrix with
 // m >= n: Q is m×m orthogonal, R is m×n upper trapezoidal.
@@ -20,9 +20,11 @@ type QR struct {
 	// tau[k] is the scaling factor of the k-th Householder reflector
 	// H_k = I - tau_k * v_k * v_k^T.
 	tau []float64
-	// wy is the same reflectors in compact-WY form, one factor per qrChunk
-	// columns, formed by the first QTMul/QMul and shared by all later ones.
+	// v and tt are the same reflectors in compact-WY form (see WY) and wy
+	// their factors, one per QRChunk columns, formed by the first QTMul,
+	// QMul or WY and shared by all later ones.
 	wyOnce sync.Once
+	v, tt  *Dense
 	wy     []compactWY
 }
 
@@ -106,41 +108,56 @@ func (m *Dense) colNorm(i0, j int) float64 {
 }
 
 // compactWY aggregates the reflectors of packed columns [k0, k0+pw) as
-// H(k0)···H(k0+pw−1) = I − V·T·Vᵀ: v is the (m−k0)×pw unit lower trapezoid
-// of reflector vectors and t the upper triangular factor (LAPACK larft);
-// vt and tt are their transposes, kept so that every product of apply is a
-// plain AddMul. A tau_k = 0 reflector becomes a zero column of v and a zero
-// row and column of t — an exact identity whose packed column is never read.
+// H(k0)···H(k0+pw−1) = I − V·T·Vᵀ, T the upper triangular factor (LAPACK
+// larft): v, the (m−k0)×pw unit lower trapezoid of reflector vectors, and
+// tt = Tᵀ are views of the factorization's whole V and Tᵀ (WY); vt and t
+// are their transposes, kept so that every product of apply is a plain
+// AddMul. A tau_k = 0 reflector becomes a zero column of v and a zero row
+// and column of t — an exact identity whose packed column is never read.
 type compactWY struct {
 	k0           int
 	v, vt, t, tt Dense
 }
 
-// newCompactWY forms the compact-WY factor of packed columns [k0, k1).
-func newCompactWY(packed *Dense, tau []float64, k0, k1 int) compactWY {
-	rows, pw := packed.rows-k0, k1-k0
-	vs, ts := rows*pw, pw*pw
-	buf := make([]float64, 2*(vs+ts))
-	mat := func(r, c, off int) Dense {
-		return Dense{rows: r, cols: c, stride: c, data: buf[off : off+r*c : off+r*c]}
-	}
-	w := compactWY{k0: k0, v: mat(rows, pw, 0), vt: mat(pw, rows, vs), t: mat(pw, pw, 2*vs), tt: mat(pw, pw, 2*vs+ts)}
-	for i := 0; i < rows; i++ {
-		vrow := w.v.data[i*pw : (i+1)*pw]
-		copy(vrow[:min(i, pw)], packed.data[(k0+i)*packed.stride+k0:])
-		if i < pw {
-			vrow[i] = 1
+// formWY forms the whole V and Tᵀ and one compact-WY factor per QRChunk
+// columns.
+func (f *QR) formWY() {
+	m, n := f.qr.rows, f.qr.cols
+	f.v, f.tt = New(m, n), New(n, n)
+	for i := 0; i < m; i++ {
+		row := f.v.data[i*n : (i+1)*n]
+		copy(row[:min(i, n)], f.qr.data[i*f.qr.stride:])
+		if i < n {
+			row[i] = 1
 		}
-		for j, x := range vrow {
-			if tau[k0+j] == 0 {
-				x, vrow[j] = 0, 0
+		for j := range row {
+			if f.tau[j] == 0 {
+				row[j] = 0
 			}
+		}
+	}
+	for k0 := 0; k0 < n; k0 += QRChunk {
+		f.wy = append(f.wy, newCompactWY(f.v, f.tt, f.tau, k0, min(k0+QRChunk, n)))
+	}
+}
+
+// newCompactWY forms the compact-WY factor of columns [k0, k1) of the whole
+// V, writing its Tᵀ into the diagonal block [k0, k1) of the whole tt.
+func newCompactWY(v, tt *Dense, tau []float64, k0, k1 int) compactWY {
+	rows, pw := v.rows-k0, k1-k0
+	buf := make([]float64, rows*pw+pw*pw)
+	w := compactWY{k0: k0, v: v.view(k0, v.rows, k0, k1), tt: tt.view(k0, k1, k0, k1),
+		vt: Dense{rows: pw, cols: rows, stride: rows, data: buf[: rows*pw : rows*pw]},
+		t:  Dense{rows: pw, cols: pw, stride: pw, data: buf[rows*pw:]}}
+	for i := 0; i < rows; i++ {
+		for j, x := range w.v.data[i*w.v.stride : i*w.v.stride+pw] {
 			w.vt.data[j*rows+i] = x
 		}
 	}
 	// T by forward accumulation: T(j,j) = tau_j and
 	// T(0:j, j) = −tau_j · T(0:j, 0:j) · (Vᵀ·V)(0:j, j). The Gram matrix
 	// comes from one GEMM into tt, which T's transpose then overwrites.
+	g, s := w.tt.data, w.tt.stride
 	w.tt.addMulDispatch(1, &w.vt, &w.v)
 	for j := 0; j < pw; j++ {
 		tj := tau[k0+j]
@@ -151,14 +168,14 @@ func newCompactWY(packed *Dense, tau []float64, k0, k1 int) compactWY {
 		for i := 0; i < j; i++ {
 			sum := 0.0
 			for k := i; k < j; k++ {
-				sum += w.t.data[i*pw+k] * w.tt.data[k*pw+j]
+				sum += w.t.data[i*pw+k] * g[k*s+j]
 			}
 			w.t.data[i*pw+j] = -tj * sum
 		}
 	}
 	for i := 0; i < pw; i++ {
 		for j := 0; j < pw; j++ {
-			w.tt.data[i*pw+j] = w.t.data[j*pw+i]
+			g[i*s+j] = w.t.data[j*pw+i]
 		}
 	}
 	return w
@@ -200,11 +217,7 @@ func (f *QR) applyQ(b *Dense, transposed bool) {
 	if b.cols == 0 {
 		return
 	}
-	f.wyOnce.Do(func() {
-		for k0 := 0; k0 < f.qr.cols; k0 += qrChunk {
-			f.wy = append(f.wy, newCompactWY(f.qr, f.tau, k0, min(k0+qrChunk, f.qr.cols)))
-		}
-	})
+	f.wyOnce.Do(f.formWY)
 	work := qrWorkPool.Get().(*[]float64)
 	for i := range f.wy {
 		if !transposed {
@@ -213,6 +226,21 @@ func (f *QR) applyQ(b *Dense, transposed bool) {
 		*work = f.wy[i].apply(b, transposed, *work)
 	}
 	qrWorkPool.Put(work)
+}
+
+// WY returns the reflectors in compact-WY form, as QTMul and QMul apply
+// them: v is the m×n matrix of reflector vectors (unit diagonal, zeros above
+// it, a zero column for each tau_k = 0), and tt holds on its diagonal the
+// Tᵀ of each chunk of QRChunk columns, zeros elsewhere. QTMul applies chunk
+// [k0, k1), in column order, as b[k0:] −= V·(Tᵀ·(Vᵀ·b[k0:])) with
+// V = v[k0:, k0:k1] and Tᵀ = tt[k0:k1, k0:k1], each product a Strict AddMul:
+// by gemm.go's determinism contract a caller who splits those products
+// along b's rows and columns — Vᵀ·b accumulated block row by block row in
+// increasing order, the last product block by block — gets QTMul's bits.
+// Both are shared with the factorization; callers must not modify them.
+func (f *QR) WY() (v, tt *Dense) {
+	f.wyOnce.Do(f.formWY)
+	return f.v, f.tt
 }
 
 // QRFromPacked reconstitutes a factorization from its packed

@@ -115,10 +115,10 @@ func TestQRDetConsistency(t *testing.T) {
 // qrApplies names the two directions of the one reflector apply.
 var qrApplies = map[string]func(*QR, *Dense){"QTMul": (*QR).QTMul, "QMul": (*QR).QMul}
 
-// The engine applies a panel's Qᵀ to gathered slabs, the serial replay to
-// strided views of the whole matrix, a slab master to all of its block
-// columns at once: they agree bit for bit only because QTMul/QMul are
-// functions of the operand values — not of stride, width or blocking.
+// The serial replay applies a panel's Qᵀ to strided views of the whole
+// matrix, a remote rank to its own copies of some of the columns: they
+// agree bit for bit only because QTMul/QMul are functions of the operand
+// values — not of stride, width or blocking.
 func TestQRApplyIsLayoutInvariant(t *testing.T) {
 	strictTiles(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
@@ -156,8 +156,8 @@ func TestQRApplyIsLayoutInvariant(t *testing.T) {
 }
 
 // A blocked right-looking QR run the replay's way (views of one matrix, one
-// wide apply per step) and the engine's way (panel and trailing columns
-// gathered into slabs, the factorization re-derived from packed + tau, the
+// wide apply per step) and by copied slabs (the panel and the trailing
+// columns copied out, the factorization re-derived from packed + tau, the
 // columns applied in two groups) at a block size that reaches the packed
 // kernel: same bits.
 func TestBlockedQRReplayAndSlabOrdersAgree(t *testing.T) {
@@ -305,5 +305,97 @@ func TestQTMulConcurrentOnSharedQR(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// The engine applies a panel's Qᵀ in pieces: per compact-WY chunk, Vᵀ·B
+// accumulated block row by block row onto one W (the first block row cut
+// at the chunk's first row), Tᵀ·W formed once, then B_i −= V_i·(Tᵀ·W) as
+// one AddMulBlocks batch per block row over its blocks. Same bits as
+// QTMul: with a tau = 0 reflector whose packed column holds NaNs, with
+// blocks that do not divide m, and with two chunks (r = 40).
+func TestQRSplitApplyEqualsQTMul(t *testing.T) {
+	strictTiles(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(37))
+		for _, c := range []struct {
+			name         string
+			m, n, nc, bs int
+			zero         int // a zero input column, or -1
+		}{
+			{"zero tau", 48, 12, 24, 12, 5},
+			{"ragged split", 53, 20, 45, 20, -1},
+			{"two chunks", 160, 40, 80, 40, -1},
+			{"two chunks ragged", 150, 40, 90, 40, 33},
+		} {
+			a := Random(c.m, c.n, rng)
+			if c.zero >= 0 {
+				for i := 0; i < c.m; i++ {
+					a.Set(i, c.zero, 0)
+				}
+			}
+			f := FactorQR(a)
+			packed := f.Packed().Clone()
+			if c.zero >= 0 {
+				if f.Tau()[c.zero] != 0 {
+					t.Fatalf("%s: tau[%d] = %v for a zero column", c.name, c.zero, f.Tau()[c.zero])
+				}
+				for i := c.zero + 1; i < c.m; i++ {
+					packed.Set(i, c.zero, math.NaN())
+				}
+			}
+			b := Random(c.m, c.nc, rng)
+			want, got := b.Clone(), b.Clone()
+			f.QTMul(want)
+			splitApply(QRFromPacked(packed, f.Tau()), got, c.bs)
+			if !got.Equal(want) {
+				t.Fatalf("%s: the split apply differs from QTMul", c.name)
+			}
+		}
+	})
+}
+
+// splitApply overwrites b with Qᵀ·b the engine's way, on bs×bs blocks (the
+// last block row and column may be shorter).
+func splitApply(f *QR, b *Dense, bs int) {
+	v, tt := f.WY()
+	m, n := v.Dims()
+	nc := b.Cols()
+	// rows calls fn for the pieces of block rows that lie at or below k0.
+	rows := func(k0 int, fn func(lo, hi int)) {
+		for lo := k0; lo < m; {
+			hi := min((lo/bs+1)*bs, m)
+			fn(lo, hi)
+			lo = hi
+		}
+	}
+	cols := func(fn func(j, lo, hi int)) {
+		for j, lo := 0, 0; lo < nc; j, lo = j+1, lo+bs {
+			fn(j, lo, min(lo+bs, nc))
+		}
+	}
+	for k0 := 0; k0 < n; k0 += QRChunk {
+		k1 := min(k0+QRChunk, n)
+		w, w2 := New(k1-k0, nc), New(k1-k0, nc)
+		rows(k0, func(lo, hi int) {
+			vt := v.Slice(lo, hi, k0, k1).T()
+			cols(func(_, j0, j1 int) {
+				w.Slice(0, k1-k0, j0, j1).AddMulNumerics(1, vt, b.Slice(lo, hi, j0, j1), Strict)
+			})
+		})
+		w2.AddMulNumerics(1, tt.Slice(k0, k1, k0, k1), w, Strict)
+		rows(k0, func(lo, hi int) {
+			var rights []*Dense
+			var blocks []BlockUpdate
+			cols(func(j, j0, j1 int) {
+				if j1-j0 != bs {
+					// A ragged last column has a shape of its own.
+					b.Slice(lo, hi, j0, j1).AddMulNumerics(-1, v.Slice(lo, hi, k0, k1), w2.Slice(0, k1-k0, j0, j1), Strict)
+					return
+				}
+				rights = append(rights, w2.Slice(0, k1-k0, j0, j1))
+				blocks = append(blocks, BlockUpdate{Out: b.Slice(lo, hi, j0, j1), Right: j})
+			})
+			AddMulBlocks(-1, []*Dense{v.Slice(lo, hi, k0, k1)}, rights, blocks, Strict, 2)
+		})
 	}
 }
