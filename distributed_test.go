@@ -1,6 +1,7 @@
 package hetgrid
 
 import (
+	"math/rand"
 	"testing"
 
 	"hetgrid/internal/matrix"
@@ -48,5 +49,45 @@ func TestDistributedMultiplyBadBlockSize(t *testing.T) {
 	a := matrix.New(10, 10) // 4 blocks of 3 ≠ 10
 	if _, _, err := DistributedMultiply(d, a, a, 3); err == nil {
 		t.Fatal("mismatched block size accepted")
+	}
+}
+
+// TestDistributedLeavesInputs: every kernel reads the caller's matrices and
+// never writes them. The engine's Send hands its payload over, so Scatter
+// must send the owners copies of the caller's blocks, not views of them that
+// a factorization would overwrite in place.
+func TestDistributedLeavesInputs(t *testing.T) {
+	const nb, r = 6, 4
+	rng := rand.New(rand.NewSource(49))
+	a := matrix.RandomWellConditioned(nb*r, rng)
+	b := matrix.Random(nb*r, nb*r, rng)
+	spd := matrix.RandomSPD(nb*r, rng)
+	d, err := Uniform(2, 2, nb, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := func(name string, ms []*Matrix, run func() error) {
+		was := make([]*Matrix, len(ms))
+		for i, m := range ms {
+			was[i] = m.Clone()
+		}
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, m := range ms {
+			if !m.Equal(was[i]) {
+				t.Errorf("%s changed its input %d", name, i)
+			}
+		}
+	}
+	kept("multiply", []*Matrix{a, b}, func() error {
+		_, _, err := DistributedMultiply(d, a, b, r)
+		return err
+	})
+	for k, in := range map[Kernel]*Matrix{LU: a, Cholesky: spd, QR: a} {
+		kept(k.String(), []*Matrix{in}, func() error {
+			_, _, err := DistributedFactor(k, d, in, r)
+			return err
+		})
 	}
 }

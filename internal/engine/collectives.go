@@ -134,9 +134,11 @@ func stackRows(parts []*matrix.Dense) *matrix.Dense {
 // payload — the ScaLAPACK panel message, exactly what the simulator prices
 // and the analytic CommVolume charges. All grid ranks call it, and later
 // panelRecv, with identical messages; get(i) is the block with index i at
-// its owner (not consulted elsewhere), r the square block size. The
+// its owner (not consulted elsewhere), r the square block size. The stack
+// is the panel's one copy: Send hands it over to every out-edge. The
 // returned map holds the resident blocks of the messages this rank roots,
-// used in place; panelRecv adds the received copies.
+// used in place; panelRecv adds views of the received payloads, which are
+// read-only (Comm.Send).
 func (co *Collectives) panelSend(tag string, msgs []distribution.Msg, get func(int) *matrix.Dense, r int) map[int]*matrix.Dense {
 	me := co.c.Rank()
 	out := make(map[int]*matrix.Dense)

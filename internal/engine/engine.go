@@ -251,13 +251,23 @@ func (c *Comm) Parallelism() int {
 // under (matrix.Strict unless configured otherwise).
 func (c *Comm) Numerics() matrix.Numerics { return c.world.opts.Numerics }
 
-// Send delivers a copy of data to dst under tag. Sending to yourself is
-// allowed and does not count as traffic (local data). Send never blocks.
+// Send hands data to dst under tag: the payload is the transport's after
+// the call, as Transport.Send documents, and on the in-process fabric the
+// receiver gets the sender's buffer itself. Sending to yourself is allowed
+// and does not count as traffic (local data). Send never blocks.
+//
+// Ownership: a sender never writes to a buffer, or any view of it, after
+// sending it — a sender that keeps writing sends a copy it makes at the
+// call site (Scatter's views of the caller's input, a checkpoint commit's
+// delta). A receiver treats a payload as read-only, because a broadcast
+// delivers one buffer to several ranks; the one exception is a
+// point-to-point message whose sender drops it, such as QR's W, which each
+// owner of a chain accumulates into and passes on.
 func (c *Comm) Send(dst int, tag string, data *matrix.Dense) {
 	if dst < 0 || dst >= c.world.n {
 		panic(fmt.Sprintf("engine: send to rank %d of %d", dst, c.world.n))
 	}
-	c.world.meter.Send(c.rank, dst, tag, data.Clone())
+	c.world.meter.Send(c.rank, dst, tag, data)
 }
 
 // Recv blocks until a message with the tag arrives from src and returns

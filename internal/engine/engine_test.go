@@ -58,6 +58,9 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestSendRecvRoundTrip pins Send's hand-over: on the in-process fabric the
+// receiver gets the sender's buffer itself, not a copy, and the message is
+// counted once with its bytes.
 func TestSendRecvRoundTrip(t *testing.T) {
 	payload := matrix.NewFromSlice(2, 2, []float64{1, 2, 3, 4})
 	w, err := RunOpts(2, Options{}, func(c *Comm) error {
@@ -65,20 +68,14 @@ func TestSendRecvRoundTrip(t *testing.T) {
 		case 0:
 			c.Send(1, "data", payload)
 		case 1:
-			got := c.Recv(0, "data")
-			if !got.Equal(payload) {
-				return fmt.Errorf("payload corrupted: %v", got)
+			if got := c.Recv(0, "data"); got != payload {
+				return fmt.Errorf("received %v, not the sent buffer", got)
 			}
-			// The payload must be a copy, not an alias.
-			got.Set(0, 0, 99)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if payload.At(0, 0) != 1 {
-		t.Fatal("Send aliased the payload across ranks")
 	}
 	if w.Messages() != 1 || w.Bytes() != 32 {
 		t.Fatalf("traffic: %d msgs %d bytes", w.Messages(), w.Bytes())

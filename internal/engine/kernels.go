@@ -65,8 +65,9 @@ func Scatter(c *Comm, d distribution.Distribution, full *matrix.Dense, r int) (*
 			case me == 0 && owner == 0:
 				store.Put(bi, bj, blockView(full, bi, bj, r).Clone())
 			case me == 0:
-				// Send copies its payload: the view is enough.
-				c.Send(owner, blockTag("scatter", bi, bj), blockView(full, bi, bj, r))
+				// Send hands its payload over, and the view belongs to the
+				// caller's matrix, which the owner would write through.
+				c.Send(owner, blockTag("scatter", bi, bj), blockView(full, bi, bj, r).Clone())
 			case owner == me:
 				store.Put(bi, bj, c.Recv(0, blockTag("scatter", bi, bj)))
 			}
@@ -111,7 +112,10 @@ func Gather(c *Comm, d distribution.Distribution, store *BlockStore) (*matrix.De
 // pass the same selection. Rank 0 holds the arrivals back and touches dst
 // only once the last one is in, so a gather that aborts halfway — a sender
 // died — leaves dst exactly as it was: a checkpoint can be advanced in
-// place, one delta of changed blocks per commit.
+// place, one delta of changed blocks per commit. The owners hand their
+// blocks over uncopied (Comm.Send), so a caller whose ranks go on writing
+// their blocks after the gather — a checkpoint commit — passes a store of
+// copies.
 func GatherInto(c *Comm, d distribution.Distribution, store *BlockStore, prefix string, dst *matrix.Dense, sel func(bi, bj int) bool) error {
 	nbr, nbc := d.Blocks()
 	r, me := store.R, c.Rank()

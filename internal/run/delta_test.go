@@ -96,3 +96,89 @@ func TestDeltaSnapshotEqualsFullGather(t *testing.T) {
 		}
 	}
 }
+
+// TestCommitIsTheStateAtItsStep: a checkpoint holds the working matrix as
+// it stood at its commit step, however far the owners have run on by the
+// time rank 0 splices their blocks in. Rank 0 is slowed, so the other ranks
+// send their deltas early and go on into the step while it still waits;
+// the snapshot must equal the one a world takes that stops every rank at
+// the commit.
+func TestCommitIsTheStateAtItsStep(t *testing.T) {
+	const nb, r, k = 6, 16, 3
+	rng := rand.New(rand.NewSource(4901))
+	a := matrix.RandomWellConditioned(nb*r, rng)
+	b := matrix.Random(nb*r, nb*r, rng)
+	spd := matrix.RandomSPD(nb*r, rng)
+	d := uniform(t, 2, 2)
+	for _, kern := range []plan.Kernel{plan.MatMul, plan.LU, plan.Cholesky, plan.QR} {
+		in := []*matrix.Dense{a}
+		switch kern {
+		case plan.MatMul:
+			in = []*matrix.Dense{a, b}
+		case plan.Cholesky:
+			in = []*matrix.Dense{spd}
+		}
+		s := State{Kernel: kern, Dist: d, Times: []float64{1, 1, 1, 1}}
+		job := Job{BlockSize: r, Inputs: in}
+		slow := &engine.FaultConfig{Slowdowns: []engine.SlowdownPoint{{Rank: 0, Step: 0, Factor: 20}}}
+		o := Attempt(s, job, nil, Options{Engine: engine.Options{Faults: slow}, CheckpointEvery: k})
+		if o.Err != nil || o.Ckpt == nil || o.Ckpt.Step != k {
+			t.Fatalf("%s: newest checkpoint %+v, err %v; want step %d", kern, o.Ckpt, o.Err, k)
+		}
+		if !o.Ckpt.Work.Equal(stoppedAt(t, s, job, k)) {
+			t.Fatalf("%s: the steps after the commit changed the checkpoint", kern)
+		}
+	}
+}
+
+// stoppedAt returns rank 0's snapshot from a world whose ranks all stop
+// at their step-k commit: no step after it runs on any rank.
+func stoppedAt(t *testing.T, s State, job Job, k int) *matrix.Dense {
+	t.Helper()
+	errStop := errors.New("stopped at the commit")
+	d, r := s.Dist, job.BlockSize
+	p, q := d.Dims()
+	var snap *matrix.Dense
+	_, err := engine.RunOpts(p*q, engine.Options{}, func(c *engine.Comm) error {
+		var in []*engine.BlockStore
+		for _, m := range job.Inputs {
+			st, err := engine.Scatter(c, d, m, r)
+			if err != nil {
+				return err
+			}
+			in = append(in, st)
+		}
+		work := in[0]
+		if s.Kernel == plan.MatMul {
+			work = engine.ZeroStore(c, d, r)
+		}
+		if c.Rank() == 0 {
+			nbr, nbc := d.Blocks()
+			snap = matrix.New(nbr*r, nbc*r)
+		}
+		c.SetStepHook(func(j int) bool { return j == k }, func(int) error {
+			if err := commitDelta(c, d, work, "stop", snap, nil); err != nil {
+				return err
+			}
+			// Nobody leaves before rank 0 has the last block: a rank
+			// that returns closes the world.
+			barrier(c, "stop")
+			return errStop
+		})
+		switch s.Kernel {
+		case plan.MatMul:
+			return engine.MMInto(c, d, in[0], in[1], work)
+		case plan.LU:
+			return engine.LU(c, d, work)
+		case plan.Cholesky:
+			return engine.Cholesky(c, d, work)
+		default:
+			_, err := engine.QR(c, d, work)
+			return err
+		}
+	})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("%s: the stopped world ended with %v", s.Kernel, err)
+	}
+	return snap
+}

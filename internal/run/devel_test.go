@@ -44,15 +44,15 @@ func deltaFresh(c *engine.Comm, d distribution.Distribution, store *engine.Block
 
 // deltaInPlace is what Attempt's commit does on a snapshot it owns.
 func deltaInPlace(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, snap *matrix.Dense, changed func(bi, bj int) bool) *matrix.Dense {
-	if err := engine.GatherInto(c, d, store, tag, snap, changed); err != nil {
+	if err := commitDelta(c, d, store, tag, snap, changed); err != nil {
 		panic(err)
 	}
 	return snap
 }
 
 // deltaPacked is deltaInPlace with each owner's changed blocks stacked into
-// one message: fewer sends, one more copy of every block (Send copies its
-// payload, so the stack is built and then copied).
+// one message: fewer sends, and the stack is the owner's one copy of its
+// delta (Send hands it over).
 func deltaPacked(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, snap *matrix.Dense, changed func(bi, bj int) bool) *matrix.Dense {
 	nbr, nbc := d.Blocks()
 	r, me := store.R, c.Rank()
