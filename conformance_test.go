@@ -501,8 +501,9 @@ func (c confCell) check(t *testing.T, d Distribution, in []*Matrix, want confRes
 
 // checkTraffic holds a fault-free run's counters to themselves and its
 // kernel's traffic to the closed-form volume. The kernel's part is the
-// total less the scatter of the inputs and the gather of the result: one
-// block message each for every block rank 0 does not own.
+// total less the scatter of the inputs and the gather of the result, each
+// distribution.MasterVolume: one pack per block row and owner other than
+// rank 0.
 func checkTraffic(t *testing.T, k Kernel, d Distribution, bk BroadcastKind, r, inputs int, st *ExecStats) {
 	t.Helper()
 	if p, q := d.Dims(); len(st.Ranks) != p*q || len(st.Pairs) != p*q {
@@ -533,15 +534,7 @@ func checkTraffic(t *testing.T, k Kernel, d Distribution, bk BroadcastKind, r, i
 	}
 
 	block := 8 * r * r
-	nbr, nbc := d.Blocks()
-	remote := 0
-	for bi := 0; bi < nbr; bi++ {
-		for bj := 0; bj < nbc; bj++ {
-			if distribution.OwnerRank(d, bi, bj) != 0 {
-				remote++
-			}
-		}
-	}
+	master := distribution.MasterVolume(d, float64(block), nil)
 	volume := map[Kernel]func(distribution.Distribution, float64) (*distribution.CommVolume, error){
 		MatMul: distribution.MMCommVolume, LU: distribution.LUCommVolume, Cholesky: distribution.CholeskyCommVolume,
 		QR: distribution.QRCommVolume,
@@ -550,7 +543,7 @@ func checkTraffic(t *testing.T, k Kernel, d Distribution, bk BroadcastKind, r, i
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs, bytes := st.Messages-(inputs+1)*remote, st.Bytes-(inputs+1)*remote*block
+	msgs, bytes := st.Messages-(inputs+1)*master.Messages, st.Bytes-(inputs+1)*int(master.Bytes)
 	if float64(bytes) != vol.Bytes {
 		t.Fatalf("kernel moved %d bytes, analytics says %v", bytes, vol.Bytes)
 	}

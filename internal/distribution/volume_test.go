@@ -221,3 +221,21 @@ func TestPairsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestMasterVolumeUniform(t *testing.T) {
+	// 2×2 block-cyclic over 4×4 blocks: even block rows belong to ranks 0
+	// and 1 (one remote owner), odd rows to ranks 2 and 3 (two); 12 of the
+	// 16 blocks are remote. The checkerboard selection keeps the diagonal
+	// ranks' blocks: rank 0's on even rows, rank 3's two on each odd row.
+	d, err := UniformBlockCyclic(2, 2, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vol := MasterVolume(d, 8, nil); vol.Messages != 6 || vol.Bytes != 12*8 {
+		t.Fatalf("every block: %+v, want 6 messages, %d bytes", *vol, 12*8)
+	}
+	even := func(bi, bj int) bool { return (bi+bj)%2 == 0 }
+	if vol := MasterVolume(d, 8, even); vol.Messages != 2 || vol.Bytes != 4*8 {
+		t.Fatalf("checkerboard: %+v, want 2 messages, %d bytes", *vol, 4*8)
+	}
+}

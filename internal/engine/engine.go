@@ -258,11 +258,11 @@ func (c *Comm) Numerics() matrix.Numerics { return c.world.opts.Numerics }
 //
 // Ownership: a sender never writes to a buffer, or any view of it, after
 // sending it — a sender that keeps writing sends a copy it makes at the
-// call site (Scatter's views of the caller's input, a checkpoint commit's
-// delta). A receiver treats a payload as read-only, because a broadcast
-// delivers one buffer to several ranks; the one exception is a
-// point-to-point message whose sender drops it, such as QR's W, which each
-// owner of a chain accumulates into and passes on.
+// call site (the packs of Scatter and GatherInto). A receiver treats a
+// payload as read-only, because a broadcast delivers one buffer to several
+// ranks; the exceptions are point-to-point messages whose sender drops
+// them: Scatter's packs, whose views the owner keeps as its blocks, and
+// QR's W, which each owner of a chain accumulates into and passes on.
 func (c *Comm) Send(dst int, tag string, data *matrix.Dense) {
 	if dst < 0 || dst >= c.world.n {
 		panic(fmt.Sprintf("engine: send to rank %d of %d", dst, c.world.n))

@@ -45,7 +45,10 @@ func (s *BlockStore) Put(bi, bj int, b *matrix.Dense) {
 
 // Scatter distributes the blocks of full (present only at rank 0) to their
 // owners and returns this rank's store. blockSize r must divide the matrix
-// order.
+// order. Rank 0 copies each owner's blocks of a block row into one pack
+// (see packsOf) and sends it; the owner keeps views into the pack as its
+// blocks, so every block is copied once and the caller's matrix stays the
+// caller's.
 func Scatter(c *Comm, d distribution.Distribution, full *matrix.Dense, r int) (*BlockStore, error) {
 	nbr, nbc := d.Blocks()
 	me := c.Rank()
@@ -58,22 +61,81 @@ func Scatter(c *Comm, d distribution.Distribution, full *matrix.Dense, r int) (*
 		}
 	}
 	store := newBlockStore(r)
-	for bi := 0; bi < nbr; bi++ {
-		for bj := 0; bj < nbc; bj++ {
-			owner := distribution.OwnerRank(d, bi, bj)
-			switch {
-			case me == 0 && owner == 0:
-				store.Put(bi, bj, blockView(full, bi, bj, r).Clone())
-			case me == 0:
-				// Send hands its payload over, and the view belongs to the
-				// caller's matrix, which the owner would write through.
-				c.Send(owner, blockTag("scatter", bi, bj), blockView(full, bi, bj, r).Clone())
-			case owner == me:
-				store.Put(bi, bj, c.Recv(0, blockTag("scatter", bi, bj)))
+	for _, p := range packsOf(d, nil) {
+		var buf *matrix.Dense
+		switch {
+		case me == 0:
+			buf = matrix.New(len(p.cols)*r, r)
+			for i, bj := range p.cols {
+				copyBlock(buf, i*r, 0, full, p.bi*r, bj*r, r)
 			}
+			if p.owner != 0 {
+				c.Send(p.owner, packTag("scatter", p.bi), buf)
+				continue
+			}
+		case p.owner == me:
+			buf = c.Recv(0, packTag("scatter", p.bi))
+		default:
+			continue
+		}
+		for i, bj := range p.cols {
+			store.Put(p.bi, bj, buf.Slice(i*r, (i+1)*r, 0, r))
 		}
 	}
 	return store, nil
+}
+
+// pack is one message of the master collectives, Scatter and GatherInto:
+// the picked blocks of block row bi that owner holds, in column order,
+// stacked into one (len(cols)·r)×r matrix, so each block of the pack is a
+// contiguous r×r view.
+type pack struct {
+	owner, bi int
+	cols      []int
+}
+
+// packsOf lists the packs of the blocks of d that sel picks (nil picks
+// every block) in row-major block order: per block row, one per owner of a
+// picked block, owners in the order of their first picked block. A pack
+// per owner and block row, not one per owner, keeps a TCP frame to a
+// block row's worth, so rank 0 unpacks one while the next is on the wire.
+func packsOf(d distribution.Distribution, sel func(bi, bj int) bool) []pack {
+	nbr, nbc := d.Blocks()
+	var out []pack
+	owners := make([]int, nbc)
+	cols := make([]int, 0, nbr*nbc)
+	for bi := 0; bi < nbr; bi++ {
+		for bj := range owners {
+			owners[bj] = -1
+			if sel == nil || sel(bi, bj) {
+				owners[bj] = distribution.OwnerRank(d, bi, bj)
+			}
+		}
+		for bj, o := range owners {
+			if o < 0 {
+				continue
+			}
+			start := len(cols)
+			for j := bj; j < nbc; j++ {
+				if owners[j] == o {
+					cols, owners[j] = append(cols, j), -1
+				}
+			}
+			out = append(out, pack{owner: o, bi: bi, cols: cols[start:len(cols):len(cols)]})
+		}
+	}
+	return out
+}
+
+// packTag names the channel of block row bi's pack; the channel's two ends
+// tell the owners apart.
+func packTag(prefix string, bi int) string { return prefix + "/" + strconv.Itoa(bi) }
+
+// copyBlock copies the r×r block of src at element (si, sj) to dst at
+// element (di, dj). Both views are inlined and stay on the stack: a copy
+// allocates nothing.
+func copyBlock(dst *matrix.Dense, di, dj int, src *matrix.Dense, si, sj, r int) {
+	dst.Slice(di, di+r, dj, dj+r).CopyFrom(src.Slice(si, si+r, sj, sj+r))
 }
 
 // checkTiling reports whether m is exactly nbr×nbc blocks of size r.
@@ -89,12 +151,6 @@ func blockView(full *matrix.Dense, bi, bj, r int) *matrix.Dense {
 	return full.Slice(bi*r, (bi+1)*r, bj*r, (bj+1)*r)
 }
 
-// blockTag names the channel one block travels on; only the ranks at its
-// two ends format it.
-func blockTag(prefix string, bi, bj int) string {
-	return prefix + "/" + strconv.Itoa(bi) + "/" + strconv.Itoa(bj)
-}
-
 // Gather collects every block back to rank 0, returning the assembled
 // matrix there and nil elsewhere.
 func Gather(c *Comm, d distribution.Distribution, store *BlockStore) (*matrix.Dense, error) {
@@ -107,15 +163,15 @@ func Gather(c *Comm, d distribution.Distribution, store *BlockStore) (*matrix.De
 }
 
 // GatherInto is the one gather: the owners send rank 0 the blocks sel picks
-// (nil picks every block) under the tag prefix, and rank 0 writes them, and
-// its own picked blocks, into dst (read at rank 0 alone). Every rank must
-// pass the same selection. Rank 0 holds the arrivals back and touches dst
-// only once the last one is in, so a gather that aborts halfway — a sender
-// died — leaves dst exactly as it was: a checkpoint can be advanced in
-// place, one delta of changed blocks per commit. The owners hand their
-// blocks over uncopied (Comm.Send), so a caller whose ranks go on writing
-// their blocks after the gather — a checkpoint commit — passes a store of
-// copies.
+// (nil picks every block) under the tag prefix, one pack per block row
+// (see packsOf), and rank 0 writes them, and its own picked blocks, into
+// dst (read at rank 0 alone). Every rank must pass the same selection.
+// Rank 0 holds the packs back and touches dst only once the last one is
+// in, so a gather that aborts halfway — a sender died — leaves dst exactly
+// as it was: a checkpoint can be advanced in place, one delta of changed
+// blocks per commit. An owner copies its blocks into its packs, which are
+// then the only copies it sends, so it may go on writing its blocks as
+// soon as GatherInto returns.
 func GatherInto(c *Comm, d distribution.Distribution, store *BlockStore, prefix string, dst *matrix.Dense, sel func(bi, bj int) bool) error {
 	nbr, nbc := d.Blocks()
 	r, me := store.R, c.Rank()
@@ -127,36 +183,35 @@ func GatherInto(c *Comm, d distribution.Distribution, store *BlockStore, prefix 
 			return err
 		}
 	}
-	var staged []*matrix.Dense
-	each := func(fn func(bi, bj, owner int)) {
-		for bi := 0; bi < nbr; bi++ {
-			for bj := 0; bj < nbc; bj++ {
-				if sel == nil || sel(bi, bj) {
-					fn(bi, bj, distribution.OwnerRank(d, bi, bj))
-				}
+	packs := packsOf(d, sel)
+	if me != 0 {
+		for _, p := range packs {
+			if p.owner != me {
+				continue
+			}
+			buf := matrix.New(len(p.cols)*r, r)
+			for i, bj := range p.cols {
+				copyBlock(buf, i*r, 0, store.Get(p.bi, bj), 0, 0, r)
+			}
+			c.Send(0, packTag(prefix, p.bi), buf)
+		}
+		return nil
+	}
+	got := make([]*matrix.Dense, len(packs))
+	for i, p := range packs {
+		if p.owner != 0 {
+			got[i] = c.Recv(p.owner, packTag(prefix, p.bi))
+		}
+	}
+	for i, p := range packs {
+		for j, bj := range p.cols {
+			if p.owner == 0 {
+				copyBlock(dst, p.bi*r, bj*r, store.Get(p.bi, bj), 0, 0, r)
+			} else {
+				copyBlock(dst, p.bi*r, bj*r, got[i], j*r, 0, r)
 			}
 		}
 	}
-	each(func(bi, bj, owner int) {
-		switch {
-		case owner == me && me != 0:
-			c.Send(0, blockTag(prefix, bi, bj), store.Get(bi, bj))
-		case owner != me && me == 0:
-			staged = append(staged, c.Recv(owner, blockTag(prefix, bi, bj)))
-		}
-	})
-	if me != 0 {
-		return nil
-	}
-	each(func(bi, bj, owner int) {
-		var src *matrix.Dense
-		if owner == 0 {
-			src = store.Get(bi, bj)
-		} else {
-			src, staged = staged[0], staged[1:]
-		}
-		blockView(dst, bi, bj, r).CopyFrom(src)
-	})
 	return nil
 }
 
@@ -426,13 +481,17 @@ func (co *Collectives) bcastIfMember(tag string, root int, receivers []int, data
 // Cholesky executes the distributed right-looking Cholesky factorization
 // A = L·Lᵀ (lower variant) on a symmetric positive definite matrix,
 // overwriting the store's lower-triangle blocks with L and zeroing the
-// strict upper triangle — on a resumed run too, so it gathers exactly L.
+// strict upper triangle — on a resumed run too, so it gathers exactly L; a
+// store already at the last step is finished and left as it is.
 // Only lower-triangle blocks are read. Panel blocks sharing a source and
 // needer set travel as one stacked message.
 func Cholesky(c *Comm, d distribution.Distribution, a *BlockStore) error {
 	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		return err
+	}
+	if a.Step >= lay.NB {
+		return nil
 	}
 	r := a.R
 	co := NewCollectives(c, d)

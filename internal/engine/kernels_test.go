@@ -162,7 +162,8 @@ func TestScatterValidation(t *testing.T) {
 
 // TestGatherIntoSplicesSelection: on a non-square 3×5 block matrix the
 // selected blocks, and only those, overwrite the destination at rank 0, and
-// only the selected remote blocks travel.
+// only the selected remote blocks travel, one pack per block row and remote
+// owner.
 func TestGatherIntoSplicesSelection(t *testing.T) {
 	const nbr, nbc, r = 3, 5, 2
 	d, err := distribution.UniformBlockCyclic(2, 2, nbr, nbc)
@@ -184,7 +185,6 @@ func TestGatherIntoSplicesSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, picked := 0, 0
 	for bi := 0; bi < nbr; bi++ {
 		for bj := 0; bj < nbc; bj++ {
 			want := base
@@ -194,16 +194,12 @@ func TestGatherIntoSplicesSelection(t *testing.T) {
 			if !blockView(dst, bi, bj, r).Equal(blockView(want, bi, bj, r)) {
 				t.Fatalf("block (%d,%d): selected %v, wrong contents", bi, bj, sel(bi, bj))
 			}
-			if distribution.OwnerRank(d, bi, bj) != 0 {
-				remote++
-				if sel(bi, bj) {
-					picked++
-				}
-			}
 		}
 	}
-	if w.Messages() != remote+picked {
-		t.Fatalf("%d messages, want %d scattered + %d gathered", w.Messages(), remote, picked)
+	block := float64(8 * r * r)
+	scattered, gathered := distribution.MasterVolume(d, block, nil), distribution.MasterVolume(d, block, sel)
+	if w.Messages() != scattered.Messages+gathered.Messages || w.Bytes() != int(scattered.Bytes+gathered.Bytes) {
+		t.Fatalf("%d messages, %d bytes; want %+v scattered + %+v gathered", w.Messages(), w.Bytes(), *scattered, *gathered)
 	}
 }
 

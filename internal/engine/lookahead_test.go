@@ -181,16 +181,13 @@ func depth0(t *testing.T, kernel string, work, a, b *matrix.Dense, r, k int) *ma
 }
 
 // gatherAs collects s at rank 0 under tag (nil elsewhere). The ranks go on
-// computing after it, so — like a checkpoint commit — they send copies.
+// computing after it, as after a checkpoint commit; the packs are their
+// copies.
 func gatherAs(c *Comm, d distribution.Distribution, s *BlockStore, tag string) (*matrix.Dense, error) {
 	var m *matrix.Dense
 	if c.Rank() == 0 {
 		nbr, nbc := d.Blocks()
 		m = matrix.New(nbr*s.R, nbc*s.R)
 	}
-	sent := newBlockStore(s.R)
-	for pos, b := range s.Blocks {
-		sent.Put(pos[0], pos[1], b.Clone())
-	}
-	return m, GatherInto(c, d, sent, tag, m, nil)
+	return m, GatherInto(c, d, s, tag, m, nil)
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strconv"
 
-	"hetgrid/internal/distribution"
 	"hetgrid/internal/engine"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/plan"
@@ -139,6 +138,8 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 		// last commit can differ from it, so only those travel: a delta,
 		// spliced into the one snapshot once its last block has arrived (a
 		// commit that loses a sender leaves the previous checkpoint whole).
+		// Each owner sends its delta as packs it copies its blocks into, so
+		// it goes on computing while rank 0 waits for the last pack.
 		// The snapshot is the run's, not the commit's: a resumed attempt
 		// advances the State's buffer in place, a fresh attempt's first
 		// commit gathers every block into a new one.
@@ -157,7 +158,7 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 			if c.Rank() == 0 && snap == nil {
 				snap = matrix.New(nbr*r, nbc*r)
 			}
-			if err := commitDelta(c, d, work, tag, snap, changed); err != nil {
+			if err := engine.GatherInto(c, d, work, tag, snap, changed); err != nil {
 				return err
 			}
 			last = k
@@ -234,22 +235,4 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 		o.Remaining = world.RemainingCrashes()
 	}
 	return o
-}
-
-// commitDelta advances rank 0's snapshot snap in place with the blocks of
-// work that changed picks (nil picks every block), gathered under tag. Send
-// hands a block over and an owner goes on updating its blocks while rank 0
-// waits for the last of the delta, so the owners send copies; rank 0 reads
-// its own blocks before it returns.
-func commitDelta(c *engine.Comm, d distribution.Distribution, work *engine.BlockStore, tag string, snap *matrix.Dense, changed func(bi, bj int) bool) error {
-	sent := work
-	if c.Rank() != 0 {
-		sent = &engine.BlockStore{R: work.R, Blocks: make(map[[2]int]*matrix.Dense)}
-		for pos, b := range work.Blocks {
-			if changed == nil || changed(pos[0], pos[1]) {
-				sent.Put(pos[0], pos[1], b.Clone())
-			}
-		}
-	}
-	return engine.GatherInto(c, d, sent, tag, snap, changed)
 }

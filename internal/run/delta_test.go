@@ -157,7 +157,7 @@ func stoppedAt(t *testing.T, s State, job Job, k int) *matrix.Dense {
 			snap = matrix.New(nbr*r, nbc*r)
 		}
 		c.SetStepHook(func(j int) bool { return j == k }, func(int) error {
-			if err := commitDelta(c, d, work, "stop", snap, nil); err != nil {
+			if err := engine.GatherInto(c, d, work, "stop", snap, nil); err != nil {
 				return err
 			}
 			// Nobody leaves before rank 0 has the last block: a rank

@@ -42,55 +42,11 @@ func deltaFresh(c *engine.Comm, d distribution.Distribution, store *engine.Block
 	return deltaInPlace(c, d, store, tag, snap, changed)
 }
 
-// deltaInPlace is what Attempt's commit does on a snapshot it owns.
+// deltaInPlace is what Attempt's commit does on a snapshot it owns: one
+// GatherInto of the changed blocks, each owner's packed by block row.
 func deltaInPlace(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, snap *matrix.Dense, changed func(bi, bj int) bool) *matrix.Dense {
-	if err := commitDelta(c, d, store, tag, snap, changed); err != nil {
+	if err := engine.GatherInto(c, d, store, tag, snap, changed); err != nil {
 		panic(err)
-	}
-	return snap
-}
-
-// deltaPacked is deltaInPlace with each owner's changed blocks stacked into
-// one message: fewer sends, and the stack is the owner's one copy of its
-// delta (Send hands it over).
-func deltaPacked(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, snap *matrix.Dense, changed func(bi, bj int) bool) *matrix.Dense {
-	nbr, nbc := d.Blocks()
-	r, me := store.R, c.Rank()
-	per := make([][][2]int, c.N())
-	for bi := 0; bi < nbr; bi++ {
-		for bj := 0; bj < nbc; bj++ {
-			if changed(bi, bj) {
-				o := distribution.OwnerRank(d, bi, bj)
-				per[o] = append(per[o], [2]int{bi, bj})
-			}
-		}
-	}
-	if me != 0 {
-		if mine := per[me]; len(mine) > 0 {
-			pack := matrix.New(len(mine)*r, r)
-			for i, pos := range mine {
-				pack.Slice(i*r, (i+1)*r, 0, r).CopyFrom(store.Get(pos[0], pos[1]))
-			}
-			c.Send(0, tag, pack)
-		}
-		return nil
-	}
-	packs := make([]*matrix.Dense, c.N())
-	for o := 1; o < c.N(); o++ {
-		if len(per[o]) > 0 {
-			packs[o] = c.Recv(o, tag)
-		}
-	}
-	for o, list := range per {
-		for i, pos := range list {
-			src := packs[o]
-			if o == 0 {
-				src = store.Get(pos[0], pos[1])
-			} else {
-				src = src.Slice(i*r, (i+1)*r, 0, r)
-			}
-			snap.Slice(pos[0]*r, (pos[0]+1)*r, pos[1]*r, (pos[1]+1)*r).CopyFrom(src)
-		}
 	}
 	return snap
 }
@@ -115,8 +71,9 @@ var commitSink *matrix.Dense
 // (N=1024, r=32, four ranks) with the kernel taken out: one operation is
 // every commit of a run that checkpoints `every` steps, starting from a
 // snapshot of step 0 as a resumed attempt does. B/op is the point: the
-// gather allocates its messages, and only the first two alternatives
-// allocate a matrix per commit on top.
+// gather allocates its packs, and only the first two alternatives allocate
+// a matrix per commit on top. The per-block and per-owner deltas are
+// BenchmarkDevelCollectives in internal/engine.
 func BenchmarkDevelCommit(b *testing.B) {
 	const nb, r = 32, 32
 	d, err := distribution.UniformBlockCyclic(2, 2, nb, nb)
@@ -132,7 +89,6 @@ func BenchmarkDevelCommit(b *testing.B) {
 		{"full-gather", fullGather},
 		{"delta-fresh-buffer", deltaFresh},
 		{"delta-in-place", deltaInPlace},
-		{"delta-in-place-packed", deltaPacked},
 	}
 	for _, every := range []int{4, 1} {
 		for _, alt := range alts {
@@ -180,7 +136,7 @@ func BenchmarkDevelCommit(b *testing.B) {
 	}
 }
 
-// TestDevelCommitAlternativesAgree keeps the bench honest: the three delta
+// TestDevelCommitAlternativesAgree keeps the bench honest: the two delta
 // alternatives build the same snapshot from the same stale one.
 func TestDevelCommitAlternativesAgree(t *testing.T) {
 	const nb, r = 5, 2
@@ -192,7 +148,7 @@ func TestDevelCommitAlternativesAgree(t *testing.T) {
 	a, stale := matrix.Random(nb*r, nb*r, rng), matrix.Random(nb*r, nb*r, rng)
 	changed := func(bi, bj int) bool { return plan.LU.Region().Contains(bi, bj, 2) }
 	var snaps []*matrix.Dense
-	for _, commit := range []commitFn{deltaInPlace, deltaFresh, deltaPacked} {
+	for _, commit := range []commitFn{deltaInPlace, deltaFresh} {
 		_, err := engine.RunOpts(4, engine.Options{}, func(c *engine.Comm) error {
 			var in, base *matrix.Dense
 			if c.Rank() == 0 {

@@ -54,6 +54,7 @@ var kept = map[string]map[string]string{
 		"LUCommVolume":       "closed-form LU traffic, compared with engine and simulator counters",
 		"CholeskyCommVolume": "closed-form Cholesky traffic, compared with engine and simulator counters",
 		"QRCommVolume":       "closed-form QR traffic, compared with the engine's counters",
+		"MasterVolume":       "closed-form scatter and gather traffic, compared with the engine's counters",
 	},
 	"internal/grid": {
 		// References tests compare an implementation with.
