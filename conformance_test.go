@@ -534,7 +534,7 @@ func checkTraffic(t *testing.T, k Kernel, d Distribution, bk BroadcastKind, r, i
 	}
 
 	block := 8 * r * r
-	master := distribution.MasterVolume(d, float64(block), nil)
+	master := distribution.MasterVolume(d, float64(block), distribution.All, 0)
 	volume := map[Kernel]func(distribution.Distribution, float64) (*distribution.CommVolume, error){
 		MatMul: distribution.MMCommVolume, LU: distribution.LUCommVolume, Cholesky: distribution.CholeskyCommVolume,
 		QR: distribution.QRCommVolume,

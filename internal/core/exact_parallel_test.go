@@ -236,18 +236,21 @@ func TestArrangementUpperBoundValid(t *testing.T) {
 	}
 }
 
-// TestGlobalExactSeedPruningActive: on grids where the heuristic is strong,
-// the seeded bound should skip at least some arrangements; the global
-// optimum must survive regardless.
+// TestGlobalExactSeedPruningActive: on tied inputs — 300 draws of integer
+// cycle-times 1..3 on a 3×3 grid from a fixed seed — the seeded bound skips
+// some arrangements (166 of 1,543), and the global optimum survives it: the
+// solution's objective is the brute force's best over every arrangement.
+// On continuous cycle-times such as U[0.25, 2.25) it almost never skips
+// one.
 func TestGlobalExactSeedPruningActive(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	pruned := 0
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(9000 + seed))
+	for draw := 0; draw < 300; draw++ {
 		times := make([]float64, 9)
 		for i := range times {
-			times[i] = 0.05 + rng.Float64()
+			times[i] = float64(1 + rng.Intn(3))
 		}
-		_, stats, err := SolveGlobalExact(times, 3, 3)
+		sol, stats, err := SolveGlobalExact(times, 3, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,10 +258,21 @@ func TestGlobalExactSeedPruningActive(t *testing.T) {
 		if stats.ArrangementsPruned > stats.Arrangements {
 			t.Fatalf("pruned %d of %d arrangements", stats.ArrangementsPruned, stats.Arrangements)
 		}
+		bestObj := math.Inf(-1)
+		if _, err := grid.EnumerateNonDecreasing(times, 3, 3, func(arr *grid.Arrangement) bool {
+			bestObj = math.Max(bestObj, bruteForceBest(arr).obj)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := sol.Objective(); math.Abs(got-bestObj) > 1e-14*bestObj {
+			t.Fatalf("times %v: objective %v, brute force %v", times, got, bestObj)
+		}
 	}
 	if pruned == 0 {
-		t.Log("upper bound never skipped an arrangement on these seeds (bound valid but loose)")
+		t.Fatal("the seeded bound skipped no arrangement on tied inputs")
 	}
+	t.Logf("the seeded bound skipped %d arrangements", pruned)
 }
 
 // TestParallelWithDuplicateTimes exercises the tie-break path: duplicated

@@ -400,3 +400,48 @@ func (l *Layout) RowRight(k int) [][]int {
 	}
 	return out
 }
+
+// Pack is one message of the master collectives, the engine's Scatter and
+// GatherInto: the blocks of block row BI that Owner holds, by ascending
+// column. The engine stacks them into one (len(Cols)·r)×r matrix, so each
+// block of the pack is a contiguous r×r view.
+type Pack struct {
+	Owner, BI int
+	Cols      []int
+}
+
+// MasterPacks returns the packs of a master collective over the blocks of
+// region r at step k on d's nbr×nbc block matrix (any shape), in row-major
+// block order: per block row, one per owner of a block of the region in
+// it, owners in the order of their first block. The scatter and the final
+// gather move All; a checkpoint commit moves the region as it stood at the
+// previous commit, the blocks the kernel can have written since. A pack per
+// owner and block row, not one per owner, keeps a TCP frame to a block
+// row's worth, so rank 0 unpacks one while the next is on the wire.
+func MasterPacks(d Distribution, r Region, k int) []Pack {
+	nbr, nbc := d.Blocks()
+	var out []Pack
+	owners := make([]int, nbc)
+	cols := make([]int, 0, nbr*nbc)
+	for bi := 0; bi < nbr; bi++ {
+		lo, hi := r.Cols(bi, k, nbc)
+		hi = min(hi, nbc)
+		for bj := lo; bj < hi; bj++ {
+			owners[bj] = OwnerRank(d, bi, bj)
+		}
+		for bj := lo; bj < hi; bj++ {
+			o := owners[bj]
+			if o < 0 {
+				continue
+			}
+			start := len(cols)
+			for j := bj; j < hi; j++ {
+				if owners[j] == o {
+					cols, owners[j] = append(cols, j), -1
+				}
+			}
+			out = append(out, Pack{Owner: o, BI: bi, Cols: cols[start:len(cols):len(cols)]})
+		}
+	}
+	return out
+}

@@ -402,3 +402,91 @@ func rowsFrom(lo, hi int) (out []int) {
 	}
 	return out
 }
+
+// brutePacks derives the master collectives' packs from Owner and
+// Region.Contains alone: per block row, the region's blocks grouped by
+// owner, owners in the order of their first block, columns ascending.
+func brutePacks(d Distribution, r Region, k int) []Pack {
+	nbr, nbc := d.Blocks()
+	var out []Pack
+	for bi := 0; bi < nbr; bi++ {
+		at := map[int]int{}
+		for bj := 0; bj < nbc; bj++ {
+			if !r.Contains(bi, bj, k) {
+				continue
+			}
+			o := OwnerRank(d, bi, bj)
+			i, ok := at[o]
+			if !ok {
+				i, at[o] = len(out), len(out)
+				out = append(out, Pack{Owner: o, BI: bi})
+			}
+			out[i].Cols = append(out[i].Cols, bj)
+		}
+	}
+	return out
+}
+
+// TestMasterPacksMatchBruteForce holds MasterPacks to brutePacks on the
+// uniform, KL and het-panel layouts of three grids over square and
+// non-square block matrices, some with owners of no block, for every
+// region at every step (and one past the last): the packs partition
+// exactly the region's blocks, each is one owner's blocks of one block
+// row, and they come in row-major order of their first block.
+func TestMasterPacksMatchBruteForce(t *testing.T) {
+	seen := map[string]bool{}
+	for _, arr := range []*grid.Arrangement{
+		volArr(),
+		grid.MustNew([][]float64{{1, 2, 2}, {3, 5, 4}}),
+		grid.MustNew([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}),
+	} {
+		sol, _, err := core.SolveArrangementExactOpt(arr, core.ExactOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shape := range [][2]int{{1, 1}, {2, 7}, {5, 5}, {7, 3}, {9, 4}} {
+			nbr, nbc := shape[0], shape[1]
+			uni, err := UniformBlockCyclic(arr.P, arr.Q, nbr, nbc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kl, err := NewKL(arr, nbr, nbc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dists := []Distribution{uni, kl}
+			if nbr >= arr.P && nbc >= arr.Q {
+				pan, err := BestPanel(sol, min(nbr, 6), min(nbc, 6), Interleaved, Interleaved)
+				if err != nil {
+					t.Fatal(err)
+				}
+				het, err := pan.Distribution(nbr, nbc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dists = append(dists, het)
+			}
+			for _, d := range dists {
+				held := make([]bool, arr.P*arr.Q)
+				for _, p := range MasterPacks(d, All, 0) {
+					held[p.Owner] = true
+				}
+				seen[d.Name()] = true
+				seen["non-square"] = seen["non-square"] || nbr != nbc
+				seen["idle owner"] = seen["idle owner"] || slices.Contains(held, false)
+				for _, r := range []Region{All, Trailing, TrailingLower} {
+					for k := 0; k <= max(nbr, nbc); k++ {
+						if got, want := MasterPacks(d, r, k), brutePacks(d, r, k); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s %d×%d grid, %d×%d blocks, region %d step %d:\n got %v\nwant %v", d.Name(), arr.P, arr.Q, nbr, nbc, r, k, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, k := range []string{"uniform-cyclic", "kalinov-lastovetsky", "het-panel", "non-square", "idle owner"} {
+		if !seen[k] {
+			t.Errorf("no %s case drawn", k)
+		}
+	}
+}

@@ -102,30 +102,18 @@ func QRCommVolume(d Distribution, blockBytes float64) (*CommVolume, error) {
 
 // MasterVolume returns the traffic of one master collective on d — the
 // scatter of a matrix from rank 0 to the owners, or a gather back to it —
-// over the blocks sel picks (nil picks every block), blockBytes bytes
-// each: one message per block row and owner other than rank 0 of a picked
-// block in it, carrying that owner's picked blocks of the row. Dongarra et
-// al. price a master–worker distribution as one message per worker sized
-// by its share; the engine cuts each share by block row. The engine's
-// Scatter and GatherInto counters match it exactly, which tests assert.
-func MasterVolume(d Distribution, blockBytes float64, sel func(bi, bj int) bool) *CommVolume {
-	p, q := d.Dims()
-	nbr, nbc := d.Blocks()
+// over the blocks of region r at step k, blockBytes bytes each: a fold over
+// MasterPacks, one message per pack of an owner other than rank 0. Dongarra
+// et al. price a master–worker distribution as one message per worker
+// sized by its share; the engine cuts each share by block row. The
+// engine's Scatter and GatherInto counters match it exactly, which tests
+// assert.
+func MasterVolume(d Distribution, blockBytes float64, r Region, k int) *CommVolume {
 	vol := &CommVolume{}
-	seen := make([]bool, p*q)
-	for bi := 0; bi < nbr; bi++ {
-		clear(seen)
-		for bj := 0; bj < nbc; bj++ {
-			if sel != nil && !sel(bi, bj) {
-				continue
-			}
-			if o := OwnerRank(d, bi, bj); o != 0 {
-				if !seen[o] {
-					seen[o] = true
-					vol.Messages++
-				}
-				vol.Bytes += blockBytes
-			}
+	for _, p := range MasterPacks(d, r, k) {
+		if p.Owner != 0 {
+			vol.Messages++
+			vol.Bytes += float64(len(p.Cols)) * blockBytes
 		}
 	}
 	return vol

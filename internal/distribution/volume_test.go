@@ -225,17 +225,21 @@ func TestPairsDeterministic(t *testing.T) {
 func TestMasterVolumeUniform(t *testing.T) {
 	// 2×2 block-cyclic over 4×4 blocks: even block rows belong to ranks 0
 	// and 1 (one remote owner), odd rows to ranks 2 and 3 (two); 12 of the
-	// 16 blocks are remote. The checkerboard selection keeps the diagonal
-	// ranks' blocks: rank 0's on even rows, rank 3's two on each odd row.
+	// 16 blocks are remote. LU's trailing region at step 2 keeps one block
+	// of each rank: rank 1's on row 2, ranks 2's and 3's on row 3.
+	// Cholesky's at step 1 keeps six blocks, five remote: rank 3's (1,1),
+	// rank 1's (2,1), and on row 3 rank 3's two and rank 2's one.
 	d, err := UniformBlockCyclic(2, 2, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vol := MasterVolume(d, 8, nil); vol.Messages != 6 || vol.Bytes != 12*8 {
-		t.Fatalf("every block: %+v, want 6 messages, %d bytes", *vol, 12*8)
-	}
-	even := func(bi, bj int) bool { return (bi+bj)%2 == 0 }
-	if vol := MasterVolume(d, 8, even); vol.Messages != 2 || vol.Bytes != 4*8 {
-		t.Fatalf("checkerboard: %+v, want 2 messages, %d bytes", *vol, 4*8)
+	for _, c := range []struct {
+		r          Region
+		k          int
+		msgs, blks int
+	}{{All, 0, 6, 12}, {Trailing, 2, 3, 3}, {TrailingLower, 1, 4, 5}, {Trailing, 4, 0, 0}} {
+		if vol := MasterVolume(d, 8, c.r, c.k); vol.Messages != c.msgs || vol.Bytes != float64(c.blks*8) {
+			t.Fatalf("region %d at step %d: %+v, want %d messages, %d bytes", c.r, c.k, *vol, c.msgs, c.blks*8)
+		}
 	}
 }

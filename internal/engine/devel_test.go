@@ -94,14 +94,14 @@ func BenchmarkDevelPanelSend(b *testing.B) {
 type collectiveAlt struct {
 	name    string
 	scatter func(c *engine.Comm, d distribution.Distribution, full *matrix.Dense, r int) (*engine.BlockStore, error)
-	gather  func(c *engine.Comm, d distribution.Distribution, s *engine.BlockStore, tag string, dst *matrix.Dense, sel func(bi, bj int) bool, commit bool) error
+	gather  func(c *engine.Comm, d distribution.Distribution, s *engine.BlockStore, tag string, dst *matrix.Dense, region distribution.Region, k int, commit bool) error
 }
 
 var collectiveAlts = []collectiveAlt{
 	{"per-block", scatterPerBlock, gatherPerBlock},
 	{"per-owner", scatterPerOwner, gatherPerOwner},
-	{"per-owner-row", engine.Scatter, func(c *engine.Comm, d distribution.Distribution, s *engine.BlockStore, tag string, dst *matrix.Dense, sel func(bi, bj int) bool, _ bool) error {
-		return engine.GatherInto(c, d, s, tag, dst, sel)
+	{"per-owner-row", engine.Scatter, func(c *engine.Comm, d distribution.Distribution, s *engine.BlockStore, tag string, dst *matrix.Dense, region distribution.Region, k int, _ bool) error {
+		return engine.GatherInto(c, d, s, tag, dst, region, k)
 	}},
 }
 
@@ -134,16 +134,16 @@ func scatterPerBlock(c *engine.Comm, d distribution.Distribution, full *matrix.D
 }
 
 // gatherPerBlock is the GatherInto this package had before: one message per
-// picked remote block, the block itself (a clone at a commit), staged at
-// rank 0 until the last has arrived.
-func gatherPerBlock(c *engine.Comm, d distribution.Distribution, s *engine.BlockStore, prefix string, dst *matrix.Dense, sel func(bi, bj int) bool, commit bool) error {
+// remote block of the region, the block itself (a clone at a commit),
+// staged at rank 0 until the last has arrived.
+func gatherPerBlock(c *engine.Comm, d distribution.Distribution, s *engine.BlockStore, prefix string, dst *matrix.Dense, region distribution.Region, k int, commit bool) error {
 	nbr, nbc := d.Blocks()
 	r, me := s.R, c.Rank()
 	var staged []*matrix.Dense
 	each := func(fn func(bi, bj, owner int, tag string)) {
 		for bi := 0; bi < nbr; bi++ {
 			for bj := 0; bj < nbc; bj++ {
-				if sel == nil || sel(bi, bj) {
+				if region.Contains(bi, bj, k) {
 					fn(bi, bj, distribution.OwnerRank(d, bi, bj), prefix+"/"+strconv.Itoa(bi)+"/"+strconv.Itoa(bj))
 				}
 			}
@@ -174,14 +174,14 @@ func gatherPerBlock(c *engine.Comm, d distribution.Distribution, s *engine.Block
 	return nil
 }
 
-// ownerBlocks lists, per rank, the blocks sel picks (nil: every block)
-// that it owns, in row-major order.
-func ownerBlocks(c *engine.Comm, d distribution.Distribution, sel func(bi, bj int) bool) [][][2]int {
+// ownerBlocks lists, per rank, the blocks of the region at step k that it
+// owns, in row-major order.
+func ownerBlocks(c *engine.Comm, d distribution.Distribution, region distribution.Region, k int) [][][2]int {
 	nbr, nbc := d.Blocks()
 	per := make([][][2]int, c.N())
 	for bi := 0; bi < nbr; bi++ {
 		for bj := 0; bj < nbc; bj++ {
-			if sel == nil || sel(bi, bj) {
+			if region.Contains(bi, bj, k) {
 				o := distribution.OwnerRank(d, bi, bj)
 				per[o] = append(per[o], [2]int{bi, bj})
 			}
@@ -200,7 +200,7 @@ func scatterPerOwner(c *engine.Comm, d distribution.Distribution, full *matrix.D
 			store.Put(pos[0], pos[1], pack.Slice(i*r, (i+1)*r, 0, r))
 		}
 	}
-	per := ownerBlocks(c, d, nil)
+	per := ownerBlocks(c, d, distribution.All, 0)
 	if me != 0 {
 		if len(per[me]) > 0 {
 			keep(per[me], c.Recv(0, "scatter"))
@@ -224,11 +224,11 @@ func scatterPerOwner(c *engine.Comm, d distribution.Distribution, full *matrix.D
 	return store, nil
 }
 
-// gatherPerOwner has each owner send rank 0 one pack of all its picked
-// blocks, the owner's copy.
-func gatherPerOwner(c *engine.Comm, d distribution.Distribution, s *engine.BlockStore, tag string, dst *matrix.Dense, sel func(bi, bj int) bool, _ bool) error {
+// gatherPerOwner has each owner send rank 0 one pack of all its blocks of
+// the region, the owner's copy.
+func gatherPerOwner(c *engine.Comm, d distribution.Distribution, s *engine.BlockStore, tag string, dst *matrix.Dense, region distribution.Region, k int, _ bool) error {
 	r, me := s.R, c.Rank()
-	per := ownerBlocks(c, d, sel)
+	per := ownerBlocks(c, d, region, k)
 	if me != 0 {
 		if list := per[me]; len(list) > 0 {
 			parts := make([]*matrix.Dense, len(list))
@@ -317,9 +317,6 @@ func BenchmarkDevelCollectives(b *testing.B) {
 	const nb, r, every = 32, 32, 4
 	d := develLayout(b, nb)
 	a := matrix.Random(nb*r, nb*r, rand.New(rand.NewSource(50)))
-	changed := func(last int) func(bi, bj int) bool {
-		return func(bi, bj int) bool { return distribution.Trailing.Contains(bi, bj, last) }
-	}
 	ops := []struct {
 		name string
 		run  func(c *engine.Comm, alt collectiveAlt, s *engine.BlockStore, dst *matrix.Dense, i int) error
@@ -333,12 +330,12 @@ func BenchmarkDevelCollectives(b *testing.B) {
 			return err
 		}},
 		{"gather", func(c *engine.Comm, alt collectiveAlt, s *engine.BlockStore, dst *matrix.Dense, i int) error {
-			return alt.gather(c, d, s, "g/"+strconv.Itoa(i), dst, nil, false)
+			return alt.gather(c, d, s, "g/"+strconv.Itoa(i), dst, distribution.All, 0, false)
 		}},
 		{"commit", func(c *engine.Comm, alt collectiveAlt, s *engine.BlockStore, dst *matrix.Dense, i int) error {
 			for k := every; k < nb; k += every {
 				tag := fmt.Sprintf("c/%d/%d", i, k)
-				if err := alt.gather(c, d, s, tag, dst, changed(k-every), true); err != nil {
+				if err := alt.gather(c, d, s, tag, dst, distribution.Trailing, k-every, true); err != nil {
 					return err
 				}
 				// The kernel's data dependencies keep the ranks within a
@@ -393,7 +390,6 @@ func TestDevelCollectivesAgree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(51))
 	a, base := matrix.Random(nbr*r, nbc*r, rng), matrix.Random(nbr*r, nbc*r, rng)
-	sel := func(bi, bj int) bool { return (bi*nbc+bj)%3 != 0 }
 	for _, f := range []fabric{memFabric, tcpFabric} {
 		var got [][2]*matrix.Dense
 		for _, alt := range collectiveAlts {
@@ -412,10 +408,10 @@ func TestDevelCollectivesAgree(t *testing.T) {
 						return fmt.Errorf("%s: rank %d holds block %v wrongly", alt.name, c.Rank(), pos)
 					}
 				}
-				if err := alt.gather(c, d, s, "full", f, nil, false); err != nil {
+				if err := alt.gather(c, d, s, "full", f, distribution.All, 0, false); err != nil {
 					return err
 				}
-				return alt.gather(c, d, s, "sel", sp, sel, true)
+				return alt.gather(c, d, s, "sel", sp, distribution.TrailingLower, 1, true)
 			})
 			got = append(got, [2]*matrix.Dense{full, spliced})
 		}

@@ -46,9 +46,9 @@ func (s *BlockStore) Put(bi, bj int, b *matrix.Dense) {
 // Scatter distributes the blocks of full (present only at rank 0) to their
 // owners and returns this rank's store. blockSize r must divide the matrix
 // order. Rank 0 copies each owner's blocks of a block row into one pack
-// (see packsOf) and sends it; the owner keeps views into the pack as its
-// blocks, so every block is copied once and the caller's matrix stays the
-// caller's.
+// (distribution.MasterPacks over All) and sends it; the owner keeps views
+// into the pack as its blocks, so every block is copied once and the
+// caller's matrix stays the caller's.
 func Scatter(c *Comm, d distribution.Distribution, full *matrix.Dense, r int) (*BlockStore, error) {
 	nbr, nbc := d.Blocks()
 	me := c.Rank()
@@ -61,70 +61,28 @@ func Scatter(c *Comm, d distribution.Distribution, full *matrix.Dense, r int) (*
 		}
 	}
 	store := newBlockStore(r)
-	for _, p := range packsOf(d, nil) {
+	for _, p := range distribution.MasterPacks(d, distribution.All, 0) {
 		var buf *matrix.Dense
 		switch {
 		case me == 0:
-			buf = matrix.New(len(p.cols)*r, r)
-			for i, bj := range p.cols {
-				copyBlock(buf, i*r, 0, full, p.bi*r, bj*r, r)
+			buf = matrix.New(len(p.Cols)*r, r)
+			for i, bj := range p.Cols {
+				copyBlock(buf, i*r, 0, full, p.BI*r, bj*r, r)
 			}
-			if p.owner != 0 {
-				c.Send(p.owner, packTag("scatter", p.bi), buf)
+			if p.Owner != 0 {
+				c.Send(p.Owner, packTag("scatter", p.BI), buf)
 				continue
 			}
-		case p.owner == me:
-			buf = c.Recv(0, packTag("scatter", p.bi))
+		case p.Owner == me:
+			buf = c.Recv(0, packTag("scatter", p.BI))
 		default:
 			continue
 		}
-		for i, bj := range p.cols {
-			store.Put(p.bi, bj, buf.Slice(i*r, (i+1)*r, 0, r))
+		for i, bj := range p.Cols {
+			store.Put(p.BI, bj, buf.Slice(i*r, (i+1)*r, 0, r))
 		}
 	}
 	return store, nil
-}
-
-// pack is one message of the master collectives, Scatter and GatherInto:
-// the picked blocks of block row bi that owner holds, in column order,
-// stacked into one (len(cols)·r)×r matrix, so each block of the pack is a
-// contiguous r×r view.
-type pack struct {
-	owner, bi int
-	cols      []int
-}
-
-// packsOf lists the packs of the blocks of d that sel picks (nil picks
-// every block) in row-major block order: per block row, one per owner of a
-// picked block, owners in the order of their first picked block. A pack
-// per owner and block row, not one per owner, keeps a TCP frame to a
-// block row's worth, so rank 0 unpacks one while the next is on the wire.
-func packsOf(d distribution.Distribution, sel func(bi, bj int) bool) []pack {
-	nbr, nbc := d.Blocks()
-	var out []pack
-	owners := make([]int, nbc)
-	cols := make([]int, 0, nbr*nbc)
-	for bi := 0; bi < nbr; bi++ {
-		for bj := range owners {
-			owners[bj] = -1
-			if sel == nil || sel(bi, bj) {
-				owners[bj] = distribution.OwnerRank(d, bi, bj)
-			}
-		}
-		for bj, o := range owners {
-			if o < 0 {
-				continue
-			}
-			start := len(cols)
-			for j := bj; j < nbc; j++ {
-				if owners[j] == o {
-					cols, owners[j] = append(cols, j), -1
-				}
-			}
-			out = append(out, pack{owner: o, bi: bi, cols: cols[start:len(cols):len(cols)]})
-		}
-	}
-	return out
 }
 
 // packTag names the channel of block row bi's pack; the channel's two ends
@@ -159,20 +117,21 @@ func Gather(c *Comm, d distribution.Distribution, store *BlockStore) (*matrix.De
 		nbr, nbc := d.Blocks()
 		full = matrix.New(nbr*store.R, nbc*store.R)
 	}
-	return full, GatherInto(c, d, store, "gather", full, nil)
+	return full, GatherInto(c, d, store, "gather", full, distribution.All, 0)
 }
 
-// GatherInto is the one gather: the owners send rank 0 the blocks sel picks
-// (nil picks every block) under the tag prefix, one pack per block row
-// (see packsOf), and rank 0 writes them, and its own picked blocks, into
-// dst (read at rank 0 alone). Every rank must pass the same selection.
+// GatherInto is the one gather: the owners send rank 0 the blocks of
+// region at step k under the tag prefix, one pack per block row
+// (distribution.MasterPacks), and rank 0 writes them, and its own blocks of
+// the region, into dst (read at rank 0 alone). Every rank must pass the
+// same region and step.
 // Rank 0 holds the packs back and touches dst only once the last one is
 // in, so a gather that aborts halfway — a sender died — leaves dst exactly
 // as it was: a checkpoint can be advanced in place, one delta of changed
 // blocks per commit. An owner copies its blocks into its packs, which are
 // then the only copies it sends, so it may go on writing its blocks as
 // soon as GatherInto returns.
-func GatherInto(c *Comm, d distribution.Distribution, store *BlockStore, prefix string, dst *matrix.Dense, sel func(bi, bj int) bool) error {
+func GatherInto(c *Comm, d distribution.Distribution, store *BlockStore, prefix string, dst *matrix.Dense, region distribution.Region, k int) error {
 	nbr, nbc := d.Blocks()
 	r, me := store.R, c.Rank()
 	if me == 0 {
@@ -183,32 +142,32 @@ func GatherInto(c *Comm, d distribution.Distribution, store *BlockStore, prefix 
 			return err
 		}
 	}
-	packs := packsOf(d, sel)
+	packs := distribution.MasterPacks(d, region, k)
 	if me != 0 {
 		for _, p := range packs {
-			if p.owner != me {
+			if p.Owner != me {
 				continue
 			}
-			buf := matrix.New(len(p.cols)*r, r)
-			for i, bj := range p.cols {
-				copyBlock(buf, i*r, 0, store.Get(p.bi, bj), 0, 0, r)
+			buf := matrix.New(len(p.Cols)*r, r)
+			for i, bj := range p.Cols {
+				copyBlock(buf, i*r, 0, store.Get(p.BI, bj), 0, 0, r)
 			}
-			c.Send(0, packTag(prefix, p.bi), buf)
+			c.Send(0, packTag(prefix, p.BI), buf)
 		}
 		return nil
 	}
 	got := make([]*matrix.Dense, len(packs))
 	for i, p := range packs {
-		if p.owner != 0 {
-			got[i] = c.Recv(p.owner, packTag(prefix, p.bi))
+		if p.Owner != 0 {
+			got[i] = c.Recv(p.Owner, packTag(prefix, p.BI))
 		}
 	}
 	for i, p := range packs {
-		for j, bj := range p.cols {
-			if p.owner == 0 {
-				copyBlock(dst, p.bi*r, bj*r, store.Get(p.bi, bj), 0, 0, r)
+		for j, bj := range p.Cols {
+			if p.Owner == 0 {
+				copyBlock(dst, p.BI*r, bj*r, store.Get(p.BI, bj), 0, 0, r)
 			} else {
-				copyBlock(dst, p.bi*r, bj*r, got[i], j*r, 0, r)
+				copyBlock(dst, p.BI*r, bj*r, got[i], j*r, 0, r)
 			}
 		}
 	}

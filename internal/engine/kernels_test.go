@@ -161,9 +161,9 @@ func TestScatterValidation(t *testing.T) {
 }
 
 // TestGatherIntoSplicesSelection: on a non-square 3×5 block matrix the
-// selected blocks, and only those, overwrite the destination at rank 0, and
-// only the selected remote blocks travel, one pack per block row and remote
-// owner.
+// blocks of the region at the step, and only those, overwrite the
+// destination at rank 0, and only the region's remote blocks travel, one
+// pack per block row and remote owner.
 func TestGatherIntoSplicesSelection(t *testing.T) {
 	const nbr, nbc, r = 3, 5, 2
 	d, err := distribution.UniformBlockCyclic(2, 2, nbr, nbc)
@@ -173,33 +173,38 @@ func TestGatherIntoSplicesSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(183))
 	a := matrix.Random(nbr*r, nbc*r, rng)
 	base := matrix.Random(nbr*r, nbc*r, rng)
-	sel := func(bi, bj int) bool { return (bi+bj)%2 == 0 }
-	dst := base.Clone()
-	w, err := RunOpts(4, Options{}, func(c *Comm) error {
-		store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
+	for _, sel := range []struct {
+		region distribution.Region
+		k      int
+	}{{distribution.All, 0}, {distribution.Trailing, 1}, {distribution.Trailing, 4}, {distribution.TrailingLower, 1}} {
+		dst := base.Clone()
+		w, err := RunOpts(4, Options{}, func(c *Comm) error {
+			store, err := Scatter(c, d, pick(c.Rank() == 0, a), r)
+			if err != nil {
+				return err
+			}
+			return GatherInto(c, d, store, "delta", pick(c.Rank() == 0, dst), sel.region, sel.k)
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		return GatherInto(c, d, store, "delta", pick(c.Rank() == 0, dst), sel)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bi := 0; bi < nbr; bi++ {
-		for bj := 0; bj < nbc; bj++ {
-			want := base
-			if sel(bi, bj) {
-				want = a
-			}
-			if !blockView(dst, bi, bj, r).Equal(blockView(want, bi, bj, r)) {
-				t.Fatalf("block (%d,%d): selected %v, wrong contents", bi, bj, sel(bi, bj))
+		for bi := 0; bi < nbr; bi++ {
+			for bj := 0; bj < nbc; bj++ {
+				in := sel.region.Contains(bi, bj, sel.k)
+				want := base
+				if in {
+					want = a
+				}
+				if !blockView(dst, bi, bj, r).Equal(blockView(want, bi, bj, r)) {
+					t.Fatalf("%+v: block (%d,%d): selected %v, wrong contents", sel, bi, bj, in)
+				}
 			}
 		}
-	}
-	block := float64(8 * r * r)
-	scattered, gathered := distribution.MasterVolume(d, block, nil), distribution.MasterVolume(d, block, sel)
-	if w.Messages() != scattered.Messages+gathered.Messages || w.Bytes() != int(scattered.Bytes+gathered.Bytes) {
-		t.Fatalf("%d messages, %d bytes; want %+v scattered + %+v gathered", w.Messages(), w.Bytes(), *scattered, *gathered)
+		block := float64(8 * r * r)
+		scattered, gathered := distribution.MasterVolume(d, block, distribution.All, 0), distribution.MasterVolume(d, block, sel.region, sel.k)
+		if w.Messages() != scattered.Messages+gathered.Messages || w.Bytes() != int(scattered.Bytes+gathered.Bytes) {
+			t.Fatalf("%+v: %d messages, %d bytes; want %+v scattered + %+v gathered", sel, w.Messages(), w.Bytes(), *scattered, *gathered)
+		}
 	}
 }
 
@@ -225,7 +230,7 @@ func TestGatherIntoAbortLeavesDestination(t *testing.T) {
 		if c.Rank() == 3 {
 			return lost
 		}
-		return GatherInto(c, d, store, "delta", pick(c.Rank() == 0, dst), nil)
+		return GatherInto(c, d, store, "delta", pick(c.Rank() == 0, dst), distribution.All, 0)
 	})
 	if !errors.Is(err, lost) {
 		t.Fatalf("want the sender's failure, got %v", err)

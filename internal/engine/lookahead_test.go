@@ -189,5 +189,5 @@ func gatherAs(c *Comm, d distribution.Distribution, s *BlockStore, tag string) (
 		nbr, nbc := d.Blocks()
 		m = matrix.New(nbr*s.R, nbc*s.R)
 	}
-	return m, GatherInto(c, d, s, tag, m, nil)
+	return m, GatherInto(c, d, s, tag, m, distribution.All, 0)
 }

@@ -2,8 +2,8 @@ package engine_test
 
 // The master collectives' packs, held to a property on both fabrics:
 // Scatter then GatherInto on random layouts — uniform, KL and het-panel,
-// square and not, owners holding no block, random selections — returns
-// the picked blocks bit for bit, leaves the others, sends exactly
+// square and not, owners holding no block, random regions and steps —
+// returns the region's blocks bit for bit, leaves the others, sends exactly
 // distribution.MasterVolume, and leaves the destination untouched when a
 // sender dies before its packs leave.
 
@@ -26,25 +26,26 @@ import (
 	"hetgrid/internal/matrix"
 )
 
-// packTrial is one Scatter → GatherInto: a layout, inputs and a selection
-// (nil picks every block).
+// packTrial is one Scatter → GatherInto: a layout, inputs and the region
+// and step the gather selects.
 type packTrial struct {
 	d       distribution.Distribution
 	r       int
 	a, base *matrix.Dense
-	sel     func(bi, bj int) bool
+	region  distribution.Region
+	k       int
 }
 
 func (tr packTrial) String() string {
 	p, q := tr.d.Dims()
 	nbr, nbc := tr.d.Blocks()
-	return fmt.Sprintf("%s %d×%d grid, %d×%d blocks of %d, all=%v", tr.d.Name(), p, q, nbr, nbc, tr.r, tr.sel == nil)
+	return fmt.Sprintf("%s %d×%d grid, %d×%d blocks of %d, region %d at step %d", tr.d.Name(), p, q, nbr, nbc, tr.r, tr.region, tr.k)
 }
 
 // randomTrial draws a layout of one of the three families on a grid of up
 // to 3×3 and up to 6×6 blocks, so some owners hold no block, and a
-// selection that is every block a quarter of the time and a random subset
-// of random density otherwise.
+// selection that is every block a quarter of the time and otherwise a
+// random region at a random step, up to one past the last block.
 func randomTrial(t *testing.T, rng *rand.Rand) packTrial {
 	t.Helper()
 	p, q := 1+rng.Intn(3), 1+rng.Intn(3)
@@ -83,18 +84,14 @@ func randomTrial(t *testing.T, rng *rand.Rand) packTrial {
 	r := 1 + rng.Intn(4)
 	tr := packTrial{d: d, r: r, a: matrix.Random(nbr*r, nbc*r, rng), base: matrix.Random(nbr*r, nbc*r, rng)}
 	if rng.Intn(4) > 0 {
-		density := rng.Float64()
-		picked := make([]bool, nbr*nbc)
-		for i := range picked {
-			picked[i] = rng.Float64() < density
-		}
-		tr.sel = func(bi, bj int) bool { return picked[bi*nbc+bj] }
+		tr.region = []distribution.Region{distribution.Trailing, distribution.TrailingLower}[rng.Intn(2)]
+		tr.k = rng.Intn(max(nbr, nbc) + 1)
 	}
 	return tr
 }
 
-// picks reports whether the trial's selection picks (bi, bj).
-func (tr packTrial) picks(bi, bj int) bool { return tr.sel == nil || tr.sel(bi, bj) }
+// picks reports whether the trial's gather selects (bi, bj).
+func (tr packTrial) picks(bi, bj int) bool { return tr.region.Contains(bi, bj, tr.k) }
 
 // want is the destination a completed gather leaves: the picked blocks of
 // a over base.
@@ -164,7 +161,7 @@ func (tr packTrial) body(dst *matrix.Dense, fail int, errLost error) func(c *eng
 		if me == fail {
 			return errLost
 		}
-		return engine.GatherInto(c, tr.d, s, "rt", out, tr.sel)
+		return engine.GatherInto(c, tr.d, s, "rt", out, tr.region, tr.k)
 	}
 }
 
@@ -236,14 +233,14 @@ func roundTrips(t *testing.T, f fabric, trials int, seed int64) {
 			t.Fatalf("%s: trial %d, %v: the gathered matrix differs", f.name, i, tr)
 		}
 		block := float64(8 * tr.r * tr.r)
-		scattered, gathered := distribution.MasterVolume(tr.d, block, nil), distribution.MasterVolume(tr.d, block, tr.sel)
+		scattered, gathered := distribution.MasterVolume(tr.d, block, distribution.All, 0), distribution.MasterVolume(tr.d, block, tr.region, tr.k)
 		if msgs != scattered.Messages+gathered.Messages || bytes != int(scattered.Bytes+gathered.Bytes) {
 			t.Fatalf("%s: trial %d, %v: %d messages, %d bytes; want %+v scattered + %+v gathered", f.name, i, tr, msgs, bytes, *scattered, *gathered)
 		}
 		seen[tr.d.Name()] = true
 		seen["non-square"] = seen["non-square"] || nbr != nbc
 		seen["idle owner"] = seen["idle owner"] || nbr < p || nbc < q
-		seen["partial"] = seen["partial"] || tr.sel != nil
+		seen["partial"] = seen["partial"] || tr.region != distribution.All
 	}
 	for _, k := range []string{"uniform-cyclic", "kalinov-lastovetsky", "het-panel", "non-square", "idle owner", "partial"} {
 		if !seen[k] {

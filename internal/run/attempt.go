@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 
+	"hetgrid/internal/distribution"
 	"hetgrid/internal/engine"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/plan"
@@ -148,17 +149,16 @@ func Attempt(s State, job Job, t engine.Transport, opts Options) Outcome {
 		if s.Ckpt != nil {
 			snap, last = s.Ckpt.Work, s.Ckpt.Step
 		}
-		region := s.Kernel.Region()
 		commit := func(tag string, k int) error {
 			defer c.EndPhase(c.Phase("checkpoint " + strconv.Itoa(k)))
-			var changed func(bi, bj int) bool
+			region, from := distribution.All, 0
 			if last >= 0 {
-				changed = func(bi, bj int) bool { return region.Contains(bi, bj, last) }
+				region, from = s.Kernel.Region(), last
 			}
 			if c.Rank() == 0 && snap == nil {
 				snap = matrix.New(nbr*r, nbc*r)
 			}
-			if err := engine.GatherInto(c, d, work, tag, snap, changed); err != nil {
+			if err := engine.GatherInto(c, d, work, tag, snap, region, from); err != nil {
 				return err
 			}
 			last = k

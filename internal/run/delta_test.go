@@ -97,6 +97,62 @@ func TestDeltaSnapshotEqualsFullGather(t *testing.T) {
 	}
 }
 
+// TestCommitTrafficIsExact holds a run that commits to its traffic exactly:
+// a fault-free attempt that checkpoints every 1 or 3 steps sends the
+// kernel's closed-form volume, the scatter of each input, each commit's
+// MasterVolume — the first over every block, each later one over the
+// kernel's region at the previous commit — and the final gather, message
+// for message and byte for byte. A commit that gathered more blocks than
+// can have changed, or fewer, would fail here.
+func TestCommitTrafficIsExact(t *testing.T) {
+	const nb, r = 7, 2
+	rng := rand.New(rand.NewSource(5201))
+	a := matrix.RandomWellConditioned(nb*r, rng)
+	b := matrix.Random(nb*r, nb*r, rng)
+	spd := matrix.RandomSPD(nb*r, rng)
+	inputs := map[plan.Kernel][]*matrix.Dense{
+		plan.MatMul: {a, b}, plan.LU: {a}, plan.Cholesky: {spd}, plan.QR: {a},
+	}
+	volume := map[plan.Kernel]func(distribution.Distribution, float64) (*distribution.CommVolume, error){
+		plan.MatMul: distribution.MMCommVolume, plan.LU: distribution.LUCommVolume,
+		plan.Cholesky: distribution.CholeskyCommVolume, plan.QR: distribution.QRCommVolume,
+	}
+	block := float64(8 * r * r)
+	for name, d := range families(t, nb) {
+		all := distribution.MasterVolume(d, block, distribution.All, 0)
+		for kern, in := range inputs {
+			for _, every := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%s/%s/every%d", kern, name, every), func(t *testing.T) {
+					s := State{Kernel: kern, Dist: d, Times: []float64{1, 2, 2, 3, 5, 4}}
+					o := Attempt(s, Job{BlockSize: r, Inputs: in}, nil, Options{CheckpointEvery: every})
+					if o.Err != nil {
+						t.Fatal(o.Err)
+					}
+					want, err := volume[kern](d, block)
+					if err != nil {
+						t.Fatal(err)
+					}
+					msgs, bytes := want.Messages+(len(in)+1)*all.Messages, want.Bytes+float64(len(in)+1)*all.Bytes
+					commits := 0
+					for k := every; k < nb; k += every {
+						c := all
+						if commits > 0 {
+							c = distribution.MasterVolume(d, block, kern.Region(), k-every)
+						}
+						msgs, bytes, commits = msgs+c.Messages, bytes+c.Bytes, commits+1
+					}
+					if o.Checkpoints != commits {
+						t.Fatalf("%d commits, want %d", o.Checkpoints, commits)
+					}
+					if o.World.Messages() != msgs || float64(o.World.Bytes()) != bytes {
+						t.Fatalf("%d messages, %d bytes; want %d, %v", o.World.Messages(), o.World.Bytes(), msgs, bytes)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestCommitIsTheStateAtItsStep: a checkpoint holds the working matrix as
 // it stood at its commit step, however far the owners have run on by the
 // time rank 0 splices their blocks in. Rank 0 is slowed, so the other ranks
@@ -157,7 +213,7 @@ func stoppedAt(t *testing.T, s State, job Job, k int) *matrix.Dense {
 			snap = matrix.New(nbr*r, nbc*r)
 		}
 		c.SetStepHook(func(j int) bool { return j == k }, func(int) error {
-			if err := engine.GatherInto(c, d, work, "stop", snap, nil); err != nil {
+			if err := engine.GatherInto(c, d, work, "stop", snap, distribution.All, 0); err != nil {
 				return err
 			}
 			// Nobody leaves before rank 0 has the last block: a rank

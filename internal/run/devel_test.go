@@ -19,33 +19,34 @@ import (
 //
 
 // commitFn brings rank 0's snapshot of store up to date under tag, given
-// the selection of blocks that can have changed, and returns the snapshot.
-type commitFn func(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, snap *matrix.Dense, changed func(bi, bj int) bool) *matrix.Dense
+// the kernel's region and the step of the previous commit (the blocks that
+// can have changed), and returns the snapshot.
+type commitFn func(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, snap *matrix.Dense, region distribution.Region, from int) *matrix.Dense
 
 // fullGather is the commit this package had before: every block into a new
 // matrix, every time.
-func fullGather(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, _ *matrix.Dense, _ func(bi, bj int) bool) *matrix.Dense {
+func fullGather(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, _ *matrix.Dense, _ distribution.Region, _ int) *matrix.Dense {
 	var full *matrix.Dense
 	if c.Rank() == 0 {
 		nbr, nbc := d.Blocks()
 		full = matrix.New(nbr*store.R, nbc*store.R)
 	}
-	return deltaInPlace(c, d, store, tag, full, nil)
+	return deltaInPlace(c, d, store, tag, full, distribution.All, 0)
 }
 
 // deltaFresh gathers the changed blocks into a copy of the previous
 // snapshot, which stays immutable.
-func deltaFresh(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, snap *matrix.Dense, changed func(bi, bj int) bool) *matrix.Dense {
+func deltaFresh(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, snap *matrix.Dense, region distribution.Region, from int) *matrix.Dense {
 	if c.Rank() == 0 {
 		snap = snap.Clone()
 	}
-	return deltaInPlace(c, d, store, tag, snap, changed)
+	return deltaInPlace(c, d, store, tag, snap, region, from)
 }
 
 // deltaInPlace is what Attempt's commit does on a snapshot it owns: one
 // GatherInto of the changed blocks, each owner's packed by block row.
-func deltaInPlace(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, snap *matrix.Dense, changed func(bi, bj int) bool) *matrix.Dense {
-	if err := engine.GatherInto(c, d, store, tag, snap, changed); err != nil {
+func deltaInPlace(c *engine.Comm, d distribution.Distribution, store *engine.BlockStore, tag string, snap *matrix.Dense, region distribution.Region, from int) *matrix.Dense {
+	if err := engine.GatherInto(c, d, store, tag, snap, region, from); err != nil {
 		panic(err)
 	}
 	return snap
@@ -111,10 +112,8 @@ func BenchmarkDevelCommit(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						snap, last := base, 0
 						for k := every; k < nb; k += every {
-							from := last
-							changed := func(bi, bj int) bool { return region.Contains(bi, bj, from) }
 							tag := fmt.Sprintf("c/%d/%d", i, k)
-							snap = alt.commit(c, d, store, tag, snap, changed)
+							snap = alt.commit(c, d, store, tag, snap, region, last)
 							last = k
 							// The kernel's data dependencies keep the ranks
 							// within a step or so of each other; without it
@@ -146,7 +145,6 @@ func TestDevelCommitAlternativesAgree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	a, stale := matrix.Random(nb*r, nb*r, rng), matrix.Random(nb*r, nb*r, rng)
-	changed := func(bi, bj int) bool { return plan.LU.Region().Contains(bi, bj, 2) }
 	var snaps []*matrix.Dense
 	for _, commit := range []commitFn{deltaInPlace, deltaFresh} {
 		_, err := engine.RunOpts(4, engine.Options{}, func(c *engine.Comm) error {
@@ -158,7 +156,7 @@ func TestDevelCommitAlternativesAgree(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if snap := commit(c, d, store, "c", base, changed); c.Rank() == 0 {
+			if snap := commit(c, d, store, "c", base, plan.LU.Region(), 2); c.Rank() == 0 {
 				snaps = append(snaps, snap)
 			}
 			return nil
