@@ -51,12 +51,16 @@ func TestDocumentedDirectoriesExist(t *testing.T) {
 // (`BenchmarkDistributed{MM,LU,Cholesky,QR}`).
 var docTest = regexp.MustCompile("`(?:\\w+\\.)?((?:Test|Benchmark|Fuzz)[A-Z_][\\w{},]*)(?:/[^`]*)?`")
 
+// testFunc matches the name of a test, benchmark, fuzz target or example.
+var testFunc = regexp.MustCompile(`^(Test|Benchmark|Fuzz|Example)([A-Z_]|$)`)
+
 // moduleDecls parses every Go file of the module — not bench/, which is
 // its own module — and returns the names of its top-level functions, test
 // files included, and, per package name, the top-level declarations of the
-// package's non-test files. The root package is hetgrid; commands (main)
-// and internal/engine/net, which shares the standard library's name, are
-// left out of the second map.
+// package's non-test files plus the test functions of its test files (an
+// external pkg_test package counts as pkg). The root package is hetgrid;
+// commands (main) and internal/engine/net, which shares the standard
+// library's name, are left out of the second map.
 func moduleDecls(t *testing.T) (funcs map[string]bool, pkgs map[string]map[string]bool) {
 	t.Helper()
 	funcs, pkgs = map[string]bool{}, map[string]map[string]bool{}
@@ -79,13 +83,18 @@ func moduleDecls(t *testing.T) (funcs map[string]bool, pkgs map[string]map[strin
 		if err != nil {
 			return err
 		}
-		// A test file's declarations go to a throwaway set.
+		// A test file's declarations go to a throwaway set, but for its
+		// test functions.
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		isTest := strings.HasSuffix(path, "_test.go")
 		decls := map[string]bool{}
-		if pkg := f.Name.Name; !strings.HasSuffix(path, "_test.go") && pkg != "main" && pkg != "net" {
+		if pkg != "main" && pkg != "net" {
 			if pkgs[pkg] == nil {
 				pkgs[pkg] = map[string]bool{}
 			}
-			decls = pkgs[pkg]
+			if !isTest {
+				decls = pkgs[pkg]
+			}
 		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -93,6 +102,9 @@ func moduleDecls(t *testing.T) (funcs map[string]bool, pkgs map[string]map[strin
 				if d.Recv == nil {
 					funcs[d.Name.Name] = true
 					decls[d.Name.Name] = true
+					if isTest && pkgs[pkg] != nil && testFunc.MatchString(d.Name.Name) {
+						pkgs[pkg][d.Name.Name] = true
+					}
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -141,15 +153,19 @@ func TestDocumentedTestsExist(t *testing.T) {
 	}
 }
 
-// TestDocumentedSymbolsExist: every backticked `pkg.Symbol` that README.md
-// and DESIGN.md cite, pkg a package of the module, is a top-level
-// declaration of that package's non-test files, so a deleted or renamed
-// symbol cannot leave the documents pointing at nothing. The citation may
-// go on (`engine.Options.Parallelism`, `obs.Gantt(spans, …)`); only the
-// first name is resolved. A brace list expands (`kernels.Simulate{MM,LU}`),
-// a trailing * is a prefix (`kernels.Replay*`), and two forms are not
-// symbols: a file name (`kernels.go`) and a per-layer metric of
-// BENCHMARK.json (`core.prune_ratio`).
+// TestDocumentedSymbolsExist: every backticked `pkg.Symbol` that README.md,
+// DESIGN.md and EXPERIMENTS.md cite, pkg a package of the module, is a
+// top-level declaration of that package's non-test files or a test
+// function of its test files (`kernels.TestFactorGolden`), so a deleted or
+// renamed symbol cannot leave the documents pointing at nothing. The
+// citation may go on (`engine.Options.Parallelism`, `obs.Gantt(spans, …)`);
+// only the first name is resolved. A brace list expands
+// (`kernels.Simulate{MM,LU}`), a trailing * is a prefix (`kernels.Replay*`),
+// and two forms are not symbols: a file name (`kernels.go`) and a per-layer
+// metric of BENCHMARK.json (`core.prune_ratio`). A dated record may cite a
+// symbol that is gone only with the marker " (deleted in PR N)" right after
+// the citation's closing backtick; a marked symbol that is still declared
+// fails too.
 func TestDocumentedSymbolsExist(t *testing.T) {
 	_, pkgs := moduleDecls(t)
 	blob, err := os.ReadFile("BENCHMARK.json")
@@ -170,40 +186,52 @@ func TestDocumentedSymbolsExist(t *testing.T) {
 	for pkg := range pkgs {
 		names = append(names, regexp.QuoteMeta(pkg))
 	}
-	sym := regexp.MustCompile("`(" + strings.Join(names, "|") + `)\.([A-Za-z_]\w*(?:\{[\w,]*\}\w*)?)(\*)?`)
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	sym := regexp.MustCompile("`(" + strings.Join(names, "|") + `)\.([A-Za-z_]\w*(?:\{[\w,]*\}\w*)?)(\*)?[^` + "`]*`" + `( \(deleted in PR \d+\))?`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		blob, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		named := 0
+		named, marked := 0, 0
 		for _, m := range sym.FindAllStringSubmatch(string(blob), -1) {
-			pkg, name, prefix := m[1], m[2], m[3] == "*"
+			pkg, name, prefix, deleted := m[1], m[2], m[3] == "*", m[4] != ""
 			if name == "go" || skip[pkg+"."+name] {
 				continue
 			}
 			named++
+			if deleted {
+				marked++
+			}
 			decls := pkgs[pkg]
+			var missing []string
 			if prefix {
 				found := false
 				for d := range decls {
 					found = found || strings.HasPrefix(d, name)
 				}
 				if !found {
-					t.Errorf("%s names %s.%s*, and %s declares no such name", doc, pkg, name, pkg)
+					missing = append(missing, name+"*")
 				}
-				continue
+			} else {
+				for _, n := range expandBraces(name) {
+					if !decls[n] {
+						missing = append(missing, n)
+					}
+				}
 			}
-			for _, n := range expandBraces(name) {
-				if !decls[n] {
-					t.Errorf("%s names %s.%s, which is no top-level declaration of %s", doc, pkg, n, pkg)
+			switch {
+			case deleted && len(missing) == 0:
+				t.Errorf("%s marks %s.%s deleted, and %s still declares it", doc, pkg, m[2]+m[3], pkg)
+			case !deleted:
+				for _, n := range missing {
+					t.Errorf("%s names %s.%s, which is no top-level declaration or test of %s", doc, pkg, n, pkg)
 				}
 			}
 		}
 		if named == 0 {
 			t.Errorf("%s names no symbol of the module; the pattern no longer reads it", doc)
 		}
-		t.Logf("%s: %d symbols", doc, named)
+		t.Logf("%s: %d symbols, %d marked deleted", doc, named, marked)
 	}
 }
 
@@ -211,11 +239,17 @@ func TestDocumentedSymbolsExist(t *testing.T) {
 // workflow.
 var ciRun = regexp.MustCompile(`-run[ =]'([^']*)'`)
 
+// ciFuzz matches a go test line of the CI workflow that fuzzes: its -fuzz
+// pattern and the package path at the end of the line.
+var ciFuzz = regexp.MustCompile(`-fuzz[ =](\S+).*\s(\.\S*)\s*$`)
+
 // TestCIRunPatternsNameTests: every -run pattern of
 // .github/workflows/ci.yml selects at least one test of the module at its
-// top level, alternative by alternative. `go test -run 'X$'` passes with
-// "no tests to run" when nothing matches, so a renamed test would
-// otherwise drop out of CI's repeated runs without a sound. The pattern
+// top level, alternative by alternative, and every -fuzz pattern matches
+// exactly one fuzz target of the package on its line. `go test -run 'X$'`
+// passes with "no tests to run" when nothing matches, and `go test -fuzz=X`
+// with "no fuzz tests to fuzz", so a renamed test would otherwise drop out
+// of CI's repeated runs or fuzz steps without a sound. The -run pattern
 // '^$', which selects nothing on purpose, is exempt.
 func TestCIRunPatternsNameTests(t *testing.T) {
 	funcs, _ := moduleDecls(t)
@@ -247,6 +281,54 @@ func TestCIRunPatternsNameTests(t *testing.T) {
 			}
 		}
 	}
+	fuzzSteps := 0
+	for _, line := range strings.Split(string(blob), "\n") {
+		m := ciFuzz.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		fuzzSteps++
+		re, err := regexp.Compile(strings.Trim(m[1], `'"`))
+		if err != nil {
+			t.Fatalf("ci.yml -fuzz=%s: %v", m[1], err)
+		}
+		var hits []string
+		for _, name := range fuzzTargets(t, m[2]) {
+			if re.MatchString(name) {
+				hits = append(hits, name)
+			}
+		}
+		if len(hits) != 1 {
+			t.Errorf("ci.yml -fuzz=%s %s: matches the fuzz targets %v of %s, want exactly one", m[1], m[2], hits, m[2])
+		}
+	}
+	if fuzzSteps == 0 {
+		t.Fatal("ci.yml has no -fuzz step; the pattern no longer reads it")
+	}
+}
+
+// fuzzTargets returns the names of the fuzz targets declared in the test
+// files of the package directory dir.
+func fuzzTargets(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil && strings.HasPrefix(d.Name.Name, "Fuzz") {
+				names = append(names, d.Name.Name)
+			}
+		}
+	}
+	return names
 }
 
 // splitTop splits a regular expression at each sep outside parentheses and

@@ -107,26 +107,25 @@ type Plan struct {
 // problem. The zero value selects the defaults.
 type balanceOptions struct {
 	// Workers is the number of worker goroutines the exact strategy uses
-	// for its branch-and-bound search (0 selects GOMAXPROCS). The result is
-	// bit-identical for every worker count, 1 included.
+	// for its search (0 selects GOMAXPROCS). The result is bit-identical
+	// for every worker count, 1 included.
 	// Ignored by the heuristic and rank-1 strategies, which are already
 	// polynomial.
 	Workers int
 	// Metrics, when non-nil, receives the exact solver's search counters
-	// (arrangements examined/pruned, spanning trees visited/theoretical) as
+	// (arrangements searched, spanning trees visited/theoretical) as
 	// Prometheus series after the solve. Ignored by the polynomial
 	// strategies, which have no search to account for.
 	Metrics *Metrics
 }
 
-// publishExactStats mirrors an exact solve's pruning counters into the
+// publishExactStats mirrors an exact solve's search counters into the
 // registry — the solver's contribution to the observability layer.
 func publishExactStats(reg *Metrics, stats *core.ExactStats) {
 	if reg == nil || stats == nil {
 		return
 	}
 	reg.Counter("hetgrid_exact_arrangements_total", "", "non-decreasing arrangements examined by the exact solver").Add(int64(stats.Arrangements))
-	reg.Counter("hetgrid_exact_arrangements_pruned_total", "", "arrangements skipped because their ‖G·Gᵀ‖_F upper bound could not beat the heuristic-seeded lower bound").Add(int64(stats.ArrangementsPruned))
 	reg.Counter("hetgrid_exact_trees_visited_total", "", "acceptable spanning trees visited by the exact solver").Add(int64(stats.TreesVisited))
 	reg.Counter("hetgrid_exact_trees_theoretical_total", "", "spanning trees a search over every tree would have generated").Add(int64(stats.TreesTheoretical))
 }

@@ -22,7 +22,7 @@ func TestPlannerAllocations(t *testing.T) {
 	}{
 		{"SolveHeuristic 3x3", 23, func() { SolveHeuristic(t9, 3, 3, HeuristicOptions{}) }},
 		{"ChooseShape 16", 620, func() { ChooseShape(t16, ShapeOptions{AllowSubset: true}) }},
-		{"SolveGlobalExact 3x3", 128 + 3*(4+6), func() { SolveGlobalExact(t9, 3, 3) }},
+		{"SolveGlobalExact 3x3", 103 + 3*(4+6), func() { SolveGlobalExact(t9, 3, 3) }},
 	}
 	for _, pin := range pins {
 		if got := testing.AllocsPerRun(20, pin.run); got > pin.max {

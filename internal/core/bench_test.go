@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -134,6 +135,11 @@ func BenchmarkSolveGlobalExact3x3(b *testing.B) {
 // rows search all 24,024 arrangements (480,480 trees), under a second
 // each. On one CPU the parallel row would time coordination overhead, so
 // it is skipped.
+//
+// The set rows solve a fixed set of instances per op, drawn from rand
+// seed 42, and report the time per solve: tied cycle-times (integers 1..3,
+// the two values {1, 100}), a log-uniform draw over [1, 10⁶], and small
+// U[0.25, 2.25) grids (EXPERIMENTS.md "The exact search stands alone").
 func BenchmarkSolveGlobalExact(b *testing.B) {
 	modes := []struct {
 		name string
@@ -141,6 +147,43 @@ func BenchmarkSolveGlobalExact(b *testing.B) {
 	}{
 		{"serial", ExactOptions{Workers: 1}},
 		{"parallel", ExactOptions{Workers: runtime.GOMAXPROCS(0)}},
+	}
+	sets := []struct {
+		name       string
+		p, q, size int
+		draw       func(*rand.Rand) float64
+	}{
+		{"ints1-3", 3, 3, 40, func(r *rand.Rand) float64 { return float64(1 + r.Intn(3)) }},
+		{"ints1-3", 3, 4, 12, func(r *rand.Rand) float64 { return float64(1 + r.Intn(3)) }},
+		{"1or100", 2, 4, 60, func(r *rand.Rand) float64 { return []float64{1, 100}[r.Intn(2)] }},
+		{"loguniform", 3, 3, 20, func(r *rand.Rand) float64 { return math.Pow(10, 6*r.Float64()) }},
+		{"uniform", 2, 3, 200, func(r *rand.Rand) float64 { return 0.25 + 2*r.Float64() }},
+		{"uniform", 2, 2, 400, func(r *rand.Rand) float64 { return 0.25 + 2*r.Float64() }},
+	}
+	for _, set := range sets {
+		rng := rand.New(rand.NewSource(42))
+		instances := make([][]float64, set.size)
+		for k := range instances {
+			instances[k] = make([]float64, set.p*set.q)
+			for i := range instances[k] {
+				instances[k][i] = set.draw(rng)
+			}
+		}
+		for _, m := range modes {
+			b.Run(set.name+"/"+gridLabel(set.p, set.q)+"/"+m.name, func(b *testing.B) {
+				if m.name == "parallel" && m.opts.Workers == 1 {
+					b.Skip("GOMAXPROCS=1: nothing to run in parallel")
+				}
+				for i := 0; i < b.N; i++ {
+					for _, times := range instances {
+						if _, _, err := SolveGlobalExactOpt(times, set.p, set.q, m.opts); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*set.size), "us/solve")
+			})
+		}
 	}
 	for _, dims := range [][2]int{{2, 3}, {3, 3}, {3, 4}, {4, 4}} {
 		p, q := dims[0], dims[1]

@@ -12,7 +12,7 @@ import (
 // ErrNoAcceptableTree would indicate no spanning tree of K_{p,q} yields a
 // feasible solution. It cannot actually occur for positive cycle-times: the
 // walk on every arrangement starts from a tree that is acceptable by
-// construction, and the seed bound stays below the optimum (seedMargin).
+// construction.
 var ErrNoAcceptableTree = errors.New("core: no acceptable spanning tree found")
 
 // ExactStats reports the work done by an exact solver. Every counter is
@@ -24,14 +24,9 @@ type ExactStats struct {
 	// (one tree per vertex of the perturbed feasible polyhedron), and far
 	// below TreesTheoretical.
 	TreesVisited int
-	// Arrangements is the number of non-decreasing arrangements examined,
-	// including arrangements skipped by the upper bound (1 for the
-	// fixed-arrangement solver).
+	// Arrangements is the number of non-decreasing arrangements searched
+	// (1 for the fixed-arrangement solver).
 	Arrangements int
-	// ArrangementsPruned counts arrangements skipped entirely because their
-	// ‖G·Gᵀ‖_F upper bound (arrangementUpperBound) could not beat the
-	// heuristic-seeded lower bound.
-	ArrangementsPruned int
 	// TreesTheoretical is the full spanning-tree count p^(q-1)·q^(p-1)
 	// summed over every arrangement examined — the work a search over every
 	// tree would do.
@@ -51,7 +46,6 @@ func (s *ExactStats) PruneRatio() float64 {
 func (s *ExactStats) Add(o *ExactStats) {
 	s.TreesVisited += o.TreesVisited
 	s.Arrangements += o.Arrangements
-	s.ArrangementsPruned += o.ArrangementsPruned
 	s.TreesTheoretical += o.TreesTheoretical
 }
 
@@ -121,10 +115,6 @@ type treeSearcher struct {
 
 	arr    *grid.Arrangement
 	arrSeq int
-	// skipBelow short-circuits candidate bookkeeping for objectives strictly
-	// below a known lower bound on the final optimum (search refreshes it
-	// from the shared incumbent). It never affects counters.
-	skipBelow float64
 
 	// The visited set: every edge set tried in any arrangement, keyed by
 	// its bitmask, indexes tried, which holds the arrangement (stamp) that
@@ -386,9 +376,6 @@ func (s *treeSearcher) visit(tree []int) {
 		sc += v
 	}
 	obj := sr * sc
-	if obj < s.skipBelow {
-		return
-	}
 	cand := exactCandidate{obj: obj, arrSeq: s.arrSeq, edges: tree}
 	if cand.betterThan(&s.best) {
 		s.best.obj = obj
@@ -398,61 +385,6 @@ func (s *treeSearcher) visit(tree []int) {
 		copy(s.best.r, s.val[:s.p])
 		copy(s.best.c, s.val[s.p:])
 	}
-}
-
-// arrangementUpperBound returns a cheap upper bound on the Obj2 optimum of a
-// fixed arrangement. Writing m_ij = 1/t_ij and g_ij = √m_ij, every feasible
-// solution satisfies r_i·c_j ≤ m_ij, and for any two cells the products
-// (r_i c_j)(r_i' c_j') = (r_i c_j')(r_i' c_j) ≤ √(m_ij·m_i'j'·m_ij'·m_i'j),
-// so squaring the objective Σ_ij r_i c_j and bounding every term gives
-//
-//	Obj2 ≤ ‖G·Gᵀ‖_F   with   G = (1/√t_ij).
-//
-// The bound is exact for rank-1 arrangements (where it equals Σ 1/t_ij, the
-// perfect-balance objective) and — unlike Σ 1/t_ij — depends on how the
-// cycle-times are grouped into rows, so it discriminates between
-// arrangements of the same multiset and lets the global solver skip
-// arrangements that cannot beat an incumbent.
-//
-// g is scratch of at least p·q entries; it receives G row-major.
-func arrangementUpperBound(arr *grid.Arrangement, g []float64) float64 {
-	p, q := arr.P, arr.Q
-	for i, row := range arr.T {
-		for j, t := range row {
-			g[i*q+j] = 1 / math.Sqrt(t)
-		}
-	}
-	sum := 0.0
-	for i := 0; i < p; i++ {
-		gi := g[i*q : (i+1)*q]
-		for k := 0; k < p; k++ {
-			gk := g[k*q : (k+1)*q]
-			dot := 0.0
-			for j := range gi {
-				dot += gi[j] * gk[j]
-			}
-			sum += dot * dot
-		}
-	}
-	return math.Sqrt(sum)
-}
-
-// seedMargin shaves the heuristic objective before it seeds the exact
-// search's lower bound, so floating-point slack in the heuristic's
-// feasibility scaling can never let the seed exceed the true optimum (which
-// would wrongly prune the optimal arrangement).
-const seedMargin = 4 * FeasibilityTol
-
-// heuristicSeedBound returns a deterministic lower bound on the global Obj2
-// optimum, obtained from the polynomial heuristic (any feasible solution on
-// any arrangement bounds the optimum from below; Theorem 1 makes the
-// non-decreasing optimum global). Returns -Inf if the heuristic fails.
-func heuristicSeedBound(times []float64, p, q int) float64 {
-	res, err := SolveHeuristic(times, p, q, HeuristicOptions{})
-	if err != nil || res.Solution == nil {
-		return math.Inf(-1)
-	}
-	return res.Objective() * (1 - seedMargin)
 }
 
 // SolveArrangementExactOpt solves Obj2 exactly for a fixed arrangement
@@ -475,7 +407,7 @@ func SolveArrangementExactOpt(arr *grid.Arrangement, opts ExactOptions) (*Soluti
 		return nil, nil, err
 	}
 	opts.Workers = 1 // one arrangement is one work item
-	return search(arr.P, arr.Q, trees, opts, math.Inf(-1), func(emit func(*grid.Arrangement) bool) error {
+	return search(arr.P, arr.Q, trees, opts, func(emit func(*grid.Arrangement) bool) error {
 		emit(arr)
 		return nil
 	})
@@ -484,12 +416,11 @@ func SolveArrangementExactOpt(arr *grid.Arrangement, opts ExactOptions) (*Soluti
 // SolveGlobalExact solves the full 2D load-balancing problem: it searches
 // every non-decreasing arrangement of the cycle-times on a p×q grid
 // (sufficient by Theorem 1) and solves each exactly with the spanning-tree
-// method, returning the best solution found. The search is branch-and-bound:
-// the heuristic's objective seeds a lower bound that skips arrangements
-// whose ‖G·Gᵀ‖_F upper bound (G = (1/√t_ij), arrangementUpperBound) cannot
-// beat it. Exponential in the grid size; intended for small problems and
-// for validating the heuristic. It runs on one worker; SolveGlobalExactOpt
-// takes the worker count, with bit-identical results.
+// method, returning the best solution found. Every arrangement is walked
+// whole: the search uses no bound and no other solver, so it can grade the
+// heuristic it does not call. Exponential in the grid size; intended for
+// small problems and for validating the heuristic. It runs on one worker;
+// SolveGlobalExactOpt takes the worker count, with bit-identical results.
 func SolveGlobalExact(times []float64, p, q int) (*Solution, *ExactStats, error) {
 	return SolveGlobalExactOpt(times, p, q, ExactOptions{Workers: 1})
 }
@@ -503,7 +434,7 @@ func SolveGlobalExactOpt(times []float64, p, q int, opts ExactOptions) (*Solutio
 	if err != nil {
 		return nil, nil, err
 	}
-	return search(p, q, trees, opts, heuristicSeedBound(times, p, q), func(emit func(*grid.Arrangement) bool) error {
+	return search(p, q, trees, opts, func(emit func(*grid.Arrangement) bool) error {
 		_, err := grid.EnumerateNonDecreasing(times, p, q, emit)
 		return err
 	})

@@ -5,31 +5,9 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"hetgrid/internal/grid"
 )
-
-// atomicFloat64 is a float64 with atomic load/store and monotone raise,
-// encoded through its IEEE bits. Only non-NaN values are stored, and the
-// raise is monotone non-decreasing, so bit comparison is safe.
-type atomicFloat64 struct{ bits atomic.Uint64 }
-
-func (a *atomicFloat64) store(v float64) { a.bits.Store(math.Float64bits(v)) }
-func (a *atomicFloat64) load() float64   { return math.Float64frombits(a.bits.Load()) }
-
-// raise lifts the stored value to at least v (CAS loop).
-func (a *atomicFloat64) raise(v float64) {
-	for {
-		old := a.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if a.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
 
 // exactWorkItem is one unit of search work: an arrangement with its
 // deterministic sequence number in enumeration order.
@@ -64,26 +42,20 @@ func spanningTrees(p, q int) (int, error) {
 // GOMAXPROCS). produce calls emit once per arrangement of the p×q grid, in
 // enumeration order, and may reuse the arrangement once emit returns; it
 // runs on the calling goroutine, which counts each arrangement (trees
-// spanning trees apiece), skips those whose upper bound cannot reach seed,
-// and streams a copy of each of the rest to the workers, one arrangement
-// per item, made in an arrangement a worker handed back where it can.
-// Each worker searches its items with one reusable treeSearcher, and all
-// share a monotone incumbent, seeded with seed, that short-circuits
-// candidate bookkeeping. After the join the searchers' statistics are
-// summed and the best of their candidates under betterThan wins. Pruning
-// depends only on seed and the input, never on the live incumbent, and an
-// arrangement's trees are never split, so the solution and every counter
-// are bit-identical for every worker count, 1 included.
-func search(p, q, trees int, opts ExactOptions, seed float64, produce func(emit func(*grid.Arrangement) bool) error) (*Solution, *ExactStats, error) {
+// spanning trees apiece) and streams a copy of it to the workers, one
+// arrangement per item, made in an arrangement a worker handed back where
+// it can. Each worker searches its items with one reusable treeSearcher
+// and shares nothing with the others. After the join the searchers'
+// statistics are summed and the best of their candidates under betterThan
+// wins. Every arrangement is walked whole by one worker, so the solution
+// and all three counters are bit-identical for every worker count, 1
+// included.
+func search(p, q, trees int, opts ExactOptions, produce func(emit func(*grid.Arrangement) bool) error) (*Solution, *ExactStats, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var incumbent atomicFloat64
-	incumbent.store(seed)
-
-	// A few items per worker let the producer run ahead through a stretch of
-	// bound-pruned arrangements without stalling the workers.
+	// A few items per worker let the producer run ahead of the workers.
 	items := make(chan exactWorkItem, 4*workers)
 	// Workers hand back the arrangements they hold no more, so the producer
 	// mostly copies into a spent one instead of allocating. The queue, one
@@ -98,15 +70,8 @@ func search(p, q, trees int, opts ExactOptions, seed float64, produce func(emit 
 		go func() {
 			defer wg.Done()
 			for item := range items {
-				// Candidates strictly below the shared best-so-far can never
-				// win (the worker holding that value keeps it locally), so
-				// skip their bookkeeping. Counters are taken before the skip.
-				s.skipBelow = incumbent.load()
 				held := s.best.arr
 				s.searchArrangement(item.arr, item.seq)
-				if s.best.arr != nil {
-					incumbent.raise(s.best.obj)
-				}
 				done := item.arr
 				if s.best.arr == item.arr {
 					done = held
@@ -122,15 +87,10 @@ func search(p, q, trees int, opts ExactOptions, seed float64, produce func(emit 
 	}
 
 	total := &ExactStats{}
-	g := make([]float64, p*q)
 	err := produce(func(arr *grid.Arrangement) bool {
 		seq := total.Arrangements
 		total.Arrangements++
 		total.TreesTheoretical += trees
-		if arrangementUpperBound(arr, g) < seed {
-			total.ArrangementsPruned++
-			return true
-		}
 		var cp *grid.Arrangement
 		select {
 		case cp = <-spent:

@@ -32,10 +32,43 @@ func exactEqualSolutions(t testing.TB, label string, a, b *Solution) {
 	}
 }
 
+// walkTrees returns C(p+q−2, p−1), the number of acceptable trees the walk
+// visits in every p×q arrangement, degenerate or not.
+func walkTrees(p, q int) int {
+	n := 1
+	for k := 1; k < p; k++ {
+		n = n * (q - 1 + k) / k
+	}
+	return n
+}
+
+// checkGlobalCounters holds a global solve's counters to their closed
+// form: every non-decreasing arrangement the enumerator emits is searched
+// whole, C(p+q−2, p−1) visited trees of p^(q−1)·q^(p−1) apiece.
+func checkGlobalCounters(t testing.TB, label string, times []float64, p, q int, stats *ExactStats) {
+	t.Helper()
+	n, err := grid.EnumerateNonDecreasing(times, p, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := 1
+	for k := 1; k < q; k++ {
+		all *= p
+	}
+	for k := 1; k < p; k++ {
+		all *= q
+	}
+	want := ExactStats{TreesVisited: n * walkTrees(p, q), Arrangements: n, TreesTheoretical: n * all}
+	if *stats != want {
+		t.Fatalf("%s: counters %+v, closed form %+v", label, *stats, want)
+	}
+}
+
 // TestWorkerCountEquivalenceProperty is the worker-count contract of the
 // exact search: for every worker count the returned solution is
-// bit-identical to the one-worker search's, and all four ExactStats counters
-// agree exactly. Over 200 randomized cycle-time sets across 2×2…3×4 grids.
+// bit-identical to the one-worker search's, and all three ExactStats
+// counters agree exactly and match their closed form. Over 200 randomized
+// cycle-time sets across 2×2…3×4 grids.
 func TestWorkerCountEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive property test")
@@ -63,6 +96,7 @@ func TestWorkerCountEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%dx%d seed %d: serial: %v", sh.p, sh.q, seed, err)
 			}
+			checkGlobalCounters(t, gridLabel(sh.p, sh.q), times, sh.p, sh.q, serialStats)
 			for _, w := range workerCounts {
 				par, parStats, err := SolveGlobalExactOpt(times, sh.p, sh.q, ExactOptions{Workers: w})
 				if err != nil {
@@ -87,7 +121,8 @@ func TestWorkerCountEquivalenceProperty(t *testing.T) {
 // whose acceptable trees are the C(p+q−2, p−1) vertices of the feasible
 // polyhedron. The global solver matches the brute force over every
 // non-decreasing arrangement — bit for bit on generic input, within 1e-14
-// on tied input — and visits strictly fewer trees than the theory counts.
+// on tied input — its counters match their closed form, and it visits
+// strictly fewer trees than the theory counts.
 func TestPrunedVisitsFewerTreesIdenticalSolutions(t *testing.T) {
 	type fixedCase struct {
 		label               string
@@ -110,11 +145,8 @@ func TestPrunedVisitsFewerTreesIdenticalSolutions(t *testing.T) {
 						tm[i][j] = 0.25 + 2*rng.Float64()
 					}
 				}
-				binom := 1 // C(p+q−2, p−1)
-				for k := 1; k < p; k++ {
-					binom = binom * (q - 1 + k) / k
-				}
-				cases = append(cases, fixedCase{"random " + gridLabel(p, q), grid.MustNew(tm), binom, binom, true})
+				n := walkTrees(p, q)
+				cases = append(cases, fixedCase{"random " + gridLabel(p, q), grid.MustNew(tm), n, n, true})
 			}
 		}
 	}
@@ -149,6 +181,7 @@ func TestPrunedVisitsFewerTreesIdenticalSolutions(t *testing.T) {
 			t.Fatal(err)
 		}
 		label := gridLabel(p, q)
+		checkGlobalCounters(t, label, times, p, q, stats)
 		var best *Solution
 		bestObj := math.Inf(-1)
 		if _, err := grid.EnumerateNonDecreasing(times, p, q, func(arr *grid.Arrangement) bool {
@@ -204,75 +237,42 @@ func TestSolveArrangementExactParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestArrangementUpperBoundValid: the ‖G·Gᵀ‖_F upper bound must dominate the
-// exact optimum on every arrangement, and be tight on rank-1 grids.
-func TestArrangementUpperBoundValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	for trial := 0; trial < 50; trial++ {
-		p, q := 1+rng.Intn(3), 1+rng.Intn(3)
-		tm := make([][]float64, p)
-		for i := range tm {
-			tm[i] = make([]float64, q)
-			for j := range tm[i] {
-				tm[i][j] = 0.1 + rng.Float64()
+// TestGlobalExactMatchesBruteForceOnTies: on tied inputs, where many
+// arrangements and trees share an objective, the global optimum is the
+// brute force's best over every arrangement — 300 draws of integer
+// cycle-times 1..3 on a 3×3 grid and 100 draws of {1, 100} on a 2×4 grid,
+// each from a fixed seed.
+func TestGlobalExactMatchesBruteForceOnTies(t *testing.T) {
+	sets := []struct {
+		p, q, draws int
+		values      []float64
+	}{
+		{3, 3, 300, []float64{1, 2, 3}},
+		{2, 4, 100, []float64{1, 100}},
+	}
+	rng := rand.New(rand.NewSource(42))
+	for _, set := range sets {
+		for draw := 0; draw < set.draws; draw++ {
+			times := make([]float64, set.p*set.q)
+			for i := range times {
+				times[i] = set.values[rng.Intn(len(set.values))]
+			}
+			sol, _, err := SolveGlobalExact(times, set.p, set.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bestObj := math.Inf(-1)
+			if _, err := grid.EnumerateNonDecreasing(times, set.p, set.q, func(arr *grid.Arrangement) bool {
+				bestObj = math.Max(bestObj, bruteForceBest(arr).obj)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := sol.Objective(); math.Abs(got-bestObj) > 1e-14*bestObj {
+				t.Fatalf("%s times %v: objective %v, brute force %v", gridLabel(set.p, set.q), times, got, bestObj)
 			}
 		}
-		arr := grid.MustNew(tm)
-		sol, _, err := SolveArrangementExactOpt(arr, ExactOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ub := arrangementUpperBound(arr, make([]float64, arr.P*arr.Q))
-		if sol.Objective() > ub*(1+1e-12) {
-			t.Fatalf("upper bound %v below exact optimum %v for %v", ub, sol.Objective(), tm)
-		}
 	}
-	// Rank-1 grid: bound equals the perfect-balance objective Σ 1/t.
-	arr := grid.MustNew([][]float64{{1, 2}, {3, 6}})
-	ub := arrangementUpperBound(arr, make([]float64, arr.P*arr.Q))
-	want := 1.0 + 0.5 + 1.0/3 + 1.0/6
-	if math.Abs(ub-want) > 1e-12 {
-		t.Fatalf("rank-1 bound %v, want %v", ub, want)
-	}
-}
-
-// TestGlobalExactSeedPruningActive: on tied inputs — 300 draws of integer
-// cycle-times 1..3 on a 3×3 grid from a fixed seed — the seeded bound skips
-// some arrangements (166 of 1,543), and the global optimum survives it: the
-// solution's objective is the brute force's best over every arrangement.
-// On continuous cycle-times such as U[0.25, 2.25) it almost never skips
-// one.
-func TestGlobalExactSeedPruningActive(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	pruned := 0
-	for draw := 0; draw < 300; draw++ {
-		times := make([]float64, 9)
-		for i := range times {
-			times[i] = float64(1 + rng.Intn(3))
-		}
-		sol, stats, err := SolveGlobalExact(times, 3, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pruned += stats.ArrangementsPruned
-		if stats.ArrangementsPruned > stats.Arrangements {
-			t.Fatalf("pruned %d of %d arrangements", stats.ArrangementsPruned, stats.Arrangements)
-		}
-		bestObj := math.Inf(-1)
-		if _, err := grid.EnumerateNonDecreasing(times, 3, 3, func(arr *grid.Arrangement) bool {
-			bestObj = math.Max(bestObj, bruteForceBest(arr).obj)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got := sol.Objective(); math.Abs(got-bestObj) > 1e-14*bestObj {
-			t.Fatalf("times %v: objective %v, brute force %v", times, got, bestObj)
-		}
-	}
-	if pruned == 0 {
-		t.Fatal("the seeded bound skipped no arrangement on tied inputs")
-	}
-	t.Logf("the seeded bound skipped %d arrangements", pruned)
 }
 
 // TestParallelWithDuplicateTimes exercises the tie-break path: duplicated
@@ -345,19 +345,4 @@ func TestSearchProducerErrorJoinsWorkers(t *testing.T) {
 		t.Fatalf("error %v, want the grid's %v", err, want)
 	}
 	leakcheck.Settle(t, start)
-}
-
-// TestAtomicFloat64Raise covers the CAS max used for the shared incumbent.
-func TestAtomicFloat64Raise(t *testing.T) {
-	var a atomicFloat64
-	a.store(math.Inf(-1))
-	a.raise(1.5)
-	a.raise(0.5)
-	if got := a.load(); got != 1.5 {
-		t.Fatalf("raise sequence gave %v, want 1.5", got)
-	}
-	a.raise(2.25)
-	if got := a.load(); got != 2.25 {
-		t.Fatalf("raise gave %v, want 2.25", got)
-	}
 }

@@ -429,10 +429,7 @@ func checkWalk(t testing.TB, label string, arr *grid.Arrangement, generic bool) 
 		}
 		walked = append(walked, acc[k])
 	}
-	binom := 1 // C(p+q−2, p−1)
-	for k := 1; k < p; k++ {
-		binom = binom * (q - 1 + k) / k
-	}
+	binom := walkTrees(p, q)
 	if len(walked) != binom || s.stats.TreesVisited != binom {
 		t.Fatalf("%s: walked %d trees (counted %d), want C(p+q-2, p-1) = %d", label, len(walked), s.stats.TreesVisited, binom)
 	}

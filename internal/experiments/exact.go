@@ -24,7 +24,7 @@ type ExactComparison struct {
 	ExactPerfect int
 	// Stats accumulates the exact solver's search statistics over all
 	// trials; PruneRatio reports how much of the theoretical spanning-tree
-	// space the branch-and-bound never visited.
+	// space the pivot walk never visited.
 	Stats core.ExactStats
 }
 

@@ -31,7 +31,7 @@ const (
 	StrategyAuto Strategy = "auto"
 	// StrategyHeuristic forces the §4.4 SVD heuristic with refinement.
 	StrategyHeuristic Strategy = "heuristic"
-	// StrategyExact forces the exponential branch-and-bound search over
+	// StrategyExact forces the exponential search over
 	// arrangements and spanning trees (§4.2–4.3); small grids only.
 	StrategyExact Strategy = "exact"
 )
@@ -167,10 +167,9 @@ func (r *Request) Validate() error {
 // SolverStats records the exact solver's search counters — provenance for
 // how hard the plan was to find.
 type SolverStats struct {
-	Arrangements       int `json:"arrangements"`
-	ArrangementsPruned int `json:"arrangements_pruned"`
-	TreesVisited       int `json:"trees_visited"`
-	TreesTheoretical   int `json:"trees_theoretical"`
+	Arrangements     int `json:"arrangements"`
+	TreesVisited     int `json:"trees_visited"`
+	TreesTheoretical int `json:"trees_theoretical"`
 }
 
 // Provenance records how a plan was produced.

@@ -236,10 +236,9 @@ func renderPlan(req Request, strategy Strategy, res *Result) {
 	if res.ExactStats != nil {
 		s := res.ExactStats
 		p.Provenance.Solver = &SolverStats{
-			Arrangements:       s.Arrangements,
-			ArrangementsPruned: s.ArrangementsPruned,
-			TreesVisited:       s.TreesVisited,
-			TreesTheoretical:   s.TreesTheoretical,
+			Arrangements:     s.Arrangements,
+			TreesVisited:     s.TreesVisited,
+			TreesTheoretical: s.TreesTheoretical,
 		}
 	}
 	res.Plan = p

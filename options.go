@@ -87,7 +87,7 @@ func WithMetrics(m *Metrics) Option {
 }
 
 // WithWorkers sets the worker-goroutine count of the exact strategy's
-// branch-and-bound search (0 selects GOMAXPROCS). The solution is
+// search (0 selects GOMAXPROCS). The solution is
 // bit-identical for every worker count.
 func WithWorkers(n int) Option {
 	return func(co *callOptions) { co.balance.Workers = n }
