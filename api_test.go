@@ -26,8 +26,8 @@ func TestParseRoundTrips(t *testing.T) {
 			t.Fatalf("kernel %v round-trips to (%v, %v)", k, got, err)
 		}
 	}
-	for _, s := range []Strategy{StrategyAuto, StrategyHeuristic, StrategyExact} {
-		got, err := ParseStrategy(s.String())
+	for _, s := range []PlanStrategy{PlanAuto, PlanHeuristic, PlanExact} {
+		got, err := ParseStrategy(string(s))
 		if err != nil || got != s {
 			t.Fatalf("strategy %v round-trips to (%v, %v)", s, got, err)
 		}
@@ -41,11 +41,13 @@ func TestParseRoundTrips(t *testing.T) {
 			t.Fatalf("ParseBroadcast(%q) = (%v, %v), want %v", a.in, got, err, a.want)
 		}
 	}
-	if got, err := ParseKernel("MM"); err != nil || got != MatMul {
-		t.Fatalf("ParseKernel(MM) = (%v, %v)", got, err)
+	for in, want := range map[string]Kernel{"mm": MatMul, "MM": MatMul, "chol": Cholesky} {
+		if got, err := ParseKernel(in); err != nil || got != want {
+			t.Fatalf("ParseKernel(%q) = (%v, %v), want %v", in, got, err, want)
+		}
 	}
-	if got, err := ParseKernel("chol"); err != nil || got != Cholesky {
-		t.Fatalf("ParseKernel(chol) = (%v, %v)", got, err)
+	if got, err := ParseStrategy("EXACT"); err != nil || got != PlanExact {
+		t.Fatalf("ParseStrategy(EXACT) = (%v, %v)", got, err)
 	}
 	for _, bad := range []string{"", "bogus", "flat "} {
 		if _, err := ParseBroadcast(bad); err == nil {
@@ -117,11 +119,11 @@ func TestOptionsEquivalence(t *testing.T) {
 	}
 
 	times := []float64{1, 2, 3, 5}
-	planTuned, err := Balance(times, 2, 2, StrategyExact, opts...)
+	planTuned, err := Balance(times, 2, 2, PlanExact, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planPlain, err := Balance(times, 2, 2, StrategyExact)
+	planPlain, err := Balance(times, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestBalanceArrangementKeepsMachinePositions(t *testing.T) {
 		}
 	}
 	// And the free Balance (which may re-sort) does at least as well.
-	free, err := Balance([]float64{5, 3, 2, 1}, 2, 2, StrategyExact)
+	free, err := Balance([]float64{5, 3, 2, 1}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}

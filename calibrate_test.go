@@ -32,7 +32,7 @@ func TestCalibrateFeedsBalance(t *testing.T) {
 	for i, s := range measured {
 		times[i] = s / measured[0]
 	}
-	plan, err := Balance(times, 2, 2, StrategyAuto)
+	plan, err := Balance(times, 2, 2, PlanAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

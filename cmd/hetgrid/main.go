@@ -49,11 +49,7 @@ func main() {
 	}
 
 	// Both CLI modes are one planning request to the canonical pipeline.
-	ps, err := hetgrid.CanonicalStrategy(strategy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	req := hetgrid.PlanRequest{Times: times, P: *pFlag, Q: *qFlag, Strategy: ps}
+	req := hetgrid.PlanRequest{Times: times, P: *pFlag, Q: *qFlag, Strategy: strategy}
 	if *arrFlag != "" {
 		rows, err := cliutil.ParseArrangement(*arrFlag)
 		if err != nil {

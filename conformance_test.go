@@ -68,7 +68,7 @@ import (
 // the Kalinov–Lastovetsky layout of the cycle-times [[1,2,3],[4,5,6]].
 func TestConformance(t *testing.T) {
 	const nb = 6
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}

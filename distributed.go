@@ -181,16 +181,12 @@ type ExecStats struct {
 func runDistributed(d Distribution, kern Kernel, blockSize int, inputs []*Matrix,
 	opts execOptions) (*Matrix, [][]float64, *ExecStats, error) {
 
-	pk, err := canonicalKernel(kern)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	bk, err := opts.Broadcast.kind(sim.StarBroadcast)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	p, q := d.Dims()
-	s := run.State{Kernel: pk, Dist: d}
+	s := run.State{Kernel: kern, Dist: d}
 	ropts := run.Options{Engine: engine.Options{
 		Broadcast:   bk,
 		Record:      opts.Spans || opts.Metrics != nil || opts.Drift != nil,

@@ -227,7 +227,7 @@ func TestInvalidDistributionRejected(t *testing.T) {
 	if _, _, err := DistributedMultiply(d, a, a, 2); err == nil {
 		t.Fatal("DistributedMultiply accepted an owner outside the grid")
 	}
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyAuto)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

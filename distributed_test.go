@@ -8,7 +8,7 @@ import (
 )
 
 func TestSimulateBroadcastSelection(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyAuto)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // ExampleBalance shows the paper's running example: four processors of
 // cycle-times 1, 2, 3 and 5 on a 2×2 grid.
 func ExampleBalance() {
-	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.StrategyExact)
+	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.PlanExact)
 	if err != nil {
 		panic(err)
 	}
@@ -27,7 +27,7 @@ func ExampleBalance() {
 // ExampleBalance_rank1 shows the perfectly balanceable grid of the paper's
 // Figure 1.
 func ExampleBalance_rank1() {
-	plan, err := hetgrid.Balance([]float64{1, 2, 3, 6}, 2, 2, hetgrid.StrategyAuto)
+	plan, err := hetgrid.Balance([]float64{1, 2, 3, 6}, 2, 2, hetgrid.PlanAuto)
 	if err != nil {
 		panic(err)
 	}
@@ -39,7 +39,7 @@ func ExampleBalance_rank1() {
 // ExamplePlan_Panel builds the paper's Figure-4 LU panel with its ABAABA
 // column interleaving.
 func ExamplePlan_Panel() {
-	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.StrategyExact)
+	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.PlanExact)
 	if err != nil {
 		panic(err)
 	}
@@ -64,7 +64,7 @@ func ExamplePlan_Panel() {
 // ExampleSimulate compares the uniform block-cyclic baseline against the
 // heterogeneous panel on a simulated network of workstations.
 func ExampleSimulate() {
-	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.StrategyExact)
+	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.PlanExact)
 	if err != nil {
 		panic(err)
 	}
@@ -97,7 +97,7 @@ func ExampleSimulate() {
 // ExampleNeighbors shows the grid-pattern analysis separating the paper's
 // panel distribution from Kalinov–Lastovetsky's.
 func ExampleNeighbors() {
-	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.StrategyExact)
+	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.PlanExact)
 	if err != nil {
 		panic(err)
 	}

@@ -21,7 +21,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.StrategyExact)
+	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.PlanExact)
 	if err != nil {
 		log.Fatal(err)
 	}

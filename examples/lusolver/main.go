@@ -20,7 +20,7 @@ func main() {
 
 	// The paper's running 2×2 example: cycle-times 1, 2, 3, 5 (no perfect
 	// balance exists for these).
-	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.StrategyExact)
+	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.PlanExact)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 		fmt.Printf("  %-8s cycle-time %.1f\n", m.name, m.t)
 	}
 
-	plan, err := hetgrid.Balance(times, 3, 3, hetgrid.StrategyHeuristic)
+	plan, err := hetgrid.Balance(times, 3, 3, hetgrid.PlanHeuristic)
 	if err != nil {
 		log.Fatal(err)
 	}

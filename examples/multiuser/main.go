@@ -54,7 +54,7 @@ func simulatedScenarios() {
 		for i, l := range sc.loads {
 			times[i] = 1 + l
 		}
-		plan, err := hetgrid.Balance(times, 4, 4, hetgrid.StrategyAuto)
+		plan, err := hetgrid.Balance(times, 4, 4, hetgrid.PlanAuto)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func main() {
 	times := []float64{1, 2, 3, 5}
 
 	// 1. Arrange them on a 2×2 grid and balance the load.
-	plan, err := hetgrid.Balance(times, 2, 2, hetgrid.StrategyAuto)
+	plan, err := hetgrid.Balance(times, 2, 2, hetgrid.PlanAuto)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,10 +2,6 @@ package hetgrid
 
 import "hetgrid/internal/obs"
 
-// Cholesky is the right-looking blocked Cholesky factorization A = L·Lᵀ,
-// the third ScaLAPACK factorization alongside LU and QR.
-const Cholesky Kernel = QR + 1
-
 // GridChoice reports the outcome of a grid-shape search.
 type GridChoice struct {
 	// P and Q are the chosen grid dimensions.

@@ -102,7 +102,7 @@ func TestChooseGridEdgeCases(t *testing.T) {
 }
 
 func TestSimulateCholeskyKernel(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSimulateCholeskyKernel(t *testing.T) {
 }
 
 func TestTraceSimulation(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTraceSimulation(t *testing.T) {
 			t.Fatalf("%v: gantt should have 4 node rows", k)
 		}
 	}
-	if _, _, err := TraceSimulation(Kernel(42), d, plan, SimOptions{}, 60); err == nil {
+	if _, _, err := TraceSimulation(Kernel("svd"), d, plan, SimOptions{}, 60); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
 }
@@ -171,7 +171,7 @@ func TestTraceSimulation(t *testing.T) {
 // kernel agree to the bit. (TraceSimulation used to build its own options
 // and dropped Pivoting.)
 func TestTraceSimulationMatchesSimulate(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTraceSimulationMatchesSimulate(t *testing.T) {
 // measured side is the larger. QR is left out: its simulation runs LU's
 // model.)
 func TestSimulatedComputeSpansJoinMeasured(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func Factor(k Kernel, d Distribution, a *Matrix, opts ...Option) (*Factorization
 			rep = &qr.Replay
 		}
 	default:
-		err = fmt.Errorf("hetgrid: %v is not a factorization kernel (want lu, cholesky or qr)", k)
+		err = fmt.Errorf("hetgrid: %q is not a factorization kernel (want lu, cholesky or qr)", k)
 	}
 	if err != nil {
 		return nil, err
@@ -106,7 +106,7 @@ func DistributedFactor(k Kernel, d Distribution, a *Matrix, blockSize int, opts 
 	switch k {
 	case LU, Cholesky, QR:
 	default:
-		return nil, nil, fmt.Errorf("hetgrid: %v is not a factorization kernel (want lu, cholesky or qr)", k)
+		return nil, nil, fmt.Errorf("hetgrid: %q is not a factorization kernel (want lu, cholesky or qr)", k)
 	}
 	packed, taus, stats, err := runDistributed(d, k, blockSize, []*Matrix{a}, applyOptions(opts).exec)
 	if err != nil {

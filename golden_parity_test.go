@@ -134,7 +134,7 @@ func solveGolden(t *testing.T, gc goldenCase) (*Plan, *GridChoice, *adapt.Surviv
 		p      *Plan
 		choice *GridChoice
 		sp     *adapt.SurvivorPlan
-		strat  Strategy
+		strat  PlanStrategy
 		err    error
 	)
 	switch gc.Mode {
@@ -143,11 +143,8 @@ func solveGolden(t *testing.T, gc goldenCase) (*Plan, *GridChoice, *adapt.Surviv
 			p, err = Balance(gc.Times, gc.P, gc.Q, strat)
 		}
 	case "arrangement":
-		var ps PlanStrategy
 		if strat, err = ParseStrategy(gc.Strategy); err == nil {
-			if ps, err = CanonicalStrategy(strat); err == nil {
-				p, _, err = SolvePlan(PlanRequest{Times: gc.Times, P: gc.P, Q: gc.Q, Fixed: true, Strategy: ps})
-			}
+			p, _, err = SolvePlan(PlanRequest{Times: gc.Times, P: gc.P, Q: gc.Q, Fixed: true, Strategy: strat})
 		}
 	case "choosegrid":
 		var cp *CanonicalPlan

@@ -10,7 +10,7 @@
 //
 // # Quick start
 //
-//	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.StrategyAuto)
+//	plan, err := hetgrid.Balance([]float64{1, 2, 3, 5}, 2, 2, hetgrid.PlanAuto)
 //	layout, err := plan.BestPanel(12, 12, hetgrid.MatMul)
 //	dist, err := layout.Distribute(24, 24) // 24×24 block matrix
 //	res, err := hetgrid.Simulate(hetgrid.MatMul, dist, plan, hetgrid.SimOptions{})
@@ -46,49 +46,25 @@ type Distribution = distribution.Distribution
 // SimStats aliases the simulator's statistics record.
 type SimStats = sim.Stats
 
-// Strategy selects how Balance solves the 2D load-balancing problem.
-type Strategy int
-
-const (
-	// StrategyAuto uses the rank-1 closed form when the sorted row-major
-	// arrangement is rank-1 and the polynomial heuristic otherwise.
-	StrategyAuto Strategy = iota
-	// StrategyHeuristic forces the §4.4 SVD heuristic with iterative
-	// refinement.
-	StrategyHeuristic
-	// StrategyExact forces the exponential exact search over all
-	// non-decreasing arrangements and spanning trees (§4.2–4.3); intended
-	// for small grids (roughly p·q ≤ 12).
-	StrategyExact
-)
-
-// Kernel identifies a dense linear algebra kernel.
-type Kernel int
+// Kernel identifies a dense linear algebra kernel. It is the planning
+// pipeline's string enum: the names are the CLI flags and hetgridd's wire
+// format, and every entry point rejects a value outside the four below.
+type Kernel = plan.Kernel
 
 const (
 	// MatMul is the blocked outer-product matrix multiplication C = A·B.
-	MatMul Kernel = iota
+	MatMul = plan.MatMul
 	// LU is the right-looking blocked LU decomposition.
-	LU
-	// QR is the blocked Householder QR; it shares LU's communication
-	// structure with heavier panel arithmetic.
-	QR
+	LU = plan.LU
+	// QR is the blocked Householder QR. Executions run its own step
+	// schedule (the panel factored at its master, each trailing column's
+	// Vᵀ·B chained down its owners); only the simulator prices it as LU
+	// with a costlier panel.
+	QR = plan.QR
+	// Cholesky is the right-looking blocked Cholesky factorization
+	// A = L·Lᵀ, the third ScaLAPACK factorization alongside LU and QR.
+	Cholesky = plan.Cholesky
 )
-
-func (k Kernel) String() string {
-	switch k {
-	case MatMul:
-		return "matmul"
-	case LU:
-		return "lu"
-	case QR:
-		return "qr"
-	case Cholesky:
-		return "cholesky"
-	default:
-		return fmt.Sprintf("kernel(%d)", int(k))
-	}
-}
 
 // Plan is a solved load-balancing problem: an arrangement plus the
 // row/column shares that minimize the normalized makespan.
@@ -134,28 +110,9 @@ func publishExactStats(reg *Metrics, stats *core.ExactStats) {
 // load-balancing shares with the chosen strategy. len(times) must equal
 // p·q and every cycle-time must be positive. It is SolvePlan's fixed-shape
 // request; the same options apply.
-func Balance(times []float64, p, q int, strategy Strategy, options ...Option) (*Plan, error) {
-	ps, err := strategy.canonical()
-	if err != nil {
-		return nil, err
-	}
-	solved, _, err := SolvePlan(PlanRequest{Times: times, P: p, Q: q, Strategy: ps}, options...)
+func Balance(times []float64, p, q int, strategy PlanStrategy, options ...Option) (*Plan, error) {
+	solved, _, err := SolvePlan(PlanRequest{Times: times, P: p, Q: q, Strategy: strategy}, options...)
 	return solved, err
-}
-
-// canonical maps the package's Strategy enum onto the pipeline's string
-// vocabulary.
-func (s Strategy) canonical() (plan.Strategy, error) {
-	switch s {
-	case StrategyAuto:
-		return plan.StrategyAuto, nil
-	case StrategyHeuristic:
-		return plan.StrategyHeuristic, nil
-	case StrategyExact:
-		return plan.StrategyExact, nil
-	default:
-		return "", fmt.Errorf("hetgrid: unknown strategy %d", s)
-	}
 }
 
 // Arrangement returns the plan's processor arrangement.
@@ -185,11 +142,12 @@ type Layout struct {
 // irrelevant for the outer-product multiplication, and the 1D-greedy
 // interleaving keeps LU/QR balanced as the active matrix shrinks (§3.2.2).
 func orderings(k Kernel) (distribution.Ordering, distribution.Ordering, error) {
-	pk, err := canonicalKernel(k)
-	if err != nil {
-		return 0, 0, err
+	switch k {
+	case MatMul, LU, QR, Cholesky:
+	default:
+		return 0, 0, fmt.Errorf("hetgrid: unknown kernel %q", k)
 	}
-	row, col := pk.Region().Orderings()
+	row, col := k.Region().Orderings()
 	return row, col, nil
 }
 
@@ -329,7 +287,7 @@ func simulate(k Kernel, d Distribution, plan *Plan, opts SimOptions, trace bool)
 	case Cholesky:
 		return kernels.SimulateCholesky(d, plan.sol.Arr, kopts)
 	default:
-		return nil, fmt.Errorf("hetgrid: unknown kernel %v", k)
+		return nil, fmt.Errorf("hetgrid: unknown kernel %q", k)
 	}
 }
 

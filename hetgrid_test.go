@@ -2,13 +2,14 @@ package hetgrid
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
 func TestBalanceAutoRank1(t *testing.T) {
 	// {1,2,3,6} sorts row-major into the rank-1 [[1,2],[3,6]]: the auto
 	// strategy takes the closed form and balances perfectly.
-	plan, err := Balance([]float64{6, 2, 3, 1}, 2, 2, StrategyAuto)
+	plan, err := Balance([]float64{6, 2, 3, 1}, 2, 2, PlanAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestBalanceAutoRank1(t *testing.T) {
 }
 
 func TestBalanceHeuristicPaperExample(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 3, 3, StrategyHeuristic)
+	plan, err := Balance([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 3, 3, PlanHeuristic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +42,11 @@ func TestBalanceHeuristicPaperExample(t *testing.T) {
 
 func TestBalanceExactDominatesHeuristic(t *testing.T) {
 	times := []float64{0.9, 0.4, 0.7, 0.2}
-	exact, err := Balance(times, 2, 2, StrategyExact)
+	exact, err := Balance(times, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heur, err := Balance(times, 2, 2, StrategyHeuristic)
+	heur, err := Balance(times, 2, 2, PlanHeuristic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,19 +56,19 @@ func TestBalanceExactDominatesHeuristic(t *testing.T) {
 }
 
 func TestBalanceErrors(t *testing.T) {
-	if _, err := Balance([]float64{1, 2, 3}, 2, 2, StrategyAuto); err == nil {
+	if _, err := Balance([]float64{1, 2, 3}, 2, 2, PlanAuto); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	if _, err := Balance([]float64{1, -2, 3, 4}, 2, 2, StrategyHeuristic); err == nil {
+	if _, err := Balance([]float64{1, -2, 3, 4}, 2, 2, PlanHeuristic); err == nil {
 		t.Fatal("negative cycle-time accepted")
 	}
-	if _, err := Balance([]float64{1, 2, 3, 4}, 2, 2, Strategy(99)); err == nil {
+	if _, err := Balance([]float64{1, 2, 3, 4}, 2, 2, PlanStrategy("magic")); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
 
 func TestPlanAccessorsCopy(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyHeuristic)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanHeuristic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestPlanAccessorsCopy(t *testing.T) {
 }
 
 func TestPanelAndDistribute(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestPanelAndDistribute(t *testing.T) {
 }
 
 func TestBestPanelEfficiency(t *testing.T) {
-	plan, err := Balance([]float64{6, 2, 3, 1}, 2, 2, StrategyAuto)
+	plan, err := Balance([]float64{6, 2, 3, 1}, 2, 2, PlanAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func sum(x []int) int {
 }
 
 func TestSimulateAllKernels(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestSimulateAllKernels(t *testing.T) {
 			prev = res.Makespan
 		}
 	}
-	if _, err := Simulate(Kernel(42), d, plan, opts); err == nil {
+	if _, err := Simulate(Kernel("svd"), d, plan, opts); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
 }
@@ -188,7 +189,7 @@ func TestSimulateAllKernels(t *testing.T) {
 func TestUniformVsPanelHeadline(t *testing.T) {
 	// The paper's headline: uniform block-cyclic runs at the slowest
 	// processor's speed; the heterogeneous panel does not.
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestUniformVsPanelHeadline(t *testing.T) {
 }
 
 func TestKalinovLastovetskyBreaksPattern(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +233,14 @@ func TestKalinovLastovetskyBreaksPattern(t *testing.T) {
 }
 
 func TestLayoutErrorPaths(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, StrategyExact)
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Panel(8, 6, Kernel(42)); err == nil {
+	if _, err := plan.Panel(8, 6, Kernel("svd")); err == nil {
 		t.Fatal("unknown kernel accepted by Panel")
 	}
-	if _, err := plan.BestPanel(8, 8, Kernel(42)); err == nil {
+	if _, err := plan.BestPanel(8, 8, Kernel("svd")); err == nil {
 		t.Fatal("unknown kernel accepted by BestPanel")
 	}
 	layout, err := plan.Panel(8, 6, LU)
@@ -254,11 +255,38 @@ func TestLayoutErrorPaths(t *testing.T) {
 	}
 }
 
+// TestKernelString: a kernel's name is its wire name, and the empty kernel
+// names none of the four, so every entry point that takes one rejects it.
 func TestKernelString(t *testing.T) {
-	if MatMul.String() != "matmul" || LU.String() != "lu" || QR.String() != "qr" {
+	if MatMul.String() != "matmul" || LU.String() != "lu" || QR.String() != "qr" || Cholesky.String() != "cholesky" {
 		t.Fatal("kernel names wrong")
 	}
-	if Kernel(9).String() == "" {
-		t.Fatal("unknown kernel string empty")
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Uniform(2, 2, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		empty Kernel
+		a     *Matrix // never read: the kernel is rejected first
+	)
+	for name, call := range map[string]func() error{
+		"Panel":     func() error { _, err := plan.Panel(4, 4, empty); return err },
+		"BestPanel": func() error { _, err := plan.BestPanel(4, 4, empty); return err },
+		"Simulate":  func() error { _, err := Simulate(empty, d, plan, SimOptions{}); return err },
+		"TraceSimulation": func() error {
+			_, _, err := TraceSimulation(empty, d, plan, SimOptions{}, 60)
+			return err
+		},
+		"Factor":            func() error { _, err := Factor(empty, d, a); return err },
+		"DistributedFactor": func() error { _, _, err := DistributedFactor(empty, d, a, 2); return err },
+		"PlanSurvivors":     func() error { _, _, err := PlanSurvivors([]float64{1, 2, 3}, 4, 4, empty); return err },
+	} {
+		if err := call(); err == nil || !strings.Contains(err.Error(), `""`) {
+			t.Fatalf("%s accepted the empty kernel (err %v)", name, err)
+		}
 	}
 }

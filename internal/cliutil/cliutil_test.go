@@ -25,61 +25,6 @@ func TestParseTimes(t *testing.T) {
 	}
 }
 
-// The enum parsers live in package hetgrid; these tables pin the spellings
-// the command-line tools accept.
-
-func TestParseKernel(t *testing.T) {
-	cases := map[string]hetgrid.Kernel{
-		"matmul": hetgrid.MatMul, "mm": hetgrid.MatMul, "MM": hetgrid.MatMul,
-		"lu": hetgrid.LU, "qr": hetgrid.QR,
-		"cholesky": hetgrid.Cholesky, "chol": hetgrid.Cholesky,
-	}
-	for s, want := range cases {
-		got, err := hetgrid.ParseKernel(s)
-		if err != nil {
-			t.Fatalf("%q: %v", s, err)
-		}
-		if got != want {
-			t.Fatalf("%q parsed to %v", s, got)
-		}
-	}
-	if _, err := hetgrid.ParseKernel("fft"); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
-}
-
-func TestParseBroadcast(t *testing.T) {
-	for s, want := range map[string]hetgrid.BroadcastKind{
-		"auto": hetgrid.BroadcastAuto, "flat": hetgrid.FlatBroadcast,
-		"star": hetgrid.FlatBroadcast, "ring": hetgrid.RingBroadcast,
-		"pipeline": hetgrid.PipelinedRingBroadcast, "segring": hetgrid.PipelinedRingBroadcast,
-		"tree": hetgrid.TreeBroadcast, "TREE": hetgrid.TreeBroadcast,
-	} {
-		got, err := hetgrid.ParseBroadcast(s)
-		if err != nil || got != want {
-			t.Fatalf("%q: got %v err %v", s, got, err)
-		}
-	}
-	if _, err := hetgrid.ParseBroadcast("carrier-pigeon"); err == nil {
-		t.Fatal("unknown broadcast accepted")
-	}
-}
-
-func TestParseStrategy(t *testing.T) {
-	for s, want := range map[string]hetgrid.Strategy{
-		"auto": hetgrid.StrategyAuto, "heuristic": hetgrid.StrategyHeuristic,
-		"exact": hetgrid.StrategyExact, "EXACT": hetgrid.StrategyExact,
-	} {
-		got, err := hetgrid.ParseStrategy(s)
-		if err != nil || got != want {
-			t.Fatalf("%q: got %v err %v", s, got, err)
-		}
-	}
-	if _, err := hetgrid.ParseStrategy("magic"); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-}
-
 func TestParseArrangement(t *testing.T) {
 	got, err := ParseArrangement("1,2;3,5")
 	if err != nil {

@@ -46,6 +46,8 @@ const (
 	Cholesky Kernel = "cholesky"
 )
 
+func (k Kernel) String() string { return string(k) }
+
 // Region is the block region the kernel's step k is active on: the whole
 // matrix for the outer product, the trailing submatrix (its lower triangle
 // for Cholesky) for the factorizations.

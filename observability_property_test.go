@@ -27,7 +27,7 @@ func TestObservabilityPropertyRandomGrids(t *testing.T) {
 		for i := range times {
 			times[i] = 0.5 + 3.5*rng.Float64()
 		}
-		plan, err := Balance(times, p, q, StrategyHeuristic)
+		plan, err := Balance(times, p, q, PlanHeuristic)
 		if err != nil {
 			t.Fatalf("run %d (%d×%d %v): %v", run, p, q, times, err)
 		}

@@ -5,23 +5,10 @@ import (
 	"strings"
 )
 
-// This file gives the package's enums a parse side, so BroadcastKind,
-// Strategy, Kernel and Numerics all round-trip through String()/Parse*:
-// for every valid value v, Parse*(v.String()) == v. The CLI tools build
-// their flag handling on these.
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyAuto:
-		return "auto"
-	case StrategyHeuristic:
-		return "heuristic"
-	case StrategyExact:
-		return "exact"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
-}
+// This file gives the package's enums a parse side: for every valid value
+// v of BroadcastKind, Kernel and Numerics, Parse*(v.String()) == v, and
+// ParseStrategy(string(s)) == s for every PlanStrategy. The CLI tools
+// build their flag handling on these.
 
 // ParseBroadcast maps a broadcast-algorithm name to its constant.
 // Accepted: auto, flat (or star), ring, pipeline (or segring), tree.
@@ -42,8 +29,8 @@ func ParseBroadcast(s string) (BroadcastKind, error) {
 	}
 }
 
-// ParseKernel maps a kernel name to its constant. Accepted: matmul (or
-// mm), lu, qr, cholesky (or chol).
+// ParseKernel maps a kernel name to its constant, case-insensitively.
+// Accepted: matmul (or mm), lu, qr, cholesky (or chol).
 func ParseKernel(s string) (Kernel, error) {
 	switch strings.ToLower(s) {
 	case "matmul", "mm":
@@ -55,7 +42,7 @@ func ParseKernel(s string) (Kernel, error) {
 	case "cholesky", "chol":
 		return Cholesky, nil
 	default:
-		return 0, fmt.Errorf("hetgrid: unknown kernel %q (want matmul, lu, qr or cholesky)", s)
+		return "", fmt.Errorf("hetgrid: unknown kernel %q (want matmul, lu, qr or cholesky)", s)
 	}
 }
 
@@ -72,17 +59,17 @@ func ParseNumerics(s string) (Numerics, error) {
 	}
 }
 
-// ParseStrategy maps a strategy name to its constant. Accepted: auto,
-// heuristic, exact.
-func ParseStrategy(s string) (Strategy, error) {
+// ParseStrategy maps a strategy name to its constant, case-insensitively.
+// Accepted: auto, heuristic, exact.
+func ParseStrategy(s string) (PlanStrategy, error) {
 	switch strings.ToLower(s) {
 	case "auto":
-		return StrategyAuto, nil
+		return PlanAuto, nil
 	case "heuristic":
-		return StrategyHeuristic, nil
+		return PlanHeuristic, nil
 	case "exact":
-		return StrategyExact, nil
+		return PlanExact, nil
 	default:
-		return 0, fmt.Errorf("hetgrid: unknown strategy %q (want auto, heuristic or exact)", s)
+		return "", fmt.Errorf("hetgrid: unknown strategy %q (want auto, heuristic or exact)", s)
 	}
 }

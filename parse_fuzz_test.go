@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// The enum parsers promise Parse*(v.String()) == v for every valid value.
+// The enum parsers promise that every valid value v parses back from its
+// name (v.String(), or string(v) for a PlanStrategy).
 // The fuzz targets push arbitrary strings through each parser and check
 // the contract from the other side: anything that parses must render to a
 // canonical name that parses back to the same value, and rejections must
@@ -93,7 +94,7 @@ func FuzzParseStrategy(f *testing.F) {
 			}
 			return
 		}
-		name := v.String()
+		name := string(v)
 		back, err := ParseStrategy(name)
 		if err != nil {
 			t.Fatalf("%q parsed to %v but its name %q does not parse: %v", s, v, name, err)

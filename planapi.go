@@ -1,10 +1,6 @@
 package hetgrid
 
-import (
-	"fmt"
-
-	"hetgrid/internal/plan"
-)
+import "hetgrid/internal/plan"
 
 // PlanRequest is the canonical planning request of the internal/plan
 // pipeline — the one vocabulary every planning surface speaks: Balance
@@ -23,32 +19,24 @@ type CanonicalPlan = plan.Plan
 // block panel (see PlanRequest.Panel).
 type PanelSpec = plan.PanelSpec
 
-// PlanStrategy and PlanKernel are the pipeline's string-valued enums; use
-// CanonicalStrategy to convert this package's Strategy constants.
+// PlanStrategy selects how the pipeline solves the 2D load-balancing
+// problem. It is the pipeline's string enum; the empty value means
+// PlanAuto.
 type PlanStrategy = plan.Strategy
-type PlanKernel = plan.Kernel
 
-// The pipeline's strategy vocabulary, re-exported for request literals.
 const (
-	PlanAuto      PlanStrategy = plan.StrategyAuto
-	PlanHeuristic PlanStrategy = plan.StrategyHeuristic
-	PlanExact     PlanStrategy = plan.StrategyExact
+	// PlanAuto uses the rank-1 closed form when the sorted row-major
+	// arrangement is rank-1 and the polynomial heuristic otherwise (for a
+	// fixed arrangement, one rank-1 approximation step).
+	PlanAuto = plan.StrategyAuto
+	// PlanHeuristic forces the §4.4 SVD heuristic with iterative
+	// refinement.
+	PlanHeuristic = plan.StrategyHeuristic
+	// PlanExact forces the exponential exact search over all
+	// non-decreasing arrangements and spanning trees (§4.2–4.3); intended
+	// for small grids (roughly p·q ≤ 12).
+	PlanExact = plan.StrategyExact
 )
-
-// CanonicalStrategy maps a Strategy constant to the pipeline's string
-// vocabulary ("auto", "heuristic", "exact").
-func CanonicalStrategy(s Strategy) (PlanStrategy, error) { return s.canonical() }
-
-// canonicalKernel maps a Kernel constant to the pipeline's string
-// vocabulary ("matmul", "lu", "qr", "cholesky").
-func canonicalKernel(k Kernel) (PlanKernel, error) {
-	switch k {
-	case MatMul, LU, QR, Cholesky:
-		return plan.Kernel(k.String()), nil
-	default:
-		return "", fmt.Errorf("hetgrid: unknown kernel %v", k)
-	}
-}
 
 // SolvePlan runs the canonical planning pipeline on req and returns both
 // the solved Plan (ready for Panel/BestPanel/Simulate) and its canonical
