@@ -14,7 +14,7 @@ import (
 // String()/Parse*, the documented aliases resolve, parsing is
 // case-insensitive, and junk is rejected.
 func TestParseRoundTrips(t *testing.T) {
-	for _, b := range []BroadcastKind{BroadcastAuto, FlatBroadcast, RingBroadcast, PipelinedRingBroadcast, TreeBroadcast} {
+	for _, b := range []BroadcastKind{FlatBroadcast, RingBroadcast, PipelinedRingBroadcast, TreeBroadcast} {
 		got, err := ParseBroadcast(b.String())
 		if err != nil || got != b {
 			t.Fatalf("broadcast %v round-trips to (%v, %v)", b, got, err)
@@ -49,7 +49,7 @@ func TestParseRoundTrips(t *testing.T) {
 	if got, err := ParseStrategy("EXACT"); err != nil || got != PlanExact {
 		t.Fatalf("ParseStrategy(EXACT) = (%v, %v)", got, err)
 	}
-	for _, bad := range []string{"", "bogus", "flat "} {
+	for _, bad := range []string{"", "bogus", "flat ", "auto"} {
 		if _, err := ParseBroadcast(bad); err == nil {
 			t.Fatalf("ParseBroadcast(%q) accepted", bad)
 		}
@@ -77,7 +77,8 @@ func factorPacked(t *testing.T, k Kernel, d Distribution, a *Matrix) *Matrix {
 // entry point — options that do not apply to a call are ignored — and
 // scheduling options (broadcast algorithm, parallelism, solver workers)
 // never change a result: bit-identical products, factors and plans. A
-// broadcast kind outside the enum is an error.
+// broadcast kind outside the enum is an error at every entry point that
+// takes one.
 func TestOptionsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	d, err := Uniform(2, 2, 6, 6)
@@ -114,8 +115,22 @@ func TestOptionsEquivalence(t *testing.T) {
 	if !tunedLU.Packed().Equal(factorPacked(t, LU, d, lu)) {
 		t.Fatal("scheduling options changed the LU factors")
 	}
-	if _, _, err := DistributedFactor(LU, d, lu, r, WithBroadcast(BroadcastKind(99))); err == nil {
+	bad := BroadcastKind(99)
+	if _, _, err := DistributedFactor(LU, d, lu, r, WithBroadcast(bad)); err == nil {
 		t.Fatal("invalid broadcast kind accepted")
+	}
+	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Simulate(LU, d, plan, SimOptions{Broadcast: bad}); err == nil {
+		t.Fatal("Simulate accepted an invalid broadcast kind")
+	}
+	if _, _, err := TraceSimulation(LU, d, plan, SimOptions{Broadcast: bad}, 60); err == nil {
+		t.Fatal("TraceSimulation accepted an invalid broadcast kind")
+	}
+	if _, err := PredictBroadcast(bad, 4, 1024, 1e-6, 1e-9); err == nil {
+		t.Fatal("PredictBroadcast accepted an invalid broadcast kind")
 	}
 
 	times := []float64{1, 2, 3, 5}

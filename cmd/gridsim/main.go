@@ -46,7 +46,7 @@ func main() {
 		rFlag       = flag.Int("r", 8, "element block size for -real runs (matrix side = nb*r)")
 		parallel    = flag.Int("parallel", 1, "goroutines per rank for -real block updates (bit-identical for any value)")
 		numericsF   = flag.String("numerics", "strict", "floating-point contract for -real block computations: strict (bit-identical) or fast (FMA-fused, bounded error)")
-		bcastFlag   = flag.String("bcast", "auto", "broadcast algorithm: auto, flat, ring, pipeline, tree")
+		bcastFlag   = flag.String("bcast", "flat", "broadcast algorithm of simulations and -real runs alike: flat, ring, pipeline, tree")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus text metrics at /metrics and profiling at /debug/pprof on this address (e.g. :9090); gridsim keeps serving after the run until interrupted")
 
 		faultCrash   = flag.String("faultcrash", "", "crash schedule rank@step[s],... — trailing s means a silent crash (failure detector exercised)")

@@ -20,7 +20,6 @@ import (
 	"hetgrid/internal/engine"
 	enginenet "hetgrid/internal/engine/net"
 	"hetgrid/internal/matrix"
-	"hetgrid/internal/sim"
 )
 
 // netReport is the BENCH_net.json schema.
@@ -156,24 +155,16 @@ func broadcastRounds(fabs []*enginenet.Fabric, reps int, alpha, beta float64) ([
 	payload := matrix.New(floats, 1)
 	bytes := 8 * floats
 
-	kinds := []struct {
-		pub hetgrid.BroadcastKind
-		sim sim.BroadcastKind
-	}{
-		{hetgrid.FlatBroadcast, sim.StarBroadcast},
-		{hetgrid.RingBroadcast, sim.RingBroadcast},
-		{hetgrid.PipelinedRingBroadcast, sim.SegmentedRingBroadcast},
-		{hetgrid.TreeBroadcast, sim.TreeBroadcast},
-	}
+	kinds := []hetgrid.BroadcastKind{hetgrid.FlatBroadcast, hetgrid.RingBroadcast, hetgrid.PipelinedRingBroadcast, hetgrid.TreeBroadcast}
 	all := []int{0, 1, 2, 3}
 	ack := matrix.New(1, 1)
 
 	var rows []bcastRow
 	for _, k := range kinds {
-		name := k.pub.String()
+		name := k.String()
 		best := 0.0
 		body := func(c *engine.Comm) error {
-			co := engine.NewCollectivesKind(c, k.sim)
+			co := engine.NewCollectives(c, nil)
 			for rep := -1; rep < reps; rep++ {
 				tag := fmt.Sprintf("cal/bc/%s/%d", name, rep)
 				var data *matrix.Dense
@@ -202,7 +193,7 @@ func broadcastRounds(fabs []*enginenet.Fabric, reps int, alpha, beta float64) ([
 			go func(i int, fab *enginenet.Fabric) {
 				defer wg.Done()
 				_, errs[i] = engine.RunOpts(netWorld, engine.Options{
-					Broadcast:  k.sim,
+					Broadcast:  k,
 					Transport:  fab,
 					LocalRanks: fab.LocalRanks(),
 				}, body)
@@ -214,7 +205,7 @@ func broadcastRounds(fabs []*enginenet.Fabric, reps int, alpha, beta float64) ([
 				return nil, fmt.Errorf("%s broadcast round, process %d: %w", name, i, err)
 			}
 		}
-		pred, err := hetgrid.PredictBroadcast(k.pub, netWorld, bytes, alpha, beta)
+		pred, err := hetgrid.PredictBroadcast(k, netWorld, bytes, alpha, beta)
 		if err != nil {
 			return nil, err
 		}

@@ -15,62 +15,25 @@ import (
 // BroadcastKind selects the collective algorithm used for the row/column
 // panel broadcasts — by the real distributed engine and by the simulator
 // alike, so a simulated schedule and a real execution can be compared on
-// the identical communication pattern.
-type BroadcastKind int
+// the identical communication pattern. It is the simulator's own enum; the
+// zero value is FlatBroadcast in every context, and String renders the
+// names ParseBroadcast accepts.
+type BroadcastKind = sim.BroadcastKind
 
 const (
-	// BroadcastAuto picks the context's default: the ring broadcast the
-	// simulator has always used for simulations, the flat broadcast for
-	// real executions.
-	BroadcastAuto BroadcastKind = iota
 	// FlatBroadcast sends from the source to each receiver directly (star).
 	// Its message count equals the closed-form communication volumes of
 	// internal/distribution.
-	FlatBroadcast
+	FlatBroadcast = sim.FlatBroadcast
 	// RingBroadcast forwards along a chain of receivers.
-	RingBroadcast
+	RingBroadcast = sim.RingBroadcast
 	// PipelinedRingBroadcast splits the payload into segments pipelined
 	// along the ring, overlapping the hops.
-	PipelinedRingBroadcast
+	PipelinedRingBroadcast = sim.PipelinedRingBroadcast
 	// TreeBroadcast uses a binomial tree: everyone who has the data
 	// forwards it each round.
-	TreeBroadcast
+	TreeBroadcast = sim.TreeBroadcast
 )
-
-func (b BroadcastKind) String() string {
-	switch b {
-	case BroadcastAuto:
-		return "auto"
-	case FlatBroadcast:
-		return "flat"
-	case RingBroadcast:
-		return "ring"
-	case PipelinedRingBroadcast:
-		return "pipeline"
-	case TreeBroadcast:
-		return "tree"
-	default:
-		return fmt.Sprintf("broadcast(%d)", int(b))
-	}
-}
-
-// kind maps to the simulator's enum, with def filling BroadcastAuto.
-func (b BroadcastKind) kind(def sim.BroadcastKind) (sim.BroadcastKind, error) {
-	switch b {
-	case BroadcastAuto:
-		return def, nil
-	case FlatBroadcast:
-		return sim.StarBroadcast, nil
-	case RingBroadcast:
-		return sim.RingBroadcast, nil
-	case PipelinedRingBroadcast:
-		return sim.SegmentedRingBroadcast, nil
-	case TreeBroadcast:
-		return sim.TreeBroadcast, nil
-	default:
-		return 0, fmt.Errorf("hetgrid: unknown broadcast kind %d", int(b))
-	}
-}
 
 // execOptions configures a real distributed execution.
 //
@@ -78,8 +41,8 @@ func (b BroadcastKind) kind(def sim.BroadcastKind) (sim.BroadcastKind, error) {
 // WithSpans, WithParallelism, WithFaults, …), each of which sets one field
 // of this struct.
 type execOptions struct {
-	// Broadcast selects the collective algorithm; BroadcastAuto is the flat
-	// broadcast, whose message counts match the analytic volumes.
+	// Broadcast selects the collective algorithm; the zero value is the
+	// flat broadcast, whose message counts match the analytic volumes.
 	Broadcast BroadcastKind
 	// Parallelism is the number of goroutines each rank may use for its own
 	// block computations (intra-rank parallelism on multicore nodes). Work is
@@ -181,14 +144,13 @@ type ExecStats struct {
 func runDistributed(d Distribution, kern Kernel, blockSize int, inputs []*Matrix,
 	opts execOptions) (*Matrix, [][]float64, *ExecStats, error) {
 
-	bk, err := opts.Broadcast.kind(sim.StarBroadcast)
-	if err != nil {
-		return nil, nil, nil, err
+	if err := opts.Broadcast.Validate(); err != nil {
+		return nil, nil, nil, fmt.Errorf("hetgrid: %w", err)
 	}
 	p, q := d.Dims()
 	s := run.State{Kernel: kern, Dist: d}
 	ropts := run.Options{Engine: engine.Options{
-		Broadcast:   bk,
+		Broadcast:   opts.Broadcast,
 		Record:      opts.Spans || opts.Metrics != nil || opts.Drift != nil,
 		Parallelism: opts.Parallelism,
 		Numerics:    opts.Numerics,

@@ -2,42 +2,48 @@ package hetgrid
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hetgrid/internal/matrix"
 )
 
+// TestSimulateBroadcastSelection: the zero SimOptions simulates the flat
+// broadcast, the default of real executions too, and the kind changes the
+// schedule. On a 2×3 grid a row broadcast reaches two receivers, so the
+// flat and the ring schedules differ.
 func TestSimulateBroadcastSelection(t *testing.T) {
-	plan, err := Balance([]float64{1, 2, 3, 5}, 2, 2, PlanAuto)
+	plan, err := Balance([]float64{1, 2, 3, 5, 7, 11}, 2, 3, PlanAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Uniform(2, 2, 8, 8)
+	d, err := Uniform(2, 3, 12, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Simulate(LU, d, plan, SimOptions{Latency: 1e-4, ByteTime: 1e-8, BlockBytes: 8 * 32 * 32})
-	if err != nil {
-		t.Fatal(err)
+	simulate := func(k Kernel, opts SimOptions) *SimResult {
+		t.Helper()
+		opts.Latency, opts.ByteTime, opts.BlockBytes = 1e-4, 1e-8, 8*32*32
+		res, err := Simulate(k, d, plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	ring, err := Simulate(LU, d, plan, SimOptions{Latency: 1e-4, ByteTime: 1e-8, BlockBytes: 8 * 32 * 32, Broadcast: RingBroadcast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// BroadcastAuto preserves the simulator's historical default, the ring
-	// broadcast.
-	if auto.Makespan != ring.Makespan {
-		t.Fatalf("auto makespan %v differs from ring %v", auto.Makespan, ring.Makespan)
-	}
-	// On a 2×2 grid star, ring and tree schedules coincide (every broadcast
-	// has at most one forwarding hop), but segment pipelining still changes
-	// the message structure and therefore the makespan.
-	pipe, err := Simulate(LU, d, plan, SimOptions{Latency: 1e-4, ByteTime: 1e-8, BlockBytes: 8 * 32 * 32, Broadcast: PipelinedRingBroadcast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pipe.Makespan == ring.Makespan {
-		t.Fatal("broadcast kind had no effect on the simulated schedule")
+	for _, k := range []Kernel{LU, Cholesky} {
+		def := simulate(k, SimOptions{})
+		flat := simulate(k, SimOptions{Broadcast: FlatBroadcast})
+		ring := simulate(k, SimOptions{Broadcast: RingBroadcast})
+		pipe := simulate(k, SimOptions{Broadcast: PipelinedRingBroadcast})
+		if !reflect.DeepEqual(def, flat) {
+			t.Fatalf("%v: default result (makespan %v) differs from flat (%v)", k, def.Makespan, flat.Makespan)
+		}
+		if def.Makespan == ring.Makespan {
+			t.Fatalf("%v: default makespan %v equals ring's: the case cannot tell the defaults apart", k, def.Makespan)
+		}
+		if pipe.Makespan == ring.Makespan {
+			t.Fatalf("%v: pipelining had no effect on the simulated schedule", k)
+		}
 	}
 }
 

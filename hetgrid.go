@@ -238,8 +238,8 @@ type SimOptions struct {
 	// search reduction plus worst-case row exchange per step).
 	Pivoting bool
 	// Broadcast selects the collective algorithm the simulated kernels
-	// schedule; BroadcastAuto keeps the simulator's historical default, the
-	// ring broadcast. The same enum drives real executions through
+	// schedule; the zero value is the flat broadcast, as in real
+	// executions. The same enum drives real executions through
 	// WithBroadcast, so both substrates can run the identical schedule.
 	Broadcast BroadcastKind
 }
@@ -255,13 +255,12 @@ func (o SimOptions) net() sim.Config {
 // simulate is the one place a SimOptions becomes a simulator run: Simulate
 // and TraceSimulation differ only in the trace flag.
 func simulate(k Kernel, d Distribution, plan *Plan, opts SimOptions, trace bool) (*SimResult, error) {
-	bk, err := opts.Broadcast.kind(sim.RingBroadcast)
-	if err != nil {
-		return nil, err
+	if err := opts.Broadcast.Validate(); err != nil {
+		return nil, fmt.Errorf("hetgrid: %w", err)
 	}
 	kopts := kernels.Options{
 		Net:         opts.net(),
-		Broadcast:   bk,
+		Broadcast:   opts.Broadcast,
 		BlockBytes:  opts.BlockBytes,
 		SyncSteps:   opts.SyncSteps,
 		Pivoting:    opts.Pivoting,

@@ -10,10 +10,12 @@ import (
 )
 
 // Collectives is the middle layer of the engine: broadcasts of the step
-// schedule's panel messages, realized with the same algorithms the
-// simulator models (sim.BroadcastKind), so a real run and a simulated run
-// of the same kernel select the identical communication schedule. Every rank computes each collective's schedule independently
-// from the shared (root, receivers) inputs, which keeps the SPMD bodies
+// schedule's panel messages, realized with the algorithms the simulator
+// models (sim.BroadcastKind), so a real run and a simulated run of the same
+// kernel select the identical communication schedule.
+//
+// Every rank computes each collective's schedule independently from the
+// shared (root, receivers) inputs, which keeps the SPMD bodies
 // deadlock-free: sends never block, and every Recv has a matching Send
 // issued by a rank that is not waiting on this rank.
 type Collectives struct {
@@ -26,21 +28,15 @@ type Collectives struct {
 // sets come from the step schedule (distribution.Layout) the kernels build
 // — and stays for the benchmark, which calls it.
 func NewCollectives(c *Comm, _ distribution.Distribution) *Collectives {
-	return NewCollectivesKind(c, c.Broadcast())
-}
-
-// NewCollectivesKind binds a rank's endpoint with an explicit broadcast
-// algorithm.
-func NewCollectivesKind(c *Comm, kind sim.BroadcastKind) *Collectives {
-	return &Collectives{c: c, kind: kind}
+	return &Collectives{c: c, kind: c.world.opts.Broadcast}
 }
 
 // Bcast delivers data from root to every receiver under the collective's
 // algorithm and returns the payload at each participant (root included).
 // Every rank in {root} ∪ receivers must call it with identical arguments;
 // rows is the payload's row count, which receivers need up front to drive
-// the segmented-ring pipeline. Ranks outside the participant set must not
-// call. It is the root's send half and the receivers' receive half.
+// the pipelined ring. Ranks outside the participant set must not call. It
+// is the root's send half and the receivers' receive half.
 //
 // The message pattern is sim.BroadcastEdges, the one the simulator prices:
 // a rank receives on its in-edge and forwards along its out-edges, which
@@ -54,14 +50,14 @@ func (co *Collectives) Bcast(tag string, root int, receivers []int, data *matrix
 }
 
 // bcastSend is Bcast's send half, run by the root: data leaves along the
-// root's out-edges. The segmented ring pipelines the payload along the chain
-// in row segments: while a node forwards segment s, its predecessor already
+// root's out-edges. The pipelined ring sends the payload along the chain in
+// row segments: while a node forwards segment s, its predecessor already
 // sends it segment s+1 (goroutines provide the overlap the simulator
 // models). At most sim.BroadcastSegments segments, and never more than the
 // payload has rows.
 func (co *Collectives) bcastSend(tag string, root int, receivers []int, data *matrix.Dense, rows int) {
 	edges := sim.BroadcastEdges(co.kind, root, receivers)
-	if co.kind != sim.SegmentedRingBroadcast {
+	if co.kind != sim.PipelinedRingBroadcast {
 		co.forward(root, edges, tag, data)
 		return
 	}
@@ -74,7 +70,7 @@ func (co *Collectives) bcastSend(tag string, root int, receivers []int, data *ma
 
 // bcastRecv is Bcast's receive half, run by every receiver: the payload
 // arrives on the rank's in-edge and is forwarded along its out-edges,
-// segment by segment for the segmented ring.
+// segment by segment for the pipelined ring.
 func (co *Collectives) bcastRecv(tag string, root int, receivers []int, rows int) *matrix.Dense {
 	me := co.c.Rank()
 	edges := sim.BroadcastEdges(co.kind, root, receivers)
@@ -83,7 +79,7 @@ func (co *Collectives) bcastRecv(tag string, root int, receivers []int, rows int
 		panic(fmt.Sprintf("engine: rank %d called Bcast %q without being a participant", me, tag))
 	}
 	from, edges := edges[in].From, edges[in+1:]
-	if co.kind != sim.SegmentedRingBroadcast {
+	if co.kind != sim.PipelinedRingBroadcast {
 		data := co.c.Recv(from, tag)
 		co.forward(me, edges, tag, data)
 		return data
@@ -106,7 +102,7 @@ func (co *Collectives) forward(from int, edges []sim.Edge, tag string, m *matrix
 	}
 }
 
-// segments is the segmented ring's segment count for a payload of rows rows.
+// segments is the pipelined ring's segment count for a payload of rows rows.
 func segments(rows int) int { return max(1, min(rows, sim.BroadcastSegments)) }
 
 // stackRows concatenates matrices vertically.

@@ -20,9 +20,9 @@ var allBroadcastKinds = []struct {
 	name string
 	kind sim.BroadcastKind
 }{
-	{"flat", sim.StarBroadcast},
+	{"flat", sim.FlatBroadcast},
 	{"ring", sim.RingBroadcast},
-	{"segring", sim.SegmentedRingBroadcast},
+	{"segring", sim.PipelinedRingBroadcast},
 	{"tree", sim.TreeBroadcast},
 }
 
@@ -61,7 +61,7 @@ func TestBcastDeliversEveryKind(t *testing.T) {
 		// the segmented ring splits the 4-row payload into 4 segments per
 		// link.
 		want := len(receivers)
-		if bk.kind == sim.SegmentedRingBroadcast {
+		if bk.kind == sim.PipelinedRingBroadcast {
 			want *= 4
 		}
 		if w.Messages() != want {

@@ -41,8 +41,8 @@ import (
 // Options configures one Run.
 type Options struct {
 	// Broadcast selects the collective algorithm used by the kernels —
-	// the same variants the simulator models (star/flat, ring, segmented
-	// ring, binomial tree). The zero value is the flat broadcast.
+	// the same variants the simulator models (flat, ring, pipelined ring,
+	// binomial tree). The zero value is the flat broadcast.
 	Broadcast sim.BroadcastKind
 	// Record enables the span timeline (per-message enqueue → delivery
 	// spans, per-Recv wait spans, kernel steps with their labeled compute
@@ -235,9 +235,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // N returns the number of ranks.
 func (c *Comm) N() int { return c.world.n }
-
-// Broadcast returns the collective algorithm this world runs under.
-func (c *Comm) Broadcast() sim.BroadcastKind { return c.world.opts.Broadcast }
 
 // Parallelism returns the intra-rank worker count (at least 1).
 func (c *Comm) Parallelism() int {

@@ -80,8 +80,8 @@ func goldenSimRowsAt(t *testing.T, nb int, prefix string) []goldenSimRow {
 		name string
 		kind sim.BroadcastKind
 	}{
-		{"star", sim.StarBroadcast}, {"ring", sim.RingBroadcast},
-		{"segring", sim.SegmentedRingBroadcast}, {"tree", sim.TreeBroadcast},
+		{"star", sim.FlatBroadcast}, {"ring", sim.RingBroadcast},
+		{"segring", sim.PipelinedRingBroadcast}, {"tree", sim.TreeBroadcast},
 	}
 	var rows []goldenSimRow
 	for _, g := range grids {

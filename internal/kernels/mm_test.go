@@ -134,7 +134,7 @@ func TestSimulateMMBroadcastKindsZeroComm(t *testing.T) {
 	arr := hetArr()
 	d := panelDist(t, arr, 12)
 	var base float64
-	for i, kind := range []sim.BroadcastKind{sim.StarBroadcast, sim.RingBroadcast, sim.TreeBroadcast} {
+	for i, kind := range []sim.BroadcastKind{sim.FlatBroadcast, sim.RingBroadcast, sim.TreeBroadcast} {
 		res, err := SimulateMM(d, arr, Options{Broadcast: kind})
 		if err != nil {
 			t.Fatal(err)

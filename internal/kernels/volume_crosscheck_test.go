@@ -50,7 +50,7 @@ func testVolumeMatchesSimulator(t *testing.T, nb int, blockBytes float64,
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, kind := range []sim.BroadcastKind{sim.StarBroadcast, sim.RingBroadcast, sim.TreeBroadcast} {
+			for _, kind := range []sim.BroadcastKind{sim.FlatBroadcast, sim.RingBroadcast, sim.TreeBroadcast} {
 				res, err := simulate(d, g.arr, Options{
 					Net:        sim.Config{Latency: 1e-3, ByteTime: 1e-7},
 					Broadcast:  kind,

@@ -35,7 +35,7 @@ func TestFullDuplexSegmentedRingClassicFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr := make([]float64, 3)
-	c.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2}, 8, 0, arr)
+	c.Broadcast(PipelinedRingBroadcast, 0, []int{1, 2}, 8, 0, arr)
 	// 2 hops, 8 segments of 1 byte: (2 + 8 − 1) × 1 = 9.
 	last := 0.0
 	for _, a := range arr {

@@ -32,7 +32,7 @@ func TestSegmentedRingSmallCase(t *testing.T) {
 	// 3-node chain, zero latency, byteTime 1, 8 bytes in 8 segments: the
 	// middle node's single sequential NIC handles 16 unit transfers, so
 	// completion is at 16 — exactly the plain ring's 2×8.
-	arr := chainArrivals(t, SegmentedRingBroadcast, 3, 8, 0, 1)
+	arr := chainArrivals(t, PipelinedRingBroadcast, 3, 8, 0, 1)
 	if got := lastArrival(arr); got != 16 {
 		t.Fatalf("segmented 3-node completion %v, want 16", got)
 	}
@@ -43,7 +43,7 @@ func TestSegmentedRingBeatsPlainRingOnLongChains(t *testing.T) {
 	// overlaps hops; plain ring pays the full message per hop.
 	const bytes = 1 << 16
 	plain := lastArrival(chainArrivals(t, RingBroadcast, 9, bytes, 1e-6, 1e-6))
-	seg := lastArrival(chainArrivals(t, SegmentedRingBroadcast, 9, bytes, 1e-6, 1e-6))
+	seg := lastArrival(chainArrivals(t, PipelinedRingBroadcast, 9, bytes, 1e-6, 1e-6))
 	if seg >= plain {
 		t.Fatalf("segmented %v not faster than plain ring %v", seg, plain)
 	}
@@ -57,14 +57,14 @@ func TestSegmentedRingLatencyPenaltyOnSingleHop(t *testing.T) {
 	// One hop: segmenting pays the per-message latency S times with no
 	// pipelining to win back.
 	plain := lastArrival(chainArrivals(t, RingBroadcast, 2, 1024, 1, 1e-6))
-	seg := lastArrival(chainArrivals(t, SegmentedRingBroadcast, 2, 1024, 1, 1e-6))
+	seg := lastArrival(chainArrivals(t, PipelinedRingBroadcast, 2, 1024, 1, 1e-6))
 	if seg <= plain {
 		t.Fatalf("segmented single hop %v should be slower than plain %v", seg, plain)
 	}
 }
 
 func TestSegmentedRingDeliversEveryone(t *testing.T) {
-	arr := chainArrivals(t, SegmentedRingBroadcast, 5, 4096, 1e-4, 1e-7)
+	arr := chainArrivals(t, PipelinedRingBroadcast, 5, 4096, 1e-4, 1e-7)
 	if len(arr) != 5 {
 		t.Fatalf("%d arrivals, want 5", len(arr))
 	}
@@ -81,7 +81,7 @@ func TestSegmentedRingDeliversEveryone(t *testing.T) {
 
 func TestSegmentedRingConservesBytes(t *testing.T) {
 	c, _ := NewCluster(4, Config{ByteTime: 1e-6})
-	c.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2, 3}, 800, 0, make([]float64, 4))
+	c.Broadcast(PipelinedRingBroadcast, 0, []int{1, 2, 3}, 800, 0, make([]float64, 4))
 	s := c.Snapshot()
 	// 3 hops × 800 bytes regardless of segmentation.
 	if math.Abs(s.Bytes-2400) > 1e-9 {
@@ -97,9 +97,9 @@ func TestSimulateMMWithSegmentedRing(t *testing.T) {
 	cfg := Config{Latency: 1e-4, ByteTime: 1e-7}
 	c1, _ := NewCluster(4, cfg)
 	a1, a2 := make([]float64, 4), make([]float64, 4)
-	c1.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2, 3}, 4096, 0, a1)
+	c1.Broadcast(PipelinedRingBroadcast, 0, []int{1, 2, 3}, 4096, 0, a1)
 	c2, _ := NewCluster(4, cfg)
-	c2.Broadcast(SegmentedRingBroadcast, 0, []int{1, 2, 3}, 4096, 0, a2)
+	c2.Broadcast(PipelinedRingBroadcast, 0, []int{1, 2, 3}, 4096, 0, a2)
 	for n := range a1 {
 		if a1[n] != a2[n] {
 			t.Fatal("segmented ring not deterministic")

@@ -233,33 +233,62 @@ func (c *Cluster) checkNode(node int) {
 	}
 }
 
-// BroadcastKind selects how one-to-many transfers are realized.
+// BroadcastKind selects how one-to-many transfers are realized — by the
+// simulator and by the distributed engine alike, so a simulated schedule
+// and a real execution run the identical communication pattern. The zero
+// value is the flat broadcast in every context.
 type BroadcastKind int
 
 const (
-	// StarBroadcast sends from the root to every receiver one after the
+	// FlatBroadcast sends from the root to every receiver one after the
 	// other through the root's (sequential) NIC — the basic model matching
-	// "the communications performed by one processor are sequential".
-	StarBroadcast BroadcastKind = iota
+	// "the communications performed by one processor are sequential". Its
+	// message count equals the closed-form communication volumes of
+	// internal/distribution.
+	FlatBroadcast BroadcastKind = iota
 	// RingBroadcast forwards the message along the receiver list:
-	// root → recv[0] → recv[1] → …, the pipelined ring of the ScaLAPACK
-	// row/column broadcasts.
+	// root → recv[0] → recv[1] → …, the ring of the ScaLAPACK row/column
+	// broadcasts.
 	RingBroadcast
 	// TreeBroadcast uses a binomial tree over {root} ∪ receivers: informed
 	// nodes keep re-sending to uninformed ones, halving the rounds (the
 	// "minimum spanning tree topology" of the paper's LU description).
 	TreeBroadcast
-	// SegmentedRingBroadcast splits the message into segments pipelined
+	// PipelinedRingBroadcast splits the message into segments pipelined
 	// along the ring: while a node forwards segment s, its predecessor
 	// already sends it segment s+1. For long chains and large messages the
 	// completion time approaches one message time plus one segment per hop
 	// instead of one full message per hop — the pipelined ring the paper's
 	// §3.1.1 relies on ("broadcasts are performed as independent ring
 	// broadcasts, hence they can be pipelined").
-	SegmentedRingBroadcast
+	PipelinedRingBroadcast
 )
 
-// BroadcastSegments is the segment count used by SegmentedRingBroadcast.
+// broadcastNames are the kinds' names, indexed by kind.
+var broadcastNames = [...]string{
+	FlatBroadcast:          "flat",
+	RingBroadcast:          "ring",
+	TreeBroadcast:          "tree",
+	PipelinedRingBroadcast: "pipeline",
+}
+
+// String returns the kind's name: flat, ring, tree or pipeline.
+func (k BroadcastKind) String() string {
+	if k.Validate() != nil {
+		return fmt.Sprintf("broadcast(%d)", int(k))
+	}
+	return broadcastNames[k]
+}
+
+// Validate reports whether k is one of the four broadcast kinds.
+func (k BroadcastKind) Validate() error {
+	if k < 0 || int(k) >= len(broadcastNames) {
+		return fmt.Errorf("unknown broadcast kind %d", int(k))
+	}
+	return nil
+}
+
+// BroadcastSegments is the segment count used by PipelinedRingBroadcast.
 // ScaLAPACK tunes this to the platform; 8 is a reasonable default for the
 // virtual fabric.
 const BroadcastSegments = 8
@@ -271,7 +300,7 @@ type Edge struct{ From, To int }
 // one edge per distinct receiver other than the root (repeats dropped,
 // first-appearance order kept), in delivery order — every From is the root
 // or the To of an earlier edge. It is the one derivation the simulator
-// prices and the engine executes. The segmented ring's edges are its
+// prices and the engine executes. The pipelined ring's edges are its
 // chain, which every segment travels in turn.
 func BroadcastEdges(kind BroadcastKind, root int, receivers []int) []Edge {
 	return appendBroadcastEdges(make([]Edge, 0, len(receivers)), kind, root, receivers)
@@ -279,8 +308,8 @@ func BroadcastEdges(kind BroadcastKind, root int, receivers []int) []Edge {
 
 // appendBroadcastEdges is BroadcastEdges into the empty slice edges.
 func appendBroadcastEdges(edges []Edge, kind BroadcastKind, root int, receivers []int) []Edge {
-	if kind < StarBroadcast || kind > SegmentedRingBroadcast {
-		panic(fmt.Sprintf("sim: unknown broadcast kind %d", kind))
+	if err := kind.Validate(); err != nil {
+		panic("sim: " + err.Error())
 	}
 next:
 	for _, r := range receivers {
@@ -297,7 +326,7 @@ next:
 		j := len(edges)
 		from := root
 		switch kind {
-		case RingBroadcast, SegmentedRingBroadcast:
+		case RingBroadcast, PipelinedRingBroadcast:
 			if j > 0 {
 				from = edges[j-1].To
 			}
@@ -319,14 +348,14 @@ next:
 // every node that is not a receiver read ready. The schedule respects NIC
 // serialization, so overlapping broadcasts contend realistically: the
 // per-node serialization in Send keeps the tree's rounds honest and
-// provides the segmented ring's pipeline hazards.
+// provides the pipelined ring's pipeline hazards.
 func (c *Cluster) Broadcast(kind BroadcastKind, root int, receivers []int, bytes, ready float64, arrival []float64) {
 	c.edges = appendBroadcastEdges(c.edges[:0], kind, root, receivers)
 	for n := range arrival {
 		arrival[n] = ready
 	}
 	passes := 1
-	if kind == SegmentedRingBroadcast {
+	if kind == PipelinedRingBroadcast {
 		passes, bytes = BroadcastSegments, bytes/BroadcastSegments
 	}
 	for s := 0; s < passes; s++ {

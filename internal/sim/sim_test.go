@@ -136,7 +136,7 @@ func TestStarBroadcast(t *testing.T) {
 	cfg := Config{Latency: 1}
 	c, _ := NewCluster(4, cfg)
 	arr := make([]float64, 4)
-	c.Broadcast(StarBroadcast, 0, []int{1, 2, 3}, 0, 0, arr)
+	c.Broadcast(FlatBroadcast, 0, []int{1, 2, 3}, 0, 0, arr)
 	// Root NIC serializes: arrivals 1, 2, 3.
 	if arr[1] != 1 || arr[2] != 2 || arr[3] != 3 {
 		t.Fatalf("star arrivals %v", arr)
@@ -177,7 +177,7 @@ func TestBroadcastDeduplicatesAndSkipsRoot(t *testing.T) {
 	c, _ := NewCluster(5, cfg)
 	// Stale values in every slot: each one must be overwritten.
 	arr := []float64{-1, -1, -1, -1, -1}
-	c.Broadcast(StarBroadcast, 0, []int{1, 1, 0, 2}, 0, 5, arr)
+	c.Broadcast(FlatBroadcast, 0, []int{1, 1, 0, 2}, 0, 5, arr)
 	if arr[1] != 6 || arr[2] != 7 {
 		t.Fatalf("arrivals %v", arr)
 	}
@@ -202,9 +202,9 @@ func TestBroadcastEdges(t *testing.T) {
 		kind BroadcastKind
 		want []Edge
 	}{
-		{StarBroadcast, []Edge{{7, 5}, {7, 1}, {7, 3}, {7, 4}, {7, 2}, {7, 6}}},
+		{FlatBroadcast, []Edge{{7, 5}, {7, 1}, {7, 3}, {7, 4}, {7, 2}, {7, 6}}},
 		{RingBroadcast, chain},
-		{SegmentedRingBroadcast, chain},
+		{PipelinedRingBroadcast, chain},
 		{TreeBroadcast, []Edge{{7, 5}, {7, 1}, {5, 3}, {7, 4}, {5, 2}, {1, 6}}},
 	} {
 		if got := BroadcastEdges(tc.kind, 7, recv); !reflect.DeepEqual(got, tc.want) {

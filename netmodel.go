@@ -86,9 +86,8 @@ func PredictBroadcast(kind BroadcastKind, p, bytes int, alpha, beta float64) (fl
 	if alpha < 0 || beta < 0 {
 		return 0, fmt.Errorf("hetgrid: negative cost parameters α=%v β=%v", alpha, beta)
 	}
-	k, err := kind.kind(sim.StarBroadcast)
-	if err != nil {
-		return 0, err
+	if err := kind.Validate(); err != nil {
+		return 0, fmt.Errorf("hetgrid: %w", err)
 	}
 	cl, err := sim.NewCluster(p, sim.Config{Latency: alpha, ByteTime: beta})
 	if err != nil {
@@ -99,6 +98,6 @@ func PredictBroadcast(kind BroadcastKind, p, bytes int, alpha, beta float64) (fl
 		receivers[i] = i
 	}
 	arrivals := make([]float64, p)
-	cl.Broadcast(k, 0, receivers, float64(bytes), 0, arrivals)
+	cl.Broadcast(kind, 0, receivers, float64(bytes), 0, arrivals)
 	return slices.Max(arrivals), nil
 }

@@ -25,7 +25,8 @@ func applyOptions(opts []Option) callOptions {
 }
 
 // WithBroadcast selects the collective algorithm of a distributed
-// execution (flat/star, ring, pipelined ring, binomial tree).
+// execution (flat, ring, pipelined ring, binomial tree); without it the
+// execution runs the flat broadcast, as SimOptions{} does.
 func WithBroadcast(b BroadcastKind) Option {
 	return func(co *callOptions) { co.exec.Broadcast = b }
 }

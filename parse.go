@@ -10,24 +10,24 @@ import (
 // ParseStrategy(string(s)) == s for every PlanStrategy. The CLI tools
 // build their flag handling on these.
 
-// ParseBroadcast maps a broadcast-algorithm name to its constant.
-// Accepted: auto, flat (or star), ring, pipeline (or segring), tree.
+// ParseBroadcast maps a broadcast-algorithm name to its constant,
+// case-insensitively. Accepted: the kinds' names flat, ring, pipeline and
+// tree, and the aliases star and segring.
 func ParseBroadcast(s string) (BroadcastKind, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return BroadcastAuto, nil
-	case "flat", "star":
-		return FlatBroadcast, nil
-	case "ring":
-		return RingBroadcast, nil
-	case "pipeline", "segring":
-		return PipelinedRingBroadcast, nil
-	case "tree":
-		return TreeBroadcast, nil
-	default:
-		return 0, fmt.Errorf("hetgrid: unknown broadcast %q (want auto, flat, ring, pipeline or tree)", s)
+	name := strings.ToLower(s)
+	for k := FlatBroadcast; k.Validate() == nil; k++ {
+		if name == k.String() {
+			return k, nil
+		}
 	}
+	if k, ok := broadcastAliases[name]; ok {
+		return k, nil
+	}
+	return 0, fmt.Errorf("hetgrid: unknown broadcast %q (want flat, ring, pipeline or tree)", s)
 }
+
+// broadcastAliases are the other names ParseBroadcast accepts.
+var broadcastAliases = map[string]BroadcastKind{"star": FlatBroadcast, "segring": PipelinedRingBroadcast}
 
 // ParseKernel maps a kernel name to its constant, case-insensitively.
 // Accepted: matmul (or mm), lu, qr, cholesky (or chol).
