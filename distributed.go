@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"hetgrid/internal/distribution"
 	"hetgrid/internal/engine"
 	"hetgrid/internal/matrix"
 	"hetgrid/internal/obs"
@@ -245,21 +244,4 @@ func execStats(w *engine.World, opts execOptions) *ExecStats {
 func DistributedMultiply(d Distribution, a, b *Matrix, blockSize int, opts ...Option) (*Matrix, *ExecStats, error) {
 	out, _, stats, err := runDistributed(d, MatMul, blockSize, []*Matrix{a, b}, applyOptions(opts).exec)
 	return out, stats, err
-}
-
-// qrOpCounts attributes QR block operations to owners exactly like
-// kernels.ReplayQRNumerics: panel blocks and trailing blocks of step k charge
-// their owner once each.
-func qrOpCounts(d Distribution) ([]int, error) {
-	lay, err := distribution.NewLayout(d)
-	if err != nil {
-		return nil, err
-	}
-	ops := make([]int, lay.Ranks)
-	for k := 0; k < lay.NB; k++ {
-		for n, blocks := range lay.Blocks(distribution.Trailing, k) {
-			ops[n] += len(blocks)
-		}
-	}
-	return ops, nil
 }

@@ -14,33 +14,44 @@ import (
 	"testing"
 )
 
-// docPath matches a command or example directory as the documents name
-// it: `./cmd/gridsim`, `examples/distributed`, or a brace list such as
-// `cmd/{hetgrid,gridsim}`. A path that continues into a file
-// (`examples/smoke_test.go`) is not a directory name and does not match.
-var docPath = regexp.MustCompile(`(?:\./)?\b((?:cmd|examples)/(?:\{[\w,-]+\}|[\w-]+))(?:[^\w./-]|\.(?:\W|$)|$)`)
+// docPath matches a command, example or internal package directory as the
+// documents name it: `./cmd/gridsim`, `examples/distributed`,
+// `internal/engine/net`, or a brace list such as `cmd/{hetgrid,gridsim}`.
+// A path that continues into a file (`examples/smoke_test.go`) is not a
+// directory name and does not match. A dated record citing a removed
+// directory appends the marker " (deleted in PR N)" to the backticked
+// path; group 2 is the marker.
+var docPath = regexp.MustCompile(`(?:\./)?\b((?:cmd|examples|internal)(?:/[\w-]+)*/(?:\{[\w,-]+\}|[\w-]+))` +
+	"(?:`( \\(deleted in PR \\d+\\))|[^\\w./-]|\\.(?:\\W|$)|$)")
 
-// TestDocumentedDirectoriesExist: every ./cmd/<dir> and ./examples/<dir>
-// that README.md and DESIGN.md name is a directory of the module, so a
-// removed command or example cannot leave a dangling `go run` line.
+// TestDocumentedDirectoriesExist: every ./cmd/<dir>, ./examples/<dir> and
+// internal/<dir> that README.md, DESIGN.md and EXPERIMENTS.md name is a
+// directory of the module, so a removed command, example or package cannot
+// leave a dangling `go run` or `go test` line. A directory marked deleted
+// must be gone.
 func TestDocumentedDirectoriesExist(t *testing.T) {
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		blob, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		named := 0
 		for _, m := range docPath.FindAllStringSubmatch(string(blob), -1) {
-			parent, name, _ := strings.Cut(m[1], "/")
+			cut := strings.LastIndex(m[1], "/")
+			parent, name, deleted := m[1][:cut], m[1][cut+1:], m[2] != ""
 			for _, dir := range strings.Split(strings.Trim(name, "{}"), ",") {
 				named++
-				if st, err := os.Stat(parent + "/" + dir); err != nil || !st.IsDir() {
+				st, err := os.Stat(parent + "/" + dir)
+				switch exists := err == nil && st.IsDir(); {
+				case deleted && exists:
+					t.Errorf("%s marks %s/%s deleted, and it is still a directory of the module", doc, parent, dir)
+				case !deleted && !exists:
 					t.Errorf("%s names %s/%s, which is not a directory of the module", doc, parent, dir)
 				}
 			}
 		}
 		if named == 0 {
-			t.Errorf("%s names no cmd/ or examples/ directory; the pattern no longer reads it", doc)
+			t.Errorf("%s names no cmd/, examples/ or internal/ directory; the pattern no longer reads it", doc)
 		}
 	}
 }

@@ -48,9 +48,9 @@ func (tr *driftTrace) decisions(t *testing.T) []string {
 	last := 0
 	for w, delta := range tr.busy {
 		k := tr.windows[w]
-		seg := adapt.SegmentWork(lay, tr.wl, last, k)
+		work := lay.Work(tr.wl, last, k)
 		last = k
-		o, err := det.Observe(delta, seg)
+		o, err := det.Observe(delta, work)
 		if err != nil {
 			t.Fatal(err)
 		}

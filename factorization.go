@@ -3,6 +3,7 @@ package hetgrid
 import (
 	"fmt"
 
+	"hetgrid/internal/distribution"
 	"hetgrid/internal/kernels"
 )
 
@@ -15,7 +16,8 @@ import (
 type Factorization struct {
 	kernel Kernel
 	packed *Matrix
-	ops    []int
+	ops    []int             // the replay's count; nil for a distributed run
+	dist   Distribution      // the distributed run's requested distribution
 	qr     *kernels.QRReplay // non-nil only for QR
 }
 
@@ -26,14 +28,20 @@ func (f *Factorization) Kernel() Kernel { return f.kernel }
 // the lower factor for Cholesky, the packed Householder form for QR.
 func (f *Factorization) Packed() *Matrix { return f.packed }
 
-// Ops returns the per-processor block-operation counts (nil when the
-// execution path does not attribute operations, as in distributed LU and
-// Cholesky runs).
+// Ops returns the per-processor block-operation counts. Factor's are the
+// serial replay's own; a DistributedFactor result counts, per rank, the
+// blocks of the kernel's region over every step of the requested
+// distribution, derived when Ops is called. A run that recovered onto
+// survivors is still attributed under the requested distribution.
 func (f *Factorization) Ops() []int {
-	if f.ops == nil {
-		return nil
+	if f.dist == nil {
+		return append([]int(nil), f.ops...)
 	}
-	return append([]int(nil), f.ops...)
+	lay, err := distribution.NewLayout(f.dist)
+	if err != nil {
+		return nil // the run validated d; only a later edit by the caller fails here
+	}
+	return lay.Work(f.kernel.Region(), 0, lay.NB)
 }
 
 // require panics unless the factorization came from kernel k.
@@ -112,15 +120,9 @@ func DistributedFactor(k Kernel, d Distribution, a *Matrix, blockSize int, opts 
 	if err != nil {
 		return nil, nil, err
 	}
-	f := &Factorization{kernel: k, packed: packed}
+	f := &Factorization{kernel: k, packed: packed, dist: d}
 	if k == QR {
-		if f.ops, err = qrOpCounts(d); err != nil {
-			return nil, nil, err
-		}
-		f.qr = &kernels.QRReplay{
-			Replay: kernels.Replay{C: packed, Ops: f.ops},
-			Taus:   taus,
-		}
+		f.qr = &kernels.QRReplay{Replay: kernels.Replay{C: packed}, Taus: taus}
 	}
 	return f, stats, nil
 }

@@ -111,11 +111,11 @@ type FaultStats = run.FaultStats
 // path uses it internally; it is exported so applications driving their
 // own worlds can recover the same way.
 func PlanSurvivors(times []float64, nbr, nbc int, k Kernel) (Distribution, *GridChoice, error) {
-	rowOrd, colOrd, err := orderings(k)
-	if err != nil {
-		return nil, nil, err
+	if k == "" {
+		// The pipeline reads the empty kernel as matmul; the facade does not.
+		return nil, nil, fmt.Errorf("hetgrid: unknown kernel %q", k)
 	}
-	plan, err := adapt.ReplanSurvivors(times, nbr, nbc, rowOrd, colOrd)
+	plan, err := adapt.ReplanSurvivors(times, nbr, nbc, k)
 	if err != nil {
 		return nil, nil, err
 	}

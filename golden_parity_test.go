@@ -153,11 +153,7 @@ func solveGolden(t *testing.T, gc goldenCase) (*Plan, *GridChoice, *adapt.Surviv
 			choice = &GridChoice{P: cp.P, Q: cp.Q, Selected: cp.Selected, Candidates: cp.Candidates}
 		}
 	case "replan":
-		rowOrd, colOrd := distribution.Contiguous, distribution.Contiguous
-		if gc.Kernel == "lu" {
-			rowOrd, colOrd = distribution.Interleaved, distribution.Interleaved
-		}
-		sp, err = adapt.ReplanSurvivors(gc.Times, gc.Nbr, gc.Nbc, rowOrd, colOrd)
+		sp, err = adapt.ReplanSurvivors(gc.Times, gc.Nbr, gc.Nbc, Kernel(gc.Kernel))
 	default:
 		t.Fatalf("case %d: unknown golden mode %q", gc.ID, gc.Mode)
 	}

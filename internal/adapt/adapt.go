@@ -140,24 +140,19 @@ type SurvivorPlan struct {
 // ReplanSurvivors picks a fresh grid shape and block distribution for the
 // survivors of a rank failure. times are the survivors' cycle-times (any
 // positive units — only ratios matter); the block matrix keeps its nbr×nbc
-// tiling, redistributed under the given orderings (Contiguous for
-// multiplication, Interleaved for the factorizations). Subset grids are
+// tiling, redistributed under kernel k's panel orderings. Subset grids are
 // allowed so a prime survivor count still yields a plan. The shape search,
 // balancing and panel realization all run through the canonical
 // internal/plan pipeline.
-func ReplanSurvivors(times []float64, nbr, nbc int, rowOrd, colOrd distribution.Ordering) (*SurvivorPlan, error) {
+func ReplanSurvivors(times []float64, nbr, nbc int, k plan.Kernel) (*SurvivorPlan, error) {
 	if len(times) == 0 {
 		return nil, fmt.Errorf("adapt: no survivors to replan onto")
 	}
 	res, err := plan.Solve(plan.Request{
 		Times:       times,
+		Kernel:      k,
 		AllowSubset: true,
-		Panel: &plan.PanelSpec{
-			CapBp:       nbr,
-			CapBq:       nbc,
-			RowOrdering: orderingName(rowOrd),
-			ColOrdering: orderingName(colOrd),
-		},
+		Panel:       &plan.PanelSpec{CapBp: nbr, CapBq: nbc},
 	})
 	if err != nil {
 		return nil, err
@@ -174,15 +169,6 @@ func ReplanSurvivors(times []float64, nbr, nbc int, rowOrd, colOrd distribution.
 		Dist:     dist,
 		Shape:    shape,
 	}, nil
-}
-
-// orderingName renders a distribution ordering in the pipeline's string
-// vocabulary.
-func orderingName(o distribution.Ordering) string {
-	if o == distribution.Interleaved {
-		return "interleaved"
-	}
-	return "contiguous"
 }
 
 // simulateMoves schedules the plan's aggregated pair messages on the

@@ -9,32 +9,19 @@ import (
 
 // spanCost projects the compute-bound time of steps [from, to) of a kernel
 // working on region w under a layout with the given cycle-times: per step,
-// the busiest processor's active-block count times its cycle-time.
+// the busiest processor's block count times its cycle-time.
 func spanCost(l *distribution.Layout, arr *grid.Arrangement, w distribution.Region, from, to int) float64 {
 	total := 0.0
 	for k := from; k < to; k++ {
 		bound := 0.0
-		for n, blocks := range l.Blocks(w, k) {
-			if v := float64(len(blocks)) * arr.T[n/arr.Q][n%arr.Q]; v > bound {
+		for n, blocks := range l.Work(w, k, k+1) {
+			if v := float64(blocks) * arr.T[n/arr.Q][n%arr.Q]; v > bound {
 				bound = v
 			}
 		}
 		total += bound
 	}
 	return total
-}
-
-// SegmentWork returns the per-rank (row-major) block-update counts of steps
-// [from, to) — the denominator that turns a measured busy-time delta into a
-// per-block cycle-time estimate.
-func SegmentWork(l *distribution.Layout, w distribution.Region, from, to int) []float64 {
-	work := make([]float64, l.Ranks)
-	for k := from; k < to; k++ {
-		for n, blocks := range l.Blocks(w, k) {
-			work[n] += float64(len(blocks))
-		}
-	}
-	return work
 }
 
 // DriftPolicy tunes the online drift detector. Zero values select the
@@ -130,9 +117,10 @@ type Observation struct {
 }
 
 // Observe folds one window's per-rank busy-time deltas (seconds) and
-// block-update counts into the EWMA estimates and returns the verdict.
-// Ranks with zero work this window keep their previous estimate.
-func (d *Detector) Observe(busy, work []float64) (Observation, error) {
+// block counts (Layout.Work over the window's steps) into the EWMA
+// estimates and returns the verdict. Ranks with zero work this window keep
+// their previous estimate.
+func (d *Detector) Observe(busy []float64, work []int) (Observation, error) {
 	n := len(d.base)
 	if len(busy) != n || len(work) != n {
 		return Observation{}, fmt.Errorf("adapt: observation size %d/%d for %d ranks", len(busy), len(work), n)
@@ -141,7 +129,7 @@ func (d *Detector) Observe(busy, work []float64) (Observation, error) {
 		if work[i] <= 0 {
 			continue
 		}
-		sample := busy[i] / work[i]
+		sample := busy[i] / float64(work[i])
 		if sample <= 0 {
 			continue
 		}

@@ -42,28 +42,26 @@ func TestWorkloadActiveRegions(t *testing.T) {
 		{"trailing-lower", distribution.TrailingLower, func(m int) int { return m * (m + 1) / 2 }},
 	} {
 		for k := 0; k < 6; k++ {
-			total := 0.0
-			for _, w := range SegmentWork(l, tc.region, k, k+1) {
+			total := 0
+			for _, w := range l.Work(tc.region, k, k+1) {
 				total += w
 			}
-			if want := float64(tc.want(6 - k)); total != want {
+			if want := tc.want(6 - k); total != want {
 				t.Fatalf("step %d: %s region has %v blocks, want %v", k, tc.name, total, want)
 			}
 		}
 	}
 }
 
-func TestSegmentWorkMatchesSpanCost(t *testing.T) {
+func TestWorkMatchesSpanCost(t *testing.T) {
 	d := layoutOf(t, uniform2x2(t, 8))
 	arr := grid.MustNew([][]float64{{1, 1}, {1, 1}})
-	// Per-rank segment work sums to the full trailing volume Σ (nb-k)².
-	work := SegmentWork(d, distribution.Trailing, 0, 8)
+	// Per-rank work sums to the full trailing volume Σ (nb-k)².
+	work := d.Work(distribution.Trailing, 0, 8)
 	total, maxWork := 0.0, 0.0
 	for _, w := range work {
-		total += w
-		if w > maxWork {
-			maxWork = w
-		}
+		total += float64(w)
+		maxWork = max(maxWork, float64(w))
 	}
 	wantTotal := 0.0
 	for k := 0; k < 8; k++ {
@@ -143,7 +141,7 @@ func TestDetectorHysteresis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := []float64{10, 10, 10, 10}
+	work := []int{10, 10, 10, 10}
 	flat := []float64{10, 10, 10, 10}
 	slow := []float64{10, 10, 10, 40} // rank 3 at 4× its planned share
 
@@ -195,11 +193,11 @@ func TestDetectorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.Observe([]float64{1}, []float64{1, 1}); err == nil {
+	if _, err := det.Observe([]float64{1}, []int{1, 1}); err == nil {
 		t.Fatal("short busy vector accepted")
 	}
 	// Zero-work windows keep previous estimates and never divide by zero.
-	if _, err := det.Observe([]float64{5, 5}, []float64{0, 0}); err != nil {
+	if _, err := det.Observe([]float64{5, 5}, []int{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if got := det.EstimatedTimes(); !reflect.DeepEqual(got, []float64{1, 1}) {
@@ -213,13 +211,16 @@ func TestDetectorDeterministicAcrossReplays(t *testing.T) {
 	pol := DriftPolicy{Window: 3, Alpha: 0.4, Threshold: 0.2, Patience: 3}
 	planned := []float64{1, 2, 1, 3}
 	rng := rand.New(rand.NewSource(7))
-	type window struct{ busy, work []float64 }
+	type window struct {
+		busy []float64
+		work []int
+	}
 	trace := make([]window, 40)
 	for i := range trace {
-		w := window{busy: make([]float64, 4), work: make([]float64, 4)}
+		w := window{busy: make([]float64, 4), work: make([]int, 4)}
 		for n := 0; n < 4; n++ {
-			w.work[n] = float64(1 + rng.Intn(20))
-			w.busy[n] = w.work[n] * (0.5 + 3*rng.Float64())
+			w.work[n] = 1 + rng.Intn(20)
+			w.busy[n] = float64(w.work[n]) * (0.5 + 3*rng.Float64())
 		}
 		trace[i] = w
 	}

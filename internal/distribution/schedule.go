@@ -10,10 +10,11 @@ import (
 // ownership alone — who owns what, who sends which panel to whom, which
 // blocks each rank computes on. It is a table of facts, not a program: the
 // comm-volume model folds over the messages, the simulator prices them in
-// virtual time, the engine delivers them over a transport and the drift
-// loop counts the block lists, each in its own loop and its own call order.
-// The serial replays in internal/kernels deliberately do not read it — they
-// are the oracle the other four are judged against.
+// virtual time, the engine delivers them over a transport, and the drift
+// loop and the facade's operation counts read Work, each in its own loop
+// and its own call order. The serial replays in internal/kernels
+// deliberately do not read it — they are the oracle the readers are judged
+// against.
 
 // OwnerRank returns the flat rank pi·q+pj of the processor owning block
 // (bi, bj).
@@ -367,6 +368,22 @@ func (l *Layout) Blocks(r Region, k int) [][][2]int {
 		}
 	}
 	return out
+}
+
+// Work returns, per rank, the number of blocks of the region over steps
+// [from, to): Σ_k |Blocks(r, k)|, the block operations a kernel working on
+// the region charges each rank. It walks Cols and builds no block list.
+func (l *Layout) Work(r Region, from, to int) []int {
+	work := make([]int, l.Ranks)
+	for k := from; k < to; k++ {
+		for bi := 0; bi < l.NB; bi++ {
+			lo, hi := r.Cols(bi, k, l.NB)
+			for bj := lo; bj < hi; bj++ {
+				work[l.owner[bi*l.NB+bj]]++
+			}
+		}
+	}
+	return work
 }
 
 // Update returns the per-rank block lists of step k's trailing update: the

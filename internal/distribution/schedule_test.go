@@ -288,6 +288,42 @@ func TestRegionsAndBlockLists(t *testing.T) {
 	}
 }
 
+// TestLayoutWork: Work over every step range equals the lengths of the
+// block lists it replaces, rank by rank, and over a whole run it sums to
+// the region's closed form: nb³ blocks for All, Σ m² for Trailing and
+// Σ m(m+1)/2 for TrailingLower, m = nb−k.
+func TestLayoutWork(t *testing.T) {
+	const nb = 9
+	for name, l := range scheduleLayouts(t, nb) {
+		for _, r := range []Region{All, Trailing, TrailingLower} {
+			for from := 0; from <= nb; from++ {
+				want := make([]int, l.Ranks)
+				for to := from; to <= nb; to++ {
+					if got := l.Work(r, from, to); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s region %d steps [%d,%d): work %v, block lists %v", name, r, from, to, got, want)
+					}
+					if to < nb {
+						for n, blocks := range l.Blocks(r, to) {
+							want[n] += len(blocks)
+						}
+					}
+				}
+			}
+			total := 0
+			for _, w := range l.Work(r, 0, nb) {
+				total += w
+			}
+			want := 0
+			for m := 1; m <= nb; m++ {
+				want += map[Region]int{All: nb * nb, Trailing: m * m, TrailingLower: m * (m + 1) / 2}[r]
+			}
+			if total != want {
+				t.Fatalf("%s region %d: %d blocks over the run, want %d", name, r, total, want)
+			}
+		}
+	}
+}
+
 func TestNewLayoutValidation(t *testing.T) {
 	rect, err := UniformBlockCyclic(2, 2, 4, 6)
 	if err != nil {

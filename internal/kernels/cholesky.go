@@ -124,24 +124,3 @@ func ReplayCholeskyNumerics(d distribution.Distribution, a *matrix.Dense, mode m
 	}
 	return &Replay{C: l, Ops: ops}, nil
 }
-
-// CholeskyOpCounts returns per-node [factor, solve, update] counts matching
-// SimulateCholesky's charging, for cross-checks against ReplayCholeskyNumerics.
-func CholeskyOpCounts(d distribution.Distribution) (factor, solve, update []int, err error) {
-	lay, err := distribution.NewLayout(d)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	factor = make([]int, lay.Ranks)
-	solve = make([]int, lay.Ranks)
-	update = make([]int, lay.Ranks)
-	for k := 0; k < lay.NB; k++ {
-		factor[lay.Owner(k, k)]++
-		below, upd := lay.ColBelow(k), lay.Update(distribution.TrailingLower, k)
-		for n := range solve {
-			solve[n] += len(below[n])
-			update[n] += len(upd[n])
-		}
-	}
-	return factor, solve, update, nil
-}

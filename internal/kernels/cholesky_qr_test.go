@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hetgrid/internal/distribution"
@@ -122,30 +123,35 @@ func TestReplayCholeskyOpsMatchCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factor, solve, update, err := CholeskyOpCounts(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := range rep.Ops {
-			if want := factor[n] + solve[n] + update[n]; rep.Ops[n] != want {
-				t.Fatalf("%s: node %d ops %d, want %d", d.Name(), n, rep.Ops[n], want)
-			}
+		if want := workOf(t, d, distribution.TrailingLower); !slices.Equal(rep.Ops, want) {
+			t.Fatalf("%s: ops %v, schedule's work %v", d.Name(), rep.Ops, want)
 		}
 	}
 }
 
+// TestCholeskyOpCountTotals: Cholesky's step k factors the diagonal block,
+// solves the blocks below it and updates the trailing lower triangle; per
+// kind the counts over a run meet their closed forms, and per rank they sum
+// to the schedule's Work on the TrailingLower region, the count
+// SimulateCholesky charges.
 func TestCholeskyOpCountTotals(t *testing.T) {
 	nb := 8
 	d, _ := distribution.UniformBlockCyclic(2, 2, nb, nb)
-	factor, solve, update, err := CholeskyOpCounts(d)
+	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ops := make([]int, lay.Ranks)
 	sf, ss, su := 0, 0, 0
-	for n := range factor {
-		sf += factor[n]
-		ss += solve[n]
-		su += update[n]
+	for k := 0; k < nb; k++ {
+		ops[lay.Owner(k, k)]++
+		sf++
+		below, upd := lay.ColBelow(k), lay.Update(distribution.TrailingLower, k)
+		for n := range ops {
+			ops[n] += len(below[n]) + len(upd[n])
+			ss += len(below[n])
+			su += len(upd[n])
+		}
 	}
 	wantS, wantU := 0, 0
 	for k := 0; k < nb; k++ {
@@ -154,6 +160,9 @@ func TestCholeskyOpCountTotals(t *testing.T) {
 	}
 	if sf != nb || ss != wantS || su != wantU {
 		t.Fatalf("totals (%d,%d,%d), want (%d,%d,%d)", sf, ss, su, nb, wantS, wantU)
+	}
+	if work := lay.Work(distribution.TrailingLower, 0, nb); !slices.Equal(ops, work) {
+		t.Fatalf("per-rank ops %v, schedule's work %v", ops, work)
 	}
 }
 

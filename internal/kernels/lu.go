@@ -134,26 +134,3 @@ func SimulateLU(d distribution.Distribution, arr *grid.Arrangement, opts Options
 	}
 	return g.finish("lu"), nil
 }
-
-// LUOpCounts returns the number of block operations of each kind charged to
-// every node by SimulateLU, for cross-checking against the numeric replay:
-// [factor, solve, update] per node (node = pi·q + pj).
-func LUOpCounts(d distribution.Distribution) (factor, solve, update []int, err error) {
-	lay, err := distribution.NewLayout(d)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	factor = make([]int, lay.Ranks)
-	solve = make([]int, lay.Ranks)
-	update = make([]int, lay.Ranks)
-	for k := 0; k < lay.NB; k++ {
-		factor[lay.Owner(k, k)]++
-		below, right, upd := lay.ColBelow(k), lay.RowRight(k), lay.Update(distribution.Trailing, k)
-		for n := range factor {
-			factor[n] += len(below[n])
-			solve[n] += len(right[n])
-			update[n] += len(upd[n])
-		}
-	}
-	return factor, solve, update, nil
-}

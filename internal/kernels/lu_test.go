@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hetgrid/internal/core"
@@ -110,18 +111,30 @@ func TestSimulateLUInterleavedBeatsContiguous(t *testing.T) {
 	}
 }
 
+// TestLUOpCountsTotals: LU's step k factors the diagonal block and the
+// blocks below it, solves the blocks right of it and updates the trailing
+// blocks; per kind the counts over a run meet their closed forms, and per
+// rank they sum to the schedule's Work on the Trailing region, the count
+// SimulateLU charges.
 func TestLUOpCountsTotals(t *testing.T) {
 	nb := 10
 	d, _ := distribution.UniformBlockCyclic(2, 2, nb, nb)
-	factor, solve, update, err := LUOpCounts(d)
+	lay, err := distribution.NewLayout(d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ops := make([]int, lay.Ranks)
 	sumF, sumS, sumU := 0, 0, 0
-	for n := range factor {
-		sumF += factor[n]
-		sumS += solve[n]
-		sumU += update[n]
+	for k := 0; k < nb; k++ {
+		ops[lay.Owner(k, k)]++
+		sumF++
+		below, right, upd := lay.ColBelow(k), lay.RowRight(k), lay.Update(distribution.Trailing, k)
+		for n := range ops {
+			ops[n] += len(below[n]) + len(right[n]) + len(upd[n])
+			sumF += len(below[n])
+			sumS += len(right[n])
+			sumU += len(upd[n])
+		}
 	}
 	// Σ_k (nb-k) factors, Σ_k (nb-k-1) solves, Σ_k (nb-k-1)² updates.
 	wantF, wantS, wantU := 0, 0, 0
@@ -133,7 +146,10 @@ func TestLUOpCountsTotals(t *testing.T) {
 	if sumF != wantF || sumS != wantS || sumU != wantU {
 		t.Fatalf("op totals (%d,%d,%d), want (%d,%d,%d)", sumF, sumS, sumU, wantF, wantS, wantU)
 	}
-	if _, _, _, err := LUOpCounts(mustRect(t)); err == nil {
+	if work := lay.Work(distribution.Trailing, 0, nb); !slices.Equal(ops, work) {
+		t.Fatalf("per-rank ops %v, schedule's work %v", ops, work)
+	}
+	if _, err := distribution.NewLayout(mustRect(t)); err == nil {
 		t.Fatal("non-square block grid accepted")
 	}
 }

@@ -2,11 +2,14 @@ package kernels
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hetgrid/internal/core"
 	"hetgrid/internal/distribution"
+	"hetgrid/internal/grid"
 	"hetgrid/internal/matrix"
+	"hetgrid/internal/sim"
 )
 
 // testDistributions returns the three distribution families on a 2×2 grid
@@ -137,6 +140,56 @@ func TestReplayLUDistributionIndependent(t *testing.T) {
 	}
 }
 
+// workOf is the schedule's per-rank count of d's blocks in region r over
+// every step, the count the simulators charge.
+func workOf(t *testing.T, d distribution.Distribution, r distribution.Region) []int {
+	t.Helper()
+	l, err := distribution.NewLayout(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.Work(r, 0, l.NB)
+}
+
+// TestSimulatorChargesScheduleWork: at unit factor and solve cost, every
+// simulator charges rank n exactly t_n·Work_n of busy time over a run — the
+// schedule's count of the kernel's region, whatever the broadcast and the
+// network's price. The replays' counts are held to the same Work below.
+func TestSimulatorChargesScheduleWork(t *testing.T) {
+	arr := hetArr()
+	for _, k := range []struct {
+		name   string
+		region distribution.Region
+		run    func(distribution.Distribution, *grid.Arrangement, Options) (*Result, error)
+	}{
+		{"mm", distribution.All, SimulateMM},
+		{"lu", distribution.Trailing, SimulateLU},
+		{"cholesky", distribution.TrailingLower, SimulateCholesky},
+	} {
+		for _, nb := range []int{12, 37} {
+			for _, d := range testDistributions(t, nb) {
+				work := workOf(t, d, k.region)
+				for _, b := range []sim.BroadcastKind{sim.FlatBroadcast, sim.TreeBroadcast} {
+					res, err := k.run(d, arr, Options{
+						Net:        sim.Config{Latency: 0.3, ByteTime: 1e-4},
+						Broadcast:  b,
+						BlockBytes: 512,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for n, busy := range res.Stats.NodeBusy {
+						if want := arr.T[n/arr.Q][n%arr.Q] * float64(work[n]); busy != want {
+							t.Fatalf("%s nb=%d %s %s: rank %d busy %v, want t·work %v",
+								k.name, nb, d.Name(), b, n, busy, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestReplayLUOpsMatchSimulatorCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	nb, r := 6, 2
@@ -146,16 +199,8 @@ func TestReplayLUOpsMatchSimulatorCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factor, solve, update, err := LUOpCounts(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := range rep.Ops {
-			want := factor[n] + solve[n] + update[n]
-			if rep.Ops[n] != want {
-				t.Fatalf("%s: node %d ops %d, want %d (f=%d s=%d u=%d)",
-					d.Name(), n, rep.Ops[n], want, factor[n], solve[n], update[n])
-			}
+		if want := workOf(t, d, distribution.Trailing); !slices.Equal(rep.Ops, want) {
+			t.Fatalf("%s: ops %v, schedule's work %v", d.Name(), rep.Ops, want)
 		}
 	}
 }

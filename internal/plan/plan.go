@@ -75,26 +75,6 @@ type PanelSpec struct {
 	// exceeds the matrix. 0 means no clamp.
 	CapBp int `json:"cap_bp,omitempty"`
 	CapBq int `json:"cap_bq,omitempty"`
-	// RowOrdering and ColOrdering override the kernel-derived panel
-	// orderings ("contiguous" or "interleaved"); empty derives both from
-	// the request's Kernel.
-	RowOrdering string `json:"row_ordering,omitempty"`
-	ColOrdering string `json:"col_ordering,omitempty"`
-}
-
-// parseOrdering maps an ordering name to the distribution enum; def is
-// returned for the empty string.
-func parseOrdering(s string, def distribution.Ordering) (distribution.Ordering, error) {
-	switch s {
-	case "":
-		return def, nil
-	case "contiguous":
-		return distribution.Contiguous, nil
-	case "interleaved":
-		return distribution.Interleaved, nil
-	default:
-		return 0, fmt.Errorf("plan: unknown ordering %q (want contiguous or interleaved)", s)
-	}
 }
 
 // Request is one planning problem. Exactly one of three modes applies:

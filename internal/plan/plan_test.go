@@ -76,7 +76,7 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 		Q:        2,
 		Strategy: StrategyExact,
 		Kernel:   LU,
-		Panel:    &PanelSpec{MaxBp: 8, MaxBq: 8, RowOrdering: "interleaved"},
+		Panel:    &PanelSpec{MaxBp: 8, MaxBq: 8, CapBp: 6},
 		Workers:  7,
 	}
 	first, err := json.Marshal(&req)

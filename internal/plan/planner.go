@@ -142,15 +142,8 @@ func realizePanel(req Request, res *Result) error {
 	if req.Panel == nil {
 		return nil
 	}
-	// The kernel is validated: its region's orderings are the default.
+	// The kernel is validated: its region decides the panel orderings.
 	rowOrd, colOrd := req.Kernel.Region().Orderings()
-	var err error
-	if rowOrd, err = parseOrdering(req.Panel.RowOrdering, rowOrd); err != nil {
-		return err
-	}
-	if colOrd, err = parseOrdering(req.Panel.ColOrdering, colOrd); err != nil {
-		return err
-	}
 	arr := res.Solution.Arr
 	maxBp, maxBq := req.Panel.MaxBp, req.Panel.MaxBq
 	if maxBp <= 0 || maxBq <= 0 {

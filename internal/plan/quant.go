@@ -107,12 +107,6 @@ func (r Request) Key(digits int) string {
 		sb.WriteString(strconv.Itoa(r.Panel.CapBp))
 		sb.WriteByte('x')
 		sb.WriteString(strconv.Itoa(r.Panel.CapBq))
-		if r.Panel.RowOrdering != "" || r.Panel.ColOrdering != "" {
-			sb.WriteByte('/')
-			sb.WriteString(r.Panel.RowOrdering)
-			sb.WriteByte(',')
-			sb.WriteString(r.Panel.ColOrdering)
-		}
 	}
 	sb.WriteString("|t=")
 	for i, v := range r.Times {

@@ -115,10 +115,10 @@ func (w *watch) close(cur []float64, k int, s State, o *Outcome) (*Migration, er
 		delta[r] = cur[r] - w.lastBusy[r]
 	}
 	reg := s.Kernel.Region()
-	segWork := adapt.SegmentWork(w.lay, reg, w.lastK, k)
+	work := w.lay.Work(reg, w.lastK, k)
 	copy(w.lastBusy, cur)
 	w.lastK = k
-	obs, err := w.det.Observe(delta, segWork)
+	obs, err := w.det.Observe(delta, work)
 	if err != nil {
 		return nil, err
 	}

@@ -107,8 +107,7 @@ func (s State) Next(o Outcome) (State, error) {
 			return State{}, fmt.Errorf("run: no survivors: %w", o.Err)
 		}
 		nbr, nbc := s.Dist.Blocks()
-		rowOrd, colOrd := s.Kernel.Region().Orderings()
-		sp, err := adapt.ReplanSurvivors(alive, nbr, nbc, rowOrd, colOrd)
+		sp, err := adapt.ReplanSurvivors(alive, nbr, nbc, s.Kernel)
 		if err != nil {
 			return State{}, fmt.Errorf("run: replanning after %v: %w", o.Err, err)
 		}

@@ -119,6 +119,7 @@ func TestPlanEndpointErrors(t *testing.T) {
 		{"negative time", `{"times":[1,-2],"p":1,"q":2}`, http.StatusBadRequest},
 		{"shape mismatch", `{"times":[1,2,3],"p":2,"q":2}`, http.StatusBadRequest},
 		{"bad strategy", `{"times":[1,2],"p":1,"q":2,"strategy":"magic"}`, http.StatusBadRequest},
+		{"removed panel ordering", `{"times":[1,2],"p":1,"q":2,"panel":{"row_ordering":"interleaved"}}`, http.StatusBadRequest},
 		{"unsolvable", `{"times":[1,2,3,5,7,11,13],"min_aspect":0.9}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {

@@ -64,10 +64,6 @@ var kept = map[string]map[string]string{
 		"IsNonDecreasing": "the canonical-form property core's tests check on solver output",
 		"Transpose":       "the symmetry core's tests check solver output under",
 	},
-	"internal/kernels": {
-		"LUOpCounts":       "the simulator's LU charging rule, compared with the replay's and engine's attributed operations",
-		"CholeskyOpCounts": "the simulator's Cholesky charging rule, compared with the replay's and engine's attributed operations",
-	},
 	"internal/leakcheck": {
 		"Settle": "the tests' one goroutine-leak check; only tests call it, in four packages and the facade's conformance matrix",
 	},
