@@ -227,17 +227,6 @@ func TestConformance(t *testing.T) {
 		return ref
 	}
 
-	// Warm the process-wide compute pool up: its workers start with the
-	// first parallel block update and stay, which the cells' goroutine
-	// counts must not see as a leak.
-	a, b := matrix.Random(nb*3, nb*3, rng), matrix.Random(nb*3, nb*3, rng)
-	if _, _, err := DistributedMultiply(uniform, a, b, 3, WithParallelism(3)); err != nil {
-		t.Fatal(err)
-	}
-	if n, _, _, _ := matrix.PoolStats(); n == 0 {
-		t.Fatal("a parallel run did not start the compute pool")
-	}
-
 	var tcp []namedCheck
 	for _, c := range cells {
 		ik := inputKey{c.kernel, c.r}

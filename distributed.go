@@ -72,11 +72,11 @@ type execOptions struct {
 	// span recording (the imbalance gauge needs busy times). nil disables
 	// all registry mirroring.
 	Metrics *Metrics
-	// TransportFactory builds each attempt's fabric for its rank count
-	// (WithTransport serves its fixed instance once); nil uses the
-	// in-process mailboxes. A fabric exposing LocalRanks()
-	// []int hosts only those ranks here and gets exactly one attempt.
-	TransportFactory func(ranks int) (Transport, error)
+	// Transport is the caller's fabric (WithTransport). It serves exactly
+	// one attempt, whole or partial (exposing LocalRanks() []int, it hosts
+	// only those ranks here); nil gives every attempt fresh in-process
+	// mailboxes.
+	Transport Transport
 }
 
 // Metrics is a Prometheus-text-format metrics registry (see internal/obs):
@@ -172,7 +172,7 @@ func runDistributed(d Distribution, kern Kernel, blockSize int, inputs []*Matrix
 		}
 	}
 
-	res, err := run.Run(s, run.Job{BlockSize: blockSize, Inputs: inputs}, opts.TransportFactory, ropts)
+	res, err := run.Run(s, run.Job{BlockSize: blockSize, Inputs: inputs}, opts.Transport, ropts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -202,18 +202,18 @@ func execStats(w *engine.World, opts execOptions) *ExecStats {
 	}
 	if reg := opts.Metrics; reg != nil {
 		reg.Gauge("hetgrid_numerics_mode", "", "numerics contract of the last run (0 = strict, 1 = fast)").Set(float64(opts.Numerics))
-		// Pool series are callback-backed: they read the process-wide
-		// compute pool's live counters at every scrape instead of a
+		// Fan-out series are callback-backed: they read the block
+		// fan-out's process-wide counters at every scrape instead of a
 		// snapshot from run end.
-		reg.FuncGauge("hetgrid_pool_workers", "", "resident goroutines of the shared compute pool (0 until the first parallel call)", func() float64 {
+		reg.FuncGauge("hetgrid_pool_workers", "", "goroutines the block fan-out has spawned whose chunk is still running", func() float64 {
 			n, _, _, _ := matrix.PoolStats()
 			return float64(n)
 		})
-		reg.FuncGauge("hetgrid_pool_tasks_submitted", "", "tasks handed to pool workers since process start", func() float64 {
+		reg.FuncGauge("hetgrid_pool_tasks_submitted", "", "block fan-out chunks run on spawned goroutines since process start", func() float64 {
 			_, sub, _, _ := matrix.PoolStats()
 			return float64(sub)
 		})
-		reg.FuncGauge("hetgrid_pool_tasks_inline", "", "tasks run inline by the submitter because the pool queue was full", func() float64 {
+		reg.FuncGauge("hetgrid_pool_tasks_inline", "", "block fan-out chunks run on the calling goroutine by parallel calls since process start", func() float64 {
 			_, _, inl, _ := matrix.PoolStats()
 			return float64(inl)
 		})

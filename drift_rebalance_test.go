@@ -209,32 +209,16 @@ func TestDriftQuietOnBalancedRun(t *testing.T) {
 }
 
 // TestDriftOverInjectedFabrics: a migration is a second attempt, so it
-// follows the one rule for injected fabrics — a factory serves it (sized to
-// the same ranks), a fixed instance refuses it. Same wrong-baseline setup and block size as
-// TestDriftWrongBaselineMigratesLU, so the migration is reliable.
+// follows the one rule for a caller's fabric — it serves one world and
+// refuses the migration. Same wrong-baseline setup and block size as
+// TestDriftWrongBaselineMigratesLU, which migrates on the default fabric,
+// so the migration verdict is reliable.
 func TestDriftOverInjectedFabrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(604))
 	const nb, r = 10, 24
 	d, times := skewDist(t, 2, 2, nb, LU, 8)
 	a := matrix.RandomWellConditioned(nb*r, rng)
-	serial := factorPacked(t, LU, d, a)
-	var sizes []int
-	f, stats, err := DistributedFactor(LU, d, a, r,
-		withTransportFactory(func(ranks int) (Transport, error) {
-			sizes = append(sizes, ranks)
-			return engine.NewMemTransport(ranks), nil
-		}),
-		WithDriftRebalance(driftTestPolicy(times)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Packed().Equal(serial) {
-		t.Fatal("drift-migrated LU over a transport factory differs from the serial factorization")
-	}
-	if stats.Drift.Migrations != 1 || !reflect.DeepEqual(sizes, []int{4, 4}) {
-		t.Fatalf("want one migration over two 4-rank fabrics, got %+v over %v", stats.Drift, sizes)
-	}
-	_, _, err = DistributedFactor(LU, d, a, r,
+	_, _, err := DistributedFactor(LU, d, a, r,
 		WithTransport(engine.NewMemTransport(4)),
 		WithDriftRebalance(driftTestPolicy(times)))
 	if err == nil || !strings.Contains(err.Error(), "a fixed transport serves exactly one world") {

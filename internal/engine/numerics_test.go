@@ -9,10 +9,10 @@ import (
 	"hetgrid/internal/matrix"
 )
 
-// TestConcurrentFactorizationsMixedModes hammers the shared matrix-level
-// worker pool from several concurrent distributed factorizations running
+// TestConcurrentFactorizationsMixedModes hammers the matrix-level block
+// fan-out from several concurrent distributed factorizations running
 // different numerics modes and parallelism degrees — the -race sentinel
-// for the pool's cross-world sharing.
+// for its process-wide counters and the packing buffers worlds share.
 func TestConcurrentFactorizationsMixedModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(513))
 	const nb, r = 4, 4

@@ -32,7 +32,7 @@ func TestParallelDo(t *testing.T) {
 }
 
 // TestParallelDoPanic checks panic propagation from both the caller's own
-// chunk (index 0) and a pool worker's chunk (last index).
+// chunk (index 0) and a spawned goroutine's chunk (last index).
 func TestParallelDoPanic(t *testing.T) {
 	for _, panicAt := range []int{0, 99} {
 		func() {
@@ -54,7 +54,7 @@ func TestParallelDoPanic(t *testing.T) {
 	}
 }
 
-// stepUpdate is the engine's use of the pool in miniature: one step's
+// stepUpdate is the engine's use of the fan-out in miniature: one step's
 // disjoint output blocks, each receiving c += a·b — block by block through
 // AddMulNumerics, fanned out with parallelDo one block per index, or as one
 // AddMulBlocks batch over the distinct row blocks of a and column blocks of
@@ -98,22 +98,23 @@ func (u *stepUpdate) batch(mode Numerics, workers int) func() {
 }
 
 // TestParallelDoZeroAlloc pins the allocation contract of the path the
-// engine takes: once the pool, the completion groups and every worker's
-// packing buffers are warm, fanning a step's block updates out allocates
+// engine's serial ranks take: at workers = 1 the fan-out runs inline, so
+// once every packing buffer is warm a step's block updates allocate
 // nothing — block by block or as one AddMulBlocks batch, in either numerics
-// mode, at the engine's r = 32.
+// mode, at the engine's r = 32. A call with more workers starts goroutines
+// and allocates for them.
 func TestParallelDoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the pin runs in the non-race matrix")
 	}
 	u, _ := newStepUpdate(rand.New(rand.NewSource(5)), 4, 32, 32)
 	for _, mode := range []Numerics{Strict, Fast} {
-		fn, batch := u.block(mode), u.batch(mode, 4)
+		fn, batch := u.block(mode), u.batch(mode, 1)
 		for i := 0; i < 10; i++ {
-			parallelDo(4, 16, fn)
+			parallelDo(1, 16, fn)
 			batch()
 		}
-		if avg := testing.AllocsPerRun(100, func() { parallelDo(4, 16, fn) }); avg != 0 {
+		if avg := testing.AllocsPerRun(100, func() { parallelDo(1, 16, fn) }); avg != 0 {
 			t.Errorf("mode=%v: parallelDo over 16 block updates allocates %.2f per call in steady state", mode, avg)
 		}
 		if avg := testing.AllocsPerRun(100, batch); avg != 0 {
@@ -122,24 +123,23 @@ func TestParallelDoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPoolNoGoroutineLeak hammers the fan-out and checks the goroutine
-// count stays at the pool's fixed size: the pool never grows, and no call
-// spawns goroutines of its own.
-func TestPoolNoGoroutineLeak(t *testing.T) {
+// TestParallelDoNoGoroutineLeak hammers the fan-out and checks the
+// goroutine count settles back to its value before the first call: every
+// goroutine a call starts has exited once the call returns, and nothing
+// stays resident.
+func TestParallelDoNoGoroutineLeak(t *testing.T) {
 	u, _ := newStepUpdate(rand.New(rand.NewSource(13)), 3, 32, 64)
 	fn := u.block(Strict)
-	parallelDo(4, len(u.c), fn) // ensure the pool is started
 	base := runtime.NumGoroutine()
 	for i := 0; i < 300; i++ {
 		parallelDo(2+i%6, len(u.c), fn)
 	}
-	// A small slack absorbs unrelated runtime goroutines (GC workers etc.).
-	leakcheck.Settle(t, base+2)
+	leakcheck.Settle(t, base)
 }
 
-// TestPoolConcurrentHammer drives the pool from many concurrent steps at
+// TestPoolConcurrentHammer drives the fan-out from many concurrent steps at
 // once, Strict and Fast — the race detector (CI runs this package under
-// -race) checks the pool's synchronization, and the bitwise assertions check
+// -race) checks its synchronization, and the bitwise assertions check
 // every worker count still gives the serial loop's result under contention.
 func TestPoolConcurrentHammer(t *testing.T) {
 	const goroutines = 8
@@ -178,23 +178,25 @@ func TestPoolConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestPoolStats sanity-checks the instrumentation counters the obs layer
-// exports: after parallel work the pool reports a fixed worker count and a
-// non-decreasing submit counter.
+// TestPoolStats checks the instrumentation counters the obs layer
+// exports: no spawned goroutine is live once a call returns, and each
+// parallel call runs workers−1 chunks on spawned goroutines and one on the
+// caller.
 func TestPoolStats(t *testing.T) {
 	u, _ := newStepUpdate(rand.New(rand.NewSource(2)), 3, 32, 64)
-	parallelDo(4, len(u.c), u.block(Strict))
-	workers, submitted, inline, _ := PoolStats()
-	if workers < 2 {
-		t.Fatalf("pool reports %d workers after use", workers)
-	}
-	if submitted+inline == 0 {
-		t.Fatalf("no tasks recorded after a parallel call (submitted=%d inline=%d)", submitted, inline)
-	}
-	parallelDo(4, len(u.c), u.block(Strict))
-	_, submitted2, inline2, _ := PoolStats()
-	if submitted2+inline2 <= submitted+inline {
-		t.Fatalf("task counters did not advance: %d+%d -> %d+%d", submitted, inline, submitted2, inline2)
+	for _, workers := range []int{2, 4, 7} {
+		_, spawned, caller, _ := PoolStats()
+		parallelDo(workers, len(u.c), u.block(Strict))
+		live, spawned2, caller2, _ := PoolStats()
+		if live != 0 {
+			t.Fatalf("workers=%d: %d spawned goroutines live after the call returned", workers, live)
+		}
+		if got, want := spawned2-spawned, int64(workers-1); got != want {
+			t.Fatalf("workers=%d: spawned counter advanced %d, want %d", workers, got, want)
+		}
+		if got := caller2 - caller; got != 1 {
+			t.Fatalf("workers=%d: caller counter advanced %d, want 1", workers, got)
+		}
 	}
 	if FastAvailable() {
 		// One per packed Fast block product, batched or not: bench/ reads
@@ -206,5 +208,29 @@ func TestPoolStats(t *testing.T) {
 		if got, want := fastAfter-fastBefore, int64(1+len(u.blocks)); got != want {
 			t.Fatalf("fast-dispatch counter advanced %d, want %d", got, want)
 		}
+	}
+}
+
+// BenchmarkParallelDo times the fan-out at workers ∈ {1, 2, 4}: over 16
+// empty chunks, which is the fan-out's own cost, and over one step's 16
+// block updates at r = 32 (Strict AddMulNumerics per index).
+//
+//	go test ./internal/matrix -run '^$' -bench ParallelDo -benchmem
+func BenchmarkParallelDo(b *testing.B) {
+	u, _ := newStepUpdate(rand.New(rand.NewSource(16)), 4, 32, 32)
+	step := u.block(Strict)
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("empty/w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				parallelDo(workers, 16, func(int) {})
+			}
+		})
+		b.Run(fmt.Sprintf("step-r32/w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				parallelDo(workers, len(u.c), step)
+			}
+		})
 	}
 }

@@ -18,23 +18,6 @@ import (
 	"hetgrid/internal/engine"
 )
 
-// Factory builds the fabric of one attempt for the attempt's rank count.
-// A nil Factory selects the in-process mailboxes.
-type Factory func(ranks int) (engine.Transport, error)
-
-// OneShot is the factory of a fixed fabric instance: it serves one world,
-// and a second attempt (recovery, migration) is refused.
-func OneShot(t engine.Transport) Factory {
-	used := false
-	return func(int) (engine.Transport, error) {
-		if used {
-			return nil, fmt.Errorf("a fixed transport serves exactly one world: recovery and migration need a fresh fabric per attempt")
-		}
-		used = true
-		return t, nil
-	}
-}
-
 // FaultStats reports what the fault layer did during a run, aggregated
 // across all attempts.
 type FaultStats struct {
@@ -85,41 +68,29 @@ type Result struct {
 	Drift  DriftStats
 }
 
-// ErrPartial is Run's error when an attempt on a fabric hosting only part
-// of the world ends in a failure or a migration verdict (which it wraps).
-// Looping needs the whole world in one process — a process that holds no
-// checkpoint cannot know where the others resume — so the Result's Outcome
-// goes back to the caller, whose coordinator feeds it to Next.
-var ErrPartial = errors.New("run: one attempt per partial fabric")
-
 // Run executes the job to completion: attempt, and while attempts end in a
 // rank failure or a migration verdict, take the transition and attempt
-// again on a fresh fabric.
-func Run(s State, job Job, fabric Factory, opts Options) (*Result, error) {
+// again. A nil t gives every attempt a fresh in-process fabric. A caller's
+// fabric, whole or partial, serves exactly one attempt: recovery and
+// migration need a fresh fabric, sized to the next world, and a process
+// hosting part of the world holds no checkpoint to resume the others from.
+// So when the transition would need a second attempt on t, Run returns
+// the Result beside an error wrapping the attempt's, and a coordinator
+// driving the processes feeds its Outcome to Next itself.
+func Run(s State, job Job, t engine.Transport, opts Options) (*Result, error) {
 	res := &Result{}
 	for {
-		p, q := s.Dist.Dims()
-		var t engine.Transport
-		if fabric != nil {
-			var err error
-			if t, err = fabric(p * q); err != nil {
-				if res.Err != nil {
-					return nil, fmt.Errorf("run: %w (after: %w)", err, res.Err)
-				}
-				return nil, fmt.Errorf("run: transport factory: %w", err)
-			}
-		}
 		res.Outcome = Attempt(s, job, t, opts)
 		res.Fold(res.Outcome)
 		if res.Err == nil {
 			return res, nil
 		}
-		if lr, ok := t.(interface{ LocalRanks() []int }); ok && len(lr.LocalRanks()) < p*q {
-			return res, fmt.Errorf("%w: %w", ErrPartial, res.Err)
-		}
 		next, err := s.Next(res.Outcome)
 		if err != nil {
 			return nil, err
+		}
+		if t != nil {
+			return res, fmt.Errorf("run: a fixed transport serves exactly one world: recovery and migration need a fresh fabric per attempt: %w", res.Err)
 		}
 		res.Advance(res.Outcome, next)
 		s = next

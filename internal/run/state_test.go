@@ -218,16 +218,3 @@ func TestAttemptsInvariant(t *testing.T) {
 		}
 	}
 }
-
-// TestOneShot: a fixed fabric serves one world; asked again it refuses,
-// saying why.
-func TestOneShot(t *testing.T) {
-	mem := engine.NewMemTransport(4)
-	f := OneShot(mem)
-	if got, err := f(4); err != nil || got != engine.Transport(mem) {
-		t.Fatalf("first call: %v, %v", got, err)
-	}
-	if _, err := f(3); err == nil || !strings.Contains(err.Error(), "a fixed transport serves exactly one world") {
-		t.Fatalf("second call: %v", err)
-	}
-}

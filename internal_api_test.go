@@ -78,7 +78,7 @@ var kept = map[string]map[string]string{
 		// The TCP suites of internal/engine/net drive the supervisor's
 		// steps on every process themselves, as a multi-process
 		// coordinator will.
-		"Attempt": "one attempt on one process's partial fabric, driven by the TCP suites in internal/engine/net",
+		"Attempt": "one attempt per process of a TCP cluster, driven by the suites in internal/engine/net; Run gives a caller's fabric one attempt too",
 		"Next":    "the pure transition the TCP drift-chaos suite applies between its attempts",
 		"StartK":  "the resume step the TCP drift-chaos suite checks after each transition",
 		"Fold":    "folds an attempt's statistics in the TCP drift-chaos suite",

@@ -10,7 +10,7 @@ import (
 )
 
 // computeLayer lists the packages that execute kernels: the dense block
-// routines and their worker pool, the serial oracle, the distributed
+// routines and their block fan-out, the serial oracle, the distributed
 // engine and the cluster simulator. The planner computes shares and
 // layouts from cycle-times alone and needs none of them.
 var computeLayer = []string{"internal/matrix", "internal/engine", "internal/kernels", "internal/sim"}

@@ -1,9 +1,6 @@
 package hetgrid
 
-import (
-	"hetgrid/internal/engine"
-	"hetgrid/internal/run"
-)
+import "hetgrid/internal/engine"
 
 // Transport is the engine's point-to-point message fabric — the interface
 // a custom fabric must satisfy to carry a distributed execution's traffic
@@ -30,9 +27,10 @@ var ErrTransportClosed = engine.ErrClosed
 // the execution spawns goroutines for those ranks alone and relies on the
 // fabric to reach the rest.
 //
-// A fixed instance serves exactly one world: a rank failure or a drift
+// The fabric serves exactly one world: a rank failure or a drift
 // migration verdict on it is returned as the error instead of recovering
-// or migrating, since either needs a second world.
+// or migrating, since either needs a second world on a fresh fabric.
+// Without WithTransport every attempt gets fresh in-process mailboxes.
 func WithTransport(t Transport) Option {
-	return func(o *callOptions) { o.exec.TransportFactory = run.OneShot(t) }
+	return func(o *callOptions) { o.exec.Transport = t }
 }
